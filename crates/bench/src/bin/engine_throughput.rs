@@ -4,17 +4,17 @@
 //! Run with:
 //! ```text
 //! cargo run --release --bin engine_throughput -- [n_pages] [n_query_threads] \
-//!     [--shards N] [--batch N] [--solver jacobi|gauss-seidel|woodbury] \
+//!     [--shards N] [--batch N] [--solver gauss-seidel|woodbury] \
 //!     [--woodbury-rank K] [--repartition-budget N] [--query-threads N] \
 //!     [--batch-window-us U] [--stale-budget K] [--smoke] \
-//!     [--churn value|structure|mixed] [--no-refactor] \
+//!     [--churn value|structure|mixed] \
 //!     [--metrics-out PATH] [--no-telemetry] \
 //!     [--wal-dir PATH] [--checkpoint-every N] [--group-commit W]
 //! ```
 //!
-//! `--shards N` maintains the factors in the partitioned store (`N` factor
-//! shards over an edge-locality partition; `1` keeps the monolithic store)
-//! and reports a per-shard ingest breakdown alongside the aggregate
+//! `--shards N` maintains the factors in `N` factor shards over an
+//! edge-locality partition (`1`, the default, is the whole graph as one
+//! block with no coupling) and reports a per-shard ingest breakdown alongside the aggregate
 //! deltas/sec and the query latency quantiles.  `--batch N` sets the ingest
 //! batch-cut size (default 64) — smaller batches touch fewer shards each,
 //! which is the regime where the snapshot ring's copy-on-write sharing pays
@@ -41,10 +41,8 @@
 //! base-snapshot edges in alternating remove/re-insert rounds, so every
 //! batch stays inside the frozen factor pattern and exercises the
 //! pattern-frozen refactorization fast path; `mixed` interleaves the two.
-//! `--no-refactor` disables that fast path (every batch goes through the
-//! Bennett sweep), which is the baseline for the refactor speedup numbers.
-//! After the replay the final engine answers are checked against a fresh
-//! monolithic factorization of the final graph to 1e-9.
+//! After the replay the final engine answers are checked against a dense
+//! Gaussian-elimination solve of the final graph's measure matrix to 1e-9.
 //!
 //! `--wal-dir PATH` opens the engine durably over a spool directory: every
 //! batch is written ahead to a checksummed WAL and a checkpoint generation
@@ -64,7 +62,7 @@
 
 use clude_engine::{
     BatchPolicy, CludeEngine, CouplingConfig, CouplingSolver, DurabilityConfig, EngineConfig,
-    FactorStore, RefreshPolicy, StalenessBudget,
+    RefreshPolicy, StalenessBudget,
 };
 use clude_graph::generators::wiki_like::{self, WikiLikeConfig};
 use clude_graph::EvolvingGraphSequence;
@@ -180,7 +178,6 @@ fn main() {
     let mut stale_budget: u64 = 0;
     let mut smoke = false;
     let mut churn = Churn::Structure;
-    let mut refactor = true;
     let mut metrics_out: Option<String> = None;
     let mut telemetry_enabled = true;
     let mut wal_dir: Option<String> = None;
@@ -250,7 +247,6 @@ fn main() {
                     }
                 };
             }
-            "--no-refactor" => refactor = false,
             "--metrics-out" => {
                 metrics_out = Some(args.next().expect("--metrics-out needs a file path"));
             }
@@ -290,12 +286,11 @@ fn main() {
         }
     }
     let solver = match solver_name.as_str() {
-        "jacobi" => CouplingSolver::Jacobi,
         "gauss-seidel" | "gs" => CouplingSolver::GaussSeidel,
         "woodbury" => CouplingSolver::Woodbury {
             max_rank: woodbury_rank,
         },
-        other => panic!("unknown --solver {other:?} (expected jacobi, gauss-seidel or woodbury)"),
+        other => panic!("unknown --solver {other:?} (expected gauss-seidel or woodbury)"),
     };
     let n_pages = n_pages.unwrap_or(if smoke { 150 } else { 400 });
     // Default to cores − 1 query threads (min 1) so the ingest thread is not
@@ -370,12 +365,11 @@ fn main() {
         ops.len()
     );
     println!(
-        "replay: {} pages, {} snapshots archived, {} edge operations ({} churn{}), {} query threads, {} factor shard(s), batch {}, solver {}{}{}",
+        "replay: {} pages, {} snapshots archived, {} edge operations ({} churn), {} query threads, {} factor shard(s), batch {}, solver {}{}{}",
         egs.n_nodes(),
         egs.len(),
         ops.len(),
         churn.name(),
-        if refactor { "" } else { ", refactor off" },
         n_query_threads,
         n_shards,
         batch_size,
@@ -413,7 +407,6 @@ fn main() {
             max_lag: stale_budget,
         },
         batch_window_us,
-        refactor,
         ..EngineConfig::default()
     };
     let matrix_kind = engine_config.matrix_kind;
@@ -676,7 +669,9 @@ fn main() {
 
     // Exactness gate: whatever path the batches took (Bennett sweeps,
     // pattern-frozen refactorizations, refreshes), the served answers must
-    // match a fresh monolithic factorization of the final graph to 1e-9.
+    // match dense Gaussian elimination on the final graph's measure matrix
+    // to 1e-9 — a reference with no ordering, factor or routing code in
+    // common with the engine.
     let mut final_graph = egs.snapshot(0);
     for op in &ops {
         match *op {
@@ -688,9 +683,7 @@ fn main() {
             }
         }
     }
-    let oracle = FactorStore::new(final_graph, matrix_kind, RefreshPolicy::Incremental)
-        .expect("final graph factorizes");
-    let oracle_snap = oracle.snapshot();
+    let oracle = clude_graph::measure_matrix(&final_graph, matrix_kind).to_dense();
     let mut max_diff = 0.0f64;
     for q in [
         MeasureQuery::PageRank { damping: 0.85 },
@@ -708,16 +701,18 @@ fn main() {
         },
     ] {
         let served = engine.query(&q).expect("verification query succeeds");
-        let exact = oracle_snap.query(&q).expect("oracle query succeeds");
+        let rhs = clude_measures::measure_rhs(&q, n).expect("a snapshot-matrix query");
+        let mut exact = oracle.solve_gaussian(&rhs).expect("oracle solve succeeds");
+        clude_sparse::vector::normalize_l1(&mut exact);
         for (a, b) in served.iter().zip(exact.iter()) {
             max_diff = max_diff.max((a - b).abs());
         }
     }
     assert!(
         max_diff <= 1e-9,
-        "served answers drifted from the monolithic oracle: max |diff| {max_diff:.3e}"
+        "served answers drifted from the dense oracle: max |diff| {max_diff:.3e}"
     );
-    println!("\nexactness vs monolithic oracle: max |diff| {max_diff:.3e} (gate 1e-9)");
+    println!("\nexactness vs dense oracle: max |diff| {max_diff:.3e} (gate 1e-9)");
 
     if let Some(path) = metrics_out {
         let dump = engine.render_prometheus();

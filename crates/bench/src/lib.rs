@@ -1,12 +1,10 @@
 //! # clude-bench
 //!
 //! Benchmark harness reproducing the evaluation of the CLUDE paper (EDBT
-//! 2014).  Every figure of §6/§7 has:
-//!
-//! * a binary in `src/bin/` that prints the figure's series (run with
-//!   `cargo run -p clude-bench --release --bin figXX_...`), and
-//! * a Criterion bench in `benches/` exercising the same code path at a
-//!   reduced scale.
+//! 2014).  Every figure of §6/§7 has a binary in `src/bin/` that prints the
+//! figure's series (run with
+//! `cargo run -p clude-bench --release --bin figXX_...`); kernel and
+//! end-to-end timings come from the `clude_perf` binary.
 //!
 //! The shared machinery lives here: bench-scale dataset configurations
 //! ([`datasets`]) and the experiment drivers ([`experiments`]) that produce

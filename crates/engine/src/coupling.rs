@@ -6,26 +6,25 @@
 //! under the engine's 1e-9 equivalence bar).  How much that costs depends
 //! entirely on how dense `C` is — which is why the strategy is pluggable:
 //!
-//! * [`CouplingSolver::Jacobi`] — the PR 3 baseline: fixed-point
-//!   `x ← B⁻¹(b − C·x)`, one full block-solve pass per sweep, sweeps
-//!   proportional to `1/log(1/ρ)` digits.
-//! * [`CouplingSolver::GaussSeidel`] — same fixed point, but each shard's
-//!   solve inside a sweep already uses the solutions of the shards updated
-//!   before it, traversed in an order derived from the coupling's
-//!   shard-to-shard dependency weights ([`CouplingPlan::gs_order`]); for the
-//!   engine's M-matrices this contracts at least as fast as Jacobi and in
-//!   practice roughly halves the sweep count.
+//! * [`CouplingSolver::GaussSeidel`] — the fixed point `x ← B⁻¹(b − C·x)`
+//!   swept shard by shard: each shard's solve inside a sweep already uses
+//!   the solutions of the shards updated before it, traversed in an order
+//!   derived from the coupling's shard-to-shard dependency weights
+//!   ([`CouplingPlan::gs_order`]); sweeps are proportional to
+//!   `1/log(1/ρ)` digits.
 //! * [`CouplingSolver::Woodbury`] — capture the `k` hottest coupling columns
 //!   into a cached low-rank correction (`clude_lu::lowrank`) at
 //!   snapshot-freeze time; a solve is then one block pass plus one `k×k`
 //!   dense substitution, with sweeps only over the (cold) remainder columns
 //!   — and none at all when the correction captured the whole coupling.
 //!
-//! All three strategies converge to the same solution: the splitting
+//! Both strategies converge to the same solution: the splitting
 //! `A = M − N` behind each of them is regular for the engine's column-wise
 //! strictly diagonally dominant M-matrices (`I − d·W`, shifted Laplacians),
 //! so the fixed point is the exact solve and the strategies differ only in
-//! how fast they reach it.  The per-snapshot metadata each strategy needs —
+//! how fast they reach it.  A store without coupling — one shard, or shards
+//! no edge crosses — never iterates: its solve is one pass of substitutions
+//! (see `solve_systems`).  The per-snapshot metadata each strategy needs —
 //! the Gauss–Seidel traversal order and the Woodbury correction — is frozen
 //! into a shared [`CouplingPlan`] that the copy-on-write snapshot ring
 //! shares exactly like factor blocks.
@@ -33,9 +32,7 @@
 use crate::store::{EngineSnapshot, ShardSnapshot};
 use clude::DecomposedMatrix;
 use clude_graph::NodePartition;
-use clude_lu::{
-    CorrectionScratch, LowRankCorrection, LuError, LuResult, PanelScratch, SolveScratch,
-};
+use clude_lu::{CorrectionScratch, LowRankCorrection, LuError, LuResult, PanelScratch};
 use clude_sparse::CsrMatrix;
 use clude_telemetry::{Counter, EngineEvent, Stage};
 use std::collections::BTreeSet;
@@ -45,8 +42,6 @@ use std::collections::BTreeSet;
 /// configured strategy onto every snapshot it publishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CouplingSolver {
-    /// Block-Jacobi fixed point `x ← B⁻¹(b − C·x)` — the baseline.
-    Jacobi,
     /// Block Gauss–Seidel: within one sweep each shard solve sees the
     /// just-updated solutions of the shards traversed before it, in the
     /// dependency-weight order cached in the snapshot's [`CouplingPlan`].
@@ -86,7 +81,6 @@ impl CouplingSolver {
     /// Short display name for stats, logs and CLI flags.
     pub fn name(&self) -> &'static str {
         match self {
-            CouplingSolver::Jacobi => "jacobi",
             CouplingSolver::GaussSeidel => "gauss-seidel",
             CouplingSolver::Woodbury { .. } => "woodbury",
         }
@@ -94,8 +88,8 @@ impl CouplingSolver {
 }
 
 impl Default for CouplingSolver {
-    /// Gauss–Seidel: never slower than Jacobi on the engine's matrices, and
-    /// free of the Woodbury strategy's freeze-time rebuild cost.
+    /// Gauss–Seidel: free of the Woodbury strategy's freeze-time rebuild
+    /// cost.
     fn default() -> Self {
         CouplingSolver::GaussSeidel
     }
@@ -201,18 +195,6 @@ pub struct CouplingPlan {
 }
 
 impl CouplingPlan {
-    /// The trivial plan of a store without coupling (identity traversal, no
-    /// correction) — what monolithic snapshots carry.
-    pub(crate) fn trivial(n_shards: usize) -> Self {
-        CouplingPlan {
-            gs_order: (0..n_shards).collect(),
-            // No coupling: vacuously triangular (never consulted — empty
-            // couplings short-circuit before the iterative arms).
-            triangular: true,
-            correction: None,
-        }
-    }
-
     /// Builds the plan for one frozen (partition, factor blocks, coupling)
     /// triple: always derives the Gauss–Seidel order, and for the Woodbury
     /// strategy also factors the hottest coupling columns into the cached
@@ -225,6 +207,8 @@ impl CouplingPlan {
     ) -> LuResult<Self> {
         let k = partition.n_shards();
         let (gs_order, triangular) = if k <= 1 || coupling.nnz() == 0 {
+            // No coupling: vacuously triangular (never consulted — empty
+            // couplings short-circuit before the iterative arms).
             ((0..k).collect(), true)
         } else {
             let w = shard_dependency_weights(k, partition, coupling);
@@ -298,45 +282,9 @@ impl CouplingPlan {
 }
 
 /// Reused buffers of one coupled solve: the gathered per-shard right-hand
-/// side, the recovered per-shard solution, the triangular-solve scratch
-/// underneath, and the Woodbury correction scratch.  Allocated once per
-/// query; every sweep after the first reuses the grown capacity.
-#[derive(Debug, Default)]
-pub(crate) struct BlockScratch {
-    local_rhs: Vec<f64>,
-    local_x: Vec<f64>,
-    lu: SolveScratch,
-    correction: CorrectionScratch,
-}
-
-/// Runs every block's solve against `rhs` restricted to its nodes and
-/// scatters the local solutions into `out` — one pass of `B⁻¹`.  All
-/// intermediate vectors live in `scratch`, so one call allocates nothing
-/// once the scratch has warmed up to the largest shard's order.
-pub(crate) fn solve_blocks<D: AsRef<DecomposedMatrix>>(
-    partition: &NodePartition,
-    blocks: &[D],
-    rhs: &[f64],
-    out: &mut [f64],
-    scratch: &mut BlockScratch,
-) -> LuResult<()> {
-    for (s, block) in blocks.iter().enumerate() {
-        let nodes = partition.nodes_of(s);
-        scratch.local_rhs.clear();
-        scratch.local_rhs.extend(nodes.iter().map(|&g| rhs[g]));
-        block
-            .as_ref()
-            .solve_into(&scratch.local_rhs, &mut scratch.lu, &mut scratch.local_x)?;
-        for (l, &g) in nodes.iter().enumerate() {
-            out[g] = scratch.local_x[l];
-        }
-    }
-    Ok(())
-}
-
-/// Panel analogue of [`BlockScratch`]: the gathered per-shard right-hand
 /// side panel, the recovered per-shard solution panel, the triangular panel
-/// scratch underneath, and the Woodbury correction scratch.
+/// scratch underneath, and the Woodbury correction scratch.  Allocated once
+/// per query; every sweep after the first reuses the grown capacity.
 #[derive(Debug, Default)]
 pub(crate) struct PanelBlockScratch {
     local_rhs: Vec<f64>,
@@ -345,11 +293,12 @@ pub(crate) struct PanelBlockScratch {
     correction: CorrectionScratch,
 }
 
-/// Panel variant of [`solve_blocks`]: one pass of `B⁻¹` over `n_rhs`
-/// right-hand sides stacked column-major in `rhs`, each shard's factors
-/// traversed **once** for the whole panel.  Per panel column the arithmetic
-/// is exactly that of [`solve_blocks`], so every stripe of `out` is
-/// bit-identical to a sequential block pass.
+/// One pass of `B⁻¹` over `n_rhs` right-hand sides stacked column-major in
+/// `rhs`: every block solves its restriction of the panel and scatters the
+/// local solutions into `out`, each shard's factors traversed **once** for
+/// the whole panel.  Per panel column the arithmetic does not depend on the
+/// panel's width, so every stripe of `out` is bit-identical to the same
+/// pass at width 1.
 pub(crate) fn solve_blocks_many<D: AsRef<DecomposedMatrix>>(
     partition: &NodePartition,
     blocks: &[D],
@@ -388,97 +337,25 @@ pub(crate) fn solve_blocks_many<D: AsRef<DecomposedMatrix>>(
 }
 
 /// Solves `A x = b` for a snapshot's full measure matrix
-/// `A = blockdiag(A_ss) + C`, dispatching on the snapshot's strategy.
+/// `A = blockdiag(A_ss) + C` and `n_rhs` right-hand sides stacked
+/// column-major in `b`, one factor traversal per block pass for the whole
+/// panel.  A single right-hand side is a width-1 panel (the scalar-kernel
+/// choice lives in `clude_lu::solve_original_many_into`, nowhere else).
 ///
-/// Fast paths first: a monolithic snapshot is one pair of substitutions
-/// (bit-identical to the pre-sharding solve), and fully decoupled shards
-/// need exactly one block pass.  Everything else goes through the
-/// snapshot's [`CouplingSolver`]; a Woodbury snapshot whose plan carries no
-/// correction (defensive fallback) degrades to Gauss–Seidel.
-pub(crate) fn solve_system(snap: &EngineSnapshot, b: &[f64]) -> LuResult<Vec<f64>> {
-    let n = snap.n_nodes();
-    if b.len() != n {
-        return Err(LuError::DimensionMismatch {
-            expected: n,
-            actual: b.len(),
-        });
-    }
-    let shards = snap.shards();
-    let coupling = snap.coupling();
-    if shards.len() == 1 && coupling.nnz() == 0 {
-        return shards[0].decomposed().solve(b);
-    }
-    let partition = snap.partition();
-    let mut scratch = BlockScratch::default();
-    if coupling.nnz() == 0 {
-        let mut x = vec![0.0; n];
-        solve_blocks(partition, shards, b, &mut x, &mut scratch)?;
-        return Ok(x);
-    }
-    let tolerance = snap.tolerance();
-    let telemetry = snap.telemetry();
-    let result = match snap.solver() {
-        CouplingSolver::Jacobi => {
-            let _span = telemetry.span(Stage::CouplingJacobi);
-            fixed_point(n, b, coupling, tolerance, |rhs, out| {
-                solve_blocks(partition, shards, rhs, out, &mut scratch)
-            })
-        }
-        CouplingSolver::GaussSeidel => {
-            let _span = telemetry.span(Stage::CouplingGaussSeidel);
-            gauss_seidel(snap, b, &mut scratch)
-        }
-        CouplingSolver::Woodbury { .. } => match &snap.coupling_plan().correction {
-            Some(c) if c.rest.nnz() == 0 => {
-                // The correction captured the whole coupling: one block pass
-                // plus one k×k dense substitution is the exact solve.
-                let _span = telemetry.span(Stage::CouplingWoodburyApply);
-                let mut x = vec![0.0; n];
-                solve_blocks(partition, shards, b, &mut x, &mut scratch)?;
-                c.lowrank.apply_into(&mut x, &mut scratch.correction)?;
-                Ok(x)
-            }
-            Some(c) => {
-                let _span = telemetry.span(Stage::CouplingWoodburyApply);
-                fixed_point(n, b, &c.rest, tolerance, |rhs, out| {
-                    solve_blocks(partition, shards, rhs, out, &mut scratch)?;
-                    c.lowrank.apply_into(out, &mut scratch.correction)
-                })
-            }
-            None => {
-                let _span = telemetry.span(Stage::CouplingGaussSeidel);
-                gauss_seidel(snap, b, &mut scratch)
-            }
-        },
-    };
-    if let Err(LuError::ConvergenceFailure {
-        iterations,
-        last_diff,
-    }) = &result
-    {
-        // Journalled, not just surfaced as an `Err`: a caller that retries or
-        // falls back would otherwise leave no trace of the failed solve.
-        telemetry.incr(Counter::ConvergenceFailures);
-        telemetry.record_event(EngineEvent::ConvergenceFailure {
-            sweeps: *iterations as u64,
-            residual: *last_diff,
-        });
-    }
-    result
-}
-
-/// Panel variant of [`solve_system`]: solves the snapshot's measure system
-/// for `n_rhs` right-hand sides stacked column-major in `b`, one factor
-/// traversal per block pass for the whole panel.
+/// Fast paths first: a single shard without coupling is one pair of
+/// substitutions, and fully decoupled shards need exactly one block pass.
+/// Everything else goes through the snapshot's [`CouplingSolver`]; a
+/// Woodbury snapshot whose plan carries no correction (triangular coupling,
+/// or the defensive singular-Schur fallback) runs Gauss–Seidel.
 ///
-/// Every stripe of the result is **bit-identical** to a sequential
-/// [`solve_system`] call on that stripe: the direct arms reuse the panel
-/// kernels' per-column bit-identity, and the iterative arms run a joint
-/// sweep loop in which each column carries its own convergence state and is
-/// frozen the moment its sequential run would have returned — so per column
-/// the sweep count, every intermediate iterate, and the final answer match
-/// the single-RHS path exactly.  A convergence or pivot failure on any
-/// column fails the whole panel (the batcher reports it to every member).
+/// Every stripe of the result is **bit-identical** to a width-1 call on
+/// that stripe: the direct arms reuse the panel kernels' per-column
+/// bit-identity, and the iterative arms run a joint sweep loop in which each
+/// column carries its own convergence state and is frozen the moment its
+/// own acceptance test passes — so per column the sweep count, every
+/// intermediate iterate, and the final answer do not depend on which other
+/// columns share the panel.  A convergence or pivot failure on any column
+/// fails the whole panel (the batcher reports it to every member).
 pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>> {
     let n = snap.n_nodes();
     if b.len() != n * n_rhs {
@@ -489,9 +366,6 @@ pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> L
     }
     if n_rhs == 0 {
         return Ok(Vec::new());
-    }
-    if n_rhs == 1 {
-        return solve_system(snap, b);
     }
     let shards = snap.shards();
     let coupling = snap.coupling();
@@ -513,18 +387,14 @@ pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> L
     let tolerance = snap.tolerance();
     let telemetry = snap.telemetry();
     let result = match snap.solver() {
-        CouplingSolver::Jacobi => {
-            let _span = telemetry.span(Stage::CouplingJacobi);
-            fixed_point_many(n, b, n_rhs, coupling, tolerance, |rhs, out| {
-                solve_blocks_many(partition, shards, rhs, n_rhs, out, &mut scratch)
-            })
-        }
         CouplingSolver::GaussSeidel => {
             let _span = telemetry.span(Stage::CouplingGaussSeidel);
             gauss_seidel_many(snap, b, n_rhs, &mut scratch)
         }
         CouplingSolver::Woodbury { .. } => match &snap.coupling_plan().correction {
             Some(c) if c.rest.nnz() == 0 => {
+                // The correction captured the whole coupling: one block pass
+                // plus one k×k dense substitution is the exact solve.
                 let _span = telemetry.span(Stage::CouplingWoodburyApply);
                 let mut x = vec![0.0; n * n_rhs];
                 solve_blocks_many(partition, shards, b, n_rhs, &mut x, &mut scratch)?;
@@ -558,6 +428,8 @@ pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> L
         last_diff,
     }) = &result
     {
+        // Journalled, not just surfaced as an `Err`: a caller that retries or
+        // falls back would otherwise leave no trace of the failed solve.
         telemetry.incr(Counter::ConvergenceFailures);
         telemetry.record_event(EngineEvent::ConvergenceFailure {
             sweeps: *iterations as u64,
@@ -567,55 +439,18 @@ pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> L
     result
 }
 
-/// Fixed-point iteration `x ← M⁻¹(b − R·x)` with `apply_inverse` as `M⁻¹`
-/// and `residual` as `R` — the shared skeleton of the Jacobi strategy
-/// (`M = B`, `R = C`) and the Woodbury remainder iteration
-/// (`M = B + C_hot`, `R = C_rest`).
-fn fixed_point<F>(
-    n: usize,
-    b: &[f64],
-    residual: &CsrMatrix,
-    tolerance: SolveTolerance,
-    mut apply_inverse: F,
-) -> LuResult<Vec<f64>>
-where
-    F: FnMut(&[f64], &mut [f64]) -> LuResult<()>,
-{
-    let mut x = vec![0.0; n];
-    let mut next = vec![0.0; n];
-    let mut rhs = vec![0.0; n];
-    let mut last_diff = f64::INFINITY;
-    for _ in 0..tolerance.max_sweeps {
-        // rhs = b − R·x, accumulated into the reused buffer; everything
-        // below runs through reused buffers too, so the steady-state sweep
-        // performs zero heap allocations.
-        rhs.copy_from_slice(b);
-        for (i, j, v) in residual.iter() {
-            rhs[i] -= v * x[j];
-        }
-        apply_inverse(&rhs, &mut next)?;
-        let (diff, scale) = diff_and_scale(&next, &x);
-        std::mem::swap(&mut x, &mut next);
-        if tolerance.accepted(diff, scale, last_diff) {
-            return Ok(x);
-        }
-        last_diff = diff;
-    }
-    Err(LuError::ConvergenceFailure {
-        iterations: tolerance.max_sweeps,
-        last_diff,
-    })
-}
-
-/// Panel variant of [`fixed_point`]: the columns of the panel iterate
-/// jointly — one residual pass and one `apply_inverse` panel pass per sweep
-/// — but each column keeps its own `last_diff` and is **frozen** (its `x`
-/// stripe no longer written) the moment its own acceptance test passes.
-/// Because the columns of a fixed-point iteration are arithmetically
-/// independent, each column's iterate sequence while active is exactly its
-/// sequential [`fixed_point`] sequence, so the converged stripes are
-/// bit-identical to sequential solves.  Frozen columns still ride along in
-/// the panel passes (the width is fixed); their results are discarded.
+/// Fixed-point iteration `x ← M⁻¹(b − R·x)` over a panel, with
+/// `apply_inverse` as `M⁻¹` and `residual` as `R` — the Woodbury remainder
+/// iteration (`M = B + C_hot`, `R = C_rest`).  The columns of the panel
+/// iterate jointly — one residual pass and one `apply_inverse` panel pass
+/// per sweep, all through reused buffers — but each column keeps its own
+/// `last_diff` and is **frozen** (its `x` stripe no longer written) the
+/// moment its own acceptance test passes.  Because the columns of a
+/// fixed-point iteration are arithmetically independent, each column's
+/// iterate sequence while active is exactly its width-1 sequence, so the
+/// converged stripes are bit-identical to width-1 solves.  Frozen columns
+/// still ride along in the panel passes (the width is fixed); their results
+/// are discarded.
 fn fixed_point_many<F>(
     n: usize,
     b: &[f64],
@@ -673,73 +508,15 @@ where
     })
 }
 
-/// Block Gauss–Seidel: one sweep updates the shards in the plan's
-/// dependency order, and each shard's right-hand side reads the *current*
-/// iterate — so the shards updated earlier in the sweep already contribute
-/// their new solutions.  Same fixed point as Jacobi, roughly half the
-/// sweeps on the engine's streams.
-fn gauss_seidel(
-    snap: &EngineSnapshot,
-    b: &[f64],
-    scratch: &mut BlockScratch,
-) -> LuResult<Vec<f64>> {
-    let partition = snap.partition();
-    let shards = snap.shards();
-    let coupling = snap.coupling();
-    let tolerance = snap.tolerance();
-    let plan = snap.coupling_plan();
-    debug_assert_eq!(plan.gs_order.len(), shards.len());
-    let n = b.len();
-    let mut x = vec![0.0; n];
-    let mut prev = vec![0.0; n];
-    let mut last_diff = f64::INFINITY;
-    for _ in 0..tolerance.max_sweeps {
-        prev.copy_from_slice(&x);
-        for &s in &plan.gs_order {
-            let nodes = partition.nodes_of(s);
-            scratch.local_rhs.clear();
-            for &g in nodes {
-                let (cols, vals) = coupling.row(g);
-                let mut acc = b[g];
-                for (&j, &v) in cols.iter().zip(vals.iter()) {
-                    acc -= v * x[j];
-                }
-                scratch.local_rhs.push(acc);
-            }
-            shards[s].decomposed().solve_into(
-                &scratch.local_rhs,
-                &mut scratch.lu,
-                &mut scratch.local_x,
-            )?;
-            for (l, &g) in nodes.iter().enumerate() {
-                x[g] = scratch.local_x[l];
-            }
-        }
-        if plan.triangular {
-            // Block triangular coupling: every entry a shard read was
-            // already final, so the first sweep IS the exact solve.
-            return Ok(x);
-        }
-        let (diff, scale) = diff_and_scale(&x, &prev);
-        if tolerance.accepted(diff, scale, last_diff) {
-            return Ok(x);
-        }
-        last_diff = diff;
-    }
-    Err(LuError::ConvergenceFailure {
-        iterations: tolerance.max_sweeps,
-        last_diff,
-    })
-}
-
-/// Panel variant of [`gauss_seidel`], with the same per-column freeze
-/// discipline as [`fixed_point_many`]: per sweep each shard gathers the
-/// coupled right-hand sides of every column against that column's *current*
-/// iterate (shards earlier in the traversal already contributed their new
-/// stripes), runs **one** panel solve over its factors, and scatters only
-/// the still-active columns.  Per column the arithmetic matches the
-/// sequential [`gauss_seidel`] exactly, so converged stripes are
-/// bit-identical.
+/// Block Gauss–Seidel over a panel: one sweep updates the shards in the
+/// plan's dependency order, and each shard's right-hand side reads the
+/// *current* iterate — so the shards updated earlier in the sweep already
+/// contribute their new solutions.  Per sweep each shard gathers the coupled
+/// right-hand sides of every column, runs **one** panel solve over its
+/// factors, and scatters only the still-active columns — the same
+/// per-column freeze discipline as [`fixed_point_many`], so per column the
+/// arithmetic does not depend on the panel's width and converged stripes
+/// are bit-identical to width-1 solves.
 fn gauss_seidel_many(
     snap: &EngineSnapshot,
     b: &[f64],
@@ -957,7 +734,7 @@ fn build_correction<D: AsRef<DecomposedMatrix>>(
         // is exactly what `split_columns` validates.
         .expect("hot columns index the coupling");
     let mut z = vec![0.0; n * hot.len()];
-    let mut scratch = BlockScratch::default();
+    let mut scratch = PanelBlockScratch::default();
     let mut support = BTreeSet::new();
     let mut col_shards = BTreeSet::new();
     for (i, column) in columns.iter().enumerate() {
@@ -974,8 +751,9 @@ fn build_correction<D: AsRef<DecomposedMatrix>>(
                     scratch.local_rhs[partition.local_of(r)] = v;
                 }
             }
-            blocks[s].as_ref().solve_into(
+            blocks[s].as_ref().solve_many_into(
                 &scratch.local_rhs,
+                1,
                 &mut scratch.lu,
                 &mut scratch.local_x,
             )?;
@@ -1011,7 +789,6 @@ mod tests {
 
     #[test]
     fn solver_names_and_defaults() {
-        assert_eq!(CouplingSolver::Jacobi.name(), "jacobi");
         assert_eq!(CouplingSolver::GaussSeidel.name(), "gauss-seidel");
         assert_eq!(CouplingSolver::woodbury().name(), "woodbury");
         assert_eq!(CouplingSolver::default(), CouplingSolver::GaussSeidel);
@@ -1047,7 +824,12 @@ mod tests {
 
     #[test]
     fn trivial_plan_is_identity_order_without_correction() {
-        let plan = CouplingPlan::trivial(3);
+        let partition = NodePartition::contiguous(6, 3);
+        let empty = CsrMatrix::from_coo(&CooMatrix::new(6, 6));
+        let no_blocks: [ShardSnapshot; 0] = [];
+        let plan = CouplingPlan::build(&partition, &no_blocks, &empty, CouplingSolver::woodbury())
+            .unwrap();
+        assert!(plan.is_triangular());
         assert_eq!(plan.gs_order(), &[0, 1, 2]);
         assert_eq!(plan.correction_rank(), None);
         assert_eq!(plan.correction_rest_nnz(), None);
@@ -1087,7 +869,7 @@ mod tests {
             max_sweeps: 7,
         };
         let mut flip = 1.0;
-        let err = fixed_point(2, &[1.0, 1.0], &residual, tolerance, |_rhs, out| {
+        let err = fixed_point_many(2, &[1.0, 1.0], 1, &residual, tolerance, |_rhs, out| {
             flip = -flip;
             out[0] = flip;
             out[1] = -flip;

@@ -4,7 +4,8 @@
 //! interface (`&self` everywhere, share it in an `Arc`):
 //!
 //! * edge operations go through a `Mutex`-guarded ingest state (the
-//!   [`DeltaIngestor`] plus the [`FactorStore`]) — one writer at a time;
+//!   [`DeltaIngestor`] plus the [`ShardedFactorStore`]) — one writer at a
+//!   time;
 //! * cut batches advance the store and publish an immutable
 //!   [`EngineSnapshot`] into an `RwLock`-guarded ring of recent snapshots
 //!   (bounded time-travel window).  The ring is copy-on-write: consecutive
@@ -26,9 +27,9 @@ use crate::error::{EngineError, EngineResult};
 use crate::ingest::{BatchPolicy, DeltaIngestor, EdgeOp, IngestOutcome};
 use crate::query::{QueryService, StalenessBudget};
 use crate::recovery::{self, RecoveryReport};
-use crate::sharded::{PartitionStrategy, ShardAdvance, ShardedAdvanceReport, ShardedFactorStore};
+use crate::sharded::{PartitionStrategy, ShardedFactorStore};
 use crate::stats::{EngineCounters, EngineStats};
-use crate::store::{EngineSnapshot, FactorStore, RefreshPolicy};
+use crate::store::{EngineSnapshot, RefreshPolicy};
 use clude::partition::edge_locality_partition;
 use clude_graph::{btf_partition, DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_measures::MeasureQuery;
@@ -49,7 +50,8 @@ pub struct EngineConfig {
     pub batch: BatchPolicy,
     /// When to abandon the ordering and re-factorize.
     pub refresh: RefreshPolicy,
-    /// How many recent snapshots stay queryable (time-travel window).  The
+    /// How many recent snapshots stay queryable (time-travel window); must be
+    /// at least 1 ([`EngineError::InvalidConfig`] otherwise).  The
     /// ring shares untouched shards' factor blocks between entries, so a
     /// deeper ring costs O(touched shards) — not O(all shards) — *factor*
     /// memory per retained snapshot; each entry does keep its own copy of
@@ -59,23 +61,19 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// LRU capacity per cache shard.
     pub cache_capacity_per_shard: usize,
-    /// Number of factor-store shards.  `1` keeps the monolithic
-    /// [`FactorStore`]; `>1` partitions the node universe by
-    /// [`edge_locality_partition`] and maintains a [`ShardedFactorStore`]
-    /// whose disjoint-shard delta batches apply in parallel.  Clamped to
-    /// the number of nodes of the base graph.
+    /// Number of factor-store shards.  `1` factorizes the whole graph as one
+    /// block ([`NodePartition::singleton`], no coupling); `>1` partitions
+    /// the node universe by `partition_strategy` so disjoint-shard delta
+    /// batches apply in parallel.  Clamped from above to the number of nodes
+    /// of the base graph; `0` is an [`EngineError::InvalidConfig`] (no
+    /// CPU-count-derived sizing produces it, so it is reported, not
+    /// clamped).
     pub n_shards: usize,
     /// How coupled (sharded) queries are solved: the
     /// [`crate::coupling::CouplingSolver`] strategy, its
     /// [`crate::coupling::SolveTolerance`] stopping rule, and the optional
     /// coupling-size budget that triggers adaptive re-partitioning.
     pub coupling: CouplingConfig,
-    /// Whether value-only delta batches (every changed matrix position
-    /// already on a stored factor slot) are absorbed by a pattern-frozen
-    /// refactorization — one pass down the frozen symbolic pattern — instead
-    /// of per-entry Bennett sweeps.  On by default; turn off to A/B the
-    /// Bennett path.
-    pub refactor: bool,
     /// How the initial partition of a sharded engine is derived, and how the
     /// adaptive re-partitioner derives replacements: greedy edge locality,
     /// or BTF (SCC) structure whose cross-shard coupling is
@@ -105,7 +103,6 @@ impl Default for EngineConfig {
             cache_capacity_per_shard: 128,
             n_shards: 1,
             coupling: CouplingConfig::default(),
-            refactor: true,
             partition_strategy: PartitionStrategy::default(),
             telemetry: TelemetryConfig::default(),
             staleness: StalenessBudget::default(),
@@ -114,87 +111,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// The factor store behind the ingest path: monolithic or partitioned
-/// (boxed: the stores are large and live once per engine).
-#[derive(Debug)]
-enum StoreBackend {
-    Monolithic(Box<FactorStore>),
-    Sharded(Box<ShardedFactorStore>),
-}
-
-impl StoreBackend {
-    fn graph(&self) -> &DiGraph {
-        match self {
-            StoreBackend::Monolithic(s) => s.graph(),
-            StoreBackend::Sharded(s) => s.graph(),
-        }
-    }
-
-    fn snapshot(&self) -> EngineSnapshot {
-        match self {
-            StoreBackend::Monolithic(s) => s.snapshot(),
-            StoreBackend::Sharded(s) => s.snapshot(),
-        }
-    }
-
-    fn n_shards(&self) -> usize {
-        match self {
-            StoreBackend::Monolithic(_) => 1,
-            StoreBackend::Sharded(s) => s.n_shards(),
-        }
-    }
-
-    fn snapshot_id(&self) -> u64 {
-        match self {
-            StoreBackend::Monolithic(s) => s.snapshot_id(),
-            StoreBackend::Sharded(s) => s.snapshot_id(),
-        }
-    }
-
-    fn durable_state(&self) -> crate::checkpoint::DurableState {
-        match self {
-            StoreBackend::Monolithic(s) => s.durable_state(),
-            StoreBackend::Sharded(s) => s.durable_state(),
-        }
-    }
-
-    /// Advances the store, normalising both backends' reports to the
-    /// per-shard shape (the monolithic store is one big shard).
-    fn advance(&mut self, delta: &GraphDelta) -> EngineResult<ShardedAdvanceReport> {
-        match self {
-            StoreBackend::Monolithic(s) => {
-                let r = s.advance(delta)?;
-                Ok(ShardedAdvanceReport {
-                    snapshot_id: r.snapshot_id,
-                    bennett: r.bennett,
-                    per_shard: vec![ShardAdvance {
-                        shard: 0,
-                        entries_applied: r.entries_applied as u64,
-                        sweeps: r.bennett.rank_one_updates as u64,
-                        cross_edges_seen: 0,
-                        refreshed: r.refreshed,
-                        value_only: r.value_only,
-                        refactored: r.refactored,
-                        quality_loss: r.quality_loss,
-                    }],
-                    refreshed: r.refreshed,
-                    shards_refactored: r.refactored as u64,
-                    quality_loss: r.quality_loss,
-                    coupling_writes: 0,
-                    shards_republished: r.republished as u64,
-                    coupling_republished: false,
-                    repartitioned: false,
-                    correction_rebuilt: false,
-                })
-            }
-            StoreBackend::Sharded(s) => s.advance(delta),
-        }
-    }
-}
-
 struct IngestState {
     ingestor: DeltaIngestor,
-    store: StoreBackend,
+    store: ShardedFactorStore,
     /// Durability driver; `None` for in-memory engines.  Living inside the
     /// ingest mutex makes the WAL single-writer by construction.
     persistence: Option<Persistence>,
@@ -236,37 +155,34 @@ impl CludeEngine {
     /// starts accepting edge operations and queries.
     ///
     /// With `config.n_shards > 1` the node universe is partitioned by
-    /// [`edge_locality_partition`] (balanced breadth-first regions, so
-    /// well-connected nodes share a shard) and the factors are maintained in
-    /// a [`ShardedFactorStore`]; use [`CludeEngine::with_partition`] to bring
-    /// a custom partition instead.
+    /// `config.partition_strategy` ([`edge_locality_partition`] by default:
+    /// balanced breadth-first regions, so well-connected nodes share a
+    /// shard); one shard is the singleton partition.  Use
+    /// [`CludeEngine::with_partition`] to bring a custom partition instead.
     pub fn new(base: DiGraph, config: EngineConfig) -> EngineResult<Self> {
-        assert!(config.n_shards >= 1, "need at least one factor shard");
+        if config.n_shards == 0 {
+            return Err(EngineError::InvalidConfig(
+                "n_shards must be at least 1".into(),
+            ));
+        }
         // Callers often size n_shards from the CPU count; a universe smaller
         // than that caps at one node per shard rather than failing.
         let n_shards = config.n_shards.min(base.n_nodes().max(1));
-        if n_shards <= 1 {
-            let telemetry = Arc::new(TelemetryRegistry::new(config.telemetry));
-            let store = FactorStore::with_registry(
-                base,
-                config.matrix_kind,
-                config.refresh,
-                Arc::clone(&telemetry),
-            )?
-            .with_coupling_config(config.coupling)
-            .with_refactor(config.refactor);
-            Self::from_backend(StoreBackend::Monolithic(Box::new(store)), config, telemetry)
+        let partition = if n_shards == 1 {
+            NodePartition::singleton(base.n_nodes())
         } else {
-            let partition = match config.partition_strategy {
+            match config.partition_strategy {
                 PartitionStrategy::EdgeLocality => edge_locality_partition(&base, n_shards),
                 PartitionStrategy::Btf => btf_partition(&base, config.matrix_kind, n_shards).0,
-            };
-            Self::with_partition(base, config, partition)
-        }
+            }
+        };
+        Self::with_partition(base, config, partition)
     }
 
-    /// Builds a sharded engine over an explicit node partition (the
-    /// partition's shard count overrides `config.n_shards`).
+    /// Builds an engine over an explicit node partition (the partition's
+    /// shard count overrides `config.n_shards`).  The partition must cover
+    /// exactly the base graph's node universe
+    /// ([`EngineError::InvalidConfig`] otherwise).
     pub fn with_partition(
         base: DiGraph,
         config: EngineConfig,
@@ -280,10 +196,9 @@ impl CludeEngine {
             partition,
             Arc::clone(&telemetry),
         )?
-        .with_refactor(config.refactor)
         .with_partition_strategy(config.partition_strategy)
         .with_coupling_config(config.coupling)?;
-        Self::from_backend(StoreBackend::Sharded(Box::new(store)), config, telemetry)
+        Self::from_store(store, config, telemetry)
     }
 
     /// Opens a durable engine over the spool in `durability.dir`.
@@ -342,30 +257,15 @@ impl CludeEngine {
         let checkpoint_gen = loaded.gen;
         let max_committed_gen = loaded.max_committed_gen;
         let telemetry = Arc::new(TelemetryRegistry::new(config.telemetry));
-        let store = if loaded.state.partition.n_shards() <= 1 {
-            StoreBackend::Monolithic(Box::new(
-                FactorStore::restore(
-                    config.refresh,
-                    config.coupling,
-                    Arc::clone(&telemetry),
-                    loaded.state,
-                )?
-                .with_refactor(config.refactor),
-            ))
-        } else {
-            StoreBackend::Sharded(Box::new(
-                ShardedFactorStore::restore(
-                    config.refresh,
-                    config.coupling,
-                    Arc::clone(&telemetry),
-                    loaded.state,
-                )?
-                .with_refactor(config.refactor)
-                .with_partition_strategy(config.partition_strategy),
-            ))
-        };
+        let store = ShardedFactorStore::restore(
+            config.refresh,
+            config.coupling,
+            Arc::clone(&telemetry),
+            loaded.state,
+        )?
+        .with_partition_strategy(config.partition_strategy);
         let replay = recovery::read_wal(&*durability.vfs, &durability.dir, checkpoint_snapshot)?;
-        let engine = Self::from_backend(store, config, telemetry)?;
+        let engine = Self::from_store(store, config, telemetry)?;
         let mut report = RecoveryReport {
             checkpoint_snapshot: Some(checkpoint_snapshot),
             checkpoint_gen: Some(checkpoint_gen),
@@ -433,15 +333,16 @@ impl CludeEngine {
         }
     }
 
-    fn from_backend(
-        store: StoreBackend,
+    fn from_store(
+        store: ShardedFactorStore,
         config: EngineConfig,
         telemetry: Arc<TelemetryRegistry>,
     ) -> EngineResult<Self> {
-        assert!(
-            config.ring_capacity > 0,
-            "need at least one retained snapshot"
-        );
+        if config.ring_capacity == 0 {
+            return Err(EngineError::InvalidConfig(
+                "ring_capacity must retain at least one snapshot".into(),
+            ));
+        }
         let n_shards = store.n_shards();
         let counters = Arc::new(EngineCounters::with_shards(n_shards));
         let first = Arc::new(store.snapshot());
@@ -949,6 +850,35 @@ mod tests {
         let q = MeasureQuery::PageRank { damping: 0.85 };
         let scores = engine.query(&q).unwrap();
         assert!((scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_shards_is_an_invalid_config() {
+        let config = EngineConfig {
+            n_shards: 0,
+            ..small_config(1)
+        };
+        let err = CludeEngine::new(ring_graph(8), config).unwrap_err();
+        assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
+    }
+
+    #[test]
+    fn zero_ring_capacity_is_an_invalid_config() {
+        let config = EngineConfig {
+            ring_capacity: 0,
+            ..small_config(1)
+        };
+        let err = CludeEngine::new(ring_graph(8), config).unwrap_err();
+        assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
+    }
+
+    #[test]
+    fn partition_over_another_universe_is_an_invalid_config() {
+        let partition = clude_graph::NodePartition::contiguous(6, 2);
+        let err =
+            CludeEngine::with_partition(ring_graph(8), small_config(1), partition).unwrap_err();
+        assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("6 nodes"), "{err}");
     }
 
     #[test]

@@ -109,20 +109,22 @@ impl SnapshotHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{FactorStore, RefreshPolicy};
-    use clude_graph::{DiGraph, GraphDelta, MatrixKind};
+    use crate::sharded::ShardedFactorStore;
+    use crate::store::RefreshPolicy;
+    use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
 
-    fn store() -> FactorStore {
+    fn store() -> ShardedFactorStore {
         let g = DiGraph::from_edges(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)]);
-        FactorStore::new(
+        ShardedFactorStore::new(
             g,
             MatrixKind::random_walk_default(),
             RefreshPolicy::Incremental,
+            NodePartition::singleton(4),
         )
         .unwrap()
     }
 
-    fn advance(store: &mut FactorStore, from: usize, to: usize) {
+    fn advance(store: &mut ShardedFactorStore, from: usize, to: usize) {
         store
             .advance(&GraphDelta {
                 added: vec![(from, to)],

@@ -27,6 +27,10 @@ pub enum EngineError {
         /// The number of nodes of the universe.
         n_nodes: usize,
     },
+    /// The engine was asked to build over a configuration it cannot honor:
+    /// zero factor shards, a zero-capacity snapshot ring, or a partition that
+    /// does not cover the base graph's node universe.
+    InvalidConfig(String),
     /// The durability layer failed: a WAL append, checkpoint write or
     /// recovery step hit an I/O error, a corrupt file, or a format/version
     /// mismatch.  The message carries the failing operation and path.
@@ -49,6 +53,7 @@ impl fmt::Display for EngineError {
             EngineError::NodeOutOfRange { node, n_nodes } => {
                 write!(f, "node {node} outside the {n_nodes}-node universe")
             }
+            EngineError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             EngineError::Persistence(msg) => write!(f, "durability failure: {msg}"),
         }
     }

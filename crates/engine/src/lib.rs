@@ -13,10 +13,11 @@
 //! ```text
 //!   edge ops                  delta batches                  queries
 //!  ───────────►  DeltaIngestor ───────────►  factor store ◄───────────
-//!  insert/remove  coalesce adds/removes,    FactorStore (1 shard) or
-//!                 cut batch at max_ops or   ShardedFactorStore (k shards):
-//!                 similarity threshold      entries routed by NodePartition,
-//!                        │                  per-shard Bennett sweeps run in
+//!  insert/remove  coalesce adds/removes,    ShardedFactorStore (k ≥ 1 shards;
+//!                 cut batch at max_ops or   k = 1 is the whole graph, no
+//!                 similarity threshold      coupling): entries routed by
+//!                        │                  NodePartition, per-shard Bennett
+//!                        │                  sweeps / refactor passes run in
 //!                        │                  parallel, cross-shard entries go
 //!                        │                  to the coupling store; per-shard
 //!                        │                  refresh when quality-loss > budget
@@ -35,22 +36,23 @@
 //!                                     (snapshot, query); solves combine the
 //!                                     shard blocks exactly through the
 //!                                     snapshot's CouplingSolver strategy
-//!                                     (Jacobi / Gauss–Seidel / cached
-//!                                     Woodbury correction) outside any lock
+//!                                     (Gauss–Seidel / cached Woodbury
+//!                                     correction) outside any lock
 //! ```
 //!
 //! * [`ingest::DeltaIngestor`] coalesces single edge operations into
 //!   [`clude_graph::GraphDelta`] batches ([`ingest::BatchPolicy`]: by count
 //!   or by the paper's snapshot-similarity threshold).
-//! * [`store::FactorStore`] maintains the current factors through the
-//!   Bennett update path of `clude_lu`, with [`store::RefreshPolicy`]
-//!   choosing between INC-style always-update and CLUDE-style refresh when
+//! * [`sharded::ShardedFactorStore`] is the one factor store, for every
+//!   shard count: it partitions the node universe
+//!   (`clude_graph::NodePartition`; one shard is the whole graph) into
+//!   per-shard factor blocks plus a cross-shard coupling store, maintains
+//!   each block through the Bennett update and pattern-frozen refactor paths
+//!   of `clude_lu`, sweeps disjoint-shard delta batches in parallel, and
+//!   lets queries recombine the blocks exactly.  [`store::RefreshPolicy`]
+//!   chooses between INC-style always-update and CLUDE-style refresh when
 //!   the quality-loss hook (`clude::refresh_decision`) reports degradation
 //!   past the budget.
-//! * [`sharded::ShardedFactorStore`] partitions the node universe
-//!   (`clude_graph::NodePartition`) into per-shard factor blocks plus a
-//!   cross-shard coupling store; disjoint-shard delta batches sweep in
-//!   parallel, and queries recombine the blocks exactly.
 //! * [`store::EngineSnapshot`] is the immutable unit the ring retains: the
 //!   per-shard factor blocks and the frozen coupling are shared [`Arc`]
 //!   handles (see [`store::ShardSnapshot::shared`]), re-frozen by an advance
@@ -60,14 +62,14 @@
 //!   copied per entry).
 //! * [`coupling`] is the pluggable solver layer of coupled (sharded)
 //!   queries: a [`coupling::CouplingSolver`] strategy per snapshot — block
-//!   Jacobi, block Gauss–Seidel in a dependency-derived shard order, or a
-//!   cached low-rank Woodbury correction of the hottest coupling columns —
+//!   Gauss–Seidel in a dependency-derived shard order, or a cached low-rank
+//!   Woodbury correction of the hottest coupling columns —
 //!   under a configurable [`coupling::SolveTolerance`], with adaptive
 //!   re-partitioning when the coupling outgrows its budget.
 //! * [`query::QueryService`] answers typed
 //!   [`clude_measures::MeasureQuery`]s against immutable snapshots with a
 //!   sharded LRU result cache; coupled sharded solves run through reused
-//!   [`clude_lu::SolveScratch`] buffers, allocation-free per sweep.
+//!   [`clude_lu::PanelScratch`] buffers, allocation-free per sweep.
 //! * [`stats`] exports lock-free ingest/refresh/query counters in the style
 //!   of `clude::report::TimingBreakdown`, including the snapshot ring's
 //!   sharing behaviour (depth, clone/share counts, resident factor bytes).
@@ -120,5 +122,5 @@ pub use query::{QueryService, StalenessBudget};
 pub use recovery::RecoveryReport;
 pub use sharded::{PartitionStrategy, ShardAdvance, ShardedAdvanceReport, ShardedFactorStore};
 pub use stats::{EngineCounters, EngineStats, ShardCounters, ShardStats};
-pub use store::{AdvanceReport, EngineSnapshot, FactorStore, RefreshPolicy, ShardSnapshot};
+pub use store::{EngineSnapshot, RefreshPolicy, ShardSnapshot};
 pub use vfs::{FailpointFs, Injection, StdFs, Vfs, VfsFile};

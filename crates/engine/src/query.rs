@@ -576,16 +576,18 @@ impl QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{FactorStore, RefreshPolicy};
-    use clude_graph::{DiGraph, GraphDelta, MatrixKind};
+    use crate::sharded::ShardedFactorStore;
+    use crate::store::RefreshPolicy;
+    use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
 
-    fn store() -> FactorStore {
+    fn store() -> ShardedFactorStore {
         let mut g = DiGraph::from_edges(6, (0..6).map(|i| (i, (i + 1) % 6)).collect::<Vec<_>>());
         g.add_edge(2, 0);
-        FactorStore::new(
+        ShardedFactorStore::new(
             g,
             MatrixKind::random_walk_default(),
             RefreshPolicy::default(),
+            NodePartition::singleton(6),
         )
         .unwrap()
     }
@@ -777,7 +779,7 @@ mod tests {
         assert!(Arc::ptr_eq(&pr0, &pr1), "promoted PageRank must hit");
         assert!(Arc::ptr_eq(&rwr0, &rwr1), "promoted Rwr must hit");
         assert_eq!(counters.snapshot().cache_misses, 3, "no new solves");
-        // The monolithic store has one shard; with it changed, only queries
+        // This store has one shard; with it changed, only queries
         // with no support there could promote — i.e. nothing cached here.
         st.advance(&GraphDelta {
             added: vec![(1, 5)],

@@ -92,8 +92,7 @@ pub struct EngineCounters {
     /// time; batches that left the coupling and the correction's support
     /// shards untouched share the previous correction instead.
     pub corrections_built: AtomicU64,
-    /// Per-shard ingest counters (one entry per factor shard; a single entry
-    /// for the monolithic store).
+    /// Per-shard ingest counters (one entry per factor shard).
     pub per_shard: Vec<ShardCounters>,
 }
 
@@ -424,7 +423,7 @@ mod tests {
         assert!(text.contains("shard   0"));
         assert!(text.contains("shard   1"));
         assert!(text.contains("cross-edges"));
-        // A monolithic engine (one shard) keeps the display compact.
+        // A one-shard engine keeps the display compact.
         let mono = EngineCounters::with_shards(1).snapshot();
         assert!(!mono.to_string().contains("shard   0"));
     }

@@ -1,31 +1,36 @@
-//! Incrementally maintained LU factors of the current snapshot.
+//! The pieces every factor shard and every published snapshot are made of.
 //!
-//! The [`FactorStore`] is the single-writer heart of the engine: it owns the
-//! current snapshot graph, its measure matrix, an ordering, and dynamic LU
-//! factors kept in sync through Bennett updates (`clude_lu::apply_delta`).
-//! Every applied [`GraphDelta`] advances the snapshot counter and emits an
-//! immutable [`EngineSnapshot`] the query side serves from.
-//!
-//! Two maintenance policies mirror the paper's algorithm families:
-//!
-//! * [`RefreshPolicy::Incremental`] — INC-style: one ordering forever,
-//!   fill-ins absorbed into the dynamic lists, never refreshed;
-//! * [`RefreshPolicy::QualityTriggered`] — CLUDE-style: the factor size is
+//! * [`EngineSnapshot`] / [`ShardSnapshot`] — the immutable unit the query
+//!   side serves from: the snapshot graph, one shared factor block per
+//!   shard, and the frozen cross-shard coupling.
+//! * `OrderedFactors` — one block's ordering, dynamic LU factors and
+//!   quality anchor, with the two maintenance steps an advance chooses
+//!   between per shard: Bennett sweeps (`clude_lu::apply_delta_with`) for
+//!   structural batches, a pattern-frozen refactorization
+//!   (`clude_lu::refactor_frozen`) for value-only ones.
+//! * [`RefreshPolicy`] — when a block abandons its ordering and
+//!   re-factorizes, mirroring the paper's algorithm families:
+//!   [`RefreshPolicy::Incremental`] is INC-style (one ordering forever,
+//!   fill-ins absorbed into the dynamic lists, never refreshed);
+//!   [`RefreshPolicy::QualityTriggered`] is CLUDE-style (the factor size is
 //!   compared against the size recorded at the last refresh via
 //!   [`clude::refresh_decision`] (Definition 4's quality-loss), and once the
-//!   degradation exceeds the budget the store re-orders and re-factorizes —
-//!   the streaming analogue of starting a new cluster.
+//!   degradation exceeds the budget the block re-orders and re-factorizes —
+//!   the streaming analogue of starting a new cluster).
+//!
+//! The store that owns the blocks and applies delta batches to them is
+//! [`crate::sharded::ShardedFactorStore`]; a whole-graph factorization is
+//! its one-shard case.
 
-use crate::coupling::{self, CouplingConfig, CouplingPlan, CouplingSolver, SolveTolerance};
-use crate::error::EngineResult;
+use crate::coupling::{self, CouplingPlan, CouplingSolver, SolveTolerance};
 use clude::{refresh_decision, DecomposedMatrix, MatrixFactors};
-use clude_graph::{measure_matrix, DeltaClass, DiGraph, GraphDelta, MatrixKind, NodePartition};
+use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_lu::{
     amd_ordering, apply_delta_with, markowitz_ordering, refactor_frozen, BennettStats,
     BennettWorkspace, DynamicLuFactors, LuError, LuResult, RefactorStats, RefactorWorkspace,
 };
 use clude_measures::{evaluate_queries_with, evaluate_query_with, MeasureQuery, MeasureSolver};
-use clude_sparse::{CooMatrix, CsrMatrix};
+use clude_sparse::CsrMatrix;
 use clude_telemetry::{EngineEvent, FallbackReason, OrderingMethod, Stage, TelemetryRegistry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -90,13 +95,12 @@ impl ShardSnapshot {
 /// One immutable, queryable snapshot: the graph plus per-shard decomposed
 /// factors sharing one snapshot id.
 ///
-/// A monolithic [`FactorStore`] publishes a single shard over the
-/// [`NodePartition::singleton`] partition with an empty coupling matrix; a
-/// `ShardedFactorStore` publishes one [`ShardSnapshot`] per shard plus the
-/// cross-shard coupling entries.  Queries solve `A x = b` exactly either by
-/// one pair of substitutions (no coupling) or by the snapshot's
-/// [`CouplingSolver`] strategy combining per-shard solves with the coupling
-/// (see [`crate::coupling`]).
+/// The store publishes one [`ShardSnapshot`] per shard plus the cross-shard
+/// coupling entries; a one-shard store publishes a single block over the
+/// [`NodePartition::singleton`] partition with an empty coupling matrix.
+/// Queries solve `A x = b` exactly either by one pair of substitutions (no
+/// coupling) or by the snapshot's [`CouplingSolver`] strategy combining
+/// per-shard solves with the coupling (see [`crate::coupling`]).
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     id: u64,
@@ -104,7 +108,7 @@ pub struct EngineSnapshot {
     partition: Arc<NodePartition>,
     shards: Vec<ShardSnapshot>,
     /// Cross-shard entries of the measure matrix, global coordinates (empty
-    /// for monolithic snapshots).
+    /// for one-shard snapshots).
     coupling: Arc<CsrMatrix>,
     /// The combination strategy this snapshot answers coupled solves with.
     solver: CouplingSolver,
@@ -120,7 +124,7 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    #[allow(clippy::too_many_arguments)] // one construction site per store
+    #[allow(clippy::too_many_arguments)] // one construction site
     pub(crate) fn from_parts(
         id: u64,
         graph: DiGraph,
@@ -208,19 +212,6 @@ impl EngineSnapshot {
         &self.telemetry
     }
 
-    /// The decomposed measure matrix of a monolithic snapshot.
-    ///
-    /// # Panics
-    /// Panics when the snapshot is sharded — use [`EngineSnapshot::shards`].
-    pub fn decomposed(&self) -> &DecomposedMatrix {
-        assert_eq!(
-            self.shards.len(),
-            1,
-            "decomposed() is only defined for single-shard snapshots"
-        );
-        self.shards[0].decomposed()
-    }
-
     /// Number of nodes of the fixed universe.
     pub fn n_nodes(&self) -> usize {
         self.graph.n_nodes()
@@ -244,403 +235,23 @@ impl EngineSnapshot {
 impl MeasureSolver for EngineSnapshot {
     /// Solves `A x = b` for the snapshot's full measure matrix
     /// `A = blockdiag(A_ss) + C` through the snapshot's [`CouplingSolver`]
-    /// strategy (see [`crate::coupling`]); monolithic snapshots are one pair
-    /// of substitutions, bit-identical to the pre-sharding solve.
+    /// strategy (see [`crate::coupling`]) as a width-1 panel; one-shard
+    /// snapshots are one pair of substitutions.
     fn solve_measure_system(&self, b: &[f64]) -> LuResult<Vec<f64>> {
-        coupling::solve_system(self, b)
+        coupling::solve_systems(self, b, 1)
     }
 
     /// Panel override: `n_rhs` stacked right-hand sides in one factor
-    /// traversal per block pass, every stripe bit-identical to a sequential
-    /// [`MeasureSolver::solve_measure_system`] call (see
+    /// traversal per block pass, every stripe bit-identical to a
+    /// [`MeasureSolver::solve_measure_system`] call on that stripe (see
     /// `crate::coupling::solve_systems`).
     fn solve_measure_systems(&self, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>> {
         coupling::solve_systems(self, b, n_rhs)
     }
 }
 
-/// What one [`FactorStore::advance`] did.
-#[derive(Debug, Clone)]
-pub struct AdvanceReport {
-    /// The id of the snapshot the batch produced.
-    pub snapshot_id: u64,
-    /// Whether the advance ended in a full refresh.
-    pub refreshed: bool,
-    /// Bennett work performed (zero when the advance refreshed immediately).
-    pub bennett: BennettStats,
-    /// Quality-loss of the factors after the advance (0 right after a
-    /// refresh).
-    pub quality_loss: f64,
-    /// Number of changed matrix entries the batch translated into factor
-    /// updates.
-    pub entries_applied: usize,
-    /// Whether the batch re-published the store's shared factor handle.
-    /// `false` means the next snapshot shares the previous one's factors —
-    /// the copy-on-write case.
-    pub republished: bool,
-    /// Whether the batch was classified value-only against the frozen factor
-    /// pattern (every changed entry landed on a stored slot).
-    pub value_only: bool,
-    /// Whether the batch was absorbed by a pattern-frozen refactorization
-    /// (one pass down the frozen symbolic pattern) instead of per-entry
-    /// Bennett sweeps.
-    pub refactored: bool,
-}
-
-/// The current snapshot's factors, maintained under a fixed ordering until
-/// the refresh policy trips.
-#[derive(Debug, Clone)]
-pub struct FactorStore {
-    kind: MatrixKind,
-    policy: RefreshPolicy,
-    graph: DiGraph,
-    /// The ordering, factors and coordinate/quality bookkeeping, replaced
-    /// wholesale on refresh.
-    of: OrderedFactors,
-    /// Reused Bennett scratch: advances allocate nothing per pivot.
-    workspace: BennettWorkspace,
-    /// Reused refactorization scratch (stamped dense accumulator).
-    refactor_ws: RefactorWorkspace,
-    /// Whether value-only batches take the pattern-frozen refactor fast path
-    /// instead of per-entry Bennett sweeps.
-    refactor: bool,
-    snapshot_id: u64,
-    /// The shared factor handle snapshots serve from, re-frozen only by
-    /// batches that change the factors; snapshots between which no factor
-    /// work happened share it (copy-on-write ring).
-    published: Arc<DecomposedMatrix>,
-    /// Cached singleton partition shared by every published snapshot.
-    partition: Arc<NodePartition>,
-    /// Cached empty coupling matrix shared by every published snapshot.
-    empty_coupling: Arc<CsrMatrix>,
-    /// Coupling-solver configuration stamped onto published snapshots (a
-    /// monolithic store has no coupling, so only the strategy label and the
-    /// tolerance matter — for stats and for parity with the sharded store).
-    coupling_cfg: CouplingConfig,
-    /// Cached trivial plan shared by every published snapshot.
-    trivial_plan: Arc<CouplingPlan>,
-    /// Telemetry sink for sweep/refresh/freeze spans, stamped onto
-    /// snapshots; a disabled stub unless [`FactorStore::with_telemetry`].
-    telemetry: Arc<TelemetryRegistry>,
-}
-
-impl FactorStore {
-    /// Builds the store for a base graph: derives the measure matrix, runs
-    /// the Markowitz-vs-AMD ordering contest, and factorizes it fully.
-    pub fn new(graph: DiGraph, kind: MatrixKind, policy: RefreshPolicy) -> EngineResult<Self> {
-        Self::with_registry(graph, kind, policy, Arc::new(TelemetryRegistry::disabled()))
-    }
-
-    /// Like [`FactorStore::new`], but with the telemetry registry present
-    /// *during* construction, so the build-time ordering contest lands in
-    /// the journal (`ordering_selected`) instead of going to a disabled
-    /// stub.  [`FactorStore::with_telemetry`] only swaps the sink for
-    /// later spans.
-    pub fn with_registry(
-        graph: DiGraph,
-        kind: MatrixKind,
-        policy: RefreshPolicy,
-        telemetry: Arc<TelemetryRegistry>,
-    ) -> EngineResult<Self> {
-        let matrix = measure_matrix(&graph, kind);
-        let of = order_and_factorize(&matrix, &telemetry, 0)?;
-        let workspace = BennettWorkspace::with_order(of.factors.n());
-        let n = graph.n_nodes();
-        let published = of.publish(0);
-        Ok(FactorStore {
-            kind,
-            policy,
-            partition: Arc::new(NodePartition::singleton(n)),
-            empty_coupling: Arc::new(CsrMatrix::from_coo(&CooMatrix::new(n, n))),
-            coupling_cfg: CouplingConfig::default(),
-            trivial_plan: Arc::new(CouplingPlan::trivial(1)),
-            telemetry,
-            graph,
-            of,
-            workspace,
-            refactor_ws: RefactorWorkspace::with_order(n),
-            refactor: true,
-            snapshot_id: 0,
-            published,
-        })
-    }
-
-    /// Enables or disables the pattern-frozen refactor fast path for
-    /// value-only batches (builder style; on by default).  Disabled, every
-    /// batch goes through per-entry Bennett sweeps — the A/B lever of the
-    /// `--no-refactor` benchmark flag.
-    pub fn with_refactor(mut self, refactor: bool) -> Self {
-        self.refactor = refactor;
-        self
-    }
-
-    /// Sets the telemetry registry sweep/refresh/freeze spans and refresh
-    /// events are recorded into (builder style).  Snapshots carry the same
-    /// handle so query-path solves record too.
-    pub fn with_telemetry(mut self, telemetry: Arc<TelemetryRegistry>) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Sets the coupling-solver configuration stamped onto published
-    /// snapshots (builder style).  A monolithic store never iterates — its
-    /// solves are direct — so this only affects the strategy label and
-    /// tolerance snapshots report.
-    pub fn with_coupling_config(mut self, cfg: CouplingConfig) -> Self {
-        self.coupling_cfg = cfg;
-        self
-    }
-
-    /// The coupling-solver configuration in force.
-    pub fn coupling_config(&self) -> CouplingConfig {
-        self.coupling_cfg
-    }
-
-    /// The durable slice of the store for the checkpoint writer.  Serialises
-    /// from the *published* block: an advance republishes whenever it
-    /// touches the factors, so the published `Arc` content always equals the
-    /// live factors.
-    pub(crate) fn durable_state(&self) -> crate::checkpoint::DurableState {
-        crate::checkpoint::DurableState {
-            snapshot_id: self.snapshot_id,
-            kind: self.kind,
-            graph: self.graph.clone(),
-            partition: (*self.partition).clone(),
-            next_repartition_at: None,
-            coupling: Vec::new(),
-            blocks: vec![(Arc::clone(&self.published), self.of.reference_nnz)],
-        }
-    }
-
-    /// Rebuilds a monolithic store from a decoded checkpoint image —
-    /// bit-identical factors, ordering, quality anchor and snapshot id, so
-    /// WAL replay from here evolves exactly as the original did.
-    pub(crate) fn restore(
-        policy: RefreshPolicy,
-        coupling_cfg: CouplingConfig,
-        telemetry: Arc<TelemetryRegistry>,
-        state: crate::checkpoint::StoreState,
-    ) -> EngineResult<Self> {
-        let crate::checkpoint::StoreState {
-            snapshot_id,
-            kind,
-            graph,
-            blocks,
-            ..
-        } = state;
-        let n = graph.n_nodes();
-        let mut blocks = blocks;
-        let block = match (blocks.len(), blocks.pop()) {
-            (1, Some(b)) => b,
-            (k, _) => {
-                return Err(crate::error::EngineError::Persistence(format!(
-                    "monolithic store restore needs exactly one block, checkpoint has {k}"
-                )))
-            }
-        };
-        if block.factors.n() != n {
-            return Err(crate::error::EngineError::Persistence(format!(
-                "checkpoint block of order {} does not fit the {n}-node universe",
-                block.factors.n()
-            )));
-        }
-        let of = OrderedFactors {
-            row_old_to_new: block.ordering.row().old_to_new(),
-            col_old_to_new: block.ordering.col().old_to_new(),
-            ordering: block.ordering,
-            factors: block.factors,
-            reference_nnz: block.reference_nnz,
-            // Rebuilt lazily by the first refactor pass; a checkpoint block
-            // carries no matrix.
-            reordered: None,
-        };
-        let workspace = BennettWorkspace::with_order(n);
-        let published = of.publish(block.index);
-        Ok(FactorStore {
-            kind,
-            policy,
-            partition: Arc::new(NodePartition::singleton(n)),
-            empty_coupling: Arc::new(CsrMatrix::from_coo(&CooMatrix::new(n, n))),
-            coupling_cfg,
-            trivial_plan: Arc::new(CouplingPlan::trivial(1)),
-            telemetry,
-            graph,
-            of,
-            workspace,
-            refactor_ws: RefactorWorkspace::with_order(n),
-            refactor: true,
-            snapshot_id,
-            published,
-        })
-    }
-
-    /// The matrix composition the factors are built for.
-    pub fn matrix_kind(&self) -> MatrixKind {
-        self.kind
-    }
-
-    /// The refresh policy in force.
-    pub fn policy(&self) -> RefreshPolicy {
-        self.policy
-    }
-
-    /// The current snapshot id.
-    pub fn snapshot_id(&self) -> u64 {
-        self.snapshot_id
-    }
-
-    /// The current snapshot graph.
-    pub fn graph(&self) -> &DiGraph {
-        &self.graph
-    }
-
-    /// Current factor size `|sp(Â)|`.
-    pub fn factor_nnz(&self) -> usize {
-        self.of.factors.nnz()
-    }
-
-    /// Quality-loss of the current factors against the last refresh.
-    pub fn quality_loss(&self) -> f64 {
-        clude::quality_loss_from_sizes(self.of.factors.nnz(), self.of.reference_nnz)
-    }
-
-    /// An immutable snapshot of the current state for the query side.
-    ///
-    /// The factor handle is shared, not cloned: consecutive snapshots whose
-    /// batches performed no factor work are [`Arc::ptr_eq`] on their
-    /// [`ShardSnapshot::shared`] block, and the deep clone of the factors
-    /// happens at most once per advance (inside [`FactorStore::advance`]),
-    /// not per `snapshot()` call.
-    pub fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot::from_parts(
-            self.snapshot_id,
-            self.graph.clone(),
-            Arc::clone(&self.partition),
-            vec![ShardSnapshot::new(Arc::clone(&self.published))],
-            Arc::clone(&self.empty_coupling),
-            self.coupling_cfg.solver,
-            self.coupling_cfg.tolerance,
-            Arc::clone(&self.trivial_plan),
-            Arc::clone(&self.telemetry),
-        )
-    }
-
-    /// Applies one coalesced delta batch, advancing the snapshot counter.
-    ///
-    /// The changed matrix entries are derived *directly from the graph
-    /// delta* (an edge operation only perturbs its source's column of
-    /// `I − d·W`, or its endpoints' entries of the Laplacian), so the cost
-    /// of an advance is proportional to the change, not to the matrix.  The
-    /// factors are then updated by Bennett's algorithm under the current
-    /// ordering; when the numeric update fails (singular pivot en route) or
-    /// the refresh policy trips afterwards, the store falls back to a full
-    /// refresh — a fresh Markowitz ordering and factorization of the new
-    /// matrix — so an `Ok` return always leaves servable factors.
-    ///
-    /// An `Err` (the rebuild itself failed, which a diagonally dominant
-    /// measure matrix cannot trigger in practice) leaves the store
-    /// mid-batch — the graph already advanced, the factors not — and must be
-    /// treated as fatal for this store; only out-of-range deltas are
-    /// rejected before any mutation.
-    pub fn advance(&mut self, delta: &GraphDelta) -> EngineResult<AdvanceReport> {
-        // Reject deltas naming nodes outside the universe before mutating
-        // anything (the engine's ingestor pre-validates, but the store is a
-        // public entry point of its own).
-        let n = self.graph.n_nodes();
-        for &(u, v) in delta.added.iter().chain(delta.removed.iter()) {
-            if u >= n || v >= n {
-                return Err(crate::error::EngineError::NodeOutOfRange {
-                    node: u.max(v),
-                    n_nodes: n,
-                });
-            }
-        }
-        // Capture pre-delta adjacency of the affected sources, then mutate.
-        let affected = affected_sources(delta);
-        let old_info: BTreeMap<usize, Vec<usize>> = affected
-            .iter()
-            .map(|&u| (u, self.graph.successors(u).collect()))
-            .collect();
-        delta.apply(&mut self.graph);
-        self.snapshot_id += 1;
-        let matrix_delta = self.matrix_delta(&old_info);
-        let entries_applied = matrix_delta.len();
-
-        // Classify against the frozen factor pattern: a batch whose every
-        // changed off-diagonal position already has a stored slot can redo
-        // the numerics down the frozen symbolic pattern in one pass instead
-        // of per-entry Bennett sweeps.
-        let value_only = entries_applied > 0
-            && delta.classify_with(self.kind, |i, j| {
-                self.of
-                    .factors
-                    .has_entry(self.of.row_old_to_new[i], self.of.col_old_to_new[j])
-            }) == DeltaClass::ValueOnly;
-        let (graph, kind) = (&self.graph, self.kind);
-        let (bennett, refactored, refreshed) = if self.refactor && value_only {
-            let (_stats, refreshed) = self.of.refactor_or_refresh(
-                &mut self.refactor_ws,
-                &matrix_delta,
-                &self.telemetry,
-                0,
-                || measure_matrix(graph, kind),
-            )?;
-            (BennettStats::default(), !refreshed, refreshed)
-        } else {
-            let (bennett, refreshed) = self.of.apply_or_refresh(
-                &mut self.workspace,
-                &matrix_delta,
-                self.policy,
-                &self.telemetry,
-                0,
-                || measure_matrix(graph, kind),
-            )?;
-            (bennett, false, refreshed)
-        };
-        // Copy-on-write: re-freeze the shared factor handle only when this
-        // batch actually touched the factors; a no-entry batch keeps serving
-        // (and sharing) the previous handle.
-        let republished = entries_applied > 0 || refreshed;
-        if republished {
-            let _freeze = self.telemetry.span(Stage::SnapshotFreeze);
-            self.published = self.of.publish(self.snapshot_id);
-        }
-        Ok(AdvanceReport {
-            snapshot_id: self.snapshot_id,
-            refreshed,
-            bennett,
-            quality_loss: self.quality_loss(),
-            entries_applied,
-            republished,
-            value_only,
-            refactored,
-        })
-    }
-
-    /// The Bennett delta `(row, col, old, new)` in *factor* (reordered)
-    /// coordinates, given the pre-delta successor lists of the affected
-    /// sources and the already-updated graph.
-    fn matrix_delta(
-        &self,
-        old_info: &BTreeMap<usize, Vec<usize>>,
-    ) -> Vec<(usize, usize, f64, f64)> {
-        global_matrix_delta(&self.graph, self.kind, old_info)
-            .into_iter()
-            .map(|(r, c, old, new)| {
-                (
-                    self.of.row_old_to_new[r],
-                    self.of.col_old_to_new[c],
-                    old,
-                    new,
-                )
-            })
-            .collect()
-    }
-}
-
 /// A matrix's fill-reducing ordering, its dynamic factors under that
-/// ordering, and the derived bookkeeping every factor (shard or monolith)
-/// keeps: the `old → new` index maps advances translate coordinates with,
+/// ordering, and the derived bookkeeping every factor shard keeps: the `old → new` index maps advances translate coordinates with,
 /// and the factor size that anchors the quality-loss metric.
 #[derive(Debug, Clone)]
 pub(crate) struct OrderedFactors {
@@ -672,16 +283,14 @@ impl OrderedFactors {
 
     /// Applies a factor-coordinate Bennett delta, falling back to a full
     /// rebuild from `rebuild_matrix()` on numeric failure, and refreshing
-    /// again when the quality policy trips afterwards — the one maintenance
-    /// step shared by the monolithic store and every shard.  Returns the
+    /// again when the quality policy trips afterwards.  Returns the
     /// Bennett work done and whether a refresh happened; an `Ok` return
     /// always leaves servable factors.
     ///
     /// The sweep and any refresh record `shard.sweep` / `shard.refresh`
     /// spans into `telemetry`, and every refresh posts a
     /// [`EngineEvent::RefreshTriggered`] journal event tagged with `shard`
-    /// (0 for the monolithic store) and whether numerics or the quality
-    /// budget forced it.
+    /// and whether numerics or the quality budget forced it.
     pub(crate) fn apply_or_refresh(
         &mut self,
         ws: &mut BennettWorkspace,
@@ -817,8 +426,7 @@ impl OrderedFactors {
 }
 
 /// Orders `matrix`, factorizes it, and packages the bookkeeping — the one
-/// construction path shared by initial builds and refreshes of both the
-/// monolithic and the sharded store.
+/// construction path shared by initial builds, refreshes and repartitions.
 ///
 /// Two fill-reducing orderings compete on the pattern: the paper's Markowitz
 /// product rule (the incumbent) and AMD over `A + Aᵀ`.  AMD wins only when
@@ -866,10 +474,8 @@ pub(crate) fn order_and_factorize(
 ///
 /// An edge operation only perturbs entries keyed by its source: for
 /// `I − d·W` the source's column (the degree normalisation rescales the whole
-/// column), for the Laplacian the source's row plus its diagonal.  Both the
-/// monolithic and the sharded store derive their Bennett updates from this
-/// list — the monolithic store maps it through its ordering, the sharded
-/// store routes each entry to its owning shard or the coupling store.
+/// column), for the Laplacian the source's row plus its diagonal.  The store
+/// routes each entry to its owning shard or the coupling store.
 pub(crate) fn global_matrix_delta(
     graph: &DiGraph,
     kind: MatrixKind,
@@ -943,10 +549,31 @@ fn column_weight(damping: f64, out_degree: usize) -> f64 {
     }
 }
 
+/// Test oracle shared by the crate's unit tests: dense Gaussian elimination
+/// on the snapshot's measure matrix, normalised like a served answer.  It
+/// shares no ordering, factor or routing code with the store under test.
+#[cfg(test)]
+pub(crate) fn dense_answer(
+    graph: &DiGraph,
+    kind: MatrixKind,
+    query: &clude_measures::MeasureQuery,
+) -> Vec<f64> {
+    let b = clude_measures::measure_rhs(query, graph.n_nodes()).expect("a snapshot-matrix query");
+    let a = clude_graph::measure_matrix(graph, kind).to_dense();
+    let mut x = a.solve_gaussian(&b).unwrap();
+    clude_sparse::vector::normalize_l1(&mut x);
+    x
+}
+
+/// The building blocks above, driven through the one-shard store
+/// ([`NodePartition::singleton`]): one block, no coupling.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clude_lu::factorize_fresh;
+    use crate::error::EngineError;
+    use crate::sharded::ShardedFactorStore;
+    use clude_graph::measure_matrix;
+    use clude_measures::MeasureQuery;
 
     fn base_graph() -> DiGraph {
         let mut g = DiGraph::from_edges(6, (0..6).map(|i| (i, (i + 1) % 6)).collect::<Vec<_>>());
@@ -955,24 +582,26 @@ mod tests {
         g
     }
 
-    fn rwr_scores(graph: &DiGraph, seed: usize, damping: f64) -> Vec<f64> {
-        // Oracle: fresh factorization of the snapshot's measure matrix.
-        let a = measure_matrix(graph, MatrixKind::RandomWalk { damping });
-        let factors = factorize_fresh(&a).unwrap();
-        let mut b = vec![0.0; graph.n_nodes()];
-        b[seed] = 1.0 - damping;
-        factors.solve(&b).unwrap()
+    fn one_shard(graph: DiGraph, kind: MatrixKind, policy: RefreshPolicy) -> ShardedFactorStore {
+        let partition = NodePartition::singleton(graph.n_nodes());
+        ShardedFactorStore::new(graph, kind, policy, partition).unwrap()
+    }
+
+    fn assert_matches_dense(store: &ShardedFactorStore, query: &MeasureQuery) {
+        let got = store.snapshot().query(query).unwrap();
+        let expected = dense_answer(store.graph(), store.matrix_kind(), query);
+        for (a, b) in got.iter().zip(expected.iter()) {
+            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
     }
 
     #[test]
     fn advance_tracks_fresh_factorization() {
-        let g = base_graph();
-        let mut store = FactorStore::new(
-            g.clone(),
+        let mut store = one_shard(
+            base_graph(),
             MatrixKind::random_walk_default(),
             RefreshPolicy::Incremental,
-        )
-        .unwrap();
+        );
         assert_eq!(store.snapshot_id(), 0);
 
         let delta = GraphDelta {
@@ -983,32 +612,26 @@ mod tests {
         assert_eq!(report.snapshot_id, 1);
         assert!(!report.refreshed);
         assert!(report.bennett.rank_one_updates > 0);
-
-        let snap = store.snapshot();
-        let q = MeasureQuery::Rwr {
-            seed: 3,
-            damping: 0.85,
-        };
-        let got = snap.query(&q).unwrap();
-        let mut expected = rwr_scores(store.graph(), 3, 0.85);
-        clude_sparse::vector::normalize_l1(&mut expected);
-        for (a, b) in got.iter().zip(expected.iter()) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
+        assert_eq!(report.coupling_writes, 0);
+        assert_matches_dense(
+            &store,
+            &MeasureQuery::Rwr {
+                seed: 3,
+                damping: 0.85,
+            },
+        );
     }
 
     #[test]
     fn quality_policy_refreshes_on_degradation() {
-        let g = base_graph();
         // A zero budget refreshes on any factor growth.
-        let mut store = FactorStore::new(
-            g,
+        let mut store = one_shard(
+            base_graph(),
             MatrixKind::random_walk_default(),
             RefreshPolicy::QualityTriggered {
                 max_quality_loss: 0.0,
             },
-        )
-        .unwrap();
+        );
         let mut refreshed_any = false;
         // Densify the graph step by step; fill-in must eventually appear.
         for k in 0..4 {
@@ -1024,22 +647,16 @@ mod tests {
         }
         assert!(refreshed_any, "densification never tripped the refresh");
         // Factors still track the graph exactly.
-        let snap = store.snapshot();
-        let got = snap
-            .query(&MeasureQuery::PageRank { damping: 0.85 })
-            .unwrap();
-        assert!((got.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        assert_matches_dense(&store, &MeasureQuery::PageRank { damping: 0.85 });
     }
 
     #[test]
     fn snapshots_are_independent_of_later_advances() {
-        let g = base_graph();
-        let mut store = FactorStore::new(
-            g,
+        let mut store = one_shard(
+            base_graph(),
             MatrixKind::random_walk_default(),
             RefreshPolicy::default(),
-        )
-        .unwrap();
+        );
         let snap0 = store.snapshot();
         let q = MeasureQuery::PageRank { damping: 0.85 };
         let before = snap0.query(&q).unwrap();
@@ -1064,12 +681,11 @@ mod tests {
 
     #[test]
     fn factor_handle_is_shared_until_a_batch_touches_the_factors() {
-        let mut store = FactorStore::new(
+        let mut store = one_shard(
             base_graph(),
             MatrixKind::random_walk_default(),
             RefreshPolicy::Incremental,
-        )
-        .unwrap();
+        );
         let snap0 = store.snapshot();
         // Two snapshots with no advance in between share the handle.
         assert!(Arc::ptr_eq(
@@ -1079,8 +695,8 @@ mod tests {
         // An empty batch advances the snapshot id but performs no factor
         // work: the handle keeps being shared (index records snapshot 0).
         let report = store.advance(&GraphDelta::empty()).unwrap();
-        assert_eq!(report.entries_applied, 0);
-        assert!(!report.republished);
+        assert_eq!(report.per_shard[0].entries_applied, 0);
+        assert_eq!(report.shards_republished, 0);
         let snap1 = store.snapshot();
         assert_eq!(snap1.id(), 1);
         assert!(Arc::ptr_eq(
@@ -1095,7 +711,7 @@ mod tests {
                 removed: vec![],
             })
             .unwrap();
-        assert!(report.republished);
+        assert_eq!(report.shards_republished, 1);
         let snap2 = store.snapshot();
         assert!(!Arc::ptr_eq(
             snap1.shards()[0].shared(),
@@ -1109,62 +725,56 @@ mod tests {
         let telemetry = Arc::new(TelemetryRegistry::new(
             clude_telemetry::TelemetryConfig::default(),
         ));
-        let mut store = FactorStore::new(
+        let mut store = one_shard(
             base_graph(),
             MatrixKind::random_walk_default(),
             RefreshPolicy::Incremental,
         )
-        .unwrap()
         .with_telemetry(Arc::clone(&telemetry));
         // Removals are always value-only: the removed edge's position zeroes
         // and the source's surviving column entries rescale in place.
-        let delta = GraphDelta {
-            added: vec![],
-            removed: vec![(2, 0)],
-        };
-        let report = store.advance(&delta).unwrap();
-        assert!(report.value_only);
-        assert!(report.refactored);
-        assert!(!report.refreshed);
-        assert_eq!(report.bennett.rank_one_updates, 0);
-        assert!(report.entries_applied > 0);
-        assert!(telemetry.stage_histogram(Stage::ShardRefactor).count() > 0);
-        // The refactored factors are exact: they match a fresh factorization
-        // of the updated graph to solver precision.
-        let got = store
-            .snapshot()
-            .query(&MeasureQuery::Rwr {
-                seed: 3,
-                damping: 0.85,
+        let report = store
+            .advance(&GraphDelta {
+                added: vec![],
+                removed: vec![(2, 0)],
             })
             .unwrap();
-        let mut expected = rwr_scores(store.graph(), 3, 0.85);
-        clude_sparse::vector::normalize_l1(&mut expected);
-        for (a, b) in got.iter().zip(expected.iter()) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-        // The A/B lever: with the fast path off, the same batch Bennett-sweeps.
-        let mut bennett_store = FactorStore::new(
-            base_graph(),
-            MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
-        )
-        .unwrap()
-        .with_refactor(false);
-        let report = bennett_store.advance(&delta).unwrap();
-        assert!(report.value_only);
-        assert!(!report.refactored);
+        let shard = report.per_shard[0];
+        assert!(shard.value_only);
+        assert!(shard.refactored);
+        assert!(!shard.refreshed);
+        assert_eq!(report.bennett.rank_one_updates, 0);
+        assert!(shard.entries_applied > 0);
+        assert!(telemetry.stage_histogram(Stage::ShardRefactor).count() > 0);
+        assert_eq!(telemetry.stage_histogram(Stage::ShardSweep).count(), 0);
+        // The refactored factors are exact.
+        let q = MeasureQuery::Rwr {
+            seed: 3,
+            damping: 0.85,
+        };
+        assert_matches_dense(&store, &q);
+        // The other side of the per-batch choice: an insert on a position the
+        // factors do not store is structural and Bennett-sweeps.
+        let report = store
+            .advance(&GraphDelta {
+                added: vec![(1, 4)],
+                removed: vec![],
+            })
+            .unwrap();
+        assert!(!report.per_shard[0].value_only);
+        assert!(!report.per_shard[0].refactored);
         assert!(report.bennett.rank_one_updates > 0);
+        assert!(telemetry.stage_histogram(Stage::ShardSweep).count() > 0);
+        assert_matches_dense(&store, &q);
     }
 
     #[test]
     fn advance_rejects_out_of_universe_deltas_without_mutating() {
-        let mut store = FactorStore::new(
+        let mut store = one_shard(
             base_graph(),
             MatrixKind::random_walk_default(),
             RefreshPolicy::Incremental,
-        )
-        .unwrap();
+        );
         let bad = GraphDelta {
             added: vec![(0, 999)],
             removed: vec![],
@@ -1172,7 +782,7 @@ mod tests {
         let err = store.advance(&bad).unwrap_err();
         assert!(matches!(
             err,
-            crate::error::EngineError::NodeOutOfRange {
+            EngineError::NodeOutOfRange {
                 node: 999,
                 n_nodes: 6
             }
@@ -1194,26 +804,20 @@ mod tests {
             g.add_undirected_edge(i, i + 1);
         }
         let kind = MatrixKind::SymmetricLaplacian { shift: 1.0 };
-        let mut store = FactorStore::new(g, kind, RefreshPolicy::Incremental).unwrap();
+        let mut store = one_shard(g, kind, RefreshPolicy::Incremental);
         let delta = GraphDelta {
             added: vec![(0, 3), (3, 0), (1, 4), (4, 1)],
             removed: vec![(1, 2), (2, 1)],
         };
         store.advance(&delta).unwrap();
-        // Oracle: fresh factors of the updated graph's Laplacian.
-        let a = measure_matrix(store.graph(), kind);
-        let fresh = factorize_fresh(&a).unwrap();
+        // Oracle: dense solve of the updated graph's Laplacian (the measure
+        // queries are random-walk specific, so compare raw solves).
         let b = vec![1.0, -0.5, 2.0, 0.25, -1.0];
-        let expected = fresh.solve(&b).unwrap();
-        let got = clude_lu::solve_original(
-            match store.snapshot().decomposed().factors.as_ref().unwrap() {
-                clude::MatrixFactors::Dynamic(f) => f,
-                _ => unreachable!("store keeps dynamic factors"),
-            },
-            &store.snapshot().decomposed().ordering,
-            &b,
-        )
-        .unwrap();
+        let expected = measure_matrix(store.graph(), kind)
+            .to_dense()
+            .solve_gaussian(&b)
+            .unwrap();
+        let got = store.snapshot().solve_measure_system(&b).unwrap();
         for (x, y) in got.iter().zip(expected.iter()) {
             assert!((x - y).abs() < 1e-9, "{x} vs {y}");
         }
@@ -1221,18 +825,28 @@ mod tests {
 
     #[test]
     fn accessors_expose_state() {
-        let store = FactorStore::new(
+        let store = one_shard(
             base_graph(),
             MatrixKind::random_walk_default(),
             RefreshPolicy::Incremental,
-        )
-        .unwrap();
+        );
         assert_eq!(store.matrix_kind(), MatrixKind::random_walk_default());
         assert_eq!(store.policy(), RefreshPolicy::Incremental);
+        assert_eq!(store.n_shards(), 1);
         assert!(store.factor_nnz() > 0);
+        assert_eq!(store.coupling_nnz(), 0);
         assert_eq!(store.quality_loss(), 0.0);
-        assert_eq!(store.snapshot().n_nodes(), 6);
-        assert!(store.snapshot().graph().has_edge(2, 0));
-        assert_eq!(store.snapshot().decomposed().index, 0);
+        let snap = store.snapshot();
+        assert_eq!(snap.n_nodes(), 6);
+        assert!(snap.graph().has_edge(2, 0));
+        assert_eq!(snap.shards()[0].decomposed().index, 0);
+        assert_eq!(snap.coupling().nnz(), 0);
+        // What a one-shard checkpoint records under the default config: no
+        // repartition trigger, no coupling, one block.
+        let durable = store.durable_state();
+        assert_eq!(durable.next_repartition_at, None);
+        assert!(durable.coupling.is_empty());
+        assert_eq!(durable.blocks.len(), 1);
+        assert_eq!(durable.partition.n_shards(), 1);
     }
 }

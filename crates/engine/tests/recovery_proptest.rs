@@ -148,6 +148,61 @@ fn assert_recovered_matches_twin(
     (recovered, count)
 }
 
+/// A one-shard spool goes through the same checkpoint image and the same
+/// `restore` as every other shard count: two batches, a forced checkpoint,
+/// one more logged batch, a kill in the middle of the next WAL append, and
+/// a reopen that restores the checkpointed block and replays the tail.
+#[test]
+fn one_shard_spool_recovers_through_checkpoint_and_wal_tail() {
+    let ops = materialize_ops(&[
+        (0, 5),
+        (3, 9),
+        (7, 2),
+        (4, 8),
+        (1, 6),
+        (9, 3),
+        (5, 11),
+        (2, 7),
+        (6, 0),
+        (10, 4),
+        (8, 1),
+        (11, 5),
+    ]);
+    assert_eq!(ops.len(), 4 * BATCH);
+    let fs = FailpointFs::new();
+    let durability = DurabilityConfig::new(SPOOL)
+        .group_commit(1)
+        .checkpoint_every(1_000_000)
+        .vfs(Arc::new(fs.clone()));
+    let twin = CludeEngine::new(base_graph(), config(1)).unwrap();
+    let (durable, cold) = CludeEngine::open_durable(base_graph(), config(1), durability).unwrap();
+    assert_eq!(cold.checkpoint_snapshot, None, "the spool starts cold");
+    assert_eq!(durable.n_shards(), 1);
+
+    let (head, tail) = ops.split_at(2 * BATCH);
+    assert!(!drive(&twin, &durable, head));
+    assert!(durable.checkpoint_now().unwrap());
+    // Batch 3's record lands; batch 4's is torn and the process dies.
+    fs.fail_at(fs.writes_seen() + 1, Injection::TornWrite { keep: 5 });
+    assert!(drive(&twin, &durable, tail));
+    assert!(fs.is_dead());
+    drop(durable);
+
+    let (recovered, compared) = assert_recovered_matches_twin(&twin, &fs, 1);
+    assert_eq!(recovered.n_shards(), 1);
+    assert_eq!(twin.current_snapshot_id(), 4);
+    assert_eq!(recovered.current_snapshot_id(), 3);
+    assert!(compared >= 1);
+    assert_eq!(
+        recovered
+            .telemetry()
+            .stage_histogram(clude_telemetry::Stage::RecoveryReplay)
+            .count(),
+        1,
+        "snapshot 3 is the checkpoint at 2 plus one replayed record"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

@@ -3,7 +3,7 @@
 //! bounded-staleness serving must never exceed its configured lag budget.
 
 use clude_engine::{
-    CouplingConfig, CouplingSolver, EngineCounters, FactorStore, QueryService, RefreshPolicy,
+    CouplingConfig, CouplingSolver, EngineCounters, QueryService, RefreshPolicy,
     ShardedFactorStore, StalenessBudget,
 };
 use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
@@ -71,11 +71,7 @@ proptest! {
         }
         let graph = DiGraph::from_edges(N, edges);
         let partition = NodePartition::from_assignments(assignments);
-        for solver in [
-            CouplingSolver::Jacobi,
-            CouplingSolver::GaussSeidel,
-            CouplingSolver::woodbury(),
-        ] {
+        for solver in [CouplingSolver::GaussSeidel, CouplingSolver::woodbury()] {
             let store = ShardedFactorStore::new(
                 graph.clone(),
                 MatrixKind::random_walk_default(),
@@ -125,10 +121,11 @@ proptest! {
     fn stale_serving_respects_the_budget(max_lag in 0u64..4, lag in 1u64..6) {
         let mut g = DiGraph::from_edges(8, (0..8).map(|i| (i, (i + 1) % 8)).collect::<Vec<_>>());
         g.add_edge(2, 0);
-        let mut store = FactorStore::new(
+        let mut store = ShardedFactorStore::new(
             g,
             MatrixKind::random_walk_default(),
             RefreshPolicy::default(),
+            NodePartition::singleton(8),
         )
         .unwrap();
         let counters = Arc::new(EngineCounters::default());

@@ -1,12 +1,13 @@
 //! Property tests for the structural layer: a BTF partition of a randomly
 //! generated DAG-coupled graph makes the block Gauss–Seidel arm exact in a
-//! single sweep, matching the monolithic factorization to solver precision.
+//! single sweep, matching a dense solve of the whole measure matrix to solver
+//! precision.
 
 use clude_engine::{
-    CouplingConfig, CouplingSolver, FactorStore, RefreshPolicy, ShardedFactorStore, SolveTolerance,
+    CouplingConfig, CouplingSolver, RefreshPolicy, ShardedFactorStore, SolveTolerance,
 };
-use clude_graph::{btf_partition, DiGraph, MatrixKind};
-use clude_measures::MeasureQuery;
+use clude_graph::{btf_partition, measure_matrix, DiGraph, MatrixKind};
+use clude_measures::{measure_rhs, MeasureQuery};
 use proptest::prelude::*;
 
 /// Three strongly connected blocks (directed cycles plus random chords),
@@ -72,7 +73,9 @@ proptest! {
                 })
                 .unwrap();
         prop_assert!(store.snapshot().coupling_plan().is_triangular());
-        let mono = FactorStore::new(g, kind, RefreshPolicy::Incremental).unwrap();
+        // Reference: dense Gaussian elimination on the unpartitioned matrix —
+        // no partition, ordering or factor code in common with the store.
+        let dense = measure_matrix(&g, kind).to_dense();
         let queries = [
             MeasureQuery::PageRank { damping: 0.85 },
             MeasureQuery::Rwr {
@@ -82,9 +85,12 @@ proptest! {
         ];
         for q in &queries {
             let a = store.snapshot().query(q).unwrap();
-            let b = mono.snapshot().query(q).unwrap();
+            let mut b = dense
+                .solve_gaussian(&measure_rhs(q, g.n_nodes()).unwrap())
+                .unwrap();
+            clude_sparse::vector::normalize_l1(&mut b);
             for (x, y) in a.iter().zip(b.iter()) {
-                prop_assert!((x - y).abs() <= 1e-9, "{:?}: sharded {} vs mono {}", q, x, y);
+                prop_assert!((x - y).abs() <= 1e-9, "{:?}: sharded {} vs dense {}", q, x, y);
             }
         }
     }

@@ -28,10 +28,6 @@ fn instrumented_engine(telemetry: TelemetryConfig) -> CludeEngine {
                 repartition_budget: Some(4),
                 ..CouplingConfig::default()
             },
-            // This replay's batches are value-only (cross-edge rescales), so
-            // with the refactor fast path on they would never Bennett-sweep;
-            // force the sweep path — the refactor stage has its own tests.
-            refactor: false,
             telemetry,
             ..EngineConfig::default()
         },
@@ -41,6 +37,11 @@ fn instrumented_engine(telemetry: TelemetryConfig) -> CludeEngine {
 }
 
 fn replay(engine: &CludeEngine) {
+    // The cross-edge batches below are value-only (rescales of stored
+    // entries) and refactor; this one is structural — 0 and 3 share shard 0,
+    // whose block holds no ring edge, so the new entry has no stored slot —
+    // and Bennett-sweeps.
+    engine.insert_edge(0, 3).unwrap();
     for i in 0..5 {
         engine.insert_edge(i, (i + 5) % 12).unwrap();
     }

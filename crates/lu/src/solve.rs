@@ -102,14 +102,14 @@ impl SolveScratch {
     }
 }
 
-/// Reusable buffers of [`solve_original_many_into`]: the permuted panel, the
-/// reordered solution panel, and a single-stripe staging column used while
-/// permuting one stripe at a time (the permutation helpers are single-RHS;
-/// permutation is pure data movement, so staging preserves bit-identity).
+/// Reusable buffers of [`solve_original_many_into`]: the permuted panel and
+/// the reordered solution panel (a [`SolveScratch`], which is all a width-1
+/// panel needs), and a single-stripe staging column used while permuting one
+/// stripe at a time (the permutation helpers are single-RHS; permutation is
+/// pure data movement, so staging preserves bit-identity).
 #[derive(Debug, Clone, Default)]
 pub struct PanelScratch {
-    permuted: Vec<f64>,
-    factored: Vec<f64>,
+    panel: SolveScratch,
     column: Vec<f64>,
 }
 
@@ -122,12 +122,7 @@ impl PanelScratch {
     /// A scratch pre-sized for panels of `n_rhs` systems of order `n`.
     pub fn with_panel(n: usize, n_rhs: usize) -> Self {
         PanelScratch {
-            // lint: allow(alloc-hot-path) — constructor pre-sizing: this
-            // one-time allocation keeps later panel solves allocation-free.
-            permuted: Vec::with_capacity(n * n_rhs),
-            // lint: allow(alloc-hot-path) — constructor pre-sizing: this
-            // one-time allocation keeps later panel solves allocation-free.
-            factored: Vec::with_capacity(n * n_rhs),
+            panel: SolveScratch::with_order(n * n_rhs),
             // lint: allow(alloc-hot-path) — constructor pre-sizing: this
             // one-time allocation keeps later panel solves allocation-free.
             column: Vec::with_capacity(n),
@@ -200,7 +195,15 @@ pub fn solve_original_many_into<F: TriangularSolve>(
             actual: b.len(),
         });
     }
-    scratch.permuted.clear();
+    if n_rhs == 1 {
+        // The one place a single right-hand side leaves the panel path: the
+        // staging-column copies and the panel kernel cost a width-1 solve a
+        // quarter of its time (`clude_perf` serve-static `timed_s` 1.72 ->
+        // 2.16 s, cold p50 +34 % without this branch; ROADMAP item 2).
+        return solve_original_into(factors, ordering, b, &mut scratch.panel, out);
+    }
+    let SolveScratch { permuted, factored } = &mut scratch.panel;
+    permuted.clear();
     for c in 0..n_rhs {
         ordering
             .permute_rhs_into(&b[c * n..(c + 1) * n], &mut scratch.column)
@@ -208,16 +211,16 @@ pub fn solve_original_many_into<F: TriangularSolve>(
                 expected: n,
                 actual: b.len(),
             })?;
-        scratch.permuted.extend_from_slice(&scratch.column);
+        permuted.extend_from_slice(&scratch.column);
     }
-    factors.solve_many_factored_into(&scratch.permuted, n_rhs, &mut scratch.factored)?;
+    factors.solve_many_factored_into(permuted, n_rhs, factored)?;
     out.clear();
     for c in 0..n_rhs {
         ordering
-            .recover_solution_into(&scratch.factored[c * n..(c + 1) * n], &mut scratch.column)
+            .recover_solution_into(&factored[c * n..(c + 1) * n], &mut scratch.column)
             .map_err(|_| crate::error::LuError::DimensionMismatch {
                 expected: ordering.col().len(),
-                actual: scratch.factored.len(),
+                actual: factored.len(),
             })?;
         out.extend_from_slice(&scratch.column);
     }

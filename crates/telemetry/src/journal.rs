@@ -67,7 +67,7 @@ pub enum EngineEvent {
     },
     /// A shard abandoned Bennett updates and refactorized from scratch.
     RefreshTriggered {
-        /// Which shard refreshed (0 for the monolithic store).
+        /// Which shard refreshed (0 in a one-shard store).
         shard: u32,
         /// Whether a numeric failure (rather than the quality budget)
         /// forced the refresh.
@@ -126,7 +126,7 @@ pub enum EngineEvent {
     /// A (re)factorization picked its fill-reducing ordering by predicted
     /// symbolic size (Markowitz vs AMD).
     OrderingSelected {
-        /// Which shard was ordered (0 for the monolithic store).
+        /// Which shard was ordered (0 in a one-shard store).
         shard: u32,
         /// The winning ordering method.
         method: OrderingMethod,

@@ -19,8 +19,6 @@ pub enum Stage {
     /// A full re-ordering + refactorization of one shard (quality trip or
     /// numeric failure).
     ShardRefresh,
-    /// A Jacobi fixed-point coupling solve (whole iteration, all sweeps).
-    CouplingJacobi,
     /// A Gauss–Seidel coupling solve (whole iteration, all sweeps).
     CouplingGaussSeidel,
     /// Building the cached Woodbury correction at snapshot-freeze time.
@@ -58,12 +56,11 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in exposition order.
-    pub const ALL: [Stage; 17] = [
+    pub const ALL: [Stage; 16] = [
         Stage::IngestMerge,
         Stage::IngestApply,
         Stage::ShardSweep,
         Stage::ShardRefresh,
-        Stage::CouplingJacobi,
         Stage::CouplingGaussSeidel,
         Stage::CouplingWoodburyBuild,
         Stage::CouplingWoodburyApply,
@@ -94,7 +91,6 @@ impl Stage {
             Stage::IngestApply => "ingest.apply",
             Stage::ShardSweep => "shard.sweep",
             Stage::ShardRefresh => "shard.refresh",
-            Stage::CouplingJacobi => "coupling.jacobi",
             Stage::CouplingGaussSeidel => "coupling.gauss_seidel",
             Stage::CouplingWoodburyBuild => "coupling.woodbury_build",
             Stage::CouplingWoodburyApply => "coupling.woodbury_apply",
@@ -117,7 +113,6 @@ impl Stage {
             Stage::IngestApply => "clude_ingest_apply",
             Stage::ShardSweep => "clude_shard_sweep",
             Stage::ShardRefresh => "clude_shard_refresh",
-            Stage::CouplingJacobi => "clude_coupling_jacobi",
             Stage::CouplingGaussSeidel => "clude_coupling_gauss_seidel",
             Stage::CouplingWoodburyBuild => "clude_coupling_woodbury_build",
             Stage::CouplingWoodburyApply => "clude_coupling_woodbury_apply",

@@ -5,12 +5,12 @@
 use clude::algorithms::{Clude, LudemSolver, SolverConfig};
 use clude::ems::EvolvingMatrixSequence;
 use clude_engine::{
-    BatchPolicy, CludeEngine, CouplingConfig, CouplingSolver, EngineConfig, FactorStore,
-    RefreshPolicy, ShardedFactorStore,
+    BatchPolicy, CludeEngine, CouplingConfig, CouplingSolver, EngineConfig, RefreshPolicy,
+    ShardedFactorStore,
 };
 use clude_graph::generators::wiki_like::{self, WikiLikeConfig};
-use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
-use clude_measures::MeasureQuery;
+use clude_graph::{measure_matrix, DiGraph, GraphDelta, MatrixKind, NodePartition};
+use clude_measures::{measure_rhs, MeasureQuery};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -112,6 +112,26 @@ fn coalesced_churn_matches_direct_construction() {
     }
 }
 
+/// The reference every store is held to: dense Gaussian elimination on the
+/// snapshot's measure matrix, normalised like a served answer.  It shares no
+/// partition, ordering or factor code with the store under test.  (Hitting
+/// time factorizes a query-specific matrix of the graph alone; against the
+/// independently maintained `graph` it checks the store's graph tracking.)
+fn dense_answer(graph: &DiGraph, kind: MatrixKind, query: &MeasureQuery) -> Vec<f64> {
+    let Some(b) = measure_rhs(query, graph.n_nodes()) else {
+        let MeasureQuery::HittingTime { target, damping } = query else {
+            unreachable!("only hitting time has no snapshot-matrix right-hand side")
+        };
+        return clude_measures::discounted_hitting_time(graph, *target, *damping).unwrap();
+    };
+    let mut x = measure_matrix(graph, kind)
+        .to_dense()
+        .solve_gaussian(&b)
+        .unwrap();
+    clude_sparse::vector::normalize_l1(&mut x);
+    x
+}
+
 fn ring_base(n: usize) -> DiGraph {
     let mut g = DiGraph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
     g.add_edge(2, 0);
@@ -168,12 +188,13 @@ proptest! {
         }
     }
 
-    /// Every coupling-solver strategy — block-Jacobi, block Gauss–Seidel,
-    /// the full-capture Woodbury correction and a rank-starved Woodbury that
-    /// must iterate over its remainder — must agree with the monolithic
-    /// store on every measure query to 1e-9 over random edge-op streams:
-    /// intra-shard edges, cross-shard edges and removals alike, at every
-    /// snapshot along the way.
+    /// Every coupling-solver strategy — block Gauss–Seidel, the full-capture
+    /// Woodbury correction and a rank-starved Woodbury that must iterate
+    /// over its remainder — and the one-shard store (the former monolithic
+    /// configuration) must agree with a dense solve of the snapshot's
+    /// measure matrix on every measure query to 1e-9 over random edge-op
+    /// streams: intra-shard edges, cross-shard edges and removals alike, at
+    /// every snapshot along the way.
     #[test]
     fn all_coupling_solvers_match_monolithic_on_random_streams(
         ops in proptest::collection::vec((0usize..2, 0usize..18, 0usize..18), 1..40),
@@ -183,9 +204,7 @@ proptest! {
         let base = ring_base(n);
         let kind = MatrixKind::RandomWalk { damping: DAMPING };
         let policy = RefreshPolicy::QualityTriggered { max_quality_loss: 0.5 };
-        let mut mono = FactorStore::new(base.clone(), kind, policy).unwrap();
         let solvers = [
-            CouplingSolver::Jacobi,
             CouplingSolver::GaussSeidel,
             CouplingSolver::woodbury(),
             CouplingSolver::Woodbury { max_rank: 2 },
@@ -204,11 +223,17 @@ proptest! {
                 .unwrap()
             })
             .collect();
+        // The same machine at k = 1: one block, no coupling, no iteration.
+        stores.push(
+            ShardedFactorStore::new(base.clone(), kind, policy, NodePartition::singleton(n))
+                .unwrap(),
+        );
 
         // Replay in small batches of net-effective changes (the stores take
         // deltas, so mirror the ingestor's no-op dropping against a shadow
         // graph).
         let mut shadow = base;
+        let mut applied = 0u64;
         let queries = [
             MeasureQuery::PageRank { damping: DAMPING },
             MeasureQuery::Rwr { seed: 0, damping: DAMPING },
@@ -245,21 +270,23 @@ proptest! {
             if delta.is_empty() {
                 continue;
             }
-            mono.advance(&delta).unwrap();
-            let snap_m = mono.snapshot();
-            for (store, solver) in stores.iter_mut().zip(solvers.iter()) {
+            applied += 1;
+            let expected: Vec<Vec<f64>> =
+                queries.iter().map(|q| dense_answer(&shadow, kind, q)).collect();
+            for (i, store) in stores.iter_mut().enumerate() {
                 let report = store.advance(&delta).unwrap();
-                prop_assert_eq!(report.snapshot_id, mono.snapshot_id());
-                let snap_s = store.snapshot();
-                prop_assert_eq!(snap_s.solver(), *solver);
-                for q in &queries {
-                    let a = snap_s.query(q).unwrap();
-                    let b = snap_m.query(q).unwrap();
+                prop_assert_eq!(report.snapshot_id, applied);
+                let snap = store.snapshot();
+                if let Some(solver) = solvers.get(i) {
+                    prop_assert_eq!(snap.solver(), *solver);
+                }
+                for (q, b) in queries.iter().zip(&expected) {
+                    let a = snap.query(q).unwrap();
                     for (x, y) in a.iter().zip(b.iter()) {
                         prop_assert!(
                             (x - y).abs() <= 1e-9,
-                            "{:?} under {} diverged: sharded {} vs monolithic {}",
-                            q, solver.name(), x, y
+                            "{:?} on {} shard(s) under {} diverged: store {} vs dense {}",
+                            q, snap.n_shards(), snap.solver().name(), x, y
                         );
                     }
                 }
