@@ -76,12 +76,28 @@ impl MatrixFactors {
         }
     }
 
-    /// Rough resident size of the decomposed representation in bytes
-    /// (values plus structural indices, ~24 bytes per stored slot).  Used by
-    /// the engine's snapshot-ring accounting, where "approximately right and
-    /// cheap" beats exact heap traversal.
-    pub fn approx_bytes(&self) -> usize {
-        self.nnz() * 24
+    /// Rough resident bytes no other factor set can share: 8 per value slot
+    /// for static factors (their structure is accounted through
+    /// [`MatrixFactors::shared_structure`]), ~24 per list node (value plus
+    /// row and column indices) for dynamic ones.  Used by the engine's
+    /// snapshot-ring accounting, where "approximately right and cheap" beats
+    /// exact heap traversal.
+    pub fn owned_bytes(&self) -> usize {
+        match self {
+            MatrixFactors::Static(f) => f.nnz() * std::mem::size_of::<f64>(),
+            MatrixFactors::Dynamic(f) => f.nnz() * 24,
+        }
+    }
+
+    /// The structure handle static factors sit on — shared by every matrix
+    /// of a CLUDE cluster, and by consecutive engine snapshots of a block
+    /// whose pattern did not move; an accounting that walks many factor sets
+    /// counts each distinct handle ([`Arc::ptr_eq`]) once.
+    pub fn shared_structure(&self) -> Option<&Arc<LuStructure>> {
+        match self {
+            MatrixFactors::Static(f) => Some(f.structure()),
+            MatrixFactors::Dynamic(_) => None,
+        }
     }
 }
 
@@ -152,12 +168,21 @@ impl DecomposedMatrix {
         }
     }
 
-    /// Rough resident size of this decomposition in bytes: the factors plus
-    /// the ordering's two permutation maps.  See
-    /// [`MatrixFactors::approx_bytes`] for the accounting granularity.
-    pub fn approx_bytes(&self) -> usize {
+    /// Rough resident size of this decomposition in bytes — the factors'
+    /// [`MatrixFactors::owned_bytes`] plus the ordering's two permutation
+    /// maps — without the structure static factors sit on (see
+    /// [`MatrixFactors::shared_structure`]).
+    pub fn owned_bytes(&self) -> usize {
         let ordering_bytes = 2 * self.ordering.row().len() * std::mem::size_of::<usize>();
-        self.factors.as_ref().map_or(0, MatrixFactors::approx_bytes) + ordering_bytes
+        self.factors.as_ref().map_or(0, MatrixFactors::owned_bytes) + ordering_bytes
+    }
+
+    /// The structure handle of static factors, if any (see
+    /// [`MatrixFactors::shared_structure`]).
+    pub fn shared_structure(&self) -> Option<&Arc<LuStructure>> {
+        self.factors
+            .as_ref()
+            .and_then(MatrixFactors::shared_structure)
     }
 }
 

@@ -73,7 +73,7 @@ pub(crate) fn gen_of_path(path: &Path) -> Option<u64> {
 ///
 /// `blocks[s]` is the published (copy-on-write) block of shard `s` plus the
 /// shard's `reference_nnz` quality anchor.  The published `Arc` content is
-/// identical to the live factors after every advance — the store republishes
+/// entry for entry the live factors after every advance — the store republishes
 /// whenever an advance touches a shard — so serialising from the snapshot
 /// side is exact.
 pub(crate) struct DurableState {
@@ -178,9 +178,12 @@ fn encode_block(
     block: &DecomposedMatrix,
     reference_nnz: usize,
 ) -> EngineResult<()> {
-    let Some(clude::MatrixFactors::Dynamic(factors)) = &block.factors else {
+    // Published blocks are always static (`OrderedFactors::publish`); their
+    // slots are exactly the live factors' list nodes, explicit zeros
+    // included, so the entry list below is the one the format always held.
+    let Some(clude::MatrixFactors::Static(factors)) = &block.factors else {
         return Err(EngineError::Persistence(format!(
-            "shard {shard} block has no dynamic factors to checkpoint"
+            "shard {shard} block is not a published (static) factor block"
         )));
     };
     w.put_usize(shard);
@@ -649,9 +652,10 @@ mod tests {
     fn state_for(graph: DiGraph, snapshot_id: u64) -> DurableState {
         let kind = MatrixKind::random_walk_default();
         let matrix = measure_matrix(&graph, kind);
-        let of = order_and_factorize(&matrix, &clude_telemetry::TelemetryRegistry::disabled(), 0)
-            .unwrap();
-        let published = of.publish(snapshot_id);
+        let mut of =
+            order_and_factorize(&matrix, &clude_telemetry::TelemetryRegistry::disabled(), 0)
+                .unwrap();
+        let published = of.publish(snapshot_id).unwrap();
         let n = graph.n_nodes();
         DurableState {
             snapshot_id,
@@ -689,7 +693,7 @@ mod tests {
         assert_eq!(restored.graph, graph);
         assert_eq!(restored.blocks.len(), 1);
         let original = match &state.blocks[0].0.factors {
-            Some(clude::MatrixFactors::Dynamic(f)) => f.export_entries(),
+            Some(clude::MatrixFactors::Static(f)) => f.export_entries(),
             _ => unreachable!(),
         };
         assert_eq!(restored.blocks[0].factors.export_entries(), original);

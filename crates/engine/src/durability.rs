@@ -126,8 +126,8 @@ impl Persistence {
 
     /// Called after snapshot publication; returns whether the checkpoint
     /// interval elapsed.  Split from [`Persistence::checkpoint_state`] so
-    /// the caller only captures a [`DurableState`] (which clones the graph)
-    /// on the batches that actually checkpoint.
+    /// the caller only captures a [`DurableState`] (which copies the coupling
+    /// entries and the partition) on the batches that actually checkpoint.
     pub(crate) fn note_applied(&mut self) -> bool {
         self.batches_since_checkpoint += 1;
         self.batches_since_checkpoint >= self.checkpoint_every

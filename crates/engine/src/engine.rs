@@ -11,9 +11,10 @@
 //!   (bounded time-travel window).  The ring is copy-on-write: consecutive
 //!   entries share the `Arc`'d factor blocks of every shard the batch did
 //!   not touch (and the frozen coupling when no cross-shard entry changed),
-//!   so retaining a deep ring costs O(touched shards) *factor* memory per
-//!   snapshot (each entry still carries its own copy of the graph, which
-//!   changes every batch and is far smaller than the factors);
+//!   a republished block shares its structure with its predecessor while the
+//!   pattern stands, and the snapshot graphs share every adjacency set the
+//!   batch did not touch — so retaining a deep ring costs memory in
+//!   proportion to what the batches changed, not to what exists;
 //! * queries grab an `Arc` to the newest snapshot through the wait-free
 //!   epoch-published [`SnapshotHandle`] — no lock of any kind on the hot
 //!   read path — and solve through the sharded, cached, batching
@@ -52,10 +53,10 @@ pub struct EngineConfig {
     pub refresh: RefreshPolicy,
     /// How many recent snapshots stay queryable (time-travel window); must be
     /// at least 1 ([`EngineError::InvalidConfig`] otherwise).  The
-    /// ring shares untouched shards' factor blocks between entries, so a
-    /// deeper ring costs O(touched shards) — not O(all shards) — *factor*
-    /// memory per retained snapshot; each entry does keep its own copy of
-    /// the (much smaller) snapshot graph.
+    /// ring shares untouched shards' factor blocks and untouched nodes'
+    /// adjacency sets between entries, so a deeper ring costs O(touched
+    /// shards + touched nodes) — not O(all shards + all nodes) — memory per
+    /// retained snapshot.
     pub ring_capacity: usize,
     /// Number of result-cache shards.
     pub cache_shards: usize,
@@ -604,9 +605,11 @@ impl CludeEngine {
 
     /// A point-in-time copy of the operation counters, completed with the
     /// snapshot-ring occupancy: ring depth and the approximate resident
-    /// factor bytes across the ring, counting every shared factor block and
-    /// frozen coupling exactly once (deduplicated by [`Arc`] identity —
-    /// this is where the copy-on-write sharing becomes visible as memory).
+    /// factor bytes across the ring, counting every shared factor block,
+    /// factor structure and frozen coupling exactly once (deduplicated by
+    /// [`Arc`] identity — this is where the copy-on-write sharing becomes
+    /// visible as memory: a block republished over an unmoved pattern adds
+    /// its values, not a second copy of the structure).
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.counters.snapshot();
         let ring = self.ring.read().expect("snapshot ring poisoned");
@@ -616,7 +619,13 @@ impl CludeEngine {
         for snapshot in ring.iter() {
             for shard in snapshot.shards() {
                 if seen.insert(Arc::as_ptr(shard.shared()).cast()) {
-                    bytes += shard.decomposed().approx_bytes() as u64;
+                    let block = shard.decomposed();
+                    bytes += block.owned_bytes() as u64;
+                    if let Some(structure) = block.shared_structure() {
+                        if seen.insert(Arc::as_ptr(structure).cast()) {
+                            bytes += structure.approx_bytes() as u64;
+                        }
+                    }
                 }
             }
             let coupling = snapshot.shared_coupling();
@@ -782,6 +791,47 @@ mod tests {
         assert!(stats.cow_shards_shared > 0, "no snapshot shared any shard");
         assert!(stats.resident_factor_bytes > 0);
         assert!(stats.to_string().contains("cow-clones"));
+    }
+
+    #[test]
+    fn resident_bytes_count_a_shared_structure_once() {
+        // One shard, value-only churn: removing an edge rescales stored
+        // positions, re-adding it writes back into the slot the removal left
+        // as an explicit zero — so every ring entry holds its own block of
+        // values over one shared structure.
+        let engine = CludeEngine::new(ring_graph(8), small_config(1)).unwrap();
+        for _ in 0..2 {
+            engine.remove_edge(2, 0).unwrap();
+            engine.insert_edge(2, 0).unwrap();
+        }
+        let (blocks, structures): (Vec<_>, HashSet<_>) = {
+            let ring = engine.ring.read().unwrap();
+            assert_eq!(ring.len(), 3);
+            ring.iter()
+                .map(|snap| {
+                    let block = Arc::clone(snap.shards()[0].shared());
+                    let structure = Arc::as_ptr(block.shared_structure().unwrap());
+                    (block, structure)
+                })
+                .unzip()
+        };
+        assert_eq!(
+            structures.len(),
+            1,
+            "value-only publishes share a structure"
+        );
+        assert!(!Arc::ptr_eq(&blocks[0], &blocks[1]) && !Arc::ptr_eq(&blocks[1], &blocks[2]));
+        let structure_bytes = blocks[0].shared_structure().unwrap().approx_bytes() as u64;
+        let owned: u64 = blocks.iter().map(|b| b.owned_bytes() as u64).sum();
+        // No coupling at one shard: what is left is the empty frozen coupling
+        // (row offsets only) and the plan, both shared by all three entries.
+        let resident = engine.stats().resident_factor_bytes;
+        assert!(resident >= owned + structure_bytes);
+        assert!(
+            resident < owned + 2 * structure_bytes,
+            "a shared structure was charged more than once: {resident} B resident, \
+             {owned} B of values and orderings, {structure_bytes} B per structure"
+        );
     }
 
     #[test]

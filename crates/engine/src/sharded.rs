@@ -43,7 +43,7 @@ use clude_graph::{
     MatrixKind, NodePartition,
 };
 use clude_lu::{BennettStats, BennettWorkspace, LuError, RefactorWorkspace, ShardWorkspaces};
-use clude_sparse::{CooMatrix, CsrMatrix};
+use clude_sparse::CsrMatrix;
 use clude_telemetry::{EngineEvent, Stage, TelemetryRegistry, Timer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -199,18 +199,22 @@ impl CouplingStore {
         self.nnz
     }
 
+    /// Freezes the store into CSR.  The rows are already column-sorted and
+    /// duplicate-free, so the three CSR arrays are assembled directly.
     fn to_csr(&self) -> CsrMatrix {
         let n = self.rows.len();
-        let mut coo = CooMatrix::with_capacity(n, n, self.nnz);
-        for (i, cols) in self.rows.iter().enumerate() {
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut col_idx = Vec::with_capacity(self.nnz);
+        let mut values = Vec::with_capacity(self.nnz);
+        row_ptr.push(0);
+        for cols in &self.rows {
             for (&j, &v) in cols {
-                // lint: allow(panic-surface) — `i` enumerates `rows` and `j`
-                // was bounds-checked against `rows.len()` when the entry was
-                // routed into the store; the push cannot be out of bounds.
-                coo.push(i, j, v).expect("coupling entries are in bounds");
+                col_idx.push(j);
+                values.push(v);
             }
+            row_ptr.push(col_idx.len());
         }
-        CsrMatrix::from_coo(&coo)
+        CsrMatrix::from_raw_parts(n, n, row_ptr, col_idx, values)
     }
 }
 
@@ -360,14 +364,13 @@ impl ShardedFactorStore {
             )));
         }
         let partition = Arc::new(partition);
-        let shards: Vec<FactorShard> = (0..partition.n_shards())
+        let mut shards: Vec<FactorShard> = (0..partition.n_shards())
             .map(|s| FactorShard::build(&graph, kind, &partition, s, &telemetry))
             .collect::<EngineResult<_>>()?;
         let workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
         let refactor_workspaces = refactor_workspaces_for(&partition);
         let coupling = CouplingStore::from_matrix(&coupling_matrix(&graph, kind, &partition));
-        let published: Vec<Arc<DecomposedMatrix>> =
-            shards.iter().map(|s| s.of.publish(0)).collect();
+        let published = publish_all(&mut shards, 0)?;
         let published_coupling = Arc::new(coupling.to_csr());
         let coupling_cfg = CouplingConfig::default();
         let plan = Arc::new(CouplingPlan::build(
@@ -481,18 +484,14 @@ impl ShardedFactorStore {
         }
         let mut shards = Vec::with_capacity(blocks.len());
         let mut published = Vec::with_capacity(blocks.len());
-        for block in blocks {
-            let of = OrderedFactors {
-                row_old_to_new: block.ordering.row().old_to_new(),
-                col_old_to_new: block.ordering.col().old_to_new(),
-                ordering: block.ordering,
-                factors: block.factors,
-                reference_nnz: block.reference_nnz,
-                // Rebuilt lazily by the first refactor pass; a checkpoint
-                // block carries no matrix.
-                reordered: None,
-            };
-            published.push(of.publish(block.index));
+        for (s, block) in blocks.into_iter().enumerate() {
+            // The reordered-matrix cache is rebuilt lazily by the first
+            // refactor pass; a checkpoint block carries no matrix.
+            let mut of =
+                OrderedFactors::new(block.ordering, block.factors, block.reference_nnz, None);
+            published.push(of.publish(block.index).map_err(|e| {
+                EngineError::Persistence(format!("checkpoint block of shard {s}: {e}"))
+            })?);
             shards.push(FactorShard { of });
         }
         let workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
@@ -607,12 +606,13 @@ impl ShardedFactorStore {
 
     /// An immutable snapshot of the current state for the query side.
     ///
-    /// Cheap by construction: the per-shard factor blocks and the frozen
-    /// coupling are shared [`Arc`] handles re-frozen inside
-    /// [`ShardedFactorStore::advance`] for exactly the shards the batch
-    /// touched, so this clones `n_shards` pointers and the graph — never a
-    /// factor block.  Consecutive snapshots are [`Arc::ptr_eq`] on every
-    /// untouched shard's [`ShardSnapshot::shared`] handle.
+    /// Cheap by construction: the per-shard factor blocks, the frozen
+    /// coupling and the plan are shared [`Arc`] handles re-frozen inside
+    /// [`ShardedFactorStore::advance`] for exactly what the batch touched,
+    /// and the graph's adjacency sets are copy-on-write, so this bumps
+    /// `n_shards + 2·n_nodes` pointers and copies nothing a batch did not
+    /// change.  Consecutive snapshots are [`Arc::ptr_eq`] on every untouched
+    /// shard's [`ShardSnapshot::shared`] handle.
     pub fn snapshot(&self) -> EngineSnapshot {
         let shards = self
             .published
@@ -648,6 +648,18 @@ impl ShardedFactorStore {
     /// possibly swept — and must be treated as fatal for this store; only
     /// out-of-range deltas are rejected before any mutation.
     pub fn advance(&mut self, delta: &GraphDelta) -> EngineResult<ShardedAdvanceReport> {
+        self.advance_dispatched(delta, false)
+    }
+
+    /// [`ShardedFactorStore::advance`] with the inline-or-fan-out choice
+    /// overridable: `force_fan_out` sends every multi-shard batch through
+    /// the scoped threads, which is how the tests pin the two dispatches
+    /// bit-identical.
+    fn advance_dispatched(
+        &mut self,
+        delta: &GraphDelta,
+        force_fan_out: bool,
+    ) -> EngineResult<ShardedAdvanceReport> {
         let n = self.graph.n_nodes();
         for &(u, v) in delta.added.iter().chain(delta.removed.iter()) {
             if u >= n || v >= n {
@@ -726,9 +738,13 @@ impl ShardedFactorStore {
             per_shard[s].value_only = value_only[s];
         }
 
-        // Fan the disjoint per-shard sweeps out across scoped threads (the
-        // single-active-shard case runs inline to skip the spawn cost).
+        // Fan the disjoint per-shard sweeps out across scoped threads — when
+        // there is Bennett work to overlap.  A batch every active shard
+        // absorbs by a refactor pass runs inline: a pass costs less than the
+        // spawn + join that would parallelise it (ROADMAP item 5 has the
+        // measurement), as does a single active shard of either kind.
         let active: Vec<usize> = (0..k).filter(|&s| !shard_entries[s].is_empty()).collect();
+        let inline = active.len() <= 1 || (!force_fan_out && active.iter().all(|&s| value_only[s]));
         let ctx = SweepContext {
             graph: &self.graph,
             partition: &self.partition,
@@ -738,7 +754,7 @@ impl ShardedFactorStore {
         };
         let mut outcomes: Vec<Option<Result<ShardOutcome, LuError>>> =
             (0..k).map(|_| None).collect();
-        if active.len() <= 1 {
+        if inline {
             for &s in &active {
                 outcomes[s] = Some(self.shards[s].apply(
                     self.workspaces.get_mut(s),
@@ -802,13 +818,15 @@ impl ShardedFactorStore {
             // re-freeze their shared handle; every other shard keeps serving
             // the handle older snapshots already hold.
             let freeze = self.telemetry.span(Stage::SnapshotFreeze);
-            self.published[s] = self.shards[s].of.publish(self.snapshot_id);
+            self.published[s] = self.shards[s].of.publish(self.snapshot_id)?;
             freeze.stop();
             report.shards_republished += 1;
             republished.push(s);
         }
         if coupling_writes > 0 {
+            let freeze = self.telemetry.span(Stage::SnapshotFreeze);
             self.published_coupling = Arc::new(self.coupling.to_csr());
+            freeze.stop();
             report.coupling_republished = true;
         }
 
@@ -855,19 +873,26 @@ impl ShardedFactorStore {
                 &self.published_coupling,
                 self.coupling_cfg.solver,
             )?);
-            report.correction_rebuilt = self.plan.correction_rank().is_some();
-            if let Some(rank) = self.plan.correction_rank() {
+            let rank = self.plan.correction_rank();
+            report.correction_rebuilt = rank.is_some();
+            match rank {
                 // The Woodbury correction is the expensive part of a plan
-                // rebuild (block solves per captured column); Gauss–Seidel
-                // order derivation alone is not worth a stage.
-                timer.finish(&self.telemetry, Stage::CouplingWoodburyBuild);
-                self.telemetry
-                    .record_event(EngineEvent::WoodburyPlanRebuilt {
-                        rank: rank as u32,
-                        // Rebuilt only because a support shard re-froze its
-                        // factors: the captured column set itself is unchanged.
-                        reused: !report.repartitioned && !report.coupling_republished,
-                    });
+                // rebuild (block solves per captured column) and has its
+                // own stage.
+                Some(rank) => {
+                    timer.finish(&self.telemetry, Stage::CouplingWoodburyBuild);
+                    self.telemetry
+                        .record_event(EngineEvent::WoodburyPlanRebuilt {
+                            rank: rank as u32,
+                            // Rebuilt only because a support shard re-froze
+                            // its factors: the captured column set itself is
+                            // unchanged.
+                            reused: !report.repartitioned && !report.coupling_republished,
+                        });
+                }
+                // A plan that is only a Gauss–Seidel order is one more piece
+                // of the snapshot being frozen.
+                None => timer.finish(&self.telemetry, Stage::SnapshotFreeze),
             }
         }
 
@@ -895,17 +920,14 @@ impl ShardedFactorStore {
             PartitionStrategy::EdgeLocality => edge_locality_partition(&self.graph, k),
             PartitionStrategy::Btf => btf_partition(&self.graph, self.kind, k).0,
         });
-        let shards: Vec<FactorShard> = (0..partition.n_shards())
+        let mut shards: Vec<FactorShard> = (0..partition.n_shards())
             .map(|s| FactorShard::build(&self.graph, self.kind, &partition, s, &self.telemetry))
             .collect::<EngineResult<_>>()?;
         self.workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
         self.refactor_workspaces = refactor_workspaces_for(&partition);
         self.coupling =
             CouplingStore::from_matrix(&coupling_matrix(&self.graph, self.kind, &partition));
-        self.published = shards
-            .iter()
-            .map(|s| s.of.publish(self.snapshot_id))
-            .collect();
+        self.published = publish_all(&mut shards, self.snapshot_id)?;
         self.published_coupling = Arc::new(self.coupling.to_csr());
         self.partition = partition;
         self.shards = shards;
@@ -925,7 +947,7 @@ impl ShardedFactorStore {
     fn assert_consistent(&self, tol: f64) {
         let full = clude_graph::measure_matrix(&self.graph, self.kind);
         let n = self.graph.n_nodes();
-        let mut coo = CooMatrix::new(n, n);
+        let mut coo = clude_sparse::CooMatrix::new(n, n);
         for (s, shard) in self.shards.iter().enumerate() {
             let nodes = self.partition.nodes_of(s);
             // Undo the shard-local ordering to recover A[S_s, S_s].
@@ -946,6 +968,15 @@ impl ShardedFactorStore {
         let diff = reassembled.max_abs_diff(&full).unwrap();
         assert!(diff <= tol, "sharded state drifted from A: {diff:e}");
     }
+}
+
+/// Publishes every shard's block as of snapshot `id` (builds and
+/// repartitions; advances republish only the shards they touched).
+fn publish_all(shards: &mut [FactorShard], id: u64) -> EngineResult<Vec<Arc<DecomposedMatrix>>> {
+    shards
+        .iter_mut()
+        .map(|shard| Ok(shard.of.publish(id)?))
+        .collect()
 }
 
 /// One refactorization scratch per shard, sized to the shard's order.
@@ -1608,5 +1639,279 @@ mod tests {
         store.advance(&delta).unwrap();
         assert!(store.snapshot().coupling_plan().is_triangular());
         assert_queries_match(&store, n);
+    }
+
+    fn bits(entries: Vec<(usize, usize, f64)>) -> Vec<(usize, usize, u64)> {
+        entries
+            .into_iter()
+            .map(|(i, j, v)| (i, j, v.to_bits()))
+            .collect()
+    }
+
+    fn float_bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn published_static(block: &DecomposedMatrix) -> &clude_lu::LuFactors {
+        match &block.factors {
+            Some(clude::MatrixFactors::Static(f)) => f,
+            other => panic!("published blocks are static, found {other:?}"),
+        }
+    }
+
+    /// Every published block is, bit for bit, the live dynamic factors it
+    /// was frozen from: same entries (explicit zeros included) and the same
+    /// panel solve.
+    fn assert_published_equals_live(store: &ShardedFactorStore) {
+        for (s, shard) in store.shards.iter().enumerate() {
+            let live = &shard.of.factors;
+            let frozen = published_static(&store.published[s]);
+            assert_eq!(
+                bits(frozen.export_entries()),
+                bits(live.export_entries()),
+                "shard {s}"
+            );
+            let n = live.n();
+            let b: Vec<f64> = (0..2 * n).map(|i| 1.0 + (i as f64) * 0.37).collect();
+            let (mut x_live, mut x_frozen) = (Vec::new(), Vec::new());
+            live.solve_many_into(&b, 2, &mut x_live).unwrap();
+            frozen.solve_many_into(&b, 2, &mut x_frozen).unwrap();
+            assert_eq!(float_bits(&x_live), float_bits(&x_frozen), "shard {s}");
+        }
+    }
+
+    #[test]
+    fn structure_is_shared_across_value_only_publishes_and_rebuilt_after_a_fill_in() {
+        let n = 12;
+        let mut store = ShardedFactorStore::new(
+            base_graph(n),
+            MatrixKind::random_walk_default(),
+            RefreshPolicy::Incremental,
+            NodePartition::contiguous(n, 3),
+        )
+        .unwrap();
+        let q = MeasureQuery::PageRank { damping: 0.85 };
+        let snap0 = store.snapshot();
+        let answer0 = snap0.query(&q).unwrap();
+        let structure_of = |store: &ShardedFactorStore| {
+            Arc::clone(published_static(&store.published[0]).structure())
+        };
+        let s0 = structure_of(&store);
+
+        // Value-only (a removal rescales stored positions): new block, new
+        // values, the same structure handle.
+        let report = store
+            .advance(&GraphDelta {
+                added: vec![],
+                removed: vec![(2, 0)],
+            })
+            .unwrap();
+        assert!(report.per_shard[0].refactored);
+        assert!(!Arc::ptr_eq(
+            snap0.shards()[0].shared(),
+            &store.published[0]
+        ));
+        assert!(Arc::ptr_eq(&s0, &structure_of(&store)));
+        assert_published_equals_live(&store);
+
+        // A new intra-shard position is a fill-in: the pattern moved, the
+        // next block sits on a structure of its own.
+        let report = store
+            .advance(&GraphDelta {
+                added: vec![(1, 3)],
+                removed: vec![],
+            })
+            .unwrap();
+        assert!(!report.per_shard[0].value_only && !report.per_shard[0].refreshed);
+        let s2 = structure_of(&store);
+        assert!(!Arc::ptr_eq(&s0, &s2));
+        assert!(s2.nnz() > s0.nnz());
+        assert_published_equals_live(&store);
+
+        // And the moved pattern is shared again from there on.
+        store
+            .advance(&GraphDelta {
+                added: vec![],
+                removed: vec![(1, 3)],
+            })
+            .unwrap();
+        assert!(Arc::ptr_eq(&s2, &structure_of(&store)));
+        assert_published_equals_live(&store);
+
+        // Time travel over the moved structure: the pre-fill-in snapshot
+        // still answers from its own block, bit for bit.
+        let again = snap0.query(&q).unwrap();
+        assert_eq!(float_bits(&answer0), float_bits(&again));
+    }
+
+    #[test]
+    fn value_only_batches_run_inline_and_match_the_fan_out_bit_for_bit() {
+        let n = 16;
+        let build = || {
+            // Four shard-local 4-cycles with a chord each, plus cross edges.
+            let mut g = DiGraph::new(n);
+            for s in 0..4 {
+                for i in 0..4 {
+                    g.add_edge(s * 4 + i, s * 4 + (i + 1) % 4);
+                }
+                g.add_edge(s * 4, s * 4 + 2);
+            }
+            g.add_edge(1, 6);
+            g.add_edge(9, 14);
+            ShardedFactorStore::new(
+                g,
+                MatrixKind::random_walk_default(),
+                RefreshPolicy::Incremental,
+                NodePartition::contiguous(n, 4),
+            )
+            .unwrap()
+        };
+        // Dropping every chord is value-only in all four shards.
+        let delta = GraphDelta {
+            added: vec![],
+            removed: (0..4).map(|s| (s * 4, s * 4 + 2)).collect(),
+        };
+        let (mut inline, mut fanned) = (build(), build());
+        let a = inline.advance(&delta).unwrap();
+        let b = fanned.advance_dispatched(&delta, true).unwrap();
+        assert_eq!(a.shards_refactored, 4);
+        assert!(a.per_shard.iter().all(|s| s.value_only && s.refactored));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        for s in 0..4 {
+            assert_eq!(
+                bits(inline.shards[s].of.factors.export_entries()),
+                bits(fanned.shards[s].of.factors.export_entries())
+            );
+            assert_eq!(
+                bits(published_static(&inline.published[s]).export_entries()),
+                bits(published_static(&fanned.published[s]).export_entries())
+            );
+        }
+        assert_eq!(inline.published_coupling, fanned.published_coupling);
+        assert_published_equals_live(&inline);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The pre-PR freeze of the coupling store, kept as the reference:
+        /// triplets through `CsrMatrix::from_coo`.
+        fn to_csr_via_coo(store: &CouplingStore) -> CsrMatrix {
+            let n = store.rows.len();
+            let mut coo = clude_sparse::CooMatrix::with_capacity(n, n, store.nnz);
+            for (i, cols) in store.rows.iter().enumerate() {
+                for (&j, &v) in cols {
+                    coo.push(i, j, v).unwrap();
+                }
+            }
+            CsrMatrix::from_coo(&coo)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Random mixed streams — intra and cross shard, value-only and
+            /// structural, with a refresh budget tight enough to trip: after
+            /// every advance the published blocks are the live factors bit
+            /// for bit, a block's structure handle survives exactly the
+            /// publishes that did not move its pattern, and a snapshot taken
+            /// before all of it still answers bit-identically at the end.
+            #[test]
+            fn published_blocks_track_the_live_factors(
+                batches in proptest::collection::vec(
+                    proptest::collection::vec((0usize..3, 0usize..16, 0usize..16), 1..6),
+                    1..10,
+                ),
+            ) {
+                let n = 16;
+                let mut g = base_graph(n);
+                for u in 0..n {
+                    g.add_edge(u, (u + 5) % n);
+                }
+                let mut store = ShardedFactorStore::new(
+                    g,
+                    MatrixKind::random_walk_default(),
+                    RefreshPolicy::QualityTriggered { max_quality_loss: 0.15 },
+                    NodePartition::contiguous(n, 4),
+                )
+                .unwrap();
+                let q = MeasureQuery::Rwr { seed: 3, damping: 0.85 };
+                let snap0 = store.snapshot();
+                let answer0 = snap0.query(&q).unwrap();
+                assert_published_equals_live(&store);
+                for batch in &batches {
+                    // Two in three operations remove (value-only when the
+                    // edge exists), one adds (structural when it does not).
+                    let mut delta = GraphDelta::empty();
+                    for &(op, u, v) in batch {
+                        if u == v {
+                            continue;
+                        }
+                        let present = store.graph().has_edge(u, v);
+                        if op == 0 && !present && !delta.added.contains(&(u, v)) {
+                            delta.added.push((u, v));
+                        } else if op != 0 && present && !delta.removed.contains(&(u, v)) {
+                            delta.removed.push((u, v));
+                        }
+                    }
+                    let before: Vec<_> = store
+                        .shards
+                        .iter()
+                        .zip(&store.published)
+                        .map(|(shard, block)| (
+                            shard.of.factors.structural_stats().modifications(),
+                            Arc::clone(block),
+                        ))
+                        .collect();
+                    let report = store.advance(&delta).unwrap();
+                    assert_published_equals_live(&store);
+                    for (s, (modifications, block)) in before.iter().enumerate() {
+                        let shard = report.per_shard[s];
+                        if shard.entries_applied == 0 {
+                            prop_assert!(Arc::ptr_eq(block, &store.published[s]));
+                            continue;
+                        }
+                        prop_assert!(!Arc::ptr_eq(block, &store.published[s]));
+                        let moved = shard.refreshed
+                            || store.shards[s].of.factors.structural_stats().modifications()
+                                != *modifications;
+                        prop_assert!(!(shard.refactored && moved), "a refactor pass moved a pattern");
+                        prop_assert_eq!(
+                            Arc::ptr_eq(
+                                published_static(block).structure(),
+                                published_static(&store.published[s]).structure(),
+                            ),
+                            !moved,
+                            "shard {} (refreshed {}, refactored {})",
+                            s, shard.refreshed, shard.refactored
+                        );
+                    }
+                }
+                store.assert_consistent(1e-9);
+                let again = snap0.query(&q).unwrap();
+                prop_assert_eq!(float_bits(&answer0), float_bits(&again));
+            }
+
+            /// The direct CSR assembly equals the triplet route on stores
+            /// with empty rows and entries driven to exact zero and back.
+            #[test]
+            fn coupling_freeze_equals_the_triplet_route(
+                writes in proptest::collection::vec((0usize..12, 0usize..12, 0usize..4), 0..60),
+            ) {
+                let mut store = CouplingStore {
+                    rows: vec![BTreeMap::new(); 12],
+                    nnz: 0,
+                };
+                for &(i, j, v) in &writes {
+                    // Value 0 erases the entry; a later write brings it back.
+                    store.set(i, j, [0.0, -0.25, 0.5, -1.0][v]);
+                }
+                let direct = store.to_csr();
+                prop_assert_eq!(direct.nnz(), store.nnz());
+                prop_assert_eq!(&direct, &to_csr_via_coo(&store));
+                prop_assert!(direct.iter().all(|(_, _, v)| v != 0.0));
+            }
+        }
     }
 }

@@ -27,7 +27,8 @@ use clude::{refresh_decision, DecomposedMatrix, MatrixFactors};
 use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_lu::{
     amd_ordering, apply_delta_with, markowitz_ordering, refactor_frozen, BennettStats,
-    BennettWorkspace, DynamicLuFactors, LuError, LuResult, RefactorStats, RefactorWorkspace,
+    BennettWorkspace, DynamicLuFactors, LuError, LuResult, LuStructure, RefactorStats,
+    RefactorWorkspace,
 };
 use clude_measures::{evaluate_queries_with, evaluate_query_with, MeasureQuery, MeasureSolver};
 use clude_sparse::CsrMatrix;
@@ -265,20 +266,49 @@ pub(crate) struct OrderedFactors {
     /// it from the graph.  Invalidated (`None`) when a structural Bennett
     /// pass changes the pattern underneath it.
     pub reordered: Option<CsrMatrix>,
+    /// The slot layout of the last published block, for as long as the
+    /// factors' pattern is the one it was built from.  The sharing rule, in
+    /// full: [`order_and_factorize`] (refresh, repartition, restore) starts
+    /// without one, a Bennett pass that reported a structural insert or
+    /// removal drops it, a refactor pass — pattern-frozen by construction —
+    /// never does.
+    published_structure: Option<Arc<LuStructure>>,
 }
 
 impl OrderedFactors {
-    /// Freezes the current factors into a shared snapshot handle.  This is
-    /// the one place the deep clone of a factor block happens — once per
+    /// Packages restored or freshly computed factors; nothing published yet.
+    pub(crate) fn new(
+        ordering: clude_sparse::Ordering,
+        factors: DynamicLuFactors,
+        reference_nnz: usize,
+        reordered: Option<CsrMatrix>,
+    ) -> Self {
+        OrderedFactors {
+            row_old_to_new: ordering.row().old_to_new(),
+            col_old_to_new: ordering.col().old_to_new(),
+            ordering,
+            factors,
+            reference_nnz,
+            reordered,
+            published_structure: None,
+        }
+    }
+
+    /// Freezes the current factors into a shared snapshot handle — once per
     /// advance that touched the block, never for untouched blocks, never in
-    /// `snapshot()` itself.  `id` is the snapshot id the clone is current as
-    /// of, recorded as the block's [`DecomposedMatrix::index`].
-    pub(crate) fn publish(&self, id: u64) -> Arc<DecomposedMatrix> {
-        Arc::new(DecomposedMatrix {
+    /// `snapshot()` itself.  The block is flat static storage
+    /// ([`DynamicLuFactors::freeze`]): a copy of the values over the previous
+    /// publish's structure while the pattern stands, an `O(nnz)` structure
+    /// rebuild after it moved.  `id` is the snapshot id the block is current
+    /// as of, recorded as its [`DecomposedMatrix::index`].
+    pub(crate) fn publish(&mut self, id: u64) -> LuResult<Arc<DecomposedMatrix>> {
+        let frozen = self.factors.freeze(self.published_structure.as_ref())?;
+        self.published_structure = Some(Arc::clone(frozen.structure()));
+        Ok(Arc::new(DecomposedMatrix {
             index: id as usize,
             ordering: self.ordering.clone(),
-            factors: Some(MatrixFactors::Dynamic(self.factors.clone())),
-        })
+            factors: Some(MatrixFactors::Static(frozen)),
+        }))
     }
 
     /// Applies a factor-coordinate Bennett delta, falling back to a full
@@ -309,10 +339,14 @@ impl OrderedFactors {
             }
         }
         let mut refreshed = false;
+        let pattern_before = self.factors.structural_stats().modifications();
         let sweep = telemetry.span(Stage::ShardSweep);
         let bennett = match apply_delta_with(&mut self.factors, ws, delta) {
             Ok(stats) => {
                 sweep.stop();
+                if self.factors.structural_stats().modifications() != pattern_before {
+                    self.published_structure = None;
+                }
                 stats
             }
             Err(_) => {
@@ -458,14 +492,12 @@ pub(crate) fn order_and_factorize(
         .expect("ordering was computed for this matrix");
     let factors = DynamicLuFactors::factorize(&reordered)?;
     let reference_nnz = factors.nnz();
-    Ok(OrderedFactors {
-        row_old_to_new: ordering.row().old_to_new(),
-        col_old_to_new: ordering.col().old_to_new(),
+    Ok(OrderedFactors::new(
         ordering,
         factors,
         reference_nnz,
-        reordered: Some(reordered),
-    })
+        Some(reordered),
+    ))
 }
 
 /// The changed entries `(row, col, old, new)` of the measure matrix, in

@@ -4,27 +4,39 @@
 //! node set `0..n` and a set of directed edges.  Undirected graphs (e.g. the
 //! DBLP-like co-authorship snapshots) are represented by storing both
 //! directions of every edge.
+//!
+//! Every node's successor and predecessor set sits behind an [`Arc`] and is
+//! mutated through [`Arc::make_mut`], so cloning a graph is `2·n` pointer
+//! bumps and a clone that is later mutated copies only the sets of the nodes
+//! it touches — the streaming engine clones the graph into every published
+//! snapshot, and a batch touches a handful of nodes.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A directed graph over the node set `0..n`.
+///
+/// Cloning is cheap (copy-on-write adjacency sets, see the module docs);
+/// equality compares the edge sets, not the sharing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiGraph {
     n: usize,
     /// Out-adjacency: for each node, the sorted set of successors.
-    out: Vec<BTreeSet<usize>>,
+    out: Vec<Arc<BTreeSet<usize>>>,
     /// In-adjacency: for each node, the sorted set of predecessors.
-    inc: Vec<BTreeSet<usize>>,
+    inc: Vec<Arc<BTreeSet<usize>>>,
     n_edges: usize,
 }
 
 impl DiGraph {
     /// Creates a graph with `n` nodes and no edges.
     pub fn new(n: usize) -> Self {
+        // Every node starts out sharing one empty set.
+        let empty = Arc::new(BTreeSet::new());
         DiGraph {
             n,
-            out: vec![BTreeSet::new(); n],
-            inc: vec![BTreeSet::new(); n],
+            out: vec![Arc::clone(&empty); n],
+            inc: vec![empty; n],
             n_edges: 0,
         }
     }
@@ -61,8 +73,8 @@ impl DiGraph {
         if u == v || self.out[u].contains(&v) {
             return false;
         }
-        self.out[u].insert(v);
-        self.inc[v].insert(u);
+        Arc::make_mut(&mut self.out[u]).insert(v);
+        Arc::make_mut(&mut self.inc[v]).insert(u);
         self.n_edges += 1;
         true
     }
@@ -70,13 +82,14 @@ impl DiGraph {
     /// Removes edge `(u, v)`.  Returns `true` when it was present.
     pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
         assert!(u < self.n && v < self.n, "edge endpoint out of bounds");
-        if self.out[u].remove(&v) {
-            self.inc[v].remove(&u);
-            self.n_edges -= 1;
-            true
-        } else {
-            false
+        // Probe first: a miss must not un-share the set.
+        if !self.out[u].contains(&v) {
+            return false;
         }
+        Arc::make_mut(&mut self.out[u]).remove(&v);
+        Arc::make_mut(&mut self.inc[v]).remove(&u);
+        self.n_edges -= 1;
+        true
     }
 
     /// Adds the undirected edge `{u, v}` (both directions); returns the number
@@ -189,6 +202,78 @@ mod tests {
         assert!(g.is_symmetric());
         g.add_edge(1, 2);
         assert!(!g.is_symmetric());
+    }
+
+    /// Copy-on-write contract, against a plain edge-set model: a clone taken
+    /// before a run of random adds/removes still equals its pre-mutation
+    /// self afterwards, the mutated graph equals the model, and exactly the
+    /// nodes the run never touched stay pointer-shared with the clone.
+    #[test]
+    fn clone_then_mutate_leaves_the_clone_intact_and_untouched_nodes_shared() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let n = 24;
+        for seed in 0..32u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut model: BTreeSet<(usize, usize)> = BTreeSet::new();
+            let mut g = DiGraph::new(n);
+            for _ in 0..60 {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if g.add_edge(u, v) {
+                    model.insert((u, v));
+                }
+            }
+            let frozen = g.clone();
+            let frozen_model = model.clone();
+            assert!((0..n).all(|u| Arc::ptr_eq(&g.out[u], &frozen.out[u])));
+
+            let mut touched_out = BTreeSet::new();
+            let mut touched_in = BTreeSet::new();
+            for _ in 0..rng.gen_range(1..12usize) {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let changed = if rng.gen_bool(0.5) {
+                    let added = g.add_edge(u, v);
+                    assert_eq!(added, u != v && model.insert((u, v)));
+                    added
+                } else {
+                    let removed = g.remove_edge(u, v);
+                    assert_eq!(removed, model.remove(&(u, v)));
+                    removed
+                };
+                if changed {
+                    touched_out.insert(u);
+                    touched_in.insert(v);
+                }
+            }
+
+            assert_eq!(g.edges().collect::<BTreeSet<_>>(), model);
+            assert_eq!(g.n_edges(), model.len());
+            assert_eq!(frozen.edges().collect::<BTreeSet<_>>(), frozen_model);
+            assert_eq!(frozen.n_edges(), frozen_model.len());
+            for u in 0..n {
+                assert_eq!(
+                    frozen.predecessors(u).collect::<Vec<_>>(),
+                    frozen_model
+                        .iter()
+                        .filter(|&&(_, v)| v == u)
+                        .map(|&(s, _)| s)
+                        .collect::<Vec<_>>()
+                );
+                // A no-op add/remove must not un-share either.
+                assert_eq!(
+                    Arc::ptr_eq(&g.out[u], &frozen.out[u]),
+                    !touched_out.contains(&u),
+                    "seed {seed}: successor set of node {u}"
+                );
+                assert_eq!(
+                    Arc::ptr_eq(&g.inc[u], &frozen.inc[u]),
+                    !touched_in.contains(&u),
+                    "seed {seed}: predecessor set of node {u}"
+                );
+            }
+            assert_eq!(g == frozen, model == frozen_model);
+        }
     }
 
     #[test]

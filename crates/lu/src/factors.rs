@@ -86,6 +86,37 @@ impl LuFactors {
         Ok(LuFactors { structure, values })
     }
 
+    /// All-zero factors over `structure`: the blank the freeze of live
+    /// dynamic factors copies its values into
+    /// ([`crate::DynamicLuFactors::freeze`]).
+    pub(crate) fn zeroed(structure: Arc<LuStructure>) -> Self {
+        let values = vec![0.0; structure.nnz()];
+        LuFactors { structure, values }
+    }
+
+    /// Mutable values of row `i`'s slots, parallel to
+    /// [`LuStructure::row_cols`].
+    pub(crate) fn row_values_mut(&mut self, i: usize) -> &mut [f64] {
+        let range = self.structure.row_range(i);
+        &mut self.values[range]
+    }
+
+    /// Every slot as `(row, col, value)`, row-major with ascending columns
+    /// per row — **including slots holding an exact zero**.  For factors
+    /// frozen from dynamic storage this is entry for entry the
+    /// [`crate::DynamicLuFactors::export_entries`] list of the factors they
+    /// were frozen from, which is what keeps checkpoint bytes independent of
+    /// which storage a block is published in.
+    pub fn export_entries(&self) -> Vec<(usize, usize, f64)> {
+        let mut out = Vec::with_capacity(self.nnz());
+        for i in 0..self.n() {
+            for slot in self.structure.row_range(i) {
+                out.push((i, self.structure.col_of_slot(slot), self.values[slot]));
+            }
+        }
+        out
+    }
+
     /// The shared structure underlying these factors.
     pub fn structure(&self) -> &Arc<LuStructure> {
         &self.structure

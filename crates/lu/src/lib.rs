@@ -24,6 +24,8 @@
 //!   structure, plus triangular solves.
 //! * [`dynamic`] — adjacency-list factors with insertion-on-demand, the
 //!   storage model of the straightforward incremental algorithms.
+//! * [`freeze`] — freezing dynamic factors into flat static factors over a
+//!   shared structure, the form the streaming engine publishes.
 //! * [`bennett`] — Bennett's incremental factor update, generic over the two
 //!   storage back-ends, plus sparse-delta application.
 //! * [`solve`] — answering queries on the *original* matrix through the
@@ -42,6 +44,7 @@ pub mod bennett;
 pub mod dynamic;
 pub mod error;
 pub mod factors;
+pub mod freeze;
 pub mod lowrank;
 pub mod ordering;
 pub mod refactor;

@@ -61,54 +61,65 @@ impl LuStructure {
     pub fn from_closed_pattern_unchecked(closed: &SparsityPattern) -> Self {
         debug_assert_eq!(closed.n_rows(), closed.n_cols());
         let n = closed.n_rows();
+        Self::from_sorted_rows(n, closed.nnz(), |i| closed.row(i))
+            .expect("a closed pattern always contains the diagonal")
+    }
+
+    /// Builds the slot layout whose row `i` holds exactly the columns
+    /// `row(i)` (strictly ascending, `< n`), `nnz` in total — **no symbolic
+    /// closure**: the layout covers what the rows list and nothing more.
+    ///
+    /// This is how the engine freezes live dynamic factors for publication:
+    /// the rows are the adjacency lists' own sorted column slices, read in
+    /// place, so the build is `O(nnz)` with a constant number of allocations
+    /// (no per-row copies, no intermediate pattern).  A row without its
+    /// diagonal is a [`LuError::SingularPivot`] (value `0.0`): factors
+    /// missing a pivot cannot be substituted through.
+    pub fn from_sorted_rows<'a>(
+        n: usize,
+        nnz: usize,
+        row: impl Fn(usize) -> &'a [usize],
+    ) -> LuResult<Self> {
         let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(closed.nnz());
-        let mut diag_slot = vec![usize::MAX; n];
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut diag_slot = Vec::with_capacity(n);
+        // Strictly-lower column index: counts first, then prefix sums.
+        let mut lower_col_ptr = vec![0usize; n + 1];
         row_ptr.push(0);
         for i in 0..n {
-            for &j in closed.row(i) {
-                if j == i {
-                    diag_slot[i] = col_idx.len();
-                }
-                col_idx.push(j);
+            let cols = row(i);
+            debug_assert!(cols.windows(2).all(|w| w[0] < w[1]));
+            debug_assert!(cols.last().is_none_or(|&j| j < n));
+            let lower = cols.partition_point(|&j| j < i);
+            if cols.get(lower) != Some(&i) {
+                return Err(LuError::SingularPivot {
+                    index: i,
+                    value: 0.0,
+                });
             }
+            diag_slot.push(col_idx.len() + lower);
+            for &j in &cols[..lower] {
+                lower_col_ptr[j + 1] += 1;
+            }
+            col_idx.extend_from_slice(cols);
             row_ptr.push(col_idx.len());
         }
-        debug_assert!(
-            diag_slot.iter().all(|&s| s != usize::MAX),
-            "a closed pattern always contains the diagonal"
-        );
-        // Strictly-lower column index.
-        let mut lower_counts = vec![0usize; n];
-        for i in 0..n {
-            for slot in row_ptr[i]..row_ptr[i + 1] {
-                let j = col_idx[slot];
-                if j < i {
-                    lower_counts[j] += 1;
-                }
-            }
-        }
-        let mut lower_col_ptr = Vec::with_capacity(n + 1);
-        lower_col_ptr.push(0);
         for j in 0..n {
-            lower_col_ptr.push(lower_col_ptr[j] + lower_counts[j]);
+            lower_col_ptr[j + 1] += lower_col_ptr[j];
         }
         let total_lower = lower_col_ptr[n];
         let mut lower_rows = vec![0usize; total_lower];
         let mut lower_slots = vec![0usize; total_lower];
         let mut next = lower_col_ptr.clone();
         for i in 0..n {
-            for slot in row_ptr[i]..row_ptr[i + 1] {
-                let j = col_idx[slot];
-                if j < i {
-                    let pos = next[j];
-                    lower_rows[pos] = i;
-                    lower_slots[pos] = slot;
-                    next[j] += 1;
-                }
+            for slot in row_ptr[i]..diag_slot[i] {
+                let pos = &mut next[col_idx[slot]];
+                lower_rows[*pos] = i;
+                lower_slots[*pos] = slot;
+                *pos += 1;
             }
         }
-        LuStructure {
+        Ok(LuStructure {
             n,
             row_ptr,
             col_idx,
@@ -116,7 +127,7 @@ impl LuStructure {
             lower_col_ptr,
             lower_rows,
             lower_slots,
-        }
+        })
     }
 
     /// Matrix order `n`.
@@ -127,6 +138,19 @@ impl LuStructure {
     /// Total number of slots, i.e. `|s̃p|` of the underlying pattern.
     pub fn nnz(&self) -> usize {
         self.col_idx.len()
+    }
+
+    /// Rough resident size in bytes (the row layout plus the strictly-lower
+    /// column index), for memory accountings that charge a shared structure
+    /// once.
+    pub fn approx_bytes(&self) -> usize {
+        (self.row_ptr.len()
+            + self.col_idx.len()
+            + self.diag_slot.len()
+            + self.lower_col_ptr.len()
+            + self.lower_rows.len()
+            + self.lower_slots.len())
+            * std::mem::size_of::<usize>()
     }
 
     /// The slot range of row `i`.

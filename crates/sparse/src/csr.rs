@@ -33,20 +33,41 @@ impl CsrMatrix {
     /// Entries whose accumulated value is exactly `0.0` are *kept* so that the
     /// structural pattern of an assembled matrix is reproducible; use
     /// [`CsrMatrix::prune`] to drop them when required.
+    ///
+    /// Duplicates of one position are summed **in insertion order** (the
+    /// scatter and the per-row sort are both stable), so the result is a
+    /// function of the triplet list alone.  The assembly is a counting sort
+    /// by row into one flat buffer — row counts, prefix sums, stable scatter
+    /// — followed by an in-place sort and duplicate merge of each row's
+    /// segment; no per-row container is allocated.
     pub fn from_coo(coo: &CooMatrix) -> Self {
         let n_rows = coo.n_rows();
         let n_cols = coo.n_cols();
-        // Count entries per row (with duplicates), then merge per row.
-        let mut per_row: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_rows];
-        for (r, c, v) in coo.iter() {
-            per_row[r].push((c, v));
+        let mut row_ptr = vec![0usize; n_rows + 1];
+        for (r, _, _) in coo.iter() {
+            row_ptr[r + 1] += 1;
         }
-        let mut row_ptr = Vec::with_capacity(n_rows + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0);
-        for row in &mut per_row {
-            row.sort_unstable_by_key(|&(c, _)| c);
+        for r in 0..n_rows {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let mut next = row_ptr.clone();
+        let mut entries = vec![(0usize, 0.0f64); coo.nnz()];
+        for (r, c, v) in coo.iter() {
+            entries[next[r]] = (c, v);
+            next[r] += 1;
+        }
+        // Sort each row's segment (skipped when the triplets already arrived
+        // column-sorted, the common case for row-major assembly) and fold
+        // duplicates towards the front of the buffer.
+        let mut col_idx = Vec::with_capacity(entries.len());
+        let mut values = Vec::with_capacity(entries.len());
+        for r in 0..n_rows {
+            let (lo, hi) = (row_ptr[r], next[r]);
+            let row = &mut entries[lo..hi];
+            if !row.windows(2).all(|w| w[0].0 < w[1].0) {
+                row.sort_by_key(|&(c, _)| c);
+            }
+            row_ptr[r] = col_idx.len();
             let mut k = 0;
             while k < row.len() {
                 let col = row[k].0;
@@ -58,8 +79,8 @@ impl CsrMatrix {
                 col_idx.push(col);
                 values.push(sum);
             }
-            row_ptr.push(col_idx.len());
         }
+        row_ptr[n_rows] = col_idx.len();
         CsrMatrix {
             n_rows,
             n_cols,

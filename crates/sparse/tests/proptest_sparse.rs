@@ -17,6 +17,29 @@ fn csr(n: usize, max_entries: usize) -> impl Strategy<Value = CsrMatrix> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// `from_coo` against a per-position accumulator: sorted rows, one entry
+    /// per position (zeros sums kept), duplicates summed in insertion order
+    /// bit for bit, empty rows and rectangular shapes included.
+    #[test]
+    fn from_coo_sums_duplicates_in_insertion_order(
+        entries in proptest::collection::vec((0usize..7, 0usize..5, -5.0f64..5.0), 0..80),
+    ) {
+        let mut coo = CooMatrix::new(7, 5);
+        let mut model: std::collections::BTreeMap<(usize, usize), f64> = Default::default();
+        for &(i, j, v) in &entries {
+            // A few exact cancellations, so explicit zeros show up.
+            let v = if (i + j) % 3 == 0 { v.round() } else { v };
+            coo.push(i, j, v).unwrap();
+            *model.entry((i, j)).or_insert(0.0) += v;
+        }
+        let m = CsrMatrix::from_coo(&coo);
+        prop_assert_eq!(m.nnz(), model.len());
+        let got: Vec<(usize, usize, u64)> = m.iter().map(|(i, j, v)| (i, j, v.to_bits())).collect();
+        let want: Vec<(usize, usize, u64)> =
+            model.iter().map(|(&(i, j), v)| (i, j, v.to_bits())).collect();
+        prop_assert_eq!(got, want);
+    }
+
     #[test]
     fn transpose_is_involutive_and_preserves_values(a in csr(9, 40)) {
         let t = a.transpose();
