@@ -13,6 +13,13 @@
 //! 10 000) have been streamed.  Only the Bennett sweep itself is timed; the
 //! per-cycle re-factorization that resets fill between laps is not.  This is
 //! the ROADMAP "per-pivot cost" probe: the number to watch is µs/pivot.
+//!
+//! The report also carries `probe steps per entry touched` — list-search
+//! steps over factor entries visited, a pure count that is the same on every
+//! machine for a given scale and seed.  The sweep walks cursors, so the ratio
+//! sits well under one; a kernel that goes back to a search per access lands
+//! near five.  Above [`MAX_PROBES_PER_ENTRY`] the binary exits non-zero,
+//! which is what the CI "Bennett pivot smoke" step gates on.
 
 // CLI tool: printing the report is its entire purpose.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
@@ -20,9 +27,13 @@
 use clude_bench::{BenchScale, Datasets};
 use clude_lu::{apply_delta_with, BennettStats, BennettWorkspace, DynamicLuFactors};
 use clude_telemetry::LogHistogram;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-fn main() {
+/// Ceiling on probe steps per entry touched (see the module docs).
+const MAX_PROBES_PER_ENTRY: f64 = 1.0;
+
+fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let scale = args
         .next()
@@ -98,6 +109,8 @@ fn main() {
         "structural: {} inserts, {} removals, {} probe steps",
         structural.inserts, structural.removals, structural.probes
     );
+    let probes_per_entry = structural.probes as f64 / stats.entries_touched.max(1) as f64;
+    println!("probe steps per entry touched: {probes_per_entry:.2}");
     println!(
         "per-delta sweep latency: p50 {:?}  p90 {:?}  p99 {:?}  max {:?}",
         sweep_hist.duration_at_quantile(0.50),
@@ -107,4 +120,12 @@ fn main() {
     );
     println!("us/pivot: {us_per_pivot:.3}");
     println!("pivots/sec: {pivots_per_sec:.0}");
+    if probes_per_entry > MAX_PROBES_PER_ENTRY {
+        eprintln!(
+            "FAIL: {probes_per_entry:.2} probe steps per entry touched (ceiling \
+             {MAX_PROBES_PER_ENTRY}): the sweep is searching per access again"
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -15,17 +15,19 @@
 //!
 //! Only pivots where `x_k` or `y_k` is non-zero do any work, so a sparse
 //! change to a sparse matrix touches a small part of the factors.  The sweep
-//! is storage-agnostic: it runs over either the static structure (CLUDE) or
-//! the dynamic adjacency lists (INC/CINC), which differ precisely in how they
-//! absorb fill-ins that are not yet represented.
+//! is storage-agnostic and never asks for an entry by coordinate: per pivot
+//! it hands the storage ([`LuStorage`]) the sorted support of `x` (resp. `y`)
+//! past the pivot and the recurrence above as a closure, and the storage
+//! walks "column `k` of `L`" (resp. "row `k` of `U`") merged with that
+//! support through its own cursors — slots of the static structure (CLUDE),
+//! list positions of the dynamic adjacency lists (INC/CINC).  The two differ
+//! precisely in how they absorb a fill-in that is not yet represented.
 //!
-//! The sweep itself is allocation-free in the steady state: storage back-ends
-//! expose their structural columns/rows as *borrowed slices*, and all mutable
-//! scratch (the dense `x`/`y` vectors, their sparse supports, the pending
-//! pivot queue and the merge buffers) lives in a caller-owned
-//! [`BennettWorkspace`] that is reused from one update to the next.  Dense
-//! scratch is epoch-stamped, so preparing the workspace for a new update
-//! costs O(support), not O(n).
+//! The sweep itself is allocation-free in the steady state: all mutable
+//! scratch (the dense `x`/`y` vectors, their sparse supports and the pending
+//! pivot queue) lives in a caller-owned [`BennettWorkspace`] that is reused
+//! from one update to the next.  Dense scratch is epoch-stamped, so preparing
+//! the workspace for a new update costs O(support), not O(n).
 //!
 //! A sparse update `ΔA` of arbitrary shape is applied as a sequence of
 //! rank-one updates, one per column of `ΔA` (`x` = changed column values,
@@ -33,9 +35,8 @@
 
 // lint: hot-path
 
-use crate::dynamic::DynamicLuFactors;
 use crate::error::{LuError, LuResult};
-use crate::factors::{LuFactors, SINGULAR_TOL};
+use crate::factors::SINGULAR_TOL;
 use std::mem;
 
 /// Magnitude below which a would-be fill-in outside a static structure is
@@ -112,99 +113,133 @@ impl ShardWorkspaces {
 
 /// Storage back-ends Bennett's sweep can run against.
 ///
-/// Structural traversals hand out *borrowed* sorted slices into the storage's
-/// own index arrays; implementations must not allocate to answer them.
+/// The interface is pivot-granular: the storage owns *addressing* (how the
+/// entries of one column of `L` or one row of `U` are reached) and the *write
+/// rule* (what happens to a result on a position it does not hold), the sweep
+/// owns the arithmetic.  Both walks visit, in ascending index order, the
+/// union of the storage's structural entries past the pivot and `support`
+/// (sorted, deduplicated, every index `> k` and `< order()`), call
+/// `f(index, old)` exactly once per visited index — `old` is `0.0` for an
+/// absent position — and store the result where it differs from `old`.
+/// Implementations must neither allocate nor search per structural entry
+/// they already hold a cursor to.
 pub trait LuStorage {
     /// Matrix order.
     fn order(&self) -> usize;
-    /// Reads `L(i, j)` for `i > j` (0 when structurally absent).
-    fn read_l(&self, i: usize, j: usize) -> f64;
-    /// Reads `U(i, j)` for `j ≥ i` (0 when structurally absent).
-    fn read_u(&self, i: usize, j: usize) -> f64;
-    /// Writes `L(i, j)` for `i > j`.
-    fn write_l(&mut self, i: usize, j: usize, value: f64) -> LuResult<()>;
-    /// Writes `U(i, j)` for `j ≥ i`.
-    fn write_u(&mut self, i: usize, j: usize, value: f64) -> LuResult<()>;
-    /// Structural rows `i > j` of column `j` of `L`, ascending.
-    fn l_col_rows(&self, j: usize) -> &[usize];
-    /// Structural columns `j > i` of row `i` of `U`, ascending.
-    fn u_row_cols(&self, i: usize) -> &[usize];
+    /// The pivot `U(k, k)`; `0.0` when the storage holds no such entry.
+    fn pivot(&mut self, k: usize) -> f64;
+    /// Overwrites the pivot `U(k, k)` that [`LuStorage::pivot`] just read.
+    fn set_pivot(&mut self, k: usize, value: f64);
+    /// Walks column `k` of `L` below the diagonal, merged with the rows of
+    /// `support`.
+    fn update_l_col(
+        &mut self,
+        k: usize,
+        support: &[usize],
+        f: impl FnMut(usize, f64) -> f64,
+    ) -> LuResult<()>;
+    /// Walks row `k` of `U` right of the diagonal, merged with the columns of
+    /// `support`.
+    fn update_u_row(
+        &mut self,
+        k: usize,
+        support: &[usize],
+        f: impl FnMut(usize, f64) -> f64,
+    ) -> LuResult<()>;
 }
 
-impl LuStorage for LuFactors {
-    fn order(&self) -> usize {
-        self.n()
+/// One of the sweep's two sparse vectors (`x` or `y`): epoch-stamped dense
+/// values plus the sorted list of indices past the current pivot that hold a
+/// non-zero.
+///
+/// A pivot's walk visits every live index (the storage merges `live` into
+/// its structural entries), so the walk's closure rebuilds the list as it
+/// goes — every visited index whose value is non-zero afterwards is appended
+/// to `next`, in the walk's ascending order — and the two lists swap when the
+/// walk ends.  Entries cancelled to exactly zero drop out that way, new ones
+/// enter, and no search or shifting insert is ever needed.
+#[derive(Debug, Clone, Default)]
+struct SweepVector {
+    /// Entries are valid only where `stamp` equals the workspace epoch.
+    val: Vec<f64>,
+    stamp: Vec<u64>,
+    live: Vec<usize>,
+    next: Vec<usize>,
+}
+
+impl SweepVector {
+    fn grow(&mut self, n: usize) {
+        if self.val.len() < n {
+            self.val.resize(n, 0.0);
+            self.stamp.resize(n, 0);
+        }
     }
 
-    fn read_l(&self, i: usize, j: usize) -> f64 {
-        self.l(i, j)
-    }
-
-    fn read_u(&self, i: usize, j: usize) -> f64 {
-        self.u(i, j)
-    }
-
-    fn write_l(&mut self, i: usize, j: usize, value: f64) -> LuResult<()> {
-        match self.structure().slot(i, j) {
-            Some(slot) => {
-                *self.value_mut(slot) = value;
-                Ok(())
+    /// Scatters one update's entry list (any order, duplicates accumulate;
+    /// an index cancelled back to exactly zero stays out of the support).
+    fn seed(&mut self, epoch: u64, n: usize, entries: &[(usize, f64)], name: char) {
+        self.live.clear();
+        for &(i, v) in entries {
+            // Hard bounds check: the dense scratch may be larger than this
+            // update's order (workspaces are shared across matrices), so an
+            // out-of-range index would otherwise be absorbed silently and
+            // surface later as a misleading singular-pivot error.
+            assert!(i < n, "{name} index {i} out of range for order {n}");
+            if self.stamp[i] != epoch {
+                self.stamp[i] = epoch;
+                self.val[i] = 0.0;
+                self.live.push(i);
             }
-            None if value.abs() <= FILL_DROP_TOL => Ok(()),
-            None => Err(LuError::FillOutsideStructure {
-                row: i,
-                col: j,
-                magnitude: value.abs(),
-            }),
+            self.val[i] += v;
         }
-    }
-
-    fn write_u(&mut self, i: usize, j: usize, value: f64) -> LuResult<()> {
-        self.write_l(i, j, value)
-    }
-
-    fn l_col_rows(&self, j: usize) -> &[usize] {
-        self.structure().lower_col(j).0
-    }
-
-    fn u_row_cols(&self, i: usize) -> &[usize] {
-        self.structure().upper_row_cols(i)
+        self.live.sort_unstable();
+        let val = &self.val;
+        self.live.retain(|&i| val[i] != 0.0);
     }
 }
 
-impl LuStorage for DynamicLuFactors {
-    fn order(&self) -> usize {
-        self.n()
+#[inline]
+fn stamped(val: &[f64], stamp: &[u64], epoch: u64, i: usize) -> f64 {
+    if stamp[i] == epoch {
+        val[i]
+    } else {
+        0.0
+    }
+}
+
+/// The part of a sorted index list strictly past `k`.
+#[inline]
+fn past(list: &[usize], k: usize) -> &[usize] {
+    &list[list.partition_point(|&i| i <= k)..]
+}
+
+/// The sweep's pivot queue: every index that entered a support during this
+/// update (a later cancellation does not withdraw it), sorted, popped in
+/// ascending order.
+#[derive(Debug, Clone, Default)]
+struct PivotQueue {
+    /// `sorted[..done]` is already processed.
+    sorted: Vec<usize>,
+    done: usize,
+}
+
+impl PivotQueue {
+    /// Pops the smallest unprocessed pivot.
+    #[inline]
+    fn pop(&mut self) -> Option<usize> {
+        let k = *self.sorted.get(self.done)?;
+        self.done += 1;
+        Some(k)
     }
 
-    fn read_l(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            1.0
-        } else {
-            self.peek(i, j)
+    /// Queues pivot `i`.  All sweep insertions satisfy `i >` the last popped
+    /// pivot, so searching the unprocessed tail suffices and the processed
+    /// prefix is never disturbed.
+    fn push(&mut self, i: usize) {
+        debug_assert!(self.done == 0 || i > self.sorted[self.done - 1]);
+        if let Err(pos) = self.sorted[self.done..].binary_search(&i) {
+            self.sorted.insert(self.done + pos, i);
         }
-    }
-
-    fn read_u(&self, i: usize, j: usize) -> f64 {
-        self.peek(i, j)
-    }
-
-    fn write_l(&mut self, i: usize, j: usize, value: f64) -> LuResult<()> {
-        self.write(i, j, value);
-        Ok(())
-    }
-
-    fn write_u(&mut self, i: usize, j: usize, value: f64) -> LuResult<()> {
-        self.write(i, j, value);
-        Ok(())
-    }
-
-    fn l_col_rows(&self, j: usize) -> &[usize] {
-        self.lower_col_rows(j)
-    }
-
-    fn u_row_cols(&self, i: usize) -> &[usize] {
-        self.upper_row_cols(i)
     }
 }
 
@@ -214,32 +249,17 @@ impl LuStorage for DynamicLuFactors {
 /// [`apply_delta_with`] calls against matrices of any order: the dense
 /// `x`/`y` vectors grow monotonically to the largest order seen and are
 /// invalidated between updates by bumping an epoch stamp instead of zeroing,
-/// the sparse support lists and pivot queue are plain sorted vectors whose
-/// capacity is retained across calls, and the merge buffers absorb what used
-/// to be a fresh `Vec` per pivot.  In the steady state a sweep performs no
-/// heap allocation at all.
+/// and the sparse support lists and pivot queue are plain sorted vectors
+/// whose capacity is retained across calls.  In the steady state a sweep
+/// performs no heap allocation at all.
 #[derive(Debug, Clone, Default)]
 pub struct BennettWorkspace {
-    /// Current update's epoch; `x`/`y` entries are valid only when their
-    /// stamp matches.  Starts at 0 (matching no stamp) and is bumped by
-    /// [`BennettWorkspace::seed`].
+    /// Current update's epoch.  Starts at 0 (matching no stamp) and is bumped
+    /// by [`BennettWorkspace::seed`].
     epoch: u64,
-    x: Vec<f64>,
-    y: Vec<f64>,
-    x_stamp: Vec<u64>,
-    y_stamp: Vec<u64>,
-    /// Sorted indices with `x[i] != 0` (the live support; cancelled entries
-    /// are evicted so later merges stay tight).
-    x_support: Vec<usize>,
-    /// Sorted indices with `y[j] != 0`.
-    y_support: Vec<usize>,
-    /// Sorted pivot queue; `pending[..pending_pos]` is already processed.
-    pending: Vec<usize>,
-    pending_pos: usize,
-    /// Merge scratch for "column k of L ∪ x-support below k".
-    rows_buf: Vec<usize>,
-    /// Merge scratch for "row k of U ∪ y-support right of k".
-    cols_buf: Vec<usize>,
+    x: SweepVector,
+    y: SweepVector,
+    pending: PivotQueue,
     /// `(col, row, change)` scratch for grouping a ΔA by column.
     delta_buf: Vec<(usize, usize, f64)>,
     /// Per-column `x` entry list scratch for [`apply_delta_with`].
@@ -255,163 +275,33 @@ impl BennettWorkspace {
     /// Creates a workspace with dense scratch pre-sized for order `n`.
     pub fn with_order(n: usize) -> Self {
         let mut ws = BennettWorkspace::new();
-        ws.grow(n);
+        ws.x.grow(n);
+        ws.y.grow(n);
         ws
     }
 
     /// The order the dense scratch currently covers.
     pub fn capacity(&self) -> usize {
-        self.x.len()
-    }
-
-    fn grow(&mut self, n: usize) {
-        if self.x.len() < n {
-            self.x.resize(n, 0.0);
-            self.y.resize(n, 0.0);
-            self.x_stamp.resize(n, 0);
-            self.y_stamp.resize(n, 0);
-        }
+        self.x.val.len()
     }
 
     /// Readies the workspace for one rank-one update of order `n` and scatters
     /// the sparse `x`/`y` entry lists into the dense scratch.
     fn seed(&mut self, n: usize, x_entries: &[(usize, f64)], y_entries: &[(usize, f64)]) {
-        self.grow(n);
+        self.x.grow(n);
+        self.y.grow(n);
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // u64 wrap-around: stale stamps could collide, so clear them once.
-            self.x_stamp.fill(0);
-            self.y_stamp.fill(0);
+            self.x.stamp.fill(0);
+            self.y.stamp.fill(0);
             self.epoch = 1;
         }
-        self.x_support.clear();
-        self.y_support.clear();
-        // Hard bounds checks: the dense scratch may be larger than this
-        // update's order (workspaces are shared across matrices), so an
-        // out-of-range index would otherwise be absorbed silently and
-        // surface later as a misleading singular-pivot error.
-        for &(i, v) in x_entries {
-            assert!(i < n, "x index {i} out of range for order {n}");
-            self.x_accum(i, v);
-        }
-        for &(j, v) in y_entries {
-            assert!(j < n, "y index {j} out of range for order {n}");
-            self.y_accum(j, v);
-        }
+        self.x.seed(self.epoch, n, x_entries, 'x');
+        self.y.seed(self.epoch, n, y_entries, 'y');
         // The pivots that may do work are exactly the union of both supports.
-        self.pending.clear();
-        self.pending_pos = 0;
-        merge_union_into(&mut self.pending, &self.x_support, &self.y_support);
-    }
-
-    #[inline]
-    fn x_get(&self, i: usize) -> f64 {
-        if self.x_stamp[i] == self.epoch {
-            self.x[i]
-        } else {
-            0.0
-        }
-    }
-
-    #[inline]
-    fn y_get(&self, j: usize) -> f64 {
-        if self.y_stamp[j] == self.epoch {
-            self.y[j]
-        } else {
-            0.0
-        }
-    }
-
-    /// Adds `v` to `x[i]` during seeding, maintaining the support list (an
-    /// entry cancelled back to exactly zero is evicted).
-    fn x_accum(&mut self, i: usize, v: f64) {
-        let old = self.x_get(i);
-        let new = old + v;
-        self.x[i] = new;
-        self.x_stamp[i] = self.epoch;
-        Self::support_transition(&mut self.x_support, i, old, new);
-    }
-
-    fn y_accum(&mut self, j: usize, v: f64) {
-        let old = self.y_get(j);
-        let new = old + v;
-        self.y[j] = new;
-        self.y_stamp[j] = self.epoch;
-        Self::support_transition(&mut self.y_support, j, old, new);
-    }
-
-    /// Applies `x[i] -= d` during the sweep: indices entering the support are
-    /// also queued as pending pivots, indices cancelled to exactly zero are
-    /// evicted so later structural merges and `entries_touched` counts do not
-    /// keep paying for them.
-    fn x_sub(&mut self, i: usize, d: f64) {
-        let old = self.x_get(i);
-        let new = old - d;
-        self.x[i] = new;
-        self.x_stamp[i] = self.epoch;
-        if Self::support_transition(&mut self.x_support, i, old, new) {
-            self.pending_push(i);
-        }
-    }
-
-    fn y_sub(&mut self, j: usize, d: f64) {
-        let old = self.y_get(j);
-        let new = old - d;
-        self.y[j] = new;
-        self.y_stamp[j] = self.epoch;
-        if Self::support_transition(&mut self.y_support, j, old, new) {
-            self.pending_push(j);
-        }
-    }
-
-    /// Updates a sorted support list for a value transition `old → new`;
-    /// returns `true` when the index newly *entered* the support.
-    fn support_transition(support: &mut Vec<usize>, idx: usize, old: f64, new: f64) -> bool {
-        if new != 0.0 && old == 0.0 {
-            if let Err(pos) = support.binary_search(&idx) {
-                support.insert(pos, idx);
-            }
-            true
-        } else if new == 0.0 && old != 0.0 {
-            if let Ok(pos) = support.binary_search(&idx) {
-                support.remove(pos);
-            }
-            false
-        } else {
-            false
-        }
-    }
-
-    /// The live `x` support strictly greater than `k`.
-    #[inline]
-    fn x_support_after(&self, k: usize) -> &[usize] {
-        let s = &self.x_support;
-        &s[s.partition_point(|&i| i <= k)..]
-    }
-
-    /// The live `y` support strictly greater than `k`.
-    #[inline]
-    fn y_support_after(&self, k: usize) -> &[usize] {
-        let s = &self.y_support;
-        &s[s.partition_point(|&j| j <= k)..]
-    }
-
-    /// Pops the smallest unprocessed pending pivot.
-    #[inline]
-    fn pending_pop(&mut self) -> Option<usize> {
-        let k = *self.pending.get(self.pending_pos)?;
-        self.pending_pos += 1;
-        Some(k)
-    }
-
-    /// Queues pivot `i`.  All sweep insertions satisfy `i >` the last popped
-    /// pivot, so searching the unprocessed tail suffices and the processed
-    /// prefix is never disturbed.
-    fn pending_push(&mut self, i: usize) {
-        debug_assert!(self.pending_pos == 0 || i > self.pending[self.pending_pos - 1]);
-        if let Err(pos) = self.pending[self.pending_pos..].binary_search(&i) {
-            self.pending.insert(self.pending_pos + pos, i);
-        }
+        self.pending.done = 0;
+        merge_union_into(&mut self.pending.sorted, &self.x.live, &self.y.live);
     }
 }
 
@@ -461,16 +351,18 @@ pub fn rank_one_update_with<S: LuStorage>(
         return Ok(stats);
     }
     ws.seed(n, x_entries, y_entries);
+    let epoch = ws.epoch;
+    let (x, y, pending) = (&mut ws.x, &mut ws.y, &mut ws.pending);
     let mut g = g;
 
-    while let Some(k) = ws.pending_pop() {
+    while let Some(k) = pending.pop() {
         stats.pivots_processed += 1;
-        let xk = ws.x_get(k);
-        let yk = ws.y_get(k);
+        let xk = stamped(&x.val, &x.stamp, epoch, k);
+        let yk = stamped(&y.val, &y.stamp, epoch, k);
         if xk == 0.0 && yk == 0.0 {
             continue;
         }
-        let ukk_old = storage.read_u(k, k);
+        let ukk_old = storage.pivot(k);
         if !ukk_old.is_finite() || ukk_old.abs() < SINGULAR_TOL {
             return Err(LuError::SingularPivot {
                 index: k,
@@ -484,69 +376,56 @@ pub fn rank_one_update_with<S: LuStorage>(
                 value: ukk_new,
             });
         }
-        storage.write_u(k, k, ukk_new)?;
-        stats.entries_touched += 1;
+        storage.set_pivot(k, ukk_new);
+        let mut touched = 1;
 
-        // Column k of L and the x vector: union of the structural column and
-        // the current x support below the pivot.  The merged index list is
-        // materialised into the reused buffer so the storage borrow ends
-        // before the read/write loop.
-        let mut rows = mem::take(&mut ws.rows_buf);
-        merge_union_into(&mut rows, storage.l_col_rows(k), ws.x_support_after(k));
-        for &i in &rows {
-            let l_old = storage.read_l(i, k);
-            let l_new = (l_old * ukk_old + g * yk * ws.x_get(i)) / ukk_new;
-            if l_new != l_old {
-                if let Err(err) = storage.write_l(i, k, l_new) {
-                    ws.rows_buf = rows;
-                    return Err(err);
-                }
-            }
-            stats.entries_touched += 1;
+        // Column k of L and the x vector, over the union of the structural
+        // column and the live x support below the pivot.
+        x.next.clear();
+        storage.update_l_col(k, past(&x.live, k), |i, l_old| {
+            touched += 1;
+            let x_old = stamped(&x.val, &x.stamp, epoch, i);
+            let mut x_new = x_old;
             if xk != 0.0 && l_old != 0.0 {
-                ws.x_sub(i, xk * l_old);
-            }
-        }
-        ws.rows_buf = rows;
-
-        // Row k of U and the y vector: union of the structural row and the
-        // current y support right of the pivot.
-        let mut cols = mem::take(&mut ws.cols_buf);
-        merge_union_into(&mut cols, storage.u_row_cols(k), ws.y_support_after(k));
-        for &j in &cols {
-            let u_old = storage.read_u(k, j);
-            let u_new = u_old + g * xk * ws.y_get(j);
-            if u_new != u_old {
-                if let Err(err) = storage.write_u(k, j, u_new) {
-                    ws.cols_buf = cols;
-                    return Err(err);
+                x_new = x_old - xk * l_old;
+                x.val[i] = x_new;
+                x.stamp[i] = epoch;
+                if x_old == 0.0 && x_new != 0.0 {
+                    pending.push(i);
                 }
             }
-            stats.entries_touched += 1;
-            if yk != 0.0 && u_old != 0.0 {
-                ws.y_sub(j, yk * u_old / ukk_old);
+            if x_new != 0.0 {
+                x.next.push(i);
             }
-        }
-        ws.cols_buf = cols;
+            (l_old * ukk_old + g * yk * x_old) / ukk_new
+        })?;
+        mem::swap(&mut x.live, &mut x.next);
 
+        // Row k of U and the y vector, likewise right of the pivot.
+        y.next.clear();
+        storage.update_u_row(k, past(&y.live, k), |j, u_old| {
+            touched += 1;
+            let y_old = stamped(&y.val, &y.stamp, epoch, j);
+            let mut y_new = y_old;
+            if yk != 0.0 && u_old != 0.0 {
+                y_new = y_old - yk * u_old / ukk_old;
+                y.val[j] = y_new;
+                y.stamp[j] = epoch;
+                if y_old == 0.0 && y_new != 0.0 {
+                    pending.push(j);
+                }
+            }
+            if y_new != 0.0 {
+                y.next.push(j);
+            }
+            u_old + g * xk * y_old
+        })?;
+        mem::swap(&mut y.live, &mut y.next);
+
+        stats.entries_touched += touched;
         g *= ukk_old / ukk_new;
     }
     Ok(stats)
-}
-
-/// Applies the rank-one update `A ← A + g·x·yᵀ` with a throwaway workspace.
-///
-/// Convenience wrapper over [`rank_one_update_with`] for one-off updates;
-/// streaming callers should hold a [`BennettWorkspace`] and use the `_with`
-/// form so the sweep stays allocation-free.
-pub fn rank_one_update<S: LuStorage>(
-    storage: &mut S,
-    x_entries: &[(usize, f64)],
-    y_entries: &[(usize, f64)],
-    g: f64,
-) -> LuResult<BennettStats> {
-    let mut ws = BennettWorkspace::new();
-    rank_one_update_with(storage, &mut ws, x_entries, y_entries, g)
 }
 
 /// Applies a sparse matrix update `ΔA` (given as `(row, col, old, new)`
@@ -600,23 +479,13 @@ pub fn apply_delta_with<S: LuStorage>(
     result.map(|()| stats)
 }
 
-/// Applies a sparse matrix update `ΔA` with a throwaway workspace.
-///
-/// Convenience wrapper over [`apply_delta_with`]; streaming callers should
-/// reuse a [`BennettWorkspace`] instead.
-pub fn apply_delta<S: LuStorage>(
-    storage: &mut S,
-    delta: &[(usize, usize, f64, f64)],
-) -> LuResult<BennettStats> {
-    let mut ws = BennettWorkspace::new();
-    apply_delta_with(storage, &mut ws, delta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factors::factorize_fresh;
+    use crate::dynamic::DynamicLuFactors;
+    use crate::factors::{factorize_fresh, LuFactors};
     use crate::structure::LuStructure;
+    use crate::test_support::{apply_delta, rank_one_update};
     use clude_sparse::{CooMatrix, CsrMatrix};
     use std::sync::Arc;
 

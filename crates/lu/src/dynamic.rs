@@ -9,6 +9,7 @@
 //! of Bennett's running time.  The counters of the underlying
 //! [`AdjacencyMatrix`] expose that cost to the benchmark harness.
 
+use crate::bennett::LuStorage;
 use crate::error::{LuError, LuResult};
 use crate::factors::{LuFactors, SINGULAR_TOL};
 use crate::structure::LuStructure;
@@ -21,6 +22,10 @@ pub struct DynamicLuFactors {
     n: usize,
     /// Strictly-lower slots hold `L`, diagonal and upper slots hold `U`.
     values: AdjacencyMatrix,
+    /// List position of the diagonal in the row [`LuStorage::pivot`] last
+    /// located; checked before use, so a stale hint costs a search and
+    /// nothing else.
+    diag_hint: usize,
 }
 
 impl DynamicLuFactors {
@@ -46,7 +51,11 @@ impl DynamicLuFactors {
             }
         }
         values.reset_stats();
-        DynamicLuFactors { n, values }
+        DynamicLuFactors {
+            n,
+            values,
+            diag_hint: 0,
+        }
     }
 
     /// Matrix order.
@@ -76,7 +85,7 @@ impl DynamicLuFactors {
         } else if j > i {
             0.0
         } else {
-            self.values.peek(i, j)
+            self.values.get(i, j)
         }
     }
 
@@ -85,12 +94,8 @@ impl DynamicLuFactors {
         if j < i {
             0.0
         } else {
-            self.values.peek(i, j)
+            self.values.get(i, j)
         }
-    }
-
-    pub(crate) fn peek(&self, i: usize, j: usize) -> f64 {
-        self.values.peek(i, j)
     }
 
     /// Whether position `(i, j)` is structurally present in the factors —
@@ -116,23 +121,14 @@ impl DynamicLuFactors {
         self.values.row_mut(i)
     }
 
-    pub(crate) fn write(&mut self, i: usize, j: usize, v: f64) {
-        // A single-search upsert; writing an exact zero to an absent position
-        // is a no-op so the dynamic lists only grow when a genuine fill-in
-        // appears.
-        self.values.set_or_drop_zero(i, j, v);
-    }
-
-    /// Rows `i > j` with a structural entry in column `j` of `L`, as a
-    /// borrowed sorted slice into the column index.
-    pub(crate) fn lower_col_rows(&self, j: usize) -> &[usize] {
-        self.values.col_rows_after(j, j)
-    }
-
-    /// Columns `j > i` with a structural entry in row `i` of `U`, as a
-    /// borrowed sorted slice into the row layout.
-    pub(crate) fn upper_row_cols(&self, i: usize) -> &[usize] {
-        self.values.row_cols_after(i, i)
+    /// List position of `(k, k)` in row `k`: the hint when it still points
+    /// at the diagonal — the sweep reads a pivot, overwrites it and walks the
+    /// row past it, and row `k` does not change in between — else one search.
+    fn diag_pos(&mut self, k: usize) -> Option<usize> {
+        if self.values.row_cols(k).get(self.diag_hint) != Some(&k) {
+            self.diag_hint = self.values.locate(k, k).ok()?;
+        }
+        Some(self.diag_hint)
     }
 
     /// Solves `L U x = b`.
@@ -244,8 +240,8 @@ impl DynamicLuFactors {
     /// Every stored list node as `(row, col, value)`, row-major with
     /// ascending columns per row — **including explicitly stored zeros**.
     ///
-    /// Bennett updates write through [`AdjacencyMatrix::set_or_drop_zero`],
-    /// which keeps a zero landing on a *present* position as a stored entry;
+    /// Bennett updates write through the cursor walks of [`AdjacencyMatrix`],
+    /// which keep a zero landing on a *present* position as a stored entry;
     /// dropping those zeros on export would change `nnz()` (and with it the
     /// quality-loss metric and every downstream refresh decision), so the
     /// durable form must carry them.  Together with
@@ -288,7 +284,11 @@ impl DynamicLuFactors {
             values.set(i, j, v);
         }
         values.reset_stats();
-        Ok(DynamicLuFactors { n, values })
+        Ok(DynamicLuFactors {
+            n,
+            values,
+            diag_hint: 0,
+        })
     }
 
     /// The lower factor `L` (with unit diagonal) as CSR.
@@ -338,10 +338,59 @@ impl DynamicLuFactors {
     }
 }
 
+/// Dynamic storage walks row `k` of `U` with a cursor over the row's own
+/// arrays (a fill-in is spliced in where the cursor stands) and column `k` of
+/// `L` through the column's row list, one row search per stored entry.
+impl LuStorage for DynamicLuFactors {
+    fn order(&self) -> usize {
+        self.n
+    }
+
+    fn pivot(&mut self, k: usize) -> f64 {
+        match self.diag_pos(k) {
+            Some(pos) => self.values.row_vals(k)[pos],
+            None => 0.0,
+        }
+    }
+
+    fn set_pivot(&mut self, k: usize, value: f64) {
+        if let Some(pos) = self.diag_pos(k) {
+            self.values.row_mut(k).1[pos] = value;
+        }
+    }
+
+    fn update_l_col(
+        &mut self,
+        k: usize,
+        support: &[usize],
+        f: impl FnMut(usize, f64) -> f64,
+    ) -> LuResult<()> {
+        self.values.update_col_after(k, k, support, f);
+        Ok(())
+    }
+
+    fn update_u_row(
+        &mut self,
+        k: usize,
+        support: &[usize],
+        f: impl FnMut(usize, f64) -> f64,
+    ) -> LuResult<()> {
+        let Some(diag) = self.diag_pos(k) else {
+            return Err(LuError::SingularPivot {
+                index: k,
+                value: 0.0,
+            });
+        };
+        self.values.update_row_from(k, diag + 1, support, f);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::factors::factorize_fresh;
+    use crate::test_support::write_entry;
     use clude_sparse::CooMatrix;
 
     fn sample_matrix() -> CsrMatrix {
@@ -369,7 +418,7 @@ mod tests {
         let mut dynamic = DynamicLuFactors::factorize(&a).unwrap();
         // Force an explicitly stored zero: writing 0.0 to a present position
         // keeps the list node (the Bennett write path does this routinely).
-        dynamic.write(0, 2, 0.0);
+        write_entry(&mut dynamic, 0, 2, 0.0);
         let entries = dynamic.export_entries();
         assert_eq!(entries.len(), dynamic.nnz());
         assert!(entries
@@ -437,11 +486,14 @@ mod tests {
         let mut dynamic = DynamicLuFactors::factorize(&a).unwrap();
         assert_eq!(dynamic.structural_stats(), StructuralStats::default());
         // A write to a brand-new position is a structural insert.
-        dynamic.write(3, 1, 0.25);
+        assert!(!dynamic.has_entry(3, 1));
+        write_entry(&mut dynamic, 3, 1, 0.25);
         assert_eq!(dynamic.structural_stats().inserts, 1);
+        assert_eq!(dynamic.l(3, 1), 0.25);
         // Writing an exact zero to an absent position does nothing.
-        dynamic.write(1, 3, 0.0);
+        write_entry(&mut dynamic, 1, 3, 0.0);
         assert_eq!(dynamic.structural_stats().inserts, 1);
+        assert!(!dynamic.has_entry(1, 3));
         dynamic.reset_structural_stats();
         assert_eq!(dynamic.structural_stats(), StructuralStats::default());
     }
@@ -456,9 +508,23 @@ mod tests {
         for (i, j, _) in dynamic.u_matrix().iter() {
             assert!(j >= i);
         }
-        let lower0 = dynamic.lower_col_rows(0);
-        assert!(lower0.iter().all(|&i| i > 0));
-        let upper0 = dynamic.upper_row_cols(0);
-        assert!(upper0.iter().all(|&j| j > 0));
+        // The Bennett walks see exactly the strict triangles of pivot 0.
+        let mut dynamic = dynamic;
+        let mut lower0 = Vec::new();
+        dynamic
+            .update_l_col(0, &[], |i, old| {
+                lower0.push(i);
+                old
+            })
+            .unwrap();
+        assert_eq!(lower0, vec![1, 3]);
+        let mut upper0 = Vec::new();
+        dynamic
+            .update_u_row(0, &[], |j, old| {
+                upper0.push(j);
+                old
+            })
+            .unwrap();
+        assert_eq!(upper0, vec![2]);
     }
 }

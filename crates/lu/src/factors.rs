@@ -9,8 +9,10 @@
 //! gathers the result back into the slots — no structural work happens here,
 //! by construction.
 
+use crate::bennett::{LuStorage, FILL_DROP_TOL};
 use crate::error::{LuError, LuResult};
 use crate::structure::LuStructure;
+use clude_sparse::adjacency::merge_step;
 use clude_sparse::{CooMatrix, CsrMatrix};
 use std::sync::Arc;
 
@@ -165,14 +167,9 @@ impl LuFactors {
             .map_or(0.0, |slot| self.values[slot])
     }
 
-    /// Raw slot value access (shared with the Bennett update code).
+    /// Raw slot value access.
     pub(crate) fn value(&self, slot: usize) -> f64 {
         self.values[slot]
-    }
-
-    /// Raw mutable slot value access (shared with the Bennett update code).
-    pub(crate) fn value_mut(&mut self, slot: usize) -> &mut f64 {
-        &mut self.values[slot]
     }
 
     /// Solves `L U x = b` by forward then backward substitution.
@@ -337,6 +334,101 @@ impl LuFactors {
             }
         }
         CsrMatrix::from_coo(&coo)
+    }
+}
+
+/// One Bennett walk over static slots: visits, ascending, the structural
+/// indices `covered` (the value of `covered[p]` lives in `values[slot_of(p)]`)
+/// merged with the sweep's sorted `support`, and stores `f(index, old)` where
+/// it differs from `old`.  No search happens: the structure hands over slots,
+/// not coordinates.  An index only `support` names is outside the structure:
+/// it reads as zero and may receive nothing but numerical noise — a result
+/// above [`FILL_DROP_TOL`] is the error `outside(index, magnitude)`.
+fn walk_slots(
+    values: &mut [f64],
+    covered: &[usize],
+    slot_of: impl Fn(usize) -> usize,
+    support: &[usize],
+    mut f: impl FnMut(usize, f64) -> f64,
+    outside: impl Fn(usize, f64) -> LuError,
+) -> LuResult<()> {
+    let (mut p, mut s) = (0, 0);
+    while let Some((index, present)) = merge_step(covered.get(p).copied(), support, &mut s) {
+        if present {
+            let value = &mut values[slot_of(p)];
+            let new = f(index, *value);
+            if new != *value {
+                *value = new;
+            }
+            p += 1;
+        } else {
+            let new = f(index, 0.0);
+            if new.abs() <= FILL_DROP_TOL {
+                continue;
+            }
+            return Err(outside(index, new.abs()));
+        }
+    }
+    Ok(())
+}
+
+/// Static storage addresses column `k` of `L` through the structure's
+/// strictly-lower column index (`(rows, slots)` — the values themselves are
+/// row-major) and row `k` of `U` through the contiguous slots past the
+/// diagonal.
+impl LuStorage for LuFactors {
+    fn order(&self) -> usize {
+        self.n()
+    }
+
+    fn pivot(&mut self, k: usize) -> f64 {
+        self.values[self.structure.diag_slot(k)]
+    }
+
+    fn set_pivot(&mut self, k: usize, value: f64) {
+        self.values[self.structure.diag_slot(k)] = value;
+    }
+
+    fn update_l_col(
+        &mut self,
+        k: usize,
+        support: &[usize],
+        f: impl FnMut(usize, f64) -> f64,
+    ) -> LuResult<()> {
+        let (rows, slots) = self.structure.lower_col(k);
+        walk_slots(
+            &mut self.values,
+            rows,
+            |p| slots[p],
+            support,
+            f,
+            |row, magnitude| LuError::FillOutsideStructure {
+                row,
+                col: k,
+                magnitude,
+            },
+        )
+    }
+
+    fn update_u_row(
+        &mut self,
+        k: usize,
+        support: &[usize],
+        f: impl FnMut(usize, f64) -> f64,
+    ) -> LuResult<()> {
+        let first = self.structure.diag_slot(k) + 1;
+        walk_slots(
+            &mut self.values,
+            self.structure.upper_row_cols(k),
+            |p| first + p,
+            support,
+            f,
+            |col, magnitude| LuError::FillOutsideStructure {
+                row: k,
+                col,
+                magnitude,
+            },
+        )
     }
 }
 

@@ -68,6 +68,7 @@ impl DynamicLuFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::write_entry;
     use clude_sparse::{CooMatrix, CsrMatrix};
 
     fn sample_matrix() -> CsrMatrix {
@@ -99,7 +100,7 @@ mod tests {
     fn frozen_factors_export_and_solve_like_the_dynamic_ones() {
         let mut dynamic = DynamicLuFactors::factorize(&sample_matrix()).unwrap();
         // An explicitly stored zero must survive the freeze as a slot.
-        dynamic.write(0, 2, 0.0);
+        write_entry(&mut dynamic, 0, 2, 0.0);
         let frozen = dynamic.freeze(None).unwrap();
         assert_eq!(frozen.nnz(), dynamic.nnz());
         assert_eq!(frozen.export_entries(), dynamic.export_entries());
@@ -119,14 +120,14 @@ mod tests {
         let mut dynamic = DynamicLuFactors::factorize(&sample_matrix()).unwrap();
         let first = dynamic.freeze(None).unwrap();
         // Value-only rewrite: same pattern, the structure handle is reused.
-        dynamic.write(1, 1, 7.0);
+        write_entry(&mut dynamic, 1, 1, 7.0);
         let second = dynamic.freeze(Some(first.structure())).unwrap();
         assert!(Arc::ptr_eq(first.structure(), second.structure()));
         assert_eq!(second.export_entries(), dynamic.export_entries());
         assert_eq!(first.u(1, 1), 5.0, "the earlier block is immutable");
         // A fill-in moves the pattern: the stale handle is refused, a fresh
         // build covers the new node.
-        dynamic.write(3, 1, 0.25);
+        write_entry(&mut dynamic, 3, 1, 0.25);
         assert!(matches!(
             dynamic.freeze(Some(first.structure())),
             Err(LuError::EntryOutsideStructure { row: 3, .. })

@@ -39,6 +39,14 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
+// `tests/common/mod.rs` is written against the public `clude_lu::` paths;
+// the alias lets it serve the unit tests inside this crate as well.
+#[cfg(test)]
+extern crate self as clude_lu;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_support;
+
 pub mod amd;
 pub mod bennett;
 pub mod dynamic;
@@ -55,8 +63,8 @@ pub mod symbolic;
 pub use amd::amd_ordering;
 
 pub use bennett::{
-    apply_delta, apply_delta_with, rank_one_update, rank_one_update_with, BennettStats,
-    BennettWorkspace, LuStorage, ShardWorkspaces,
+    apply_delta_with, rank_one_update_with, BennettStats, BennettWorkspace, LuStorage,
+    ShardWorkspaces,
 };
 pub use dynamic::DynamicLuFactors;
 pub use error::{LuError, LuResult};

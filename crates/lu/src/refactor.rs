@@ -173,10 +173,16 @@ pub fn refactor_frozen(
     for i in 0..n {
         ws.begin_row(n);
         // Scatter row i of A.  Every input entry must sit on a stored slot —
-        // anything else means the batch was not value-only after all.
+        // anything else means the batch was not value-only after all.  Both
+        // column lists ascend, so membership is one merge walk down the row.
         let (cols, vals) = a.row(i);
+        let stored = factors.row_entries(i).0;
+        let mut pos = 0;
         for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if !factors.has_entry(i, j) {
+            while stored.get(pos).is_some_and(|&c| c < j) {
+                pos += 1;
+            }
+            if stored.get(pos) != Some(&j) {
                 return Err(LuError::EntryOutsideStructure { row: i, col: j });
             }
             ws.touch(j);
@@ -235,24 +241,30 @@ pub fn refactor_frozen(
             });
         }
         // Fill escaping the frozen pattern?  Tolerate noise, abort otherwise.
+        // One pass down the stored row counts the touched columns it covers;
+        // only when some touched column is left over (rare) is each one
+        // looked up to find the escapee.
         let row_cols = factors.row_entries(i).0;
-        for t in 0..ws.touched.len() {
-            let j = ws.touched[t];
-            let v = ws.work[j];
-            if v != 0.0 && row_cols.binary_search(&j).is_err() && v.abs() > FILL_DROP_TOL {
-                return Err(LuError::FillOutsideStructure {
-                    row: i,
-                    col: j,
-                    magnitude: v.abs(),
-                });
+        let epoch = ws.epoch;
+        let covered = row_cols.iter().filter(|&&j| ws.stamp[j] == epoch).count();
+        if covered != ws.touched.len() {
+            for t in 0..ws.touched.len() {
+                let j = ws.touched[t];
+                let v = ws.work[j];
+                if v != 0.0 && row_cols.binary_search(&j).is_err() && v.abs() > FILL_DROP_TOL {
+                    return Err(LuError::FillOutsideStructure {
+                        row: i,
+                        col: j,
+                        magnitude: v.abs(),
+                    });
+                }
+                // Sub-tolerance fill outside the pattern is dropped, matching
+                // the Bennett sweep.
             }
-            // Sub-tolerance fill outside the pattern is dropped, matching
-            // the Bennett sweep.
         }
         // Gather: rewrite every stored slot of row i in place.  Slots the
         // elimination never reached are genuinely zero in the new factors
         // (stored zeros keep their node — the pattern is frozen).
-        let epoch = ws.epoch;
         let (cols, vals_mut) = factors.row_entries_mut(i);
         for (pos, &j) in cols.iter().enumerate() {
             vals_mut[pos] = if ws.stamp[j] == epoch {
@@ -403,6 +415,46 @@ mod tests {
             err,
             LuError::EntryOutsideStructure { row: 3, col: 1 }
         ));
+    }
+
+    #[test]
+    fn fill_escaping_the_frozen_pattern_is_rejected_above_the_tolerance() {
+        // Row 1 eliminates against row 0, whose (0, 2) entry spawns fill at
+        // (1, 2) — a position these factors (decoded without that node, as
+        // after a sweep dropped a stored zero) do not hold.
+        let entries = [
+            (0, 0, 4.0),
+            (0, 2, 1.0),
+            (1, 0, 0.5),
+            (1, 1, 5.0),
+            (2, 2, 6.0),
+        ];
+        let matrix = |a02: f64| {
+            let mut coo = CooMatrix::new(3, 3);
+            for (i, j, v) in [
+                (0, 0, 4.0),
+                (0, 2, a02),
+                (1, 0, 2.0),
+                (1, 1, 5.0),
+                (2, 2, 6.0),
+            ] {
+                coo.push(i, j, v).unwrap();
+            }
+            CsrMatrix::from_coo(&coo)
+        };
+        let mut ws = RefactorWorkspace::new();
+        let mut factors = DynamicLuFactors::from_sorted_entries(3, &entries).unwrap();
+        let err = refactor_frozen(&mut factors, &matrix(1.0), &mut ws).unwrap_err();
+        assert!(matches!(
+            err,
+            LuError::FillOutsideStructure { row: 1, col: 2, magnitude } if magnitude == 0.5
+        ));
+        // The same fill under FILL_DROP_TOL is noise: dropped, pass succeeds.
+        let mut factors = DynamicLuFactors::from_sorted_entries(3, &entries).unwrap();
+        refactor_frozen(&mut factors, &matrix(1e-10), &mut ws).unwrap();
+        assert_eq!(factors.nnz(), entries.len());
+        assert_eq!(factors.l(1, 0), 0.5);
+        assert_eq!(factors.u(0, 2), 1e-10);
     }
 
     #[test]

@@ -7,13 +7,20 @@
 //! become non-zero in the LU factors, so the data structures holding the
 //! factors can be allocated before any numeric work.
 //!
-//! The computation is a symbolic Gaussian elimination: process pivots in
-//! order and, for every pivot `k`, add `(i, j)` for each structurally
-//! non-zero `(i, k)` below the pivot and `(k, j)` to its right.  This is
-//! exactly the set defined by Eq. 2.
+//! Eq. 2 reads as a symbolic Gaussian elimination: process pivots in order
+//! and, for every pivot `k`, add `(i, j)` for each structurally non-zero
+//! `(i, k)` below the pivot and `(k, j)` to its right.  The computation here
+//! produces the same set row by row instead (the up-looking form of the same
+//! elimination): the filled row `i` is row `i` of `A` merged with the
+//! strictly-upper part of every finished row `k < i` that row `i` reaches,
+//! taken in ascending `k` so that fill landing left of the diagonal is itself
+//! eliminated.  A dense marker makes each merge a scan — no ordered-set
+//! insertions — and the set-based reading of Eq. 2 stays in this module's
+//! tests as the oracle.
 
 use clude_sparse::SparsityPattern;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The result of a symbolic decomposition.
 #[derive(Debug, Clone)]
@@ -46,37 +53,41 @@ pub fn symbolic_decomposition(sp: &SparsityPattern) -> SymbolicDecomposition {
         "symbolic decomposition needs a square pattern"
     );
     let n = sp.n_rows();
-    // Working row/column sets of the progressively filled pattern.
-    let mut rows: Vec<BTreeSet<usize>> = (0..n)
-        .map(|i| sp.row(i).iter().copied().collect())
-        .collect();
-    let mut cols: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+    // Finished rows (sorted); `upper[k]` is where row k's strictly-upper part
+    // starts.  `mark[j] == i` says column j is already in row i.
+    let mut filled_rows: Vec<Vec<usize>> = Vec::with_capacity(n);
+    let mut upper: Vec<usize> = Vec::with_capacity(n);
+    let mut mark = vec![usize::MAX; n];
+    // Columns left of the diagonal still to eliminate, smallest first.
+    let mut lower: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
     let mut base_nnz = 0usize;
-    for (i, row) in rows.iter_mut().enumerate() {
-        row.insert(i); // ensure the diagonal
-    }
-    for (i, row) in rows.iter().enumerate() {
-        base_nnz += row.len();
-        for &j in row {
-            cols[j].insert(i);
-        }
-    }
-    // Symbolic elimination.
-    for k in 0..n {
-        let below: Vec<usize> = cols[k].range(k + 1..).copied().collect();
-        let right: Vec<usize> = rows[k].range(k + 1..).copied().collect();
-        for &i in &below {
-            for &j in &right {
-                if rows[i].insert(j) {
-                    cols[j].insert(i);
+    for i in 0..n {
+        let mut row = Vec::with_capacity(sp.row(i).len() + 1);
+        for j in std::iter::once(i).chain(sp.row(i).iter().copied()) {
+            if mark[j] != i {
+                mark[j] = i;
+                row.push(j);
+                if j < i {
+                    lower.push(Reverse(j));
                 }
             }
         }
+        base_nnz += row.len();
+        while let Some(Reverse(k)) = lower.pop() {
+            for &j in &filled_rows[k][upper[k]..] {
+                if mark[j] != i {
+                    mark[j] = i;
+                    row.push(j);
+                    if j < i {
+                        lower.push(Reverse(j));
+                    }
+                }
+            }
+        }
+        row.sort_unstable();
+        upper.push(row.partition_point(|&j| j <= i));
+        filled_rows.push(row);
     }
-    let filled_rows: Vec<Vec<usize>> = rows
-        .into_iter()
-        .map(|set| set.into_iter().collect())
-        .collect();
     let pattern = SparsityPattern::from_sorted_rows(n, filled_rows);
     let fill_ins = pattern.nnz() - base_nnz;
     SymbolicDecomposition { pattern, fill_ins }
@@ -102,7 +113,69 @@ pub fn symbolic_size(sp: &SparsityPattern) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clude_graph::generators::{
+        dblp_like, patent_like, wiki_like, DblpLikeConfig, PatentLikeConfig, WikiLikeConfig,
+    };
+    use clude_graph::{measure_matrix, MatrixKind};
     use clude_sparse::SparsityPattern;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::collections::BTreeSet;
+
+    /// Eq. 2 as written: for every pivot `k` in order, the outer product of
+    /// the rows below it with the columns right of it joins the pattern.
+    fn closure_by_definition(sp: &SparsityPattern) -> SparsityPattern {
+        let n = sp.n_rows();
+        let mut rows: Vec<BTreeSet<usize>> = (0..n)
+            .map(|i| sp.row(i).iter().copied().chain([i]).collect())
+            .collect();
+        let mut cols: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+        for (i, row) in rows.iter().enumerate() {
+            for &j in row {
+                cols[j].insert(i);
+            }
+        }
+        for k in 0..n {
+            let below: Vec<usize> = cols[k].range(k + 1..).copied().collect();
+            let right: Vec<usize> = rows[k].range(k + 1..).copied().collect();
+            for &i in &below {
+                for &j in &right {
+                    if rows[i].insert(j) {
+                        cols[j].insert(i);
+                    }
+                }
+            }
+        }
+        let rows = rows.into_iter().map(|r| r.into_iter().collect()).collect();
+        SparsityPattern::from_sorted_rows(n, rows)
+    }
+
+    #[test]
+    fn row_merge_equals_the_set_definition_on_the_generators() {
+        let kind = MatrixKind::RandomWalk { damping: 0.85 };
+        for seed in [11u64, 12, 97] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let wiki = wiki_like::generate(&WikiLikeConfig::tiny(), &mut rng);
+            let patent = patent_like::generate(&PatentLikeConfig::tiny(), &mut rng).egs;
+            let dblp = dblp_like::generate(&DblpLikeConfig::tiny(), &mut rng);
+            for egs in [wiki, patent, dblp] {
+                for graph in [egs.snapshot(0), egs.snapshot(egs.len() - 1)] {
+                    let natural = measure_matrix(&graph, kind).pattern();
+                    let ordered = crate::ordering::reorder_pattern(
+                        &natural,
+                        &crate::ordering::markowitz_ordering(&natural).ordering,
+                    );
+                    for sp in [natural, ordered] {
+                        let sd = symbolic_decomposition(&sp);
+                        let oracle = closure_by_definition(&sp);
+                        assert_eq!(sd.pattern, oracle, "seed {seed}");
+                        let diag_missing = (0..sp.n_rows()).filter(|&i| !sp.contains(i, i));
+                        assert_eq!(sd.fill_ins, oracle.nnz() - sp.nnz() - diag_missing.count());
+                    }
+                }
+            }
+        }
+    }
 
     /// The arrow-head pattern: dense first row and column, diagonal elsewhere.
     /// Eliminating the first pivot fills the entire matrix.

@@ -2,12 +2,15 @@
 //! oracle, reordered solves, symbolic coverage and the structural behaviour
 //! of the two storage back-ends.
 
+mod common;
+
 use clude_lu::{
-    amd_ordering, apply_delta, apply_delta_with, factorize_fresh, markowitz_ordering,
-    refactor_frozen, solve_original, symbolic_decomposition, BennettWorkspace, DynamicLuFactors,
-    LuFactors, LuStructure, RefactorWorkspace,
+    amd_ordering, apply_delta_with, factorize_fresh, markowitz_ordering, refactor_frozen,
+    solve_original, symbolic_decomposition, BennettWorkspace, DynamicLuFactors, LuFactors,
+    LuStructure, RefactorWorkspace,
 };
 use clude_sparse::{CooMatrix, CsrMatrix};
+use common::apply_delta;
 use proptest::prelude::*;
 
 /// Applies a `(row, col, old, new)` delta list to a matrix.
@@ -208,6 +211,74 @@ proptest! {
         let x2 = oracle.solve(&b).unwrap();
         for (u, v) in x1.iter().zip(x2.iter()) {
             prop_assert!((u - v).abs() < 1e-9, "{} vs {}", u, v);
+        }
+    }
+
+    #[test]
+    fn both_storages_track_fresh_factorization_entry_by_entry(
+        a in diag_dominant(9, 22),
+        steps in delta_sequence(),
+    ) {
+        // Random sparse deltas — value changes, insertions into absent
+        // positions, removals by cancellation — through the pivot-granular
+        // interface of both storages: after every step each factor entry
+        // matches a from-scratch factorization, and the storages match each
+        // other.  The sequence is materialised first because static storage
+        // needs the universal structure up front.
+        let mut matrices = vec![a.clone()];
+        let mut deltas = Vec::new();
+        for changes in steps {
+            let current = &matrices[matrices.len() - 1];
+            let delta: Vec<(usize, usize, f64, f64)> = changes
+                .into_iter()
+                .filter(|&(i, j, _)| i != j)
+                .map(|(i, j, v)| (i, j, current.get(i, j), current.get(i, j) + v))
+                .collect();
+            if !delta.is_empty() {
+                matrices.push(updated_matrix(current, &delta));
+                deltas.push(delta);
+            }
+        }
+        let universal = matrices[1..]
+            .iter()
+            .fold(a.pattern(), |acc, m| acc.union(&m.pattern()).unwrap());
+        let structure = LuStructure::from_pattern(&universal).unwrap().into_shared();
+        let mut fixed = LuFactors::factorize(structure, &a).unwrap();
+        let mut dynamic = DynamicLuFactors::factorize(&a).unwrap();
+        let mut ws = BennettWorkspace::new();
+        for (delta, next) in deltas.iter().zip(&matrices[1..]) {
+            let on_dynamic = apply_delta_with(&mut dynamic, &mut ws, delta);
+            let on_static = apply_delta_with(&mut fixed, &mut ws, delta);
+            prop_assert_eq!(on_dynamic.is_ok(), on_static.is_ok(), "storages disagree on failure");
+            let (Ok(on_dynamic), Ok(on_static)) = (on_dynamic, on_static) else {
+                // A singular intermediate pivot: nothing to compare.
+                return Ok(());
+            };
+            prop_assert_eq!(on_dynamic.pivots_processed, on_static.pivots_processed);
+            let Ok(fresh) = factorize_fresh(next) else {
+                return Ok(());
+            };
+            for i in 0..9 {
+                for j in 0..9 {
+                    for (name, got_dynamic, got_static, want) in [
+                        ("L", dynamic.l(i, j), fixed.l(i, j), fresh.l(i, j)),
+                        ("U", dynamic.u(i, j), fixed.u(i, j), fresh.u(i, j)),
+                    ] {
+                        prop_assert!(
+                            (got_dynamic - want).abs() <= 1e-10,
+                            "dynamic {}({},{}) {} vs fresh {}", name, i, j, got_dynamic, want
+                        );
+                        prop_assert!(
+                            (got_static - want).abs() <= 1e-10,
+                            "static {}({},{}) {} vs fresh {}", name, i, j, got_static, want
+                        );
+                        prop_assert!(
+                            (got_dynamic - got_static).abs() <= 1e-10,
+                            "{}({},{}) dynamic {} vs static {}", name, i, j, got_dynamic, got_static
+                        );
+                    }
+                }
+            }
         }
     }
 

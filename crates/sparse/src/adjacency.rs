@@ -10,14 +10,15 @@
 //! report the same cost breakdown.
 //!
 //! The layout is indexed for the Bennett hot path: each row keeps its column
-//! indices and values in two parallel sorted arrays (so a row's structure is
-//! a plain `&[usize]` slice), and each column keeps a sorted array of row
-//! indices with an O(1) fast path for appends at the tail.  Column and row
-//! scans return borrowed subslices — no per-call allocation.
+//! indices and values in two parallel sorted arrays, and each column keeps a
+//! sorted array of row indices with an O(1) fast path for appends at the
+//! tail.  Bennett's sweep does not look entries up by coordinate: it walks a
+//! row ([`AdjacencyMatrix::update_row_from`]) or a column
+//! ([`AdjacencyMatrix::update_col_after`]) with a cursor, merged against the
+//! sweep's own sorted support, and a fill-in is spliced in at the cursor.
 
 use crate::csr::CsrMatrix;
 use crate::pattern::SparsityPattern;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Counters describing how much structural work a dynamic matrix has done.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -26,7 +27,8 @@ pub struct StructuralStats {
     pub inserts: usize,
     /// Number of list nodes removed.
     pub removals: usize,
-    /// Number of list traversal steps performed while searching positions.
+    /// Number of list traversal steps performed while searching positions
+    /// on the mutating paths (reads through `&self` are not billed).
     pub probes: usize,
 }
 
@@ -45,8 +47,33 @@ fn search_steps(len: usize) -> usize {
     (usize::BITS - len.max(1).leading_zeros()) as usize
 }
 
+/// One step of Bennett's ascending merge of a stored index list with the
+/// sweep's sorted support: given the stored list's head (`None` when
+/// exhausted) and the support cursor `s`, returns the smaller index and
+/// whether the stored list holds it, consuming it from the support if it is
+/// there — or `None` when both lists are exhausted.  Every storage walk
+/// (dynamic rows and columns here, static slots in `clude-lu`) steps through
+/// this, so "merged with the support" means one thing.
+#[inline]
+pub fn merge_step(
+    stored: Option<usize>,
+    support: &[usize],
+    s: &mut usize,
+) -> Option<(usize, bool)> {
+    let stored = stored.unwrap_or(usize::MAX);
+    let wanted = support.get(*s).copied().unwrap_or(usize::MAX);
+    let index = stored.min(wanted);
+    if index == usize::MAX {
+        return None;
+    }
+    if wanted == index {
+        *s += 1;
+    }
+    Some((index, stored == index))
+}
+
 /// A mutable sparse matrix stored as row-wise and column-wise adjacency lists.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AdjacencyMatrix {
     n_rows: usize,
     n_cols: usize,
@@ -58,30 +85,15 @@ pub struct AdjacencyMatrix {
     /// the row arrays).  Kept so column scans, as required by Crout's method
     /// and by Markowitz counts, do not need a full matrix sweep.
     cols: Vec<Vec<usize>>,
-    /// Structural inserts/removals only happen through `&mut self`.
+    /// The structural counters only move through `&mut self`: the paper's
+    /// cost model bills list *maintenance* — the searches and splices of
+    /// `set` / `add_to` / `remove` and of the cursor walks — and no `&self`
+    /// lookup is billed (the engine publishes frozen `LuFactors`, so the only
+    /// `&self` lookups left are `get` / `contains` behind the ingest thread's
+    /// delta classification and test accessors).  Hence plain counters.
     inserts: usize,
     removals: usize,
-    /// Probes also accumulate through `&self` lookups (`get`, `peek`,
-    /// `contains`, the slice scans), and snapshots are queried from many
-    /// threads concurrently, so this counter is a relaxed atomic.
-    probes: AtomicUsize,
-}
-
-impl Clone for AdjacencyMatrix {
-    fn clone(&self) -> Self {
-        AdjacencyMatrix {
-            n_rows: self.n_rows,
-            n_cols: self.n_cols,
-            row_cols: self.row_cols.clone(),
-            row_vals: self.row_vals.clone(),
-            cols: self.cols.clone(),
-            inserts: self.inserts,
-            removals: self.removals,
-            // lint: allow(atomic-ordering) — probe counter is a standalone
-            // diagnostic tally; the clone needs no ordering with other memory.
-            probes: AtomicUsize::new(self.probes.load(Ordering::Relaxed)),
-        }
-    }
+    probes: usize,
 }
 
 impl AdjacencyMatrix {
@@ -95,7 +107,7 @@ impl AdjacencyMatrix {
             cols: vec![Vec::new(); n_cols],
             inserts: 0,
             removals: 0,
-            probes: AtomicUsize::new(0),
+            probes: 0,
         }
     }
 
@@ -132,9 +144,7 @@ impl AdjacencyMatrix {
         StructuralStats {
             inserts: self.inserts,
             removals: self.removals,
-            // lint: allow(atomic-ordering) — standalone diagnostic tally
-            // read for stats; no cross-counter consistency is promised.
-            probes: self.probes.load(Ordering::Relaxed),
+            probes: self.probes,
         }
     }
 
@@ -142,21 +152,15 @@ impl AdjacencyMatrix {
     pub fn reset_stats(&mut self) {
         self.inserts = 0;
         self.removals = 0;
-        *self.probes.get_mut() = 0;
+        self.probes = 0;
     }
 
+    /// Binary-searches row `i` for column `j`, accounting the search steps:
+    /// `Ok(pos)` when present, `Err(pos)` with the insert position when not.
     #[inline]
-    fn count_probes(&self, steps: usize) {
-        // lint: allow(atomic-ordering) — hot-path probe accounting must not
-        // introduce fences; the tally synchronises nothing.
-        self.probes.fetch_add(steps, Ordering::Relaxed);
-    }
-
-    /// Binary-searches row `i` for column `j`, accounting the search steps.
-    #[inline]
-    fn probe_row(&self, i: usize, j: usize) -> Result<usize, usize> {
+    pub fn locate(&mut self, i: usize, j: usize) -> Result<usize, usize> {
         let row = &self.row_cols[i];
-        self.count_probes(search_steps(row.len()));
+        self.probes += search_steps(row.len());
         row.binary_search(&j)
     }
 
@@ -177,7 +181,7 @@ impl AdjacencyMatrix {
                 1
             }
         };
-        self.count_probes(steps);
+        self.probes += steps;
     }
 
     /// Inserts `(i, j) = value` at row position `pos` (from a failed row
@@ -190,18 +194,8 @@ impl AdjacencyMatrix {
     }
 
     /// Reads the value at `(i, j)`; absent positions read as `0.0`.
-    ///
-    /// Like every lookup, this accounts its search steps in the probe
-    /// counter (the paper's structural-cost model bills all list
-    /// traversals); [`AdjacencyMatrix::peek`] is an alias.
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.peek(i, j)
-    }
-
-    /// Alias of [`AdjacencyMatrix::get`], kept for callers of the historical
-    /// non-counting read; probe accounting now covers reads too.
-    pub fn peek(&self, i: usize, j: usize) -> f64 {
-        match self.probe_row(i, j) {
+        match self.row_cols[i].binary_search(&j) {
             Ok(pos) => self.row_vals[i][pos],
             Err(_) => 0.0,
         }
@@ -209,14 +203,14 @@ impl AdjacencyMatrix {
 
     /// Returns `true` when `(i, j)` is structurally present.
     pub fn contains(&self, i: usize, j: usize) -> bool {
-        self.probe_row(i, j).is_ok()
+        self.row_cols[i].binary_search(&j).is_ok()
     }
 
     /// Sets `(i, j)` to `value`, inserting a node if the position is absent.
     /// Returns `true` when a structural insert happened.
     pub fn set(&mut self, i: usize, j: usize, value: f64) -> bool {
         assert!(i < self.n_rows && j < self.n_cols, "index out of bounds");
-        match self.probe_row(i, j) {
+        match self.locate(i, j) {
             Ok(pos) => {
                 self.row_vals[i][pos] = value;
                 false
@@ -228,23 +222,88 @@ impl AdjacencyMatrix {
         }
     }
 
-    /// Sets `(i, j)` to `value` with a single search, but skips the
-    /// structural insert when the position is absent and `value` is exactly
-    /// zero.  This is the Bennett write path for dynamic factors: the lists
-    /// only grow when a genuine fill-in appears.  Returns `true` when a
-    /// structural insert happened.
-    pub fn set_or_drop_zero(&mut self, i: usize, j: usize, value: f64) -> bool {
-        assert!(i < self.n_rows && j < self.n_cols, "index out of bounds");
-        match self.probe_row(i, j) {
-            Ok(pos) => {
-                self.row_vals[i][pos] = value;
-                false
+    /// Rewrites row `i` from list position `start` on — Bennett's "row `k` of
+    /// `U`" when `start` is one past the diagonal.  Visits, in ascending
+    /// column order, every stored entry at or after `start` together with
+    /// every column of `support` (sorted, all greater than the column before
+    /// `start`), calls `f(column, old)` with `old = 0.0` for an absent
+    /// position, and stores the result where it differs from `old`.  The
+    /// cursor needs no search: a fill-in (a non-zero result on an absent
+    /// position) is spliced in where the cursor stands; an exact zero on an
+    /// absent position inserts nothing, so the lists only grow for genuine
+    /// fill-ins, while a zero on a present position keeps its node.
+    pub fn update_row_from(
+        &mut self,
+        i: usize,
+        start: usize,
+        support: &[usize],
+        mut f: impl FnMut(usize, f64) -> f64,
+    ) {
+        let (mut pos, mut s) = (start, 0);
+        while let Some((j, present)) =
+            merge_step(self.row_cols[i].get(pos).copied(), support, &mut s)
+        {
+            if present {
+                let old = self.row_vals[i][pos];
+                let new = f(j, old);
+                if new != old {
+                    self.row_vals[i][pos] = new;
+                }
+            } else {
+                let new = f(j, 0.0);
+                if new == 0.0 {
+                    continue;
+                }
+                assert!(j < self.n_cols, "index out of bounds");
+                self.insert_at(i, j, pos, new);
             }
-            Err(_) if value == 0.0 => false,
-            Err(pos) => {
-                self.insert_at(i, j, pos, value);
-                true
+            pos += 1;
+        }
+    }
+
+    /// Rewrites column `j` below row `after` — Bennett's "column `k` of `L`"
+    /// when `after == j`.  Same visiting order and write rule as
+    /// [`AdjacencyMatrix::update_row_from`], over the column's row list
+    /// merged with `support` (sorted rows, all `> after`).  Values live in
+    /// the row arrays, so a stored entry costs **one** search of its row,
+    /// serving both the read and the write; a row that only `support` names
+    /// is absent from the column by the lists' own invariant, reads as zero
+    /// without a search, and is searched only when a fill-in has to be
+    /// spliced into it (the column list takes the row at the cursor).
+    pub fn update_col_after(
+        &mut self,
+        j: usize,
+        after: usize,
+        support: &[usize],
+        mut f: impl FnMut(usize, f64) -> f64,
+    ) {
+        self.probes += search_steps(self.cols[j].len());
+        let mut cpos = self.cols[j].partition_point(|&r| r <= after);
+        let mut s = 0;
+        while let Some((i, present)) = merge_step(self.cols[j].get(cpos).copied(), support, &mut s)
+        {
+            if present {
+                if let Ok(pos) = self.locate(i, j) {
+                    let old = self.row_vals[i][pos];
+                    let new = f(i, old);
+                    if new != old {
+                        self.row_vals[i][pos] = new;
+                    }
+                }
+            } else {
+                let new = f(i, 0.0);
+                if new == 0.0 {
+                    continue;
+                }
+                assert!(i < self.n_rows, "index out of bounds");
+                if let Err(pos) = self.locate(i, j) {
+                    self.inserts += 1;
+                    self.row_cols[i].insert(pos, j);
+                    self.row_vals[i].insert(pos, new);
+                    self.cols[j].insert(cpos, i);
+                }
             }
+            cpos += 1;
         }
     }
 
@@ -252,7 +311,7 @@ impl AdjacencyMatrix {
     /// when absent.
     pub fn add_to(&mut self, i: usize, j: usize, delta: f64) {
         assert!(i < self.n_rows && j < self.n_cols, "index out of bounds");
-        match self.probe_row(i, j) {
+        match self.locate(i, j) {
             Ok(pos) => {
                 self.row_vals[i][pos] += delta;
             }
@@ -265,12 +324,11 @@ impl AdjacencyMatrix {
     /// Structurally removes `(i, j)`; returns `true` when something was
     /// removed.
     pub fn remove(&mut self, i: usize, j: usize) -> bool {
-        match self.probe_row(i, j) {
+        match self.locate(i, j) {
             Ok(pos) => {
                 self.row_cols[i].remove(pos);
                 self.row_vals[i].remove(pos);
-                let steps = search_steps(self.cols[j].len());
-                self.count_probes(steps);
+                self.probes += search_steps(self.cols[j].len());
                 if let Ok(cpos) = self.cols[j].binary_search(&i) {
                     self.cols[j].remove(cpos);
                 }
@@ -305,25 +363,9 @@ impl AdjacencyMatrix {
         &self.row_vals[i]
     }
 
-    /// The columns of row `i` strictly greater than `j`, as a borrowed sorted
-    /// slice (one accounted binary search, no allocation).
-    pub fn row_cols_after(&self, i: usize, j: usize) -> &[usize] {
-        let row = &self.row_cols[i];
-        self.count_probes(search_steps(row.len()));
-        &row[row.partition_point(|&c| c <= j)..]
-    }
-
     /// Sorted row indices with a structural entry in column `j`.
     pub fn col_rows(&self, j: usize) -> &[usize] {
         &self.cols[j]
-    }
-
-    /// The rows of column `j` strictly greater than `i`, as a borrowed sorted
-    /// slice (one accounted binary search, no allocation).
-    pub fn col_rows_after(&self, j: usize, i: usize) -> &[usize] {
-        let col = &self.cols[j];
-        self.count_probes(search_steps(col.len()));
-        &col[col.partition_point(|&r| r <= i)..]
     }
 
     /// The current sparsity pattern.
@@ -397,7 +439,7 @@ impl AdjacencyMatrix {
         self.cols = new_cols;
         self.inserts = stats.inserts;
         self.removals = stats.removals;
-        *self.probes.get_mut() = stats.probes;
+        self.probes = stats.probes;
     }
 }
 
@@ -429,7 +471,7 @@ mod tests {
         let mut adj = AdjacencyMatrix::zeros(2, 2);
         assert!(adj.set(0, 1, 5.0));
         assert!(!adj.set(0, 1, 6.0));
-        assert_eq!(adj.peek(0, 1), 6.0);
+        assert_eq!(adj.get(0, 1), 6.0);
         assert_eq!(adj.stats().inserts, 1);
         assert!(adj.contains(0, 1));
         assert!(!adj.contains(1, 0));
@@ -447,7 +489,7 @@ mod tests {
         let mut adj = AdjacencyMatrix::zeros(2, 2);
         adj.add_to(1, 1, 2.0);
         adj.add_to(1, 1, 3.0);
-        assert_eq!(adj.peek(1, 1), 5.0);
+        assert_eq!(adj.get(1, 1), 5.0);
         assert_eq!(adj.stats().inserts, 1);
     }
 
@@ -462,30 +504,72 @@ mod tests {
     }
 
     #[test]
-    fn set_or_drop_zero_skips_absent_zero_writes() {
-        let mut adj = AdjacencyMatrix::zeros(3, 3);
-        assert!(!adj.set_or_drop_zero(0, 1, 0.0));
-        assert_eq!(adj.stats().inserts, 0);
-        assert!(adj.set_or_drop_zero(0, 1, 2.0));
-        // Present positions accept exact zeros (cancellation keeps the slot).
-        assert!(!adj.set_or_drop_zero(0, 1, 0.0));
-        assert!(adj.contains(0, 1));
-        assert_eq!(adj.stats().inserts, 1);
+    fn walks_skip_absent_zero_writes_and_keep_present_zeros() {
+        let mut adj = AdjacencyMatrix::zeros(4, 4);
+        adj.set(0, 0, 5.0);
+        // Row walk past the diagonal: an exact zero on an absent position
+        // inserts nothing, a non-zero is spliced in at the cursor.
+        adj.update_row_from(0, 1, &[1, 3], |j, old| {
+            assert_eq!(old, 0.0);
+            if j == 3 {
+                2.0
+            } else {
+                0.0
+            }
+        });
+        assert_eq!(adj.row(0), (&[0usize, 3][..], &[5.0, 2.0][..]));
+        assert_eq!(adj.col_rows(3), &[0]);
+        assert_eq!(adj.stats().inserts, 2);
+        // A present position accepts an exact zero (cancellation keeps the
+        // node), and the walk reads the stored value back.
+        adj.update_row_from(0, 1, &[], |j, old| {
+            assert_eq!((j, old), (3, 2.0));
+            0.0
+        });
+        assert!(adj.contains(0, 3));
+        assert_eq!(adj.get(0, 3), 0.0);
+        assert_eq!(adj.stats().inserts, 2);
+        // Column walk: stored rows and support rows merge in ascending order,
+        // fill-ins land in both the row arrays and the column list.
+        adj.set(2, 0, 7.0);
+        let mut seen = Vec::new();
+        adj.update_col_after(0, 0, &[1, 2, 3], |i, old| {
+            seen.push((i, old));
+            if i == 1 {
+                0.0
+            } else {
+                old + 1.0
+            }
+        });
+        assert_eq!(seen, vec![(1, 0.0), (2, 7.0), (3, 0.0)]);
+        assert_eq!(adj.col_rows(0), &[0, 2, 3]);
+        assert_eq!(adj.get(2, 0), 8.0);
+        assert_eq!(adj.get(3, 0), 1.0);
+        assert!(!adj.contains(1, 0));
     }
 
     #[test]
-    fn readonly_lookups_count_search_steps() {
-        let adj = AdjacencyMatrix::from_csr(&sample_csr());
-        let before = adj.stats().probes;
-        // Row 0 has 2 entries: a search costs floor(log2(2)) + 1 = 2 steps.
-        adj.peek(0, 2);
-        assert_eq!(adj.stats().probes - before, 2);
+    fn only_mutating_paths_count_search_steps() {
+        let mut adj = AdjacencyMatrix::from_csr(&sample_csr());
+        // Reads through `&self` are not billed.
+        adj.get(0, 2);
         adj.contains(0, 1);
-        assert_eq!(adj.stats().probes - before, 4);
+        assert_eq!(adj.stats().probes, 0);
+        // Row 0 has 2 entries: a search costs floor(log2(2)) + 1 = 2 steps.
+        assert_eq!(adj.locate(0, 2), Ok(1));
+        assert_eq!(adj.stats().probes, 2);
+        assert_eq!(adj.locate(0, 1), Err(1));
+        assert_eq!(adj.stats().probes, 4);
         // An empty row still costs one step.
-        let empty = AdjacencyMatrix::zeros(2, 2);
-        empty.get(0, 0);
+        let mut empty = AdjacencyMatrix::zeros(2, 2);
+        assert_eq!(empty.locate(0, 0), Err(0));
         assert_eq!(empty.stats().probes, 1);
+        // A row walk splices at its cursor: the only search a fill-in costs
+        // is the column-index insert, and stored entries cost none.
+        adj.reset_stats();
+        adj.update_row_from(0, 1, &[1], |_, old| old + 1.0);
+        assert_eq!(adj.row(0), (&[0usize, 1, 2][..], &[1.0, 1.0, 3.0][..]));
+        assert_eq!(adj.stats().probes, search_steps(1));
     }
 
     #[test]
@@ -515,15 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_scans_return_strict_suffixes() {
-        let adj = AdjacencyMatrix::from_csr(&sample_csr());
-        assert_eq!(adj.col_rows_after(0, 0), &[2]);
-        assert_eq!(adj.col_rows_after(0, 2), &[] as &[usize]);
-        assert_eq!(adj.row_cols_after(0, 0), &[2]);
-        assert_eq!(adj.row_cols_after(0, 2), &[] as &[usize]);
-    }
-
-    #[test]
     fn pattern_matches_csr_pattern() {
         let csr = sample_csr();
         let adj = AdjacencyMatrix::from_csr(&csr);
@@ -540,9 +615,9 @@ mod tests {
         adj.restructure_to(&target);
         assert_eq!(adj.pattern(), target);
         // Retained values survive, new positions are zero.
-        assert_eq!(adj.peek(0, 0), 1.0);
-        assert_eq!(adj.peek(1, 1), 3.0);
-        assert_eq!(adj.peek(2, 2), 0.0);
+        assert_eq!(adj.get(0, 0), 1.0);
+        assert_eq!(adj.get(1, 1), 3.0);
+        assert_eq!(adj.get(2, 2), 0.0);
         let stats = adj.stats();
         assert_eq!(stats.inserts, 2);
         assert_eq!(stats.removals, 2);

@@ -119,7 +119,7 @@ proptest! {
         adj.restructure_to(&target);
         prop_assert_eq!(adj.pattern(), target);
         for (i, j, v) in a.iter() {
-            prop_assert_eq!(adj.peek(i, j), v);
+            prop_assert_eq!(adj.get(i, j), v);
         }
     }
 

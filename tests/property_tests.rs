@@ -6,11 +6,15 @@
 // Indexed loops mirror the paper's matrix notation.
 #![allow(clippy::needless_range_loop)]
 
+#[path = "../crates/lu/tests/common/mod.rs"]
+mod common;
+
 use clude_lu::{
-    apply_delta, factorize_fresh, markowitz_ordering, symbolic_decomposition, DynamicLuFactors,
-    LuFactors, LuStructure,
+    factorize_fresh, markowitz_ordering, symbolic_decomposition, DynamicLuFactors, LuFactors,
+    LuStructure,
 };
 use clude_sparse::{CooMatrix, CsrMatrix, Ordering, Permutation, SparsityPattern};
+use common::apply_delta;
 use proptest::prelude::*;
 
 /// Strategy: a random sparse, strictly diagonally dominant matrix of order
