@@ -4,8 +4,7 @@
 //! Run with:
 //! ```text
 //! cargo run --release --bin engine_throughput -- [n_pages] [n_query_threads] \
-//!     [--shards N] [--batch N] [--solver gauss-seidel|woodbury] \
-//!     [--woodbury-rank K] [--repartition-budget N] [--query-threads N] \
+//!     [--shards N] [--batch N] [--repartition-budget N] [--query-threads N] \
 //!     [--batch-window-us U] [--stale-budget K] [--smoke] \
 //!     [--churn value|structure|mixed] \
 //!     [--metrics-out PATH] [--no-telemetry] \
@@ -18,11 +17,10 @@
 //! deltas/sec and the query latency quantiles.  `--batch N` sets the ingest
 //! batch-cut size (default 64) — smaller batches touch fewer shards each,
 //! which is the regime where the snapshot ring's copy-on-write sharing pays
-//! (the sharing stats are printed either way).  `--solver` picks the
-//! coupling-solver strategy of sharded queries (default `gauss-seidel`;
-//! `--woodbury-rank` caps the cached correction, default 512), and
-//! `--repartition-budget` enables adaptive re-partitioning when the live
-//! coupling crosses the given entry count.  `--query-threads N` sets the
+//! (the sharing stats are printed either way).  Sharded queries are solved
+//! by block Gauss–Seidel over the coupling (sweeps per query are in the
+//! `coupling |` stats line); `--repartition-budget` enables adaptive
+//! re-partitioning when the live coupling crosses the given entry count.  `--query-threads N` sets the
 //! reader thread count explicitly (same as the second positional), and the
 //! report breaks queries/sec down per thread.  `--batch-window-us U` makes
 //! the query batcher's leader dwell `U` microseconds so concurrent cache
@@ -61,8 +59,8 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use clude_engine::{
-    BatchPolicy, CludeEngine, CouplingConfig, CouplingSolver, DurabilityConfig, EngineConfig,
-    RefreshPolicy, StalenessBudget,
+    BatchPolicy, CludeEngine, CouplingConfig, DurabilityConfig, EngineConfig, RefreshPolicy,
+    StalenessBudget,
 };
 use clude_graph::generators::wiki_like::{self, WikiLikeConfig};
 use clude_graph::EvolvingGraphSequence;
@@ -171,8 +169,6 @@ fn main() {
     let mut n_query_threads: Option<usize> = None;
     let mut n_shards: usize = 1;
     let mut batch_size: usize = 64;
-    let mut solver_name = String::from("gauss-seidel");
-    let mut woodbury_rank: usize = CouplingSolver::DEFAULT_WOODBURY_RANK;
     let mut repartition_budget: Option<usize> = None;
     let mut batch_window_us: u64 = 0;
     let mut stale_budget: u64 = 0;
@@ -199,15 +195,6 @@ fn main() {
                     .and_then(|a| a.parse().ok())
                     .expect("--batch needs a positive integer");
                 assert!(batch_size >= 1, "--batch needs a positive integer");
-            }
-            "--solver" => {
-                solver_name = args.next().expect("--solver needs a strategy name");
-            }
-            "--woodbury-rank" => {
-                woodbury_rank = args
-                    .next()
-                    .and_then(|a| a.parse().ok())
-                    .expect("--woodbury-rank needs a non-negative integer");
             }
             "--repartition-budget" => {
                 repartition_budget = Some(
@@ -285,13 +272,6 @@ fn main() {
             }
         }
     }
-    let solver = match solver_name.as_str() {
-        "gauss-seidel" | "gs" => CouplingSolver::GaussSeidel,
-        "woodbury" => CouplingSolver::Woodbury {
-            max_rank: woodbury_rank,
-        },
-        other => panic!("unknown --solver {other:?} (expected gauss-seidel or woodbury)"),
-    };
     let n_pages = n_pages.unwrap_or(if smoke { 150 } else { 400 });
     // Default to cores − 1 query threads (min 1) so the ingest thread is not
     // starved on small machines; pass an explicit count to override.
@@ -365,7 +345,7 @@ fn main() {
         ops.len()
     );
     println!(
-        "replay: {} pages, {} snapshots archived, {} edge operations ({} churn), {} query threads, {} factor shard(s), batch {}, solver {}{}{}",
+        "replay: {} pages, {} snapshots archived, {} edge operations ({} churn), {} query threads, {} factor shard(s), batch {}{}{}",
         egs.n_nodes(),
         egs.len(),
         ops.len(),
@@ -373,7 +353,6 @@ fn main() {
         n_query_threads,
         n_shards,
         batch_size,
-        solver.name(),
         match repartition_budget {
             Some(b) => format!(", repartition-budget {b}"),
             None => String::new(),
@@ -394,7 +373,6 @@ fn main() {
         cache_capacity_per_shard: 256,
         n_shards,
         coupling: CouplingConfig {
-            solver,
             repartition_budget,
             ..CouplingConfig::default()
         },
@@ -635,8 +613,8 @@ fn main() {
         100.0 * stats.hit_rate()
     );
     println!(
-        "latency [{} x {} shard(s), coupling nnz {}]:",
-        stats.solver, n_shards, stats.coupling_nnz
+        "latency [{} shard(s), coupling nnz {}]:",
+        n_shards, stats.coupling_nnz
     );
     println!(
         "  p50 {:?}  p90 {:?}  p95 {:?}  p99 {:?}  max {:?}",

@@ -1,101 +1,35 @@
-//! Pluggable solvers for the cross-shard coupling of sharded snapshots.
+//! The coupled solve of sharded snapshots: block Gauss–Seidel over the
+//! cross-shard coupling.
 //!
 //! A sharded [`EngineSnapshot`] holds per-shard factors of
 //! `B = blockdiag(A_ss)` plus the frozen cross-shard coupling `C`, and every
 //! query must solve `(B + C) x = b` *exactly* (to the block tolerance, well
-//! under the engine's 1e-9 equivalence bar).  How much that costs depends
-//! entirely on how dense `C` is — which is why the strategy is pluggable:
+//! under the engine's 1e-9 equivalence bar).  There is one way to do that:
+//! the fixed point `x ← B⁻¹(b − C·x)` swept shard by shard, each shard's
+//! solve inside a sweep already using the solutions of the shards updated
+//! before it, traversed in an order derived from the coupling's
+//! shard-to-shard dependency weights ([`CouplingPlan::gs_order`]).  Sweeps
+//! are proportional to `1/log(1/ρ)` digits, and **one** sweep is the exact
+//! solve when the shard dependency digraph is acyclic
+//! ([`CouplingPlan::is_triangular`]).
 //!
-//! * [`CouplingSolver::GaussSeidel`] — the fixed point `x ← B⁻¹(b − C·x)`
-//!   swept shard by shard: each shard's solve inside a sweep already uses
-//!   the solutions of the shards updated before it, traversed in an order
-//!   derived from the coupling's shard-to-shard dependency weights
-//!   ([`CouplingPlan::gs_order`]); sweeps are proportional to
-//!   `1/log(1/ρ)` digits.
-//! * [`CouplingSolver::Woodbury`] — capture the `k` hottest coupling columns
-//!   into a cached low-rank correction (`clude_lu::lowrank`) at
-//!   snapshot-freeze time; a solve is then one block pass plus one `k×k`
-//!   dense substitution, with sweeps only over the (cold) remainder columns
-//!   — and none at all when the correction captured the whole coupling.
-//!
-//! Both strategies converge to the same solution: the splitting
-//! `A = M − N` behind each of them is regular for the engine's column-wise
-//! strictly diagonally dominant M-matrices (`I − d·W`, shifted Laplacians),
-//! so the fixed point is the exact solve and the strategies differ only in
-//! how fast they reach it.  A store without coupling — one shard, or shards
-//! no edge crosses — never iterates: its solve is one pass of substitutions
-//! (see `solve_systems`).  The per-snapshot metadata each strategy needs —
-//! the Gauss–Seidel traversal order and the Woodbury correction — is frozen
-//! into a shared [`CouplingPlan`] that the copy-on-write snapshot ring
-//! shares exactly like factor blocks.
+//! The splitting `A = M − N` behind the iteration is regular for the
+//! engine's column-wise strictly diagonally dominant M-matrices (`I − d·W`,
+//! shifted Laplacians), so the fixed point is the exact solve.  A store
+//! without coupling — one shard, or shards no edge crosses — never iterates:
+//! its solve is one pass of substitutions (see `solve_systems`).  The
+//! per-snapshot metadata of the iteration — the traversal order and the
+//! triangularity verdict — is a pure function of (partition, frozen
+//! coupling), frozen into a [`CouplingPlan`] wherever the coupling is and
+//! shared through the copy-on-write snapshot ring by the same rule.
 
 use crate::store::{EngineSnapshot, ShardSnapshot};
-use clude::DecomposedMatrix;
 use clude_graph::NodePartition;
-use clude_lu::{CorrectionScratch, LowRankCorrection, LuError, LuResult, PanelScratch};
+use clude_lu::{LuError, LuResult, PanelScratch};
 use clude_sparse::CsrMatrix;
 use clude_telemetry::{Counter, EngineEvent, Stage};
-use std::collections::BTreeSet;
 
-/// Which strategy combines the per-shard block solves with the cross-shard
-/// coupling at query time.  Selected per snapshot: the store stamps its
-/// configured strategy onto every snapshot it publishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CouplingSolver {
-    /// Block Gauss–Seidel: within one sweep each shard solve sees the
-    /// just-updated solutions of the shards traversed before it, in the
-    /// dependency-weight order cached in the snapshot's [`CouplingPlan`].
-    GaussSeidel,
-    /// Cached Woodbury correction over the `max_rank` hottest coupling
-    /// columns; the cold remainder (if any) is iterated Gauss–Seidel-style
-    /// through the corrected operator, which contracts far faster than the
-    /// full coupling.
-    Woodbury {
-        /// Maximum number of coupling columns the cached correction may
-        /// capture.  Each captured column costs one dense length-`n` vector
-        /// of memory and one block solve whenever the correction is rebuilt
-        /// (coupling changed, or a shard it depends on re-froze).
-        max_rank: usize,
-    },
-}
-
-impl CouplingSolver {
-    /// Default capture budget of [`CouplingSolver::woodbury`].
-    ///
-    /// Sized to capture the *whole* coupling of typical partitioned streams
-    /// (cross columns at the engine's benchmark scale number in the low
-    /// hundreds), because a full capture is what makes solves direct — a
-    /// rank-starved correction still answers exactly but has to iterate
-    /// over its remainder, which can cost more per sweep than plain
-    /// Gauss–Seidel.  Lower it when the dense `n × k` cached `Z` would not
-    /// fit memory at your universe size.
-    pub const DEFAULT_WOODBURY_RANK: usize = 512;
-
-    /// The Woodbury strategy with the default capture budget.
-    pub fn woodbury() -> Self {
-        CouplingSolver::Woodbury {
-            max_rank: Self::DEFAULT_WOODBURY_RANK,
-        }
-    }
-
-    /// Short display name for stats, logs and CLI flags.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CouplingSolver::GaussSeidel => "gauss-seidel",
-            CouplingSolver::Woodbury { .. } => "woodbury",
-        }
-    }
-}
-
-impl Default for CouplingSolver {
-    /// Gauss–Seidel: free of the Woodbury strategy's freeze-time rebuild
-    /// cost.
-    fn default() -> Self {
-        CouplingSolver::GaussSeidel
-    }
-}
-
-/// Stopping rule of the iterative coupling solves: a relative
+/// Stopping rule of the coupled Gauss–Seidel iteration: a relative
 /// iterate-change tolerance plus a hard sweep budget.
 ///
 /// Because the engine's block splittings contract strictly, an iterate
@@ -124,6 +58,23 @@ impl SolveTolerance {
         2.0 * self.tol
     }
 
+    /// Rejects a rule no solve can meet: with a non-finite or non-positive
+    /// `tol` the acceptance test never passes, and with `max_sweeps: 0` it
+    /// never runs — either way every coupled query would burn its budget and
+    /// return [`LuError::ConvergenceFailure`].
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if !(self.tol.is_finite() && self.tol > 0.0) {
+            return Err(format!(
+                "coupling tolerance must be finite and positive, got {}",
+                self.tol
+            ));
+        }
+        if self.max_sweeps == 0 {
+            return Err("coupling max_sweeps must be at least 1".into());
+        }
+        Ok(())
+    }
+
     fn accepted(&self, diff: f64, scale: f64, last_diff: f64) -> bool {
         // Deliberately *not* combined with an observed-contraction early
         // exit: the instantaneous ∞-norm ratio oscillates for nonsymmetric
@@ -143,14 +94,12 @@ impl Default for SolveTolerance {
     }
 }
 
-/// Everything the engine needs to know about coupled solves: the strategy,
-/// its stopping rule, and when the sharded store should abandon its
+/// Everything the engine needs to know about coupled solves: the stopping
+/// rule of the iteration, and when the sharded store should abandon its
 /// partition.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CouplingConfig {
-    /// The combination strategy stamped onto published snapshots.
-    pub solver: CouplingSolver,
-    /// Stopping rule of the iterative strategies.
+    /// Stopping rule of the Gauss–Seidel iteration.
     pub tolerance: SolveTolerance,
     /// Adaptive re-partitioning: when the live coupling's entry count
     /// crosses this budget, the sharded store re-runs the edge-locality
@@ -161,25 +110,11 @@ pub struct CouplingConfig {
     pub repartition_budget: Option<usize>,
 }
 
-/// The entries of one captured coupling column in the engine's Woodbury
-/// correction: the [`LowRankCorrection`] itself, the cold remainder of the
-/// coupling, and the shards whose frozen factors the cached `Z = B⁻¹U`
-/// depends on.
-#[derive(Debug)]
-struct PlanCorrection {
-    lowrank: LowRankCorrection,
-    /// The coupling minus the captured columns — what the fixed-point
-    /// iteration still has to sweep over (empty: solves are direct).
-    rest: CsrMatrix,
-    /// Shards where a captured column has support.  A batch that re-froze
-    /// only other shards leaves the cached correction valid.
-    support: BTreeSet<usize>,
-}
-
-/// Frozen per-snapshot solver metadata, shared through the copy-on-write
-/// snapshot ring exactly like factor blocks: consecutive snapshots are
-/// [`Arc::ptr_eq`](std::sync::Arc::ptr_eq) on their plan whenever neither
-/// the coupling nor a shard the cached correction depends on changed.
+/// Frozen per-snapshot metadata of the coupled solve — a pure function of
+/// (partition, frozen coupling), built wherever the coupling is re-frozen
+/// and shared through the copy-on-write snapshot ring by the same rule:
+/// consecutive snapshots are [`Arc::ptr_eq`](std::sync::Arc::ptr_eq) on
+/// their plan exactly when they are on their coupling.
 #[derive(Debug)]
 pub struct CouplingPlan {
     /// Gauss–Seidel shard traversal order, least-dependent shard first.
@@ -188,54 +123,18 @@ pub struct CouplingPlan {
     /// topological order of it — block triangular form.  When set, one
     /// Gauss–Seidel sweep in `gs_order` is the *exact* solve (every coupling
     /// entry a shard reads was updated earlier in the same sweep), so the
-    /// iterative arms return after a single sweep and the Woodbury
-    /// correction is never built.
+    /// iteration returns after a single sweep.
     triangular: bool,
-    correction: Option<PlanCorrection>,
 }
 
 impl CouplingPlan {
-    /// Builds the plan for one frozen (partition, factor blocks, coupling)
-    /// triple: always derives the Gauss–Seidel order, and for the Woodbury
-    /// strategy also factors the hottest coupling columns into the cached
-    /// correction (one block solve per captured column).
-    pub(crate) fn build<D: AsRef<DecomposedMatrix>>(
-        partition: &NodePartition,
-        blocks: &[D],
-        coupling: &CsrMatrix,
-        solver: CouplingSolver,
-    ) -> LuResult<Self> {
-        let k = partition.n_shards();
-        let (gs_order, triangular) = if k <= 1 || coupling.nnz() == 0 {
-            // No coupling: vacuously triangular (never consulted — empty
-            // couplings short-circuit before the iterative arms).
-            ((0..k).collect(), true)
-        } else {
-            let w = shard_dependency_weights(k, partition, coupling);
-            // Triangularity is detected from the *actual* frozen coupling, so
-            // it never depends on where the partition came from: a BTF
-            // partition gets its one-sweep guarantee verified here, and any
-            // partition whose cross-structure happens to be acyclic gets the
-            // same direct solve for free.
-            match topological_shard_order(k, &w) {
-                Some(topo) => (topo, true),
-                None => (greedy_order_from_weights(k, &w), false),
-            }
-        };
-        let correction = match solver {
-            // A triangular coupling never builds the correction: one
-            // Gauss–Seidel sweep is already the exact direct solve, cheaper
-            // than a block pass plus the dense k×k substitution.
-            CouplingSolver::Woodbury { max_rank } if coupling.nnz() > 0 && !triangular => {
-                build_correction(partition, blocks, coupling, max_rank)?
-            }
-            _ => None,
-        };
-        Ok(CouplingPlan {
+    /// Builds the plan for one frozen (partition, coupling) pair.
+    pub(crate) fn build(partition: &NodePartition, coupling: &CsrMatrix) -> Self {
+        let (gs_order, triangular) = gauss_seidel_order(partition, coupling);
+        CouplingPlan {
             gs_order,
             triangular,
-            correction,
-        })
+        }
     }
 
     /// The Gauss–Seidel shard traversal order.
@@ -250,47 +149,22 @@ impl CouplingPlan {
         self.triangular
     }
 
-    /// Rank of the cached Woodbury correction (`None` when the plan carries
-    /// no correction — empty coupling, non-Woodbury strategy, or the
-    /// defensive singular-Schur fallback).
-    pub fn correction_rank(&self) -> Option<usize> {
-        self.correction.as_ref().map(|c| c.lowrank.rank())
-    }
-
-    /// Coupling entries the cached correction did *not* capture (0 when a
-    /// correction exists and covers the whole coupling).
-    pub fn correction_rest_nnz(&self) -> Option<usize> {
-        self.correction.as_ref().map(|c| c.rest.nnz())
-    }
-
-    /// Whether the cached correction depends on shard `s`'s frozen factors.
-    /// Re-freezing a shard outside this set keeps the plan shareable.
-    pub(crate) fn depends_on_shard(&self, s: usize) -> bool {
-        self.correction
-            .as_ref()
-            .is_some_and(|c| c.support.contains(&s))
-    }
-
-    /// Rough resident size in bytes (the dense `Z` of the correction
-    /// dominates), for the engine's snapshot-ring memory accounting.
+    /// Resident size in bytes (the order vector), for the engine's
+    /// snapshot-ring memory accounting.
     pub fn approx_bytes(&self) -> usize {
         self.gs_order.len() * std::mem::size_of::<usize>()
-            + self.correction.as_ref().map_or(0, |c| {
-                c.lowrank.approx_bytes() + c.rest.nnz() * 16 + c.support.len() * 8
-            })
     }
 }
 
 /// Reused buffers of one coupled solve: the gathered per-shard right-hand
-/// side panel, the recovered per-shard solution panel, the triangular panel
-/// scratch underneath, and the Woodbury correction scratch.  Allocated once
-/// per query; every sweep after the first reuses the grown capacity.
+/// side panel, the recovered per-shard solution panel, and the triangular
+/// panel scratch underneath.  Allocated once per query; every sweep after
+/// the first reuses the grown capacity.
 #[derive(Debug, Default)]
-pub(crate) struct PanelBlockScratch {
+struct PanelBlockScratch {
     local_rhs: Vec<f64>,
     local_x: Vec<f64>,
     lu: PanelScratch,
-    correction: CorrectionScratch,
 }
 
 /// One pass of `B⁻¹` over `n_rhs` right-hand sides stacked column-major in
@@ -299,9 +173,9 @@ pub(crate) struct PanelBlockScratch {
 /// the whole panel.  Per panel column the arithmetic does not depend on the
 /// panel's width, so every stripe of `out` is bit-identical to the same
 /// pass at width 1.
-pub(crate) fn solve_blocks_many<D: AsRef<DecomposedMatrix>>(
+fn solve_blocks_many(
     partition: &NodePartition,
-    blocks: &[D],
+    blocks: &[ShardSnapshot],
     rhs: &[f64],
     n_rhs: usize,
     out: &mut [f64],
@@ -318,7 +192,7 @@ pub(crate) fn solve_blocks_many<D: AsRef<DecomposedMatrix>>(
             let stripe = &rhs[c * n..(c + 1) * n];
             scratch.local_rhs.extend(nodes.iter().map(|&g| stripe[g]));
         }
-        block.as_ref().solve_many_into(
+        block.decomposed().solve_many_into(
             &scratch.local_rhs,
             n_rhs,
             &mut scratch.lu,
@@ -344,13 +218,11 @@ pub(crate) fn solve_blocks_many<D: AsRef<DecomposedMatrix>>(
 ///
 /// Fast paths first: a single shard without coupling is one pair of
 /// substitutions, and fully decoupled shards need exactly one block pass.
-/// Everything else goes through the snapshot's [`CouplingSolver`]; a
-/// Woodbury snapshot whose plan carries no correction (triangular coupling,
-/// or the defensive singular-Schur fallback) runs Gauss–Seidel.
+/// Everything else is block Gauss–Seidel in the plan's order.
 ///
 /// Every stripe of the result is **bit-identical** to a width-1 call on
-/// that stripe: the direct arms reuse the panel kernels' per-column
-/// bit-identity, and the iterative arms run a joint sweep loop in which each
+/// that stripe: the direct paths reuse the panel kernels' per-column
+/// bit-identity, and the iteration runs a joint sweep loop in which each
 /// column carries its own convergence state and is frozen the moment its
 /// own acceptance test passes — so per column the sweep count, every
 /// intermediate iterate, and the final answer do not depend on which other
@@ -377,52 +249,16 @@ pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> L
             .solve_many_into(b, n_rhs, &mut scratch, &mut x)?;
         return Ok(x);
     }
-    let partition = snap.partition();
     let mut scratch = PanelBlockScratch::default();
     if coupling.nnz() == 0 {
         let mut x = vec![0.0; n * n_rhs];
-        solve_blocks_many(partition, shards, b, n_rhs, &mut x, &mut scratch)?;
+        solve_blocks_many(snap.partition(), shards, b, n_rhs, &mut x, &mut scratch)?;
         return Ok(x);
     }
-    let tolerance = snap.tolerance();
     let telemetry = snap.telemetry();
-    let result = match snap.solver() {
-        CouplingSolver::GaussSeidel => {
-            let _span = telemetry.span(Stage::CouplingGaussSeidel);
-            gauss_seidel_many(snap, b, n_rhs, &mut scratch)
-        }
-        CouplingSolver::Woodbury { .. } => match &snap.coupling_plan().correction {
-            Some(c) if c.rest.nnz() == 0 => {
-                // The correction captured the whole coupling: one block pass
-                // plus one k×k dense substitution is the exact solve.
-                let _span = telemetry.span(Stage::CouplingWoodburyApply);
-                let mut x = vec![0.0; n * n_rhs];
-                solve_blocks_many(partition, shards, b, n_rhs, &mut x, &mut scratch)?;
-                for col in 0..n_rhs {
-                    c.lowrank
-                        .apply_into(&mut x[col * n..(col + 1) * n], &mut scratch.correction)?;
-                }
-                Ok(x)
-            }
-            Some(c) => {
-                let _span = telemetry.span(Stage::CouplingWoodburyApply);
-                fixed_point_many(n, b, n_rhs, &c.rest, tolerance, |rhs, out| {
-                    solve_blocks_many(partition, shards, rhs, n_rhs, out, &mut scratch)?;
-                    for col in 0..n_rhs {
-                        c.lowrank.apply_into(
-                            &mut out[col * n..(col + 1) * n],
-                            &mut scratch.correction,
-                        )?;
-                    }
-                    Ok(())
-                })
-            }
-            None => {
-                let _span = telemetry.span(Stage::CouplingGaussSeidel);
-                gauss_seidel_many(snap, b, n_rhs, &mut scratch)
-            }
-        },
-    };
+    let span = telemetry.span(Stage::CouplingGaussSeidel);
+    let result = gauss_seidel_many(snap, b, n_rhs, &mut scratch);
+    span.stop();
     if let Err(LuError::ConvergenceFailure {
         iterations,
         last_diff,
@@ -439,84 +275,21 @@ pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> L
     result
 }
 
-/// Fixed-point iteration `x ← M⁻¹(b − R·x)` over a panel, with
-/// `apply_inverse` as `M⁻¹` and `residual` as `R` — the Woodbury remainder
-/// iteration (`M = B + C_hot`, `R = C_rest`).  The columns of the panel
-/// iterate jointly — one residual pass and one `apply_inverse` panel pass
-/// per sweep, all through reused buffers — but each column keeps its own
-/// `last_diff` and is **frozen** (its `x` stripe no longer written) the
-/// moment its own acceptance test passes.  Because the columns of a
-/// fixed-point iteration are arithmetically independent, each column's
-/// iterate sequence while active is exactly its width-1 sequence, so the
-/// converged stripes are bit-identical to width-1 solves.  Frozen columns
-/// still ride along in the panel passes (the width is fixed); their results
-/// are discarded.
-fn fixed_point_many<F>(
-    n: usize,
-    b: &[f64],
-    n_rhs: usize,
-    residual: &CsrMatrix,
-    tolerance: SolveTolerance,
-    mut apply_inverse: F,
-) -> LuResult<Vec<f64>>
-where
-    F: FnMut(&[f64], &mut [f64]) -> LuResult<()>,
-{
-    let mut x = vec![0.0; n * n_rhs];
-    let mut next = vec![0.0; n * n_rhs];
-    let mut rhs = vec![0.0; n * n_rhs];
-    let mut last_diff = vec![f64::INFINITY; n_rhs];
-    let mut done = vec![false; n_rhs];
-    let mut n_done = 0usize;
-    for _ in 0..tolerance.max_sweeps {
-        rhs.copy_from_slice(b);
-        for (i, j, v) in residual.iter() {
-            for c in 0..n_rhs {
-                if !done[c] {
-                    rhs[c * n + i] -= v * x[c * n + j];
-                }
-            }
-        }
-        apply_inverse(&rhs, &mut next)?;
-        for c in 0..n_rhs {
-            if done[c] {
-                continue;
-            }
-            let stripe = c * n..(c + 1) * n;
-            let (diff, scale) = diff_and_scale(&next[stripe.clone()], &x[stripe.clone()]);
-            x[stripe.clone()].copy_from_slice(&next[stripe]);
-            if tolerance.accepted(diff, scale, last_diff[c]) {
-                done[c] = true;
-                n_done += 1;
-            } else {
-                last_diff[c] = diff;
-            }
-        }
-        if n_done == n_rhs {
-            return Ok(x);
-        }
-    }
-    let worst = last_diff
-        .iter()
-        .zip(done.iter())
-        .filter(|&(_, &d)| !d)
-        .map(|(&l, _)| l)
-        .fold(0.0f64, f64::max);
-    Err(LuError::ConvergenceFailure {
-        iterations: tolerance.max_sweeps,
-        last_diff: worst,
-    })
-}
-
 /// Block Gauss–Seidel over a panel: one sweep updates the shards in the
 /// plan's dependency order, and each shard's right-hand side reads the
 /// *current* iterate — so the shards updated earlier in the sweep already
 /// contribute their new solutions.  Per sweep each shard gathers the coupled
 /// right-hand sides of every column, runs **one** panel solve over its
-/// factors, and scatters only the still-active columns — the same
-/// per-column freeze discipline as [`fixed_point_many`], so per column the
-/// arithmetic does not depend on the panel's width and converged stripes
-/// are bit-identical to width-1 solves.
+/// factors, and scatters only the still-active columns: each column keeps
+/// its own `last_diff` and is **frozen** (its `x` stripe no longer written)
+/// the moment its own acceptance test passes.  Because the columns of the
+/// iteration are arithmetically independent, each column's iterate sequence
+/// while active is exactly its width-1 sequence, so converged stripes are
+/// bit-identical to width-1 solves.  Frozen columns still ride along in the
+/// panel solves (the width is fixed); their results are discarded.
+///
+/// The sweep at which each column froze is recorded into the telemetry
+/// registry's sweep histogram — one sample per solved column.
 fn gauss_seidel_many(
     snap: &EngineSnapshot,
     b: &[f64],
@@ -528,6 +301,7 @@ fn gauss_seidel_many(
     let coupling = snap.coupling();
     let tolerance = snap.tolerance();
     let plan = snap.coupling_plan();
+    let telemetry = snap.telemetry();
     debug_assert_eq!(plan.gs_order.len(), shards.len());
     let n = snap.n_nodes();
     let mut x = vec![0.0; n * n_rhs];
@@ -535,7 +309,7 @@ fn gauss_seidel_many(
     let mut last_diff = vec![f64::INFINITY; n_rhs];
     let mut done = vec![false; n_rhs];
     let mut n_done = 0usize;
-    for _ in 0..tolerance.max_sweeps {
+    for sweep in 1..=tolerance.max_sweeps {
         prev.copy_from_slice(&x);
         for &s in &plan.gs_order {
             let nodes = partition.nodes_of(s);
@@ -571,6 +345,9 @@ fn gauss_seidel_many(
         }
         if plan.triangular {
             // Block triangular coupling: one sweep is exact for every column.
+            for _ in 0..n_rhs {
+                telemetry.observe_coupling_sweeps(1);
+            }
             return Ok(x);
         }
         for c in 0..n_rhs {
@@ -582,6 +359,7 @@ fn gauss_seidel_many(
             if tolerance.accepted(diff, scale, last_diff[c]) {
                 done[c] = true;
                 n_done += 1;
+                telemetry.observe_coupling_sweeps(sweep as u64);
             } else {
                 last_diff[c] = diff;
             }
@@ -614,20 +392,28 @@ fn diff_and_scale(new: &[f64], old: &[f64]) -> (f64, f64) {
 }
 
 /// Derives the Gauss–Seidel shard traversal order from the coupling's
-/// shard-to-shard dependency weights: a topological order of the dependency
-/// digraph when it is acyclic (the block-triangular case — one sweep in that
-/// order is the exact solve), else the greedy least-pending-weight order of
-/// [`greedy_order_from_weights`].  [`CouplingPlan::build`] inlines the same
-/// derivation (it also needs the triangularity verdict); this standalone form
-/// is kept for direct unit testing of the order.
-#[cfg(test)]
-fn gauss_seidel_order(partition: &NodePartition, coupling: &CsrMatrix) -> Vec<usize> {
+/// shard-to-shard dependency weights, with the triangularity verdict: a
+/// topological order of the dependency digraph when it is acyclic (the
+/// block-triangular case — one sweep in that order is the exact solve), else
+/// the greedy least-pending-weight order of [`greedy_order_from_weights`].
+///
+/// Triangularity is detected from the *actual* frozen coupling, so it never
+/// depends on where the partition came from: a BTF partition gets its
+/// one-sweep guarantee verified here, and any partition whose
+/// cross-structure happens to be acyclic gets the same direct solve for
+/// free.
+fn gauss_seidel_order(partition: &NodePartition, coupling: &CsrMatrix) -> (Vec<usize>, bool) {
     let k = partition.n_shards();
     if k <= 1 || coupling.nnz() == 0 {
-        return (0..k).collect();
+        // No coupling: vacuously triangular (never consulted — empty
+        // couplings short-circuit before the iteration).
+        return ((0..k).collect(), true);
     }
     let w = shard_dependency_weights(k, partition, coupling);
-    topological_shard_order(k, &w).unwrap_or_else(|| greedy_order_from_weights(k, &w))
+    match topological_shard_order(k, &w) {
+        Some(topo) => (topo, true),
+        None => (greedy_order_from_weights(k, &w), false),
+    }
 }
 
 /// The shard-to-shard dependency weights `w[s][t] = Σ |C[i,j]|` over `i ∈ s`,
@@ -700,88 +486,6 @@ fn greedy_order_from_weights(k: usize, w: &[f64]) -> Vec<usize> {
     order
 }
 
-/// Factors the `max_rank` hottest coupling columns (by absolute column
-/// weight) into the cached Woodbury correction: extracts the columns and the
-/// cold remainder in one CSR pass, forms `Z = B⁻¹U`, and factorizes the
-/// dense Schur complement.
-///
-/// The `Z` solves exploit the block structure: `B⁻¹` is block-diagonal, so a
-/// captured column only needs the shards its support touches — every other
-/// slice of its `Z` column is exactly zero.  A typical cross column touches
-/// one or two shards, so a rebuild costs far less than `k` full block-solve
-/// passes.
-fn build_correction<D: AsRef<DecomposedMatrix>>(
-    partition: &NodePartition,
-    blocks: &[D],
-    coupling: &CsrMatrix,
-    max_rank: usize,
-) -> LuResult<Option<PlanCorrection>> {
-    let n = coupling.n_rows();
-    let weights = coupling.col_abs_sums();
-    let mut hot: Vec<usize> = (0..n).filter(|&j| weights[j] > 0.0).collect();
-    // `total_cmp` orders every float (no `partial_cmp().expect(…)` panic
-    // surface); weights are non-negative sums of absolute values, so it
-    // agrees with the numeric order everywhere it matters.
-    hot.sort_by(|&a, &b| weights[b].total_cmp(&weights[a]).then(a.cmp(&b)));
-    hot.truncate(max_rank);
-    if hot.is_empty() {
-        return Ok(None);
-    }
-    let (columns, rest) = coupling
-        .split_columns(&hot)
-        // lint: allow(panic-surface) — `hot` is built from `(0..n)` filtered
-        // and truncated above: in bounds, sorted, and duplicate-free, which
-        // is exactly what `split_columns` validates.
-        .expect("hot columns index the coupling");
-    let mut z = vec![0.0; n * hot.len()];
-    let mut scratch = PanelBlockScratch::default();
-    let mut support = BTreeSet::new();
-    let mut col_shards = BTreeSet::new();
-    for (i, column) in columns.iter().enumerate() {
-        let zi = &mut z[i * n..(i + 1) * n];
-        col_shards.clear();
-        col_shards.extend(column.iter().map(|&(r, _)| partition.shard_of(r)));
-        for &s in &col_shards {
-            support.insert(s);
-            let nodes = partition.nodes_of(s);
-            scratch.local_rhs.clear();
-            scratch.local_rhs.resize(nodes.len(), 0.0);
-            for &(r, v) in column {
-                if partition.shard_of(r) == s {
-                    scratch.local_rhs[partition.local_of(r)] = v;
-                }
-            }
-            blocks[s].as_ref().solve_many_into(
-                &scratch.local_rhs,
-                1,
-                &mut scratch.lu,
-                &mut scratch.local_x,
-            )?;
-            for (l, &g) in nodes.iter().enumerate() {
-                zi[g] = scratch.local_x[l];
-            }
-        }
-    }
-    match LowRankCorrection::new(n, hot, z) {
-        Ok(lowrank) => Ok(Some(PlanCorrection {
-            lowrank,
-            rest,
-            support,
-        })),
-        // A singular Schur complement cannot arise for the engine's
-        // M-matrices (`B + U·Vᵀ` stays an M-matrix); if numerics ever
-        // disagree, degrade to sweeps instead of failing the snapshot.
-        Err(LuError::SingularPivot { .. }) => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-impl AsRef<DecomposedMatrix> for ShardSnapshot {
-    fn as_ref(&self) -> &DecomposedMatrix {
-        self.decomposed()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -789,21 +493,13 @@ mod tests {
 
     #[test]
     fn solver_names_and_defaults() {
-        assert_eq!(CouplingSolver::GaussSeidel.name(), "gauss-seidel");
-        assert_eq!(CouplingSolver::woodbury().name(), "woodbury");
-        assert_eq!(CouplingSolver::default(), CouplingSolver::GaussSeidel);
-        let tol = SolveTolerance::default();
-        assert_eq!(tol.tol, 1e-13);
-        assert_eq!(tol.max_sweeps, 100_000);
+        // The one solver's name is its stage: what the exposition, the traced
+        // benchmark (`stage.coupling.gauss_seidel.*`) and CI key on.
+        assert_eq!(Stage::CouplingGaussSeidel.name(), "coupling.gauss_seidel");
         let cfg = CouplingConfig::default();
-        assert_eq!(cfg.solver, CouplingSolver::GaussSeidel);
+        assert_eq!(cfg.tolerance.tol, 1e-13);
+        assert_eq!(cfg.tolerance.max_sweeps, 100_000);
         assert_eq!(cfg.repartition_budget, None);
-        assert!(matches!(
-            CouplingSolver::woodbury(),
-            CouplingSolver::Woodbury {
-                max_rank: CouplingSolver::DEFAULT_WOODBURY_RANK
-            }
-        ));
     }
 
     #[test]
@@ -826,15 +522,11 @@ mod tests {
     fn trivial_plan_is_identity_order_without_correction() {
         let partition = NodePartition::contiguous(6, 3);
         let empty = CsrMatrix::from_coo(&CooMatrix::new(6, 6));
-        let no_blocks: [ShardSnapshot; 0] = [];
-        let plan = CouplingPlan::build(&partition, &no_blocks, &empty, CouplingSolver::woodbury())
-            .unwrap();
+        let plan = CouplingPlan::build(&partition, &empty);
         assert!(plan.is_triangular());
         assert_eq!(plan.gs_order(), &[0, 1, 2]);
-        assert_eq!(plan.correction_rank(), None);
-        assert_eq!(plan.correction_rest_nnz(), None);
-        assert!(!plan.depends_on_shard(0));
-        assert!(plan.approx_bytes() > 0);
+        // A plan is the order and nothing else.
+        assert_eq!(plan.approx_bytes(), 3 * std::mem::size_of::<usize>());
     }
 
     #[test]
@@ -847,38 +539,27 @@ mod tests {
         coo.push(5, 1, -4.0).unwrap(); // shard 2 <- shard 0, heavy
         coo.push(0, 2, -0.1).unwrap(); // shard 0 <- shard 1, light
         let coupling = CsrMatrix::from_coo(&coo);
-        let order = gauss_seidel_order(&partition, &coupling);
         // Shard 1 has no dependencies -> first; shard 2's dependency on
-        // shard 0 is the heaviest -> it must come after shard 0.
-        assert_eq!(order[0], 1);
-        assert_eq!(order, vec![1, 0, 2]);
+        // shard 0 is the heaviest -> it must come after shard 0.  The chain
+        // 2 <- 0 <- 1 is acyclic, so the order is also a triangular one.
+        assert_eq!(
+            gauss_seidel_order(&partition, &coupling),
+            (vec![1, 0, 2], true)
+        );
+        // Closing the cycle (shard 1 <- shard 2) leaves only the greedy
+        // least-pending-weight order, and sweeps have to iterate: shard 0
+        // reads the least, and with it placed shard 2 reads nothing pending.
+        coo.push(2, 4, -0.2).unwrap();
+        let cyclic = CsrMatrix::from_coo(&coo);
+        assert_eq!(
+            gauss_seidel_order(&partition, &cyclic),
+            (vec![0, 2, 1], false)
+        );
         // No coupling: identity order.
         let empty = CsrMatrix::from_coo(&CooMatrix::new(6, 6));
-        assert_eq!(gauss_seidel_order(&partition, &empty), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn fixed_point_reports_convergence_failure() {
-        // An "inverse" that never moves toward the fixed point: alternate
-        // between two iterates so the diff never shrinks below tolerance.
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 1, 1.0).unwrap();
-        let residual = CsrMatrix::from_coo(&coo);
-        let tolerance = SolveTolerance {
-            tol: 1e-13,
-            max_sweeps: 7,
-        };
-        let mut flip = 1.0;
-        let err = fixed_point_many(2, &[1.0, 1.0], 1, &residual, tolerance, |_rhs, out| {
-            flip = -flip;
-            out[0] = flip;
-            out[1] = -flip;
-            Ok(())
-        })
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            LuError::ConvergenceFailure { iterations: 7, .. }
-        ));
+        assert_eq!(
+            gauss_seidel_order(&partition, &empty),
+            (vec![0, 1, 2], true)
+        );
     }
 }

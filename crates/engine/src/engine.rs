@@ -49,7 +49,8 @@ pub struct EngineConfig {
     pub matrix_kind: MatrixKind,
     /// When to cut ingest batches.
     pub batch: BatchPolicy,
-    /// When to abandon the ordering and re-factorize.
+    /// When to abandon the ordering and re-factorize.  A negative or NaN
+    /// quality-loss budget is an [`EngineError::InvalidConfig`].
     pub refresh: RefreshPolicy,
     /// How many recent snapshots stay queryable (time-travel window); must be
     /// at least 1 ([`EngineError::InvalidConfig`] otherwise).  The
@@ -58,9 +59,11 @@ pub struct EngineConfig {
     /// shards + touched nodes) — not O(all shards + all nodes) — memory per
     /// retained snapshot.
     pub ring_capacity: usize,
-    /// Number of result-cache shards.
+    /// Number of result-cache shards; must be at least 1
+    /// ([`EngineError::InvalidConfig`] otherwise).
     pub cache_shards: usize,
-    /// LRU capacity per cache shard.
+    /// LRU capacity per cache shard; must be at least 1
+    /// ([`EngineError::InvalidConfig`] otherwise).
     pub cache_capacity_per_shard: usize,
     /// Number of factor-store shards.  `1` factorizes the whole graph as one
     /// block ([`NodePartition::singleton`], no coupling); `>1` partitions
@@ -71,9 +74,10 @@ pub struct EngineConfig {
     /// clamped).
     pub n_shards: usize,
     /// How coupled (sharded) queries are solved: the
-    /// [`crate::coupling::CouplingSolver`] strategy, its
-    /// [`crate::coupling::SolveTolerance`] stopping rule, and the optional
-    /// coupling-size budget that triggers adaptive re-partitioning.
+    /// [`crate::coupling::SolveTolerance`] stopping rule of the block
+    /// Gauss–Seidel iteration (one no solve can meet is an
+    /// [`EngineError::InvalidConfig`]), and the optional coupling-size
+    /// budget that triggers adaptive re-partitioning.
     pub coupling: CouplingConfig,
     /// How the initial partition of a sharded engine is derived, and how the
     /// adaptive re-partitioner derives replacements: greedy edge locality,
@@ -112,6 +116,36 @@ impl Default for EngineConfig {
     }
 }
 
+impl EngineConfig {
+    /// Rejects, before anything is built, every value that would otherwise
+    /// panic inside a subsystem (possibly on the ingest thread, with the
+    /// ingest mutex held) or make every coupled query fail.  `n_shards` is
+    /// checked by [`CludeEngine::new`], the only constructor that reads it.
+    fn validate(&self) -> EngineResult<()> {
+        let invalid = |what: String| Err(EngineError::InvalidConfig(what));
+        if self.ring_capacity == 0 {
+            return invalid("ring_capacity must retain at least one snapshot".into());
+        }
+        if self.cache_shards == 0 {
+            return invalid("cache_shards must be at least 1".into());
+        }
+        if self.cache_capacity_per_shard == 0 {
+            return invalid("cache_capacity_per_shard must be at least 1".into());
+        }
+        if let RefreshPolicy::QualityTriggered { max_quality_loss } = self.refresh {
+            if max_quality_loss.is_nan() || max_quality_loss < 0.0 {
+                return invalid(format!(
+                    "max_quality_loss must be non-negative, got {max_quality_loss}"
+                ));
+            }
+        }
+        self.coupling
+            .tolerance
+            .validate()
+            .map_err(EngineError::InvalidConfig)
+    }
+}
+
 struct IngestState {
     ingestor: DeltaIngestor,
     store: ShardedFactorStore,
@@ -137,9 +171,6 @@ pub struct CludeEngine {
     /// Fixed at construction (the shard *count* never changes; the adaptive
     /// re-partitioner may re-derive the node assignment behind it).
     n_shards: usize,
-    /// The coupling-solver configuration in force (strategy name is
-    /// reported through [`EngineStats`]).
-    coupling_cfg: CouplingConfig,
     inner: Mutex<IngestState>,
     ring: RwLock<VecDeque<Arc<EngineSnapshot>>>,
     ring_capacity: usize,
@@ -183,12 +214,14 @@ impl CludeEngine {
     /// Builds an engine over an explicit node partition (the partition's
     /// shard count overrides `config.n_shards`).  The partition must cover
     /// exactly the base graph's node universe
-    /// ([`EngineError::InvalidConfig`] otherwise).
+    /// ([`EngineError::InvalidConfig`] otherwise, as for every out-of-range
+    /// `config` value).
     pub fn with_partition(
         base: DiGraph,
         config: EngineConfig,
         partition: NodePartition,
     ) -> EngineResult<Self> {
+        config.validate()?;
         let telemetry = Arc::new(TelemetryRegistry::new(config.telemetry));
         let store = ShardedFactorStore::with_registry(
             base,
@@ -222,6 +255,7 @@ impl CludeEngine {
         config: EngineConfig,
         durability: DurabilityConfig,
     ) -> EngineResult<(Self, RecoveryReport)> {
+        config.validate()?;
         durability
             .vfs
             .create_dir_all(&durability.dir)
@@ -339,11 +373,6 @@ impl CludeEngine {
         config: EngineConfig,
         telemetry: Arc<TelemetryRegistry>,
     ) -> EngineResult<Self> {
-        if config.ring_capacity == 0 {
-            return Err(EngineError::InvalidConfig(
-                "ring_capacity must retain at least one snapshot".into(),
-            ));
-        }
         let n_shards = store.n_shards();
         let counters = Arc::new(EngineCounters::with_shards(n_shards));
         let first = Arc::new(store.snapshot());
@@ -351,7 +380,6 @@ impl CludeEngine {
         ring.push_back(Arc::clone(&first));
         Ok(CludeEngine {
             kind: config.matrix_kind,
-            coupling_cfg: config.coupling,
             n_shards,
             inner: Mutex::new(IngestState {
                 ingestor: DeltaIngestor::new(config.batch).with_telemetry(Arc::clone(&telemetry)),
@@ -476,9 +504,6 @@ impl CludeEngine {
         );
         if report.repartitioned {
             EngineCounters::bump(&self.counters.repartitions);
-        }
-        if report.correction_rebuilt {
-            EngineCounters::bump(&self.counters.corrections_built);
         }
 
         let snapshot = Arc::new(state.store.snapshot());
@@ -639,14 +664,14 @@ impl CludeEngine {
             }
         }
         stats.resident_factor_bytes = bytes;
-        // The coupling view of the newest snapshot: the strategy in force,
-        // how dense the coupling currently is, and how much of it the cached
-        // correction captures.
+        // The coupling view: how dense the newest snapshot's coupling is, and
+        // what the coupled solves over it (and its predecessors) have cost.
         let newest = ring.back().expect("ring is never empty");
-        stats.solver = self.coupling_cfg.solver.name().to_string();
         stats.coupling_nnz = newest.coupling().nnz() as u64;
-        stats.correction_rank = newest.coupling_plan().correction_rank().unwrap_or(0) as u64;
         drop(ring);
+        let sweeps = self.telemetry.coupling_sweeps();
+        stats.coupling_sweeps_p50 = sweeps.value_at_quantile(0.5);
+        stats.coupling_sweeps_max = sweeps.max();
         // Fold the occupancy numbers back into the telemetry gauges so the
         // exposition and the stats report agree on a sampling instant.
         self.telemetry.set_gauge(Gauge::RingDepth, stats.ring_depth);
@@ -654,8 +679,6 @@ impl CludeEngine {
             .set_gauge(Gauge::ResidentFactorBytes, stats.resident_factor_bytes);
         self.telemetry
             .set_gauge(Gauge::CouplingNnz, stats.coupling_nnz);
-        self.telemetry
-            .set_gauge(Gauge::CorrectionRank, stats.correction_rank);
         stats.telemetry_enabled = self.telemetry.enabled();
         stats.spans_recorded = self.telemetry.spans_recorded();
         stats.journal_events = self.telemetry.journal().recorded();
@@ -836,36 +859,49 @@ mod tests {
 
     #[test]
     fn coupling_config_flows_into_snapshots_and_stats() {
-        use crate::coupling::{CouplingConfig, CouplingSolver};
+        use crate::coupling::{CouplingConfig, SolveTolerance};
+        let tolerance = SolveTolerance {
+            tol: 1e-12,
+            max_sweeps: 5_000,
+        };
         let engine = CludeEngine::new(
             ring_graph(12),
             EngineConfig {
                 n_shards: 3,
                 coupling: CouplingConfig {
-                    solver: CouplingSolver::woodbury(),
-                    ..CouplingConfig::default()
+                    tolerance,
+                    repartition_budget: Some(1_000),
                 },
                 ..small_config(1)
             },
         )
         .unwrap();
-        // The ring crosses shards, so the configured Woodbury strategy has a
-        // cached correction from snapshot 0 on.
+        // The ring crosses shards, so queries are coupled solves under the
+        // configured stopping rule from snapshot 0 on.
+        assert_eq!(engine.handle.load().tolerance(), tolerance);
         let stats = engine.stats();
-        assert_eq!(stats.solver, "woodbury");
         assert!(stats.coupling_nnz > 0);
-        assert!(stats.correction_rank > 0);
+        assert_eq!(stats.coupling_sweeps_max, 0, "nothing solved yet");
         let q = MeasureQuery::PageRank { damping: 0.85 };
         let scores = engine.query(&q).unwrap();
         assert!((scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        // Cross-shard inserts rebuild the cached correction; the counter and
-        // the Display line make the strategy visible.
+        // A cross-shard insert stays far under the budget (no repartition)
+        // and the published snapshot still carries the tolerance; the
+        // Display line shows what the coupled solves cost.
         engine.insert_edge(0, 7).unwrap();
+        assert_eq!(engine.handle.load().tolerance(), tolerance);
+        engine.query(&q).unwrap();
         let stats = engine.stats();
-        assert!(stats.corrections_built > 0);
+        assert_eq!(stats.repartitions, 0);
+        assert!(stats.coupling_sweeps_p50 > 1, "a cyclic coupling iterates");
+        assert!(stats.coupling_sweeps_max >= stats.coupling_sweeps_p50);
+        assert!(stats.coupling_sweeps_max <= 5_000);
         let text = stats.to_string();
         assert!(text.contains("coupling |"));
-        assert!(text.contains("woodbury"));
+        assert!(text.contains(&format!("sweeps-p50 {:>4}", stats.coupling_sweeps_p50)));
+        assert!(engine
+            .render_prometheus()
+            .contains("clude_coupling_sweeps_count 2\n"));
     }
 
     #[test]
@@ -920,6 +956,73 @@ mod tests {
         };
         let err = CludeEngine::new(ring_graph(8), config).unwrap_err();
         assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
+    }
+
+    /// Every constructor refuses `config` with a typed error.
+    fn assert_invalid_everywhere(config: EngineConfig, needle: &str) {
+        let check = |err: EngineError| {
+            assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains(needle), "{err}");
+        };
+        check(CludeEngine::new(ring_graph(8), config).unwrap_err());
+        let partition = clude_graph::NodePartition::contiguous(8, 2);
+        check(CludeEngine::with_partition(ring_graph(8), config, partition).unwrap_err());
+        let durability =
+            DurabilityConfig::new("spool").vfs(Arc::new(crate::vfs::FailpointFs::new()));
+        check(CludeEngine::open_durable(ring_graph(8), config, durability).unwrap_err());
+    }
+
+    #[test]
+    fn zero_cache_shards_is_an_invalid_config() {
+        let config = EngineConfig {
+            cache_shards: 0,
+            ..small_config(1)
+        };
+        assert_invalid_everywhere(config, "cache_shards");
+    }
+
+    #[test]
+    fn zero_cache_capacity_is_an_invalid_config() {
+        let config = EngineConfig {
+            cache_capacity_per_shard: 0,
+            ..small_config(1)
+        };
+        assert_invalid_everywhere(config, "cache_capacity_per_shard");
+    }
+
+    #[test]
+    fn negative_or_nan_quality_budget_is_an_invalid_config() {
+        for max_quality_loss in [-0.5, f64::NAN] {
+            let config = EngineConfig {
+                refresh: RefreshPolicy::QualityTriggered { max_quality_loss },
+                ..small_config(1)
+            };
+            assert_invalid_everywhere(config, "max_quality_loss");
+        }
+        // Zero and +∞ are legal budgets (always / never refresh on growth).
+        for max_quality_loss in [0.0, f64::INFINITY] {
+            let config = EngineConfig {
+                refresh: RefreshPolicy::QualityTriggered { max_quality_loss },
+                ..small_config(1)
+            };
+            let engine = CludeEngine::new(ring_graph(8), config).unwrap();
+            engine.insert_edge(0, 4).unwrap();
+        }
+    }
+
+    #[test]
+    fn unmeetable_solve_tolerance_is_an_invalid_config() {
+        use crate::coupling::{CouplingConfig, SolveTolerance};
+        for (tol, max_sweeps) in [(f64::NAN, 100), (0.0, 100), (-1e-13, 100), (1e-13, 0)] {
+            let config = EngineConfig {
+                coupling: CouplingConfig {
+                    tolerance: SolveTolerance { tol, max_sweeps },
+                    ..CouplingConfig::default()
+                },
+                ..small_config(1)
+            };
+            assert_invalid_everywhere(config, "coupling");
+        }
     }
 
     #[test]

@@ -34,10 +34,9 @@
 //!                                             QueryService
 //!                                     sharded RwLock LRU cache keyed by
 //!                                     (snapshot, query); solves combine the
-//!                                     shard blocks exactly through the
-//!                                     snapshot's CouplingSolver strategy
-//!                                     (Gauss–Seidel / cached Woodbury
-//!                                     correction) outside any lock
+//!                                     shard blocks exactly by block
+//!                                     Gauss–Seidel over the frozen
+//!                                     coupling, outside any lock
 //! ```
 //!
 //! * [`ingest::DeltaIngestor`] coalesces single edge operations into
@@ -60,12 +59,11 @@
 //!   costs O(touched shards) factor memory per snapshot, not O(all shards)
 //!   (the snapshot graph itself, much smaller than the factors, is still
 //!   copied per entry).
-//! * [`coupling`] is the pluggable solver layer of coupled (sharded)
-//!   queries: a [`coupling::CouplingSolver`] strategy per snapshot — block
-//!   Gauss–Seidel in a dependency-derived shard order, or a cached low-rank
-//!   Woodbury correction of the hottest coupling columns —
-//!   under a configurable [`coupling::SolveTolerance`], with adaptive
-//!   re-partitioning when the coupling outgrows its budget.
+//! * [`coupling`] is the one solver of coupled (sharded) queries: block
+//!   Gauss–Seidel in a dependency-derived shard order frozen per snapshot
+//!   ([`coupling::CouplingPlan`]; one sweep is exact on block-triangular
+//!   coupling), under a configurable [`coupling::SolveTolerance`], with
+//!   adaptive re-partitioning when the coupling outgrows its budget.
 //! * [`query::QueryService`] answers typed
 //!   [`clude_measures::MeasureQuery`]s against immutable snapshots with a
 //!   sharded LRU result cache; coupled sharded solves run through reused
@@ -112,7 +110,7 @@ pub mod store;
 pub mod vfs;
 mod wal;
 
-pub use coupling::{CouplingConfig, CouplingPlan, CouplingSolver, SolveTolerance};
+pub use coupling::{CouplingConfig, CouplingPlan, SolveTolerance};
 pub use durability::DurabilityConfig;
 pub use engine::{CludeEngine, EngineConfig};
 pub use epoch::SnapshotHandle;

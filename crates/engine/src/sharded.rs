@@ -26,10 +26,10 @@
 //! parallel** across scoped threads, each sweeping with its own workspace.
 //!
 //! Queries recombine exactly: snapshots expose the per-shard factors plus a
-//! frozen coupling matrix, and the snapshot's [`crate::coupling`] strategy
-//! (block Gauss–Seidel or a cached Woodbury correction) converges for the
-//! engine's diagonally dominant M-matrices, matching a dense solve of the
-//! snapshot's measure matrix — and the one-shard store — to well below 1e-9.
+//! frozen coupling matrix, and block Gauss–Seidel over them
+//! ([`crate::coupling`]) converges for the engine's diagonally dominant
+//! M-matrices, matching a dense solve of the snapshot's measure matrix — and
+//! the one-shard store — to well below 1e-9.
 
 use crate::coupling::{CouplingConfig, CouplingPlan};
 use crate::error::{EngineError, EngineResult};
@@ -44,7 +44,7 @@ use clude_graph::{
 };
 use clude_lu::{BennettStats, BennettWorkspace, LuError, RefactorWorkspace, ShardWorkspaces};
 use clude_sparse::CsrMatrix;
-use clude_telemetry::{EngineEvent, Stage, TelemetryRegistry, Timer};
+use clude_telemetry::{EngineEvent, Stage, TelemetryRegistry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -216,6 +216,16 @@ impl CouplingStore {
         }
         CsrMatrix::from_raw_parts(n, n, row_ptr, col_idx, values)
     }
+
+    /// The two handles snapshots serve coupled solves from, frozen together:
+    /// the CSR and the Gauss–Seidel plan derived from it.  The plan is a
+    /// pure function of (partition, coupling), so this is the only place
+    /// one is built and the two are shared through the ring as a pair.
+    fn freeze(&self, partition: &NodePartition) -> (Arc<CsrMatrix>, Arc<CouplingPlan>) {
+        let csr = self.to_csr();
+        let plan = CouplingPlan::build(partition, &csr);
+        (Arc::new(csr), Arc::new(plan))
+    }
 }
 
 /// Per-shard slice of a [`ShardedAdvanceReport`].
@@ -270,11 +280,6 @@ pub struct ShardedAdvanceReport {
     /// Whether this batch crossed the coupling budget and re-ran the
     /// edge-locality partition (all shards re-ordered and re-factorized).
     pub repartitioned: bool,
-    /// Whether this batch re-froze the coupling plan *and* the new plan
-    /// carries a Woodbury correction (i.e. the cached correction was
-    /// rebuilt); `false` shares the previous snapshot's plan or the plan has
-    /// no correction to cache.
-    pub correction_rebuilt: bool,
 }
 
 /// Per-shard LU factors over a partitioned node universe, updated in
@@ -305,19 +310,17 @@ pub struct ShardedFactorStore {
     /// every earlier snapshot in the ring (copy-on-write).
     published: Vec<Arc<DecomposedMatrix>>,
     /// The frozen coupling CSR, rebuilt only by batches that wrote a
-    /// cross-shard entry.
+    /// cross-shard entry (or re-partitioned).
     published_coupling: Arc<CsrMatrix>,
-    /// Coupling-solver configuration: strategy, tolerance, re-partition
-    /// budget.
+    /// Coupled-solve configuration: tolerance, re-partition budget.
     coupling_cfg: CouplingConfig,
-    /// The frozen coupling plan (Gauss–Seidel order + cached Woodbury
-    /// correction), re-frozen only when the coupling changed, a shard the
-    /// correction depends on re-froze, or the store re-partitioned.
+    /// The Gauss–Seidel plan over `published_coupling`, frozen with it
+    /// ([`CouplingStore::freeze`]).
     plan: Arc<CouplingPlan>,
     /// Coupling size that triggers the next adaptive re-partition (`None`
     /// disables; backed off after each re-partition for amortization).
     next_repartition_at: Option<usize>,
-    /// Telemetry sink for sweep/refresh/freeze/plan spans and repartition
+    /// Telemetry sink for sweep/refresh/freeze spans and repartition
     /// events, stamped onto snapshots; a disabled stub unless
     /// [`ShardedFactorStore::with_telemetry`].
     telemetry: Arc<TelemetryRegistry>,
@@ -371,14 +374,8 @@ impl ShardedFactorStore {
         let refactor_workspaces = refactor_workspaces_for(&partition);
         let coupling = CouplingStore::from_matrix(&coupling_matrix(&graph, kind, &partition));
         let published = publish_all(&mut shards, 0)?;
-        let published_coupling = Arc::new(coupling.to_csr());
+        let (published_coupling, plan) = coupling.freeze(&partition);
         let coupling_cfg = CouplingConfig::default();
-        let plan = Arc::new(CouplingPlan::build(
-            &partition,
-            &published,
-            &published_coupling,
-            coupling_cfg.solver,
-        )?);
         Ok(ShardedFactorStore {
             kind,
             policy,
@@ -496,13 +493,7 @@ impl ShardedFactorStore {
         }
         let workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
         let refactor_workspaces = refactor_workspaces_for(&partition);
-        let published_coupling = Arc::new(coupling_store.to_csr());
-        let plan = Arc::new(CouplingPlan::build(
-            &partition,
-            &published,
-            &published_coupling,
-            coupling_cfg.solver,
-        )?);
+        let (published_coupling, plan) = coupling_store.freeze(&partition);
         Ok(ShardedFactorStore {
             kind,
             policy,
@@ -523,7 +514,7 @@ impl ShardedFactorStore {
         })
     }
 
-    /// Sets the telemetry registry sweep/refresh/freeze/plan spans and
+    /// Sets the telemetry registry sweep/refresh/freeze spans and
     /// repartition events are recorded into (builder style).  Snapshots
     /// carry the same handle so query-path coupling solves record too.
     pub fn with_telemetry(mut self, telemetry: Arc<TelemetryRegistry>) -> Self {
@@ -531,27 +522,19 @@ impl ShardedFactorStore {
         self
     }
 
-    /// Sets the coupling-solver configuration (builder style) and, when the
-    /// strategy changed, re-freezes the coupling plan under it — a Woodbury
-    /// configuration builds its cached correction here (one block solve per
-    /// captured column).  The plan depends only on the strategy, so
-    /// tolerance- or budget-only changes keep the existing one.
+    /// Sets the coupled-solve configuration (builder style).  A stopping
+    /// rule no solve can meet (non-finite or non-positive `tol`,
+    /// `max_sweeps: 0`) is an [`EngineError::InvalidConfig`].
     pub fn with_coupling_config(mut self, cfg: CouplingConfig) -> EngineResult<Self> {
-        let solver_changed = cfg.solver != self.coupling_cfg.solver;
+        cfg.tolerance
+            .validate()
+            .map_err(EngineError::InvalidConfig)?;
         self.coupling_cfg = cfg;
         self.next_repartition_at = cfg.repartition_budget;
-        if solver_changed {
-            self.plan = Arc::new(CouplingPlan::build(
-                &self.partition,
-                &self.published,
-                &self.published_coupling,
-                cfg.solver,
-            )?);
-        }
         Ok(self)
     }
 
-    /// The coupling-solver configuration in force.
+    /// The coupled-solve configuration in force.
     pub fn coupling_config(&self) -> CouplingConfig {
         self.coupling_cfg
     }
@@ -625,7 +608,6 @@ impl ShardedFactorStore {
             Arc::clone(&self.partition),
             shards,
             Arc::clone(&self.published_coupling),
-            self.coupling_cfg.solver,
             self.coupling_cfg.tolerance,
             Arc::clone(&self.plan),
             Arc::clone(&self.telemetry),
@@ -804,7 +786,6 @@ impl ShardedFactorStore {
             coupling_writes,
             ..ShardedAdvanceReport::default()
         };
-        let mut republished: Vec<usize> = Vec::new();
         for (s, outcome) in outcomes.into_iter().enumerate() {
             let Some(outcome) = outcome else { continue };
             let outcome = outcome?;
@@ -821,14 +802,8 @@ impl ShardedFactorStore {
             self.published[s] = self.shards[s].of.publish(self.snapshot_id)?;
             freeze.stop();
             report.shards_republished += 1;
-            republished.push(s);
         }
-        if coupling_writes > 0 {
-            let freeze = self.telemetry.span(Stage::SnapshotFreeze);
-            self.published_coupling = Arc::new(self.coupling.to_csr());
-            freeze.stop();
-            report.coupling_republished = true;
-        }
+        report.coupling_republished = coupling_writes > 0;
 
         // Adaptive re-partitioning: once the live coupling crosses the
         // budget, the partition has drifted from the graph's edge locality —
@@ -857,43 +832,14 @@ impl ShardedFactorStore {
             }
         }
 
-        // Plan maintenance (copy-on-write like the factor blocks): re-freeze
-        // the coupling plan only when the coupling changed, the store
-        // re-partitioned, or this batch re-froze a shard the cached Woodbury
-        // correction depends on.  Batches touching only shards outside the
-        // correction's support keep sharing the previous snapshots' plan.
-        let plan_stale = report.repartitioned
-            || report.coupling_republished
-            || republished.iter().any(|&s| self.plan.depends_on_shard(s));
-        if plan_stale {
-            let timer = Timer::start(&self.telemetry);
-            self.plan = Arc::new(CouplingPlan::build(
-                &self.partition,
-                &self.published,
-                &self.published_coupling,
-                self.coupling_cfg.solver,
-            )?);
-            let rank = self.plan.correction_rank();
-            report.correction_rebuilt = rank.is_some();
-            match rank {
-                // The Woodbury correction is the expensive part of a plan
-                // rebuild (block solves per captured column) and has its
-                // own stage.
-                Some(rank) => {
-                    timer.finish(&self.telemetry, Stage::CouplingWoodburyBuild);
-                    self.telemetry
-                        .record_event(EngineEvent::WoodburyPlanRebuilt {
-                            rank: rank as u32,
-                            // Rebuilt only because a support shard re-froze
-                            // its factors: the captured column set itself is
-                            // unchanged.
-                            reused: !report.repartitioned && !report.coupling_republished,
-                        });
-                }
-                // A plan that is only a Gauss–Seidel order is one more piece
-                // of the snapshot being frozen.
-                None => timer.finish(&self.telemetry, Stage::SnapshotFreeze),
-            }
+        // Copy-on-write like the factor blocks: the coupling and the plan
+        // derived from it re-freeze, together, only when a cross-shard entry
+        // changed or the store re-partitioned; every other batch keeps
+        // sharing the previous snapshots' pair.
+        if report.coupling_republished {
+            let freeze = self.telemetry.span(Stage::SnapshotFreeze);
+            (self.published_coupling, self.plan) = self.coupling.freeze(&self.partition);
+            freeze.stop();
         }
 
         // Quality-loss is a property of the shard's accumulated state, not
@@ -907,7 +853,8 @@ impl ShardedFactorStore {
 
     /// Re-runs the partition strategy on the current graph and rebuilds the
     /// store around it: fresh shard orderings and factorizations, fresh
-    /// workspaces, re-collected coupling, all handles re-frozen.  The next
+    /// workspaces, re-collected coupling, all block handles re-frozen (the
+    /// caller re-freezes the coupling and its plan).  The next
     /// trigger backs off to `max(budget, 2 × surviving coupling size)` so
     /// repeated triggers on a genuinely dense graph stay amortized.
     ///
@@ -928,7 +875,6 @@ impl ShardedFactorStore {
         self.coupling =
             CouplingStore::from_matrix(&coupling_matrix(&self.graph, self.kind, &partition));
         self.published = publish_all(&mut shards, self.snapshot_id)?;
-        self.published_coupling = Arc::new(self.coupling.to_csr());
         self.partition = partition;
         self.shards = shards;
         // `repartition` only runs when the advance path saw a budget; if
@@ -991,7 +937,7 @@ fn refactor_workspaces_for(partition: &NodePartition) -> Vec<RefactorWorkspace> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coupling::{CouplingSolver, SolveTolerance};
+    use crate::coupling::SolveTolerance;
     use crate::store::dense_answer;
     use clude_measures::MeasureQuery;
 
@@ -1292,33 +1238,15 @@ mod tests {
     }
 
     #[test]
-    fn every_solver_strategy_matches_the_monolithic_store() {
+    fn plan_is_frozen_with_the_coupling_and_answers_stay_exact() {
         let n = 12;
-        let g = base_graph(n);
         let kind = MatrixKind::random_walk_default();
         let policy = RefreshPolicy::QualityTriggered {
             max_quality_loss: 0.5,
         };
-        // Gauss–Seidel, a full-capture Woodbury correction, and a
-        // rank-starved Woodbury whose remainder forces the corrected
-        // iteration — every strategy must agree with the dense solve.
-        let solvers = [
-            CouplingSolver::GaussSeidel,
-            CouplingSolver::woodbury(),
-            CouplingSolver::Woodbury { max_rank: 1 },
-        ];
-        let mut stores: Vec<ShardedFactorStore> = solvers
-            .iter()
-            .map(|&solver| {
-                ShardedFactorStore::new(g.clone(), kind, policy, NodePartition::contiguous(n, 3))
-                    .unwrap()
-                    .with_coupling_config(CouplingConfig {
-                        solver,
-                        ..CouplingConfig::default()
-                    })
-                    .unwrap()
-            })
-            .collect();
+        let mut store =
+            ShardedFactorStore::new(base_graph(n), kind, policy, NodePartition::contiguous(n, 3))
+                .unwrap();
         let deltas = [
             GraphDelta {
                 added: vec![(0, 3), (1, 2)], // intra shard 0
@@ -1333,99 +1261,29 @@ mod tests {
                 removed: vec![(0, 3), (9, 2)],
             },
         ];
+        let mut shared = 0;
         for delta in &deltas {
-            for store in &mut stores {
-                store.advance(delta).unwrap();
-            }
-            for (store, solver) in stores.iter().zip(solvers.iter()) {
-                assert_eq!(store.snapshot().solver(), *solver);
-                assert_queries_match(store, n);
-            }
+            let before = store.snapshot();
+            let report = store.advance(delta).unwrap();
+            let after = store.snapshot();
+            // The plan is a pure function of (partition, coupling): it is
+            // re-frozen by exactly the batches that re-freeze the coupling,
+            // however many shard blocks they republished.
+            let plan_shared = Arc::ptr_eq(before.coupling_plan(), after.coupling_plan());
+            assert_eq!(
+                plan_shared,
+                Arc::ptr_eq(before.shared_coupling(), after.shared_coupling())
+            );
+            assert_eq!(plan_shared, !report.coupling_republished);
+            shared += plan_shared as usize;
+            assert_eq!(after.coupling_plan().gs_order().len(), 3);
+            assert_queries_match(&store, n);
         }
-        // The stream crossed shards, so the Woodbury stores actually cached
-        // corrections — full-capture with an empty remainder, rank-starved
-        // with a non-empty one.
-        assert!(stores[0].coupling_nnz() > 0);
-        let full = stores[1].snapshot();
-        assert!(full.coupling_plan().correction_rank().unwrap() > 1);
-        assert_eq!(full.coupling_plan().correction_rest_nnz(), Some(0));
-        let starved = stores[2].snapshot();
-        assert_eq!(starved.coupling_plan().correction_rank(), Some(1));
-        assert!(starved.coupling_plan().correction_rest_nnz().unwrap() > 0);
-    }
-
-    #[test]
-    fn woodbury_plan_is_shared_until_coupling_or_support_changes() {
-        // Three shard-local rings plus opposing cross edges 0 -> 4 and
-        // 5 -> 1: shards 0 and 1 depend on each other, so the coupling is
-        // *not* block-triangular and the Woodbury plan actually caches a
-        // correction (an acyclic coupling would be solved by one triangular
-        // Gauss–Seidel sweep instead — see `coupling.rs`).  The captured
-        // columns 0 and 5 have support only in shards 1 and 0.
-        let n = 12;
-        let mut g = DiGraph::new(n);
-        for s in 0..3 {
-            for i in 0..4 {
-                g.add_edge(s * 4 + i, s * 4 + (i + 1) % 4);
-            }
-        }
-        g.add_edge(0, 4);
-        g.add_edge(5, 1);
-        let mut store = ShardedFactorStore::new(
-            g,
-            MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
-            NodePartition::contiguous(n, 3),
-        )
-        .unwrap()
-        .with_coupling_config(CouplingConfig {
-            solver: CouplingSolver::woodbury(),
-            ..CouplingConfig::default()
-        })
-        .unwrap();
-        let snap0 = store.snapshot();
-        assert_eq!(snap0.coupling_plan().correction_rank(), Some(2));
-
-        // Intra-shard-2 batch: outside the correction's support — the next
-        // snapshot shares the cached plan (and the frozen coupling).
-        let report = store
-            .advance(&GraphDelta {
-                added: vec![(8, 10)],
-                removed: vec![],
-            })
-            .unwrap();
-        assert!(!report.coupling_republished);
-        assert!(!report.correction_rebuilt);
-        let snap1 = store.snapshot();
-        assert!(Arc::ptr_eq(snap0.coupling_plan(), snap1.coupling_plan()));
-
-        // Intra-shard-1 batch: shard 1 carries the captured column's
-        // support, so the cached Z is stale — the plan re-freezes.
-        let report = store
-            .advance(&GraphDelta {
-                added: vec![(4, 6)],
-                removed: vec![],
-            })
-            .unwrap();
-        assert!(!report.coupling_republished);
-        assert!(report.correction_rebuilt);
-        let snap2 = store.snapshot();
-        assert!(!Arc::ptr_eq(snap1.coupling_plan(), snap2.coupling_plan()));
-
-        // Cross-shard batch: the coupling itself changed — plan re-freezes.
-        let report = store
-            .advance(&GraphDelta {
-                added: vec![(1, 9)],
-                removed: vec![],
-            })
-            .unwrap();
-        assert!(report.coupling_republished);
-        assert!(report.correction_rebuilt);
-        let snap3 = store.snapshot();
-        assert!(!Arc::ptr_eq(snap2.coupling_plan(), snap3.coupling_plan()));
-        // Old snapshots keep answering from their own frozen plans.
-        let q = MeasureQuery::PageRank { damping: 0.85 };
-        assert!(snap0.query(&q).is_ok());
+        assert_eq!(shared, 1, "only the intra-shard batch keeps the plan");
+        assert!(store.coupling_nnz() > 0);
+        // The ring crosses all three shards both ways: not block triangular,
+        // so the answers above came out of the iteration proper.
+        assert!(!store.snapshot().coupling_plan().is_triangular());
         store.assert_consistent(1e-9);
     }
 
@@ -1518,13 +1376,15 @@ mod tests {
 
     #[test]
     fn exhausted_sweep_budget_fails_loudly() {
+        use clude_telemetry::{Counter, EventKind};
         let n = 12;
-        let g = base_graph(n);
-        let store = ShardedFactorStore::new(
-            g,
+        let telemetry = Arc::new(TelemetryRegistry::default());
+        let store = ShardedFactorStore::with_registry(
+            base_graph(n),
             MatrixKind::random_walk_default(),
             RefreshPolicy::Incremental,
             NodePartition::contiguous(n, 3),
+            Arc::clone(&telemetry),
         )
         .unwrap()
         .with_coupling_config(CouplingConfig {
@@ -1544,6 +1404,41 @@ mod tests {
             err,
             LuError::ConvergenceFailure { iterations: 1, .. }
         ));
+        // Journalled, not just returned: one counter tick, one typed event,
+        // and no sweep sample for a column that never converged.
+        assert_eq!(telemetry.counter(Counter::ConvergenceFailures), 1);
+        assert_eq!(
+            telemetry.journal().count_of(EventKind::ConvergenceFailure),
+            1
+        );
+        assert!(telemetry
+            .journal()
+            .entries()
+            .iter()
+            .any(|e| matches!(e.event, EngineEvent::ConvergenceFailure { sweeps: 1, .. })));
+        assert!(telemetry.coupling_sweeps().is_empty());
+    }
+
+    #[test]
+    fn unmeetable_tolerances_are_invalid_configs() {
+        // The store's own door (`CludeEngine` checks its whole config before
+        // it gets here).
+        let n = 8;
+        for (tol, max_sweeps) in [(f64::NAN, 10), (f64::INFINITY, 10), (0.0, 10), (1e-13, 0)] {
+            let err = ShardedFactorStore::new(
+                base_graph(n),
+                MatrixKind::random_walk_default(),
+                RefreshPolicy::Incremental,
+                NodePartition::contiguous(n, 2),
+            )
+            .unwrap()
+            .with_coupling_config(CouplingConfig {
+                tolerance: SolveTolerance { tol, max_sweeps },
+                ..CouplingConfig::default()
+            })
+            .unwrap_err();
+            assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
+        }
     }
 
     #[test]
@@ -1618,7 +1513,6 @@ mod tests {
         let mut store = ShardedFactorStore::new(g, kind, RefreshPolicy::Incremental, partition)
             .unwrap()
             .with_coupling_config(CouplingConfig {
-                solver: CouplingSolver::GaussSeidel,
                 tolerance: SolveTolerance {
                     tol: 1e-13,
                     max_sweeps: 1,

@@ -88,10 +88,6 @@ pub struct EngineCounters {
     /// Adaptive re-partitions: batches whose coupling growth crossed the
     /// budget and triggered a fresh edge-locality partition.
     pub repartitions: AtomicU64,
-    /// Cached Woodbury corrections built (re-frozen) at snapshot-freeze
-    /// time; batches that left the coupling and the correction's support
-    /// shards untouched share the previous correction instead.
-    pub corrections_built: AtomicU64,
     /// Per-shard ingest counters (one entry per factor shard).
     pub per_shard: Vec<ShardCounters>,
 }
@@ -163,15 +159,14 @@ impl EngineCounters {
             cow_shards_cloned: Self::load(&self.cow_shards_cloned),
             cow_shards_shared: Self::load(&self.cow_shards_shared),
             repartitions: Self::load(&self.repartitions),
-            corrections_built: Self::load(&self.corrections_built),
             // Ring occupancy and the coupling view live outside the
             // counters; `CludeEngine::stats` fills these in from the live
             // ring and the newest snapshot.
             ring_depth: 0,
             resident_factor_bytes: 0,
-            solver: String::new(),
             coupling_nnz: 0,
-            correction_rank: 0,
+            coupling_sweeps_p50: 0,
+            coupling_sweeps_max: 0,
             telemetry_enabled: false,
             spans_recorded: 0,
             journal_events: 0,
@@ -225,18 +220,17 @@ pub struct EngineStats {
     pub resident_factor_bytes: u64,
     /// Adaptive re-partitions triggered by coupling growth.
     pub repartitions: u64,
-    /// Cached Woodbury corrections built at snapshot-freeze time.
-    pub corrections_built: u64,
-    /// Display name of the active coupling-solver strategy (filled in by
-    /// `CludeEngine::stats`; empty when the stats came straight from
-    /// counters).
-    pub solver: String,
     /// Cross-shard coupling entries of the newest snapshot — the number to
     /// watch for dense-coupling drift (filled in by `CludeEngine::stats`).
     pub coupling_nnz: u64,
-    /// Rank of the newest snapshot's cached Woodbury correction (0 when the
-    /// strategy caches none; filled in by `CludeEngine::stats`).
-    pub correction_rank: u64,
+    /// Median Gauss–Seidel sweeps per coupled right-hand side, from the
+    /// telemetry registry's sweep histogram (filled in by
+    /// `CludeEngine::stats`; 0 with telemetry off or before the first
+    /// coupled solve).
+    pub coupling_sweeps_p50: u64,
+    /// Most sweeps any coupled right-hand side needed (filled in by
+    /// `CludeEngine::stats`).
+    pub coupling_sweeps_max: u64,
     /// Whether the engine's telemetry registry is recording (filled in by
     /// `CludeEngine::stats`).
     pub telemetry_enabled: bool,
@@ -340,16 +334,11 @@ impl fmt::Display for EngineStats {
         )?;
         write!(
             f,
-            "coupling | solver {:>12}  nnz {:>8}  woodbury-rank {:>4}  repartitions {:>4}  corrections {:>6}",
-            if self.solver.is_empty() {
-                "?"
-            } else {
-                self.solver.as_str()
-            },
+            "coupling | nnz {:>8}  sweeps-p50 {:>4}  repartitions {:>4}  sweeps-max {:>6}",
             self.coupling_nnz,
-            self.correction_rank,
+            self.coupling_sweeps_p50,
             self.repartitions,
-            self.corrections_built
+            self.coupling_sweeps_max
         )?;
         write!(
             f,
@@ -449,23 +438,21 @@ mod tests {
 
     #[test]
     fn coupling_line_reports_solver_and_drift() {
-        let mut s = EngineStats {
+        let s = EngineStats {
             repartitions: 2,
-            corrections_built: 17,
             coupling_nnz: 345,
-            correction_rank: 64,
+            coupling_sweeps_p50: 21,
+            coupling_sweeps_max: 1417,
             ..EngineStats::default()
         };
-        s.solver = "woodbury".to_string();
         let text = s.to_string();
-        assert!(text.contains("solver     woodbury"));
         assert!(text.contains("nnz      345"));
-        assert!(text.contains("woodbury-rank   64"));
+        assert!(text.contains("sweeps-p50   21"));
         assert!(text.contains("repartitions    2"));
-        assert!(text.contains("corrections     17"));
+        assert!(text.contains("sweeps-max   1417"));
         // Raw counter snapshots (no engine fill-in) degrade gracefully.
         let raw = EngineCounters::default().snapshot();
-        assert!(raw.to_string().contains("solver            ?"));
+        assert!(raw.to_string().contains("sweeps-p50    0"));
     }
 
     #[test]
@@ -509,10 +496,9 @@ mod tests {
             ring_depth: 3,
             resident_factor_bytes: 2048,
             repartitions: 1,
-            corrections_built: 4,
-            solver: "woodbury".to_string(),
             coupling_nnz: 88,
-            correction_rank: 16,
+            coupling_sweeps_p50: 19,
+            coupling_sweeps_max: 23,
             telemetry_enabled: true,
             spans_recorded: 321,
             journal_events: 12,
@@ -530,7 +516,7 @@ mod tests {
                 "factors  | refreshes    1  rank-1        420  pivots       9000  refresh time   25.000ms",
                 "queries  | total       50  hits         20  misses       30  hit-rate  40.0%  solve time   80.000ms",
                 "ring     | depth        3  cow-clones      2  shared        6  share-rate  75.0%  resident ~2.0 KiB",
-                "coupling | solver     woodbury  nnz       88  woodbury-rank   16  repartitions    1  corrections      4",
+                "coupling | nnz       88  sweeps-p50   19  repartitions    1  sweeps-max     23",
                 "telemetry | on   spans       321  journal     12 (dropped    2)  q-solve p50 950.000µs  p99   4.000ms",
             ]
         );

@@ -22,7 +22,7 @@
 //! [`crate::sharded::ShardedFactorStore`]; a whole-graph factorization is
 //! its one-shard case.
 
-use crate::coupling::{self, CouplingPlan, CouplingSolver, SolveTolerance};
+use crate::coupling::{self, CouplingPlan, SolveTolerance};
 use clude::{refresh_decision, DecomposedMatrix, MatrixFactors};
 use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_lu::{
@@ -100,8 +100,8 @@ impl ShardSnapshot {
 /// coupling entries; a one-shard store publishes a single block over the
 /// [`NodePartition::singleton`] partition with an empty coupling matrix.
 /// Queries solve `A x = b` exactly either by one pair of substitutions (no
-/// coupling) or by the snapshot's [`CouplingSolver`] strategy combining
-/// per-shard solves with the coupling (see [`crate::coupling`]).
+/// coupling) or by block Gauss–Seidel combining per-shard solves with the
+/// coupling (see [`crate::coupling`]).
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     id: u64,
@@ -111,12 +111,10 @@ pub struct EngineSnapshot {
     /// Cross-shard entries of the measure matrix, global coordinates (empty
     /// for one-shard snapshots).
     coupling: Arc<CsrMatrix>,
-    /// The combination strategy this snapshot answers coupled solves with.
-    solver: CouplingSolver,
-    /// Stopping rule of the iterative strategies.
+    /// Stopping rule of the coupled iteration.
     tolerance: SolveTolerance,
-    /// Frozen solver metadata (Gauss–Seidel order, cached Woodbury
-    /// correction), shared through the ring like factor blocks.
+    /// The Gauss–Seidel order over `coupling`, frozen with it and shared
+    /// through the ring exactly when it is.
     plan: Arc<CouplingPlan>,
     /// The engine-wide telemetry sink, stamped in so query-path coupling
     /// solves record their spans and convergence failures (disabled
@@ -132,7 +130,6 @@ impl EngineSnapshot {
         partition: Arc<NodePartition>,
         shards: Vec<ShardSnapshot>,
         coupling: Arc<CsrMatrix>,
-        solver: CouplingSolver,
         tolerance: SolveTolerance,
         plan: Arc<CouplingPlan>,
         telemetry: Arc<TelemetryRegistry>,
@@ -144,7 +141,6 @@ impl EngineSnapshot {
             partition,
             shards,
             coupling,
-            solver,
             tolerance,
             plan,
             telemetry,
@@ -188,20 +184,15 @@ impl EngineSnapshot {
         &self.coupling
     }
 
-    /// The strategy this snapshot combines per-shard solves with.
-    pub fn solver(&self) -> CouplingSolver {
-        self.solver
-    }
-
-    /// Stopping rule of this snapshot's iterative coupled solves.
+    /// Stopping rule of this snapshot's coupled solves.
     pub fn tolerance(&self) -> SolveTolerance {
         self.tolerance
     }
 
-    /// The frozen solver metadata (Gauss–Seidel traversal order, cached
-    /// Woodbury correction).  Shared exactly like factor blocks: snapshots
-    /// between which neither the coupling nor a shard the cached correction
-    /// depends on changed are [`Arc::ptr_eq`] here.
+    /// The frozen Gauss–Seidel traversal order over the coupling.  A pure
+    /// function of (partition, coupling), so two snapshots are
+    /// [`Arc::ptr_eq`] here exactly when they are on
+    /// [`EngineSnapshot::shared_coupling`].
     pub fn coupling_plan(&self) -> &Arc<CouplingPlan> {
         &self.plan
     }
@@ -235,9 +226,9 @@ impl EngineSnapshot {
 
 impl MeasureSolver for EngineSnapshot {
     /// Solves `A x = b` for the snapshot's full measure matrix
-    /// `A = blockdiag(A_ss) + C` through the snapshot's [`CouplingSolver`]
-    /// strategy (see [`crate::coupling`]) as a width-1 panel; one-shard
-    /// snapshots are one pair of substitutions.
+    /// `A = blockdiag(A_ss) + C` by block Gauss–Seidel (see
+    /// [`crate::coupling`]) as a width-1 panel; one-shard snapshots are one
+    /// pair of substitutions.
     fn solve_measure_system(&self, b: &[f64]) -> LuResult<Vec<f64>> {
         coupling::solve_systems(self, b, 1)
     }

@@ -1,10 +1,9 @@
 //! Property-based tests for the serving tier: multi-RHS panel solves must be
-//! bit-identical to sequential solves under every coupling solver, and
+//! bit-identical to sequential solves through the coupled iteration, and
 //! bounded-staleness serving must never exceed its configured lag budget.
 
 use clude_engine::{
-    CouplingConfig, CouplingSolver, EngineCounters, QueryService, RefreshPolicy,
-    ShardedFactorStore, StalenessBudget,
+    EngineCounters, QueryService, RefreshPolicy, ShardedFactorStore, StalenessBudget,
 };
 use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_measures::MeasureQuery;
@@ -57,8 +56,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// `query_batch` (one panel solve per snapshot) returns, per query, the
-    /// exact bit pattern of the sequential `query` path — for every
-    /// coupling-solver strategy, over randomly partitioned random graphs.
+    /// exact bit pattern of the sequential `query` path, over randomly
+    /// partitioned random graphs (so the panel goes through the joint
+    /// Gauss–Seidel sweep loop with per-column freezing).
     #[test]
     fn panel_batches_are_bit_identical_to_sequential_solves(
         edges in graph_edges(),
@@ -71,45 +71,38 @@ proptest! {
         }
         let graph = DiGraph::from_edges(N, edges);
         let partition = NodePartition::from_assignments(assignments);
-        for solver in [CouplingSolver::GaussSeidel, CouplingSolver::woodbury()] {
-            let store = ShardedFactorStore::new(
-                graph.clone(),
-                MatrixKind::random_walk_default(),
-                RefreshPolicy::default(),
-                partition.clone(),
-            )
-            .unwrap()
-            .with_coupling_config(CouplingConfig {
-                solver,
-                ..CouplingConfig::default()
-            })
-            .unwrap();
-            let snapshot = store.snapshot();
-            let refs: Vec<&MeasureQuery> = queries.iter().collect();
-            match snapshot.query_batch(&refs) {
-                Ok(batched) => {
-                    prop_assert_eq!(batched.len(), queries.len());
-                    for (query, panel) in queries.iter().zip(&batched) {
-                        let sequential = snapshot.query(query).unwrap();
-                        prop_assert_eq!(sequential.len(), panel.len());
-                        for (i, (a, b)) in sequential.iter().zip(panel.iter()).enumerate() {
-                            prop_assert_eq!(
-                                a.to_bits(),
-                                b.to_bits(),
-                                "solver {:?}, query {:?}, row {}: {} vs {}",
-                                solver, query, i, a, b
-                            );
-                        }
+        let store = ShardedFactorStore::new(
+            graph,
+            MatrixKind::random_walk_default(),
+            RefreshPolicy::default(),
+            partition,
+        )
+        .unwrap();
+        let snapshot = store.snapshot();
+        let refs: Vec<&MeasureQuery> = queries.iter().collect();
+        match snapshot.query_batch(&refs) {
+            Ok(batched) => {
+                prop_assert_eq!(batched.len(), queries.len());
+                for (query, panel) in queries.iter().zip(&batched) {
+                    let sequential = snapshot.query(query).unwrap();
+                    prop_assert_eq!(sequential.len(), panel.len());
+                    for (i, (a, b)) in sequential.iter().zip(panel.iter()).enumerate() {
+                        prop_assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "query {:?}, row {}: {} vs {}",
+                            query, i, a, b
+                        );
                     }
                 }
-                Err(_) => {
-                    // A panel-wide convergence failure must mirror a failure
-                    // of at least one sequential solve — never mask success.
-                    prop_assert!(
-                        queries.iter().any(|q| snapshot.query(q).is_err()),
-                        "batch failed but every sequential solve succeeded ({solver:?})"
-                    );
-                }
+            }
+            Err(_) => {
+                // A panel-wide convergence failure must mirror a failure
+                // of at least one sequential solve — never mask success.
+                prop_assert!(
+                    queries.iter().any(|q| snapshot.query(q).is_err()),
+                    "batch failed but every sequential solve succeeded"
+                );
             }
         }
     }

@@ -1,11 +1,9 @@
 //! Property tests for the structural layer: a BTF partition of a randomly
-//! generated DAG-coupled graph makes the block Gauss–Seidel arm exact in a
+//! generated DAG-coupled graph makes block Gauss–Seidel exact in a
 //! single sweep, matching a dense solve of the whole measure matrix to solver
 //! precision.
 
-use clude_engine::{
-    CouplingConfig, CouplingSolver, RefreshPolicy, ShardedFactorStore, SolveTolerance,
-};
+use clude_engine::{CouplingConfig, RefreshPolicy, ShardedFactorStore, SolveTolerance};
 use clude_graph::{btf_partition, measure_matrix, DiGraph, MatrixKind};
 use clude_measures::{measure_rhs, MeasureQuery};
 use proptest::prelude::*;
@@ -64,7 +62,6 @@ proptest! {
             ShardedFactorStore::new(g.clone(), kind, RefreshPolicy::Incremental, partition)
                 .unwrap()
                 .with_coupling_config(CouplingConfig {
-                    solver: CouplingSolver::GaussSeidel,
                     tolerance: SolveTolerance {
                         tol: 1e-13,
                         max_sweeps: 1,

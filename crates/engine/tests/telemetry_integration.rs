@@ -2,7 +2,7 @@
 //! that the spans, gauges, journal events and the Prometheus exposition all
 //! reflect what the engine actually did.
 
-use clude_engine::{BatchPolicy, CludeEngine, CouplingConfig, CouplingSolver, EngineConfig};
+use clude_engine::{BatchPolicy, CludeEngine, CouplingConfig, EngineConfig};
 use clude_graph::{DiGraph, NodePartition};
 use clude_measures::MeasureQuery;
 use clude_telemetry::{validate_prometheus, EventKind, Stage, TelemetryConfig};
@@ -14,8 +14,8 @@ fn ring_graph(n: usize) -> DiGraph {
 }
 
 /// An interleaved partition of a ring is maximally coupled, so a tight
-/// repartition budget trips on the first applied batch and the Woodbury
-/// plan rebuilds on every coupling change.
+/// repartition budget trips on the first applied batch and every query is a
+/// coupled Gauss–Seidel solve.
 fn instrumented_engine(telemetry: TelemetryConfig) -> CludeEngine {
     let assignments = (0..12).map(|u| u % 3).collect::<Vec<_>>();
     CludeEngine::with_partition(
@@ -24,7 +24,6 @@ fn instrumented_engine(telemetry: TelemetryConfig) -> CludeEngine {
             batch: BatchPolicy::by_count(1),
             ring_capacity: 3,
             coupling: CouplingConfig {
-                solver: CouplingSolver::woodbury(),
                 repartition_budget: Some(4),
                 ..CouplingConfig::default()
             },
@@ -64,13 +63,13 @@ fn replay_populates_spans_journal_and_exposition() {
 
     let telemetry = engine.telemetry();
     // Every instrumented stage of this replay saw work: batches were applied,
-    // shards swept and re-frozen, coupled queries solved through Woodbury.
+    // shards swept and re-frozen, coupled queries solved by Gauss–Seidel.
     for stage in [
         Stage::IngestMerge,
         Stage::IngestApply,
         Stage::ShardSweep,
         Stage::SnapshotFreeze,
-        Stage::CouplingWoodburyApply,
+        Stage::CouplingGaussSeidel,
         Stage::QuerySolve,
         Stage::QueryCacheHit,
     ] {
@@ -81,10 +80,15 @@ fn replay_populates_spans_journal_and_exposition() {
         );
     }
 
-    // The journal saw the repartition (tight budget) and the plan rebuilds.
+    // One sweep sample per solved right-hand side (two cold queries here;
+    // the repeats are cache hits), and a cyclic coupling takes several.
+    let sweeps = telemetry.coupling_sweeps();
+    assert_eq!(sweeps.count(), 2);
+    assert!(sweeps.value_at_quantile(0.5) > 1);
+
+    // The journal saw the repartition (tight budget).
     let journal = telemetry.journal();
     assert!(journal.count_of(EventKind::Repartitioned) >= 1);
-    assert!(journal.count_of(EventKind::WoodburyPlanRebuilt) >= 1);
     // The repartition rebuilt every shard, and each rebuild ran the
     // Markowitz-vs-AMD ordering contest.
     assert!(journal.count_of(EventKind::OrderingSelected) >= 1);
@@ -93,16 +97,21 @@ fn replay_populates_spans_journal_and_exposition() {
         .iter()
         .any(|e| e.event.kind() == EventKind::Repartitioned));
 
-    // The exposition parses and carries the key series with non-zero counts.
+    // The exposition parses, renders every stage of the catalog, and
+    // carries the key series with non-zero counts.
     let dump = engine.render_prometheus();
     validate_prometheus(&dump).expect("exposition parses");
+    for stage in Stage::ALL {
+        let series = format!("{}_duration_seconds_count ", stage.metric());
+        assert!(dump.contains(&series), "missing {series}");
+    }
     for needle in [
-        "clude_shard_sweep_duration_seconds_count",
-        "clude_query_solve_duration_seconds_count",
         "clude_journal_events_total{event=\"repartitioned\"}",
+        "clude_coupling_sweeps_count 2\n",
     ] {
         assert!(dump.contains(needle), "missing {needle}");
     }
+    assert!(!dump.contains("clude_coupling_gauss_seidel_duration_seconds_count 0"));
     assert!(!dump.contains("clude_shard_sweep_duration_seconds_count 0"));
     assert!(!dump.contains("clude_query_solve_duration_seconds_count 0"));
 
@@ -134,6 +143,7 @@ fn disabled_telemetry_records_nothing() {
     let telemetry = engine.telemetry();
     assert!(!telemetry.enabled());
     assert_eq!(telemetry.spans_recorded(), 0);
+    assert!(telemetry.coupling_sweeps().is_empty());
     assert_eq!(telemetry.journal().recorded(), 0);
     for counter in clude_telemetry::Counter::ALL {
         assert_eq!(telemetry.counter(counter), 0, "{} moved", counter.name());

@@ -13,8 +13,7 @@
 //! the substitution.  A [`btf_partition`] therefore assigns nodes to shards
 //! along SCC boundaries, numbering shards in dependency-topological order —
 //! when the cross-shard structure is acyclic, the engine's Gauss–Seidel sweep
-//! in shard order is a *direct* solve: one sweep, exact, no Woodbury
-//! correction needed.
+//! in shard order is a *direct* solve: one sweep, exact, no iteration.
 //!
 //! Pieces, each usable on its own:
 //!

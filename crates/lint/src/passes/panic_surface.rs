@@ -16,7 +16,6 @@ use crate::source::{FileContext, FileRole};
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/lu/src/bennett.rs",
     "crates/lu/src/solve.rs",
-    "crates/lu/src/lowrank.rs",
     "crates/engine/src/store.rs",
     "crates/engine/src/sharded.rs",
     "crates/engine/src/coupling.rs",

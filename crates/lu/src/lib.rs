@@ -30,9 +30,6 @@
 //!   storage back-ends, plus sparse-delta application.
 //! * [`solve`] — answering queries on the *original* matrix through the
 //!   reordered factors.
-//! * [`lowrank`] — dense kernels of the Woodbury correction the engine's
-//!   sharded solves cache per snapshot (small partial-pivot [`DenseLu`] and
-//!   the frozen [`LowRankCorrection`]).
 
 #![forbid(unsafe_code)]
 // Indexed loops mirror the paper's matrix notation throughout this crate.
@@ -53,7 +50,6 @@ pub mod dynamic;
 pub mod error;
 pub mod factors;
 pub mod freeze;
-pub mod lowrank;
 pub mod ordering;
 pub mod refactor;
 pub mod solve;
@@ -69,7 +65,6 @@ pub use bennett::{
 pub use dynamic::DynamicLuFactors;
 pub use error::{LuError, LuResult};
 pub use factors::{factorize_fresh, LuFactors};
-pub use lowrank::{CorrectionScratch, DenseLu, LowRankCorrection};
 pub use ordering::{
     markowitz_ordering, natural_order_symbolic_size, reorder_pattern, symbolic_size_under,
     OrderingResult,

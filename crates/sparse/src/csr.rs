@@ -13,10 +13,6 @@ use crate::error::{SparseError, SparseResult};
 use crate::pattern::SparsityPattern;
 use crate::perm::Ordering;
 
-/// CSC-like per-column entry lists (row-sorted `(row, value)` pairs), as
-/// returned by [`CsrMatrix::split_columns`].
-pub type ColumnEntries = Vec<Vec<(usize, f64)>>;
-
 /// A sparse matrix in compressed sparse row format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
@@ -370,72 +366,6 @@ impl CsrMatrix {
         out
     }
 
-    /// Per-column absolute-value sums `w_j = Σ_i |a_ij|`.
-    ///
-    /// This is the "heat" of a column: the engine's coupling solvers rank the
-    /// cross-shard columns by this weight when deciding which of them a
-    /// low-rank (Woodbury) correction should capture — the heavier a column,
-    /// the more it slows the iterative fallback that handles the remainder.
-    pub fn col_abs_sums(&self) -> Vec<f64> {
-        let mut sums = vec![0.0; self.n_cols];
-        for (&c, &v) in self.col_idx.iter().zip(self.values.iter()) {
-            sums[c] += v.abs();
-        }
-        sums
-    }
-
-    /// Splits the matrix by columns: the stored entries of each selected
-    /// column in CSC-like per-column form (row-sorted `(row, value)` lists,
-    /// parallel to `cols`), plus the remainder matrix with the selected
-    /// columns removed.  The selection must be in range and duplicate-free
-    /// (a duplicate would leave one of its slots silently empty); selection
-    /// errors carry the offending column in their `col` field — the `row`
-    /// field is zero, since only columns are validated here.
-    ///
-    /// One pass over the CSR storage extracts both halves, so pulling the `k`
-    /// hottest coupling columns out for a low-rank correction costs `O(nnz)`,
-    /// not `k` column searches.
-    pub fn split_columns(&self, cols: &[usize]) -> SparseResult<(ColumnEntries, CsrMatrix)> {
-        // Map column id -> position in `cols` (None = stays in the remainder).
-        let mut selected: Vec<Option<usize>> = vec![None; self.n_cols];
-        for (k, &c) in cols.iter().enumerate() {
-            if c >= self.n_cols {
-                return Err(SparseError::IndexOutOfBounds {
-                    row: 0,
-                    col: c,
-                    n_rows: self.n_rows,
-                    n_cols: self.n_cols,
-                });
-            }
-            if selected[c].is_some() {
-                return Err(SparseError::DuplicateEntry { row: 0, col: c });
-            }
-            selected[c] = Some(k);
-        }
-        let mut extracted: Vec<Vec<(usize, f64)>> = vec![Vec::new(); cols.len()];
-        let mut row_ptr = Vec::with_capacity(self.n_rows + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0);
-        for i in 0..self.n_rows {
-            let (rc, rv) = self.row(i);
-            for (&c, &v) in rc.iter().zip(rv.iter()) {
-                match selected[c] {
-                    // Rows are visited in order, so each column list ends up
-                    // row-sorted for free.
-                    Some(k) => extracted[k].push((i, v)),
-                    None => {
-                        col_idx.push(c);
-                        values.push(v);
-                    }
-                }
-            }
-            row_ptr.push(col_idx.len());
-        }
-        let rest = CsrMatrix::from_raw_parts(self.n_rows, self.n_cols, row_ptr, col_idx, values);
-        Ok((extracted, rest))
-    }
-
     /// Maximum absolute difference between two matrices over the union of
     /// their patterns.  Useful for approximate equality in tests.
     pub fn max_abs_diff(&self, other: &CsrMatrix) -> SparseResult<f64> {
@@ -517,53 +447,6 @@ mod tests {
         let a = m.mul_vec_transposed(&x).unwrap();
         let b = m.transpose().mul_vec(&x).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn col_abs_sums_accumulate_magnitudes() {
-        let m = sample();
-        assert_eq!(m.col_abs_sums(), vec![6.0, 3.0, 6.0]);
-        let mut coo = CooMatrix::new(2, 3);
-        coo.push(0, 1, -2.0).unwrap();
-        coo.push(1, 1, 3.0).unwrap();
-        assert_eq!(
-            CsrMatrix::from_coo(&coo).col_abs_sums(),
-            vec![0.0, 5.0, 0.0]
-        );
-    }
-
-    #[test]
-    fn split_columns_partitions_the_entries() {
-        let m = sample();
-        let (cols, rest) = m.split_columns(&[2, 0]).unwrap();
-        // Requested order preserved; each list row-sorted.
-        assert_eq!(cols[0], vec![(0, 1.0), (2, 5.0)]);
-        assert_eq!(cols[1], vec![(0, 2.0), (2, 4.0)]);
-        assert_eq!(rest.nnz(), 1);
-        assert_eq!(rest.get(1, 1), 3.0);
-        assert_eq!(rest.n_rows(), 3);
-        assert_eq!(rest.n_cols(), 3);
-        // Extracted columns + remainder reassemble the matrix.
-        let mut coo = CooMatrix::new(3, 3);
-        for (k, &j) in [2usize, 0].iter().enumerate() {
-            for &(i, v) in &cols[k] {
-                coo.push(i, j, v).unwrap();
-            }
-        }
-        for (i, j, v) in rest.iter() {
-            coo.push(i, j, v).unwrap();
-        }
-        assert_eq!(CsrMatrix::from_coo(&coo), m);
-        // No columns selected: everything stays in the remainder.
-        let (none, all) = m.split_columns(&[]).unwrap();
-        assert!(none.is_empty());
-        assert_eq!(all, m);
-        // Out-of-range and duplicate selections are rejected.
-        assert!(m.split_columns(&[7]).is_err());
-        assert!(matches!(
-            m.split_columns(&[2, 2]),
-            Err(SparseError::DuplicateEntry { col: 2, .. })
-        ));
     }
 
     #[test]

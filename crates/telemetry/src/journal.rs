@@ -1,11 +1,11 @@
 //! The bounded structured event journal.
 //!
 //! Rare, high-information engine events — repartitions, quality-triggered
-//! refreshes, Woodbury plan rebuilds, convergence failures, cache evictions
-//! — used to be silent: folded into an aggregate counter at best, dropped at
-//! worst. The journal keeps the last `capacity` of them as typed values in a
-//! fixed-size ring, with a global sequence number so an operator can tell
-//! how much history was shed. Events fire a handful of times per replay, so
+//! refreshes, convergence failures, cache evictions — used to be silent:
+//! folded into an aggregate counter at best, dropped at worst. The journal
+//! keeps the last `capacity` of them as typed values in a fixed-size ring,
+//! with a global sequence number so an operator can tell how much history
+//! was shed. Events fire a handful of times per replay, so
 //! a mutex (not atomics) guards the ring; per-kind counts are additionally
 //! kept in relaxed atomics for the Prometheus exposition.
 
@@ -76,14 +76,6 @@ pub enum EngineEvent {
         /// `numeric`).
         quality_loss: f64,
     },
-    /// A snapshot freeze rebuilt the cached Woodbury correction.
-    WoodburyPlanRebuilt {
-        /// Rank of the rebuilt correction (captured coupling columns).
-        rank: u32,
-        /// True when the captured column set was unchanged — the rebuild
-        /// happened only because a support shard re-froze its factors.
-        reused: bool,
-    },
     /// An iterative coupling solve exhausted its sweep budget.
     ConvergenceFailure {
         /// Sweeps performed before giving up.
@@ -150,8 +142,6 @@ pub enum EventKind {
     Repartitioned,
     /// [`EngineEvent::RefreshTriggered`]
     RefreshTriggered,
-    /// [`EngineEvent::WoodburyPlanRebuilt`]
-    WoodburyPlanRebuilt,
     /// [`EngineEvent::ConvergenceFailure`]
     ConvergenceFailure,
     /// [`EngineEvent::CacheEvicted`]
@@ -170,10 +160,9 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in exposition order.
-    pub const ALL: [EventKind; 10] = [
+    pub const ALL: [EventKind; 9] = [
         EventKind::Repartitioned,
         EventKind::RefreshTriggered,
-        EventKind::WoodburyPlanRebuilt,
         EventKind::ConvergenceFailure,
         EventKind::CacheEvicted,
         EventKind::CacheInvalidated,
@@ -188,7 +177,6 @@ impl EventKind {
         match self {
             EventKind::Repartitioned => "repartitioned",
             EventKind::RefreshTriggered => "refresh_triggered",
-            EventKind::WoodburyPlanRebuilt => "woodbury_plan_rebuilt",
             EventKind::ConvergenceFailure => "convergence_failure",
             EventKind::CacheEvicted => "cache_evicted",
             EventKind::CacheInvalidated => "cache_invalidated",
@@ -206,7 +194,6 @@ impl EngineEvent {
         match self {
             EngineEvent::Repartitioned { .. } => EventKind::Repartitioned,
             EngineEvent::RefreshTriggered { .. } => EventKind::RefreshTriggered,
-            EngineEvent::WoodburyPlanRebuilt { .. } => EventKind::WoodburyPlanRebuilt,
             EngineEvent::ConvergenceFailure { .. } => EventKind::ConvergenceFailure,
             EngineEvent::CacheEvicted { .. } => EventKind::CacheEvicted,
             EngineEvent::CacheInvalidated { .. } => EventKind::CacheInvalidated,

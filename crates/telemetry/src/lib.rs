@@ -18,10 +18,9 @@
 //!   (`ingest.merge`, `shard.sweep`, `coupling.gauss_seidel`, ...); each
 //!   stage owns one duration histogram.
 //! * [`TelemetryRegistry::span`] returns a RAII [`Span`] that records the
-//!   elapsed time into the stage's histogram on drop; [`Timer`] is the
-//!   two-phase variant for code that cannot hold a borrow across the timed
-//!   region. With [`TelemetryConfig::disabled`] neither reads the clock —
-//!   a span is then a single branch on a `bool`.
+//!   elapsed time into the stage's histogram on drop. With
+//!   [`TelemetryConfig::disabled`] it never reads the clock — a span is
+//!   then a single branch on a `bool`.
 //! * [`Counter`] and [`Gauge`] name the monotonic counters and sampled
 //!   gauges (coupling nnz, resident factor bytes, ring depth).
 //! * [`TelemetryRegistry::render_prometheus`] and
@@ -44,7 +43,5 @@ pub use hist::{HistogramSnapshot, LogHistogram};
 pub use journal::{
     EngineEvent, EventJournal, EventKind, FallbackReason, JournalEntry, OrderingMethod,
 };
-pub use registry::{
-    validate_prometheus, Counter, Gauge, Span, TelemetryConfig, TelemetryRegistry, Timer,
-};
+pub use registry::{validate_prometheus, Counter, Gauge, Span, TelemetryConfig, TelemetryRegistry};
 pub use stage::Stage;

@@ -100,17 +100,14 @@ pub enum Gauge {
     ResidentFactorBytes,
     /// Snapshots currently retained in the ring.
     RingDepth,
-    /// Rank of the newest snapshot's cached Woodbury correction.
-    CorrectionRank,
 }
 
 impl Gauge {
     /// Every gauge, in exposition order.
-    pub const ALL: [Gauge; 4] = [
+    pub const ALL: [Gauge; 3] = [
         Gauge::CouplingNnz,
         Gauge::ResidentFactorBytes,
         Gauge::RingDepth,
-        Gauge::CorrectionRank,
     ];
 
     /// Short snake_case name (JSON key).
@@ -119,7 +116,6 @@ impl Gauge {
             Gauge::CouplingNnz => "coupling_nnz",
             Gauge::ResidentFactorBytes => "resident_factor_bytes",
             Gauge::RingDepth => "ring_depth",
-            Gauge::CorrectionRank => "correction_rank",
         }
     }
 
@@ -129,13 +125,13 @@ impl Gauge {
             Gauge::CouplingNnz => "clude_coupling_nnz",
             Gauge::ResidentFactorBytes => "clude_resident_factor_bytes",
             Gauge::RingDepth => "clude_ring_depth",
-            Gauge::CorrectionRank => "clude_correction_rank",
         }
     }
 }
 
 /// The engine-wide telemetry sink: one duration histogram per [`Stage`],
-/// the counters and gauges, and the event journal.
+/// the coupled-solve sweep histogram, the counters and gauges, and the event
+/// journal.
 ///
 /// All recording goes through `&self` with relaxed atomics (the journal's
 /// rare events take a mutex), so one registry sits behind an `Arc` shared by
@@ -144,6 +140,9 @@ impl Gauge {
 pub struct TelemetryRegistry {
     config: TelemetryConfig,
     stages: [LogHistogram; Stage::COUNT],
+    /// Sweeps per coupled right-hand side (a count, not a duration — the one
+    /// histogram that is not a stage).
+    coupling_sweeps: LogHistogram,
     counters: [AtomicU64; Counter::ALL.len()],
     gauges: [AtomicU64; Gauge::ALL.len()],
     journal: EventJournal,
@@ -161,6 +160,7 @@ impl TelemetryRegistry {
         TelemetryRegistry {
             config,
             stages: [const { LogHistogram::new() }; Stage::COUNT],
+            coupling_sweeps: LogHistogram::new(),
             counters: [const { AtomicU64::new(0) }; Counter::ALL.len()],
             gauges: [const { AtomicU64::new(0) }; Gauge::ALL.len()],
             journal: EventJournal::new(config.journal_capacity),
@@ -220,6 +220,20 @@ impl TelemetryRegistry {
     /// disabled — use [`Self::observe`] for gated recording).
     pub fn stage_histogram(&self, stage: Stage) -> &LogHistogram {
         &self.stages[stage.index()]
+    }
+
+    /// Records the sweep count at which one right-hand side of a coupled
+    /// solve converged (one sample per solved column, never per sweep).
+    #[inline]
+    pub fn observe_coupling_sweeps(&self, sweeps: u64) {
+        if self.config.enabled {
+            self.coupling_sweeps.record(sweeps);
+        }
+    }
+
+    /// Sweeps-to-convergence of every coupled right-hand side solved so far.
+    pub fn coupling_sweeps(&self) -> &LogHistogram {
+        &self.coupling_sweeps
     }
 
     /// Increments `counter` by one.
@@ -287,28 +301,28 @@ impl TelemetryRegistry {
     ///
     /// Stage histograms render as summary families in seconds
     /// (`clude_<stage>_duration_seconds{quantile="..."}` plus `_sum` /
-    /// `_count`), counters as `_total` series, gauges plainly, and journal
-    /// per-kind counts as `clude_journal_events_total{event="..."}`.
+    /// `_count`), the sweep histogram as the unitless summary
+    /// `clude_coupling_sweeps`, counters as `_total` series, gauges plainly,
+    /// and journal per-kind counts as
+    /// `clude_journal_events_total{event="..."}`.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
         for stage in Stage::ALL {
-            let h = &self.stages[stage.index()];
-            let family = format!("{}_duration_seconds", stage.metric());
-            out.push_str(&format!(
-                "# HELP {family} Latency of engine stage {}.\n",
-                stage.name()
-            ));
-            out.push_str(&format!("# TYPE {family} summary\n"));
-            for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
-                out.push_str(&format!(
-                    "{family}{{quantile=\"{label}\"}} {}\n",
-                    secs(h.value_at_quantile(q))
-                ));
-            }
-            out.push_str(&format!("{family}{{quantile=\"1\"}} {}\n", secs(h.max())));
-            out.push_str(&format!("{family}_sum {}\n", secs(h.sum())));
-            out.push_str(&format!("{family}_count {}\n", h.count()));
+            push_summary(
+                &mut out,
+                &format!("{}_duration_seconds", stage.metric()),
+                &format!("Latency of engine stage {}.", stage.name()),
+                &self.stages[stage.index()],
+                secs,
+            );
         }
+        push_summary(
+            &mut out,
+            "clude_coupling_sweeps",
+            "Gauss-Seidel sweeps per coupled right-hand side.",
+            &self.coupling_sweeps,
+            |sweeps| sweeps.to_string(),
+        );
         for counter in Counter::ALL {
             let metric = counter.metric();
             out.push_str(&format!(
@@ -366,7 +380,17 @@ impl TelemetryRegistry {
                 comma(i, Stage::COUNT)
             ));
         }
-        out.push_str("  },\n  \"counters\": {");
+        let sweeps = &self.coupling_sweeps;
+        out.push_str(&format!(
+            "  }},\n  \"coupling_sweeps\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \
+             \"p50\": {}, \"p90\": {}, \"p99\": {}}},\n  \"counters\": {{",
+            sweeps.count(),
+            sweeps.sum(),
+            sweeps.max(),
+            sweeps.value_at_quantile(0.5),
+            sweeps.value_at_quantile(0.9),
+            sweeps.value_at_quantile(0.99),
+        ));
         for (i, counter) in Counter::ALL.iter().enumerate() {
             out.push_str(&format!(
                 "\"{}\": {}{}",
@@ -402,6 +426,28 @@ impl TelemetryRegistry {
         out.push_str("    ]\n  }\n}\n");
         out
     }
+}
+
+/// One histogram as a Prometheus summary family: p50 / p90 / p99 / max, then
+/// `_sum` and `_count`, every value rendered by `unit`.
+fn push_summary(
+    out: &mut String,
+    family: &str,
+    help: &str,
+    h: &LogHistogram,
+    unit: fn(u64) -> String,
+) {
+    out.push_str(&format!("# HELP {family} {help}\n"));
+    out.push_str(&format!("# TYPE {family} summary\n"));
+    for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
+        out.push_str(&format!(
+            "{family}{{quantile=\"{label}\"}} {}\n",
+            unit(h.value_at_quantile(q))
+        ));
+    }
+    out.push_str(&format!("{family}{{quantile=\"1\"}} {}\n", unit(h.max())));
+    out.push_str(&format!("{family}_sum {}\n", unit(h.sum())));
+    out.push_str(&format!("{family}_count {}\n", h.count()));
 }
 
 /// Nanoseconds rendered as fixed-point seconds.
@@ -445,9 +491,6 @@ fn event_json(seq: u64, event: &EngineEvent) -> String {
             "{{\"seq\": {seq}, \"kind\": \"{kind}\", \"shard\": {shard}, \"numeric\": {numeric}, \
              \"quality_loss\": {}}}",
             json_f64(*quality_loss)
-        ),
-        EngineEvent::WoodburyPlanRebuilt { rank, reused } => format!(
-            "{{\"seq\": {seq}, \"kind\": \"{kind}\", \"rank\": {rank}, \"reused\": {reused}}}"
         ),
         EngineEvent::ConvergenceFailure { sweeps, residual } => format!(
             "{{\"seq\": {seq}, \"kind\": \"{kind}\", \"sweeps\": {sweeps}, \"residual\": {}}}",
@@ -582,46 +625,6 @@ impl Drop for Span<'_> {
     }
 }
 
-/// A two-phase timer for code that cannot hold a `&TelemetryRegistry`
-/// borrow (or does not know the stage) across the timed region.
-#[derive(Debug, Clone, Copy)]
-#[must_use = "a timer only records when finished"]
-pub struct Timer {
-    start: Option<Instant>,
-}
-
-impl Timer {
-    /// Reads the clock if `registry` is enabled.
-    #[inline]
-    pub fn start(registry: &TelemetryRegistry) -> Self {
-        Timer {
-            start: if registry.enabled() {
-                Some(Instant::now())
-            } else {
-                None
-            },
-        }
-    }
-
-    /// A timer that will never record.
-    pub const fn disabled() -> Self {
-        Timer { start: None }
-    }
-
-    /// Elapsed time since [`Timer::start`], if the clock was read.
-    pub fn elapsed(&self) -> Option<Duration> {
-        self.start.map(|s| s.elapsed())
-    }
-
-    /// Records the elapsed time into `stage`'s histogram.
-    #[inline]
-    pub fn finish(self, registry: &TelemetryRegistry, stage: Stage) {
-        if let Some(start) = self.start {
-            registry.observe(stage, start.elapsed());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,9 +651,8 @@ mod tests {
         reg.incr(Counter::QueriesServed);
         reg.set_gauge(Gauge::RingDepth, 7);
         reg.record_event(EngineEvent::CacheEvicted { snapshot: 1 });
-        let t = Timer::start(&reg);
-        assert!(t.elapsed().is_none());
-        t.finish(&reg, Stage::QuerySolve);
+        reg.observe_coupling_sweeps(20);
+        assert!(reg.coupling_sweeps().is_empty());
         assert_eq!(reg.spans_recorded(), 0);
         assert_eq!(reg.counter(Counter::QueriesServed), 0);
         assert_eq!(reg.gauge(Gauge::RingDepth), 0);
@@ -675,17 +677,24 @@ mod tests {
         reg.observe(Stage::QuerySolve, Duration::from_micros(250));
         reg.incr(Counter::BatchesApplied);
         reg.set_gauge(Gauge::RingDepth, 3);
-        reg.record_event(EngineEvent::WoodburyPlanRebuilt {
-            rank: 64,
-            reused: false,
+        reg.record_event(EngineEvent::Repartitioned {
+            coupling_nnz_before: 900,
+            coupling_nnz_after: 300,
         });
+        for sweeps in [18, 21, 21, 40] {
+            reg.observe_coupling_sweeps(sweeps);
+        }
         let text = reg.render_prometheus();
         validate_prometheus(&text).expect("exposition must parse");
         assert!(text.contains("clude_shard_sweep_duration_seconds_count 1"));
         assert!(text.contains("clude_query_solve_duration_seconds{quantile=\"0.99\"}"));
         assert!(text.contains("clude_batches_applied_total 1"));
         assert!(text.contains("clude_ring_depth 3"));
-        assert!(text.contains("clude_journal_events_total{event=\"woodbury_plan_rebuilt\"} 1"));
+        assert!(text.contains("clude_journal_events_total{event=\"repartitioned\"} 1"));
+        assert!(text.contains("clude_coupling_sweeps{quantile=\"0.5\"} 21\n"));
+        assert!(text.contains("clude_coupling_sweeps{quantile=\"1\"} 40\n"));
+        assert!(text.contains("clude_coupling_sweeps_sum 100\n"));
+        assert!(text.contains("clude_coupling_sweeps_count 4\n"));
     }
 
     #[test]
@@ -714,6 +723,7 @@ mod tests {
         for needle in [
             "\"enabled\": true",
             "\"ingest.merge\"",
+            "\"coupling_sweeps\": {\"count\": 0,",
             "\"counters\"",
             "\"gauges\"",
             "\"kind\": \"convergence_failure\"",

@@ -21,11 +21,6 @@ pub enum Stage {
     ShardRefresh,
     /// A Gauss–Seidel coupling solve (whole iteration, all sweeps).
     CouplingGaussSeidel,
-    /// Building the cached Woodbury correction at snapshot-freeze time.
-    CouplingWoodburyBuild,
-    /// Applying the cached Woodbury correction on the query path
-    /// (block pass + dense `k×k` substitution + remainder sweeps).
-    CouplingWoodburyApply,
     /// Deep-cloning a shard's factor block into a shared snapshot handle
     /// (`OrderedFactors::publish`).
     SnapshotFreeze,
@@ -56,14 +51,12 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in exposition order.
-    pub const ALL: [Stage; 16] = [
+    pub const ALL: [Stage; 14] = [
         Stage::IngestMerge,
         Stage::IngestApply,
         Stage::ShardSweep,
         Stage::ShardRefresh,
         Stage::CouplingGaussSeidel,
-        Stage::CouplingWoodburyBuild,
-        Stage::CouplingWoodburyApply,
         Stage::SnapshotFreeze,
         Stage::QuerySolve,
         Stage::QueryCacheHit,
@@ -92,8 +85,6 @@ impl Stage {
             Stage::ShardSweep => "shard.sweep",
             Stage::ShardRefresh => "shard.refresh",
             Stage::CouplingGaussSeidel => "coupling.gauss_seidel",
-            Stage::CouplingWoodburyBuild => "coupling.woodbury_build",
-            Stage::CouplingWoodburyApply => "coupling.woodbury_apply",
             Stage::SnapshotFreeze => "snapshot.freeze",
             Stage::QuerySolve => "query.solve",
             Stage::QueryCacheHit => "query.cache_hit",
@@ -114,8 +105,6 @@ impl Stage {
             Stage::ShardSweep => "clude_shard_sweep",
             Stage::ShardRefresh => "clude_shard_refresh",
             Stage::CouplingGaussSeidel => "clude_coupling_gauss_seidel",
-            Stage::CouplingWoodburyBuild => "clude_coupling_woodbury_build",
-            Stage::CouplingWoodburyApply => "clude_coupling_woodbury_apply",
             Stage::SnapshotFreeze => "clude_snapshot_freeze",
             Stage::QuerySolve => "clude_query_solve",
             Stage::QueryCacheHit => "clude_query_cache_hit",

@@ -5,8 +5,7 @@
 use clude::algorithms::{Clude, LudemSolver, SolverConfig};
 use clude::ems::EvolvingMatrixSequence;
 use clude_engine::{
-    BatchPolicy, CludeEngine, CouplingConfig, CouplingSolver, EngineConfig, RefreshPolicy,
-    ShardedFactorStore,
+    BatchPolicy, CludeEngine, CouplingConfig, EngineConfig, RefreshPolicy, ShardedFactorStore,
 };
 use clude_graph::generators::wiki_like::{self, WikiLikeConfig};
 use clude_graph::{measure_matrix, DiGraph, GraphDelta, MatrixKind, NodePartition};
@@ -188,9 +187,8 @@ proptest! {
         }
     }
 
-    /// Every coupling-solver strategy — block Gauss–Seidel, the full-capture
-    /// Woodbury correction and a rank-starved Woodbury that must iterate
-    /// over its remainder — and the one-shard store (the former monolithic
+    /// The coupled solve of a k-shard store — block Gauss–Seidel, the one
+    /// solver — and the one-shard store (the former monolithic
     /// configuration) must agree with a dense solve of the snapshot's
     /// measure matrix on every measure query to 1e-9 over random edge-op
     /// streams: intra-shard edges, cross-shard edges and removals alike, at
@@ -204,30 +202,13 @@ proptest! {
         let base = ring_base(n);
         let kind = MatrixKind::RandomWalk { damping: DAMPING };
         let policy = RefreshPolicy::QualityTriggered { max_quality_loss: 0.5 };
-        let solvers = [
-            CouplingSolver::GaussSeidel,
-            CouplingSolver::woodbury(),
-            CouplingSolver::Woodbury { max_rank: 2 },
-        ];
-        let mut stores: Vec<ShardedFactorStore> = solvers
-            .iter()
-            .map(|&solver| {
-                ShardedFactorStore::new(
-                    base.clone(),
-                    kind,
-                    policy,
-                    NodePartition::contiguous(n, n_shards),
-                )
-                .unwrap()
-                .with_coupling_config(CouplingConfig { solver, ..CouplingConfig::default() })
-                .unwrap()
-            })
-            .collect();
-        // The same machine at k = 1: one block, no coupling, no iteration.
-        stores.push(
-            ShardedFactorStore::new(base.clone(), kind, policy, NodePartition::singleton(n))
-                .unwrap(),
-        );
+        // k shards, and the same machine at k = 1: one block, no coupling,
+        // no iteration.
+        let mut stores = [
+            NodePartition::contiguous(n, n_shards),
+            NodePartition::singleton(n),
+        ]
+        .map(|partition| ShardedFactorStore::new(base.clone(), kind, policy, partition).unwrap());
 
         // Replay in small batches of net-effective changes (the stores take
         // deltas, so mirror the ingestor's no-op dropping against a shadow
@@ -273,20 +254,17 @@ proptest! {
             applied += 1;
             let expected: Vec<Vec<f64>> =
                 queries.iter().map(|q| dense_answer(&shadow, kind, q)).collect();
-            for (i, store) in stores.iter_mut().enumerate() {
+            for store in &mut stores {
                 let report = store.advance(&delta).unwrap();
                 prop_assert_eq!(report.snapshot_id, applied);
                 let snap = store.snapshot();
-                if let Some(solver) = solvers.get(i) {
-                    prop_assert_eq!(snap.solver(), *solver);
-                }
                 for (q, b) in queries.iter().zip(&expected) {
                     let a = snap.query(q).unwrap();
                     for (x, y) in a.iter().zip(b.iter()) {
                         prop_assert!(
                             (x - y).abs() <= 1e-9,
-                            "{:?} on {} shard(s) under {} diverged: store {} vs dense {}",
-                            q, snap.n_shards(), snap.solver().name(), x, y
+                            "{:?} on {} shard(s) diverged: store {} vs dense {}",
+                            q, snap.n_shards(), x, y
                         );
                     }
                 }
@@ -301,12 +279,16 @@ proptest! {
     /// deep-cloned snapshot would keep returning), no matter how much the
     /// store mutates afterwards.  Along the way, the structural-sharing
     /// invariant is checked batch by batch: a shard's handle is re-frozen
-    /// exactly when the batch touched that shard, and the frozen coupling
-    /// exactly when a cross-shard entry changed.
+    /// exactly when the batch touched that shard, and the frozen coupling —
+    /// and with it the plan — exactly when a cross-shard entry changed.  The
+    /// coupling budget is small enough that some streams outgrow it, so
+    /// repartitioning batches (everything re-frozen, new partition) are in
+    /// the stream the invariants are checked over.
     #[test]
     fn cow_ring_answers_bit_identically_to_full_clone_snapshots(
         ops in proptest::collection::vec((0usize..2, 0usize..18, 0usize..18), 1..32),
         n_shards in 2usize..5,
+        repartition_budget in 6usize..30,
     ) {
         let n = 18;
         let base = ring_base(n);
@@ -317,6 +299,11 @@ proptest! {
             RefreshPolicy::QualityTriggered { max_quality_loss: 0.5 },
             NodePartition::contiguous(n, n_shards),
         )
+        .unwrap()
+        .with_coupling_config(CouplingConfig {
+            repartition_budget: Some(repartition_budget),
+            ..CouplingConfig::default()
+        })
         .unwrap();
         let queries = [
             MeasureQuery::PageRank { damping: DAMPING },
@@ -362,14 +349,17 @@ proptest! {
             let report = store.advance(&delta).unwrap();
             let snap = store.snapshot();
             // Sharing invariant against the previous ring entry: untouched
-            // shards are pointer-shared, touched shards re-frozen.
+            // shards are pointer-shared, touched shards re-frozen — all of
+            // them by a repartition, which also re-freezes the coupling.
             let (prev, _) = ring.last().unwrap();
+            prop_assert_eq!(snap.n_shards(), n_shards);
+            prop_assert!(!report.repartitioned || report.coupling_republished);
             for s in 0..n_shards {
                 let shared = std::sync::Arc::ptr_eq(
                     prev.shards()[s].shared(),
                     snap.shards()[s].shared(),
                 );
-                let touched = report.per_shard[s].entries_applied > 0;
+                let touched = report.repartitioned || report.per_shard[s].entries_applied > 0;
                 prop_assert_eq!(
                     shared, !touched,
                     "shard {} sharing ({}) disagrees with touched ({})", s, shared, touched
@@ -379,9 +369,8 @@ proptest! {
                 std::sync::Arc::ptr_eq(prev.shared_coupling(), snap.shared_coupling()),
                 !report.coupling_republished
             );
-            // The frozen coupling plan follows the coupling: under the
-            // default Gauss–Seidel strategy (no cached correction) it is
-            // re-frozen exactly when the coupling changed.
+            // The plan is a function of (partition, coupling) and is frozen
+            // with the coupling: shared exactly when the coupling is.
             prop_assert_eq!(
                 std::sync::Arc::ptr_eq(prev.coupling_plan(), snap.coupling_plan()),
                 !report.coupling_republished
