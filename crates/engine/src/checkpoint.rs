@@ -652,9 +652,7 @@ mod tests {
     fn state_for(graph: DiGraph, snapshot_id: u64) -> DurableState {
         let kind = MatrixKind::random_walk_default();
         let matrix = measure_matrix(&graph, kind);
-        let mut of =
-            order_and_factorize(&matrix, &clude_telemetry::TelemetryRegistry::disabled(), 0)
-                .unwrap();
+        let mut of = order_and_factorize(&matrix).unwrap();
         let published = of.publish(snapshot_id).unwrap();
         let n = graph.n_nodes();
         DurableState {

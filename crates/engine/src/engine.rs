@@ -91,10 +91,6 @@ pub struct EngineConfig {
     /// for a newer snapshot may lag (`0`, the default, serves exact results
     /// only).
     pub staleness: StalenessBudget,
-    /// Dwell window of the query batcher, in microseconds.  `0` (the
-    /// default) drains immediately; a small window lets concurrent
-    /// cache-missing queries coalesce into wider panel solves.
-    pub batch_window_us: u64,
 }
 
 impl Default for EngineConfig {
@@ -111,7 +107,6 @@ impl Default for EngineConfig {
             partition_strategy: PartitionStrategy::default(),
             telemetry: TelemetryConfig::default(),
             staleness: StalenessBudget::default(),
-            batch_window_us: 0,
         }
     }
 }
@@ -168,9 +163,6 @@ impl std::fmt::Debug for IngestState {
 #[derive(Debug)]
 pub struct CludeEngine {
     kind: MatrixKind,
-    /// Fixed at construction (the shard *count* never changes; the adaptive
-    /// re-partitioner may re-derive the node assignment behind it).
-    n_shards: usize,
     inner: Mutex<IngestState>,
     ring: RwLock<VecDeque<Arc<EngineSnapshot>>>,
     ring_capacity: usize,
@@ -223,15 +215,10 @@ impl CludeEngine {
     ) -> EngineResult<Self> {
         config.validate()?;
         let telemetry = Arc::new(TelemetryRegistry::new(config.telemetry));
-        let store = ShardedFactorStore::with_registry(
-            base,
-            config.matrix_kind,
-            config.refresh,
-            partition,
-            Arc::clone(&telemetry),
-        )?
-        .with_partition_strategy(config.partition_strategy)
-        .with_coupling_config(config.coupling)?;
+        let store = ShardedFactorStore::new(base, config.matrix_kind, config.refresh, partition)?
+            .with_telemetry(Arc::clone(&telemetry))
+            .with_partition_strategy(config.partition_strategy)
+            .with_coupling_config(config.coupling)?;
         Self::from_store(store, config, telemetry)
     }
 
@@ -292,13 +279,9 @@ impl CludeEngine {
         let checkpoint_gen = loaded.gen;
         let max_committed_gen = loaded.max_committed_gen;
         let telemetry = Arc::new(TelemetryRegistry::new(config.telemetry));
-        let store = ShardedFactorStore::restore(
-            config.refresh,
-            config.coupling,
-            Arc::clone(&telemetry),
-            loaded.state,
-        )?
-        .with_partition_strategy(config.partition_strategy);
+        let store = ShardedFactorStore::restore(config.refresh, config.coupling, loaded.state)?
+            .with_telemetry(Arc::clone(&telemetry))
+            .with_partition_strategy(config.partition_strategy);
         let replay = recovery::read_wal(&*durability.vfs, &durability.dir, checkpoint_snapshot)?;
         let engine = Self::from_store(store, config, telemetry)?;
         let mut report = RecoveryReport {
@@ -373,14 +356,12 @@ impl CludeEngine {
         config: EngineConfig,
         telemetry: Arc<TelemetryRegistry>,
     ) -> EngineResult<Self> {
-        let n_shards = store.n_shards();
-        let counters = Arc::new(EngineCounters::with_shards(n_shards));
+        let counters = Arc::new(EngineCounters::with_shards(store.n_shards()));
         let first = Arc::new(store.snapshot());
         let mut ring = VecDeque::with_capacity(config.ring_capacity);
         ring.push_back(Arc::clone(&first));
         Ok(CludeEngine {
             kind: config.matrix_kind,
-            n_shards,
             inner: Mutex::new(IngestState {
                 ingestor: DeltaIngestor::new(config.batch).with_telemetry(Arc::clone(&telemetry)),
                 store,
@@ -389,23 +370,24 @@ impl CludeEngine {
             ring: RwLock::new(ring),
             ring_capacity: config.ring_capacity,
             handle: SnapshotHandle::new(first),
-            service: QueryService::with_serving(
+            service: QueryService::new(
                 config.cache_shards,
                 config.cache_capacity_per_shard,
                 Arc::clone(&counters),
                 Arc::clone(&telemetry),
                 config.staleness,
-                std::time::Duration::from_micros(config.batch_window_us),
             ),
             counters,
             telemetry,
         })
     }
 
-    /// Number of factor-store shards the ingest path maintains (fixed at
-    /// construction; never blocks on the ingest lock).
+    /// Number of factor-store shards behind the newest published snapshot
+    /// (read from the wait-free handle; never blocks on the ingest lock).
+    /// A coarsening BTF repartition can shrink it — `btf_partition` never
+    /// splits an SCC — and nothing grows it.
     pub fn n_shards(&self) -> usize {
-        self.n_shards
+        self.handle.load().n_shards()
     }
 
     /// Streams one edge insertion.  Returns the new snapshot id when the
@@ -495,26 +477,27 @@ impl CludeEngine {
             }
         }
         // Snapshot-ring sharing accounting: the batch cloned (re-froze) the
-        // factor blocks of the shards it touched and shared the rest with the
-        // previous ring entry.
+        // factor blocks of the shards it touched and shared the rest of the
+        // snapshot it is about to publish with the previous ring entry.  The
+        // store's own count, not the report's: a repartitioning batch reports
+        // per old shard what it swept, then republishes every new one.
         EngineCounters::add(&self.counters.cow_shards_cloned, report.shards_republished);
         EngineCounters::add(
             &self.counters.cow_shards_shared,
-            self.n_shards as u64 - report.shards_republished,
+            state.store.n_shards() as u64 - report.shards_republished,
         );
         if report.repartitioned {
             EngineCounters::bump(&self.counters.repartitions);
         }
 
         let snapshot = Arc::new(state.store.snapshot());
-        let (previous, oldest_retained) = {
+        let oldest_retained = {
             let mut ring = self.ring.write().expect("snapshot ring poisoned");
-            let previous = ring.back().map(Arc::clone);
             ring.push_back(Arc::clone(&snapshot));
             while ring.len() > self.ring_capacity {
                 ring.pop_front();
             }
-            (previous, ring.front().expect("ring is never empty").id())
+            ring.front().expect("ring is never empty").id()
         };
         // Publish to the wait-free handle: the hot read path switches to the
         // new snapshot without ever taking the ring lock.  Publishes stay
@@ -522,25 +505,6 @@ impl CludeEngine {
         // only the handle's internal slot, so no ordering cycle exists.
         self.handle.publish(Arc::clone(&snapshot));
         self.service.invalidate_below(oldest_retained);
-        // Stability-aware cache promotion: `Arc` block identity between the
-        // two newest ring entries names exactly the shards this batch
-        // republished; results supported only by the others still hold.
-        if let Some(previous) = previous {
-            let changed: Vec<usize> = snapshot
-                .shards()
-                .iter()
-                .zip(previous.shards().iter())
-                .enumerate()
-                .filter(|(_, (new, old))| !Arc::ptr_eq(new.shared(), old.shared()))
-                .map(|(shard, _)| shard)
-                .collect();
-            self.service.note_publish(
-                &snapshot,
-                &changed,
-                report.coupling_republished,
-                report.repartitioned,
-            );
-        }
         // Checkpoint after publication so the generation image matches a
         // snapshot queries can already see.  The (expensive) durable-state
         // capture happens only on the batches that actually checkpoint.
@@ -936,6 +900,54 @@ mod tests {
         let q = MeasureQuery::PageRank { damping: 0.85 };
         let scores = engine.query(&q).unwrap();
         assert!((scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn shard_count_and_sharing_stats_follow_a_coarsening_repartition() {
+        use crate::coupling::CouplingConfig;
+        // A ring is one SCC and `btf_partition` never splits one: the first
+        // batch over the interleaved four-shard partition crosses the budget
+        // and repartitions to a single shard.
+        let engine = CludeEngine::with_partition(
+            ring_graph(12),
+            EngineConfig {
+                partition_strategy: PartitionStrategy::Btf,
+                coupling: CouplingConfig {
+                    repartition_budget: Some(1),
+                    ..CouplingConfig::default()
+                },
+                ..small_config(1)
+            },
+            NodePartition::from_assignments((0..12).map(|u| u % 4).collect()),
+        )
+        .unwrap();
+        assert_eq!(engine.n_shards(), 4);
+        for i in 0..4 {
+            engine.insert_edge(i, (i + 5) % 12).unwrap();
+        }
+        assert_eq!(engine.n_shards(), 1);
+        let stats = engine.stats();
+        assert_eq!(stats.repartitions, 1);
+        assert_eq!(stats.coupling_nnz, 0);
+        // One block per batch, all of them rebuilt: a one-shard store has
+        // nothing to share.
+        assert_eq!(stats.cow_shards_cloned, 4);
+        assert_eq!(stats.cow_shards_shared, 0);
+        assert_eq!(stats.cow_share_rate(), 0.0);
+        let snapshot = engine.handle.load();
+        for q in [
+            MeasureQuery::PageRank { damping: 0.85 },
+            MeasureQuery::Rwr {
+                seed: 7,
+                damping: 0.85,
+            },
+        ] {
+            let served = engine.query(&q).unwrap();
+            let dense = crate::store::dense_answer(snapshot.graph(), engine.kind, &q);
+            for (x, y) in served.iter().zip(dense.iter()) {
+                assert!((x - y).abs() <= 1e-9, "{q:?}: {x} vs {y}");
+            }
+        }
     }
 
     #[test]

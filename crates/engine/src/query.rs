@@ -7,9 +7,9 @@
 //! * **sharded result cache** — results are memoised in LRU shards keyed by
 //!   `(snapshot id, query)` and sharded by the *query* alone, so every
 //!   snapshot's entry for one query lives in the same shard and a staleness
-//!   probe or publish-time promotion touches exactly one lock.  Each shard
-//!   also keeps a per-snapshot entry count, letting bulk invalidation skip
-//!   shards that hold nothing stale instead of scanning every key.
+//!   probe touches exactly one lock.  Each shard also keeps a per-snapshot
+//!   entry count, letting bulk invalidation skip shards that hold nothing
+//!   stale instead of scanning every key.
 //! * **query batching** — cache-missing queries funnel through a
 //!   flat-combining `QueryBatcher`: the first submitter becomes the leader
 //!   and answers everything queued behind it with one multi-RHS panel solve
@@ -18,10 +18,7 @@
 //!   bit-identical to sequential ones.
 //! * **bounded-staleness serving** — under a [`StalenessBudget`], a cached
 //!   result for the same query at a recent-enough older snapshot is served
-//!   instead of solving, and publish-time *promotion* re-keys results whose
-//!   entire support lies in shards the batch provably did not touch
-//!   (structural sharing makes those answers exactly — not approximately —
-//!   equal).
+//!   instead of solving.
 
 use crate::cache::LruCache;
 use crate::error::{EngineError, EngineResult};
@@ -34,7 +31,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 type CacheKey = (u64, MeasureQuery);
 
@@ -53,8 +50,7 @@ pub struct StalenessBudget {
 
 /// One cache shard: the LRU plus a per-snapshot entry count.  The counts let
 /// [`CacheShard::invalidate_below`] return without scanning a shard that
-/// holds nothing stale, and let promotion skip shards with no entries for
-/// the previous snapshot.
+/// holds nothing stale.
 #[derive(Debug)]
 struct CacheShard {
     lru: LruCache<CacheKey, Arc<Vec<f64>>>,
@@ -114,40 +110,6 @@ impl CacheShard {
         self.lru.retain(|(snapshot, _)| *snapshot >= oldest);
         dropped as u64
     }
-
-    /// Re-keys `prev`-snapshot entries whose query satisfies `promotable`
-    /// under snapshot `new`, keeping the originals so time-travel reads of
-    /// `prev` stay hot.  Returns the promoted count and any LRU victims.
-    fn promote(
-        &mut self,
-        prev: u64,
-        new: u64,
-        promotable: impl Fn(&MeasureQuery) -> bool,
-    ) -> (u64, Vec<CacheKey>) {
-        if !self.per_snapshot.contains_key(&prev) {
-            return (0, Vec::new());
-        }
-        let candidates: Vec<MeasureQuery> = self
-            .lru
-            .keys()
-            .filter(|(snapshot, query)| *snapshot == prev && promotable(query))
-            .map(|(_, query)| query.clone())
-            .collect();
-        let mut promoted = 0;
-        let mut victims = Vec::new();
-        for query in candidates {
-            // An earlier promotion in this loop may have evicted the
-            // candidate; skipping it is correct (nothing left to promote).
-            let Some(value) = self.lru.get(&(prev, query.clone())).cloned() else {
-                continue;
-            };
-            if let Some(victim) = self.insert((new, query), value) {
-                victims.push(victim);
-            }
-            promoted += 1;
-        }
-        (promoted, victims)
-    }
 }
 
 /// A submission parked in the batcher: the ticket that identifies its answer
@@ -170,16 +132,15 @@ struct BatcherState {
 /// Coalesces concurrent cache-missing queries into multi-RHS panel solves.
 ///
 /// Flat-combining leader/follower protocol: the first submitter to find no
-/// active leader becomes the leader, optionally dwells for the configured
-/// batch window, then repeatedly drains the queue and answers each drained
-/// batch with one [`EngineSnapshot::query_batch`] panel solve per distinct
-/// snapshot — outside the lock, so followers keep queueing while a solve is
-/// in flight (natural batching under load, zero added latency when idle: a
-/// lone query is a batch of one).  The leader steps down only after
-/// observing an empty queue, so no follower is ever stranded.
+/// active leader becomes the leader, then repeatedly drains the queue and
+/// answers each drained batch with one [`EngineSnapshot::query_batch`] panel
+/// solve per distinct snapshot — outside the lock, so followers keep
+/// queueing while a solve is in flight (natural batching under load, zero
+/// added latency when idle: a lone query is a batch of one).  The leader
+/// steps down only after observing an empty queue, so no follower is ever
+/// stranded.
 #[derive(Debug)]
 struct QueryBatcher {
-    window: Duration,
     state: Mutex<BatcherState>,
     done: Condvar,
     occupancy: LogHistogram,
@@ -187,9 +148,8 @@ struct QueryBatcher {
 }
 
 impl QueryBatcher {
-    fn new(window: Duration, telemetry: Arc<TelemetryRegistry>) -> Self {
+    fn new(telemetry: Arc<TelemetryRegistry>) -> Self {
         QueryBatcher {
-            window,
             state: Mutex::new(BatcherState::default()),
             done: Condvar::new(),
             occupancy: LogHistogram::new(),
@@ -232,11 +192,7 @@ impl QueryBatcher {
                 st = self.done.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         }
-        // Leader: an optional dwell lets concurrent submitters pile in, then
-        // drain-solve-publish rounds until the queue stays empty.
-        if !self.window.is_zero() {
-            std::thread::sleep(self.window);
-        }
+        // Leader: drain-solve-publish rounds until the queue stays empty.
         let mut own = None;
         loop {
             let batch = {
@@ -336,7 +292,8 @@ pub struct QueryService {
 
 impl QueryService {
     /// Creates a service with `shards` cache shards of `capacity_per_shard`
-    /// entries each, exact-snapshot serving only and no batch dwell window.
+    /// entries each, serving cached results across snapshots within
+    /// `staleness` ([`StalenessBudget::default`] is exact-snapshot only).
     ///
     /// # Panics
     /// Panics when `shards` or `capacity_per_shard` is zero.
@@ -345,29 +302,7 @@ impl QueryService {
         capacity_per_shard: usize,
         counters: Arc<EngineCounters>,
         telemetry: Arc<TelemetryRegistry>,
-    ) -> Self {
-        Self::with_serving(
-            shards,
-            capacity_per_shard,
-            counters,
-            telemetry,
-            StalenessBudget::default(),
-            Duration::ZERO,
-        )
-    }
-
-    /// Creates a service with explicit serving knobs: the staleness budget
-    /// for cache reuse across snapshots and the batcher's dwell window.
-    ///
-    /// # Panics
-    /// Panics when `shards` or `capacity_per_shard` is zero.
-    pub fn with_serving(
-        shards: usize,
-        capacity_per_shard: usize,
-        counters: Arc<EngineCounters>,
-        telemetry: Arc<TelemetryRegistry>,
         staleness: StalenessBudget,
-        batch_window: Duration,
     ) -> Self {
         assert!(shards > 0, "need at least one cache shard");
         QueryService {
@@ -376,15 +311,15 @@ impl QueryService {
                 .collect(),
             oldest_retained: AtomicU64::new(0),
             staleness,
-            batcher: QueryBatcher::new(batch_window, Arc::clone(&telemetry)),
+            batcher: QueryBatcher::new(Arc::clone(&telemetry)),
             counters,
             telemetry,
         }
     }
 
     /// Shards by the *query alone* (not the snapshot id): every snapshot's
-    /// entry for one query shares a shard, so the staleness probe and
-    /// publish-time promotion each touch exactly one lock.
+    /// entry for one query shares a shard, so the staleness probe touches
+    /// exactly one lock.
     fn shard_of(&self, query: &MeasureQuery) -> usize {
         let mut hasher = DefaultHasher::new();
         query.hash(&mut hasher);
@@ -473,64 +408,6 @@ impl QueryService {
         Ok(scores)
     }
 
-    /// Publish-time stability hook: promotes cached results from the
-    /// previous snapshot that provably still hold under `snapshot`, so a
-    /// stable region keeps serving exact hits across publishes.
-    ///
-    /// `changed_shards` are the shards whose factor blocks the publishing
-    /// batch republished (untouched shards share their block `Arc` with the
-    /// previous snapshot).  Promotion runs only when the snapshots are
-    /// block-diagonal twins — same partition, same (empty) coupling — and a
-    /// query is promoted only when its entire support reads unchanged
-    /// blocks, which makes the promoted answer exactly equal, not an
-    /// approximation.
-    pub fn note_publish(
-        &self,
-        snapshot: &EngineSnapshot,
-        changed_shards: &[usize],
-        coupling_changed: bool,
-        repartitioned: bool,
-    ) {
-        let new_id = snapshot.id();
-        let Some(prev_id) = new_id.checked_sub(1) else {
-            return;
-        };
-        // Cross-shard coupling makes every solve read every shard, and a
-        // repartition renumbers the shards: no per-query support argument
-        // survives either.
-        if repartitioned || coupling_changed || snapshot.coupling().nnz() > 0 {
-            return;
-        }
-        let partition = snapshot.partition();
-        let all_clean = changed_shards.is_empty();
-        let untouched = |node: usize| !changed_shards.contains(&partition.shard_of(node));
-        for shard in &self.shards {
-            let victims = {
-                // lint: allow(panic-surface) — poisoned shard: a writer
-                // panicked mid-mutation, the LRU state is untrustworthy.
-                let mut guard = shard.write().expect("cache shard poisoned");
-                let (_, victims) = guard.promote(prev_id, new_id, |query| match query {
-                    // Block-diagonal solves: an Rwr/Ppr answer depends only
-                    // on its seeds' shard blocks; PageRank's dense restart
-                    // vector reads every block.
-                    MeasureQuery::Rwr { seed, .. } => untouched(*seed),
-                    MeasureQuery::PprSeedSet { seeds, .. } => seeds.iter().all(|&s| untouched(s)),
-                    MeasureQuery::PageRank { .. } => all_clean,
-                    // Hitting time factorizes the snapshot graph afresh,
-                    // which every applied batch mutates — never stable.
-                    MeasureQuery::HittingTime { .. } => false,
-                });
-                victims
-            };
-            for (evicted_snapshot, _) in victims {
-                self.telemetry.incr(Counter::CacheEvictions);
-                self.telemetry.record_event(EngineEvent::CacheEvicted {
-                    snapshot: evicted_snapshot,
-                });
-            }
-        }
-    }
-
     /// Drops cached results for snapshots older than `oldest_retained`
     /// (called when the snapshot ring evicts; newer entries stay hot).
     /// Shards holding nothing stale are skipped via their per-snapshot
@@ -601,13 +478,12 @@ mod tests {
         counters: &Arc<EngineCounters>,
     ) -> (QueryService, Arc<TelemetryRegistry>) {
         let telemetry = Arc::new(TelemetryRegistry::default());
-        let service = QueryService::with_serving(
+        let service = QueryService::new(
             2,
             16,
             Arc::clone(counters),
             Arc::clone(&telemetry),
             staleness,
-            Duration::ZERO,
         );
         (service, telemetry)
     }
@@ -615,12 +491,7 @@ mod tests {
     #[test]
     fn cache_hits_return_the_same_result() {
         let counters = Arc::new(EngineCounters::default());
-        let service = QueryService::new(
-            4,
-            16,
-            Arc::clone(&counters),
-            Arc::new(TelemetryRegistry::default()),
-        );
+        let (service, _) = service_with(StalenessBudget::default(), &counters);
         let snap = snapshot();
         let q = MeasureQuery::Rwr {
             seed: 1,
@@ -645,12 +516,7 @@ mod tests {
     #[test]
     fn distinct_queries_miss_separately() {
         let counters = Arc::new(EngineCounters::default());
-        let service = QueryService::new(
-            2,
-            16,
-            Arc::clone(&counters),
-            Arc::new(TelemetryRegistry::default()),
-        );
+        let (service, _) = service_with(StalenessBudget::default(), &counters);
         let snap = snapshot();
         for seed in 0..4 {
             service
@@ -670,8 +536,7 @@ mod tests {
     #[test]
     fn invalidation_drops_old_snapshots_only() {
         let counters = Arc::new(EngineCounters::default());
-        let telemetry = Arc::new(TelemetryRegistry::default());
-        let service = QueryService::new(2, 16, counters, Arc::clone(&telemetry));
+        let (service, telemetry) = service_with(StalenessBudget::default(), &counters);
         let snap = snapshot(); // id 0
         let q = MeasureQuery::PageRank { damping: 0.85 };
         service.query(&snap, &q).unwrap();
@@ -746,65 +611,9 @@ mod tests {
     }
 
     #[test]
-    fn publish_promotion_rekeys_stable_queries() {
-        let counters = Arc::new(EngineCounters::default());
-        let (service, _) = service_with(StalenessBudget::default(), &counters);
-        let mut st = store();
-        let snap0 = Arc::new(st.snapshot());
-        let pagerank = MeasureQuery::PageRank { damping: 0.85 };
-        let rwr = MeasureQuery::Rwr {
-            seed: 2,
-            damping: 0.85,
-        };
-        let hit = MeasureQuery::HittingTime {
-            target: 0,
-            damping: 0.85,
-        };
-        let pr0 = service.query(&snap0, &pagerank).unwrap();
-        let rwr0 = service.query(&snap0, &rwr).unwrap();
-        service.query(&snap0, &hit).unwrap();
-        assert_eq!(service.cached_entries(), 3);
-        st.advance(&GraphDelta {
-            added: vec![(0, 3)],
-            removed: vec![],
-        })
-        .unwrap();
-        let snap1 = Arc::new(st.snapshot());
-        // No shard changed (as far as the summary claims): PageRank and Rwr
-        // promote, HittingTime never does.
-        service.note_publish(&snap1, &[], false, false);
-        assert_eq!(service.cached_entries(), 5);
-        let pr1 = service.query(&snap1, &pagerank).unwrap();
-        let rwr1 = service.query(&snap1, &rwr).unwrap();
-        assert!(Arc::ptr_eq(&pr0, &pr1), "promoted PageRank must hit");
-        assert!(Arc::ptr_eq(&rwr0, &rwr1), "promoted Rwr must hit");
-        assert_eq!(counters.snapshot().cache_misses, 3, "no new solves");
-        // This store has one shard; with it changed, only queries
-        // with no support there could promote — i.e. nothing cached here.
-        st.advance(&GraphDelta {
-            added: vec![(1, 5)],
-            removed: vec![],
-        })
-        .unwrap();
-        let snap2 = Arc::new(st.snapshot());
-        let before = service.cached_entries();
-        service.note_publish(&snap2, &[0], false, false);
-        assert_eq!(service.cached_entries(), before);
-        // Repartitioned or coupled publishes never promote.
-        service.note_publish(&snap2, &[], false, true);
-        service.note_publish(&snap2, &[], true, false);
-        assert_eq!(service.cached_entries(), before);
-    }
-
-    #[test]
     fn invalid_queries_are_rejected_before_solving() {
         let counters = Arc::new(EngineCounters::default());
-        let service = QueryService::new(
-            2,
-            16,
-            Arc::clone(&counters),
-            Arc::new(TelemetryRegistry::default()),
-        );
+        let (service, _) = service_with(StalenessBudget::default(), &counters);
         let snap = snapshot();
         let bad = MeasureQuery::Rwr {
             seed: 99,
@@ -821,13 +630,12 @@ mod tests {
     fn concurrent_submissions_batch_and_agree_with_sequential() {
         let counters = Arc::new(EngineCounters::default());
         let telemetry = Arc::new(TelemetryRegistry::default());
-        let service = Arc::new(QueryService::with_serving(
+        let service = Arc::new(QueryService::new(
             4,
             64,
             Arc::clone(&counters),
             Arc::clone(&telemetry),
             StalenessBudget::default(),
-            Duration::from_micros(200),
         ));
         let snap = snapshot();
         let mut handles = Vec::new();

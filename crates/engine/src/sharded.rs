@@ -77,11 +77,10 @@ impl FactorShard {
         kind: MatrixKind,
         partition: &NodePartition,
         shard: usize,
-        telemetry: &TelemetryRegistry,
     ) -> EngineResult<Self> {
         let matrix = shard_measure_matrix(graph, kind, partition, shard);
         Ok(FactorShard {
-            of: order_and_factorize(&matrix, telemetry, shard)?,
+            of: order_and_factorize(&matrix)?,
         })
     }
 
@@ -338,27 +337,6 @@ impl ShardedFactorStore {
         policy: RefreshPolicy,
         partition: NodePartition,
     ) -> EngineResult<Self> {
-        Self::with_registry(
-            graph,
-            kind,
-            policy,
-            partition,
-            Arc::new(TelemetryRegistry::disabled()),
-        )
-    }
-
-    /// Like [`ShardedFactorStore::new`], but with the telemetry registry
-    /// present *during* construction, so every shard's build-time ordering
-    /// contest lands in the journal (`ordering_selected`) instead of going
-    /// to a disabled stub.  [`ShardedFactorStore::with_telemetry`] only
-    /// swaps the sink for later spans.
-    pub fn with_registry(
-        graph: DiGraph,
-        kind: MatrixKind,
-        policy: RefreshPolicy,
-        partition: NodePartition,
-        telemetry: Arc<TelemetryRegistry>,
-    ) -> EngineResult<Self> {
         if graph.n_nodes() != partition.n_nodes() {
             return Err(EngineError::InvalidConfig(format!(
                 "partition covers {} nodes but the graph has {}",
@@ -368,7 +346,7 @@ impl ShardedFactorStore {
         }
         let partition = Arc::new(partition);
         let mut shards: Vec<FactorShard> = (0..partition.n_shards())
-            .map(|s| FactorShard::build(&graph, kind, &partition, s, &telemetry))
+            .map(|s| FactorShard::build(&graph, kind, &partition, s))
             .collect::<EngineResult<_>>()?;
         let workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
         let refactor_workspaces = refactor_workspaces_for(&partition);
@@ -392,7 +370,7 @@ impl ShardedFactorStore {
             next_repartition_at: coupling_cfg.repartition_budget,
             coupling_cfg,
             plan,
-            telemetry,
+            telemetry: Arc::new(TelemetryRegistry::disabled()),
         })
     }
 
@@ -446,7 +424,6 @@ impl ShardedFactorStore {
     pub(crate) fn restore(
         policy: RefreshPolicy,
         coupling_cfg: CouplingConfig,
-        telemetry: Arc<TelemetryRegistry>,
         state: crate::checkpoint::StoreState,
     ) -> EngineResult<Self> {
         let crate::checkpoint::StoreState {
@@ -510,7 +487,7 @@ impl ShardedFactorStore {
             next_repartition_at,
             coupling_cfg,
             plan,
-            telemetry,
+            telemetry: Arc::new(TelemetryRegistry::disabled()),
         })
     }
 
@@ -868,7 +845,7 @@ impl ShardedFactorStore {
             PartitionStrategy::Btf => btf_partition(&self.graph, self.kind, k).0,
         });
         let mut shards: Vec<FactorShard> = (0..partition.n_shards())
-            .map(|s| FactorShard::build(&self.graph, self.kind, &partition, s, &self.telemetry))
+            .map(|s| FactorShard::build(&self.graph, self.kind, &partition, s))
             .collect::<EngineResult<_>>()?;
         self.workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
         self.refactor_workspaces = refactor_workspaces_for(&partition);
@@ -1374,19 +1351,88 @@ mod tests {
         assert_queries_match(&store, n);
     }
 
+    /// The published blocks of `shards` are ordered by the paper's Markowitz
+    /// rule applied to the shard's current measure matrix.
+    fn assert_markowitz_ordered(store: &ShardedFactorStore, shards: impl Iterator<Item = usize>) {
+        for s in shards {
+            let matrix =
+                shard_measure_matrix(store.graph(), store.matrix_kind(), store.partition(), s);
+            assert_eq!(
+                store.published[s].ordering,
+                clude_lu::markowitz_ordering(&matrix.pattern()).ordering,
+                "shard {s}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_factorization_is_markowitz_ordered() {
+        // A scrambled sparse graph (ring + two multiplicative chords per
+        // node) over an interleaved partition: dense coupling, and shard
+        // blocks irregular enough that fill-reducing heuristics disagree.
+        let n = 48;
+        let mut g = DiGraph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
+        for u in 0..n {
+            g.add_edge(u, (u * 7 + 3) % n);
+            g.add_edge(u, (u * 11 + 8) % n);
+        }
+        let mut store = ShardedFactorStore::new(
+            g,
+            MatrixKind::random_walk_default(),
+            RefreshPolicy::QualityTriggered {
+                max_quality_loss: 0.0,
+            },
+            NodePartition::from_assignments((0..n).map(|u| u % 2).collect()),
+        )
+        .unwrap();
+        assert_markowitz_ordered(&store, 0..2);
+
+        // Densify until a shard's factors grow past the zero budget: the
+        // refreshed shard is re-ordered for the matrix it holds now.
+        let mut refreshed = 0;
+        for k in 0..n {
+            let delta = GraphDelta {
+                added: vec![(k, (k + 4) % n), (k, (k + 10) % n)],
+                removed: vec![],
+            };
+            let report = store.advance(&delta).unwrap();
+            let hit = (0..2).filter(|&s| report.per_shard[s].refreshed);
+            refreshed += hit.clone().count();
+            assert_markowitz_ordered(&store, hit);
+        }
+        assert!(refreshed > 0, "densification never tripped a refresh");
+
+        // A repartition rebuilds every shard around the new partition.
+        store = store
+            .with_coupling_config(CouplingConfig {
+                repartition_budget: Some(8),
+                ..CouplingConfig::default()
+            })
+            .unwrap();
+        let report = store
+            .advance(&GraphDelta {
+                added: vec![(0, 30)],
+                removed: vec![],
+            })
+            .unwrap();
+        assert!(report.repartitioned);
+        assert_markowitz_ordered(&store, 0..store.n_shards());
+        assert_queries_match(&store, n);
+    }
+
     #[test]
     fn exhausted_sweep_budget_fails_loudly() {
         use clude_telemetry::{Counter, EventKind};
         let n = 12;
         let telemetry = Arc::new(TelemetryRegistry::default());
-        let store = ShardedFactorStore::with_registry(
+        let store = ShardedFactorStore::new(
             base_graph(n),
             MatrixKind::random_walk_default(),
             RefreshPolicy::Incremental,
             NodePartition::contiguous(n, 3),
-            Arc::clone(&telemetry),
         )
         .unwrap()
+        .with_telemetry(Arc::clone(&telemetry))
         .with_coupling_config(CouplingConfig {
             tolerance: SolveTolerance {
                 tol: 1e-13,

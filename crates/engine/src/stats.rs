@@ -88,7 +88,10 @@ pub struct EngineCounters {
     /// Adaptive re-partitions: batches whose coupling growth crossed the
     /// budget and triggered a fresh edge-locality partition.
     pub repartitions: AtomicU64,
-    /// Per-shard ingest counters (one entry per factor shard).
+    /// Per-shard ingest counters, one entry per factor shard the store was
+    /// constructed with.  Sized once: a coarsening repartition can only
+    /// shrink the store's shard count, so every later shard id still indexes
+    /// in range and the retired ids' tallies simply stop moving.
     pub per_shard: Vec<ShardCounters>,
 }
 

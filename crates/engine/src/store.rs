@@ -26,13 +26,12 @@ use crate::coupling::{self, CouplingPlan, SolveTolerance};
 use clude::{refresh_decision, DecomposedMatrix, MatrixFactors};
 use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_lu::{
-    amd_ordering, apply_delta_with, markowitz_ordering, refactor_frozen, BennettStats,
-    BennettWorkspace, DynamicLuFactors, LuError, LuResult, LuStructure, RefactorStats,
-    RefactorWorkspace,
+    apply_delta_with, markowitz_ordering, refactor_frozen, BennettStats, BennettWorkspace,
+    DynamicLuFactors, LuError, LuResult, LuStructure, RefactorStats, RefactorWorkspace,
 };
 use clude_measures::{evaluate_queries_with, evaluate_query_with, MeasureQuery, MeasureSolver};
 use clude_sparse::CsrMatrix;
-use clude_telemetry::{EngineEvent, FallbackReason, OrderingMethod, Stage, TelemetryRegistry};
+use clude_telemetry::{EngineEvent, FallbackReason, Stage, TelemetryRegistry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -302,16 +301,38 @@ impl OrderedFactors {
         }))
     }
 
+    /// Abandons the ordering: rebuilds the block's matrix, re-orders and
+    /// re-factorizes it under a `shard.refresh` span and posts the
+    /// [`EngineEvent::RefreshTriggered`] journal event saying whether
+    /// numerics or the quality budget forced it — the one refresh site of
+    /// both maintenance steps below.
+    fn refresh(
+        &mut self,
+        rebuild_matrix: impl Fn() -> CsrMatrix,
+        telemetry: &TelemetryRegistry,
+        shard: usize,
+        numeric: bool,
+        quality_loss: f64,
+    ) -> LuResult<()> {
+        let span = telemetry.span(Stage::ShardRefresh);
+        *self = order_and_factorize(&rebuild_matrix())?;
+        span.stop();
+        telemetry.record_event(EngineEvent::RefreshTriggered {
+            shard: shard as u32,
+            numeric,
+            quality_loss,
+        });
+        Ok(())
+    }
+
     /// Applies a factor-coordinate Bennett delta, falling back to a full
     /// rebuild from `rebuild_matrix()` on numeric failure, and refreshing
-    /// again when the quality policy trips afterwards.  Returns the
-    /// Bennett work done and whether a refresh happened; an `Ok` return
-    /// always leaves servable factors.
+    /// when the quality policy trips afterwards.  Returns the Bennett work
+    /// done and whether a refresh happened; an `Ok` return always leaves
+    /// servable factors.
     ///
-    /// The sweep and any refresh record `shard.sweep` / `shard.refresh`
-    /// spans into `telemetry`, and every refresh posts a
-    /// [`EngineEvent::RefreshTriggered`] journal event tagged with `shard`
-    /// and whether numerics or the quality budget forced it.
+    /// The sweep records a `shard.sweep` span into `telemetry`; refreshes
+    /// are spanned and journalled by `OrderedFactors::refresh`.
     pub(crate) fn apply_or_refresh(
         &mut self,
         ws: &mut BennettWorkspace,
@@ -329,51 +350,33 @@ impl OrderedFactors {
                 self.reordered = None;
             }
         }
-        let mut refreshed = false;
         let pattern_before = self.factors.structural_stats().modifications();
         let sweep = telemetry.span(Stage::ShardSweep);
-        let bennett = match apply_delta_with(&mut self.factors, ws, delta) {
-            Ok(stats) => {
-                sweep.stop();
-                if self.factors.structural_stats().modifications() != pattern_before {
-                    self.published_structure = None;
-                }
-                stats
-            }
-            Err(_) => {
-                sweep.stop();
-                // Numeric fallback: rebuild under a fresh ordering.
-                let refresh = telemetry.span(Stage::ShardRefresh);
-                *self = order_and_factorize(&rebuild_matrix(), telemetry, shard)?;
-                refresh.stop();
-                telemetry.record_event(EngineEvent::RefreshTriggered {
-                    shard: shard as u32,
-                    numeric: true,
-                    quality_loss: 0.0,
-                });
-                refreshed = true;
-                BennettStats::default()
-            }
+        let swept = apply_delta_with(&mut self.factors, ws, delta);
+        sweep.stop();
+        let Ok(bennett) = swept else {
+            // Numeric fallback: rebuild under a fresh ordering.
+            self.refresh(&rebuild_matrix, telemetry, shard, true, 0.0)?;
+            return Ok((BennettStats::default(), true));
         };
-        if !refreshed {
-            if let RefreshPolicy::QualityTriggered { max_quality_loss } = policy {
-                let loss = clude::quality_loss_from_sizes(self.factors.nnz(), self.reference_nnz);
-                let decision =
-                    refresh_decision(self.factors.nnz(), self.reference_nnz, max_quality_loss);
-                if decision.should_refresh {
-                    let refresh = telemetry.span(Stage::ShardRefresh);
-                    *self = order_and_factorize(&rebuild_matrix(), telemetry, shard)?;
-                    refresh.stop();
-                    telemetry.record_event(EngineEvent::RefreshTriggered {
-                        shard: shard as u32,
-                        numeric: false,
-                        quality_loss: loss,
-                    });
-                    refreshed = true;
-                }
+        if self.factors.structural_stats().modifications() != pattern_before {
+            self.published_structure = None;
+        }
+        if let RefreshPolicy::QualityTriggered { max_quality_loss } = policy {
+            let decision =
+                refresh_decision(self.factors.nnz(), self.reference_nnz, max_quality_loss);
+            if decision.should_refresh {
+                self.refresh(
+                    &rebuild_matrix,
+                    telemetry,
+                    shard,
+                    false,
+                    decision.quality_loss,
+                )?;
+                return Ok((bennett, true));
             }
         }
-        Ok((bennett, refreshed))
+        Ok((bennett, false))
     }
 
     /// Absorbs a value-only batch by recomputing the factor values down the
@@ -436,14 +439,7 @@ impl OrderedFactors {
                     shard: shard as u32,
                     reason,
                 });
-                let refresh = telemetry.span(Stage::ShardRefresh);
-                *self = order_and_factorize(&rebuild_matrix(), telemetry, shard)?;
-                refresh.stop();
-                telemetry.record_event(EngineEvent::RefreshTriggered {
-                    shard: shard as u32,
-                    numeric: true,
-                    quality_loss: 0.0,
-                });
+                self.refresh(&rebuild_matrix, telemetry, shard, true, 0.0)?;
                 Ok((RefactorStats::default(), true))
             }
         }
@@ -453,29 +449,11 @@ impl OrderedFactors {
 /// Orders `matrix`, factorizes it, and packages the bookkeeping — the one
 /// construction path shared by initial builds, refreshes and repartitions.
 ///
-/// Two fill-reducing orderings compete on the pattern: the paper's Markowitz
-/// product rule (the incumbent) and AMD over `A + Aᵀ`.  AMD wins only when
-/// its predicted factor size `|s̃p(A^O)|` is strictly smaller; the choice is
-/// announced with an [`EngineEvent::OrderingSelected`] journal event.
-pub(crate) fn order_and_factorize(
-    matrix: &CsrMatrix,
-    telemetry: &TelemetryRegistry,
-    shard: usize,
-) -> LuResult<OrderedFactors> {
-    let pattern = matrix.pattern();
-    let markowitz = markowitz_ordering(&pattern);
-    let amd = amd_ordering(&pattern);
-    let (chosen, method) = if amd.symbolic_size < markowitz.symbolic_size {
-        (amd, OrderingMethod::Amd)
-    } else {
-        (markowitz, OrderingMethod::Markowitz)
-    };
-    telemetry.record_event(EngineEvent::OrderingSelected {
-        shard: shard as u32,
-        method,
-        fill: chosen.symbolic_size as u64,
-    });
-    let ordering = chosen.ordering;
+/// The ordering is the paper's Markowitz product rule, so `reference_nnz` —
+/// the denominator of Definition 4's quality-loss — is the factor size under
+/// the paper's own `O*`.
+pub(crate) fn order_and_factorize(matrix: &CsrMatrix) -> LuResult<OrderedFactors> {
+    let ordering = markowitz_ordering(&matrix.pattern()).ordering;
     let reordered = matrix
         .reorder(&ordering)
         // lint: allow(panic-surface) — the ordering was computed from this

@@ -17,7 +17,7 @@ use clude_engine::{
 };
 use clude_graph::DiGraph;
 use clude_measures::MeasureQuery;
-use clude_telemetry::EventKind;
+use clude_telemetry::{EventKind, Stage};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -186,6 +186,17 @@ fn one_shard_spool_recovers_through_checkpoint_and_wal_tail() {
     fs.fail_at(fs.writes_seen() + 1, Injection::TornWrite { keep: 5 });
     assert!(drive(&twin, &durable, tail));
     assert!(fs.is_dead());
+    // What the durable run left in its own telemetry: a `wal.append` span
+    // per attempted record (the span closes on the torn fourth too), a
+    // `checkpoint.write` for the bootstrap image and one for
+    // `checkpoint_now`, each journalled.
+    let telemetry = durable.telemetry();
+    assert_eq!(telemetry.stage_histogram(Stage::WalAppend).count(), 4);
+    assert_eq!(telemetry.stage_histogram(Stage::CheckpointWrite).count(), 2);
+    assert_eq!(
+        telemetry.journal().count_of(EventKind::CheckpointWritten),
+        2
+    );
     drop(durable);
 
     let (recovered, compared) = assert_recovered_matches_twin(&twin, &fs, 1);
@@ -196,7 +207,7 @@ fn one_shard_spool_recovers_through_checkpoint_and_wal_tail() {
     assert_eq!(
         recovered
             .telemetry()
-            .stage_histogram(clude_telemetry::Stage::RecoveryReplay)
+            .stage_histogram(Stage::RecoveryReplay)
             .count(),
         1,
         "snapshot 3 is the checkpoint at 2 plus one replayed record"

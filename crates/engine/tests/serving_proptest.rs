@@ -11,7 +11,6 @@ use clude_telemetry::TelemetryRegistry;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Duration;
 
 const N: usize = 14;
 const SHARDS: usize = 3;
@@ -122,13 +121,12 @@ proptest! {
         )
         .unwrap();
         let counters = Arc::new(EngineCounters::default());
-        let service = QueryService::with_serving(
+        let service = QueryService::new(
             2,
             16,
             Arc::clone(&counters),
             Arc::new(TelemetryRegistry::default()),
             StalenessBudget { max_lag },
-            Duration::ZERO,
         );
         let q = MeasureQuery::Rwr {
             seed: 1,

@@ -13,26 +13,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
-/// Which fill-reducing ordering the structural layer selected for a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OrderingMethod {
-    /// The paper's Markowitz diagonal-pivot ordering won (smaller predicted
-    /// `|s̃p(A^O)|`, or ties — Markowitz is the incumbent).
-    Markowitz,
-    /// The quotient-graph minimum-degree ordering over `A + Aᵀ` won.
-    Amd,
-}
-
-impl OrderingMethod {
-    /// The snake_case label used in exposition.
-    pub const fn name(self) -> &'static str {
-        match self {
-            OrderingMethod::Markowitz => "markowitz",
-            OrderingMethod::Amd => "amd",
-        }
-    }
-}
-
 /// Why a pattern-frozen refactorization was abandoned for the slow path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FallbackReason {
@@ -115,16 +95,6 @@ pub enum EngineEvent {
         /// Records dropped with the torn tail.
         records_dropped: u64,
     },
-    /// A (re)factorization picked its fill-reducing ordering by predicted
-    /// symbolic size (Markowitz vs AMD).
-    OrderingSelected {
-        /// Which shard was ordered (0 in a one-shard store).
-        shard: u32,
-        /// The winning ordering method.
-        method: OrderingMethod,
-        /// The winner's predicted `|s̃p(A^O)|` (factor nnz plus fill).
-        fill: u64,
-    },
     /// A value-only batch was routed to the pattern-frozen refactor but had
     /// to fall back (to Bennett sweeps or a full refresh).
     RefactorFallback {
@@ -152,15 +122,13 @@ pub enum EventKind {
     CheckpointWritten,
     /// [`EngineEvent::WalTruncated`]
     WalTruncated,
-    /// [`EngineEvent::OrderingSelected`]
-    OrderingSelected,
     /// [`EngineEvent::RefactorFallback`]
     RefactorFallback,
 }
 
 impl EventKind {
     /// Every kind, in exposition order.
-    pub const ALL: [EventKind; 9] = [
+    pub const ALL: [EventKind; 8] = [
         EventKind::Repartitioned,
         EventKind::RefreshTriggered,
         EventKind::ConvergenceFailure,
@@ -168,7 +136,6 @@ impl EventKind {
         EventKind::CacheInvalidated,
         EventKind::CheckpointWritten,
         EventKind::WalTruncated,
-        EventKind::OrderingSelected,
         EventKind::RefactorFallback,
     ];
 
@@ -182,7 +149,6 @@ impl EventKind {
             EventKind::CacheInvalidated => "cache_invalidated",
             EventKind::CheckpointWritten => "checkpoint_written",
             EventKind::WalTruncated => "wal_truncated",
-            EventKind::OrderingSelected => "ordering_selected",
             EventKind::RefactorFallback => "refactor_fallback",
         }
     }
@@ -199,7 +165,6 @@ impl EngineEvent {
             EngineEvent::CacheInvalidated { .. } => EventKind::CacheInvalidated,
             EngineEvent::CheckpointWritten { .. } => EventKind::CheckpointWritten,
             EngineEvent::WalTruncated { .. } => EventKind::WalTruncated,
-            EngineEvent::OrderingSelected { .. } => EventKind::OrderingSelected,
             EngineEvent::RefactorFallback { .. } => EventKind::RefactorFallback,
         }
     }

@@ -40,8 +40,6 @@ mod registry;
 mod stage;
 
 pub use hist::{HistogramSnapshot, LogHistogram};
-pub use journal::{
-    EngineEvent, EventJournal, EventKind, FallbackReason, JournalEntry, OrderingMethod,
-};
+pub use journal::{EngineEvent, EventJournal, EventKind, FallbackReason, JournalEntry};
 pub use registry::{validate_prometheus, Counter, Gauge, Span, TelemetryConfig, TelemetryRegistry};
 pub use stage::Stage;

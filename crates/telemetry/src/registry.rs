@@ -517,15 +517,6 @@ fn event_json(seq: u64, event: &EngineEvent) -> String {
         EngineEvent::WalTruncated { records_dropped } => format!(
             "{{\"seq\": {seq}, \"kind\": \"{kind}\", \"records_dropped\": {records_dropped}}}"
         ),
-        EngineEvent::OrderingSelected {
-            shard,
-            method,
-            fill,
-        } => format!(
-            "{{\"seq\": {seq}, \"kind\": \"{kind}\", \"shard\": {shard}, \"method\": \"{}\", \
-             \"fill\": {fill}}}",
-            method.name()
-        ),
         EngineEvent::RefactorFallback { shard, reason } => format!(
             "{{\"seq\": {seq}, \"kind\": \"{kind}\", \"shard\": {shard}, \"reason\": \"{}\"}}",
             reason.name()
