@@ -1,52 +1,82 @@
-//! The coupled solve of sharded snapshots: block Gauss–Seidel over the
-//! cross-shard coupling.
+//! The coupled solve of sharded snapshots: restarted GMRES over the block
+//! Gauss–Seidel pass.
 //!
 //! A sharded [`EngineSnapshot`] holds per-shard factors of
 //! `B = blockdiag(A_ss)` plus the frozen cross-shard coupling `C`, and every
 //! query must solve `(B + C) x = b` *exactly* (to the block tolerance, well
-//! under the engine's 1e-9 equivalence bar).  There is one way to do that:
-//! the fixed point `x ← B⁻¹(b − C·x)` swept shard by shard, each shard's
-//! solve inside a sweep already using the solutions of the shards updated
-//! before it, traversed in an order derived from the coupling's
-//! shard-to-shard dependency weights ([`CouplingPlan::gs_order`]).  Sweeps
-//! are proportional to `1/log(1/ρ)` digits, and **one** sweep is the exact
-//! solve when the shard dependency digraph is acyclic
+//! under the engine's 1e-9 equivalence bar).  There is one way to do that.
+//!
+//! **The pass.**  One *block pass* updates a vector in place, shard by shard
+//! in the plan's order ([`CouplingPlan::gs_order`]): shard `s` becomes
+//! `B_ss⁻¹(f·b_s − C_s·x)`, reading the vector as it stands, so the shards
+//! updated earlier in the pass already contribute their new values.  Split
+//! `A = M − N` with `M` the blocks plus the coupling an earlier shard feeds a
+//! later one: with `f = 1` a pass is the Gauss–Seidel step
+//! `S(x) = G·x + M⁻¹b`, `G = M⁻¹N`, and with `f = 0` it is the bare operator
+//! `x ↦ G·x`.  The splitting is regular for the engine's column-wise strictly
+//! diagonally dominant M-matrices (`I − d·W`, shifted Laplacians), so the
+//! fixed point of `S` is the exact solve — and **one** pass from zero already
+//! is when the shard dependency digraph is acyclic
 //! ([`CouplingPlan::is_triangular`]).
 //!
-//! The splitting `A = M − N` behind the iteration is regular for the
-//! engine's column-wise strictly diagonally dominant M-matrices (`I − d·W`,
-//! shifted Laplacians), so the fixed point is the exact solve.  A store
-//! without coupling — one shard, or shards no edge crosses — never iterates:
-//! its solve is one pass of substitutions (see `solve_systems`).  The
-//! per-snapshot metadata of the iteration — the traversal order and the
+//! **The iteration.**  The fixed point of `S` solves the preconditioned
+//! system `(I − G)·x = M⁻¹b`, and iterating `S` alone pays
+//! `log(1/tol)/log(1/ρ(G))` passes for it.  Restarted GMRES on that system
+//! needs the same pass and nothing else: the residual at `x` is
+//! `S(x) − x` (one `f = 1` pass), an Arnoldi step is `v − G·v` (one `f = 0`
+//! pass), and the stationary iterates `Gᵏr₀` lie inside the Krylov space, so
+//! within a cycle GMRES is never behind them in the 2-norm.  A cold 4-shard
+//! query is ~14 passes where the stationary loop took ~55, and the count no
+//! longer grows as damping → 1.
+//!
+//! **Acceptance.**  A Krylov iterate is never returned on the strength of
+//! its own residual estimate: it is accepted by a real `f = 1` pass from it,
+//! under [`SolveTolerance`] on that pass's iterate change, and the pass's
+//! result is what is returned.  A failed check is not wasted — its iterate
+//! change is the residual that opens the next cycle.  A non-finite iterate
+//! change, scale or residual estimate fails the solve at the pass where it
+//! appears; exhausting [`SolveTolerance::max_sweeps`] block passes fails it
+//! too.  Both are [`LuError::ConvergenceFailure`], journalled.
+//!
+//! A store without coupling — one shard, or shards no edge crosses — never
+//! iterates: its solve is one pass of substitutions (see `solve_systems`).
+//! The per-snapshot metadata of the pass — the traversal order and the
 //! triangularity verdict — is a pure function of (partition, frozen
 //! coupling), frozen into a [`CouplingPlan`] wherever the coupling is and
 //! shared through the copy-on-write snapshot ring by the same rule.
 
+// lint: hot-path
+
+mod plan;
+
+pub use plan::CouplingPlan;
+
 use crate::store::{EngineSnapshot, ShardSnapshot};
 use clude_graph::NodePartition;
 use clude_lu::{LuError, LuResult, PanelScratch};
-use clude_sparse::CsrMatrix;
+use clude_sparse::vector::{axpy, dot, norm2};
 use clude_telemetry::{Counter, EngineEvent, Stage};
 
-/// Stopping rule of the coupled Gauss–Seidel iteration: a relative
-/// iterate-change tolerance plus a hard sweep budget.
+/// Stopping rule of the coupled solve: a relative iterate-change tolerance
+/// on the accepting block pass plus a hard budget of block passes.
 ///
 /// Because the engine's block splittings contract strictly, an iterate
-/// change of `tol` bounds the remaining error by `tol·ρ/(1−ρ)`: under the
-/// 1e-9 equivalence bar by three decades at ρ = 0.99 and still by one
-/// decade at ρ = 0.999.  When the change stops shrinking while already
-/// below twice `tol`, rounding noise dominates and the iterate is accepted
-/// as converged (the f64 floor); anything that exhausts `max_sweeps`
-/// instead fails loudly with [`LuError::ConvergenceFailure`] rather than
-/// serving a drifted answer.
+/// change of `tol` across a pass bounds the error of the pass's input by
+/// `tol/(1−ρ)` and of its result — which is what a solve returns — by
+/// `tol·ρ/(1−ρ)`: under the 1e-9 equivalence bar by three decades at
+/// ρ = 0.99 and still by one decade at ρ = 0.999.  When the change stops
+/// shrinking while already below twice `tol`, rounding noise dominates and
+/// the iterate is accepted as converged (the f64 floor); anything that
+/// exhausts `max_sweeps` instead fails loudly with
+/// [`LuError::ConvergenceFailure`] rather than serving a drifted answer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveTolerance {
     /// Relative iterate-change tolerance.
     pub tol: f64,
-    /// Hard sweep budget; a damping factor of 0.9997 still reaches the
-    /// default `tol` within ~100k sweeps, and anything slower stagnates at
-    /// the f64 floor first.
+    /// Hard budget of block passes per solve (residual, Arnoldi and
+    /// accepting passes all count).  The Krylov iteration spends 13–21 on
+    /// every graph measured, at any damping; the default leaves room for
+    /// thousands of restart cycles before a solve is declared failed.
     pub max_sweeps: usize,
 }
 
@@ -99,7 +129,7 @@ impl Default for SolveTolerance {
 /// partition.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CouplingConfig {
-    /// Stopping rule of the Gauss–Seidel iteration.
+    /// Stopping rule of the coupled solve.
     pub tolerance: SolveTolerance,
     /// Adaptive re-partitioning: when the live coupling's entry count
     /// crosses this budget, the sharded store re-runs the edge-locality
@@ -110,55 +140,9 @@ pub struct CouplingConfig {
     pub repartition_budget: Option<usize>,
 }
 
-/// Frozen per-snapshot metadata of the coupled solve — a pure function of
-/// (partition, frozen coupling), built wherever the coupling is re-frozen
-/// and shared through the copy-on-write snapshot ring by the same rule:
-/// consecutive snapshots are [`Arc::ptr_eq`](std::sync::Arc::ptr_eq) on
-/// their plan exactly when they are on their coupling.
-#[derive(Debug)]
-pub struct CouplingPlan {
-    /// Gauss–Seidel shard traversal order, least-dependent shard first.
-    gs_order: Vec<usize>,
-    /// Whether the shard dependency digraph is acyclic and `gs_order` is a
-    /// topological order of it — block triangular form.  When set, one
-    /// Gauss–Seidel sweep in `gs_order` is the *exact* solve (every coupling
-    /// entry a shard reads was updated earlier in the same sweep), so the
-    /// iteration returns after a single sweep.
-    triangular: bool,
-}
-
-impl CouplingPlan {
-    /// Builds the plan for one frozen (partition, coupling) pair.
-    pub(crate) fn build(partition: &NodePartition, coupling: &CsrMatrix) -> Self {
-        let (gs_order, triangular) = gauss_seidel_order(partition, coupling);
-        CouplingPlan {
-            gs_order,
-            triangular,
-        }
-    }
-
-    /// The Gauss–Seidel shard traversal order.
-    pub fn gs_order(&self) -> &[usize] {
-        &self.gs_order
-    }
-
-    /// Whether the cross-shard structure is block triangular under
-    /// `gs_order` — when true, Gauss–Seidel solves are direct (one sweep,
-    /// exact).
-    pub fn is_triangular(&self) -> bool {
-        self.triangular
-    }
-
-    /// Resident size in bytes (the order vector), for the engine's
-    /// snapshot-ring memory accounting.
-    pub fn approx_bytes(&self) -> usize {
-        self.gs_order.len() * std::mem::size_of::<usize>()
-    }
-}
-
 /// Reused buffers of one coupled solve: the gathered per-shard right-hand
 /// side panel, the recovered per-shard solution panel, and the triangular
-/// panel scratch underneath.  Allocated once per query; every sweep after
+/// panel scratch underneath.  Allocated once per query; every pass after
 /// the first reuses the grown capacity.
 #[derive(Debug, Default)]
 struct PanelBlockScratch {
@@ -218,14 +202,13 @@ fn solve_blocks_many(
 ///
 /// Fast paths first: a single shard without coupling is one pair of
 /// substitutions, and fully decoupled shards need exactly one block pass.
-/// Everything else is block Gauss–Seidel in the plan's order.
+/// Everything else is the Krylov iteration over the plan's block pass.
 ///
 /// Every stripe of the result is **bit-identical** to a width-1 call on
 /// that stripe: the direct paths reuse the panel kernels' per-column
-/// bit-identity, and the iteration runs a joint sweep loop in which each
-/// column carries its own convergence state and is frozen the moment its
-/// own acceptance test passes — so per column the sweep count, every
-/// intermediate iterate, and the final answer do not depend on which other
+/// bit-identity, and in the iteration each column carries its own Krylov
+/// state and never reads a neighbour — so per column the pass count, every
+/// intermediate vector, and the final answer do not depend on which other
 /// columns share the panel.  A convergence or pivot failure on any column
 /// fails the whole panel (the batcher reports it to every member).
 pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>> {
@@ -236,28 +219,30 @@ pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> L
             actual: b.len(),
         });
     }
+    // lint: allow(alloc-hot-path) — the returned solution panel: the one
+    // buffer every path of a solve hands to its caller.
+    let mut x = Vec::new();
     if n_rhs == 0 {
-        return Ok(Vec::new());
+        return Ok(x);
     }
     let shards = snap.shards();
     let coupling = snap.coupling();
     if shards.len() == 1 && coupling.nnz() == 0 {
         let mut scratch = PanelScratch::new();
-        let mut x = Vec::new();
         shards[0]
             .decomposed()
             .solve_many_into(b, n_rhs, &mut scratch, &mut x)?;
         return Ok(x);
     }
+    x.resize(n * n_rhs, 0.0);
     let mut scratch = PanelBlockScratch::default();
     if coupling.nnz() == 0 {
-        let mut x = vec![0.0; n * n_rhs];
         solve_blocks_many(snap.partition(), shards, b, n_rhs, &mut x, &mut scratch)?;
         return Ok(x);
     }
     let telemetry = snap.telemetry();
     let span = telemetry.span(Stage::CouplingGaussSeidel);
-    let result = gauss_seidel_many(snap, b, n_rhs, &mut scratch);
+    let result = krylov_many(snap, b, n_rhs, RESTART, &mut x, &mut scratch);
     span.stop();
     if let Err(LuError::ConvergenceFailure {
         iterations,
@@ -272,224 +257,354 @@ pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> L
             residual: *last_diff,
         });
     }
-    result
+    result.map(|()| x)
 }
 
-/// Block Gauss–Seidel over a panel: one sweep updates the shards in the
-/// plan's dependency order, and each shard's right-hand side reads the
-/// *current* iterate — so the shards updated earlier in the sweep already
-/// contribute their new solutions.  Per sweep each shard gathers the coupled
-/// right-hand sides of every column, runs **one** panel solve over its
-/// factors, and scatters only the still-active columns: each column keeps
-/// its own `last_diff` and is **frozen** (its `x` stripe no longer written)
-/// the moment its own acceptance test passes.  Because the columns of the
-/// iteration are arithmetically independent, each column's iterate sequence
-/// while active is exactly its width-1 sequence, so converged stripes are
-/// bit-identical to width-1 solves.  Frozen columns still ride along in the
-/// panel solves (the width is fixed); their results are discarded.
-///
-/// The sweep at which each column froze is recorded into the telemetry
-/// registry's sweep histogram — one sample per solved column.
-fn gauss_seidel_many(
+/// Arnoldi steps per GMRES cycle before the iterate is checked and the
+/// basis rebuilt from its residual.  No input measured needs a second cycle
+/// (cold queries converge in 11–19 steps at any damping); 24 bounds a
+/// column's basis at 25 vectors and keeps its Hessenberg in 5 KB.
+const RESTART: usize = 24;
+
+/// What a column's next block pass computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// An `f = 1` pass from the column's iterate `x`: its iterate change
+    /// `S(x) − x` is the preconditioned residual at `x`, which either
+    /// accepts the pass's result or opens a GMRES cycle.
+    Check,
+    /// An `f = 0` pass on a copy of the newest basis vector: one Arnoldi
+    /// step.
+    Arnoldi,
+    /// Accepted; the column rides along as the zero vector.
+    Done,
+}
+
+/// One panel column's GMRES state.  Nothing in it is shared with, or read
+/// by, another column.
+#[derive(Debug)]
+struct KrylovColumn {
+    phase: Phase,
+    /// Iterate change of the column's last `Check` pass.
+    last_diff: f64,
+    /// Acceptance scale of that pass — what the residual estimate of the
+    /// cycle it opened is measured against.
+    scale: f64,
+    /// Arnoldi steps taken in the current cycle.
+    steps: usize,
+    /// Vectors of `n` back to back: the orthonormal basis `v_0 … v_steps`
+    /// of the cycle, then the vector the next pass runs on in place — slot
+    /// 0 while checking (a copy of the iterate), slot `steps + 1` during
+    /// Arnoldi (a copy of `v_steps`).  Grown by one vector the first time a
+    /// cycle reaches a length, reused by every later cycle.
+    basis: Vec<f64>,
+    /// Upper-triangular factor of the Givens-rotated Hessenberg, one array
+    /// per column of `R`.
+    r: [[f64; RESTART]; RESTART],
+    /// The rotations' cosines and sines.
+    cs: [f64; RESTART],
+    sn: [f64; RESTART],
+    /// The rotated right-hand side `‖r₀‖·e₁`; the magnitude of entry
+    /// `steps` is the residual 2-norm of the cycle's current iterate.
+    g: [f64; RESTART + 1],
+}
+
+impl KrylovColumn {
+    /// A column at the zero iterate, about to take its first `Check` pass —
+    /// whose result is `S(0) = M⁻¹b` and whose iterate change is `r₀`.
+    fn new(n: usize) -> Self {
+        KrylovColumn {
+            phase: Phase::Check,
+            last_diff: f64::INFINITY,
+            scale: 1.0,
+            steps: 0,
+            // lint: allow(alloc-hot-path) — a column's first basis slot, once
+            // per solve; later slots extend this buffer as a cycle grows
+            // (amortised doubling), never per pass once a length was reached.
+            basis: vec![0.0; n],
+            r: [[0.0; RESTART]; RESTART],
+            cs: [0.0; RESTART],
+            sn: [0.0; RESTART],
+            g: [0.0; RESTART + 1],
+        }
+    }
+
+    /// Index of the basis slot the next pass runs on.
+    fn active_slot(&self) -> usize {
+        match self.phase {
+            Phase::Arnoldi => self.steps + 1,
+            Phase::Check | Phase::Done => 0,
+        }
+    }
+
+    fn active(&self, n: usize) -> &[f64] {
+        let at = self.active_slot() * n;
+        &self.basis[at..at + n]
+    }
+
+    fn active_mut(&mut self, n: usize) -> &mut [f64] {
+        let at = self.active_slot() * n;
+        &mut self.basis[at..at + n]
+    }
+
+    /// Makes slot `steps + 1` a copy of `v_steps`, ready for the `f = 0`
+    /// pass of the next Arnoldi step.
+    fn stage_arnoldi(&mut self, n: usize) {
+        let next = (self.steps + 1) * n;
+        if self.basis.len() < next + n {
+            self.basis.resize(next + n, 0.0);
+        }
+        self.basis.copy_within(next - n..next, next);
+        self.phase = Phase::Arnoldi;
+    }
+
+    /// Consumes the pass that just ran on this column's active slot.
+    /// Returns whether the column was accepted by it; `pass` is the 1-based
+    /// count of block passes so far, `x` the column's stripe of the result.
+    fn advance(
+        &mut self,
+        x: &mut [f64],
+        tolerance: &SolveTolerance,
+        restart: usize,
+        pass: usize,
+    ) -> LuResult<bool> {
+        let n = x.len();
+        let failed = |last_diff: f64| LuError::ConvergenceFailure {
+            iterations: pass,
+            last_diff,
+        };
+        match self.phase {
+            Phase::Done => Ok(false),
+            Phase::Check => {
+                let swept = &mut self.basis[..n];
+                let (diff, scale) = diff_and_scale(swept, x);
+                if !(diff.is_finite() && scale.is_finite()) {
+                    return Err(failed(if diff.is_finite() { scale } else { diff }));
+                }
+                if tolerance.accepted(diff, scale, self.last_diff) {
+                    x.copy_from_slice(swept);
+                    swept.fill(0.0);
+                    self.phase = Phase::Done;
+                    return Ok(true);
+                }
+                self.last_diff = diff;
+                self.scale = scale;
+                // Open a cycle at `x`: v₀ = r₀/‖r₀‖ with r₀ = S(x) − x.
+                // `diff > 0` here, so the norm is positive.
+                for (r, &xi) in swept.iter_mut().zip(x.iter()) {
+                    *r -= xi;
+                }
+                let beta = norm2(swept);
+                for r in swept.iter_mut() {
+                    *r /= beta;
+                }
+                self.g[0] = beta;
+                self.steps = 0;
+                self.stage_arnoldi(n);
+                Ok(false)
+            }
+            Phase::Arnoldi => {
+                let j = self.steps;
+                let (vs, rest) = self.basis.split_at_mut((j + 1) * n);
+                let w = &mut rest[..n];
+                // The slot holds G·v_j; w = (I − G)·v_j, then modified
+                // Gram–Schmidt against v_0 … v_j.
+                for (wi, &vi) in w.iter_mut().zip(&vs[j * n..]) {
+                    *wi = vi - *wi;
+                }
+                let mut h = [0.0; RESTART + 1];
+                for (hi, v) in h.iter_mut().zip(vs.chunks_exact(n)) {
+                    *hi = dot(w, v);
+                    axpy(-*hi, v, w);
+                }
+                let h_next = norm2(w);
+                // Rotate the new Hessenberg column into R and the
+                // right-hand side with it.
+                for i in 0..j {
+                    let (a, b) = (h[i], h[i + 1]);
+                    h[i] = self.cs[i] * a + self.sn[i] * b;
+                    h[i + 1] = self.cs[i] * b - self.sn[i] * a;
+                }
+                let denom = h[j].hypot(h_next);
+                self.cs[j] = h[j] / denom;
+                self.sn[j] = h_next / denom;
+                h[j] = denom;
+                self.r[j][..=j].copy_from_slice(&h[..=j]);
+                self.g[j + 1] = -self.sn[j] * self.g[j];
+                self.g[j] *= self.cs[j];
+                self.steps = j + 1;
+                let residual = self.g[j + 1].abs();
+                if !residual.is_finite() {
+                    return Err(failed(residual));
+                }
+                // ‖r‖∞ ≤ ‖r‖₂, so an estimate under the tolerance is an
+                // iterate the check pass will accept.  An exhausted Krylov
+                // space (`h_next == 0`, the lucky breakdown) reads as a zero
+                // estimate and closes the cycle the same way.
+                if residual <= tolerance.tol * self.scale || self.steps == restart {
+                    self.close_cycle(x);
+                } else {
+                    for wi in w.iter_mut() {
+                        *wi /= h_next;
+                    }
+                    self.stage_arnoldi(n);
+                }
+                Ok(false)
+            }
+        }
+    }
+
+    /// Ends the cycle: solves the rotated least-squares problem `R·y = g`,
+    /// moves the iterate to `x + V·y`, and stages it for a `Check` pass.
+    fn close_cycle(&mut self, x: &mut [f64]) {
+        let n = x.len();
+        let k = self.steps;
+        let mut y = [0.0; RESTART];
+        for i in (0..k).rev() {
+            let tail: f64 = (i + 1..k).map(|l| self.r[l][i] * y[l]).sum();
+            y[i] = (self.g[i] - tail) / self.r[i][i];
+        }
+        for (v, &yi) in self.basis.chunks_exact(n).zip(&y[..k]) {
+            axpy(yi, v, x);
+        }
+        self.basis[..n].copy_from_slice(x);
+        self.phase = Phase::Check;
+    }
+}
+
+/// One ordered block pass over the panel, in place on every column's active
+/// slot: shard by shard in the plan's order, each shard gathers
+/// `f·b − C·v` for every column from the vectors as they stand, runs **one**
+/// panel solve over its factors, and scatters the solutions back — so the
+/// shards updated earlier in the pass already contribute their new values.
+/// `f` is per column (1 while checking, 0 otherwise), which is what lets
+/// columns in different phases share the traversal.
+fn block_pass(
     snap: &EngineSnapshot,
     b: &[f64],
-    n_rhs: usize,
+    columns: &mut [KrylovColumn],
     scratch: &mut PanelBlockScratch,
-) -> LuResult<Vec<f64>> {
+) -> LuResult<()> {
     let partition = snap.partition();
     let shards = snap.shards();
     let coupling = snap.coupling();
-    let tolerance = snap.tolerance();
-    let plan = snap.coupling_plan();
-    let telemetry = snap.telemetry();
-    debug_assert_eq!(plan.gs_order.len(), shards.len());
     let n = snap.n_nodes();
-    let mut x = vec![0.0; n * n_rhs];
-    let mut prev = vec![0.0; n * n_rhs];
-    let mut last_diff = vec![f64::INFINITY; n_rhs];
-    let mut done = vec![false; n_rhs];
-    let mut n_done = 0usize;
-    for sweep in 1..=tolerance.max_sweeps {
-        prev.copy_from_slice(&x);
-        for &s in &plan.gs_order {
-            let nodes = partition.nodes_of(s);
-            scratch.local_rhs.clear();
-            for c in 0..n_rhs {
-                let xs = &x[c * n..(c + 1) * n];
-                let bs = &b[c * n..(c + 1) * n];
-                for &g in nodes {
-                    let (cols, vals) = coupling.row(g);
-                    let mut acc = bs[g];
-                    for (&j, &v) in cols.iter().zip(vals.iter()) {
-                        acc -= v * xs[j];
-                    }
-                    scratch.local_rhs.push(acc);
+    let n_rhs = columns.len();
+    for &s in snap.coupling_plan().gs_order() {
+        let nodes = partition.nodes_of(s);
+        scratch.local_rhs.clear();
+        for (c, column) in columns.iter().enumerate() {
+            let v = column.active(n);
+            let bs = (column.phase == Phase::Check).then(|| &b[c * n..(c + 1) * n]);
+            for &g in nodes {
+                let (cols, vals) = coupling.row(g);
+                let mut acc = bs.map_or(0.0, |bs| bs[g]);
+                for (&j, &val) in cols.iter().zip(vals.iter()) {
+                    acc -= val * v[j];
                 }
-            }
-            shards[s].decomposed().solve_many_into(
-                &scratch.local_rhs,
-                n_rhs,
-                &mut scratch.lu,
-                &mut scratch.local_x,
-            )?;
-            let m = nodes.len();
-            for c in 0..n_rhs {
-                if done[c] {
-                    continue;
-                }
-                let local = &scratch.local_x[c * m..(c + 1) * m];
-                for (l, &g) in nodes.iter().enumerate() {
-                    x[c * n + g] = local[l];
-                }
+                scratch.local_rhs.push(acc);
             }
         }
-        if plan.triangular {
-            // Block triangular coupling: one sweep is exact for every column.
-            for _ in 0..n_rhs {
+        shards[s].decomposed().solve_many_into(
+            &scratch.local_rhs,
+            n_rhs,
+            &mut scratch.lu,
+            &mut scratch.local_x,
+        )?;
+        let m = nodes.len();
+        for (c, column) in columns.iter_mut().enumerate() {
+            let local = &scratch.local_x[c * m..(c + 1) * m];
+            let v = column.active_mut(n);
+            for (l, &g) in nodes.iter().enumerate() {
+                v[g] = local[l];
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Restarted GMRES on `(I − G)·x = M⁻¹b` over a panel, writing the
+/// solutions into `x` (zeroed, `n_rhs` stripes).  Every iteration of the
+/// loop is one [`block_pass`] for the whole panel followed by each column's
+/// own [`KrylovColumn::advance`]; a column spends one pass on its initial
+/// residual (the pass from zero), one per Arnoldi step, and one on the check
+/// that accepts it, and the pass count at which it was accepted is recorded
+/// into the telemetry registry's histogram — one sample per solved column.
+///
+/// `restart` is [`RESTART`] outside tests.
+fn krylov_many(
+    snap: &EngineSnapshot,
+    b: &[f64],
+    n_rhs: usize,
+    restart: usize,
+    x: &mut [f64],
+    scratch: &mut PanelBlockScratch,
+) -> LuResult<()> {
+    debug_assert!((1..=RESTART).contains(&restart));
+    let tolerance = snap.tolerance();
+    let telemetry = snap.telemetry();
+    let n = snap.n_nodes();
+    // lint: allow(alloc-hot-path) — the per-column Krylov state, once per
+    // solve.
+    let mut columns = Vec::with_capacity(n_rhs);
+    columns.extend((0..n_rhs).map(|_| KrylovColumn::new(n)));
+    let mut n_done = 0usize;
+    for pass in 1..=tolerance.max_sweeps {
+        block_pass(snap, b, &mut columns, scratch)?;
+        if snap.coupling_plan().is_triangular() {
+            // Block triangular coupling: the pass from zero is the exact
+            // solve of every column.
+            for (column, stripe) in columns.iter().zip(x.chunks_exact_mut(n)) {
+                stripe.copy_from_slice(column.active(n));
                 telemetry.observe_coupling_sweeps(1);
             }
-            return Ok(x);
+            return Ok(());
         }
-        for c in 0..n_rhs {
-            if done[c] {
-                continue;
-            }
-            let stripe = c * n..(c + 1) * n;
-            let (diff, scale) = diff_and_scale(&x[stripe.clone()], &prev[stripe]);
-            if tolerance.accepted(diff, scale, last_diff[c]) {
-                done[c] = true;
+        for (column, stripe) in columns.iter_mut().zip(x.chunks_exact_mut(n)) {
+            if column.advance(stripe, &tolerance, restart, pass)? {
                 n_done += 1;
-                telemetry.observe_coupling_sweeps(sweep as u64);
-            } else {
-                last_diff[c] = diff;
+                telemetry.observe_coupling_sweeps(pass as u64);
             }
         }
         if n_done == n_rhs {
-            return Ok(x);
+            return Ok(());
         }
     }
-    let worst = last_diff
+    let worst = columns
         .iter()
-        .zip(done.iter())
-        .filter(|&(_, &d)| !d)
-        .map(|(&l, _)| l)
-        .fold(0.0f64, f64::max);
+        .filter(|column| column.phase != Phase::Done)
+        .fold(0.0f64, |worst, column| worst.max(column.last_diff));
     Err(LuError::ConvergenceFailure {
         iterations: tolerance.max_sweeps,
         last_diff: worst,
     })
 }
 
-/// ∞-norm iterate change and solution scale of one sweep.
+/// ∞-norm iterate change and solution scale of one pass.  A NaN in either
+/// vector makes the result NaN (`f64::max` would drop it and report a
+/// non-finite iterate as converged).
 fn diff_and_scale(new: &[f64], old: &[f64]) -> (f64, f64) {
+    let sticky_max = |acc: f64, v: f64| if v > acc || v.is_nan() { v } else { acc };
     let mut diff = 0.0f64;
     let mut scale = 1.0f64;
     for (a, b) in new.iter().zip(old.iter()) {
-        diff = diff.max((a - b).abs());
-        scale = scale.max(a.abs());
+        diff = sticky_max(diff, (a - b).abs());
+        scale = sticky_max(scale, a.abs());
     }
     (diff, scale)
 }
 
-/// Derives the Gauss–Seidel shard traversal order from the coupling's
-/// shard-to-shard dependency weights, with the triangularity verdict: a
-/// topological order of the dependency digraph when it is acyclic (the
-/// block-triangular case — one sweep in that order is the exact solve), else
-/// the greedy least-pending-weight order of [`greedy_order_from_weights`].
-///
-/// Triangularity is detected from the *actual* frozen coupling, so it never
-/// depends on where the partition came from: a BTF partition gets its
-/// one-sweep guarantee verified here, and any partition whose
-/// cross-structure happens to be acyclic gets the same direct solve for
-/// free.
-fn gauss_seidel_order(partition: &NodePartition, coupling: &CsrMatrix) -> (Vec<usize>, bool) {
-    let k = partition.n_shards();
-    if k <= 1 || coupling.nnz() == 0 {
-        // No coupling: vacuously triangular (never consulted — empty
-        // couplings short-circuit before the iteration).
-        return ((0..k).collect(), true);
-    }
-    let w = shard_dependency_weights(k, partition, coupling);
-    match topological_shard_order(k, &w) {
-        Some(topo) => (topo, true),
-        None => (greedy_order_from_weights(k, &w), false),
-    }
-}
-
-/// The shard-to-shard dependency weights `w[s][t] = Σ |C[i,j]|` over `i ∈ s`,
-/// `j ∈ t`, `s ≠ t`: how much shard `s`'s rows read shard `t`'s solution.
-fn shard_dependency_weights(k: usize, partition: &NodePartition, coupling: &CsrMatrix) -> Vec<f64> {
-    let mut w = vec![0.0f64; k * k];
-    for (i, j, v) in coupling.iter() {
-        let (s, t) = (partition.shard_of(i), partition.shard_of(j));
-        if s != t {
-            w[s * k + t] += v.abs();
-        }
-    }
-    w
-}
-
-/// Kahn's algorithm over the shard dependency digraph (`s` depends on `t`
-/// when `w[s][t] > 0`): `Some(order)` with dependencies first when the
-/// digraph is acyclic — block triangular form — else `None`.  Among ready
-/// shards the lowest id goes first, so the order is deterministic.
-fn topological_shard_order(k: usize, w: &[f64]) -> Option<Vec<usize>> {
-    let mut indegree = vec![0usize; k];
-    for s in 0..k {
-        for t in 0..k {
-            if s != t && w[s * k + t] > 0.0 {
-                indegree[s] += 1;
-            }
-        }
-    }
-    let mut order = Vec::with_capacity(k);
-    let mut placed = vec![false; k];
-    for _ in 0..k {
-        let s = (0..k).find(|&s| !placed[s] && indegree[s] == 0)?;
-        placed[s] = true;
-        order.push(s);
-        for r in 0..k {
-            if !placed[r] && r != s && w[r * k + s] > 0.0 {
-                indegree[r] -= 1;
-            }
-        }
-    }
-    Some(order)
-}
-
-/// The cyclic-coupling fallback order: greedily pick the shard with the
-/// least remaining dependency weight on shards not yet updated this sweep,
-/// so by the time a heavily-dependent shard solves, most of what it reads is
-/// already current-iterate.  Ties break toward the lower shard id.
-fn greedy_order_from_weights(k: usize, w: &[f64]) -> Vec<usize> {
-    let mut remaining: Vec<usize> = (0..k).collect();
-    let mut order = Vec::with_capacity(k);
-    while !remaining.is_empty() {
-        // Manual argmin instead of `min_by` + `partial_cmp().expect(…)`:
-        // `<` keeps the first minimum on ties (lower shard id) and has no
-        // panic surface even if a weight ever went non-finite.
-        let mut pos = 0;
-        let mut best = f64::INFINITY;
-        for (p, &s) in remaining.iter().enumerate() {
-            let pending: f64 = remaining
-                .iter()
-                .filter(|&&t| t != s)
-                .map(|&t| w[s * k + t])
-                .sum();
-            if pending < best {
-                best = pending;
-                pos = p;
-            }
-        }
-        order.push(remaining.remove(pos));
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
+    use super::plan::gauss_seidel_order;
     use super::*;
-    use clude_sparse::CooMatrix;
+    use crate::sharded::ShardedFactorStore;
+    use crate::store::RefreshPolicy;
+    use clude_graph::{measure_matrix, DiGraph, MatrixKind};
+    use clude_measures::MeasureSolver;
+    use clude_sparse::{CooMatrix, CsrMatrix};
+    use clude_telemetry::{EventKind, TelemetryRegistry};
+    use std::sync::Arc;
 
     #[test]
     fn solver_names_and_defaults() {
@@ -547,8 +662,9 @@ mod tests {
             (vec![1, 0, 2], true)
         );
         // Closing the cycle (shard 1 <- shard 2) leaves only the greedy
-        // least-pending-weight order, and sweeps have to iterate: shard 0
-        // reads the least, and with it placed shard 2 reads nothing pending.
+        // least-pending-weight order, and one pass is no longer exact: shard
+        // 0 reads the least, and with it placed shard 2 reads nothing
+        // pending.
         coo.push(2, 4, -0.2).unwrap();
         let cyclic = CsrMatrix::from_coo(&coo);
         assert_eq!(
@@ -561,5 +677,196 @@ mod tests {
             gauss_seidel_order(&partition, &empty),
             (vec![0, 1, 2], true)
         );
+    }
+
+    /// A store over `g` recording into its own registry, its coupling cyclic.
+    fn coupled_store(
+        g: DiGraph,
+        partition: NodePartition,
+        tolerance: SolveTolerance,
+    ) -> (ShardedFactorStore, Arc<TelemetryRegistry>) {
+        let telemetry = Arc::new(TelemetryRegistry::default());
+        let store = ShardedFactorStore::new(
+            g,
+            MatrixKind::random_walk_default(),
+            RefreshPolicy::Incremental,
+            partition,
+        )
+        .unwrap()
+        .with_telemetry(Arc::clone(&telemetry))
+        .with_coupling_config(CouplingConfig {
+            tolerance,
+            ..CouplingConfig::default()
+        })
+        .unwrap();
+        assert!(store.coupling_nnz() > 0, "edges cross the shards");
+        assert!(!store.snapshot().coupling_plan().is_triangular());
+        (store, telemetry)
+    }
+
+    /// The 6-node ring + (2, 0) at 2 contiguous shards.
+    fn ring_store() -> (ShardedFactorStore, Arc<TelemetryRegistry>) {
+        let mut g = DiGraph::from_edges(6, (0..6).map(|i| (i, (i + 1) % 6)).collect::<Vec<_>>());
+        g.add_edge(2, 0);
+        coupled_store(
+            g,
+            NodePartition::contiguous(6, 2),
+            SolveTolerance::default(),
+        )
+    }
+
+    /// 40 nodes, three out-links each, dealt round-robin onto 4 shards:
+    /// nearly every edge crosses, so `G` has rank enough that a solve needs
+    /// more than a handful of Arnoldi steps.
+    fn scattered_store(tolerance: SolveTolerance) -> (ShardedFactorStore, Arc<TelemetryRegistry>) {
+        let n = 40;
+        let edges = (0..n)
+            .flat_map(|i| {
+                [
+                    (i, (i + 1) % n),
+                    (i, (7 * i + 3) % n),
+                    (i, (11 * i + 5) % n),
+                ]
+            })
+            .filter(|(u, v)| u != v)
+            .collect::<Vec<_>>();
+        coupled_store(
+            DiGraph::from_edges(n, edges),
+            NodePartition::from_assignments((0..n).map(|i| i % 4).collect()),
+            tolerance,
+        )
+    }
+
+    fn assert_fails_at_first_pass(b: &[f64], is_the_value: impl Fn(f64) -> bool) {
+        let (store, telemetry) = ring_store();
+        let err = store.snapshot().solve_measure_system(b).unwrap_err();
+        match err {
+            LuError::ConvergenceFailure {
+                iterations,
+                last_diff,
+            } => {
+                assert_eq!(iterations, 1, "fails at the pass where it appears");
+                assert!(is_the_value(last_diff), "{last_diff}");
+            }
+            other => panic!("expected ConvergenceFailure, got {other:?}"),
+        }
+        // Journalled and counted like any other failed solve.
+        assert_eq!(telemetry.counter(Counter::ConvergenceFailures), 1);
+        assert_eq!(
+            telemetry.journal().count_of(EventKind::ConvergenceFailure),
+            1
+        );
+        assert!(telemetry.coupling_sweeps().is_empty());
+    }
+
+    #[test]
+    fn nan_right_hand_side_is_a_failure_not_a_converged_answer() {
+        // `f64::max` drops NaN, so this used to read as an iterate change of
+        // zero and return `Ok([NaN, NaN, NaN, 0, 0, 0])` after one sweep.
+        assert_fails_at_first_pass(&[f64::NAN, 0.0, 0.0, 0.0, 0.0, 0.0], f64::is_nan);
+    }
+
+    #[test]
+    fn infinite_right_hand_side_is_a_failure_not_a_converged_answer() {
+        assert_fails_at_first_pass(&[f64::INFINITY, 0.0, 0.0, 0.0, 0.0, 0.0], |v| {
+            !v.is_finite()
+        });
+    }
+
+    #[test]
+    fn zero_right_hand_side_returns_zeros_after_one_pass() {
+        // r₀ = S(0) − 0 = 0: accepted by the pass that computes it, before
+        // anything divides by ‖r₀‖.
+        let (store, telemetry) = ring_store();
+        let x = store.snapshot().solve_measure_system(&[0.0; 6]).unwrap();
+        assert_eq!(x, vec![0.0; 6]);
+        assert_eq!(telemetry.coupling_sweeps().count(), 1);
+        assert_eq!(telemetry.coupling_sweeps().max(), 1);
+    }
+
+    #[test]
+    fn forced_restarts_reach_the_same_answer() {
+        // A cycle of 3 Arnoldi steps cannot finish this solve, so the
+        // iteration has to restart from a checked iterate — more passes,
+        // same fixed point.
+        let (store, telemetry) = scattered_store(SolveTolerance::default());
+        let snap = store.snapshot();
+        let n = snap.n_nodes();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+        let solve = |restart: usize| {
+            let mut x = vec![0.0; n];
+            let mut scratch = PanelBlockScratch::default();
+            krylov_many(&snap, &b, 1, restart, &mut x, &mut scratch).unwrap();
+            (x, telemetry.coupling_sweeps().max())
+        };
+        let (one_cycle, passes_one_cycle) = solve(RESTART);
+        let (restarted, passes_restarted) = solve(3);
+        // One cycle: residual, at most n Arnoldi steps, check.
+        assert!(passes_one_cycle <= n as u64 + 2, "{passes_one_cycle}");
+        assert!(
+            passes_restarted > passes_one_cycle && passes_restarted > 3 + 2,
+            "restart 3 took {passes_restarted} passes, one cycle {passes_one_cycle}"
+        );
+        let dense = measure_matrix(store.graph(), store.matrix_kind())
+            .to_dense()
+            .solve_gaussian(&b)
+            .unwrap();
+        for ((a, r), d) in one_cycle.iter().zip(&restarted).zip(&dense) {
+            assert!((a - d).abs() <= 1e-12, "one cycle {a} vs dense {d}");
+            assert!((r - d).abs() <= 1e-12, "restarted {r} vs dense {d}");
+        }
+    }
+
+    #[test]
+    fn a_failed_check_opens_the_next_cycle() {
+        // A tolerance under the rounding noise of a pass: the first cycle's
+        // iterate cannot pass its check, the check's iterate change seeds a
+        // second cycle, and the floor-stagnation rule ends it — later than
+        // the default tolerance would, at the same answer.
+        let passes_and_answer = |tol: f64| {
+            let (store, telemetry) = scattered_store(SolveTolerance {
+                tol,
+                max_sweeps: 200,
+            });
+            let x = store.snapshot().solve_measure_system(&[1.0; 40]).unwrap();
+            (telemetry.coupling_sweeps().max(), x)
+        };
+        let (default_passes, default_x) = passes_and_answer(1e-13);
+        let (floor_passes, floor_x) = passes_and_answer(3e-17);
+        assert!(
+            floor_passes >= default_passes + 2,
+            "floor {floor_passes} vs default {default_passes}"
+        );
+        for (a, b) in default_x.iter().zip(&floor_x) {
+            assert!((a - b).abs() <= 1e-12, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn budget_smaller_than_one_cycle_fails_loudly() {
+        // Four passes are a residual and three Arnoldi steps: no check pass
+        // ever ran on a Krylov iterate, so nothing may be returned.
+        let tolerance = SolveTolerance {
+            tol: 1e-13,
+            max_sweeps: 4,
+        };
+        let (store, telemetry) = scattered_store(tolerance);
+        let b = vec![1.0; 40];
+        let err = store.snapshot().solve_measure_system(&b).unwrap_err();
+        match err {
+            LuError::ConvergenceFailure {
+                iterations,
+                last_diff,
+            } => {
+                assert_eq!(iterations, 4);
+                assert!(last_diff.is_finite() && last_diff > 0.0, "{last_diff}");
+            }
+            other => panic!("expected ConvergenceFailure, got {other:?}"),
+        }
+        assert_eq!(
+            telemetry.journal().count_of(EventKind::ConvergenceFailure),
+            1
+        );
+        assert!(telemetry.coupling_sweeps().is_empty());
     }
 }

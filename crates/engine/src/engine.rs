@@ -74,8 +74,8 @@ pub struct EngineConfig {
     /// clamped).
     pub n_shards: usize,
     /// How coupled (sharded) queries are solved: the
-    /// [`crate::coupling::SolveTolerance`] stopping rule of the block
-    /// Gauss–Seidel iteration (one no solve can meet is an
+    /// [`crate::coupling::SolveTolerance`] stopping rule of the iteration
+    /// over block Gauss–Seidel passes (one no solve can meet is an
     /// [`EngineError::InvalidConfig`]), and the optional coupling-size
     /// budget that triggers adaptive re-partitioning.
     pub coupling: CouplingConfig,

@@ -34,9 +34,9 @@
 //!                                             QueryService
 //!                                     sharded RwLock LRU cache keyed by
 //!                                     (snapshot, query); solves combine the
-//!                                     shard blocks exactly by block
-//!                                     Gauss–Seidel over the frozen
-//!                                     coupling, outside any lock
+//!                                     shard blocks exactly by GMRES over
+//!                                     the block Gauss–Seidel pass on the
+//!                                     frozen coupling, outside any lock
 //! ```
 //!
 //! * [`ingest::DeltaIngestor`] coalesces single edge operations into
@@ -59,15 +59,17 @@
 //!   costs O(touched shards) factor memory per snapshot, not O(all shards)
 //!   (the snapshot graph itself, much smaller than the factors, is still
 //!   copied per entry).
-//! * [`coupling`] is the one solver of coupled (sharded) queries: block
-//!   Gauss–Seidel in a dependency-derived shard order frozen per snapshot
-//!   ([`coupling::CouplingPlan`]; one sweep is exact on block-triangular
-//!   coupling), under a configurable [`coupling::SolveTolerance`], with
-//!   adaptive re-partitioning when the coupling outgrows its budget.
+//! * [`coupling`] is the one solver of coupled (sharded) queries:
+//!   restarted GMRES preconditioned by the block Gauss–Seidel pass in a
+//!   dependency-derived shard order frozen per snapshot
+//!   ([`coupling::CouplingPlan`]; one pass is exact on block-triangular
+//!   coupling), every answer accepted by a real pass under a configurable
+//!   [`coupling::SolveTolerance`], with adaptive re-partitioning when the
+//!   coupling outgrows its budget.
 //! * [`query::QueryService`] answers typed
 //!   [`clude_measures::MeasureQuery`]s against immutable snapshots with a
 //!   sharded LRU result cache; coupled sharded solves run through reused
-//!   [`clude_lu::PanelScratch`] buffers, allocation-free per sweep.
+//!   [`clude_lu::PanelScratch`] buffers, allocation-free per block pass.
 //! * [`stats`] exports lock-free ingest/refresh/query counters in the style
 //!   of `clude::report::TimingBreakdown`, including the snapshot ring's
 //!   sharing behaviour (depth, clone/share counts, resident factor bytes).

@@ -26,10 +26,11 @@
 //! parallel** across scoped threads, each sweeping with its own workspace.
 //!
 //! Queries recombine exactly: snapshots expose the per-shard factors plus a
-//! frozen coupling matrix, and block Gauss–Seidel over them
-//! ([`crate::coupling`]) converges for the engine's diagonally dominant
-//! M-matrices, matching a dense solve of the snapshot's measure matrix — and
-//! the one-shard store — to well below 1e-9.
+//! frozen coupling matrix, and the block Gauss–Seidel pass over them
+//! ([`crate::coupling`]) contracts for the engine's diagonally dominant
+//! M-matrices, so the Krylov iteration it preconditions matches a dense
+//! solve of the snapshot's measure matrix — and the one-shard store — to
+//! well below 1e-9.
 
 use crate::coupling::{CouplingConfig, CouplingPlan};
 use crate::error::{EngineError, EngineResult};
@@ -1064,15 +1065,19 @@ mod tests {
 
     #[test]
     fn high_damping_coupled_queries_still_converge() {
-        // d = 0.995 contracts slowly (~200 sweeps per decade): the
-        // contraction-aware exit must accept instead of exhausting the
-        // iteration budget, and the answers must still match the dense solve.
+        // d = 0.995 contracts slowly — a stationary sweep gains a decade per
+        // ~200 passes — and 12 nodes are fewer than one Krylov cycle is
+        // long: the space is exhausted before a restart, the lucky breakdown
+        // must close the cycle on the exact answer, and the answers must
+        // still match the dense solve.
         let n = 12;
         let g = base_graph(n);
         let kind = MatrixKind::RandomWalk { damping: 0.995 };
         let partition = NodePartition::contiguous(n, 3);
-        let sharded =
-            ShardedFactorStore::new(g, kind, RefreshPolicy::Incremental, partition).unwrap();
+        let telemetry = Arc::new(TelemetryRegistry::default());
+        let sharded = ShardedFactorStore::new(g, kind, RefreshPolicy::Incremental, partition)
+            .unwrap()
+            .with_telemetry(Arc::clone(&telemetry));
         assert!(sharded.coupling_nnz() > 0, "ring edges cross the shards");
         let q = MeasureQuery::Rwr {
             seed: 0,
@@ -1083,6 +1088,9 @@ mod tests {
         for (x, y) in a.iter().zip(b.iter()) {
             assert!((x - y).abs() <= 1e-9, "{x} vs {y}");
         }
+        // The residual pass, at most n Arnoldi steps, the accepting pass.
+        let passes = telemetry.coupling_sweeps().max();
+        assert!(passes <= n as u64 + 2, "{passes} passes");
     }
 
     #[test]

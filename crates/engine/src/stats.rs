@@ -226,12 +226,13 @@ pub struct EngineStats {
     /// Cross-shard coupling entries of the newest snapshot — the number to
     /// watch for dense-coupling drift (filled in by `CludeEngine::stats`).
     pub coupling_nnz: u64,
-    /// Median Gauss–Seidel sweeps per coupled right-hand side, from the
-    /// telemetry registry's sweep histogram (filled in by
+    /// Median block passes per coupled right-hand side — the residual pass,
+    /// the Arnoldi steps and the accepting pass of the Krylov iteration —
+    /// from the telemetry registry's histogram (filled in by
     /// `CludeEngine::stats`; 0 with telemetry off or before the first
     /// coupled solve).
     pub coupling_sweeps_p50: u64,
-    /// Most sweeps any coupled right-hand side needed (filled in by
+    /// Most block passes any coupled right-hand side needed (filled in by
     /// `CludeEngine::stats`).
     pub coupling_sweeps_max: u64,
     /// Whether the engine's telemetry registry is recording (filled in by

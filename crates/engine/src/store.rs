@@ -99,8 +99,8 @@ impl ShardSnapshot {
 /// coupling entries; a one-shard store publishes a single block over the
 /// [`NodePartition::singleton`] partition with an empty coupling matrix.
 /// Queries solve `A x = b` exactly either by one pair of substitutions (no
-/// coupling) or by block Gauss–Seidel combining per-shard solves with the
-/// coupling (see [`crate::coupling`]).
+/// coupling) or by the Krylov iteration over block Gauss–Seidel passes that
+/// combines per-shard solves with the coupling (see [`crate::coupling`]).
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     id: u64,
@@ -225,9 +225,9 @@ impl EngineSnapshot {
 
 impl MeasureSolver for EngineSnapshot {
     /// Solves `A x = b` for the snapshot's full measure matrix
-    /// `A = blockdiag(A_ss) + C` by block Gauss–Seidel (see
-    /// [`crate::coupling`]) as a width-1 panel; one-shard snapshots are one
-    /// pair of substitutions.
+    /// `A = blockdiag(A_ss) + C` by GMRES over the block Gauss–Seidel pass
+    /// (see [`crate::coupling`]) as a width-1 panel; one-shard snapshots are
+    /// one pair of substitutions.
     fn solve_measure_system(&self, b: &[f64]) -> LuResult<Vec<f64>> {
         coupling::solve_systems(self, b, 1)
     }

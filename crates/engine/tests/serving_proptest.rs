@@ -3,10 +3,11 @@
 //! bounded-staleness serving must never exceed its configured lag budget.
 
 use clude_engine::{
-    EngineCounters, QueryService, RefreshPolicy, ShardedFactorStore, StalenessBudget,
+    CouplingConfig, EngineCounters, QueryService, RefreshPolicy, ShardedFactorStore,
+    SolveTolerance, StalenessBudget,
 };
 use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
-use clude_measures::MeasureQuery;
+use clude_measures::{measure_rhs, MeasureQuery, MeasureSolver};
 use clude_telemetry::TelemetryRegistry;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -14,6 +15,8 @@ use std::sync::Arc;
 
 const N: usize = 14;
 const SHARDS: usize = 3;
+/// A coupled-solve tolerance under the rounding noise of one block pass.
+const FLOOR_TOL: f64 = 3e-17;
 
 /// A connected random digraph: a Hamiltonian ring plus random extra edges
 /// (deduplicated, no self-loops), so every node has an out-edge and the
@@ -56,8 +59,8 @@ proptest! {
 
     /// `query_batch` (one panel solve per snapshot) returns, per query, the
     /// exact bit pattern of the sequential `query` path, over randomly
-    /// partitioned random graphs (so the panel goes through the joint
-    /// Gauss–Seidel sweep loop with per-column freezing).
+    /// partitioned random graphs (so the panel goes through the joint block
+    /// passes of the Krylov iteration, every column in its own phase).
     #[test]
     fn panel_batches_are_bit_identical_to_sequential_solves(
         edges in graph_edges(),
@@ -101,6 +104,67 @@ proptest! {
                 prop_assert!(
                     queries.iter().any(|q| snapshot.query(q).is_err()),
                     "batch failed but every sequential solve succeeded"
+                );
+            }
+        }
+    }
+
+    /// Columns that finish at different passes — a zero right-hand side at
+    /// the first, PageRank and RWR columns after their own Arnoldi counts,
+    /// and, under a tolerance at the rounding floor, some only in a second
+    /// cycle — share every block pass of the panel, and each stripe is still
+    /// the exact bit pattern of its width-1 solve.
+    #[test]
+    fn mixed_phase_panels_are_bit_identical_to_width_one_solves(
+        edges in graph_edges(),
+        mut assignments in proptest::collection::vec(0usize..SHARDS, N),
+        seeds in proptest::collection::vec(0..N, 1..5),
+        zero_at in 0usize..6,
+        at_the_floor in 0usize..2,
+    ) {
+        for (s, a) in assignments.iter_mut().take(SHARDS).enumerate() {
+            *a = s;
+        }
+        // 1e-13 is the default; 3e-17 sits under the rounding noise of a
+        // pass, so a first check fails and the column restarts from it.
+        let tolerance = SolveTolerance {
+            tol: if at_the_floor == 1 { FLOOR_TOL } else { 1e-13 },
+            max_sweeps: 200,
+        };
+        let store = ShardedFactorStore::new(
+            DiGraph::from_edges(N, edges),
+            MatrixKind::random_walk_default(),
+            RefreshPolicy::default(),
+            NodePartition::from_assignments(assignments),
+        )
+        .unwrap()
+        .with_coupling_config(CouplingConfig { tolerance, ..CouplingConfig::default() })
+        .unwrap();
+        let snapshot = store.snapshot();
+        let mut columns = vec![measure_rhs(&MeasureQuery::PageRank { damping: 0.85 }, N).unwrap()];
+        for seed in seeds {
+            columns.push(measure_rhs(&MeasureQuery::Rwr { seed, damping: 0.85 }, N).unwrap());
+        }
+        columns.insert(zero_at % (columns.len() + 1), vec![0.0; N]);
+        let panel: Vec<f64> = columns.concat();
+        match snapshot.solve_measure_systems(&panel, columns.len()) {
+            Ok(solved) => {
+                for (c, (b, stripe)) in columns.iter().zip(solved.chunks_exact(N)).enumerate() {
+                    let alone = snapshot.solve_measure_system(b).unwrap();
+                    for (i, (a, p)) in alone.iter().zip(stripe).enumerate() {
+                        prop_assert_eq!(
+                            a.to_bits(),
+                            p.to_bits(),
+                            "column {}, row {}: {} vs {}",
+                            c, i, a, p
+                        );
+                    }
+                }
+            }
+            Err(_) => {
+                prop_assert!(
+                    columns.iter().any(|b| snapshot.solve_measure_system(b).is_err()),
+                    "panel failed but every width-1 solve succeeded"
                 );
             }
         }

@@ -19,6 +19,7 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/engine/src/store.rs",
     "crates/engine/src/sharded.rs",
     "crates/engine/src/coupling.rs",
+    "crates/engine/src/coupling/plan.rs",
     "crates/engine/src/query.rs",
     "crates/telemetry/src/hist.rs",
 ];

@@ -4,13 +4,31 @@
 //! solvers manipulate right-hand sides and solutions.  These free functions
 //! keep that code short and uniform.
 
-/// Dot product of two equally long slices.
+/// Dot product of two equally long slices, over eight independent partial
+/// sums: a single running sum is one floating-point dependency chain as long
+/// as the vector, which is what a Gram–Schmidt step taking a dot per basis
+/// vector would spend its time in.  The summation order is fixed, so equal
+/// inputs give equal bits.
 ///
 /// # Panics
 /// Panics when the lengths differ (programming error, not data error).
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+    const LANES: usize = 8;
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
+    let (a_chunks, b_chunks) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let tail: f64 = a_chunks
+        .remainder()
+        .iter()
+        .zip(b_chunks.remainder())
+        .map(|(x, y)| x * y)
+        .sum();
+    let mut lanes = [0.0f64; LANES];
+    for (x, y) in a_chunks.zip(b_chunks) {
+        for ((lane, xl), yl) in lanes.iter_mut().zip(x).zip(y) {
+            *lane += xl * yl;
+        }
+    }
+    lanes.iter().sum::<f64>() + tail
 }
 
 /// In-place `y += alpha * x`.
@@ -23,7 +41,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 
 /// Euclidean norm.
 pub fn norm2(x: &[f64]) -> f64 {
-    x.iter().map(|v| v * v).sum::<f64>().sqrt()
+    dot(x, x).sqrt()
 }
 
 /// Maximum absolute value (infinity norm).

@@ -56,11 +56,13 @@ pub enum EngineEvent {
         /// `numeric`).
         quality_loss: f64,
     },
-    /// An iterative coupling solve exhausted its sweep budget.
+    /// An iterative coupling solve exhausted its block-pass budget, or met a
+    /// non-finite value.
     ConvergenceFailure {
-        /// Sweeps performed before giving up.
+        /// Block passes performed before giving up.
         sweeps: u64,
-        /// The last iterate change when the solve was abandoned.
+        /// The last iterate change when the solve was abandoned (the
+        /// non-finite value itself when that is what ended it).
         residual: f64,
     },
     /// The query LRU evicted an entry to make room.

@@ -50,7 +50,8 @@ pub enum Counter {
     CacheHits,
     /// LRU entries evicted to make room.
     CacheEvictions,
-    /// Coupling solves abandoned after exhausting their sweep budget.
+    /// Coupling solves that failed: their block-pass budget exhausted, or a
+    /// non-finite value in the iteration.
     ConvergenceFailures,
 }
 
@@ -130,8 +131,8 @@ impl Gauge {
 }
 
 /// The engine-wide telemetry sink: one duration histogram per [`Stage`],
-/// the coupled-solve sweep histogram, the counters and gauges, and the event
-/// journal.
+/// the coupled-solve block-pass histogram, the counters and gauges, and the
+/// event journal.
 ///
 /// All recording goes through `&self` with relaxed atomics (the journal's
 /// rare events take a mutex), so one registry sits behind an `Arc` shared by
@@ -140,8 +141,8 @@ impl Gauge {
 pub struct TelemetryRegistry {
     config: TelemetryConfig,
     stages: [LogHistogram; Stage::COUNT],
-    /// Sweeps per coupled right-hand side (a count, not a duration — the one
-    /// histogram that is not a stage).
+    /// Block passes per coupled right-hand side (a count, not a duration —
+    /// the one histogram that is not a stage).
     coupling_sweeps: LogHistogram,
     counters: [AtomicU64; Counter::ALL.len()],
     gauges: [AtomicU64; Gauge::ALL.len()],
@@ -222,8 +223,10 @@ impl TelemetryRegistry {
         &self.stages[stage.index()]
     }
 
-    /// Records the sweep count at which one right-hand side of a coupled
-    /// solve converged (one sample per solved column, never per sweep).
+    /// Records the number of block passes — the residual pass, the Arnoldi
+    /// steps and the accepting pass — after which one right-hand side of a
+    /// coupled solve was accepted (one sample per solved column, never per
+    /// pass).
     #[inline]
     pub fn observe_coupling_sweeps(&self, sweeps: u64) {
         if self.config.enabled {
@@ -231,7 +234,8 @@ impl TelemetryRegistry {
         }
     }
 
-    /// Sweeps-to-convergence of every coupled right-hand side solved so far.
+    /// Block passes to acceptance of every coupled right-hand side solved so
+    /// far.
     pub fn coupling_sweeps(&self) -> &LogHistogram {
         &self.coupling_sweeps
     }
@@ -301,7 +305,7 @@ impl TelemetryRegistry {
     ///
     /// Stage histograms render as summary families in seconds
     /// (`clude_<stage>_duration_seconds{quantile="..."}` plus `_sum` /
-    /// `_count`), the sweep histogram as the unitless summary
+    /// `_count`), the block-pass histogram as the unitless summary
     /// `clude_coupling_sweeps`, counters as `_total` series, gauges plainly,
     /// and journal per-kind counts as
     /// `clude_journal_events_total{event="..."}`.
@@ -319,7 +323,7 @@ impl TelemetryRegistry {
         push_summary(
             &mut out,
             "clude_coupling_sweeps",
-            "Gauss-Seidel sweeps per coupled right-hand side.",
+            "Block passes per coupled right-hand side.",
             &self.coupling_sweeps,
             |sweeps| sweeps.to_string(),
         );

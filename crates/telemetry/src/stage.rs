@@ -19,7 +19,8 @@ pub enum Stage {
     /// A full re-ordering + refactorization of one shard (quality trip or
     /// numeric failure).
     ShardRefresh,
-    /// A Gauss–Seidel coupling solve (whole iteration, all sweeps).
+    /// A coupled solve: the whole Krylov iteration over the block
+    /// Gauss–Seidel pass, all passes.
     CouplingGaussSeidel,
     /// Deep-cloning a shard's factor block into a shared snapshot handle
     /// (`OrderedFactors::publish`).

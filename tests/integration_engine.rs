@@ -187,8 +187,8 @@ proptest! {
         }
     }
 
-    /// The coupled solve of a k-shard store — block Gauss–Seidel, the one
-    /// solver — and the one-shard store (the former monolithic
+    /// The coupled solve of a k-shard store — GMRES over the block
+    /// Gauss–Seidel pass, the one solver — and the one-shard store (the former monolithic
     /// configuration) must agree with a dense solve of the snapshot's
     /// measure matrix on every measure query to 1e-9 over random edge-op
     /// streams: intra-shard edges, cross-shard edges and removals alike, at
