@@ -75,8 +75,10 @@ pub struct SolveTolerance {
     pub tol: f64,
     /// Hard budget of block passes per solve (residual, Arnoldi and
     /// accepting passes all count).  The Krylov iteration spends 13–21 on
-    /// every graph measured, at any damping; the default leaves room for
-    /// thousands of restart cycles before a solve is declared failed.
+    /// every graph measured, at any damping — inside its first restart
+    /// cycle; the default is eight full cycles, so a solve that cannot
+    /// converge is declared failed after a few hundred passes
+    /// (milliseconds), not after seconds of spinning.
     pub max_sweeps: usize,
 }
 
@@ -119,7 +121,9 @@ impl Default for SolveTolerance {
     fn default() -> Self {
         SolveTolerance {
             tol: 1e-13,
-            max_sweeps: 100_000,
+            // A full cycle is the residual pass, RESTART Arnoldi steps and
+            // the check that closes it.
+            max_sweeps: 8 * (RESTART + 2),
         }
     }
 }
@@ -613,7 +617,7 @@ mod tests {
         assert_eq!(Stage::CouplingGaussSeidel.name(), "coupling.gauss_seidel");
         let cfg = CouplingConfig::default();
         assert_eq!(cfg.tolerance.tol, 1e-13);
-        assert_eq!(cfg.tolerance.max_sweeps, 100_000);
+        assert_eq!(cfg.tolerance.max_sweeps, 208);
         assert_eq!(cfg.repartition_budget, None);
     }
 

@@ -30,7 +30,7 @@ use crate::query::{QueryService, StalenessBudget};
 use crate::recovery::{self, RecoveryReport};
 use crate::sharded::{PartitionStrategy, ShardedFactorStore};
 use crate::stats::{EngineCounters, EngineStats};
-use crate::store::{EngineSnapshot, RefreshPolicy};
+use crate::store::{EngineSnapshot, MaintenanceArm, RefreshPolicy};
 use clude::partition::edge_locality_partition;
 use clude_graph::{btf_partition, DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_measures::MeasureQuery;
@@ -228,10 +228,11 @@ impl CludeEngine {
     /// from `base` exactly like [`CludeEngine::new`] and the base image is
     /// made durable (full checkpoint + fresh WAL segment) *before* any batch
     /// is accepted.  Otherwise the newest loadable checkpoint is restored,
-    /// the WAL suffix is replayed through the normal batch path (identical
-    /// refresh/repartition decisions, so the recovered factors match the
-    /// uncrashed run bit-for-bit), and a fresh full checkpoint re-anchors
-    /// the spool.  `base` must describe the same node universe and
+    /// the WAL suffix is replayed through the normal batch path (the same
+    /// quality anchors and re-partition countdown as the uncrashed run; the
+    /// maintenance decision restarts from its prior reach, so the recovered
+    /// factors answer within the 1e-9 bar of the uncrashed run rather than
+    /// bit for bit), and a fresh full checkpoint re-anchors the spool.  `base` must describe the same node universe and
     /// `config.matrix_kind` the same matrix as the spool; mismatches fail
     /// loudly rather than answering queries from the wrong operator.
     ///
@@ -472,8 +473,11 @@ impl CludeEngine {
             EngineCounters::add(&c.deltas_applied, shard.entries_applied);
             EngineCounters::add(&c.sweeps_run, shard.sweeps);
             EngineCounters::add(&c.cross_shard_edges, shard.cross_edges_seen);
-            if shard.refreshed {
-                EngineCounters::bump(&c.refreshes);
+            if let Some(arm) = shard.arm {
+                EngineCounters::bump(&self.counters.arms[arm.index()]);
+                if arm == MaintenanceArm::Reorder {
+                    EngineCounters::bump(&c.refreshes);
+                }
             }
         }
         // Snapshot-ring sharing accounting: the batch cloned (re-froze) the

@@ -46,12 +46,13 @@
 //!   shard count: it partitions the node universe
 //!   (`clude_graph::NodePartition`; one shard is the whole graph) into
 //!   per-shard factor blocks plus a cross-shard coupling store, maintains
-//!   each block through the Bennett update and pattern-frozen refactor paths
-//!   of `clude_lu`, sweeps disjoint-shard delta batches in parallel, and
-//!   lets queries recombine the blocks exactly.  [`store::RefreshPolicy`]
-//!   chooses between INC-style always-update and CLUDE-style refresh when
-//!   the quality-loss hook (`clude::refresh_decision`) reports degradation
-//!   past the budget.
+//!   each block by whichever [`store::MaintenanceArm`] one per-shard,
+//!   per-batch decision predicts cheapest — Bennett sweeps, a pattern-frozen
+//!   pass, a rebuild under the held ordering, a re-order — runs
+//!   disjoint-shard delta batches in parallel, and lets queries recombine
+//!   the blocks exactly.  [`store::RefreshPolicy`] chooses between INC-style
+//!   one-ordering-forever and CLUDE-style re-ordering when the quality-loss
+//!   hook (`clude::refresh_decision`) reports degradation past the budget.
 //! * [`store::EngineSnapshot`] is the immutable unit the ring retains: the
 //!   per-shard factor blocks and the frozen coupling are shared [`Arc`]
 //!   handles (see [`store::ShardSnapshot::shared`]), re-frozen by an advance
@@ -122,5 +123,5 @@ pub use query::{QueryService, StalenessBudget};
 pub use recovery::RecoveryReport;
 pub use sharded::{PartitionStrategy, ShardAdvance, ShardedAdvanceReport, ShardedFactorStore};
 pub use stats::{EngineCounters, EngineStats, ShardCounters, ShardStats};
-pub use store::{EngineSnapshot, RefreshPolicy, ShardSnapshot};
+pub use store::{EngineSnapshot, MaintenanceArm, RefreshPolicy, ShardSnapshot};
 pub use vfs::{FailpointFs, Injection, StdFs, Vfs, VfsFile};

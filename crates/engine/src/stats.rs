@@ -5,6 +5,7 @@
 //! on the ingest and query paths, snapshotted into an [`EngineStats`] record
 //! whose `Display` prints the same style of breakdown table.
 
+use crate::store::MaintenanceArm;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -65,6 +66,9 @@ pub struct EngineCounters {
     pub bennett_rank_one_updates: AtomicU64,
     /// Bennett pivots visited.
     pub bennett_pivots: AtomicU64,
+    /// Shard-batches absorbed by each maintenance arm, indexed by
+    /// [`MaintenanceArm::index`].
+    pub arms: [AtomicU64; MaintenanceArm::ALL.len()],
     /// Queries answered (hit or miss).
     pub queries: AtomicU64,
     /// Queries answered from the result cache.
@@ -153,6 +157,7 @@ impl EngineCounters {
             refreshes: Self::load(&self.refreshes),
             bennett_rank_one_updates: Self::load(&self.bennett_rank_one_updates),
             bennett_pivots: Self::load(&self.bennett_pivots),
+            arms: MaintenanceArm::ALL.map(|arm| Self::load(&self.arms[arm.index()])),
             queries: Self::load(&self.queries),
             cache_hits: Self::load(&self.cache_hits),
             cache_misses: Self::load(&self.cache_misses),
@@ -195,6 +200,10 @@ pub struct EngineStats {
     pub bennett_rank_one_updates: u64,
     /// Bennett pivots visited.
     pub bennett_pivots: u64,
+    /// Shard-batches absorbed by each maintenance arm, indexed by
+    /// [`MaintenanceArm::index`] (see [`EngineStats::arm_count`]): how the
+    /// one maintenance decision split the write path.
+    pub arms: [u64; MaintenanceArm::ALL.len()],
     /// Queries answered.
     pub queries: u64,
     /// Cache hits among them.
@@ -267,6 +276,12 @@ impl EngineStats {
         }
     }
 
+    /// Shard-batches `arm` absorbed (a guard-failure fallback counts as the
+    /// re-order it ended in).
+    pub fn arm_count(&self, arm: MaintenanceArm) -> u64 {
+        self.arms[arm.index()]
+    }
+
     /// Average wall-clock per applied batch.
     pub fn avg_batch_time(&self) -> Duration {
         if self.batches_applied == 0 {
@@ -317,6 +332,14 @@ impl fmt::Display for EngineStats {
             f,
             "factors  | refreshes {:>4}  rank-1 {:>10}  pivots {:>10}  refresh time {:>10.3?}",
             self.refreshes, self.bennett_rank_one_updates, self.bennett_pivots, self.refresh_time
+        )?;
+        writeln!(
+            f,
+            "arms     | sweep {:>8}  refactor {:>7}  rebuild {:>7}  re-order {:>6}",
+            self.arm_count(MaintenanceArm::BennettSweep),
+            self.arm_count(MaintenanceArm::FrozenRefactor),
+            self.arm_count(MaintenanceArm::Rebuild),
+            self.arm_count(MaintenanceArm::Reorder)
         )?;
         writeln!(
             f,
@@ -489,6 +512,7 @@ mod tests {
             refreshes: 1,
             bennett_rank_one_updates: 420,
             bennett_pivots: 9000,
+            arms: [40, 7, 12, 1],
             queries: 50,
             cache_hits: 20,
             cache_misses: 30,
@@ -518,6 +542,7 @@ mod tests {
             vec![
                 "ingest   | ops       1000  coalesced       12  batches      16  time  125.000ms",
                 "factors  | refreshes    1  rank-1        420  pivots       9000  refresh time   25.000ms",
+                "arms     | sweep       40  refactor       7  rebuild      12  re-order      1",
                 "queries  | total       50  hits         20  misses       30  hit-rate  40.0%  solve time   80.000ms",
                 "ring     | depth        3  cow-clones      2  shared        6  share-rate  75.0%  resident ~2.0 KiB",
                 "coupling | nnz       88  sweeps-p50   19  repartitions    1  sweeps-max     23",

@@ -4,19 +4,20 @@
 //!   side serves from: the snapshot graph, one shared factor block per
 //!   shard, and the frozen cross-shard coupling.
 //! * `OrderedFactors` — one block's ordering, dynamic LU factors and
-//!   quality anchor, with the two maintenance steps an advance chooses
-//!   between per shard: Bennett sweeps (`clude_lu::apply_delta_with`) for
-//!   structural batches, a pattern-frozen refactorization
-//!   (`clude_lu::refactor_frozen`) for value-only ones.
-//! * [`RefreshPolicy`] — when a block abandons its ordering and
-//!   re-factorizes, mirroring the paper's algorithm families:
-//!   [`RefreshPolicy::Incremental`] is INC-style (one ordering forever,
-//!   fill-ins absorbed into the dynamic lists, never refreshed);
+//!   quality anchor, with the one maintenance decision
+//!   (`OrderedFactors::decide`) every advance takes per shard and the four
+//!   [`MaintenanceArm`]s it chooses among by predicted cost: Bennett sweeps
+//!   (`clude_lu::apply_delta_with`), a pattern-frozen refactorization
+//!   (`clude_lu::refactor_frozen`) for value-only batches, a rebuild under
+//!   the held ordering (`clude_lu::rebuild_under_ordering`), a re-order.
+//! * [`RefreshPolicy`] — when a block abandons its ordering, mirroring the
+//!   paper's algorithm families: [`RefreshPolicy::Incremental`] is INC-style
+//!   (one ordering forever, never re-ordered for quality);
 //!   [`RefreshPolicy::QualityTriggered`] is CLUDE-style (the factor size is
-//!   compared against the size recorded at the last refresh via
-//!   [`clude::refresh_decision`] (Definition 4's quality-loss), and once the
-//!   degradation exceeds the budget the block re-orders and re-factorizes —
-//!   the streaming analogue of starting a new cluster).
+//!   compared against the size recorded at the last re-order via
+//!   [`clude::refresh_decision`] (Definition 4's quality-loss), and a block
+//!   found over the budget re-orders and re-factorizes with the next batch
+//!   that touches it — the streaming analogue of starting a new cluster).
 //!
 //! The store that owns the blocks and applies delta batches to them is
 //! [`crate::sharded::ShardedFactorStore`]; a whole-graph factorization is
@@ -24,10 +25,11 @@
 
 use crate::coupling::{self, CouplingPlan, SolveTolerance};
 use clude::{refresh_decision, DecomposedMatrix, MatrixFactors};
-use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
+use clude_graph::{DeltaClass, DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_lu::{
-    apply_delta_with, markowitz_ordering, refactor_frozen, BennettStats, BennettWorkspace,
-    DynamicLuFactors, LuError, LuResult, LuStructure, RefactorStats, RefactorWorkspace,
+    apply_delta_with, markowitz_ordering, rebuild_under_ordering, refactor_frozen, BennettStats,
+    BennettWorkspace, DynamicLuFactors, LuError, LuFactors, LuResult, LuStructure,
+    RefactorWorkspace,
 };
 use clude_measures::{evaluate_queries_with, evaluate_query_with, MeasureQuery, MeasureSolver};
 use clude_sparse::CsrMatrix;
@@ -40,8 +42,9 @@ use std::sync::Arc;
 pub enum RefreshPolicy {
     /// Never refresh: keep updating the first ordering's factors (INC).
     Incremental,
-    /// Refresh when the factors' quality-loss against the last refresh
-    /// exceeds the budget (CLUDE-style re-clustering).
+    /// Re-order a block whose factors' quality-loss against its last
+    /// re-order exceeds the budget, with the next batch that touches it
+    /// (CLUDE-style re-clustering).
     QualityTriggered {
         /// Maximum tolerated quality-loss before a refresh.
         max_quality_loss: f64,
@@ -241,6 +244,117 @@ impl MeasureSolver for EngineSnapshot {
     }
 }
 
+/// The four ways a shard can absorb its slice of a batch — the range of the
+/// one maintenance decision (`OrderedFactors::decide`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MaintenanceArm {
+    /// One Bennett rank-one sweep per changed column
+    /// (`clude_lu::apply_delta_with`); fill-ins splice into the live lists.
+    BennettSweep,
+    /// One numeric pass down the frozen symbolic pattern
+    /// (`clude_lu::refactor_frozen`) — value-only batches.
+    FrozenRefactor,
+    /// Re-symbolic + numeric factorization under the *held* ordering
+    /// (`clude_lu::rebuild_under_ordering`): one pass whatever the batch
+    /// changed, no ordering computed.
+    Rebuild,
+    /// A fresh Markowitz ordering and a factorization under it — the
+    /// streaming analogue of starting a new cluster.
+    Reorder,
+}
+
+impl MaintenanceArm {
+    /// Every arm, in the order the per-arm counters are kept.
+    pub const ALL: [MaintenanceArm; 4] = [
+        MaintenanceArm::BennettSweep,
+        MaintenanceArm::FrozenRefactor,
+        MaintenanceArm::Rebuild,
+        MaintenanceArm::Reorder,
+    ];
+
+    /// The arm's dense index into per-arm arrays.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The cost model, one formula for predictions and for costing counted
+    /// work after the fact: nanoseconds for `work` units of the arm's own
+    /// work — factor entries touched for a sweep, multiply-adds of the numeric
+    /// pass for the other three — on a block of order `order` holding
+    /// `factor_nnz` factor entries.
+    ///
+    /// Two terms per arm, because no per-multiply-add constant is right on
+    /// both a dense 400-node block and a sparse 500-node one.  The per-entry
+    /// term carries what is linear in the factor size: for a sweep the
+    /// structure rebuild of the publish that follows it, for a factorizing
+    /// arm the matrix assembly, the per-row symbolic bookkeeping, the
+    /// structure and the reload of the live lists.  The per-work term is the
+    /// sweep's walk, or the elimination loops the symbolic merge and the
+    /// numeric pass share.
+    pub fn model_cost(self, work: u64, factor_nnz: usize, order: usize) -> f64 {
+        let (nnz, work) = (factor_nnz as f64, work as f64);
+        let rebuild = REBUILD_NS_PER_NNZ * nnz + REBUILD_NS_PER_MADD * work;
+        match self {
+            MaintenanceArm::BennettSweep => BENNETT_NS_PER_ENTRY * work + FREEZE_NS_PER_NNZ * nnz,
+            MaintenanceArm::FrozenRefactor => FROZEN_NS_PER_NNZ * nnz + FROZEN_NS_PER_MADD * work,
+            MaintenanceArm::Rebuild => rebuild,
+            MaintenanceArm::Reorder => ORDERING_NS_PER_PIVOT * order as f64 + rebuild,
+        }
+    }
+}
+
+// The model's constants, nanoseconds, private on purpose: they are measured,
+// not tuned.  Read off the `clude_perf` probes on the `live-mono` (one 400-node
+// block, 58 updates a batch) and `ingest-structure` (four 500-node blocks, 14
+// updates a batch) matrices and confirmed by replaying both streams with
+// each arm timed per shard-batch (CHANGES.md, PR 21): `lu.bennett_us_per_pivot`
+// over the entries a pivot touches, the freeze of a moved pattern,
+// `lu.symbolic_us` + `lu.factorize_us` + matrix assembly + list reload,
+// `lu.refactor_us_per_pass`, `lu.markowitz_us_per_pivot`.  Only their ratios
+// decide anything, so a faster host moves no decision.
+const BENNETT_NS_PER_ENTRY: f64 = 15.0;
+const FREEZE_NS_PER_NNZ: f64 = 10.0;
+const FROZEN_NS_PER_NNZ: f64 = 20.0;
+const FROZEN_NS_PER_MADD: f64 = 2.5;
+const REBUILD_NS_PER_NNZ: f64 = 100.0;
+const REBUILD_NS_PER_MADD: f64 = 1.0;
+const ORDERING_NS_PER_PIVOT: f64 = 30_000.0;
+/// Factor entries one rank-one update touches, as a share of the factor
+/// size, assumed for a shard that has not swept yet (0.25–0.45 on the
+/// workloads' blocks).
+const PRIOR_REACH: f64 = 0.3;
+/// Weight of the newest sweep batch in a shard's running reach.
+const REACH_GAIN: f64 = 0.25;
+/// How much cheaper than the sweeps a rebuild must be predicted before it is
+/// chosen.  A batch's reach scatters two- to three-fold around the running
+/// share while a rebuild's cost barely moves, so the batches that *look* like
+/// rebuilds are the ones whose sweeps are most overestimated: in counted
+/// work (`the_decision_stays_within_a_tenth_of_the_better_arm_on_both_shapes`)
+/// the 4 × 500-node shape spends 3 % more than always sweeping without the
+/// margin and 1 % less with it, and the 400-node block's 5× gap does not
+/// notice.
+const REBUILD_MARGIN: f64 = 1.25;
+
+/// What [`OrderedFactors::decide`] chose for one shard's slice of a batch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct MaintenanceDecision {
+    pub arm: MaintenanceArm,
+    /// [`MaintenanceArm::model_cost`] of the arm on the predicted work.
+    pub predicted_cost: f64,
+}
+
+/// What one shard did with its slice of a batch (worker-thread result).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShardOutcome {
+    /// The arm that produced the factors now live: the decided one, or
+    /// [`MaintenanceArm::Reorder`] when a guard failure abandoned it.
+    pub arm: MaintenanceArm,
+    pub predicted_cost: f64,
+    /// The arm's counted work, in [`MaintenanceArm::model_cost`]'s unit.
+    pub actual_work: u64,
+    pub bennett: BennettStats,
+}
+
 /// A matrix's fill-reducing ordering, its dynamic factors under that
 /// ordering, and the derived bookkeeping every factor shard keeps: the `old → new` index maps advances translate coordinates with,
 /// and the factor size that anchors the quality-loss metric.
@@ -258,11 +372,27 @@ pub(crate) struct OrderedFactors {
     pub reordered: Option<CsrMatrix>,
     /// The slot layout of the last published block, for as long as the
     /// factors' pattern is the one it was built from.  The sharing rule, in
-    /// full: [`order_and_factorize`] (refresh, repartition, restore) starts
+    /// full: [`order_and_factorize`] (re-order, repartition, restore) starts
     /// without one, a Bennett pass that reported a structural insert or
-    /// removal drops it, a refactor pass — pattern-frozen by construction —
-    /// never does.
+    /// removal drops it, a frozen-pattern pass never does, a rebuild installs
+    /// the structure it factorized over.
     published_structure: Option<Arc<LuStructure>>,
+    /// The flat factors a rebuild produced, until the next
+    /// [`OrderedFactors::publish`] hands them over as the block itself.
+    rebuilt: Option<LuFactors>,
+    /// Multiply-adds of a numeric factorization down the pattern the factors
+    /// had when they were last factorized as a whole (fill a sweep added
+    /// since is not counted): the decision's elimination-work input.
+    elimination_work: u64,
+    /// Running share of the factor entries one rank-one update touches
+    /// (`BennettStats::entries_touched` per update over the factor size,
+    /// exponentially weighted by [`REACH_GAIN`]): what the decision predicts
+    /// the next sweep from.  A share, because a densifying block's sweeps
+    /// grow with its factors.  Survives the shard's own re-orders — the
+    /// reach follows the block's shape, which a new ordering of the same
+    /// block barely moves; a repartition or a restore starts a fresh shard
+    /// from [`PRIOR_REACH`].
+    reach: f64,
 }
 
 impl OrderedFactors {
@@ -277,22 +407,35 @@ impl OrderedFactors {
             row_old_to_new: ordering.row().old_to_new(),
             col_old_to_new: ordering.col().old_to_new(),
             ordering,
+            elimination_work: factors.elimination_work(),
             factors,
             reference_nnz,
             reordered,
             published_structure: None,
+            rebuilt: None,
+            reach: PRIOR_REACH,
         }
+    }
+
+    /// Definition 4's quality-loss of the live factors against the size at
+    /// the block's last re-order.
+    pub(crate) fn quality_loss(&self) -> f64 {
+        clude::quality_loss_from_sizes(self.factors.nnz(), self.reference_nnz)
     }
 
     /// Freezes the current factors into a shared snapshot handle — once per
     /// advance that touched the block, never for untouched blocks, never in
-    /// `snapshot()` itself.  The block is flat static storage
-    /// ([`DynamicLuFactors::freeze`]): a copy of the values over the previous
-    /// publish's structure while the pattern stands, an `O(nnz)` structure
-    /// rebuild after it moved.  `id` is the snapshot id the block is current
-    /// as of, recorded as its [`DecomposedMatrix::index`].
+    /// `snapshot()` itself.  The block is flat static storage: the rebuilt
+    /// factors themselves after a rebuild, else a freeze of the live lists
+    /// ([`DynamicLuFactors::freeze`]) — a copy of the values over the
+    /// previous publish's structure while the pattern stands, an `O(nnz)`
+    /// structure rebuild after it moved.  `id` is the snapshot id the block
+    /// is current as of, recorded as its [`DecomposedMatrix::index`].
     pub(crate) fn publish(&mut self, id: u64) -> LuResult<Arc<DecomposedMatrix>> {
-        let frozen = self.factors.freeze(self.published_structure.as_ref())?;
+        let frozen = match self.rebuilt.take() {
+            Some(rebuilt) => rebuilt,
+            None => self.factors.freeze(self.published_structure.as_ref())?,
+        };
         self.published_structure = Some(Arc::clone(frozen.structure()));
         Ok(Arc::new(DecomposedMatrix {
             index: id as usize,
@@ -301,12 +444,203 @@ impl OrderedFactors {
         }))
     }
 
+    /// The one maintenance decision: which arm absorbs this shard's slice of
+    /// a batch, and what the cost model expects it to cost — from counts
+    /// only, so the same stream decides the same way on every run and no
+    /// clock is read.
+    ///
+    /// `intra` is the slice's edge changes (global node ids, `local` maps
+    /// them into the shard), `entries` the matrix entries they change.  In
+    /// order:
+    ///
+    /// 1. a block whose quality-loss ([`clude::refresh_decision`], Definition
+    ///    4 against the size at its last re-order) is over the policy's
+    ///    budget re-orders — this batch is absorbed by the fresh
+    ///    factorization, no work is spent on factors about to be dropped;
+    /// 2. a value-only slice ([`DeltaClass::ValueOnly`] against the live
+    ///    factor pattern) takes the pattern-frozen pass;
+    /// 3. a structural slice takes the cheaper of Bennett sweeps — one per
+    ///    changed column, each predicted at this shard's running share of
+    ///    the factor entries a sweep touches — and a rebuild under the held
+    ///    ordering, predicted from the factor size and the elimination work.
+    pub(crate) fn decide(
+        &self,
+        policy: RefreshPolicy,
+        kind: MatrixKind,
+        intra: &GraphDelta,
+        local: impl Fn(usize) -> usize,
+        entries: &[(usize, usize, f64, f64)],
+    ) -> MaintenanceDecision {
+        let (nnz, order) = (self.factors.nnz(), self.factors.n());
+        let predict = |arm: MaintenanceArm, work: u64| MaintenanceDecision {
+            arm,
+            predicted_cost: arm.model_cost(work, nnz, order),
+        };
+        if let RefreshPolicy::QualityTriggered { max_quality_loss } = policy {
+            if refresh_decision(nnz, self.reference_nnz, max_quality_loss).should_refresh {
+                return predict(MaintenanceArm::Reorder, self.elimination_work);
+            }
+        }
+        let class = intra.classify_with(kind, |i, j| {
+            self.factors
+                .has_entry(self.row_old_to_new[local(i)], self.col_old_to_new[local(j)])
+        });
+        if class == DeltaClass::ValueOnly {
+            return predict(MaintenanceArm::FrozenRefactor, self.elimination_work);
+        }
+        // One rank-one update per distinct changed column.
+        let mut columns: Vec<usize> = entries.iter().map(|&(_, c, _, _)| c).collect();
+        columns.sort_unstable();
+        columns.dedup();
+        let sweep = predict(
+            MaintenanceArm::BennettSweep,
+            (columns.len() as f64 * self.reach * nnz as f64) as u64,
+        );
+        let rebuild = predict(MaintenanceArm::Rebuild, self.elimination_work);
+        if sweep.predicted_cost <= REBUILD_MARGIN * rebuild.predicted_cost {
+            sweep
+        } else {
+            rebuild
+        }
+    }
+
+    /// Runs the decided arm over `delta` (the slice's changed entries in
+    /// factor coordinates), under the arm's stage span.  A guard failure —
+    /// a Bennett pivot going singular, an entry or fill outside a frozen
+    /// pattern, a refactor or rebuild pivot degrading — abandons the arm for
+    /// a re-order of the block's current matrix (`rebuild_matrix()`), typed
+    /// and journalled; an `Ok` return always leaves servable factors.
+    #[allow(clippy::too_many_arguments)] // one call site
+    pub(crate) fn maintain(
+        &mut self,
+        decision: MaintenanceDecision,
+        ws: &mut BennettWorkspace,
+        rws: &mut RefactorWorkspace,
+        delta: &[(usize, usize, f64, f64)],
+        telemetry: &TelemetryRegistry,
+        shard: usize,
+        rebuild_matrix: impl Fn() -> CsrMatrix,
+    ) -> LuResult<ShardOutcome> {
+        let mut outcome = ShardOutcome {
+            arm: decision.arm,
+            predicted_cost: decision.predicted_cost,
+            actual_work: 0,
+            bennett: BennettStats::default(),
+        };
+        let done = match decision.arm {
+            MaintenanceArm::BennettSweep => {
+                // Keep the reordered-matrix cache current: overwrite stored
+                // positions in place, and invalidate it the moment the batch
+                // lands outside the stored pattern (a structural insert).
+                if let Some(cached) = self.reordered.as_mut() {
+                    if !delta.iter().all(|&(i, j, _, new)| cached.set(i, j, new)) {
+                        self.reordered = None;
+                    }
+                }
+                let pattern_before = self.factors.structural_stats().modifications();
+                let nnz_before = self.factors.nnz();
+                let span = telemetry.span(Stage::ShardSweep);
+                let swept = apply_delta_with(&mut self.factors, ws, delta);
+                span.stop();
+                swept.map(|bennett| {
+                    if self.factors.structural_stats().modifications() != pattern_before {
+                        self.published_structure = None;
+                    }
+                    if bennett.rank_one_updates > 0 {
+                        let share = bennett.entries_touched as f64
+                            / (bennett.rank_one_updates * nnz_before) as f64;
+                        self.reach += REACH_GAIN * (share - self.reach);
+                    }
+                    outcome.bennett = bennett;
+                    bennett.entries_touched as u64
+                })
+            }
+            MaintenanceArm::FrozenRefactor => {
+                // Bring the cached reordered matrix up to date in place — the
+                // whole point of the fast path is to not touch the graph.
+                // For a value-only batch every position is stored, so `set`
+                // only fails when the cache was invalidated by an earlier
+                // structural pass or the delta lands on a fill-only
+                // position; then (and only then) rebuild it once.
+                let up_to_date = match self.reordered.as_mut() {
+                    Some(cached) => delta.iter().all(|&(i, j, _, new)| cached.set(i, j, new)),
+                    None => false,
+                };
+                if !up_to_date {
+                    self.reordered = Some(self.reordered_matrix(&rebuild_matrix));
+                }
+                let cached = self
+                    .reordered
+                    .as_ref()
+                    // lint: allow(panic-surface) — ensured two branches up.
+                    .expect("reordered-matrix cache was just ensured");
+                let span = telemetry.span(Stage::ShardRefactor);
+                let refactored = refactor_frozen(&mut self.factors, cached, rws);
+                span.stop();
+                refactored.map(|stats| stats.multiply_adds)
+            }
+            MaintenanceArm::Rebuild => {
+                // The batch moved the pattern, so the matrix comes from the
+                // graph; the factors are untouched until the pass succeeded.
+                let matrix = self.reordered_matrix(&rebuild_matrix);
+                let span = telemetry.span(Stage::ShardRefactor);
+                let rebuilt = rebuild_under_ordering(&matrix).map(|(factors, stats)| {
+                    self.factors.assign_static(&factors);
+                    self.reordered = Some(matrix);
+                    self.published_structure = Some(Arc::clone(factors.structure()));
+                    self.rebuilt = Some(factors);
+                    self.elimination_work = stats.multiply_adds;
+                    stats.multiply_adds
+                });
+                span.stop();
+                rebuilt
+            }
+            MaintenanceArm::Reorder => {
+                let quality_loss = self.quality_loss();
+                self.reorder(&rebuild_matrix, telemetry, shard, false, quality_loss)?;
+                Ok(self.elimination_work)
+            }
+        };
+        outcome.actual_work = match done {
+            Ok(work) => work,
+            Err(err) => {
+                // A failed sweep or frozen pass leaves the factors partially
+                // rewritten, so the only sound fallback is a fresh ordering
+                // and factorization.
+                if decision.arm != MaintenanceArm::BennettSweep {
+                    let reason = match err {
+                        LuError::SingularPivot { .. } => FallbackReason::Pivot,
+                        _ => FallbackReason::Structure,
+                    };
+                    telemetry.record_event(EngineEvent::RefactorFallback {
+                        shard: shard as u32,
+                        reason,
+                    });
+                }
+                self.reorder(&rebuild_matrix, telemetry, shard, true, 0.0)?;
+                outcome.arm = MaintenanceArm::Reorder;
+                self.elimination_work
+            }
+        };
+        Ok(outcome)
+    }
+
+    /// The block's current matrix in the held ordering's coordinates.
+    fn reordered_matrix(&self, rebuild_matrix: impl Fn() -> CsrMatrix) -> CsrMatrix {
+        rebuild_matrix()
+            .reorder(&self.ordering)
+            // lint: allow(panic-surface) — the held ordering was computed
+            // for a matrix over the same fixed node universe; its dimensions
+            // cannot disagree.
+            .expect("held ordering fits the rebuilt matrix")
+    }
+
     /// Abandons the ordering: rebuilds the block's matrix, re-orders and
     /// re-factorizes it under a `shard.refresh` span and posts the
     /// [`EngineEvent::RefreshTriggered`] journal event saying whether
-    /// numerics or the quality budget forced it — the one refresh site of
-    /// both maintenance steps below.
-    fn refresh(
+    /// numerics or the quality budget forced it — the one re-order site of
+    /// every arm.  The shard's running reach carries over.
+    fn reorder(
         &mut self,
         rebuild_matrix: impl Fn() -> CsrMatrix,
         telemetry: &TelemetryRegistry,
@@ -315,7 +649,9 @@ impl OrderedFactors {
         quality_loss: f64,
     ) -> LuResult<()> {
         let span = telemetry.span(Stage::ShardRefresh);
+        let reach = self.reach;
         *self = order_and_factorize(&rebuild_matrix())?;
+        self.reach = reach;
         span.stop();
         telemetry.record_event(EngineEvent::RefreshTriggered {
             shard: shard as u32,
@@ -324,130 +660,10 @@ impl OrderedFactors {
         });
         Ok(())
     }
-
-    /// Applies a factor-coordinate Bennett delta, falling back to a full
-    /// rebuild from `rebuild_matrix()` on numeric failure, and refreshing
-    /// when the quality policy trips afterwards.  Returns the Bennett work
-    /// done and whether a refresh happened; an `Ok` return always leaves
-    /// servable factors.
-    ///
-    /// The sweep records a `shard.sweep` span into `telemetry`; refreshes
-    /// are spanned and journalled by `OrderedFactors::refresh`.
-    pub(crate) fn apply_or_refresh(
-        &mut self,
-        ws: &mut BennettWorkspace,
-        delta: &[(usize, usize, f64, f64)],
-        policy: RefreshPolicy,
-        telemetry: &TelemetryRegistry,
-        shard: usize,
-        rebuild_matrix: impl Fn() -> CsrMatrix,
-    ) -> LuResult<(BennettStats, bool)> {
-        // Keep the refactor path's reordered-matrix cache current: overwrite
-        // stored positions in place, and invalidate it the moment the batch
-        // lands outside the stored pattern (a structural insert).
-        if let Some(cached) = self.reordered.as_mut() {
-            if !delta.iter().all(|&(i, j, _, new)| cached.set(i, j, new)) {
-                self.reordered = None;
-            }
-        }
-        let pattern_before = self.factors.structural_stats().modifications();
-        let sweep = telemetry.span(Stage::ShardSweep);
-        let swept = apply_delta_with(&mut self.factors, ws, delta);
-        sweep.stop();
-        let Ok(bennett) = swept else {
-            // Numeric fallback: rebuild under a fresh ordering.
-            self.refresh(&rebuild_matrix, telemetry, shard, true, 0.0)?;
-            return Ok((BennettStats::default(), true));
-        };
-        if self.factors.structural_stats().modifications() != pattern_before {
-            self.published_structure = None;
-        }
-        if let RefreshPolicy::QualityTriggered { max_quality_loss } = policy {
-            let decision =
-                refresh_decision(self.factors.nnz(), self.reference_nnz, max_quality_loss);
-            if decision.should_refresh {
-                self.refresh(
-                    &rebuild_matrix,
-                    telemetry,
-                    shard,
-                    false,
-                    decision.quality_loss,
-                )?;
-                return Ok((bennett, true));
-            }
-        }
-        Ok((bennett, false))
-    }
-
-    /// Absorbs a value-only batch by recomputing the factor values down the
-    /// frozen symbolic pattern in one pass (`clude_lu::refactor_frozen`) —
-    /// the KLU refactorization fast path — recording a `shard.refactor`
-    /// span.  A failed refactorization leaves the factors partially
-    /// rewritten, so the only sound fallback is a full refresh (fresh
-    /// ordering + factorization), announced by an
-    /// [`EngineEvent::RefactorFallback`]; Bennett is not an option at that
-    /// point.  Returns the refactor work done and whether the fallback
-    /// refresh happened; an `Ok` return always leaves servable factors.
-    ///
-    /// The quality policy is *not* consulted: a frozen-pattern pass cannot
-    /// change the factor size, so the quality-loss is exactly what it was
-    /// before the batch.
-    pub(crate) fn refactor_or_refresh(
-        &mut self,
-        ws: &mut RefactorWorkspace,
-        delta: &[(usize, usize, f64, f64)],
-        telemetry: &TelemetryRegistry,
-        shard: usize,
-        rebuild_matrix: impl Fn() -> CsrMatrix,
-    ) -> LuResult<(RefactorStats, bool)> {
-        // Bring the cached reordered matrix up to date in place — the whole
-        // point of the fast path is to not touch the graph.  For a value-only
-        // batch every position is stored, so `set` only fails when the cache
-        // was invalidated by an earlier structural pass or the delta lands on
-        // a fill-only position; then (and only then) rebuild it once.
-        let up_to_date = match self.reordered.as_mut() {
-            Some(cached) => delta.iter().all(|&(i, j, _, new)| cached.set(i, j, new)),
-            None => false,
-        };
-        if !up_to_date {
-            let rebuilt = rebuild_matrix()
-                .reorder(&self.ordering)
-                // lint: allow(panic-surface) — the frozen ordering was
-                // computed for a matrix over the same fixed node universe;
-                // its dimensions cannot disagree.
-                .expect("frozen ordering fits the rebuilt matrix");
-            self.reordered = Some(rebuilt);
-        }
-        let span = telemetry.span(Stage::ShardRefactor);
-        let cached = self
-            .reordered
-            .as_ref()
-            // lint: allow(panic-surface) — ensured two branches up.
-            .expect("reordered-matrix cache was just ensured");
-        match refactor_frozen(&mut self.factors, cached, ws) {
-            Ok(stats) => {
-                span.stop();
-                Ok((stats, false))
-            }
-            Err(err) => {
-                span.stop();
-                let reason = match err {
-                    LuError::SingularPivot { .. } => FallbackReason::Pivot,
-                    _ => FallbackReason::Structure,
-                };
-                telemetry.record_event(EngineEvent::RefactorFallback {
-                    shard: shard as u32,
-                    reason,
-                });
-                self.refresh(&rebuild_matrix, telemetry, shard, true, 0.0)?;
-                Ok((RefactorStats::default(), true))
-            }
-        }
-    }
 }
 
 /// Orders `matrix`, factorizes it, and packages the bookkeeping — the one
-/// construction path shared by initial builds, refreshes and repartitions.
+/// construction path shared by initial builds, re-orders and repartitions.
 ///
 /// The ordering is the paper's Markowitz product rule, so `reference_nnz` —
 /// the denominator of Definition 4's quality-loss — is the factor size under
@@ -741,9 +957,8 @@ mod tests {
             })
             .unwrap();
         let shard = report.per_shard[0];
-        assert!(shard.value_only);
-        assert!(shard.refactored);
-        assert!(!shard.refreshed);
+        assert_eq!(shard.arm, Some(MaintenanceArm::FrozenRefactor));
+        assert!(shard.predicted_cost > 0.0 && shard.actual_work > 0);
         assert_eq!(report.bennett.rank_one_updates, 0);
         assert!(shard.entries_applied > 0);
         assert!(telemetry.stage_histogram(Stage::ShardRefactor).count() > 0);
@@ -762,11 +977,105 @@ mod tests {
                 removed: vec![],
             })
             .unwrap();
-        assert!(!report.per_shard[0].value_only);
-        assert!(!report.per_shard[0].refactored);
+        assert_eq!(report.per_shard[0].arm, Some(MaintenanceArm::BennettSweep));
+        assert_eq!(
+            report.per_shard[0].actual_work,
+            report.bennett.entries_touched as u64
+        );
         assert!(report.bennett.rank_one_updates > 0);
         assert!(telemetry.stage_histogram(Stage::ShardSweep).count() > 0);
         assert_matches_dense(&store, &q);
+    }
+
+    #[test]
+    fn a_rebuild_whose_pivot_degrades_ends_in_a_journalled_re_order() {
+        use clude_sparse::CooMatrix;
+        use clude_telemetry::EventKind;
+        let matrix = |entries: &[(usize, usize, f64)]| {
+            let mut coo = CooMatrix::new(3, 3);
+            for &(i, j, v) in entries {
+                coo.push(i, j, v).unwrap();
+            }
+            CsrMatrix::from_coo(&coo)
+        };
+        // A diagonal block is ordered as it stands …
+        let mut of =
+            order_and_factorize(&matrix(&[(0, 0, 5.0), (1, 1, 2.0), (2, 2, 2.0)])).unwrap();
+        assert_eq!(of.row_old_to_new, vec![0, 1, 2]);
+        assert_eq!(of.col_old_to_new, vec![0, 1, 2]);
+        // … and under that ordering the block's next matrix pivots first on
+        // 1e-14 beside entries of magnitude 1: past PIVOT_DEGRADE_TOL.
+        let next = matrix(&[
+            (0, 0, 1e-14),
+            (0, 1, 1.0),
+            (0, 2, 1.0),
+            (1, 0, 1.0),
+            (1, 1, 2.0),
+            (2, 0, 1.0),
+            (2, 2, 2.0),
+        ]);
+        assert!(matches!(
+            rebuild_under_ordering(&next),
+            Err(LuError::SingularPivot { index: 0, .. })
+        ));
+        let telemetry = TelemetryRegistry::new(clude_telemetry::TelemetryConfig::default());
+        let decision = MaintenanceDecision {
+            arm: MaintenanceArm::Rebuild,
+            predicted_cost: 0.0,
+        };
+        let outcome = of
+            .maintain(
+                decision,
+                &mut BennettWorkspace::new(),
+                &mut RefactorWorkspace::new(),
+                &[],
+                &telemetry,
+                0,
+                || next.clone(),
+            )
+            .unwrap();
+        // The abandoned rebuild wrote nothing; the block was re-ordered —
+        // typed, journalled — and what is served pivots on healthy entries.
+        assert_eq!(outcome.arm, MaintenanceArm::Reorder);
+        assert!(of.rebuilt.is_none());
+        let journal = telemetry.journal();
+        assert_eq!(journal.count_of(EventKind::RefactorFallback), 1);
+        assert!(journal.entries().iter().any(|e| matches!(
+            e.event,
+            EngineEvent::RefactorFallback {
+                shard: 0,
+                reason: FallbackReason::Pivot
+            }
+        )));
+        assert!(journal.entries().iter().any(|e| matches!(
+            e.event,
+            EngineEvent::RefreshTriggered {
+                shard: 0,
+                numeric: true,
+                ..
+            }
+        )));
+        assert_eq!(telemetry.stage_histogram(Stage::ShardRefactor).count(), 1);
+        assert_eq!(telemetry.stage_histogram(Stage::ShardRefresh).count(), 1);
+        assert_ne!(of.row_old_to_new, vec![0, 1, 2], "a fresh ordering");
+        for k in 0..3 {
+            assert!(of.factors.u(k, k).abs() >= 0.4, "pivot {k}");
+        }
+        let block = of.publish(1).unwrap();
+        let b = [1.0, -2.0, 0.5];
+        let x = clude_lu::solve_original(
+            match &block.factors {
+                Some(MatrixFactors::Static(f)) => f,
+                other => panic!("published blocks are static, found {other:?}"),
+            },
+            &block.ordering,
+            &b,
+        )
+        .unwrap();
+        let expected = next.to_dense().solve_gaussian(&b).unwrap();
+        for (got, want) in x.iter().zip(&expected) {
+            assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
+        }
     }
 
     #[test]

@@ -127,3 +127,69 @@ fn shifted_laplacian_inverse_is_doubly_stochastic_at_four_shards() {
         assert!((sum - 1.0).abs() <= 1e-12, "row {i} sums to {sum}");
     }
 }
+
+#[test]
+fn a_solve_that_cannot_converge_fails_within_a_handful_of_restart_cycles() {
+    use clude_engine::{CouplingConfig, EngineError, SolveTolerance};
+    use clude_lu::LuError;
+    use clude_telemetry::{EngineEvent, EventKind};
+    // A tolerance below anything f64 arithmetic can deliver at the default
+    // pass budget: the solve must give up loudly after that budget — a few
+    // hundred block passes, milliseconds — where the stationary loop's
+    // 100,000 were seconds of spinning.
+    let budget = SolveTolerance::default().max_sweeps;
+    assert!(
+        budget <= 10 * 26,
+        "{budget} passes is not a handful of cycles"
+    );
+    let egs = wiki_sequence();
+    let last = egs.snapshot(egs.len() - 1);
+    let config = |tol: f64| EngineConfig {
+        n_shards: 4,
+        coupling: CouplingConfig {
+            tolerance: SolveTolerance {
+                tol,
+                ..SolveTolerance::default()
+            },
+            ..CouplingConfig::default()
+        },
+        ..EngineConfig::default()
+    };
+    let hopeless = CludeEngine::new(last.clone(), config(1e-300)).unwrap();
+    let query = MeasureQuery::Rwr {
+        seed: 7,
+        damping: 0.85,
+    };
+    let err = hopeless.query(&query).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            EngineError::Lu(LuError::ConvergenceFailure { iterations, .. }) if iterations == budget
+        ),
+        "{err}"
+    );
+    // The pass count, from the engine's own telemetry: the failure is
+    // journalled with exactly the budget, and no pass histogram sample is
+    // recorded for a column that never converged.
+    let telemetry = hopeless.telemetry();
+    assert!(telemetry.coupling_sweeps().is_empty());
+    assert_eq!(
+        telemetry.journal().count_of(EventKind::ConvergenceFailure),
+        1
+    );
+    assert!(telemetry.journal().entries().iter().any(|e| matches!(
+        e.event,
+        EngineEvent::ConvergenceFailure { sweeps, .. } if sweeps == budget as u64
+    )));
+    // And the budget is not tight: the same query under the default
+    // tolerance is done in under a tenth of it.
+    let healthy = CludeEngine::new(last, config(SolveTolerance::default().tol)).unwrap();
+    healthy.query(&query).unwrap();
+    let passes = healthy.telemetry().coupling_sweeps();
+    assert_eq!(passes.count(), 1);
+    assert!(
+        passes.max() * 10 <= budget as u64,
+        "{} passes",
+        passes.max()
+    );
+}

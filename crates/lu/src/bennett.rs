@@ -260,8 +260,9 @@ pub struct BennettWorkspace {
     x: SweepVector,
     y: SweepVector,
     pending: PivotQueue,
-    /// `(col, row, change)` scratch for grouping a ΔA by column.
-    delta_buf: Vec<(usize, usize, f64)>,
+    /// `(col, row, input position, change)` scratch for grouping a ΔA by
+    /// column.
+    delta_buf: Vec<(usize, usize, usize, f64)>,
     /// Per-column `x` entry list scratch for [`apply_delta_with`].
     x_buf: Vec<(usize, f64)>,
 }
@@ -444,16 +445,18 @@ pub fn apply_delta_with<S: LuStorage>(
     // Group the changed entries by column in the reused scratch.
     let mut groups = mem::take(&mut ws.delta_buf);
     groups.clear();
-    for &(i, j, old, new) in delta {
+    for (position, &(i, j, old, new)) in delta.iter().enumerate() {
         let change = new - old;
         if change != 0.0 {
-            groups.push((j, i, change));
+            groups.push((j, i, position, change));
         }
     }
-    // Stable sort: entries repeating a coordinate (legal, if unusual, input)
-    // keep their relative order, so accumulation order — and hence the exact
-    // floating-point result — matches applying the list as given.
-    groups.sort_by_key(|&(col, row, _)| (col, row));
+    // Entries repeating a coordinate (legal, if unusual, input) keep their
+    // relative order, so accumulation order — and hence the exact
+    // floating-point result — matches applying the list as given.  The input
+    // position in the key gives that order without a stable sort's merge
+    // buffer: the keys are distinct, so the unstable sort has one answer.
+    groups.sort_unstable_by_key(|&(col, row, position, _)| (col, row, position));
     let mut x_buf = mem::take(&mut ws.x_buf);
     let mut result = Ok(());
     let mut start = 0;
@@ -462,7 +465,7 @@ pub fn apply_delta_with<S: LuStorage>(
         x_buf.clear();
         let mut end = start;
         while end < groups.len() && groups[end].0 == col {
-            x_buf.push((groups[end].1, groups[end].2));
+            x_buf.push((groups[end].1, groups[end].3));
             end += 1;
         }
         match rank_one_update_with(storage, ws, &x_buf, &[(col, 1.0)], 1.0) {

@@ -58,6 +58,20 @@ impl DynamicLuFactors {
         }
     }
 
+    /// Replaces these factors with exactly the slots of `factors` — every
+    /// one, stored zeros included, so [`DynamicLuFactors::export_entries`]
+    /// equals [`LuFactors::export_entries`] afterwards — reusing the lists'
+    /// capacity.  How the engine brings its live factors back in line after
+    /// a [`crate::rebuild_under_ordering`] pass produced the block it
+    /// publishes.
+    pub fn assign_static(&mut self, factors: &LuFactors) {
+        self.n = factors.n();
+        self.values.assign_rows(self.n, |i| {
+            (factors.structure().row_cols(i), factors.row_values(i))
+        });
+        self.diag_hint = 0;
+    }
+
     /// Matrix order.
     pub fn n(&self) -> usize {
         self.n
@@ -66,6 +80,24 @@ impl DynamicLuFactors {
     /// Number of stored list nodes (`|sp(Â)|` of the current factors).
     pub fn nnz(&self) -> usize {
         self.values.nnz()
+    }
+
+    /// Multiply-adds of one numeric factorization down the current pattern:
+    /// per stored `L` entry `(i, k)`, the stored entries of row `k` past its
+    /// diagonal.  `O(nnz)`; the engine's cost model reads it when factors
+    /// are built or restored.
+    pub fn elimination_work(&self) -> u64 {
+        let upper_len = |k: usize| {
+            let cols = self.values.row_cols(k);
+            cols.len() - cols.partition_point(|&j| j <= k)
+        };
+        (0..self.n)
+            .flat_map(|i| {
+                let cols = self.values.row_cols(i);
+                cols[..cols.partition_point(|&j| j < i)].iter()
+            })
+            .map(|&k| upper_len(k) as u64)
+            .sum()
     }
 
     /// Structural-maintenance counters accumulated by updates so far.

@@ -33,6 +33,20 @@ impl LuFactors {
     /// structure may cover more (those slots simply hold zeros, which is how
     /// CLUDE shares one universal structure across a whole cluster).
     pub fn factorize(structure: Arc<LuStructure>, a: &CsrMatrix) -> LuResult<Self> {
+        Self::factorize_guarded(structure, a, 0.0).map(|(factors, _)| factors)
+    }
+
+    /// [`LuFactors::factorize`] with the relative pivot guard of the
+    /// refactorization paths: a pivot smaller than `degrade_tol` times the
+    /// largest magnitude its row's elimination produced is a
+    /// [`LuError::SingularPivot`] (`0.0` disables the guard, leaving the
+    /// absolute [`SINGULAR_TOL`] floor).  Also returns the pass's
+    /// multiply-add count, the work unit of the engine's cost model.
+    pub(crate) fn factorize_guarded(
+        structure: Arc<LuStructure>,
+        a: &CsrMatrix,
+        degrade_tol: f64,
+    ) -> LuResult<(Self, u64)> {
         if !a.is_square() {
             return Err(LuError::NotSquare {
                 n_rows: a.n_rows(),
@@ -48,6 +62,7 @@ impl LuFactors {
         let n = structure.n();
         let mut values = vec![0.0; structure.nnz()];
         let mut work = vec![0.0; n];
+        let mut multiply_adds = 0u64;
         for i in 0..n {
             // Scatter row i of A into the workspace over the structure's row.
             for slot in structure.row_range(i) {
@@ -67,25 +82,33 @@ impl LuFactors {
                 let lik = work[k] / pivot;
                 work[k] = lik;
                 if lik != 0.0 {
-                    for uslot in structure.upper_row_slots(k).skip(1) {
+                    let upper = structure.upper_row_slots(k).skip(1);
+                    multiply_adds += upper.len() as u64;
+                    for uslot in upper {
                         let j = structure.col_of_slot(uslot);
                         work[j] -= lik * values[uslot];
                     }
                 }
             }
-            // Check the pivot and gather the row back into the slots.
+            // Gather the row back into the slots and check the pivot.
+            let mut row_max = 0.0f64;
+            for slot in structure.row_range(i) {
+                let v = work[structure.col_of_slot(slot)];
+                row_max = row_max.max(v.abs());
+                values[slot] = v;
+            }
             let pivot = work[i];
-            if !pivot.is_finite() || pivot.abs() < SINGULAR_TOL {
+            if !pivot.is_finite()
+                || pivot.abs() < SINGULAR_TOL
+                || pivot.abs() < degrade_tol * row_max
+            {
                 return Err(LuError::SingularPivot {
                     index: i,
                     value: pivot,
                 });
             }
-            for slot in structure.row_range(i) {
-                values[slot] = work[structure.col_of_slot(slot)];
-            }
         }
-        Ok(LuFactors { structure, values })
+        Ok((LuFactors { structure, values }, multiply_adds))
     }
 
     /// All-zero factors over `structure`: the blank the freeze of live
@@ -94,6 +117,11 @@ impl LuFactors {
     pub(crate) fn zeroed(structure: Arc<LuStructure>) -> Self {
         let values = vec![0.0; structure.nnz()];
         LuFactors { structure, values }
+    }
+
+    /// Values of row `i`'s slots, parallel to [`LuStructure::row_cols`].
+    pub(crate) fn row_values(&self, i: usize) -> &[f64] {
+        &self.values[self.structure.row_range(i)]
     }
 
     /// Mutable values of row `i`'s slots, parallel to

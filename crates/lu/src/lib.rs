@@ -18,6 +18,9 @@
 //! * [`refactor`] — pattern-frozen refactorization: redo the numerics down
 //!   the existing symbolic pattern in one pass (the KLU `refactor` idea),
 //!   the bulk alternative to per-entry Bennett sweeps for value-only deltas.
+//! * [`rebuild`] — refactorization under a held ordering: symbolic pass,
+//!   fresh static structure, guarded numeric pass — the bulk alternative to
+//!   Bennett sweeps for structural deltas that change many columns.
 //! * [`structure`] — static slot layouts (`LuStructure`), including the
 //!   universal structures CLUDE shares across a cluster.
 //! * [`factors`] — the ND-phase: numeric factorization over a static
@@ -51,6 +54,7 @@ pub mod error;
 pub mod factors;
 pub mod freeze;
 pub mod ordering;
+pub mod rebuild;
 pub mod refactor;
 pub mod solve;
 pub mod structure;
@@ -69,6 +73,7 @@ pub use ordering::{
     markowitz_ordering, natural_order_symbolic_size, reorder_pattern, symbolic_size_under,
     OrderingResult,
 };
+pub use rebuild::{rebuild_under_ordering, RebuildStats};
 pub use refactor::{refactor_frozen, RefactorStats, RefactorWorkspace, PIVOT_DEGRADE_TOL};
 pub use solve::{
     solve_original, solve_original_into, solve_original_many_into, PanelScratch, SolveScratch,

@@ -1,0 +1,174 @@
+//! Refactorization under a held ordering: re-symbolic + numeric.
+//!
+//! The paper keeps an ordering across a cluster because *computing* one is
+//! the expensive step, and replays each change through Bennett's algorithm
+//! because that reuses it.  Bennett's cost is per rank-one update, though, so
+//! a batch that changes many columns of one block pays the elimination reach
+//! many times over — while the block's matrix, already in the held ordering's
+//! coordinates, can be factorized from scratch for one symbolic pass plus one
+//! numeric pass, whatever the batch changed.  [`rebuild_under_ordering`] is
+//! that arm: the third way, beside a Bennett sweep and the pattern-frozen
+//! [`crate::refactor_frozen`], of keeping an ordering and updating the
+//! factors.
+//!
+//! It produces flat static [`LuFactors`] over a fresh [`LuStructure`] — the
+//! form the engine publishes — under the guards the frozen-pattern pass
+//! applies: an entry outside the structure
+//! ([`LuError::EntryOutsideStructure`], impossible for a structure derived
+//! from the matrix itself but checked all the same), a pivot below
+//! [`crate::factors::SINGULAR_TOL`] or degraded past [`PIVOT_DEGRADE_TOL`]
+//! relative to its row ([`LuError::SingularPivot`]).  A failure leaves the
+//! caller's factors untouched: nothing is written until the pass succeeded.
+//!
+//! The structure and value arrays are the result, allocated once per call in
+//! `symbolic`, `structure` and `factors`; this file adds none of its own and
+//! stays under the allocation lint.
+
+// lint: hot-path
+
+use crate::error::{LuError, LuResult};
+use crate::factors::LuFactors;
+use crate::refactor::PIVOT_DEGRADE_TOL;
+use crate::structure::LuStructure;
+use crate::symbolic::symbolic_decomposition;
+use clude_sparse::CsrMatrix;
+use std::sync::Arc;
+
+/// Work counters of one [`rebuild_under_ordering`] pass.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RebuildStats {
+    /// Multiply-adds of the numeric pass.
+    pub multiply_adds: u64,
+}
+
+/// Factorizes `a` — given in the held ordering's (reordered) coordinates —
+/// from scratch: symbolic decomposition of its pattern, a static structure
+/// over the closed pattern, guarded numeric factorization down it.  See the
+/// module docs for the failure contract.
+pub fn rebuild_under_ordering(a: &CsrMatrix) -> LuResult<(LuFactors, RebuildStats)> {
+    if !a.is_square() {
+        return Err(LuError::NotSquare {
+            n_rows: a.n_rows(),
+            n_cols: a.n_cols(),
+        });
+    }
+    let closed = symbolic_decomposition(&a.pattern()).pattern;
+    let structure = Arc::new(LuStructure::from_closed_pattern_unchecked(&closed));
+    let (factors, multiply_adds) = LuFactors::factorize_guarded(structure, a, PIVOT_DEGRADE_TOL)?;
+    Ok((factors, RebuildStats { multiply_adds }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dynamic::DynamicLuFactors;
+    use crate::factors::factorize_fresh;
+    use clude_sparse::CooMatrix;
+
+    fn matrix(n: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix {
+        let mut coo = CooMatrix::new(n, n);
+        for &(i, j, v) in entries {
+            coo.push(i, j, v).unwrap();
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    fn sample() -> CsrMatrix {
+        matrix(
+            4,
+            &[
+                (0, 0, 4.0),
+                (0, 2, 1.0),
+                (1, 0, -1.0),
+                (1, 1, 5.0),
+                (2, 1, -2.0),
+                (2, 2, 6.0),
+                (2, 3, 1.0),
+                (3, 0, 1.0),
+                (3, 3, 3.0),
+            ],
+        )
+    }
+
+    #[test]
+    fn rebuild_is_bit_identical_to_a_fresh_static_factorization() {
+        let a = sample();
+        let (rebuilt, stats) = rebuild_under_ordering(&a).unwrap();
+        let fresh = factorize_fresh(&a).unwrap();
+        assert_eq!(rebuilt.structure().as_ref(), fresh.structure().as_ref());
+        assert_eq!(rebuilt.export_entries(), fresh.export_entries());
+        assert!(stats.multiply_adds > 0);
+        assert!(rebuilt.reconstruct().max_abs_diff(&a).unwrap() < 1e-12);
+    }
+
+    #[test]
+    fn live_lists_reloaded_from_a_rebuild_hold_exactly_its_slots() {
+        // Row 1 eliminates against row 0 with l = 0.5 and the fill at (1, 2)
+        // cancels to an exact zero: the slot stays, in both storages.
+        let a = matrix(
+            3,
+            &[
+                (0, 0, 4.0),
+                (0, 2, 2.0),
+                (1, 0, 2.0),
+                (1, 1, 5.0),
+                (1, 2, 1.0),
+                (2, 2, 6.0),
+            ],
+        );
+        let (rebuilt, _) = rebuild_under_ordering(&a).unwrap();
+        assert_eq!(rebuilt.u(1, 2), 0.0);
+        assert!(rebuilt.structure().contains(1, 2));
+        let mut live = DynamicLuFactors::factorize(&sample()).unwrap();
+        live.assign_static(&rebuilt);
+        assert_eq!(live.n(), 3);
+        assert_eq!(live.export_entries(), rebuilt.export_entries());
+        assert!(live.has_entry(1, 2));
+        assert_eq!(live.structural_stats().modifications(), 0);
+        let b = [1.0, -2.0, 0.5];
+        let (x, y) = (live.solve(&b).unwrap(), rebuilt.solve(&b).unwrap());
+        assert_eq!(
+            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            y.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_degraded_pivot_aborts_the_rebuild() {
+        // Eliminating row 1 against row 0 leaves 1e-14 on the diagonal
+        // beside a fill of magnitude 1: relative degradation, far above the
+        // absolute floor a plain factorization checks.
+        let a = matrix(
+            3,
+            &[
+                (0, 0, 1.0),
+                (0, 1, 1.0),
+                (0, 2, 1.0),
+                (1, 0, 1.0),
+                (1, 1, 1.0 + 1e-14),
+                (2, 2, 1.0),
+            ],
+        );
+        assert!(factorize_fresh(&a).is_ok());
+        assert!(matches!(
+            rebuild_under_ordering(&a),
+            Err(LuError::SingularPivot { index: 1, .. })
+        ));
+        // An exactly singular matrix fails both ways.
+        let singular = matrix(2, &[(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
+        assert!(matches!(
+            rebuild_under_ordering(&singular),
+            Err(LuError::SingularPivot { index: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn rectangular_input_is_rejected() {
+        let mut coo = CooMatrix::new(2, 3);
+        coo.push(0, 0, 1.0).unwrap();
+        assert!(matches!(
+            rebuild_under_ordering(&CsrMatrix::from_coo(&coo)),
+            Err(LuError::NotSquare { .. })
+        ));
+    }
+}

@@ -57,6 +57,9 @@ pub struct RefactorStats {
     pub entries_written: usize,
     /// Row-elimination steps performed (one per nonzero `L` coefficient).
     pub eliminations: usize,
+    /// Multiply-adds those steps performed (the eliminated-against row's
+    /// stored entries past its diagonal, per step).
+    pub multiply_adds: u64,
 }
 
 /// Reusable scratch for [`refactor_frozen`]: one dense epoch-stamped row
@@ -213,6 +216,7 @@ pub fn refactor_frozen(
                 continue;
             }
             stats.eliminations += 1;
+            stats.multiply_adds += (kcols.len() - diag_pos - 1) as u64;
             for (&j, &ukj) in kcols[diag_pos + 1..].iter().zip(&kvals[diag_pos + 1..]) {
                 if ukj == 0.0 {
                     continue;

@@ -13,7 +13,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
-/// Why a pattern-frozen refactorization was abandoned for the slow path.
+/// Why a refactorization under the held ordering was abandoned for a
+/// re-order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FallbackReason {
     /// The batch would have written an entry outside the frozen symbolic
@@ -97,8 +98,9 @@ pub enum EngineEvent {
         /// Records dropped with the torn tail.
         records_dropped: u64,
     },
-    /// A value-only batch was routed to the pattern-frozen refactor but had
-    /// to fall back (to Bennett sweeps or a full refresh).
+    /// A refactorization under the held ordering — the pattern-frozen pass
+    /// of a value-only batch, or a re-symbolic rebuild — was abandoned and
+    /// the shard re-ordered instead.
     RefactorFallback {
         /// Which shard fell back.
         shard: u32,

@@ -44,9 +44,10 @@ pub enum Stage {
     /// Replaying one logged delta batch through the factor store during
     /// recovery (newest valid checkpoint + WAL replay).
     RecoveryReplay,
-    /// One pattern-frozen refactorization of a shard: value-only batch redone
-    /// down the frozen symbolic pattern in a single pass (the KLU
-    /// `refactor` idea), instead of per-entry Bennett sweeps.
+    /// One numeric refactorization of a shard under its held ordering,
+    /// instead of per-entry Bennett sweeps: a value-only batch redone down
+    /// the frozen symbolic pattern in a single pass (the KLU `refactor`
+    /// idea), or a structural batch rebuilt by a re-symbolic + numeric pass.
     ShardRefactor,
 }
 
