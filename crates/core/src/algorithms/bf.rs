@@ -14,6 +14,7 @@ use crate::ems::EvolvingMatrixSequence;
 use crate::quality::MarkowitzReference;
 use crate::report::RunReport;
 use clude_lu::{markowitz_ordering, LuFactors, LuResult, LuStructure};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The brute-force LUDEM solver.
@@ -38,7 +39,7 @@ impl BruteForce {
             report.timings.ordering += t.elapsed();
             reference_sizes.push(ordering_result.symbolic_size);
 
-            let ordering = ordering_result.ordering;
+            let ordering = Arc::new(ordering_result.ordering);
             let t = Instant::now();
             let reordered = a.reorder(&ordering).expect("ordering matches the matrix");
             let structure = LuStructure::from_pattern(&reordered.pattern())?.into_shared();
@@ -49,7 +50,7 @@ impl BruteForce {
             report.timings.full_decomposition += t.elapsed();
 
             report.cluster_sizes.push(1);
-            report.orderings.push(ordering.clone());
+            report.orderings.push(Arc::clone(&ordering));
             report.factor_nnz.push(factors.nnz());
             decomposed.push(DecomposedMatrix {
                 index: i,

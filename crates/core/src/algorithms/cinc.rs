@@ -19,7 +19,8 @@ use std::time::Instant;
 /// The CINC solver with its α-clustering similarity threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterIncremental {
-    /// Similarity threshold `α ∈ [0, 1]` of Definition 8.
+    /// Similarity threshold `α ∈ [0, 1]` of Definition 8; `solve` answers any
+    /// other value (NaN included) with `LuError::InvalidParameter`.
     pub alpha: f64,
 }
 
@@ -50,7 +51,7 @@ impl LudemSolver for ClusterIncremental {
         let mut report = RunReport::new(self.name());
         let mut decomposed = Vec::with_capacity(ems.len());
         let t = Instant::now();
-        let clustering = alpha_clustering(ems, self.alpha);
+        let clustering = alpha_clustering(ems, self.alpha)?;
         report.timings.clustering += t.elapsed();
         for cluster in clustering.clusters() {
             decompose_cluster_incremental(

@@ -17,7 +17,7 @@
 use crate::algorithms::common::{
     decompose_cluster_universal, LudemSolution, LudemSolver, SolverConfig,
 };
-use crate::cluster::alpha_clustering;
+use crate::cluster::alpha_clustering_with_unions;
 use crate::ems::EvolvingMatrixSequence;
 use crate::report::RunReport;
 use clude_lu::LuResult;
@@ -26,7 +26,8 @@ use std::time::Instant;
 /// The CLUDE solver with its α-clustering similarity threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Clude {
-    /// Similarity threshold `α ∈ [0, 1]` of Definition 8.
+    /// Similarity threshold `α ∈ [0, 1]` of Definition 8; `solve` answers any
+    /// other value (NaN included) with `LuError::InvalidParameter`.
     pub alpha: f64,
 }
 
@@ -57,10 +58,18 @@ impl LudemSolver for Clude {
         let mut report = RunReport::new(self.name());
         let mut decomposed = Vec::with_capacity(ems.len());
         let t = Instant::now();
-        let clustering = alpha_clustering(ems, self.alpha);
+        let (clustering, unions) = alpha_clustering_with_unions(ems, self.alpha)?;
         report.timings.clustering += t.elapsed();
-        for cluster in clustering.clusters() {
-            decompose_cluster_universal(ems, cluster, None, config, &mut report, &mut decomposed)?;
+        for (cluster, union) in clustering.clusters().iter().zip(unions) {
+            decompose_cluster_universal(
+                ems,
+                cluster,
+                &union,
+                None,
+                config,
+                &mut report,
+                &mut decomposed,
+            )?;
         }
         Ok(LudemSolution { decomposed, report })
     }
@@ -73,6 +82,7 @@ mod tests {
     use crate::algorithms::{BruteForce, ClusterIncremental, Incremental};
     use crate::quality::evaluate_orderings;
     use crate::test_support::small_random_walk_ems;
+    use clude_lu::LuError;
 
     #[test]
     fn clude_reproduces_every_matrix() {
@@ -82,6 +92,24 @@ mod tests {
             .unwrap();
         assert_eq!(solution.decomposed.len(), ems.len());
         assert!(max_reconstruction_error(&ems, &solution).unwrap() < 1e-8);
+    }
+
+    #[test]
+    fn invalid_alpha_is_a_typed_error_not_a_panic() {
+        let ems = small_random_walk_ems(12, 4, 3);
+        for alpha in [f64::NAN, -0.5, 1.0001, f64::INFINITY] {
+            for solver in [
+                &Clude::new(alpha) as &dyn LudemSolver,
+                &ClusterIncremental::new(alpha),
+            ] {
+                let err = solver.solve(&ems, &SolverConfig::default()).unwrap_err();
+                assert!(
+                    matches!(err, LuError::InvalidParameter { name: "alpha", .. }),
+                    "{} at alpha {alpha}: {err:?}",
+                    solver.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,15 +13,15 @@
 //! * [`decompose_cluster_universal`] — ordering and static structure derived
 //!   from the cluster's union matrix (Algorithm 3, used by CLUDE).
 
-use crate::cluster::{cluster_union_pattern, Cluster};
+use crate::cluster::Cluster;
 use crate::ems::EvolvingMatrixSequence;
 use crate::report::{RunReport, TimingBreakdown};
 use clude_lu::{
     apply_delta_with, markowitz_ordering, solve_original_into, solve_original_many_into,
-    BennettWorkspace, DynamicLuFactors, LuError, LuFactors, LuResult, LuStructure, PanelScratch,
-    SolveScratch,
+    BennettWorkspace, DynamicLuFactors, LuError, LuFactors, LuResult, LuStorage, LuStructure,
+    PanelScratch, SolveScratch,
 };
-use clude_sparse::{CsrMatrix, Ordering};
+use clude_sparse::{CsrMatrix, Ordering, SparsityPattern};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -106,8 +106,10 @@ impl MatrixFactors {
 pub struct DecomposedMatrix {
     /// Position of the matrix in the sequence.
     pub index: usize,
-    /// The ordering `O_i` applied before decomposition.
-    pub ordering: Ordering,
+    /// The ordering `O_i` applied before decomposition — one allocation per
+    /// cluster (or per engine block re-order), shared by every matrix
+    /// decomposed under it.
+    pub ordering: Arc<Ordering>,
     /// The factors of `A_i^{O_i}` (absent when the run was timing-only).
     pub factors: Option<MatrixFactors>,
 }
@@ -212,6 +214,62 @@ pub trait LudemSolver {
         -> LuResult<LudemSolution>;
 }
 
+/// Records one decomposed member in the report and the output.
+fn push_member(
+    index: usize,
+    ordering: &Arc<Ordering>,
+    factor_nnz: usize,
+    factors: Option<MatrixFactors>,
+    report: &mut RunReport,
+    out: &mut Vec<DecomposedMatrix>,
+) {
+    report.orderings.push(Arc::clone(ordering));
+    report.factor_nnz.push(factor_nnz);
+    out.push(DecomposedMatrix {
+        index,
+        ordering: Arc::clone(ordering),
+        factors,
+    });
+}
+
+/// The Bennett steps of a cluster: every member after the first is reached
+/// from its predecessor's factors by the delta between the two matrices,
+/// all steps sharing one workspace so the steady-state sweep never
+/// allocates.  The delta is taken in original coordinates and renamed
+/// through the ordering's `old → new` maps (inverted once per cluster) — no
+/// member is permuted just to be diffed; `apply_delta_with` sorts its input
+/// by `(col, row)`, so the sweeps see what a diff of the two reordered
+/// matrices would have given them.  `member_done(i, factors)` runs after
+/// member `i`'s step.
+fn sweep_members<S: LuStorage>(
+    ems: &EvolvingMatrixSequence,
+    cluster: &Cluster,
+    ordering: &Ordering,
+    factors: &mut S,
+    report: &mut RunReport,
+    mut member_done: impl FnMut(usize, &S, &mut RunReport),
+) -> LuResult<()> {
+    let row_old_to_new = ordering.row().old_to_new();
+    let col_old_to_new = ordering.col().old_to_new();
+    let mut workspace = BennettWorkspace::with_order(factors.order());
+    for i in cluster.start + 1..cluster.end {
+        let t = Instant::now();
+        let mut delta = ems
+            .matrix(i - 1)
+            .delta_to(ems.matrix(i), 0.0)
+            .expect("matrices of an EMS share a shape");
+        for entry in &mut delta {
+            entry.0 = row_old_to_new[entry.0];
+            entry.1 = col_old_to_new[entry.1];
+        }
+        let stats = apply_delta_with(factors, &mut workspace, &delta)?;
+        report.timings.incremental += t.elapsed();
+        report.bennett.merge(&stats);
+        member_done(i, factors, report);
+    }
+    Ok(())
+}
+
 /// Decomposes one cluster the INC/CINC way (Algorithm 2): the Markowitz
 /// ordering of the cluster's *first* matrix is shared by every member, the
 /// first matrix is fully decomposed into dynamic adjacency lists, and the
@@ -230,7 +288,7 @@ pub fn decompose_cluster_incremental(
 ) -> LuResult<()> {
     let timings = &mut report.timings;
     // Ordering of the first matrix of the cluster.
-    let ordering = match ordering {
+    let ordering = Arc::new(match ordering {
         Some(o) => o,
         None => {
             let t = Instant::now();
@@ -238,7 +296,7 @@ pub fn decompose_cluster_incremental(
             timings.ordering += t.elapsed();
             o
         }
-    };
+    });
 
     // Full decomposition of the first matrix (dynamic storage).
     let t = Instant::now();
@@ -252,44 +310,24 @@ pub fn decompose_cluster_incremental(
     timings.full_decomposition += t.elapsed();
     factors.reset_structural_stats();
 
-    report.cluster_sizes.push(cluster.len());
-    report.orderings.push(ordering.clone());
-    report.factor_nnz.push(factors.nnz());
-    out.push(DecomposedMatrix {
-        index: cluster.start,
-        ordering: ordering.clone(),
-        factors: config
+    let keep = |f: &DynamicLuFactors| {
+        config
             .keep_factors
-            .then(|| MatrixFactors::Dynamic(factors.clone())),
-    });
+            .then(|| MatrixFactors::Dynamic(f.clone()))
+    };
+    report.cluster_sizes.push(cluster.len());
+    let kept = keep(&factors);
+    push_member(cluster.start, &ordering, factors.nnz(), kept, report, out);
 
-    // Bennett updates for the remaining members, all sharing one workspace
-    // so the steady-state sweep never allocates.
-    let mut workspace = BennettWorkspace::with_order(factors.n());
-    let mut prev_reordered = first_reordered;
-    for i in cluster.start + 1..cluster.end {
-        let t = Instant::now();
-        let current_reordered = ems
-            .matrix(i)
-            .reorder(&ordering)
-            .expect("ordering matches the matrix order");
-        let delta = prev_reordered
-            .delta_to(&current_reordered, 0.0)
-            .expect("matrices share a shape");
-        let stats = apply_delta_with(&mut factors, &mut workspace, &delta)?;
-        timings.incremental += t.elapsed();
-        report.bennett.merge(&stats);
-        report.orderings.push(ordering.clone());
-        report.factor_nnz.push(factors.nnz());
-        out.push(DecomposedMatrix {
-            index: i,
-            ordering: ordering.clone(),
-            factors: config
-                .keep_factors
-                .then(|| MatrixFactors::Dynamic(factors.clone())),
-        });
-        prev_reordered = current_reordered;
-    }
+    // Bennett updates for the remaining members.
+    sweep_members(
+        ems,
+        cluster,
+        &ordering,
+        &mut factors,
+        report,
+        |i, f, report| push_member(i, &ordering, f.nnz(), keep(f), report, out),
+    )?;
     let s = factors.structural_stats();
     report.structural.inserts += s.inserts;
     report.structural.removals += s.removals;
@@ -302,34 +340,35 @@ pub fn decompose_cluster_incremental(
 /// symbolic decomposition defines a universal static structure, the first
 /// matrix is fully decomposed into that structure, and the rest are obtained
 /// by Bennett updates that never modify the structure.
+///
+/// `union` is the pattern of the cluster's `A_∪` (Definition 7), which the
+/// clustering pass that formed the cluster already holds
+/// ([`crate::cluster::alpha_clustering_with_unions`];
+/// [`crate::cluster::cluster_union_pattern`] builds it for any other
+/// cluster).
 pub fn decompose_cluster_universal(
     ems: &EvolvingMatrixSequence,
     cluster: &Cluster,
+    union: &SparsityPattern,
     ordering: Option<Ordering>,
     config: &SolverConfig,
     report: &mut RunReport,
     out: &mut Vec<DecomposedMatrix>,
 ) -> LuResult<()> {
-    // Union pattern of the cluster (Definition 7) — counted as clustering
-    // work, as in the paper's breakdown.
-    let t = Instant::now();
-    let union = cluster_union_pattern(ems, cluster);
-    report.timings.clustering += t.elapsed();
-
     // Markowitz ordering of A_∪.
-    let ordering = match ordering {
+    let ordering = Arc::new(match ordering {
         Some(o) => o,
         None => {
             let t = Instant::now();
-            let o = markowitz_ordering(&union).ordering;
+            let o = markowitz_ordering(union).ordering;
             report.timings.ordering += t.elapsed();
             o
         }
-    };
+    });
 
     // Symbolic decomposition of A_∪^{O_∪} and the universal static structure.
     let t = Instant::now();
-    let reordered_union = clude_lu::reorder_pattern(&union, &ordering);
+    let reordered_union = clude_lu::reorder_pattern(union, &ordering);
     let ussp = clude_lu::symbolic_decomposition(&reordered_union).pattern;
     let structure: Arc<LuStructure> =
         LuStructure::from_closed_pattern_unchecked(&ussp).into_shared();
@@ -344,45 +383,24 @@ pub fn decompose_cluster_universal(
     let mut factors = LuFactors::factorize(Arc::clone(&structure), &first_reordered)?;
     report.timings.full_decomposition += t.elapsed();
 
-    report.cluster_sizes.push(cluster.len());
-    report.orderings.push(ordering.clone());
-    report.factor_nnz.push(factors.nnz());
-    out.push(DecomposedMatrix {
-        index: cluster.start,
-        ordering: ordering.clone(),
-        factors: config
+    let keep = |f: &LuFactors| {
+        config
             .keep_factors
-            .then(|| MatrixFactors::Static(factors.clone())),
-    });
+            .then(|| MatrixFactors::Static(f.clone()))
+    };
+    report.cluster_sizes.push(cluster.len());
+    let kept = keep(&factors);
+    push_member(cluster.start, &ordering, factors.nnz(), kept, report, out);
 
-    // Bennett updates over the static structure for the remaining members,
-    // all sharing one workspace so the steady-state sweep never allocates.
-    let mut workspace = BennettWorkspace::with_order(factors.n());
-    let mut prev_reordered = first_reordered;
-    for i in cluster.start + 1..cluster.end {
-        let t = Instant::now();
-        let current_reordered = ems
-            .matrix(i)
-            .reorder(&ordering)
-            .expect("ordering matches the matrix order");
-        let delta = prev_reordered
-            .delta_to(&current_reordered, 0.0)
-            .expect("matrices share a shape");
-        let stats = apply_delta_with(&mut factors, &mut workspace, &delta)?;
-        report.timings.incremental += t.elapsed();
-        report.bennett.merge(&stats);
-        report.orderings.push(ordering.clone());
-        report.factor_nnz.push(factors.nnz());
-        out.push(DecomposedMatrix {
-            index: i,
-            ordering: ordering.clone(),
-            factors: config
-                .keep_factors
-                .then(|| MatrixFactors::Static(factors.clone())),
-        });
-        prev_reordered = current_reordered;
-    }
-    Ok(())
+    // Bennett updates over the static structure for the remaining members.
+    sweep_members(
+        ems,
+        cluster,
+        &ordering,
+        &mut factors,
+        report,
+        |i, f, report| push_member(i, &ordering, f.nnz(), keep(f), report, out),
+    )
 }
 
 /// Verifies that a solution's factors reproduce the original matrices (used

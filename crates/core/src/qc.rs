@@ -16,7 +16,7 @@ use crate::algorithms::common::{
     decompose_cluster_incremental, decompose_cluster_universal, LudemSolution, LudemSolver,
     SolverConfig,
 };
-use crate::cluster::{Cluster, Clustering};
+use crate::cluster::{cluster_union_pattern, Cluster, Clustering};
 use crate::ems::EvolvingMatrixSequence;
 use crate::quality::MarkowitzReference;
 use crate::report::RunReport;
@@ -213,9 +213,13 @@ impl LudemSolver for CludeQc {
             .iter()
             .zip(beta_clusters.orderings.iter())
         {
+            let t = Instant::now();
+            let union = cluster_union_pattern(ems, cluster);
+            report.timings.clustering += t.elapsed();
             decompose_cluster_universal(
                 ems,
                 cluster,
+                &union,
                 Some(ordering.clone()),
                 config,
                 &mut report,

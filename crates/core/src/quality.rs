@@ -13,6 +13,7 @@
 use crate::ems::EvolvingMatrixSequence;
 use clude_lu::{markowitz_ordering, symbolic_size_under};
 use clude_sparse::{Ordering, SparsityPattern};
+use std::borrow::Borrow;
 
 /// Cached `|s̃p(A_i*)|` values for every matrix of an EMS.
 ///
@@ -150,7 +151,7 @@ impl QualityEvaluation {
 /// from the reference length.
 pub fn evaluate_orderings(
     ems: &EvolvingMatrixSequence,
-    orderings: &[Ordering],
+    orderings: &[impl Borrow<Ordering>],
     reference: &MarkowitzReference,
 ) -> QualityEvaluation {
     assert_eq!(
@@ -166,7 +167,7 @@ pub fn evaluate_orderings(
     let mut per_matrix = Vec::with_capacity(ems.len());
     let mut symbolic_sizes = Vec::with_capacity(ems.len());
     for (i, ordering) in orderings.iter().enumerate() {
-        let size = symbolic_size_under(&ems.pattern(i), ordering);
+        let size = symbolic_size_under(&ems.pattern(i), ordering.borrow());
         symbolic_sizes.push(size);
         per_matrix.push(quality_loss_from_sizes(size, reference.size(i)));
     }
@@ -244,7 +245,7 @@ mod tests {
         let a = arrowhead_matrix(3);
         let ems = EvolvingMatrixSequence::new(vec![a]).unwrap();
         let reference = MarkowitzReference::compute(&ems);
-        evaluate_orderings(&ems, &[], &reference);
+        evaluate_orderings(&ems, &[] as &[Ordering], &reference);
     }
 
     #[test]

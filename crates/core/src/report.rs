@@ -8,6 +8,7 @@
 
 use clude_lu::BennettStats;
 use clude_sparse::{Ordering, StructuralStats};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Wall-clock time spent in each phase of a LUDEM algorithm.
@@ -54,8 +55,9 @@ pub struct RunReport {
     /// Sizes of the clusters used (a single `T`-sized cluster for INC, `T`
     /// singleton clusters for BF).
     pub cluster_sizes: Vec<usize>,
-    /// The ordering `O_i` chosen for every matrix, for quality evaluation.
-    pub orderings: Vec<Ordering>,
+    /// The ordering `O_i` chosen for every matrix, for quality evaluation —
+    /// the members of a cluster share one allocation.
+    pub orderings: Vec<Arc<Ordering>>,
     /// The number of slots of the decomposed representation `Â_i` of every
     /// matrix (structure size for static storage, list nodes for dynamic).
     pub factor_nnz: Vec<usize>,

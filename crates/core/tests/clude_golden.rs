@@ -1,0 +1,152 @@
+//! Bit-identity pin for the cluster-based solvers.
+//!
+//! α-clustering, the Markowitz ordering of each cluster's union, the
+//! universal structure and the per-member Bennett deltas are all free to be
+//! computed more cheaply, but what they produce is part of the contract: the
+//! same clusters, the same orderings and, entry for entry, the same factor
+//! bits.  The values below were captured on the commit *before* clustering
+//! stopped materialising a pattern per probe, Markowitz moved to a keyed
+//! queue and cluster deltas were mapped instead of re-permuted.
+
+use clude::{Clude, ClusterIncremental, EvolvingMatrixSequence, LudemSolver, MatrixFactors};
+use clude::{LudemSolution, SolverConfig};
+use clude_graph::generators::{wiki_like, WikiLikeConfig};
+use clude_graph::MatrixKind;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// FNV-1a over a stream of words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Everything a run leaves behind that a cheaper implementation must
+/// reproduce: the clusters, a hash of every matrix's ordering (both
+/// permutations), the factor sizes, `(rank_one_updates, pivots_processed,
+/// entries_touched)` and a hash of the `(row, col, value bits)` of every kept
+/// factor's `export_entries`.
+#[derive(Debug, PartialEq, Eq)]
+struct Pin {
+    cluster_sizes: Vec<usize>,
+    orderings_hash: u64,
+    factor_nnz: Vec<usize>,
+    bennett: (usize, usize, usize),
+    factors_hash: u64,
+}
+
+fn pin(solution: &LudemSolution) -> Pin {
+    let report = &solution.report;
+    let mut orderings = Fnv::new();
+    let mut factors = Fnv::new();
+    for (d, reported) in solution.decomposed.iter().zip(&report.orderings) {
+        assert_eq!(d.ordering, *reported, "report and decomposition agree");
+        for perm in [d.ordering.row(), d.ordering.col()] {
+            for &old in perm.as_new_to_old() {
+                orderings.eat(old as u64);
+            }
+        }
+        let entries = match d.factors.as_ref().expect("factors were kept") {
+            MatrixFactors::Static(f) => f.export_entries(),
+            MatrixFactors::Dynamic(f) => f.export_entries(),
+        };
+        for (i, j, v) in entries {
+            factors.eat(i as u64);
+            factors.eat(j as u64);
+            factors.eat(v.to_bits());
+        }
+    }
+    Pin {
+        cluster_sizes: report.cluster_sizes.clone(),
+        orderings_hash: orderings.0,
+        factor_nnz: report.factor_nnz.clone(),
+        bennett: (
+            report.bennett.rank_one_updates,
+            report.bennett.pivots_processed,
+            report.bennett.entries_touched,
+        ),
+        factors_hash: factors.0,
+    }
+}
+
+fn wiki_ems(seed: u64) -> EvolvingMatrixSequence {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let egs = wiki_like::generate(&WikiLikeConfig::tiny(), &mut rng);
+    EvolvingMatrixSequence::from_egs(&egs, MatrixKind::RandomWalk { damping: 0.85 })
+}
+
+/// Captured at the parent commit: `(seed, CLUDE pin, CINC pin)` at α = 0.95.
+fn golden() -> [(u64, Pin, Pin); 2] {
+    [
+        (
+            11,
+            Pin {
+                cluster_sizes: vec![2, 2, 3, 3, 3, 3, 4],
+                orderings_hash: 11972474753360425317,
+                factor_nnz: vec![
+                    857, 857, 1246, 1246, 1796, 1796, 1796, 2257, 2257, 2257, 2766, 2766, 2766,
+                    3259, 3259, 3259, 4059, 4059, 4059, 4059,
+                ],
+                bennett: (556, 21747, 663438),
+                factors_hash: 838622803291511517,
+            },
+            Pin {
+                cluster_sizes: vec![2, 2, 3, 3, 3, 3, 4],
+                orderings_hash: 4033586678692159141,
+                factor_nnz: vec![
+                    794, 931, 1044, 1286, 1330, 1627, 1929, 1893, 2171, 2466, 2394, 2602, 3206,
+                    2915, 3308, 3502, 3535, 4340, 4627, 4883,
+                ],
+                bennett: (556, 23421, 765292),
+                factors_hash: 7446418616333006951,
+            },
+        ),
+        (
+            97,
+            Pin {
+                cluster_sizes: vec![2, 2, 3, 3, 3, 3, 4],
+                orderings_hash: 14144630983840422757,
+                factor_nnz: vec![
+                    839, 839, 1106, 1106, 1556, 1556, 1556, 2079, 2079, 2079, 2711, 2711, 2711,
+                    3151, 3151, 3151, 3960, 3960, 3960, 3960,
+                ],
+                bennett: (554, 22034, 679897),
+                factors_hash: 4752033388845774717,
+            },
+            Pin {
+                cluster_sizes: vec![2, 2, 3, 3, 3, 3, 4],
+                orderings_hash: 1141393095456491365,
+                factor_nnz: vec![
+                    794, 895, 999, 1184, 1213, 1516, 1682, 1781, 2091, 2275, 2349, 2586, 3079,
+                    2919, 3067, 3297, 3412, 3648, 3858, 4137,
+                ],
+                bennett: (554, 23218, 719369),
+                factors_hash: 16702377296304188952,
+            },
+        ),
+    ]
+}
+
+#[test]
+fn cluster_solvers_reproduce_the_pinned_clusters_orderings_and_factor_bits() {
+    for (seed, clude, cinc) in golden() {
+        let ems = wiki_ems(seed);
+        let config = SolverConfig::default();
+        let got = Clude::new(0.95).solve(&ems, &config).expect("CLUDE solves");
+        assert_eq!(pin(&got), clude, "CLUDE, seed {seed}");
+        let got = ClusterIncremental::new(0.95)
+            .solve(&ems, &config)
+            .expect("CINC solves");
+        assert_eq!(pin(&got), cinc, "CINC, seed {seed}");
+    }
+}

@@ -1360,7 +1360,7 @@ mod tests {
             let matrix =
                 shard_measure_matrix(store.graph(), store.matrix_kind(), store.partition(), s);
             assert_eq!(
-                store.published[s].ordering,
+                *store.published[s].ordering,
                 clude_lu::markowitz_ordering(&matrix.pattern()).ordering,
                 "shard {s}"
             );

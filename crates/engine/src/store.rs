@@ -360,7 +360,8 @@ pub(crate) struct ShardOutcome {
 /// and the factor size that anchors the quality-loss metric.
 #[derive(Debug, Clone)]
 pub(crate) struct OrderedFactors {
-    pub ordering: clude_sparse::Ordering,
+    /// Shared with every block published under it.
+    pub ordering: Arc<clude_sparse::Ordering>,
     pub row_old_to_new: Vec<usize>,
     pub col_old_to_new: Vec<usize>,
     pub factors: DynamicLuFactors,
@@ -406,7 +407,7 @@ impl OrderedFactors {
         OrderedFactors {
             row_old_to_new: ordering.row().old_to_new(),
             col_old_to_new: ordering.col().old_to_new(),
-            ordering,
+            ordering: Arc::new(ordering),
             elimination_work: factors.elimination_work(),
             factors,
             reference_nnz,
@@ -439,7 +440,7 @@ impl OrderedFactors {
         self.published_structure = Some(Arc::clone(frozen.structure()));
         Ok(Arc::new(DecomposedMatrix {
             index: id as usize,
-            ordering: self.ordering.clone(),
+            ordering: Arc::clone(&self.ordering),
             factors: Some(MatrixFactors::Static(frozen)),
         }))
     }

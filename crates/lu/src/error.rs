@@ -54,6 +54,14 @@ pub enum LuError {
         /// Last observed iterate change (∞-norm).
         last_diff: f64,
     },
+    /// A solver was configured with a parameter outside its domain (e.g. a
+    /// clustering threshold `α ∉ [0, 1]` or NaN).
+    InvalidParameter {
+        /// The parameter's name.
+        name: &'static str,
+        /// The offending value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for LuError {
@@ -82,6 +90,9 @@ impl fmt::Display for LuError {
                 f,
                 "iterative solve did not converge within {iterations} iterations (last change {last_diff:e})"
             ),
+            LuError::InvalidParameter { name, value } => {
+                write!(f, "parameter {name} = {value} is outside its domain")
+            }
         }
     }
 }
@@ -131,6 +142,12 @@ mod tests {
         }
         .to_string()
         .contains("512 iterations"));
+        assert!(LuError::InvalidParameter {
+            name: "alpha",
+            value: 1.5
+        }
+        .to_string()
+        .contains("alpha = 1.5"));
     }
 
     #[test]

@@ -331,16 +331,31 @@ impl CsrMatrix {
                 right: (ordering.row().len(), ordering.col().len()),
             });
         }
+        // The permuted CSR is built directly: each new row is one old row
+        // with its columns renamed — still distinct, so sorting the segment
+        // has one answer — and every stored entry, zeros included, is kept.
         let col_old_to_new = ordering.col().old_to_new();
-        let mut coo = CooMatrix::with_capacity(self.n_rows, self.n_cols, self.nnz());
-        for new_i in 0..self.n_rows {
-            let old_i = ordering.row().new_to_old(new_i);
+        let mut row_ptr = Vec::with_capacity(self.n_rows + 1);
+        let mut col_idx = Vec::with_capacity(self.nnz());
+        let mut values = Vec::with_capacity(self.nnz());
+        let mut segment: Vec<(usize, f64)> = Vec::new();
+        row_ptr.push(0);
+        for &old_i in ordering.row().as_new_to_old() {
             let (cols, vals) = self.row(old_i);
-            for (&old_j, &v) in cols.iter().zip(vals.iter()) {
-                coo.push(new_i, col_old_to_new[old_j], v)?;
-            }
+            segment.clear();
+            segment.extend(cols.iter().zip(vals).map(|(&j, &v)| (col_old_to_new[j], v)));
+            segment.sort_unstable_by_key(|&(j, _)| j);
+            col_idx.extend(segment.iter().map(|&(j, _)| j));
+            values.extend(segment.iter().map(|&(_, v)| v));
+            row_ptr.push(col_idx.len());
         }
-        Ok(CsrMatrix::from_coo(&coo))
+        Ok(CsrMatrix {
+            n_rows: self.n_rows,
+            n_cols: self.n_cols,
+            row_ptr,
+            col_idx,
+            values,
+        })
     }
 
     /// Converts to a dense matrix (intended for tests and small examples).

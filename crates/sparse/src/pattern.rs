@@ -281,7 +281,8 @@ fn merge_intersection(a: &[usize], b: &[usize]) -> Vec<usize> {
     out
 }
 
-fn count_intersection(a: &[usize], b: &[usize]) -> usize {
+/// `|a ∩ b|` of two sorted, deduplicated index lists.
+pub fn count_intersection(a: &[usize], b: &[usize]) -> usize {
     let mut count = 0;
     let (mut ia, mut ib) = (0, 0);
     while ia < a.len() && ib < b.len() {

@@ -1,7 +1,7 @@
 //! Property-based tests for the sparse substrate: CSR arithmetic, pattern
 //! algebra and the dynamic adjacency-list matrix.
 
-use clude_sparse::{AdjacencyMatrix, CooMatrix, CsrMatrix, SparsityPattern};
+use clude_sparse::{AdjacencyMatrix, CooMatrix, CsrMatrix, Ordering, Permutation, SparsityPattern};
 use proptest::prelude::*;
 
 fn csr(n: usize, max_entries: usize) -> impl Strategy<Value = CsrMatrix> {
@@ -11,6 +11,15 @@ fn csr(n: usize, max_entries: usize) -> impl Strategy<Value = CsrMatrix> {
             coo.push(i, j, v).unwrap();
         }
         CsrMatrix::from_coo(&coo)
+    })
+}
+
+/// A uniformly random permutation of `0..n`: the argsort of random keys.
+fn permutation(n: usize) -> impl Strategy<Value = Permutation> {
+    proptest::collection::vec(0u64..u64::MAX, n).prop_map(|keys| {
+        let mut new_to_old: Vec<usize> = (0..keys.len()).collect();
+        new_to_old.sort_by_key(|&i| (keys[i], i));
+        Permutation::from_new_to_old(new_to_old).unwrap()
     })
 }
 
@@ -73,6 +82,41 @@ proptest! {
         for i in 0..8 {
             prop_assert!((lhs[i] - (2.0 * av[i] - 0.5 * bv[i])).abs() < 1e-10);
         }
+    }
+
+    /// `reorder` builds the permuted CSR directly; the triplet route it
+    /// replaced (`CooMatrix` + `from_coo`) is the oracle — identical arrays
+    /// under independent row and column permutations, stored zeros kept.
+    #[test]
+    fn reorder_matches_the_triplet_route(
+        entries in proptest::collection::vec((0usize..9, 0usize..9, -5.0f64..5.0), 0..50),
+        rows in permutation(9),
+        cols in permutation(9),
+    ) {
+        let mut coo = CooMatrix::new(9, 9);
+        for (i, j, v) in entries {
+            // Explicit zeros must survive the permutation as stored entries.
+            coo.push(i, j, if (i + j) % 4 == 0 { 0.0 } else { v }).unwrap();
+        }
+        let a = CsrMatrix::from_coo(&coo);
+        let ordering = Ordering::new(
+            rows,
+            cols,
+        );
+        let col_old_to_new = ordering.col().old_to_new();
+        let mut permuted = CooMatrix::new(9, 9);
+        for new_i in 0..9 {
+            let (c, v) = a.row(ordering.row().new_to_old(new_i));
+            for (&j, &v) in c.iter().zip(v) {
+                permuted.push(new_i, col_old_to_new[j], v).unwrap();
+            }
+        }
+        let want = CsrMatrix::from_coo(&permuted);
+        let got = a.reorder(&ordering).unwrap();
+        prop_assert_eq!(got.nnz(), a.nnz());
+        let bits = |m: &CsrMatrix| m.iter().map(|(i, j, v)| (i, j, v.to_bits())).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want));
+        prop_assert_eq!(got, want);
     }
 
     #[test]
