@@ -83,13 +83,21 @@ pub(super) fn gauss_seidel_order(
 }
 
 /// The shard-to-shard dependency weights `w[s][t] = Σ |C[i,j]|` over `i ∈ s`,
-/// `j ∈ t`, `s ≠ t`: how much shard `s`'s rows read shard `t`'s solution.
+/// `j ∈ t`: how much shard `s`'s rows read shard `t`'s solution.  The
+/// coupling holds cross-shard entries only, so the diagonal stays zero (and
+/// neither order below reads it).
+///
+/// Accumulated in the CSR's row-major order — one `shard_of` per row, one
+/// per entry — so the sums, and with them the order and the triangularity
+/// verdict, are a bit-identical function of (partition, coupling) that
+/// recovery reproduces.
 fn shard_dependency_weights(k: usize, partition: &NodePartition, coupling: &CsrMatrix) -> Vec<f64> {
     let mut w = vec![0.0f64; k * k];
-    for (i, j, v) in coupling.iter() {
-        let (s, t) = (partition.shard_of(i), partition.shard_of(j));
-        if s != t {
-            w[s * k + t] += v.abs();
+    for i in 0..coupling.n_rows() {
+        let (cols, vals) = coupling.row(i);
+        let reads = &mut w[partition.shard_of(i) * k..][..k];
+        for (&j, v) in cols.iter().zip(vals) {
+            reads[partition.shard_of(j)] += v.abs();
         }
     }
     w

@@ -12,8 +12,8 @@
 //!   entries share the `Arc`'d factor blocks of every shard the batch did
 //!   not touch (and the frozen coupling when no cross-shard entry changed),
 //!   a republished block shares its structure with its predecessor while the
-//!   pattern stands, and the snapshot graphs share every adjacency set the
-//!   batch did not touch — so retaining a deep ring costs memory in
+//!   pattern stands, and the snapshot graphs share every adjacency chunk
+//!   the batch did not touch — so retaining a deep ring costs memory in
 //!   proportion to what the batches changed, not to what exists;
 //! * queries grab an `Arc` to the newest snapshot through the wait-free
 //!   epoch-published [`SnapshotHandle`] — no lock of any kind on the hot
@@ -54,9 +54,9 @@ pub struct EngineConfig {
     pub refresh: RefreshPolicy,
     /// How many recent snapshots stay queryable (time-travel window); must be
     /// at least 1 ([`EngineError::InvalidConfig`] otherwise).  The
-    /// ring shares untouched shards' factor blocks and untouched nodes'
-    /// adjacency sets between entries, so a deeper ring costs O(touched
-    /// shards + touched nodes) — not O(all shards + all nodes) — memory per
+    /// ring shares untouched shards' factor blocks and untouched adjacency
+    /// chunks between entries, so a deeper ring costs O(touched shards +
+    /// touched chunks) — not O(all shards + all nodes) — memory per
     /// retained snapshot.
     pub ring_capacity: usize,
     /// Number of result-cache shards; must be at least 1
@@ -447,17 +447,15 @@ impl CludeEngine {
         if let Some(persistence) = state.persistence.as_mut() {
             persistence.log_batch(state.store.snapshot_id() + 1, &delta)?;
         }
+        // The apply stage covers the batch until queries can see it: the
+        // store's advance, the snapshot, the ring push and the publish (the
+        // WAL append above and the checkpoint write below are stages of
+        // their own).
         let apply_span = self.telemetry.span(Stage::IngestApply);
         let report = state.store.advance(&delta)?;
-        apply_span.stop();
         self.telemetry.incr(Counter::BatchesApplied);
-        // Every applied batch counts toward ingest time; refresh time is the
-        // subset spent in batches that ended in a full refresh.
-        let elapsed = start.elapsed();
-        EngineCounters::add_nanos(&self.counters.ingest_nanos, elapsed);
         if report.refreshed {
             EngineCounters::bump(&self.counters.refreshes);
-            EngineCounters::add_nanos(&self.counters.refresh_nanos, elapsed);
         }
         EngineCounters::bump(&self.counters.batches_applied);
         EngineCounters::add(
@@ -495,19 +493,28 @@ impl CludeEngine {
         }
 
         let snapshot = Arc::new(state.store.snapshot());
-        let oldest_retained = {
+        let (oldest_retained, evicted) = {
             let mut ring = self.ring.write().expect("snapshot ring poisoned");
-            ring.push_back(Arc::clone(&snapshot));
-            while ring.len() > self.ring_capacity {
-                ring.pop_front();
-            }
-            ring.front().expect("ring is never empty").id()
+            let evicted = push_evicting(&mut ring, Arc::clone(&snapshot), self.ring_capacity);
+            (ring.front().expect("ring is never empty").id(), evicted)
         };
         // Publish to the wait-free handle: the hot read path switches to the
         // new snapshot without ever taking the ring lock.  Publishes stay
         // serialized because the ingest mutex is held here; readers touch
         // only the handle's internal slot, so no ordering cycle exists.
         self.handle.publish(Arc::clone(&snapshot));
+        // Whatever the evicted snapshots were the last holders of is freed
+        // here, with the ring lock released and the new snapshot served: a
+        // `query_at` reader never waits for a deallocation.
+        drop(evicted);
+        apply_span.stop();
+        // Every applied batch counts toward ingest time; refresh time is the
+        // subset spent in batches that ended in a full refresh.
+        let elapsed = start.elapsed();
+        EngineCounters::add_nanos(&self.counters.ingest_nanos, elapsed);
+        if report.refreshed {
+            EngineCounters::add_nanos(&self.counters.refresh_nanos, elapsed);
+        }
         self.service.invalidate_below(oldest_retained);
         // Checkpoint after publication so the generation image matches a
         // snapshot queries can already see.  The (expensive) durable-state
@@ -690,6 +697,17 @@ impl CludeEngine {
     }
 }
 
+/// Pushes `newest` onto the snapshot ring and pops the oldest entries past
+/// `capacity` (at least 1 by [`EngineConfig::validate`], so the ring never
+/// goes empty), returning them oldest first.  The caller holds the ring's
+/// write lock around this call and drops the returned handles after
+/// releasing it — a snapshot's deallocation is never paid under the lock.
+fn push_evicting<T>(ring: &mut VecDeque<T>, newest: T, capacity: usize) -> Vec<T> {
+    ring.push_back(newest);
+    let excess = ring.len().saturating_sub(capacity);
+    ring.drain(..excess).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -732,6 +750,25 @@ mod tests {
         // Old snapshot still retained: time travel sees the old answer.
         let travelled = engine.query_at(0, &q).unwrap();
         assert_eq!(&*travelled, &*before);
+    }
+
+    #[test]
+    fn push_evicting_returns_the_oldest_entries_and_never_empties_the_ring() {
+        for capacity in [1u32, 3] {
+            let mut ring = VecDeque::new();
+            for id in 0..6u32 {
+                let evicted = push_evicting(&mut ring, id, capacity as usize);
+                // Steady state evicts exactly one entry, the oldest.
+                let expected: Vec<u32> = id.checked_sub(capacity).into_iter().collect();
+                assert_eq!(evicted, expected);
+                assert!(!ring.is_empty() && ring.len() <= capacity as usize);
+                assert_eq!(ring.back(), Some(&id));
+            }
+        }
+        // A ring over its capacity by several drains them all, oldest first.
+        let mut ring: VecDeque<u32> = (0..5).collect();
+        assert_eq!(push_evicting(&mut ring, 5, 2), vec![0, 1, 2, 3]);
+        assert_eq!(ring, VecDeque::from(vec![4, 5]));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! [`NodePartition`]; each shard owns the decomposed principal submatrix
 //! `A[S_s, S_s]` of the measure matrix (its own ordering, dynamic factors and
 //! [`BennettWorkspace`]), while the entries whose
-//! row and column straddle two shards accumulate in a sparse coupling store:
+//! row and column straddle two shards live in a sparse coupling matrix:
 //!
 //! ```text
 //!        A  =  blockdiag(A_00, …, A_kk)  +  C        (exactly, by construction)
@@ -21,9 +21,12 @@
 //! A [`GraphDelta`] is routed entry-wise: an entry whose row and column live
 //! in the same shard becomes a Bennett update of that shard's factors (in
 //! local coordinates), a cross-shard entry is a plain value write into the
-//! coupling store — it never touches any factors.  Because the per-shard
-//! entry lists are disjoint, shards with pending work apply their updates **in
-//! parallel** across scoped threads, each sweeping with its own workspace.
+//! coupling — it never touches any factors.  The frozen coupling CSR
+//! snapshots serve from *is* the state: a batch's writes are merged into the
+//! previous one in a single pass ([`CsrMatrix::merge_writes`]).  Because the
+//! per-shard entry lists are disjoint, shards with pending work apply their
+//! updates **in parallel** across scoped threads, each sweeping with its own
+//! workspace.
 //!
 //! Queries recombine exactly: snapshots expose the per-shard factors plus a
 //! frozen coupling matrix, and the block Gauss–Seidel pass over them
@@ -35,8 +38,8 @@
 use crate::coupling::{CouplingConfig, CouplingPlan};
 use crate::error::{EngineError, EngineResult};
 use crate::store::{
-    affected_sources, global_matrix_delta, order_and_factorize, EngineSnapshot, MaintenanceArm,
-    MaintenanceDecision, OrderedFactors, RefreshPolicy, ShardOutcome, ShardSnapshot,
+    global_matrix_delta, order_and_factorize, EngineSnapshot, MaintenanceArm, MaintenanceDecision,
+    OldSuccessors, OrderedFactors, RefreshPolicy, ShardOutcome, ShardSnapshot,
 };
 use clude::{partition::edge_locality_partition, DecomposedMatrix};
 use clude_graph::{
@@ -46,7 +49,6 @@ use clude_graph::{
 use clude_lu::{BennettStats, BennettWorkspace, LuError, RefactorWorkspace, ShardWorkspaces};
 use clude_sparse::CsrMatrix;
 use clude_telemetry::{EngineEvent, Stage, TelemetryRegistry};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// How the store derives a node partition when it repartitions (and how the
@@ -70,9 +72,18 @@ pub enum PartitionStrategy {
 #[derive(Debug, Clone)]
 struct FactorShard {
     of: OrderedFactors,
+    /// A batch's entries in factor coordinates, reused across advances.
+    mapped: Vec<(usize, usize, f64, f64)>,
 }
 
 impl FactorShard {
+    fn new(of: OrderedFactors) -> Self {
+        FactorShard {
+            of,
+            mapped: Vec::new(),
+        }
+    }
+
     fn build(
         graph: &DiGraph,
         kind: MatrixKind,
@@ -80,9 +91,7 @@ impl FactorShard {
         shard: usize,
     ) -> EngineResult<Self> {
         let matrix = shard_measure_matrix(graph, kind, partition, shard);
-        Ok(FactorShard {
-            of: order_and_factorize(&matrix)?,
-        })
+        Ok(FactorShard::new(order_and_factorize(&matrix)?))
     }
 
     /// Runs the decided arm over one shard-local entry list (local
@@ -97,21 +106,22 @@ impl FactorShard {
         ctx: SweepContext<'_>,
         shard: usize,
     ) -> Result<ShardOutcome, LuError> {
-        let mapped: Vec<(usize, usize, f64, f64)> = entries
-            .iter()
-            .map(|&(r, c, old, new)| {
-                (
-                    self.of.row_old_to_new[r],
-                    self.of.col_old_to_new[c],
-                    old,
-                    new,
-                )
-            })
-            .collect();
-        self.of
-            .maintain(decision, ws, rws, &mapped, ctx.telemetry, shard, || {
-                shard_measure_matrix(ctx.graph, ctx.kind, ctx.partition, shard)
-            })
+        let of = &self.of;
+        self.mapped.clear();
+        self.mapped.extend(
+            entries
+                .iter()
+                .map(|&(r, c, old, new)| (of.row_old_to_new[r], of.col_old_to_new[c], old, new)),
+        );
+        self.of.maintain(
+            decision,
+            ws,
+            rws,
+            &self.mapped,
+            ctx.telemetry,
+            shard,
+            || shard_measure_matrix(ctx.graph, ctx.kind, ctx.partition, shard),
+        )
     }
 }
 
@@ -126,71 +136,30 @@ struct SweepContext<'a> {
     telemetry: &'a TelemetryRegistry,
 }
 
-/// The cross-shard entries of the measure matrix, mutable form.
-///
-/// Row-major sparse storage in global coordinates; a delta's cross-shard
-/// entries are plain value writes here (no factor work at all), and
-/// snapshots freeze the current state into a [`CsrMatrix`].
-#[derive(Debug, Clone, Default)]
-struct CouplingStore {
-    rows: Vec<BTreeMap<usize, f64>>,
-    nnz: usize,
+/// The cross-shard entries of the measure matrix over `partition`, as the
+/// store holds them: [`coupling_matrix`] with exact zeros dropped (a zero
+/// damping composes them), the same entry set batch after batch of merged
+/// writes arrives at.
+fn cross_shard_coupling(graph: &DiGraph, kind: MatrixKind, partition: &NodePartition) -> CsrMatrix {
+    let coupling = coupling_matrix(graph, kind, partition);
+    let zeros: Vec<(usize, usize, f64)> = coupling.iter().filter(|e| e.2 == 0.0).collect();
+    if zeros.is_empty() {
+        coupling
+    } else {
+        coupling.merge_writes(&zeros)
+    }
 }
 
-impl CouplingStore {
-    fn from_matrix(m: &CsrMatrix) -> Self {
-        let mut rows = vec![BTreeMap::new(); m.n_rows()];
-        let mut nnz = 0;
-        for (i, j, v) in m.iter() {
-            if v != 0.0 {
-                rows[i].insert(j, v);
-                nnz += 1;
-            }
-        }
-        CouplingStore { rows, nnz }
-    }
-
-    fn set(&mut self, row: usize, col: usize, value: f64) {
-        if value == 0.0 {
-            if self.rows[row].remove(&col).is_some() {
-                self.nnz -= 1;
-            }
-        } else if self.rows[row].insert(col, value).is_none() {
-            self.nnz += 1;
-        }
-    }
-
-    fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// Freezes the store into CSR.  The rows are already column-sorted and
-    /// duplicate-free, so the three CSR arrays are assembled directly.
-    fn to_csr(&self) -> CsrMatrix {
-        let n = self.rows.len();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(self.nnz);
-        let mut values = Vec::with_capacity(self.nnz);
-        row_ptr.push(0);
-        for cols in &self.rows {
-            for (&j, &v) in cols {
-                col_idx.push(j);
-                values.push(v);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        CsrMatrix::from_raw_parts(n, n, row_ptr, col_idx, values)
-    }
-
-    /// The two handles snapshots serve coupled solves from, frozen together:
-    /// the CSR and the Gauss–Seidel plan derived from it.  The plan is a
-    /// pure function of (partition, coupling), so this is the only place
-    /// one is built and the two are shared through the ring as a pair.
-    fn freeze(&self, partition: &NodePartition) -> (Arc<CsrMatrix>, Arc<CouplingPlan>) {
-        let csr = self.to_csr();
-        let plan = CouplingPlan::build(partition, &csr);
-        (Arc::new(csr), Arc::new(plan))
-    }
+/// The two handles snapshots serve coupled solves from, frozen together: the
+/// coupling CSR and the Gauss–Seidel plan derived from it.  The plan is a
+/// pure function of (partition, coupling), so this is the only place one is
+/// built and the two are shared through the ring as a pair.
+fn freeze_coupling(
+    partition: &NodePartition,
+    coupling: CsrMatrix,
+) -> (Arc<CsrMatrix>, Arc<CouplingPlan>) {
+    let plan = CouplingPlan::build(partition, &coupling);
+    (Arc::new(coupling), Arc::new(plan))
 }
 
 /// Per-shard slice of a [`ShardedAdvanceReport`].
@@ -203,7 +172,7 @@ pub struct ShardAdvance {
     /// Bennett rank-one updates (sweeps) the entries triggered.
     pub sweeps: u64,
     /// Cross-shard edge changes routed *from* this shard (its nodes were the
-    /// source endpoint) into the coupling store.
+    /// source endpoint) into the coupling.
     pub cross_edges_seen: u64,
     /// The arm that absorbed this shard's slice of the batch (`None` for a
     /// shard the batch did not touch): the one the maintenance decision
@@ -272,19 +241,20 @@ pub struct ShardedFactorStore {
     refactor_workspaces: Vec<RefactorWorkspace>,
     /// How repartitions derive the replacement partition.
     partition_strategy: PartitionStrategy,
-    coupling: CouplingStore,
     snapshot_id: u64,
     /// Per-shard shared factor handles snapshots serve from, re-frozen only
     /// for the shards a batch swept or refreshed; the rest stay shared with
     /// every earlier snapshot in the ring (copy-on-write).
     published: Vec<Arc<DecomposedMatrix>>,
-    /// The frozen coupling CSR, rebuilt only by batches that wrote a
-    /// cross-shard entry (or re-partitioned).
+    /// The cross-shard entries of the measure matrix, global coordinates, no
+    /// stored zeros: the state itself, in the frozen form snapshots share.
+    /// Replaced — the batch's writes merged into the previous CSR — only by
+    /// batches that wrote a cross-shard entry (or re-partitioned).
     published_coupling: Arc<CsrMatrix>,
     /// Coupled-solve configuration: tolerance, re-partition budget.
     coupling_cfg: CouplingConfig,
     /// The Gauss–Seidel plan over `published_coupling`, frozen with it
-    /// ([`CouplingStore::freeze`]).
+    /// ([`freeze_coupling`]).
     plan: Arc<CouplingPlan>,
     /// Coupling size that triggers the next adaptive re-partition (`None`
     /// disables; backed off after each re-partition for amortization).
@@ -303,7 +273,7 @@ pub struct ShardedFactorStore {
 impl ShardedFactorStore {
     /// Builds the store for a base graph over the given partition: derives
     /// and factorizes every shard's principal submatrix and collects the
-    /// cross-shard entries into the coupling store.  A partition that does
+    /// cross-shard entries into the coupling.  A partition that does
     /// not cover the graph's node universe is an
     /// [`EngineError::InvalidConfig`].
     pub fn new(
@@ -325,9 +295,9 @@ impl ShardedFactorStore {
             .collect::<EngineResult<_>>()?;
         let workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
         let refactor_workspaces = refactor_workspaces_for(&partition);
-        let coupling = CouplingStore::from_matrix(&coupling_matrix(&graph, kind, &partition));
         let published = publish_all(&mut shards, 0)?;
-        let (published_coupling, plan) = coupling.freeze(&partition);
+        let (published_coupling, plan) =
+            freeze_coupling(&partition, cross_shard_coupling(&graph, kind, &partition));
         let coupling_cfg = CouplingConfig::default();
         Ok(ShardedFactorStore {
             kind,
@@ -338,7 +308,6 @@ impl ShardedFactorStore {
             workspaces,
             refactor_workspaces,
             partition_strategy: PartitionStrategy::default(),
-            coupling,
             snapshot_id: 0,
             published,
             published_coupling,
@@ -367,23 +336,16 @@ impl ShardedFactorStore {
     /// The durable slice of the store for the checkpoint writer.  Blocks
     /// are the *published* per-shard `Arc`s — advances republish every shard
     /// they touch, so the published content always equals the live factors —
-    /// plus each shard's `reference_nnz` quality anchor; the coupling comes
-    /// from the mutable store (identical in content to the frozen CSR).
+    /// plus each shard's `reference_nnz` quality anchor; the coupling is the
+    /// frozen CSR's entries as row-major triplets.
     pub(crate) fn durable_state(&self) -> crate::checkpoint::DurableState {
-        let coupling = self
-            .coupling
-            .rows
-            .iter()
-            .enumerate()
-            .flat_map(|(i, cols)| cols.iter().map(move |(&j, &v)| (i, j, v)))
-            .collect();
         crate::checkpoint::DurableState {
             snapshot_id: self.snapshot_id,
             kind: self.kind,
             graph: self.graph.clone(),
             partition: (*self.partition).clone(),
             next_repartition_at: self.next_repartition_at,
-            coupling,
+            coupling: self.published_coupling.iter().collect(),
             blocks: self
                 .published
                 .iter()
@@ -401,6 +363,13 @@ impl ShardedFactorStore {
     /// the image: the maintenance decision restarts from its prior, so a
     /// replayed batch may take another arm than the original took — same
     /// answers, to the arms' 1e-12 agreement.
+    ///
+    /// The coupling triplets become the state as they stand, so they are
+    /// checked to be what a store writes — row-major with no position twice,
+    /// every entry across two shards, every value finite and non-zero — and
+    /// anything else is an [`EngineError::Persistence`] naming the entry: a
+    /// repeated position would silently be one of its values, an entry inside
+    /// a shard's own block would be counted twice by every coupled solve.
     pub(crate) fn restore(
         policy: RefreshPolicy,
         coupling_cfg: CouplingConfig,
@@ -424,17 +393,33 @@ impl ShardedFactorStore {
         }
         let partition = Arc::new(partition);
         let n = graph.n_nodes();
-        let mut coupling_store = CouplingStore {
-            rows: vec![BTreeMap::new(); n],
-            nnz: 0,
-        };
+        let mut triplets = clude_sparse::CooMatrix::with_capacity(n, n, coupling.len());
+        let mut previous = None;
         for &(i, j, v) in &coupling {
+            let reject = |why: String| {
+                Err(EngineError::Persistence(format!(
+                    "checkpoint coupling entry ({i}, {j}) {why}"
+                )))
+            };
             if i >= n || j >= n {
-                return Err(EngineError::Persistence(format!(
-                    "checkpoint coupling entry ({i}, {j}) outside the {n}-node universe"
-                )));
+                return reject(format!("outside the {n}-node universe"));
             }
-            coupling_store.set(i, j, v);
+            if previous >= Some((i, j)) {
+                return reject("does not follow its predecessor in row-major order".into());
+            }
+            if partition.is_intra(i, j) {
+                return reject(format!(
+                    "lies inside shard {}'s own block",
+                    partition.shard_of(i)
+                ));
+            }
+            if !v.is_finite() || v == 0.0 {
+                return reject(format!("holds {v}, not a finite non-zero value"));
+            }
+            previous = Some((i, j));
+            triplets
+                .push(i, j, v)
+                .map_err(|e| EngineError::Persistence(format!("checkpoint coupling: {e}")))?;
         }
         let mut shards = Vec::with_capacity(blocks.len());
         let mut published = Vec::with_capacity(blocks.len());
@@ -446,11 +431,12 @@ impl ShardedFactorStore {
             published.push(of.publish(block.index).map_err(|e| {
                 EngineError::Persistence(format!("checkpoint block of shard {s}: {e}"))
             })?);
-            shards.push(FactorShard { of });
+            shards.push(FactorShard::new(of));
         }
         let workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
         let refactor_workspaces = refactor_workspaces_for(&partition);
-        let (published_coupling, plan) = coupling_store.freeze(&partition);
+        let (published_coupling, plan) =
+            freeze_coupling(&partition, CsrMatrix::from_coo(&triplets));
         Ok(ShardedFactorStore {
             kind,
             policy,
@@ -460,7 +446,6 @@ impl ShardedFactorStore {
             workspaces,
             refactor_workspaces,
             partition_strategy: PartitionStrategy::default(),
-            coupling: coupling_store,
             snapshot_id,
             published,
             published_coupling,
@@ -535,7 +520,7 @@ impl ShardedFactorStore {
 
     /// Number of live cross-shard coupling entries.
     pub fn coupling_nnz(&self) -> usize {
-        self.coupling.nnz()
+        self.published_coupling.nnz()
     }
 
     /// Worst per-shard quality-loss against the shards' last refreshes.
@@ -551,10 +536,11 @@ impl ShardedFactorStore {
     /// Cheap by construction: the per-shard factor blocks, the frozen
     /// coupling and the plan are shared [`Arc`] handles re-frozen inside
     /// [`ShardedFactorStore::advance`] for exactly what the batch touched,
-    /// and the graph's adjacency sets are copy-on-write, so this bumps
-    /// `n_shards + 2·n_nodes` pointers and copies nothing a batch did not
-    /// change.  Consecutive snapshots are [`Arc::ptr_eq`] on every untouched
-    /// shard's [`ShardSnapshot::shared`] handle.
+    /// and the graph's adjacency is copy-on-write in chunks of consecutive
+    /// nodes, so this bumps `n_shards` plus two pointers per chunk and copies
+    /// nothing a batch did not change.  Consecutive snapshots are
+    /// [`Arc::ptr_eq`] on every untouched shard's [`ShardSnapshot::shared`]
+    /// handle.
     pub fn snapshot(&self) -> EngineSnapshot {
         let shards = self
             .published
@@ -578,7 +564,7 @@ impl ShardedFactorStore {
     /// The batch's matrix entries are derived from the graph delta alone,
     /// routed by the partition — intra-shard entries become per-shard Bennett
     /// updates (translated to local factor coordinates), cross-shard entries
-    /// are value writes into the coupling store — and shards with pending
+    /// are value writes merged into the coupling — and shards with pending
     /// work sweep **in parallel** on scoped threads, each with its own
     /// workspace.  Numeric failures and policy trips refresh only the
     /// affected shard; an `Ok` return always leaves servable factors.
@@ -633,18 +619,14 @@ impl ShardedFactorStore {
         let (intra_deltas, _cross) = delta.split_by(&self.partition);
 
         // Capture pre-delta adjacency of the affected sources, then mutate.
-        let affected = affected_sources(delta);
-        let old_info: BTreeMap<usize, Vec<usize>> = affected
-            .iter()
-            .map(|&u| (u, self.graph.successors(u).collect()))
-            .collect();
+        let old = OldSuccessors::capture(&self.graph, delta);
         delta.apply(&mut self.graph);
         self.snapshot_id += 1;
 
         // Route every changed matrix entry to its shard or the coupling.
         let mut shard_entries: Vec<Vec<(usize, usize, f64, f64)>> = vec![Vec::new(); k];
-        let mut coupling_writes = 0u64;
-        for (r, c, old, new) in global_matrix_delta(&self.graph, self.kind, &old_info) {
+        let mut coupling_writes: Vec<(usize, usize, f64)> = Vec::new();
+        for (r, c, old, new) in global_matrix_delta(&self.graph, self.kind, &old) {
             let sr = self.partition.shard_of(r);
             if sr == self.partition.shard_of(c) {
                 shard_entries[sr].push((
@@ -654,8 +636,7 @@ impl ShardedFactorStore {
                     new,
                 ));
             } else {
-                self.coupling.set(r, c, new);
-                coupling_writes += 1;
+                coupling_writes.push((r, c, new));
             }
         }
         // The one maintenance decision, per shard with work: pattern- and
@@ -754,7 +735,7 @@ impl ShardedFactorStore {
         let mut report = ShardedAdvanceReport {
             snapshot_id: self.snapshot_id,
             per_shard,
-            coupling_writes,
+            coupling_writes: coupling_writes.len() as u64,
             ..ShardedAdvanceReport::default()
         };
         for (s, outcome) in outcomes.into_iter().enumerate() {
@@ -774,7 +755,22 @@ impl ShardedFactorStore {
             freeze.stop();
             report.shards_republished += 1;
         }
-        report.coupling_republished = coupling_writes > 0;
+        // Copy-on-write like the factor blocks: the coupling and the plan
+        // derived from it re-freeze, together, only when a cross-shard entry
+        // changed (or the store re-partitions, below); every other batch
+        // keeps sharing the previous snapshots' pair.  Every affected source
+        // owns its own matrix column (or row), so the writes name distinct
+        // positions.
+        if !coupling_writes.is_empty() {
+            let freeze = self.telemetry.span(Stage::SnapshotFreeze);
+            coupling_writes.sort_unstable_by_key(|&(r, c, _)| (r, c));
+            (self.published_coupling, self.plan) = freeze_coupling(
+                &self.partition,
+                self.published_coupling.merge_writes(&coupling_writes),
+            );
+            freeze.stop();
+            report.coupling_republished = true;
+        }
 
         // Adaptive re-partitioning: once the live coupling crosses the
         // budget, the partition has drifted from the graph's edge locality —
@@ -783,7 +779,7 @@ impl ShardedFactorStore {
         // trigger backs off to twice the surviving coupling size, so a graph
         // whose locality genuinely degraded does not thrash.
         if let Some(budget) = self.coupling_cfg.repartition_budget {
-            let nnz = self.coupling.nnz();
+            let nnz = self.published_coupling.nnz();
             if nnz <= budget {
                 // Back under the configured budget (e.g. removals drained the
                 // coupling): restore the base trigger so the next genuine
@@ -795,22 +791,12 @@ impl ShardedFactorStore {
                 self.repartition()?;
                 self.telemetry.record_event(EngineEvent::Repartitioned {
                     coupling_nnz_before: nnz as u64,
-                    coupling_nnz_after: self.coupling.nnz() as u64,
+                    coupling_nnz_after: self.published_coupling.nnz() as u64,
                 });
                 report.repartitioned = true;
                 report.shards_republished = self.shards.len() as u64;
                 report.coupling_republished = true;
             }
-        }
-
-        // Copy-on-write like the factor blocks: the coupling and the plan
-        // derived from it re-freeze, together, only when a cross-shard entry
-        // changed or the store re-partitioned; every other batch keeps
-        // sharing the previous snapshots' pair.
-        if report.coupling_republished {
-            let freeze = self.telemetry.span(Stage::SnapshotFreeze);
-            (self.published_coupling, self.plan) = self.coupling.freeze(&self.partition);
-            freeze.stop();
         }
 
         // Quality-loss is a property of the shard's accumulated state, not
@@ -824,10 +810,10 @@ impl ShardedFactorStore {
 
     /// Re-runs the partition strategy on the current graph and rebuilds the
     /// store around it: fresh shard orderings and factorizations, fresh
-    /// workspaces, re-collected coupling, all block handles re-frozen (the
-    /// caller re-freezes the coupling and its plan).  The next
-    /// trigger backs off to `max(budget, 2 × surviving coupling size)` so
-    /// repeated triggers on a genuinely dense graph stay amortized.
+    /// workspaces, all block handles re-frozen, the coupling re-collected and
+    /// frozen with its plan.  The next trigger backs off to
+    /// `max(budget, 2 × surviving coupling size)` so repeated triggers on a
+    /// genuinely dense graph stay amortized.
     ///
     /// The BTF strategy may coarsen to fewer shards than the store had when
     /// the graph's SCC structure is coarse; the store's shard count follows
@@ -843,9 +829,13 @@ impl ShardedFactorStore {
             .collect::<EngineResult<_>>()?;
         self.workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
         self.refactor_workspaces = refactor_workspaces_for(&partition);
-        self.coupling =
-            CouplingStore::from_matrix(&coupling_matrix(&self.graph, self.kind, &partition));
         self.published = publish_all(&mut shards, self.snapshot_id)?;
+        let freeze = self.telemetry.span(Stage::SnapshotFreeze);
+        (self.published_coupling, self.plan) = freeze_coupling(
+            &partition,
+            cross_shard_coupling(&self.graph, self.kind, &partition),
+        );
+        freeze.stop();
         self.partition = partition;
         self.shards = shards;
         // `repartition` only runs when the advance path saw a budget; if
@@ -854,7 +844,7 @@ impl ShardedFactorStore {
         self.next_repartition_at = self
             .coupling_cfg
             .repartition_budget
-            .map(|budget| budget.max(2 * self.coupling.nnz()));
+            .map(|budget| budget.max(2 * self.published_coupling.nnz()));
         Ok(())
     }
 
@@ -876,10 +866,8 @@ impl ShardedFactorStore {
                     .unwrap();
             }
         }
-        for (i, cols) in self.coupling.rows.iter().enumerate() {
-            for (&j, &v) in cols {
-                coo.push(i, j, v).unwrap();
-            }
+        for (i, j, v) in self.published_coupling.iter() {
+            coo.push(i, j, v).unwrap();
         }
         let reassembled = CsrMatrix::from_coo(&coo);
         let diff = reassembled.max_abs_diff(&full).unwrap();
@@ -1583,6 +1571,141 @@ mod tests {
         assert_queries_match(&store, n);
     }
 
+    /// The image a checkpoint of `store` would restore from, with the
+    /// coupling triplets replaced by `coupling`.
+    fn store_state(
+        store: &ShardedFactorStore,
+        coupling: Vec<(usize, usize, f64)>,
+    ) -> crate::checkpoint::StoreState {
+        crate::checkpoint::StoreState {
+            snapshot_id: store.snapshot_id,
+            kind: store.kind,
+            graph: store.graph.clone(),
+            partition: (*store.partition).clone(),
+            next_repartition_at: store.next_repartition_at,
+            coupling,
+            blocks: store
+                .shards
+                .iter()
+                .zip(&store.published)
+                .map(|(shard, block)| crate::checkpoint::RestoredBlock {
+                    index: block.index as u64,
+                    reference_nnz: shard.of.reference_nnz,
+                    ordering: (*shard.of.ordering).clone(),
+                    factors: shard.of.factors.clone(),
+                })
+                .collect(),
+        }
+    }
+
+    /// A 12-node, 3-shard store one cross-shard batch in, and its durable
+    /// coupling triplets.
+    fn store_with_coupling() -> (ShardedFactorStore, Vec<(usize, usize, f64)>) {
+        let n = 12;
+        let mut store = ShardedFactorStore::new(
+            base_graph(n),
+            MatrixKind::random_walk_default(),
+            RefreshPolicy::Incremental,
+            NodePartition::contiguous(n, 3),
+        )
+        .unwrap();
+        store
+            .advance(&GraphDelta {
+                added: vec![(0, 7), (9, 2)],
+                removed: vec![(2, 0)],
+            })
+            .unwrap();
+        let coupling = store.durable_state().coupling;
+        assert!(coupling.len() >= 4);
+        (store, coupling)
+    }
+
+    fn restore_error(store: &ShardedFactorStore, coupling: Vec<(usize, usize, f64)>) -> String {
+        let state = store_state(store, coupling);
+        match ShardedFactorStore::restore(store.policy, store.coupling_cfg, state).unwrap_err() {
+            EngineError::Persistence(what) => what,
+            other => panic!("expected a persistence error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn restore_takes_the_durable_coupling_as_the_state() {
+        let (store, coupling) = store_with_coupling();
+        let restored = ShardedFactorStore::restore(
+            store.policy,
+            store.coupling_cfg,
+            store_state(&store, coupling.clone()),
+        )
+        .unwrap();
+        assert_eq!(restored.published_coupling, store.published_coupling);
+        assert_eq!(bits(restored.durable_state().coupling), bits(coupling));
+        assert_eq!(restored.plan.gs_order(), store.plan.gs_order());
+        assert_eq!(restored.plan.is_triangular(), store.plan.is_triangular());
+        assert_queries_match(&restored, 12);
+    }
+
+    #[test]
+    fn restore_rejects_a_repeated_coupling_position() {
+        let (store, mut coupling) = store_with_coupling();
+        let (i, j, v) = coupling[1];
+        coupling.insert(2, (i, j, 2.0 * v));
+        let what = restore_error(&store, coupling);
+        assert!(
+            what.contains(&format!("({i}, {j})")) && what.contains("row-major"),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_coupling_out_of_row_major_order() {
+        let (store, mut coupling) = store_with_coupling();
+        coupling.swap(0, 1);
+        let (i, j, _) = coupling[1];
+        let what = restore_error(&store, coupling);
+        assert!(
+            what.contains(&format!("({i}, {j})")) && what.contains("row-major"),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_coupling_entry_inside_a_shard_block() {
+        let (store, mut coupling) = store_with_coupling();
+        // (0, 1) sorts first and both nodes live in shard 0.
+        coupling.insert(0, (0, 1, -0.25));
+        let what = restore_error(&store, coupling);
+        assert!(
+            what.contains("(0, 1)") && what.contains("shard 0's own block"),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_non_finite_and_zero_coupling_values() {
+        let (store, coupling) = store_with_coupling();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0] {
+            let mut coupling = coupling.clone();
+            let (i, j, _) = coupling[3];
+            coupling[3].2 = bad;
+            let what = restore_error(&store, coupling);
+            assert!(
+                what.contains(&format!("({i}, {j})")) && what.contains("finite non-zero"),
+                "{bad}: {what}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_coupling_entry_outside_the_universe() {
+        let (store, mut coupling) = store_with_coupling();
+        coupling.push((3, 12, -0.25));
+        let what = restore_error(&store, coupling);
+        assert!(
+            what.contains("(3, 12)") && what.contains("12-node universe"),
+            "{what}"
+        );
+    }
+
     fn bits(entries: Vec<(usize, usize, f64)>) -> Vec<(usize, usize, u64)> {
         entries
             .into_iter()
@@ -1917,17 +2040,36 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// The pre-PR freeze of the coupling store, kept as the reference:
-        /// triplets through `CsrMatrix::from_coo`.
-        fn to_csr_via_coo(store: &CouplingStore) -> CsrMatrix {
-            let n = store.rows.len();
-            let mut coo = clude_sparse::CooMatrix::with_capacity(n, n, store.nnz);
-            for (i, cols) in store.rows.iter().enumerate() {
-                for (&j, &v) in cols {
-                    coo.push(i, j, v).unwrap();
-                }
+        /// The coupling by the triplet route, from the graph alone:
+        /// [`coupling_matrix`] (a `CooMatrix` through `from_coo`) with exact
+        /// zeros dropped.
+        fn coupling_via_triplets(store: &ShardedFactorStore) -> CsrMatrix {
+            let n = store.graph().n_nodes();
+            let mut coo = clude_sparse::CooMatrix::new(n, n);
+            let full = coupling_matrix(store.graph(), store.matrix_kind(), store.partition());
+            for (i, j, v) in full.iter().filter(|e| e.2 != 0.0) {
+                coo.push(i, j, v).unwrap();
             }
             CsrMatrix::from_coo(&coo)
+        }
+
+        /// A valid batch out of random `(op, u, v)` triples: two in three
+        /// operations remove (value-only when the edge exists), one adds
+        /// (structural when it does not).
+        fn random_delta(graph: &DiGraph, batch: &[(usize, usize, usize)]) -> GraphDelta {
+            let mut delta = GraphDelta::empty();
+            for &(op, u, v) in batch {
+                if u == v {
+                    continue;
+                }
+                let present = graph.has_edge(u, v);
+                if op == 0 && !present && !delta.added.contains(&(u, v)) {
+                    delta.added.push((u, v));
+                } else if op != 0 && present && !delta.removed.contains(&(u, v)) {
+                    delta.removed.push((u, v));
+                }
+            }
+            delta
         }
 
         proptest! {
@@ -1937,8 +2079,10 @@ mod tests {
             /// structural, with a refresh budget tight enough to trip: after
             /// every advance the published blocks are the live factors bit
             /// for bit, a block's structure handle survives exactly the
-            /// publishes that did not move its pattern, and a snapshot taken
-            /// before all of it still answers bit-identically at the end.
+            /// publishes that did not move its pattern, the coupling is the
+            /// graph's cross-shard entries array for array, and a snapshot
+            /// taken before all of it still answers bit-identically at the
+            /// end.
             #[test]
             fn published_blocks_track_the_live_factors(
                 batches in proptest::collection::vec(
@@ -1963,20 +2107,7 @@ mod tests {
                 let answer0 = snap0.query(&q).unwrap();
                 assert_published_equals_live(&store);
                 for batch in &batches {
-                    // Two in three operations remove (value-only when the
-                    // edge exists), one adds (structural when it does not).
-                    let mut delta = GraphDelta::empty();
-                    for &(op, u, v) in batch {
-                        if u == v {
-                            continue;
-                        }
-                        let present = store.graph().has_edge(u, v);
-                        if op == 0 && !present && !delta.added.contains(&(u, v)) {
-                            delta.added.push((u, v));
-                        } else if op != 0 && present && !delta.removed.contains(&(u, v)) {
-                            delta.removed.push((u, v));
-                        }
-                    }
+                    let delta = random_delta(store.graph(), batch);
                     let before: Vec<_> = store
                         .shards
                         .iter()
@@ -1988,6 +2119,7 @@ mod tests {
                         .collect();
                     let report = store.advance(&delta).unwrap();
                     assert_published_equals_live(&store);
+                    prop_assert_eq!(&*store.published_coupling, &coupling_via_triplets(&store));
                     for (s, (modifications, block)) in before.iter().enumerate() {
                         let shard = report.per_shard[s];
                         if shard.entries_applied == 0 {
@@ -2068,18 +2200,7 @@ mod tests {
                     MeasureQuery::Rwr { seed: 3, damping: 0.85 },
                 ];
                 for batch in &batches {
-                    let mut delta = GraphDelta::empty();
-                    for &(op, u, v) in batch {
-                        if u == v {
-                            continue;
-                        }
-                        let present = stores[0].graph().has_edge(u, v);
-                        if op == 0 && !present && !delta.added.contains(&(u, v)) {
-                            delta.added.push((u, v));
-                        } else if op != 0 && present && !delta.removed.contains(&(u, v)) {
-                            delta.removed.push((u, v));
-                        }
-                    }
+                    let delta = random_delta(stores[0].graph(), batch);
                     let mut answers: Vec<Vec<Vec<f64>>> = Vec::new();
                     for store in &mut stores {
                         let before: Vec<_> = (0..store.n_shards())
@@ -2125,24 +2246,78 @@ mod tests {
                 }
             }
 
-            /// The direct CSR assembly equals the triplet route on stores
-            /// with empty rows and entries driven to exact zero and back.
+            /// The frozen coupling is the state, and it equals the triplet
+            /// route: after every advance of a random mixed stream — both
+            /// matrix kinds, a zero damping whose coupling is all dropped
+            /// zeros, a budget tight enough to re-partition — the merged CSR
+            /// is the graph's cross-shard entries bit for bit, the plan is
+            /// what a fresh build over them gives, and consecutive snapshots
+            /// share coupling and plan exactly when no cross-shard entry
+            /// changed.
             #[test]
             fn coupling_freeze_equals_the_triplet_route(
-                writes in proptest::collection::vec((0usize..12, 0usize..12, 0usize..4), 0..60),
+                batches in proptest::collection::vec(
+                    proptest::collection::vec((0usize..3, 0usize..16, 0usize..16), 1..6),
+                    1..10,
+                ),
+                cell in 0usize..4,
             ) {
-                let mut store = CouplingStore {
-                    rows: vec![BTreeMap::new(); 12],
-                    nnz: 0,
-                };
-                for &(i, j, v) in &writes {
-                    // Value 0 erases the entry; a later write brings it back.
-                    store.set(i, j, [0.0, -0.25, 0.5, -1.0][v]);
+                let n = 16;
+                let (kind, budget) = [
+                    (MatrixKind::random_walk_default(), None),
+                    (MatrixKind::random_walk_default(), Some(22)),
+                    (MatrixKind::SymmetricLaplacian { shift: 1.0 }, None),
+                    (MatrixKind::RandomWalk { damping: 0.0 }, None),
+                ][cell];
+                let mut g = base_graph(n);
+                for u in 0..n {
+                    g.add_edge(u, (u + 5) % n);
                 }
-                let direct = store.to_csr();
-                prop_assert_eq!(direct.nnz(), store.nnz());
-                prop_assert_eq!(&direct, &to_csr_via_coo(&store));
-                prop_assert!(direct.iter().all(|(_, _, v)| v != 0.0));
+                let mut store = ShardedFactorStore::new(
+                    g,
+                    kind,
+                    RefreshPolicy::Incremental,
+                    NodePartition::contiguous(n, 4),
+                )
+                .unwrap()
+                .with_coupling_config(CouplingConfig {
+                    repartition_budget: budget,
+                    ..CouplingConfig::default()
+                })
+                .unwrap();
+                let entry_bits = |m: &CsrMatrix| bits(m.iter().collect());
+                let mut oracle = coupling_via_triplets(&store);
+                prop_assert_eq!(&*store.published_coupling, &oracle);
+                for batch in &batches {
+                    let delta = random_delta(store.graph(), batch);
+                    let before = store.snapshot();
+                    let report = store.advance(&delta).unwrap();
+                    let after = store.snapshot();
+
+                    let previous = std::mem::replace(&mut oracle, coupling_via_triplets(&store));
+                    prop_assert_eq!(after.coupling(), &oracle);
+                    prop_assert_eq!(entry_bits(after.coupling()), entry_bits(&oracle));
+                    prop_assert_eq!(store.coupling_nnz(), oracle.nnz());
+                    prop_assert!(oracle.iter().all(|(_, _, v)| v != 0.0));
+                    prop_assert_eq!(bits(store.durable_state().coupling), entry_bits(&oracle));
+
+                    let fresh = CouplingPlan::build(store.partition(), &oracle);
+                    prop_assert_eq!(after.coupling_plan().gs_order(), fresh.gs_order());
+                    prop_assert_eq!(after.coupling_plan().is_triangular(), fresh.is_triangular());
+
+                    // A re-partition re-freezes whatever the entries did.
+                    let unchanged = !report.repartitioned && previous == oracle;
+                    prop_assert_eq!(
+                        Arc::ptr_eq(before.shared_coupling(), after.shared_coupling()),
+                        unchanged
+                    );
+                    prop_assert_eq!(
+                        Arc::ptr_eq(before.coupling_plan(), after.coupling_plan()),
+                        unchanged
+                    );
+                    prop_assert_eq!(report.coupling_republished, !unchanged);
+                }
+                store.assert_consistent(1e-9);
             }
         }
     }

@@ -132,6 +132,71 @@ fn replay_populates_spans_journal_and_exposition() {
     assert!(json.contains("\"kind\": \"repartitioned\""));
 }
 
+/// `ingest.apply` spans a batch until queries can see it — the store's
+/// advance, the snapshot, the ring push and the publish — so on a 4-shard run
+/// it contains every stage the batch ran (one-operation batches keep a single
+/// shard active, so the arms run inline and the child spans do not overlap),
+/// and the engine's ingest clock, stopped after it, contains the span.
+#[test]
+fn ingest_apply_contains_its_child_stages_on_a_four_shard_run() {
+    let n = 32;
+    let engine = CludeEngine::with_partition(
+        ring_graph(n),
+        EngineConfig {
+            batch: BatchPolicy::by_count(1),
+            ..EngineConfig::default()
+        },
+        NodePartition::contiguous(n, 4),
+    )
+    .unwrap();
+    assert_eq!(engine.n_shards(), 4);
+    let mut batches = 0;
+    for u in 0..n {
+        // Intra-shard chords (structural), cross-shard chords (coupling
+        // writes and a rescale of the source's block), then removals of
+        // both (value-only).
+        for v in [(u + 2) % n, (u + 11) % n] {
+            engine.insert_edge(u, v).unwrap();
+            batches += 1;
+        }
+    }
+    for u in (0..n).step_by(3) {
+        engine.remove_edge(u, (u + 2) % n).unwrap();
+        engine.remove_edge(u, (u + 11) % n).unwrap();
+        batches += 2;
+    }
+
+    let telemetry = engine.telemetry();
+    let busy = |stage: Stage| telemetry.stage_histogram(stage).sum();
+    let apply = telemetry.stage_histogram(Stage::IngestApply);
+    assert_eq!(apply.count(), batches);
+    let children = [
+        Stage::ShardSweep,
+        Stage::ShardRefactor,
+        Stage::ShardRefresh,
+        Stage::SnapshotFreeze,
+    ];
+    for stage in [
+        Stage::ShardSweep,
+        Stage::ShardRefactor,
+        Stage::SnapshotFreeze,
+    ] {
+        assert!(busy(stage) > 0, "stage {} recorded nothing", stage.name());
+    }
+    let inside: u64 = children.into_iter().map(busy).sum();
+    assert!(
+        apply.sum() >= inside,
+        "ingest.apply {} ns < its child stages {} ns",
+        apply.sum(),
+        inside
+    );
+    let clock = engine.stats().ingest_time.as_nanos() as u64;
+    assert!(
+        clock >= apply.sum(),
+        "ingest clock {clock} ns < ingest.apply"
+    );
+}
+
 #[test]
 fn disabled_telemetry_records_nothing() {
     let engine = instrumented_engine(TelemetryConfig::disabled());

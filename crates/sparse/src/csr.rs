@@ -176,6 +176,89 @@ impl CsrMatrix {
         }
     }
 
+    /// The matrix after a batch of point writes, in one pass over the rows.
+    ///
+    /// `writes` holds `(row, col, value)` triplets at distinct positions,
+    /// sorted ascending by `(row, col)`.  A non-zero value overwrites the
+    /// stored entry or inserts one; a zero (`value == 0.0`) removes the entry
+    /// and is a no-op where none is stored.  Runs of rows no write names are
+    /// copied in bulk with their `row_ptr` shifted, so the cost is one copy
+    /// of the arrays plus `O(writes)` — the result is, array for array, what
+    /// assembling the written-through entry set from scratch gives.
+    ///
+    /// # Panics
+    /// Panics when a position is out of bounds or the list is not strictly
+    /// ascending: the merge would otherwise hand back a matrix that breaks
+    /// the CSR invariants.
+    pub fn merge_writes(&self, writes: &[(usize, usize, f64)]) -> CsrMatrix {
+        assert!(
+            writes
+                .iter()
+                .all(|&(i, j, _)| i < self.n_rows && j < self.n_cols),
+            "write outside the {}x{} matrix",
+            self.n_rows,
+            self.n_cols
+        );
+        assert!(
+            writes
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "writes must be strictly ascending by (row, col)"
+        );
+        let capacity = self.nnz() + writes.len();
+        let mut row_ptr = Vec::with_capacity(self.n_rows + 1);
+        let mut col_idx = Vec::with_capacity(capacity);
+        let mut values = Vec::with_capacity(capacity);
+        row_ptr.push(0);
+        let mut rest = writes;
+        while let Some(&(row, _, _)) = rest.first() {
+            self.copy_rows_into(row, &mut row_ptr, &mut col_idx, &mut values);
+            let (run, tail) = rest.split_at(rest.partition_point(|w| w.0 == row));
+            rest = tail;
+            // Two-pointer merge of the stored row with its writes.
+            let (cols, vals) = self.row(row);
+            let mut k = 0;
+            for &(_, col, value) in run {
+                let kept = k + cols[k..].partition_point(|&c| c < col);
+                col_idx.extend_from_slice(&cols[k..kept]);
+                values.extend_from_slice(&vals[k..kept]);
+                k = kept + usize::from(cols.get(kept) == Some(&col));
+                if value != 0.0 {
+                    col_idx.push(col);
+                    values.push(value);
+                }
+            }
+            col_idx.extend_from_slice(&cols[k..]);
+            values.extend_from_slice(&vals[k..]);
+            row_ptr.push(col_idx.len());
+        }
+        self.copy_rows_into(self.n_rows, &mut row_ptr, &mut col_idx, &mut values);
+        CsrMatrix {
+            n_rows: self.n_rows,
+            n_cols: self.n_cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// Appends the rows from the one `row_ptr` is up to (`row_ptr.len() − 1`)
+    /// to `until` (exclusive), unchanged, onto a CSR under assembly.
+    fn copy_rows_into(
+        &self,
+        until: usize,
+        row_ptr: &mut Vec<usize>,
+        col_idx: &mut Vec<usize>,
+        values: &mut Vec<f64>,
+    ) {
+        let from = row_ptr.len() - 1;
+        let (lo, hi) = (self.row_ptr[from], self.row_ptr[until]);
+        let at = col_idx.len();
+        row_ptr.extend(self.row_ptr[from + 1..=until].iter().map(|&p| p - lo + at));
+        col_idx.extend_from_slice(&self.col_idx[lo..hi]);
+        values.extend_from_slice(&self.values[lo..hi]);
+    }
+
     /// The stored entries of row `i` as parallel slices `(columns, values)`.
     pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
         let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
@@ -507,6 +590,39 @@ mod tests {
         assert!(delta.contains(&(1, 0, 0.0, 7.0)));
         assert_eq!(delta.len(), 2);
         assert!(a.delta_to(&a, 0.0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn merge_writes_overwrites_inserts_and_removes() {
+        let m = sample();
+        // Overwrite (0,0), insert (0,1), drop (2,0), zero on the absent (2,1).
+        let merged = m.merge_writes(&[(0, 0, -2.0), (0, 1, 7.0), (2, 0, 0.0), (2, 1, 0.0)]);
+        let entries: Vec<_> = merged.iter().collect();
+        assert_eq!(
+            entries,
+            vec![
+                (0, 0, -2.0),
+                (0, 1, 7.0),
+                (0, 2, 1.0),
+                (1, 1, 3.0),
+                (2, 2, 5.0)
+            ]
+        );
+        // The untouched middle row came through the bulk copy.
+        assert_eq!(merged.row(1), m.row(1));
+        assert_eq!(merged.nnz(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn merge_writes_rejects_a_repeated_position() {
+        sample().merge_writes(&[(1, 1, 1.0), (1, 1, 2.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 3x3 matrix")]
+    fn merge_writes_rejects_an_out_of_bounds_write() {
+        sample().merge_writes(&[(1, 3, 1.0)]);
     }
 
     #[test]

@@ -119,6 +119,67 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
+    /// `merge_writes` against the triplet route (apply the writes to a
+    /// per-position map, assemble through `from_coo`): identical `row_ptr` /
+    /// `col_idx` / `values` on rectangular matrices with empty rows — an
+    /// empty matrix included — under zero writes on absent and on stored
+    /// positions, writes that empty a whole row, and writes in the first and
+    /// the last row.
+    #[test]
+    fn merge_writes_matches_the_triplet_route(
+        entries in proptest::collection::vec((0usize..7, 0usize..9, 1usize..4), 0..40),
+        writes in proptest::collection::vec((0usize..7, 0usize..9, 0usize..4), 0..24),
+        emptied in proptest::collection::vec(0usize..7, 0..3),
+    ) {
+        let value = |v: usize| [0.0, -0.25, 0.5, -1.0][v];
+        let mut model: std::collections::BTreeMap<(usize, usize), f64> = Default::default();
+        for &(i, j, v) in &entries {
+            model.insert((i, j), value(v));
+        }
+        let assemble = |model: &std::collections::BTreeMap<(usize, usize), f64>| {
+            let mut coo = CooMatrix::new(7, 9);
+            for (&(i, j), &v) in model {
+                coo.push(i, j, v).unwrap();
+            }
+            CsrMatrix::from_coo(&coo)
+        };
+        let before = assemble(&model);
+
+        // Distinct positions, ascending: the random writes (last one at a
+        // position wins) plus a zero at every stored entry of an emptied row.
+        let mut batch: std::collections::BTreeMap<(usize, usize), f64> = Default::default();
+        for &(i, j, v) in &writes {
+            batch.insert((i, j), value(v));
+        }
+        for &row in &emptied {
+            for &j in before.row(row).0 {
+                batch.insert((row, j), 0.0);
+            }
+        }
+        let sorted: Vec<(usize, usize, f64)> =
+            batch.iter().map(|(&(i, j), &v)| (i, j, v)).collect();
+        for (&position, &v) in &batch {
+            if v == 0.0 {
+                model.remove(&position);
+            } else {
+                model.insert(position, v);
+            }
+        }
+
+        let merged = before.merge_writes(&sorted);
+        let want = assemble(&model);
+        let bits = |m: &CsrMatrix| m.iter().map(|(i, j, v)| (i, j, v.to_bits())).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&merged), bits(&want));
+        // Derived equality compares the three arrays and the shape.
+        prop_assert_eq!(&merged, &want);
+        prop_assert!(merged.iter().all(|(_, _, v)| v != 0.0));
+        for &row in &emptied {
+            prop_assert!(sorted.iter().any(|w| w.0 == row && w.2 != 0.0) || merged.row(row).0.is_empty());
+        }
+        // No writes: a plain copy.
+        prop_assert_eq!(&before.merge_writes(&[]), &before);
+    }
+
     #[test]
     fn delta_roundtrip_rebuilds_target(a in csr(8, 25), b in csr(8, 25)) {
         let delta = a.delta_to(&b, 0.0).unwrap();
