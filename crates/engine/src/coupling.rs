@@ -40,6 +40,10 @@
 //!
 //! A store without coupling — one shard, or shards no edge crosses — never
 //! iterates: its solve is one pass of substitutions (see `solve_systems`).
+//! A non-finite right-hand side is refused before any path runs, as
+//! [`LuError::InvalidParameter`] named `rhs`: substitutions would carry it
+//! into an `Ok([NaN, …])`, and it is the caller's input, not a failure of
+//! the iteration.
 //! The per-snapshot metadata of the pass — the traversal order and the
 //! triangularity verdict — is a pure function of (partition, frozen
 //! coupling), frozen into a [`CouplingPlan`] wherever the coupling is and
@@ -204,9 +208,11 @@ fn solve_blocks_many(
 /// panel.  A single right-hand side is a width-1 panel (the scalar-kernel
 /// choice lives in `clude_lu::solve_original_many_into`, nowhere else).
 ///
-/// Fast paths first: a single shard without coupling is one pair of
-/// substitutions, and fully decoupled shards need exactly one block pass.
-/// Everything else is the Krylov iteration over the plan's block pass.
+/// A NaN or ∞ anywhere in `b` is [`LuError::InvalidParameter`] (`rhs`,
+/// the first such value) on every path.  Fast paths first: a single shard
+/// without coupling is one pair of substitutions, and fully decoupled
+/// shards need exactly one block pass.  Everything else is the Krylov
+/// iteration over the plan's block pass.
 ///
 /// Every stripe of the result is **bit-identical** to a width-1 call on
 /// that stripe: the direct paths reuse the panel kernels' per-column
@@ -222,6 +228,9 @@ pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> L
             expected: n * n_rhs,
             actual: b.len(),
         });
+    }
+    if let Some(&value) = b.iter().find(|v| !v.is_finite()) {
+        return Err(LuError::InvalidParameter { name: "rhs", value });
     }
     // lint: allow(alloc-hot-path) — the returned solution panel: the one
     // buffer every path of a solve hands to its caller.
@@ -741,24 +750,32 @@ mod tests {
         )
     }
 
-    fn assert_fails_at_first_pass(b: &[f64], is_the_value: impl Fn(f64) -> bool) {
-        let (store, telemetry) = ring_store();
-        let err = store.snapshot().solve_measure_system(b).unwrap_err();
-        match err {
-            LuError::ConvergenceFailure {
-                iterations,
-                last_diff,
-            } => {
-                assert_eq!(iterations, 1, "fails at the pass where it appears");
-                assert!(is_the_value(last_diff), "{last_diff}");
+    /// Every non-finite value, at the first and at the last position of a
+    /// two-column panel and of a single right-hand side, is refused as
+    /// `InvalidParameter { name: "rhs" }` naming it — before any block pass,
+    /// so no coupled solve is counted, journalled or sampled.
+    fn assert_rhs_rejected(store: &ShardedFactorStore, telemetry: &TelemetryRegistry) {
+        let snap = store.snapshot();
+        let n = snap.n_nodes();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (n_rhs, at) in [(1, 0), (1, n - 1), (2, 2 * n - 1)] {
+                let mut b = vec![1.0; n * n_rhs];
+                b[at] = bad;
+                let err = snap.solve_measure_systems(&b, n_rhs).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        LuError::InvalidParameter { name: "rhs", value }
+                            if value.to_bits() == bad.to_bits()
+                    ),
+                    "{bad} at {at} of {n_rhs} column(s): {err:?}"
+                );
             }
-            other => panic!("expected ConvergenceFailure, got {other:?}"),
         }
-        // Journalled and counted like any other failed solve.
-        assert_eq!(telemetry.counter(Counter::ConvergenceFailures), 1);
+        assert_eq!(telemetry.counter(Counter::ConvergenceFailures), 0);
         assert_eq!(
             telemetry.journal().count_of(EventKind::ConvergenceFailure),
-            1
+            0
         );
         assert!(telemetry.coupling_sweeps().is_empty());
     }
@@ -766,15 +783,97 @@ mod tests {
     #[test]
     fn nan_right_hand_side_is_a_failure_not_a_converged_answer() {
         // `f64::max` drops NaN, so this used to read as an iterate change of
-        // zero and return `Ok([NaN, NaN, NaN, 0, 0, 0])` after one sweep.
-        assert_fails_at_first_pass(&[f64::NAN, 0.0, 0.0, 0.0, 0.0, 0.0], f64::is_nan);
+        // zero and return `Ok([NaN, NaN, NaN, 0, 0, 0])` after one sweep; it
+        // was a journalled `ConvergenceFailure` after the first pass, and is
+        // now refused before any.
+        let (store, telemetry) = ring_store();
+        let err = store
+            .snapshot()
+            .solve_measure_system(&[f64::NAN, 0.0, 0.0, 0.0, 0.0, 0.0])
+            .unwrap_err();
+        assert!(
+            matches!(err, LuError::InvalidParameter { name: "rhs", value } if value.is_nan()),
+            "{err:?}"
+        );
+        assert_eq!(telemetry.counter(Counter::ConvergenceFailures), 0);
+        assert!(telemetry.coupling_sweeps().is_empty());
     }
 
     #[test]
     fn infinite_right_hand_side_is_a_failure_not_a_converged_answer() {
-        assert_fails_at_first_pass(&[f64::INFINITY, 0.0, 0.0, 0.0, 0.0, 0.0], |v| {
-            !v.is_finite()
-        });
+        let (store, telemetry) = ring_store();
+        let err = store
+            .snapshot()
+            .solve_measure_system(&[0.0, 0.0, f64::INFINITY, 0.0, 0.0, 0.0])
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LuError::InvalidParameter { name: "rhs", value } if value == f64::INFINITY
+            ),
+            "{err:?}"
+        );
+        assert_eq!(telemetry.counter(Counter::ConvergenceFailures), 0);
+        assert!(telemetry.coupling_sweeps().is_empty());
+    }
+
+    /// Four 4-node rings, one per shard of a contiguous 16-node partition.
+    fn four_rings() -> DiGraph {
+        DiGraph::from_edges(
+            16,
+            (0..16)
+                .map(|i| (i, i / 4 * 4 + (i + 1) % 4))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    fn store_over(
+        g: DiGraph,
+        partition: NodePartition,
+    ) -> (ShardedFactorStore, Arc<TelemetryRegistry>) {
+        let telemetry = Arc::new(TelemetryRegistry::default());
+        let store = ShardedFactorStore::new(
+            g,
+            MatrixKind::random_walk_default(),
+            RefreshPolicy::Incremental,
+            partition,
+        )
+        .unwrap()
+        .with_telemetry(Arc::clone(&telemetry));
+        (store, telemetry)
+    }
+
+    #[test]
+    fn non_finite_right_hand_side_is_rejected_on_one_shard() {
+        // One pair of substitutions used to carry the NaN into every entry
+        // it reaches and return `Ok`.
+        let (store, telemetry) = store_over(four_rings(), NodePartition::singleton(16));
+        assert_eq!((store.n_shards(), store.coupling_nnz()), (1, 0));
+        assert_rhs_rejected(&store, &telemetry);
+    }
+
+    #[test]
+    fn non_finite_right_hand_side_is_rejected_on_decoupled_shards() {
+        // One block pass over shards no edge crosses: the same `Ok([NaN, …])`
+        // before the check.
+        let (store, telemetry) = store_over(four_rings(), NodePartition::contiguous(16, 4));
+        assert_eq!((store.n_shards(), store.coupling_nnz()), (4, 0));
+        assert_rhs_rejected(&store, &telemetry);
+    }
+
+    #[test]
+    fn non_finite_right_hand_side_is_rejected_on_coupled_shards() {
+        let mut g = four_rings();
+        for s in 0..4 {
+            g.add_edge(s * 4, (s * 4 + 5) % 16);
+        }
+        let (store, telemetry) = store_over(g, NodePartition::contiguous(16, 4));
+        assert_eq!(store.n_shards(), 4);
+        assert!(store.coupling_nnz() > 0);
+        assert_rhs_rejected(&store, &telemetry);
+        // A finite panel through the same snapshot still solves.
+        let b = vec![1.0; 32];
+        assert!(store.snapshot().solve_measure_systems(&b, 2).is_ok());
     }
 
     #[test]

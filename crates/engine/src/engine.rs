@@ -473,8 +473,16 @@ impl CludeEngine {
             EngineCounters::add(&c.cross_shard_edges, shard.cross_edges_seen);
             if let Some(arm) = shard.arm {
                 EngineCounters::bump(&self.counters.arms[arm.index()]);
-                if arm == MaintenanceArm::Reorder {
-                    EngineCounters::bump(&c.refreshes);
+                match arm {
+                    MaintenanceArm::Reorder => EngineCounters::bump(&c.refreshes),
+                    MaintenanceArm::FrozenRefactor => {
+                        let (rows, order) = (shard.rows_refactored, shard.block_order);
+                        EngineCounters::add(&self.counters.frozen_rows_refactored, rows);
+                        EngineCounters::add(&self.counters.frozen_block_rows, order);
+                        self.telemetry.add(Counter::FrozenRowsRefactored, rows);
+                        self.telemetry.add(Counter::FrozenBlockRows, order);
+                    }
+                    MaintenanceArm::BennettSweep | MaintenanceArm::Rebuild => {}
                 }
             }
         }

@@ -182,11 +182,23 @@ pub struct ShardAdvance {
     pub arm: Option<MaintenanceArm>,
     /// What the decision's cost model expected its chosen arm to cost
     /// ([`MaintenanceArm::model_cost`] on the predicted work, nanoseconds).
+    /// For [`MaintenanceArm::FrozenRefactor`] that is the full pass's cost —
+    /// the only arm a value-only slice can take, so the prediction is never
+    /// compared with another and stays an upper bound on the pass, which
+    /// recomputes only the changed rows' elimination reach.
     pub predicted_cost: f64,
     /// The work `arm` counted, in the unit [`MaintenanceArm::model_cost`]
     /// takes: factor entries touched by the sweeps, or multiply-adds of the
-    /// numeric factorization.
+    /// numeric factorization — for the frozen-pattern pass, those of the
+    /// rows it recomputed.
     pub actual_work: u64,
+    /// Rows the frozen-pattern pass recomputed: the elimination reach of the
+    /// slice's changed rows, or the whole block over a structure not closed
+    /// under elimination (0 for the other arms).
+    pub rows_refactored: u64,
+    /// The order of the shard's block, so `rows_refactored / block_order`
+    /// is the share of the block a frozen-pattern pass recomputed.
+    pub block_order: u64,
     /// The shard's quality-loss after the advance.
     pub quality_loss: f64,
 }
@@ -746,6 +758,8 @@ impl ShardedFactorStore {
             report.per_shard[s].arm = Some(outcome.arm);
             report.per_shard[s].predicted_cost = outcome.predicted_cost;
             report.per_shard[s].actual_work = outcome.actual_work;
+            report.per_shard[s].rows_refactored = outcome.rows_refactored as u64;
+            report.per_shard[s].block_order = self.shards[s].of.factors.n() as u64;
             report.refreshed |= outcome.arm == MaintenanceArm::Reorder;
             // Copy-on-write: only the shards this batch maintained re-freeze
             // their shared handle; every other shard keeps serving the
@@ -1859,6 +1873,92 @@ mod tests {
         }
         assert_eq!(inline.published_coupling, fanned.published_coupling);
         assert_published_equals_live(&inline);
+    }
+
+    /// The elimination reach of the rows in which two matrices differ, from
+    /// a block's layout alone: ascending, a row is in it when its matrix row
+    /// changed or one of its `L` columns is.
+    fn reach_oracle(
+        structure: &clude_lu::LuStructure,
+        old: &CsrMatrix,
+        new: &CsrMatrix,
+    ) -> Vec<bool> {
+        let mut reach = vec![false; structure.n()];
+        for i in 0..structure.n() {
+            let changed = old.row(i) != new.row(i);
+            reach[i] = changed || structure.row_cols(i).iter().any(|&k| k < i && reach[k]);
+        }
+        reach
+    }
+
+    #[test]
+    fn a_value_only_batch_rewrites_only_its_elimination_reach() {
+        // Removals from a wiki-like 400-page graph at 4 shards: every slice
+        // is value-only.  Per shard and batch, against a reach computed from
+        // the matrices alone: the pass recomputed exactly the reach, every
+        // slot of every other row is the previous block's bit for bit, and
+        // block and live lists still agree.
+        let (base, _) = wiki_stream(400, 0, 2, 11);
+        let partition = edge_locality_partition(&base, 4);
+        let kind = MatrixKind::random_walk_default();
+        let mut store =
+            ShardedFactorStore::new(base, kind, RefreshPolicy::Incremental, partition).unwrap();
+        let (mut recomputed, mut rows) = (0, 0);
+        for batch in 0..6 {
+            let removed: Vec<(usize, usize)> = store
+                .graph()
+                .edges()
+                .skip(37 * batch)
+                .step_by(53)
+                .take(8)
+                .collect();
+            let old_graph = store.graph().clone();
+            let old_blocks = store.published.clone();
+            let report = store
+                .advance(&GraphDelta {
+                    added: vec![],
+                    removed,
+                })
+                .unwrap();
+            assert_published_equals_live(&store);
+            for (s, shard) in report.per_shard.iter().enumerate() {
+                if shard.arm.is_none() {
+                    continue;
+                }
+                assert_eq!(shard.arm, Some(MaintenanceArm::FrozenRefactor));
+                let (old, new) = (
+                    published_static(&old_blocks[s]),
+                    published_static(&store.published[s]),
+                );
+                assert!(Arc::ptr_eq(old.structure(), new.structure()));
+                assert!(new.structure().is_elimination_closed());
+                let ordering = &store.published[s].ordering;
+                let matrix = |g: &DiGraph| {
+                    shard_measure_matrix(g, kind, store.partition(), s)
+                        .reorder(ordering)
+                        .unwrap()
+                };
+                let reach =
+                    reach_oracle(new.structure(), &matrix(&old_graph), &matrix(store.graph()));
+                let in_reach = reach.iter().filter(|&&r| r).count() as u64;
+                assert_eq!(shard.rows_refactored, in_reach, "shard {s}, batch {batch}");
+                assert_eq!(shard.block_order, reach.len() as u64);
+                let outside = |f: &clude_lu::LuFactors| {
+                    bits(f.export_entries())
+                        .into_iter()
+                        .filter(|e| !reach[e.0])
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(outside(new), outside(old), "shard {s}, batch {batch}");
+                recomputed += shard.rows_refactored;
+                rows += shard.block_order;
+            }
+        }
+        assert!(
+            recomputed > 0 && 2 * recomputed < rows,
+            "{recomputed} of {rows} rows"
+        );
+        store.assert_consistent(1e-9);
     }
 
     #[test]

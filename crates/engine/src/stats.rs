@@ -69,6 +69,10 @@ pub struct EngineCounters {
     /// Shard-batches absorbed by each maintenance arm, indexed by
     /// [`MaintenanceArm::index`].
     pub arms: [AtomicU64; MaintenanceArm::ALL.len()],
+    /// Rows the frozen-pattern passes recomputed (their elimination reach).
+    pub frozen_rows_refactored: AtomicU64,
+    /// Rows of the blocks those passes ran on.
+    pub frozen_block_rows: AtomicU64,
     /// Queries answered (hit or miss).
     pub queries: AtomicU64,
     /// Queries answered from the result cache.
@@ -158,6 +162,8 @@ impl EngineCounters {
             bennett_rank_one_updates: Self::load(&self.bennett_rank_one_updates),
             bennett_pivots: Self::load(&self.bennett_pivots),
             arms: MaintenanceArm::ALL.map(|arm| Self::load(&self.arms[arm.index()])),
+            frozen_rows_refactored: Self::load(&self.frozen_rows_refactored),
+            frozen_block_rows: Self::load(&self.frozen_block_rows),
             queries: Self::load(&self.queries),
             cache_hits: Self::load(&self.cache_hits),
             cache_misses: Self::load(&self.cache_misses),
@@ -204,6 +210,11 @@ pub struct EngineStats {
     /// [`MaintenanceArm::index`] (see [`EngineStats::arm_count`]): how the
     /// one maintenance decision split the write path.
     pub arms: [u64; MaintenanceArm::ALL.len()],
+    /// Rows the frozen-pattern passes recomputed — the elimination reach of
+    /// their slices' changed rows (see [`EngineStats::frozen_row_share`]).
+    pub frozen_rows_refactored: u64,
+    /// Rows of the blocks those passes ran on.
+    pub frozen_block_rows: u64,
     /// Queries answered.
     pub queries: u64,
     /// Cache hits among them.
@@ -282,6 +293,18 @@ impl EngineStats {
         self.arms[arm.index()]
     }
 
+    /// Share of their blocks' rows the frozen-pattern passes recomputed, in
+    /// `[0, 1]` (0 before the first pass): 1 when every pass was a full one,
+    /// the elimination reach's share of the block when the passes ran over
+    /// structures closed under elimination.
+    pub fn frozen_row_share(&self) -> f64 {
+        if self.frozen_block_rows == 0 {
+            0.0
+        } else {
+            self.frozen_rows_refactored as f64 / self.frozen_block_rows as f64
+        }
+    }
+
     /// Average wall-clock per applied batch.
     pub fn avg_batch_time(&self) -> Duration {
         if self.batches_applied == 0 {
@@ -335,11 +358,12 @@ impl fmt::Display for EngineStats {
         )?;
         writeln!(
             f,
-            "arms     | sweep {:>8}  refactor {:>7}  rebuild {:>7}  re-order {:>6}",
+            "arms     | sweep {:>8}  refactor {:>7}  rebuild {:>7}  re-order {:>6}  refactor-rows {:>5.1}%",
             self.arm_count(MaintenanceArm::BennettSweep),
             self.arm_count(MaintenanceArm::FrozenRefactor),
             self.arm_count(MaintenanceArm::Rebuild),
-            self.arm_count(MaintenanceArm::Reorder)
+            self.arm_count(MaintenanceArm::Reorder),
+            100.0 * self.frozen_row_share()
         )?;
         writeln!(
             f,
@@ -419,6 +443,13 @@ mod tests {
             ..EngineStats::default()
         };
         assert_eq!(with_batches.avg_batch_time(), Duration::from_millis(2));
+        assert_eq!(s.frozen_row_share(), 0.0);
+        let with_passes = EngineStats {
+            frozen_rows_refactored: 9,
+            frozen_block_rows: 200,
+            ..EngineStats::default()
+        };
+        assert!((with_passes.frozen_row_share() - 0.045).abs() < 1e-12);
     }
 
     #[test]
@@ -513,6 +544,8 @@ mod tests {
             bennett_rank_one_updates: 420,
             bennett_pivots: 9000,
             arms: [40, 7, 12, 1],
+            frozen_rows_refactored: 63,
+            frozen_block_rows: 1_400,
             queries: 50,
             cache_hits: 20,
             cache_misses: 30,
@@ -542,7 +575,7 @@ mod tests {
             vec![
                 "ingest   | ops       1000  coalesced       12  batches      16  time  125.000ms",
                 "factors  | refreshes    1  rank-1        420  pivots       9000  refresh time   25.000ms",
-                "arms     | sweep       40  refactor       7  rebuild      12  re-order      1",
+                "arms     | sweep       40  refactor       7  rebuild      12  re-order      1  refactor-rows   4.5%",
                 "queries  | total       50  hits         20  misses       30  hit-rate  40.0%  solve time   80.000ms",
                 "ring     | depth        3  cow-clones      2  shared        6  share-rate  75.0%  resident ~2.0 KiB",
                 "coupling | nnz       88  sweeps-p50   19  repartitions    1  sweeps-max     23",

@@ -7,9 +7,10 @@
 //!   quality anchor, with the one maintenance decision
 //!   (`OrderedFactors::decide`) every advance takes per shard and the four
 //!   [`MaintenanceArm`]s it chooses among by predicted cost: Bennett sweeps
-//!   (`clude_lu::apply_delta_with`), a pattern-frozen refactorization
-//!   (`clude_lu::refactor_frozen`) for value-only batches, a rebuild under
-//!   the held ordering (`clude_lu::rebuild_under_ordering`), a re-order.
+//!   (`clude_lu::apply_delta_with`), a pattern-frozen refactorization of
+//!   the changed rows' elimination reach (`clude_lu::refactor_frozen_reach`)
+//!   for value-only batches, a rebuild under the held ordering
+//!   (`clude_lu::rebuild_under_ordering`), a re-order.
 //! * [`RefreshPolicy`] — when a block abandons its ordering, mirroring the
 //!   paper's algorithm families: [`RefreshPolicy::Incremental`] is INC-style
 //!   (one ordering forever, never re-ordered for quality);
@@ -27,8 +28,8 @@ use crate::coupling::{self, CouplingPlan, SolveTolerance};
 use clude::{refresh_decision, DecomposedMatrix, MatrixFactors};
 use clude_graph::{DeltaClass, DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_lu::{
-    apply_delta_with, markowitz_ordering, rebuild_under_ordering, refactor_frozen, BennettStats,
-    BennettWorkspace, DynamicLuFactors, LuError, LuFactors, LuResult, LuStructure,
+    apply_delta_with, markowitz_ordering, rebuild_under_ordering, refactor_frozen_reach,
+    BennettStats, BennettWorkspace, DynamicLuFactors, LuError, LuFactors, LuResult, RefactorStats,
     RefactorWorkspace,
 };
 use clude_measures::{evaluate_queries_with, evaluate_query_with, MeasureQuery, MeasureSolver};
@@ -250,8 +251,10 @@ pub enum MaintenanceArm {
     /// One Bennett rank-one sweep per changed column
     /// (`clude_lu::apply_delta_with`); fill-ins splice into the live lists.
     BennettSweep,
-    /// One numeric pass down the frozen symbolic pattern
-    /// (`clude_lu::refactor_frozen`) — value-only batches.
+    /// One numeric pass down the frozen symbolic pattern — value-only
+    /// batches — over a copy of the last published block, recomputing only
+    /// the elimination reach of the changed rows when the block's structure
+    /// is closed under elimination (`clude_lu::refactor_frozen_reach`).
     FrozenRefactor,
     /// Re-symbolic + numeric factorization under the *held* ordering
     /// (`clude_lu::rebuild_under_ordering`): one pass whatever the batch
@@ -339,6 +342,8 @@ const REBUILD_MARGIN: f64 = 1.25;
 pub(crate) struct MaintenanceDecision {
     pub arm: MaintenanceArm,
     /// [`MaintenanceArm::model_cost`] of the arm on the predicted work.
+    /// For the frozen-pattern pass that is the full pass's, an upper bound
+    /// on the reach it recomputes: no other arm is ever weighed against it.
     pub predicted_cost: f64,
 }
 
@@ -351,6 +356,8 @@ pub(crate) struct ShardOutcome {
     pub predicted_cost: f64,
     /// The arm's counted work, in [`MaintenanceArm::model_cost`]'s unit.
     pub actual_work: u64,
+    /// Rows the frozen-pattern pass recomputed (0 for the other arms).
+    pub rows_refactored: usize,
     pub bennett: BennettStats,
 }
 
@@ -370,15 +377,19 @@ pub(crate) struct OrderedFactors {
     /// it from the graph.  Invalidated (`None`) when a structural Bennett
     /// pass changes the pattern underneath it.
     pub reordered: Option<CsrMatrix>,
-    /// The slot layout of the last published block, for as long as the
-    /// factors' pattern is the one it was built from.  The sharing rule, in
-    /// full: [`order_and_factorize`] (re-order, repartition, restore) starts
-    /// without one, a Bennett pass that reported a structural insert or
-    /// removal drops it, a frozen-pattern pass never does, a rebuild installs
-    /// the structure it factorized over.
-    published_structure: Option<Arc<LuStructure>>,
-    /// The flat factors a rebuild produced, until the next
-    /// [`OrderedFactors::publish`] hands them over as the block itself.
+    /// The last published block, for as long as the factors' pattern is the
+    /// one it was frozen with: the structure the next freeze shares, and
+    /// what a frozen-pattern pass copies and rewrites into the next block.
+    /// The sharing rule, in full: [`order_and_factorize`] (re-order,
+    /// repartition, restore) starts without one, a Bennett pass that
+    /// reported a structural insert or removal drops it, every
+    /// [`OrderedFactors::publish`] records the block it handed out — a
+    /// frozen-pattern pass's on the structure it started from, a rebuild's
+    /// on the structure it factorized over.
+    published: Option<Arc<DecomposedMatrix>>,
+    /// The flat factors a rebuild or a frozen-pattern pass produced, until
+    /// the next [`OrderedFactors::publish`] hands them over as the block
+    /// itself.
     rebuilt: Option<LuFactors>,
     /// Multiply-adds of a numeric factorization down the pattern the factors
     /// had when they were last factorized as a whole (fill a sweep added
@@ -411,7 +422,7 @@ impl OrderedFactors {
             factors,
             reference_nnz,
             reordered,
-            published_structure: None,
+            published: None,
             rebuilt: None,
             reach: PRIOR_REACH,
         }
@@ -425,23 +436,28 @@ impl OrderedFactors {
 
     /// Freezes the current factors into a shared snapshot handle — once per
     /// advance that touched the block, never for untouched blocks, never in
-    /// `snapshot()` itself.  The block is flat static storage: the rebuilt
-    /// factors themselves after a rebuild, else a freeze of the live lists
-    /// ([`DynamicLuFactors::freeze`]) — a copy of the values over the
-    /// previous publish's structure while the pattern stands, an `O(nnz)`
-    /// structure rebuild after it moved.  `id` is the snapshot id the block
-    /// is current as of, recorded as its [`DecomposedMatrix::index`].
+    /// `snapshot()` itself.  The block is flat static storage: the factors a
+    /// rebuild or a frozen-pattern pass wrote, handed over as they are, else
+    /// a freeze of the live lists ([`DynamicLuFactors::freeze`]) — a copy of
+    /// the values over the previous publish's structure while the pattern
+    /// stands, an `O(nnz)` structure rebuild after it moved.  `id` is the
+    /// snapshot id the block is current as of, recorded as its
+    /// [`DecomposedMatrix::index`].
     pub(crate) fn publish(&mut self, id: u64) -> LuResult<Arc<DecomposedMatrix>> {
         let frozen = match self.rebuilt.take() {
             Some(rebuilt) => rebuilt,
-            None => self.factors.freeze(self.published_structure.as_ref())?,
+            None => {
+                let published = self.published.as_deref().and_then(static_factors);
+                self.factors.freeze(published.map(LuFactors::structure))?
+            }
         };
-        self.published_structure = Some(Arc::clone(frozen.structure()));
-        Ok(Arc::new(DecomposedMatrix {
+        let block = Arc::new(DecomposedMatrix {
             index: id as usize,
             ordering: Arc::clone(&self.ordering),
             factors: Some(MatrixFactors::Static(frozen)),
-        }))
+        });
+        self.published = Some(Arc::clone(&block));
+        Ok(block)
     }
 
     /// The one maintenance decision: which arm absorbs this shard's slice of
@@ -458,7 +474,10 @@ impl OrderedFactors {
     ///    budget re-orders — this batch is absorbed by the fresh
     ///    factorization, no work is spent on factors about to be dropped;
     /// 2. a value-only slice ([`DeltaClass::ValueOnly`] against the live
-    ///    factor pattern) takes the pattern-frozen pass;
+    ///    factor pattern) takes the pattern-frozen pass — the only arm such
+    ///    a slice can take, so its prediction, the full pass over the
+    ///    block's elimination work, is never weighed against another arm and
+    ///    stays an upper bound on the reach the pass recomputes;
     /// 3. a structural slice takes the cheaper of Bennett sweeps — one per
     ///    changed column, each predicted at this shard's running share of
     ///    the factor entries a sweep touches — and a rebuild under the held
@@ -525,6 +544,7 @@ impl OrderedFactors {
             arm: decision.arm,
             predicted_cost: decision.predicted_cost,
             actual_work: 0,
+            rows_refactored: 0,
             bennett: BennettStats::default(),
         };
         let done = match decision.arm {
@@ -544,7 +564,7 @@ impl OrderedFactors {
                 span.stop();
                 swept.map(|bennett| {
                     if self.factors.structural_stats().modifications() != pattern_before {
-                        self.published_structure = None;
+                        self.published = None;
                     }
                     if bennett.rank_one_updates > 0 {
                         let share = bennett.entries_touched as f64
@@ -574,10 +594,17 @@ impl OrderedFactors {
                     .as_ref()
                     // lint: allow(panic-surface) — ensured two branches up.
                     .expect("reordered-matrix cache was just ensured");
+                let changed: Vec<usize> = delta.iter().map(|&(i, ..)| i).collect();
+                let published = self.published.as_deref().and_then(static_factors);
                 let span = telemetry.span(Stage::ShardRefactor);
-                let refactored = refactor_frozen(&mut self.factors, cached, rws);
+                let refactored =
+                    refactor_published(&mut self.factors, published, cached, &changed, rws);
                 span.stop();
-                refactored.map(|stats| stats.multiply_adds)
+                refactored.map(|(block, stats)| {
+                    self.rebuilt = Some(block);
+                    outcome.rows_refactored = stats.rows_refactored;
+                    stats.multiply_adds
+                })
             }
             MaintenanceArm::Rebuild => {
                 // The batch moved the pattern, so the matrix comes from the
@@ -587,7 +614,6 @@ impl OrderedFactors {
                 let rebuilt = rebuild_under_ordering(&matrix).map(|(factors, stats)| {
                     self.factors.assign_static(&factors);
                     self.reordered = Some(matrix);
-                    self.published_structure = Some(Arc::clone(factors.structure()));
                     self.rebuilt = Some(factors);
                     self.elimination_work = stats.multiply_adds;
                     stats.multiply_adds
@@ -604,9 +630,10 @@ impl OrderedFactors {
         outcome.actual_work = match done {
             Ok(work) => work,
             Err(err) => {
-                // A failed sweep or frozen pass leaves the factors partially
-                // rewritten, so the only sound fallback is a fresh ordering
-                // and factorization.
+                // A failed sweep leaves the factors partially rewritten, and
+                // a failed frozen pass or rebuild says the held ordering no
+                // longer serves this matrix: the only sound fallback is a
+                // fresh ordering and factorization.
                 if decision.arm != MaintenanceArm::BennettSweep {
                     let reason = match err {
                         LuError::SingularPivot { .. } => FallbackReason::Pivot,
@@ -660,6 +687,37 @@ impl OrderedFactors {
         });
         Ok(())
     }
+}
+
+/// The flat factors of a published block.
+fn static_factors(block: &DecomposedMatrix) -> Option<&LuFactors> {
+    match block.factors.as_ref()? {
+        MatrixFactors::Static(factors) => Some(factors),
+        MatrixFactors::Dynamic(_) => None,
+    }
+}
+
+/// The frozen-pattern arm's pass as the engine runs it: over a copy of
+/// `published`, the shard's last published block (a freeze of `lists` when
+/// there is none), recomputing only the elimination reach of the `changed`
+/// rows when the block's structure is closed under elimination.  On success
+/// the rows it recomputed are copied into `lists`, which stay bit-identical
+/// to the block, and the copy is returned as the next block to publish; on
+/// failure nothing is written — neither `lists` nor any published block.
+fn refactor_published(
+    lists: &mut DynamicLuFactors,
+    published: Option<&LuFactors>,
+    matrix: &CsrMatrix,
+    changed: &[usize],
+    rws: &mut RefactorWorkspace,
+) -> LuResult<(LuFactors, RefactorStats)> {
+    let mut block = match published {
+        Some(published) => published.clone(),
+        None => lists.freeze(None)?,
+    };
+    let stats = refactor_frozen_reach(&mut block, matrix, Some(changed), rws)?;
+    lists.assign_static_rows(&block, rws.refactored_rows())?;
+    Ok((block, stats))
 }
 
 /// Orders `matrix`, factorizes it, and packages the bookkeeping — the one
@@ -1131,6 +1189,71 @@ mod tests {
         for (got, want) in x.iter().zip(&expected) {
             assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
         }
+    }
+
+    #[test]
+    fn a_failed_frozen_pass_writes_neither_the_lists_nor_the_published_block() {
+        use clude_sparse::CooMatrix;
+        let matrix = |entries: &[(usize, usize, f64)]| {
+            let mut coo = CooMatrix::new(3, 3);
+            for &(i, j, v) in entries {
+                coo.push(i, j, v).unwrap();
+            }
+            CsrMatrix::from_coo(&coo)
+        };
+        let bits = |entries: Vec<(usize, usize, f64)>| {
+            entries
+                .into_iter()
+                .map(|(i, j, v)| (i, j, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        // A diagonal block, ordered as it stands and published.  The next
+        // matrix rewrites both changed rows: row 0 passes, row 1's pivot is
+        // zero — the pass fails after it rewrote row 0 of its copy.
+        let mut of =
+            order_and_factorize(&matrix(&[(0, 0, 5.0), (1, 1, 2.0), (2, 2, 2.0)])).unwrap();
+        assert_eq!(of.row_old_to_new, vec![0, 1, 2]);
+        let block = of.publish(0).unwrap();
+        let published = static_factors(&block).unwrap();
+        let (lists_before, block_before) = (
+            bits(of.factors.export_entries()),
+            bits(published.export_entries()),
+        );
+        let next = matrix(&[(0, 0, 6.0), (1, 1, 0.0), (2, 2, 2.0)]);
+        let mut rws = RefactorWorkspace::new();
+        let err = refactor_published(&mut of.factors, Some(published), &next, &[0, 1], &mut rws)
+            .unwrap_err();
+        assert!(matches!(err, LuError::SingularPivot { index: 1, .. }));
+        assert_eq!(bits(of.factors.export_entries()), lists_before);
+        assert_eq!(bits(published.export_entries()), block_before);
+        // Through the arm: the same failure ends in a journalled re-order (of
+        // the block's matrix as the graph has it), and the block snapshots
+        // hold is still the one they were served.
+        let telemetry = TelemetryRegistry::new(clude_telemetry::TelemetryConfig::default());
+        let delta = [(0, 0, 5.0, 6.0), (1, 1, 2.0, 0.0)];
+        let outcome = of
+            .maintain(
+                MaintenanceDecision {
+                    arm: MaintenanceArm::FrozenRefactor,
+                    predicted_cost: 0.0,
+                },
+                &mut BennettWorkspace::new(),
+                &mut rws,
+                &delta,
+                &telemetry,
+                0,
+                || matrix(&[(0, 0, 6.0), (1, 1, 3.0), (2, 2, 2.0)]),
+            )
+            .unwrap();
+        assert_eq!(outcome.arm, MaintenanceArm::Reorder);
+        assert_eq!(outcome.rows_refactored, 0);
+        assert_eq!(
+            telemetry
+                .journal()
+                .count_of(clude_telemetry::EventKind::RefactorFallback),
+            1
+        );
+        assert_eq!(bits(published.export_entries()), block_before);
     }
 
     /// The set-per-source body `global_matrix_delta` had before it walked

@@ -190,11 +190,32 @@ fn ingest_apply_contains_its_child_stages_on_a_four_shard_run() {
         apply.sum(),
         inside
     );
-    let clock = engine.stats().ingest_time.as_nanos() as u64;
+    let stats = engine.stats();
+    let clock = stats.ingest_time.as_nanos() as u64;
     assert!(
         clock >= apply.sum(),
         "ingest clock {clock} ns < ingest.apply"
     );
+
+    // The removals were frozen-pattern passes: the share of their blocks'
+    // rows they recomputed is on the `arms |` line and, as the two counters
+    // it is the ratio of, in the exposition.
+    assert!(stats.frozen_block_rows > 0);
+    assert!(stats.frozen_rows_refactored > 0);
+    assert!(stats.frozen_rows_refactored <= stats.frozen_block_rows);
+    let share = format!("refactor-rows {:>5.1}%", 100.0 * stats.frozen_row_share());
+    assert!(stats.to_string().contains(&share), "{stats}");
+    let dump = engine.render_prometheus();
+    for (metric, value) in [
+        (
+            "clude_frozen_rows_refactored_total",
+            stats.frozen_rows_refactored,
+        ),
+        ("clude_frozen_block_rows_total", stats.frozen_block_rows),
+    ] {
+        let line = format!("{metric} {value}\n");
+        assert!(dump.contains(&line), "missing {line}");
+    }
 }
 
 #[test]

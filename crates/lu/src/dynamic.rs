@@ -72,7 +72,38 @@ impl DynamicLuFactors {
         self.diag_hint = 0;
     }
 
+    /// Copies the values of `rows` from `factors`, whose pattern on those
+    /// rows must be these lists' pattern — how the engine brings its live
+    /// factors in line with the block a reach-limited frozen-pattern pass
+    /// wrote ([`crate::refactor_frozen_reach`]), touching no other row.
+    /// Every row's length is checked before anything is written: a row that
+    /// disagrees is an [`LuError::EntryOutsideStructure`] and nothing
+    /// changes.
+    pub fn assign_static_rows(&mut self, factors: &LuFactors, rows: &[usize]) -> LuResult<()> {
+        if factors.n() != self.n {
+            return Err(LuError::DimensionMismatch {
+                expected: self.n,
+                actual: factors.n(),
+            });
+        }
+        if let Some(&i) = rows
+            .iter()
+            .find(|&&i| self.values.row_cols(i).len() != factors.row_values(i).len())
+        {
+            return Err(LuError::EntryOutsideStructure { row: i, col: i });
+        }
+        for &i in rows {
+            debug_assert_eq!(self.values.row_cols(i), factors.structure().row_cols(i));
+            self.values
+                .row_mut(i)
+                .1
+                .copy_from_slice(factors.row_values(i));
+        }
+        Ok(())
+    }
+
     /// Matrix order.
+    #[inline]
     pub fn n(&self) -> usize {
         self.n
     }
@@ -143,12 +174,14 @@ impl DynamicLuFactors {
 
     /// Sorted `(columns, values)` slices of combined-factor row `i`
     /// (`L` strictly left of the diagonal, `U` from it rightwards).
+    #[inline]
     pub(crate) fn row_entries(&self, i: usize) -> (&[usize], &[f64]) {
         self.values.row(i)
     }
 
     /// Mutable values of row `i` alongside its (immutable) sorted columns:
     /// numeric rewrites only, the structure cannot change through this view.
+    #[inline]
     pub(crate) fn row_entries_mut(&mut self, i: usize) -> (&[usize], &mut [f64]) {
         self.values.row_mut(i)
     }

@@ -120,15 +120,23 @@ impl LuFactors {
     }
 
     /// Values of row `i`'s slots, parallel to [`LuStructure::row_cols`].
+    #[inline]
     pub(crate) fn row_values(&self, i: usize) -> &[f64] {
         &self.values[self.structure.row_range(i)]
     }
 
     /// Mutable values of row `i`'s slots, parallel to
     /// [`LuStructure::row_cols`].
+    #[inline]
     pub(crate) fn row_values_mut(&mut self, i: usize) -> &mut [f64] {
+        self.row_entries_mut(i).1
+    }
+
+    /// Row `i`'s columns beside a mutable view of its values.
+    #[inline]
+    pub(crate) fn row_entries_mut(&mut self, i: usize) -> (&[usize], &mut [f64]) {
         let range = self.structure.row_range(i);
-        &mut self.values[range]
+        (self.structure.row_cols(i), &mut self.values[range])
     }
 
     /// Every slot as `(row, col, value)`, row-major with ascending columns
@@ -148,11 +156,13 @@ impl LuFactors {
     }
 
     /// The shared structure underlying these factors.
+    #[inline]
     pub fn structure(&self) -> &Arc<LuStructure> {
         &self.structure
     }
 
     /// Matrix order `n`.
+    #[inline]
     pub fn n(&self) -> usize {
         self.structure.n()
     }

@@ -16,8 +16,10 @@
 //!   (the SuiteSparse-AMD idea), selected against Markowitz per shard by
 //!   predicted symbolic size.
 //! * [`refactor`] — pattern-frozen refactorization: redo the numerics down
-//!   the existing symbolic pattern in one pass (the KLU `refactor` idea),
-//!   the bulk alternative to per-entry Bennett sweeps for value-only deltas.
+//!   the existing symbolic pattern in one pass (the KLU `refactor` idea) —
+//!   over a structure closed under elimination, only the changed rows'
+//!   elimination reach — the bulk alternative to per-entry Bennett sweeps
+//!   for value-only deltas.
 //! * [`rebuild`] — refactorization under a held ordering: symbolic pass,
 //!   fresh static structure, guarded numeric pass — the bulk alternative to
 //!   Bennett sweeps for structural deltas that change many columns.
@@ -74,7 +76,10 @@ pub use ordering::{
     OrderingResult,
 };
 pub use rebuild::{rebuild_under_ordering, RebuildStats};
-pub use refactor::{refactor_frozen, RefactorStats, RefactorWorkspace, PIVOT_DEGRADE_TOL};
+pub use refactor::{
+    refactor_frozen, refactor_frozen_reach, FrozenRows, RefactorStats, RefactorWorkspace,
+    PIVOT_DEGRADE_TOL,
+};
 pub use solve::{
     solve_original, solve_original_into, solve_original_many_into, PanelScratch, SolveScratch,
     TriangularSolve,

@@ -9,11 +9,28 @@
 //! of flops *total* instead of one partial sweep *per changed entry*, and it
 //! performs no structural probes or insertions at all.
 //!
-//! [`refactor_frozen`] is that pass.  It consumes the updated matrix (in
-//! factor coordinates, i.e. already reordered) and rewrites the values of a
-//! [`DynamicLuFactors`] in place through the mutable-row view — the adjacency
-//! lists themselves are never touched.  Three things abort the pass, and each
-//! maps onto a distinct engine fallback:
+//! [`refactor_frozen_reach`] is that pass, one body over either row storage
+//! ([`FrozenRows`]): the engine's live [`DynamicLuFactors`] lists or a flat
+//! [`LuFactors`] block.  It consumes the updated matrix (in factor
+//! coordinates, i.e. already reordered) and rewrites values only — the
+//! stored pattern never changes.  [`refactor_frozen`] is its full pass.
+//!
+//! **Only the elimination reach.**  Given the rows whose matrix row changed,
+//! the pass recomputes their reach and nothing else: a row is in the reach if
+//! its matrix row changed or if an `L` column of its stored pattern is in the
+//! reach.  That is exact when the storage's structure is closed under
+//! elimination ([`LuStructure::is_elimination_closed`]): row `i` of the
+//! factors is then a function of row `i` of the matrix and of the `U` rows
+//! its `L` slots name, so a row outside the reach would be recomputed from
+//! the very inputs that produced it — it keeps its values, bit for bit, and
+//! the guard verdicts it was written under.  Storage without a closed
+//! structure (the dynamic lists; a block frozen after a sweep spliced fill in
+//! or kept a stored zero out) takes the full pass.  The reach is walked down
+//! [`LuStructure::lower_col`] through the workspace's sorted pivot queue, so
+//! it costs what it reaches.
+//!
+//! Three things abort the pass, and each maps onto a distinct engine
+//! fallback:
 //!
 //! * an input entry outside the stored pattern
 //!   ([`LuError::EntryOutsideStructure`]) — the batch was mis-classified as
@@ -21,22 +38,31 @@
 //! * elimination fill landing outside the stored pattern above
 //!   [`FILL_DROP_TOL`] ([`LuError::FillOutsideStructure`]) — the frozen
 //!   pattern no longer covers this matrix (possible after stored-zero slots
-//!   were dropped by earlier sweeps); refresh re-derives the pattern;
+//!   were dropped by earlier sweeps; never over a closed structure);
+//!   refresh re-derives the pattern;
 //! * a pivot collapsing below [`SINGULAR_TOL`] or degrading past
 //!   [`PIVOT_DEGRADE_TOL`] relative to its row
 //!   ([`LuError::SingularPivot`]) — numerics demand a fresh factorization
 //!   with a new ordering.
 //!
-//! On error the factors hold partially rewritten values (the structure is
-//! intact but rows before the failure point already carry new numbers), so
-//! the caller **must** rebuild them via a full refresh — which is exactly
-//! what the engine's fallback path does.
+//! **A failure writes nothing the engine keeps.**  The pass rewrites each
+//! row in place once it passed its guards, so on error the rows before the
+//! failing one already hold new values and the storage it ran on must be
+//! discarded.  The engine runs it on a copy of the shard's last published
+//! block — the copy *is* the next block on success — and copies the
+//! recomputed rows into its live lists only afterwards, so a failed pass
+//! leaves the live lists and every published block exactly as they were,
+//! and the fallback re-orders from intact state.  Only the rows the pass
+//! recomputes are checked: a caller that names the changed rows must name
+//! every one (a row left out is taken to hold the matrix row its factors
+//! were computed from).
 
 // lint: hot-path
 
 use crate::dynamic::DynamicLuFactors;
 use crate::error::{LuError, LuResult};
-use crate::factors::SINGULAR_TOL;
+use crate::factors::{LuFactors, SINGULAR_TOL};
+use crate::structure::LuStructure;
 use clude_sparse::CsrMatrix;
 
 /// Magnitude below which elimination fill landing outside the frozen pattern
@@ -51,7 +77,8 @@ pub const PIVOT_DEGRADE_TOL: f64 = 1e-12;
 /// Work counters for one frozen-pattern refactorization.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefactorStats {
-    /// Rows whose values were recomputed (the matrix order on success).
+    /// Rows whose values were recomputed: the elimination reach of the
+    /// changed rows, or the matrix order for a full pass.
     pub rows_refactored: usize,
     /// Factor slots rewritten.
     pub entries_written: usize,
@@ -62,9 +89,89 @@ pub struct RefactorStats {
     pub multiply_adds: u64,
 }
 
-/// Reusable scratch for [`refactor_frozen`]: one dense epoch-stamped row
-/// workspace plus the pending-pivot queue, retained across calls so the
-/// steady-state pass is allocation-free (the same discipline as
+/// Row-major factor storage a frozen-pattern pass runs over.  The pattern
+/// is read, never changed: [`FrozenRows::row_mut`] lends out values only.
+pub trait FrozenRows {
+    /// Matrix order.
+    fn order(&self) -> usize;
+    /// Sorted columns and their values of combined-factor row `i` (`L`
+    /// strictly left of the diagonal, `U` from it rightwards).
+    fn row(&self, i: usize) -> (&[usize], &[f64]);
+    /// Row `i`'s sorted columns beside a mutable view of its values.
+    fn row_mut(&mut self, i: usize) -> (&[usize], &mut [f64]);
+    /// Position of the diagonal among `cols`, row `k`'s columns, `None`
+    /// when the row does not store it.
+    fn diag_pos(&self, k: usize, cols: &[usize]) -> Option<usize>;
+    /// The storage's slot layout when it is closed under elimination — what
+    /// lets a pass skip the rows outside the reach — else `None`.
+    fn closed_structure(&self) -> Option<&LuStructure>;
+}
+
+/// The live lists: the diagonal is searched for, and no closed layout is
+/// known, so every pass over them is a full pass.
+impl FrozenRows for DynamicLuFactors {
+    #[inline]
+    fn order(&self) -> usize {
+        self.n()
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> (&[usize], &[f64]) {
+        self.row_entries(i)
+    }
+
+    #[inline]
+    fn row_mut(&mut self, i: usize) -> (&[usize], &mut [f64]) {
+        self.row_entries_mut(i)
+    }
+
+    #[inline]
+    fn diag_pos(&self, k: usize, cols: &[usize]) -> Option<usize> {
+        let pos = cols.partition_point(|&c| c < k);
+        (cols.get(pos) == Some(&k)).then_some(pos)
+    }
+
+    #[inline]
+    fn closed_structure(&self) -> Option<&LuStructure> {
+        None
+    }
+}
+
+/// A flat block: the diagonal's position comes from the structure's
+/// `diag_slot`, and the structure answers whether it is closed.
+impl FrozenRows for LuFactors {
+    #[inline]
+    fn order(&self) -> usize {
+        self.n()
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> (&[usize], &[f64]) {
+        (self.structure().row_cols(i), self.row_values(i))
+    }
+
+    #[inline]
+    fn row_mut(&mut self, i: usize) -> (&[usize], &mut [f64]) {
+        self.row_entries_mut(i)
+    }
+
+    #[inline]
+    fn diag_pos(&self, k: usize, _cols: &[usize]) -> Option<usize> {
+        let structure = self.structure();
+        Some(structure.diag_slot(k) - structure.row_range(k).start)
+    }
+
+    #[inline]
+    fn closed_structure(&self) -> Option<&LuStructure> {
+        let structure = self.structure().as_ref();
+        structure.is_elimination_closed().then_some(structure)
+    }
+}
+
+/// Reusable scratch for [`refactor_frozen_reach`]: one dense epoch-stamped
+/// row workspace plus the pending-pivot queue and the rows a pass
+/// recomputes, retained across calls so the steady-state pass is
+/// allocation-free (the same discipline as
 /// [`crate::bennett::BennettWorkspace`]).
 #[derive(Debug, Clone, Default)]
 pub struct RefactorWorkspace {
@@ -77,6 +184,8 @@ pub struct RefactorWorkspace {
     /// `pending[..pending_pos]` is already processed.
     pending: Vec<usize>,
     pending_pos: usize,
+    /// The rows the current (or last successful) pass recomputes, ascending.
+    rows: Vec<usize>,
 }
 
 impl RefactorWorkspace {
@@ -97,6 +206,13 @@ impl RefactorWorkspace {
         self.work.len()
     }
 
+    /// The rows the last successful pass recomputed, ascending (empty after
+    /// a failed one).
+    pub fn refactored_rows(&self) -> &[usize] {
+        &self.rows
+    }
+
+    #[inline]
     fn grow(&mut self, n: usize) {
         if self.work.len() < n {
             self.work.resize(n, 0.0);
@@ -104,7 +220,43 @@ impl RefactorWorkspace {
         }
     }
 
+    /// Fills `rows` with what the pass recomputes: the elimination reach of
+    /// `changed` over a closed structure, every row otherwise.
+    fn plan<S: FrozenRows + ?Sized>(
+        &mut self,
+        factors: &S,
+        changed: Option<&[usize]>,
+    ) -> LuResult<()> {
+        let n = factors.order();
+        self.rows.clear();
+        let (Some(changed), Some(structure)) = (changed, factors.closed_structure()) else {
+            self.rows.extend(0..n);
+            return Ok(());
+        };
+        // Popped in ascending order, and every row a popped row pushes lies
+        // below it: the queue's processed prefix ends up the reach, sorted.
+        self.pending.clear();
+        self.pending_pos = 0;
+        for &i in changed {
+            if i >= n {
+                return Err(LuError::DimensionMismatch {
+                    expected: n,
+                    actual: i + 1,
+                });
+            }
+            self.pending_push(i);
+        }
+        while let Some(k) = self.pending_pop() {
+            for &i in structure.lower_col(k).0 {
+                self.pending_push(i);
+            }
+        }
+        std::mem::swap(&mut self.rows, &mut self.pending);
+        Ok(())
+    }
+
     /// Readies the workspace for one row of order-`n` elimination.
+    #[inline]
     fn begin_row(&mut self, n: usize) {
         self.grow(n);
         self.epoch = self.epoch.wrapping_add(1);
@@ -147,8 +299,10 @@ impl RefactorWorkspace {
         Some(k)
     }
 
-    /// Queues pivot `k`; sweep insertions always satisfy `k >` the last
-    /// popped pivot, so only the unprocessed tail is searched.
+    /// Queues pivot `k` unless it is already queued; insertions always
+    /// satisfy `k >` the last popped pivot, so only the unprocessed tail is
+    /// searched.
+    #[inline]
     fn pending_push(&mut self, k: usize) {
         debug_assert!(self.pending_pos == 0 || k > self.pending[self.pending_pos - 1]);
         if let Err(pos) = self.pending[self.pending_pos..].binary_search(&k) {
@@ -158,129 +312,167 @@ impl RefactorWorkspace {
 }
 
 /// Recomputes the values of `factors` so they factorize `a`, without changing
-/// the stored pattern.  `a` must be given in the factors' own (reordered)
-/// coordinates.  See the module docs for the failure contract.
-pub fn refactor_frozen(
-    factors: &mut DynamicLuFactors,
+/// the stored pattern: the full pass of [`refactor_frozen_reach`].  `a` must
+/// be given in the factors' own (reordered) coordinates.  See the module docs
+/// for the failure contract.
+pub fn refactor_frozen<S: FrozenRows + ?Sized>(
+    factors: &mut S,
     a: &CsrMatrix,
     ws: &mut RefactorWorkspace,
 ) -> LuResult<RefactorStats> {
-    let n = factors.n();
+    refactor_frozen_reach(factors, a, None, ws)
+}
+
+/// Recomputes the values of `factors` so they factorize `a` — given in the
+/// factors' own (reordered) coordinates — without changing the stored
+/// pattern.
+///
+/// `changed` names every row in which `a` differs from the matrix the
+/// factors currently hold (any order, repeats allowed).  Over a structure
+/// closed under elimination only those rows' elimination reach is
+/// recomputed and every other row keeps its values; without `changed`, or
+/// over any other storage, every row is.  The rows recomputed are
+/// [`RefactorWorkspace::refactored_rows`] afterwards.  See the module docs
+/// for the exactness rule and the failure contract.
+pub fn refactor_frozen_reach<S: FrozenRows + ?Sized>(
+    factors: &mut S,
+    a: &CsrMatrix,
+    changed: Option<&[usize]>,
+    ws: &mut RefactorWorkspace,
+) -> LuResult<RefactorStats> {
+    let n = factors.order();
     if a.n_rows() != n || a.n_cols() != n {
         return Err(LuError::DimensionMismatch {
             expected: n,
             actual: a.n_rows(),
         });
     }
+    ws.plan(&*factors, changed)?;
     let mut stats = RefactorStats::default();
-    for i in 0..n {
-        ws.begin_row(n);
-        // Scatter row i of A.  Every input entry must sit on a stored slot —
-        // anything else means the batch was not value-only after all.  Both
-        // column lists ascend, so membership is one merge walk down the row.
-        let (cols, vals) = a.row(i);
-        let stored = factors.row_entries(i).0;
-        let mut pos = 0;
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            while stored.get(pos).is_some_and(|&c| c < j) {
-                pos += 1;
-            }
-            if stored.get(pos) != Some(&j) {
-                return Err(LuError::EntryOutsideStructure { row: i, col: j });
-            }
-            ws.touch(j);
-            ws.work[j] = v;
-            if j < i {
-                ws.pending_push(j);
-            }
+    for r in 0..ws.rows.len() {
+        let i = ws.rows[r];
+        if let Err(err) = refactor_row(factors, a, i, ws, &mut stats) {
+            ws.rows.clear();
+            return Err(err);
         }
-        // Eliminate against the already-recomputed rows of U, in ascending
-        // pivot order; fill spawned left of the diagonal re-enters the queue.
-        while let Some(k) = ws.pending_pop() {
-            let (kcols, kvals) = factors.row_entries(k);
-            let diag_pos = kcols.partition_point(|&c| c < k);
-            let ukk = if kcols.get(diag_pos) == Some(&k) {
-                kvals[diag_pos]
-            } else {
-                0.0
-            };
-            if !ukk.is_finite() || ukk.abs() < SINGULAR_TOL {
-                return Err(LuError::SingularPivot {
-                    index: k,
-                    value: ukk,
-                });
-            }
-            let lik = ws.get(k) / ukk;
-            ws.work[k] = lik;
-            if lik == 0.0 {
-                continue;
-            }
-            stats.eliminations += 1;
-            stats.multiply_adds += (kcols.len() - diag_pos - 1) as u64;
-            for (&j, &ukj) in kcols[diag_pos + 1..].iter().zip(&kvals[diag_pos + 1..]) {
-                if ukj == 0.0 {
-                    continue;
-                }
-                if ws.touch(j) && j < i {
-                    ws.pending_push(j);
-                }
-                ws.work[j] -= lik * ukj;
-            }
-        }
-        // Pivot health: absolute floor plus relative degradation against the
-        // largest magnitude the elimination produced in this row.
-        let pivot = ws.get(i);
-        let row_max = ws
-            .touched
-            .iter()
-            .map(|&j| ws.work[j].abs())
-            .fold(0.0f64, f64::max);
-        if !pivot.is_finite()
-            || pivot.abs() < SINGULAR_TOL
-            || pivot.abs() < PIVOT_DEGRADE_TOL * row_max
-        {
-            return Err(LuError::SingularPivot {
-                index: i,
-                value: pivot,
-            });
-        }
-        // Fill escaping the frozen pattern?  Tolerate noise, abort otherwise.
-        // One pass down the stored row counts the touched columns it covers;
-        // only when some touched column is left over (rare) is each one
-        // looked up to find the escapee.
-        let row_cols = factors.row_entries(i).0;
-        let epoch = ws.epoch;
-        let covered = row_cols.iter().filter(|&&j| ws.stamp[j] == epoch).count();
-        if covered != ws.touched.len() {
-            for t in 0..ws.touched.len() {
-                let j = ws.touched[t];
-                let v = ws.work[j];
-                if v != 0.0 && row_cols.binary_search(&j).is_err() && v.abs() > FILL_DROP_TOL {
-                    return Err(LuError::FillOutsideStructure {
-                        row: i,
-                        col: j,
-                        magnitude: v.abs(),
-                    });
-                }
-                // Sub-tolerance fill outside the pattern is dropped, matching
-                // the Bennett sweep.
-            }
-        }
-        // Gather: rewrite every stored slot of row i in place.  Slots the
-        // elimination never reached are genuinely zero in the new factors
-        // (stored zeros keep their node — the pattern is frozen).
-        let (cols, vals_mut) = factors.row_entries_mut(i);
-        for (pos, &j) in cols.iter().enumerate() {
-            vals_mut[pos] = if ws.stamp[j] == epoch {
-                ws.work[j]
-            } else {
-                0.0
-            };
-        }
-        stats.entries_written += cols.len();
-        stats.rows_refactored += 1;
     }
     Ok(stats)
+}
+
+/// Recomputes row `i` in place, eliminating against the rows above it as
+/// the storage holds them — rewritten already when they are in the pass.
+fn refactor_row<S: FrozenRows + ?Sized>(
+    factors: &mut S,
+    a: &CsrMatrix,
+    i: usize,
+    ws: &mut RefactorWorkspace,
+    stats: &mut RefactorStats,
+) -> LuResult<()> {
+    ws.begin_row(factors.order());
+    // Scatter row i of A.  Every input entry must sit on a stored slot —
+    // anything else means the batch was not value-only after all.  Both
+    // column lists ascend, so membership is one merge walk down the row.
+    let (cols, vals) = a.row(i);
+    let stored = factors.row(i).0;
+    let mut pos = 0;
+    for (&j, &v) in cols.iter().zip(vals.iter()) {
+        while stored.get(pos).is_some_and(|&c| c < j) {
+            pos += 1;
+        }
+        if stored.get(pos) != Some(&j) {
+            return Err(LuError::EntryOutsideStructure { row: i, col: j });
+        }
+        ws.touch(j);
+        ws.work[j] = v;
+        if j < i {
+            ws.pending_push(j);
+        }
+    }
+    // Eliminate against the already-recomputed rows of U, in ascending
+    // pivot order; fill spawned left of the diagonal re-enters the queue.
+    while let Some(k) = ws.pending_pop() {
+        let (kcols, kvals) = factors.row(k);
+        let Some(diag_pos) = factors.diag_pos(k, kcols) else {
+            return Err(LuError::SingularPivot {
+                index: k,
+                value: 0.0,
+            });
+        };
+        let ukk = kvals[diag_pos];
+        if !ukk.is_finite() || ukk.abs() < SINGULAR_TOL {
+            return Err(LuError::SingularPivot {
+                index: k,
+                value: ukk,
+            });
+        }
+        let lik = ws.get(k) / ukk;
+        ws.work[k] = lik;
+        if lik == 0.0 {
+            continue;
+        }
+        stats.eliminations += 1;
+        stats.multiply_adds += (kcols.len() - diag_pos - 1) as u64;
+        for (&j, &ukj) in kcols[diag_pos + 1..].iter().zip(&kvals[diag_pos + 1..]) {
+            if ukj == 0.0 {
+                continue;
+            }
+            if ws.touch(j) && j < i {
+                ws.pending_push(j);
+            }
+            ws.work[j] -= lik * ukj;
+        }
+    }
+    // Pivot health: absolute floor plus relative degradation against the
+    // largest magnitude the elimination produced in this row.
+    let pivot = ws.get(i);
+    let row_max = ws
+        .touched
+        .iter()
+        .map(|&j| ws.work[j].abs())
+        .fold(0.0f64, f64::max);
+    if !pivot.is_finite() || pivot.abs() < SINGULAR_TOL || pivot.abs() < PIVOT_DEGRADE_TOL * row_max
+    {
+        return Err(LuError::SingularPivot {
+            index: i,
+            value: pivot,
+        });
+    }
+    // Fill escaping the frozen pattern?  Tolerate noise, abort otherwise.
+    // One pass down the stored row counts the touched columns it covers;
+    // only when some touched column is left over (rare) is each one looked
+    // up to find the escapee.
+    let row_cols = factors.row(i).0;
+    let epoch = ws.epoch;
+    let covered = row_cols.iter().filter(|&&j| ws.stamp[j] == epoch).count();
+    if covered != ws.touched.len() {
+        for t in 0..ws.touched.len() {
+            let j = ws.touched[t];
+            let v = ws.work[j];
+            if v != 0.0 && row_cols.binary_search(&j).is_err() && v.abs() > FILL_DROP_TOL {
+                return Err(LuError::FillOutsideStructure {
+                    row: i,
+                    col: j,
+                    magnitude: v.abs(),
+                });
+            }
+            // Sub-tolerance fill outside the pattern is dropped, matching the
+            // Bennett sweep.
+        }
+    }
+    // Gather: rewrite every stored slot of row i in place.  Slots the
+    // elimination never reached are genuinely zero in the new factors
+    // (stored zeros keep their slot — the pattern is frozen).
+    let (cols, values) = factors.row_mut(i);
+    for (value, &j) in values.iter_mut().zip(cols) {
+        *value = if ws.stamp[j] == epoch {
+            ws.work[j]
+        } else {
+            0.0
+        };
+    }
+    stats.entries_written += cols.len();
+    stats.rows_refactored += 1;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -453,12 +645,196 @@ mod tests {
             err,
             LuError::FillOutsideStructure { row: 1, col: 2, magnitude } if magnitude == 0.5
         ));
+        assert!(ws.refactored_rows().is_empty());
         // The same fill under FILL_DROP_TOL is noise: dropped, pass succeeds.
         let mut factors = DynamicLuFactors::from_sorted_entries(3, &entries).unwrap();
         refactor_frozen(&mut factors, &matrix(1e-10), &mut ws).unwrap();
         assert_eq!(factors.nnz(), entries.len());
         assert_eq!(factors.l(1, 0), 0.5);
         assert_eq!(factors.u(0, 2), 1e-10);
+    }
+
+    fn bits(entries: &[(usize, usize, f64)]) -> Vec<(usize, usize, u64)> {
+        entries
+            .iter()
+            .map(|&(i, j, v)| (i, j, v.to_bits()))
+            .collect()
+    }
+
+    /// Static factors of `a` over the symbolic closure of its pattern, its
+    /// values rewritten by one full frozen pass over `a` — the state a
+    /// reach-limited pass follows.
+    fn after_a_full_pass(a: &CsrMatrix, ws: &mut RefactorWorkspace) -> LuFactors {
+        let mut factors = crate::factors::factorize_fresh(a).unwrap();
+        assert!(factors.structure().is_elimination_closed());
+        refactor_frozen(&mut factors, a, ws).unwrap();
+        factors
+    }
+
+    #[test]
+    fn a_reach_pass_recomputes_only_the_reach_and_equals_the_full_pass() {
+        // base_matrix's closed structure: rows 1 and 4 hang off column 0,
+        // row 2 off column 1, rows 3 and 4 off column 2, nothing off 3 — so
+        // a change in row 3 reaches row 3 alone and one in row 0 everything.
+        let a = base_matrix();
+        let mut ws = RefactorWorkspace::new();
+        let before = after_a_full_pass(&a, &mut ws);
+        for (delta, reach) in [
+            (vec![(3usize, 2usize, -0.5f64, -0.7f64)], vec![3usize]),
+            (vec![(2, 1, 2.0, 1.5)], vec![2, 3, 4]),
+            (
+                vec![(0, 2, 1.0, 1.25), (3, 3, 11.0, 12.0)],
+                vec![0, 1, 2, 3, 4],
+            ),
+        ] {
+            let a_new = perturbed(&a, &delta);
+            let changed: Vec<usize> = delta.iter().map(|e| e.0).collect();
+            let mut reach_pass = before.clone();
+            let stats =
+                refactor_frozen_reach(&mut reach_pass, &a_new, Some(&changed), &mut ws).unwrap();
+            assert_eq!(ws.refactored_rows(), &reach[..]);
+            assert_eq!(stats.rows_refactored, reach.len());
+            let mut full_pass = before.clone();
+            let full = refactor_frozen(&mut full_pass, &a_new, &mut ws).unwrap();
+            assert_eq!(full.rows_refactored, 5);
+            assert!(stats.multiply_adds <= full.multiply_adds);
+            assert_eq!(
+                bits(&reach_pass.export_entries()),
+                bits(&full_pass.export_entries())
+            );
+            // The rows outside the reach were not written at all.
+            for i in (0..5).filter(|i| !reach.contains(i)) {
+                assert_eq!(reach_pass.row_values(i), before.row_values(i), "row {i}");
+            }
+            // The lists run the same body to the same bits (a full pass: they
+            // know no closed structure).
+            let mut lists =
+                DynamicLuFactors::from_sorted_entries(5, &before.export_entries()).unwrap();
+            let listed = refactor_frozen_reach(&mut lists, &a_new, Some(&changed), &mut ws);
+            assert_eq!(listed.unwrap().rows_refactored, 5);
+            assert_eq!(
+                bits(&lists.export_entries()),
+                bits(&full_pass.export_entries())
+            );
+        }
+        // No changed row, nothing to recompute.
+        let mut untouched = before.clone();
+        let stats = refactor_frozen_reach(&mut untouched, &a, Some(&[]), &mut ws).unwrap();
+        assert_eq!(stats, RefactorStats::default());
+        // A changed row outside the order is refused.
+        assert!(matches!(
+            refactor_frozen_reach(&mut untouched, &a, Some(&[5]), &mut ws),
+            Err(LuError::DimensionMismatch {
+                expected: 5,
+                actual: 6
+            })
+        ));
+    }
+
+    #[test]
+    fn an_open_structure_is_detected_and_takes_the_full_pass() {
+        // The 3×3 example of the fill test as a flat block: L(1, 0) meets
+        // U(0, 2) but (1, 2) has no slot, so the layout is not closed and a
+        // change named in row 0 alone still recomputes every row — where
+        // row 1's fill escapes.
+        let rows: [&[usize]; 3] = [&[0, 2], &[0, 1], &[2]];
+        let structure = LuStructure::from_sorted_rows(3, 5, |i| rows[i])
+            .unwrap()
+            .into_shared();
+        assert!(!structure.is_elimination_closed());
+        let entries = [
+            (0, 0, 4.0),
+            (0, 2, 1e-10),
+            (1, 0, 0.5),
+            (1, 1, 5.0),
+            (2, 2, 6.0),
+        ];
+        let matrix = |a02: f64| {
+            let mut coo = CooMatrix::new(3, 3);
+            for (i, j, v) in [
+                (0, 0, 4.0),
+                (0, 2, a02),
+                (1, 0, 2.0),
+                (1, 1, 5.0),
+                (2, 2, 6.0),
+            ] {
+                coo.push(i, j, v).unwrap();
+            }
+            CsrMatrix::from_coo(&coo)
+        };
+        let mut block = LuFactors::zeroed(structure);
+        for (i, values) in [vec![4.0, 1e-10], vec![0.5, 5.0], vec![6.0]]
+            .into_iter()
+            .enumerate()
+        {
+            block.row_values_mut(i).copy_from_slice(&values);
+        }
+        assert_eq!(bits(&block.export_entries()), bits(&entries));
+        let mut ws = RefactorWorkspace::new();
+        let stats = refactor_frozen_reach(&mut block, &matrix(2e-10), Some(&[0]), &mut ws).unwrap();
+        assert_eq!(stats.rows_refactored, 3);
+        assert_eq!(ws.refactored_rows(), &[0, 1, 2]);
+        assert_eq!(block.u(0, 2), 2e-10);
+        // Above the tolerance the full pass finds the escapee in row 1 —
+        // with row 0 rewritten already, which is why the engine runs the
+        // pass on a copy of its block.
+        let err = refactor_frozen_reach(&mut block, &matrix(1.0), Some(&[0]), &mut ws).unwrap_err();
+        assert!(matches!(
+            err,
+            LuError::FillOutsideStructure { row: 1, col: 2, magnitude } if magnitude == 0.5
+        ));
+        assert_eq!(block.u(0, 2), 1.0);
+        assert!(ws.refactored_rows().is_empty());
+    }
+
+    #[test]
+    fn each_guard_fires_inside_the_reach() {
+        let a = base_matrix();
+        let mut ws = RefactorWorkspace::new();
+        let block = after_a_full_pass(&a, &mut ws);
+        let lists = DynamicLuFactors::from_sorted_entries(5, &block.export_entries()).unwrap();
+        let entries = bits(&block.export_entries());
+        // Every change sits in row 3, whose reach is row 3 alone: (3, 1) has
+        // no slot, and (3, 3) collapses to zero.  The reach pass fails on
+        // the one row it recomputes, before writing it; the lists' full
+        // pass fails at the same row.
+        assert!(!block.structure().contains(3, 1));
+        for (delta, want) in [
+            (
+                (3usize, 1usize, 0.0f64, 2.0f64),
+                LuError::EntryOutsideStructure { row: 3, col: 1 },
+            ),
+            (
+                (3, 3, 11.0, 0.0),
+                LuError::SingularPivot {
+                    index: 3,
+                    value: 0.0,
+                },
+            ),
+        ] {
+            let a_new = perturbed(&a, &[delta]);
+            let mut reach_pass = block.clone();
+            let err = refactor_frozen_reach(&mut reach_pass, &a_new, Some(&[delta.0]), &mut ws)
+                .unwrap_err();
+            assert_eq!(err, want);
+            assert_eq!(bits(&reach_pass.export_entries()), entries);
+            let mut live = lists.clone();
+            let err =
+                refactor_frozen_reach(&mut live, &a_new, Some(&[delta.0]), &mut ws).unwrap_err();
+            assert_eq!(err, want);
+        }
+        // A pivot of 1e-3 beside a stored slot (3, 4) of 1e10: degraded
+        // past PIVOT_DEGRADE_TOL, far above the absolute floor.
+        let degrade = perturbed(&a, &[(3, 3, 11.0, 1e-3), (3, 4, 0.0, 1e10)]);
+        let mut reach_pass = block.clone();
+        let err =
+            refactor_frozen_reach(&mut reach_pass, &degrade, Some(&[3]), &mut ws).unwrap_err();
+        assert!(
+            matches!(err, LuError::SingularPivot { index: 3, value } if value > 1e-4),
+            "{err:?}"
+        );
+        assert_eq!(bits(&reach_pass.export_entries()), entries);
+        assert!(ws.refactored_rows().is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::error::{LuError, LuResult};
 use crate::symbolic::symbolic_decomposition;
 use clude_sparse::SparsityPattern;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An immutable slot layout for the combined LU factors of one (or many)
 /// matrices sharing a symbolic sparsity pattern.
@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// Rows are stored contiguously with sorted column indices; the strictly
 /// lower part of every column is additionally indexed so Bennett's algorithm
 /// can walk "column `k` of `L`" directly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct LuStructure {
     n: usize,
     row_ptr: Vec<usize>,
@@ -33,6 +33,22 @@ pub struct LuStructure {
     lower_col_ptr: Vec<usize>,
     lower_rows: Vec<usize>,
     lower_slots: Vec<usize>,
+    /// [`LuStructure::is_elimination_closed`], computed on first ask.
+    closed: OnceLock<bool>,
+}
+
+/// Two structures are equal when they lay out the same slots; whether either
+/// has been asked about closure yet is not part of the layout.
+impl PartialEq for LuStructure {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.row_ptr == other.row_ptr
+            && self.col_idx == other.col_idx
+            && self.diag_slot == other.diag_slot
+            && self.lower_col_ptr == other.lower_col_ptr
+            && self.lower_rows == other.lower_rows
+            && self.lower_slots == other.lower_slots
+    }
 }
 
 impl LuStructure {
@@ -127,10 +143,41 @@ impl LuStructure {
             lower_col_ptr,
             lower_rows,
             lower_slots,
+            closed: OnceLock::new(),
+        })
+    }
+
+    /// Whether the layout is closed under elimination: for every stored
+    /// `L` slot `(i, k)` and every stored `U` slot `(k, j)` past `k`'s
+    /// diagonal, `(i, j)` is stored too.  Then eliminating row `i` of any
+    /// matrix the layout covers never leaves row `i`'s slots, so the row's
+    /// factors depend on the matrix's row `i` and on the `U` rows its `L`
+    /// slots name, and on nothing else — what lets a frozen-pattern pass
+    /// recompute only the elimination reach of the rows a batch changed
+    /// ([`crate::refactor_frozen_reach`]).
+    ///
+    /// A symbolic closure ([`LuStructure::from_pattern`], a rebuild's
+    /// structure) always is; a layout frozen from dynamic lists after a
+    /// Bennett sweep spliced fill in, or kept a stored zero out, may not be.
+    /// Learned once per structure, at `O(nnz + elimination work)`, and
+    /// remembered: every block sharing the `Arc` reads the same answer.
+    pub fn is_elimination_closed(&self) -> bool {
+        *self.closed.get_or_init(|| {
+            // `mark[j] == i` while row i's columns are marked.
+            let mut mark = vec![usize::MAX; self.n];
+            (0..self.n).all(|i| {
+                for &j in self.row_cols(i) {
+                    mark[j] = i;
+                }
+                self.col_idx[self.row_ptr[i]..self.diag_slot[i]]
+                    .iter()
+                    .all(|&k| self.upper_row_cols(k).iter().all(|&j| mark[j] == i))
+            })
         })
     }
 
     /// Matrix order `n`.
+    #[inline]
     pub fn n(&self) -> usize {
         self.n
     }
@@ -166,6 +213,7 @@ impl LuStructure {
     }
 
     /// Columns of row `i`, ascending.
+    #[inline]
     pub fn row_cols(&self, i: usize) -> &[usize] {
         &self.col_idx[self.row_ptr[i]..self.row_ptr[i + 1]]
     }
@@ -213,6 +261,7 @@ impl LuStructure {
 
     /// The strictly-lower entries of column `j`: parallel slices of row
     /// indices (`i > j`, ascending) and their row-major slots.
+    #[inline]
     pub fn lower_col(&self, j: usize) -> (&[usize], &[usize]) {
         let range = self.lower_col_ptr[j]..self.lower_col_ptr[j + 1];
         (&self.lower_rows[range.clone()], &self.lower_slots[range])
@@ -297,6 +346,20 @@ mod tests {
         assert_eq!(s2.nnz(), s.nnz());
         let s3 = LuStructure::from_closed_pattern_unchecked(&p);
         assert_eq!(s3, s2);
+    }
+
+    #[test]
+    fn symbolic_closures_are_closed_under_elimination_and_a_dropped_fill_is_not() {
+        let s = sample_structure();
+        assert!(s.is_elimination_closed());
+        // The same rows without the fill slot (1, 2): L(1, 0) meets U(0, 2).
+        let rows: [&[usize]; 3] = [&[0, 2], &[0, 1], &[2]];
+        let open = LuStructure::from_sorted_rows(3, 5, |i| rows[i]).unwrap();
+        assert!(!open.is_elimination_closed());
+        // Memoized, and not part of the layout's equality.
+        let fresh = LuStructure::from_sorted_rows(3, 5, |i| rows[i]).unwrap();
+        assert_eq!(open, fresh);
+        assert!(!open.clone().is_elimination_closed());
     }
 
     #[test]

@@ -6,8 +6,8 @@ mod common;
 
 use clude_lu::{
     amd_ordering, apply_delta_with, factorize_fresh, markowitz_ordering, refactor_frozen,
-    solve_original, symbolic_decomposition, BennettWorkspace, DynamicLuFactors, LuFactors,
-    LuStructure, RefactorWorkspace,
+    refactor_frozen_reach, solve_original, symbolic_decomposition, BennettWorkspace,
+    DynamicLuFactors, LuFactors, LuStructure, RefactorWorkspace,
 };
 use clude_sparse::{CooMatrix, CsrMatrix};
 use common::apply_delta;
@@ -370,6 +370,70 @@ proptest! {
         let x2 = frozen.solve(&b).unwrap();
         for (u, v) in x1.iter().zip(x2.iter()) {
             prop_assert!((u - v).abs() < 1e-9, "{} vs {}", u, v);
+        }
+    }
+
+    #[test]
+    fn reach_limited_pass_after_a_full_pass_equals_a_full_pass_bit_for_bit(
+        a in diag_dominant(12, 40),
+        extra in proptest::collection::vec((0usize..12, 0usize..12), 0..6),
+        bumps in proptest::collection::vec((0usize..400, -0.3f64..0.3), 1..6),
+    ) {
+        // A random closed structure: the symbolic closure of the matrix's
+        // pattern and a few more positions.
+        let mut pattern = a.pattern();
+        for (i, j) in extra {
+            pattern.insert(i, j);
+        }
+        let structure = LuStructure::from_pattern(&pattern).unwrap().into_shared();
+        prop_assert!(structure.is_elimination_closed());
+        let mut ws = RefactorWorkspace::new();
+        let mut before = LuFactors::factorize(structure.clone(), &a).unwrap();
+        refactor_frozen(&mut before, &a, &mut ws).unwrap();
+        // A random value-only delta: bumps on slots of the structure, fill
+        // slots and the diagonal included, repeats summing.
+        let slots: Vec<(usize, usize)> = (0..12)
+            .flat_map(|i| structure.row_cols(i).iter().map(move |&j| (i, j)))
+            .collect();
+        let delta: Vec<(usize, usize, f64, f64)> = bumps
+            .iter()
+            .map(|&(pick, d)| {
+                let (i, j) = slots[pick % slots.len()];
+                (i, j, 0.0, d)
+            })
+            .collect();
+        let changed: Vec<usize> = delta.iter().map(|e| e.0).collect();
+        let updated = updated_matrix(&a, &delta);
+        let mut reach = before.clone();
+        let by_reach = refactor_frozen_reach(&mut reach, &updated, Some(&changed), &mut ws);
+        let recomputed = ws.refactored_rows().to_vec();
+        let mut full = before.clone();
+        let by_full = refactor_frozen(&mut full, &updated, &mut ws);
+        let bits = |f: &LuFactors| {
+            f.export_entries()
+                .into_iter()
+                .map(|(i, j, v)| (i, j, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        match (by_reach, by_full) {
+            (Ok(stats), Ok(full_stats)) => {
+                prop_assert_eq!(bits(&reach), bits(&full));
+                prop_assert_eq!(stats.rows_refactored, recomputed.len());
+                prop_assert!(stats.multiply_adds <= full_stats.multiply_adds);
+                for &i in &changed {
+                    prop_assert!(recomputed.contains(&i));
+                }
+                let outside = |f: &LuFactors| {
+                    bits(f)
+                        .into_iter()
+                        .filter(|e| !recomputed.contains(&e.0))
+                        .collect::<Vec<_>>()
+                };
+                prop_assert_eq!(outside(&reach), outside(&before));
+            }
+            // A pivot the bumps broke fails both passes at the same row.
+            (Err(reach_err), Err(full_err)) => prop_assert_eq!(reach_err, full_err),
+            (r, f) => prop_assert!(false, "reach {:?} vs full {:?}", r, f),
         }
     }
 }

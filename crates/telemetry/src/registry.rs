@@ -53,17 +53,26 @@ pub enum Counter {
     /// Coupling solves that failed: their block-pass budget exhausted, or a
     /// non-finite value in the iteration.
     ConvergenceFailures,
+    /// Rows the frozen-pattern refactorizations recomputed (their
+    /// elimination reach).
+    FrozenRowsRefactored,
+    /// Rows of the blocks those passes ran on: divided into
+    /// [`Counter::FrozenRowsRefactored`], the share of a block a value-only
+    /// batch costs.
+    FrozenBlockRows,
 }
 
 impl Counter {
     /// Every counter, in exposition order.
-    pub const ALL: [Counter; 6] = [
+    pub const ALL: [Counter; 8] = [
         Counter::OpsIngested,
         Counter::BatchesApplied,
         Counter::QueriesServed,
         Counter::CacheHits,
         Counter::CacheEvictions,
         Counter::ConvergenceFailures,
+        Counter::FrozenRowsRefactored,
+        Counter::FrozenBlockRows,
     ];
 
     /// Short snake_case name (JSON key).
@@ -75,6 +84,8 @@ impl Counter {
             Counter::CacheHits => "cache_hits",
             Counter::CacheEvictions => "cache_evictions",
             Counter::ConvergenceFailures => "convergence_failures",
+            Counter::FrozenRowsRefactored => "frozen_rows_refactored",
+            Counter::FrozenBlockRows => "frozen_block_rows",
         }
     }
 
@@ -87,6 +98,8 @@ impl Counter {
             Counter::CacheHits => "clude_cache_hits_total",
             Counter::CacheEvictions => "clude_cache_evictions_total",
             Counter::ConvergenceFailures => "clude_convergence_failures_total",
+            Counter::FrozenRowsRefactored => "clude_frozen_rows_refactored_total",
+            Counter::FrozenBlockRows => "clude_frozen_block_rows_total",
         }
     }
 }
