@@ -1759,6 +1759,15 @@ mod tests {
         }
     }
 
+    /// Shard `s`'s published block is what freezing its live lists from
+    /// scratch builds: the same layout and the same value bits.
+    fn assert_published_is_a_freeze(store: &ShardedFactorStore, s: usize) {
+        let frozen = store.shards[s].of.factors.freeze(None).unwrap();
+        let block = published_static(&store.published[s]);
+        assert_eq!(block.structure(), frozen.structure(), "shard {s}");
+        assert_eq!(bits(block.export_entries()), bits(frozen.export_entries()));
+    }
+
     #[test]
     fn structure_is_shared_across_value_only_publishes_and_rebuilt_after_a_fill_in() {
         let n = 12;
@@ -2176,13 +2185,16 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// Random mixed streams — intra and cross shard, value-only and
-            /// structural, with a refresh budget tight enough to trip: after
-            /// every advance the published blocks are the live factors bit
-            /// for bit, a block's structure handle survives exactly the
+            /// structural, with a refresh budget tight enough to trip and a
+            /// repartition budget at the initial coupling size: after every
+            /// advance the published blocks are the live factors bit for
+            /// bit, a block's structure handle survives exactly the
             /// publishes that did not move its pattern, the coupling is the
             /// graph's cross-shard entries array for array, and a snapshot
             /// taken before all of it still answers bit-identically at the
-            /// end.
+            /// end.  The block a factorization hands over — after the
+            /// initial build, a rebuild, a re-order, a repartition — is a
+            /// freeze of the lists it reloaded, bit for bit.
             #[test]
             fn published_blocks_track_the_live_factors(
                 batches in proptest::collection::vec(
@@ -2195,17 +2207,25 @@ mod tests {
                 for u in 0..n {
                     g.add_edge(u, (u + 5) % n);
                 }
-                let mut store = ShardedFactorStore::new(
+                let store = ShardedFactorStore::new(
                     g,
                     MatrixKind::random_walk_default(),
                     RefreshPolicy::QualityTriggered { max_quality_loss: 0.15 },
                     NodePartition::contiguous(n, 4),
                 )
                 .unwrap();
+                let budget = Some(store.coupling_nnz());
+                let mut store = store
+                    .with_coupling_config(CouplingConfig {
+                        repartition_budget: budget,
+                        ..CouplingConfig::default()
+                    })
+                    .unwrap();
                 let q = MeasureQuery::Rwr { seed: 3, damping: 0.85 };
                 let snap0 = store.snapshot();
                 let answer0 = snap0.query(&q).unwrap();
                 assert_published_equals_live(&store);
+                (0..store.n_shards()).for_each(|s| assert_published_is_a_freeze(&store, s));
                 for batch in &batches {
                     let delta = random_delta(store.graph(), batch);
                     let before: Vec<_> = store
@@ -2220,6 +2240,11 @@ mod tests {
                     let report = store.advance(&delta).unwrap();
                     assert_published_equals_live(&store);
                     prop_assert_eq!(&*store.published_coupling, &coupling_via_triplets(&store));
+                    if report.repartitioned {
+                        // Every shard was built afresh over the new partition.
+                        (0..store.n_shards()).for_each(|s| assert_published_is_a_freeze(&store, s));
+                        continue;
+                    }
                     for (s, (modifications, block)) in before.iter().enumerate() {
                         let shard = report.per_shard[s];
                         if shard.entries_applied == 0 {
@@ -2227,6 +2252,12 @@ mod tests {
                             continue;
                         }
                         prop_assert!(!Arc::ptr_eq(block, &store.published[s]));
+                        if matches!(
+                            shard.arm,
+                            Some(MaintenanceArm::Rebuild | MaintenanceArm::Reorder)
+                        ) {
+                            assert_published_is_a_freeze(&store, s);
+                        }
                         // A rebuild or a re-order factorizes over a structure of
                         // its own (and restarts the lists' counters); a sweep
                         // moved the pattern when the counters say so; a

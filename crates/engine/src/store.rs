@@ -28,9 +28,9 @@ use crate::coupling::{self, CouplingPlan, SolveTolerance};
 use clude::{refresh_decision, DecomposedMatrix, MatrixFactors};
 use clude_graph::{DeltaClass, DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_lu::{
-    apply_delta_with, markowitz_ordering, rebuild_under_ordering, refactor_frozen_reach,
-    BennettStats, BennettWorkspace, DynamicLuFactors, LuError, LuFactors, LuResult, RefactorStats,
-    RefactorWorkspace,
+    apply_delta_with, factorize_fresh, markowitz_ordering, rebuild_under_ordering,
+    refactor_frozen_reach, BennettStats, BennettWorkspace, DynamicLuFactors, LuError, LuFactors,
+    LuResult, RefactorStats, RefactorWorkspace,
 };
 use clude_measures::{evaluate_queries_with, evaluate_query_with, MeasureQuery, MeasureSolver};
 use clude_sparse::CsrMatrix;
@@ -289,10 +289,9 @@ impl MaintenanceArm {
     /// both a dense 400-node block and a sparse 500-node one.  The per-entry
     /// term carries what is linear in the factor size: for a sweep the
     /// structure rebuild of the publish that follows it, for a factorizing
-    /// arm the matrix assembly, the per-row symbolic bookkeeping, the
+    /// arm the matrix assembly, the kernel's per-row reach and sort, the
     /// structure and the reload of the live lists.  The per-work term is the
-    /// sweep's walk, or the elimination loops the symbolic merge and the
-    /// numeric pass share.
+    /// sweep's walk, or the numeric pass's elimination loop.
     pub fn model_cost(self, work: u64, factor_nnz: usize, order: usize) -> f64 {
         let (nnz, work) = (factor_nnz as f64, work as f64);
         let rebuild = REBUILD_NS_PER_NNZ * nnz + REBUILD_NS_PER_MADD * work;
@@ -309,18 +308,23 @@ impl MaintenanceArm {
 // not tuned.  Read off the `clude_perf` probes on the `live-mono` (one 400-node
 // block, 58 updates a batch) and `ingest-structure` (four 500-node blocks, 14
 // updates a batch) matrices and confirmed by replaying both streams with
-// each arm timed per shard-batch (CHANGES.md, PR 21): `lu.bennett_us_per_pivot`
-// over the entries a pivot touches, the freeze of a moved pattern,
-// `lu.symbolic_us` + `lu.factorize_us` + matrix assembly + list reload,
-// `lu.refactor_us_per_pass`, `lu.markowitz_us_per_pivot`.  Only their ratios
-// decide anything, so a faster host moves no decision.
+// each arm timed per shard-batch (CHANGES.md, PRs 21 and 26):
+// `lu.bennett_us_per_pivot` over the entries a pivot touches, the freeze of a
+// moved pattern, matrix assembly + the factorization + list reload,
+// `lu.refactor_us_per_pass`, Markowitz per pivot of a re-order.  Only their
+// ratios decide anything, so a faster host moves no decision.  The rebuild
+// pair is PR 21's: the up-looking kernel made the arm about a third cheaper on
+// both shapes, but a re-fit to match (70 / 0.6) sent more of the sparse
+// blocks' shard-batches to rebuilds and made `live-durable` slower in paired
+// runs (ROADMAP "Measured"), so the decision still prices a rebuild as it
+// did.
 const BENNETT_NS_PER_ENTRY: f64 = 15.0;
 const FREEZE_NS_PER_NNZ: f64 = 10.0;
 const FROZEN_NS_PER_NNZ: f64 = 20.0;
 const FROZEN_NS_PER_MADD: f64 = 2.5;
 const REBUILD_NS_PER_NNZ: f64 = 100.0;
 const REBUILD_NS_PER_MADD: f64 = 1.0;
-const ORDERING_NS_PER_PIVOT: f64 = 30_000.0;
+const ORDERING_NS_PER_PIVOT: f64 = 3_000.0;
 /// Factor entries one rank-one update touches, as a share of the factor
 /// size, assumed for a shard that has not swept yet (0.25–0.45 on the
 /// workloads' blocks).
@@ -380,16 +384,16 @@ pub(crate) struct OrderedFactors {
     /// The last published block, for as long as the factors' pattern is the
     /// one it was frozen with: the structure the next freeze shares, and
     /// what a frozen-pattern pass copies and rewrites into the next block.
-    /// The sharing rule, in full: [`order_and_factorize`] (re-order,
-    /// repartition, restore) starts without one, a Bennett pass that
-    /// reported a structural insert or removal drops it, every
+    /// The sharing rule, in full: a fresh [`OrderedFactors`] (build,
+    /// re-order, repartition, restore) starts without one, a Bennett pass
+    /// that reported a structural insert or removal drops it, every
     /// [`OrderedFactors::publish`] records the block it handed out — a
-    /// frozen-pattern pass's on the structure it started from, a rebuild's
-    /// on the structure it factorized over.
+    /// frozen-pattern pass's on the structure it started from, a
+    /// factorization's on the structure it factorized over.
     published: Option<Arc<DecomposedMatrix>>,
-    /// The flat factors a rebuild or a frozen-pattern pass produced, until
-    /// the next [`OrderedFactors::publish`] hands them over as the block
-    /// itself.
+    /// The flat factors a factorization ([`order_and_factorize`], a
+    /// rebuild) or a frozen-pattern pass produced, until the next
+    /// [`OrderedFactors::publish`] hands them over as the block itself.
     rebuilt: Option<LuFactors>,
     /// Multiply-adds of a numeric factorization down the pattern the factors
     /// had when they were last factorized as a whole (fill a sweep added
@@ -437,11 +441,12 @@ impl OrderedFactors {
     /// Freezes the current factors into a shared snapshot handle — once per
     /// advance that touched the block, never for untouched blocks, never in
     /// `snapshot()` itself.  The block is flat static storage: the factors a
-    /// rebuild or a frozen-pattern pass wrote, handed over as they are, else
-    /// a freeze of the live lists ([`DynamicLuFactors::freeze`]) — a copy of
-    /// the values over the previous publish's structure while the pattern
-    /// stands, an `O(nnz)` structure rebuild after it moved.  `id` is the
-    /// snapshot id the block is current as of, recorded as its
+    /// factorization (build, re-order, rebuild) or a frozen-pattern pass
+    /// wrote, handed over as they are, else — after Bennett sweeps or a
+    /// restore — a freeze of the live lists ([`DynamicLuFactors::freeze`]):
+    /// a copy of the values over the previous publish's structure while the
+    /// pattern stands, an `O(nnz)` structure rebuild after it moved.  `id` is
+    /// the snapshot id the block is current as of, recorded as its
     /// [`DecomposedMatrix::index`].
     pub(crate) fn publish(&mut self, id: u64) -> LuResult<Arc<DecomposedMatrix>> {
         let frozen = match self.rebuilt.take() {
@@ -666,7 +671,10 @@ impl OrderedFactors {
     /// re-factorizes it under a `shard.refresh` span and posts the
     /// [`EngineEvent::RefreshTriggered`] journal event saying whether
     /// numerics or the quality budget forced it — the one re-order site of
-    /// every arm.  The shard's running reach carries over.
+    /// every arm.  The shard's running reach carries over.  The old lists
+    /// are released before the new factorization: held through it they
+    /// raised the memory high-water mark, and freed after it they evicted
+    /// the new block from cache before its first query.
     fn reorder(
         &mut self,
         rebuild_matrix: impl Fn() -> CsrMatrix,
@@ -677,6 +685,7 @@ impl OrderedFactors {
     ) -> LuResult<()> {
         let span = telemetry.span(Stage::ShardRefresh);
         let reach = self.reach;
+        self.factors = DynamicLuFactors::default();
         *self = order_and_factorize(&rebuild_matrix())?;
         self.reach = reach;
         span.stop();
@@ -725,7 +734,11 @@ fn refactor_published(
 ///
 /// The ordering is the paper's Markowitz product rule, so `reference_nnz` —
 /// the denominator of Definition 4's quality-loss — is the factor size under
-/// the paper's own `O*`.
+/// the paper's own `O*`.  The factorization is the up-looking kernel
+/// ([`factorize_fresh`]); its flat block is the first one the result
+/// publishes, and fresh live lists are loaded from it slot for slot, stored
+/// zeros included — fresh, because a re-ordered block's old lists would keep
+/// the capacity of a pattern that is gone.
 pub(crate) fn order_and_factorize(matrix: &CsrMatrix) -> LuResult<OrderedFactors> {
     let ordering = markowitz_ordering(&matrix.pattern()).ordering;
     let reordered = matrix
@@ -733,14 +746,13 @@ pub(crate) fn order_and_factorize(matrix: &CsrMatrix) -> LuResult<OrderedFactors
         // lint: allow(panic-surface) — the ordering was computed from this
         // matrix's own pattern one line up; its dimensions cannot disagree.
         .expect("ordering was computed for this matrix");
-    let factors = DynamicLuFactors::factorize(&reordered)?;
+    let block = factorize_fresh(&reordered)?;
+    let mut factors = DynamicLuFactors::default();
+    factors.assign_static(&block);
     let reference_nnz = factors.nnz();
-    Ok(OrderedFactors::new(
-        ordering,
-        factors,
-        reference_nnz,
-        Some(reordered),
-    ))
+    let mut of = OrderedFactors::new(ordering, factors, reference_nnz, Some(reordered));
+    of.rebuilt = Some(block);
+    Ok(of)
 }
 
 /// The pre-delta successor lists of a batch's affected sources — the source
@@ -1149,8 +1161,17 @@ mod tests {
             .unwrap();
         // The abandoned rebuild wrote nothing; the block was re-ordered —
         // typed, journalled — and what is served pivots on healthy entries.
+        // The re-order hands its own flat block to the next publish: the
+        // lists reloaded from it, bit for bit.
         assert_eq!(outcome.arm, MaintenanceArm::Reorder);
-        assert!(of.rebuilt.is_none());
+        let handed_over = of.rebuilt.as_ref().expect("a re-order's block");
+        let frozen = of.factors.freeze(None).unwrap();
+        assert_eq!(handed_over.structure(), frozen.structure());
+        let bits = |f: &LuFactors| {
+            let entries = f.export_entries();
+            entries.iter().map(|e| e.2.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(handed_over), bits(&frozen));
         let journal = telemetry.journal();
         assert_eq!(journal.count_of(EventKind::RefactorFallback), 1);
         assert!(journal.entries().iter().any(|e| matches!(

@@ -11,8 +11,7 @@
 
 use crate::bennett::LuStorage;
 use crate::error::{LuError, LuResult};
-use crate::factors::{LuFactors, SINGULAR_TOL};
-use crate::structure::LuStructure;
+use crate::factors::{factorize_fresh, LuFactors, SINGULAR_TOL};
 use clude_sparse::{AdjacencyMatrix, CooMatrix, CsrMatrix, StructuralStats};
 
 /// LU factors held in mutable adjacency lists (row lists with values plus
@@ -28,13 +27,24 @@ pub struct DynamicLuFactors {
     diag_hint: usize,
 }
 
+/// Factors of order 0: the empty lists a first
+/// [`DynamicLuFactors::assign_static`] fills.
+impl Default for DynamicLuFactors {
+    fn default() -> Self {
+        DynamicLuFactors {
+            n: 0,
+            values: AdjacencyMatrix::zeros(0, 0),
+            diag_hint: 0,
+        }
+    }
+}
+
 impl DynamicLuFactors {
-    /// Performs a full decomposition of `a`, building the adjacency lists
-    /// from the matrix's own symbolic sparsity pattern.
+    /// Performs a full decomposition of `a` ([`crate::factorize_fresh`], the
+    /// up-looking kernel) and converts it with
+    /// [`DynamicLuFactors::from_static`].
     pub fn factorize(a: &CsrMatrix) -> LuResult<Self> {
-        let structure = LuStructure::from_pattern(&a.pattern())?.into_shared();
-        let static_factors = LuFactors::factorize(structure, a)?;
-        Ok(Self::from_static(&static_factors))
+        factorize_fresh(a).map(|factors| Self::from_static(&factors))
     }
 
     /// Converts a statically structured factorization into dynamic storage.

@@ -7,11 +7,15 @@
 //! (equivalent to Crout/Doolittle) that scatters each row into a dense
 //! workspace, eliminates against the previously computed rows of `U`, and
 //! gathers the result back into the slots — no structural work happens here,
-//! by construction.
+//! by construction.  A matrix factorized over its own pattern runs the same
+//! sequence inside the up-looking kernel of [`crate::symbolic`], which builds
+//! the structure as it goes; [`LuFactors::factorize`] is for structures
+//! supplied from outside.
 
 use crate::bennett::{LuStorage, FILL_DROP_TOL};
 use crate::error::{LuError, LuResult};
 use crate::structure::LuStructure;
+use crate::symbolic::factorize_up_looking;
 use clude_sparse::adjacency::merge_step;
 use clude_sparse::{CooMatrix, CsrMatrix};
 use std::sync::Arc;
@@ -31,22 +35,11 @@ impl LuFactors {
     ///
     /// Every structural entry of `a` must be covered by the structure; the
     /// structure may cover more (those slots simply hold zeros, which is how
-    /// CLUDE shares one universal structure across a whole cluster).
+    /// CLUDE shares one universal structure across a whole cluster).  This
+    /// is the numeric phase for structures supplied from outside; a matrix
+    /// factorized over its own pattern goes through the up-looking kernel
+    /// instead ([`factorize_fresh`]), which runs the same row routine.
     pub fn factorize(structure: Arc<LuStructure>, a: &CsrMatrix) -> LuResult<Self> {
-        Self::factorize_guarded(structure, a, 0.0).map(|(factors, _)| factors)
-    }
-
-    /// [`LuFactors::factorize`] with the relative pivot guard of the
-    /// refactorization paths: a pivot smaller than `degrade_tol` times the
-    /// largest magnitude its row's elimination produced is a
-    /// [`LuError::SingularPivot`] (`0.0` disables the guard, leaving the
-    /// absolute [`SINGULAR_TOL`] floor).  Also returns the pass's
-    /// multiply-add count, the work unit of the engine's cost model.
-    pub(crate) fn factorize_guarded(
-        structure: Arc<LuStructure>,
-        a: &CsrMatrix,
-        degrade_tol: f64,
-    ) -> LuResult<(Self, u64)> {
         if !a.is_square() {
             return Err(LuError::NotSquare {
                 n_rows: a.n_rows(),
@@ -59,56 +52,16 @@ impl LuFactors {
                 actual: a.n_rows(),
             });
         }
-        let n = structure.n();
-        let mut values = vec![0.0; structure.nnz()];
-        let mut work = vec![0.0; n];
-        let mut multiply_adds = 0u64;
-        for i in 0..n {
-            // Scatter row i of A into the workspace over the structure's row.
-            for slot in structure.row_range(i) {
-                work[structure.col_of_slot(slot)] = 0.0;
+        let mut values = Vec::with_capacity(structure.nnz());
+        let mut work = vec![0.0; structure.n()];
+        for i in 0..structure.n() {
+            let a_row = a.row(i);
+            if let Some(&col) = a_row.0.iter().find(|&&j| !structure.contains(i, j)) {
+                return Err(LuError::EntryOutsideStructure { row: i, col });
             }
-            let (cols, vals) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vals.iter()) {
-                if !structure.contains(i, j) {
-                    return Err(LuError::EntryOutsideStructure { row: i, col: j });
-                }
-                work[j] = v;
-            }
-            // Eliminate with previously computed rows of U.
-            for slot in structure.lower_row_slots(i) {
-                let k = structure.col_of_slot(slot);
-                let pivot = values[structure.diag_slot(k)];
-                let lik = work[k] / pivot;
-                work[k] = lik;
-                if lik != 0.0 {
-                    let upper = structure.upper_row_slots(k).skip(1);
-                    multiply_adds += upper.len() as u64;
-                    for uslot in upper {
-                        let j = structure.col_of_slot(uslot);
-                        work[j] -= lik * values[uslot];
-                    }
-                }
-            }
-            // Gather the row back into the slots and check the pivot.
-            let mut row_max = 0.0f64;
-            for slot in structure.row_range(i) {
-                let v = work[structure.col_of_slot(slot)];
-                row_max = row_max.max(v.abs());
-                values[slot] = v;
-            }
-            let pivot = work[i];
-            if !pivot.is_finite()
-                || pivot.abs() < SINGULAR_TOL
-                || pivot.abs() < degrade_tol * row_max
-            {
-                return Err(LuError::SingularPivot {
-                    index: i,
-                    value: pivot,
-                });
-            }
+            factorize_row(&structure, i, a_row, &mut values, &mut work, 0.0)?;
         }
-        Ok((LuFactors { structure, values }, multiply_adds))
+        Ok(LuFactors { structure, values })
     }
 
     /// All-zero factors over `structure`: the blank the freeze of live
@@ -116,6 +69,13 @@ impl LuFactors {
     /// ([`crate::DynamicLuFactors::freeze`]).
     pub(crate) fn zeroed(structure: Arc<LuStructure>) -> Self {
         let values = vec![0.0; structure.nnz()];
+        LuFactors::from_values(structure, values)
+    }
+
+    /// Factors whose slot values, in `structure`'s row-major order, are
+    /// `values`.
+    pub(crate) fn from_values(structure: Arc<LuStructure>, values: Vec<f64>) -> Self {
+        debug_assert_eq!(values.len(), structure.nnz());
         LuFactors { structure, values }
     }
 
@@ -375,6 +335,65 @@ impl LuFactors {
     }
 }
 
+/// Row `i` of the numeric phase over `structure`, whose rows before `i` are
+/// finished in `values`: scatters `a_row` (row `i` of the matrix,
+/// every column in row `i`'s slots) into the dense `work` over the row's
+/// slots, eliminates against the finished rows of `U` in ascending column
+/// order, and appends the row's values.  A non-finite matrix entry is an
+/// [`LuError::InvalidParameter`] named `"matrix"`, found before the row's
+/// arithmetic; a pivot that is not finite, below [`SINGULAR_TOL`] or below
+/// `degrade_tol` times the row's largest magnitude (`0.0` disables the
+/// relative guard) is an [`LuError::SingularPivot`].  Returns the row's
+/// multiply-adds.
+pub(crate) fn factorize_row(
+    structure: &LuStructure,
+    i: usize,
+    (cols, vals): (&[usize], &[f64]),
+    values: &mut Vec<f64>,
+    work: &mut [f64],
+    degrade_tol: f64,
+) -> LuResult<u64> {
+    let row = structure.row_cols(i);
+    for &j in row {
+        work[j] = 0.0;
+    }
+    for (&j, &v) in cols.iter().zip(vals) {
+        if !v.is_finite() {
+            return Err(LuError::InvalidParameter {
+                name: "matrix",
+                value: v,
+            });
+        }
+        work[j] = v;
+    }
+    let mut multiply_adds = 0;
+    for &k in &row[..structure.lower_row_slots(i).len()] {
+        let lik = work[k] / values[structure.diag_slot(k)];
+        work[k] = lik;
+        if lik != 0.0 {
+            let upper = structure.upper_row_cols(k);
+            let first = structure.diag_slot(k) + 1;
+            multiply_adds += upper.len() as u64;
+            for (&j, &ukj) in upper.iter().zip(&values[first..first + upper.len()]) {
+                work[j] -= lik * ukj;
+            }
+        }
+    }
+    let mut row_max = 0.0f64;
+    for &j in row {
+        row_max = row_max.max(work[j].abs());
+        values.push(work[j]);
+    }
+    let pivot = work[i];
+    if !pivot.is_finite() || pivot.abs() < SINGULAR_TOL || pivot.abs() < degrade_tol * row_max {
+        return Err(LuError::SingularPivot {
+            index: i,
+            value: pivot,
+        });
+    }
+    Ok(multiply_adds)
+}
+
 /// One Bennett walk over static slots: visits, ascending, the structural
 /// indices `covered` (the value of `covered[p]` lives in `values[slot_of(p)]`)
 /// merged with the sweep's sorted `support`, and stores `f(index, old)` where
@@ -470,11 +489,12 @@ impl LuStorage for LuFactors {
     }
 }
 
-/// Convenience: factorizes a matrix over a structure built from its own
-/// symbolic sparsity pattern (the per-matrix workflow of BF).
+/// Factorizes a matrix over a structure built from its own symbolic sparsity
+/// pattern (the per-matrix workflow of BF): the up-looking kernel
+/// ([`crate::symbolic`]), pattern and values in one pass, with the guards of
+/// [`LuFactors::factorize`].
 pub fn factorize_fresh(a: &CsrMatrix) -> LuResult<LuFactors> {
-    let structure = LuStructure::from_pattern(&a.pattern())?.into_shared();
-    LuFactors::factorize(structure, a)
+    factorize_up_looking(a, 0.0).map(|(factors, _)| factors)
 }
 
 #[cfg(test)]

@@ -9,7 +9,11 @@
 //! `clude` crate):
 //!
 //! * [`symbolic`] — the SD-phase: fill-in pattern `fp(A)` and symbolic
-//!   sparsity pattern `s̃p(A)` (Eq. 2–3 of the paper).
+//!   sparsity pattern `s̃p(A)` (Eq. 2–3 of the paper), computed by the one
+//!   up-looking kernel — per row, the symmetrically pruned reach through the
+//!   finished rows of `U` — which, run with values, is also how every matrix
+//!   is factorized over its own pattern ([`factorize_fresh`],
+//!   [`rebuild_under_ordering`], [`DynamicLuFactors::factorize`]).
 //! * [`ordering`] — fill-reducing Markowitz / minimum-degree orderings and
 //!   the `|s̃p(A^O)|` accounting used by the quality-loss metric.
 //! * [`amd`] — the quotient-graph minimum-degree ordering over `A + Aᵀ`
@@ -20,13 +24,14 @@
 //!   over a structure closed under elimination, only the changed rows'
 //!   elimination reach — the bulk alternative to per-entry Bennett sweeps
 //!   for value-only deltas.
-//! * [`rebuild`] — refactorization under a held ordering: symbolic pass,
-//!   fresh static structure, guarded numeric pass — the bulk alternative to
-//!   Bennett sweeps for structural deltas that change many columns.
+//! * [`rebuild`] — refactorization under a held ordering: the up-looking
+//!   kernel with the relative pivot guard, writing a fresh static structure
+//!   and its factors in one pass — the bulk alternative to Bennett sweeps
+//!   for structural deltas that change many columns.
 //! * [`structure`] — static slot layouts (`LuStructure`), including the
 //!   universal structures CLUDE shares across a cluster.
-//! * [`factors`] — the ND-phase: numeric factorization over a static
-//!   structure, plus triangular solves.
+//! * [`factors`] — the ND-phase over a structure supplied from outside
+//!   (CLUDE's cluster-universal USSP), plus triangular solves.
 //! * [`dynamic`] — adjacency-list factors with insertion-on-demand, the
 //!   storage model of the straightforward incremental algorithms.
 //! * [`freeze`] — freezing dynamic factors into flat static factors over a

@@ -1,38 +1,40 @@
-//! Refactorization under a held ordering: re-symbolic + numeric.
+//! Refactorization under a held ordering: the pruned reach, then the
+//! numeric pass, row by row.
 //!
 //! The paper keeps an ordering across a cluster because *computing* one is
 //! the expensive step, and replays each change through Bennett's algorithm
 //! because that reuses it.  Bennett's cost is per rank-one update, though, so
 //! a batch that changes many columns of one block pays the elimination reach
 //! many times over — while the block's matrix, already in the held ordering's
-//! coordinates, can be factorized from scratch for one symbolic pass plus one
-//! numeric pass, whatever the batch changed.  [`rebuild_under_ordering`] is
-//! that arm: the third way, beside a Bennett sweep and the pattern-frozen
+//! coordinates, can be factorized from scratch in one up-looking pass,
+//! whatever the batch changed.  [`rebuild_under_ordering`] is that arm: the
+//! third way, beside a Bennett sweep and the pattern-frozen
 //! [`crate::refactor_frozen`], of keeping an ordering and updating the
 //! factors.
 //!
-//! It produces flat static [`LuFactors`] over a fresh [`LuStructure`] — the
-//! form the engine publishes — under the guards the frozen-pattern pass
-//! applies: an entry outside the structure
-//! ([`LuError::EntryOutsideStructure`], impossible for a structure derived
-//! from the matrix itself but checked all the same), a pivot below
+//! It is the kernel of [`crate::symbolic`] with values: per row, the
+//! symmetrically pruned reach of the matrix row through the finished rows'
+//! `U` gives the row's pattern, and the row is eliminated in ascending order
+//! and appended to flat static [`LuFactors`] over a fresh
+//! [`crate::LuStructure`] — the form the engine publishes, closed under
+//! elimination by construction.  Its guards: a non-finite matrix entry
+//! ([`crate::LuError::InvalidParameter`] named `"matrix"`), a pivot below
 //! [`crate::factors::SINGULAR_TOL`] or degraded past [`PIVOT_DEGRADE_TOL`]
-//! relative to its row ([`LuError::SingularPivot`]).  A failure leaves the
-//! caller's factors untouched: nothing is written until the pass succeeded.
+//! relative to its row ([`crate::LuError::SingularPivot`]).  A failure leaves
+//! the caller's factors untouched: nothing is written until the pass
+//! succeeded.
 //!
 //! The structure and value arrays are the result, allocated once per call in
-//! `symbolic`, `structure` and `factors`; this file adds none of its own and
-//! stays under the allocation lint.
+//! `symbolic` and `structure`; this file adds none of its own and stays under
+//! the allocation lint.
 
 // lint: hot-path
 
-use crate::error::{LuError, LuResult};
+use crate::error::LuResult;
 use crate::factors::LuFactors;
 use crate::refactor::PIVOT_DEGRADE_TOL;
-use crate::structure::LuStructure;
-use crate::symbolic::symbolic_decomposition;
+use crate::symbolic::factorize_up_looking;
 use clude_sparse::CsrMatrix;
-use std::sync::Arc;
 
 /// Work counters of one [`rebuild_under_ordering`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,19 +44,10 @@ pub struct RebuildStats {
 }
 
 /// Factorizes `a` — given in the held ordering's (reordered) coordinates —
-/// from scratch: symbolic decomposition of its pattern, a static structure
-/// over the closed pattern, guarded numeric factorization down it.  See the
-/// module docs for the failure contract.
+/// from scratch over the symbolic closure of its own pattern, with the
+/// relative pivot guard.  See the module docs for the failure contract.
 pub fn rebuild_under_ordering(a: &CsrMatrix) -> LuResult<(LuFactors, RebuildStats)> {
-    if !a.is_square() {
-        return Err(LuError::NotSquare {
-            n_rows: a.n_rows(),
-            n_cols: a.n_cols(),
-        });
-    }
-    let closed = symbolic_decomposition(&a.pattern()).pattern;
-    let structure = Arc::new(LuStructure::from_closed_pattern_unchecked(&closed));
-    let (factors, multiply_adds) = LuFactors::factorize_guarded(structure, a, PIVOT_DEGRADE_TOL)?;
+    let (factors, multiply_adds) = factorize_up_looking(a, PIVOT_DEGRADE_TOL)?;
     Ok((factors, RebuildStats { multiply_adds }))
 }
 
@@ -62,6 +55,7 @@ pub fn rebuild_under_ordering(a: &CsrMatrix) -> LuResult<(LuFactors, RebuildStat
 mod tests {
     use super::*;
     use crate::dynamic::DynamicLuFactors;
+    use crate::error::LuError;
     use crate::factors::factorize_fresh;
     use clude_sparse::CooMatrix;
 

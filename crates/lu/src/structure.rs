@@ -10,7 +10,7 @@
 //! precisely where CLUDE gets its speed.
 
 use crate::error::{LuError, LuResult};
-use crate::symbolic::symbolic_decomposition;
+use crate::symbolic::closed_structure;
 use clude_sparse::SparsityPattern;
 use std::sync::{Arc, OnceLock};
 
@@ -56,7 +56,9 @@ impl LuStructure {
     ///
     /// The pattern is first closed under symbolic elimination (and the
     /// diagonal added), so the resulting structure can hold the factors of
-    /// any matrix whose sparsity pattern is a subset of `pattern`.
+    /// any matrix whose sparsity pattern is a subset of `pattern`.  The
+    /// closure is the pattern-only run of the up-looking kernel
+    /// ([`crate::symbolic`]), written straight into the layout.
     pub fn from_pattern(pattern: &SparsityPattern) -> LuResult<Self> {
         if pattern.n_rows() != pattern.n_cols() {
             return Err(LuError::NotSquare {
@@ -64,8 +66,7 @@ impl LuStructure {
                 n_cols: pattern.n_cols(),
             });
         }
-        let closed = symbolic_decomposition(pattern).pattern;
-        Ok(Self::from_closed_pattern_unchecked(&closed))
+        Ok(closed_structure(pattern))
     }
 
     /// Builds a structure from a pattern that is already a symbolic sparsity
@@ -96,12 +97,7 @@ impl LuStructure {
         nnz: usize,
         row: impl Fn(usize) -> &'a [usize],
     ) -> LuResult<Self> {
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut diag_slot = Vec::with_capacity(n);
-        // Strictly-lower column index: counts first, then prefix sums.
-        let mut lower_col_ptr = vec![0usize; n + 1];
-        row_ptr.push(0);
+        let mut structure = Self::growing(n, nnz, OnceLock::new());
         for i in 0..n {
             let cols = row(i);
             debug_assert!(cols.windows(2).all(|w| w[0] < w[1]));
@@ -113,12 +109,51 @@ impl LuStructure {
                     value: 0.0,
                 });
             }
-            diag_slot.push(col_idx.len() + lower);
-            for &j in &cols[..lower] {
+            structure.push_row(&cols[..lower], &cols[lower + 1..]);
+        }
+        Ok(structure.finish())
+    }
+
+    /// An order-`n` layout with no rows yet, for [`LuStructure::push_row`]
+    /// to grow and [`LuStructure::finish`] to complete; `closed` is what is
+    /// known about [`LuStructure::is_elimination_closed`].
+    pub(crate) fn growing(n: usize, nnz: usize, closed: OnceLock<bool>) -> Self {
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        LuStructure {
+            n,
+            row_ptr,
+            col_idx: Vec::with_capacity(nnz),
+            diag_slot: Vec::with_capacity(n),
+            lower_col_ptr: Vec::new(),
+            lower_rows: Vec::new(),
+            lower_slots: Vec::new(),
+            closed,
+        }
+    }
+
+    /// Appends the next row: its diagonal between the columns `lower` and
+    /// `upper`, each strictly ascending and on its side of the diagonal.
+    pub(crate) fn push_row(&mut self, lower: &[usize], upper: &[usize]) {
+        let i = self.diag_slot.len();
+        self.col_idx.extend_from_slice(lower);
+        self.diag_slot.push(self.col_idx.len());
+        self.col_idx.push(i);
+        self.col_idx.extend_from_slice(upper);
+        self.row_ptr.push(self.col_idx.len());
+    }
+
+    /// Completes a grown layout with its strictly-lower column index.
+    pub(crate) fn finish(mut self) -> Self {
+        let n = self.n;
+        debug_assert_eq!(self.diag_slot.len(), n);
+        self.col_idx.shrink_to_fit();
+        // Counts first, then prefix sums.
+        let mut lower_col_ptr = vec![0usize; n + 1];
+        for i in 0..n {
+            for &j in &self.col_idx[self.lower_row_slots(i)] {
                 lower_col_ptr[j + 1] += 1;
             }
-            col_idx.extend_from_slice(cols);
-            row_ptr.push(col_idx.len());
         }
         for j in 0..n {
             lower_col_ptr[j + 1] += lower_col_ptr[j];
@@ -128,23 +163,19 @@ impl LuStructure {
         let mut lower_slots = vec![0usize; total_lower];
         let mut next = lower_col_ptr.clone();
         for i in 0..n {
-            for slot in row_ptr[i]..diag_slot[i] {
-                let pos = &mut next[col_idx[slot]];
+            for slot in self.lower_row_slots(i) {
+                let pos = &mut next[self.col_idx[slot]];
                 lower_rows[*pos] = i;
                 lower_slots[*pos] = slot;
                 *pos += 1;
             }
         }
-        Ok(LuStructure {
-            n,
-            row_ptr,
-            col_idx,
-            diag_slot,
+        LuStructure {
             lower_col_ptr,
             lower_rows,
             lower_slots,
-            closed: OnceLock::new(),
-        })
+            ..self
+        }
     }
 
     /// Whether the layout is closed under elimination: for every stored
@@ -156,11 +187,13 @@ impl LuStructure {
     /// recompute only the elimination reach of the rows a batch changed
     /// ([`crate::refactor_frozen_reach`]).
     ///
-    /// A symbolic closure ([`LuStructure::from_pattern`], a rebuild's
-    /// structure) always is; a layout frozen from dynamic lists after a
-    /// Bennett sweep spliced fill in, or kept a stored zero out, may not be.
-    /// Learned once per structure, at `O(nnz + elimination work)`, and
-    /// remembered: every block sharing the `Arc` reads the same answer.
+    /// A symbolic closure ([`LuStructure::from_pattern`], the structure of
+    /// any factorization over the matrix's own pattern) always is, and the
+    /// up-looking kernel marks it so as it builds it; a layout frozen from
+    /// dynamic lists after a Bennett sweep spliced fill in, or kept a stored
+    /// zero out, may not be.  For any other layout it is learned once, at
+    /// `O(nnz + elimination work)`, and remembered: every block sharing the
+    /// `Arc` reads the same answer.
     pub fn is_elimination_closed(&self) -> bool {
         *self.closed.get_or_init(|| {
             // `mark[j] == i` while row i's columns are marked.
