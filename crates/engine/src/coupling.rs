@@ -46,14 +46,15 @@
 //! the iteration.
 //! The per-snapshot metadata of the pass — the traversal order and the
 //! triangularity verdict — is a pure function of (partition, frozen
-//! coupling), frozen into a [`CouplingPlan`] wherever the coupling is and
-//! shared through the copy-on-write snapshot ring by the same rule.
+//! coupling), a [`CouplingPlan`] built by the first coupled solve that
+//! reads it — inside its `coupling.gauss_seidel` span — and shared through
+//! the copy-on-write snapshot ring with its [`FrozenCoupling`].
 
 // lint: hot-path
 
 mod plan;
 
-pub use plan::CouplingPlan;
+pub use plan::{CouplingPlan, FrozenCoupling};
 
 use crate::store::{EngineSnapshot, ShardSnapshot};
 use clude_graph::NodePartition;
@@ -212,7 +213,8 @@ fn solve_blocks_many(
 /// the first such value) on every path.  Fast paths first: a single shard
 /// without coupling is one pair of substitutions, and fully decoupled
 /// shards need exactly one block pass.  Everything else is the Krylov
-/// iteration over the plan's block pass.
+/// iteration over the plan's block pass; the first such solve after a
+/// coupling change builds the plan, inside its `coupling.gauss_seidel` span.
 ///
 /// Every stripe of the result is **bit-identical** to a width-1 call on
 /// that stripe: the direct paths reuse the panel kernels' per-column
@@ -494,6 +496,7 @@ impl KrylovColumn {
 /// columns in different phases share the traversal.
 fn block_pass(
     snap: &EngineSnapshot,
+    plan: &CouplingPlan,
     b: &[f64],
     columns: &mut [KrylovColumn],
     scratch: &mut PanelBlockScratch,
@@ -503,7 +506,7 @@ fn block_pass(
     let coupling = snap.coupling();
     let n = snap.n_nodes();
     let n_rhs = columns.len();
-    for &s in snap.coupling_plan().gs_order() {
+    for &s in plan.gs_order() {
         let nodes = partition.nodes_of(s);
         scratch.local_rhs.clear();
         for (c, column) in columns.iter().enumerate() {
@@ -556,6 +559,7 @@ fn krylov_many(
     debug_assert!((1..=RESTART).contains(&restart));
     let tolerance = snap.tolerance();
     let telemetry = snap.telemetry();
+    let plan = snap.coupling_plan();
     let n = snap.n_nodes();
     // lint: allow(alloc-hot-path) — the per-column Krylov state, once per
     // solve.
@@ -563,8 +567,8 @@ fn krylov_many(
     columns.extend((0..n_rhs).map(|_| KrylovColumn::new(n)));
     let mut n_done = 0usize;
     for pass in 1..=tolerance.max_sweeps {
-        block_pass(snap, b, &mut columns, scratch)?;
-        if snap.coupling_plan().is_triangular() {
+        block_pass(snap, plan, b, &mut columns, scratch)?;
+        if plan.is_triangular() {
             // Block triangular coupling: the pass from zero is the exact
             // solve of every column.
             for (column, stripe) in columns.iter().zip(x.chunks_exact_mut(n)) {

@@ -1,17 +1,56 @@
-//! The frozen metadata of a coupled solve: the shard traversal order of the
-//! block pass and whether that order makes the coupling block triangular.
+//! The frozen coupling snapshots share, and the metadata of a coupled solve
+//! over it: the shard traversal order of the block pass and whether that
+//! order makes the coupling block triangular.
 //!
-//! Built once per coupling re-freeze — the setup path, which is why it lives
-//! apart from the allocation-free solve in [`super`].
+//! The plan is built by the first coupled solve that reads it — the setup
+//! path, which is why it lives apart from the allocation-free solve in
+//! [`super`] — so a batch that writes the coupling pays only the CSR merge.
 
 use clude_graph::NodePartition;
 use clude_sparse::CsrMatrix;
+use std::sync::{Arc, OnceLock};
 
-/// Frozen per-snapshot metadata of the coupled solve — a pure function of
-/// (partition, frozen coupling), built wherever the coupling is re-frozen
-/// and shared through the copy-on-write snapshot ring by the same rule:
-/// consecutive snapshots are [`Arc::ptr_eq`](std::sync::Arc::ptr_eq) on
-/// their plan exactly when they are on their coupling.
+/// The cross-shard coupling as the store holds it and snapshots share it,
+/// behind one [`Arc`]: the frozen CSR and the plan cell that the first
+/// coupled solve on any snapshot holding the handle fills, so snapshots
+/// share their plan by pointer exactly when they share their coupling.
+#[derive(Debug)]
+pub struct FrozenCoupling {
+    matrix: CsrMatrix,
+    plan: OnceLock<CouplingPlan>,
+}
+
+impl FrozenCoupling {
+    /// Freezes `matrix` with an empty plan cell.
+    pub(crate) fn new(matrix: CsrMatrix) -> Arc<Self> {
+        Arc::new(FrozenCoupling {
+            matrix,
+            plan: OnceLock::new(),
+        })
+    }
+
+    /// The cross-shard entries, global coordinates, no stored zeros.
+    pub fn matrix(&self) -> &CsrMatrix {
+        &self.matrix
+    }
+
+    /// The plan over `partition`, built by the first call.  Callers pass the
+    /// partition the coupling was frozen under — a repartition freezes a new
+    /// coupling — so the cell never holds another partition's plan.
+    pub(crate) fn plan(&self, partition: &NodePartition) -> &CouplingPlan {
+        self.plan
+            .get_or_init(|| CouplingPlan::build(partition, &self.matrix))
+    }
+
+    /// The plan if a solve has built it; never builds one.
+    pub(crate) fn built_plan(&self) -> Option<&CouplingPlan> {
+        self.plan.get()
+    }
+}
+
+/// Frozen metadata of the coupled solve over one [`FrozenCoupling`] — a
+/// pure function of (partition, frozen coupling), so where and when it is
+/// built changes no bit of any answer.
 #[derive(Debug)]
 pub struct CouplingPlan {
     /// Shard traversal order of the block Gauss–Seidel pass,

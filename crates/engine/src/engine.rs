@@ -614,7 +614,8 @@ impl CludeEngine {
     /// A point-in-time copy of the operation counters, completed with the
     /// snapshot-ring occupancy: ring depth and the approximate resident
     /// factor bytes across the ring, counting every shared factor block,
-    /// factor structure and frozen coupling exactly once (deduplicated by
+    /// factor structure and frozen coupling — with its plan, once a solve
+    /// has built it — exactly once (deduplicated by
     /// [`Arc`] identity — this is where the copy-on-write sharing becomes
     /// visible as memory: a block republished over an unmoved pattern adds
     /// its values, not a second copy of the structure).
@@ -639,11 +640,10 @@ impl CludeEngine {
             let coupling = snapshot.shared_coupling();
             if seen.insert(Arc::as_ptr(coupling).cast()) {
                 // CSR: ~16 bytes per entry (column + value) plus row offsets.
-                bytes += (coupling.nnz() * 16 + (coupling.n_rows() + 1) * 8) as u64;
-            }
-            let plan = snapshot.coupling_plan();
-            if seen.insert(Arc::as_ptr(plan).cast()) {
-                bytes += plan.approx_bytes() as u64;
+                let csr = coupling.matrix();
+                bytes += (csr.nnz() * 16 + (csr.n_rows() + 1) * 8) as u64;
+                // Its plan only once a solve built it: counting never builds.
+                bytes += coupling.built_plan().map_or(0, |p| p.approx_bytes()) as u64;
             }
         }
         stats.resident_factor_bytes = bytes;
@@ -719,6 +719,7 @@ fn push_evicting<T>(ring: &mut VecDeque<T>, newest: T, capacity: usize) -> Vec<T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::dense_answer;
     use std::thread;
 
     fn ring_graph(n: usize) -> DiGraph {
@@ -860,7 +861,8 @@ mod tests {
         let structure_bytes = blocks[0].shared_structure().unwrap().approx_bytes() as u64;
         let owned: u64 = blocks.iter().map(|b| b.owned_bytes() as u64).sum();
         // No coupling at one shard: what is left is the empty frozen coupling
-        // (row offsets only) and the plan, both shared by all three entries.
+        // (row offsets only), shared by all three entries; a one-shard solve
+        // never iterates, so no plan is built or counted.
         let resident = engine.stats().resident_factor_bytes;
         assert!(resident >= owned + structure_bytes);
         assert!(
@@ -868,6 +870,125 @@ mod tests {
             "a shared structure was charged more than once: {resident} B resident, \
              {owned} B of values and orderings, {structure_bytes} B per structure"
         );
+    }
+
+    #[test]
+    fn stats_count_a_plan_once_a_solve_built_it_and_never_build_one() {
+        // Contiguous shards {0..3}, {4..7}, {8..11} of the ring: (0, 7)
+        // writes the coupling, (1, 3) only shard 0's block.
+        let partition = NodePartition::contiguous(12, 3);
+        let engine = CludeEngine::with_partition(ring_graph(12), small_config(1), partition)
+            .expect("12 nodes, 3 shards");
+        engine.insert_edge(0, 7).unwrap();
+        engine.stats();
+        engine.insert_edge(1, 3).unwrap();
+        let before = engine.stats().resident_factor_bytes;
+        let ring: Vec<_> = engine.ring.read().unwrap().iter().cloned().collect();
+        assert_eq!(ring.len(), 3);
+        assert!(Arc::ptr_eq(
+            ring[1].shared_coupling(),
+            ring[2].shared_coupling()
+        ));
+        for snapshot in &ring {
+            let coupling = snapshot.shared_coupling();
+            assert!(coupling.built_plan().is_none(), "stats() built a plan");
+        }
+        // The coupled solve plans on the newest coupling, which two ring
+        // entries share: its bytes are counted once.
+        engine
+            .query(&MeasureQuery::PageRank { damping: 0.85 })
+            .unwrap();
+        let plan = ring[2]
+            .shared_coupling()
+            .built_plan()
+            .expect("a solve plans");
+        let after = engine.stats().resident_factor_bytes;
+        assert_eq!(after - before, plan.approx_bytes() as u64);
+        assert!(ring[0].shared_coupling().built_plan().is_none());
+    }
+
+    /// Graphs smaller than the shard count asked for — empty, one node,
+    /// three nodes at four shards, with and without edges — build, take a
+    /// batch and answer, each step ending in a typed error or an exact
+    /// answer: within 1e-9 of dense elimination on the snapshot's measure
+    /// matrix.  The trivial plans (one shard, or no coupling) come from the
+    /// plan's own short-circuit, under the same lazy cell as a real one.
+    #[test]
+    fn tiny_graphs_build_ingest_and_answer_exactly_at_any_shard_count() {
+        for (n, ring) in [(0, false), (1, false), (3, false), (3, true)] {
+            for n_shards in [1, 4] {
+                let case = format!("{n} nodes, ring {ring}, {n_shards} shard(s)");
+                let edges = if ring {
+                    vec![(0, 1), (1, 2), (2, 0)]
+                } else {
+                    vec![]
+                };
+                let config = EngineConfig {
+                    n_shards,
+                    ..small_config(64)
+                };
+                let engine = CludeEngine::new(DiGraph::from_edges(n, edges), config).unwrap();
+                let k = n_shards.min(n.max(1));
+                assert_eq!(engine.n_shards(), k, "{case}");
+
+                let snapshot = engine.handle.load();
+                let coupled = snapshot.coupling().nnz() > 0;
+                assert_eq!(coupled, ring && k > 1, "{case}");
+                if !coupled {
+                    let plan = snapshot.coupling_plan();
+                    assert_eq!(plan.gs_order(), (0..k).collect::<Vec<_>>(), "{case}");
+                    assert!(plan.is_triangular(), "{case}");
+                }
+
+                if n == 3 {
+                    engine.insert_edge(0, 2).unwrap();
+                    engine.insert_edge(1, 0).unwrap();
+                    engine.remove_edge(0, 1).unwrap();
+                    assert_eq!(engine.flush().unwrap(), Some(1), "{case}");
+                } else {
+                    let err = engine.insert_edge(0, n).unwrap_err();
+                    assert!(
+                        matches!(err, EngineError::NodeOutOfRange { node, n_nodes }
+                            if node == n && n_nodes == n),
+                        "{case}: {err:?}"
+                    );
+                    assert_eq!(engine.flush().unwrap(), None, "{case}");
+                }
+
+                let snapshot = engine.handle.load();
+                for query in [
+                    MeasureQuery::PageRank { damping: 0.85 },
+                    MeasureQuery::Rwr {
+                        seed: 0,
+                        damping: 0.85,
+                    },
+                    MeasureQuery::PprSeedSet {
+                        seeds: vec![0, 2],
+                        damping: 0.85,
+                    },
+                ] {
+                    match engine.query(&query) {
+                        Ok(x) => {
+                            let dense = dense_answer(snapshot.graph(), config.matrix_kind, &query);
+                            assert_eq!(x.len(), n, "{case}, {query:?}");
+                            for (a, d) in x.iter().zip(&dense) {
+                                assert!((a - d).abs() <= 1e-9, "{case}, {query:?}: {a} vs {d}");
+                            }
+                        }
+                        // Seeds outside the universe, or PageRank over an
+                        // empty one, and nothing else.
+                        Err(EngineError::InvalidQuery(why)) => {
+                            assert!(n < 3, "{case}, {query:?}: {why}");
+                        }
+                        Err(other) => panic!("{case}, {query:?}: {other:?}"),
+                    }
+                }
+                // A coupled solve planned in the snapshot's own cell.
+                if snapshot.coupling().nnz() > 0 {
+                    assert!(snapshot.shared_coupling().built_plan().is_some(), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,11 +62,11 @@
 //!   copied per entry).
 //! * [`coupling`] is the one solver of coupled (sharded) queries:
 //!   restarted GMRES preconditioned by the block Gauss–Seidel pass in a
-//!   dependency-derived shard order frozen per snapshot
-//!   ([`coupling::CouplingPlan`]; one pass is exact on block-triangular
-//!   coupling), every answer accepted by a real pass under a configurable
-//!   [`coupling::SolveTolerance`], with adaptive re-partitioning when the
-//!   coupling outgrows its budget.
+//!   dependency-derived shard order ([`coupling::CouplingPlan`], built by
+//!   the first coupled solve over each [`coupling::FrozenCoupling`]; one
+//!   pass is exact on block-triangular coupling), every answer accepted by
+//!   a real pass under a configurable [`coupling::SolveTolerance`], with
+//!   adaptive re-partitioning when the coupling outgrows its budget.
 //! * [`query::QueryService`] answers typed
 //!   [`clude_measures::MeasureQuery`]s against immutable snapshots with a
 //!   sharded LRU result cache; coupled sharded solves run through reused
@@ -113,7 +113,7 @@ pub mod store;
 pub mod vfs;
 mod wal;
 
-pub use coupling::{CouplingConfig, CouplingPlan, SolveTolerance};
+pub use coupling::{CouplingConfig, CouplingPlan, FrozenCoupling, SolveTolerance};
 pub use durability::DurabilityConfig;
 pub use engine::{CludeEngine, EngineConfig};
 pub use epoch::SnapshotHandle;

@@ -24,7 +24,7 @@
 //! [`crate::sharded::ShardedFactorStore`]; a whole-graph factorization is
 //! its one-shard case.
 
-use crate::coupling::{self, CouplingPlan, SolveTolerance};
+use crate::coupling::{self, CouplingPlan, FrozenCoupling, SolveTolerance};
 use clude::{refresh_decision, DecomposedMatrix, MatrixFactors};
 use clude_graph::{DeltaClass, DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_lu::{
@@ -111,13 +111,11 @@ pub struct EngineSnapshot {
     partition: Arc<NodePartition>,
     shards: Vec<ShardSnapshot>,
     /// Cross-shard entries of the measure matrix, global coordinates (empty
-    /// for one-shard snapshots).
-    coupling: Arc<CsrMatrix>,
+    /// for one-shard snapshots), with the cell of the Gauss–Seidel plan over
+    /// them — filled by the first coupled solve on any snapshot sharing it.
+    coupling: Arc<FrozenCoupling>,
     /// Stopping rule of the coupled iteration.
     tolerance: SolveTolerance,
-    /// The Gauss–Seidel order over `coupling`, frozen with it and shared
-    /// through the ring exactly when it is.
-    plan: Arc<CouplingPlan>,
     /// The engine-wide telemetry sink, stamped in so query-path coupling
     /// solves record their spans and convergence failures (disabled
     /// registries make every recording a branch).
@@ -125,15 +123,13 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    #[allow(clippy::too_many_arguments)] // one construction site
     pub(crate) fn from_parts(
         id: u64,
         graph: DiGraph,
         partition: Arc<NodePartition>,
         shards: Vec<ShardSnapshot>,
-        coupling: Arc<CsrMatrix>,
+        coupling: Arc<FrozenCoupling>,
         tolerance: SolveTolerance,
-        plan: Arc<CouplingPlan>,
         telemetry: Arc<TelemetryRegistry>,
     ) -> Self {
         debug_assert_eq!(partition.n_shards(), shards.len());
@@ -144,7 +140,6 @@ impl EngineSnapshot {
             shards,
             coupling,
             tolerance,
-            plan,
             telemetry,
         }
     }
@@ -176,13 +171,13 @@ impl EngineSnapshot {
 
     /// The cross-shard coupling entries (global coordinates).
     pub fn coupling(&self) -> &CsrMatrix {
-        &self.coupling
+        self.coupling.matrix()
     }
 
-    /// The shared handle of the frozen coupling matrix.  Snapshots between
-    /// which no cross-shard entry changed are [`Arc::ptr_eq`] here, the
-    /// coupling-side half of the ring's structural sharing.
-    pub fn shared_coupling(&self) -> &Arc<CsrMatrix> {
+    /// The shared handle of the frozen coupling and its plan.  Snapshots
+    /// between which no cross-shard entry changed are [`Arc::ptr_eq`] here,
+    /// the coupling-side half of the ring's structural sharing.
+    pub fn shared_coupling(&self) -> &Arc<FrozenCoupling> {
         &self.coupling
     }
 
@@ -191,12 +186,13 @@ impl EngineSnapshot {
         self.tolerance
     }
 
-    /// The frozen Gauss–Seidel traversal order over the coupling.  A pure
-    /// function of (partition, coupling), so two snapshots are
-    /// [`Arc::ptr_eq`] here exactly when they are on
-    /// [`EngineSnapshot::shared_coupling`].
-    pub fn coupling_plan(&self) -> &Arc<CouplingPlan> {
-        &self.plan
+    /// The Gauss–Seidel traversal order over the coupling, built from this
+    /// snapshot's partition by the first call on any snapshot sharing the
+    /// coupling.  A pure function of (partition, coupling): two snapshots
+    /// get the same plan, by pointer, exactly when they are
+    /// [`Arc::ptr_eq`] on [`EngineSnapshot::shared_coupling`].
+    pub fn coupling_plan(&self) -> &CouplingPlan {
+        self.coupling.plan(&self.partition)
     }
 
     /// The telemetry registry this snapshot records query-path spans and

@@ -156,6 +156,9 @@ impl MeasureQuery {
             return Err(format!("damping factor {} outside [0, 1)", self.damping()));
         }
         match self {
+            MeasureQuery::PageRank { .. } if n == 0 => {
+                Err("PageRank needs at least one node".to_string())
+            }
             MeasureQuery::PageRank { .. } => Ok(()),
             MeasureQuery::Rwr { seed, .. } if *seed >= n => {
                 Err(format!("seed {seed} out of range for {n} nodes"))
@@ -407,6 +410,11 @@ mod tests {
         assert!(q.validate(6).is_err());
         assert!(q.validate(10).is_ok());
         assert!(MeasureQuery::PageRank { damping: 1.5 }.validate(6).is_err());
+        // An empty universe has no distribution to rank.
+        assert!(MeasureQuery::PageRank { damping: 0.85 }
+            .validate(0)
+            .is_err());
+        assert!(MeasureQuery::PageRank { damping: 0.85 }.validate(1).is_ok());
         assert!(MeasureQuery::PprSeedSet {
             seeds: vec![],
             damping: 0.85

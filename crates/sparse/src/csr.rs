@@ -260,6 +260,11 @@ impl CsrMatrix {
     }
 
     /// The stored entries of row `i` as parallel slices `(columns, values)`.
+    ///
+    /// `#[inline]`: the coupled solve's gather and the coupling plan's
+    /// weight pass call it once per row from other crates, where an
+    /// out-of-line call costs more than the row's one or two entries.
+    #[inline]
     pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
         let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
         (&self.col_idx[lo..hi], &self.values[lo..hi])
