@@ -3,7 +3,9 @@
 //! Each driver reproduces the measurement protocol of one (or a pair of)
 //! figures: it runs the relevant algorithms, expresses times as speed-ups
 //! over BF and quality as quality-loss against the Markowitz reference, and
-//! returns plain structs that the binaries print.
+//! returns plain structs that the binaries print.  Every solver runs in the
+//! paper-faithful mode (`SolverConfig::bennett_only`): the figures' claims
+//! are about Bennett's share of CLUDE's time.
 
 use clude::{
     evaluate_orderings, BruteForce, CincQc, Clude, CludeQc, ClusterIncremental,
@@ -11,6 +13,16 @@ use clude::{
     TimingBreakdown,
 };
 use std::time::Duration;
+
+/// The configuration every experiment solves with: timing only, and CLUDE
+/// reaching every cluster member by Bennett's updates as the paper's
+/// Algorithm 3 does (the other solvers ignore the flag).
+fn paper_config() -> SolverConfig {
+    SolverConfig {
+        bennett_only: true,
+        ..SolverConfig::timing_only()
+    }
+}
 
 /// One row of the α-sweep (Figures 6, 7 and 8 share it).
 #[derive(Debug, Clone)]
@@ -52,7 +64,7 @@ pub fn inc_quality_series(
     reference: &MarkowitzReference,
 ) -> Vec<f64> {
     let inc = Incremental
-        .solve(ems, &SolverConfig::timing_only())
+        .solve(ems, &paper_config())
         .expect("INC decomposition succeeds");
     evaluate_orderings(ems, &inc.report.orderings, reference).per_matrix
 }
@@ -60,11 +72,11 @@ pub fn inc_quality_series(
 /// Runs BF and INC once (the α-independent parts of Figures 5–8).
 pub fn sweep_baselines(ems: &EvolvingMatrixSequence) -> (SweepBaselines, MarkowitzReference) {
     let (bf, reference) = BruteForce
-        .solve_with_reference(ems, &SolverConfig::timing_only())
+        .solve_with_reference(ems, &paper_config())
         .expect("BF decomposition succeeds");
     let bf_total = bf.report.timings.total();
     let inc = Incremental
-        .solve(ems, &SolverConfig::timing_only())
+        .solve(ems, &paper_config())
         .expect("INC decomposition succeeds");
     let inc_eval = evaluate_orderings(ems, &inc.report.orderings, &reference);
     let baselines = SweepBaselines {
@@ -86,10 +98,10 @@ pub fn alpha_sweep(
     let mut points = Vec::with_capacity(alphas.len());
     for &alpha in alphas {
         let cinc = ClusterIncremental::new(alpha)
-            .solve(ems, &SolverConfig::timing_only())
+            .solve(ems, &paper_config())
             .expect("CINC decomposition succeeds");
         let clude = Clude::new(alpha)
-            .solve(ems, &SolverConfig::timing_only())
+            .solve(ems, &paper_config())
             .expect("CLUDE decomposition succeeds");
         let cinc_quality = evaluate_orderings(ems, &cinc.report.orderings, reference).average();
         let clude_quality = evaluate_orderings(ems, &clude.report.orderings, reference).average();
@@ -175,10 +187,10 @@ pub fn beta_sweep(ems: &EvolvingMatrixSequence, betas: &[f64]) -> Vec<BetaPoint>
     let mut points = Vec::with_capacity(betas.len());
     for &beta in betas {
         let cinc = CincQc::new(beta)
-            .solve(ems, &SolverConfig::timing_only())
+            .solve(ems, &paper_config())
             .expect("CINC-QC decomposition succeeds");
         let clude = CludeQc::new(beta)
-            .solve(ems, &SolverConfig::timing_only())
+            .solve(ems, &paper_config())
             .expect("CLUDE-QC decomposition succeeds");
         let cinc_eval = evaluate_orderings(ems, &cinc.report.orderings, &reference);
         let clude_eval = evaluate_orderings(ems, &clude.report.orderings, &reference);

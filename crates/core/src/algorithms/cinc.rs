@@ -8,7 +8,7 @@
 //! Markowitz ordering and one extra full decomposition per cluster.
 
 use crate::algorithms::common::{
-    decompose_cluster_incremental, LudemSolution, LudemSolver, SolverConfig,
+    decompose_cluster_incremental, ensure_finite, LudemSolution, LudemSolver, SolverConfig,
 };
 use crate::cluster::alpha_clustering;
 use crate::ems::EvolvingMatrixSequence;
@@ -48,6 +48,7 @@ impl LudemSolver for ClusterIncremental {
         ems: &EvolvingMatrixSequence,
         config: &SolverConfig,
     ) -> LuResult<LudemSolution> {
+        ensure_finite(ems)?;
         let mut report = RunReport::new(self.name());
         let mut decomposed = Vec::with_capacity(ems.len());
         let t = Instant::now();

@@ -8,7 +8,7 @@
 //! grow and every incremental step slows down.
 
 use crate::algorithms::common::{
-    decompose_cluster_incremental, LudemSolution, LudemSolver, SolverConfig,
+    decompose_cluster_incremental, ensure_finite, LudemSolution, LudemSolver, SolverConfig,
 };
 use crate::cluster::Cluster;
 use crate::ems::EvolvingMatrixSequence;
@@ -30,6 +30,7 @@ impl LudemSolver for Incremental {
         ems: &EvolvingMatrixSequence,
         config: &SolverConfig,
     ) -> LuResult<LudemSolution> {
+        ensure_finite(ems)?;
         let mut report = RunReport::new(self.name());
         let mut decomposed = Vec::with_capacity(ems.len());
         let whole = Cluster {

@@ -13,8 +13,8 @@
 //!   `|s̃p(A_∪^{O_∪})| ≤ (1 + β)·|s̃p(A_l*)|  ⇒  ql(O_∪, A_l) ≤ β`.
 
 use crate::algorithms::common::{
-    decompose_cluster_incremental, decompose_cluster_universal, LudemSolution, LudemSolver,
-    SolverConfig,
+    decompose_cluster_incremental, decompose_cluster_universal, ensure_finite, LudemSolution,
+    LudemSolver, SolverConfig,
 };
 use crate::cluster::{cluster_union_pattern, Cluster, Clustering};
 use crate::ems::EvolvingMatrixSequence;
@@ -154,6 +154,7 @@ impl LudemSolver for CincQc {
         ems: &EvolvingMatrixSequence,
         config: &SolverConfig,
     ) -> LuResult<LudemSolution> {
+        ensure_finite(ems)?;
         let mut report = RunReport::new(self.name());
         let mut decomposed = Vec::with_capacity(ems.len());
         let t = Instant::now();
@@ -202,6 +203,7 @@ impl LudemSolver for CludeQc {
         ems: &EvolvingMatrixSequence,
         config: &SolverConfig,
     ) -> LuResult<LudemSolution> {
+        ensure_finite(ems)?;
         let mut report = RunReport::new(self.name());
         let mut decomposed = Vec::with_capacity(ems.len());
         let t = Instant::now();

@@ -66,6 +66,13 @@ pub struct RunReport {
     /// Structural-maintenance counters accumulated over the run (dynamic
     /// storage only; zero for CLUDE and BF).
     pub structural: StructuralStats,
+    /// Cluster members after the first reached from their predecessor by
+    /// Bennett's updates.
+    pub bennett_members: usize,
+    /// Cluster members after the first factorized numerically over their
+    /// cluster's universal structure instead (CLUDE outside its
+    /// paper-faithful mode).
+    pub numeric_members: usize,
 }
 
 impl RunReport {
@@ -79,6 +86,8 @@ impl RunReport {
             factor_nnz: Vec::new(),
             bennett: BennettStats::default(),
             structural: StructuralStats::default(),
+            bennett_members: 0,
+            numeric_members: 0,
         }
     }
 

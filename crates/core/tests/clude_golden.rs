@@ -6,10 +6,15 @@
 //! same clusters, the same orderings and, entry for entry, the same factor
 //! bits.  The values below were captured on the commit *before* clustering
 //! stopped materialising a pattern per probe, Markowitz moved to a keyed
-//! queue and cluster deltas were mapped instead of re-permuted.
+//! queue and cluster deltas were mapped instead of re-permuted.  CLUDE is
+//! pinned in its paper-faithful mode ([`SolverConfig::bennett_only`]); the
+//! default mode, which may reach a member by a numeric pass instead, is
+//! pinned against it: the same clusters, orderings and factor sizes, factors
+//! that reconstruct their matrices and answers that match brute force.
 
-use clude::{Clude, ClusterIncremental, EvolvingMatrixSequence, LudemSolver, MatrixFactors};
-use clude::{LudemSolution, SolverConfig};
+use clude::algorithms::common::max_reconstruction_error;
+use clude::{BruteForce, Clude, ClusterIncremental, EvolvingMatrixSequence, LudemSolver};
+use clude::{LudemSolution, MatrixFactors, SolverConfig};
 use clude_graph::generators::{wiki_like, WikiLikeConfig};
 use clude_graph::MatrixKind;
 use rand::rngs::StdRng;
@@ -137,16 +142,76 @@ fn golden() -> [(u64, Pin, Pin); 2] {
     ]
 }
 
+/// The paper-faithful mode: every member after a cluster's first by Bennett.
+fn faithful() -> SolverConfig {
+    SolverConfig {
+        bennett_only: true,
+        ..SolverConfig::default()
+    }
+}
+
 #[test]
 fn cluster_solvers_reproduce_the_pinned_clusters_orderings_and_factor_bits() {
     for (seed, clude, cinc) in golden() {
         let ems = wiki_ems(seed);
-        let config = SolverConfig::default();
+        let config = faithful();
         let got = Clude::new(0.95).solve(&ems, &config).expect("CLUDE solves");
         assert_eq!(pin(&got), clude, "CLUDE, seed {seed}");
         let got = ClusterIncremental::new(0.95)
             .solve(&ems, &config)
             .expect("CINC solves");
         assert_eq!(pin(&got), cinc, "CINC, seed {seed}");
+    }
+}
+
+#[test]
+fn the_default_mode_keeps_the_faithful_clusters_orderings_and_sizes_and_its_answers_are_exact() {
+    // `(seed, members reached by Bennett, members reached by a numeric pass)`.
+    for (seed, bennett_members, numeric_members) in [(11, 0, 13), (97, 0, 13)] {
+        let ems = wiki_ems(seed);
+        let faithful = pin(&Clude::new(0.95)
+            .solve(&ems, &faithful())
+            .expect("CLUDE solves"));
+        let got = Clude::new(0.95)
+            .solve(&ems, &SolverConfig::default())
+            .expect("CLUDE solves");
+        let adaptive = pin(&got);
+        assert_eq!(
+            adaptive.cluster_sizes, faithful.cluster_sizes,
+            "seed {seed}"
+        );
+        assert_eq!(
+            adaptive.orderings_hash, faithful.orderings_hash,
+            "seed {seed}"
+        );
+        assert_eq!(adaptive.factor_nnz, faithful.factor_nnz, "seed {seed}");
+        let report = &got.report;
+        assert_eq!(
+            (report.bennett_members, report.numeric_members),
+            (bennett_members, numeric_members),
+            "seed {seed}"
+        );
+        assert_eq!(
+            report.bennett_members + report.numeric_members + report.cluster_count(),
+            ems.len()
+        );
+        let error = max_reconstruction_error(&ems, &got).expect("factors were kept");
+        assert!(
+            error <= 1e-10,
+            "seed {seed}: reconstruction error {error:e}"
+        );
+        let reference = BruteForce
+            .solve(&ems, &SolverConfig::default())
+            .expect("BF solves");
+        let b = vec![0.15 / ems.order() as f64; ems.order()];
+        for i in 0..ems.len() {
+            let (x, y) = (got.solve(i, &b).unwrap(), reference.solve(i, &b).unwrap());
+            let gap = x
+                .iter()
+                .zip(&y)
+                .map(|(u, v)| (u - v).abs())
+                .fold(0.0, f64::max);
+            assert!(gap <= 1e-9, "seed {seed}, matrix {i}: {gap:e} from BF");
+        }
     }
 }

@@ -28,9 +28,9 @@ use crate::coupling::{self, CouplingPlan, FrozenCoupling, SolveTolerance};
 use clude::{refresh_decision, DecomposedMatrix, MatrixFactors};
 use clude_graph::{DeltaClass, DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_lu::{
-    apply_delta_with, factorize_fresh, markowitz_ordering, rebuild_under_ordering,
+    apply_delta_with, cost, factorize_fresh, markowitz_ordering, rebuild_under_ordering,
     refactor_frozen_reach, BennettStats, BennettWorkspace, DynamicLuFactors, LuError, LuFactors,
-    LuResult, RefactorStats, RefactorWorkspace,
+    LuResult, RefactorStats, RefactorWorkspace, RunningReach,
 };
 use clude_measures::{evaluate_queries_with, evaluate_query_with, MeasureQuery, MeasureSolver};
 use clude_sparse::CsrMatrix;
@@ -279,54 +279,21 @@ impl MaintenanceArm {
     /// work after the fact: nanoseconds for `work` units of the arm's own
     /// work — factor entries touched for a sweep, multiply-adds of the numeric
     /// pass for the other three — on a block of order `order` holding
-    /// `factor_nnz` factor entries.
-    ///
-    /// Two terms per arm, because no per-multiply-add constant is right on
-    /// both a dense 400-node block and a sparse 500-node one.  The per-entry
-    /// term carries what is linear in the factor size: for a sweep the
-    /// structure rebuild of the publish that follows it, for a factorizing
-    /// arm the matrix assembly, the kernel's per-row reach and sort, the
-    /// structure and the reload of the live lists.  The per-work term is the
-    /// sweep's walk, or the numeric pass's elimination loop.
+    /// `factor_nnz` factor entries.  Each arm is the sum of its
+    /// [`clude_lu::cost`] terms: a sweep pays the structure rebuild of the
+    /// publish that follows it.
     pub fn model_cost(self, work: u64, factor_nnz: usize, order: usize) -> f64 {
-        let (nnz, work) = (factor_nnz as f64, work as f64);
-        let rebuild = REBUILD_NS_PER_NNZ * nnz + REBUILD_NS_PER_MADD * work;
         match self {
-            MaintenanceArm::BennettSweep => BENNETT_NS_PER_ENTRY * work + FREEZE_NS_PER_NNZ * nnz,
-            MaintenanceArm::FrozenRefactor => FROZEN_NS_PER_NNZ * nnz + FROZEN_NS_PER_MADD * work,
-            MaintenanceArm::Rebuild => rebuild,
-            MaintenanceArm::Reorder => ORDERING_NS_PER_PIVOT * order as f64 + rebuild,
+            MaintenanceArm::BennettSweep => cost::sweep_ns(work) + cost::freeze_ns(factor_nnz),
+            MaintenanceArm::FrozenRefactor => cost::numeric_pass_ns(factor_nnz, work),
+            MaintenanceArm::Rebuild => cost::rebuild_ns(factor_nnz, work),
+            MaintenanceArm::Reorder => {
+                cost::ordering_ns(order) + cost::rebuild_ns(factor_nnz, work)
+            }
         }
     }
 }
 
-// The model's constants, nanoseconds, private on purpose: they are measured,
-// not tuned.  Read off the `clude_perf` probes on the `live-mono` (one 400-node
-// block, 58 updates a batch) and `ingest-structure` (four 500-node blocks, 14
-// updates a batch) matrices and confirmed by replaying both streams with
-// each arm timed per shard-batch (CHANGES.md, PRs 21 and 26):
-// `lu.bennett_us_per_pivot` over the entries a pivot touches, the freeze of a
-// moved pattern, matrix assembly + the factorization + list reload,
-// `lu.refactor_us_per_pass`, Markowitz per pivot of a re-order.  Only their
-// ratios decide anything, so a faster host moves no decision.  The rebuild
-// pair is PR 21's: the up-looking kernel made the arm about a third cheaper on
-// both shapes, but a re-fit to match (70 / 0.6) sent more of the sparse
-// blocks' shard-batches to rebuilds and made `live-durable` slower in paired
-// runs (ROADMAP "Measured"), so the decision still prices a rebuild as it
-// did.
-const BENNETT_NS_PER_ENTRY: f64 = 15.0;
-const FREEZE_NS_PER_NNZ: f64 = 10.0;
-const FROZEN_NS_PER_NNZ: f64 = 20.0;
-const FROZEN_NS_PER_MADD: f64 = 2.5;
-const REBUILD_NS_PER_NNZ: f64 = 100.0;
-const REBUILD_NS_PER_MADD: f64 = 1.0;
-const ORDERING_NS_PER_PIVOT: f64 = 3_000.0;
-/// Factor entries one rank-one update touches, as a share of the factor
-/// size, assumed for a shard that has not swept yet (0.25–0.45 on the
-/// workloads' blocks).
-const PRIOR_REACH: f64 = 0.3;
-/// Weight of the newest sweep batch in a shard's running reach.
-const REACH_GAIN: f64 = 0.25;
 /// How much cheaper than the sweeps a rebuild must be predicted before it is
 /// chosen.  A batch's reach scatters two- to three-fold around the running
 /// share while a rebuild's cost barely moves, so the batches that *look* like
@@ -395,15 +362,12 @@ pub(crate) struct OrderedFactors {
     /// had when they were last factorized as a whole (fill a sweep added
     /// since is not counted): the decision's elimination-work input.
     elimination_work: u64,
-    /// Running share of the factor entries one rank-one update touches
-    /// (`BennettStats::entries_touched` per update over the factor size,
-    /// exponentially weighted by [`REACH_GAIN`]): what the decision predicts
-    /// the next sweep from.  A share, because a densifying block's sweeps
-    /// grow with its factors.  Survives the shard's own re-orders — the
-    /// reach follows the block's shape, which a new ordering of the same
-    /// block barely moves; a repartition or a restore starts a fresh shard
-    /// from [`PRIOR_REACH`].
-    reach: f64,
+    /// Running share of the factor entries one rank-one update touches:
+    /// what the decision predicts the next sweep from.  Survives the shard's
+    /// own re-orders — the reach follows the block's shape, which a new
+    /// ordering of the same block barely moves; a repartition or a restore
+    /// starts a fresh shard from the prior.
+    reach: RunningReach,
 }
 
 impl OrderedFactors {
@@ -424,7 +388,7 @@ impl OrderedFactors {
             reordered,
             published: None,
             rebuilt: None,
-            reach: PRIOR_REACH,
+            reach: RunningReach::default(),
         }
     }
 
@@ -514,7 +478,7 @@ impl OrderedFactors {
         columns.dedup();
         let sweep = predict(
             MaintenanceArm::BennettSweep,
-            (columns.len() as f64 * self.reach * nnz as f64) as u64,
+            self.reach.predicted_entries(columns.len(), nnz),
         );
         let rebuild = predict(MaintenanceArm::Rebuild, self.elimination_work);
         if sweep.predicted_cost <= REBUILD_MARGIN * rebuild.predicted_cost {
@@ -567,11 +531,7 @@ impl OrderedFactors {
                     if self.factors.structural_stats().modifications() != pattern_before {
                         self.published = None;
                     }
-                    if bennett.rank_one_updates > 0 {
-                        let share = bennett.entries_touched as f64
-                            / (bennett.rank_one_updates * nnz_before) as f64;
-                        self.reach += REACH_GAIN * (share - self.reach);
-                    }
+                    self.reach.observe(&bennett, nnz_before);
                     outcome.bennett = bennett;
                     bennett.entries_touched as u64
                 })

@@ -28,6 +28,8 @@
 //!   kernel with the relative pivot guard, writing a fresh static structure
 //!   and its factors in one pass — the bulk alternative to Bennett sweeps
 //!   for structural deltas that change many columns.
+//! * [`cost`] — the one cost model every maintenance decision prices its
+//!   arms with: Bennett sweeps against numeric passes and rebuilds.
 //! * [`structure`] — static slot layouts (`LuStructure`), including the
 //!   universal structures CLUDE shares across a cluster.
 //! * [`factors`] — the ND-phase over a structure supplied from outside
@@ -56,6 +58,7 @@ mod test_support;
 
 pub mod amd;
 pub mod bennett;
+pub mod cost;
 pub mod dynamic;
 pub mod error;
 pub mod factors;
@@ -73,6 +76,7 @@ pub use bennett::{
     apply_delta_with, rank_one_update_with, BennettStats, BennettWorkspace, LuStorage,
     ShardWorkspaces,
 };
+pub use cost::RunningReach;
 pub use dynamic::DynamicLuFactors;
 pub use error::{LuError, LuResult};
 pub use factors::{factorize_fresh, LuFactors};
