@@ -28,18 +28,18 @@ use crate::error::{EngineError, EngineResult};
 use crate::ingest::{BatchPolicy, DeltaIngestor, EdgeOp, IngestOutcome};
 use crate::query::{QueryService, StalenessBudget};
 use crate::recovery::{self, RecoveryReport};
-use crate::sharded::{PartitionStrategy, ShardedFactorStore};
-use crate::stats::{EngineCounters, EngineStats};
+use crate::sharded::{PartitionStrategy, ShardedAdvanceReport, ShardedFactorStore};
+use crate::stats::EngineStats;
 use crate::store::{EngineSnapshot, MaintenanceArm, RefreshPolicy};
 use clude::partition::edge_locality_partition;
 use clude_graph::{btf_partition, DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_measures::MeasureQuery;
 use clude_telemetry::{
-    Counter, EngineEvent, Gauge, LogHistogram, Stage, TelemetryConfig, TelemetryRegistry,
+    Counter, EngineEvent, Gauge, LogHistogram, ShardCounter, Stage, TelemetryConfig,
+    TelemetryRegistry,
 };
 use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 
 /// Tuning knobs of the engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -170,7 +170,6 @@ pub struct CludeEngine {
     /// snapshot here without touching the ring lock.
     handle: SnapshotHandle,
     service: QueryService,
-    counters: Arc<EngineCounters>,
     telemetry: Arc<TelemetryRegistry>,
 }
 
@@ -214,7 +213,9 @@ impl CludeEngine {
         partition: NodePartition,
     ) -> EngineResult<Self> {
         config.validate()?;
-        let telemetry = Arc::new(TelemetryRegistry::new(config.telemetry));
+        // Every engine count is kept here, per shard where it belongs.
+        let telemetry = TelemetryRegistry::with_shards(config.telemetry, partition.n_shards());
+        let telemetry = Arc::new(telemetry);
         let store = ShardedFactorStore::new(base, config.matrix_kind, config.refresh, partition)?
             .with_telemetry(Arc::clone(&telemetry))
             .with_partition_strategy(config.partition_strategy)
@@ -279,7 +280,8 @@ impl CludeEngine {
         let checkpoint_snapshot = loaded.state.snapshot_id;
         let checkpoint_gen = loaded.gen;
         let max_committed_gen = loaded.max_committed_gen;
-        let telemetry = Arc::new(TelemetryRegistry::new(config.telemetry));
+        let n_shards = loaded.state.partition.n_shards();
+        let telemetry = Arc::new(TelemetryRegistry::with_shards(config.telemetry, n_shards));
         let store = ShardedFactorStore::restore(config.refresh, config.coupling, loaded.state)?
             .with_telemetry(Arc::clone(&telemetry))
             .with_partition_strategy(config.partition_strategy);
@@ -357,7 +359,6 @@ impl CludeEngine {
         config: EngineConfig,
         telemetry: Arc<TelemetryRegistry>,
     ) -> EngineResult<Self> {
-        let counters = Arc::new(EngineCounters::with_shards(store.n_shards()));
         let first = Arc::new(store.snapshot());
         let mut ring = VecDeque::with_capacity(config.ring_capacity);
         ring.push_back(Arc::clone(&first));
@@ -374,11 +375,9 @@ impl CludeEngine {
             service: QueryService::new(
                 config.cache_shards,
                 config.cache_capacity_per_shard,
-                Arc::clone(&counters),
                 Arc::clone(&telemetry),
                 config.staleness,
             ),
-            counters,
             telemetry,
         })
     }
@@ -409,12 +408,11 @@ impl CludeEngine {
         let state = &mut *state;
         let outcome = state.ingestor.offer(op, state.store.graph())?;
         // Count only operations the ingestor accepted (rejected ones erred).
-        EngineCounters::bump(&self.counters.ops_ingested);
         self.telemetry.incr(Counter::OpsIngested);
         match outcome {
             IngestOutcome::Buffered => Ok(None),
             IngestOutcome::Coalesced => {
-                EngineCounters::bump(&self.counters.ops_coalesced);
+                self.telemetry.incr(Counter::OpsCoalesced);
                 Ok(None)
             }
             // lint: allow(lock-discipline) — the one legal nesting: the
@@ -438,7 +436,6 @@ impl CludeEngine {
     }
 
     fn apply_batch(&self, state: &mut IngestState, delta: GraphDelta) -> EngineResult<u64> {
-        let start = Instant::now();
         // Write-ahead invariant: the WAL record for the batch that will
         // become snapshot `k` is appended (and synced per the group-commit
         // window) before any in-memory state advances.  A failed append
@@ -453,52 +450,7 @@ impl CludeEngine {
         // their own).
         let apply_span = self.telemetry.span(Stage::IngestApply);
         let report = state.store.advance(&delta)?;
-        self.telemetry.incr(Counter::BatchesApplied);
-        if report.refreshed {
-            EngineCounters::bump(&self.counters.refreshes);
-        }
-        EngineCounters::bump(&self.counters.batches_applied);
-        EngineCounters::add(
-            &self.counters.bennett_rank_one_updates,
-            report.bennett.rank_one_updates as u64,
-        );
-        EngineCounters::add(
-            &self.counters.bennett_pivots,
-            report.bennett.pivots_processed as u64,
-        );
-        for shard in &report.per_shard {
-            let c = &self.counters.per_shard[shard.shard];
-            EngineCounters::add(&c.deltas_applied, shard.entries_applied);
-            EngineCounters::add(&c.sweeps_run, shard.sweeps);
-            EngineCounters::add(&c.cross_shard_edges, shard.cross_edges_seen);
-            if let Some(arm) = shard.arm {
-                EngineCounters::bump(&self.counters.arms[arm.index()]);
-                match arm {
-                    MaintenanceArm::Reorder => EngineCounters::bump(&c.refreshes),
-                    MaintenanceArm::FrozenRefactor => {
-                        let (rows, order) = (shard.rows_refactored, shard.block_order);
-                        EngineCounters::add(&self.counters.frozen_rows_refactored, rows);
-                        EngineCounters::add(&self.counters.frozen_block_rows, order);
-                        self.telemetry.add(Counter::FrozenRowsRefactored, rows);
-                        self.telemetry.add(Counter::FrozenBlockRows, order);
-                    }
-                    MaintenanceArm::BennettSweep | MaintenanceArm::Rebuild => {}
-                }
-            }
-        }
-        // Snapshot-ring sharing accounting: the batch cloned (re-froze) the
-        // factor blocks of the shards it touched and shared the rest of the
-        // snapshot it is about to publish with the previous ring entry.  The
-        // store's own count, not the report's: a repartitioning batch reports
-        // per old shard what it swept, then republishes every new one.
-        EngineCounters::add(&self.counters.cow_shards_cloned, report.shards_republished);
-        EngineCounters::add(
-            &self.counters.cow_shards_shared,
-            state.store.n_shards() as u64 - report.shards_republished,
-        );
-        if report.repartitioned {
-            EngineCounters::bump(&self.counters.repartitions);
-        }
+        self.count_batch(&report, state.store.n_shards() as u64);
 
         let snapshot = Arc::new(state.store.snapshot());
         let (oldest_retained, evicted) = {
@@ -516,13 +468,6 @@ impl CludeEngine {
         // `query_at` reader never waits for a deallocation.
         drop(evicted);
         apply_span.stop();
-        // Every applied batch counts toward ingest time; refresh time is the
-        // subset spent in batches that ended in a full refresh.
-        let elapsed = start.elapsed();
-        EngineCounters::add_nanos(&self.counters.ingest_nanos, elapsed);
-        if report.refreshed {
-            EngineCounters::add_nanos(&self.counters.refresh_nanos, elapsed);
-        }
         self.service.invalidate_below(oldest_retained);
         // Checkpoint after publication so the generation image matches a
         // snapshot queries can already see.  The (expensive) durable-state
@@ -534,6 +479,49 @@ impl CludeEngine {
             }
         }
         Ok(report.snapshot_id)
+    }
+
+    /// Counts what one applied batch did — the one increment site of every
+    /// store event.  The counts that are sums of others (rank-one updates,
+    /// re-order arms) are derived by [`EngineStats::from_registry`].
+    fn count_batch(&self, report: &ShardedAdvanceReport, n_shards: u64) {
+        let t = &*self.telemetry;
+        t.incr(Counter::BatchesApplied);
+        if report.refreshed {
+            t.incr(Counter::BatchesReordered);
+        }
+        t.add(
+            Counter::BennettPivots,
+            report.bennett.pivots_processed as u64,
+        );
+        for shard in &report.per_shard {
+            let s = shard.shard;
+            t.add_shard(s, ShardCounter::EntriesApplied, shard.entries_applied);
+            t.add_shard(s, ShardCounter::Sweeps, shard.sweeps);
+            t.add_shard(s, ShardCounter::CrossShardEdges, shard.cross_edges_seen);
+            let Some(arm) = shard.arm else { continue };
+            match arm.counter() {
+                Some(counter) => t.incr(counter),
+                None => t.add_shard(s, ShardCounter::Reorders, 1),
+            }
+            if arm == MaintenanceArm::FrozenRefactor {
+                t.add(Counter::FrozenRowsRefactored, shard.rows_refactored);
+                t.add(Counter::FrozenBlockRows, shard.block_order);
+            }
+        }
+        // Snapshot-ring sharing: the batch cloned (re-froze) the factor
+        // blocks of the shards it touched and shared the rest of the snapshot
+        // it is about to publish with the previous ring entry.  The store's
+        // own count, not the per-shard slices: a repartitioning batch reports
+        // per old shard what it swept, then republishes every new one.
+        t.add(Counter::CowShardsCloned, report.shards_republished);
+        t.add(
+            Counter::CowShardsShared,
+            n_shards - report.shards_republished,
+        );
+        if report.repartitioned {
+            t.incr(Counter::Repartitions);
+        }
     }
 
     /// The id of the newest (currently served) snapshot.
@@ -611,7 +599,8 @@ impl CludeEngine {
         Ok(())
     }
 
-    /// A point-in-time copy of the operation counters, completed with the
+    /// A point-in-time view of the telemetry registry's counts
+    /// ([`EngineStats::from_registry`]), completed with the
     /// snapshot-ring occupancy: ring depth and the approximate resident
     /// factor bytes across the ring, counting every shared factor block,
     /// factor structure and frozen coupling — with its plan, once a solve
@@ -620,7 +609,7 @@ impl CludeEngine {
     /// visible as memory: a block republished over an unmoved pattern adds
     /// its values, not a second copy of the structure).
     pub fn stats(&self) -> EngineStats {
-        let mut stats = self.counters.snapshot();
+        let mut stats = EngineStats::from_registry(&self.telemetry);
         let ring = self.ring.read().expect("snapshot ring poisoned");
         stats.ring_depth = ring.len() as u64;
         let mut seen: HashSet<*const ()> = HashSet::new();
@@ -647,14 +636,10 @@ impl CludeEngine {
             }
         }
         stats.resident_factor_bytes = bytes;
-        // The coupling view: how dense the newest snapshot's coupling is, and
-        // what the coupled solves over it (and its predecessors) have cost.
+        // How dense the newest snapshot's coupling is.
         let newest = ring.back().expect("ring is never empty");
         stats.coupling_nnz = newest.coupling().nnz() as u64;
         drop(ring);
-        let sweeps = self.telemetry.coupling_sweeps();
-        stats.coupling_sweeps_p50 = sweeps.value_at_quantile(0.5);
-        stats.coupling_sweeps_max = sweeps.max();
         // Fold the occupancy numbers back into the telemetry gauges so the
         // exposition and the stats report agree on a sampling instant.
         self.telemetry.set_gauge(Gauge::RingDepth, stats.ring_depth);
@@ -662,13 +647,6 @@ impl CludeEngine {
             .set_gauge(Gauge::ResidentFactorBytes, stats.resident_factor_bytes);
         self.telemetry
             .set_gauge(Gauge::CouplingNnz, stats.coupling_nnz);
-        stats.telemetry_enabled = self.telemetry.enabled();
-        stats.spans_recorded = self.telemetry.spans_recorded();
-        stats.journal_events = self.telemetry.journal().recorded();
-        stats.journal_dropped = self.telemetry.journal().dropped();
-        let solves = self.telemetry.stage_histogram(Stage::QuerySolve);
-        stats.query_solve_p50 = solves.duration_at_quantile(0.5);
-        stats.query_solve_p99 = solves.duration_at_quantile(0.99);
         stats
     }
 
@@ -720,6 +698,7 @@ fn push_evicting<T>(ring: &mut VecDeque<T>, newest: T, capacity: usize) -> Vec<T
 mod tests {
     use super::*;
     use crate::store::dense_answer;
+    use clude_measures::MeasureSolver;
     use std::thread;
 
     fn ring_graph(n: usize) -> DiGraph {
@@ -1417,5 +1396,222 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.queries, 200);
         assert!(stats.batches_applied >= 10);
+    }
+
+    /// The measure queries the hostile-input tests check.
+    fn hostile_queries() -> [MeasureQuery; 3] {
+        [
+            MeasureQuery::PageRank { damping: 0.85 },
+            MeasureQuery::Rwr {
+                seed: 5,
+                damping: 0.85,
+            },
+            MeasureQuery::PprSeedSet {
+                seeds: vec![3, 9],
+                damping: 0.85,
+            },
+        ]
+    }
+
+    fn assert_close(got: &[f64], want: &[f64], case: &str) {
+        assert_eq!(got.len(), want.len(), "{case}");
+        for (a, d) in got.iter().zip(want) {
+            assert!((a - d).abs() <= 1e-9, "{case}: {a} vs {d}");
+        }
+    }
+
+    /// Duplicate, cancelling and self edges: the ingestor drops what changes
+    /// nothing — and counts it — and every answer after the batch matches
+    /// dense elimination on the snapshot's graph.
+    #[test]
+    fn duplicate_and_self_edges_answer_exactly_at_one_and_four_shards() {
+        use EdgeOp::{Insert, Remove};
+        for n_shards in [1, 4] {
+            let config = EngineConfig {
+                n_shards,
+                ..small_config(8)
+            };
+            let engine = CludeEngine::new(ring_graph(16), config).unwrap();
+            // (case, ops, how many of them the ingestor drops)
+            let cases = [
+                (
+                    "insert of a present edge",
+                    vec![Insert(0, 1), Insert(4, 12)],
+                    1,
+                ),
+                ("self-loop inserted", vec![Insert(5, 5), Insert(5, 13)], 1),
+                ("self-loop removed", vec![Remove(5, 5), Remove(5, 13)], 1),
+                (
+                    "inserted and removed in one batch",
+                    vec![Insert(3, 11), Remove(3, 11), Insert(6, 1)],
+                    1,
+                ),
+                (
+                    "the same op twice in one batch",
+                    vec![Insert(6, 14), Insert(6, 14), Remove(7, 8), Remove(7, 8)],
+                    2,
+                ),
+            ];
+            let mut dropped = 0;
+            for (case, ops, drops) in cases {
+                let case = format!("{n_shards} shard(s), {case}");
+                let before = engine.current_snapshot_id();
+                for op in ops {
+                    assert_eq!(engine.offer(op).unwrap(), None, "{case}");
+                }
+                assert_eq!(engine.flush().unwrap(), Some(before + 1), "{case}");
+                dropped += drops;
+                assert_eq!(engine.stats().ops_coalesced, dropped, "{case}");
+                let snapshot = engine.handle.load();
+                assert!(!snapshot.graph().has_edge(5, 5), "{case}");
+                for query in hostile_queries() {
+                    let dense = dense_answer(snapshot.graph(), config.matrix_kind, &query);
+                    assert_close(&engine.query(&query).unwrap(), &dense, &case);
+                }
+            }
+        }
+    }
+
+    /// The same hostile batches handed to the store directly, undeduplicated,
+    /// over the symmetric Laplacian: the factors solve the graph the store
+    /// holds after each batch.
+    #[test]
+    fn hostile_deltas_solve_the_symmetric_laplacian_exactly() {
+        let kind = MatrixKind::SymmetricLaplacian { shift: 1.0 };
+        let both = |edges: &[(usize, usize)]| -> Vec<(usize, usize)> {
+            edges.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).collect()
+        };
+        let delta = |added: &[(usize, usize)], removed: &[(usize, usize)]| GraphDelta {
+            added: both(added),
+            removed: both(removed),
+        };
+        for n_shards in [1, 4] {
+            let mut graph = DiGraph::new(16);
+            for u in 0..16 {
+                graph.add_undirected_edge(u, (u + 1) % 16);
+            }
+            let partition = if n_shards == 1 {
+                NodePartition::singleton(16)
+            } else {
+                NodePartition::contiguous(16, n_shards)
+            };
+            let mut store =
+                ShardedFactorStore::new(graph, kind, RefreshPolicy::default(), partition).unwrap();
+            let cases = [
+                ("insert of a present edge", delta(&[(0, 1), (4, 12)], &[])),
+                ("self-loop inserted", delta(&[(5, 5), (5, 13)], &[])),
+                ("self-loop removed", delta(&[], &[(5, 5), (5, 13)])),
+                (
+                    "inserted and removed in one batch",
+                    delta(&[(3, 11), (6, 1)], &[(3, 11)]),
+                ),
+                (
+                    "the same op twice in one batch",
+                    delta(&[(6, 14), (6, 14)], &[(7, 8), (7, 8)]),
+                ),
+            ];
+            let b: Vec<f64> = (0..16).map(|i| i as f64 - 7.5).collect();
+            for (case, delta) in cases {
+                let case = format!("{n_shards} shard(s), {case}");
+                store.advance(&delta).unwrap();
+                let want = clude_graph::measure_matrix(store.graph(), kind)
+                    .to_dense()
+                    .solve_gaussian(&b)
+                    .unwrap();
+                let got = store.snapshot().solve_measure_system(&b).unwrap();
+                assert_close(&got, &want, &case);
+            }
+        }
+    }
+
+    /// Readers time-travel to the oldest retained snapshot while the writer
+    /// evicts it: every call answers that snapshot's graph exactly or reports
+    /// it gone, and the service counts exactly the calls that reached it.
+    #[test]
+    fn queries_racing_ring_eviction_answer_exactly_or_report_the_snapshot_gone() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        for n_shards in [1, 4] {
+            let config = EngineConfig {
+                n_shards,
+                ring_capacity: 2,
+                ..small_config(1)
+            };
+            // Edges absent from the base ring, inserted and removed again in
+            // rounds, one snapshot per operation; the graph of every
+            // snapshot id, and its dense answers, up front.
+            let edges: Vec<(usize, usize)> = (0..16)
+                .map(|u| (u, (u + 3) % 16))
+                .chain((0..8).map(|u| (u, (u + 6) % 16)))
+                .collect();
+            let ops: Vec<EdgeOp> = (0..3)
+                .flat_map(|_| {
+                    let inserts = edges.iter().map(|&(u, v)| EdgeOp::Insert(u, v));
+                    inserts.chain(edges.iter().map(|&(u, v)| EdgeOp::Remove(u, v)))
+                })
+                .collect();
+            let mut graph = ring_graph(16);
+            let mut dense = Vec::new();
+            for id in 0..=ops.len() {
+                match id.checked_sub(1).map(|i| ops[i]) {
+                    Some(EdgeOp::Insert(u, v)) => assert!(graph.add_edge(u, v)),
+                    Some(EdgeOp::Remove(u, v)) => assert!(graph.remove_edge(u, v)),
+                    None => {}
+                }
+                let answers =
+                    hostile_queries().map(|q| dense_answer(&graph, config.matrix_kind, &q));
+                dense.push(answers);
+            }
+            let n_ops = ops.len() as u64;
+            let dense = Arc::new(dense);
+            let engine = Arc::new(CludeEngine::new(ring_graph(16), config).unwrap());
+            let start = Arc::new(Barrier::new(4));
+            let done = Arc::new(AtomicBool::new(false));
+            let writer = {
+                let (engine, start, done) =
+                    (Arc::clone(&engine), Arc::clone(&start), Arc::clone(&done));
+                thread::spawn(move || {
+                    start.wait();
+                    for op in ops {
+                        assert!(engine.offer(op).unwrap().is_some());
+                    }
+                    done.store(true, Ordering::Release);
+                })
+            };
+            let readers: Vec<_> = (0..3)
+                .map(|t| {
+                    let (engine, dense) = (Arc::clone(&engine), Arc::clone(&dense));
+                    let (start, done) = (Arc::clone(&start), Arc::clone(&done));
+                    thread::spawn(move || {
+                        start.wait();
+                        let mut served = 0u64;
+                        let mut i = 0;
+                        while !done.load(Ordering::Acquire) || i < 30 {
+                            let id = engine.retained_snapshot_ids()[0];
+                            // Widens the window in which the writer evicts it.
+                            thread::yield_now();
+                            let k = (t + i) % 3;
+                            match engine.query_at(id, &hostile_queries()[k]) {
+                                Ok(x) => {
+                                    let case = format!("{n_shards} shard(s), snapshot {id}");
+                                    assert_close(&x, &dense[id as usize][k], &case);
+                                    served += 1;
+                                }
+                                Err(EngineError::UnknownSnapshot { requested, .. }) => {
+                                    assert_eq!(requested, id);
+                                }
+                                Err(other) => panic!("snapshot {id}: {other:?}"),
+                            }
+                            i += 1;
+                        }
+                        served
+                    })
+                })
+                .collect();
+            writer.join().unwrap();
+            let served: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+            assert_eq!(engine.current_snapshot_id(), n_ops);
+            assert_eq!(engine.stats().queries, served, "{n_shards} shard(s)");
+        }
     }
 }

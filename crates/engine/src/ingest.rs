@@ -90,8 +90,8 @@ impl BatchPolicy {
 pub enum IngestOutcome {
     /// The operation is pending in the current batch.
     Buffered,
-    /// The operation was a no-op (inserting a present edge, removing an
-    /// absent one) or cancelled a pending opposite operation.
+    /// The operation was a no-op (inserting a present edge or a self-loop,
+    /// removing an absent edge) or cancelled a pending opposite operation.
     Coalesced,
     /// The operation completed a batch; apply this delta to advance.
     Flush(GraphDelta),
@@ -185,10 +185,13 @@ impl DeltaIngestor {
         }
         // Short-circuit order matters: the opposite-set `remove` (the
         // cancellation) must always run first, and the pending-set `insert`
-        // only when the edge state actually changes.
+        // only when the edge state actually changes.  A self-loop never
+        // changes it (the graph ignores one), so it is dropped like a
+        // present edge; no self-loop ever pends, so none is cancelled.
         let buffered = match op {
             EdgeOp::Insert(..) => {
-                !self.pending_removes.remove(&(u, v))
+                u != v
+                    && !self.pending_removes.remove(&(u, v))
                     && !graph.has_edge(u, v)
                     && self.pending_adds.insert((u, v))
             }
@@ -238,6 +241,17 @@ mod tests {
 
     fn chain() -> DiGraph {
         DiGraph::from_edges(5, vec![(0, 1), (1, 2), (2, 3)])
+    }
+
+    #[test]
+    fn self_loops_are_dropped_like_present_edges() {
+        let g = chain();
+        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(1));
+        for op in [EdgeOp::Insert(2, 2), EdgeOp::Remove(2, 2)] {
+            assert_eq!(ing.offer(op, &g).unwrap(), IngestOutcome::Coalesced);
+        }
+        assert_eq!(ing.pending_ops(), 0);
+        assert_eq!(ing.batches_cut(), 0);
     }
 
     #[test]

@@ -71,9 +71,12 @@
 //!   [`clude_measures::MeasureQuery`]s against immutable snapshots with a
 //!   sharded LRU result cache; coupled sharded solves run through reused
 //!   [`clude_lu::PanelScratch`] buffers, allocation-free per block pass.
-//! * [`stats`] exports lock-free ingest/refresh/query counters in the style
-//!   of `clude::report::TimingBreakdown`, including the snapshot ring's
-//!   sharing behaviour (depth, clone/share counts, resident factor bytes).
+//! * [`stats`] is [`EngineStats`], a view over the one place the engine
+//!   counts: its [`clude_telemetry::TelemetryRegistry`], whose counters
+//!   record whether or not telemetry is enabled (only the stage busy times
+//!   read zero while it is off).  It prints in the style of
+//!   `clude::report::TimingBreakdown`, including the snapshot ring's sharing
+//!   behaviour (depth, clone/share counts, resident factor bytes).
 //!
 //! [`Arc`]: std::sync::Arc
 //!
@@ -122,6 +125,6 @@ pub use ingest::{BatchPolicy, DeltaIngestor, EdgeOp, IngestOutcome};
 pub use query::{QueryService, StalenessBudget};
 pub use recovery::RecoveryReport;
 pub use sharded::{PartitionStrategy, ShardAdvance, ShardedAdvanceReport, ShardedFactorStore};
-pub use stats::{EngineCounters, EngineStats, ShardCounters, ShardStats};
+pub use stats::{EngineStats, ShardStats};
 pub use store::{EngineSnapshot, MaintenanceArm, RefreshPolicy, ShardSnapshot};
 pub use vfs::{FailpointFs, Injection, StdFs, Vfs, VfsFile};

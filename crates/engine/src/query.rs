@@ -22,7 +22,6 @@
 
 use crate::cache::LruCache;
 use crate::error::{EngineError, EngineResult};
-use crate::stats::EngineCounters;
 use crate::store::EngineSnapshot;
 use clude_measures::MeasureQuery;
 use clude_telemetry::{Counter, EngineEvent, LogHistogram, Stage, TelemetryRegistry};
@@ -31,7 +30,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
-use std::time::Instant;
 
 type CacheKey = (u64, MeasureQuery);
 
@@ -286,21 +284,20 @@ pub struct QueryService {
     oldest_retained: AtomicU64,
     staleness: StalenessBudget,
     batcher: QueryBatcher,
-    counters: Arc<EngineCounters>,
     telemetry: Arc<TelemetryRegistry>,
 }
 
 impl QueryService {
     /// Creates a service with `shards` cache shards of `capacity_per_shard`
     /// entries each, serving cached results across snapshots within
-    /// `staleness` ([`StalenessBudget::default`] is exact-snapshot only).
+    /// `staleness` ([`StalenessBudget::default`] is exact-snapshot only),
+    /// counting queries and cache hits into `telemetry`.
     ///
     /// # Panics
     /// Panics when `shards` or `capacity_per_shard` is zero.
     pub fn new(
         shards: usize,
         capacity_per_shard: usize,
-        counters: Arc<EngineCounters>,
         telemetry: Arc<TelemetryRegistry>,
         staleness: StalenessBudget,
     ) -> Self {
@@ -312,7 +309,6 @@ impl QueryService {
             oldest_retained: AtomicU64::new(0),
             staleness,
             batcher: QueryBatcher::new(Arc::clone(&telemetry)),
-            counters,
             telemetry,
         }
     }
@@ -340,7 +336,6 @@ impl QueryService {
         query
             .validate(snapshot.n_nodes())
             .map_err(EngineError::InvalidQuery)?;
-        EngineCounters::bump(&self.counters.queries);
         self.telemetry.incr(Counter::QueriesServed);
         let key: CacheKey = (snapshot.id(), query.clone());
         let shard = &self.shards[self.shard_of(query)];
@@ -351,7 +346,6 @@ impl QueryService {
             // entries, so crashing loudly is the safe behavior.
             let mut guard = shard.write().expect("cache shard poisoned");
             if let Some(hit) = guard.get(&key) {
-                EngineCounters::bump(&self.counters.cache_hits);
                 self.telemetry.incr(Counter::CacheHits);
                 return Ok(Arc::clone(hit));
             }
@@ -368,7 +362,6 @@ impl QueryService {
                 let mut id = key.0 - 1;
                 loop {
                     if let Some(hit) = guard.get(&(id, query.clone())) {
-                        EngineCounters::bump(&self.counters.cache_hits);
                         self.telemetry.incr(Counter::CacheHits);
                         return Ok(Arc::clone(hit));
                     }
@@ -380,14 +373,12 @@ impl QueryService {
                 stale.cancel();
             }
         }
-        EngineCounters::bump(&self.counters.cache_misses);
-        // Solve outside the lock, through the batcher: concurrent misses
-        // against the same snapshot share one panel solve.
-        let start = Instant::now();
+        // A miss (counted as `queries − cache_hits`).  Solve outside the
+        // lock, through the batcher: concurrent misses against the same
+        // snapshot share one panel solve.
         let solve_span = self.telemetry.span(Stage::QuerySolve);
         let scores = self.batcher.submit(snapshot, query)?;
         solve_span.stop();
-        EngineCounters::add_nanos(&self.counters.query_nanos, start.elapsed());
         // Don't cache results for snapshots evicted while we were solving:
         // query_at() rejects their ids before probing the cache, so the
         // entry would only waste LRU capacity.
@@ -454,6 +445,7 @@ impl QueryService {
 mod tests {
     use super::*;
     use crate::sharded::ShardedFactorStore;
+    use crate::stats::EngineStats;
     use crate::store::RefreshPolicy;
     use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
 
@@ -473,25 +465,15 @@ mod tests {
         Arc::new(store().snapshot())
     }
 
-    fn service_with(
-        staleness: StalenessBudget,
-        counters: &Arc<EngineCounters>,
-    ) -> (QueryService, Arc<TelemetryRegistry>) {
+    fn service_with(staleness: StalenessBudget) -> (QueryService, Arc<TelemetryRegistry>) {
         let telemetry = Arc::new(TelemetryRegistry::default());
-        let service = QueryService::new(
-            2,
-            16,
-            Arc::clone(counters),
-            Arc::clone(&telemetry),
-            staleness,
-        );
+        let service = QueryService::new(2, 16, Arc::clone(&telemetry), staleness);
         (service, telemetry)
     }
 
     #[test]
     fn cache_hits_return_the_same_result() {
-        let counters = Arc::new(EngineCounters::default());
-        let (service, _) = service_with(StalenessBudget::default(), &counters);
+        let (service, telemetry) = service_with(StalenessBudget::default());
         let snap = snapshot();
         let q = MeasureQuery::Rwr {
             seed: 1,
@@ -503,7 +485,7 @@ mod tests {
             Arc::ptr_eq(&first, &second),
             "second answer must come from cache"
         );
-        let stats = counters.snapshot();
+        let stats = EngineStats::from_registry(&telemetry);
         assert_eq!(stats.queries, 2);
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_misses, 1);
@@ -515,8 +497,7 @@ mod tests {
 
     #[test]
     fn distinct_queries_miss_separately() {
-        let counters = Arc::new(EngineCounters::default());
-        let (service, _) = service_with(StalenessBudget::default(), &counters);
+        let (service, telemetry) = service_with(StalenessBudget::default());
         let snap = snapshot();
         for seed in 0..4 {
             service
@@ -529,14 +510,13 @@ mod tests {
                 )
                 .unwrap();
         }
-        assert_eq!(counters.snapshot().cache_misses, 4);
+        assert_eq!(EngineStats::from_registry(&telemetry).cache_misses, 4);
         assert_eq!(service.cached_entries(), 4);
     }
 
     #[test]
     fn invalidation_drops_old_snapshots_only() {
-        let counters = Arc::new(EngineCounters::default());
-        let (service, telemetry) = service_with(StalenessBudget::default(), &counters);
+        let (service, telemetry) = service_with(StalenessBudget::default());
         let snap = snapshot(); // id 0
         let q = MeasureQuery::PageRank { damping: 0.85 };
         service.query(&snap, &q).unwrap();
@@ -557,8 +537,7 @@ mod tests {
 
     #[test]
     fn stale_results_serve_within_budget_only() {
-        let counters = Arc::new(EngineCounters::default());
-        let (service, _) = service_with(StalenessBudget { max_lag: 2 }, &counters);
+        let (service, telemetry) = service_with(StalenessBudget { max_lag: 2 });
         let mut st = store();
         let snap0 = Arc::new(st.snapshot());
         let q = MeasureQuery::Rwr {
@@ -581,7 +560,7 @@ mod tests {
         // The fresh result is cached at id 3; querying id 4 or 5 (lag <= 2)
         // serves it, querying id 6 (lag 3) would not — simulate by probing
         // through snapshots the service never solved for.
-        let stats = counters.snapshot();
+        let stats = EngineStats::from_registry(&telemetry);
         assert_eq!(stats.cache_misses, 2);
         // Exact hit still wins over the stale path.
         let again = service.query(&snap3, &q).unwrap();
@@ -590,8 +569,7 @@ mod tests {
 
     #[test]
     fn stale_serving_prefers_newest_lagged_result() {
-        let counters = Arc::new(EngineCounters::default());
-        let (service, _) = service_with(StalenessBudget { max_lag: 3 }, &counters);
+        let (service, telemetry) = service_with(StalenessBudget { max_lag: 3 });
         let mut st = store();
         let snap0 = Arc::new(st.snapshot());
         let q = MeasureQuery::PageRank { damping: 0.85 };
@@ -605,15 +583,14 @@ mod tests {
         // Lag 1 within budget: served from the id-0 entry without a solve.
         let at1 = service.query(&snap1, &q).unwrap();
         assert!(Arc::ptr_eq(&at0, &at1), "lag-1 query must reuse the cache");
-        let stats = counters.snapshot();
+        let stats = EngineStats::from_registry(&telemetry);
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.cache_hits, 1);
     }
 
     #[test]
     fn invalid_queries_are_rejected_before_solving() {
-        let counters = Arc::new(EngineCounters::default());
-        let (service, _) = service_with(StalenessBudget::default(), &counters);
+        let (service, telemetry) = service_with(StalenessBudget::default());
         let snap = snapshot();
         let bad = MeasureQuery::Rwr {
             seed: 99,
@@ -623,17 +600,15 @@ mod tests {
             service.query(&snap, &bad),
             Err(EngineError::InvalidQuery(_))
         ));
-        assert_eq!(counters.snapshot().queries, 0);
+        assert_eq!(EngineStats::from_registry(&telemetry).queries, 0);
     }
 
     #[test]
     fn concurrent_submissions_batch_and_agree_with_sequential() {
-        let counters = Arc::new(EngineCounters::default());
         let telemetry = Arc::new(TelemetryRegistry::default());
         let service = Arc::new(QueryService::new(
             4,
             64,
-            Arc::clone(&counters),
             Arc::clone(&telemetry),
             StalenessBudget::default(),
         ));

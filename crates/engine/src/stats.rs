@@ -1,39 +1,11 @@
-//! Engine operation counters.
-//!
-//! The batch solvers report their work through `clude::report::TimingBreakdown`;
-//! this module is the streaming counterpart: lock-free counters incremented
-//! on the ingest and query paths, snapshotted into an [`EngineStats`] record
-//! whose `Display` prints the same style of breakdown table.
+//! Engine statistics: [`EngineStats`], a view over the [`TelemetryRegistry`]
+//! that counts every engine event once, printed in the style of the batch
+//! solvers' `clude::report::TimingBreakdown`.
 
 use crate::store::MaintenanceArm;
+use clude_telemetry::{Counter, ShardCounter, Stage, TelemetryRegistry};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Lock-free per-shard counters of the partitioned ingest path.
-#[derive(Debug, Default)]
-pub struct ShardCounters {
-    /// Changed matrix entries applied to this shard's factors.
-    pub deltas_applied: AtomicU64,
-    /// Bennett rank-one updates (sweeps) run on this shard.
-    pub sweeps_run: AtomicU64,
-    /// Cross-shard edge changes sourced from this shard's nodes.
-    pub cross_shard_edges: AtomicU64,
-    /// Refreshes (fresh ordering + factorization) of this shard's block.
-    pub refreshes: AtomicU64,
-}
-
-impl ShardCounters {
-    fn snapshot(&self, shard: usize) -> ShardStats {
-        ShardStats {
-            shard,
-            deltas_applied: EngineCounters::load(&self.deltas_applied),
-            sweeps_run: EngineCounters::load(&self.sweeps_run),
-            cross_shard_edges: EngineCounters::load(&self.cross_shard_edges),
-            refreshes: EngineCounters::load(&self.refreshes),
-        }
-    }
-}
 
 /// A point-in-time copy of one shard's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,152 +18,13 @@ pub struct ShardStats {
     pub sweeps_run: u64,
     /// Cross-shard edge changes sourced from this shard's nodes.
     pub cross_shard_edges: u64,
-    /// Refreshes of this shard's block.
+    /// Re-orders (fresh ordering + factorization) of this shard's block.
     pub refreshes: u64,
 }
 
-/// Lock-free counters shared by the ingest and query paths.
-#[derive(Debug, Default)]
-pub struct EngineCounters {
-    /// Edge operations accepted (including ones coalesced away).
-    pub ops_ingested: AtomicU64,
-    /// Edge operations dropped as no-ops (already-present inserts, absent
-    /// removes, add/remove pairs cancelling inside one batch).
-    pub ops_coalesced: AtomicU64,
-    /// Delta batches applied to the factors (snapshot advances).
-    pub batches_applied: AtomicU64,
-    /// Full refreshes (fresh ordering + factorization).
-    pub refreshes: AtomicU64,
-    /// Bennett rank-one updates performed.
-    pub bennett_rank_one_updates: AtomicU64,
-    /// Bennett pivots visited.
-    pub bennett_pivots: AtomicU64,
-    /// Shard-batches absorbed by each maintenance arm, indexed by
-    /// [`MaintenanceArm::index`].
-    pub arms: [AtomicU64; MaintenanceArm::ALL.len()],
-    /// Rows the frozen-pattern passes recomputed (their elimination reach).
-    pub frozen_rows_refactored: AtomicU64,
-    /// Rows of the blocks those passes ran on.
-    pub frozen_block_rows: AtomicU64,
-    /// Queries answered (hit or miss).
-    pub queries: AtomicU64,
-    /// Queries answered from the result cache.
-    pub cache_hits: AtomicU64,
-    /// Queries that had to solve.
-    pub cache_misses: AtomicU64,
-    /// Nanoseconds spent applying batches (Bennett + delta assembly,
-    /// including batches that ended in a refresh).
-    pub ingest_nanos: AtomicU64,
-    /// Nanoseconds spent in batches that ended in a full refresh (a subset
-    /// of `ingest_nanos`).
-    pub refresh_nanos: AtomicU64,
-    /// Nanoseconds spent solving queries (cache misses only).
-    pub query_nanos: AtomicU64,
-    /// Shard factor blocks cloned (re-frozen) for a new snapshot because the
-    /// batch touched them — the "copy" side of the copy-on-write ring.
-    pub cow_shards_cloned: AtomicU64,
-    /// Shard factor blocks shared with the previous snapshot because the
-    /// batch left them untouched — the "write-free" side of the ring.
-    pub cow_shards_shared: AtomicU64,
-    /// Adaptive re-partitions: batches whose coupling growth crossed the
-    /// budget and triggered a fresh edge-locality partition.
-    pub repartitions: AtomicU64,
-    /// Per-shard ingest counters, one entry per factor shard the store was
-    /// constructed with.  Sized once: a coarsening repartition can only
-    /// shrink the store's shard count, so every later shard id still indexes
-    /// in range and the retired ids' tallies simply stop moving.
-    pub per_shard: Vec<ShardCounters>,
-}
-
-impl EngineCounters {
-    /// Counters for an engine whose factor store has `n_shards` shards.
-    pub fn with_shards(n_shards: usize) -> Self {
-        EngineCounters {
-            per_shard: (0..n_shards).map(|_| ShardCounters::default()).collect(),
-            ..EngineCounters::default()
-        }
-    }
-
-    // Relaxed-ordering policy: every counter in this module is an independent
-    // monotonic event tally read only for human-facing stats. No load or
-    // store synchronises other memory, and cross-counter consistency is
-    // explicitly not promised (`snapshot` is "consistent enough"), so all
-    // atomic traffic funnels through these four helpers with `Relaxed`.
-
-    /// Adds `d` to a duration counter.
-    pub fn add_nanos(counter: &AtomicU64, d: Duration) {
-        // lint: allow(atomic-ordering) — independent monotonic tally; see
-        // the relaxed-ordering policy note above.
-        counter.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Increments a counter by one.
-    pub fn bump(counter: &AtomicU64) {
-        // lint: allow(atomic-ordering) — independent monotonic tally; see
-        // the relaxed-ordering policy note above.
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `v` to a counter.
-    pub fn add(counter: &AtomicU64, v: u64) {
-        // lint: allow(atomic-ordering) — independent monotonic tally; see
-        // the relaxed-ordering policy note above.
-        counter.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Reads a counter for a stats snapshot.
-    pub fn load(counter: &AtomicU64) -> u64 {
-        // lint: allow(atomic-ordering) — independent monotonic tally; see
-        // the relaxed-ordering policy note above.
-        counter.load(Ordering::Relaxed)
-    }
-
-    /// Takes a consistent-enough snapshot of all counters.
-    pub fn snapshot(&self) -> EngineStats {
-        EngineStats {
-            per_shard: self
-                .per_shard
-                .iter()
-                .enumerate()
-                .map(|(s, c)| c.snapshot(s))
-                .collect(),
-            ops_ingested: Self::load(&self.ops_ingested),
-            ops_coalesced: Self::load(&self.ops_coalesced),
-            batches_applied: Self::load(&self.batches_applied),
-            refreshes: Self::load(&self.refreshes),
-            bennett_rank_one_updates: Self::load(&self.bennett_rank_one_updates),
-            bennett_pivots: Self::load(&self.bennett_pivots),
-            arms: MaintenanceArm::ALL.map(|arm| Self::load(&self.arms[arm.index()])),
-            frozen_rows_refactored: Self::load(&self.frozen_rows_refactored),
-            frozen_block_rows: Self::load(&self.frozen_block_rows),
-            queries: Self::load(&self.queries),
-            cache_hits: Self::load(&self.cache_hits),
-            cache_misses: Self::load(&self.cache_misses),
-            ingest_time: Duration::from_nanos(Self::load(&self.ingest_nanos)),
-            refresh_time: Duration::from_nanos(Self::load(&self.refresh_nanos)),
-            query_time: Duration::from_nanos(Self::load(&self.query_nanos)),
-            cow_shards_cloned: Self::load(&self.cow_shards_cloned),
-            cow_shards_shared: Self::load(&self.cow_shards_shared),
-            repartitions: Self::load(&self.repartitions),
-            // Ring occupancy and the coupling view live outside the
-            // counters; `CludeEngine::stats` fills these in from the live
-            // ring and the newest snapshot.
-            ring_depth: 0,
-            resident_factor_bytes: 0,
-            coupling_nnz: 0,
-            coupling_sweeps_p50: 0,
-            coupling_sweeps_max: 0,
-            telemetry_enabled: false,
-            spans_recorded: 0,
-            journal_events: 0,
-            journal_dropped: 0,
-            query_solve_p50: Duration::ZERO,
-            query_solve_p99: Duration::ZERO,
-        }
-    }
-}
-
-/// A point-in-time copy of the engine counters.
+/// A point-in-time copy of the engine's counts, read from its telemetry
+/// registry by [`EngineStats::from_registry`]; `CludeEngine::stats` fills in
+/// the ring and coupling fields (0 in a bare registry view).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Edge operations accepted.
@@ -200,15 +33,14 @@ pub struct EngineStats {
     pub ops_coalesced: u64,
     /// Delta batches applied (snapshot advances).
     pub batches_applied: u64,
-    /// Full refreshes performed.
+    /// Batches in which at least one shard re-ordered.
     pub refreshes: u64,
-    /// Bennett rank-one updates performed.
+    /// Bennett rank-one updates performed: the sum of the per-shard sweeps.
     pub bennett_rank_one_updates: u64,
     /// Bennett pivots visited.
     pub bennett_pivots: u64,
-    /// Shard-batches absorbed by each maintenance arm, indexed by
-    /// [`MaintenanceArm::index`] (see [`EngineStats::arm_count`]): how the
-    /// one maintenance decision split the write path.
+    /// Shard-batches absorbed by each maintenance arm (see
+    /// [`EngineStats::arm_count`]); re-orders are the per-shard ones summed.
     pub arms: [u64; MaintenanceArm::ALL.len()],
     /// Rows the frozen-pattern passes recomputed — the elimination reach of
     /// their slices' changed rows (see [`EngineStats::frozen_row_share`]).
@@ -219,196 +51,197 @@ pub struct EngineStats {
     pub queries: u64,
     /// Cache hits among them.
     pub cache_hits: u64,
-    /// Cache misses among them.
+    /// Cache misses among them: `queries − cache_hits`.
     pub cache_misses: u64,
-    /// Wall-clock spent applying batches (refresh-ending ones included).
+    /// `ingest.apply` busy time, advance to publish (0 with telemetry off).
     pub ingest_time: Duration,
-    /// Wall-clock of the batches that ended in a refresh (subset of
-    /// `ingest_time`).
+    /// `shard.refresh` busy time: the re-orders (0 with telemetry off).
     pub refresh_time: Duration,
-    /// Wall-clock spent solving queries.
+    /// `query.solve` busy time: the cache misses (0 with telemetry off).
     pub query_time: Duration,
-    /// Shard factor blocks cloned (re-frozen) across all published snapshots
-    /// because their shard was swept or refreshed.
+    /// Shard factor blocks cloned (re-frozen) for published snapshots.
     pub cow_shards_cloned: u64,
-    /// Shard factor blocks shared with the previous snapshot across all
-    /// published snapshots (untouched shards).
+    /// Shard factor blocks published snapshots shared with their previous.
     pub cow_shards_shared: u64,
-    /// Snapshots currently retained in the time-travel ring (filled in by
-    /// `CludeEngine::stats`; 0 when the stats came straight from counters).
+    /// Snapshots currently retained in the time-travel ring.
     pub ring_depth: u64,
-    /// Approximate bytes of factor blocks plus frozen couplings resident
-    /// across the ring, counting each shared handle once (filled in by
-    /// `CludeEngine::stats`).
+    /// Approximate factor and coupling bytes resident across the ring.
     pub resident_factor_bytes: u64,
     /// Adaptive re-partitions triggered by coupling growth.
     pub repartitions: u64,
-    /// Cross-shard coupling entries of the newest snapshot — the number to
-    /// watch for dense-coupling drift (filled in by `CludeEngine::stats`).
+    /// Cross-shard coupling entries of the newest snapshot.
     pub coupling_nnz: u64,
-    /// Median block passes per coupled right-hand side — the residual pass,
-    /// the Arnoldi steps and the accepting pass of the Krylov iteration —
-    /// from the telemetry registry's histogram (filled in by
-    /// `CludeEngine::stats`; 0 with telemetry off or before the first
-    /// coupled solve).
+    /// Median block passes per coupled right-hand side (0 with telemetry
+    /// off or before the first coupled solve).
     pub coupling_sweeps_p50: u64,
-    /// Most block passes any coupled right-hand side needed (filled in by
-    /// `CludeEngine::stats`).
+    /// Most block passes any coupled right-hand side needed.
     pub coupling_sweeps_max: u64,
-    /// Whether the engine's telemetry registry is recording (filled in by
-    /// `CludeEngine::stats`).
+    /// Whether the engine's telemetry registry is recording.
     pub telemetry_enabled: bool,
-    /// Total timed-span observations across all stage histograms (filled in
-    /// by `CludeEngine::stats`).
+    /// Total timed-span observations across all stage histograms.
     pub spans_recorded: u64,
-    /// Structured journal events recorded (filled in by
-    /// `CludeEngine::stats`).
+    /// Structured journal events recorded.
     pub journal_events: u64,
-    /// Journal events shed by the bounded ring (filled in by
-    /// `CludeEngine::stats`).
+    /// Journal events shed by the bounded ring.
     pub journal_dropped: u64,
-    /// Median `query.solve` stage latency (filled in by
-    /// `CludeEngine::stats`).
+    /// Median `query.solve` stage latency.
     pub query_solve_p50: Duration,
-    /// 99th-percentile `query.solve` stage latency (filled in by
-    /// `CludeEngine::stats`).
+    /// 99th-percentile `query.solve` stage latency.
     pub query_solve_p99: Duration,
     /// Per-shard ingest breakdown, indexed by shard id.
     pub per_shard: Vec<ShardStats>,
 }
 
 impl EngineStats {
-    /// Cache hit rate in `[0, 1]` (0 when no queries ran).
-    pub fn hit_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.queries as f64
+    /// Reads the counts and busy times `telemetry` holds, deriving sums and differences.
+    pub fn from_registry(telemetry: &TelemetryRegistry) -> EngineStats {
+        let count = |c: Counter| telemetry.counter(c);
+        let busy = |s: Stage| Duration::from_nanos(telemetry.stage_histogram(s).sum());
+        let per_shard: Vec<ShardStats> = (0..telemetry.n_shards())
+            .map(|shard| {
+                let of = |c: ShardCounter| telemetry.shard_counter(shard, c);
+                ShardStats {
+                    shard,
+                    deltas_applied: of(ShardCounter::EntriesApplied),
+                    sweeps_run: of(ShardCounter::Sweeps),
+                    cross_shard_edges: of(ShardCounter::CrossShardEdges),
+                    refreshes: of(ShardCounter::Reorders),
+                }
+            })
+            .collect();
+        let reorders = per_shard.iter().map(|s| s.refreshes).sum();
+        // Hits first: every hit's query was counted before it.
+        let (cache_hits, queries) = (count(Counter::CacheHits), count(Counter::QueriesServed));
+        let solves = telemetry.stage_histogram(Stage::QuerySolve);
+        EngineStats {
+            ops_ingested: count(Counter::OpsIngested),
+            ops_coalesced: count(Counter::OpsCoalesced),
+            batches_applied: count(Counter::BatchesApplied),
+            refreshes: count(Counter::BatchesReordered),
+            bennett_rank_one_updates: per_shard.iter().map(|s| s.sweeps_run).sum(),
+            bennett_pivots: count(Counter::BennettPivots),
+            arms: MaintenanceArm::ALL.map(|arm| arm.counter().map_or(reorders, count)),
+            frozen_rows_refactored: count(Counter::FrozenRowsRefactored),
+            frozen_block_rows: count(Counter::FrozenBlockRows),
+            queries,
+            cache_hits,
+            cache_misses: queries.saturating_sub(cache_hits),
+            ingest_time: busy(Stage::IngestApply),
+            refresh_time: busy(Stage::ShardRefresh),
+            query_time: busy(Stage::QuerySolve),
+            cow_shards_cloned: count(Counter::CowShardsCloned),
+            cow_shards_shared: count(Counter::CowShardsShared),
+            repartitions: count(Counter::Repartitions),
+            coupling_sweeps_p50: telemetry.coupling_sweeps().value_at_quantile(0.5),
+            coupling_sweeps_max: telemetry.coupling_sweeps().max(),
+            telemetry_enabled: telemetry.enabled(),
+            spans_recorded: telemetry.spans_recorded(),
+            journal_events: telemetry.journal().recorded(),
+            journal_dropped: telemetry.journal().dropped(),
+            query_solve_p50: solves.duration_at_quantile(0.5),
+            query_solve_p99: solves.duration_at_quantile(0.99),
+            per_shard,
+            ..EngineStats::default()
         }
     }
 
-    /// Shard-batches `arm` absorbed (a guard-failure fallback counts as the
-    /// re-order it ended in).
+    /// Cache hit rate in `[0, 1]` (0 when no queries ran).
+    pub fn hit_rate(&self) -> f64 {
+        ratio(self.cache_hits, self.queries)
+    }
+
+    /// Shard-batches `arm` absorbed (a guard failure's fallback is a re-order).
     pub fn arm_count(&self, arm: MaintenanceArm) -> u64 {
         self.arms[arm.index()]
     }
 
     /// Share of their blocks' rows the frozen-pattern passes recomputed, in
-    /// `[0, 1]` (0 before the first pass): 1 when every pass was a full one,
-    /// the elimination reach's share of the block when the passes ran over
-    /// structures closed under elimination.
+    /// `[0, 1]` (0 before the first pass).
     pub fn frozen_row_share(&self) -> f64 {
-        if self.frozen_block_rows == 0 {
-            0.0
-        } else {
-            self.frozen_rows_refactored as f64 / self.frozen_block_rows as f64
-        }
+        ratio(self.frozen_rows_refactored, self.frozen_block_rows)
     }
 
     /// Average wall-clock per applied batch.
     pub fn avg_batch_time(&self) -> Duration {
-        if self.batches_applied == 0 {
-            Duration::ZERO
-        } else {
-            self.ingest_time / self.batches_applied as u32
-        }
+        self.ingest_time / self.batches_applied.max(1) as u32
     }
 
     /// Fraction of per-snapshot shard blocks served by sharing instead of
-    /// cloning, in `[0, 1]` (0 when no snapshot was published).  `1 − rate`
-    /// is the fraction of the old full-clone cost the ring still pays.
+    /// cloning, in `[0, 1]` (0 when no snapshot was published).
     pub fn cow_share_rate(&self) -> f64 {
-        let total = self.cow_shards_cloned + self.cow_shards_shared;
-        if total == 0 {
-            0.0
-        } else {
-            self.cow_shards_shared as f64 / total as f64
-        }
+        ratio(
+            self.cow_shards_shared,
+            self.cow_shards_cloned + self.cow_shards_shared,
+        )
     }
+}
+
+/// `part / whole` for a part of a count, 0 when the count is.
+fn ratio(part: u64, whole: u64) -> f64 {
+    part as f64 / whole.max(1) as f64
 }
 
 /// Renders a byte count with a binary-unit suffix (`4.2 MiB`), for the
 /// resident-memory line of the stats display.
 fn format_bytes(bytes: u64) -> String {
-    const UNITS: [&str; 4] = ["B", "KiB", "MiB", "GiB"];
-    let mut value = bytes as f64;
-    let mut unit = 0;
-    while value >= 1024.0 && unit + 1 < UNITS.len() {
-        value /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{bytes} B")
-    } else {
-        format!("{value:.1} {}", UNITS[unit])
+    // The largest binary unit (up to GiB) the count fills at least once.
+    let exp = (0..3).take_while(|&e| bytes >= 1024 << (10 * e)).count();
+    let value = bytes as f64 / (1u64 << (10 * exp)) as f64;
+    match exp {
+        0 => format!("{bytes} B"),
+        _ => format!("{value:.1} {}", ["KiB", "MiB", "GiB"][exp - 1]),
     }
 }
 
 impl fmt::Display for EngineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self;
         writeln!(
             f,
             "ingest   | ops {:>10}  coalesced {:>8}  batches {:>7}  time {:>10.3?}",
-            self.ops_ingested, self.ops_coalesced, self.batches_applied, self.ingest_time
+            s.ops_ingested, s.ops_coalesced, s.batches_applied, s.ingest_time
         )?;
         writeln!(
             f,
             "factors  | refreshes {:>4}  rank-1 {:>10}  pivots {:>10}  refresh time {:>10.3?}",
-            self.refreshes, self.bennett_rank_one_updates, self.bennett_pivots, self.refresh_time
+            s.refreshes, s.bennett_rank_one_updates, s.bennett_pivots, s.refresh_time
         )?;
+        let [sweep, refactor, rebuild, reorder] = MaintenanceArm::ALL.map(|a| s.arm_count(a));
         writeln!(
             f,
             "arms     | sweep {:>8}  refactor {:>7}  rebuild {:>7}  re-order {:>6}  refactor-rows {:>5.1}%",
-            self.arm_count(MaintenanceArm::BennettSweep),
-            self.arm_count(MaintenanceArm::FrozenRefactor),
-            self.arm_count(MaintenanceArm::Rebuild),
-            self.arm_count(MaintenanceArm::Reorder),
-            100.0 * self.frozen_row_share()
+            sweep, refactor, rebuild, reorder, 100.0 * s.frozen_row_share()
         )?;
         writeln!(
             f,
             "queries  | total {:>8}  hits {:>10}  misses {:>8}  hit-rate {:>5.1}%  solve time {:>10.3?}",
-            self.queries,
-            self.cache_hits,
-            self.cache_misses,
-            100.0 * self.hit_rate(),
-            self.query_time
+            s.queries, s.cache_hits, s.cache_misses, 100.0 * s.hit_rate(), s.query_time
         )?;
+        let (share, resident) = (100.0 * s.cow_share_rate(), s.resident_factor_bytes);
         writeln!(
             f,
             "ring     | depth {:>8}  cow-clones {:>6}  shared {:>8}  share-rate {:>5.1}%  resident ~{}",
-            self.ring_depth,
-            self.cow_shards_cloned,
-            self.cow_shards_shared,
-            100.0 * self.cow_share_rate(),
-            format_bytes(self.resident_factor_bytes)
+            s.ring_depth, s.cow_shards_cloned, s.cow_shards_shared, share, format_bytes(resident)
         )?;
-        write!(
+        writeln!(
             f,
             "coupling | nnz {:>8}  sweeps-p50 {:>4}  repartitions {:>4}  sweeps-max {:>6}",
-            self.coupling_nnz,
-            self.coupling_sweeps_p50,
-            self.repartitions,
-            self.coupling_sweeps_max
+            s.coupling_nnz, s.coupling_sweeps_p50, s.repartitions, s.coupling_sweeps_max
         )?;
+        let on = if s.telemetry_enabled { "on " } else { "off" };
+        let (p50, p99) = (s.query_solve_p50, s.query_solve_p99);
         write!(
             f,
-            "\ntelemetry | {}  spans {:>9}  journal {:>6} (dropped {:>4})  q-solve p50 {:>9.3?}  p99 {:>9.3?}",
-            if self.telemetry_enabled { "on " } else { "off" },
-            self.spans_recorded,
-            self.journal_events,
-            self.journal_dropped,
-            self.query_solve_p50,
-            self.query_solve_p99
+            "telemetry | {on}  spans {:>9}  journal {:>6} (dropped {:>4})  q-solve p50 {p50:>9.3?}  p99 {p99:>9.3?}",
+            s.spans_recorded, s.journal_events, s.journal_dropped
         )?;
-        if self.per_shard.len() > 1 {
-            for s in &self.per_shard {
-                write!(
-                    f,
-                    "\nshard {:>3} | deltas {:>10}  sweeps {:>10}  cross-edges {:>8}  refreshes {:>4}",
-                    s.shard, s.deltas_applied, s.sweeps_run, s.cross_shard_edges, s.refreshes
-                )?;
-            }
+        // A one-shard engine keeps the display compact.
+        for s in s.per_shard.iter().filter(|_| self.per_shard.len() > 1) {
+            write!(
+                f,
+                "\nshard {:>3} | deltas {:>10}  sweeps {:>10}  cross-edges {:>8}  refreshes {:>4}",
+                s.shard, s.deltas_applied, s.sweeps_run, s.cross_shard_edges, s.refreshes
+            )?;
         }
         Ok(())
     }
@@ -417,19 +250,28 @@ impl fmt::Display for EngineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clude_telemetry::TelemetryConfig;
 
     #[test]
     fn snapshot_reflects_counters() {
-        let c = EngineCounters::default();
-        EngineCounters::bump(&c.queries);
-        EngineCounters::bump(&c.queries);
-        EngineCounters::bump(&c.cache_hits);
-        EngineCounters::add_nanos(&c.query_nanos, Duration::from_micros(5));
-        let s = c.snapshot();
+        let t = TelemetryRegistry::default();
+        t.incr(Counter::QueriesServed);
+        t.incr(Counter::QueriesServed);
+        t.incr(Counter::CacheHits);
+        t.observe(Stage::QuerySolve, Duration::from_micros(5));
+        let s = EngineStats::from_registry(&t);
         assert_eq!(s.queries, 2);
         assert_eq!(s.cache_hits, 1);
+        assert_eq!(s.cache_misses, 1);
         assert_eq!(s.query_time, Duration::from_micros(5));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+        // The clock is off in a disabled registry; the counts are not.
+        let off = TelemetryRegistry::disabled();
+        off.incr(Counter::QueriesServed);
+        off.observe(Stage::QuerySolve, Duration::from_micros(5));
+        let s = EngineStats::from_registry(&off);
+        assert_eq!((s.queries, s.cache_misses), (1, 1));
+        assert_eq!(s.query_time, Duration::ZERO);
     }
 
     #[test]
@@ -452,26 +294,36 @@ mod tests {
         assert!((with_passes.frozen_row_share() - 0.045).abs() < 1e-12);
     }
 
+    fn registry(n_shards: usize) -> TelemetryRegistry {
+        TelemetryRegistry::with_shards(TelemetryConfig::default(), n_shards)
+    }
+
     #[test]
     fn per_shard_counters_snapshot_and_render() {
-        let c = EngineCounters::with_shards(2);
-        EngineCounters::add(&c.per_shard[1].deltas_applied, 5);
-        EngineCounters::add(&c.per_shard[1].sweeps_run, 3);
-        EngineCounters::add(&c.per_shard[0].cross_shard_edges, 2);
-        EngineCounters::bump(&c.per_shard[0].refreshes);
-        let s = c.snapshot();
+        let t = registry(2);
+        t.add_shard(1, ShardCounter::EntriesApplied, 5);
+        t.add_shard(1, ShardCounter::Sweeps, 3);
+        t.add_shard(0, ShardCounter::Sweeps, 4);
+        t.add_shard(0, ShardCounter::CrossShardEdges, 2);
+        t.add_shard(0, ShardCounter::Reorders, 1);
+        t.add_shard(1, ShardCounter::Reorders, 2);
+        t.incr(Counter::RebuildArm);
+        let s = EngineStats::from_registry(&t);
         assert_eq!(s.per_shard.len(), 2);
         assert_eq!(s.per_shard[0].shard, 0);
         assert_eq!(s.per_shard[1].deltas_applied, 5);
         assert_eq!(s.per_shard[1].sweeps_run, 3);
         assert_eq!(s.per_shard[0].cross_shard_edges, 2);
         assert_eq!(s.per_shard[0].refreshes, 1);
+        // The global counts the shards sum to are derived, not counted.
+        assert_eq!(s.bennett_rank_one_updates, 7);
+        assert_eq!(s.arms, [0, 0, 1, 3]);
         let text = s.to_string();
         assert!(text.contains("shard   0"));
         assert!(text.contains("shard   1"));
         assert!(text.contains("cross-edges"));
         // A one-shard engine keeps the display compact.
-        let mono = EngineCounters::with_shards(1).snapshot();
+        let mono = EngineStats::from_registry(&registry(1));
         assert!(!mono.to_string().contains("shard   0"));
     }
 
@@ -509,16 +361,16 @@ mod tests {
         assert!(text.contains("repartitions    2"));
         assert!(text.contains("sweeps-max   1417"));
         // Raw counter snapshots (no engine fill-in) degrade gracefully.
-        let raw = EngineCounters::default().snapshot();
+        let raw = EngineStats::from_registry(&registry(0));
         assert!(raw.to_string().contains("sweeps-p50    0"));
     }
 
     #[test]
     fn ring_section_reports_sharing() {
-        let c = EngineCounters::with_shards(4);
-        EngineCounters::add(&c.cow_shards_cloned, 2);
-        EngineCounters::add(&c.cow_shards_shared, 6);
-        let mut s = c.snapshot();
+        let t = registry(4);
+        t.add(Counter::CowShardsCloned, 2);
+        t.add(Counter::CowShardsShared, 6);
+        let mut s = EngineStats::from_registry(&t);
         s.ring_depth = 3;
         s.resident_factor_bytes = 3 * 1024 * 1024 / 2;
         assert_eq!(s.cow_shards_cloned, 2);

@@ -34,7 +34,7 @@ use clude_lu::{
 };
 use clude_measures::{evaluate_queries_with, evaluate_query_with, MeasureQuery, MeasureSolver};
 use clude_sparse::CsrMatrix;
-use clude_telemetry::{EngineEvent, FallbackReason, Stage, TelemetryRegistry};
+use clude_telemetry::{Counter, EngineEvent, FallbackReason, Stage, TelemetryRegistry};
 use std::sync::Arc;
 
 /// When the store abandons its ordering and re-factorizes.
@@ -273,6 +273,18 @@ impl MaintenanceArm {
     /// The arm's dense index into per-arm arrays.
     pub const fn index(self) -> usize {
         self as usize
+    }
+
+    /// The registry counter of the shard-batches the arm absorbed; `None`
+    /// for [`MaintenanceArm::Reorder`], whose count is the sum of the
+    /// per-shard re-orders (`ShardCounter::Reorders`).
+    pub const fn counter(self) -> Option<Counter> {
+        match self {
+            MaintenanceArm::BennettSweep => Some(Counter::SweepArm),
+            MaintenanceArm::FrozenRefactor => Some(Counter::RefactorArm),
+            MaintenanceArm::Rebuild => Some(Counter::RebuildArm),
+            MaintenanceArm::Reorder => None,
+        }
     }
 
     /// The cost model, one formula for predictions and for costing counted

@@ -3,8 +3,8 @@
 //! bounded-staleness serving must never exceed its configured lag budget.
 
 use clude_engine::{
-    CouplingConfig, EngineCounters, QueryService, RefreshPolicy, ShardedFactorStore,
-    SolveTolerance, StalenessBudget,
+    CouplingConfig, EngineStats, QueryService, RefreshPolicy, ShardedFactorStore, SolveTolerance,
+    StalenessBudget,
 };
 use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_measures::{measure_rhs, MeasureQuery, MeasureSolver};
@@ -184,14 +184,8 @@ proptest! {
             NodePartition::singleton(8),
         )
         .unwrap();
-        let counters = Arc::new(EngineCounters::default());
-        let service = QueryService::new(
-            2,
-            16,
-            Arc::clone(&counters),
-            Arc::new(TelemetryRegistry::default()),
-            StalenessBudget { max_lag },
-        );
+        let telemetry = Arc::new(TelemetryRegistry::default());
+        let service = QueryService::new(2, 16, Arc::clone(&telemetry), StalenessBudget { max_lag });
         let q = MeasureQuery::Rwr {
             seed: 1,
             damping: 0.85,
@@ -216,7 +210,7 @@ proptest! {
                 lag,
                 max_lag
             );
-            prop_assert_eq!(counters.snapshot().cache_misses, 1);
+            prop_assert_eq!(EngineStats::from_registry(&telemetry).cache_misses, 1);
         } else {
             prop_assert!(
                 !Arc::ptr_eq(&at0, &served),
@@ -224,7 +218,7 @@ proptest! {
                 lag,
                 max_lag
             );
-            prop_assert_eq!(counters.snapshot().cache_misses, 2);
+            prop_assert_eq!(EngineStats::from_registry(&telemetry).cache_misses, 2);
         }
     }
 }

@@ -2,10 +2,15 @@
 //! that the spans, gauges, journal events and the Prometheus exposition all
 //! reflect what the engine actually did.
 
-use clude_engine::{BatchPolicy, CludeEngine, CouplingConfig, EngineConfig};
+use clude_engine::{
+    BatchPolicy, CludeEngine, CouplingConfig, EngineConfig, EngineStats, MaintenanceArm,
+};
 use clude_graph::{DiGraph, NodePartition};
 use clude_measures::MeasureQuery;
-use clude_telemetry::{validate_prometheus, EventKind, Stage, TelemetryConfig};
+use clude_telemetry::{
+    validate_prometheus, Counter, EventKind, ShardCounter, Stage, TelemetryConfig,
+};
+use std::time::Duration;
 
 fn ring_graph(n: usize) -> DiGraph {
     let mut g = DiGraph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
@@ -136,7 +141,7 @@ fn replay_populates_spans_journal_and_exposition() {
 /// advance, the snapshot, the ring push and the publish — so on a 4-shard run
 /// it contains every stage the batch ran (one-operation batches keep a single
 /// shard active, so the arms run inline and the child spans do not overlap),
-/// and the engine's ingest clock, stopped after it, contains the span.
+/// and the engine's ingest time is its busy sum.
 #[test]
 fn ingest_apply_contains_its_child_stages_on_a_four_shard_run() {
     let n = 32;
@@ -191,11 +196,7 @@ fn ingest_apply_contains_its_child_stages_on_a_four_shard_run() {
         inside
     );
     let stats = engine.stats();
-    let clock = stats.ingest_time.as_nanos() as u64;
-    assert!(
-        clock >= apply.sum(),
-        "ingest clock {clock} ns < ingest.apply"
-    );
+    assert_eq!(stats.ingest_time.as_nanos() as u64, apply.sum());
 
     // The removals were frozen-pattern passes: the share of their blocks'
     // rows they recomputed is on the `arms |` line and, as the two counters
@@ -219,25 +220,153 @@ fn ingest_apply_contains_its_child_stages_on_a_four_shard_run() {
 }
 
 #[test]
-fn disabled_telemetry_records_nothing() {
+fn disabled_telemetry_stops_the_clock_but_keeps_counting() {
     let engine = instrumented_engine(TelemetryConfig::disabled());
     replay(&engine);
 
+    // Off: spans, the stage and block-pass histograms, the journal.
     let telemetry = engine.telemetry();
     assert!(!telemetry.enabled());
     assert_eq!(telemetry.spans_recorded(), 0);
     assert!(telemetry.coupling_sweeps().is_empty());
     assert_eq!(telemetry.journal().recorded(), 0);
-    for counter in clude_telemetry::Counter::ALL {
-        assert_eq!(telemetry.counter(counter), 0, "{} moved", counter.name());
-    }
 
-    // The engine's own counters still work — only telemetry is off.
+    // On: the counters, which are what the stats are read from.
     let stats = engine.stats();
     assert!(!stats.telemetry_enabled);
     assert!(stats.batches_applied >= 5);
+    for (counter, value) in [
+        (Counter::OpsIngested, stats.ops_ingested),
+        (Counter::OpsCoalesced, stats.ops_coalesced),
+        (Counter::BatchesApplied, stats.batches_applied),
+        (Counter::BatchesReordered, stats.refreshes),
+        (Counter::BennettPivots, stats.bennett_pivots),
+        (
+            Counter::SweepArm,
+            stats.arm_count(MaintenanceArm::BennettSweep),
+        ),
+        (
+            Counter::RefactorArm,
+            stats.arm_count(MaintenanceArm::FrozenRefactor),
+        ),
+        (
+            Counter::RebuildArm,
+            stats.arm_count(MaintenanceArm::Rebuild),
+        ),
+        (Counter::FrozenRowsRefactored, stats.frozen_rows_refactored),
+        (Counter::FrozenBlockRows, stats.frozen_block_rows),
+        (Counter::QueriesServed, stats.queries),
+        (Counter::CacheHits, stats.cache_hits),
+        (Counter::CowShardsCloned, stats.cow_shards_cloned),
+        (Counter::CowShardsShared, stats.cow_shards_shared),
+        (Counter::Repartitions, stats.repartitions),
+    ] {
+        assert_eq!(telemetry.counter(counter), value, "{}", counter.name());
+    }
+    assert_eq!(stats.queries, 4);
+    assert_eq!(stats.cache_hits, 2);
+    assert!(stats.repartitions >= 1);
+    for shard in &stats.per_shard {
+        for (counter, value) in [
+            (ShardCounter::EntriesApplied, shard.deltas_applied),
+            (ShardCounter::Sweeps, shard.sweeps_run),
+            (ShardCounter::CrossShardEdges, shard.cross_shard_edges),
+            (ShardCounter::Reorders, shard.refreshes),
+        ] {
+            assert_eq!(telemetry.shard_counter(shard.shard, counter), value);
+        }
+    }
     assert!(stats.to_string().contains("telemetry | off"));
 
-    // The exposition still parses; every series is just zero.
-    validate_prometheus(&engine.render_prometheus()).expect("exposition parses");
+    // The exposition still parses and carries the counts.
+    let dump = engine.render_prometheus();
+    validate_prometheus(&dump).expect("exposition parses");
+    let line = format!("clude_batches_applied_total {}\n", stats.batches_applied);
+    assert!(dump.contains(&line), "missing {line}");
+}
+
+/// One stream — structural and value-only batches, coalesced operations, a
+/// repartition at 4 shards, cache hits and misses — replayed into an engine
+/// with the given telemetry.
+fn counted_replay(n_shards: usize, telemetry: TelemetryConfig) -> EngineStats {
+    let n = 24;
+    let config = EngineConfig {
+        batch: BatchPolicy::by_count(3),
+        ring_capacity: 3,
+        coupling: CouplingConfig {
+            repartition_budget: Some(18),
+            ..CouplingConfig::default()
+        },
+        telemetry,
+        ..EngineConfig::default()
+    };
+    // Interleaved, the ring is maximally coupled: the first batch crosses
+    // the budget and repartitions.
+    let partition = NodePartition::from_assignments((0..n).map(|u| u % n_shards).collect());
+    let engine = CludeEngine::with_partition(ring_graph(n), config, partition).unwrap();
+    let queries = [
+        MeasureQuery::PageRank { damping: 0.85 },
+        MeasureQuery::Rwr {
+            seed: 3,
+            damping: 0.85,
+        },
+    ];
+    for round in 0..4 {
+        for u in (round..n).step_by(5) {
+            engine.insert_edge(u, (u + 7) % n).unwrap();
+            // Already present: the ingestor drops it.
+            engine.insert_edge(u, (u + 1) % n).unwrap();
+        }
+        engine.flush().unwrap();
+        for q in &queries {
+            engine.query(q).unwrap();
+            engine.query(q).unwrap();
+        }
+        for u in (round..n).step_by(5) {
+            engine.remove_edge(u, (u + 7) % n).unwrap();
+        }
+        engine.flush().unwrap();
+    }
+    engine.stats()
+}
+
+/// Every count of `EngineStats` is the same with telemetry on or off; only
+/// the durations, read from the stage histograms, need the clock.
+#[test]
+fn stats_counts_are_the_same_with_telemetry_on_or_off() {
+    for n_shards in [1, 4] {
+        let on = counted_replay(n_shards, TelemetryConfig::default());
+        let off = counted_replay(n_shards, TelemetryConfig::disabled());
+        for (name, on_time, off_time) in [
+            ("ingest", on.ingest_time, off.ingest_time),
+            ("query", on.query_time, off.query_time),
+        ] {
+            assert!(on_time > Duration::ZERO, "{n_shards} shards: {name} time");
+            assert_eq!(off_time, Duration::ZERO, "{n_shards} shards: {name} time");
+        }
+        assert_eq!(off.refresh_time, Duration::ZERO);
+        assert_eq!(on.refresh_time > Duration::ZERO, on.refreshes > 0);
+        // The clock- and journal-derived fields aside, the records agree
+        // field for field, `per_shard` included.
+        let counts = |s: &EngineStats| EngineStats {
+            ingest_time: Duration::ZERO,
+            refresh_time: Duration::ZERO,
+            query_time: Duration::ZERO,
+            coupling_sweeps_p50: 0,
+            coupling_sweeps_max: 0,
+            telemetry_enabled: false,
+            spans_recorded: 0,
+            journal_events: 0,
+            journal_dropped: 0,
+            query_solve_p50: Duration::ZERO,
+            query_solve_p99: Duration::ZERO,
+            ..s.clone()
+        };
+        assert_eq!(counts(&on), counts(&off), "{n_shards} shards");
+        assert_eq!(on.batches_applied, 16);
+        assert_eq!(on.ops_coalesced, 20);
+        assert_eq!((on.queries, on.cache_hits, on.cache_misses), (16, 8, 8));
+        assert_eq!(on.per_shard.len(), n_shards);
+        assert_eq!(on.repartitions, u64::from(n_shards > 1));
+    }
 }

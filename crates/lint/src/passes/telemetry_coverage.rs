@@ -1,12 +1,16 @@
 //! `telemetry-coverage`: observability cannot silently rot.
 //!
-//! Every `Stage` variant declared in `crates/telemetry/src/stage.rs` and
-//! every `EventKind` declared in `crates/telemetry/src/journal.rs` must be
-//! emitted from at least one *non-test* instrumentation site in
-//! `crates/engine` — a stage timed nowhere or an event never recorded is a
-//! dashboard series that quietly flatlines.  Sites count whether they spell
-//! `Stage::X`, `EventKind::X`, or the journal's payload enum
-//! `EngineEvent::X` (kinds map 1:1 onto payload variants).
+//! Every `Stage` variant declared in `crates/telemetry/src/stage.rs`, every
+//! `EventKind` declared in `crates/telemetry/src/journal.rs` and every
+//! `Counter` and `ShardCounter` declared in `crates/telemetry/src/registry.rs`
+//! must be emitted from at least one *non-test* instrumentation site in
+//! `crates/engine` — a stage timed nowhere, an event never recorded or a
+//! counter no event feeds is a dashboard series that quietly flatlines.
+//! Sites count whether they spell `Stage::X`, `Counter::X`,
+//! `ShardCounter::X`, `EventKind::X`, or the journal's payload enum
+//! `EngineEvent::X` (kinds map 1:1 onto payload variants).  The engine's
+//! statistics view (`crates/engine/src/stats.rs`) reads every counter, so
+//! its mentions of one are not sites.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::source::FileContext;
@@ -14,16 +18,40 @@ use std::collections::HashSet;
 
 const STAGE_DECL: &str = "crates/telemetry/src/stage.rs";
 const KIND_DECL: &str = "crates/telemetry/src/journal.rs";
+const COUNTER_DECL: &str = "crates/telemetry/src/registry.rs";
+/// Where the engine reads its counters back: mentions there feed nothing.
+const COUNTER_VIEW: &str = "crates/engine/src/stats.rs";
 
 /// Runs the coverage check over the whole file set.  A no-op when the
 /// telemetry declarations are not among the inputs (single-file fixture
 /// runs).
 pub fn run(files: &[FileContext<'_>], out: &mut Vec<Diagnostic>) {
+    // (declaration, enum, site paths, what a site does, file not searched)
     let checks = [
-        (STAGE_DECL, "Stage", &["Stage"][..]),
-        (KIND_DECL, "EventKind", &["EventKind", "EngineEvent"][..]),
+        (STAGE_DECL, "Stage", &["Stage"][..], "span", ""),
+        (
+            KIND_DECL,
+            "EventKind",
+            &["EventKind", "EngineEvent"][..],
+            "record_event",
+            "",
+        ),
+        (
+            COUNTER_DECL,
+            "Counter",
+            &["Counter"][..],
+            "count",
+            COUNTER_VIEW,
+        ),
+        (
+            COUNTER_DECL,
+            "ShardCounter",
+            &["ShardCounter"][..],
+            "count",
+            COUNTER_VIEW,
+        ),
     ];
-    for (decl_file, enum_name, site_paths) in checks {
+    for (decl_file, enum_name, site_paths, site, view) in checks {
         let Some(decl) = files.iter().find(|f| f.path == decl_file) else {
             continue;
         };
@@ -31,7 +59,7 @@ pub fn run(files: &[FileContext<'_>], out: &mut Vec<Diagnostic>) {
         let mut seen: HashSet<&str> = HashSet::new();
         for file in files
             .iter()
-            .filter(|f| f.path.starts_with("crates/engine/"))
+            .filter(|f| f.path.starts_with("crates/engine/") && f.path != view)
         {
             collect_sites(file, site_paths, &variants, &mut seen);
         }
@@ -43,12 +71,7 @@ pub fn run(files: &[FileContext<'_>], out: &mut Vec<Diagnostic>) {
                     lint: "telemetry-coverage",
                     message: format!(
                         "{enum_name}::{name} is declared but never instrumented in \
-                         crates/engine — add the {} site or remove the variant",
-                        if enum_name == "Stage" {
-                            "span"
-                        } else {
-                            "record_event"
-                        },
+                         crates/engine — add the {site} site or remove the variant",
                     ),
                     severity: Severity::Deny,
                 });

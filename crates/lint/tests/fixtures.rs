@@ -338,6 +338,41 @@ fn telemetry_coverage_does_not_count_test_only_sites() {
     assert_eq!(count(&report, "telemetry-coverage"), 1);
 }
 
+#[test]
+fn telemetry_coverage_rejects_a_counter_no_event_feeds() {
+    let registry = "pub enum Counter {\n    BatchesApplied,\n    Orphaned,\n}\n\
+                    pub enum ShardCounter {\n    Sweeps,\n}\n";
+    let report = lint(&[
+        ("crates/telemetry/src/registry.rs", registry),
+        (
+            "crates/engine/src/engine.rs",
+            "pub fn f(t: &T) {\n    t.incr(Counter::BatchesApplied);\n    \
+             t.add_shard(0, ShardCounter::Sweeps, 1);\n}\n\
+             #[cfg(test)]\n\
+             mod tests {\n    \
+             fn t(t: &T) {\n        t.incr(Counter::Orphaned);\n    }\n\
+             }\n",
+        ),
+        // The statistics view reads every counter; a read feeds nothing.
+        (
+            "crates/engine/src/stats.rs",
+            "pub fn view(t: &T) -> u64 {\n    t.counter(Counter::Orphaned)\n}\n",
+        ),
+    ]);
+    assert_eq!(count(&report, "telemetry-coverage"), 1);
+    assert!(report.diagnostics[0].message.contains("Counter::Orphaned"));
+    // Fed from live code, the same declaration passes.
+    let report = lint(&[
+        ("crates/telemetry/src/registry.rs", registry),
+        (
+            "crates/engine/src/engine.rs",
+            "pub fn f(t: &T) {\n    t.incr(Counter::BatchesApplied);\n    \
+             t.incr(Counter::Orphaned);\n    t.add_shard(0, ShardCounter::Sweeps, 1);\n}\n",
+        ),
+    ]);
+    assert_eq!(count(&report, "telemetry-coverage"), 0);
+}
+
 // --------------------------------------------------------------- forbid-unsafe
 
 #[test]

@@ -21,8 +21,13 @@
 //!   elapsed time into the stage's histogram on drop. With
 //!   [`TelemetryConfig::disabled`] it never reads the clock — a span is
 //!   then a single branch on a `bool`.
-//! * [`Counter`] and [`Gauge`] name the monotonic counters and sampled
-//!   gauges (coupling nnz, resident factor bytes, ring depth).
+//! * [`Counter`], [`ShardCounter`] and [`Gauge`] name the monotonic
+//!   counters, the per-shard counters (one row per shard, sized by
+//!   [`TelemetryRegistry::with_shards`]) and the sampled gauges (coupling
+//!   nnz, resident factor bytes, ring depth).  They record whether or not
+//!   the registry is enabled — a relaxed add — because the engine's
+//!   statistics are read from them; `enabled` gates only the clock, the
+//!   histograms and the journal.
 //! * [`TelemetryRegistry::render_prometheus`] and
 //!   [`TelemetryRegistry::render_json`] expose the whole registry in the
 //!   Prometheus text format (summary-style, seconds) and as a JSON document.
@@ -41,5 +46,7 @@ mod stage;
 
 pub use hist::{HistogramSnapshot, LogHistogram};
 pub use journal::{EngineEvent, EventJournal, EventKind, FallbackReason, JournalEntry};
-pub use registry::{validate_prometheus, Counter, Gauge, Span, TelemetryConfig, TelemetryRegistry};
+pub use registry::{
+    validate_prometheus, Counter, Gauge, ShardCounter, Span, TelemetryConfig, TelemetryRegistry,
+};
 pub use stage::Stage;

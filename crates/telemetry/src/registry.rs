@@ -10,9 +10,10 @@ use std::time::{Duration, Instant};
 /// How a [`TelemetryRegistry`] behaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// When false, spans never read the clock, histograms and counters are
-    /// never touched, and events are discarded — recording is a single
-    /// branch.
+    /// When false, spans never read the clock, and the stage and block-pass
+    /// histograms and the event journal record nothing — each is a single
+    /// branch.  Counters and gauges record either way: a relaxed add is what
+    /// the engine's statistics are built from.
     pub enabled: bool,
     /// Entries the event journal retains (counts are kept regardless).
     pub journal_capacity: usize,
@@ -28,7 +29,8 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// A configuration that compiles all recording down to near-no-ops.
+    /// A configuration that stops the clock and the journal; counters and
+    /// gauges still record.
     pub const fn disabled() -> Self {
         TelemetryConfig {
             enabled: false,
@@ -37,7 +39,7 @@ impl TelemetryConfig {
     }
 }
 
-/// A monotonic event counter.
+/// A monotonic event counter, exposed as `clude_<name>_total`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
     /// Edge operations offered to the ingestor.
@@ -60,11 +62,33 @@ pub enum Counter {
     /// [`Counter::FrozenRowsRefactored`], the share of a block a value-only
     /// batch costs.
     FrozenBlockRows,
+    /// Edge operations dropped as no-ops: inserts of present edges or
+    /// self-loops, absent removes, add/remove pairs cancelling inside one
+    /// batch.
+    OpsCoalesced,
+    /// Batches in which at least one shard re-ordered.
+    BatchesReordered,
+    /// Bennett pivots visited.
+    BennettPivots,
+    /// Shard-batches absorbed by Bennett sweeps.
+    SweepArm,
+    /// Shard-batches absorbed by a frozen-pattern pass.
+    RefactorArm,
+    /// Shard-batches absorbed by a rebuild under the held ordering (the
+    /// re-order arm is the sum of [`ShardCounter::Reorders`]).
+    RebuildArm,
+    /// Shard factor blocks re-frozen for a new snapshot because the batch
+    /// touched them — the "copy" side of the copy-on-write ring.
+    CowShardsCloned,
+    /// Shard factor blocks a new snapshot shared with the previous one.
+    CowShardsShared,
+    /// Adaptive re-partitions triggered by coupling growth.
+    Repartitions,
 }
 
 impl Counter {
     /// Every counter, in exposition order.
-    pub const ALL: [Counter; 8] = [
+    pub const ALL: [Counter; 17] = [
         Counter::OpsIngested,
         Counter::BatchesApplied,
         Counter::QueriesServed,
@@ -73,6 +97,15 @@ impl Counter {
         Counter::ConvergenceFailures,
         Counter::FrozenRowsRefactored,
         Counter::FrozenBlockRows,
+        Counter::OpsCoalesced,
+        Counter::BatchesReordered,
+        Counter::BennettPivots,
+        Counter::SweepArm,
+        Counter::RefactorArm,
+        Counter::RebuildArm,
+        Counter::CowShardsCloned,
+        Counter::CowShardsShared,
+        Counter::Repartitions,
     ];
 
     /// Short snake_case name (JSON key).
@@ -86,25 +119,54 @@ impl Counter {
             Counter::ConvergenceFailures => "convergence_failures",
             Counter::FrozenRowsRefactored => "frozen_rows_refactored",
             Counter::FrozenBlockRows => "frozen_block_rows",
-        }
-    }
-
-    /// Full Prometheus series name.
-    pub const fn metric(self) -> &'static str {
-        match self {
-            Counter::OpsIngested => "clude_ops_ingested_total",
-            Counter::BatchesApplied => "clude_batches_applied_total",
-            Counter::QueriesServed => "clude_queries_served_total",
-            Counter::CacheHits => "clude_cache_hits_total",
-            Counter::CacheEvictions => "clude_cache_evictions_total",
-            Counter::ConvergenceFailures => "clude_convergence_failures_total",
-            Counter::FrozenRowsRefactored => "clude_frozen_rows_refactored_total",
-            Counter::FrozenBlockRows => "clude_frozen_block_rows_total",
+            Counter::OpsCoalesced => "ops_coalesced",
+            Counter::BatchesReordered => "batches_reordered",
+            Counter::BennettPivots => "bennett_pivots",
+            Counter::SweepArm => "arm_sweep",
+            Counter::RefactorArm => "arm_refactor",
+            Counter::RebuildArm => "arm_rebuild",
+            Counter::CowShardsCloned => "cow_shards_cloned",
+            Counter::CowShardsShared => "cow_shards_shared",
+            Counter::Repartitions => "repartitions",
         }
     }
 }
 
-/// A sampled gauge (last written value wins).
+/// A monotonic per-shard counter, exposed as
+/// `clude_shard_<name>_total{shard="i"}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ShardCounter {
+    /// Changed matrix entries applied to the shard's factors.
+    EntriesApplied,
+    /// Bennett rank-one updates run on the shard.
+    Sweeps,
+    /// Cross-shard edge changes sourced from the shard's nodes.
+    CrossShardEdges,
+    /// Re-orders (fresh ordering + factorization) of the shard's block.
+    Reorders,
+}
+
+impl ShardCounter {
+    /// Every per-shard counter, in exposition order.
+    pub const ALL: [ShardCounter; 4] = [
+        ShardCounter::EntriesApplied,
+        ShardCounter::Sweeps,
+        ShardCounter::CrossShardEdges,
+        ShardCounter::Reorders,
+    ];
+
+    /// Short snake_case name (JSON key).
+    pub const fn name(self) -> &'static str {
+        match self {
+            ShardCounter::EntriesApplied => "entries_applied",
+            ShardCounter::Sweeps => "sweeps",
+            ShardCounter::CrossShardEdges => "cross_shard_edges",
+            ShardCounter::Reorders => "reorders",
+        }
+    }
+}
+
+/// A sampled gauge (last written value wins), exposed as `clude_<name>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gauge {
     /// Entries in the live cross-shard coupling store.
@@ -132,24 +194,18 @@ impl Gauge {
             Gauge::RingDepth => "ring_depth",
         }
     }
-
-    /// Full Prometheus series name.
-    pub const fn metric(self) -> &'static str {
-        match self {
-            Gauge::CouplingNnz => "clude_coupling_nnz",
-            Gauge::ResidentFactorBytes => "clude_resident_factor_bytes",
-            Gauge::RingDepth => "clude_ring_depth",
-        }
-    }
 }
 
 /// The engine-wide telemetry sink: one duration histogram per [`Stage`],
-/// the coupled-solve block-pass histogram, the counters and gauges, and the
-/// event journal.
+/// the coupled-solve block-pass histogram, the counters and per-shard
+/// counters, the gauges, and the event journal.
 ///
 /// All recording goes through `&self` with relaxed atomics (the journal's
 /// rare events take a mutex), so one registry sits behind an `Arc` shared by
 /// the ingest thread, the shard sweep threads, and every query reader.
+/// Counters are independent monotonic tallies: no read or write of one
+/// synchronises other memory, and a reader sees each counter on its own, so
+/// cross-counter consistency is not promised.
 #[derive(Debug)]
 pub struct TelemetryRegistry {
     config: TelemetryConfig,
@@ -158,6 +214,8 @@ pub struct TelemetryRegistry {
     /// the one histogram that is not a stage).
     coupling_sweeps: LogHistogram,
     counters: [AtomicU64; Counter::ALL.len()],
+    /// One row of [`ShardCounter`]s per shard the registry was sized for.
+    shards: Box<[[AtomicU64; ShardCounter::ALL.len()]]>,
     gauges: [AtomicU64; Gauge::ALL.len()],
     journal: EventJournal,
 }
@@ -169,19 +227,31 @@ impl Default for TelemetryRegistry {
 }
 
 impl TelemetryRegistry {
-    /// A registry with the given behavior.
+    /// A registry with the given behavior and no per-shard counters.
     pub fn new(config: TelemetryConfig) -> Self {
+        Self::with_shards(config, 0)
+    }
+
+    /// A registry with the given behavior and a row of per-shard counters
+    /// for each of `n_shards` shards.  The count is fixed for the registry's
+    /// life: an engine's shard count can only shrink, so every later shard id
+    /// stays in range and a retired id's row simply stops moving.
+    pub fn with_shards(config: TelemetryConfig, n_shards: usize) -> Self {
         TelemetryRegistry {
             config,
             stages: [const { LogHistogram::new() }; Stage::COUNT],
             coupling_sweeps: LogHistogram::new(),
             counters: [const { AtomicU64::new(0) }; Counter::ALL.len()],
+            shards: (0..n_shards)
+                .map(|_| [const { AtomicU64::new(0) }; ShardCounter::ALL.len()])
+                .collect(),
             gauges: [const { AtomicU64::new(0) }; Gauge::ALL.len()],
             journal: EventJournal::new(config.journal_capacity),
         }
     }
 
-    /// A registry that records nothing (see [`TelemetryConfig::disabled`]).
+    /// A registry that stops the clock and the journal (see
+    /// [`TelemetryConfig::disabled`]).
     pub fn disabled() -> Self {
         Self::new(TelemetryConfig::disabled())
     }
@@ -259,38 +329,49 @@ impl TelemetryRegistry {
         self.add(counter, 1);
     }
 
-    /// Increments `counter` by `n`.
+    /// Increments `counter` by `n`, whether or not the registry is enabled.
     #[inline]
     pub fn add(&self, counter: Counter, n: u64) {
-        if self.config.enabled {
-            // lint: allow(atomic-ordering) — counters are independent
-            // monotonic tallies for exposition; they synchronise nothing.
-            self.counters[counter as usize].fetch_add(n, Relaxed);
-        }
+        tally(&self.counters[counter as usize], n);
     }
 
     /// The current value of `counter`.
     pub fn counter(&self, counter: Counter) -> u64 {
-        // lint: allow(atomic-ordering) — exposition read of an independent
-        // tally; cross-counter consistency is not promised.
-        self.counters[counter as usize].load(Relaxed)
+        read(&self.counters[counter as usize])
     }
 
-    /// Sets `gauge` to `value`.
+    /// Increments `shard`'s `counter` by `n`, whether or not the registry is
+    /// enabled.
+    ///
+    /// # Panics
+    /// Panics when `shard` is not below the count the registry was sized
+    /// for ([`Self::with_shards`]).
+    #[inline]
+    pub fn add_shard(&self, shard: usize, counter: ShardCounter, n: u64) {
+        tally(&self.shards[shard][counter as usize], n);
+    }
+
+    /// The current value of `shard`'s `counter`.
+    pub fn shard_counter(&self, shard: usize, counter: ShardCounter) -> u64 {
+        read(&self.shards[shard][counter as usize])
+    }
+
+    /// Shards the per-shard counters were sized for.
+    pub fn n_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Sets `gauge` to `value`, whether or not the registry is enabled.
     #[inline]
     pub fn set_gauge(&self, gauge: Gauge, value: u64) {
-        if self.config.enabled {
-            // lint: allow(atomic-ordering) — last-writer-wins gauge for
-            // exposition; readers tolerate any interleaving.
-            self.gauges[gauge as usize].store(value, Relaxed);
-        }
+        // lint: allow(atomic-ordering) — last-writer-wins gauge for
+        // exposition; readers tolerate any interleaving.
+        self.gauges[gauge as usize].store(value, Relaxed);
     }
 
     /// The last value written to `gauge`.
     pub fn gauge(&self, gauge: Gauge) -> u64 {
-        // lint: allow(atomic-ordering) — exposition read of a last-writer-
-        // wins gauge; no ordering with other telemetry state is needed.
-        self.gauges[gauge as usize].load(Relaxed)
+        read(&self.gauges[gauge as usize])
     }
 
     /// Appends a structured event to the journal.
@@ -319,7 +400,8 @@ impl TelemetryRegistry {
     /// Stage histograms render as summary families in seconds
     /// (`clude_<stage>_duration_seconds{quantile="..."}` plus `_sum` /
     /// `_count`), the block-pass histogram as the unitless summary
-    /// `clude_coupling_sweeps`, counters as `_total` series, gauges plainly,
+    /// `clude_coupling_sweeps`, counters as `_total` series, per-shard
+    /// counters as `{shard="i"}`-labelled `_total` series, gauges plainly,
     /// and journal per-kind counts as
     /// `clude_journal_events_total{event="..."}`.
     pub fn render_prometheus(&self) -> String {
@@ -341,17 +423,28 @@ impl TelemetryRegistry {
             |sweeps| sweeps.to_string(),
         );
         for counter in Counter::ALL {
-            let metric = counter.metric();
-            out.push_str(&format!(
-                "# HELP {metric} Engine counter {}.\n",
-                counter.name()
-            ));
+            let name = counter.name();
+            let metric = format!("clude_{name}_total");
+            out.push_str(&format!("# HELP {metric} Engine counter {name}.\n"));
             out.push_str(&format!("# TYPE {metric} counter\n"));
             out.push_str(&format!("{metric} {}\n", self.counter(counter)));
         }
+        for counter in ShardCounter::ALL {
+            let name = counter.name();
+            let metric = format!("clude_shard_{name}_total");
+            out.push_str(&format!("# HELP {metric} Per-shard counter {name}.\n"));
+            out.push_str(&format!("# TYPE {metric} counter\n"));
+            for shard in 0..self.n_shards() {
+                out.push_str(&format!(
+                    "{metric}{{shard=\"{shard}\"}} {}\n",
+                    self.shard_counter(shard, counter)
+                ));
+            }
+        }
         for gauge in Gauge::ALL {
-            let metric = gauge.metric();
-            out.push_str(&format!("# HELP {metric} Engine gauge {}.\n", gauge.name()));
+            let name = gauge.name();
+            let metric = format!("clude_{name}");
+            out.push_str(&format!("# HELP {metric} Engine gauge {name}.\n"));
             out.push_str(&format!("# TYPE {metric} gauge\n"));
             out.push_str(&format!("{metric} {}\n", self.gauge(gauge)));
         }
@@ -416,7 +509,16 @@ impl TelemetryRegistry {
                 comma(i, Counter::ALL.len())
             ));
         }
-        out.push_str("},\n  \"gauges\": {");
+        out.push_str("},\n  \"shards\": [");
+        for shard in 0..self.n_shards() {
+            out.push_str(&format!("{{\"shard\": {shard}"));
+            for counter in ShardCounter::ALL {
+                let value = self.shard_counter(shard, counter);
+                out.push_str(&format!(", \"{}\": {value}", counter.name()));
+            }
+            out.push_str(&format!("}}{}", comma(shard, self.n_shards())));
+        }
+        out.push_str("],\n  \"gauges\": {");
         for (i, gauge) in Gauge::ALL.iter().enumerate() {
             out.push_str(&format!(
                 "\"{}\": {}{}",
@@ -465,6 +567,21 @@ fn push_summary(
     out.push_str(&format!("{family}{{quantile=\"1\"}} {}\n", unit(h.max())));
     out.push_str(&format!("{family}_sum {}\n", unit(h.sum())));
     out.push_str(&format!("{family}_count {}\n", h.count()));
+}
+
+/// Adds `n` to a counter cell.
+#[inline]
+fn tally(cell: &AtomicU64, n: u64) {
+    // lint: allow(atomic-ordering) — counters are independent monotonic
+    // tallies; they synchronise nothing.
+    cell.fetch_add(n, Relaxed);
+}
+
+/// Reads a counter or gauge cell for exposition.
+fn read(cell: &AtomicU64) -> u64 {
+    // lint: allow(atomic-ordering) — exposition read of an independent cell;
+    // cross-cell consistency is not promised.
+    cell.load(Relaxed)
 }
 
 /// Nanoseconds rendered as fixed-point seconds.
@@ -651,20 +768,27 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let reg = TelemetryRegistry::disabled();
+    fn disabled_registry_stops_the_clock_but_keeps_counting() {
+        let reg = TelemetryRegistry::with_shards(TelemetryConfig::disabled(), 2);
         assert!(!reg.enabled());
         reg.span(Stage::ShardSweep).stop();
         reg.observe(Stage::QuerySolve, Duration::from_millis(5));
-        reg.incr(Counter::QueriesServed);
-        reg.set_gauge(Gauge::RingDepth, 7);
+        reg.observe_ns(Stage::QuerySolve, 5);
         reg.record_event(EngineEvent::CacheEvicted { snapshot: 1 });
         reg.observe_coupling_sweeps(20);
+        reg.incr(Counter::QueriesServed);
+        reg.add_shard(1, ShardCounter::Sweeps, 3);
+        reg.set_gauge(Gauge::RingDepth, 7);
+        // Off: spans, stage and block-pass histograms, the journal.
         assert!(reg.coupling_sweeps().is_empty());
         assert_eq!(reg.spans_recorded(), 0);
-        assert_eq!(reg.counter(Counter::QueriesServed), 0);
-        assert_eq!(reg.gauge(Gauge::RingDepth), 0);
+        assert!(reg.stage_histogram(Stage::QuerySolve).is_empty());
         assert_eq!(reg.journal().recorded(), 0);
+        // Still on: counters, per-shard counters and gauges.
+        assert_eq!(reg.counter(Counter::QueriesServed), 1);
+        assert_eq!(reg.shard_counter(1, ShardCounter::Sweeps), 3);
+        assert_eq!(reg.shard_counter(0, ShardCounter::Sweeps), 0);
+        assert_eq!(reg.gauge(Gauge::RingDepth), 7);
     }
 
     #[test]
@@ -703,6 +827,32 @@ mod tests {
         assert!(text.contains("clude_coupling_sweeps{quantile=\"1\"} 40\n"));
         assert!(text.contains("clude_coupling_sweeps_sum 100\n"));
         assert!(text.contains("clude_coupling_sweeps_count 4\n"));
+        // No per-shard rows on a registry sized for none.
+        assert!(!text.contains("{shard="));
+    }
+
+    #[test]
+    fn per_shard_counters_render_as_labelled_series() {
+        let reg = TelemetryRegistry::with_shards(TelemetryConfig::default(), 3);
+        assert_eq!(reg.n_shards(), 3);
+        reg.add_shard(2, ShardCounter::EntriesApplied, 5);
+        reg.add_shard(0, ShardCounter::Reorders, 1);
+        let text = reg.render_prometheus();
+        validate_prometheus(&text).expect("exposition must parse");
+        for line in [
+            "clude_shard_entries_applied_total{shard=\"2\"} 5\n",
+            "clude_shard_entries_applied_total{shard=\"0\"} 0\n",
+            "clude_shard_reorders_total{shard=\"0\"} 1\n",
+            "clude_shard_cross_shard_edges_total{shard=\"1\"} 0\n",
+        ] {
+            assert!(text.contains(line), "missing {line}");
+        }
+        let json = reg.render_json();
+        assert!(json.contains(
+            "{\"shard\": 2, \"entries_applied\": 5, \"sweeps\": 0, \
+             \"cross_shard_edges\": 0, \"reorders\": 0}"
+        ));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
