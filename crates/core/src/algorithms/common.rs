@@ -139,9 +139,7 @@ impl DecomposedMatrix {
 
     /// Allocation-free variant of [`DecomposedMatrix::solve`]: permutes and
     /// substitutes through the reused `scratch`, writing the solution into
-    /// `out` (capacities are reused, previous contents discarded).  This is
-    /// the per-shard solve of the engine's coupled query path, called once
-    /// per shard per sweep — the reason it must not allocate.
+    /// `out` (capacities are reused, previous contents discarded).
     pub fn solve_into(
         &self,
         b: &[f64],

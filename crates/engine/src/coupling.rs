@@ -9,7 +9,13 @@
 //! **The pass.**  One *block pass* updates a vector in place, shard by shard
 //! in the plan's order ([`CouplingPlan::gs_order`]): shard `s` becomes
 //! `B_ss⁻¹(f·b_s − C_s·x)`, reading the vector as it stands, so the shards
-//! updated earlier in the pass already contribute their new values.  Split
+//! updated earlier in the pass already contribute their new values.  The
+//! vector lives in the plan's layout — each shard's segment in its factored
+//! order, shards back to back — so shard `s`'s step is one walk over its
+//! rows of the re-indexed coupling, written straight into its segment, and
+//! one substitution in place on that segment: no gather through the
+//! partition, no permutation and no scatter per pass.  A solve lays `b` out
+//! once and reads its answer back once.  Split
 //! `A = M − N` with `M` the blocks plus the coupling an earlier shard feeds a
 //! later one: with `f = 1` a pass is the Gauss–Seidel step
 //! `S(x) = G·x + M⁻¹b`, `G = M⁻¹N`, and with `f = 0` it is the bare operator
@@ -38,17 +44,20 @@
 //! appears; exhausting [`SolveTolerance::max_sweeps`] block passes fails it
 //! too.  Both are [`LuError::ConvergenceFailure`], journalled.
 //!
-//! A store without coupling — one shard, or shards no edge crosses — never
-//! iterates: its solve is one pass of substitutions (see `solve_systems`).
+//! A single shard without coupling is one pair of substitutions through its
+//! ordering (see `solve_systems`); shards no edge crosses have a triangular
+//! plan, so they take the one pass from zero.
 //! A non-finite right-hand side is refused before any path runs, as
 //! [`LuError::InvalidParameter`] named `rhs`: substitutions would carry it
 //! into an `Ok([NaN, …])`, and it is the caller's input, not a failure of
 //! the iteration.
-//! The per-snapshot metadata of the pass — the traversal order and the
-//! triangularity verdict — is a pure function of (partition, frozen
-//! coupling), a [`CouplingPlan`] built by the first coupled solve that
-//! reads it — inside its `coupling.gauss_seidel` span — and shared through
-//! the copy-on-write snapshot ring with its [`FrozenCoupling`].
+//! The per-snapshot metadata of the pass — the traversal order, the
+//! triangularity verdict and the layout — is a pure function of (partition,
+//! frozen coupling, shard orderings), a [`CouplingPlan`] built by the first
+//! coupled solve that reads it — inside its `coupling.gauss_seidel` span —
+//! and shared through the copy-on-write snapshot ring with its
+//! [`FrozenCoupling`], which the store freezes anew whenever a cross-shard
+//! entry or a shard's ordering changes.
 
 // lint: hot-path
 
@@ -56,10 +65,9 @@ mod plan;
 
 pub use plan::{CouplingPlan, FrozenCoupling};
 
-use crate::store::{EngineSnapshot, ShardSnapshot};
-use clude_graph::NodePartition;
+use crate::store::{static_factors, EngineSnapshot, ShardSnapshot};
 use clude_lu::{LuError, LuResult, PanelScratch};
-use clude_sparse::vector::{axpy, dot, norm2};
+use clude_sparse::vector::axpy;
 use clude_telemetry::{Counter, EngineEvent, Stage};
 
 /// Stopping rule of the coupled solve: a relative iterate-change tolerance
@@ -149,75 +157,33 @@ pub struct CouplingConfig {
     pub repartition_budget: Option<usize>,
 }
 
-/// Reused buffers of one coupled solve: the gathered per-shard right-hand
-/// side panel, the recovered per-shard solution panel, and the triangular
-/// panel scratch underneath.  Allocated once per query; every pass after
-/// the first reuses the grown capacity.
+/// Reused buffers of one coupled solve: the right-hand sides and the
+/// solutions in the plan's layout, and the panel a multi-column pass builds
+/// one shard's right-hand sides in.  Allocated once per query; every pass
+/// after the first reuses the grown capacity.
 #[derive(Debug, Default)]
 struct PanelBlockScratch {
-    local_rhs: Vec<f64>,
-    local_x: Vec<f64>,
-    lu: PanelScratch,
-}
-
-/// One pass of `B⁻¹` over `n_rhs` right-hand sides stacked column-major in
-/// `rhs`: every block solves its restriction of the panel and scatters the
-/// local solutions into `out`, each shard's factors traversed **once** for
-/// the whole panel.  Per panel column the arithmetic does not depend on the
-/// panel's width, so every stripe of `out` is bit-identical to the same
-/// pass at width 1.
-fn solve_blocks_many(
-    partition: &NodePartition,
-    blocks: &[ShardSnapshot],
-    rhs: &[f64],
-    n_rhs: usize,
-    out: &mut [f64],
-    scratch: &mut PanelBlockScratch,
-) -> LuResult<()> {
-    if n_rhs == 0 {
-        return Ok(());
-    }
-    let n = rhs.len() / n_rhs;
-    for (s, block) in blocks.iter().enumerate() {
-        let nodes = partition.nodes_of(s);
-        scratch.local_rhs.clear();
-        for c in 0..n_rhs {
-            let stripe = &rhs[c * n..(c + 1) * n];
-            scratch.local_rhs.extend(nodes.iter().map(|&g| stripe[g]));
-        }
-        block.decomposed().solve_many_into(
-            &scratch.local_rhs,
-            n_rhs,
-            &mut scratch.lu,
-            &mut scratch.local_x,
-        )?;
-        let m = nodes.len();
-        for c in 0..n_rhs {
-            let local = &scratch.local_x[c * m..(c + 1) * m];
-            let stripe = &mut out[c * n..(c + 1) * n];
-            for (l, &g) in nodes.iter().enumerate() {
-                stripe[g] = local[l];
-            }
-        }
-    }
-    Ok(())
+    b: Vec<f64>,
+    x: Vec<f64>,
+    panel: Vec<f64>,
 }
 
 /// Solves `A x = b` for a snapshot's full measure matrix
 /// `A = blockdiag(A_ss) + C` and `n_rhs` right-hand sides stacked
 /// column-major in `b`, one factor traversal per block pass for the whole
-/// panel.  A single right-hand side is a width-1 panel (the scalar-kernel
-/// choice lives in `clude_lu::solve_original_many_into`, nowhere else).
+/// panel.  A single right-hand side is a width-1 panel, which the
+/// substitutions take through their scalar kernel.
 ///
 /// A NaN or ∞ anywhere in `b` is [`LuError::InvalidParameter`] (`rhs`,
-/// the first such value) on every path.  Fast paths first: a single shard
-/// without coupling is one pair of substitutions, and fully decoupled
-/// shards need exactly one block pass.  Everything else is the Krylov
-/// iteration over the plan's block pass; the first such solve after a
-/// coupling change builds the plan, inside its `coupling.gauss_seidel` span.
+/// the first such value) on every path.  A single shard without coupling is
+/// one pair of substitutions; every other snapshot runs the plan's block
+/// pass — once when the plan is triangular, fully decoupled shards
+/// included, else under the Krylov iteration.  The first such solve after
+/// the store froze a new coupling builds the plan, inside its
+/// `coupling.gauss_seidel` span.
 ///
 /// Every stripe of the result is **bit-identical** to a width-1 call on
-/// that stripe: the direct paths reuse the panel kernels' per-column
+/// that stripe: the substitutions are the panel kernels with per-column
 /// bit-identity, and in the iteration each column carries its own Krylov
 /// state and never reads a neighbour — so per column the pass count, every
 /// intermediate vector, and the final answer do not depend on which other
@@ -241,20 +207,22 @@ pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> L
         return Ok(x);
     }
     let shards = snap.shards();
-    let coupling = snap.coupling();
-    if shards.len() == 1 && coupling.nnz() == 0 {
+    if shards.len() == 1 && snap.coupling().nnz() == 0 {
         let mut scratch = PanelScratch::new();
         shards[0]
             .decomposed()
             .solve_many_into(b, n_rhs, &mut scratch, &mut x)?;
         return Ok(x);
     }
+    if u32::try_from(n).is_err() {
+        // The plan's layout addresses the vector with `u32` positions.
+        return Err(LuError::InvalidParameter {
+            name: "n_nodes",
+            value: n as f64,
+        });
+    }
     x.resize(n * n_rhs, 0.0);
     let mut scratch = PanelBlockScratch::default();
-    if coupling.nnz() == 0 {
-        solve_blocks_many(snap.partition(), shards, b, n_rhs, &mut x, &mut scratch)?;
-        return Ok(x);
-    }
     let telemetry = snap.telemetry();
     let span = telemetry.span(Stage::CouplingGaussSeidel);
     let result = krylov_many(snap, b, n_rhs, RESTART, &mut x, &mut scratch);
@@ -375,10 +343,13 @@ impl KrylovColumn {
 
     /// Consumes the pass that just ran on this column's active slot.
     /// Returns whether the column was accepted by it; `pass` is the 1-based
-    /// count of block passes so far, `x` the column's stripe of the result.
+    /// count of block passes so far, `x` the column's stripe of the result,
+    /// both in the plan's layout, and `node_order` the layout position of
+    /// each node, the order the inner products sum in.
     fn advance(
         &mut self,
         x: &mut [f64],
+        node_order: &[u32],
         tolerance: &SolveTolerance,
         restart: usize,
         pass: usize,
@@ -409,7 +380,7 @@ impl KrylovColumn {
                 for (r, &xi) in swept.iter_mut().zip(x.iter()) {
                     *r -= xi;
                 }
-                let beta = norm2(swept);
+                let beta = dot_in(node_order, swept, swept).sqrt();
                 for r in swept.iter_mut() {
                     *r /= beta;
                 }
@@ -429,10 +400,10 @@ impl KrylovColumn {
                 }
                 let mut h = [0.0; RESTART + 1];
                 for (hi, v) in h.iter_mut().zip(vs.chunks_exact(n)) {
-                    *hi = dot(w, v);
+                    *hi = dot_in(node_order, w, v);
                     axpy(-*hi, v, w);
                 }
-                let h_next = norm2(w);
+                let h_next = dot_in(node_order, w, w).sqrt();
                 // Rotate the new Hessenberg column into R and the
                 // right-hand side with it.
                 for i in 0..j {
@@ -488,64 +459,71 @@ impl KrylovColumn {
 }
 
 /// One ordered block pass over the panel, in place on every column's active
-/// slot: shard by shard in the plan's order, each shard gathers
-/// `f·b − C·v` for every column from the vectors as they stand, runs **one**
-/// panel solve over its factors, and scatters the solutions back — so the
-/// shards updated earlier in the pass already contribute their new values.
-/// `f` is per column (1 while checking, 0 otherwise), which is what lets
-/// columns in different phases share the traversal.
+/// slot, all in the plan's layout: shard by shard in the plan's order, each
+/// shard's segment becomes `f·b − C·v` for every column, from the vectors
+/// as they stand, and then its substitutions — so the shards updated
+/// earlier in the pass already contribute their new values.  `f` is per
+/// column (1 while checking, 0 otherwise), which is what lets columns in
+/// different phases share the traversal.
+///
+/// A lone column is written straight into its segment (the coupling never
+/// reads a shard's own segment) and substituted there; a wider panel is
+/// built in `panel` and takes **one** traversal of the shard's factors for
+/// every column, whose stripes are the same arithmetic bit for bit.
 fn block_pass(
-    snap: &EngineSnapshot,
+    shards: &[ShardSnapshot],
     plan: &CouplingPlan,
     b: &[f64],
     columns: &mut [KrylovColumn],
-    scratch: &mut PanelBlockScratch,
+    panel: &mut Vec<f64>,
 ) -> LuResult<()> {
-    let partition = snap.partition();
-    let shards = snap.shards();
-    let coupling = snap.coupling();
-    let n = snap.n_nodes();
-    let n_rhs = columns.len();
+    let n = b.len() / columns.len();
     for &s in plan.gs_order() {
-        let nodes = partition.nodes_of(s);
-        scratch.local_rhs.clear();
-        for (c, column) in columns.iter().enumerate() {
-            let v = column.active(n);
-            let bs = (column.phase == Phase::Check).then(|| &b[c * n..(c + 1) * n]);
-            for &g in nodes {
-                let (cols, vals) = coupling.row(g);
-                let mut acc = bs.map_or(0.0, |bs| bs[g]);
-                for (&j, &val) in cols.iter().zip(vals.iter()) {
-                    acc -= val * v[j];
-                }
-                scratch.local_rhs.push(acc);
-            }
+        let segment = plan.segment(s);
+        if segment.is_empty() {
+            continue;
         }
-        shards[s].decomposed().solve_many_into(
-            &scratch.local_rhs,
-            n_rhs,
-            &mut scratch.lu,
-            &mut scratch.local_x,
-        )?;
-        let m = nodes.len();
-        for (c, column) in columns.iter_mut().enumerate() {
-            let local = &scratch.local_x[c * m..(c + 1) * m];
+        let factors = static_factors(shards[s].decomposed()).ok_or(LuError::DimensionMismatch {
+            expected: segment.len(),
+            actual: 0,
+        })?;
+        if let [column] = columns {
+            let b = (column.phase == Phase::Check).then_some(b);
             let v = column.active_mut(n);
-            for (l, &g) in nodes.iter().enumerate() {
-                v[g] = local[l];
+            for p in segment.clone() {
+                v[p] = b.map_or(0.0, |b| b[p]) - plan.coupling_dot(p, v);
             }
+            factors.solve_in_place(&mut v[segment])?;
+            continue;
+        }
+        panel.clear();
+        for (c, column) in columns.iter().enumerate() {
+            let b = (column.phase == Phase::Check).then(|| &b[c * n..(c + 1) * n]);
+            let v = column.active(n);
+            panel.extend(
+                segment
+                    .clone()
+                    .map(|p| b.map_or(0.0, |b| b[p]) - plan.coupling_dot(p, v)),
+            );
+        }
+        factors.solve_many_in_place(panel, columns.len())?;
+        for (column, solved) in columns.iter_mut().zip(panel.chunks_exact(segment.len())) {
+            column.active_mut(n)[segment.clone()].copy_from_slice(solved);
         }
     }
     Ok(())
 }
 
 /// Restarted GMRES on `(I − G)·x = M⁻¹b` over a panel, writing the
-/// solutions into `x` (zeroed, `n_rhs` stripes).  Every iteration of the
-/// loop is one [`block_pass`] for the whole panel followed by each column's
-/// own [`KrylovColumn::advance`]; a column spends one pass on its initial
+/// solutions into `x` (`n_rhs` stripes).  The right-hand sides are laid out
+/// in the plan's layout once, the iteration runs there, and the accepted
+/// iterates are read back once.  Every iteration of the loop is one
+/// [`block_pass`] for the whole panel followed by each column's own
+/// [`KrylovColumn::advance`]; a column spends one pass on its initial
 /// residual (the pass from zero), one per Arnoldi step, and one on the check
 /// that accepts it, and the pass count at which it was accepted is recorded
 /// into the telemetry registry's histogram — one sample per solved column.
+/// A triangular plan stops after the pass from zero, which is exact.
 ///
 /// `restart` is [`RESTART`] outside tests.
 fn krylov_many(
@@ -561,29 +539,43 @@ fn krylov_many(
     let telemetry = snap.telemetry();
     let plan = snap.coupling_plan();
     let n = snap.n_nodes();
+    let PanelBlockScratch {
+        b: laid_b,
+        x: laid_x,
+        panel,
+    } = scratch;
+    laid_b.resize(n * n_rhs, 0.0);
+    for (stripe, laid) in b.chunks_exact(n).zip(laid_b.chunks_exact_mut(n)) {
+        plan.permute_rhs(stripe, laid);
+    }
+    laid_x.clear();
+    laid_x.resize(n * n_rhs, 0.0);
     // lint: allow(alloc-hot-path) — the per-column Krylov state, once per
     // solve.
     let mut columns = Vec::with_capacity(n_rhs);
     columns.extend((0..n_rhs).map(|_| KrylovColumn::new(n)));
     let mut n_done = 0usize;
     for pass in 1..=tolerance.max_sweeps {
-        block_pass(snap, plan, b, &mut columns, scratch)?;
+        block_pass(snap.shards(), plan, laid_b, &mut columns, panel)?;
         if plan.is_triangular() {
             // Block triangular coupling: the pass from zero is the exact
             // solve of every column.
             for (column, stripe) in columns.iter().zip(x.chunks_exact_mut(n)) {
-                stripe.copy_from_slice(column.active(n));
+                plan.recover_solution(column.active(n), stripe);
                 telemetry.observe_coupling_sweeps(1);
             }
             return Ok(());
         }
-        for (column, stripe) in columns.iter_mut().zip(x.chunks_exact_mut(n)) {
-            if column.advance(stripe, &tolerance, restart, pass)? {
+        for (column, stripe) in columns.iter_mut().zip(laid_x.chunks_exact_mut(n)) {
+            if column.advance(stripe, plan.x_positions(), &tolerance, restart, pass)? {
                 n_done += 1;
                 telemetry.observe_coupling_sweeps(pass as u64);
             }
         }
         if n_done == n_rhs {
+            for (laid, stripe) in laid_x.chunks_exact(n).zip(x.chunks_exact_mut(n)) {
+                plan.recover_solution(laid, stripe);
+            }
             return Ok(());
         }
     }
@@ -595,6 +587,28 @@ fn krylov_many(
         iterations: tolerance.max_sweeps,
         last_diff: worst,
     })
+}
+
+/// `dot(a, b)` for two vectors in the plan's layout, summed in node order:
+/// term `i` is the pair at layout position `order[i]`, over the eight lanes
+/// of [`clude_sparse::vector::dot`].  The Krylov inner products thereby sum
+/// as they would over vectors held in node order, so their rounding does
+/// not move when a re-order moves a shard's segment.
+fn dot_in(order: &[u32], a: &[f64], b: &[f64]) -> f64 {
+    const LANES: usize = 8;
+    let chunks = order.chunks_exact(LANES);
+    let tail: f64 = chunks
+        .remainder()
+        .iter()
+        .map(|&p| a[p as usize] * b[p as usize])
+        .sum();
+    let mut lanes = [0.0f64; LANES];
+    for chunk in chunks {
+        for (lane, &p) in lanes.iter_mut().zip(chunk) {
+            *lane += a[p as usize] * b[p as usize];
+        }
+    }
+    lanes.iter().sum::<f64>() + tail
 }
 
 /// ∞-norm iterate change and solution scale of one pass.  A NaN in either
@@ -617,7 +631,7 @@ mod tests {
     use super::*;
     use crate::sharded::ShardedFactorStore;
     use crate::store::RefreshPolicy;
-    use clude_graph::{measure_matrix, DiGraph, MatrixKind};
+    use clude_graph::{measure_matrix, DiGraph, MatrixKind, NodePartition};
     use clude_measures::MeasureSolver;
     use clude_sparse::{CooMatrix, CsrMatrix};
     use clude_telemetry::{EventKind, TelemetryRegistry};
@@ -654,11 +668,21 @@ mod tests {
     fn trivial_plan_is_identity_order_without_correction() {
         let partition = NodePartition::contiguous(6, 3);
         let empty = CsrMatrix::from_coo(&CooMatrix::new(6, 6));
-        let plan = CouplingPlan::build(&partition, &empty);
+        let identity = (0..3)
+            .map(|_| Arc::new(clude_sparse::Ordering::identity(2)))
+            .collect();
+        let plan = CouplingPlan::build(&partition, &empty, identity);
         assert!(plan.is_triangular());
         assert_eq!(plan.gs_order(), &[0, 1, 2]);
-        // A plan is the order and nothing else.
-        assert_eq!(plan.approx_bytes(), 3 * std::mem::size_of::<usize>());
+        let segments: Vec<_> = (0..3).map(|s| plan.segment(s)).collect();
+        assert_eq!(segments, vec![0..2, 2..4, 4..6]);
+        // The order, the orderings, the offsets and the row offsets as
+        // words; the two position maps as `u32`s; no coupling entry.
+        let words = 3 + 3 + 4 + 7;
+        assert_eq!(
+            plan.approx_bytes(),
+            words * std::mem::size_of::<usize>() + 12 * std::mem::size_of::<u32>()
+        );
     }
 
     #[test]

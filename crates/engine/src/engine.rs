@@ -628,9 +628,12 @@ impl CludeEngine {
             }
             let coupling = snapshot.shared_coupling();
             if seen.insert(Arc::as_ptr(coupling).cast()) {
-                // CSR: ~16 bytes per entry (column + value) plus row offsets.
-                let csr = coupling.matrix();
-                bytes += (csr.nnz() * 16 + (csr.n_rows() + 1) * 8) as u64;
+                // CSR: ~16 bytes per entry (column + value) plus row offsets,
+                // once however many re-frozen couplings share it.
+                let csr = coupling.shared_matrix();
+                if seen.insert(Arc::as_ptr(csr).cast()) {
+                    bytes += (csr.nnz() * 16 + (csr.n_rows() + 1) * 8) as u64;
+                }
                 // Its plan only once a solve built it: counting never builds.
                 bytes += coupling.built_plan().map_or(0, |p| p.approx_bytes()) as u64;
             }

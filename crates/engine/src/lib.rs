@@ -62,15 +62,16 @@
 //!   copied per entry).
 //! * [`coupling`] is the one solver of coupled (sharded) queries:
 //!   restarted GMRES preconditioned by the block Gauss–Seidel pass in a
-//!   dependency-derived shard order ([`coupling::CouplingPlan`], built by
-//!   the first coupled solve over each [`coupling::FrozenCoupling`]; one
-//!   pass is exact on block-triangular coupling), every answer accepted by
+//!   dependency-derived shard order, over vectors laid out in the shards'
+//!   factored order ([`coupling::CouplingPlan`], built by the first coupled
+//!   solve over each [`coupling::FrozenCoupling`]; one pass is exact on
+//!   block-triangular coupling), every answer accepted by
 //!   a real pass under a configurable [`coupling::SolveTolerance`], with
 //!   adaptive re-partitioning when the coupling outgrows its budget.
 //! * [`query::QueryService`] answers typed
 //!   [`clude_measures::MeasureQuery`]s against immutable snapshots with a
-//!   sharded LRU result cache; coupled sharded solves run through reused
-//!   [`clude_lu::PanelScratch`] buffers, allocation-free per block pass.
+//!   sharded LRU result cache; coupled sharded solves substitute in place
+//!   on their laid-out vectors, allocation-free per block pass.
 //! * [`stats`] is [`EngineStats`], a view over the one place the engine
 //!   counts: its [`clude_telemetry::TelemetryRegistry`], whose counters
 //!   record whether or not telemetry is enabled (only the stage busy times

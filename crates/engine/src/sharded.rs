@@ -211,8 +211,9 @@ pub struct ShardedAdvanceReport {
     /// other `n_shards − shards_republished` blocks of the next snapshot are
     /// pointer-shared with the previous one (copy-on-write ring).
     pub shards_republished: u64,
-    /// Whether the frozen coupling matrix was rebuilt (any cross-shard entry
-    /// changed); `false` shares the previous snapshot's coupling.
+    /// Whether the coupling was frozen anew — a cross-shard entry changed, or
+    /// a shard's ordering did, which the coupled solve's plan follows;
+    /// `false` shares the previous snapshot's coupling and its plan.
     pub coupling_republished: bool,
     /// Whether this batch crossed the coupling budget and re-ran the
     /// edge-locality partition (all shards re-ordered and re-factorized).
@@ -249,8 +250,10 @@ pub struct ShardedFactorStore {
     /// The cross-shard entries of the measure matrix, global coordinates, no
     /// stored zeros: the state itself, in the frozen form snapshots share.
     /// Replaced — the batch's writes merged into the previous CSR — only by
-    /// batches that wrote a cross-shard entry (or re-partitioned), each time
-    /// with an empty plan cell: the store never plans, coupled solves do.
+    /// batches that wrote a cross-shard entry (or re-partitioned), and
+    /// re-frozen over the same CSR by batches that moved a shard's ordering;
+    /// each time with an empty plan cell: the store never plans, coupled
+    /// solves do.
     published_coupling: Arc<FrozenCoupling>,
     /// Coupled-solve configuration: tolerance, re-partition budget.
     coupling_cfg: CouplingConfig,
@@ -732,6 +735,7 @@ impl ShardedFactorStore {
             coupling_writes: coupling_writes.len() as u64,
             ..ShardedAdvanceReport::default()
         };
+        let mut ordering_moved = false;
         for (s, outcome) in outcomes.into_iter().enumerate() {
             let Some(outcome) = outcome else { continue };
             let outcome = outcome?;
@@ -747,21 +751,28 @@ impl ShardedFactorStore {
             // their shared handle; every other shard keeps serving the
             // handle older snapshots already hold.
             let freeze = self.telemetry.span(Stage::SnapshotFreeze);
-            self.published[s] = self.shards[s].of.publish(self.snapshot_id)?;
+            let block = self.shards[s].of.publish(self.snapshot_id)?;
+            ordering_moved |= !Arc::ptr_eq(&block.ordering, &self.published[s].ordering);
+            self.published[s] = block;
             freeze.stop();
             report.shards_republished += 1;
         }
         // Copy-on-write like the factor blocks: the coupling re-freezes only
-        // when a cross-shard entry changed (or the store re-partitions,
-        // below); every other batch keeps sharing the previous snapshots'
-        // coupling, and with it their plan.  Every affected source owns its
-        // own matrix column (or row), so the writes name distinct positions.
+        // when a cross-shard entry changed, when a shard's ordering moved —
+        // the plan's layout follows every ordering — or when the store
+        // re-partitions, below; every other batch keeps sharing the previous
+        // snapshots' coupling, and with it their plan.  Every affected source
+        // owns its own matrix column (or row), so the writes name distinct
+        // positions.
         if !coupling_writes.is_empty() {
             let freeze = self.telemetry.span(Stage::SnapshotFreeze);
             coupling_writes.sort_unstable_by_key(|&(r, c, _)| (r, c));
             let coupling = self.published_coupling.matrix();
             self.published_coupling = FrozenCoupling::new(coupling.merge_writes(&coupling_writes));
             freeze.stop();
+            report.coupling_republished = true;
+        } else if ordering_moved {
+            self.published_coupling = self.published_coupling.refrozen();
             report.coupling_republished = true;
         }
 
@@ -896,6 +907,24 @@ mod tests {
         g.add_edge(2, 0);
         g.add_edge(n / 2, 1);
         g
+    }
+
+    /// The plan a solve over the store's current blocks and `coupling`
+    /// builds.
+    fn plan_over(store: &ShardedFactorStore, coupling: &CsrMatrix) -> CouplingPlan {
+        let orderings = store.published.iter().map(|b| Arc::clone(&b.ordering));
+        CouplingPlan::build(store.partition(), coupling, orderings.collect())
+    }
+
+    /// Whether every shard of `after` serves under the ordering it had in
+    /// `before`.
+    fn orderings_held(before: &EngineSnapshot, after: &EngineSnapshot) -> bool {
+        before.n_shards() == after.n_shards()
+            && before
+                .shards()
+                .iter()
+                .zip(after.shards())
+                .all(|(a, b)| Arc::ptr_eq(&a.decomposed().ordering, &b.decomposed().ordering))
     }
 
     /// Every measure family against the dense oracle (no shared code with
@@ -1335,9 +1364,42 @@ mod tests {
             }
             assert!(std::ptr::eq(snap.coupling_plan(), plan));
         }
-        let fresh = CouplingPlan::build(store.partition(), store.published_coupling.matrix());
+        let fresh = plan_over(&store, store.published_coupling.matrix());
         assert_eq!(plan.gs_order(), fresh.gs_order());
         assert_eq!(plan.is_triangular(), fresh.is_triangular());
+
+        // A re-order moves the shard's ordering, which the plan's layout
+        // follows: an intra-shard batch then freezes a new coupling over the
+        // same CSR, with an empty cell the next solve fills.
+        store.forced_arm = Some(MaintenanceArm::Reorder);
+        let before = store.snapshot();
+        let report = store
+            .advance(&GraphDelta {
+                added: vec![(0, 3)],
+                removed: vec![],
+            })
+            .unwrap();
+        store.forced_arm = None;
+        assert_eq!(report.coupling_writes, 0);
+        assert!(report.coupling_republished);
+        let reordered = store.snapshot();
+        assert!(!orderings_held(&before, &reordered));
+        assert!(!Arc::ptr_eq(
+            before.shared_coupling(),
+            reordered.shared_coupling()
+        ));
+        assert!(Arc::ptr_eq(
+            before.shared_coupling().shared_matrix(),
+            reordered.shared_coupling().shared_matrix()
+        ));
+        assert!(reordered.shared_coupling().built_plan().is_none());
+        assert_queries_match(&store, n);
+        let reordered_plan = reordered
+            .shared_coupling()
+            .built_plan()
+            .expect("a solve plans");
+        assert!(!std::ptr::eq(plan, reordered_plan));
+        assert!(std::ptr::eq(before.coupling_plan(), plan));
 
         // A repartition freezes a new coupling with an empty cell; the
         // first solve over it plans for the new partition, and the old
@@ -1349,9 +1411,136 @@ mod tests {
         assert_queries_match(&store, n);
         let replanned = after.shared_coupling().built_plan().expect("a solve plans");
         assert!(!std::ptr::eq(plan, replanned));
-        let fresh = CouplingPlan::build(store.partition(), store.published_coupling.matrix());
+        assert!(!std::ptr::eq(reordered_plan, replanned));
+        let fresh = plan_over(&store, store.published_coupling.matrix());
         assert_eq!(replanned.gs_order(), fresh.gs_order());
         assert!(std::ptr::eq(first.coupling_plan(), plan));
+    }
+
+    /// [`assert_queries_match`] on a coupled store, plus the same four
+    /// queries as one panel: every stripe bit-identical to its width-1
+    /// answer, so within 1e-9 of dense elimination too.
+    fn assert_coupled_answers_exact(store: &ShardedFactorStore, n: usize) {
+        assert!(store.n_shards() > 1 && store.coupling_nnz() > 0);
+        assert_queries_match(store, n);
+        let snap = store.snapshot();
+        let queries = [
+            MeasureQuery::PageRank { damping: 0.85 },
+            MeasureQuery::Rwr {
+                seed: 0,
+                damping: 0.85,
+            },
+            MeasureQuery::Rwr {
+                seed: n / 3,
+                damping: 0.85,
+            },
+            MeasureQuery::Rwr {
+                seed: n - 1,
+                damping: 0.85,
+            },
+        ];
+        let panel = snap
+            .query_batch(&queries.iter().collect::<Vec<_>>())
+            .unwrap();
+        for (q, stripe) in queries.iter().zip(&panel) {
+            assert_eq!(
+                float_bits(stripe),
+                float_bits(&snap.query(q).unwrap()),
+                "{q:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_hub_read_across_every_shard_is_solved_exactly() {
+        // 200 nodes on 4 contiguous shards, a ring with chords, and one hub
+        // in shard 0 that every node of the other shards links to: the hub's
+        // coupling row holds 150 entries, many full chunks of the split
+        // accumulators, where the ring's rows hold one or two.
+        let (n, hub) = (200, 10);
+        let mut g = DiGraph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
+        for i in 0..n {
+            g.add_edge(i, (7 * i + 3) % n);
+        }
+        for i in 50..n {
+            g.add_edge(i, hub);
+        }
+        let store = ShardedFactorStore::new(
+            g,
+            MatrixKind::random_walk_default(),
+            RefreshPolicy::Incremental,
+            NodePartition::contiguous(n, 4),
+        )
+        .unwrap();
+        assert!(store.published_coupling.matrix().row(hub).0.len() >= 100);
+        assert!(!store.snapshot().coupling_plan().is_triangular());
+        assert_coupled_answers_exact(&store, n);
+        let q = MeasureQuery::Rwr {
+            seed: hub,
+            damping: 0.85,
+        };
+        let dense = dense_answer(store.graph(), store.matrix_kind(), &q);
+        for (x, y) in store.snapshot().query(&q).unwrap().iter().zip(&dense) {
+            assert!((x - y).abs() <= 1e-9, "{x} vs dense {y}");
+        }
+    }
+
+    #[test]
+    fn every_ordering_change_refreezes_the_coupling_and_answers_stay_exact() {
+        // 24 nodes on 3 contiguous shards.  Nodes 0..7 link only inside
+        // shard 0, so edges among them rescale shard 0's columns alone: a
+        // batch of them writes no coupling entry, and under a zero quality
+        // budget its fill makes shard 0 re-order.
+        let n = 24;
+        let mut store = ShardedFactorStore::new(
+            base_graph(n),
+            MatrixKind::random_walk_default(),
+            RefreshPolicy::QualityTriggered {
+                max_quality_loss: 0.0,
+            },
+            NodePartition::contiguous(n, 3),
+        )
+        .unwrap();
+        assert_coupled_answers_exact(&store, n);
+        let mut reordered = false;
+        for k in 0..6 {
+            let before = store.snapshot();
+            before.coupling_plan();
+            let report = store
+                .advance(&GraphDelta {
+                    added: vec![(k, (k + 3) % 7), ((k + 2) % 7, k)],
+                    removed: vec![],
+                })
+                .unwrap();
+            assert_eq!(report.coupling_writes, 0);
+            let after = store.snapshot();
+            let held = orderings_held(&before, &after);
+            assert_eq!(
+                report.per_shard[0].arm == Some(MaintenanceArm::Reorder),
+                !held
+            );
+            assert_eq!(report.coupling_republished, !held);
+            assert_eq!(
+                after.shared_coupling().built_plan().is_some(),
+                held,
+                "a moved ordering left the old plan in place"
+            );
+            assert_coupled_answers_exact(&store, n);
+            if !held {
+                reordered = true;
+                break;
+            }
+        }
+        assert!(reordered, "shard 0 never re-ordered");
+
+        store.repartition().unwrap();
+        assert_coupled_answers_exact(&store, n);
+
+        let state = store_state(&store, store.durable_state().coupling);
+        let restored =
+            ShardedFactorStore::restore(store.policy, store.coupling_cfg, state).unwrap();
+        assert!(restored.snapshot().shared_coupling().built_plan().is_none());
+        assert_coupled_answers_exact(&restored, n);
     }
 
     #[test]
@@ -2571,9 +2760,11 @@ mod tests {
                     // A re-partition re-freezes whatever the entries did; the
                     // advance builds no plan, and a shared coupling still
                     // holds the one `before` built.
-                    let unchanged = !report.repartitioned && previous == oracle;
+                    let unchanged = !report.repartitioned
+                        && previous == oracle
+                        && orderings_held(&before, &after);
                     prop_assert_eq!(after.shared_coupling().built_plan().is_some(), unchanged);
-                    let fresh = CouplingPlan::build(store.partition(), &oracle);
+                    let fresh = plan_over(&store, &oracle);
                     prop_assert_eq!(after.coupling_plan().gs_order(), fresh.gs_order());
                     prop_assert_eq!(after.coupling_plan().is_triangular(), fresh.is_triangular());
                     prop_assert_eq!(

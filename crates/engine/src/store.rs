@@ -111,8 +111,9 @@ pub struct EngineSnapshot {
     partition: Arc<NodePartition>,
     shards: Vec<ShardSnapshot>,
     /// Cross-shard entries of the measure matrix, global coordinates (empty
-    /// for one-shard snapshots), with the cell of the Gauss–Seidel plan over
-    /// them — filled by the first coupled solve on any snapshot sharing it.
+    /// for one-shard snapshots), with the cell of the coupled solve's plan
+    /// over them and the shards' orderings — filled by the first coupled
+    /// solve on any snapshot sharing it.
     coupling: Arc<FrozenCoupling>,
     /// Stopping rule of the coupled iteration.
     tolerance: SolveTolerance,
@@ -175,8 +176,9 @@ impl EngineSnapshot {
     }
 
     /// The shared handle of the frozen coupling and its plan.  Snapshots
-    /// between which no cross-shard entry changed are [`Arc::ptr_eq`] here,
-    /// the coupling-side half of the ring's structural sharing.
+    /// between which no cross-shard entry and no shard ordering changed are
+    /// [`Arc::ptr_eq`] here, the coupling-side half of the ring's structural
+    /// sharing.
     pub fn shared_coupling(&self) -> &Arc<FrozenCoupling> {
         &self.coupling
     }
@@ -186,13 +188,14 @@ impl EngineSnapshot {
         self.tolerance
     }
 
-    /// The Gauss–Seidel traversal order over the coupling, built from this
-    /// snapshot's partition by the first call on any snapshot sharing the
-    /// coupling.  A pure function of (partition, coupling): two snapshots
-    /// get the same plan, by pointer, exactly when they are
-    /// [`Arc::ptr_eq`] on [`EngineSnapshot::shared_coupling`].
+    /// The plan of the coupled solve — Gauss–Seidel traversal order and
+    /// vector layout — built from this snapshot's partition and shard
+    /// orderings by the first call on any snapshot sharing the coupling.  A
+    /// pure function of (partition, coupling, orderings): two snapshots get
+    /// the same plan, by pointer, exactly when they are [`Arc::ptr_eq`] on
+    /// [`EngineSnapshot::shared_coupling`].
     pub fn coupling_plan(&self) -> &CouplingPlan {
-        self.coupling.plan(&self.partition)
+        self.coupling.plan(&self.partition, &self.shards)
     }
 
     /// The telemetry registry this snapshot records query-path spans and
@@ -666,8 +669,9 @@ impl OrderedFactors {
     }
 }
 
-/// The flat factors of a published block.
-fn static_factors(block: &DecomposedMatrix) -> Option<&LuFactors> {
+/// The flat factors of a published block — the only kind the store
+/// publishes.
+pub(crate) fn static_factors(block: &DecomposedMatrix) -> Option<&LuFactors> {
     match block.factors.as_ref()? {
         MatrixFactors::Static(factors) => Some(factors),
         MatrixFactors::Dynamic(_) => None,

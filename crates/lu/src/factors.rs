@@ -177,18 +177,26 @@ impl LuFactors {
         Ok(x)
     }
 
-    /// Allocation-free variant of [`LuFactors::solve`]: substitutes in place
-    /// inside `x`, reusing its capacity (the previous content is discarded).
+    /// Allocation-free variant of [`LuFactors::solve`]: copies `b` into `x`,
+    /// reusing its capacity (the previous content is discarded), and
+    /// substitutes there with [`LuFactors::solve_in_place`].
     pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> LuResult<()> {
-        let n = self.n();
-        if b.len() != n {
-            return Err(LuError::DimensionMismatch {
-                expected: n,
-                actual: b.len(),
-            });
-        }
         x.clear();
         x.extend_from_slice(b);
+        self.solve_in_place(x)
+    }
+
+    /// Solves `L U x = b` by forward then backward substitution, overwriting
+    /// `x`, which holds `b` on entry — the one single right-hand-side
+    /// substitution kernel.  On an error `x` holds a partial substitution.
+    pub fn solve_in_place(&self, x: &mut [f64]) -> LuResult<()> {
+        let n = self.n();
+        if x.len() != n {
+            return Err(LuError::DimensionMismatch {
+                expected: n,
+                actual: x.len(),
+            });
+        }
         // Forward: L y = b (unit diagonal).
         for i in 0..n {
             let mut acc = x[i];
@@ -222,23 +230,29 @@ impl LuFactors {
     /// Panel variant of [`LuFactors::solve_into`]: solves `n_rhs` systems
     /// whose right-hand sides are stacked column-major in `b` (`n_rhs`
     /// contiguous stripes of length `n`), writing the solutions into `x` in
-    /// the same layout.
+    /// the same layout, through [`LuFactors::solve_many_in_place`].
+    pub fn solve_many_into(&self, b: &[f64], n_rhs: usize, x: &mut Vec<f64>) -> LuResult<()> {
+        x.clear();
+        x.extend_from_slice(b);
+        self.solve_many_in_place(x, n_rhs)
+    }
+
+    /// Panel variant of [`LuFactors::solve_in_place`] over `n_rhs` stripes
+    /// of length `n` stacked column-major in `x`.
     ///
     /// The factor structure is traversed **once** for the whole panel: the
     /// loop order is rows outer, structural slots middle, panel columns
     /// inner.  Per panel column the floating-point operation sequence is
-    /// exactly that of [`LuFactors::solve_into`], so each stripe of the
-    /// result is bit-identical to a sequential single-RHS solve.
-    pub fn solve_many_into(&self, b: &[f64], n_rhs: usize, x: &mut Vec<f64>) -> LuResult<()> {
+    /// exactly that of [`LuFactors::solve_in_place`], so each stripe of the
+    /// result is bit-identical to a single right-hand-side solve.
+    pub fn solve_many_in_place(&self, x: &mut [f64], n_rhs: usize) -> LuResult<()> {
         let n = self.n();
-        if b.len() != n * n_rhs {
+        if x.len() != n * n_rhs {
             return Err(LuError::DimensionMismatch {
                 expected: n * n_rhs,
-                actual: b.len(),
+                actual: x.len(),
             });
         }
-        x.clear();
-        x.extend_from_slice(b);
         // Forward: L y = b (unit diagonal), all panel columns per slot.
         for i in 0..n {
             for slot in self.structure.lower_row_slots(i) {
@@ -668,6 +682,64 @@ mod tests {
         let xd = d.solve_gaussian(&b).unwrap();
         for (u, v) in x.iter().zip(xd.iter()) {
             assert!((u - v).abs() < 1e-9);
+        }
+    }
+
+    /// The measure matrices of the first and last snapshot of a tiny
+    /// wiki-like sequence, each factorized in natural and in Markowitz order.
+    fn generator_factors() -> Vec<LuFactors> {
+        use clude_graph::generators::{wiki_like, WikiLikeConfig};
+        use clude_graph::{evolving_matrix_sequence, MatrixKind};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let egs = wiki_like::generate(&WikiLikeConfig::tiny(), &mut rng);
+        let ems = evolving_matrix_sequence(&egs, MatrixKind::random_walk_default());
+        let mut out = Vec::new();
+        for a in [&ems[0], &ems[ems.len() - 1]] {
+            out.push(factorize_fresh(a).unwrap());
+            let ordering = crate::markowitz_ordering(&a.pattern()).ordering;
+            out.push(factorize_fresh(&a.reorder(&ordering).unwrap()).unwrap());
+        }
+        out
+    }
+
+    #[test]
+    fn solve_in_place_is_the_substitution_solve_into_copies_into() {
+        for f in generator_factors() {
+            let n = f.n();
+            let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64 - 2.5).collect();
+            let mut copied = Vec::new();
+            f.solve_into(&b, &mut copied).unwrap();
+            let mut in_place = b.clone();
+            f.solve_in_place(&mut in_place).unwrap();
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&in_place), bits(&copied));
+            // Every stripe of the panel kernel is the same solve.
+            let mut panel = b.clone();
+            panel.extend(b.iter().map(|v| -2.0 * v));
+            f.solve_many_in_place(&mut panel, 2).unwrap();
+            assert_eq!(bits(&panel[..n]), bits(&copied));
+            let mut second = b.iter().map(|v| -2.0 * v).collect::<Vec<_>>();
+            f.solve_in_place(&mut second).unwrap();
+            assert_eq!(bits(&panel[n..]), bits(&second));
+        }
+    }
+
+    #[test]
+    fn a_bad_pivot_fails_every_kernel_at_its_index() {
+        for (bad, at) in [(0.0, 0), (f64::NAN, 5), (f64::INFINITY, 17), (0.0, 31)] {
+            for mut f in generator_factors() {
+                f.set_pivot(at, bad);
+                let b = vec![1.0; f.n()];
+                let is_at = |err: LuError| {
+                    matches!(err, LuError::SingularPivot { index, value }
+                        if index == at && value.to_bits() == bad.to_bits())
+                };
+                assert!(is_at(f.solve_into(&b, &mut Vec::new()).unwrap_err()));
+                assert!(is_at(f.solve_in_place(&mut b.clone()).unwrap_err()));
+                let mut panel = [b.clone(), b.clone()].concat();
+                assert!(is_at(f.solve_many_in_place(&mut panel, 2).unwrap_err()));
+            }
         }
     }
 }

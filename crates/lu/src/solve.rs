@@ -75,8 +75,7 @@ impl TriangularSolve for DynamicLuFactors {
 ///
 /// A solve over factors of order `n` grows both buffers to `n` once; as long
 /// as the scratch is reused across solves of no larger order, no further
-/// allocations happen — this is what lets the engine's coupled block sweeps
-/// run allocation-free (the ROADMAP's `solve_into` latency item).
+/// allocations happen.
 #[derive(Debug, Clone, Default)]
 pub struct SolveScratch {
     permuted: Vec<f64>,

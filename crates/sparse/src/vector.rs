@@ -31,6 +31,34 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     lanes.iter().sum::<f64>() + tail
 }
 
+/// The dot product of one sparse row — `vals[e]` at column `cols[e]` — with
+/// the dense vector `x`, over four independent partial sums: a hub row of a
+/// hundred entries is otherwise one dependency chain of a hundred
+/// multiply-adds.  The summation order is fixed, so equal inputs give equal
+/// bits, and an empty row gives `+0.0`.
+///
+/// # Panics
+/// Panics when the lengths differ or a column is out of `x`'s range
+/// (programming errors, not data errors).
+#[inline]
+pub fn sparse_dot(vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
+    const LANES: usize = 4;
+    assert_eq!(vals.len(), cols.len(), "sparse_dot: length mismatch");
+    let (v_chunks, c_chunks) = (vals.chunks_exact(LANES), cols.chunks_exact(LANES));
+    let tail = v_chunks
+        .remainder()
+        .iter()
+        .zip(c_chunks.remainder())
+        .fold(0.0, |acc, (v, &j)| acc + v * x[j as usize]);
+    let mut lanes = [0.0f64; LANES];
+    for (v, c) in v_chunks.zip(c_chunks) {
+        for ((lane, vl), &jl) in lanes.iter_mut().zip(v).zip(c) {
+            *lane += vl * x[jl as usize];
+        }
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+}
+
 /// In-place `y += alpha * x`.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
@@ -110,6 +138,55 @@ mod tests {
         assert_eq!(dot(&a, &b), 32.0);
         axpy(2.0, &a, &mut b);
         assert_eq!(b, [6.0, 9.0, 12.0]);
+    }
+
+    /// A row of `len` entries over a 200-long `x`, its columns scattered
+    /// and `value(e)` its values; returns the split sum and the serial one.
+    fn sparse_dot_and_serial(len: usize, value: impl Fn(usize) -> f64) -> (f64, f64) {
+        let x: Vec<f64> = (0..200).map(|i| value(i + 7)).collect();
+        let cols: Vec<u32> = (0..len).map(|e| ((e * 37 + 11) % 200) as u32).collect();
+        let vals: Vec<f64> = (0..len).map(&value).collect();
+        let serial = vals
+            .iter()
+            .zip(&cols)
+            .fold(0.0, |acc, (v, &j)| acc + v * x[j as usize]);
+        (sparse_dot(&vals, &cols, &x), serial)
+    }
+
+    const ROW_LENGTHS: [usize; 14] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65, 67, 166];
+
+    #[test]
+    fn sparse_dot_is_exact_on_integer_data_at_every_row_length() {
+        // Small integers: every product and partial sum is exact, so any
+        // summation order gives the serial sum's bits.
+        for len in ROW_LENGTHS {
+            let (split, serial) = sparse_dot_and_serial(len, |e| ((e * 7) % 13) as f64 - 6.0);
+            assert_eq!(split.to_bits(), serial.to_bits(), "row length {len}");
+        }
+        // An empty row is +0.0, so `b - dot` leaves every `b` as it was.
+        let (empty, _) = sparse_dot_and_serial(0, |_| 1.0);
+        assert_eq!(empty.to_bits(), 0.0f64.to_bits());
+        assert_eq!((-0.0f64 - empty).to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn sparse_dot_stays_within_a_few_ulps_of_the_serial_sum() {
+        // One-signed products, as a coupling row's are: reordering the sum
+        // moves it by rounding only.
+        for len in ROW_LENGTHS {
+            let (split, serial) =
+                sparse_dot_and_serial(len, |e| 1.0 / (1.0 + ((e * 29) % 31) as f64));
+            assert!(
+                (split - serial).abs() <= 4.0 * f64::EPSILON * serial.abs(),
+                "row length {len}: {split} vs {serial}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn sparse_dot_length_mismatch_panics() {
+        sparse_dot(&[1.0], &[0, 1], &[1.0, 2.0]);
     }
 
     #[test]
