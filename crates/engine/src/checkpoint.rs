@@ -36,7 +36,7 @@
 
 use clude::DecomposedMatrix;
 use clude_graph::{wire, DiGraph, MatrixKind, NodePartition, WireReader, WireWriter};
-use clude_lu::DynamicLuFactors;
+use clude_lu::LuFactors;
 use clude_sparse::{Ordering, Permutation};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -72,10 +72,8 @@ pub(crate) fn gen_of_path(path: &Path) -> Option<u64> {
 /// The durable slice of a factor store, captured under the ingest lock.
 ///
 /// `blocks[s]` is the published (copy-on-write) block of shard `s` plus the
-/// shard's `reference_nnz` quality anchor.  The published `Arc` content is
-/// entry for entry the live factors after every advance — the store republishes
-/// whenever an advance touches a shard — so serialising from the snapshot
-/// side is exact.
+/// shard's `reference_nnz` quality anchor.  The published block *is* the
+/// shard's live storage, so serialising from the snapshot side is exact.
 pub(crate) struct DurableState {
     pub(crate) snapshot_id: u64,
     pub(crate) kind: MatrixKind,
@@ -92,7 +90,7 @@ pub(crate) struct RestoredBlock {
     pub(crate) index: u64,
     pub(crate) reference_nnz: usize,
     pub(crate) ordering: Ordering,
-    pub(crate) factors: DynamicLuFactors,
+    pub(crate) factors: LuFactors,
 }
 
 /// A fully assembled store image: the newest generation's store-wide fields
@@ -172,20 +170,10 @@ fn decode_kind(r: &mut WireReader<'_>) -> Result<MatrixKind, String> {
     }
 }
 
-fn encode_block(
-    w: &mut WireWriter,
-    shard: usize,
-    block: &DecomposedMatrix,
-    reference_nnz: usize,
-) -> EngineResult<()> {
-    // Published blocks are always static (`OrderedFactors::publish`); their
-    // slots are exactly the live factors' list nodes, explicit zeros
-    // included, so the entry list below is the one the format always held.
-    let Some(clude::MatrixFactors::Static(factors)) = &block.factors else {
-        return Err(EngineError::Persistence(format!(
-            "shard {shard} block is not a published (static) factor block"
-        )));
-    };
+fn encode_block(w: &mut WireWriter, shard: usize, block: &DecomposedMatrix, reference_nnz: usize) {
+    // Every slot of the live block, explicit zeros included: the entry list
+    // `decode_block` rebuilds the same block from.
+    let factors = crate::store::static_factors(block);
     w.put_usize(shard);
     w.put_u64(block.index as u64);
     w.put_u64(reference_nnz as u64);
@@ -199,7 +187,6 @@ fn encode_block(
         w.put_usize(j);
         w.put_f64(v);
     }
-    Ok(())
 }
 
 fn decode_block(r: &mut WireReader<'_>) -> Result<(usize, RestoredBlock), String> {
@@ -226,7 +213,8 @@ fn decode_block(r: &mut WireReader<'_>) -> Result<(usize, RestoredBlock), String
     }
     let row = Permutation::from_new_to_old(row).map_err(|e| e.to_string())?;
     let col = Permutation::from_new_to_old(col).map_err(|e| e.to_string())?;
-    let factors = DynamicLuFactors::from_sorted_entries(n, &entries).map_err(|e| e.to_string())?;
+    let factors = LuFactors::from_sorted_entries(n, &entries)
+        .map_err(|e| format!("shard {shard} factors: {e}"))?;
     Ok((
         shard,
         RestoredBlock {
@@ -238,7 +226,7 @@ fn decode_block(r: &mut WireReader<'_>) -> Result<(usize, RestoredBlock), String
     ))
 }
 
-fn encode_gen_payload(gen: u64, state: &DurableState, changed: &[usize]) -> EngineResult<Vec<u8>> {
+fn encode_gen_payload(gen: u64, state: &DurableState, changed: &[usize]) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_u64(gen);
     w.put_u64(state.snapshot_id);
@@ -264,9 +252,9 @@ fn encode_gen_payload(gen: u64, state: &DurableState, changed: &[usize]) -> Engi
     w.put_usize(changed.len());
     for &s in changed {
         let (block, reference_nnz) = &state.blocks[s];
-        encode_block(&mut w, s, block, *reference_nnz)?;
+        encode_block(&mut w, s, block, *reference_nnz);
     }
-    Ok(w.into_bytes())
+    w.into_bytes()
 }
 
 fn decode_gen_payload(payload: &[u8]) -> Result<GenFile, String> {
@@ -543,7 +531,7 @@ impl Checkpointer {
             .filter(|&s| !comparable || !Arc::ptr_eq(&self.last_blocks[s], &state.blocks[s].0))
             .collect();
         let gen = self.next_gen;
-        let payload = encode_gen_payload(gen, state, &changed)?;
+        let payload = encode_gen_payload(gen, state, &changed);
         let mut file_bytes = Vec::with_capacity(12 + payload.len());
         file_bytes.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
         file_bytes.extend_from_slice(&CKPT_VERSION.to_le_bytes());
@@ -652,8 +640,8 @@ mod tests {
     fn state_for(graph: DiGraph, snapshot_id: u64) -> DurableState {
         let kind = MatrixKind::random_walk_default();
         let matrix = measure_matrix(&graph, kind);
-        let mut of = order_and_factorize(&matrix).unwrap();
-        let published = of.publish(snapshot_id).unwrap();
+        let of = order_and_factorize(&matrix, snapshot_id).unwrap();
+        let published = Arc::clone(of.block());
         let n = graph.n_nodes();
         DurableState {
             snapshot_id,
@@ -690,10 +678,7 @@ mod tests {
         assert_eq!(restored.snapshot_id, 7);
         assert_eq!(restored.graph, graph);
         assert_eq!(restored.blocks.len(), 1);
-        let original = match &state.blocks[0].0.factors {
-            Some(clude::MatrixFactors::Static(f)) => f.export_entries(),
-            _ => unreachable!(),
-        };
+        let original = crate::store::static_factors(&state.blocks[0].0).export_entries();
         assert_eq!(restored.blocks[0].factors.export_entries(), original);
         assert_eq!(restored.blocks[0].reference_nnz, state.blocks[0].1);
     }
@@ -803,5 +788,108 @@ mod tests {
         assert!(!fs.exists(&dir.join("gen-99.ckpt")));
         assert!(fs.exists(&dir.join(gen_name(0))));
         assert!(fs.exists(&dir.join(MANIFEST_NAME)));
+    }
+
+    /// A block record of order `n` under the identity ordering whose entry
+    /// list claims `count` entries and holds `entries`.
+    fn block_payload(n: usize, count: usize, entries: &[(usize, usize, f64)]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_usize(0);
+        w.put_u64(5);
+        w.put_u64(entries.len() as u64);
+        w.put_usize(n);
+        let identity: Vec<usize> = (0..n).collect();
+        w.put_usize_seq(&identity);
+        w.put_usize_seq(&identity);
+        w.put_usize(count);
+        for &(i, j, v) in entries {
+            w.put_usize(i);
+            w.put_usize(j);
+            w.put_f64(v);
+        }
+        w.into_bytes()
+    }
+
+    fn decode(payload: &[u8]) -> Result<RestoredBlock, String> {
+        decode_block(&mut WireReader::new(payload)).map(|(_, block)| block)
+    }
+
+    /// The factors of `[[2, 1], [0.5, 3]]`, as a checkpoint lists them.
+    const GOOD: [(usize, usize, f64); 4] = [(0, 0, 2.0), (0, 1, 1.0), (1, 0, 0.25), (1, 1, 2.75)];
+
+    #[test]
+    fn a_well_formed_block_decodes_to_the_factors_it_lists() {
+        let block = decode(&block_payload(2, 4, &GOOD)).unwrap();
+        assert_eq!(block.index, 5);
+        assert_eq!(block.factors.export_entries(), GOOD);
+        assert!(block.factors.structure().is_elimination_closed());
+    }
+
+    #[test]
+    fn hostile_block_entry_lists_are_typed_errors() {
+        let with = |at: usize, entry: (usize, usize, f64)| {
+            let mut entries = GOOD.to_vec();
+            entries[at] = entry;
+            entries
+        };
+        let mut swapped = GOOD.to_vec();
+        swapped.swap(0, 1);
+        let hostile = [
+            ("out of order", swapped),
+            ("duplicated", with(1, (0, 0, 1.0))),
+            ("column out of range", with(1, (0, 2, 1.0))),
+            ("row out of range", with(3, (2, 1, 1.0))),
+            ("missing diagonal", GOOD[..3].to_vec()),
+            ("NaN", with(2, (1, 0, f64::NAN))),
+            ("+inf", with(0, (0, 0, f64::INFINITY))),
+            ("-inf", with(3, (1, 1, f64::NEG_INFINITY))),
+        ];
+        for (what, entries) in hostile {
+            let err = match decode(&block_payload(2, entries.len(), &entries)) {
+                Ok(_) => panic!("{what}: decoded"),
+                Err(err) => err,
+            };
+            assert!(err.contains("shard 0 factors"), "{what}: {err}");
+        }
+        // A count past the payload, and a payload cut short anywhere.
+        assert!(decode(&block_payload(2, 5, &GOOD)).is_err());
+        assert!(decode(&block_payload(2, usize::MAX, &GOOD)).is_err());
+        let full = block_payload(2, 4, &GOOD);
+        for cut in 0..full.len() {
+            assert!(decode(&full[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn a_generation_carrying_a_non_finite_factor_is_a_soft_failure() {
+        // A checksummed generation file whose one block holds a NaN factor:
+        // recovery must see a generation it cannot use, not a panic and not
+        // factors holding NaN.
+        let fs: Arc<dyn Vfs> = Arc::new(FailpointFs::new());
+        let dir = PathBuf::from("/ckpt");
+        let state = state_for(DiGraph::from_edges(2, [(0, 1)]), 1);
+        let mut payload = encode_gen_payload(0, &state, &[]);
+        payload.truncate(payload.len() - 8);
+        let mut w = WireWriter::new();
+        w.put_usize(1);
+        payload.extend(w.into_bytes());
+        let mut entries = GOOD.to_vec();
+        entries[1].2 = f64::NAN;
+        payload.extend(block_payload(2, 4, &entries));
+        let mut file = Vec::new();
+        file.extend(CKPT_MAGIC.to_le_bytes());
+        file.extend(CKPT_VERSION.to_le_bytes());
+        file.extend(crc32(&payload).to_le_bytes());
+        file.extend(&payload);
+        let path = dir.join(gen_name(0));
+        fs.create_dir_all(&dir).unwrap();
+        let mut handle = fs.create(&path).unwrap();
+        handle.append(&file).unwrap();
+        handle.sync().unwrap();
+        match read_gen(&*fs, &dir, 0) {
+            Err(GenReadError::Soft(why)) => assert!(why.contains("factors"), "{why}"),
+            Err(GenReadError::Hard(err)) => panic!("hard failure: {err}"),
+            Ok(_) => panic!("a NaN factor decoded"),
+        }
     }
 }

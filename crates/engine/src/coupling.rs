@@ -67,7 +67,7 @@ pub use plan::{CouplingPlan, FrozenCoupling};
 
 use crate::store::{static_factors, EngineSnapshot, ShardSnapshot};
 use clude_lu::{LuError, LuResult, PanelScratch};
-use clude_sparse::vector::axpy;
+use clude_sparse::vector::{axpy, dot};
 use clude_telemetry::{Counter, EngineEvent, Stage};
 
 /// Stopping rule of the coupled solve: a relative iterate-change tolerance
@@ -344,12 +344,10 @@ impl KrylovColumn {
     /// Consumes the pass that just ran on this column's active slot.
     /// Returns whether the column was accepted by it; `pass` is the 1-based
     /// count of block passes so far, `x` the column's stripe of the result,
-    /// both in the plan's layout, and `node_order` the layout position of
-    /// each node, the order the inner products sum in.
+    /// in the plan's layout — the order the inner products sum in.
     fn advance(
         &mut self,
         x: &mut [f64],
-        node_order: &[u32],
         tolerance: &SolveTolerance,
         restart: usize,
         pass: usize,
@@ -380,7 +378,7 @@ impl KrylovColumn {
                 for (r, &xi) in swept.iter_mut().zip(x.iter()) {
                     *r -= xi;
                 }
-                let beta = dot_in(node_order, swept, swept).sqrt();
+                let beta = dot(swept, swept).sqrt();
                 for r in swept.iter_mut() {
                     *r /= beta;
                 }
@@ -400,10 +398,10 @@ impl KrylovColumn {
                 }
                 let mut h = [0.0; RESTART + 1];
                 for (hi, v) in h.iter_mut().zip(vs.chunks_exact(n)) {
-                    *hi = dot_in(node_order, w, v);
+                    *hi = dot(w, v);
                     axpy(-*hi, v, w);
                 }
-                let h_next = dot_in(node_order, w, w).sqrt();
+                let h_next = dot(w, w).sqrt();
                 // Rotate the new Hessenberg column into R and the
                 // right-hand side with it.
                 for i in 0..j {
@@ -483,10 +481,7 @@ fn block_pass(
         if segment.is_empty() {
             continue;
         }
-        let factors = static_factors(shards[s].decomposed()).ok_or(LuError::DimensionMismatch {
-            expected: segment.len(),
-            actual: 0,
-        })?;
+        let factors = static_factors(shards[s].decomposed());
         if let [column] = columns {
             let b = (column.phase == Phase::Check).then_some(b);
             let v = column.active_mut(n);
@@ -567,7 +562,7 @@ fn krylov_many(
             return Ok(());
         }
         for (column, stripe) in columns.iter_mut().zip(laid_x.chunks_exact_mut(n)) {
-            if column.advance(stripe, plan.x_positions(), &tolerance, restart, pass)? {
+            if column.advance(stripe, &tolerance, restart, pass)? {
                 n_done += 1;
                 telemetry.observe_coupling_sweeps(pass as u64);
             }
@@ -587,28 +582,6 @@ fn krylov_many(
         iterations: tolerance.max_sweeps,
         last_diff: worst,
     })
-}
-
-/// `dot(a, b)` for two vectors in the plan's layout, summed in node order:
-/// term `i` is the pair at layout position `order[i]`, over the eight lanes
-/// of [`clude_sparse::vector::dot`].  The Krylov inner products thereby sum
-/// as they would over vectors held in node order, so their rounding does
-/// not move when a re-order moves a shard's segment.
-fn dot_in(order: &[u32], a: &[f64], b: &[f64]) -> f64 {
-    const LANES: usize = 8;
-    let chunks = order.chunks_exact(LANES);
-    let tail: f64 = chunks
-        .remainder()
-        .iter()
-        .map(|&p| a[p as usize] * b[p as usize])
-        .sum();
-    let mut lanes = [0.0f64; LANES];
-    for chunk in chunks {
-        for (lane, &p) in lanes.iter_mut().zip(chunk) {
-            *lane += a[p as usize] * b[p as usize];
-        }
-    }
-    lanes.iter().sum::<f64>() + tail
 }
 
 /// ∞-norm iterate change and solution scale of one pass.  A NaN in either

@@ -227,11 +227,6 @@ impl CouplingPlan {
         }
     }
 
-    /// The layout position of each node's solution entry, in node order.
-    pub(crate) fn x_positions(&self) -> &[u32] {
-        &self.x_pos
-    }
-
     /// Reads the solution `x` (in the layout) back into global node order.
     pub(crate) fn recover_solution(&self, x: &[f64], out: &mut [f64]) {
         for (o, &p) in out.iter_mut().zip(&self.x_pos) {
@@ -391,7 +386,7 @@ mod tests {
         let mut x = vec![f64::NAN; 6];
         plan.recover_solution(&[2.0, 5.0, 0.0, 3.0, 4.0, 1.0], &mut x);
         assert_eq!(x, b);
-        assert_eq!(plan.x_positions(), &[2, 5, 0, 3, 4, 1]);
+        assert_eq!(plan.x_pos, [2, 5, 0, 3, 4, 1]);
         for g in 0..6 {
             let s = partition.shard_of(g);
             assert!(plan.segment(s).contains(&(plan.rhs_pos[g] as usize)));
@@ -404,7 +399,7 @@ mod tests {
         let (_, coupling, plan) = plan();
         let x: Vec<f64> = (0..6).map(|g| 1.0 + g as f64).collect();
         let mut laid_x = vec![0.0; 6];
-        for (g, &p) in plan.x_positions().iter().enumerate() {
+        for (g, &p) in plan.x_pos.iter().enumerate() {
             laid_x[p as usize] = x[g];
         }
         let cx = coupling.mul_vec(&x).unwrap();

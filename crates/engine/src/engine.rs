@@ -31,6 +31,7 @@ use crate::recovery::{self, RecoveryReport};
 use crate::sharded::{PartitionStrategy, ShardedAdvanceReport, ShardedFactorStore};
 use crate::stats::EngineStats;
 use crate::store::{EngineSnapshot, MaintenanceArm, RefreshPolicy};
+use crate::sync::Recover;
 use clude::partition::edge_locality_partition;
 use clude_graph::{btf_partition, DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_measures::MeasureQuery;
@@ -253,7 +254,7 @@ impl CludeEngine {
         let Some(loaded) = loaded else {
             // Cold start: durably anchor the base image before any writes.
             let engine = Self::new(base, config)?;
-            let mut state = engine.inner.lock().expect("ingest state poisoned");
+            let mut state = engine.inner.lock().recover();
             let durable = state.store.durable_state();
             state.persistence = Some(Persistence::bootstrap(
                 &durability,
@@ -295,7 +296,7 @@ impl CludeEngine {
             recovered_snapshot: None,
         };
         {
-            let mut state = engine.inner.lock().expect("ingest state poisoned");
+            let mut state = engine.inner.lock().recover();
             for (id, delta) in replay.records {
                 let span = engine.telemetry.span(Stage::RecoveryReplay);
                 let applied = engine.apply_batch(&mut state, delta)?;
@@ -329,7 +330,7 @@ impl CludeEngine {
     /// Forces a checkpoint generation now, regardless of the interval.
     /// Returns `false` for in-memory (non-durable) engines.
     pub fn checkpoint_now(&self) -> EngineResult<bool> {
-        let mut state = self.inner.lock().expect("ingest state poisoned");
+        let mut state = self.inner.lock().recover();
         let state = &mut *state;
         match state.persistence.as_mut() {
             Some(persistence) => {
@@ -344,7 +345,7 @@ impl CludeEngine {
     /// Forces the WAL durability barrier, closing an open group-commit
     /// window early.  Returns `false` for in-memory engines.
     pub fn sync_wal(&self) -> EngineResult<bool> {
-        let mut state = self.inner.lock().expect("ingest state poisoned");
+        let mut state = self.inner.lock().recover();
         match state.persistence.as_mut() {
             Some(persistence) => {
                 persistence.sync_wal()?;
@@ -404,7 +405,7 @@ impl CludeEngine {
 
     /// Streams one edge operation.
     pub fn offer(&self, op: EdgeOp) -> EngineResult<Option<u64>> {
-        let mut state = self.inner.lock().expect("ingest state poisoned");
+        let mut state = self.inner.lock().recover();
         let state = &mut *state;
         let outcome = state.ingestor.offer(op, state.store.graph())?;
         // Count only operations the ingestor accepted (rejected ones erred).
@@ -426,7 +427,7 @@ impl CludeEngine {
     /// Forces the pending batch (if any) to be applied now.  Returns the new
     /// snapshot id when something was pending.
     pub fn flush(&self) -> EngineResult<Option<u64>> {
-        let mut state = self.inner.lock().expect("ingest state poisoned");
+        let mut state = self.inner.lock().recover();
         match state.ingestor.flush() {
             // lint: allow(lock-discipline) — same documented ingest-Mutex →
             // ring-RwLock order as `offer`; no path takes the locks reversed.
@@ -454,7 +455,7 @@ impl CludeEngine {
 
         let snapshot = Arc::new(state.store.snapshot());
         let (oldest_retained, evicted) = {
-            let mut ring = self.ring.write().expect("snapshot ring poisoned");
+            let mut ring = self.ring.write().recover();
             let evicted = push_evicting(&mut ring, Arc::clone(&snapshot), self.ring_capacity);
             (ring.front().expect("ring is never empty").id(), evicted)
         };
@@ -509,8 +510,8 @@ impl CludeEngine {
                 t.add(Counter::FrozenBlockRows, shard.block_order);
             }
         }
-        // Snapshot-ring sharing: the batch cloned (re-froze) the factor
-        // blocks of the shards it touched and shared the rest of the snapshot
+        // Snapshot-ring sharing: the batch replaced the factor blocks of the
+        // shards it touched and shared the rest of the snapshot
         // it is about to publish with the previous ring entry.  The store's
         // own count, not the per-shard slices: a repartitioning batch reports
         // per old shard what it swept, then republishes every new one.
@@ -528,7 +529,7 @@ impl CludeEngine {
     pub fn current_snapshot_id(&self) -> u64 {
         self.ring
             .read()
-            .expect("snapshot ring poisoned")
+            .recover()
             .back()
             .expect("ring is never empty")
             .id()
@@ -536,21 +537,12 @@ impl CludeEngine {
 
     /// The ids still retained for time-travel queries (oldest first).
     pub fn retained_snapshot_ids(&self) -> Vec<u64> {
-        self.ring
-            .read()
-            .expect("snapshot ring poisoned")
-            .iter()
-            .map(|s| s.id())
-            .collect()
+        self.ring.read().recover().iter().map(|s| s.id()).collect()
     }
 
     /// Net pending edge changes not yet applied to any snapshot.
     pub fn pending_ops(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("ingest state poisoned")
-            .ingestor
-            .pending_ops()
+        self.inner.lock().recover().ingestor.pending_ops()
     }
 
     /// Answers a query against the newest snapshot.
@@ -568,7 +560,7 @@ impl CludeEngine {
     /// Answers a query against a retained past snapshot (time travel).
     pub fn query_at(&self, snapshot_id: u64, query: &MeasureQuery) -> EngineResult<Arc<Vec<f64>>> {
         let snapshot = {
-            let ring = self.ring.read().expect("snapshot ring poisoned");
+            let ring = self.ring.read().recover();
             let oldest = ring.front().expect("ring is never empty").id();
             let newest = ring.back().expect("ring is never empty").id();
             match ring.iter().find(|s| s.id() == snapshot_id) {
@@ -610,7 +602,7 @@ impl CludeEngine {
     /// its values, not a second copy of the structure).
     pub fn stats(&self) -> EngineStats {
         let mut stats = EngineStats::from_registry(&self.telemetry);
-        let ring = self.ring.read().expect("snapshot ring poisoned");
+        let ring = self.ring.read().recover();
         stats.ring_depth = ring.len() as u64;
         let mut seen: HashSet<*const ()> = HashSet::new();
         let mut bytes = 0u64;

@@ -29,9 +29,10 @@
 //! take the slot mutex without the ingest mutex — no cycle.
 
 use crate::store::EngineSnapshot;
+use crate::sync::Recover;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Process-wide allocator distinguishing handles in the thread-local cache
 /// (a thread may serve several engines over its lifetime).
@@ -74,7 +75,7 @@ impl SnapshotHandle {
     /// acquire, which is the entire correctness argument of [`Self::load`].
     pub fn publish(&self, snapshot: Arc<EngineSnapshot>) {
         {
-            let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut slot = self.slot.lock().recover();
             *slot = snapshot;
         }
         self.epoch.fetch_add(1, Ordering::Release);
@@ -93,7 +94,7 @@ impl SnapshotHandle {
                     return Arc::clone(snap);
                 }
             }
-            let snap = Arc::clone(&self.slot.lock().unwrap_or_else(PoisonError::into_inner));
+            let snap = Arc::clone(&self.slot.lock().recover());
             *cached = Some((self.id, epoch, Arc::clone(&snap)));
             snap
         })

@@ -114,6 +114,7 @@ pub mod recovery;
 pub mod sharded;
 pub mod stats;
 pub mod store;
+mod sync;
 pub mod vfs;
 mod wal;
 

@@ -23,13 +23,14 @@
 use crate::cache::LruCache;
 use crate::error::{EngineError, EngineResult};
 use crate::store::EngineSnapshot;
+use crate::sync::Recover;
 use clude_measures::MeasureQuery;
 use clude_telemetry::{Counter, EngineEvent, LogHistogram, Stage, TelemetryRegistry};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 
 type CacheKey = (u64, MeasureQuery);
 
@@ -156,9 +157,7 @@ impl QueryBatcher {
     }
 
     fn lock(&self) -> MutexGuard<'_, BatcherState> {
-        // The state is only ever mutated under this lock by short, panic-free
-        // sections (solves run outside it), so a poisoned lock is recoverable.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        self.state.lock().recover()
     }
 
     /// Submits one query, blocking until its (possibly batched) answer is
@@ -187,7 +186,7 @@ impl QueryBatcher {
                 if let Some(result) = st.results.remove(&ticket) {
                     return result;
                 }
-                st = self.done.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st = self.done.wait(st).recover();
             }
         }
         // Leader: drain-solve-publish rounds until the queue stays empty.
@@ -341,10 +340,7 @@ impl QueryService {
         let shard = &self.shards[self.shard_of(query)];
         {
             let probe = self.telemetry.span(Stage::QueryCacheHit);
-            // lint: allow(panic-surface) — a poisoned shard means a writer
-            // panicked mid-mutation; serving from it could return corrupt
-            // entries, so crashing loudly is the safe behavior.
-            let mut guard = shard.write().expect("cache shard poisoned");
+            let mut guard = shard.write().recover();
             if let Some(hit) = guard.get(&key) {
                 self.telemetry.incr(Counter::CacheHits);
                 return Ok(Arc::clone(hit));
@@ -383,12 +379,7 @@ impl QueryService {
         // query_at() rejects their ids before probing the cache, so the
         // entry would only waste LRU capacity.
         if key.0 >= self.oldest_retained.load(Ordering::Acquire) {
-            let victim = shard
-                .write()
-                // lint: allow(panic-surface) — poisoned shard: a writer
-                // panicked mid-mutation, the LRU state is untrustworthy.
-                .expect("cache shard poisoned")
-                .insert(key, Arc::clone(&scores));
+            let victim = shard.write().recover().insert(key, Arc::clone(&scores));
             if let Some((evicted_snapshot, _)) = victim {
                 self.telemetry.incr(Counter::CacheEvictions);
                 self.telemetry.record_event(EngineEvent::CacheEvicted {
@@ -409,12 +400,7 @@ impl QueryService {
             .store(oldest_retained, Ordering::Release);
         let mut dropped = 0u64;
         for shard in &self.shards {
-            dropped += shard
-                .write()
-                // lint: allow(panic-surface) — poisoned shard: a writer
-                // panicked mid-mutation, the LRU state is untrustworthy.
-                .expect("cache shard poisoned")
-                .invalidate_below(oldest_retained);
+            dropped += shard.write().recover().invalidate_below(oldest_retained);
         }
         if dropped > 0 {
             self.telemetry.record_event(EngineEvent::CacheInvalidated {
@@ -426,12 +412,7 @@ impl QueryService {
 
     /// Total number of cached results across shards.
     pub fn cached_entries(&self) -> usize {
-        self.shards
-            .iter()
-            // lint: allow(panic-surface) — poisoned shard: a writer panicked
-            // mid-mutation, the LRU state is untrustworthy.
-            .map(|s| s.read().expect("cache shard poisoned").len())
-            .sum()
+        self.shards.iter().map(|s| s.read().recover().len()).sum()
     }
 
     /// The batcher's occupancy histogram: one sample per drained batch,

@@ -39,14 +39,16 @@ use crate::coupling::{CouplingConfig, FrozenCoupling};
 use crate::error::{EngineError, EngineResult};
 use crate::store::{
     global_matrix_delta, order_and_factorize, EngineSnapshot, MaintenanceArm, MaintenanceDecision,
-    OldSuccessors, OrderedFactors, RefreshPolicy, ShardOutcome, ShardSnapshot,
+    OldSuccessors, OrderedFactors, RefreshPolicy, ShardOutcome, ShardSnapshot, Staged,
 };
-use clude::{partition::edge_locality_partition, DecomposedMatrix};
+use clude::partition::edge_locality_partition;
 use clude_graph::{
     btf_partition, coupling_matrix, shard_measure_matrix, DiGraph, GraphDelta, MatrixKind,
     NodePartition,
 };
-use clude_lu::{BennettStats, BennettWorkspace, LuError, RefactorWorkspace, ShardWorkspaces};
+use clude_lu::{
+    extend_structure, BennettStats, BennettWorkspace, LuError, RefactorWorkspace, ShardWorkspaces,
+};
 use clude_sparse::CsrMatrix;
 use clude_telemetry::{EngineEvent, Stage, TelemetryRegistry};
 use std::sync::Arc;
@@ -84,28 +86,33 @@ impl FactorShard {
         }
     }
 
+    /// Factorizes shard `shard`'s block of `graph` as the block current as
+    /// of snapshot `id`.
     fn build(
         graph: &DiGraph,
         kind: MatrixKind,
         partition: &NodePartition,
         shard: usize,
+        id: u64,
     ) -> EngineResult<Self> {
         let matrix = shard_measure_matrix(graph, kind, partition, shard);
-        Ok(FactorShard::new(order_and_factorize(&matrix)?))
+        Ok(FactorShard::new(order_and_factorize(&matrix, id)?))
     }
 
-    /// Runs the decided arm over one shard-local entry list (local
-    /// coordinates), translated through the shard's ordering.  Runs on a
-    /// worker thread during parallel advances.
-    fn apply(
+    /// Translates one shard-local entry list (local coordinates) through the
+    /// shard's ordering and stages the decided arm over it: a sweep's copy
+    /// of the block is made here, under a `snapshot.freeze` span.  Runs on
+    /// the coordinating thread, before the arms fan out: the copy becomes
+    /// the next block, which snapshots keep for as long as the ring does,
+    /// and allocated on a short-lived worker it would sit in that thread's
+    /// allocator arena (10–20 % more peak memory on the 4-shard structural
+    /// workloads).
+    fn stage(
         &mut self,
-        decision: MaintenanceDecision,
-        ws: &mut BennettWorkspace,
-        rws: &mut RefactorWorkspace,
+        arm: MaintenanceArm,
         entries: &[(usize, usize, f64, f64)],
-        ctx: SweepContext<'_>,
-        shard: usize,
-    ) -> Result<ShardOutcome, LuError> {
+        telemetry: &TelemetryRegistry,
+    ) -> Staged {
         let of = &self.of;
         self.mapped.clear();
         self.mapped.extend(
@@ -113,13 +120,37 @@ impl FactorShard {
                 .iter()
                 .map(|&(r, c, old, new)| (of.row_old_to_new[r], of.col_old_to_new[c], old, new)),
         );
+        match arm {
+            MaintenanceArm::BennettSweep => {
+                let _freeze = telemetry.span(Stage::SnapshotFreeze);
+                let positions = self.mapped.iter().map(|&(i, j, ..)| (i, j));
+                Staged::Sweep(extend_structure(self.of.factors(), positions))
+            }
+            MaintenanceArm::FrozenRefactor => Staged::FrozenRefactor,
+            MaintenanceArm::Rebuild => Staged::Rebuild,
+            MaintenanceArm::Reorder => Staged::Reorder,
+        }
+    }
+
+    /// Runs the decided arm over the entries [`FactorShard::stage`]
+    /// translated and staged.  Runs on a worker thread during parallel
+    /// advances.
+    fn apply(
+        &mut self,
+        staged: Staged,
+        ws: &mut BennettWorkspace,
+        rws: &mut RefactorWorkspace,
+        ctx: SweepContext<'_>,
+        shard: usize,
+    ) -> Result<ShardOutcome, LuError> {
         self.of.maintain(
-            decision,
+            staged,
             ws,
             rws,
             &self.mapped,
             ctx.telemetry,
             shard,
+            ctx.id,
             || shard_measure_matrix(ctx.graph, ctx.kind, ctx.partition, shard),
         )
     }
@@ -128,6 +159,9 @@ impl FactorShard {
 /// Shared read-only context of one advance's per-shard arms.
 #[derive(Clone, Copy)]
 struct SweepContext<'a> {
+    /// The snapshot the batch produces: what the blocks it writes are
+    /// current as of.
+    id: u64,
     graph: &'a DiGraph,
     partition: &'a NodePartition,
     kind: MatrixKind,
@@ -207,7 +241,7 @@ pub struct ShardedAdvanceReport {
     pub quality_loss: f64,
     /// Cross-shard coupling entries written by this batch.
     pub coupling_writes: u64,
-    /// Shards whose shared factor handle was re-frozen by this batch; the
+    /// Shards whose factor block this batch replaced; the
     /// other `n_shards − shards_republished` blocks of the next snapshot are
     /// pointer-shared with the previous one (copy-on-write ring).
     pub shards_republished: u64,
@@ -243,10 +277,6 @@ pub struct ShardedFactorStore {
     /// How repartitions derive the replacement partition.
     partition_strategy: PartitionStrategy,
     snapshot_id: u64,
-    /// Per-shard shared factor handles snapshots serve from, re-frozen only
-    /// for the shards a batch swept or refreshed; the rest stay shared with
-    /// every earlier snapshot in the ring (copy-on-write).
-    published: Vec<Arc<DecomposedMatrix>>,
     /// The cross-shard entries of the measure matrix, global coordinates, no
     /// stored zeros: the state itself, in the frozen form snapshots share.
     /// Replaced — the batch's writes merged into the previous CSR — only by
@@ -291,12 +321,11 @@ impl ShardedFactorStore {
             )));
         }
         let partition = Arc::new(partition);
-        let mut shards: Vec<FactorShard> = (0..partition.n_shards())
-            .map(|s| FactorShard::build(&graph, kind, &partition, s))
+        let shards: Vec<FactorShard> = (0..partition.n_shards())
+            .map(|s| FactorShard::build(&graph, kind, &partition, s, 0))
             .collect::<EngineResult<_>>()?;
         let workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
         let refactor_workspaces = refactor_workspaces_for(&partition);
-        let published = publish_all(&mut shards, 0)?;
         let published_coupling =
             FrozenCoupling::new(cross_shard_coupling(&graph, kind, &partition));
         let coupling_cfg = CouplingConfig::default();
@@ -310,7 +339,6 @@ impl ShardedFactorStore {
             refactor_workspaces,
             partition_strategy: PartitionStrategy::default(),
             snapshot_id: 0,
-            published,
             published_coupling,
             next_repartition_at: coupling_cfg.repartition_budget,
             coupling_cfg,
@@ -334,10 +362,9 @@ impl ShardedFactorStore {
     }
 
     /// The durable slice of the store for the checkpoint writer.  Blocks
-    /// are the *published* per-shard `Arc`s — advances republish every shard
-    /// they touch, so the published content always equals the live factors —
-    /// plus each shard's `reference_nnz` quality anchor; the coupling is the
-    /// frozen CSR's entries as row-major triplets.
+    /// are the shards' published `Arc`s — their live factors — plus each
+    /// shard's `reference_nnz` quality anchor; the coupling is the frozen
+    /// CSR's entries as row-major triplets.
     pub(crate) fn durable_state(&self) -> crate::checkpoint::DurableState {
         crate::checkpoint::DurableState {
             snapshot_id: self.snapshot_id,
@@ -347,10 +374,9 @@ impl ShardedFactorStore {
             next_repartition_at: self.next_repartition_at,
             coupling: self.published_coupling.matrix().iter().collect(),
             blocks: self
-                .published
+                .shards
                 .iter()
-                .zip(&self.shards)
-                .map(|(p, s)| (Arc::clone(p), s.of.reference_nnz))
+                .map(|s| (Arc::clone(s.of.block()), s.of.reference_nnz))
                 .collect(),
         }
     }
@@ -422,15 +448,21 @@ impl ShardedFactorStore {
                 .map_err(|e| EngineError::Persistence(format!("checkpoint coupling: {e}")))?;
         }
         let mut shards = Vec::with_capacity(blocks.len());
-        let mut published = Vec::with_capacity(blocks.len());
         for (s, block) in blocks.into_iter().enumerate() {
-            // The reordered-matrix cache is rebuilt lazily by the first
-            // refactor pass; a checkpoint block carries no matrix.
-            let mut of =
-                OrderedFactors::new(block.ordering, block.factors, block.reference_nnz, None);
-            published.push(of.publish(block.index).map_err(|e| {
+            // A block whose structure is not closed under elimination (an
+            // image written before blocks were kept closed) is closed once,
+            // here.  The reordered-matrix cache is rebuilt lazily by the
+            // first refactor pass; a checkpoint block carries no matrix.
+            let factors = extend_structure(&block.factors, []).map_err(|e| {
                 EngineError::Persistence(format!("checkpoint block of shard {s}: {e}"))
-            })?);
+            })?;
+            let of = OrderedFactors::new(
+                block.ordering,
+                factors,
+                block.reference_nnz,
+                None,
+                block.index,
+            );
             shards.push(FactorShard::new(of));
         }
         let workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
@@ -446,7 +478,6 @@ impl ShardedFactorStore {
             refactor_workspaces,
             partition_strategy: PartitionStrategy::default(),
             snapshot_id,
-            published,
             published_coupling,
             next_repartition_at,
             coupling_cfg,
@@ -513,7 +544,7 @@ impl ShardedFactorStore {
 
     /// Total factor size across shards, `Σ_s |sp(Â_s)|`.
     pub fn factor_nnz(&self) -> usize {
-        self.shards.iter().map(|s| s.of.factors.nnz()).sum()
+        self.shards.iter().map(|s| s.of.factors().nnz()).sum()
     }
 
     /// Number of live cross-shard coupling entries.
@@ -532,7 +563,7 @@ impl ShardedFactorStore {
     /// An immutable snapshot of the current state for the query side.
     ///
     /// Cheap by construction: the per-shard factor blocks and the frozen
-    /// coupling are shared [`Arc`] handles re-frozen inside
+    /// coupling are shared [`Arc`] handles replaced inside
     /// [`ShardedFactorStore::advance`] for exactly what the batch touched,
     /// and the graph's adjacency is copy-on-write in chunks of consecutive
     /// nodes, so this bumps `n_shards` plus two pointers per chunk and copies
@@ -541,9 +572,9 @@ impl ShardedFactorStore {
     /// handle.
     pub fn snapshot(&self) -> EngineSnapshot {
         let shards = self
-            .published
+            .shards
             .iter()
-            .map(|d| ShardSnapshot::new(Arc::clone(d)))
+            .map(|s| ShardSnapshot::new(Arc::clone(s.of.block())))
             .collect();
         EngineSnapshot::from_parts(
             self.snapshot_id,
@@ -640,6 +671,7 @@ impl ShardedFactorStore {
         // count-only, so taking it after the graph mutation changes nothing.
         let active: Vec<usize> = (0..k).filter(|&s| !shard_entries[s].is_empty()).collect();
         let mut decisions: Vec<Option<MaintenanceDecision>> = vec![None; k];
+        let mut staged: Vec<Option<Staged>> = (0..k).map(|_| None).collect();
         for &s in &active {
             per_shard[s].entries_applied = shard_entries[s].len() as u64;
             let decision = self.shards[s].of.decide(
@@ -655,6 +687,8 @@ impl ShardedFactorStore {
                 ..decision
             };
             decisions[s] = Some(decision);
+            staged[s] =
+                Some(self.shards[s].stage(decision.arm, &shard_entries[s], &self.telemetry));
         }
 
         // Fan the disjoint per-shard arms out across scoped threads — when
@@ -666,6 +700,7 @@ impl ShardedFactorStore {
             |s: &usize| decisions[*s].is_some_and(|d| d.arm == MaintenanceArm::FrozenRefactor);
         let inline = active.len() <= 1 || (!force_fan_out && active.iter().all(frozen));
         let ctx = SweepContext {
+            id: self.snapshot_id,
             graph: &self.graph,
             partition: &self.partition,
             kind: self.kind,
@@ -675,14 +710,13 @@ impl ShardedFactorStore {
             (0..k).map(|_| None).collect();
         if inline {
             for &s in &active {
-                let Some(decision) = decisions[s] else {
+                let Some(staged) = staged[s].take() else {
                     continue;
                 };
                 outcomes[s] = Some(self.shards[s].apply(
-                    decision,
+                    staged,
                     self.workspaces.get_mut(s),
                     &mut self.refactor_workspaces[s],
-                    &shard_entries[s],
                     ctx,
                     s,
                 ));
@@ -691,19 +725,20 @@ impl ShardedFactorStore {
             let results = std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(active.len());
                 let mut here = Vec::new();
-                for (((s, shard), ws), rws) in self
+                for ((((s, shard), ws), rws), staged) in self
                     .shards
                     .iter_mut()
                     .enumerate()
                     .zip(self.workspaces.iter_mut())
                     .zip(self.refactor_workspaces.iter_mut())
+                    .zip(staged.iter_mut())
                 {
-                    let Some(decision) = decisions[s] else {
+                    let Some(staged) = staged.take() else {
                         continue;
                     };
-                    let entries = &shard_entries[s];
-                    let arm = move || shard.apply(decision, ws, rws, entries, ctx, s);
-                    if decision.arm == MaintenanceArm::Rebuild {
+                    let rebuild = staged.arm() == MaintenanceArm::Rebuild;
+                    let arm = move || shard.apply(staged, ws, rws, ctx, s);
+                    if rebuild {
                         // A rebuild allocates its structure and its symbolic
                         // rows; on a short-lived worker those land in a
                         // per-thread allocator arena that outlives the
@@ -713,7 +748,7 @@ impl ShardedFactorStore {
                         handles.push((s, scope.spawn(arm)));
                     }
                 }
-                let mut results: Vec<_> = here.into_iter().map(|(s, mut arm)| (s, arm())).collect();
+                let mut results: Vec<_> = here.into_iter().map(|(s, arm)| (s, arm())).collect();
                 results.extend(
                     handles
                         .into_iter()
@@ -742,19 +777,15 @@ impl ShardedFactorStore {
             report.bennett.merge(&outcome.bennett);
             report.per_shard[s].sweeps = outcome.bennett.rank_one_updates as u64;
             report.per_shard[s].arm = Some(outcome.arm);
-            report.per_shard[s].predicted_cost = outcome.predicted_cost;
+            report.per_shard[s].predicted_cost = decisions[s].map_or(0.0, |d| d.predicted_cost);
             report.per_shard[s].actual_work = outcome.actual_work;
             report.per_shard[s].rows_refactored = outcome.rows_refactored as u64;
-            report.per_shard[s].block_order = self.shards[s].of.factors.n() as u64;
+            report.per_shard[s].block_order = self.shards[s].of.factors().n() as u64;
+            // Copy-on-write: only the shards this batch maintained installed
+            // a new block; every other shard keeps serving the block older
+            // snapshots already hold.  Only a re-order moves the ordering.
             report.refreshed |= outcome.arm == MaintenanceArm::Reorder;
-            // Copy-on-write: only the shards this batch maintained re-freeze
-            // their shared handle; every other shard keeps serving the
-            // handle older snapshots already hold.
-            let freeze = self.telemetry.span(Stage::SnapshotFreeze);
-            let block = self.shards[s].of.publish(self.snapshot_id)?;
-            ordering_moved |= !Arc::ptr_eq(&block.ordering, &self.published[s].ordering);
-            self.published[s] = block;
-            freeze.stop();
+            ordering_moved |= outcome.arm == MaintenanceArm::Reorder;
             report.shards_republished += 1;
         }
         // Copy-on-write like the factor blocks: the coupling re-freezes only
@@ -814,7 +845,7 @@ impl ShardedFactorStore {
 
     /// Re-runs the partition strategy on the current graph and rebuilds the
     /// store around it: fresh shard orderings and factorizations, fresh
-    /// workspaces, all block handles re-frozen, the coupling re-collected and
+    /// workspaces, every block replaced, the coupling re-collected and
     /// frozen with an empty plan cell (no plan outlives its partition).  The
     /// next trigger backs off to `max(budget, 2 × surviving coupling size)`
     /// so repeated triggers on a genuinely dense graph stay amortized.
@@ -828,12 +859,11 @@ impl ShardedFactorStore {
             PartitionStrategy::EdgeLocality => edge_locality_partition(&self.graph, k),
             PartitionStrategy::Btf => btf_partition(&self.graph, self.kind, k).0,
         });
-        let mut shards: Vec<FactorShard> = (0..partition.n_shards())
-            .map(|s| FactorShard::build(&self.graph, self.kind, &partition, s))
+        let shards: Vec<FactorShard> = (0..partition.n_shards())
+            .map(|s| FactorShard::build(&self.graph, self.kind, &partition, s, self.snapshot_id))
             .collect::<EngineResult<_>>()?;
         self.workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
         self.refactor_workspaces = refactor_workspaces_for(&partition);
-        self.published = publish_all(&mut shards, self.snapshot_id)?;
         let freeze = self.telemetry.span(Stage::SnapshotFreeze);
         self.published_coupling =
             FrozenCoupling::new(cross_shard_coupling(&self.graph, self.kind, &partition));
@@ -860,7 +890,7 @@ impl ShardedFactorStore {
         for (s, shard) in self.shards.iter().enumerate() {
             let nodes = self.partition.nodes_of(s);
             // Undo the shard-local ordering to recover A[S_s, S_s].
-            let reconstructed = shard.of.factors.reconstruct();
+            let reconstructed = shard.of.factors().reconstruct();
             let row_new_to_old = shard.of.ordering.row().as_new_to_old();
             let col_new_to_old = shard.of.ordering.col().as_new_to_old();
             for (i, j, v) in reconstructed.iter() {
@@ -877,15 +907,6 @@ impl ShardedFactorStore {
     }
 }
 
-/// Publishes every shard's block as of snapshot `id` (builds and
-/// repartitions; advances republish only the shards they touched).
-fn publish_all(shards: &mut [FactorShard], id: u64) -> EngineResult<Vec<Arc<DecomposedMatrix>>> {
-    shards
-        .iter_mut()
-        .map(|shard| Ok(shard.of.publish(id)?))
-        .collect()
-}
-
 /// One refactorization scratch per shard, sized to the shard's order.
 fn refactor_workspaces_for(partition: &NodePartition) -> Vec<RefactorWorkspace> {
     partition
@@ -899,8 +920,8 @@ fn refactor_workspaces_for(partition: &NodePartition) -> Vec<RefactorWorkspace> 
 mod tests {
     use super::*;
     use crate::coupling::{CouplingPlan, SolveTolerance};
-    use crate::store::dense_answer;
-    use clude_measures::MeasureQuery;
+    use crate::store::{dense_answer, static_factors};
+    use clude_measures::{MeasureQuery, MeasureSolver};
 
     fn base_graph(n: usize) -> DiGraph {
         let mut g = DiGraph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
@@ -912,7 +933,7 @@ mod tests {
     /// The plan a solve over the store's current blocks and `coupling`
     /// builds.
     fn plan_over(store: &ShardedFactorStore, coupling: &CsrMatrix) -> CouplingPlan {
-        let orderings = store.published.iter().map(|b| Arc::clone(&b.ordering));
+        let orderings = store.shards.iter().map(|s| Arc::clone(&s.of.ordering));
         CouplingPlan::build(store.partition(), coupling, orderings.collect())
     }
 
@@ -1169,7 +1190,7 @@ mod tests {
         .unwrap();
         let snap0 = store.snapshot();
 
-        // Intra-shard-0 batch: only shard 0's block may be re-frozen.
+        // Intra-shard-0 batch: only shard 0's block may be replaced.
         let report = store
             .advance(&GraphDelta {
                 added: vec![(0, 3), (1, 2)],
@@ -1669,7 +1690,7 @@ mod tests {
             let matrix =
                 shard_measure_matrix(store.graph(), store.matrix_kind(), store.partition(), s);
             assert_eq!(
-                *store.published[s].ordering,
+                *store.shards[s].of.ordering,
                 clude_lu::markowitz_ordering(&matrix.pattern()).ordering,
                 "shard {s}"
             );
@@ -1908,12 +1929,11 @@ mod tests {
             blocks: store
                 .shards
                 .iter()
-                .zip(&store.published)
-                .map(|(shard, block)| crate::checkpoint::RestoredBlock {
-                    index: block.index as u64,
+                .map(|shard| crate::checkpoint::RestoredBlock {
+                    index: shard.of.block().index as u64,
                     reference_nnz: shard.of.reference_nnz,
                     ordering: (*shard.of.ordering).clone(),
-                    factors: shard.of.factors.clone(),
+                    factors: shard.of.factors().clone(),
                 })
                 .collect(),
         }
@@ -2052,41 +2072,15 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    fn published_static(block: &DecomposedMatrix) -> &clude_lu::LuFactors {
-        match &block.factors {
-            Some(clude::MatrixFactors::Static(f)) => f,
-            other => panic!("published blocks are static, found {other:?}"),
-        }
-    }
-
-    /// Every published block is, bit for bit, the live dynamic factors it
-    /// was frozen from: same entries (explicit zeros included) and the same
-    /// panel solve.
-    fn assert_published_equals_live(store: &ShardedFactorStore) {
+    /// Every block the store serves sits on a structure closed under
+    /// elimination, so every frozen-pattern pass over it is reach-limited.
+    fn assert_blocks_closed(store: &ShardedFactorStore) {
         for (s, shard) in store.shards.iter().enumerate() {
-            let live = &shard.of.factors;
-            let frozen = published_static(&store.published[s]);
-            assert_eq!(
-                bits(frozen.export_entries()),
-                bits(live.export_entries()),
+            assert!(
+                shard.of.factors().structure().is_elimination_closed(),
                 "shard {s}"
             );
-            let n = live.n();
-            let b: Vec<f64> = (0..2 * n).map(|i| 1.0 + (i as f64) * 0.37).collect();
-            let (mut x_live, mut x_frozen) = (Vec::new(), Vec::new());
-            live.solve_many_into(&b, 2, &mut x_live).unwrap();
-            frozen.solve_many_into(&b, 2, &mut x_frozen).unwrap();
-            assert_eq!(float_bits(&x_live), float_bits(&x_frozen), "shard {s}");
         }
-    }
-
-    /// Shard `s`'s published block is what freezing its live lists from
-    /// scratch builds: the same layout and the same value bits.
-    fn assert_published_is_a_freeze(store: &ShardedFactorStore, s: usize) {
-        let frozen = store.shards[s].of.factors.freeze(None).unwrap();
-        let block = published_static(&store.published[s]);
-        assert_eq!(block.structure(), frozen.structure(), "shard {s}");
-        assert_eq!(bits(block.export_entries()), bits(frozen.export_entries()));
     }
 
     #[test]
@@ -2102,9 +2096,8 @@ mod tests {
         let q = MeasureQuery::PageRank { damping: 0.85 };
         let snap0 = store.snapshot();
         let answer0 = snap0.query(&q).unwrap();
-        let structure_of = |store: &ShardedFactorStore| {
-            Arc::clone(published_static(&store.published[0]).structure())
-        };
+        let structure_of =
+            |store: &ShardedFactorStore| Arc::clone(store.shards[0].of.factors().structure());
         let s0 = structure_of(&store);
 
         // Value-only (a removal rescales stored positions): new block, new
@@ -2121,10 +2114,10 @@ mod tests {
         );
         assert!(!Arc::ptr_eq(
             snap0.shards()[0].shared(),
-            &store.published[0]
+            store.shards[0].of.block()
         ));
         assert!(Arc::ptr_eq(&s0, &structure_of(&store)));
-        assert_published_equals_live(&store);
+        assert_blocks_closed(&store);
 
         // A new intra-shard position is a fill-in: the pattern moved, the
         // next block sits on a structure of its own.
@@ -2138,7 +2131,7 @@ mod tests {
         let s2 = structure_of(&store);
         assert!(!Arc::ptr_eq(&s0, &s2));
         assert!(s2.nnz() > s0.nnz());
-        assert_published_equals_live(&store);
+        assert_blocks_closed(&store);
 
         // And the moved pattern is shared again from there on.
         store
@@ -2148,7 +2141,7 @@ mod tests {
             })
             .unwrap();
         assert!(Arc::ptr_eq(&s2, &structure_of(&store)));
-        assert_published_equals_live(&store);
+        assert_blocks_closed(&store);
 
         // Time travel over the moved structure: the pre-fill-in snapshot
         // still answers from its own block, bit for bit.
@@ -2193,19 +2186,15 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         for s in 0..4 {
             assert_eq!(
-                bits(inline.shards[s].of.factors.export_entries()),
-                bits(fanned.shards[s].of.factors.export_entries())
-            );
-            assert_eq!(
-                bits(published_static(&inline.published[s]).export_entries()),
-                bits(published_static(&fanned.published[s]).export_entries())
+                bits(inline.shards[s].of.factors().export_entries()),
+                bits(fanned.shards[s].of.factors().export_entries())
             );
         }
         assert_eq!(
             inline.published_coupling.matrix(),
             fanned.published_coupling.matrix()
         );
-        assert_published_equals_live(&inline);
+        assert_blocks_closed(&inline);
     }
 
     /// The elimination reach of the rows in which two matrices differ, from
@@ -2230,7 +2219,7 @@ mod tests {
         // is value-only.  Per shard and batch, against a reach computed from
         // the matrices alone: the pass recomputed exactly the reach, every
         // slot of every other row is the previous block's bit for bit, and
-        // block and live lists still agree.
+        // every block stays closed under elimination.
         let (base, _) = wiki_stream(400, 0, 2, 11);
         let partition = edge_locality_partition(&base, 4);
         let kind = MatrixKind::random_walk_default();
@@ -2246,26 +2235,26 @@ mod tests {
                 .take(8)
                 .collect();
             let old_graph = store.graph().clone();
-            let old_blocks = store.published.clone();
+            let old_snapshot = store.snapshot();
             let report = store
                 .advance(&GraphDelta {
                     added: vec![],
                     removed,
                 })
                 .unwrap();
-            assert_published_equals_live(&store);
+            assert_blocks_closed(&store);
             for (s, shard) in report.per_shard.iter().enumerate() {
                 if shard.arm.is_none() {
                     continue;
                 }
                 assert_eq!(shard.arm, Some(MaintenanceArm::FrozenRefactor));
                 let (old, new) = (
-                    published_static(&old_blocks[s]),
-                    published_static(&store.published[s]),
+                    static_factors(old_snapshot.shards()[s].decomposed()),
+                    store.shards[s].of.factors(),
                 );
                 assert!(Arc::ptr_eq(old.structure(), new.structure()));
                 assert!(new.structure().is_elimination_closed());
-                let ordering = &store.published[s].ordering;
+                let ordering = &store.shards[s].of.ordering;
                 let matrix = |g: &DiGraph| {
                     shard_measure_matrix(g, kind, store.partition(), s)
                         .reorder(ordering)
@@ -2304,9 +2293,8 @@ mod tests {
             NodePartition::singleton(n),
         )
         .unwrap();
-        let structure_of = |store: &ShardedFactorStore| {
-            Arc::clone(published_static(&store.published[0]).structure())
-        };
+        let structure_of =
+            |store: &ShardedFactorStore| Arc::clone(store.shards[0].of.factors().structure());
         // Two removals and an insert, absorbed by Bennett sweeps first: the
         // removed positions stay behind as stored zeros.
         store
@@ -2317,7 +2305,7 @@ mod tests {
             .unwrap();
         // The next structural batch is rebuilt under the held ordering.
         store.forced_arm = Some(MaintenanceArm::Rebuild);
-        let ordering = store.published[0].ordering.clone();
+        let ordering = store.shards[0].of.ordering.clone();
         let report = store
             .advance(&GraphDelta {
                 added: vec![(3, 9)],
@@ -2330,12 +2318,12 @@ mod tests {
         assert_eq!(report.bennett.rank_one_updates, 0);
         assert!(!report.refreshed);
         assert_eq!(
-            store.published[0].ordering, ordering,
+            store.shards[0].of.ordering, ordering,
             "the ordering is held"
         );
-        // The block is exactly the live factors, on the closed pattern of
-        // the matrix as it is now: the sweeps' stored zeros are gone.
-        assert_published_equals_live(&store);
+        // The block is on the closed pattern of the matrix as it is now: the
+        // sweeps' stored zeros are gone.
+        assert_blocks_closed(&store);
         let rebuilt = structure_of(&store);
         let matrix = shard_measure_matrix(store.graph(), store.matrix_kind(), store.partition(), 0)
             .reorder(&ordering)
@@ -2360,7 +2348,7 @@ mod tests {
             Some(MaintenanceArm::FrozenRefactor)
         );
         assert!(Arc::ptr_eq(&rebuilt, &structure_of(&store)));
-        assert_published_equals_live(&store);
+        assert_blocks_closed(&store);
         assert_queries_match(&store, n);
     }
 
@@ -2430,7 +2418,7 @@ mod tests {
                         let report = fork.advance(delta).unwrap();
                         (0..fork.n_shards())
                             .map(|s| {
-                                let factors = &fork.shards[s].of.factors;
+                                let factors = fork.shards[s].of.factors();
                                 forced.model_cost(
                                     report.per_shard[s].actual_work,
                                     factors.nnz(),
@@ -2508,122 +2496,26 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            /// Random mixed streams — intra and cross shard, value-only and
-            /// structural, with a refresh budget tight enough to trip and a
-            /// repartition budget at the initial coupling size: after every
-            /// advance the published blocks are the live factors bit for
-            /// bit, a block's structure handle survives exactly the
-            /// publishes that did not move its pattern, the coupling is the
-            /// graph's cross-shard entries array for array, and a snapshot
-            /// taken before all of it still answers bit-identically at the
-            /// end.  The block a factorization hands over — after the
-            /// initial build, a rebuild, a re-order, a repartition — is a
-            /// freeze of the lists it reloaded, bit for bit.
-            #[test]
-            fn published_blocks_track_the_live_factors(
-                batches in proptest::collection::vec(
-                    proptest::collection::vec((0usize..3, 0usize..16, 0usize..16), 1..6),
-                    1..10,
-                ),
-            ) {
-                let n = 16;
-                let mut g = base_graph(n);
-                for u in 0..n {
-                    g.add_edge(u, (u + 5) % n);
-                }
-                let store = ShardedFactorStore::new(
-                    g,
-                    MatrixKind::random_walk_default(),
-                    RefreshPolicy::QualityTriggered { max_quality_loss: 0.15 },
-                    NodePartition::contiguous(n, 4),
-                )
-                .unwrap();
-                let budget = Some(store.coupling_nnz());
-                let mut store = store
-                    .with_coupling_config(CouplingConfig {
-                        repartition_budget: budget,
-                        ..CouplingConfig::default()
-                    })
-                    .unwrap();
-                let q = MeasureQuery::Rwr { seed: 3, damping: 0.85 };
-                let snap0 = store.snapshot();
-                let answer0 = snap0.query(&q).unwrap();
-                assert_published_equals_live(&store);
-                (0..store.n_shards()).for_each(|s| assert_published_is_a_freeze(&store, s));
-                for batch in &batches {
-                    let delta = random_delta(store.graph(), batch);
-                    let before: Vec<_> = store
-                        .shards
-                        .iter()
-                        .zip(&store.published)
-                        .map(|(shard, block)| (
-                            shard.of.factors.structural_stats().modifications(),
-                            Arc::clone(block),
-                        ))
-                        .collect();
-                    let report = store.advance(&delta).unwrap();
-                    assert_published_equals_live(&store);
-                    prop_assert_eq!(store.published_coupling.matrix(), &coupling_via_triplets(&store));
-                    if report.repartitioned {
-                        // Every shard was built afresh over the new partition.
-                        (0..store.n_shards()).for_each(|s| assert_published_is_a_freeze(&store, s));
-                        continue;
-                    }
-                    for (s, (modifications, block)) in before.iter().enumerate() {
-                        let shard = report.per_shard[s];
-                        if shard.entries_applied == 0 {
-                            prop_assert!(Arc::ptr_eq(block, &store.published[s]));
-                            continue;
-                        }
-                        prop_assert!(!Arc::ptr_eq(block, &store.published[s]));
-                        if matches!(
-                            shard.arm,
-                            Some(MaintenanceArm::Rebuild | MaintenanceArm::Reorder)
-                        ) {
-                            assert_published_is_a_freeze(&store, s);
-                        }
-                        // A rebuild or a re-order factorizes over a structure of
-                        // its own (and restarts the lists' counters); a sweep
-                        // moved the pattern when the counters say so; a
-                        // frozen-pattern pass never does.
-                        let moved = match shard.arm {
-                            Some(MaintenanceArm::Rebuild | MaintenanceArm::Reorder) => true,
-                            Some(MaintenanceArm::BennettSweep) => {
-                                store.shards[s].of.factors.structural_stats().modifications()
-                                    != *modifications
-                            }
-                            Some(MaintenanceArm::FrozenRefactor) | None => false,
-                        };
-                        prop_assert_eq!(
-                            Arc::ptr_eq(
-                                published_static(block).structure(),
-                                published_static(&store.published[s]).structure(),
-                            ),
-                            !moved,
-                            "shard {} ({:?})",
-                            s, shard.arm
-                        );
-                    }
-                }
-                store.assert_consistent(1e-9);
-                let again = snap0.query(&q).unwrap();
-                prop_assert_eq!(float_bits(&answer0), float_bits(&again));
-            }
-
             /// Mixed insert / remove streams at 1 and 4 shards under both
-            /// policies, every arm forced in turn beside the free decision:
-            /// whatever arm maintained a block, the answers agree with each
-            /// other to 1e-12 and with dense Gaussian elimination to 1e-9,
-            /// the published block is the live factors entry for entry, and
-            /// a frozen-pattern pass — also one that follows a rebuild —
-            /// keeps the structure handle it found.
+            /// policies and both matrix kinds, every arm forced in turn beside
+            /// the free decision — at 4 shards with a re-partition budget of
+            /// the initial coupling, so streams re-partition and rebuild
+            /// every block over the new partition: whatever arm maintained a
+            /// block, the answers agree with each other to 1e-12 and with
+            /// dense Gaussian elimination to 1e-9; after every arm every
+            /// block's structure is closed under elimination; a
+            /// frozen-pattern pass — also one that follows a rebuild — keeps
+            /// the structure handle it found, and a sweep keeps it or extends
+            /// it; a snapshot taken before
+            /// all of it, re-partitions included, still answers
+            /// bit-identically at the end.
             #[test]
             fn every_arm_maintains_the_same_factors(
                 batches in proptest::collection::vec(
                     proptest::collection::vec((0usize..3, 0usize..16, 0usize..16), 1..8),
                     1..8,
                 ),
-                cell in 0usize..4,
+                cell in 0usize..8,
             ) {
                 let n = 16;
                 let (k, policy) = [
@@ -2631,7 +2523,11 @@ mod tests {
                     (1, RefreshPolicy::QualityTriggered { max_quality_loss: 0.15 }),
                     (4, RefreshPolicy::Incremental),
                     (4, RefreshPolicy::QualityTriggered { max_quality_loss: 0.15 }),
-                ][cell];
+                ][cell % 4];
+                let kind = [
+                    MatrixKind::random_walk_default(),
+                    MatrixKind::SymmetricLaplacian { shift: 1.0 },
+                ][cell / 4];
                 let mut g = base_graph(n);
                 for u in 0..n {
                     g.add_edge(u, (u + 5) % n);
@@ -2641,28 +2537,69 @@ mod tests {
                     .map(|arm| {
                         let mut store = ShardedFactorStore::new(
                             g.clone(),
-                            MatrixKind::random_walk_default(),
+                            kind,
                             policy,
                             NodePartition::contiguous(n, k),
                         )
                         .unwrap();
+                        if k > 1 {
+                            let budget = Some(store.coupling_nnz());
+                            store = store
+                                .with_coupling_config(CouplingConfig {
+                                    repartition_budget: budget,
+                                    ..CouplingConfig::default()
+                                })
+                                .unwrap();
+                        }
                         store.forced_arm = arm;
                         store
                     })
                     .collect();
+                // The random-walk kind answers measure queries; the
+                // Laplacian is solved against fixed right-hand sides.
                 let queries = [
                     MeasureQuery::PageRank { damping: 0.85 },
                     MeasureQuery::Rwr { seed: 3, damping: 0.85 },
                 ];
+                let rhs: Vec<Vec<f64>> = (0..2)
+                    .map(|r| (0..n).map(|i| ((i * 7 + r * 3) % 5) as f64 - 2.0).collect())
+                    .collect();
+                let answers_of = |snap: &EngineSnapshot| -> Vec<Vec<f64>> {
+                    match kind {
+                        MatrixKind::RandomWalk { .. } => {
+                            queries.iter().map(|q| snap.query(q).unwrap()).collect()
+                        }
+                        MatrixKind::SymmetricLaplacian { .. } => rhs
+                            .iter()
+                            .map(|b| snap.solve_measure_system(b).unwrap())
+                            .collect(),
+                    }
+                };
+                let dense_of = |graph: &DiGraph| -> Vec<Vec<f64>> {
+                    match kind {
+                        MatrixKind::RandomWalk { .. } => {
+                            queries.iter().map(|q| dense_answer(graph, kind, q)).collect()
+                        }
+                        MatrixKind::SymmetricLaplacian { .. } => {
+                            let a = clude_graph::measure_matrix(graph, kind).to_dense();
+                            rhs.iter().map(|b| a.solve_gaussian(b).unwrap()).collect()
+                        }
+                    }
+                };
+                let snap0 = stores[0].snapshot();
+                let answers0 = answers_of(&snap0);
+                for store in &stores {
+                    assert_blocks_closed(store);
+                }
                 for batch in &batches {
                     let delta = random_delta(stores[0].graph(), batch);
                     let mut answers: Vec<Vec<Vec<f64>>> = Vec::new();
                     for store in &mut stores {
                         let before: Vec<_> = (0..store.n_shards())
-                            .map(|s| Arc::clone(published_static(&store.published[s]).structure()))
+                            .map(|s| Arc::clone(store.shards[s].of.factors().structure()))
                             .collect();
                         let report = store.advance(&delta).unwrap();
-                        assert_published_equals_live(store);
+                        assert_blocks_closed(store);
                         for (s, shard) in report.per_shard.iter().enumerate() {
                             if let Some(forced) = store.forced_arm {
                                 // A forced arm ran, or fell back to a re-order.
@@ -2673,20 +2610,27 @@ mod tests {
                                     "forced {:?}, ran {:?}", forced, shard.arm
                                 );
                             }
-                            if shard.arm == Some(MaintenanceArm::FrozenRefactor) {
-                                prop_assert!(Arc::ptr_eq(
-                                    &before[s],
-                                    published_static(&store.published[s]).structure(),
-                                ));
+                            if report.repartitioned {
+                                continue;
+                            }
+                            let after = store.shards[s].of.factors().structure();
+                            match shard.arm {
+                                Some(MaintenanceArm::FrozenRefactor) => {
+                                    prop_assert!(Arc::ptr_eq(&before[s], after));
+                                }
+                                Some(MaintenanceArm::BennettSweep) => {
+                                    let (was, now) = (before[s].pattern(), after.pattern());
+                                    prop_assert!(was.is_subset_of(&now), "shard {}", s);
+                                }
+                                _ => {}
                             }
                         }
-                        let snap = store.snapshot();
-                        answers.push(queries.iter().map(|q| snap.query(q).unwrap()).collect());
+                        answers.push(answers_of(&store.snapshot()));
                     }
-                    for (q, query) in queries.iter().enumerate() {
-                        let dense = dense_answer(stores[0].graph(), stores[0].matrix_kind(), query);
+                    let dense = dense_of(stores[0].graph());
+                    for (q, dense) in dense.iter().enumerate() {
                         for (a, store) in answers.iter().zip(&stores) {
-                            for ((x, y), z) in a[q].iter().zip(&answers[0][q]).zip(&dense) {
+                            for ((x, y), z) in a[q].iter().zip(&answers[0][q]).zip(dense) {
                                 prop_assert!(
                                     (x - y).abs() <= 1e-12 && (x - z).abs() <= 1e-9,
                                     "forced {:?}: {} vs free {} vs dense {}",
@@ -2698,6 +2642,10 @@ mod tests {
                 }
                 for store in &stores {
                     store.assert_consistent(1e-9);
+                }
+                let again = answers_of(&snap0);
+                for (a, b) in answers0.iter().zip(&again) {
+                    prop_assert_eq!(float_bits(a), float_bits(b));
                 }
             }
 

@@ -59,7 +59,8 @@ pub struct EngineStats {
     pub refresh_time: Duration,
     /// `query.solve` busy time: the cache misses (0 with telemetry off).
     pub query_time: Duration,
-    /// Shard factor blocks cloned (re-frozen) for published snapshots.
+    /// Shard factor blocks replaced (each a copy its arm wrote) for
+    /// published snapshots.
     pub cow_shards_cloned: u64,
     /// Shard factor blocks published snapshots shared with their previous.
     pub cow_shards_shared: u64,

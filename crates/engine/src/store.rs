@@ -3,11 +3,13 @@
 //! * [`EngineSnapshot`] / [`ShardSnapshot`] — the immutable unit the query
 //!   side serves from: the snapshot graph, one shared factor block per
 //!   shard, and the frozen cross-shard coupling.
-//! * `OrderedFactors` — one block's ordering, dynamic LU factors and
-//!   quality anchor, with the one maintenance decision
+//! * `OrderedFactors` — one block's ordering, its factors — the last block
+//!   it published, which is the live storage itself — and quality anchor,
+//!   with the one maintenance decision
 //!   (`OrderedFactors::decide`) every advance takes per shard and the four
 //!   [`MaintenanceArm`]s it chooses among by predicted cost: Bennett sweeps
-//!   (`clude_lu::apply_delta_with`), a pattern-frozen refactorization of
+//!   (`clude_lu::apply_delta_with`) over a structure extended to cover the
+//!   batch (`clude_lu::extend_structure`), a pattern-frozen refactorization of
 //!   the changed rows' elimination reach (`clude_lu::refactor_frozen_reach`)
 //!   for value-only batches, a rebuild under the held ordering
 //!   (`clude_lu::rebuild_under_ordering`), a re-order.
@@ -29,8 +31,8 @@ use clude::{refresh_decision, DecomposedMatrix, MatrixFactors};
 use clude_graph::{DeltaClass, DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_lu::{
     apply_delta_with, cost, factorize_fresh, markowitz_ordering, rebuild_under_ordering,
-    refactor_frozen_reach, BennettStats, BennettWorkspace, DynamicLuFactors, LuError, LuFactors,
-    LuResult, RefactorStats, RefactorWorkspace, RunningReach,
+    refactor_frozen_reach, BennettStats, BennettWorkspace, LuError, LuFactors, LuResult,
+    RefactorWorkspace, RunningReach,
 };
 use clude_measures::{evaluate_queries_with, evaluate_query_with, MeasureQuery, MeasureSolver};
 use clude_sparse::CsrMatrix;
@@ -248,12 +250,14 @@ impl MeasureSolver for EngineSnapshot {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MaintenanceArm {
     /// One Bennett rank-one sweep per changed column
-    /// (`clude_lu::apply_delta_with`); fill-ins splice into the live lists.
+    /// (`clude_lu::apply_delta_with`) over a copy of the block, whose
+    /// structure is first extended to cover the slice's entries
+    /// (`clude_lu::extend_structure`) — the sweep's fill cannot escape it.
     BennettSweep,
     /// One numeric pass down the frozen symbolic pattern — value-only
-    /// batches — over a copy of the last published block, recomputing only
-    /// the elimination reach of the changed rows when the block's structure
-    /// is closed under elimination (`clude_lu::refactor_frozen_reach`).
+    /// batches — over a copy of the block, recomputing only the elimination
+    /// reach of the changed rows, since the block's structure is closed
+    /// under elimination (`clude_lu::refactor_frozen_reach`).
     FrozenRefactor,
     /// Re-symbolic + numeric factorization under the *held* ordering
     /// (`clude_lu::rebuild_under_ordering`): one pass whatever the batch
@@ -295,8 +299,8 @@ impl MaintenanceArm {
     /// work — factor entries touched for a sweep, multiply-adds of the numeric
     /// pass for the other three — on a block of order `order` holding
     /// `factor_nnz` factor entries.  Each arm is the sum of its
-    /// [`clude_lu::cost`] terms: a sweep pays the structure rebuild of the
-    /// publish that follows it.
+    /// [`clude_lu::cost`] terms: a sweep pays the copy of the block it runs
+    /// on.
     pub fn model_cost(self, work: u64, factor_nnz: usize, order: usize) -> f64 {
         match self {
             MaintenanceArm::BennettSweep => cost::sweep_ns(work) + cost::freeze_ns(factor_nnz),
@@ -329,13 +333,36 @@ pub(crate) struct MaintenanceDecision {
     pub predicted_cost: f64,
 }
 
+/// One shard's decided arm, staged on the coordinating thread before the
+/// arms fan out: a sweep carries the copy of the block it runs on — the
+/// block over its structure extended to cover the slice's entries
+/// ([`clude_lu::extend_structure`]), which the sweep's fill cannot escape —
+/// and every other arm copies or builds its block itself, on the worker.
+#[derive(Debug)]
+pub(crate) enum Staged {
+    Sweep(LuResult<LuFactors>),
+    FrozenRefactor,
+    Rebuild,
+    Reorder,
+}
+
+impl Staged {
+    pub(crate) fn arm(&self) -> MaintenanceArm {
+        match self {
+            Staged::Sweep(_) => MaintenanceArm::BennettSweep,
+            Staged::FrozenRefactor => MaintenanceArm::FrozenRefactor,
+            Staged::Rebuild => MaintenanceArm::Rebuild,
+            Staged::Reorder => MaintenanceArm::Reorder,
+        }
+    }
+}
+
 /// What one shard did with its slice of a batch (worker-thread result).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ShardOutcome {
     /// The arm that produced the factors now live: the decided one, or
     /// [`MaintenanceArm::Reorder`] when a guard failure abandoned it.
     pub arm: MaintenanceArm,
-    pub predicted_cost: f64,
     /// The arm's counted work, in [`MaintenanceArm::model_cost`]'s unit.
     pub actual_work: u64,
     /// Rows the frozen-pattern pass recomputed (0 for the other arms).
@@ -343,39 +370,33 @@ pub(crate) struct ShardOutcome {
     pub bennett: BennettStats,
 }
 
-/// A matrix's fill-reducing ordering, its dynamic factors under that
-/// ordering, and the derived bookkeeping every factor shard keeps: the `old → new` index maps advances translate coordinates with,
-/// and the factor size that anchors the quality-loss metric.
+/// A matrix's fill-reducing ordering, its factors under that ordering, and
+/// the derived bookkeeping every factor shard keeps: the `old → new` index
+/// maps advances translate coordinates with, and the factor size that
+/// anchors the quality-loss metric.
 #[derive(Debug, Clone)]
 pub(crate) struct OrderedFactors {
     /// Shared with every block published under it.
     pub ordering: Arc<clude_sparse::Ordering>,
     pub row_old_to_new: Vec<usize>,
     pub col_old_to_new: Vec<usize>,
-    pub factors: DynamicLuFactors,
+    /// The shard's factors: the block it last published, which is the live
+    /// storage itself.  Every arm writes a copy of the block and, on
+    /// success, installs the copy as the next block, so a failed arm leaves
+    /// it — and every snapshot serving it — as it was.  Its structure is
+    /// always closed under elimination: a factorization builds it closed, a
+    /// frozen-pattern pass keeps it, a sweep extends it closed first.
+    block: Arc<DecomposedMatrix>,
     pub reference_nnz: usize,
     /// The reordered measure matrix the factors were computed from, kept in
     /// sync by value-only batches so the refactor fast path never rebuilds
     /// it from the graph.  Invalidated (`None`) when a structural Bennett
     /// pass changes the pattern underneath it.
     pub reordered: Option<CsrMatrix>,
-    /// The last published block, for as long as the factors' pattern is the
-    /// one it was frozen with: the structure the next freeze shares, and
-    /// what a frozen-pattern pass copies and rewrites into the next block.
-    /// The sharing rule, in full: a fresh [`OrderedFactors`] (build,
-    /// re-order, repartition, restore) starts without one, a Bennett pass
-    /// that reported a structural insert or removal drops it, every
-    /// [`OrderedFactors::publish`] records the block it handed out — a
-    /// frozen-pattern pass's on the structure it started from, a
-    /// factorization's on the structure it factorized over.
-    published: Option<Arc<DecomposedMatrix>>,
-    /// The flat factors a factorization ([`order_and_factorize`], a
-    /// rebuild) or a frozen-pattern pass produced, until the next
-    /// [`OrderedFactors::publish`] hands them over as the block itself.
-    rebuilt: Option<LuFactors>,
     /// Multiply-adds of a numeric factorization down the pattern the factors
-    /// had when they were last factorized as a whole (fill a sweep added
-    /// since is not counted): the decision's elimination-work input.
+    /// had when they were last factorized as a whole (slots a sweep's
+    /// extension added since are not counted): the decision's
+    /// elimination-work input.
     elimination_work: u64,
     /// Running share of the factor entries one rank-one update touches:
     /// what the decision predicts the next sweep from.  Survives the shard's
@@ -386,58 +407,50 @@ pub(crate) struct OrderedFactors {
 }
 
 impl OrderedFactors {
-    /// Packages restored or freshly computed factors; nothing published yet.
+    /// Packages restored or freshly computed factors — over a structure
+    /// closed under elimination — as the block current as of snapshot `id`.
     pub(crate) fn new(
         ordering: clude_sparse::Ordering,
-        factors: DynamicLuFactors,
+        factors: LuFactors,
         reference_nnz: usize,
         reordered: Option<CsrMatrix>,
+        id: u64,
     ) -> Self {
+        debug_assert!(factors.structure().is_elimination_closed());
+        let ordering = Arc::new(ordering);
         OrderedFactors {
             row_old_to_new: ordering.row().old_to_new(),
             col_old_to_new: ordering.col().old_to_new(),
-            ordering: Arc::new(ordering),
-            elimination_work: factors.elimination_work(),
-            factors,
+            elimination_work: factors.structure().elimination_work(),
+            block: block(id, &ordering, factors),
+            ordering,
             reference_nnz,
             reordered,
-            published: None,
-            rebuilt: None,
             reach: RunningReach::default(),
         }
     }
 
-    /// Definition 4's quality-loss of the live factors against the size at
-    /// the block's last re-order.
-    pub(crate) fn quality_loss(&self) -> f64 {
-        clude::quality_loss_from_sizes(self.factors.nnz(), self.reference_nnz)
+    /// The block snapshots serve — the shard's live factors, current as of
+    /// its [`DecomposedMatrix::index`].
+    pub(crate) fn block(&self) -> &Arc<DecomposedMatrix> {
+        &self.block
     }
 
-    /// Freezes the current factors into a shared snapshot handle — once per
-    /// advance that touched the block, never for untouched blocks, never in
-    /// `snapshot()` itself.  The block is flat static storage: the factors a
-    /// factorization (build, re-order, rebuild) or a frozen-pattern pass
-    /// wrote, handed over as they are, else — after Bennett sweeps or a
-    /// restore — a freeze of the live lists ([`DynamicLuFactors::freeze`]):
-    /// a copy of the values over the previous publish's structure while the
-    /// pattern stands, an `O(nnz)` structure rebuild after it moved.  `id` is
-    /// the snapshot id the block is current as of, recorded as its
-    /// [`DecomposedMatrix::index`].
-    pub(crate) fn publish(&mut self, id: u64) -> LuResult<Arc<DecomposedMatrix>> {
-        let frozen = match self.rebuilt.take() {
-            Some(rebuilt) => rebuilt,
-            None => {
-                let published = self.published.as_deref().and_then(static_factors);
-                self.factors.freeze(published.map(LuFactors::structure))?
-            }
-        };
-        let block = Arc::new(DecomposedMatrix {
-            index: id as usize,
-            ordering: Arc::clone(&self.ordering),
-            factors: Some(MatrixFactors::Static(frozen)),
-        });
-        self.published = Some(Arc::clone(&block));
-        Ok(block)
+    /// The live factors.
+    pub(crate) fn factors(&self) -> &LuFactors {
+        static_factors(&self.block)
+    }
+
+    /// Makes `factors` the live block, current as of snapshot `id`.
+    fn install(&mut self, factors: LuFactors, id: u64) {
+        self.block = block(id, &self.ordering, factors);
+    }
+
+    /// Definition 4's quality-loss of the live factors — their slot count,
+    /// `|s̃p|` taken literally — against the size at the block's last
+    /// re-order.
+    pub(crate) fn quality_loss(&self) -> f64 {
+        clude::quality_loss_from_sizes(self.factors().nnz(), self.reference_nnz)
     }
 
     /// The one maintenance decision: which arm absorbs this shard's slice of
@@ -453,8 +466,8 @@ impl OrderedFactors {
     ///    4 against the size at its last re-order) is over the policy's
     ///    budget re-orders — this batch is absorbed by the fresh
     ///    factorization, no work is spent on factors about to be dropped;
-    /// 2. a value-only slice ([`DeltaClass::ValueOnly`] against the live
-    ///    factor pattern) takes the pattern-frozen pass — the only arm such
+    /// 2. a value-only slice ([`DeltaClass::ValueOnly`] against the block's
+    ///    structure) takes the pattern-frozen pass — the only arm such
     ///    a slice can take, so its prediction, the full pass over the
     ///    block's elimination work, is never weighed against another arm and
     ///    stays an upper bound on the reach the pass recomputes;
@@ -470,7 +483,8 @@ impl OrderedFactors {
         local: impl Fn(usize) -> usize,
         entries: &[(usize, usize, f64, f64)],
     ) -> MaintenanceDecision {
-        let (nnz, order) = (self.factors.nnz(), self.factors.n());
+        let structure = self.factors().structure();
+        let (nnz, order) = (structure.nnz(), structure.n());
         let predict = |arm: MaintenanceArm, work: u64| MaintenanceDecision {
             arm,
             predicted_cost: arm.model_cost(work, nnz, order),
@@ -481,8 +495,7 @@ impl OrderedFactors {
             }
         }
         let class = intra.classify_with(kind, |i, j| {
-            self.factors
-                .has_entry(self.row_old_to_new[local(i)], self.col_old_to_new[local(j)])
+            structure.contains(self.row_old_to_new[local(i)], self.col_old_to_new[local(j)])
         });
         if class == DeltaClass::ValueOnly {
             return predict(MaintenanceArm::FrozenRefactor, self.elimination_work);
@@ -504,31 +517,35 @@ impl OrderedFactors {
     }
 
     /// Runs the decided arm over `delta` (the slice's changed entries in
-    /// factor coordinates), under the arm's stage span.  A guard failure —
-    /// a Bennett pivot going singular, an entry or fill outside a frozen
-    /// pattern, a refactor or rebuild pivot degrading — abandons the arm for
-    /// a re-order of the block's current matrix (`rebuild_matrix()`), typed
-    /// and journalled; an `Ok` return always leaves servable factors.
+    /// factor coordinates), under the arm's stage span, and installs what it
+    /// wrote as the block current as of snapshot `id`.  A sweep runs on the
+    /// copy `staged` carries, the frozen-pattern pass on a copy of the block
+    /// as it stands.  A guard failure — a Bennett pivot going singular, an entry or fill
+    /// outside a frozen pattern, a refactor or rebuild pivot degrading —
+    /// abandons the arm, and its copy, for a re-order of the block's
+    /// current matrix (`rebuild_matrix()`), typed and journalled; an `Ok`
+    /// return always leaves servable factors.
     #[allow(clippy::too_many_arguments)] // one call site
     pub(crate) fn maintain(
         &mut self,
-        decision: MaintenanceDecision,
+        staged: Staged,
         ws: &mut BennettWorkspace,
         rws: &mut RefactorWorkspace,
         delta: &[(usize, usize, f64, f64)],
         telemetry: &TelemetryRegistry,
         shard: usize,
+        id: u64,
         rebuild_matrix: impl Fn() -> CsrMatrix,
     ) -> LuResult<ShardOutcome> {
+        let arm = staged.arm();
         let mut outcome = ShardOutcome {
-            arm: decision.arm,
-            predicted_cost: decision.predicted_cost,
+            arm,
             actual_work: 0,
             rows_refactored: 0,
             bennett: BennettStats::default(),
         };
-        let done = match decision.arm {
-            MaintenanceArm::BennettSweep => {
+        let done = match staged {
+            Staged::Sweep(copy) => {
                 // Keep the reordered-matrix cache current: overwrite stored
                 // positions in place, and invalidate it the moment the batch
                 // lands outside the stored pattern (a structural insert).
@@ -537,21 +554,20 @@ impl OrderedFactors {
                         self.reordered = None;
                     }
                 }
-                let pattern_before = self.factors.structural_stats().modifications();
-                let nnz_before = self.factors.nnz();
+                let nnz_before = self.factors().nnz();
                 let span = telemetry.span(Stage::ShardSweep);
-                let swept = apply_delta_with(&mut self.factors, ws, delta);
+                let swept = copy.and_then(|mut block| {
+                    apply_delta_with(&mut block, ws, delta).map(|bennett| (block, bennett))
+                });
                 span.stop();
-                swept.map(|bennett| {
-                    if self.factors.structural_stats().modifications() != pattern_before {
-                        self.published = None;
-                    }
+                swept.map(|(block, bennett)| {
+                    self.install(block, id);
                     self.reach.observe(&bennett, nnz_before);
                     outcome.bennett = bennett;
                     bennett.entries_touched as u64
                 })
             }
-            MaintenanceArm::FrozenRefactor => {
+            Staged::FrozenRefactor => {
                 // Bring the cached reordered matrix up to date in place — the
                 // whole point of the fast path is to not touch the graph.
                 // For a value-only batch every position is stored, so `set`
@@ -571,35 +587,33 @@ impl OrderedFactors {
                     // lint: allow(panic-surface) — ensured two branches up.
                     .expect("reordered-matrix cache was just ensured");
                 let changed: Vec<usize> = delta.iter().map(|&(i, ..)| i).collect();
-                let published = self.published.as_deref().and_then(static_factors);
                 let span = telemetry.span(Stage::ShardRefactor);
-                let refactored =
-                    refactor_published(&mut self.factors, published, cached, &changed, rws);
+                let mut block = self.factors().clone();
+                let refactored = refactor_frozen_reach(&mut block, cached, Some(&changed), rws);
                 span.stop();
-                refactored.map(|(block, stats)| {
-                    self.rebuilt = Some(block);
+                refactored.map(|stats| {
+                    self.install(block, id);
                     outcome.rows_refactored = stats.rows_refactored;
                     stats.multiply_adds
                 })
             }
-            MaintenanceArm::Rebuild => {
+            Staged::Rebuild => {
                 // The batch moved the pattern, so the matrix comes from the
                 // graph; the factors are untouched until the pass succeeded.
                 let matrix = self.reordered_matrix(&rebuild_matrix);
                 let span = telemetry.span(Stage::ShardRefactor);
                 let rebuilt = rebuild_under_ordering(&matrix).map(|(factors, stats)| {
-                    self.factors.assign_static(&factors);
+                    self.install(factors, id);
                     self.reordered = Some(matrix);
-                    self.rebuilt = Some(factors);
                     self.elimination_work = stats.multiply_adds;
                     stats.multiply_adds
                 });
                 span.stop();
                 rebuilt
             }
-            MaintenanceArm::Reorder => {
+            Staged::Reorder => {
                 let quality_loss = self.quality_loss();
-                self.reorder(&rebuild_matrix, telemetry, shard, false, quality_loss)?;
+                self.reorder(&rebuild_matrix, telemetry, shard, false, quality_loss, id)?;
                 Ok(self.elimination_work)
             }
         };
@@ -610,7 +624,7 @@ impl OrderedFactors {
                 // a failed frozen pass or rebuild says the held ordering no
                 // longer serves this matrix: the only sound fallback is a
                 // fresh ordering and factorization.
-                if decision.arm != MaintenanceArm::BennettSweep {
+                if arm != MaintenanceArm::BennettSweep {
                     let reason = match err {
                         LuError::SingularPivot { .. } => FallbackReason::Pivot,
                         _ => FallbackReason::Structure,
@@ -620,7 +634,7 @@ impl OrderedFactors {
                         reason,
                     });
                 }
-                self.reorder(&rebuild_matrix, telemetry, shard, true, 0.0)?;
+                self.reorder(&rebuild_matrix, telemetry, shard, true, 0.0, id)?;
                 outcome.arm = MaintenanceArm::Reorder;
                 self.elimination_work
             }
@@ -642,10 +656,7 @@ impl OrderedFactors {
     /// re-factorizes it under a `shard.refresh` span and posts the
     /// [`EngineEvent::RefreshTriggered`] journal event saying whether
     /// numerics or the quality budget forced it — the one re-order site of
-    /// every arm.  The shard's running reach carries over.  The old lists
-    /// are released before the new factorization: held through it they
-    /// raised the memory high-water mark, and freed after it they evicted
-    /// the new block from cache before its first query.
+    /// every arm.  The shard's running reach carries over.
     fn reorder(
         &mut self,
         rebuild_matrix: impl Fn() -> CsrMatrix,
@@ -653,11 +664,11 @@ impl OrderedFactors {
         shard: usize,
         numeric: bool,
         quality_loss: f64,
+        id: u64,
     ) -> LuResult<()> {
         let span = telemetry.span(Stage::ShardRefresh);
         let reach = self.reach;
-        self.factors = DynamicLuFactors::default();
-        *self = order_and_factorize(&rebuild_matrix())?;
+        *self = order_and_factorize(&rebuild_matrix(), id)?;
         self.reach = reach;
         span.stop();
         telemetry.record_event(EngineEvent::RefreshTriggered {
@@ -669,62 +680,52 @@ impl OrderedFactors {
     }
 }
 
-/// The flat factors of a published block — the only kind the store
-/// publishes.
-pub(crate) fn static_factors(block: &DecomposedMatrix) -> Option<&LuFactors> {
-    match block.factors.as_ref()? {
-        MatrixFactors::Static(factors) => Some(factors),
-        MatrixFactors::Dynamic(_) => None,
+/// The engine block current as of snapshot `id`: `factors` under `ordering`.
+fn block(
+    id: u64,
+    ordering: &Arc<clude_sparse::Ordering>,
+    factors: LuFactors,
+) -> Arc<DecomposedMatrix> {
+    Arc::new(DecomposedMatrix {
+        index: id as usize,
+        ordering: Arc::clone(ordering),
+        factors: Some(MatrixFactors::Static(factors)),
+    })
+}
+
+/// The flat factors of an engine block.  Every block the engine serves is
+/// built by `block` above, over static factors.
+pub(crate) fn static_factors(block: &DecomposedMatrix) -> &LuFactors {
+    match &block.factors {
+        Some(MatrixFactors::Static(factors)) => factors,
+        _ => unreachable!("engine blocks hold static factors"),
     }
 }
 
-/// The frozen-pattern arm's pass as the engine runs it: over a copy of
-/// `published`, the shard's last published block (a freeze of `lists` when
-/// there is none), recomputing only the elimination reach of the `changed`
-/// rows when the block's structure is closed under elimination.  On success
-/// the rows it recomputed are copied into `lists`, which stay bit-identical
-/// to the block, and the copy is returned as the next block to publish; on
-/// failure nothing is written — neither `lists` nor any published block.
-fn refactor_published(
-    lists: &mut DynamicLuFactors,
-    published: Option<&LuFactors>,
-    matrix: &CsrMatrix,
-    changed: &[usize],
-    rws: &mut RefactorWorkspace,
-) -> LuResult<(LuFactors, RefactorStats)> {
-    let mut block = match published {
-        Some(published) => published.clone(),
-        None => lists.freeze(None)?,
-    };
-    let stats = refactor_frozen_reach(&mut block, matrix, Some(changed), rws)?;
-    lists.assign_static_rows(&block, rws.refactored_rows())?;
-    Ok((block, stats))
-}
-
-/// Orders `matrix`, factorizes it, and packages the bookkeeping — the one
-/// construction path shared by initial builds, re-orders and repartitions.
+/// Orders `matrix`, factorizes it, and packages the bookkeeping as the block
+/// current as of snapshot `id` — the one construction path shared by initial
+/// builds, re-orders and repartitions.
 ///
 /// The ordering is the paper's Markowitz product rule, so `reference_nnz` —
 /// the denominator of Definition 4's quality-loss — is the factor size under
 /// the paper's own `O*`.  The factorization is the up-looking kernel
-/// ([`factorize_fresh`]); its flat block is the first one the result
-/// publishes, and fresh live lists are loaded from it slot for slot, stored
-/// zeros included — fresh, because a re-ordered block's old lists would keep
-/// the capacity of a pattern that is gone.
-pub(crate) fn order_and_factorize(matrix: &CsrMatrix) -> LuResult<OrderedFactors> {
+/// ([`factorize_fresh`]), whose structure is closed under elimination.
+pub(crate) fn order_and_factorize(matrix: &CsrMatrix, id: u64) -> LuResult<OrderedFactors> {
     let ordering = markowitz_ordering(&matrix.pattern()).ordering;
     let reordered = matrix
         .reorder(&ordering)
         // lint: allow(panic-surface) — the ordering was computed from this
         // matrix's own pattern one line up; its dimensions cannot disagree.
         .expect("ordering was computed for this matrix");
-    let block = factorize_fresh(&reordered)?;
-    let mut factors = DynamicLuFactors::default();
-    factors.assign_static(&block);
+    let factors = factorize_fresh(&reordered)?;
     let reference_nnz = factors.nnz();
-    let mut of = OrderedFactors::new(ordering, factors, reference_nnz, Some(reordered));
-    of.rebuilt = Some(block);
-    Ok(of)
+    Ok(OrderedFactors::new(
+        ordering,
+        factors,
+        reference_nnz,
+        Some(reordered),
+        id,
+    ))
 }
 
 /// The pre-delta successor lists of a batch's affected sources — the source
@@ -1018,7 +1019,7 @@ mod tests {
             snap1.shards()[0].shared()
         ));
         assert_eq!(snap1.shards()[0].decomposed().index, 0);
-        // A real batch re-freezes the handle.
+        // A real batch replaces the handle.
         let report = store
             .advance(&GraphDelta {
                 added: vec![(0, 3)],
@@ -1097,7 +1098,7 @@ mod tests {
         };
         // A diagonal block is ordered as it stands …
         let mut of =
-            order_and_factorize(&matrix(&[(0, 0, 5.0), (1, 1, 2.0), (2, 2, 2.0)])).unwrap();
+            order_and_factorize(&matrix(&[(0, 0, 5.0), (1, 1, 2.0), (2, 2, 2.0)]), 0).unwrap();
         assert_eq!(of.row_old_to_new, vec![0, 1, 2]);
         assert_eq!(of.col_old_to_new, vec![0, 1, 2]);
         // … and under that ordering the block's next matrix pivots first on
@@ -1116,34 +1117,21 @@ mod tests {
             Err(LuError::SingularPivot { index: 0, .. })
         ));
         let telemetry = TelemetryRegistry::new(clude_telemetry::TelemetryConfig::default());
-        let decision = MaintenanceDecision {
-            arm: MaintenanceArm::Rebuild,
-            predicted_cost: 0.0,
-        };
         let outcome = of
             .maintain(
-                decision,
+                Staged::Rebuild,
                 &mut BennettWorkspace::new(),
                 &mut RefactorWorkspace::new(),
                 &[],
                 &telemetry,
                 0,
+                1,
                 || next.clone(),
             )
             .unwrap();
         // The abandoned rebuild wrote nothing; the block was re-ordered —
         // typed, journalled — and what is served pivots on healthy entries.
-        // The re-order hands its own flat block to the next publish: the
-        // lists reloaded from it, bit for bit.
         assert_eq!(outcome.arm, MaintenanceArm::Reorder);
-        let handed_over = of.rebuilt.as_ref().expect("a re-order's block");
-        let frozen = of.factors.freeze(None).unwrap();
-        assert_eq!(handed_over.structure(), frozen.structure());
-        let bits = |f: &LuFactors| {
-            let entries = f.export_entries();
-            entries.iter().map(|e| e.2.to_bits()).collect::<Vec<_>>()
-        };
-        assert_eq!(bits(handed_over), bits(&frozen));
         let journal = telemetry.journal();
         assert_eq!(journal.count_of(EventKind::RefactorFallback), 1);
         assert!(journal.entries().iter().any(|e| matches!(
@@ -1165,19 +1153,12 @@ mod tests {
         assert_eq!(telemetry.stage_histogram(Stage::ShardRefresh).count(), 1);
         assert_ne!(of.row_old_to_new, vec![0, 1, 2], "a fresh ordering");
         for k in 0..3 {
-            assert!(of.factors.u(k, k).abs() >= 0.4, "pivot {k}");
+            assert!(of.factors().u(k, k).abs() >= 0.4, "pivot {k}");
         }
-        let block = of.publish(1).unwrap();
+        let block = of.block();
+        assert_eq!(block.index, 1);
         let b = [1.0, -2.0, 0.5];
-        let x = clude_lu::solve_original(
-            match &block.factors {
-                Some(MatrixFactors::Static(f)) => f,
-                other => panic!("published blocks are static, found {other:?}"),
-            },
-            &block.ordering,
-            &b,
-        )
-        .unwrap();
+        let x = clude_lu::solve_original(static_factors(block), &block.ordering, &b).unwrap();
         let expected = next.to_dense().solve_gaussian(&b).unwrap();
         for (got, want) in x.iter().zip(&expected) {
             assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
@@ -1185,7 +1166,7 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_frozen_pass_writes_neither_the_lists_nor_the_published_block() {
+    fn a_failed_frozen_pass_writes_nothing_the_engine_keeps() {
         use clude_sparse::CooMatrix;
         let matrix = |entries: &[(usize, usize, f64)]| {
             let mut coo = CooMatrix::new(3, 3);
@@ -1200,53 +1181,48 @@ mod tests {
                 .map(|(i, j, v)| (i, j, v.to_bits()))
                 .collect::<Vec<_>>()
         };
-        // A diagonal block, ordered as it stands and published.  The next
-        // matrix rewrites both changed rows: row 0 passes, row 1's pivot is
-        // zero — the pass fails after it rewrote row 0 of its copy.
+        // A diagonal block, ordered as it stands and published.  The batch
+        // rewrites both changed rows: row 0 passes, row 1's pivot is zero —
+        // the pass fails after it rewrote row 0 of its copy.
         let mut of =
-            order_and_factorize(&matrix(&[(0, 0, 5.0), (1, 1, 2.0), (2, 2, 2.0)])).unwrap();
+            order_and_factorize(&matrix(&[(0, 0, 5.0), (1, 1, 2.0), (2, 2, 2.0)]), 0).unwrap();
         assert_eq!(of.row_old_to_new, vec![0, 1, 2]);
-        let block = of.publish(0).unwrap();
-        let published = static_factors(&block).unwrap();
-        let (lists_before, block_before) = (
-            bits(of.factors.export_entries()),
-            bits(published.export_entries()),
-        );
-        let next = matrix(&[(0, 0, 6.0), (1, 1, 0.0), (2, 2, 2.0)]);
-        let mut rws = RefactorWorkspace::new();
-        let err = refactor_published(&mut of.factors, Some(published), &next, &[0, 1], &mut rws)
-            .unwrap_err();
-        assert!(matches!(err, LuError::SingularPivot { index: 1, .. }));
-        assert_eq!(bits(of.factors.export_entries()), lists_before);
-        assert_eq!(bits(published.export_entries()), block_before);
-        // Through the arm: the same failure ends in a journalled re-order (of
-        // the block's matrix as the graph has it), and the block snapshots
-        // hold is still the one they were served.
+        let published = Arc::clone(of.block());
+        let block_before = bits(static_factors(&published).export_entries());
+        // Through the arm, the failure ends in a journalled re-order (of the
+        // block's matrix as the graph has it), and the block snapshots hold
+        // is still the one they were served.
         let telemetry = TelemetryRegistry::new(clude_telemetry::TelemetryConfig::default());
         let delta = [(0, 0, 5.0, 6.0), (1, 1, 2.0, 0.0)];
         let outcome = of
             .maintain(
-                MaintenanceDecision {
-                    arm: MaintenanceArm::FrozenRefactor,
-                    predicted_cost: 0.0,
-                },
+                Staged::FrozenRefactor,
                 &mut BennettWorkspace::new(),
-                &mut rws,
+                &mut RefactorWorkspace::new(),
                 &delta,
                 &telemetry,
                 0,
+                1,
                 || matrix(&[(0, 0, 6.0), (1, 1, 3.0), (2, 2, 2.0)]),
             )
             .unwrap();
         assert_eq!(outcome.arm, MaintenanceArm::Reorder);
         assert_eq!(outcome.rows_refactored, 0);
+        assert!(telemetry.journal().entries().iter().any(|e| matches!(
+            e.event,
+            EngineEvent::RefactorFallback {
+                shard: 0,
+                reason: FallbackReason::Pivot
+            }
+        )));
         assert_eq!(
-            telemetry
-                .journal()
-                .count_of(clude_telemetry::EventKind::RefactorFallback),
-            1
+            bits(static_factors(&published).export_entries()),
+            block_before
         );
-        assert_eq!(bits(published.export_entries()), block_before);
+        assert!(!Arc::ptr_eq(&published, of.block()));
+        let mut pivots: Vec<f64> = (0..3).map(|k| of.factors().u(k, k)).collect();
+        pivots.sort_by(f64::total_cmp);
+        assert_eq!(pivots, [2.0, 3.0, 6.0]);
     }
 
     /// The set-per-source body `global_matrix_delta` had before it walked

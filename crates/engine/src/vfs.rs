@@ -12,6 +12,7 @@
 //! legal outcome of a real crash between two syncs: an arbitrary prefix of
 //! the un-synced tail survives.
 
+use crate::sync::Recover;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::fs;
@@ -170,7 +171,7 @@ impl FailpointFs {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, FailState> {
-        self.shared.lock().expect("failpoint fs poisoned")
+        self.shared.lock().recover()
     }
 
     /// Crash at the `nth` armed append (0-based, counted from filesystem
@@ -231,7 +232,7 @@ struct FailFile {
 
 impl VfsFile for FailFile {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut s = self.shared.lock().expect("failpoint fs poisoned");
+        let mut s = self.shared.lock().recover();
         if !self.armed {
             let file = s.files.entry(self.path.clone()).or_default();
             file.extend_from_slice(bytes);
@@ -269,7 +270,7 @@ impl VfsFile for FailFile {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        let s = self.shared.lock().expect("failpoint fs poisoned");
+        let s = self.shared.lock().recover();
         if self.armed && s.dead {
             return Err(killed());
         }

@@ -8,8 +8,8 @@
 //!
 //! * [`sweep_ns`] — Bennett's rank-one sweeps, per factor entry touched; what
 //!   a sweep will touch is predicted by a [`RunningReach`];
-//! * [`freeze_ns`] — the structure rebuild of a publish that follows a sweep
-//!   over dynamic lists;
+//! * [`freeze_ns`] — the copy of a block a sweep runs on, with its structure
+//!   extended when the batch's entries escape it;
 //! * [`numeric_pass_ns`] — one numeric pass down a fixed structure (a
 //!   pattern-frozen refactorization, or a factorization over a cluster's
 //!   universal structure);
@@ -19,8 +19,8 @@
 //! Two terms per factorizing arm, because no per-multiply-add constant is
 //! right on both a dense 400-node block and a sparse 500-node one.  The
 //! per-entry term carries what is linear in the factor size: the matrix
-//! assembly, the kernel's per-row reach and sort, the structure and the
-//! reload of live lists.  The per-work term is the elimination loop.
+//! assembly, the kernel's per-row reach and sort, and the structure.  The
+//! per-work term is the elimination loop.
 
 use crate::bennett::BennettStats;
 
@@ -37,7 +37,11 @@ use crate::bennett::BennettStats;
 // cheaper on both shapes, but a re-fit to match (70 / 0.6) sent more of the
 // sparse blocks' shard-batches to rebuilds and made `live-durable` slower in
 // paired runs (ROADMAP "Measured"), so the decision still prices a rebuild as
-// it did.
+// it did.  `FREEZE_NS_PER_NNZ` was fitted to the freeze of dynamic lists a
+// sweep used to be followed by; it now prices the copy a sweep runs on (a
+// full copy, extended when the batch's entries escape its structure, made on
+// the coordinating thread), a different operation kept at the old constant
+// without a new measurement (ROADMAP item 9 has the re-fit).
 const BENNETT_NS_PER_ENTRY: f64 = 15.0;
 const FREEZE_NS_PER_NNZ: f64 = 10.0;
 const FROZEN_NS_PER_NNZ: f64 = 20.0;
@@ -57,8 +61,8 @@ pub fn sweep_ns(entries_touched: u64) -> f64 {
     BENNETT_NS_PER_ENTRY * entries_touched as f64
 }
 
-/// Rebuilding the published structure of `factor_nnz` entries after a sweep
-/// moved the pattern.
+/// Copying a block of `factor_nnz` entries for a sweep to run on, and
+/// extending its structure when the batch's entries escape it.
 pub fn freeze_ns(factor_nnz: usize) -> f64 {
     FREEZE_NS_PER_NNZ * factor_nnz as f64
 }

@@ -27,18 +27,6 @@ pub struct DynamicLuFactors {
     diag_hint: usize,
 }
 
-/// Factors of order 0: the empty lists a first
-/// [`DynamicLuFactors::assign_static`] fills.
-impl Default for DynamicLuFactors {
-    fn default() -> Self {
-        DynamicLuFactors {
-            n: 0,
-            values: AdjacencyMatrix::zeros(0, 0),
-            diag_hint: 0,
-        }
-    }
-}
-
 impl DynamicLuFactors {
     /// Performs a full decomposition of `a` ([`crate::factorize_fresh`], the
     /// up-looking kernel) and converts it with
@@ -68,50 +56,6 @@ impl DynamicLuFactors {
         }
     }
 
-    /// Replaces these factors with exactly the slots of `factors` — every
-    /// one, stored zeros included, so [`DynamicLuFactors::export_entries`]
-    /// equals [`LuFactors::export_entries`] afterwards — reusing the lists'
-    /// capacity.  How the engine brings its live factors back in line after
-    /// a [`crate::rebuild_under_ordering`] pass produced the block it
-    /// publishes.
-    pub fn assign_static(&mut self, factors: &LuFactors) {
-        self.n = factors.n();
-        self.values.assign_rows(self.n, |i| {
-            (factors.structure().row_cols(i), factors.row_values(i))
-        });
-        self.diag_hint = 0;
-    }
-
-    /// Copies the values of `rows` from `factors`, whose pattern on those
-    /// rows must be these lists' pattern — how the engine brings its live
-    /// factors in line with the block a reach-limited frozen-pattern pass
-    /// wrote ([`crate::refactor_frozen_reach`]), touching no other row.
-    /// Every row's length is checked before anything is written: a row that
-    /// disagrees is an [`LuError::EntryOutsideStructure`] and nothing
-    /// changes.
-    pub fn assign_static_rows(&mut self, factors: &LuFactors, rows: &[usize]) -> LuResult<()> {
-        if factors.n() != self.n {
-            return Err(LuError::DimensionMismatch {
-                expected: self.n,
-                actual: factors.n(),
-            });
-        }
-        if let Some(&i) = rows
-            .iter()
-            .find(|&&i| self.values.row_cols(i).len() != factors.row_values(i).len())
-        {
-            return Err(LuError::EntryOutsideStructure { row: i, col: i });
-        }
-        for &i in rows {
-            debug_assert_eq!(self.values.row_cols(i), factors.structure().row_cols(i));
-            self.values
-                .row_mut(i)
-                .1
-                .copy_from_slice(factors.row_values(i));
-        }
-        Ok(())
-    }
-
     /// Matrix order.
     #[inline]
     pub fn n(&self) -> usize {
@@ -125,8 +69,8 @@ impl DynamicLuFactors {
 
     /// Multiply-adds of one numeric factorization down the current pattern:
     /// per stored `L` entry `(i, k)`, the stored entries of row `k` past its
-    /// diagonal.  `O(nnz)`; the engine's cost model reads it when factors
-    /// are built or restored.
+    /// diagonal — the twin of [`crate::LuStructure::elimination_work`].
+    /// `O(nnz)`.
     pub fn elimination_work(&self) -> u64 {
         let upper_len = |k: usize| {
             let cols = self.values.row_cols(k);

@@ -64,12 +64,42 @@ impl LuFactors {
         Ok(LuFactors { structure, values })
     }
 
-    /// All-zero factors over `structure`: the blank the freeze of live
-    /// dynamic factors copies its values into
-    /// ([`crate::DynamicLuFactors::freeze`]).
-    pub(crate) fn zeroed(structure: Arc<LuStructure>) -> Self {
-        let values = vec![0.0; structure.nnz()];
-        LuFactors::from_values(structure, values)
+    /// Rebuilds factors of order `n` from an [`LuFactors::export_entries`]
+    /// list: row-major, ascending columns, every row holding its diagonal,
+    /// every value finite.  The structure holds exactly the listed slots,
+    /// zeros included, so the result exports the same list bit for bit.
+    ///
+    /// The input is a decoded checkpoint payload, so anything else is a
+    /// corrupt or foreign file and an error, never a panic: an entry out of
+    /// range or out of order is an [`LuError::EntryOutsideStructure`], a
+    /// missing diagonal an [`LuError::SingularPivot`] (value `0.0`), a NaN or
+    /// infinite value an [`LuError::InvalidParameter`] named `"factors"`.
+    pub fn from_sorted_entries(n: usize, entries: &[(usize, usize, f64)]) -> LuResult<Self> {
+        let mut row_ptr = vec![0usize; n + 1];
+        let mut cols = Vec::with_capacity(entries.len());
+        let mut values = Vec::with_capacity(entries.len());
+        let mut last = None;
+        for &(i, j, v) in entries {
+            if i >= n || j >= n || last >= Some((i, j)) {
+                return Err(LuError::EntryOutsideStructure { row: i, col: j });
+            }
+            if !v.is_finite() {
+                return Err(LuError::InvalidParameter {
+                    name: "factors",
+                    value: v,
+                });
+            }
+            last = Some((i, j));
+            row_ptr[i + 1] += 1;
+            cols.push(j);
+            values.push(v);
+        }
+        for i in 0..n {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let structure =
+            LuStructure::from_sorted_rows(n, cols.len(), |i| &cols[row_ptr[i]..row_ptr[i + 1]])?;
+        Ok(LuFactors::from_values(Arc::new(structure), values))
     }
 
     /// Factors whose slot values, in `structure`'s row-major order, are
@@ -85,13 +115,6 @@ impl LuFactors {
         &self.values[self.structure.row_range(i)]
     }
 
-    /// Mutable values of row `i`'s slots, parallel to
-    /// [`LuStructure::row_cols`].
-    #[inline]
-    pub(crate) fn row_values_mut(&mut self, i: usize) -> &mut [f64] {
-        self.row_entries_mut(i).1
-    }
-
     /// Row `i`'s columns beside a mutable view of its values.
     #[inline]
     pub(crate) fn row_entries_mut(&mut self, i: usize) -> (&[usize], &mut [f64]) {
@@ -100,11 +123,8 @@ impl LuFactors {
     }
 
     /// Every slot as `(row, col, value)`, row-major with ascending columns
-    /// per row — **including slots holding an exact zero**.  For factors
-    /// frozen from dynamic storage this is entry for entry the
-    /// [`crate::DynamicLuFactors::export_entries`] list of the factors they
-    /// were frozen from, which is what keeps checkpoint bytes independent of
-    /// which storage a block is published in.
+    /// per row — **including slots holding an exact zero** — the list
+    /// [`LuFactors::from_sorted_entries`] rebuilds the factors from.
     pub fn export_entries(&self) -> Vec<(usize, usize, f64)> {
         let mut out = Vec::with_capacity(self.nnz());
         for i in 0..self.n() {

@@ -13,7 +13,9 @@
 //!   up-looking kernel — per row, the symmetrically pruned reach through the
 //!   finished rows of `U` — which, run with values, is also how every matrix
 //!   is factorized over its own pattern ([`factorize_fresh`],
-//!   [`rebuild_under_ordering`], [`DynamicLuFactors::factorize`]).
+//!   [`rebuild_under_ordering`], [`DynamicLuFactors::factorize`]), and, run
+//!   over the elimination reach of a batch's new entries only, how a closed
+//!   structure is extended to cover them ([`extend_structure`]).
 //! * [`ordering`] — fill-reducing Markowitz / minimum-degree orderings and
 //!   the `|s̃p(A^O)|` accounting used by the quality-loss metric.
 //! * [`amd`] — the quotient-graph minimum-degree ordering over `A + Aᵀ`
@@ -35,9 +37,10 @@
 //! * [`factors`] — the ND-phase over a structure supplied from outside
 //!   (CLUDE's cluster-universal USSP), plus triangular solves.
 //! * [`dynamic`] — adjacency-list factors with insertion-on-demand, the
-//!   storage model of the straightforward incremental algorithms.
-//! * [`freeze`] — freezing dynamic factors into flat static factors over a
-//!   shared structure, the form the streaming engine publishes.
+//!   storage model of the straightforward incremental algorithms (INC,
+//!   CINC).  The streaming engine keeps none: each shard's live factors are
+//!   the flat block it publishes, over a structure kept closed under
+//!   elimination.
 //! * [`bennett`] — Bennett's incremental factor update, generic over the two
 //!   storage back-ends, plus sparse-delta application.
 //! * [`solve`] — answering queries on the *original* matrix through the
@@ -62,7 +65,6 @@ pub mod cost;
 pub mod dynamic;
 pub mod error;
 pub mod factors;
-pub mod freeze;
 pub mod ordering;
 pub mod rebuild;
 pub mod refactor;
@@ -94,4 +96,6 @@ pub use solve::{
     TriangularSolve,
 };
 pub use structure::LuStructure;
-pub use symbolic::{fill_in_pattern, symbolic_decomposition, symbolic_size, SymbolicDecomposition};
+pub use symbolic::{
+    extend_structure, fill_in_pattern, symbolic_decomposition, symbolic_size, SymbolicDecomposition,
+};

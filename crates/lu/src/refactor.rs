@@ -10,8 +10,9 @@
 //! performs no structural probes or insertions at all.
 //!
 //! [`refactor_frozen_reach`] is that pass, one body over either row storage
-//! ([`FrozenRows`]): the engine's live [`DynamicLuFactors`] lists or a flat
-//! [`LuFactors`] block.  It consumes the updated matrix (in factor
+//! ([`FrozenRows`]): a flat [`LuFactors`] block — the engine's live factors —
+//! or the INC baselines' [`DynamicLuFactors`] lists.  It consumes the updated
+//! matrix (in factor
 //! coordinates, i.e. already reordered) and rewrites values only — the
 //! stored pattern never changes.  [`refactor_frozen`] is its full pass.
 //!
@@ -24,8 +25,11 @@
 //! its `L` slots name, so a row outside the reach would be recomputed from
 //! the very inputs that produced it — it keeps its values, bit for bit, and
 //! the guard verdicts it was written under.  Storage without a closed
-//! structure (the dynamic lists; a block frozen after a sweep spliced fill in
-//! or kept a stored zero out) takes the full pass.  The reach is walked down
+//! structure (the dynamic lists; a block rebuilt from an arbitrary entry
+//! list) takes the full pass.  The engine's blocks are always closed: a
+//! structural batch extends its block's structure
+//! ([`crate::extend_structure`]) before Bennett runs on it, so frozen passes
+//! stay reach-limited after structural batches too.  The reach is walked down
 //! [`LuStructure::lower_col`] through the workspace's sorted pivot queue, so
 //! it costs what it reaches.
 //!
@@ -49,10 +53,9 @@
 //! row in place once it passed its guards, so on error the rows before the
 //! failing one already hold new values and the storage it ran on must be
 //! discarded.  The engine runs it on a copy of the shard's last published
-//! block — the copy *is* the next block on success — and copies the
-//! recomputed rows into its live lists only afterwards, so a failed pass
-//! leaves the live lists and every published block exactly as they were,
-//! and the fallback re-orders from intact state.  Only the rows the pass
+//! block — its live factors — and the copy *is* the next block on success,
+//! so a failed pass leaves every published block exactly as it was, and the
+//! fallback re-orders from intact state.  Only the rows the pass
 //! recomputes are checked: a caller that names the changed rows must name
 //! every one (a row left out is taken to hold the matrix row its factors
 //! were computed from).
@@ -107,8 +110,8 @@ pub trait FrozenRows {
     fn closed_structure(&self) -> Option<&LuStructure>;
 }
 
-/// The live lists: the diagonal is searched for, and no closed layout is
-/// known, so every pass over them is a full pass.
+/// The INC baselines' dynamic lists: the diagonal is searched for, and no
+/// closed layout is known, so every pass over them is a full pass.
 impl FrozenRows for DynamicLuFactors {
     #[inline]
     fn order(&self) -> usize {
@@ -737,11 +740,6 @@ mod tests {
         // U(0, 2) but (1, 2) has no slot, so the layout is not closed and a
         // change named in row 0 alone still recomputes every row — where
         // row 1's fill escapes.
-        let rows: [&[usize]; 3] = [&[0, 2], &[0, 1], &[2]];
-        let structure = LuStructure::from_sorted_rows(3, 5, |i| rows[i])
-            .unwrap()
-            .into_shared();
-        assert!(!structure.is_elimination_closed());
         let entries = [
             (0, 0, 4.0),
             (0, 2, 1e-10),
@@ -762,13 +760,8 @@ mod tests {
             }
             CsrMatrix::from_coo(&coo)
         };
-        let mut block = LuFactors::zeroed(structure);
-        for (i, values) in [vec![4.0, 1e-10], vec![0.5, 5.0], vec![6.0]]
-            .into_iter()
-            .enumerate()
-        {
-            block.row_values_mut(i).copy_from_slice(&values);
-        }
+        let mut block = LuFactors::from_sorted_entries(3, &entries).unwrap();
+        assert!(!block.structure().is_elimination_closed());
         assert_eq!(bits(&block.export_entries()), bits(&entries));
         let mut ws = RefactorWorkspace::new();
         let stats = refactor_frozen_reach(&mut block, &matrix(2e-10), Some(&[0]), &mut ws).unwrap();

@@ -86,12 +86,12 @@ impl LuStructure {
     /// `row(i)` (strictly ascending, `< n`), `nnz` in total — **no symbolic
     /// closure**: the layout covers what the rows list and nothing more.
     ///
-    /// This is how the engine freezes live dynamic factors for publication:
-    /// the rows are the adjacency lists' own sorted column slices, read in
-    /// place, so the build is `O(nnz)` with a constant number of allocations
-    /// (no per-row copies, no intermediate pattern).  A row without its
-    /// diagonal is a [`LuError::SingularPivot`] (value `0.0`): factors
-    /// missing a pivot cannot be substituted through.
+    /// This is how factors are rebuilt from a checkpoint's entry list
+    /// ([`crate::LuFactors::from_sorted_entries`]): the rows are slices of
+    /// one column array, read in place, so the build is `O(nnz)` with a
+    /// constant number of allocations.  A row without its diagonal is a
+    /// [`LuError::SingularPivot`] (value `0.0`): factors missing a pivot
+    /// cannot be substituted through.
     pub fn from_sorted_rows<'a>(
         n: usize,
         nnz: usize,
@@ -188,10 +188,10 @@ impl LuStructure {
     /// ([`crate::refactor_frozen_reach`]).
     ///
     /// A symbolic closure ([`LuStructure::from_pattern`], the structure of
-    /// any factorization over the matrix's own pattern) always is, and the
-    /// up-looking kernel marks it so as it builds it; a layout frozen from
-    /// dynamic lists after a Bennett sweep spliced fill in, or kept a stored
-    /// zero out, may not be.  For any other layout it is learned once, at
+    /// any factorization over the matrix's own pattern, an extension by
+    /// [`crate::extend_structure`]) always is, and the up-looking kernel
+    /// marks it so as it builds it; a layout rebuilt from an arbitrary entry
+    /// list may not be.  For any other layout it is learned once, at
     /// `O(nnz + elimination work)`, and remembered: every block sharing the
     /// `Arc` reads the same answer.
     pub fn is_elimination_closed(&self) -> bool {

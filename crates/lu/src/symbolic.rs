@@ -37,7 +37,9 @@
 //! matrix over its own pattern — [`crate::rebuild_under_ordering`],
 //! [`crate::factorize_fresh`], [`crate::DynamicLuFactors::factorize`] — rows
 //! appended straight into the result's flat arrays, and the structure marked
-//! closed under elimination as it is built.
+//! closed under elimination as it is built.  Run over only the rows a batch's
+//! new entries can reach, beside the other rows copied as they stand, it
+//! extends a closed structure to cover those entries ([`extend_structure`]).
 
 use crate::error::{LuError, LuResult};
 use crate::factors::{factorize_row, LuFactors};
@@ -85,11 +87,91 @@ pub fn symbolic_decomposition(sp: &SparsityPattern) -> SymbolicDecomposition {
 pub(crate) fn closed_structure(sp: &SparsityPattern) -> LuStructure {
     let (n, n_cols) = (sp.n_rows(), sp.n_cols());
     assert_eq!(n, n_cols, "symbolic decomposition needs a square pattern");
-    let mut kernel = UpLooking::new(n);
+    let mut kernel = UpLooking::new(n, 0);
     for i in 0..n {
         kernel.push_row(i, sp.row(i));
     }
     kernel.structure.finish()
+}
+
+/// A copy of `factors` over the symbolic closure of their structure joined
+/// with the positions `entries` — a structure the factors of any matrix
+/// whose pattern lies in both cannot escape, so a Bennett sweep of such a
+/// matrix's delta over the copy never leaves it.
+///
+/// Over a structure closed under elimination only the elimination reach of
+/// the rows whose entries escape it is re-run through the kernel's reach: a
+/// row is re-run when it gains an entry, or when an `L` slot of it names a
+/// row whose `U` grew; from the first such row on, each re-run row reaches
+/// through the rows before it as they now stand.  Every other row keeps its
+/// columns and values bit for bit.  A re-run row keeps its values on the
+/// slots it had and holds zero on the new ones, so the copy stores the same
+/// `L` and `U` — the factors of the same matrix.  A structure that is not
+/// closed (a layout rebuilt from an arbitrary entry list) has every row
+/// re-run, which closes it.  The result is marked closed; when nothing escapes a closed
+/// structure, the copy shares it.  A position outside the order is an
+/// [`LuError::EntryOutsideStructure`].
+pub fn extend_structure(
+    factors: &LuFactors,
+    entries: impl IntoIterator<Item = (usize, usize)>,
+) -> LuResult<LuFactors> {
+    let old = factors.structure();
+    let n = old.n();
+    let mut escaping = Vec::new();
+    for (i, j) in entries {
+        if i >= n || j >= n {
+            return Err(LuError::EntryOutsideStructure { row: i, col: j });
+        }
+        if !old.contains(i, j) {
+            escaping.push((i, j));
+        }
+    }
+    let closed = old.is_elimination_closed();
+    if closed && escaping.is_empty() {
+        return Ok(factors.clone());
+    }
+    escaping.sort_unstable();
+    escaping.dedup();
+    let mut rerun = vec![!closed; n];
+    for &(i, _) in &escaping {
+        rerun[i] = true;
+    }
+    let mut kernel = UpLooking::new(n, old.nnz() + escaping.len());
+    let mut values = Vec::with_capacity(old.nnz() + escaping.len());
+    let (mut a_cols, mut next) = (Vec::new(), 0);
+    for i in 0..n {
+        let (cols, vals) = (old.row_cols(i), factors.row_values(i));
+        if !rerun[i] {
+            let diag = old.diag_slot(i) - old.row_range(i).start;
+            kernel.push_finished_row(&cols[..diag], &cols[diag + 1..]);
+            values.extend_from_slice(vals);
+            continue;
+        }
+        a_cols.clear();
+        a_cols.extend_from_slice(cols);
+        while let Some(&(_, j)) = escaping.get(next).filter(|e| e.0 == i) {
+            a_cols.push(j);
+            next += 1;
+        }
+        kernel.push_row(i, &a_cols);
+        let mut p = 0;
+        for &j in kernel.structure.row_cols(i) {
+            if cols.get(p) == Some(&j) {
+                values.push(vals[p]);
+                p += 1;
+            } else {
+                values.push(0.0);
+            }
+        }
+        if kernel.structure.upper_row_cols(i).len() > old.upper_row_cols(i).len() {
+            for &r in old.lower_col(i).0 {
+                rerun[r] = true;
+            }
+        }
+    }
+    values.shrink_to_fit();
+    let structure = Arc::new(kernel.structure.finish());
+    Ok(LuFactors::from_values(structure, values))
 }
 
 /// Factorizes `a` over the symbolic closure of its own pattern — the kernel
@@ -102,7 +184,7 @@ pub(crate) fn factorize_up_looking(a: &CsrMatrix, degrade_tol: f64) -> LuResult<
             n_cols: a.n_cols(),
         });
     }
-    let mut kernel = UpLooking::new(a.n_rows());
+    let mut kernel = UpLooking::new(a.n_rows(), 0);
     let (mut values, mut work, mut multiply_adds) = (Vec::new(), vec![0.0; a.n_rows()], 0);
     for i in 0..a.n_rows() {
         let a_row = a.row(i);
@@ -133,15 +215,24 @@ struct UpLooking {
 }
 
 impl UpLooking {
-    fn new(n: usize) -> Self {
+    /// An empty kernel of order `n`, its structure sized for `nnz` slots.
+    fn new(n: usize, nnz: usize) -> Self {
         UpLooking {
-            structure: LuStructure::growing(n, 0, OnceLock::from(true)),
+            structure: LuStructure::growing(n, nnz, OnceLock::from(true)),
             walk_len: Vec::with_capacity(n),
             mark: vec![usize::MAX; n],
             stack: Vec::new(),
             lower: Vec::new(),
             upper: Vec::new(),
         }
+    }
+
+    /// Appends a row as it stands — its columns `lower` and `upper` either
+    /// side of the diagonal, already closed against the rows before it —
+    /// without walking anything; later reaches read its whole `U`.
+    fn push_finished_row(&mut self, lower: &[usize], upper: &[usize]) {
+        self.structure.push_row(lower, upper);
+        self.walk_len.push(upper.len());
     }
 
     /// Appends row `i` of the closure — the diagonal, `a_cols` (row `i` of
@@ -216,6 +307,7 @@ pub fn symbolic_size(sp: &SparsityPattern) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::factors::factorize_fresh;
     use crate::refactor::PIVOT_DEGRADE_TOL;
     use clude_graph::generators::{
         dblp_like, patent_like, wiki_like, DblpLikeConfig, PatentLikeConfig, WikiLikeConfig,
@@ -225,7 +317,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Eq. 2 as written: for every pivot `k` in order, the outer product of
     /// the rows below it with the columns right of it joins the pattern.
@@ -478,6 +570,124 @@ mod tests {
                 (got, want) => prop_assert!(false, "{:?} against {:?}", got.err(), want),
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random closed structures — the factors of a diagonally dominant
+        /// matrix — and random new entries: the extension is the symbolic
+        /// closure of the old pattern joined with the new positions, marked
+        /// closed; every row outside the elimination reach of the rows whose
+        /// entries escape keeps its columns and values bit for bit; and
+        /// Bennett's sweeps of the new entries over the extended copy give
+        /// the fresh factorization of the new matrix to 1e-12.
+        #[test]
+        fn an_extension_is_the_closure_and_keeps_every_row_outside_the_reach(
+            n in 1usize..28,
+            entries in proptest::collection::vec((0usize..28, 0usize..28, -1.0f64..1.0), 0..120),
+            added in proptest::collection::vec((0usize..28, 0usize..28, -1.0f64..1.0), 0..12),
+        ) {
+            let mut sums = vec![1.0; n];
+            let mut base = BTreeMap::new();
+            for (i, j, v) in entries {
+                let (i, j) = (i % n, j % n);
+                if i != j {
+                    sums[i] += v.abs();
+                    base.insert((i, j), v);
+                }
+            }
+            let mut delta = BTreeMap::new();
+            for (i, j, v) in added {
+                let (i, j) = (i % n, j % n);
+                if i != j && v != 0.0 {
+                    sums[i] += v.abs();
+                    delta.insert((i, j), (base.get(&(i, j)).copied().unwrap_or(0.0), v));
+                }
+            }
+            let diagonal = (0..n).map(|i| (i, i, sums[i]));
+            let triplets: Vec<_> = base.iter().map(|(&(i, j), &v)| (i, j, v)).chain(diagonal).collect();
+            let old = factorize_fresh(&matrix(n, &triplets)).unwrap();
+            let mut next = base.clone();
+            next.extend(delta.iter().map(|(&at, &(_, v))| (at, v)));
+            let next_triplets: Vec<_> = next.iter().map(|(&(i, j), &v)| (i, j, v)).chain((0..n).map(|i| (i, i, sums[i]))).collect();
+            let a_next = matrix(n, &next_triplets);
+
+            let extended = extend_structure(&old, delta.keys().copied()).unwrap();
+            let s = old.structure();
+            let mut union = s.pattern();
+            for &(i, j) in delta.keys() {
+                union.insert(i, j);
+            }
+            prop_assert_eq!(extended.structure().as_ref(), &closed_structure(&union));
+            prop_assert!(extended.structure().is_elimination_closed());
+            let rebuilt = LuStructure::from_sorted_rows(n, extended.nnz(), |i| extended.structure().row_cols(i)).unwrap();
+            prop_assert!(rebuilt.is_elimination_closed());
+            // The elimination reach of the escaping rows, through the old
+            // structure's L columns.
+            let mut reach: BTreeSet<usize> =
+                delta.keys().filter(|&&(i, j)| !s.contains(i, j)).map(|&(i, _)| i).collect();
+            for k in 0..n {
+                if reach.contains(&k) {
+                    reach.extend((k + 1..n).filter(|&i| s.contains(i, k)));
+                }
+            }
+            if reach.is_empty() {
+                prop_assert!(Arc::ptr_eq(extended.structure(), s));
+            }
+            for i in (0..n).filter(|i| !reach.contains(i)) {
+                prop_assert_eq!(extended.structure().row_cols(i), s.row_cols(i));
+                let bits = |f: &LuFactors| f.row_values(i).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&extended), bits(&old));
+            }
+            // The copy stores the same L and U.
+            for (i, j, v) in old.export_entries() {
+                let got = if j < i { extended.l(i, j) } else { extended.u(i, j) };
+                prop_assert_eq!(got.to_bits(), v.to_bits());
+            }
+            let mut swept = extended;
+            let changes: Vec<_> = delta.iter().map(|(&(i, j), &(was, v))| (i, j, was, v)).collect();
+            crate::apply_delta_with(&mut swept, &mut crate::BennettWorkspace::new(), &changes).unwrap();
+            let fresh = factorize_fresh(&a_next).unwrap();
+            for i in 0..n {
+                for j in 0..n {
+                    prop_assert!((swept.l(i, j) - fresh.l(i, j)).abs() <= 1e-12, "L({}, {})", i, j);
+                    prop_assert!((swept.u(i, j) - fresh.u(i, j)).abs() <= 1e-12, "U({}, {})", i, j);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extending_an_open_structure_closes_it_once_and_a_position_past_the_order_is_refused() {
+        // Row 1 stores L(1, 0) and row 0 stores U(0, 2), but row 1 lacks
+        // (1, 2): the layout is not closed, and an extension by nothing
+        // closes it, keeping every value and zero-filling the new slot.
+        let entries = [
+            (0, 0, 2.0),
+            (0, 2, 1.0),
+            (1, 0, 0.5),
+            (1, 1, 3.0),
+            (2, 2, 4.0),
+        ];
+        let open = LuFactors::from_sorted_entries(3, &entries).unwrap();
+        assert!(!open.structure().is_elimination_closed());
+        let closed = extend_structure(&open, []).unwrap();
+        assert!(closed.structure().is_elimination_closed());
+        assert_eq!(closed.nnz(), 6);
+        assert_eq!(closed.u(1, 2).to_bits(), 0.0f64.to_bits());
+        for (i, j, v) in entries {
+            let got = if j < i {
+                closed.l(i, j)
+            } else {
+                closed.u(i, j)
+            };
+            assert_eq!(got.to_bits(), v.to_bits());
+        }
+        assert_eq!(
+            extend_structure(&closed, [(1, 3)]).unwrap_err(),
+            LuError::EntryOutsideStructure { row: 1, col: 3 }
+        );
     }
 
     #[test]

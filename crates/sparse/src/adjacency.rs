@@ -124,32 +124,6 @@ impl AdjacencyMatrix {
         m
     }
 
-    /// Replaces the whole content with `n` square rows read through `row`
-    /// (sorted `(columns, values)` slices, every one stored — zeros
-    /// included), reusing the lists' capacity; the structural counters
-    /// restart at zero, as for a freshly built matrix.
-    pub fn assign_rows<'a>(&mut self, n: usize, row: impl Fn(usize) -> (&'a [usize], &'a [f64])) {
-        fn emptied<T>(lists: &mut Vec<Vec<T>>, n: usize) {
-            lists.truncate(n);
-            lists.iter_mut().for_each(Vec::clear);
-            lists.resize_with(n, Vec::new);
-        }
-        (self.n_rows, self.n_cols) = (n, n);
-        emptied(&mut self.row_cols, n);
-        emptied(&mut self.row_vals, n);
-        emptied(&mut self.cols, n);
-        for i in 0..n {
-            let (cols, vals) = row(i);
-            debug_assert!(cols.windows(2).all(|w| w[0] < w[1]) && cols.len() == vals.len());
-            self.row_cols[i].extend_from_slice(cols);
-            self.row_vals[i].extend_from_slice(vals);
-            for &j in cols {
-                self.cols[j].push(i);
-            }
-        }
-        self.reset_stats();
-    }
-
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
         self.n_rows
