@@ -8,7 +8,7 @@
 //! quality-loss metric needs.
 
 use crate::algorithms::common::{
-    DecomposedMatrix, LudemSolution, LudemSolver, MatrixFactors, SolverConfig,
+    push_member, LudemSolution, LudemSolver, MatrixFactors, SolverConfig,
 };
 use crate::ems::EvolvingMatrixSequence;
 use crate::quality::MarkowitzReference;
@@ -50,15 +50,11 @@ impl BruteForce {
             report.timings.full_decomposition += t.elapsed();
 
             report.cluster_sizes.push(1);
-            report.orderings.push(Arc::clone(&ordering));
-            report.factor_nnz.push(factors.nnz());
-            decomposed.push(DecomposedMatrix {
-                index: i,
-                ordering,
-                factors: config
-                    .keep_factors
-                    .then_some(MatrixFactors::Static(factors)),
-            });
+            let nnz = factors.nnz();
+            let kept = config
+                .keep_factors
+                .then_some(MatrixFactors::Static(factors));
+            push_member(i, &ordering, nnz, kept, &mut report, &mut decomposed);
         }
         let solution = LudemSolution { decomposed, report };
         Ok((solution, MarkowitzReference::from_sizes(reference_sizes)))

@@ -25,10 +25,11 @@
 //! * **default** (`bennett_only: false`) — each such member takes the
 //!   cheaper exact update under the one cost model ([`clude_lu::cost`]):
 //!   Bennett, priced as changed columns × the running share of the factor
-//!   entries a sweep touches × the structure's slots, or a numeric
-//!   factorization over the structure, priced as its slots plus its
-//!   elimination multiply-adds (counted once per cluster).  Bennett wins
-//!   ties; a numeric pass that fails leaves the predecessor's factors
+//!   entries a sweep touches × the structure's slots, or a numeric pass
+//!   over the changed rows' elimination reach — the structure is closed, so
+//!   every other row keeps its values — priced as a full pass, its slots
+//!   plus its elimination multiply-adds (counted once per cluster).  Bennett
+//!   wins ties; a numeric pass that fails leaves the predecessor's factors
 //!   untouched, and the member falls back to Bennett.  Clusters, orderings
 //!   and factor sizes are those of the faithful mode; only the arithmetic
 //!   that produced a member's values differs.

@@ -14,17 +14,17 @@
 //!   from the cluster's union matrix (Algorithm 3, used by CLUDE), each member
 //!   after the first reached by the cheaper exact update the
 //!   [`clude_lu::cost`] model predicts: Bennett's, or a numeric pass over the
-//!   universal structure.
+//!   changed rows' elimination reach in the universal structure.
 
 use crate::cluster::Cluster;
 use crate::ems::EvolvingMatrixSequence;
-use crate::report::{RunReport, TimingBreakdown};
+use crate::report::RunReport;
 use clude_lu::{
-    apply_delta_with, cost, markowitz_ordering, solve_original_into, solve_original_many_into,
-    BennettStats, BennettWorkspace, DynamicLuFactors, LuError, LuFactors, LuResult, LuStorage,
-    LuStructure, PanelScratch, RunningReach, SolveScratch,
+    apply_delta_with, cost, markowitz_ordering, refactor_frozen_reach, solve_original_into,
+    solve_original_many_into, BennettStats, BennettWorkspace, DynamicLuFactors, LuError, LuFactors,
+    LuResult, LuStorage, LuStructure, PanelScratch, RefactorWorkspace, RunningReach, SolveScratch,
 };
-use clude_sparse::{CsrMatrix, Ordering, SparsityPattern};
+use clude_sparse::{CooMatrix, CsrMatrix, Ordering, SparsityPattern};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -41,7 +41,7 @@ pub struct SolverConfig {
     /// figure experiments run, whose claims are about Bennett's share of the
     /// time.  When `false` (default), each such member takes whichever exact
     /// update the cost model prices lower: Bennett's, or a numeric pass over
-    /// the cluster's universal structure.  INC, CINC and BF ignore it.
+    /// the changed rows' elimination reach.  INC, CINC and BF ignore it.
     pub bennett_only: bool,
 }
 
@@ -79,14 +79,6 @@ impl MatrixFactors {
         match self {
             MatrixFactors::Static(f) => f.nnz(),
             MatrixFactors::Dynamic(f) => f.nnz(),
-        }
-    }
-
-    /// Solves the factored (reordered) system.
-    pub fn solve_factored(&self, b: &[f64]) -> LuResult<Vec<f64>> {
-        match self {
-            MatrixFactors::Static(f) => f.solve(b),
-            MatrixFactors::Dynamic(f) => f.solve(b),
         }
     }
 
@@ -227,7 +219,7 @@ pub trait LudemSolver {
 }
 
 /// Records one decomposed member in the report and the output.
-fn push_member(
+pub(crate) fn push_member(
     index: usize,
     ordering: &Arc<Ordering>,
     factor_nnz: usize,
@@ -317,46 +309,61 @@ enum MemberArm {
     /// One Bennett rank-one sweep per changed column, from the predecessor's
     /// factors.
     Bennett,
-    /// A numeric factorization of the member over the cluster's universal
-    /// structure — a full pass, whatever the member changed.
+    /// A numeric pass over the changed rows' elimination reach in the
+    /// cluster's universal structure, every other row kept as it stands.
     Numeric,
 }
 
 /// What a CLUDE cluster's member steps carry from one member to the next:
-/// the shared structure and ordering, the Bennett workspace, the running
-/// reach the sweeps are predicted from, and the numeric pass's price,
-/// counted once per cluster (the structure is the same for every member).
+/// the current member, the arms' workspaces, the running reach the sweeps are
+/// predicted from, and the numeric pass's price, counted once per cluster.
 #[derive(Debug, Clone)]
 struct UniversalMembers {
-    structure: Arc<LuStructure>,
-    ordering: Arc<Ordering>,
     row_old_to_new: Vec<usize>,
     col_old_to_new: Vec<usize>,
+    /// The current member, reordered, over the reordered `A_∪` pattern.
+    member: CsrMatrix,
+    /// The copy of the predecessor's factors a numeric pass runs on.
+    spare: LuFactors,
     workspace: BennettWorkspace,
+    refactor: RefactorWorkspace,
     reach: RunningReach,
     numeric_cost: f64,
     bennett_only: bool,
 }
 
 impl UniversalMembers {
-    fn new(structure: &Arc<LuStructure>, ordering: &Arc<Ordering>, bennett_only: bool) -> Self {
+    /// Steps on from `member`, factorized to `first` under `ordering`.
+    fn new(member: CsrMatrix, first: &LuFactors, ordering: &Ordering, bennett_only: bool) -> Self {
+        let structure = first.structure();
         UniversalMembers {
-            structure: Arc::clone(structure),
-            ordering: Arc::clone(ordering),
             row_old_to_new: ordering.row().old_to_new(),
             col_old_to_new: ordering.col().old_to_new(),
+            member,
+            spare: first.clone(),
             workspace: BennettWorkspace::with_order(structure.n()),
+            refactor: RefactorWorkspace::with_order(structure.n()),
             reach: RunningReach::default(),
             numeric_cost: cost::numeric_pass_ns(structure.nnz(), structure.elimination_work()),
             bennett_only,
         }
     }
 
+    /// Member `i`'s delta from its predecessor, written into `member`.
+    fn advance(&mut self, ems: &EvolvingMatrixSequence, i: usize) -> Vec<(usize, usize, f64, f64)> {
+        let delta = member_delta(ems, i, &self.row_old_to_new, &self.col_old_to_new);
+        for &(row, col, _, new) in &delta {
+            let stored = self.member.set(row, col, new);
+            debug_assert!(stored, "the union pattern holds every member's entries");
+        }
+        delta
+    }
+
     /// Bennett's predicted cost on `delta`: one rank-one update per distinct
     /// changed column, each at the running reach share of the structure.
     fn sweep_cost(&self, delta: &[(usize, usize, f64, f64)]) -> f64 {
         let updates = changed_columns(delta);
-        cost::sweep_ns(self.reach.predicted_entries(updates, self.structure.nnz()))
+        cost::sweep_ns(self.reach.predicted_entries(updates, self.spare.nnz()))
     }
 
     /// The cheaper arm for `delta`; Bennett on a tie, and always in the
@@ -369,14 +376,12 @@ impl UniversalMembers {
         }
     }
 
-    /// Reaches member `i` from `factors`, its predecessor's, by `arm`.  A
-    /// numeric pass that fails leaves `factors` untouched, and the member
-    /// falls back to Bennett from them.  Each Bennett step updates the
-    /// running reach.
+    /// Reaches the held member from `factors`, its predecessor's, by `arm`.
+    /// A numeric pass runs on `spare` — the two swap on success — so one
+    /// that fails leaves `factors` untouched, and the member falls back to
+    /// Bennett from them.  Each Bennett step updates the running reach.
     fn step(
         &mut self,
-        ems: &EvolvingMatrixSequence,
-        i: usize,
         arm: MemberArm,
         delta: &[(usize, usize, f64, f64)],
         factors: &mut LuFactors,
@@ -384,14 +389,17 @@ impl UniversalMembers {
     ) -> LuResult<()> {
         if arm == MemberArm::Numeric {
             let t = Instant::now();
-            let member = ems
-                .matrix(i)
-                .reorder(&self.ordering)
-                .expect("ordering matches the matrix order");
-            let numeric = LuFactors::factorize(Arc::clone(&self.structure), &member);
+            let changed: Vec<usize> = delta.iter().map(|&(row, ..)| row).collect();
+            self.spare.clone_from(factors);
+            let pass = refactor_frozen_reach(
+                &mut self.spare,
+                &self.member,
+                Some(&changed),
+                &mut self.refactor,
+            );
             report.timings.full_decomposition += t.elapsed();
-            if let Ok(numeric) = numeric {
-                *factors = numeric;
+            if pass.is_ok() {
+                std::mem::swap(factors, &mut self.spare);
                 report.numeric_members += 1;
                 return Ok(());
             }
@@ -473,13 +481,13 @@ pub fn decompose_cluster_incremental(
 }
 
 /// A CLUDE cluster's shared ordering — `ordering`, or the Markowitz ordering
-/// of `A_∪` when `None` — and the universal static structure its symbolic
-/// decomposition of `A_∪^{O_∪}` defines (Theorem 1).
+/// of `A_∪` when `None` — the pattern of `A_∪^{O_∪}`, and the universal
+/// static structure its symbolic decomposition defines (Theorem 1).
 fn universal_structure(
     union: &SparsityPattern,
     ordering: Option<Ordering>,
     report: &mut RunReport,
-) -> (Arc<Ordering>, Arc<LuStructure>) {
+) -> (Arc<Ordering>, SparsityPattern, Arc<LuStructure>) {
     let ordering = Arc::new(match ordering {
         Some(o) => o,
         None => {
@@ -494,7 +502,20 @@ fn universal_structure(
     let ussp = clude_lu::symbolic_decomposition(&reordered_union).pattern;
     let structure = LuStructure::from_closed_pattern_unchecked(&ussp).into_shared();
     report.timings.symbolic += t.elapsed();
-    (ordering, structure)
+    (ordering, reordered_union, structure)
+}
+
+/// `matrix` under `ordering`, zero on the positions of `pattern` (which
+/// holds every reordered entry) that it does not store.
+fn reordered_over(pattern: &SparsityPattern, matrix: &CsrMatrix, ordering: &Ordering) -> CsrMatrix {
+    let (rows, cols) = (ordering.row().old_to_new(), ordering.col().old_to_new());
+    let mut coo = CooMatrix::with_capacity(matrix.n_rows(), matrix.n_cols(), pattern.nnz());
+    let zeros = pattern.iter().map(|(i, j)| (i, j, 0.0));
+    for (i, j, v) in zeros.chain(matrix.iter().map(|(i, j, v)| (rows[i], cols[j], v))) {
+        coo.push(i, j, v)
+            .expect("an ordering keeps entries in range");
+    }
+    CsrMatrix::from_coo(&coo)
 }
 
 /// Decomposes one cluster the CLUDE way (Algorithm 3): the Markowitz ordering
@@ -503,9 +524,11 @@ fn universal_structure(
 /// matrix is fully decomposed into that structure, and the rest are reached
 /// from their predecessor without ever modifying the structure — by Bennett
 /// updates, or, outside [`SolverConfig::bennett_only`], by a numeric pass
-/// over the structure when [`clude_lu::cost`] prices it lower (one sweep per
-/// changed column at the running reach share of the structure's slots,
-/// against the slots plus the structure's elimination multiply-adds).
+/// over the changed rows' elimination reach when [`clude_lu::cost`] prices
+/// it lower (one sweep per changed column at the running reach share of the
+/// structure's slots, against the slots plus the structure's elimination
+/// multiply-adds).  Each member's delta is written into the previous one in
+/// factor coordinates, so no member is reordered.
 ///
 /// `union` is the pattern of the cluster's `A_∪` (Definition 7), which the
 /// clustering pass that formed the cluster already holds
@@ -521,15 +544,12 @@ pub fn decompose_cluster_universal(
     report: &mut RunReport,
     out: &mut Vec<DecomposedMatrix>,
 ) -> LuResult<()> {
-    let (ordering, structure) = universal_structure(union, ordering, report);
+    let (ordering, reordered_union, structure) = universal_structure(union, ordering, report);
 
     // Full decomposition of the first matrix over the shared structure.
     let t = Instant::now();
-    let first_reordered = ems
-        .matrix(cluster.start)
-        .reorder(&ordering)
-        .expect("ordering matches the matrix order");
-    let mut factors = LuFactors::factorize(Arc::clone(&structure), &first_reordered)?;
+    let first = reordered_over(&reordered_union, ems.matrix(cluster.start), &ordering);
+    let mut factors = LuFactors::factorize(structure, &first)?;
     report.timings.full_decomposition += t.elapsed();
 
     let keep = |f: &LuFactors| {
@@ -542,13 +562,13 @@ pub fn decompose_cluster_universal(
     push_member(cluster.start, &ordering, factors.nnz(), kept, report, out);
 
     // The remaining members, each by the cheaper exact update.
-    let mut members = UniversalMembers::new(&structure, &ordering, config.bennett_only);
+    let mut members = UniversalMembers::new(first, &factors, &ordering, config.bennett_only);
     for i in cluster.start + 1..cluster.end {
         let t = Instant::now();
-        let delta = member_delta(ems, i, &members.row_old_to_new, &members.col_old_to_new);
+        let delta = members.advance(ems, i);
         let arm = members.decide(&delta);
         report.timings.incremental += t.elapsed();
-        members.step(ems, i, arm, &delta, &mut factors, report)?;
+        members.step(arm, &delta, &mut factors, report)?;
         let kept = keep(&factors);
         push_member(i, &ordering, factors.nnz(), kept, report, out);
     }
@@ -580,11 +600,6 @@ pub fn max_reconstruction_error(
         );
     }
     Some(worst)
-}
-
-/// Sums a timing breakdown's total; helper for speed comparisons in tests.
-pub fn total_time(t: &TimingBreakdown) -> std::time::Duration {
-    t.total()
 }
 
 #[cfg(test)]
@@ -645,17 +660,17 @@ mod tests {
         let (mut chosen, mut better, mut arms) = (0.0, 0.0, [0, 0]);
         let mut report = RunReport::new("decision");
         for (cluster, union) in clustering.clusters().iter().zip(&unions) {
-            let (ordering, structure) = universal_structure(union, None, &mut report);
-            let first = ems.matrix(cluster.start).reorder(&ordering).unwrap();
-            let mut factors = LuFactors::factorize(Arc::clone(&structure), &first).unwrap();
-            let mut members = UniversalMembers::new(&structure, &ordering, false);
+            let (ordering, reordered_union, structure) =
+                universal_structure(union, None, &mut report);
+            let first = reordered_over(&reordered_union, ems.matrix(cluster.start), &ordering);
+            let mut factors = LuFactors::factorize(structure, &first).unwrap();
+            let mut members = UniversalMembers::new(first, &factors, &ordering, false);
             for i in cluster.start + 1..cluster.end {
-                let delta = member_delta(ems, i, &members.row_old_to_new, &members.col_old_to_new);
+                let delta = members.advance(ems, i);
                 let cost_of = |arm: MemberArm| {
                     let (mut fork, mut f) = (members.clone(), factors.clone());
                     let mut counted = RunReport::new("fork");
-                    fork.step(ems, i, arm, &delta, &mut f, &mut counted)
-                        .unwrap();
+                    fork.step(arm, &delta, &mut f, &mut counted).unwrap();
                     let numeric = (arm == MemberArm::Numeric) as usize;
                     assert_eq!(counted.numeric_members, numeric, "member {i}");
                     match arm {
@@ -682,7 +697,7 @@ mod tests {
                 better += bennett.min(numeric);
                 arms[arm as usize] += 1;
                 members
-                    .step(ems, i, arm, &delta, &mut factors, &mut report)
+                    .step(arm, &delta, &mut factors, &mut report)
                     .unwrap();
             }
         }
@@ -702,6 +717,70 @@ mod tests {
                 chosen <= 1.10 * better,
                 "{name}: chose {chosen:.0} ns of modelled work, the better arms {better:.0} \
                  ({arms:?} Bennett / numeric)"
+            );
+        }
+    }
+
+    /// `held` is member `i` of `ems` reordered: equal on every entry the
+    /// member stores, zero on every other position it holds.
+    fn assert_holds_member(held: &CsrMatrix, ems: &EvolvingMatrixSequence, i: usize, o: &Ordering) {
+        let member = ems.matrix(i).reorder(o).unwrap();
+        for (row, col, v) in member.iter() {
+            assert_eq!(
+                held.get(row, col).to_bits(),
+                v.to_bits(),
+                "member {i} ({row}, {col})"
+            );
+        }
+        for (row, col, v) in held.iter() {
+            assert_eq!(v, member.get(row, col), "member {i} ({row}, {col})");
+        }
+    }
+
+    #[test]
+    fn the_held_member_is_the_reordered_member_after_either_arm() {
+        for ems in [egs_shape(11), one_column_per_step(11)] {
+            let (clustering, unions) = alpha_clustering_with_unions(&ems, 0.95).unwrap();
+            let mut report = RunReport::new("held");
+            for (cluster, union) in clustering.clusters().iter().zip(&unions) {
+                let (ordering, reordered_union, structure) =
+                    universal_structure(union, None, &mut report);
+                let first = reordered_over(&reordered_union, ems.matrix(cluster.start), &ordering);
+                assert_holds_member(&first, &ems, cluster.start, &ordering);
+                let mut factors = LuFactors::factorize(structure, &first).unwrap();
+                let mut members = UniversalMembers::new(first, &factors, &ordering, false);
+                for i in cluster.start + 1..cluster.end {
+                    let delta = members.advance(&ems, i);
+                    for arm in [MemberArm::Bennett, MemberArm::Numeric] {
+                        let (mut fork, mut f) = (members.clone(), factors.clone());
+                        fork.step(arm, &delta, &mut f, &mut report).unwrap();
+                        assert_holds_member(&fork.member, &ems, i, &ordering);
+                    }
+                    let arm = members.decide(&delta);
+                    members
+                        .step(arm, &delta, &mut factors, &mut report)
+                        .unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_default_mode_reconstructs_every_member() {
+        for (name, ems) in [
+            ("egs shape, seed 11", egs_shape(11)),
+            ("egs shape, seed 97", egs_shape(97)),
+            ("one column a step", one_column_per_step(11)),
+        ] {
+            let solution = Clude::new(0.95)
+                .solve(&ems, &SolverConfig::default())
+                .unwrap();
+            let error = max_reconstruction_error(&ems, &solution).unwrap();
+            assert!(
+                error <= 1e-9,
+                "{name}: {error:e} over {} numeric / {} Bennett members",
+                solution.report.numeric_members,
+                solution.report.bennett_members
             );
         }
     }

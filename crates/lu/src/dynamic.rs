@@ -12,6 +12,7 @@
 use crate::bennett::LuStorage;
 use crate::error::{LuError, LuResult};
 use crate::factors::{factorize_fresh, LuFactors, SINGULAR_TOL};
+use crate::refactor::FrozenRows;
 use clude_sparse::{AdjacencyMatrix, CooMatrix, CsrMatrix, StructuralStats};
 
 /// LU factors held in mutable adjacency lists (row lists with values plus
@@ -124,20 +125,6 @@ impl DynamicLuFactors {
     /// present position can be refactored down the frozen pattern.
     pub fn has_entry(&self, i: usize, j: usize) -> bool {
         self.values.contains(i, j)
-    }
-
-    /// Sorted `(columns, values)` slices of combined-factor row `i`
-    /// (`L` strictly left of the diagonal, `U` from it rightwards).
-    #[inline]
-    pub(crate) fn row_entries(&self, i: usize) -> (&[usize], &[f64]) {
-        self.values.row(i)
-    }
-
-    /// Mutable values of row `i` alongside its (immutable) sorted columns:
-    /// numeric rewrites only, the structure cannot change through this view.
-    #[inline]
-    pub(crate) fn row_entries_mut(&mut self, i: usize) -> (&[usize], &mut [f64]) {
-        self.values.row_mut(i)
     }
 
     /// List position of `(k, k)` in row `k`: the hint when it still points
@@ -402,6 +389,25 @@ impl LuStorage for DynamicLuFactors {
         };
         self.values.update_row_from(k, diag + 1, support, f);
         Ok(())
+    }
+}
+
+/// The lists know no closed layout, so every frozen pass over them is a
+/// full pass of the queue kernel.
+impl FrozenRows for DynamicLuFactors {
+    #[inline]
+    fn order(&self) -> usize {
+        self.n
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> (&[usize], &[f64]) {
+        self.values.row(i)
+    }
+
+    #[inline]
+    fn row_mut(&mut self, i: usize) -> (&[usize], &mut [f64]) {
+        self.values.row_mut(i)
     }
 }
 

@@ -7,13 +7,13 @@
 //! (equivalent to Crout/Doolittle) that scatters each row into a dense
 //! workspace, eliminates against the previously computed rows of `U`, and
 //! gathers the result back into the slots — no structural work happens here,
-//! by construction.  A matrix factorized over its own pattern runs the same
-//! sequence inside the up-looking kernel of [`crate::symbolic`], which builds
-//! the structure as it goes; [`LuFactors::factorize`] is for structures
-//! supplied from outside.
+//! by construction.  That row kernel is also what the up-looking kernel of
+//! [`crate::symbolic`] and the reach-limited [`crate::refactor_frozen_reach`]
+//! run.
 
 use crate::bennett::{LuStorage, FILL_DROP_TOL};
 use crate::error::{LuError, LuResult};
+use crate::refactor::FrozenRows;
 use crate::structure::LuStructure;
 use crate::symbolic::factorize_up_looking;
 use clude_sparse::adjacency::merge_step;
@@ -24,21 +24,36 @@ use std::sync::Arc;
 pub const SINGULAR_TOL: f64 = 1e-300;
 
 /// The numeric LU factors of one matrix, laid out over a shared structure.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LuFactors {
     structure: Arc<LuStructure>,
     values: Vec<f64>,
 }
 
+impl Clone for LuFactors {
+    fn clone(&self) -> Self {
+        LuFactors {
+            structure: Arc::clone(&self.structure),
+            values: self.values.clone(),
+        }
+    }
+
+    /// Copies `source`'s values into this allocation, reusing it.
+    fn clone_from(&mut self, source: &Self) {
+        self.structure.clone_from(&source.structure);
+        self.values.clone_from(&source.values);
+    }
+}
+
 impl LuFactors {
     /// Factorizes `a` over the given structure.
     ///
-    /// Every structural entry of `a` must be covered by the structure; the
-    /// structure may cover more (those slots simply hold zeros, which is how
-    /// CLUDE shares one universal structure across a whole cluster).  This
-    /// is the numeric phase for structures supplied from outside; a matrix
-    /// factorized over its own pattern goes through the up-looking kernel
-    /// instead ([`factorize_fresh`]), which runs the same row routine.
+    /// Every structural entry of `a` must be covered by the structure, which
+    /// is closed under elimination and may cover more (those slots simply
+    /// hold zeros, which is how CLUDE shares one universal structure across a
+    /// whole cluster).  The same row kernel factorizes a matrix over its own
+    /// pattern ([`factorize_fresh`]) and recomputes a changed matrix's reach
+    /// ([`crate::refactor_frozen_reach`]).
     pub fn factorize(structure: Arc<LuStructure>, a: &CsrMatrix) -> LuResult<Self> {
         if !a.is_square() {
             return Err(LuError::NotSquare {
@@ -52,14 +67,10 @@ impl LuFactors {
                 actual: a.n_rows(),
             });
         }
-        let mut values = Vec::with_capacity(structure.nnz());
+        let mut values = vec![0.0; structure.nnz()];
         let mut work = vec![0.0; structure.n()];
         for i in 0..structure.n() {
-            let a_row = a.row(i);
-            if let Some(&col) = a_row.0.iter().find(|&&j| !structure.contains(i, j)) {
-                return Err(LuError::EntryOutsideStructure { row: i, col });
-            }
-            factorize_row(&structure, i, a_row, &mut values, &mut work, 0.0)?;
+            factorize_row(&structure, i, a.row(i), &mut values, &mut work, 0.0)?;
         }
         Ok(LuFactors { structure, values })
     }
@@ -113,13 +124,6 @@ impl LuFactors {
     #[inline]
     pub(crate) fn row_values(&self, i: usize) -> &[f64] {
         &self.values[self.structure.row_range(i)]
-    }
-
-    /// Row `i`'s columns beside a mutable view of its values.
-    #[inline]
-    pub(crate) fn row_entries_mut(&mut self, i: usize) -> (&[usize], &mut [f64]) {
-        let range = self.structure.row_range(i);
-        (self.structure.row_cols(i), &mut self.values[range])
     }
 
     /// Every slot as `(row, col, value)`, row-major with ascending columns
@@ -369,36 +373,46 @@ impl LuFactors {
     }
 }
 
-/// Row `i` of the numeric phase over `structure`, whose rows before `i` are
-/// finished in `values`: scatters `a_row` (row `i` of the matrix,
-/// every column in row `i`'s slots) into the dense `work` over the row's
-/// slots, eliminates against the finished rows of `U` in ascending column
-/// order, and appends the row's values.  A non-finite matrix entry is an
-/// [`LuError::InvalidParameter`] named `"matrix"`, found before the row's
-/// arithmetic; a pivot that is not finite, below [`SINGULAR_TOL`] or below
-/// `degrade_tol` times the row's largest magnitude (`0.0` disables the
-/// relative guard) is an [`LuError::SingularPivot`].  Returns the row's
-/// multiply-adds.
+/// Row `i` of the numeric phase, in place — the one numeric row kernel over
+/// a structure closed under elimination, so every update lands on a slot.
+/// The `U` rows that row `i`'s `L` slots name must be finished in `values`.
+/// One merge walk scatters `a_row` onto the row's slots of the dense `work`,
+/// zeroing the rest; an entry off the slots is an
+/// [`LuError::EntryOutsideStructure`], a non-finite one the
+/// [`LuError::InvalidParameter`] named `"matrix"`.  The row then eliminates
+/// against those `U` rows in ascending column order; a pivot that is not
+/// finite, below [`SINGULAR_TOL`] or below `degrade_tol` times the row's
+/// largest magnitude (`0.0` disables that guard) is an
+/// [`LuError::SingularPivot`].  Only a row that passed writes its slots.
+/// Returns the row's multiply-adds.
+#[inline]
 pub(crate) fn factorize_row(
     structure: &LuStructure,
     i: usize,
     (cols, vals): (&[usize], &[f64]),
-    values: &mut Vec<f64>,
+    values: &mut [f64],
     work: &mut [f64],
     degrade_tol: f64,
 ) -> LuResult<u64> {
     let row = structure.row_cols(i);
+    let mut next = 0;
     for &j in row {
         work[j] = 0.0;
-    }
-    for (&j, &v) in cols.iter().zip(vals) {
-        if !v.is_finite() {
-            return Err(LuError::InvalidParameter {
-                name: "matrix",
-                value: v,
-            });
+        if cols.get(next) == Some(&j) {
+            let value = vals[next];
+            if !value.is_finite() {
+                return Err(LuError::InvalidParameter {
+                    name: "matrix",
+                    value,
+                });
+            }
+            work[j] = value;
+            next += 1;
         }
-        work[j] = v;
+    }
+    // The walk stalls at the first entry off the slots.
+    if let Some(&col) = cols.get(next) {
+        return Err(LuError::EntryOutsideStructure { row: i, col });
     }
     let mut multiply_adds = 0;
     for &k in &row[..structure.lower_row_slots(i).len()] {
@@ -413,17 +427,16 @@ pub(crate) fn factorize_row(
             }
         }
     }
-    let mut row_max = 0.0f64;
-    for &j in row {
-        row_max = row_max.max(work[j].abs());
-        values.push(work[j]);
-    }
+    let row_max = row.iter().fold(0.0f64, |max, &j| max.max(work[j].abs()));
     let pivot = work[i];
     if !pivot.is_finite() || pivot.abs() < SINGULAR_TOL || pivot.abs() < degrade_tol * row_max {
         return Err(LuError::SingularPivot {
             index: i,
             value: pivot,
         });
+    }
+    for (value, &j) in values[structure.row_range(i)].iter_mut().zip(row) {
+        *value = work[j];
     }
     Ok(multiply_adds)
 }
@@ -520,6 +533,31 @@ impl LuStorage for LuFactors {
                 magnitude,
             },
         )
+    }
+}
+
+/// A flat block: the structure answers whether it is closed.
+impl FrozenRows for LuFactors {
+    #[inline]
+    fn order(&self) -> usize {
+        self.n()
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> (&[usize], &[f64]) {
+        (self.structure.row_cols(i), self.row_values(i))
+    }
+
+    #[inline]
+    fn row_mut(&mut self, i: usize) -> (&[usize], &mut [f64]) {
+        let range = self.structure.row_range(i);
+        (self.structure.row_cols(i), &mut self.values[range])
+    }
+
+    #[inline]
+    fn closed_mut(&mut self) -> Option<(&LuStructure, &mut [f64])> {
+        let closed = self.structure.is_elimination_closed();
+        closed.then_some((&self.structure, &mut self.values))
     }
 }
 

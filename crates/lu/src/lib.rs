@@ -25,7 +25,7 @@
 //!   the existing symbolic pattern in one pass (the KLU `refactor` idea) —
 //!   over a structure closed under elimination, only the changed rows'
 //!   elimination reach — the bulk alternative to per-entry Bennett sweeps
-//!   for value-only deltas.
+//!   for value-only deltas, in the engine and between CLUDE's members.
 //! * [`rebuild`] — refactorization under a held ordering: the up-looking
 //!   kernel with the relative pivot guard, writing a fresh static structure
 //!   and its factors in one pass — the bulk alternative to Bennett sweeps
@@ -35,7 +35,9 @@
 //! * [`structure`] — static slot layouts (`LuStructure`), including the
 //!   universal structures CLUDE shares across a cluster.
 //! * [`factors`] — the ND-phase over a structure supplied from outside
-//!   (CLUDE's cluster-universal USSP), plus triangular solves.
+//!   (CLUDE's cluster-universal USSP), plus triangular solves; its row
+//!   routine is the one numeric row kernel over a closed structure, which
+//!   [`symbolic`] and [`refactor`] run too.
 //! * [`dynamic`] — adjacency-list factors with insertion-on-demand, the
 //!   storage model of the straightforward incremental algorithms (INC,
 //!   CINC).  The streaming engine keeps none: each shard's live factors are

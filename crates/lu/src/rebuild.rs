@@ -1,32 +1,18 @@
 //! Refactorization under a held ordering: the pruned reach, then the
 //! numeric pass, row by row.
 //!
-//! The paper keeps an ordering across a cluster because *computing* one is
-//! the expensive step, and replays each change through Bennett's algorithm
-//! because that reuses it.  Bennett's cost is per rank-one update, though, so
-//! a batch that changes many columns of one block pays the elimination reach
-//! many times over — while the block's matrix, already in the held ordering's
-//! coordinates, can be factorized from scratch in one up-looking pass,
-//! whatever the batch changed.  [`rebuild_under_ordering`] is that arm: the
-//! third way, beside a Bennett sweep and the pattern-frozen
-//! [`crate::refactor_frozen`], of keeping an ordering and updating the
-//! factors.
-//!
-//! It is the kernel of [`crate::symbolic`] with values: per row, the
-//! symmetrically pruned reach of the matrix row through the finished rows'
-//! `U` gives the row's pattern, and the row is eliminated in ascending order
-//! and appended to flat static [`LuFactors`] over a fresh
-//! [`crate::LuStructure`] — the form the engine publishes, closed under
-//! elimination by construction.  Its guards: a non-finite matrix entry
-//! ([`crate::LuError::InvalidParameter`] named `"matrix"`), a pivot below
-//! [`crate::factors::SINGULAR_TOL`] or degraded past [`PIVOT_DEGRADE_TOL`]
-//! relative to its row ([`crate::LuError::SingularPivot`]).  A failure leaves
-//! the caller's factors untouched: nothing is written until the pass
-//! succeeded.
-//!
-//! The structure and value arrays are the result, allocated once per call in
-//! `symbolic` and `structure`; this file adds none of its own and stays under
-//! the allocation lint.
+//! A batch that changes many columns of one block pays the elimination
+//! reach once per Bennett rank-one update, while the block's matrix, already
+//! in the held ordering's coordinates, factorizes from scratch in one
+//! up-looking pass ([`crate::symbolic`]) whatever the batch changed.
+//! [`rebuild_under_ordering`] is that arm — the third way, beside a Bennett
+//! sweep and the pattern-frozen [`crate::refactor_frozen`], of keeping an
+//! ordering and updating the factors — writing flat static [`LuFactors`]
+//! over a fresh structure, closed under elimination by construction, under
+//! the frozen pass's guards ([`PIVOT_DEGRADE_TOL`] included).  A failure
+//! leaves the caller's factors untouched: nothing is written until the pass
+//! succeeded.  Its arrays are allocated in `symbolic` and `structure`; this
+//! file adds none and stays under the allocation lint.
 
 // lint: hot-path
 

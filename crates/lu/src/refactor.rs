@@ -2,70 +2,68 @@
 //!
 //! When a delta batch changes only edge *values* — the steady-state case on
 //! real evolving-graph workloads — the symbolic pattern of the factors is
-//! still valid: the new matrix's fill is covered by the slots the factors
-//! already hold.  Redoing the numerics down that frozen pattern in one
-//! row-wise pass is then much cheaper than replaying the batch as per-entry
-//! Bennett rank-one sweeps, because the pass costs one factorization's worth
-//! of flops *total* instead of one partial sweep *per changed entry*, and it
-//! performs no structural probes or insertions at all.
+//! still valid, and redoing the numerics down it in one row-wise pass costs
+//! one factorization's worth of flops *total* instead of one partial Bennett
+//! sweep *per changed entry*, with no structural probes or insertions.
 //!
-//! [`refactor_frozen_reach`] is that pass, one body over either row storage
-//! ([`FrozenRows`]): a flat [`LuFactors`] block — the engine's live factors —
-//! or the INC baselines' [`DynamicLuFactors`] lists.  It consumes the updated
-//! matrix (in factor
-//! coordinates, i.e. already reordered) and rewrites values only — the
-//! stored pattern never changes.  [`refactor_frozen`] is its full pass.
+//! [`refactor_frozen_reach`] is that pass over either row storage
+//! ([`FrozenRows`]): a flat [`LuFactors`] block — the engine's live factors,
+//! a CLUDE member over its cluster's universal structure — or the INC
+//! baselines' [`DynamicLuFactors`] lists.  It consumes the updated matrix in
+//! the factors' own (reordered) coordinates and rewrites values only.
+//! [`refactor_frozen`] is its full pass.
 //!
-//! **Only the elimination reach.**  Given the rows whose matrix row changed,
-//! the pass recomputes their reach and nothing else: a row is in the reach if
-//! its matrix row changed or if an `L` column of its stored pattern is in the
-//! reach.  That is exact when the storage's structure is closed under
-//! elimination ([`LuStructure::is_elimination_closed`]): row `i` of the
-//! factors is then a function of row `i` of the matrix and of the `U` rows
-//! its `L` slots name, so a row outside the reach would be recomputed from
-//! the very inputs that produced it — it keeps its values, bit for bit, and
-//! the guard verdicts it was written under.  Storage without a closed
-//! structure (the dynamic lists; a block rebuilt from an arbitrary entry
-//! list) takes the full pass.  The engine's blocks are always closed: a
-//! structural batch extends its block's structure
-//! ([`crate::extend_structure`]) before Bennett runs on it, so frozen passes
-//! stay reach-limited after structural batches too.  The reach is walked down
-//! [`LuStructure::lower_col`] through the workspace's sorted pivot queue, so
-//! it costs what it reaches.
+//! **Over a closed structure, only the elimination reach.**  When the
+//! storage's structure is closed under elimination
+//! ([`LuStructure::is_elimination_closed`]), the pass recomputes only the
+//! changed rows' reach — a row whose matrix row changed, or one with an `L`
+//! slot naming a row in the reach, walked down [`LuStructure::lower_col`]
+//! with a marker array — in ascending order, by the one numeric row kernel of
+//! [`LuFactors::factorize`], in place.  Row `i` of the factors is a function
+//! of row `i` of the matrix and of the `U` rows its `L` slots name, so every
+//! other row keeps its values bit for bit, and the guard verdicts it was
+//! written under: started from [`LuFactors::factorize`] of the old matrix,
+//! the pass leaves every slot what [`LuFactors::factorize`] of the new one
+//! writes.  The engine's blocks are always closed
+//! ([`crate::extend_structure`] keeps them so across structural batches).
+//! Storage with no closed structure — the lists; a block rebuilt from an
+//! arbitrary entry list — takes the queue kernel over every row: each row's
+//! `L` columns are found as fill spawns them, through a sorted queue, and
+//! fill off the stored pattern is checked.
 //!
 //! Three things abort the pass, and each maps onto a distinct engine
 //! fallback:
 //!
 //! * an input entry outside the stored pattern
-//!   ([`LuError::EntryOutsideStructure`]) — the batch was mis-classified as
-//!   value-only; the caller should fall back to Bennett sweeps or refresh;
+//!   ([`LuError::EntryOutsideStructure`]), on any storage — the batch was
+//!   mis-classified as value-only; the caller should fall back to Bennett
+//!   sweeps or refresh;
 //! * elimination fill landing outside the stored pattern above
-//!   [`FILL_DROP_TOL`] ([`LuError::FillOutsideStructure`]) — the frozen
-//!   pattern no longer covers this matrix (possible after stored-zero slots
-//!   were dropped by earlier sweeps; never over a closed structure);
-//!   refresh re-derives the pattern;
+//!   [`FILL_DROP_TOL`] ([`LuError::FillOutsideStructure`]), only without a
+//!   closed structure, which fill cannot escape (the lists, after sweeps
+//!   dropped stored-zero slots) — refresh re-derives the pattern;
 //! * a pivot collapsing below [`SINGULAR_TOL`] or degrading past
-//!   [`PIVOT_DEGRADE_TOL`] relative to its row
-//!   ([`LuError::SingularPivot`]) — numerics demand a fresh factorization
-//!   with a new ordering.
+//!   [`PIVOT_DEGRADE_TOL`] relative to its row ([`LuError::SingularPivot`]),
+//!   on any storage — numerics demand a fresh ordering.
 //!
-//! **A failure writes nothing the engine keeps.**  The pass rewrites each
-//! row in place once it passed its guards, so on error the rows before the
-//! failing one already hold new values and the storage it ran on must be
-//! discarded.  The engine runs it on a copy of the shard's last published
-//! block — its live factors — and the copy *is* the next block on success,
-//! so a failed pass leaves every published block exactly as it was, and the
-//! fallback re-orders from intact state.  Only the rows the pass
-//! recomputes are checked: a caller that names the changed rows must name
-//! every one (a row left out is taken to hold the matrix row its factors
-//! were computed from).
+//! The closed kernel also refuses a non-finite matrix entry as the
+//! [`LuError::InvalidParameter`] named `"matrix"`.
+//!
+//! **A failure writes nothing the caller keeps.**  Each row is rewritten in
+//! place once it passed its guards, so on error the rows before the failing
+//! one hold new values and the storage must be discarded: the engine runs
+//! the pass on a copy of the shard's published block (the copy *is* the next
+//! block on success), CLUDE on a spare copy of the predecessor's factors.  A
+//! caller that names the changed rows must name every one (a row left out is
+//! taken to hold the matrix row its factors were computed from).
 
 // lint: hot-path
 
-use crate::dynamic::DynamicLuFactors;
 use crate::error::{LuError, LuResult};
-use crate::factors::{LuFactors, SINGULAR_TOL};
+use crate::factors::{factorize_row, SINGULAR_TOL};
 use crate::structure::LuStructure;
+#[cfg(doc)]
+use crate::{DynamicLuFactors, LuFactors};
 use clude_sparse::CsrMatrix;
 
 /// Magnitude below which elimination fill landing outside the frozen pattern
@@ -83,12 +81,8 @@ pub struct RefactorStats {
     /// Rows whose values were recomputed: the elimination reach of the
     /// changed rows, or the matrix order for a full pass.
     pub rows_refactored: usize,
-    /// Factor slots rewritten.
-    pub entries_written: usize,
-    /// Row-elimination steps performed (one per nonzero `L` coefficient).
-    pub eliminations: usize,
-    /// Multiply-adds those steps performed (the eliminated-against row's
-    /// stored entries past its diagonal, per step).
+    /// Multiply-adds performed: per nonzero `L` coefficient, the
+    /// eliminated-against row's stored entries past its diagonal.
     pub multiply_adds: u64,
 }
 
@@ -102,80 +96,20 @@ pub trait FrozenRows {
     fn row(&self, i: usize) -> (&[usize], &[f64]);
     /// Row `i`'s sorted columns beside a mutable view of its values.
     fn row_mut(&mut self, i: usize) -> (&[usize], &mut [f64]);
-    /// Position of the diagonal among `cols`, row `k`'s columns, `None`
-    /// when the row does not store it.
-    fn diag_pos(&self, k: usize, cols: &[usize]) -> Option<usize>;
-    /// The storage's slot layout when it is closed under elimination — what
-    /// lets a pass skip the rows outside the reach — else `None`.
-    fn closed_structure(&self) -> Option<&LuStructure>;
-}
-
-/// The INC baselines' dynamic lists: the diagonal is searched for, and no
-/// closed layout is known, so every pass over them is a full pass.
-impl FrozenRows for DynamicLuFactors {
+    /// The storage's slot layout beside every slot's value, when the layout
+    /// is closed under elimination — what lets a pass run the closed kernel
+    /// over the reach alone — else `None`.
     #[inline]
-    fn order(&self) -> usize {
-        self.n()
-    }
-
-    #[inline]
-    fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        self.row_entries(i)
-    }
-
-    #[inline]
-    fn row_mut(&mut self, i: usize) -> (&[usize], &mut [f64]) {
-        self.row_entries_mut(i)
-    }
-
-    #[inline]
-    fn diag_pos(&self, k: usize, cols: &[usize]) -> Option<usize> {
-        let pos = cols.partition_point(|&c| c < k);
-        (cols.get(pos) == Some(&k)).then_some(pos)
-    }
-
-    #[inline]
-    fn closed_structure(&self) -> Option<&LuStructure> {
+    fn closed_mut(&mut self) -> Option<(&LuStructure, &mut [f64])> {
         None
     }
 }
 
-/// A flat block: the diagonal's position comes from the structure's
-/// `diag_slot`, and the structure answers whether it is closed.
-impl FrozenRows for LuFactors {
-    #[inline]
-    fn order(&self) -> usize {
-        self.n()
-    }
-
-    #[inline]
-    fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        (self.structure().row_cols(i), self.row_values(i))
-    }
-
-    #[inline]
-    fn row_mut(&mut self, i: usize) -> (&[usize], &mut [f64]) {
-        self.row_entries_mut(i)
-    }
-
-    #[inline]
-    fn diag_pos(&self, k: usize, _cols: &[usize]) -> Option<usize> {
-        let structure = self.structure();
-        Some(structure.diag_slot(k) - structure.row_range(k).start)
-    }
-
-    #[inline]
-    fn closed_structure(&self) -> Option<&LuStructure> {
-        let structure = self.structure().as_ref();
-        structure.is_elimination_closed().then_some(structure)
-    }
-}
-
 /// Reusable scratch for [`refactor_frozen_reach`]: one dense epoch-stamped
-/// row workspace plus the pending-pivot queue and the rows a pass
-/// recomputes, retained across calls so the steady-state pass is
-/// allocation-free (the same discipline as
-/// [`crate::bennett::BennettWorkspace`]).
+/// row workspace (its stamps double as the reach walk's marker array), the
+/// queue kernel's pending-pivot queue and the rows a pass recomputes,
+/// retained across calls so the steady-state pass is allocation-free (the
+/// same discipline as [`crate::bennett::BennettWorkspace`]).
 #[derive(Debug, Clone, Default)]
 pub struct RefactorWorkspace {
     epoch: u64,
@@ -183,8 +117,8 @@ pub struct RefactorWorkspace {
     stamp: Vec<u64>,
     /// Columns touched in the current row, unsorted.
     touched: Vec<usize>,
-    /// Sorted queue of lower-triangular pivots still to eliminate against;
-    /// `pending[..pending_pos]` is already processed.
+    /// The queue kernel's sorted queue of lower-triangular pivots still to
+    /// eliminate against; `pending[..pending_pos]` is already processed.
     pending: Vec<usize>,
     pending_pos: usize,
     /// The rows the current (or last successful) pass recomputes, ascending.
@@ -223,50 +157,55 @@ impl RefactorWorkspace {
         }
     }
 
-    /// Fills `rows` with what the pass recomputes: the elimination reach of
-    /// `changed` over a closed structure, every row otherwise.
-    fn plan<S: FrozenRows + ?Sized>(
-        &mut self,
-        factors: &S,
-        changed: Option<&[usize]>,
-    ) -> LuResult<()> {
-        let n = factors.order();
+    /// Fills `rows` with the elimination reach of `changed` over the closed
+    /// `structure`, ascending — every row when `changed` is `None`.  The stamps
+    /// mark the rows reached, and `rows` is the walk's queue: a row is reached
+    /// when it changed or an `L` slot of it names a reached row `k`, one of
+    /// `lower_col(k)`.
+    fn reach(&mut self, structure: &LuStructure, changed: Option<&[usize]>) -> LuResult<()> {
+        let n = structure.n();
         self.rows.clear();
-        let (Some(changed), Some(structure)) = (changed, factors.closed_structure()) else {
+        let Some(changed) = changed else {
             self.rows.extend(0..n);
             return Ok(());
         };
-        // Popped in ascending order, and every row a popped row pushes lies
-        // below it: the queue's processed prefix ends up the reach, sorted.
-        self.pending.clear();
-        self.pending_pos = 0;
-        for &i in changed {
-            if i >= n {
-                return Err(LuError::DimensionMismatch {
-                    expected: n,
-                    actual: i + 1,
-                });
-            }
-            self.pending_push(i);
+        if let Some(&i) = changed.iter().find(|&&i| i >= n) {
+            return Err(LuError::DimensionMismatch {
+                expected: n,
+                actual: i + 1,
+            });
         }
-        while let Some(k) = self.pending_pop() {
-            for &i in structure.lower_col(k).0 {
-                self.pending_push(i);
+        let (epoch, mut next, mut found) = (self.next_epoch(), 0, changed);
+        loop {
+            for &i in found {
+                if self.stamp[i] != epoch {
+                    self.stamp[i] = epoch;
+                    self.rows.push(i);
+                }
             }
+            let Some(&k) = self.rows.get(next) else { break };
+            next += 1;
+            found = structure.lower_col(k).0;
         }
-        std::mem::swap(&mut self.rows, &mut self.pending);
+        self.rows.sort_unstable();
         Ok(())
     }
 
-    /// Readies the workspace for one row of order-`n` elimination.
+    /// A stamp no slot holds yet.
     #[inline]
-    fn begin_row(&mut self, n: usize) {
-        self.grow(n);
+    fn next_epoch(&mut self) -> u64 {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.stamp.fill(0);
             self.epoch = 1;
         }
+        self.epoch
+    }
+
+    /// Readies the workspace for one row of the queue kernel.
+    #[inline]
+    fn begin_row(&mut self) {
+        self.next_epoch();
         self.touched.clear();
         self.pending.clear();
         self.pending_pos = 0;
@@ -333,8 +272,9 @@ pub fn refactor_frozen<S: FrozenRows + ?Sized>(
 /// `changed` names every row in which `a` differs from the matrix the
 /// factors currently hold (any order, repeats allowed).  Over a structure
 /// closed under elimination only those rows' elimination reach is
-/// recomputed and every other row keeps its values; without `changed`, or
-/// over any other storage, every row is.  The rows recomputed are
+/// recomputed, in ascending order by the closed kernel, and every other row
+/// keeps its values; without `changed` every row is.  Storage with no closed
+/// structure takes the queue kernel over every row.  The rows recomputed are
 /// [`RefactorWorkspace::refactored_rows`] afterwards.  See the module docs
 /// for the exactness rule and the failure contract.
 pub fn refactor_frozen_reach<S: FrozenRows + ?Sized>(
@@ -350,28 +290,46 @@ pub fn refactor_frozen_reach<S: FrozenRows + ?Sized>(
             actual: a.n_rows(),
         });
     }
-    ws.plan(&*factors, changed)?;
-    let mut stats = RefactorStats::default();
-    for r in 0..ws.rows.len() {
-        let i = ws.rows[r];
-        if let Err(err) = refactor_row(factors, a, i, ws, &mut stats) {
+    ws.grow(n);
+    let multiply_adds = match factors.closed_mut() {
+        // The closed kernel over the reach, ascending.
+        Some((structure, values)) => ws.reach(structure, changed).and_then(|()| {
+            ws.rows.iter().try_fold(0, |adds, &i| {
+                let row = a.row(i);
+                Ok(adds
+                    + factorize_row(structure, i, row, values, &mut ws.work, PIVOT_DEGRADE_TOL)?)
+            })
+        }),
+        None => {
             ws.rows.clear();
-            return Err(err);
+            ws.rows.extend(0..n);
+            (0..n).try_fold(0, |adds, i| Ok(adds + refactor_row(factors, a, i, ws)?))
+        }
+    };
+    match multiply_adds {
+        Ok(multiply_adds) => Ok(RefactorStats {
+            rows_refactored: ws.rows.len(),
+            multiply_adds,
+        }),
+        Err(err) => {
+            ws.rows.clear();
+            Err(err)
         }
     }
-    Ok(stats)
 }
 
-/// Recomputes row `i` in place, eliminating against the rows above it as
-/// the storage holds them — rewritten already when they are in the pass.
+/// The queue kernel, for storage with no closed structure: recomputes row
+/// `i` in place, eliminating against the rows above it as the storage holds
+/// them — rewritten already in this pass — with fill spawned left of the
+/// diagonal queued in sorted order, and fill off the stored pattern checked
+/// against [`FILL_DROP_TOL`].  Returns the row's multiply-adds.
 fn refactor_row<S: FrozenRows + ?Sized>(
     factors: &mut S,
     a: &CsrMatrix,
     i: usize,
     ws: &mut RefactorWorkspace,
-    stats: &mut RefactorStats,
-) -> LuResult<()> {
-    ws.begin_row(factors.order());
+) -> LuResult<u64> {
+    ws.begin_row();
     // Scatter row i of A.  Every input entry must sit on a stored slot —
     // anything else means the batch was not value-only after all.  Both
     // column lists ascend, so membership is one merge walk down the row.
@@ -393,15 +351,16 @@ fn refactor_row<S: FrozenRows + ?Sized>(
     }
     // Eliminate against the already-recomputed rows of U, in ascending
     // pivot order; fill spawned left of the diagonal re-enters the queue.
+    let mut multiply_adds = 0;
     while let Some(k) = ws.pending_pop() {
         let (kcols, kvals) = factors.row(k);
-        let Some(diag_pos) = factors.diag_pos(k, kcols) else {
-            return Err(LuError::SingularPivot {
-                index: k,
-                value: 0.0,
-            });
+        // A row that does not store its diagonal holds a zero pivot.
+        let diag_pos = kcols.partition_point(|&c| c < k);
+        let ukk = if kcols.get(diag_pos) == Some(&k) {
+            kvals[diag_pos]
+        } else {
+            0.0
         };
-        let ukk = kvals[diag_pos];
         if !ukk.is_finite() || ukk.abs() < SINGULAR_TOL {
             return Err(LuError::SingularPivot {
                 index: k,
@@ -413,8 +372,7 @@ fn refactor_row<S: FrozenRows + ?Sized>(
         if lik == 0.0 {
             continue;
         }
-        stats.eliminations += 1;
-        stats.multiply_adds += (kcols.len() - diag_pos - 1) as u64;
+        multiply_adds += (kcols.len() - diag_pos - 1) as u64;
         for (&j, &ukj) in kcols[diag_pos + 1..].iter().zip(&kvals[diag_pos + 1..]) {
             if ukj == 0.0 {
                 continue;
@@ -473,9 +431,7 @@ fn refactor_row<S: FrozenRows + ?Sized>(
             0.0
         };
     }
-    stats.entries_written += cols.len();
-    stats.rows_refactored += 1;
-    Ok(())
+    Ok(multiply_adds)
 }
 
 #[cfg(test)]
@@ -483,6 +439,7 @@ mod tests {
     use super::*;
     use crate::bennett::apply_delta_with;
     use crate::bennett::BennettWorkspace;
+    use crate::{DynamicLuFactors, LuFactors};
     use clude_sparse::CooMatrix;
 
     fn diag_dominant(n: usize, extra: &[(usize, usize, f64)]) -> CsrMatrix {
@@ -535,7 +492,6 @@ mod tests {
         let mut ws = RefactorWorkspace::new();
         let stats = refactor_frozen(&mut factors, &a_new, &mut ws).unwrap();
         assert_eq!(stats.rows_refactored, 5);
-        assert!(stats.entries_written >= factors.nnz());
         let fresh = DynamicLuFactors::factorize(&a_new).unwrap();
         for i in 0..5 {
             for j in 0..5 {
@@ -905,5 +861,150 @@ mod tests {
                 assert!((factors.u(i, j) - fresh.u(i, j)).abs() < 1e-12);
             }
         }
+    }
+
+    /// `entries` as a matrix of order `n`.
+    fn matrix(n: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix {
+        let mut coo = CooMatrix::new(n, n);
+        for &(i, j, v) in entries {
+            coo.push(i, j, v).unwrap();
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    /// `base_matrix`'s factors over the closure of its pattern: the closed
+    /// kernel's storage.
+    fn closed_block() -> LuFactors {
+        let block = crate::factors::factorize_fresh(&base_matrix()).unwrap();
+        assert!(block.structure().is_elimination_closed());
+        block
+    }
+
+    /// Runs the reach pass over `changed` and the full pass on copies of
+    /// `block`; both must fail with `want`, writing no slot.
+    fn both_passes_refuse(block: &LuFactors, a: &CsrMatrix, changed: &[usize], want: LuError) {
+        let mut ws = RefactorWorkspace::new();
+        for changed in [Some(changed), None] {
+            let mut copy = block.clone();
+            let err = refactor_frozen_reach(&mut copy, a, changed, &mut ws).unwrap_err();
+            assert_eq!(err, want, "changed {changed:?}");
+            assert_eq!(bits(&copy.export_entries()), bits(&block.export_entries()));
+            assert!(ws.refactored_rows().is_empty());
+        }
+    }
+
+    #[test]
+    fn the_closed_kernel_refuses_a_non_finite_entry_as_the_matrix_parameter() {
+        // On the diagonal or off it, in the first row or a later one.
+        let block = closed_block();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (i, j) in [(0, 0), (0, 2), (3, 2), (4, 4)] {
+                let mut a = base_matrix();
+                assert!(a.set(i, j, bad));
+                let mut ws = RefactorWorkspace::new();
+                let mut copy = block.clone();
+                let err = refactor_frozen_reach(&mut copy, &a, Some(&[i]), &mut ws).unwrap_err();
+                assert!(
+                    matches!(err, LuError::InvalidParameter { name: "matrix", value }
+                        if value.to_bits() == bad.to_bits()),
+                    "{bad} at ({i}, {j}): {err:?}"
+                );
+                // Rows of the reach before row i are rewritten; row i is not.
+                assert_eq!(copy.row_values(i), block.row_values(i));
+            }
+        }
+    }
+
+    #[test]
+    fn the_closed_kernel_refuses_an_entry_off_the_structure() {
+        // Every column row 3 holds no slot for — left of its first slot,
+        // between slots, right of its last — whatever the entry's value.
+        let block = closed_block();
+        let slots = block.structure().row_cols(3).to_vec();
+        let off: Vec<usize> = (0..5).filter(|j| !slots.contains(j)).collect();
+        assert!(!off.is_empty());
+        for col in off {
+            for value in [2.0, 0.0] {
+                let a = perturbed(&base_matrix(), &[(3, col, 0.0, value)]);
+                let want = LuError::EntryOutsideStructure { row: 3, col };
+                both_passes_refuse(&block, &a, &[3], want);
+            }
+        }
+    }
+
+    #[test]
+    fn the_closed_kernel_keeps_a_pivot_at_the_degradation_threshold_and_refuses_one_ulp_below() {
+        // Row 0 is [p, 1]: its largest magnitude is 1, so the threshold is
+        // PIVOT_DEGRADE_TOL itself.  At it and one ulp above, the factors
+        // are the matrix's own entries; one ulp below, the pivot is refused.
+        let with_pivot = |p: f64| matrix(2, &[(0, 0, p), (0, 1, 1.0), (1, 1, 1.0)]);
+        let block = crate::factors::factorize_fresh(&with_pivot(1.0)).unwrap();
+        let mut ws = RefactorWorkspace::new();
+        for p in [PIVOT_DEGRADE_TOL, PIVOT_DEGRADE_TOL.next_up()] {
+            let mut copy = block.clone();
+            refactor_frozen_reach(&mut copy, &with_pivot(p), Some(&[0]), &mut ws).unwrap();
+            assert_eq!(ws.refactored_rows(), &[0]);
+            let want = [(0, 0, p), (0, 1, 1.0), (1, 1, 1.0)];
+            assert_eq!(bits(&copy.export_entries()), bits(&want));
+        }
+        let below = PIVOT_DEGRADE_TOL.next_down();
+        let want = LuError::SingularPivot {
+            index: 0,
+            value: below,
+        };
+        both_passes_refuse(&block, &with_pivot(below), &[0], want);
+    }
+
+    #[test]
+    fn an_empty_change_recomputes_no_row_and_keeps_every_bit() {
+        // Even against a matrix that differs: the caller names every changed
+        // row, and naming none is a promise nothing changed.
+        let block = closed_block();
+        let a_new = perturbed(&base_matrix(), &[(0, 0, 8.0, 9.0), (3, 2, -0.5, 1.0)]);
+        let mut ws = RefactorWorkspace::new();
+        let mut copy = block.clone();
+        let stats = refactor_frozen_reach(&mut copy, &a_new, Some(&[]), &mut ws).unwrap();
+        assert_eq!(stats, RefactorStats::default());
+        assert!(ws.refactored_rows().is_empty());
+        assert_eq!(bits(&copy.export_entries()), bits(&block.export_entries()));
+    }
+
+    #[test]
+    fn the_closed_kernel_runs_at_orders_zero_and_one() {
+        let mut ws = RefactorWorkspace::new();
+        let mut empty = LuFactors::factorize(
+            LuStructure::from_pattern(&CsrMatrix::identity(0).pattern())
+                .unwrap()
+                .into_shared(),
+            &CsrMatrix::identity(0),
+        )
+        .unwrap();
+        assert!(empty.structure().is_elimination_closed());
+        for changed in [Some(&[][..]), None] {
+            let stats =
+                refactor_frozen_reach(&mut empty, &CsrMatrix::identity(0), changed, &mut ws)
+                    .unwrap();
+            assert_eq!(stats, RefactorStats::default());
+        }
+        let block = crate::factors::factorize_fresh(&matrix(1, &[(0, 0, 4.0)])).unwrap();
+        assert!(block.structure().is_elimination_closed());
+        let mut one = block.clone();
+        let stats =
+            refactor_frozen_reach(&mut one, &matrix(1, &[(0, 0, -2.0)]), Some(&[0]), &mut ws)
+                .unwrap();
+        assert_eq!(stats.rows_refactored, 1);
+        assert_eq!(bits(&one.export_entries()), bits(&[(0, 0, -2.0)]));
+        assert_eq!(
+            refactor_frozen_reach(&mut one, &matrix(1, &[]), Some(&[1]), &mut ws).unwrap_err(),
+            LuError::DimensionMismatch {
+                expected: 1,
+                actual: 2
+            }
+        );
+        let want = LuError::SingularPivot {
+            index: 0,
+            value: 0.0,
+        };
+        both_passes_refuse(&block, &matrix(1, &[]), &[0], want);
     }
 }

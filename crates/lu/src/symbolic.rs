@@ -25,12 +25,11 @@
 //! walk would.
 //!
 //! **Why the factors stay bit-identical.**  With values, each row is sorted
-//! once and handed to the row routine the numeric pass
-//! [`LuFactors::factorize`] runs over a structure supplied from outside: the
-//! same scatter, the `L` columns eliminated in ascending order into a dense
-//! accumulator, each pivot row's whole `U` in slot order, the same guards.
-//! A topological order of the reach would be a valid elimination order too,
-//! but a different floating-point sequence.
+//! once and handed to the one numeric row kernel over a closed structure,
+//! which [`LuFactors::factorize`] runs too: the `L` columns eliminated in
+//! ascending order, each pivot row's whole `U` in slot order, the same
+//! guards.  A topological order of the reach would be a valid elimination
+//! order too, but a different floating-point sequence.
 //!
 //! Without values the kernel is [`symbolic_decomposition`] and
 //! [`LuStructure::from_pattern`]; with them it is every factorization of a
@@ -190,6 +189,7 @@ pub(crate) fn factorize_up_looking(a: &CsrMatrix, degrade_tol: f64) -> LuResult<
         let a_row = a.row(i);
         kernel.push_row(i, a_row.0);
         let structure = &kernel.structure;
+        values.resize(structure.nnz(), 0.0);
         multiply_adds += factorize_row(structure, i, a_row, &mut values, &mut work, degrade_tol)?;
     }
     values.shrink_to_fit();

@@ -436,4 +436,63 @@ proptest! {
             (r, f) => prop_assert!(false, "reach {:?} vs full {:?}", r, f),
         }
     }
+
+    #[test]
+    fn a_reach_pass_from_a_factorization_is_the_factorization_of_the_updated_matrix(
+        a in diag_dominant(12, 40),
+        extra in proptest::collection::vec((0usize..12, 0usize..12), 0..6),
+        bumps in proptest::collection::vec((0usize..400, -0.3f64..0.3), 0..6),
+    ) {
+        // A random closed structure: the symbolic closure of the matrix's
+        // pattern and a few more positions.
+        let mut pattern = a.pattern();
+        for (i, j) in extra {
+            pattern.insert(i, j);
+        }
+        let structure = LuStructure::from_pattern(&pattern).unwrap().into_shared();
+        prop_assert!(structure.is_elimination_closed());
+        let before = LuFactors::factorize(structure.clone(), &a).unwrap();
+        // A random value-only delta on slots of the structure, fill slots
+        // and the diagonal included, repeats summing.
+        let slots: Vec<(usize, usize)> = (0..12)
+            .flat_map(|i| structure.row_cols(i).iter().map(move |&j| (i, j)))
+            .collect();
+        let delta: Vec<(usize, usize, f64, f64)> = bumps
+            .iter()
+            .map(|&(pick, d)| {
+                let (i, j) = slots[pick % slots.len()];
+                (i, j, 0.0, d)
+            })
+            .collect();
+        let changed: Vec<usize> = delta.iter().map(|e| e.0).collect();
+        let updated = updated_matrix(&a, &delta);
+        let mut ws = RefactorWorkspace::new();
+        let mut reach = before.clone();
+        let Ok(stats) = refactor_frozen_reach(&mut reach, &updated, Some(&changed), &mut ws) else {
+            // A pivot the bumps broke or degraded: nothing to compare.
+            return Ok(());
+        };
+        let recomputed = ws.refactored_rows().to_vec();
+        prop_assert_eq!(stats.rows_refactored, recomputed.len());
+        let bits = |f: &LuFactors, rows: &dyn Fn(usize) -> bool| {
+            f.export_entries()
+                .into_iter()
+                .filter(|e| rows(e.0))
+                .map(|(i, j, v)| (i, j, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        // Every slot, bit for bit, is what factorizing the updated matrix
+        // writes there.
+        let fresh = LuFactors::factorize(structure, &updated).unwrap();
+        prop_assert_eq!(bits(&reach, &|_| true), bits(&fresh, &|_| true));
+        // The rows outside the reach were not written at all.
+        let outside = |i: usize| !recomputed.contains(&i);
+        prop_assert_eq!(bits(&reach, &outside), bits(&before, &outside));
+        // The queue kernel's full pass over the same factors as lists
+        // computes the same values (up to the sign of a zero).
+        let mut lists = DynamicLuFactors::from_sorted_entries(12, &before.export_entries()).unwrap();
+        let listed = refactor_frozen_reach(&mut lists, &updated, Some(&changed), &mut ws).unwrap();
+        prop_assert_eq!(listed.rows_refactored, 12);
+        prop_assert_eq!(lists.export_entries(), reach.export_entries());
+    }
 }
