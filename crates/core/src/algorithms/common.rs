@@ -20,9 +20,9 @@ use crate::cluster::Cluster;
 use crate::ems::EvolvingMatrixSequence;
 use crate::report::RunReport;
 use clude_lu::{
-    apply_delta_with, cost, markowitz_ordering, refactor_frozen_reach, solve_original_into,
-    solve_original_many_into, BennettStats, BennettWorkspace, DynamicLuFactors, LuError, LuFactors,
-    LuResult, LuStorage, LuStructure, PanelScratch, RefactorWorkspace, RunningReach, SolveScratch,
+    apply_delta_with, cost, markowitz_ordering, solve_original_into, solve_original_many_into,
+    BennettStats, BennettWorkspace, DynamicLuFactors, LuError, LuFactors, LuResult, LuStructure,
+    Maintainer, PanelScratch, SolveScratch,
 };
 use clude_sparse::{CooMatrix, CsrMatrix, Ordering, SparsityPattern};
 use std::sync::Arc;
@@ -277,29 +277,12 @@ fn member_delta(
     delta
 }
 
-/// One Bennett step: `delta` applied to `factors` through the cluster's
-/// shared workspace, timed as incremental work and counted in the report.
-fn bennett_step<S: LuStorage>(
-    factors: &mut S,
-    workspace: &mut BennettWorkspace,
-    delta: &[(usize, usize, f64, f64)],
-    report: &mut RunReport,
-) -> LuResult<BennettStats> {
-    let t = Instant::now();
-    let stats = apply_delta_with(factors, workspace, delta)?;
+/// Counts one member reached by Bennett's sweeps, which counted `stats` in
+/// the time since `t`.
+fn count_bennett(report: &mut RunReport, stats: &BennettStats, t: Instant) {
     report.timings.incremental += t.elapsed();
-    report.bennett.merge(&stats);
+    report.bennett.merge(stats);
     report.bennett_members += 1;
-    Ok(stats)
-}
-
-/// Distinct columns `delta` changes: the rank-one updates Bennett spends on
-/// it.
-fn changed_columns(delta: &[(usize, usize, f64, f64)]) -> usize {
-    let mut columns: Vec<usize> = delta.iter().map(|&(_, c, _, _)| c).collect();
-    columns.sort_unstable();
-    columns.dedup();
-    columns.len()
 }
 
 /// The two exact updates that reach a CLUDE cluster member from its
@@ -315,19 +298,16 @@ enum MemberArm {
 }
 
 /// What a CLUDE cluster's member steps carry from one member to the next:
-/// the current member, the arms' workspaces, the running reach the sweeps are
-/// predicted from, and the numeric pass's price, counted once per cluster.
+/// the [`Maintainer`] holding the current member in factor coordinates — over
+/// the reordered `A_∪` pattern — the copy of the predecessor's factors a
+/// numeric pass runs on, and the numeric pass's price, counted once per
+/// cluster.
 #[derive(Debug, Clone)]
 struct UniversalMembers {
     row_old_to_new: Vec<usize>,
     col_old_to_new: Vec<usize>,
-    /// The current member, reordered, over the reordered `A_∪` pattern.
-    member: CsrMatrix,
-    /// The copy of the predecessor's factors a numeric pass runs on.
+    maintainer: Maintainer,
     spare: LuFactors,
-    workspace: BennettWorkspace,
-    refactor: RefactorWorkspace,
-    reach: RunningReach,
     numeric_cost: f64,
     bennett_only: bool,
 }
@@ -339,37 +319,33 @@ impl UniversalMembers {
         UniversalMembers {
             row_old_to_new: ordering.row().old_to_new(),
             col_old_to_new: ordering.col().old_to_new(),
-            member,
+            maintainer: Maintainer::new(member),
             spare: first.clone(),
-            workspace: BennettWorkspace::with_order(structure.n()),
-            refactor: RefactorWorkspace::with_order(structure.n()),
-            reach: RunningReach::default(),
             numeric_cost: cost::numeric_pass_ns(structure.nnz(), structure.elimination_work()),
             bennett_only,
         }
     }
 
-    /// Member `i`'s delta from its predecessor, written into `member`.
+    /// Member `i`'s delta from its predecessor, written into the held member
+    /// (in place: the union pattern holds every member's entries).
     fn advance(&mut self, ems: &EvolvingMatrixSequence, i: usize) -> Vec<(usize, usize, f64, f64)> {
         let delta = member_delta(ems, i, &self.row_old_to_new, &self.col_old_to_new);
-        for &(row, col, _, new) in &delta {
-            let stored = self.member.set(row, col, new);
-            debug_assert!(stored, "the union pattern holds every member's entries");
-        }
+        let stored = self.maintainer.matrix().nnz();
+        self.maintainer.write(&delta);
+        debug_assert_eq!(
+            self.maintainer.matrix().nnz(),
+            stored,
+            "a position off the union"
+        );
         delta
-    }
-
-    /// Bennett's predicted cost on `delta`: one rank-one update per distinct
-    /// changed column, each at the running reach share of the structure.
-    fn sweep_cost(&self, delta: &[(usize, usize, f64, f64)]) -> f64 {
-        let updates = changed_columns(delta);
-        cost::sweep_ns(self.reach.predicted_entries(updates, self.spare.nnz()))
     }
 
     /// The cheaper arm for `delta`; Bennett on a tie, and always in the
     /// paper-faithful mode.
     fn decide(&self, delta: &[(usize, usize, f64, f64)]) -> MemberArm {
-        if !self.bennett_only && self.numeric_cost < self.sweep_cost(delta) {
+        if !self.bennett_only
+            && self.numeric_cost < self.maintainer.sweep_ns(delta, self.spare.nnz())
+        {
             MemberArm::Numeric
         } else {
             MemberArm::Bennett
@@ -379,7 +355,7 @@ impl UniversalMembers {
     /// Reaches the held member from `factors`, its predecessor's, by `arm`.
     /// A numeric pass runs on `spare` — the two swap on success — so one
     /// that fails leaves `factors` untouched, and the member falls back to
-    /// Bennett from them.  Each Bennett step updates the running reach.
+    /// Bennett from them.
     fn step(
         &mut self,
         arm: MemberArm,
@@ -389,14 +365,8 @@ impl UniversalMembers {
     ) -> LuResult<()> {
         if arm == MemberArm::Numeric {
             let t = Instant::now();
-            let changed: Vec<usize> = delta.iter().map(|&(row, ..)| row).collect();
             self.spare.clone_from(factors);
-            let pass = refactor_frozen_reach(
-                &mut self.spare,
-                &self.member,
-                Some(&changed),
-                &mut self.refactor,
-            );
+            let pass = self.maintainer.refactor_reach(&mut self.spare, delta);
             report.timings.full_decomposition += t.elapsed();
             if pass.is_ok() {
                 std::mem::swap(factors, &mut self.spare);
@@ -404,9 +374,9 @@ impl UniversalMembers {
                 return Ok(());
             }
         }
-        let nnz = factors.nnz();
-        let stats = bennett_step(factors, &mut self.workspace, delta, report)?;
-        self.reach.observe(&stats, nnz);
+        let (t, nnz) = (Instant::now(), factors.nnz());
+        let stats = self.maintainer.sweep(factors, delta, nnz)?;
+        count_bennett(report, &stats, t);
         Ok(())
     }
 }
@@ -468,8 +438,8 @@ pub fn decompose_cluster_incremental(
     for i in cluster.start + 1..cluster.end {
         let t = Instant::now();
         let delta = member_delta(ems, i, &row_old_to_new, &col_old_to_new);
-        report.timings.incremental += t.elapsed();
-        bennett_step(&mut factors, &mut workspace, &delta, report)?;
+        let stats = apply_delta_with(&mut factors, &mut workspace, &delta)?;
+        count_bennett(report, &stats, t);
         let kept = keep(&factors);
         push_member(i, &ordering, factors.nnz(), kept, report, out);
     }
@@ -682,7 +652,10 @@ mod tests {
                 };
                 let (bennett, numeric) = (cost_of(MemberArm::Bennett), cost_of(MemberArm::Numeric));
                 let arm = members.decide(&delta);
-                let columns = changed_columns(&delta);
+                let mut columns: Vec<usize> = delta.iter().map(|&(_, j, ..)| j).collect();
+                columns.sort_unstable();
+                columns.dedup();
+                let columns = columns.len();
                 if columns == 1 {
                     assert_eq!(arm, MemberArm::Bennett, "member {i}");
                 }
@@ -754,7 +727,7 @@ mod tests {
                     for arm in [MemberArm::Bennett, MemberArm::Numeric] {
                         let (mut fork, mut f) = (members.clone(), factors.clone());
                         fork.step(arm, &delta, &mut f, &mut report).unwrap();
-                        assert_holds_member(&fork.member, &ems, i, &ordering);
+                        assert_holds_member(fork.maintainer.matrix(), &ems, i, &ordering);
                     }
                     let arm = members.decide(&delta);
                     members

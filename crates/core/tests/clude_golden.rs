@@ -9,14 +9,16 @@
 //! queue and cluster deltas were mapped instead of re-permuted.  CLUDE is
 //! pinned in its paper-faithful mode ([`SolverConfig::bennett_only`]); the
 //! default mode, which may reach a member by a numeric pass instead, is
-//! pinned against it: the same clusters, orderings and factor sizes, factors
-//! that reconstruct their matrices and answers that match brute force.
+//! pinned against it — the same clusters, orderings and factor sizes, factors
+//! that reconstruct their matrices and answers that match brute force — and
+//! by its own factor bits, including a sequence whose members take Bennett.
 
 use clude::algorithms::common::max_reconstruction_error;
 use clude::{BruteForce, Clude, ClusterIncremental, EvolvingMatrixSequence, LudemSolver};
 use clude::{LudemSolution, MatrixFactors, SolverConfig};
 use clude_graph::generators::{wiki_like, WikiLikeConfig};
 use clude_graph::MatrixKind;
+use clude_sparse::{CooMatrix, CsrMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -213,5 +215,81 @@ fn the_default_mode_keeps_the_faithful_clusters_orderings_and_sizes_and_its_answ
                 .fold(0.0, f64::max);
             assert!(gap <= 1e-9, "seed {seed}, matrix {i}: {gap:e} from BF");
         }
+    }
+}
+
+/// `egs-clude`'s wiki-like shape at a fifth of its pages, first matrix only,
+/// followed by 30 steps that each rescale the off-diagonal entries of one
+/// column: one rank-one update a member, so the default mode reaches every
+/// member after a cluster's first by Bennett.
+fn one_column_per_step(seed: u64) -> EvolvingMatrixSequence {
+    let config = WikiLikeConfig {
+        n_pages: 500,
+        initial_links: 1_500,
+        final_links: 1_900,
+        n_snapshots: 50,
+        removals_per_snapshot: 8,
+        burst_probability: 0.08,
+        burst_size: 10,
+    };
+    let egs = wiki_like::generate(&config, &mut StdRng::seed_from_u64(seed));
+    let first = EvolvingMatrixSequence::from_egs(&egs, MatrixKind::random_walk_default())
+        .matrix(0)
+        .clone();
+    let n = first.n_rows();
+    let mut matrices = vec![first];
+    for step in 0..30 {
+        let column = (step * 37 + 11) % n;
+        let last = matrices.last().expect("seeded");
+        let mut coo = CooMatrix::new(n, n);
+        for (i, j, v) in last.iter() {
+            let scaled = if j == column && i != j { 0.9 * v } else { v };
+            coo.push(i, j, scaled).expect("in bounds");
+        }
+        matrices.push(CsrMatrix::from_coo(&coo));
+    }
+    EvolvingMatrixSequence::new(matrices).expect("one shape")
+}
+
+#[test]
+fn the_default_mode_reproduces_its_pinned_factor_bits() {
+    // `(sequence, (Bennett members, numeric members), the Bennett counters,
+    // factors_hash)`, captured before CLUDE's members and the engine's shards
+    // shared one maintainer.
+    for (name, ems, members, bennett, factors_hash) in [
+        (
+            "seed 11",
+            wiki_ems(11),
+            (0, 13),
+            (0, 0, 0),
+            16071286414759699574,
+        ),
+        (
+            "seed 97",
+            wiki_ems(97),
+            (0, 13),
+            (0, 0, 0),
+            15610532126662940363,
+        ),
+        (
+            "one column a step",
+            one_column_per_step(11),
+            (30, 0),
+            (30, 858, 10325),
+            10912923068701773149,
+        ),
+    ] {
+        let got = Clude::new(0.95)
+            .solve(&ems, &SolverConfig::default())
+            .expect("CLUDE solves");
+        let report = &got.report;
+        assert_eq!(
+            (report.bennett_members, report.numeric_members),
+            members,
+            "{name}"
+        );
+        let got = pin(&got);
+        assert_eq!(got.bennett, bennett, "{name}");
+        assert_eq!(got.factors_hash, factors_hash, "{name}");
     }
 }

@@ -892,4 +892,61 @@ mod tests {
             Ok(_) => panic!("a NaN factor decoded"),
         }
     }
+
+    /// Every truncation and every single-byte XOR of a valid three-record
+    /// manifest parses to a typed [`EngineError::Persistence`] or to a prefix
+    /// of the records committed whose valid length falls short of the input
+    /// — flagged torn — unless the cut fell on a frame boundary: never a
+    /// panic, never a record that was not committed.
+    #[test]
+    fn every_truncation_and_byte_flip_of_a_manifest_is_typed_or_a_torn_prefix() {
+        let fs = FailpointFs::new();
+        let shared: Arc<dyn Vfs> = Arc::new(fs.clone());
+        let dir = PathBuf::from("/ckpt");
+        let mut ck = Checkpointer::new(shared, dir.clone(), 0);
+        let mut committed = Vec::new();
+        let mut boundaries = vec![8];
+        let path = dir.join(MANIFEST_NAME);
+        for snapshot_id in [3, 5, 9] {
+            let graph = DiGraph::from_edges(3, [(0, 1), (1, snapshot_id as usize % 3)]);
+            let out = ck.write_generation(&state_for(graph, snapshot_id)).unwrap();
+            ck.commit_manifest(out.gen, snapshot_id).unwrap();
+            boundaries.push(fs.read(&path).unwrap().len());
+        }
+        let file = fs.read(&path).unwrap();
+        let (records, valid) = parse_manifest(&path, &file).unwrap();
+        assert_eq!((records.len(), valid), (3, file.len()));
+        for record in &records {
+            committed.push((record.gen, record.snapshot_id, record.shard_gens.clone()));
+        }
+        assert_eq!(committed.iter().map(|r| r.1).collect::<Vec<_>>(), [3, 5, 9]);
+        let check = |bytes: &[u8], boundary: bool, what: &str| match parse_manifest(&path, bytes) {
+            Err(EngineError::Persistence(_)) => {}
+            Err(err) => panic!("{what}: untyped {err:?}"),
+            Ok((records, valid)) => {
+                assert!(records.len() <= committed.len(), "{what}");
+                for (got, want) in records.iter().zip(&committed) {
+                    let got = (got.gen, got.snapshot_id, got.shard_gens.clone());
+                    assert_eq!(&got, want, "{what}: a record that was not committed");
+                }
+                assert!(valid <= bytes.len(), "{what}");
+                let torn = valid < bytes.len();
+                assert_eq!(torn, !boundary && !bytes.is_empty(), "{what}");
+            }
+        };
+        for cut in 0..=file.len() {
+            check(
+                &file[..cut],
+                boundaries.contains(&cut),
+                &format!("cut at {cut}"),
+            );
+        }
+        for at in 0..file.len() {
+            for mask in 1..=u8::MAX {
+                let mut flipped = file.clone();
+                flipped[at] ^= mask;
+                check(&flipped, false, &format!("byte {at} ^ {mask:#04x}"));
+            }
+        }
+    }
 }

@@ -10,23 +10,25 @@
 //! graph are spatially local; the [`ShardedFactorStore`] exploits the same
 //! locality *within one live snapshot*.  The node universe is split by a
 //! [`NodePartition`]; each shard owns the decomposed principal submatrix
-//! `A[S_s, S_s]` of the measure matrix (its own ordering, dynamic factors and
-//! [`BennettWorkspace`]), while the entries whose
-//! row and column straddle two shards live in a sparse coupling matrix:
+//! `A[S_s, S_s]` of the measure matrix — its own ordering, the flat factor
+//! block it publishes, and a [`clude_lu::Maintainer`] holding the block's
+//! matrix and the update arms' scratch — while the entries whose row and
+//! column straddle two shards live in a sparse coupling matrix:
 //!
 //! ```text
 //!        A  =  blockdiag(A_00, …, A_kk)  +  C        (exactly, by construction)
 //! ```
 //!
 //! A [`GraphDelta`] is routed entry-wise: an entry whose row and column live
-//! in the same shard becomes a Bennett update of that shard's factors (in
-//! local coordinates), a cross-shard entry is a plain value write into the
-//! coupling — it never touches any factors.  The frozen coupling CSR
-//! snapshots serve from *is* the state: a batch's writes are merged into the
-//! previous one in a single pass ([`CsrMatrix::merge_writes`]).  Because the
+//! in the same shard joins that shard's slice of the batch (in local
+//! coordinates), which one maintenance decision per shard absorbs by the
+//! cheapest exact arm ([`MaintenanceArm`]), a cross-shard entry is a plain
+//! value write into the coupling — it never touches any factors.  The
+//! frozen coupling CSR snapshots serve from *is* the state: a batch's writes
+//! are merged into the previous one in a single pass
+//! ([`CsrMatrix::merge_writes`]).  Because the
 //! per-shard entry lists are disjoint, shards with pending work apply their
-//! updates **in parallel** across scoped threads, each sweeping with its own
-//! workspace.
+//! updates **in parallel** across scoped threads, each with its own scratch.
 //!
 //! Queries recombine exactly: snapshots expose the per-shard factors plus a
 //! frozen coupling matrix, and the block Gauss–Seidel pass over them
@@ -38,17 +40,16 @@
 use crate::coupling::{CouplingConfig, FrozenCoupling};
 use crate::error::{EngineError, EngineResult};
 use crate::store::{
-    global_matrix_delta, order_and_factorize, EngineSnapshot, MaintenanceArm, MaintenanceDecision,
-    OldSuccessors, OrderedFactors, RefreshPolicy, ShardOutcome, ShardSnapshot, Staged,
+    global_matrix_delta, order_and_factorize, EngineSnapshot, MaintenanceArm, OldSuccessors,
+    OrderedFactors, RefreshPolicy, ShardOutcome, ShardSnapshot, Staged,
 };
 use clude::partition::edge_locality_partition;
+use clude::refresh_decision;
 use clude_graph::{
-    btf_partition, coupling_matrix, shard_measure_matrix, DiGraph, GraphDelta, MatrixKind,
-    NodePartition,
+    btf_partition, coupling_matrix, shard_measure_matrix, DeltaClass, DiGraph, GraphDelta,
+    MatrixKind, NodePartition,
 };
-use clude_lu::{
-    extend_structure, BennettStats, BennettWorkspace, LuError, RefactorWorkspace, ShardWorkspaces,
-};
+use clude_lu::{cost, extend_structure, BennettStats, LuError};
 use clude_sparse::CsrMatrix;
 use clude_telemetry::{EngineEvent, Stage, TelemetryRegistry};
 use std::sync::Arc;
@@ -69,105 +70,27 @@ pub enum PartitionStrategy {
     Btf,
 }
 
-/// One shard's factors under its own ordering (local coordinates
-/// throughout; refreshes replace the whole [`OrderedFactors`]).
-#[derive(Debug, Clone)]
-struct FactorShard {
-    of: OrderedFactors,
-    /// A batch's entries in factor coordinates, reused across advances.
-    mapped: Vec<(usize, usize, f64, f64)>,
-}
+/// How much cheaper than the sweeps a rebuild must be predicted before it is
+/// chosen.  A batch's reach scatters two- to three-fold around the running
+/// share while a rebuild's cost barely moves, so the batches that *look* like
+/// rebuilds are the ones whose sweeps are most overestimated: in counted
+/// work (`the_decision_stays_within_a_tenth_of_the_better_arm_on_both_shapes`)
+/// the 4 × 500-node shape spends 3 % more than always sweeping without the
+/// margin and 1 % less with it, and the 400-node block's 5× gap does not
+/// notice.
+const REBUILD_MARGIN: f64 = 1.25;
 
-impl FactorShard {
-    fn new(of: OrderedFactors) -> Self {
-        FactorShard {
-            of,
-            mapped: Vec::new(),
-        }
-    }
-
-    /// Factorizes shard `shard`'s block of `graph` as the block current as
-    /// of snapshot `id`.
-    fn build(
-        graph: &DiGraph,
-        kind: MatrixKind,
-        partition: &NodePartition,
-        shard: usize,
-        id: u64,
-    ) -> EngineResult<Self> {
-        let matrix = shard_measure_matrix(graph, kind, partition, shard);
-        Ok(FactorShard::new(order_and_factorize(&matrix, id)?))
-    }
-
-    /// Translates one shard-local entry list (local coordinates) through the
-    /// shard's ordering and stages the decided arm over it: a sweep's copy
-    /// of the block is made here, under a `snapshot.freeze` span.  Runs on
-    /// the coordinating thread, before the arms fan out: the copy becomes
-    /// the next block, which snapshots keep for as long as the ring does,
-    /// and allocated on a short-lived worker it would sit in that thread's
-    /// allocator arena (10–20 % more peak memory on the 4-shard structural
-    /// workloads).
-    fn stage(
-        &mut self,
-        arm: MaintenanceArm,
-        entries: &[(usize, usize, f64, f64)],
-        telemetry: &TelemetryRegistry,
-    ) -> Staged {
-        let of = &self.of;
-        self.mapped.clear();
-        self.mapped.extend(
-            entries
-                .iter()
-                .map(|&(r, c, old, new)| (of.row_old_to_new[r], of.col_old_to_new[c], old, new)),
-        );
-        match arm {
-            MaintenanceArm::BennettSweep => {
-                let _freeze = telemetry.span(Stage::SnapshotFreeze);
-                let positions = self.mapped.iter().map(|&(i, j, ..)| (i, j));
-                Staged::Sweep(extend_structure(self.of.factors(), positions))
-            }
-            MaintenanceArm::FrozenRefactor => Staged::FrozenRefactor,
-            MaintenanceArm::Rebuild => Staged::Rebuild,
-            MaintenanceArm::Reorder => Staged::Reorder,
-        }
-    }
-
-    /// Runs the decided arm over the entries [`FactorShard::stage`]
-    /// translated and staged.  Runs on a worker thread during parallel
-    /// advances.
-    fn apply(
-        &mut self,
-        staged: Staged,
-        ws: &mut BennettWorkspace,
-        rws: &mut RefactorWorkspace,
-        ctx: SweepContext<'_>,
-        shard: usize,
-    ) -> Result<ShardOutcome, LuError> {
-        self.of.maintain(
-            staged,
-            ws,
-            rws,
-            &self.mapped,
-            ctx.telemetry,
-            shard,
-            ctx.id,
-            || shard_measure_matrix(ctx.graph, ctx.kind, ctx.partition, shard),
-        )
-    }
-}
-
-/// Shared read-only context of one advance's per-shard arms.
-#[derive(Clone, Copy)]
-struct SweepContext<'a> {
-    /// The snapshot the batch produces: what the blocks it writes are
-    /// current as of.
-    id: u64,
-    graph: &'a DiGraph,
-    partition: &'a NodePartition,
+/// Factorizes shard `shard`'s block of `graph` as the block current as of
+/// snapshot `id`.
+fn build_shard(
+    graph: &DiGraph,
     kind: MatrixKind,
-    /// Shared sink for per-shard sweep/refactor/refresh spans (worker
-    /// threads record concurrently through relaxed atomics).
-    telemetry: &'a TelemetryRegistry,
+    partition: &NodePartition,
+    shard: usize,
+    id: u64,
+) -> EngineResult<OrderedFactors> {
+    let matrix = shard_measure_matrix(graph, kind, partition, shard);
+    Ok(order_and_factorize(&matrix, id)?)
 }
 
 /// The cross-shard entries of the measure matrix over `partition`, as the
@@ -269,11 +192,7 @@ pub struct ShardedFactorStore {
     policy: RefreshPolicy,
     partition: Arc<NodePartition>,
     graph: DiGraph,
-    shards: Vec<FactorShard>,
-    workspaces: ShardWorkspaces,
-    /// Reused per-shard refactorization scratch (stamped dense accumulator),
-    /// rebuilt alongside `workspaces` on repartition/restore.
-    refactor_workspaces: Vec<RefactorWorkspace>,
+    shards: Vec<OrderedFactors>,
     /// How repartitions derive the replacement partition.
     partition_strategy: PartitionStrategy,
     snapshot_id: u64,
@@ -321,11 +240,9 @@ impl ShardedFactorStore {
             )));
         }
         let partition = Arc::new(partition);
-        let shards: Vec<FactorShard> = (0..partition.n_shards())
-            .map(|s| FactorShard::build(&graph, kind, &partition, s, 0))
+        let shards: Vec<OrderedFactors> = (0..partition.n_shards())
+            .map(|s| build_shard(&graph, kind, &partition, s, 0))
             .collect::<EngineResult<_>>()?;
-        let workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
-        let refactor_workspaces = refactor_workspaces_for(&partition);
         let published_coupling =
             FrozenCoupling::new(cross_shard_coupling(&graph, kind, &partition));
         let coupling_cfg = CouplingConfig::default();
@@ -335,8 +252,6 @@ impl ShardedFactorStore {
             partition,
             graph,
             shards,
-            workspaces,
-            refactor_workspaces,
             partition_strategy: PartitionStrategy::default(),
             snapshot_id: 0,
             published_coupling,
@@ -376,7 +291,7 @@ impl ShardedFactorStore {
             blocks: self
                 .shards
                 .iter()
-                .map(|s| (Arc::clone(s.of.block()), s.of.reference_nnz))
+                .map(|s| (Arc::clone(s.block()), s.reference_nnz))
                 .collect(),
         }
     }
@@ -449,24 +364,25 @@ impl ShardedFactorStore {
         }
         let mut shards = Vec::with_capacity(blocks.len());
         for (s, block) in blocks.into_iter().enumerate() {
+            let corrupt = |e: &dyn std::fmt::Display| {
+                EngineError::Persistence(format!("checkpoint block of shard {s}: {e}"))
+            };
             // A block whose structure is not closed under elimination (an
             // image written before blocks were kept closed) is closed once,
-            // here.  The reordered-matrix cache is rebuilt lazily by the
-            // first refactor pass; a checkpoint block carries no matrix.
-            let factors = extend_structure(&block.factors, []).map_err(|e| {
-                EngineError::Persistence(format!("checkpoint block of shard {s}: {e}"))
-            })?;
-            let of = OrderedFactors::new(
+            // here.  A checkpoint block carries no matrix: it is derived
+            // from the graph under the block's ordering.
+            let factors = extend_structure(&block.factors, []).map_err(|e| corrupt(&e))?;
+            let matrix = shard_measure_matrix(&graph, kind, &partition, s)
+                .reorder(&block.ordering)
+                .map_err(|e| corrupt(&e))?;
+            shards.push(OrderedFactors::new(
                 block.ordering,
                 factors,
                 block.reference_nnz,
-                None,
+                matrix,
                 block.index,
-            );
-            shards.push(FactorShard::new(of));
+            ));
         }
-        let workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
-        let refactor_workspaces = refactor_workspaces_for(&partition);
         let published_coupling = FrozenCoupling::new(CsrMatrix::from_coo(&triplets));
         Ok(ShardedFactorStore {
             kind,
@@ -474,8 +390,6 @@ impl ShardedFactorStore {
             partition,
             graph,
             shards,
-            workspaces,
-            refactor_workspaces,
             partition_strategy: PartitionStrategy::default(),
             snapshot_id,
             published_coupling,
@@ -544,7 +458,7 @@ impl ShardedFactorStore {
 
     /// Total factor size across shards, `Σ_s |sp(Â_s)|`.
     pub fn factor_nnz(&self) -> usize {
-        self.shards.iter().map(|s| s.of.factors().nnz()).sum()
+        self.shards.iter().map(|s| s.factors().nnz()).sum()
     }
 
     /// Number of live cross-shard coupling entries.
@@ -556,7 +470,7 @@ impl ShardedFactorStore {
     pub fn quality_loss(&self) -> f64 {
         self.shards
             .iter()
-            .map(|shard| shard.of.quality_loss())
+            .map(OrderedFactors::quality_loss)
             .fold(0.0, f64::max)
     }
 
@@ -574,7 +488,7 @@ impl ShardedFactorStore {
         let shards = self
             .shards
             .iter()
-            .map(|s| ShardSnapshot::new(Arc::clone(s.of.block())))
+            .map(|s| ShardSnapshot::new(Arc::clone(s.block())))
             .collect();
         EngineSnapshot::from_parts(
             self.snapshot_id,
@@ -667,28 +581,17 @@ impl ShardedFactorStore {
                 coupling_writes.push((r, c, new));
             }
         }
-        // The one maintenance decision, per shard with work: pattern- and
-        // count-only, so taking it after the graph mutation changes nothing.
+        // The one maintenance decision, per shard with work, staged:
+        // pattern- and count-only, so taking it after the graph mutation
+        // changes nothing.
         let active: Vec<usize> = (0..k).filter(|&s| !shard_entries[s].is_empty()).collect();
-        let mut decisions: Vec<Option<MaintenanceDecision>> = vec![None; k];
+        let mut predicted = vec![0.0; k];
         let mut staged: Vec<Option<Staged>> = (0..k).map(|_| None).collect();
         for &s in &active {
             per_shard[s].entries_applied = shard_entries[s].len() as u64;
-            let decision = self.shards[s].of.decide(
-                self.policy,
-                self.kind,
-                &intra_deltas[s],
-                |u| self.partition.local_of(u),
-                &shard_entries[s],
-            );
-            #[cfg(test)]
-            let decision = MaintenanceDecision {
-                arm: self.forced_arm.unwrap_or(decision.arm),
-                ..decision
-            };
-            decisions[s] = Some(decision);
-            staged[s] =
-                Some(self.shards[s].stage(decision.arm, &shard_entries[s], &self.telemetry));
+            let (prepared, cost) = self.stage(s, &intra_deltas[s], &shard_entries[s]);
+            staged[s] = Some(prepared);
+            predicted[s] = cost;
         }
 
         // Fan the disjoint per-shard arms out across scoped threads — when
@@ -696,16 +599,13 @@ impl ShardedFactorStore {
         // frozen-pattern pass runs inline: a pass costs less than the spawn +
         // join that would parallelise it (ROADMAP "Measured" has the
         // numbers), as does a single active shard of any kind.
-        let frozen =
-            |s: &usize| decisions[*s].is_some_and(|d| d.arm == MaintenanceArm::FrozenRefactor);
-        let inline = active.len() <= 1 || (!force_fan_out && active.iter().all(frozen));
-        let ctx = SweepContext {
-            id: self.snapshot_id,
-            graph: &self.graph,
-            partition: &self.partition,
-            kind: self.kind,
-            telemetry: &self.telemetry,
+        let frozen = |s: &usize| {
+            staged[*s]
+                .as_ref()
+                .is_some_and(|st| st.arm() == MaintenanceArm::FrozenRefactor)
         };
+        let inline = active.len() <= 1 || (!force_fan_out && active.iter().all(frozen));
+        let (id, telemetry) = (self.snapshot_id, &*self.telemetry);
         let mut outcomes: Vec<Option<Result<ShardOutcome, LuError>>> =
             (0..k).map(|_| None).collect();
         if inline {
@@ -713,31 +613,18 @@ impl ShardedFactorStore {
                 let Some(staged) = staged[s].take() else {
                     continue;
                 };
-                outcomes[s] = Some(self.shards[s].apply(
-                    staged,
-                    self.workspaces.get_mut(s),
-                    &mut self.refactor_workspaces[s],
-                    ctx,
-                    s,
-                ));
+                outcomes[s] = Some(self.shards[s].maintain(staged, telemetry, s, id));
             }
         } else {
             let results = std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(active.len());
                 let mut here = Vec::new();
-                for ((((s, shard), ws), rws), staged) in self
-                    .shards
-                    .iter_mut()
-                    .enumerate()
-                    .zip(self.workspaces.iter_mut())
-                    .zip(self.refactor_workspaces.iter_mut())
-                    .zip(staged.iter_mut())
-                {
+                for ((s, shard), staged) in self.shards.iter_mut().enumerate().zip(&mut staged) {
                     let Some(staged) = staged.take() else {
                         continue;
                     };
                     let rebuild = staged.arm() == MaintenanceArm::Rebuild;
-                    let arm = move || shard.apply(staged, ws, rws, ctx, s);
+                    let arm = move || shard.maintain(staged, telemetry, s, id);
                     if rebuild {
                         // A rebuild allocates its structure and its symbolic
                         // rows; on a short-lived worker those land in a
@@ -777,10 +664,10 @@ impl ShardedFactorStore {
             report.bennett.merge(&outcome.bennett);
             report.per_shard[s].sweeps = outcome.bennett.rank_one_updates as u64;
             report.per_shard[s].arm = Some(outcome.arm);
-            report.per_shard[s].predicted_cost = decisions[s].map_or(0.0, |d| d.predicted_cost);
+            report.per_shard[s].predicted_cost = predicted[s];
             report.per_shard[s].actual_work = outcome.actual_work;
             report.per_shard[s].rows_refactored = outcome.rows_refactored as u64;
-            report.per_shard[s].block_order = self.shards[s].of.factors().n() as u64;
+            report.per_shard[s].block_order = self.shards[s].factors().n() as u64;
             // Copy-on-write: only the shards this batch maintained installed
             // a new block; every other shard keeps serving the block older
             // snapshots already hold.  Only a re-order moves the ordering.
@@ -837,15 +724,103 @@ impl ShardedFactorStore {
         // Quality-loss is a property of the shard's accumulated state, not
         // of this batch's work: report it for idle shards too.
         for (s, shard) in self.shards.iter().enumerate() {
-            report.per_shard[s].quality_loss = shard.of.quality_loss();
+            report.per_shard[s].quality_loss = shard.quality_loss();
         }
         report.quality_loss = self.quality_loss();
         Ok(report)
     }
 
+    /// The one maintenance decision for shard `s`'s slice of a batch,
+    /// staged on the coordinating thread before the arms fan out: which arm
+    /// absorbs it, and what the cost model expects the arm to cost — from
+    /// counts only, so the same stream decides the same way on every run and
+    /// no clock is read.
+    ///
+    /// `intra` is the slice's edge changes (global node ids), `entries` the
+    /// matrix entries they change (local coordinates), which the shard keeps
+    /// translated into factor coordinates for its arm.  In order:
+    ///
+    /// 1. a block whose quality-loss ([`refresh_decision`], Definition 4
+    ///    against the size at its last re-order) is over the policy's budget
+    ///    re-orders — this batch is absorbed by the fresh factorization, no
+    ///    work is spent on factors about to be dropped;
+    /// 2. a value-only slice ([`DeltaClass::ValueOnly`] against the block's
+    ///    structure) takes the pattern-frozen pass — the only arm such a
+    ///    slice can take, so its prediction, the full pass over the block's
+    ///    elimination work, is never weighed against another arm and stays
+    ///    an upper bound on the reach the pass recomputes;
+    /// 3. a structural slice takes the cheaper of Bennett sweeps — priced by
+    ///    the shard's [`clude_lu::Maintainer::sweep_ns`], plus the copy they
+    ///    run on — and a rebuild under the held ordering, predicted from the
+    ///    factor size and the elimination work.
+    ///
+    /// A sweep's copy of the block (`Staged::Sweep`) is made here, under a
+    /// `snapshot.freeze` span: the copy becomes the next block, which snapshots keep for as
+    /// long as the ring does, and allocated on a short-lived worker it would
+    /// sit in that thread's allocator arena (10–20 % more peak memory on the
+    /// 4-shard structural workloads).
+    fn stage(
+        &mut self,
+        s: usize,
+        intra: &GraphDelta,
+        entries: &[(usize, usize, f64, f64)],
+    ) -> (Staged, f64) {
+        let shard = &mut self.shards[s];
+        let (rows, cols) = (&shard.row_old_to_new, &shard.col_old_to_new);
+        shard.mapped.clear();
+        shard.mapped.extend(
+            entries
+                .iter()
+                .map(|&(r, c, old, new)| (rows[r], cols[c], old, new)),
+        );
+        let shard = &self.shards[s];
+        let structure = shard.factors().structure();
+        let (nnz, order) = (structure.nnz(), structure.n());
+        let priced = |arm: MaintenanceArm, work: u64| (arm, arm.model_cost(work, nnz, order));
+        let over_budget = match self.policy {
+            RefreshPolicy::QualityTriggered { max_quality_loss } => {
+                refresh_decision(nnz, shard.reference_nnz, max_quality_loss).should_refresh
+            }
+            RefreshPolicy::Incremental => false,
+        };
+        let local = |u: usize| self.partition.local_of(u);
+        let (arm, predicted_cost) = if over_budget {
+            priced(MaintenanceArm::Reorder, shard.elimination_work)
+        } else if intra.classify_with(self.kind, |i, j| {
+            structure.contains(
+                shard.row_old_to_new[local(i)],
+                shard.col_old_to_new[local(j)],
+            )
+        }) == DeltaClass::ValueOnly
+        {
+            priced(MaintenanceArm::FrozenRefactor, shard.elimination_work)
+        } else {
+            let sweep = shard.maintainer.sweep_ns(&shard.mapped, nnz) + cost::freeze_ns(nnz);
+            let rebuild = priced(MaintenanceArm::Rebuild, shard.elimination_work);
+            if sweep <= REBUILD_MARGIN * rebuild.1 {
+                (MaintenanceArm::BennettSweep, sweep)
+            } else {
+                rebuild
+            }
+        };
+        #[cfg(test)]
+        let arm = self.forced_arm.unwrap_or(arm);
+        let staged = match arm {
+            MaintenanceArm::BennettSweep => {
+                let _freeze = self.telemetry.span(Stage::SnapshotFreeze);
+                let positions = shard.mapped.iter().map(|&(i, j, ..)| (i, j));
+                Staged::Sweep(extend_structure(shard.factors(), positions))
+            }
+            MaintenanceArm::FrozenRefactor => Staged::FrozenRefactor,
+            MaintenanceArm::Rebuild => Staged::Rebuild,
+            MaintenanceArm::Reorder => Staged::Reorder,
+        };
+        (staged, predicted_cost)
+    }
+
     /// Re-runs the partition strategy on the current graph and rebuilds the
-    /// store around it: fresh shard orderings and factorizations, fresh
-    /// workspaces, every block replaced, the coupling re-collected and
+    /// store around it: fresh shards — orderings, factorizations, held
+    /// matrices and scratch — every block replaced, the coupling re-collected and
     /// frozen with an empty plan cell (no plan outlives its partition).  The
     /// next trigger backs off to `max(budget, 2 × surviving coupling size)`
     /// so repeated triggers on a genuinely dense graph stay amortized.
@@ -859,11 +834,9 @@ impl ShardedFactorStore {
             PartitionStrategy::EdgeLocality => edge_locality_partition(&self.graph, k),
             PartitionStrategy::Btf => btf_partition(&self.graph, self.kind, k).0,
         });
-        let shards: Vec<FactorShard> = (0..partition.n_shards())
-            .map(|s| FactorShard::build(&self.graph, self.kind, &partition, s, self.snapshot_id))
+        let shards: Vec<OrderedFactors> = (0..partition.n_shards())
+            .map(|s| build_shard(&self.graph, self.kind, &partition, s, self.snapshot_id))
             .collect::<EngineResult<_>>()?;
-        self.workspaces = ShardWorkspaces::for_orders(&partition.shard_sizes());
-        self.refactor_workspaces = refactor_workspaces_for(&partition);
         let freeze = self.telemetry.span(Stage::SnapshotFreeze);
         self.published_coupling =
             FrozenCoupling::new(cross_shard_coupling(&self.graph, self.kind, &partition));
@@ -890,9 +863,9 @@ impl ShardedFactorStore {
         for (s, shard) in self.shards.iter().enumerate() {
             let nodes = self.partition.nodes_of(s);
             // Undo the shard-local ordering to recover A[S_s, S_s].
-            let reconstructed = shard.of.factors().reconstruct();
-            let row_new_to_old = shard.of.ordering.row().as_new_to_old();
-            let col_new_to_old = shard.of.ordering.col().as_new_to_old();
+            let reconstructed = shard.factors().reconstruct();
+            let row_new_to_old = shard.ordering.row().as_new_to_old();
+            let col_new_to_old = shard.ordering.col().as_new_to_old();
             for (i, j, v) in reconstructed.iter() {
                 coo.push(nodes[row_new_to_old[i]], nodes[col_new_to_old[j]], v)
                     .unwrap();
@@ -905,15 +878,6 @@ impl ShardedFactorStore {
         let diff = reassembled.max_abs_diff(&full).unwrap();
         assert!(diff <= tol, "sharded state drifted from A: {diff:e}");
     }
-}
-
-/// One refactorization scratch per shard, sized to the shard's order.
-fn refactor_workspaces_for(partition: &NodePartition) -> Vec<RefactorWorkspace> {
-    partition
-        .shard_sizes()
-        .iter()
-        .map(|&n| RefactorWorkspace::with_order(n))
-        .collect()
 }
 
 #[cfg(test)]
@@ -933,7 +897,7 @@ mod tests {
     /// The plan a solve over the store's current blocks and `coupling`
     /// builds.
     fn plan_over(store: &ShardedFactorStore, coupling: &CsrMatrix) -> CouplingPlan {
-        let orderings = store.shards.iter().map(|s| Arc::clone(&s.of.ordering));
+        let orderings = store.shards.iter().map(|s| Arc::clone(&s.ordering));
         CouplingPlan::build(store.partition(), coupling, orderings.collect())
     }
 
@@ -1690,7 +1654,7 @@ mod tests {
             let matrix =
                 shard_measure_matrix(store.graph(), store.matrix_kind(), store.partition(), s);
             assert_eq!(
-                *store.shards[s].of.ordering,
+                *store.shards[s].ordering,
                 clude_lu::markowitz_ordering(&matrix.pattern()).ordering,
                 "shard {s}"
             );
@@ -1930,10 +1894,10 @@ mod tests {
                 .shards
                 .iter()
                 .map(|shard| crate::checkpoint::RestoredBlock {
-                    index: shard.of.block().index as u64,
-                    reference_nnz: shard.of.reference_nnz,
-                    ordering: (*shard.of.ordering).clone(),
-                    factors: shard.of.factors().clone(),
+                    index: shard.block().index as u64,
+                    reference_nnz: shard.reference_nnz,
+                    ordering: (*shard.ordering).clone(),
+                    factors: shard.factors().clone(),
                 })
                 .collect(),
         }
@@ -2077,7 +2041,7 @@ mod tests {
     fn assert_blocks_closed(store: &ShardedFactorStore) {
         for (s, shard) in store.shards.iter().enumerate() {
             assert!(
-                shard.of.factors().structure().is_elimination_closed(),
+                shard.factors().structure().is_elimination_closed(),
                 "shard {s}"
             );
         }
@@ -2097,7 +2061,7 @@ mod tests {
         let snap0 = store.snapshot();
         let answer0 = snap0.query(&q).unwrap();
         let structure_of =
-            |store: &ShardedFactorStore| Arc::clone(store.shards[0].of.factors().structure());
+            |store: &ShardedFactorStore| Arc::clone(store.shards[0].factors().structure());
         let s0 = structure_of(&store);
 
         // Value-only (a removal rescales stored positions): new block, new
@@ -2114,7 +2078,7 @@ mod tests {
         );
         assert!(!Arc::ptr_eq(
             snap0.shards()[0].shared(),
-            store.shards[0].of.block()
+            store.shards[0].block()
         ));
         assert!(Arc::ptr_eq(&s0, &structure_of(&store)));
         assert_blocks_closed(&store);
@@ -2186,8 +2150,8 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         for s in 0..4 {
             assert_eq!(
-                bits(inline.shards[s].of.factors().export_entries()),
-                bits(fanned.shards[s].of.factors().export_entries())
+                bits(inline.shards[s].factors().export_entries()),
+                bits(fanned.shards[s].factors().export_entries())
             );
         }
         assert_eq!(
@@ -2250,11 +2214,11 @@ mod tests {
                 assert_eq!(shard.arm, Some(MaintenanceArm::FrozenRefactor));
                 let (old, new) = (
                     static_factors(old_snapshot.shards()[s].decomposed()),
-                    store.shards[s].of.factors(),
+                    store.shards[s].factors(),
                 );
                 assert!(Arc::ptr_eq(old.structure(), new.structure()));
                 assert!(new.structure().is_elimination_closed());
-                let ordering = &store.shards[s].of.ordering;
+                let ordering = &store.shards[s].ordering;
                 let matrix = |g: &DiGraph| {
                     shard_measure_matrix(g, kind, store.partition(), s)
                         .reorder(ordering)
@@ -2294,7 +2258,7 @@ mod tests {
         )
         .unwrap();
         let structure_of =
-            |store: &ShardedFactorStore| Arc::clone(store.shards[0].of.factors().structure());
+            |store: &ShardedFactorStore| Arc::clone(store.shards[0].factors().structure());
         // Two removals and an insert, absorbed by Bennett sweeps first: the
         // removed positions stay behind as stored zeros.
         store
@@ -2305,7 +2269,7 @@ mod tests {
             .unwrap();
         // The next structural batch is rebuilt under the held ordering.
         store.forced_arm = Some(MaintenanceArm::Rebuild);
-        let ordering = store.shards[0].of.ordering.clone();
+        let ordering = store.shards[0].ordering.clone();
         let report = store
             .advance(&GraphDelta {
                 added: vec![(3, 9)],
@@ -2317,10 +2281,7 @@ mod tests {
         assert!(shard.actual_work > 0 && shard.predicted_cost > 0.0);
         assert_eq!(report.bennett.rank_one_updates, 0);
         assert!(!report.refreshed);
-        assert_eq!(
-            store.shards[0].of.ordering, ordering,
-            "the ordering is held"
-        );
+        assert_eq!(store.shards[0].ordering, ordering, "the ordering is held");
         // The block is on the closed pattern of the matrix as it is now: the
         // sweeps' stored zeros are gone.
         assert_blocks_closed(&store);
@@ -2418,7 +2379,7 @@ mod tests {
                         let report = fork.advance(delta).unwrap();
                         (0..fork.n_shards())
                             .map(|s| {
-                                let factors = fork.shards[s].of.factors();
+                                let factors = fork.shards[s].factors();
                                 forced.model_cost(
                                     report.per_shard[s].actual_work,
                                     factors.nnz(),
@@ -2596,7 +2557,7 @@ mod tests {
                     let mut answers: Vec<Vec<Vec<f64>>> = Vec::new();
                     for store in &mut stores {
                         let before: Vec<_> = (0..store.n_shards())
-                            .map(|s| Arc::clone(store.shards[s].of.factors().structure()))
+                            .map(|s| Arc::clone(store.shards[s].factors().structure()))
                             .collect();
                         let report = store.advance(&delta).unwrap();
                         assert_blocks_closed(store);
@@ -2613,7 +2574,7 @@ mod tests {
                             if report.repartitioned {
                                 continue;
                             }
-                            let after = store.shards[s].of.factors().structure();
+                            let after = store.shards[s].factors().structure();
                             match shard.arm {
                                 Some(MaintenanceArm::FrozenRefactor) => {
                                     prop_assert!(Arc::ptr_eq(&before[s], after));

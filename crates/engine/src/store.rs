@@ -3,16 +3,17 @@
 //! * [`EngineSnapshot`] / [`ShardSnapshot`] — the immutable unit the query
 //!   side serves from: the snapshot graph, one shared factor block per
 //!   shard, and the frozen cross-shard coupling.
-//! * `OrderedFactors` — one block's ordering, its factors — the last block
-//!   it published, which is the live storage itself — and quality anchor,
-//!   with the one maintenance decision
-//!   (`OrderedFactors::decide`) every advance takes per shard and the four
-//!   [`MaintenanceArm`]s it chooses among by predicted cost: Bennett sweeps
-//!   (`clude_lu::apply_delta_with`) over a structure extended to cover the
-//!   batch (`clude_lu::extend_structure`), a pattern-frozen refactorization of
-//!   the changed rows' elimination reach (`clude_lu::refactor_frozen_reach`)
-//!   for value-only batches, a rebuild under the held ordering
-//!   (`clude_lu::rebuild_under_ordering`), a re-order.
+//! * `OrderedFactors` — one shard: its ordering, its factors — the last block
+//!   it published, which is the live storage itself — its quality anchor,
+//!   and the [`clude_lu::Maintainer`] holding the matrix the block
+//!   factorizes, which every batch writes its slice into, so no arm reads
+//!   the graph.  The one maintenance decision every advance takes per shard
+//!   (`ShardedFactorStore::stage`) chooses among the four [`MaintenanceArm`]s
+//!   by predicted cost: Bennett sweeps over a structure extended to cover the
+//!   batch (`clude_lu::extend_structure`), a pattern-frozen refactorization
+//!   of the changed rows' elimination reach for value-only batches, a
+//!   rebuild under the held ordering (`clude_lu::rebuild_under_ordering`), a
+//!   re-order.
 //! * [`RefreshPolicy`] — when a block abandons its ordering, mirroring the
 //!   paper's algorithm families: [`RefreshPolicy::Incremental`] is INC-style
 //!   (one ordering forever, never re-ordered for quality);
@@ -27,12 +28,11 @@
 //! its one-shard case.
 
 use crate::coupling::{self, CouplingPlan, FrozenCoupling, SolveTolerance};
-use clude::{refresh_decision, DecomposedMatrix, MatrixFactors};
-use clude_graph::{DeltaClass, DiGraph, GraphDelta, MatrixKind, NodePartition};
+use clude::{DecomposedMatrix, MatrixFactors};
+use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_lu::{
-    apply_delta_with, cost, factorize_fresh, markowitz_ordering, rebuild_under_ordering,
-    refactor_frozen_reach, BennettStats, BennettWorkspace, LuError, LuFactors, LuResult,
-    RefactorWorkspace, RunningReach,
+    cost, factorize_fresh, markowitz_ordering, rebuild_under_ordering, BennettStats, LuError,
+    LuFactors, LuResult, Maintainer,
 };
 use clude_measures::{evaluate_queries_with, evaluate_query_with, MeasureQuery, MeasureSolver};
 use clude_sparse::CsrMatrix;
@@ -246,18 +246,18 @@ impl MeasureSolver for EngineSnapshot {
 }
 
 /// The four ways a shard can absorb its slice of a batch — the range of the
-/// one maintenance decision (`OrderedFactors::decide`).
+/// one maintenance decision (`ShardedFactorStore::stage`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MaintenanceArm {
     /// One Bennett rank-one sweep per changed column
-    /// (`clude_lu::apply_delta_with`) over a copy of the block, whose
+    /// ([`clude_lu::Maintainer::sweep`]) over a copy of the block, whose
     /// structure is first extended to cover the slice's entries
     /// (`clude_lu::extend_structure`) — the sweep's fill cannot escape it.
     BennettSweep,
     /// One numeric pass down the frozen symbolic pattern — value-only
     /// batches — over a copy of the block, recomputing only the elimination
     /// reach of the changed rows, since the block's structure is closed
-    /// under elimination (`clude_lu::refactor_frozen_reach`).
+    /// under elimination ([`clude_lu::Maintainer::refactor_reach`]).
     FrozenRefactor,
     /// Re-symbolic + numeric factorization under the *held* ordering
     /// (`clude_lu::rebuild_under_ordering`): one pass whatever the batch
@@ -313,26 +313,6 @@ impl MaintenanceArm {
     }
 }
 
-/// How much cheaper than the sweeps a rebuild must be predicted before it is
-/// chosen.  A batch's reach scatters two- to three-fold around the running
-/// share while a rebuild's cost barely moves, so the batches that *look* like
-/// rebuilds are the ones whose sweeps are most overestimated: in counted
-/// work (`the_decision_stays_within_a_tenth_of_the_better_arm_on_both_shapes`)
-/// the 4 × 500-node shape spends 3 % more than always sweeping without the
-/// margin and 1 % less with it, and the 400-node block's 5× gap does not
-/// notice.
-const REBUILD_MARGIN: f64 = 1.25;
-
-/// What [`OrderedFactors::decide`] chose for one shard's slice of a batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct MaintenanceDecision {
-    pub arm: MaintenanceArm,
-    /// [`MaintenanceArm::model_cost`] of the arm on the predicted work.
-    /// For the frozen-pattern pass that is the full pass's, an upper bound
-    /// on the reach it recomputes: no other arm is ever weighed against it.
-    pub predicted_cost: f64,
-}
-
 /// One shard's decided arm, staged on the coordinating thread before the
 /// arms fan out: a sweep carries the copy of the block it runs on — the
 /// block over its structure extended to cover the slice's entries
@@ -370,10 +350,11 @@ pub(crate) struct ShardOutcome {
     pub bennett: BennettStats,
 }
 
-/// A matrix's fill-reducing ordering, its factors under that ordering, and
-/// the derived bookkeeping every factor shard keeps: the `old → new` index
-/// maps advances translate coordinates with, and the factor size that
-/// anchors the quality-loss metric.
+/// One factor shard: its matrix's fill-reducing ordering, its factors under
+/// that ordering, and the derived bookkeeping — the `old → new` index maps
+/// advances translate coordinates with, and the factor size that anchors the
+/// quality-loss metric — beside the [`Maintainer`] holding the matrix the
+/// factors factorize.  Local coordinates throughout.
 #[derive(Debug, Clone)]
 pub(crate) struct OrderedFactors {
     /// Shared with every block published under it.
@@ -388,32 +369,31 @@ pub(crate) struct OrderedFactors {
     /// frozen-pattern pass keeps it, a sweep extends it closed first.
     block: Arc<DecomposedMatrix>,
     pub reference_nnz: usize,
-    /// The reordered measure matrix the factors were computed from, kept in
-    /// sync by value-only batches so the refactor fast path never rebuilds
-    /// it from the graph.  Invalidated (`None`) when a structural Bennett
-    /// pass changes the pattern underneath it.
-    pub reordered: Option<CsrMatrix>,
     /// Multiply-adds of a numeric factorization down the pattern the factors
     /// had when they were last factorized as a whole (slots a sweep's
     /// extension added since are not counted): the decision's
     /// elimination-work input.
-    elimination_work: u64,
-    /// Running share of the factor entries one rank-one update touches:
-    /// what the decision predicts the next sweep from.  Survives the shard's
-    /// own re-orders — the reach follows the block's shape, which a new
-    /// ordering of the same block barely moves; a repartition or a restore
-    /// starts a fresh shard from the prior.
-    reach: RunningReach,
+    pub elimination_work: u64,
+    /// The block's matrix in factor coordinates, current after every batch —
+    /// each writes its slice into it before its arm runs — with the running
+    /// reach the decision predicts sweeps from and the arms' scratch.  The
+    /// reach survives the shard's own re-orders — it follows the block's
+    /// shape, which a new ordering of the same block barely moves; a
+    /// repartition or a restore starts a fresh shard from the prior.
+    pub maintainer: Maintainer,
+    /// A batch's entries in factor coordinates, reused across advances.
+    pub mapped: Vec<(usize, usize, f64, f64)>,
 }
 
 impl OrderedFactors {
     /// Packages restored or freshly computed factors — over a structure
-    /// closed under elimination — as the block current as of snapshot `id`.
+    /// closed under elimination — of `matrix`, given in factor coordinates,
+    /// as the block current as of snapshot `id`.
     pub(crate) fn new(
         ordering: clude_sparse::Ordering,
         factors: LuFactors,
         reference_nnz: usize,
-        reordered: Option<CsrMatrix>,
+        matrix: CsrMatrix,
         id: u64,
     ) -> Self {
         debug_assert!(factors.structure().is_elimination_closed());
@@ -425,8 +405,8 @@ impl OrderedFactors {
             block: block(id, &ordering, factors),
             ordering,
             reference_nnz,
-            reordered,
-            reach: RunningReach::default(),
+            maintainer: Maintainer::new(matrix),
+            mapped: Vec::new(),
         }
     }
 
@@ -453,89 +433,21 @@ impl OrderedFactors {
         clude::quality_loss_from_sizes(self.factors().nnz(), self.reference_nnz)
     }
 
-    /// The one maintenance decision: which arm absorbs this shard's slice of
-    /// a batch, and what the cost model expects it to cost — from counts
-    /// only, so the same stream decides the same way on every run and no
-    /// clock is read.
-    ///
-    /// `intra` is the slice's edge changes (global node ids, `local` maps
-    /// them into the shard), `entries` the matrix entries they change.  In
-    /// order:
-    ///
-    /// 1. a block whose quality-loss ([`clude::refresh_decision`], Definition
-    ///    4 against the size at its last re-order) is over the policy's
-    ///    budget re-orders — this batch is absorbed by the fresh
-    ///    factorization, no work is spent on factors about to be dropped;
-    /// 2. a value-only slice ([`DeltaClass::ValueOnly`] against the block's
-    ///    structure) takes the pattern-frozen pass — the only arm such
-    ///    a slice can take, so its prediction, the full pass over the
-    ///    block's elimination work, is never weighed against another arm and
-    ///    stays an upper bound on the reach the pass recomputes;
-    /// 3. a structural slice takes the cheaper of Bennett sweeps — one per
-    ///    changed column, each predicted at this shard's running share of
-    ///    the factor entries a sweep touches — and a rebuild under the held
-    ///    ordering, predicted from the factor size and the elimination work.
-    pub(crate) fn decide(
-        &self,
-        policy: RefreshPolicy,
-        kind: MatrixKind,
-        intra: &GraphDelta,
-        local: impl Fn(usize) -> usize,
-        entries: &[(usize, usize, f64, f64)],
-    ) -> MaintenanceDecision {
-        let structure = self.factors().structure();
-        let (nnz, order) = (structure.nnz(), structure.n());
-        let predict = |arm: MaintenanceArm, work: u64| MaintenanceDecision {
-            arm,
-            predicted_cost: arm.model_cost(work, nnz, order),
-        };
-        if let RefreshPolicy::QualityTriggered { max_quality_loss } = policy {
-            if refresh_decision(nnz, self.reference_nnz, max_quality_loss).should_refresh {
-                return predict(MaintenanceArm::Reorder, self.elimination_work);
-            }
-        }
-        let class = intra.classify_with(kind, |i, j| {
-            structure.contains(self.row_old_to_new[local(i)], self.col_old_to_new[local(j)])
-        });
-        if class == DeltaClass::ValueOnly {
-            return predict(MaintenanceArm::FrozenRefactor, self.elimination_work);
-        }
-        // One rank-one update per distinct changed column.
-        let mut columns: Vec<usize> = entries.iter().map(|&(_, c, _, _)| c).collect();
-        columns.sort_unstable();
-        columns.dedup();
-        let sweep = predict(
-            MaintenanceArm::BennettSweep,
-            self.reach.predicted_entries(columns.len(), nnz),
-        );
-        let rebuild = predict(MaintenanceArm::Rebuild, self.elimination_work);
-        if sweep.predicted_cost <= REBUILD_MARGIN * rebuild.predicted_cost {
-            sweep
-        } else {
-            rebuild
-        }
-    }
-
-    /// Runs the decided arm over `delta` (the slice's changed entries in
-    /// factor coordinates), under the arm's stage span, and installs what it
-    /// wrote as the block current as of snapshot `id`.  A sweep runs on the
-    /// copy `staged` carries, the frozen-pattern pass on a copy of the block
-    /// as it stands.  A guard failure — a Bennett pivot going singular, an entry or fill
-    /// outside a frozen pattern, a refactor or rebuild pivot degrading —
-    /// abandons the arm, and its copy, for a re-order of the block's
-    /// current matrix (`rebuild_matrix()`), typed and journalled; an `Ok`
-    /// return always leaves servable factors.
-    #[allow(clippy::too_many_arguments)] // one call site
+    /// Writes the staged slice into the held matrix, then runs the staged
+    /// arm over it under the arm's stage span and installs what it wrote as
+    /// the block current as of snapshot `id`.  A sweep runs on the copy
+    /// `staged` carries, the frozen-pattern pass on a copy of the block as it
+    /// stands.  A guard failure — a Bennett pivot going singular, an entry
+    /// or fill outside a frozen pattern, a refactor or rebuild pivot
+    /// degrading — abandons the arm, and its copy, for a re-order of the
+    /// held matrix, typed and journalled; an `Ok` return always leaves
+    /// servable factors.
     pub(crate) fn maintain(
         &mut self,
         staged: Staged,
-        ws: &mut BennettWorkspace,
-        rws: &mut RefactorWorkspace,
-        delta: &[(usize, usize, f64, f64)],
         telemetry: &TelemetryRegistry,
         shard: usize,
         id: u64,
-        rebuild_matrix: impl Fn() -> CsrMatrix,
     ) -> LuResult<ShardOutcome> {
         let arm = staged.arm();
         let mut outcome = ShardOutcome {
@@ -544,52 +456,30 @@ impl OrderedFactors {
             rows_refactored: 0,
             bennett: BennettStats::default(),
         };
+        self.maintainer.write(&self.mapped);
         let done = match staged {
             Staged::Sweep(copy) => {
-                // Keep the reordered-matrix cache current: overwrite stored
-                // positions in place, and invalidate it the moment the batch
-                // lands outside the stored pattern (a structural insert).
-                if let Some(cached) = self.reordered.as_mut() {
-                    if !delta.iter().all(|&(i, j, _, new)| cached.set(i, j, new)) {
-                        self.reordered = None;
-                    }
-                }
+                // The reach is a share of the block the decision priced, not
+                // of the extended copy.
                 let nnz_before = self.factors().nnz();
                 let span = telemetry.span(Stage::ShardSweep);
                 let swept = copy.and_then(|mut block| {
-                    apply_delta_with(&mut block, ws, delta).map(|bennett| (block, bennett))
+                    let bennett = self
+                        .maintainer
+                        .sweep(&mut block, &self.mapped, nnz_before)?;
+                    Ok((block, bennett))
                 });
                 span.stop();
                 swept.map(|(block, bennett)| {
                     self.install(block, id);
-                    self.reach.observe(&bennett, nnz_before);
                     outcome.bennett = bennett;
                     bennett.entries_touched as u64
                 })
             }
             Staged::FrozenRefactor => {
-                // Bring the cached reordered matrix up to date in place — the
-                // whole point of the fast path is to not touch the graph.
-                // For a value-only batch every position is stored, so `set`
-                // only fails when the cache was invalidated by an earlier
-                // structural pass or the delta lands on a fill-only
-                // position; then (and only then) rebuild it once.
-                let up_to_date = match self.reordered.as_mut() {
-                    Some(cached) => delta.iter().all(|&(i, j, _, new)| cached.set(i, j, new)),
-                    None => false,
-                };
-                if !up_to_date {
-                    self.reordered = Some(self.reordered_matrix(&rebuild_matrix));
-                }
-                let cached = self
-                    .reordered
-                    .as_ref()
-                    // lint: allow(panic-surface) — ensured two branches up.
-                    .expect("reordered-matrix cache was just ensured");
-                let changed: Vec<usize> = delta.iter().map(|&(i, ..)| i).collect();
                 let span = telemetry.span(Stage::ShardRefactor);
                 let mut block = self.factors().clone();
-                let refactored = refactor_frozen_reach(&mut block, cached, Some(&changed), rws);
+                let refactored = self.maintainer.refactor_reach(&mut block, &self.mapped);
                 span.stop();
                 refactored.map(|stats| {
                     self.install(block, id);
@@ -598,13 +488,14 @@ impl OrderedFactors {
                 })
             }
             Staged::Rebuild => {
-                // The batch moved the pattern, so the matrix comes from the
-                // graph; the factors are untouched until the pass succeeded.
-                let matrix = self.reordered_matrix(&rebuild_matrix);
+                // The batch moved the pattern: factorize the held matrix
+                // without the zeros removals left stored; the factors are
+                // untouched until the pass succeeded.
+                let matrix = self.maintainer.matrix().prune(0.0);
                 let span = telemetry.span(Stage::ShardRefactor);
                 let rebuilt = rebuild_under_ordering(&matrix).map(|(factors, stats)| {
                     self.install(factors, id);
-                    self.reordered = Some(matrix);
+                    self.maintainer.set_matrix(matrix);
                     self.elimination_work = stats.multiply_adds;
                     stats.multiply_adds
                 });
@@ -613,7 +504,7 @@ impl OrderedFactors {
             }
             Staged::Reorder => {
                 let quality_loss = self.quality_loss();
-                self.reorder(&rebuild_matrix, telemetry, shard, false, quality_loss, id)?;
+                self.reorder(telemetry, shard, false, quality_loss, id)?;
                 Ok(self.elimination_work)
             }
         };
@@ -634,7 +525,7 @@ impl OrderedFactors {
                         reason,
                     });
                 }
-                self.reorder(&rebuild_matrix, telemetry, shard, true, 0.0, id)?;
+                self.reorder(telemetry, shard, true, 0.0, id)?;
                 outcome.arm = MaintenanceArm::Reorder;
                 self.elimination_work
             }
@@ -642,24 +533,14 @@ impl OrderedFactors {
         Ok(outcome)
     }
 
-    /// The block's current matrix in the held ordering's coordinates.
-    fn reordered_matrix(&self, rebuild_matrix: impl Fn() -> CsrMatrix) -> CsrMatrix {
-        rebuild_matrix()
-            .reorder(&self.ordering)
-            // lint: allow(panic-surface) — the held ordering was computed
-            // for a matrix over the same fixed node universe; its dimensions
-            // cannot disagree.
-            .expect("held ordering fits the rebuilt matrix")
-    }
-
-    /// Abandons the ordering: rebuilds the block's matrix, re-orders and
-    /// re-factorizes it under a `shard.refresh` span and posts the
+    /// Abandons the ordering: maps the held matrix, without its stored
+    /// zeros, back to local coordinates, re-orders and re-factorizes it
+    /// under a `shard.refresh` span and posts the
     /// [`EngineEvent::RefreshTriggered`] journal event saying whether
     /// numerics or the quality budget forced it — the one re-order site of
-    /// every arm.  The shard's running reach carries over.
+    /// every arm.  The running reach and the scratch carry over.
     fn reorder(
         &mut self,
-        rebuild_matrix: impl Fn() -> CsrMatrix,
         telemetry: &TelemetryRegistry,
         shard: usize,
         numeric: bool,
@@ -667,9 +548,24 @@ impl OrderedFactors {
         id: u64,
     ) -> LuResult<()> {
         let span = telemetry.span(Stage::ShardRefresh);
-        let reach = self.reach;
-        *self = order_and_factorize(&rebuild_matrix(), id)?;
-        self.reach = reach;
+        let (row, col) = (self.ordering.row().inverse(), self.ordering.col().inverse());
+        let local = self
+            .maintainer
+            .matrix()
+            .prune(0.0)
+            .reorder(&clude_sparse::Ordering::new(row, col))
+            // lint: allow(panic-surface) — the held matrix is in the held
+            // ordering's coordinates; its inverse has the same dimensions.
+            .expect("the inverse ordering fits the held matrix");
+        let (ordering, matrix, factors) = markowitz_factorize(&local)?;
+        let ordering = Arc::new(ordering);
+        self.row_old_to_new = ordering.row().old_to_new();
+        self.col_old_to_new = ordering.col().old_to_new();
+        self.elimination_work = factors.structure().elimination_work();
+        self.reference_nnz = factors.nnz();
+        self.block = block(id, &ordering, factors);
+        self.ordering = ordering;
+        self.maintainer.set_matrix(matrix);
         span.stop();
         telemetry.record_event(EngineEvent::RefreshTriggered {
             shard: shard as u32,
@@ -702,15 +598,14 @@ pub(crate) fn static_factors(block: &DecomposedMatrix) -> &LuFactors {
     }
 }
 
-/// Orders `matrix`, factorizes it, and packages the bookkeeping as the block
-/// current as of snapshot `id` — the one construction path shared by initial
-/// builds, re-orders and repartitions.
-///
-/// The ordering is the paper's Markowitz product rule, so `reference_nnz` —
-/// the denominator of Definition 4's quality-loss — is the factor size under
-/// the paper's own `O*`.  The factorization is the up-looking kernel
-/// ([`factorize_fresh`]), whose structure is closed under elimination.
-pub(crate) fn order_and_factorize(matrix: &CsrMatrix, id: u64) -> LuResult<OrderedFactors> {
+/// The paper's Markowitz product-rule ordering of `matrix`, the matrix
+/// under it, and its factors by the up-looking kernel ([`factorize_fresh`]),
+/// over a structure closed under elimination.  The factor size is the
+/// denominator of Definition 4's quality-loss: the size under the paper's
+/// own `O*`.
+fn markowitz_factorize(
+    matrix: &CsrMatrix,
+) -> LuResult<(clude_sparse::Ordering, CsrMatrix, LuFactors)> {
     let ordering = markowitz_ordering(&matrix.pattern()).ordering;
     let reordered = matrix
         .reorder(&ordering)
@@ -718,12 +613,20 @@ pub(crate) fn order_and_factorize(matrix: &CsrMatrix, id: u64) -> LuResult<Order
         // matrix's own pattern one line up; its dimensions cannot disagree.
         .expect("ordering was computed for this matrix");
     let factors = factorize_fresh(&reordered)?;
+    Ok((ordering, reordered, factors))
+}
+
+/// Orders `matrix`, factorizes it ([`markowitz_factorize`]) and packages the
+/// bookkeeping as the block current as of snapshot `id` — the construction
+/// path of initial builds and repartitions.
+pub(crate) fn order_and_factorize(matrix: &CsrMatrix, id: u64) -> LuResult<OrderedFactors> {
+    let (ordering, reordered, factors) = markowitz_factorize(matrix)?;
     let reference_nnz = factors.nnz();
     Ok(OrderedFactors::new(
         ordering,
         factors,
         reference_nnz,
-        Some(reordered),
+        reordered,
         id,
     ))
 }
@@ -1085,24 +988,55 @@ mod tests {
         assert_matches_dense(&store, &q);
     }
 
+    /// The matrix of the `(row, col, value)` entries, its order the largest
+    /// index plus one.
+    fn matrix(entries: &[(usize, usize, f64)]) -> CsrMatrix {
+        let n = entries
+            .iter()
+            .map(|&(i, j, _)| i.max(j) + 1)
+            .max()
+            .unwrap_or(0);
+        let mut coo = clude_sparse::CooMatrix::new(n, n);
+        for &(i, j, v) in entries {
+            coo.push(i, j, v).unwrap();
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    /// Stages `local` — a slice of `(row, col, old, new)` in the block's local
+    /// coordinates — the way an advance does, translated into factor
+    /// coordinates.
+    fn map_slice(of: &mut OrderedFactors, local: &[(usize, usize, f64, f64)]) {
+        of.mapped = local
+            .iter()
+            .map(|&(i, j, old, new)| (of.row_old_to_new[i], of.col_old_to_new[j], old, new))
+            .collect();
+    }
+
+    /// The served block solves `next`'s systems to 1e-12.
+    fn assert_serves(of: &OrderedFactors, next: &CsrMatrix) {
+        let block = of.block();
+        let b: Vec<f64> = (0..next.n_rows())
+            .map(|i| [1.0, -2.0, 0.5][i % 3])
+            .collect();
+        let x = clude_lu::solve_original(static_factors(block), &block.ordering, &b).unwrap();
+        let expected = next.to_dense().solve_gaussian(&b).unwrap();
+        for (got, want) in x.iter().zip(&expected) {
+            assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
+        }
+    }
+
     #[test]
     fn a_rebuild_whose_pivot_degrades_ends_in_a_journalled_re_order() {
-        use clude_sparse::CooMatrix;
         use clude_telemetry::EventKind;
-        let matrix = |entries: &[(usize, usize, f64)]| {
-            let mut coo = CooMatrix::new(3, 3);
-            for &(i, j, v) in entries {
-                coo.push(i, j, v).unwrap();
-            }
-            CsrMatrix::from_coo(&coo)
-        };
         // A diagonal block is ordered as it stands …
         let mut of =
             order_and_factorize(&matrix(&[(0, 0, 5.0), (1, 1, 2.0), (2, 2, 2.0)]), 0).unwrap();
         assert_eq!(of.row_old_to_new, vec![0, 1, 2]);
         assert_eq!(of.col_old_to_new, vec![0, 1, 2]);
-        // … and under that ordering the block's next matrix pivots first on
-        // 1e-14 beside entries of magnitude 1: past PIVOT_DEGRADE_TOL.
+        // … and the batch writes its next matrix, which under that ordering
+        // pivots first on 1e-14 beside entries of magnitude 1: past
+        // PIVOT_DEGRADE_TOL.
         let next = matrix(&[
             (0, 0, 1e-14),
             (0, 1, 1.0),
@@ -1116,19 +1050,18 @@ mod tests {
             rebuild_under_ordering(&next),
             Err(LuError::SingularPivot { index: 0, .. })
         ));
+        map_slice(
+            &mut of,
+            &[
+                (0, 0, 5.0, 1e-14),
+                (0, 1, 0.0, 1.0),
+                (0, 2, 0.0, 1.0),
+                (1, 0, 0.0, 1.0),
+                (2, 0, 0.0, 1.0),
+            ],
+        );
         let telemetry = TelemetryRegistry::new(clude_telemetry::TelemetryConfig::default());
-        let outcome = of
-            .maintain(
-                Staged::Rebuild,
-                &mut BennettWorkspace::new(),
-                &mut RefactorWorkspace::new(),
-                &[],
-                &telemetry,
-                0,
-                1,
-                || next.clone(),
-            )
-            .unwrap();
+        let outcome = of.maintain(Staged::Rebuild, &telemetry, 0, 1).unwrap();
         // The abandoned rebuild wrote nothing; the block was re-ordered —
         // typed, journalled — and what is served pivots on healthy entries.
         assert_eq!(outcome.arm, MaintenanceArm::Reorder);
@@ -1155,60 +1088,62 @@ mod tests {
         for k in 0..3 {
             assert!(of.factors().u(k, k).abs() >= 0.4, "pivot {k}");
         }
-        let block = of.block();
-        assert_eq!(block.index, 1);
-        let b = [1.0, -2.0, 0.5];
-        let x = clude_lu::solve_original(static_factors(block), &block.ordering, &b).unwrap();
-        let expected = next.to_dense().solve_gaussian(&b).unwrap();
-        for (got, want) in x.iter().zip(&expected) {
-            assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
-        }
+        assert_eq!(of.block().index, 1);
+        assert_serves(&of, &next);
     }
 
     #[test]
     fn a_failed_frozen_pass_writes_nothing_the_engine_keeps() {
-        use clude_sparse::CooMatrix;
-        let matrix = |entries: &[(usize, usize, f64)]| {
-            let mut coo = CooMatrix::new(3, 3);
-            for &(i, j, v) in entries {
-                coo.push(i, j, v).unwrap();
-            }
-            CsrMatrix::from_coo(&coo)
-        };
+        use clude_telemetry::EventKind;
         let bits = |entries: Vec<(usize, usize, f64)>| {
             entries
                 .into_iter()
                 .map(|(i, j, v)| (i, j, v.to_bits()))
                 .collect::<Vec<_>>()
         };
-        // A diagonal block, ordered as it stands and published.  The batch
-        // rewrites both changed rows: row 0 passes, row 1's pivot is zero —
-        // the pass fails after it rewrote row 0 of its copy.
-        let mut of =
-            order_and_factorize(&matrix(&[(0, 0, 5.0), (1, 1, 2.0), (2, 2, 2.0)]), 0).unwrap();
-        assert_eq!(of.row_old_to_new, vec![0, 1, 2]);
+        // The path 3 – 0 – 1 – 2, ordered leaf first (2, 1, 0, 3) and
+        // published.
+        let path = matrix(&[
+            (0, 0, 4.0),
+            (0, 1, 1.0),
+            (0, 3, 1.0),
+            (1, 0, 1.0),
+            (1, 1, 4.0),
+            (1, 2, 1.0),
+            (2, 1, 1.0),
+            (2, 2, 4.0),
+            (3, 0, 1.0),
+            (3, 3, 4.0),
+        ]);
+        let mut of = order_and_factorize(&path, 0).unwrap();
+        assert_eq!(of.row_old_to_new, vec![2, 1, 0, 3]);
         let published = Arc::clone(of.block());
         let block_before = bits(static_factors(&published).export_entries());
-        // Through the arm, the failure ends in a journalled re-order (of the
-        // block's matrix as the graph has it), and the block snapshots hold
-        // is still the one they were served.
+        // A value-only batch — every position is a slot of the block — drops
+        // the edge 0 – 3 and lowers three diagonal entries: factor row 0
+        // (node 2) passes, factor row 1 (node 1) eliminates to exactly zero,
+        // so the pass fails after it rewrote row 0 of its copy.
+        map_slice(
+            &mut of,
+            &[
+                (0, 0, 4.0, 2.0),
+                (0, 3, 1.0, 0.0),
+                (1, 1, 4.0, 1.0),
+                (2, 2, 4.0, 1.0),
+                (3, 0, 1.0, 0.0),
+            ],
+        );
         let telemetry = TelemetryRegistry::new(clude_telemetry::TelemetryConfig::default());
-        let delta = [(0, 0, 5.0, 6.0), (1, 1, 2.0, 0.0)];
         let outcome = of
-            .maintain(
-                Staged::FrozenRefactor,
-                &mut BennettWorkspace::new(),
-                &mut RefactorWorkspace::new(),
-                &delta,
-                &telemetry,
-                0,
-                1,
-                || matrix(&[(0, 0, 6.0), (1, 1, 3.0), (2, 2, 2.0)]),
-            )
+            .maintain(Staged::FrozenRefactor, &telemetry, 0, 1)
             .unwrap();
+        // Through the arm, the failure ends in a journalled re-order, and the
+        // block snapshots hold is still the one they were served.
         assert_eq!(outcome.arm, MaintenanceArm::Reorder);
         assert_eq!(outcome.rows_refactored, 0);
-        assert!(telemetry.journal().entries().iter().any(|e| matches!(
+        let journal = telemetry.journal();
+        assert_eq!(journal.count_of(EventKind::RefactorFallback), 1);
+        assert!(journal.entries().iter().any(|e| matches!(
             e.event,
             EngineEvent::RefactorFallback {
                 shard: 0,
@@ -1220,9 +1155,20 @@ mod tests {
             block_before
         );
         assert!(!Arc::ptr_eq(&published, of.block()));
-        let mut pivots: Vec<f64> = (0..3).map(|k| of.factors().u(k, k)).collect();
-        pivots.sort_by(f64::total_cmp);
-        assert_eq!(pivots, [2.0, 3.0, 6.0]);
+        // The re-order is of the matrix the batch wrote, without the zeros
+        // it left stored: node 3 is isolated now and comes first.
+        assert_eq!(of.row_old_to_new[3], 0);
+        let next = matrix(&[
+            (0, 0, 2.0),
+            (0, 1, 1.0),
+            (1, 0, 1.0),
+            (1, 1, 1.0),
+            (1, 2, 1.0),
+            (2, 1, 1.0),
+            (2, 2, 1.0),
+            (3, 3, 4.0),
+        ]);
+        assert_serves(&of, &next);
     }
 
     /// The set-per-source body `global_matrix_delta` had before it walked

@@ -371,4 +371,61 @@ mod tests {
         assert_eq!(scan.records[0].1.added, vec![(1, 2)]);
         assert!(scan.records[0].1.removed.is_empty());
     }
+
+    /// Every truncation and every single-byte XOR of a valid three-record
+    /// segment scans to a typed [`EngineError::Persistence`] or to a prefix
+    /// of the records written, flagged torn unless the cut fell on a frame
+    /// boundary — never a panic, never a record that was not written.
+    #[test]
+    fn every_truncation_and_byte_flip_of_a_segment_is_typed_or_a_torn_prefix() {
+        let fs = FailpointFs::new();
+        let path = Path::new("/w/wal-1.log");
+        let written = [
+            (1, delta(&[(0, 1)])),
+            (2, delta(&[(1, 2), (2, 0)])),
+            (
+                3,
+                GraphDelta {
+                    added: vec![(3, 1)],
+                    removed: vec![(0, 1)],
+                },
+            ),
+        ];
+        let mut w = WalWriter::create(&fs, path, 1).unwrap();
+        for (id, d) in &written {
+            w.append(*id, d).unwrap();
+        }
+        let file = fs.read(path).unwrap();
+        // Where each frame ends: a cut there leaves a shorter valid segment.
+        let mut boundaries = vec![8];
+        for (id, d) in &written {
+            boundaries.push(boundaries.last().unwrap() + encode_record(*id, d).len());
+        }
+        assert_eq!(*boundaries.last().unwrap(), file.len());
+        let check = |bytes: &[u8], boundary: bool, what: &str| match scan_segment(path, bytes) {
+            Err(EngineError::Persistence(_)) => {}
+            Err(err) => panic!("{what}: untyped {err:?}"),
+            Ok(scan) => {
+                assert!(scan.records.len() <= written.len(), "{what}");
+                for (got, want) in scan.records.iter().zip(&written) {
+                    assert_eq!(got, want, "{what}: a record that was not written");
+                }
+                assert_eq!(scan.torn, !boundary && !bytes.is_empty(), "{what}");
+            }
+        };
+        for cut in 0..=file.len() {
+            check(
+                &file[..cut],
+                boundaries.contains(&cut),
+                &format!("cut at {cut}"),
+            );
+        }
+        for at in 0..file.len() {
+            for mask in 1..=u8::MAX {
+                let mut flipped = file.clone();
+                flipped[at] ^= mask;
+                check(&flipped, false, &format!("byte {at} ^ {mask:#04x}"));
+            }
+        }
+    }
 }

@@ -63,54 +63,6 @@ impl BennettStats {
     }
 }
 
-/// One [`BennettWorkspace`] per shard of a partitioned factor store.
-///
-/// A sharded store runs independent Bennett sweeps over per-shard factors —
-/// possibly from different threads at once — so each shard needs scratch of
-/// its own: sharing one workspace would serialize the sweeps (and corrupt the
-/// epoch stamps).  This wrapper owns the per-shard workspaces, pre-sized to
-/// each shard's order so sweeps are allocation-free from the first delta, and
-/// hands them out as disjoint `&mut` borrows via
-/// [`ShardWorkspaces::iter_mut`] for scoped-thread fan-out.
-#[derive(Debug, Clone, Default)]
-pub struct ShardWorkspaces {
-    workspaces: Vec<BennettWorkspace>,
-}
-
-impl ShardWorkspaces {
-    /// One workspace per entry of `orders`, each pre-sized for that shard's
-    /// matrix order.
-    pub fn for_orders(orders: &[usize]) -> Self {
-        ShardWorkspaces {
-            workspaces: orders
-                .iter()
-                .map(|&n| BennettWorkspace::with_order(n))
-                .collect(),
-        }
-    }
-
-    /// Number of shards covered.
-    pub fn len(&self) -> usize {
-        self.workspaces.len()
-    }
-
-    /// Returns `true` when no shard workspaces exist.
-    pub fn is_empty(&self) -> bool {
-        self.workspaces.is_empty()
-    }
-
-    /// The workspace of one shard.
-    pub fn get_mut(&mut self, shard: usize) -> &mut BennettWorkspace {
-        &mut self.workspaces[shard]
-    }
-
-    /// Disjoint mutable borrows of every shard's workspace, in shard order —
-    /// zip against the per-shard factors to fan sweeps out across threads.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut BennettWorkspace> {
-        self.workspaces.iter_mut()
-    }
-}
-
 /// Storage back-ends Bennett's sweep can run against.
 ///
 /// The interface is pivot-granular: the storage owns *addressing* (how the
@@ -774,30 +726,6 @@ mod tests {
         let mut factors = factorize_fresh(&a).unwrap();
         let err = rank_one_update(&mut factors, &[(0, -8.0)], &[(0, 1.0)], 1.0).unwrap_err();
         assert!(matches!(err, LuError::SingularPivot { index: 0, .. }));
-    }
-
-    #[test]
-    fn shard_workspaces_are_independent_and_presized() {
-        let mut pool = ShardWorkspaces::for_orders(&[3, 7, 5]);
-        assert_eq!(pool.len(), 3);
-        assert!(!pool.is_empty());
-        assert_eq!(pool.get_mut(1).capacity(), 7);
-        let capacities: Vec<usize> = pool.iter_mut().map(|ws| ws.capacity()).collect();
-        assert_eq!(capacities, vec![3, 7, 5]);
-        // Sweeps through one shard's workspace leave the others untouched and
-        // produce the same factors as a throwaway workspace.
-        let a = diag_dominant(5, &[(0, 2, 1.0), (3, 1, -2.0)]);
-        let mut with_pool = DynamicLuFactors::factorize(&a).unwrap();
-        let mut with_throwaway = with_pool.clone();
-        let delta = [(0usize, 2usize, 1.0f64, 2.5f64), (3, 1, -2.0, 0.5)];
-        apply_delta_with(&mut with_pool, pool.get_mut(2), &delta).unwrap();
-        apply_delta(&mut with_throwaway, &delta).unwrap();
-        for i in 0..5 {
-            for j in 0..5 {
-                assert_eq!(with_pool.l(i, j), with_throwaway.l(i, j));
-                assert_eq!(with_pool.u(i, j), with_throwaway.u(i, j));
-            }
-        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! term of the model; a caller adds the terms its arm pays.
 //!
 //! * [`sweep_ns`] — Bennett's rank-one sweeps, per factor entry touched; what
-//!   a sweep will touch is predicted by a [`RunningReach`];
+//!   a sweep will touch is predicted from the running share of the factor
+//!   entries past sweeps touched, which a [`crate::Maintainer`] keeps and
+//!   prices sweeps with ([`crate::Maintainer::sweep_ns`]);
 //! * [`freeze_ns`] — the copy of a block a sweep runs on, with its structure
 //!   extended when the batch's entries escape it;
 //! * [`numeric_pass_ns`] — one numeric pass down a fixed structure (a
@@ -89,7 +91,7 @@ pub fn ordering_ns(order: usize) -> f64 {
 /// predicted from.  A share, because a densifying factor set's sweeps grow
 /// with its factors.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunningReach(f64);
+pub(crate) struct RunningReach(f64);
 
 impl Default for RunningReach {
     /// The prior, before any sweep was seen.
@@ -99,11 +101,6 @@ impl Default for RunningReach {
 }
 
 impl RunningReach {
-    /// The current share.
-    pub fn share(self) -> f64 {
-        self.0
-    }
-
     /// Factor entries `columns` rank-one updates are predicted to touch on
     /// factors of `factor_nnz` entries — one update per changed column.
     pub fn predicted_entries(self, columns: usize, factor_nnz: usize) -> u64 {
@@ -128,17 +125,17 @@ mod tests {
     #[test]
     fn the_reach_starts_at_the_prior_and_moves_a_quarter_of_the_way() {
         let mut reach = RunningReach::default();
-        assert_eq!(reach.share(), PRIOR_REACH);
+        assert_eq!(reach.0, PRIOR_REACH);
         assert_eq!(reach.predicted_entries(4, 1_000), 1_200);
         reach.observe(&BennettStats::default(), 1_000);
-        assert_eq!(reach.share(), PRIOR_REACH);
+        assert_eq!(reach.0, PRIOR_REACH);
         let stats = BennettStats {
             rank_one_updates: 2,
             pivots_processed: 9,
             entries_touched: 1_400,
         };
         reach.observe(&stats, 1_000);
-        assert!((reach.share() - (0.3 + 0.25 * (0.7 - 0.3))).abs() < 1e-15);
+        assert!((reach.0 - (0.3 + 0.25 * (0.7 - 0.3))).abs() < 1e-15);
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! * [`ordering`] — fill-reducing Markowitz / minimum-degree orderings and
 //!   the `|s̃p(A^O)|` accounting used by the quality-loss metric.
 //! * [`amd`] — the quotient-graph minimum-degree ordering over `A + Aᵀ`
-//!   (the SuiteSparse-AMD idea), selected against Markowitz per shard by
-//!   predicted symbolic size.
+//!   (the SuiteSparse-AMD idea), an alternative to Markowitz that the
+//!   benchmark's ordering probes compare it with; no engine or CLUDE path
+//!   orders by it.
 //! * [`refactor`] — pattern-frozen refactorization: redo the numerics down
 //!   the existing symbolic pattern in one pass (the KLU `refactor` idea) —
 //!   over a structure closed under elimination, only the changed rows'
@@ -32,6 +33,11 @@
 //!   for structural deltas that change many columns.
 //! * [`cost`] — the one cost model every maintenance decision prices its
 //!   arms with: Bennett sweeps against numeric passes and rebuilds.
+//! * [`maintain`] — [`Maintainer`], what CLUDE's member steps and each engine
+//!   shard carry from one matrix to the next: the matrix the factors
+//!   factorize, in factor coordinates, the running reach sweeps are priced
+//!   from, and both update arms' scratch, with the operations on them —
+//!   write a delta, price a sweep, sweep, run the reach pass.
 //! * [`structure`] — static slot layouts (`LuStructure`), including the
 //!   universal structures CLUDE shares across a cluster.
 //! * [`factors`] — the ND-phase over a structure supplied from outside
@@ -67,6 +73,7 @@ pub mod cost;
 pub mod dynamic;
 pub mod error;
 pub mod factors;
+pub mod maintain;
 pub mod ordering;
 pub mod rebuild;
 pub mod refactor;
@@ -78,12 +85,11 @@ pub use amd::amd_ordering;
 
 pub use bennett::{
     apply_delta_with, rank_one_update_with, BennettStats, BennettWorkspace, LuStorage,
-    ShardWorkspaces,
 };
-pub use cost::RunningReach;
 pub use dynamic::DynamicLuFactors;
 pub use error::{LuError, LuResult};
 pub use factors::{factorize_fresh, LuFactors};
+pub use maintain::Maintainer;
 pub use ordering::{
     markowitz_ordering, natural_order_symbolic_size, reorder_pattern, symbolic_size_under,
     OrderingResult,

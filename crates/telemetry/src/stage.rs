@@ -22,8 +22,9 @@ pub enum Stage {
     /// A coupled solve: the whole Krylov iteration over the block
     /// Gauss–Seidel pass, all passes.
     CouplingGaussSeidel,
-    /// Deep-cloning a shard's factor block into a shared snapshot handle
-    /// (`OrderedFactors::publish`).
+    /// Copying a shard's factor block for a sweep to run on, which becomes
+    /// the next published block (`ShardedFactorStore::stage`), or merging a
+    /// batch's writes into the frozen coupling.
     SnapshotFreeze,
     /// A cache-missing measure query solved against a snapshot.
     QuerySolve,
