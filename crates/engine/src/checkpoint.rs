@@ -1,44 +1,48 @@
-//! Incremental checkpoints: generation files, the manifest chain, and the
-//! change detector that decides which factor blocks each generation must
-//! carry.
+//! Checkpoints: generation files and the manifest that commits them.
 //!
-//! A checkpoint *generation* (`gen-<g>.ckpt`) snapshots the durable part of
-//! the factor store: the graph, the partition, the frozen coupling entries,
-//! and — incrementally — only the factor blocks *republished since the
-//! previous generation*.  Unchanged shards are covered by earlier
-//! generations; the `MANIFEST` record committed for generation `g` carries,
-//! per shard, the generation whose copy of that shard's block is current.
-//! Change detection is pointer identity ([`Arc::ptr_eq`]) on the published
-//! block `Arc`s: the copy-on-write ring republishes a block if and only if
-//! an advance touched it, so pointer equality is exact, not heuristic.
+//! A checkpoint *generation* (`gen-<g>.ckpt`) is one self-contained
+//! [`StoreImage`]: what the factor store cannot re-derive from the graph.
+//! That is the snapshot id, the matrix kind, the partition, the graph, the
+//! re-partition countdown and, per shard, its fill-reducing ordering, its
+//! `reference_nnz` quality anchor and its block index.  The image holds no
+//! factor entry and no coupling entry.  CLUDE (§4) rests on the split this
+//! follows: the ordering is the costly decision, while the numeric factors
+//! under it are cheap to recompute from the matrix — so restore derives the
+//! coupling from the graph and factorizes each shard under its ordering
+//! (`ShardedFactorStore::restore`), as a build does.  A `MANIFEST` record
+//! commits one generation at one snapshot id, and recovery reads that one
+//! file.
 //!
 //! ## On-disk layout
 //!
 //! ```text
 //! gen file  := magic:u32le version:u32le crc:u32le payload
-//! payload   := gen:u64 snapshot_id:u64 kind graph partition
-//!              next_repartition_flagged coupling_entries changed_blocks
-//! block     := shard:usize index:u64 reference_nnz:u64 n:usize
-//!              row_new_to_old:seq col_new_to_old:seq entries
+//! payload   := gen:u64 snapshot_id:u64 kind partition graph
+//!              repartition_flag:u32 repartition_at:u64 k:usize shard × k
+//! shard     := index:u64 reference_nnz:u64
+//!              row_new_to_old:seq col_new_to_old:seq
 //!
 //! MANIFEST  := magic:u32le version:u32le record*
 //! record    := len:u32le crc:u32le payload[len]
-//! payload   := gen:u64 snapshot_id:u64 k:usize shard_gen:u64 × k
+//! payload   := gen:u64 snapshot_id:u64
 //! ```
+//!
+//! The partition precedes the graph, so the graph's node count is checked
+//! against it before a node is allocated.  Decoding accepts exactly what
+//! the writer produces: `k` is the partition's shard count, each ordering a
+//! permutation of its shard's nodes, the countdown `(0, 0)` when unset, and
+//! nothing follows the last shard.
 //!
 //! The gen-file `crc` covers the whole payload; a mismatch makes the
 //! generation unusable and recovery falls back to the previous manifest
 //! record.  The manifest itself is append-only with the same torn-tail rule
 //! as the WAL.  Commit order is: gen file synced → fresh WAL segment synced
-//! → manifest record synced → garbage (covered segments, unreferenced
-//! generations) deleted.  A crash between any two steps leaves the previous
-//! manifest record and everything it references intact.
+//! → manifest record synced → garbage (covered segments, every other
+//! generation) deleted.  A crash between any two steps leaves the previous
+//! manifest record and the generation it commits intact.
 
-use clude::DecomposedMatrix;
-use clude_graph::{wire, DiGraph, MatrixKind, NodePartition, WireReader, WireWriter};
-use clude_lu::LuFactors;
+use clude_graph::{wire, DiGraph, MatrixKind, NodePartition, WireError, WireReader, WireWriter};
 use clude_sparse::{Ordering, Permutation};
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -49,12 +53,12 @@ use crate::wal::{crc32, io_err};
 /// `b"CLCK"`: CLude ChecKpoint generation file.
 pub(crate) const CKPT_MAGIC: u32 = u32::from_le_bytes(*b"CLCK");
 /// Generation-file format version; readers reject any other.
-pub(crate) const CKPT_VERSION: u32 = 1;
+pub(crate) const CKPT_VERSION: u32 = 2;
 /// `b"CLMF"`: CLude ManiFest.
 pub(crate) const MANIFEST_MAGIC: u32 = u32::from_le_bytes(*b"CLMF");
 /// Manifest format version; readers reject any other.
-pub(crate) const MANIFEST_VERSION: u32 = 1;
-/// File name of the manifest chaining checkpoint generations.
+pub(crate) const MANIFEST_VERSION: u32 = 2;
+/// File name of the manifest committing checkpoint generations.
 pub(crate) const MANIFEST_NAME: &str = "MANIFEST";
 
 /// File name of generation `gen`.
@@ -69,54 +73,26 @@ pub(crate) fn gen_of_path(path: &Path) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// The durable slice of a factor store, captured under the ingest lock.
-///
-/// `blocks[s]` is the published (copy-on-write) block of shard `s` plus the
-/// shard's `reference_nnz` quality anchor.  The published block *is* the
-/// shard's live storage, so serialising from the snapshot side is exact.
-pub(crate) struct DurableState {
-    pub(crate) snapshot_id: u64,
-    pub(crate) kind: MatrixKind,
-    pub(crate) graph: DiGraph,
-    pub(crate) partition: NodePartition,
-    pub(crate) next_repartition_at: Option<usize>,
-    pub(crate) coupling: Vec<(usize, usize, f64)>,
-    pub(crate) blocks: Vec<(Arc<DecomposedMatrix>, usize)>,
-}
-
-/// One shard's factor block decoded from a generation file, ready to be
-/// rebuilt into live `OrderedFactors`.
-pub(crate) struct RestoredBlock {
-    pub(crate) index: u64,
-    pub(crate) reference_nnz: usize,
+/// One shard's part of a [`StoreImage`]: its ordering and the bookkeeping a
+/// restore keeps, local coordinates.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ShardImage {
     pub(crate) ordering: Ordering,
-    pub(crate) factors: LuFactors,
+    pub(crate) reference_nnz: usize,
+    pub(crate) index: u64,
 }
 
-/// A fully assembled store image: the newest generation's store-wide fields
-/// plus, per shard, the block pulled from whichever generation last wrote
-/// it.
-pub(crate) struct StoreState {
+/// What a factor store cannot re-derive from its graph, captured under the
+/// ingest lock by `ShardedFactorStore::durable_state` and consumed by
+/// `ShardedFactorStore::restore`; one generation file holds one.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct StoreImage {
     pub(crate) snapshot_id: u64,
     pub(crate) kind: MatrixKind,
-    pub(crate) graph: DiGraph,
     pub(crate) partition: NodePartition,
-    pub(crate) next_repartition_at: Option<usize>,
-    pub(crate) coupling: Vec<(usize, usize, f64)>,
-    pub(crate) blocks: Vec<RestoredBlock>,
-}
-
-/// A decoded generation file.
-pub(crate) struct GenFile {
-    pub(crate) gen: u64,
-    pub(crate) snapshot_id: u64,
-    pub(crate) kind: MatrixKind,
     pub(crate) graph: DiGraph,
-    pub(crate) partition: NodePartition,
     pub(crate) next_repartition_at: Option<usize>,
-    pub(crate) coupling: Vec<(usize, usize, f64)>,
-    /// `(shard, block)` for every shard this generation carries.
-    pub(crate) blocks: Vec<(usize, RestoredBlock)>,
+    pub(crate) shards: Vec<ShardImage>,
 }
 
 /// Why a generation file could not be used.
@@ -131,20 +107,10 @@ pub(crate) enum GenReadError {
     Soft(String),
 }
 
-/// One manifest record: a committed generation and its per-shard coverage.
+/// One manifest record: a committed generation and the snapshot it holds.
 pub(crate) struct ManifestRecord {
     pub(crate) gen: u64,
     pub(crate) snapshot_id: u64,
-    pub(crate) shard_gens: Vec<u64>,
-}
-
-impl ManifestRecord {
-    /// Every generation this record needs on disk.
-    pub(crate) fn live_gens(&self) -> BTreeSet<u64> {
-        let mut live: BTreeSet<u64> = self.shard_gens.iter().copied().collect();
-        live.insert(self.gen);
-        live
-    }
 }
 
 fn encode_kind(w: &mut WireWriter, kind: MatrixKind) {
@@ -160,146 +126,112 @@ fn encode_kind(w: &mut WireWriter, kind: MatrixKind) {
     }
 }
 
-fn decode_kind(r: &mut WireReader<'_>) -> Result<MatrixKind, String> {
-    let tag = r.get_u32().map_err(|e| e.to_string())?;
-    let param = r.get_f64().map_err(|e| e.to_string())?;
+fn decode_kind(r: &mut WireReader<'_>) -> Result<MatrixKind, WireError> {
+    let tag = r.get_u32()?;
+    let param = r.get_f64()?;
     match tag {
         0 => Ok(MatrixKind::RandomWalk { damping: param }),
         1 => Ok(MatrixKind::SymmetricLaplacian { shift: param }),
-        other => Err(format!("unknown matrix-kind tag {other}")),
+        other => Err(WireError::Invalid(format!(
+            "unknown matrix-kind tag {other}"
+        ))),
     }
 }
 
-fn encode_block(w: &mut WireWriter, shard: usize, block: &DecomposedMatrix, reference_nnz: usize) {
-    // Every slot of the live block, explicit zeros included: the entry list
-    // `decode_block` rebuilds the same block from.
-    let factors = crate::store::static_factors(block);
-    w.put_usize(shard);
-    w.put_u64(block.index as u64);
-    w.put_u64(reference_nnz as u64);
-    w.put_usize(factors.n());
-    w.put_usize_seq(block.ordering.row().as_new_to_old());
-    w.put_usize_seq(block.ordering.col().as_new_to_old());
-    let entries = factors.export_entries();
-    w.put_usize(entries.len());
-    for (i, j, v) in entries {
-        w.put_usize(i);
-        w.put_usize(j);
-        w.put_f64(v);
-    }
-}
-
-fn decode_block(r: &mut WireReader<'_>) -> Result<(usize, RestoredBlock), String> {
-    let shard = r.get_usize().map_err(|e| e.to_string())?;
-    let index = r.get_u64().map_err(|e| e.to_string())?;
-    let reference_nnz = r.get_u64().map_err(|e| e.to_string())? as usize;
-    let n = r.get_usize().map_err(|e| e.to_string())?;
-    let row = r.get_usize_seq().map_err(|e| e.to_string())?;
-    let col = r.get_usize_seq().map_err(|e| e.to_string())?;
-    if row.len() != n || col.len() != n {
-        return Err(format!(
-            "shard {shard} permutations of length {}/{} for order {n}",
-            row.len(),
-            col.len()
-        ));
-    }
-    let count = r.get_usize().map_err(|e| e.to_string())?;
-    let mut entries = Vec::new();
-    for _ in 0..count {
-        let i = r.get_usize().map_err(|e| e.to_string())?;
-        let j = r.get_usize().map_err(|e| e.to_string())?;
-        let v = r.get_f64().map_err(|e| e.to_string())?;
-        entries.push((i, j, v));
-    }
-    let row = Permutation::from_new_to_old(row).map_err(|e| e.to_string())?;
-    let col = Permutation::from_new_to_old(col).map_err(|e| e.to_string())?;
-    let factors = LuFactors::from_sorted_entries(n, &entries)
-        .map_err(|e| format!("shard {shard} factors: {e}"))?;
-    Ok((
-        shard,
-        RestoredBlock {
-            index,
-            reference_nnz,
-            ordering: Ordering::new(row, col),
-            factors,
-        },
-    ))
-}
-
-fn encode_gen_payload(gen: u64, state: &DurableState, changed: &[usize]) -> Vec<u8> {
+/// The payload of generation `gen` holding `image`.
+fn encode_image(gen: u64, image: &StoreImage) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_u64(gen);
-    w.put_u64(state.snapshot_id);
-    encode_kind(&mut w, state.kind);
-    wire::encode_graph(&mut w, &state.graph);
-    wire::encode_partition(&mut w, &state.partition);
-    match state.next_repartition_at {
-        Some(at) => {
-            w.put_u32(1);
-            w.put_u64(at as u64);
-        }
-        None => {
-            w.put_u32(0);
-            w.put_u64(0);
-        }
-    }
-    w.put_usize(state.coupling.len());
-    for &(i, j, v) in &state.coupling {
-        w.put_usize(i);
-        w.put_usize(j);
-        w.put_f64(v);
-    }
-    w.put_usize(changed.len());
-    for &s in changed {
-        let (block, reference_nnz) = &state.blocks[s];
-        encode_block(&mut w, s, block, *reference_nnz);
+    w.put_u64(image.snapshot_id);
+    encode_kind(&mut w, image.kind);
+    wire::encode_partition(&mut w, &image.partition);
+    wire::encode_graph(&mut w, &image.graph);
+    let (flag, at) = image.next_repartition_at.map_or((0, 0), |at| (1, at));
+    w.put_u32(flag);
+    w.put_usize(at);
+    w.put_usize(image.shards.len());
+    for shard in &image.shards {
+        w.put_u64(shard.index);
+        w.put_usize(shard.reference_nnz);
+        w.put_usize_seq(shard.ordering.row().as_new_to_old());
+        w.put_usize_seq(shard.ordering.col().as_new_to_old());
     }
     w.into_bytes()
 }
 
-fn decode_gen_payload(payload: &[u8]) -> Result<GenFile, String> {
-    let mut r = WireReader::new(payload);
-    let gen = r.get_u64().map_err(|e| e.to_string())?;
-    let snapshot_id = r.get_u64().map_err(|e| e.to_string())?;
-    let kind = decode_kind(&mut r)?;
-    let graph = wire::decode_graph(&mut r).map_err(|e| e.to_string())?;
-    let partition = wire::decode_partition(&mut r).map_err(|e| e.to_string())?;
-    let flag = r.get_u32().map_err(|e| e.to_string())?;
-    let at = r.get_u64().map_err(|e| e.to_string())?;
-    let next_repartition_at = (flag == 1).then_some(at as usize);
-    let count = r.get_usize().map_err(|e| e.to_string())?;
-    let mut coupling = Vec::new();
-    for _ in 0..count {
-        let i = r.get_usize().map_err(|e| e.to_string())?;
-        let j = r.get_usize().map_err(|e| e.to_string())?;
-        let v = r.get_f64().map_err(|e| e.to_string())?;
-        coupling.push((i, j, v));
+/// Shard `shard`'s permutation of its `len` nodes.
+fn decode_permutation(
+    r: &mut WireReader<'_>,
+    shard: usize,
+    len: usize,
+) -> Result<Permutation, WireError> {
+    let new_to_old = r.get_usize_seq()?;
+    if new_to_old.len() != len {
+        return Err(WireError::Invalid(format!(
+            "shard {shard} ordering of length {} for its {len} nodes",
+            new_to_old.len()
+        )));
     }
-    let n_blocks = r.get_usize().map_err(|e| e.to_string())?;
-    let mut blocks = Vec::new();
-    for _ in 0..n_blocks {
-        blocks.push(decode_block(&mut r)?);
+    Permutation::from_new_to_old(new_to_old)
+        .map_err(|e| WireError::Invalid(format!("shard {shard} ordering: {e}")))
+}
+
+/// The generation number and image a payload written by [`encode_image`]
+/// holds.
+fn decode_image(payload: &[u8]) -> Result<(u64, StoreImage), WireError> {
+    let mut r = WireReader::new(payload);
+    let gen = r.get_u64()?;
+    let snapshot_id = r.get_u64()?;
+    let kind = decode_kind(&mut r)?;
+    let partition = wire::decode_partition(&mut r)?;
+    let graph = wire::decode_graph(&mut r, partition.n_nodes())?;
+    let next_repartition_at = match (r.get_u32()?, r.get_usize()?) {
+        (0, 0) => None,
+        (1, at) => Some(at),
+        (flag, at) => {
+            return Err(WireError::Invalid(format!(
+                "re-partition countdown ({flag}, {at}) is neither unset nor set"
+            )))
+        }
+    };
+    let k = r.get_usize()?;
+    if k != partition.n_shards() {
+        return Err(WireError::Invalid(format!(
+            "{k} shards in an image partitioned into {}",
+            partition.n_shards()
+        )));
+    }
+    let mut shards = Vec::with_capacity(k);
+    for s in 0..k {
+        let index = r.get_u64()?;
+        let reference_nnz = r.get_usize()?;
+        let row = decode_permutation(&mut r, s, partition.shard_len(s))?;
+        let col = decode_permutation(&mut r, s, partition.shard_len(s))?;
+        shards.push(ShardImage {
+            ordering: Ordering::new(row, col),
+            reference_nnz,
+            index,
+        });
     }
     if !r.is_exhausted() {
-        return Err(format!(
-            "{} trailing bytes after the last block",
+        return Err(WireError::Invalid(format!(
+            "{} trailing bytes after the last shard",
             r.remaining()
-        ));
+        )));
     }
-    Ok(GenFile {
-        gen,
+    let image = StoreImage {
         snapshot_id,
         kind,
-        graph,
         partition,
+        graph,
         next_repartition_at,
-        coupling,
-        blocks,
-    })
+        shards,
+    };
+    Ok((gen, image))
 }
 
 /// Reads and validates generation `gen` from `dir`.
-pub(crate) fn read_gen(vfs: &dyn Vfs, dir: &Path, gen: u64) -> Result<GenFile, GenReadError> {
+pub(crate) fn read_gen(vfs: &dyn Vfs, dir: &Path, gen: u64) -> Result<StoreImage, GenReadError> {
     let path = dir.join(gen_name(gen));
     let bytes = vfs
         .read(&path)
@@ -332,16 +264,15 @@ pub(crate) fn read_gen(vfs: &dyn Vfs, dir: &Path, gen: u64) -> Result<GenFile, G
             path.display()
         )));
     }
-    let decoded = decode_gen_payload(payload)
+    let (decoded_gen, image) = decode_image(payload)
         .map_err(|e| GenReadError::Soft(format!("{}: {e}", path.display())))?;
-    if decoded.gen != gen {
+    if decoded_gen != gen {
         return Err(GenReadError::Soft(format!(
-            "{} claims generation {} in its payload",
-            path.display(),
-            decoded.gen
+            "{} claims generation {decoded_gen} in its payload",
+            path.display()
         )));
     }
-    Ok(decoded)
+    Ok(image)
 }
 
 /// Parses the manifest, returning its valid records and the byte length of
@@ -390,148 +321,39 @@ pub(crate) fn parse_manifest(
             break;
         }
         let mut r = WireReader::new(payload);
-        let Ok(gen) = r.get_u64() else { break };
-        let Ok(snapshot_id) = r.get_u64() else { break };
-        let Ok(k) = r.get_usize() else { break };
-        let mut shard_gens = Vec::new();
-        let mut ok = true;
-        for _ in 0..k {
-            match r.get_u64() {
-                Ok(g) => shard_gens.push(g),
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok || !r.is_exhausted() {
+        let (Ok(gen), Ok(snapshot_id)) = (r.get_u64(), r.get_u64()) else {
+            break;
+        };
+        if !r.is_exhausted() {
             break;
         }
-        records.push(ManifestRecord {
-            gen,
-            snapshot_id,
-            shard_gens,
-        });
+        records.push(ManifestRecord { gen, snapshot_id });
         pos += 8 + len;
     }
     Ok((records, pos))
 }
 
-/// Assembles the store image for manifest `record`: store-wide fields from
-/// its own generation, each shard's block from the generation the record
-/// points at.  Any missing/corrupt piece is a [`GenReadError::Soft`].
-pub(crate) fn assemble_store_state(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    record: &ManifestRecord,
-) -> Result<StoreState, GenReadError> {
-    let mut gens: Vec<(u64, GenFile)> = Vec::new();
-    for gen in record.live_gens() {
-        gens.push((gen, read_gen(vfs, dir, gen)?));
-    }
-    let own = gens
-        .iter()
-        .position(|(g, _)| *g == record.gen)
-        .expect("record gen in live set");
-    let k = record.shard_gens.len();
-    let mut blocks: Vec<Option<RestoredBlock>> = (0..k).map(|_| None).collect();
-    for (g, file) in gens.iter_mut() {
-        for (shard, block) in file.blocks.drain(..) {
-            if shard < k && record.shard_gens[shard] == *g {
-                blocks[shard] = Some(block);
-            }
-        }
-    }
-    let mut assembled = Vec::with_capacity(k);
-    for (shard, slot) in blocks.into_iter().enumerate() {
-        match slot {
-            Some(b) => assembled.push(b),
-            None => {
-                return Err(GenReadError::Soft(format!(
-                    "generation {} carries no block for shard {shard}",
-                    record.shard_gens[shard]
-                )))
-            }
-        }
-    }
-    let own = &gens[own].1;
-    if own.partition.n_shards() != k {
-        return Err(GenReadError::Soft(format!(
-            "manifest record covers {k} shards but generation {} partitions into {}",
-            record.gen,
-            own.partition.n_shards()
-        )));
-    }
-    for (shard, block) in assembled.iter().enumerate() {
-        if block.factors.n() != own.partition.shard_len(shard) {
-            return Err(GenReadError::Soft(format!(
-                "shard {shard} block of order {} does not fit its {}-node shard",
-                block.factors.n(),
-                own.partition.shard_len(shard)
-            )));
-        }
-    }
-    if own.snapshot_id != record.snapshot_id {
-        return Err(GenReadError::Soft(format!(
-            "manifest record claims snapshot {} but generation {} holds snapshot {}",
-            record.snapshot_id, record.gen, own.snapshot_id
-        )));
-    }
-    Ok(StoreState {
-        snapshot_id: own.snapshot_id,
-        kind: own.kind,
-        graph: own.graph.clone(),
-        partition: own.partition.clone(),
-        next_repartition_at: own.next_repartition_at,
-        coupling: own.coupling.clone(),
-        blocks: assembled,
-    })
-}
-
-/// Outcome of writing one generation file.
-pub(crate) struct GenOutcome {
-    pub(crate) gen: u64,
-    pub(crate) blocks_written: usize,
-    pub(crate) bytes: u64,
-    pub(crate) incremental: bool,
-}
-
-/// The checkpoint writer: tracks the previous generation's published block
-/// `Arc`s for pointer-identity change detection, the per-shard generation
-/// pointers, and the next generation number.
+/// The checkpoint writer: the spool it writes into and the next generation
+/// number.
 pub(crate) struct Checkpointer {
     vfs: Arc<dyn Vfs>,
     dir: PathBuf,
     next_gen: u64,
-    shard_gens: Vec<u64>,
-    last_blocks: Vec<Arc<DecomposedMatrix>>,
 }
 
 impl Checkpointer {
-    /// A checkpointer whose first generation will be `next_gen` and whose
-    /// first write is always full (no retained `Arc`s to compare against).
+    /// A checkpointer whose first generation will be `next_gen`.
     pub(crate) fn new(vfs: Arc<dyn Vfs>, dir: PathBuf, next_gen: u64) -> Self {
-        Checkpointer {
-            vfs,
-            dir,
-            next_gen,
-            shard_gens: Vec::new(),
-            last_blocks: Vec::new(),
-        }
+        Checkpointer { vfs, dir, next_gen }
     }
 
-    /// Writes (and syncs) the next generation file for `state`, carrying
-    /// only the blocks whose published `Arc` changed since the previous
-    /// generation.  Bookkeeping advances only after the file is durable, so
-    /// a failed write leaves the checkpointer consistent with disk.
-    pub(crate) fn write_generation(&mut self, state: &DurableState) -> EngineResult<GenOutcome> {
-        let k = state.blocks.len();
-        let comparable = self.last_blocks.len() == k;
-        let changed: Vec<usize> = (0..k)
-            .filter(|&s| !comparable || !Arc::ptr_eq(&self.last_blocks[s], &state.blocks[s].0))
-            .collect();
+    /// Writes (and syncs) the next generation file holding `image`, and
+    /// returns its number and its size in bytes.  The number advances only
+    /// after the file is durable, so a failed write leaves the checkpointer
+    /// consistent with disk.
+    pub(crate) fn write_generation(&mut self, image: &StoreImage) -> EngineResult<(u64, u64)> {
         let gen = self.next_gen;
-        let payload = encode_gen_payload(gen, state, &changed);
+        let payload = encode_image(gen, image);
         let mut file_bytes = Vec::with_capacity(12 + payload.len());
         file_bytes.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
         file_bytes.extend_from_slice(&CKPT_VERSION.to_le_bytes());
@@ -546,35 +368,16 @@ impl Checkpointer {
             .map_err(|e| io_err("write", &path, e))?;
         file.sync().map_err(|e| io_err("sync", &path, e))?;
         self.next_gen = gen + 1;
-        let mut shard_gens = if comparable {
-            std::mem::take(&mut self.shard_gens)
-        } else {
-            vec![gen; k]
-        };
-        for &s in &changed {
-            shard_gens[s] = gen;
-        }
-        self.shard_gens = shard_gens;
-        self.last_blocks = state.blocks.iter().map(|(b, _)| Arc::clone(b)).collect();
-        Ok(GenOutcome {
-            gen,
-            blocks_written: changed.len(),
-            bytes: file_bytes.len() as u64,
-            incremental: changed.len() < k,
-        })
+        Ok((gen, file_bytes.len() as u64))
     }
 
     /// Appends (and syncs) the manifest record committing generation `gen`
-    /// at `snapshot_id` with the current per-shard coverage.
+    /// at `snapshot_id`.
     pub(crate) fn commit_manifest(&self, gen: u64, snapshot_id: u64) -> EngineResult<()> {
         let path = self.dir.join(MANIFEST_NAME);
         let mut payload = WireWriter::new();
         payload.put_u64(gen);
         payload.put_u64(snapshot_id);
-        payload.put_usize(self.shard_gens.len());
-        for &g in &self.shard_gens {
-            payload.put_u64(g);
-        }
         let payload = payload.into_bytes();
         let mut frame = WireWriter::new();
         frame.put_u32(payload.len() as u32);
@@ -602,24 +405,17 @@ impl Checkpointer {
         Ok(())
     }
 
-    /// The generations the latest committed record still references.
-    pub(crate) fn live_gens(&self, committed_gen: u64) -> BTreeSet<u64> {
-        let mut live: BTreeSet<u64> = self.shard_gens.iter().copied().collect();
-        live.insert(committed_gen);
-        live
-    }
-
     /// Deletes WAL segments other than `keep_segment` and generation files
-    /// not in `live`.  Runs only after a manifest commit, so everything
-    /// removed is unreferenced.
-    pub(crate) fn cleanup(&self, live: &BTreeSet<u64>, keep_segment: &Path) -> EngineResult<()> {
+    /// other than `committed_gen`.  Runs only after the manifest committed
+    /// `committed_gen`, so everything removed is unreferenced.
+    pub(crate) fn cleanup(&self, committed_gen: u64, keep_segment: &Path) -> EngineResult<()> {
         let entries = self
             .vfs
             .list(&self.dir)
             .map_err(|e| io_err("list", &self.dir, e))?;
         for path in entries {
             let stale_wal = crate::wal::segment_first_id(&path).is_some() && path != keep_segment;
-            let stale_gen = gen_of_path(&path).is_some_and(|g| !live.contains(&g));
+            let stale_gen = gen_of_path(&path).is_some_and(|g| g != committed_gen);
             if stale_wal || stale_gen {
                 self.vfs
                     .remove(&path)
@@ -633,24 +429,86 @@ impl Checkpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::order_and_factorize;
+    use crate::coupling::CouplingConfig;
+    use crate::sharded::ShardedFactorStore;
+    use crate::store::RefreshPolicy;
     use crate::vfs::FailpointFs;
-    use clude_graph::measure_matrix;
+    use clude_graph::GraphDelta;
 
-    fn state_for(graph: DiGraph, snapshot_id: u64) -> DurableState {
-        let kind = MatrixKind::random_walk_default();
-        let matrix = measure_matrix(&graph, kind);
-        let of = order_and_factorize(&matrix, snapshot_id).unwrap();
-        let published = Arc::clone(of.block());
+    /// The image of a fresh `k`-shard store over `graph`.
+    fn image_of(graph: DiGraph, k: usize) -> StoreImage {
         let n = graph.n_nodes();
-        DurableState {
-            snapshot_id,
-            kind,
+        ShardedFactorStore::new(
             graph,
-            partition: NodePartition::singleton(n),
-            next_repartition_at: None,
-            coupling: Vec::new(),
-            blocks: vec![(published, of.reference_nnz)],
+            MatrixKind::random_walk_default(),
+            RefreshPolicy::Incremental,
+            NodePartition::contiguous(n, k),
+        )
+        .unwrap()
+        .durable_state()
+    }
+
+    /// A 4-shard image of a 24-node graph with chords across the shards,
+    /// two batches in, a re-partition countdown set: every field of the
+    /// layout carries something.
+    fn four_shard_image() -> StoreImage {
+        let n = 24;
+        let mut graph =
+            DiGraph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
+        for u in 0..n {
+            graph.add_edge(u, (u * 7 + 3) % n);
+        }
+        let mut store = ShardedFactorStore::new(
+            graph,
+            MatrixKind::random_walk_default(),
+            RefreshPolicy::Incremental,
+            NodePartition::contiguous(n, 4),
+        )
+        .unwrap()
+        .with_coupling_config(CouplingConfig {
+            repartition_budget: Some(1_000),
+            ..CouplingConfig::default()
+        })
+        .unwrap();
+        for delta in [
+            GraphDelta {
+                added: vec![(1, 4), (13, 2)],
+                removed: vec![(5, 6)],
+            },
+            GraphDelta {
+                added: vec![(20, 22)],
+                removed: vec![(0, 1)],
+            },
+        ] {
+            store.advance(&delta).unwrap();
+        }
+        let image = store.durable_state();
+        assert_eq!(image.shards.len(), 4);
+        assert!(image.next_repartition_at.is_some());
+        image
+    }
+
+    /// Writes `payload` as a checksummed generation 0 into `dir` and reads
+    /// it back.
+    fn read_crafted(payload: &[u8]) -> Result<StoreImage, GenReadError> {
+        let fs = FailpointFs::new();
+        let dir = PathBuf::from("/ckpt");
+        let mut file = Vec::new();
+        file.extend(CKPT_MAGIC.to_le_bytes());
+        file.extend(CKPT_VERSION.to_le_bytes());
+        file.extend(crc32(payload).to_le_bytes());
+        file.extend(payload);
+        let mut handle = fs.create(&dir.join(gen_name(0))).unwrap();
+        handle.append(&file).unwrap();
+        handle.sync().unwrap();
+        read_gen(&fs, &dir, 0)
+    }
+
+    fn soft_reason(read: Result<StoreImage, GenReadError>) -> String {
+        match read {
+            Err(GenReadError::Soft(why)) => why,
+            Err(GenReadError::Hard(err)) => panic!("hard failure: {err}"),
+            Ok(_) => panic!("a hostile generation decoded"),
         }
     }
 
@@ -658,59 +516,31 @@ mod tests {
     fn generation_round_trips_through_disk() {
         let fs: Arc<dyn Vfs> = Arc::new(FailpointFs::new());
         let dir = PathBuf::from("/ckpt");
-        let graph = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let state = state_for(graph.clone(), 7);
+        let image = four_shard_image();
         let mut ck = Checkpointer::new(Arc::clone(&fs), dir.clone(), 0);
-        let out = ck.write_generation(&state).unwrap();
-        assert_eq!(out.gen, 0);
-        assert_eq!(out.blocks_written, 1);
-        assert!(!out.incremental, "first generation is always full");
-        ck.commit_manifest(out.gen, 7).unwrap();
+        let (gen, bytes) = ck.write_generation(&image).unwrap();
+        assert_eq!(gen, 0);
+        assert_eq!(bytes, fs.read(&dir.join(gen_name(0))).unwrap().len() as u64);
+        // The layout's fields and nothing else: no factor value, no coupling
+        // entry.
+        let header = 12 + 8 + 8 + 12;
+        let partition = 8 + 8 * 24;
+        let graph = 8 + 8 + 16 * image.graph.n_edges();
+        let shards: usize = (image.shards.iter())
+            .map(|s| 8 + 8 + 2 * (8 + 8 * s.ordering.row().len()))
+            .sum();
+        assert_eq!(bytes as usize, header + partition + graph + 12 + 8 + shards);
+        ck.commit_manifest(gen, image.snapshot_id).unwrap();
 
         let manifest = fs.read(&dir.join(MANIFEST_NAME)).unwrap();
         let (records, valid) = parse_manifest(&dir.join(MANIFEST_NAME), &manifest).unwrap();
         assert_eq!(valid, manifest.len());
         assert_eq!(records.len(), 1);
-        assert_eq!(records[0].shard_gens, vec![0]);
-        let restored = assemble_store_state(&*fs, &dir, &records[0]).unwrap_or_else(|_| {
-            panic!("assemble failed");
-        });
-        assert_eq!(restored.snapshot_id, 7);
-        assert_eq!(restored.graph, graph);
-        assert_eq!(restored.blocks.len(), 1);
-        let original = crate::store::static_factors(&state.blocks[0].0).export_entries();
-        assert_eq!(restored.blocks[0].factors.export_entries(), original);
-        assert_eq!(restored.blocks[0].reference_nnz, state.blocks[0].1);
-    }
-
-    #[test]
-    fn unchanged_blocks_are_skipped_incrementally() {
-        let fs: Arc<dyn Vfs> = Arc::new(FailpointFs::new());
-        let dir = PathBuf::from("/ckpt");
-        let graph = DiGraph::from_edges(4, [(0, 1), (1, 2)]);
-        let state = state_for(graph, 1);
-        let mut ck = Checkpointer::new(Arc::clone(&fs), dir.clone(), 0);
-        ck.write_generation(&state).unwrap();
-        ck.commit_manifest(0, 1).unwrap();
-        // Same Arc published again: the next generation carries zero blocks.
-        let state2 = DurableState {
-            snapshot_id: 2,
-            ..state
-        };
-        let out = ck.write_generation(&state2).unwrap();
-        assert_eq!(out.blocks_written, 0);
-        assert!(out.incremental);
-        ck.commit_manifest(out.gen, 2).unwrap();
-        let manifest = fs.read(&dir.join(MANIFEST_NAME)).unwrap();
-        let (records, _) = parse_manifest(&dir.join(MANIFEST_NAME), &manifest).unwrap();
-        assert_eq!(records.len(), 2);
-        // Newest record still points shard 0 at generation 0 for its block.
-        assert_eq!(records[1].gen, 1);
-        assert_eq!(records[1].shard_gens, vec![0]);
-        let restored = assemble_store_state(&*fs, &dir, &records[1]).unwrap_or_else(|_| {
-            panic!("assemble failed");
-        });
-        assert_eq!(restored.snapshot_id, 2);
+        assert_eq!((records[0].gen, records[0].snapshot_id), (0, 2));
+        // A record is its frame and two `u64`s.
+        assert_eq!(manifest.len(), 8 + 8 + 16);
+        let restored = read_gen(&*fs, &dir, 0).unwrap_or_else(|_| panic!("read failed"));
+        assert_eq!(restored, image);
     }
 
     #[test]
@@ -718,10 +548,9 @@ mod tests {
         let fs = FailpointFs::new();
         let shared: Arc<dyn Vfs> = Arc::new(fs.clone());
         let dir = PathBuf::from("/ckpt");
-        let graph = DiGraph::from_edges(3, [(0, 1), (1, 2)]);
-        let state = state_for(graph, 1);
+        let image = image_of(DiGraph::from_edges(3, [(0, 1), (1, 2)]), 1);
         let mut ck = Checkpointer::new(Arc::clone(&shared), dir.clone(), 5);
-        ck.write_generation(&state).unwrap();
+        ck.write_generation(&image).unwrap();
         let path = dir.join(gen_name(5));
         fs.corrupt(&path, |b| {
             let last = b.len() - 1;
@@ -747,13 +576,12 @@ mod tests {
         let fs = FailpointFs::new();
         let shared: Arc<dyn Vfs> = Arc::new(fs.clone());
         let dir = PathBuf::from("/ckpt");
-        let graph = DiGraph::from_edges(3, [(0, 1)]);
-        let state = state_for(graph, 1);
+        let image = image_of(DiGraph::from_edges(3, [(0, 1)]), 1);
         let mut ck = Checkpointer::new(shared, dir.clone(), 0);
-        ck.write_generation(&state).unwrap();
+        ck.write_generation(&image).unwrap();
         ck.commit_manifest(0, 1).unwrap();
-        let out = ck.write_generation(&state).unwrap();
-        ck.commit_manifest(out.gen, 2).unwrap();
+        let (gen, _) = ck.write_generation(&image).unwrap();
+        ck.commit_manifest(gen, 2).unwrap();
         let path = dir.join(MANIFEST_NAME);
         let full = fs.read(&path).unwrap();
         fs.corrupt(&path, |b| {
@@ -772,17 +600,15 @@ mod tests {
         let fs = FailpointFs::new();
         let shared: Arc<dyn Vfs> = Arc::new(fs.clone());
         let dir = PathBuf::from("/ckpt");
-        let graph = DiGraph::from_edges(3, [(0, 1)]);
-        let state = state_for(graph, 1);
+        let image = image_of(DiGraph::from_edges(3, [(0, 1)]), 1);
         let mut ck = Checkpointer::new(Arc::clone(&shared), dir.clone(), 0);
-        ck.write_generation(&state).unwrap();
+        ck.write_generation(&image).unwrap();
         ck.commit_manifest(0, 1).unwrap();
         // Stale files a crashed rotation could leave behind.
         shared.create(&dir.join("wal-1.log")).unwrap();
         shared.create(&dir.join("wal-9.log")).unwrap();
         shared.create(&dir.join("gen-99.ckpt")).unwrap();
-        ck.cleanup(&ck.live_gens(0), &dir.join("wal-2.log"))
-            .unwrap();
+        ck.cleanup(0, &dir.join("wal-2.log")).unwrap();
         assert!(!fs.exists(&dir.join("wal-1.log")));
         assert!(!fs.exists(&dir.join("wal-9.log")));
         assert!(!fs.exists(&dir.join("gen-99.ckpt")));
@@ -790,107 +616,196 @@ mod tests {
         assert!(fs.exists(&dir.join(MANIFEST_NAME)));
     }
 
-    /// A block record of order `n` under the identity ordering whose entry
-    /// list claims `count` entries and holds `entries`.
-    fn block_payload(n: usize, count: usize, entries: &[(usize, usize, f64)]) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.put_usize(0);
-        w.put_u64(5);
-        w.put_u64(entries.len() as u64);
-        w.put_usize(n);
-        let identity: Vec<usize> = (0..n).collect();
-        w.put_usize_seq(&identity);
-        w.put_usize_seq(&identity);
-        w.put_usize(count);
-        for &(i, j, v) in entries {
-            w.put_usize(i);
-            w.put_usize(j);
-            w.put_f64(v);
-        }
-        w.into_bytes()
-    }
-
-    fn decode(payload: &[u8]) -> Result<RestoredBlock, String> {
-        decode_block(&mut WireReader::new(payload)).map(|(_, block)| block)
-    }
-
-    /// The factors of `[[2, 1], [0.5, 3]]`, as a checkpoint lists them.
-    const GOOD: [(usize, usize, f64); 4] = [(0, 0, 2.0), (0, 1, 1.0), (1, 0, 0.25), (1, 1, 2.75)];
-
-    #[test]
-    fn a_well_formed_block_decodes_to_the_factors_it_lists() {
-        let block = decode(&block_payload(2, 4, &GOOD)).unwrap();
-        assert_eq!(block.index, 5);
-        assert_eq!(block.factors.export_entries(), GOOD);
-        assert!(block.factors.structure().is_elimination_closed());
-    }
-
-    #[test]
-    fn hostile_block_entry_lists_are_typed_errors() {
-        let with = |at: usize, entry: (usize, usize, f64)| {
-            let mut entries = GOOD.to_vec();
-            entries[at] = entry;
-            entries
-        };
-        let mut swapped = GOOD.to_vec();
-        swapped.swap(0, 1);
-        let hostile = [
-            ("out of order", swapped),
-            ("duplicated", with(1, (0, 0, 1.0))),
-            ("column out of range", with(1, (0, 2, 1.0))),
-            ("row out of range", with(3, (2, 1, 1.0))),
-            ("missing diagonal", GOOD[..3].to_vec()),
-            ("NaN", with(2, (1, 0, f64::NAN))),
-            ("+inf", with(0, (0, 0, f64::INFINITY))),
-            ("-inf", with(3, (1, 1, f64::NEG_INFINITY))),
+    /// How many fields of the image `a` decodes to differ from `b`'s.
+    fn changed_fields(a: &(u64, StoreImage), b: &(u64, StoreImage)) -> usize {
+        let (x, y) = (&a.1, &b.1);
+        let store_wide = [
+            a.0 != b.0,
+            x.snapshot_id != y.snapshot_id,
+            x.kind != y.kind,
+            x.partition != y.partition,
+            x.graph != y.graph,
+            x.next_repartition_at != y.next_repartition_at,
+            x.shards.len() != y.shards.len(),
         ];
-        for (what, entries) in hostile {
-            let err = match decode(&block_payload(2, entries.len(), &entries)) {
-                Ok(_) => panic!("{what}: decoded"),
-                Err(err) => err,
-            };
-            assert!(err.contains("shard 0 factors"), "{what}: {err}");
+        let shards = x.shards.iter().zip(&y.shards).map(|(s, t)| s != t);
+        store_wide.into_iter().chain(shards).filter(|&d| d).count()
+    }
+
+    /// Every truncation and every single-byte XOR of a valid 4-shard
+    /// payload, checksum aside, decodes to a typed error or to the image its
+    /// bytes spell: re-encoding it gives back exactly the bytes read, and it
+    /// differs from the image written in at most the one field the flipped
+    /// byte belongs to.  Never a panic, never an abort.
+    #[test]
+    fn a_cut_or_flipped_generation_payload_is_typed_or_reads_as_written() {
+        let written = (3, four_shard_image());
+        let payload = encode_image(written.0, &written.1);
+        assert_eq!(decode_image(&payload).unwrap(), written);
+        for cut in 0..payload.len() {
+            assert!(decode_image(&payload[..cut]).is_err(), "cut at {cut}");
         }
-        // A count past the payload, and a payload cut short anywhere.
-        assert!(decode(&block_payload(2, 5, &GOOD)).is_err());
-        assert!(decode(&block_payload(2, usize::MAX, &GOOD)).is_err());
-        let full = block_payload(2, 4, &GOOD);
-        for cut in 0..full.len() {
-            assert!(decode(&full[..cut]).is_err(), "cut at {cut}");
+        let mut misread = 0;
+        for at in 0..payload.len() {
+            for mask in 1..=u8::MAX {
+                let mut flipped = payload.clone();
+                flipped[at] ^= mask;
+                let Ok(decoded) = decode_image(&flipped) else {
+                    continue;
+                };
+                misread += 1;
+                let what = format!("byte {at} ^ {mask:#04x}");
+                assert_eq!(encode_image(decoded.0, &decoded.1), flipped, "{what}");
+                assert_eq!(changed_fields(&decoded, &written), 1, "{what}");
+            }
+        }
+        // Flips of values no check can know (ids, anchors, edge endpoints,
+        // the damping) do decode, and were checked above.
+        assert!(misread > 0);
+    }
+
+    /// The same sweep over the whole file, checksum included, through
+    /// [`read_gen`]: a flip of the magic or the version is a hard failure,
+    /// every other flip and every truncation a soft one.
+    #[test]
+    fn every_truncation_and_byte_flip_of_a_generation_file_is_soft_or_hard() {
+        let fs = FailpointFs::new();
+        let shared: Arc<dyn Vfs> = Arc::new(fs.clone());
+        let dir = PathBuf::from("/ckpt");
+        let mut ck = Checkpointer::new(shared, dir.clone(), 0);
+        ck.write_generation(&four_shard_image()).unwrap();
+        let path = dir.join(gen_name(0));
+        let file = fs.read(&path).unwrap();
+        let read_as = |bytes: &[u8]| {
+            fs.corrupt(&path, |b| {
+                b.clear();
+                b.extend_from_slice(bytes);
+            });
+            read_gen(&fs, &dir, 0)
+        };
+        for cut in 0..file.len() {
+            assert!(
+                matches!(read_as(&file[..cut]), Err(GenReadError::Soft(_))),
+                "cut at {cut}"
+            );
+        }
+        for at in 0..file.len() {
+            for mask in 1..=u8::MAX {
+                let mut flipped = file.clone();
+                flipped[at] ^= mask;
+                let what = format!("byte {at} ^ {mask:#04x}");
+                match read_as(&flipped) {
+                    Err(GenReadError::Hard(_)) => assert!(at < 8, "{what}"),
+                    Err(GenReadError::Soft(_)) => assert!(at >= 8, "{what}"),
+                    Ok(_) => panic!("{what}: read"),
+                }
+            }
         }
     }
 
-    #[test]
-    fn a_generation_carrying_a_non_finite_factor_is_a_soft_failure() {
-        // A checksummed generation file whose one block holds a NaN factor:
-        // recovery must see a generation it cannot use, not a panic and not
-        // factors holding NaN.
-        let fs: Arc<dyn Vfs> = Arc::new(FailpointFs::new());
-        let dir = PathBuf::from("/ckpt");
-        let state = state_for(DiGraph::from_edges(2, [(0, 1)]), 1);
-        let mut payload = encode_gen_payload(0, &state, &[]);
+    /// `image`'s payload with the shard records replaced by `k` and, per
+    /// shard, the raw `(row, col)` sequences given — unchecked, as a hostile
+    /// writer would put them.
+    fn payload_with_shards(
+        image: &StoreImage,
+        k: usize,
+        orderings: &[(Vec<usize>, Vec<usize>)],
+    ) -> Vec<u8> {
+        let head = StoreImage {
+            shards: Vec::new(),
+            ..image.clone()
+        };
+        let mut payload = encode_image(0, &head);
         payload.truncate(payload.len() - 8);
         let mut w = WireWriter::new();
-        w.put_usize(1);
-        payload.extend(w.into_bytes());
-        let mut entries = GOOD.to_vec();
-        entries[1].2 = f64::NAN;
-        payload.extend(block_payload(2, 4, &entries));
-        let mut file = Vec::new();
-        file.extend(CKPT_MAGIC.to_le_bytes());
-        file.extend(CKPT_VERSION.to_le_bytes());
-        file.extend(crc32(&payload).to_le_bytes());
-        file.extend(&payload);
-        let path = dir.join(gen_name(0));
-        fs.create_dir_all(&dir).unwrap();
-        let mut handle = fs.create(&path).unwrap();
-        handle.append(&file).unwrap();
-        handle.sync().unwrap();
-        match read_gen(&*fs, &dir, 0) {
-            Err(GenReadError::Soft(why)) => assert!(why.contains("factors"), "{why}"),
-            Err(GenReadError::Hard(err)) => panic!("hard failure: {err}"),
-            Ok(_) => panic!("a NaN factor decoded"),
+        w.put_usize(k);
+        for (row, col) in orderings {
+            w.put_u64(1);
+            w.put_usize(10);
+            w.put_usize_seq(row);
+            w.put_usize_seq(col);
         }
+        payload.extend(w.into_bytes());
+        payload
+    }
+
+    #[test]
+    fn hostile_shard_records_are_soft_failures_naming_the_fault() {
+        let image = four_shard_image();
+        let orderings: Vec<(Vec<usize>, Vec<usize>)> = image
+            .shards
+            .iter()
+            .map(|s| {
+                let row = s.ordering.row().as_new_to_old().to_vec();
+                (row, s.ordering.col().as_new_to_old().to_vec())
+            })
+            .collect();
+        assert!(read_crafted(&payload_with_shards(&image, 4, &orderings)).is_ok());
+        let with_row = |edit: &dyn Fn(&mut Vec<usize>)| {
+            let mut orderings = orderings.clone();
+            edit(&mut orderings[1].0);
+            payload_with_shards(&image, 4, &orderings)
+        };
+        let cases = [
+            (
+                "a permutation of the wrong length",
+                with_row(&|row| {
+                    row.pop();
+                }),
+                "ordering of length 5 for its 6 nodes",
+            ),
+            (
+                "a repeated index",
+                with_row(&|row| row[1] = row[0]),
+                "repeated index",
+            ),
+            (
+                "an index past the shard",
+                with_row(&|row| row[0] = 6),
+                "index out of range",
+            ),
+            (
+                "fewer shards than the partition's",
+                payload_with_shards(&image, 3, &orderings[..3]),
+                "3 shards in an image partitioned into 4",
+            ),
+            (
+                "more shards than the partition's",
+                payload_with_shards(&image, 5, &orderings),
+                "5 shards in an image partitioned into 4",
+            ),
+            (
+                "trailing bytes",
+                [payload_with_shards(&image, 4, &orderings), vec![0]].concat(),
+                "1 trailing bytes",
+            ),
+        ];
+        for (what, payload, fault) in cases {
+            let why = soft_reason(read_crafted(&payload));
+            assert!(why.contains(fault), "{what}: {why}");
+        }
+    }
+
+    /// A checksummed generation reaches the wire decoders with whatever
+    /// sizes its writer chose: a shard id or a node count past the image's
+    /// is a soft failure, not an allocation that aborts the process.
+    #[test]
+    fn hostile_sizes_in_a_generation_are_soft_failures() {
+        let head = |w: &mut WireWriter| {
+            w.put_u64(0);
+            w.put_u64(0);
+            encode_kind(w, MatrixKind::random_walk_default());
+        };
+        let mut w = WireWriter::new();
+        head(&mut w);
+        w.put_usize_seq(&[0, 1 << 40]);
+        assert!(soft_reason(read_crafted(w.bytes())).contains("shard id"));
+        let mut w = WireWriter::new();
+        head(&mut w);
+        w.put_usize_seq(&[0, 0]);
+        w.put_usize(1 << 50);
+        w.put_edges(&[]);
+        assert!(soft_reason(read_crafted(w.bytes())).contains("2 were expected"));
     }
 
     /// Every truncation and every single-byte XOR of a valid three-record
@@ -909,24 +824,24 @@ mod tests {
         let path = dir.join(MANIFEST_NAME);
         for snapshot_id in [3, 5, 9] {
             let graph = DiGraph::from_edges(3, [(0, 1), (1, snapshot_id as usize % 3)]);
-            let out = ck.write_generation(&state_for(graph, snapshot_id)).unwrap();
-            ck.commit_manifest(out.gen, snapshot_id).unwrap();
+            let (gen, _) = ck.write_generation(&image_of(graph, 1)).unwrap();
+            ck.commit_manifest(gen, snapshot_id).unwrap();
             boundaries.push(fs.read(&path).unwrap().len());
         }
         let file = fs.read(&path).unwrap();
         let (records, valid) = parse_manifest(&path, &file).unwrap();
         assert_eq!((records.len(), valid), (3, file.len()));
         for record in &records {
-            committed.push((record.gen, record.snapshot_id, record.shard_gens.clone()));
+            committed.push((record.gen, record.snapshot_id));
         }
-        assert_eq!(committed.iter().map(|r| r.1).collect::<Vec<_>>(), [3, 5, 9]);
+        assert_eq!(committed, [(0, 3), (1, 5), (2, 9)]);
         let check = |bytes: &[u8], boundary: bool, what: &str| match parse_manifest(&path, bytes) {
             Err(EngineError::Persistence(_)) => {}
             Err(err) => panic!("{what}: untyped {err:?}"),
             Ok((records, valid)) => {
                 assert!(records.len() <= committed.len(), "{what}");
                 for (got, want) in records.iter().zip(&committed) {
-                    let got = (got.gen, got.snapshot_id, got.shard_gens.clone());
+                    let got = (got.gen, got.snapshot_id);
                     assert_eq!(&got, want, "{what}: a record that was not committed");
                 }
                 assert!(valid <= bytes.len(), "{what}");

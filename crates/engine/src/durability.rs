@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use clude_telemetry::{EngineEvent, Stage, TelemetryRegistry};
 
-use crate::checkpoint::{Checkpointer, DurableState};
+use crate::checkpoint::{Checkpointer, StoreImage};
 use crate::error::EngineResult;
 use crate::vfs::{StdFs, Vfs};
 use crate::wal::{segment_name, WalWriter};
@@ -82,23 +82,22 @@ pub(crate) struct Persistence {
 }
 
 impl Persistence {
-    /// Stands up the spool for `state` and writes its first durable image:
-    /// a full generation at the state's snapshot id, a fresh WAL segment,
-    /// and the committing manifest record.  Used both on cold start (the
-    /// base graph must be durable before any batch is accepted) and after a
-    /// recovery replay (re-anchoring so the next crash replays only new
-    /// work).  `first_gen` must exceed every generation already in the
-    /// manifest.
+    /// Stands up the spool for `image` and makes it durable: a generation
+    /// at the image's snapshot id, a fresh WAL segment, and the committing
+    /// manifest record.  Used both on cold start (the base graph must be
+    /// durable before any batch is accepted) and after a recovery replay
+    /// (re-anchoring so the next crash replays only new work).  `first_gen`
+    /// must exceed every generation already in the manifest.
     pub(crate) fn bootstrap(
         config: &DurabilityConfig,
         telemetry: Arc<TelemetryRegistry>,
-        state: &DurableState,
+        image: &StoreImage,
         first_gen: u64,
     ) -> EngineResult<Self> {
         let ckpt = Checkpointer::new(Arc::clone(&config.vfs), config.dir.clone(), first_gen);
         // Placeholder writer, immediately replaced by the rotation below;
         // checkpoint_and_rotate never looks at the old writer on bootstrap.
-        let wal_path = config.dir.join(segment_name(state.snapshot_id + 1));
+        let wal_path = config.dir.join(segment_name(image.snapshot_id + 1));
         let wal = WalWriter::create(&*config.vfs, &wal_path, config.group_commit)?;
         let mut p = Persistence {
             vfs: Arc::clone(&config.vfs),
@@ -111,7 +110,7 @@ impl Persistence {
             batches_since_checkpoint: 0,
             telemetry,
         };
-        p.checkpoint_state(state)?;
+        p.checkpoint_state(image)?;
         Ok(p)
     }
 
@@ -126,40 +125,36 @@ impl Persistence {
 
     /// Called after snapshot publication; returns whether the checkpoint
     /// interval elapsed.  Split from [`Persistence::checkpoint_state`] so
-    /// the caller only captures a [`DurableState`] (which copies the coupling
-    /// entries and the partition) on the batches that actually checkpoint.
+    /// the caller only captures a [`StoreImage`] (which copies the partition
+    /// and the orderings) on the batches that actually checkpoint.
     pub(crate) fn note_applied(&mut self) -> bool {
         self.batches_since_checkpoint += 1;
         self.batches_since_checkpoint >= self.checkpoint_every
     }
 
-    /// Writes one checkpoint generation for `state` and rotates the WAL.
+    /// Writes one checkpoint generation holding `image` and rotates the WAL.
     ///
     /// Commit order — each step durable before the next, each prefix
     /// crash-consistent:
     /// 1. generation file written and synced (unreferenced until step 3);
     /// 2. fresh WAL segment created and synced (empty, harmless);
     /// 3. manifest record appended and synced — the commit point;
-    /// 4. covered segments and unreferenced generations deleted.
-    pub(crate) fn checkpoint_state(&mut self, state: &DurableState) -> EngineResult<()> {
+    /// 4. covered segments and every other generation deleted.
+    pub(crate) fn checkpoint_state(&mut self, image: &StoreImage) -> EngineResult<()> {
         let span = self.telemetry.span(Stage::CheckpointWrite);
-        let outcome = self.ckpt.write_generation(state)?;
-        let new_path = self.dir.join(segment_name(state.snapshot_id + 1));
+        let (gen, bytes) = self.ckpt.write_generation(image)?;
+        let new_path = self.dir.join(segment_name(image.snapshot_id + 1));
         if new_path != self.wal_path {
             let new_wal = WalWriter::create(&*self.vfs, &new_path, self.group_commit)?;
             self.wal = new_wal;
             self.wal_path = new_path;
         }
-        self.ckpt.commit_manifest(outcome.gen, state.snapshot_id)?;
-        self.ckpt
-            .cleanup(&self.ckpt.live_gens(outcome.gen), &self.wal_path)?;
+        self.ckpt.commit_manifest(gen, image.snapshot_id)?;
+        self.ckpt.cleanup(gen, &self.wal_path)?;
         self.batches_since_checkpoint = 0;
         drop(span);
-        self.telemetry.record_event(EngineEvent::CheckpointWritten {
-            blocks: outcome.blocks_written as u64,
-            bytes: outcome.bytes,
-            incremental: outcome.incremental,
-        });
+        self.telemetry
+            .record_event(EngineEvent::CheckpointWritten { bytes });
         Ok(())
     }
 

@@ -228,13 +228,17 @@ impl CludeEngine {
     ///
     /// With no committed checkpoint the spool is cold: the engine is built
     /// from `base` exactly like [`CludeEngine::new`] and the base image is
-    /// made durable (full checkpoint + fresh WAL segment) *before* any batch
-    /// is accepted.  Otherwise the newest loadable checkpoint is restored,
-    /// the WAL suffix is replayed through the normal batch path (the same
-    /// quality anchors and re-partition countdown as the uncrashed run; the
-    /// maintenance decision restarts from its prior reach, so the recovered
-    /// factors answer within the 1e-9 bar of the uncrashed run rather than
-    /// bit for bit), and a fresh full checkpoint re-anchors the spool.  `base` must describe the same node universe and
+    /// made durable (a checkpoint + a fresh WAL segment) *before* any batch
+    /// is accepted.  Otherwise the newest loadable checkpoint is restored —
+    /// its graph, partition and per-shard orderings, with the factors
+    /// re-factorized under those orderings and the coupling re-derived from
+    /// the graph — the WAL suffix is replayed through the normal batch path
+    /// (the same orderings, quality anchors and re-partition countdown as
+    /// the uncrashed run; the fresh factors equal the live ones to rounding
+    /// and the maintenance decision restarts from its prior reach, so the
+    /// recovered engine answers within the 1e-9 bar of the uncrashed run
+    /// rather than bit for bit), and a fresh checkpoint re-anchors the
+    /// spool.  `base` must describe the same node universe and
     /// `config.matrix_kind` the same matrix as the spool; mismatches fail
     /// loudly rather than answering queries from the wrong operator.
     ///
@@ -265,25 +269,25 @@ impl CludeEngine {
             drop(state);
             return Ok((engine, RecoveryReport::default()));
         };
-        if loaded.state.kind != config.matrix_kind {
+        if loaded.image.kind != config.matrix_kind {
             return Err(EngineError::Persistence(format!(
                 "checkpoint matrix kind {:?} does not match configured {:?}",
-                loaded.state.kind, config.matrix_kind
+                loaded.image.kind, config.matrix_kind
             )));
         }
-        if loaded.state.graph.n_nodes() != base.n_nodes() {
+        if loaded.image.graph.n_nodes() != base.n_nodes() {
             return Err(EngineError::Persistence(format!(
                 "checkpoint node universe ({} nodes) does not match base graph ({} nodes)",
-                loaded.state.graph.n_nodes(),
+                loaded.image.graph.n_nodes(),
                 base.n_nodes()
             )));
         }
-        let checkpoint_snapshot = loaded.state.snapshot_id;
+        let checkpoint_snapshot = loaded.image.snapshot_id;
         let checkpoint_gen = loaded.gen;
         let max_committed_gen = loaded.max_committed_gen;
-        let n_shards = loaded.state.partition.n_shards();
+        let n_shards = loaded.image.partition.n_shards();
         let telemetry = Arc::new(TelemetryRegistry::with_shards(config.telemetry, n_shards));
-        let store = ShardedFactorStore::restore(config.refresh, config.coupling, loaded.state)?
+        let store = ShardedFactorStore::restore(config.refresh, config.coupling, loaded.image)?
             .with_telemetry(Arc::clone(&telemetry))
             .with_partition_strategy(config.partition_strategy);
         let replay = recovery::read_wal(&*durability.vfs, &durability.dir, checkpoint_snapshot)?;
@@ -313,7 +317,7 @@ impl CludeEngine {
                     records_dropped: replay.dropped,
                 });
             }
-            // Re-anchor: a fresh full checkpoint above every committed
+            // Re-anchor: a fresh checkpoint above every committed
             // generation, so the next crash replays only new work.
             let durable = state.store.durable_state();
             state.persistence = Some(Persistence::bootstrap(

@@ -6,11 +6,13 @@
 //!    repairing the file so later appends land after valid bytes).  No
 //!    records → cold start.
 //! 2. **Checkpoint restore** — walk manifest records newest → oldest; the
-//!    first whose referenced generation files all validate (magic, version,
-//!    checksum, decode) wins.  Checksum/decode failures fall back to the
-//!    previous record; a magic/version mismatch aborts loudly (that spool
-//!    was written by an incompatible build, silently regressing to an old
-//!    generation would be worse than stopping).
+//!    first whose one generation file validates (magic, version, checksum,
+//!    decode) and holds the snapshot the record names wins, and the store
+//!    re-derives its factors and coupling from that image.  Checksum/decode
+//!    failures fall back to the previous record; a magic/version mismatch
+//!    aborts loudly (that spool was written by an incompatible build,
+//!    silently regressing to an old generation would be worse than
+//!    stopping).
 //! 3. **WAL replay** — scan all segments, keep each one's valid prefix,
 //!    order records by snapshot id and replay the contiguous run
 //!    `S+1, S+2, …` on top of the restored store.  Torn/corrupt tails and
@@ -21,9 +23,7 @@
 use clude_graph::GraphDelta;
 use std::path::Path;
 
-use crate::checkpoint::{
-    assemble_store_state, parse_manifest, GenReadError, StoreState, MANIFEST_NAME,
-};
+use crate::checkpoint::{parse_manifest, read_gen, GenReadError, StoreImage, MANIFEST_NAME};
 use crate::error::{EngineError, EngineResult};
 use crate::vfs::Vfs;
 use crate::wal::{io_err, scan_segment, segment_first_id};
@@ -50,7 +50,7 @@ pub struct RecoveryReport {
 /// number (the bootstrap after recovery numbers its fresh generation above
 /// it).
 pub(crate) struct LoadedCheckpoint {
-    pub(crate) state: StoreState,
+    pub(crate) image: StoreImage,
     pub(crate) gen: u64,
     pub(crate) max_committed_gen: u64,
 }
@@ -81,19 +81,22 @@ pub(crate) fn load_checkpoint(vfs: &dyn Vfs, dir: &Path) -> EngineResult<Option<
     let max_committed_gen = records.iter().map(|r| r.gen).max().unwrap_or(0);
     let mut failures: Vec<String> = Vec::new();
     for record in records.iter().rev() {
-        match assemble_store_state(vfs, dir, record) {
-            Ok(state) => {
+        let why = match read_gen(vfs, dir, record.gen) {
+            Ok(image) if image.snapshot_id == record.snapshot_id => {
                 return Ok(Some(LoadedCheckpoint {
-                    state,
+                    image,
                     gen: record.gen,
                     max_committed_gen,
                 }))
             }
+            Ok(image) => format!(
+                "holds snapshot {} where the manifest committed {}",
+                image.snapshot_id, record.snapshot_id
+            ),
             Err(GenReadError::Hard(e)) => return Err(e),
-            Err(GenReadError::Soft(msg)) => {
-                failures.push(format!("generation {}: {msg}", record.gen))
-            }
-        }
+            Err(GenReadError::Soft(msg)) => msg,
+        };
+        failures.push(format!("generation {}: {why}", record.gen));
     }
     Err(EngineError::Persistence(format!(
         "no loadable checkpoint generation in {} ({})",

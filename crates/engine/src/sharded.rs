@@ -37,6 +37,7 @@
 //! solve of the snapshot's measure matrix — and the one-shard store — to
 //! well below 1e-9.
 
+use crate::checkpoint::{ShardImage, StoreImage};
 use crate::coupling::{CouplingConfig, FrozenCoupling};
 use crate::error::{EngineError, EngineResult};
 use crate::store::{
@@ -49,7 +50,7 @@ use clude_graph::{
     btf_partition, coupling_matrix, shard_measure_matrix, DeltaClass, DiGraph, GraphDelta,
     MatrixKind, NodePartition,
 };
-use clude_lu::{cost, extend_structure, BennettStats, LuError};
+use clude_lu::{cost, extend_structure, factorize_fresh, BennettStats, LuError};
 use clude_sparse::CsrMatrix;
 use clude_telemetry::{EngineEvent, Stage, TelemetryRegistry};
 use std::sync::Arc;
@@ -276,114 +277,84 @@ impl ShardedFactorStore {
         self.partition_strategy
     }
 
-    /// The durable slice of the store for the checkpoint writer.  Blocks
-    /// are the shards' published `Arc`s — their live factors — plus each
-    /// shard's `reference_nnz` quality anchor; the coupling is the frozen
-    /// CSR's entries as row-major triplets.
-    pub(crate) fn durable_state(&self) -> crate::checkpoint::DurableState {
-        crate::checkpoint::DurableState {
+    /// What a checkpoint of the store holds: everything but the factors
+    /// and the coupling, which [`ShardedFactorStore::restore`] re-derives
+    /// from the graph — per shard, its ordering, its `reference_nnz`
+    /// quality anchor and its block index.
+    pub(crate) fn durable_state(&self) -> StoreImage {
+        StoreImage {
             snapshot_id: self.snapshot_id,
             kind: self.kind,
-            graph: self.graph.clone(),
             partition: (*self.partition).clone(),
+            graph: self.graph.clone(),
             next_repartition_at: self.next_repartition_at,
-            coupling: self.published_coupling.matrix().iter().collect(),
-            blocks: self
+            shards: self
                 .shards
                 .iter()
-                .map(|s| (Arc::clone(s.block()), s.reference_nnz))
+                .map(|shard| ShardImage {
+                    ordering: (*shard.ordering).clone(),
+                    reference_nnz: shard.reference_nnz,
+                    index: shard.block().index as u64,
+                })
                 .collect(),
         }
     }
 
-    /// Rebuilds the store from a decoded checkpoint image.  Factors,
-    /// orderings, quality anchors, coupling entries, the partition and the
-    /// re-partition budget are restored bit-identically, so WAL replay from
-    /// here repartitions where the original did and measures quality-loss
-    /// against the same anchors.  Each shard's running sweep reach is not in
-    /// the image: the maintenance decision restarts from its prior, so a
-    /// replayed batch may take another arm than the original took — same
-    /// answers, to the arms' 1e-12 agreement.
+    /// Rebuilds the store from a checkpoint image, re-deriving what the
+    /// image leaves out as a build does: the coupling is collected from
+    /// the graph ([`cross_shard_coupling`]), and each shard's block of the
+    /// measure matrix, reordered by the shard's checkpointed ordering, is
+    /// factorized by the up-looking kernel.  The orderings, quality
+    /// anchors, block indices, partition and re-partition countdown are the
+    /// image's, so WAL replay from here repartitions where the original did
+    /// and measures quality-loss against the same anchors.
     ///
-    /// The coupling triplets become the state as they stand, so they are
-    /// checked to be what a store writes — row-major with no position twice,
-    /// every entry across two shards, every value finite and non-zero — and
-    /// anything else is an [`EngineError::Persistence`] naming the entry: a
-    /// repeated position would silently be one of its values, an entry inside
-    /// a shard's own block would be counted twice by every coupled solve.
+    /// The factors are a fresh factorization under the live orderings, so
+    /// they equal the live factors to rounding, not bit for bit, and hold no
+    /// slot a sweep added for an entry since removed: a restored shard's
+    /// slot count and quality-loss are never above the live shard's.  Each
+    /// shard's running sweep reach is not in the image either: the
+    /// maintenance decision restarts from its prior, so a replayed batch may
+    /// take another arm than the original took — same answers, to the arms'
+    /// 1e-12 agreement.  A shard the image's ordering does not fit, or whose
+    /// block meets a singular pivot under it, is an
+    /// [`EngineError::Persistence`].
     pub(crate) fn restore(
         policy: RefreshPolicy,
         coupling_cfg: CouplingConfig,
-        state: crate::checkpoint::StoreState,
+        image: StoreImage,
     ) -> EngineResult<Self> {
-        let crate::checkpoint::StoreState {
+        let StoreImage {
             snapshot_id,
             kind,
-            graph,
             partition,
+            graph,
             next_repartition_at,
-            coupling,
-            blocks,
-        } = state;
-        if graph.n_nodes() != partition.n_nodes() {
-            return Err(EngineError::Persistence(format!(
-                "checkpoint partition covers {} nodes but the graph has {}",
-                partition.n_nodes(),
-                graph.n_nodes()
-            )));
-        }
+            shards,
+        } = image;
         let partition = Arc::new(partition);
-        let n = graph.n_nodes();
-        let mut triplets = clude_sparse::CooMatrix::with_capacity(n, n, coupling.len());
-        let mut previous = None;
-        for &(i, j, v) in &coupling {
-            let reject = |why: String| {
-                Err(EngineError::Persistence(format!(
-                    "checkpoint coupling entry ({i}, {j}) {why}"
-                )))
-            };
-            if i >= n || j >= n {
-                return reject(format!("outside the {n}-node universe"));
-            }
-            if previous >= Some((i, j)) {
-                return reject("does not follow its predecessor in row-major order".into());
-            }
-            if partition.is_intra(i, j) {
-                return reject(format!(
-                    "lies inside shard {}'s own block",
-                    partition.shard_of(i)
-                ));
-            }
-            if !v.is_finite() || v == 0.0 {
-                return reject(format!("holds {v}, not a finite non-zero value"));
-            }
-            previous = Some((i, j));
-            triplets
-                .push(i, j, v)
-                .map_err(|e| EngineError::Persistence(format!("checkpoint coupling: {e}")))?;
-        }
-        let mut shards = Vec::with_capacity(blocks.len());
-        for (s, block) in blocks.into_iter().enumerate() {
-            let corrupt = |e: &dyn std::fmt::Display| {
-                EngineError::Persistence(format!("checkpoint block of shard {s}: {e}"))
-            };
-            // A block whose structure is not closed under elimination (an
-            // image written before blocks were kept closed) is closed once,
-            // here.  A checkpoint block carries no matrix: it is derived
-            // from the graph under the block's ordering.
-            let factors = extend_structure(&block.factors, []).map_err(|e| corrupt(&e))?;
-            let matrix = shard_measure_matrix(&graph, kind, &partition, s)
-                .reorder(&block.ordering)
-                .map_err(|e| corrupt(&e))?;
-            shards.push(OrderedFactors::new(
-                block.ordering,
-                factors,
-                block.reference_nnz,
-                matrix,
-                block.index,
-            ));
-        }
-        let published_coupling = FrozenCoupling::new(CsrMatrix::from_coo(&triplets));
+        let shards = shards
+            .into_iter()
+            .enumerate()
+            .map(|(s, shard)| {
+                let corrupt = |e: &dyn std::fmt::Display| {
+                    EngineError::Persistence(format!("checkpoint shard {s}: {e}"))
+                };
+                let matrix = shard_measure_matrix(&graph, kind, &partition, s)
+                    .reorder(&shard.ordering)
+                    .map_err(|e| corrupt(&e))?;
+                let factors = factorize_fresh(&matrix).map_err(|e| corrupt(&e))?;
+                Ok(OrderedFactors::new(
+                    shard.ordering,
+                    factors,
+                    shard.reference_nnz,
+                    matrix,
+                    shard.index,
+                ))
+            })
+            .collect::<EngineResult<Vec<_>>>()?;
+        let published_coupling =
+            FrozenCoupling::new(cross_shard_coupling(&graph, kind, &partition));
         Ok(ShardedFactorStore {
             kind,
             policy,
@@ -1521,9 +1492,9 @@ mod tests {
         store.repartition().unwrap();
         assert_coupled_answers_exact(&store, n);
 
-        let state = store_state(&store, store.durable_state().coupling);
         let restored =
-            ShardedFactorStore::restore(store.policy, store.coupling_cfg, state).unwrap();
+            ShardedFactorStore::restore(store.policy, store.coupling_cfg, store.durable_state())
+                .unwrap();
         assert!(restored.snapshot().shared_coupling().built_plan().is_none());
         assert_coupled_answers_exact(&restored, n);
     }
@@ -1875,154 +1846,6 @@ mod tests {
         store.advance(&delta).unwrap();
         assert!(store.snapshot().coupling_plan().is_triangular());
         assert_queries_match(&store, n);
-    }
-
-    /// The image a checkpoint of `store` would restore from, with the
-    /// coupling triplets replaced by `coupling`.
-    fn store_state(
-        store: &ShardedFactorStore,
-        coupling: Vec<(usize, usize, f64)>,
-    ) -> crate::checkpoint::StoreState {
-        crate::checkpoint::StoreState {
-            snapshot_id: store.snapshot_id,
-            kind: store.kind,
-            graph: store.graph.clone(),
-            partition: (*store.partition).clone(),
-            next_repartition_at: store.next_repartition_at,
-            coupling,
-            blocks: store
-                .shards
-                .iter()
-                .map(|shard| crate::checkpoint::RestoredBlock {
-                    index: shard.block().index as u64,
-                    reference_nnz: shard.reference_nnz,
-                    ordering: (*shard.ordering).clone(),
-                    factors: shard.factors().clone(),
-                })
-                .collect(),
-        }
-    }
-
-    /// A 12-node, 3-shard store one cross-shard batch in, and its durable
-    /// coupling triplets.
-    fn store_with_coupling() -> (ShardedFactorStore, Vec<(usize, usize, f64)>) {
-        let n = 12;
-        let mut store = ShardedFactorStore::new(
-            base_graph(n),
-            MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
-            NodePartition::contiguous(n, 3),
-        )
-        .unwrap();
-        store
-            .advance(&GraphDelta {
-                added: vec![(0, 7), (9, 2)],
-                removed: vec![(2, 0)],
-            })
-            .unwrap();
-        let coupling = store.durable_state().coupling;
-        assert!(coupling.len() >= 4);
-        (store, coupling)
-    }
-
-    fn restore_error(store: &ShardedFactorStore, coupling: Vec<(usize, usize, f64)>) -> String {
-        let state = store_state(store, coupling);
-        match ShardedFactorStore::restore(store.policy, store.coupling_cfg, state).unwrap_err() {
-            EngineError::Persistence(what) => what,
-            other => panic!("expected a persistence error, got {other}"),
-        }
-    }
-
-    #[test]
-    fn restore_takes_the_durable_coupling_as_the_state() {
-        let (store, coupling) = store_with_coupling();
-        let restored = ShardedFactorStore::restore(
-            store.policy,
-            store.coupling_cfg,
-            store_state(&store, coupling.clone()),
-        )
-        .unwrap();
-        assert_eq!(
-            restored.published_coupling.matrix(),
-            store.published_coupling.matrix()
-        );
-        assert_eq!(bits(restored.durable_state().coupling), bits(coupling));
-        // Restoring plans nothing; the first solve does, once, and to the
-        // bits of the original store's plan.
-        let snap = restored.snapshot();
-        assert!(snap.shared_coupling().built_plan().is_none());
-        assert_queries_match(&restored, 12);
-        let plan = snap.shared_coupling().built_plan().expect("a solve plans");
-        let original = store.snapshot();
-        assert_eq!(plan.gs_order(), original.coupling_plan().gs_order());
-        assert_eq!(
-            plan.is_triangular(),
-            original.coupling_plan().is_triangular()
-        );
-        assert_queries_match(&restored, 12);
-        assert!(std::ptr::eq(restored.snapshot().coupling_plan(), plan));
-    }
-
-    #[test]
-    fn restore_rejects_a_repeated_coupling_position() {
-        let (store, mut coupling) = store_with_coupling();
-        let (i, j, v) = coupling[1];
-        coupling.insert(2, (i, j, 2.0 * v));
-        let what = restore_error(&store, coupling);
-        assert!(
-            what.contains(&format!("({i}, {j})")) && what.contains("row-major"),
-            "{what}"
-        );
-    }
-
-    #[test]
-    fn restore_rejects_coupling_out_of_row_major_order() {
-        let (store, mut coupling) = store_with_coupling();
-        coupling.swap(0, 1);
-        let (i, j, _) = coupling[1];
-        let what = restore_error(&store, coupling);
-        assert!(
-            what.contains(&format!("({i}, {j})")) && what.contains("row-major"),
-            "{what}"
-        );
-    }
-
-    #[test]
-    fn restore_rejects_a_coupling_entry_inside_a_shard_block() {
-        let (store, mut coupling) = store_with_coupling();
-        // (0, 1) sorts first and both nodes live in shard 0.
-        coupling.insert(0, (0, 1, -0.25));
-        let what = restore_error(&store, coupling);
-        assert!(
-            what.contains("(0, 1)") && what.contains("shard 0's own block"),
-            "{what}"
-        );
-    }
-
-    #[test]
-    fn restore_rejects_non_finite_and_zero_coupling_values() {
-        let (store, coupling) = store_with_coupling();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0] {
-            let mut coupling = coupling.clone();
-            let (i, j, _) = coupling[3];
-            coupling[3].2 = bad;
-            let what = restore_error(&store, coupling);
-            assert!(
-                what.contains(&format!("({i}, {j})")) && what.contains("finite non-zero"),
-                "{bad}: {what}"
-            );
-        }
-    }
-
-    #[test]
-    fn restore_rejects_a_coupling_entry_outside_the_universe() {
-        let (store, mut coupling) = store_with_coupling();
-        coupling.push((3, 12, -0.25));
-        let what = restore_error(&store, coupling);
-        assert!(
-            what.contains("(3, 12)") && what.contains("12-node universe"),
-            "{what}"
-        );
     }
 
     fn bits(entries: Vec<(usize, usize, f64)>) -> Vec<(usize, usize, u64)> {
@@ -2454,6 +2277,146 @@ mod tests {
             delta
         }
 
+        /// The state a checkpoint of `store` restores to, checked against
+        /// the live store: the image's fields, the coupling bit for bit, no
+        /// factor slot or quality-loss above the live shard's, answers
+        /// within 1e-12 of the live store's and 1e-9 of dense elimination,
+        /// and no plan built by the restore.
+        fn assert_restores_to(store: &ShardedFactorStore) {
+            let image = store.durable_state();
+            let restored =
+                ShardedFactorStore::restore(store.policy, store.coupling_cfg, image.clone())
+                    .unwrap();
+            assert!(restored.snapshot().shared_coupling().built_plan().is_none());
+            assert_eq!(restored.durable_state(), image);
+            let entries =
+                |s: &ShardedFactorStore| bits(s.published_coupling.matrix().iter().collect());
+            assert_eq!(entries(&restored), entries(store));
+            for (s, (back, live)) in restored.shards.iter().zip(&store.shards).enumerate() {
+                assert!(back.factors().nnz() <= live.factors().nnz(), "shard {s}");
+                assert!(back.quality_loss() <= live.quality_loss(), "shard {s}");
+            }
+            let n = store.graph().n_nodes();
+            let (live, back) = (store.snapshot(), restored.snapshot());
+            let answers: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = match store.kind {
+                MatrixKind::RandomWalk { .. } => [
+                    MeasureQuery::PageRank { damping: 0.85 },
+                    MeasureQuery::Rwr {
+                        seed: 3,
+                        damping: 0.85,
+                    },
+                ]
+                .iter()
+                .map(|q| {
+                    let dense = dense_answer(store.graph(), store.kind, q);
+                    (live.query(q).unwrap(), back.query(q).unwrap(), dense)
+                })
+                .collect(),
+                MatrixKind::SymmetricLaplacian { .. } => {
+                    let a = clude_graph::measure_matrix(store.graph(), store.kind).to_dense();
+                    let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
+                    let dense = a.solve_gaussian(&b).unwrap();
+                    let solve = |snap: &EngineSnapshot| snap.solve_measure_system(&b).unwrap();
+                    vec![(solve(&live), solve(&back), dense)]
+                }
+            };
+            for (live, back, dense) in answers {
+                for ((x, y), z) in live.iter().zip(&back).zip(&dense) {
+                    assert!((x - y).abs() <= 1e-12, "live {x} vs restored {y}");
+                    assert!((y - z).abs() <= 1e-9, "restored {y} vs dense {z}");
+                }
+            }
+        }
+
+        /// A checkpoint restores to the live store after every batch of a
+        /// mixed stream, whichever arm maintained the blocks: both matrix
+        /// kinds, one shard, and four shards whose re-partitions follow edge
+        /// locality or BTF structure, under the free decision and each arm
+        /// forced in turn — every arm fires on every configuration.
+        #[test]
+        fn restore_matches_the_live_store_after_every_batch_and_arm() {
+            // Four 6-node cycles with a chord each, bridged forward: four
+            // strongly connected blocks, so BTF splits too.
+            let n = 24;
+            let mut g = DiGraph::new(n);
+            for b in 0..4 {
+                for i in 0..6 {
+                    g.add_edge(6 * b + i, 6 * b + (i + 1) % 6);
+                }
+                g.add_edge(6 * b, 6 * b + 3);
+                if b < 3 {
+                    g.add_edge(6 * b + 1, 6 * b + 8);
+                }
+            }
+            let mut seed = 0x9e37_79b9_u64;
+            let mut next = |bound: usize| {
+                seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (seed >> 33) as usize % bound
+            };
+            let batches: Vec<Vec<(usize, usize, usize)>> = (0..10)
+                .map(|_| {
+                    (0..1 + next(6))
+                        .map(|_| (next(3), next(n), next(n)))
+                        .collect()
+                })
+                .collect();
+            for kind in [
+                MatrixKind::random_walk_default(),
+                MatrixKind::SymmetricLaplacian { shift: 1.0 },
+            ] {
+                for strategy in [
+                    None,
+                    Some(PartitionStrategy::EdgeLocality),
+                    Some(PartitionStrategy::Btf),
+                ] {
+                    let mut arms = std::collections::BTreeSet::new();
+                    for forced in std::iter::once(None).chain(MaintenanceArm::ALL.map(Some)) {
+                        let partition = match strategy {
+                            None => NodePartition::singleton(n),
+                            Some(PartitionStrategy::EdgeLocality) => edge_locality_partition(&g, 4),
+                            Some(PartitionStrategy::Btf) => btf_partition(&g, kind, 4).0,
+                        };
+                        let mut store = ShardedFactorStore::new(
+                            g.clone(),
+                            kind,
+                            RefreshPolicy::Incremental,
+                            partition,
+                        )
+                        .unwrap()
+                        .with_partition_strategy(strategy.unwrap_or_default());
+                        if strategy.is_some() {
+                            assert_eq!(store.n_shards(), 4);
+                            let budget = Some(store.coupling_nnz() + 2);
+                            store = store
+                                .with_coupling_config(CouplingConfig {
+                                    repartition_budget: budget,
+                                    ..CouplingConfig::default()
+                                })
+                                .unwrap();
+                        }
+                        store.forced_arm = forced;
+                        assert_restores_to(&store);
+                        for batch in &batches {
+                            let report =
+                                store.advance(&random_delta(store.graph(), batch)).unwrap();
+                            arms.extend(
+                                report
+                                    .per_shard
+                                    .iter()
+                                    .filter_map(|s| s.arm.map(|a| a.index())),
+                            );
+                            assert_restores_to(&store);
+                        }
+                    }
+                    assert_eq!(
+                        arms.len(),
+                        MaintenanceArm::ALL.len(),
+                        "{kind:?} {strategy:?}: {arms:?}"
+                    );
+                }
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -2664,7 +2627,6 @@ mod tests {
                     prop_assert_eq!(entry_bits(after.coupling()), entry_bits(&oracle));
                     prop_assert_eq!(store.coupling_nnz(), oracle.nnz());
                     prop_assert!(oracle.iter().all(|(_, _, v)| v != 0.0));
-                    prop_assert_eq!(bits(store.durable_state().coupling), entry_bits(&oracle));
 
                     // A re-partition re-freezes whatever the entries did; the
                     // advance builds no plan, and a shared coupling still

@@ -1338,11 +1338,10 @@ mod tests {
         assert_eq!(snap.shards()[0].decomposed().index, 0);
         assert_eq!(snap.coupling().nnz(), 0);
         // What a one-shard checkpoint records under the default config: no
-        // repartition trigger, no coupling, one block.
+        // repartition trigger, one shard.
         let durable = store.durable_state();
         assert_eq!(durable.next_repartition_at, None);
-        assert!(durable.coupling.is_empty());
-        assert_eq!(durable.blocks.len(), 1);
+        assert_eq!(durable.shards.len(), 1);
         assert_eq!(durable.partition.n_shards(), 1);
     }
 }

@@ -254,15 +254,32 @@ pub fn encode_graph(w: &mut WireWriter, graph: &DiGraph) {
     w.put_edges(&edges);
 }
 
-/// Decodes a graph written by [`encode_graph`], validating edge endpoints
-/// against the declared universe.
-pub fn decode_graph(r: &mut WireReader<'_>) -> WireResult<DiGraph> {
+/// Decodes a graph written by [`encode_graph`] over the `n_nodes`-node
+/// universe the caller expects, validating the declared node count before a
+/// node is allocated and every edge against it.  The edges must be strictly
+/// ascending and free of self-loops, as [`encode_graph`] writes them, so one
+/// graph has one encoding and a repeated edge or a self-loop is corruption,
+/// not an edge [`DiGraph::from_edges`] silently drops.
+pub fn decode_graph(r: &mut WireReader<'_>, n_nodes: usize) -> WireResult<DiGraph> {
     let n = r.get_usize()?;
+    if n != n_nodes {
+        return Err(WireError::Invalid(format!(
+            "graph of {n} nodes where {n_nodes} were expected"
+        )));
+    }
     let edges = r.get_edges()?;
-    for &(u, v) in &edges {
+    for (k, &(u, v)) in edges.iter().enumerate() {
         if u >= n || v >= n {
             return Err(WireError::Invalid(format!(
                 "edge ({u}, {v}) outside the {n}-node universe"
+            )));
+        }
+        if u == v {
+            return Err(WireError::Invalid(format!("self-loop ({u}, {u})")));
+        }
+        if k > 0 && edges[k - 1] >= (u, v) {
+            return Err(WireError::Invalid(format!(
+                "edge ({u}, {v}) does not follow its predecessor in ascending order"
             )));
         }
     }
@@ -276,8 +293,16 @@ pub fn encode_partition(w: &mut WireWriter, partition: &NodePartition) {
 
 /// Decodes a partition written by [`encode_partition`], validating that the
 /// assignment forms the dense non-empty shard range the constructor demands.
+/// Every shard holds a node, so a shard id at or past the node count is
+/// rejected before anything is sized by it.
 pub fn decode_partition(r: &mut WireReader<'_>) -> WireResult<NodePartition> {
     let assignments = r.get_usize_seq()?;
+    let n = assignments.len();
+    if let Some(&s) = assignments.iter().find(|&&s| s >= n) {
+        return Err(WireError::Invalid(format!(
+            "shard id {s} in a partition of {n} nodes"
+        )));
+    }
     let k = assignments.iter().copied().max().map_or(1, |m| m + 1);
     let mut seen = vec![false; k];
     for &s in &assignments {
@@ -358,20 +383,62 @@ mod tests {
 
     #[test]
     fn graph_round_trips_and_validates() {
-        let mut g = DiGraph::from_edges(5, vec![(0, 1), (1, 2), (4, 0)]);
-        g.add_edge(2, 2);
+        let g = DiGraph::from_edges(5, vec![(0, 1), (1, 2), (4, 0)]);
         let mut w = WireWriter::new();
         encode_graph(&mut w, &g);
         let bytes = w.into_bytes();
-        let decoded = decode_graph(&mut WireReader::new(&bytes)).unwrap();
+        let decoded = decode_graph(&mut WireReader::new(&bytes), 5).unwrap();
         assert_eq!(decoded, g);
         // An out-of-universe edge is rejected, not constructed.
         let mut w = WireWriter::new();
         w.put_usize(2);
         w.put_edges(&[(0, 7)]);
         let bytes = w.into_bytes();
-        let err = decode_graph(&mut WireReader::new(&bytes)).unwrap_err();
+        let err = decode_graph(&mut WireReader::new(&bytes), 2).unwrap_err();
         assert!(matches!(err, WireError::Invalid(_)));
+        // A repeated edge, edges out of ascending order, a self-loop.
+        for edges in [[(0, 1), (0, 1)], [(1, 0), (0, 1)], [(0, 1), (1, 1)]] {
+            let mut w = WireWriter::new();
+            w.put_usize(2);
+            w.put_edges(&edges);
+            let bytes = w.into_bytes();
+            let err = decode_graph(&mut WireReader::new(&bytes), 2).unwrap_err();
+            assert!(matches!(err, WireError::Invalid(_)), "{edges:?}");
+        }
+    }
+
+    /// A partition payload of `assignments`, as [`encode_partition`] writes
+    /// it.
+    fn partition_bytes(assignments: &[usize]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_usize_seq(assignments);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_shard_id_past_the_node_count_is_rejected_before_allocating() {
+        let bytes = partition_bytes(&[0, 1 << 40]);
+        let err = decode_partition(&mut WireReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, WireError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("shard id 1099511627776"), "{err}");
+    }
+
+    #[test]
+    fn a_shard_id_of_usize_max_is_rejected_without_overflow() {
+        let bytes = partition_bytes(&[usize::MAX, 0]);
+        let err = decode_partition(&mut WireReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, WireError::Invalid(_)), "{err}");
+    }
+
+    #[test]
+    fn a_graph_of_an_unexpected_node_count_is_rejected_before_allocating() {
+        let mut w = WireWriter::new();
+        w.put_usize(1 << 50);
+        w.put_edges(&[]);
+        let bytes = w.into_bytes();
+        let err = decode_graph(&mut WireReader::new(&bytes), 3).unwrap_err();
+        assert!(matches!(err, WireError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("3 were expected"), "{err}");
     }
 
     #[test]

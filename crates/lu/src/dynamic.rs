@@ -269,9 +269,9 @@ impl DynamicLuFactors {
     /// reconstructed node by node through the structural `set` path — zeros
     /// included — so the result is bit-identical to the exported factors.
     ///
-    /// Entries out of bounds or out of order are rejected (the input is a
-    /// decoded checkpoint payload, so the validation failure is a corrupt or
-    /// version-skewed file, never a programming error on the hot path).
+    /// Entries out of bounds or out of order are rejected (the list may have
+    /// been read from a file, so the validation failure is corrupt or
+    /// foreign input, never a programming error on the hot path).
     ///
     /// [`export_entries`]: DynamicLuFactors::export_entries
     pub fn from_sorted_entries(n: usize, entries: &[(usize, usize, f64)]) -> LuResult<Self> {

@@ -80,8 +80,8 @@ impl LuFactors {
     /// every value finite.  The structure holds exactly the listed slots,
     /// zeros included, so the result exports the same list bit for bit.
     ///
-    /// The input is a decoded checkpoint payload, so anything else is a
-    /// corrupt or foreign file and an error, never a panic: an entry out of
+    /// The list may have been read from a file, so anything else is corrupt
+    /// or foreign input and an error, never a panic: an entry out of
     /// range or out of order is an [`LuError::EntryOutsideStructure`], a
     /// missing diagonal an [`LuError::SingularPivot`] (value `0.0`), a NaN or
     /// infinite value an [`LuError::InvalidParameter`] named `"factors"`.

@@ -86,7 +86,7 @@ impl LuStructure {
     /// `row(i)` (strictly ascending, `< n`), `nnz` in total — **no symbolic
     /// closure**: the layout covers what the rows list and nothing more.
     ///
-    /// This is how factors are rebuilt from a checkpoint's entry list
+    /// This is how factors are rebuilt from an exported entry list
     /// ([`crate::LuFactors::from_sorted_entries`]): the rows are slices of
     /// one column array, read in place, so the build is `O(nnz)` with a
     /// constant number of allocations.  A row without its diagonal is a

@@ -79,17 +79,12 @@ pub enum EngineEvent {
         /// Number of cache entries dropped by this invalidation.
         dropped: u64,
     },
-    /// The durability layer wrote a checkpoint generation and chained it
-    /// into the manifest.
+    /// The durability layer wrote a checkpoint generation and committed it
+    /// in the manifest.
     CheckpointWritten {
-        /// Factor blocks serialized into this generation (changed shards
-        /// only, unless the checkpoint was a full one).
-        blocks: u64,
-        /// Bytes of the generation file, manifest record included.
+        /// Bytes of the generation file (the manifest record is not
+        /// counted).
         bytes: u64,
-        /// True when the generation reused at least one earlier generation's
-        /// block (an incremental checkpoint, not a full one).
-        incremental: bool,
     },
     /// Recovery found a torn or corrupt WAL tail and truncated it (the
     /// dropped records were never durable — the batches they logged never

@@ -640,14 +640,9 @@ fn event_json(seq: u64, event: &EngineEvent) -> String {
             "{{\"seq\": {seq}, \"kind\": \"{kind}\", \"oldest_retained\": {oldest_retained}, \
              \"dropped\": {dropped}}}"
         ),
-        EngineEvent::CheckpointWritten {
-            blocks,
-            bytes,
-            incremental,
-        } => format!(
-            "{{\"seq\": {seq}, \"kind\": \"{kind}\", \"blocks\": {blocks}, \"bytes\": {bytes}, \
-             \"incremental\": {incremental}}}"
-        ),
+        EngineEvent::CheckpointWritten { bytes } => {
+            format!("{{\"seq\": {seq}, \"kind\": \"{kind}\", \"bytes\": {bytes}}}")
+        }
         EngineEvent::WalTruncated { records_dropped } => format!(
             "{{\"seq\": {seq}, \"kind\": \"{kind}\", \"records_dropped\": {records_dropped}}}"
         ),

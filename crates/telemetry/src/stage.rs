@@ -39,8 +39,9 @@ pub enum Stage {
     /// Appending (and group-committing) one delta batch's record to the
     /// write-ahead log, before the batch reaches the factor store.
     WalAppend,
-    /// Writing one incremental checkpoint: changed factor blocks, frozen
-    /// coupling, partition map, and the manifest record chaining it.
+    /// Writing one checkpoint: the generation file holding the graph, the
+    /// partition and each shard's ordering, the WAL rotation, and the
+    /// manifest record committing it.
     CheckpointWrite,
     /// Replaying one logged delta batch through the factor store during
     /// recovery (newest valid checkpoint + WAL replay).
