@@ -551,14 +551,15 @@ impl CludeEngine {
 
     /// Answers a query against the newest snapshot.
     ///
-    /// Lock-free snapshot acquisition: the newest snapshot comes from the
-    /// wait-free [`SnapshotHandle`], so this path acquires no `RwLock` at
-    /// all (the result-cache shards use their own locks only around probes
-    /// and inserts, never across a solve).
+    /// The newest snapshot is borrowed from the wait-free
+    /// [`SnapshotHandle`] — no ring `RwLock`, no reference count — and
+    /// cloned only if a cache miss hands it to the batcher.  A cache hit
+    /// takes one lock, its result-cache shard's, around the probe; no lock
+    /// is held across a solve.
     pub fn query(&self, query: &MeasureQuery) -> EngineResult<Arc<Vec<f64>>> {
-        let snapshot = self.handle.load();
         self.check_kind(query)?;
-        self.service.query(&snapshot, query)
+        self.handle
+            .with_current(|snapshot| self.service.query(snapshot, query))
     }
 
     /// Answers a query against a retained past snapshot (time travel).
@@ -1523,9 +1524,11 @@ mod tests {
         }
     }
 
-    /// Readers time-travel to the oldest retained snapshot while the writer
-    /// evicts it: every call answers that snapshot's graph exactly or reports
-    /// it gone, and the service counts exactly the calls that reached it.
+    /// Readers alternate time travel to the oldest retained snapshot with
+    /// queries of the newest while the writer evicts: every call answers its
+    /// snapshot's graph exactly or reports it gone, the service counts
+    /// exactly the calls that reached it, and no result of an evicted
+    /// snapshot stays cached.
     #[test]
     fn queries_racing_ring_eviction_answer_exactly_or_report_the_snapshot_gone() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -1585,21 +1588,37 @@ mod tests {
                         start.wait();
                         let mut served = 0u64;
                         let mut i = 0;
-                        while !done.load(Ordering::Acquire) || i < 30 {
-                            let id = engine.retained_snapshot_ids()[0];
-                            // Widens the window in which the writer evicts it.
-                            thread::yield_now();
+                        while !done.load(Ordering::Acquire) || i < 60 {
                             let k = (t + i) % 3;
-                            match engine.query_at(id, &hostile_queries()[k]) {
-                                Ok(x) => {
-                                    let case = format!("{n_shards} shard(s), snapshot {id}");
-                                    assert_close(&x, &dense[id as usize][k], &case);
-                                    served += 1;
+                            let query = &hostile_queries()[k];
+                            if i % 2 == 1 {
+                                // Per thread, served snapshot ids never go
+                                // back: the call's is one of those around it.
+                                let before = engine.handle.load().id();
+                                let x = engine.query(query).unwrap();
+                                let after = engine.handle.load().id();
+                                let exact = (before..=after).any(|id| {
+                                    let want = &dense[id as usize][k];
+                                    x.len() == want.len()
+                                        && x.iter().zip(want).all(|(a, d)| (a - d).abs() <= 1e-9)
+                                });
+                                assert!(exact, "{n_shards} shard(s), snapshots {before}..={after}");
+                                served += 1;
+                            } else {
+                                let id = engine.retained_snapshot_ids()[0];
+                                // Widens the window in which the writer evicts it.
+                                thread::yield_now();
+                                match engine.query_at(id, query) {
+                                    Ok(x) => {
+                                        let case = format!("{n_shards} shard(s), snapshot {id}");
+                                        assert_close(&x, &dense[id as usize][k], &case);
+                                        served += 1;
+                                    }
+                                    Err(EngineError::UnknownSnapshot { requested, .. }) => {
+                                        assert_eq!(requested, id);
+                                    }
+                                    Err(other) => panic!("snapshot {id}: {other:?}"),
                                 }
-                                Err(EngineError::UnknownSnapshot { requested, .. }) => {
-                                    assert_eq!(requested, id);
-                                }
-                                Err(other) => panic!("snapshot {id}: {other:?}"),
                             }
                             i += 1;
                         }
@@ -1611,6 +1630,12 @@ mod tests {
             let served: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
             assert_eq!(engine.current_snapshot_id(), n_ops);
             assert_eq!(engine.stats().queries, served, "{n_shards} shard(s)");
+            let oldest = engine.retained_snapshot_ids()[0];
+            let cached = engine.service.cached_snapshot_ids();
+            assert!(
+                cached.iter().all(|&id| id >= oldest),
+                "{cached:?} below {oldest}"
+            );
         }
     }
 }

@@ -14,11 +14,13 @@
 //! * **load** (readers): read the epoch with `Acquire` and compare it against
 //!   a thread-local `(handle id, epoch, Arc)` cache.  In the steady state —
 //!   no publish since this thread's last load — the load is one atomic read
-//!   plus a thread-local hit: **no lock of any kind**, wait-free, and the
-//!   shared `Arc`'s reference count is not touched by other threads' loads.
-//!   Only the first load after a publish (per thread) refreshes the cache
-//!   through the slot's `Mutex`, a once-per-epoch cost that is amortized to
-//!   nothing at serving rates.
+//!   plus a thread-local hit: **no lock of any kind**, wait-free.
+//!   [`SnapshotHandle::with_current`] lends the cached `Arc` to a closure,
+//!   so a caller that only reads the snapshot (a query answered from the
+//!   result cache) touches no reference count either; [`SnapshotHandle::load`]
+//!   clones it.  Only the first load after a publish (per thread) refreshes
+//!   the cache through the slot's `Mutex`, a once-per-epoch cost that is
+//!   amortized to nothing at serving rates.
 //!
 //! A snapshot tagged with epoch `E` is always the snapshot published at `E`
 //! *or newer* (the slot is written before the epoch increment, and the slot
@@ -40,7 +42,7 @@ static NEXT_HANDLE_ID: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// One cached `(handle id, epoch, snapshot)` entry per thread: the
-    /// steady-state fast path of [`SnapshotHandle::load`].  A single entry
+    /// steady-state fast path of [`SnapshotHandle::with_current`].  A single entry
     /// suffices because a serving thread hammers one engine; switching
     /// handles just misses once.
     static CACHED: RefCell<Option<(usize, u64, Arc<EngineSnapshot>)>> = const { RefCell::new(None) };
@@ -81,23 +83,33 @@ impl SnapshotHandle {
         self.epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// The current snapshot.  Steady state (no publish since this thread's
-    /// last load of this handle): one `Acquire` epoch read plus a
-    /// thread-local hit — wait-free, zero locks.  After a publish, the first
-    /// load per thread refreshes through the slot mutex.
-    pub fn load(&self) -> Arc<EngineSnapshot> {
+    /// Runs `f` on the current snapshot, borrowed from this thread's cache.
+    /// Steady state (no publish since this thread's last look at this
+    /// handle): one `Acquire` epoch read plus a thread-local borrow —
+    /// wait-free, zero locks, and no reference count touched.  After a
+    /// publish, the first call per thread refreshes the cache through the
+    /// slot mutex.  A call nested inside `f` reads the slot without caching.
+    pub fn with_current<R>(&self, f: impl FnOnce(&Arc<EngineSnapshot>) -> R) -> R {
         let epoch = self.epoch.load(Ordering::Acquire);
-        CACHED.with(|cell| {
-            let mut cached = cell.borrow_mut();
-            if let Some((id, e, snap)) = cached.as_ref() {
-                if *id == self.id && *e == epoch {
-                    return Arc::clone(snap);
-                }
+        CACHED.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut cached) => {
+                let entry = match cached.take() {
+                    Some(entry) if entry.0 == self.id && entry.1 == epoch => entry,
+                    _ => (self.id, epoch, Arc::clone(&self.slot.lock().recover())),
+                };
+                f(&cached.insert(entry).2)
             }
-            let snap = Arc::clone(&self.slot.lock().recover());
-            *cached = Some((self.id, epoch, Arc::clone(&snap)));
-            snap
+            Err(_) => {
+                let snapshot = Arc::clone(&self.slot.lock().recover());
+                f(&snapshot)
+            }
         })
+    }
+
+    /// The current snapshot, owned: [`Self::with_current`] plus one
+    /// reference-count increment.
+    pub fn load(&self) -> Arc<EngineSnapshot> {
+        self.with_current(Arc::clone)
     }
 
     /// The number of completed publishes (the current epoch), for stats and
@@ -150,6 +162,30 @@ mod tests {
         assert_eq!(handle.epoch(), 1);
         assert!(Arc::ptr_eq(&handle.load(), &s1));
         assert_eq!(handle.load().id(), 1);
+    }
+
+    #[test]
+    fn borrowed_snapshot_is_the_published_one_even_when_nested() {
+        let mut st = store();
+        let s0 = Arc::new(st.snapshot());
+        let handle = SnapshotHandle::new(Arc::clone(&s0));
+        handle.load(); // fills this thread's cache
+        let count = Arc::strong_count(&s0);
+        handle.with_current(|snap| {
+            assert!(Arc::ptr_eq(snap, &s0));
+            // Borrowed from the thread's cache: no count taken.
+            assert_eq!(Arc::strong_count(&s0), count);
+        });
+        advance(&mut st, 0, 2);
+        let s1 = Arc::new(st.snapshot());
+        handle.with_current(|outer| {
+            assert!(Arc::ptr_eq(outer, &s0));
+            handle.publish(Arc::clone(&s1));
+            // The cache is lent out: a nested call reads the slot.
+            handle.with_current(|inner| assert!(Arc::ptr_eq(inner, &s1)));
+            assert!(Arc::ptr_eq(&handle.load(), &s1));
+        });
+        assert!(Arc::ptr_eq(&handle.load(), &s1));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!                                                    │
 //!                                                    ▼
 //!                                             QueryService
-//!                                     sharded RwLock LRU cache keyed by
+//!                                     sharded Mutex LRU cache keyed by
 //!                                     (snapshot, query); solves combine the
 //!                                     shard blocks exactly by GMRES over
 //!                                     the block Gauss–Seidel pass on the

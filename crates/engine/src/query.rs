@@ -7,9 +7,12 @@
 //! * **sharded result cache** — results are memoised in LRU shards keyed by
 //!   `(snapshot id, query)` and sharded by the *query* alone, so every
 //!   snapshot's entry for one query lives in the same shard and a staleness
-//!   probe touches exactly one lock.  Each shard also keeps a per-snapshot
-//!   entry count, letting bulk invalidation skip shards that hold nothing
-//!   stale instead of scanning every key.
+//!   probe touches exactly one lock.  The query is hashed once per call
+//!   ([`crate::cache::key_hash`]): the shard comes from the hash's high bits
+//!   and the shard's table probes from its low bits, with the borrowed query
+//!   compared in place, so a hit clones no key and allocates nothing.  Each
+//!   shard also keeps a per-snapshot entry count, letting bulk invalidation
+//!   skip shards that hold nothing stale instead of scanning every key.
 //! * **query batching** — cache-missing queries funnel through a
 //!   flat-combining `QueryBatcher`: the first submitter becomes the leader
 //!   and answers everything queued behind it with one multi-RHS panel solve
@@ -20,19 +23,36 @@
 //!   result for the same query at a recent-enough older snapshot is served
 //!   instead of solving.
 
-use crate::cache::LruCache;
+use crate::cache::{key_hash, shard_index, LruCache};
 use crate::error::{EngineError, EngineResult};
 use crate::store::EngineSnapshot;
 use crate::sync::Recover;
 use clude_measures::MeasureQuery;
 use clude_telemetry::{Counter, EngineEvent, LogHistogram, Stage, TelemetryRegistry};
-use std::collections::hash_map::DefaultHasher;
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-type CacheKey = (u64, MeasureQuery);
+/// One cache hit in `HIT_SAMPLE` (per serving thread) is timed as a
+/// `query.cache_hit` span; every hit is counted.  A hit costs little more
+/// than reading the clock twice, so timing each one would make the span the
+/// larger part of the hit.
+const HIT_SAMPLE: u32 = 64;
+
+thread_local! {
+    /// Hits this thread serves before it times one again; at zero the next
+    /// probe is timed, and a probe that misses keeps the turn.
+    static HITS_UNTIL_SAMPLE: Cell<u32> = const { Cell::new(0) };
+}
+
+/// A cached result's key.  The cache indexes it by the hash of the query
+/// alone, so every snapshot's entry for one query shares a shard.
+#[derive(Debug, PartialEq)]
+struct CacheKey {
+    snapshot: u64,
+    query: MeasureQuery,
+}
 
 /// How far behind the queried snapshot a served cached result may lag.
 ///
@@ -49,7 +69,7 @@ pub struct StalenessBudget {
 
 /// One cache shard: the LRU plus a per-snapshot entry count.  The counts let
 /// [`CacheShard::invalidate_below`] return without scanning a shard that
-/// holds nothing stale.
+/// holds nothing stale.  Every call takes the query's [`key_hash`].
 #[derive(Debug)]
 struct CacheShard {
     lru: LruCache<CacheKey, Arc<Vec<f64>>>,
@@ -68,19 +88,20 @@ impl CacheShard {
         self.lru.len()
     }
 
-    fn get(&mut self, key: &CacheKey) -> Option<&Arc<Vec<f64>>> {
-        self.lru.get(key)
+    fn get(&mut self, hash: u64, snapshot: u64, query: &MeasureQuery) -> Option<&Arc<Vec<f64>>> {
+        self.lru
+            .get_hashed(hash, |k| k.snapshot == snapshot && k.query == *query)
     }
 
-    fn insert(&mut self, key: CacheKey, value: Arc<Vec<f64>>) -> Option<CacheKey> {
+    fn insert(&mut self, hash: u64, key: CacheKey, value: Arc<Vec<f64>>) -> Option<CacheKey> {
         // Replacing an existing key must not double-count it; removing first
         // also guarantees the LRU has room, so a replace never evicts.
-        if self.lru.remove(&key).is_none() {
-            *self.per_snapshot.entry(key.0).or_insert(0) += 1;
+        if self.lru.remove_hashed(hash, |k| *k == key).is_none() {
+            *self.per_snapshot.entry(key.snapshot).or_insert(0) += 1;
         }
-        let victim = self.lru.insert(key, value);
-        if let Some((snapshot, _)) = &victim {
-            Self::forget(&mut self.per_snapshot, *snapshot);
+        let victim = self.lru.insert_hashed(hash, key, value);
+        if let Some(evicted) = &victim {
+            Self::forget(&mut self.per_snapshot, evicted.snapshot);
         }
         victim
     }
@@ -106,7 +127,7 @@ impl CacheShard {
         let kept = self.per_snapshot.split_off(&oldest);
         let dropped: usize = self.per_snapshot.values().sum();
         self.per_snapshot = kept;
-        self.lru.retain(|(snapshot, _)| *snapshot >= oldest);
+        self.lru.retain(|k| k.snapshot >= oldest);
         dropped as u64
     }
 }
@@ -137,13 +158,52 @@ struct BatcherState {
 /// queueing while a solve is in flight (natural batching under load, zero
 /// added latency when idle: a lone query is a batch of one).  The leader
 /// steps down only after observing an empty queue, so no follower is ever
-/// stranded.
+/// stranded — and a leader that panics mid-solve steps down on the way out
+/// ([`Leadership`]), answering what it drained and what is queued with
+/// [`EngineError::QueryAborted`].
 #[derive(Debug)]
 struct QueryBatcher {
     state: Mutex<BatcherState>,
     done: Condvar,
     occupancy: LogHistogram,
     telemetry: Arc<TelemetryRegistry>,
+    /// Runs once, at the start of the next `solve_batch`: a test's way to
+    /// make a solve wait for a follower, or panic.
+    #[cfg(test)]
+    solve_hook: Mutex<Option<fn(&QueryBatcher)>>,
+}
+
+/// A leader's tenure.  Dropped without having stepped down — the leader is
+/// unwinding out of `solve_batch` — it answers every ticket but the leader's
+/// own, drained or still queued, with [`EngineError::QueryAborted`], clears
+/// `leader_active` and wakes the followers, so the next submitter leads.
+/// The leader's own panic then carries on to its caller.
+struct Leadership<'a> {
+    batcher: &'a QueryBatcher,
+    own: u64,
+    /// The round being solved.
+    batch: Vec<PendingQuery>,
+    stepped_down: bool,
+}
+
+impl Drop for Leadership<'_> {
+    fn drop(&mut self) {
+        if self.stepped_down {
+            return;
+        }
+        let mut st = self.batcher.lock();
+        let queued = std::mem::take(&mut st.pending);
+        for pending in self.batch.drain(..).chain(queued) {
+            if pending.ticket != self.own {
+                let why = "the batch solve answering it panicked; ask again".into();
+                st.results
+                    .insert(pending.ticket, Err(EngineError::QueryAborted(why)));
+            }
+        }
+        st.leader_active = false;
+        drop(st);
+        self.batcher.done.notify_all();
+    }
 }
 
 impl QueryBatcher {
@@ -153,6 +213,8 @@ impl QueryBatcher {
             done: Condvar::new(),
             occupancy: LogHistogram::new(),
             telemetry,
+            #[cfg(test)]
+            solve_hook: Mutex::new(None),
         }
     }
 
@@ -190,15 +252,19 @@ impl QueryBatcher {
             }
         }
         // Leader: drain-solve-publish rounds until the queue stays empty.
+        let mut leader = Leadership {
+            batcher: self,
+            own: ticket,
+            batch: Vec::new(),
+            stepped_down: false,
+        };
         let mut own = None;
         loop {
-            let batch = {
-                let mut st = self.lock();
-                std::mem::take(&mut st.pending)
-            };
-            if !batch.is_empty() {
-                self.occupancy.record(batch.len() as u64);
-                let solved = self.solve_batch(&batch);
+            leader.batch = std::mem::take(&mut self.lock().pending);
+            if !leader.batch.is_empty() {
+                self.occupancy.record(leader.batch.len() as u64);
+                let solved = self.solve_batch(&leader.batch);
+                leader.batch.clear();
                 {
                     let mut st = self.lock();
                     for (ticket_solved, result) in solved {
@@ -215,6 +281,7 @@ impl QueryBatcher {
                 let mut st = self.lock();
                 if st.pending.is_empty() {
                     st.leader_active = false;
+                    leader.stepped_down = true;
                     break;
                 }
             }
@@ -231,6 +298,13 @@ impl QueryBatcher {
     /// Solves one drained batch: group by snapshot, dedup identical queries
     /// within a group, one panel solve per group.
     fn solve_batch(&self, batch: &[PendingQuery]) -> Vec<(u64, EngineResult<Arc<Vec<f64>>>)> {
+        #[cfg(test)]
+        {
+            let hook = self.solve_hook.lock().recover().take();
+            if let Some(hook) = hook {
+                hook(self);
+            }
+        }
         let mut out = Vec::with_capacity(batch.len());
         let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
         for (i, p) in batch.iter().enumerate() {
@@ -277,7 +351,7 @@ impl QueryBatcher {
 /// Sharded, cached, batching query evaluation over engine snapshots.
 #[derive(Debug)]
 pub struct QueryService {
-    shards: Vec<RwLock<CacheShard>>,
+    shards: Vec<Mutex<CacheShard>>,
     /// Oldest snapshot id still retained; results below it are not cached
     /// (a reader may finish a solve for a snapshot evicted mid-flight).
     oldest_retained: AtomicU64,
@@ -303,7 +377,7 @@ impl QueryService {
         assert!(shards > 0, "need at least one cache shard");
         QueryService {
             shards: (0..shards)
-                .map(|_| RwLock::new(CacheShard::new(capacity_per_shard)))
+                .map(|_| Mutex::new(CacheShard::new(capacity_per_shard)))
                 .collect(),
             oldest_retained: AtomicU64::new(0),
             staleness,
@@ -312,21 +386,14 @@ impl QueryService {
         }
     }
 
-    /// Shards by the *query alone* (not the snapshot id): every snapshot's
-    /// entry for one query shares a shard, so the staleness probe touches
-    /// exactly one lock.
-    fn shard_of(&self, query: &MeasureQuery) -> usize {
-        let mut hasher = DefaultHasher::new();
-        query.hash(&mut hasher);
-        (hasher.finish() as usize) % self.shards.len()
-    }
-
     /// Answers `query` against `snapshot`, consulting the cache first (the
     /// exact snapshot, then — under the staleness budget — recent older
     /// snapshots, newest first).  Misses are solved through the batcher.
     ///
-    /// Results are shared (`Arc`) so concurrent readers of a hot query pay
-    /// no copies.
+    /// A hit validates the query, counts it, hashes it once and takes its
+    /// shard's lock once; `snapshot` is only read, and cloned only when a
+    /// miss hands it to the batcher.  Results are shared (`Arc`) so
+    /// concurrent readers of a hot query pay no copies.
     pub fn query(
         &self,
         snapshot: &Arc<EngineSnapshot>,
@@ -336,35 +403,36 @@ impl QueryService {
             .validate(snapshot.n_nodes())
             .map_err(EngineError::InvalidQuery)?;
         self.telemetry.incr(Counter::QueriesServed);
-        let key: CacheKey = (snapshot.id(), query.clone());
-        let shard = &self.shards[self.shard_of(query)];
+        let id = snapshot.id();
+        // Sharded by the query alone: every snapshot's entry for one query
+        // shares a shard, so the staleness probe reuses the lock.
+        let hash = key_hash(query);
+        let shard = &self.shards[shard_index(hash, self.shards.len())];
         {
-            let probe = self.telemetry.span(Stage::QueryCacheHit);
-            let mut guard = shard.write().recover();
-            if let Some(hit) = guard.get(&key) {
+            let until_sample = HITS_UNTIL_SAMPLE.with(Cell::get);
+            let probe = (until_sample == 0).then(|| self.telemetry.span(Stage::QueryCacheHit));
+            let mut guard = shard.lock().recover();
+            if let Some(hit) = guard.get(hash, id, query) {
                 self.telemetry.incr(Counter::CacheHits);
+                let next = until_sample.checked_sub(1).unwrap_or(HIT_SAMPLE - 1);
+                HITS_UNTIL_SAMPLE.with(|c| c.set(next));
                 return Ok(Arc::clone(hit));
             }
             // A miss records no `query.cache_hit` sample — the stage times
             // served-from-cache probes only.
-            probe.cancel();
+            if let Some(probe) = probe {
+                probe.cancel();
+            }
             // Bounded-staleness serving: the same query answered at a
             // recent-enough older snapshot is acceptable under the budget.
-            // All candidate keys hash to this shard, so the probes reuse the
-            // lock already held.
-            if self.staleness.max_lag > 0 && key.0 > 0 {
+            if self.staleness.max_lag > 0 && id > 0 {
                 let stale = self.telemetry.span(Stage::QueryStaleHit);
-                let floor = key.0.saturating_sub(self.staleness.max_lag);
-                let mut id = key.0 - 1;
-                loop {
-                    if let Some(hit) = guard.get(&(id, query.clone())) {
+                let floor = id.saturating_sub(self.staleness.max_lag);
+                for older in (floor..id).rev() {
+                    if let Some(hit) = guard.get(hash, older, query) {
                         self.telemetry.incr(Counter::CacheHits);
                         return Ok(Arc::clone(hit));
                     }
-                    if id == floor {
-                        break;
-                    }
-                    id -= 1;
                 }
                 stale.cancel();
             }
@@ -377,15 +445,25 @@ impl QueryService {
         solve_span.stop();
         // Don't cache results for snapshots evicted while we were solving:
         // query_at() rejects their ids before probing the cache, so the
-        // entry would only waste LRU capacity.
-        if key.0 >= self.oldest_retained.load(Ordering::Acquire) {
-            let victim = shard.write().recover().insert(key, Arc::clone(&scores));
-            if let Some((evicted_snapshot, _)) = victim {
-                self.telemetry.incr(Counter::CacheEvictions);
-                self.telemetry.record_event(EngineEvent::CacheEvicted {
-                    snapshot: evicted_snapshot,
-                });
-            }
+        // entry would only waste LRU capacity.  The retained floor is read
+        // under the shard lock: `invalidate_below` raises it before it cleans
+        // any shard, so either it cleans this entry or this read sees it.
+        let mut guard = shard.lock().recover();
+        let victim = if id >= self.oldest_retained.load(Ordering::Acquire) {
+            let key = CacheKey {
+                snapshot: id,
+                query: query.clone(),
+            };
+            guard.insert(hash, key, Arc::clone(&scores))
+        } else {
+            None
+        };
+        drop(guard);
+        if let Some(evicted) = victim {
+            self.telemetry.incr(Counter::CacheEvictions);
+            self.telemetry.record_event(EngineEvent::CacheEvicted {
+                snapshot: evicted.snapshot,
+            });
         }
         Ok(scores)
     }
@@ -400,7 +478,7 @@ impl QueryService {
             .store(oldest_retained, Ordering::Release);
         let mut dropped = 0u64;
         for shard in &self.shards {
-            dropped += shard.write().recover().invalidate_below(oldest_retained);
+            dropped += shard.lock().recover().invalidate_below(oldest_retained);
         }
         if dropped > 0 {
             self.telemetry.record_event(EngineEvent::CacheInvalidated {
@@ -412,13 +490,22 @@ impl QueryService {
 
     /// Total number of cached results across shards.
     pub fn cached_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.read().recover().len()).sum()
+        self.shards.iter().map(|s| s.lock().recover().len()).sum()
     }
 
     /// The batcher's occupancy histogram: one sample per drained batch,
     /// valued at the number of queries the batch coalesced.
     pub fn batch_occupancy(&self) -> &LogHistogram {
         &self.batcher.occupancy
+    }
+
+    /// The snapshot id of every cached result.
+    #[cfg(test)]
+    pub(crate) fn cached_snapshot_ids(&self) -> Vec<u64> {
+        let ids = |s: &Mutex<CacheShard>| -> Vec<u64> {
+            s.lock().recover().lru.keys().map(|k| k.snapshot).collect()
+        };
+        self.shards.iter().flat_map(ids).collect()
     }
 }
 
@@ -618,5 +705,154 @@ mod tests {
         assert!(service.batch_occupancy().count() >= 1);
         let drained: u64 = service.batch_occupancy().count();
         assert!(drained <= 6, "at most one drain per submission");
+    }
+
+    /// A batch leader that panics inside its solve steps down on the way
+    /// out: the ticket it drained beside its own and the follower queued
+    /// behind it both get `QueryAborted` — nobody waits forever — and the
+    /// next query leads afresh and gets its exact answer.
+    #[test]
+    fn a_panicking_leader_fails_its_followers_and_steps_down() {
+        fn fail_once_a_follower_queues(batcher: &QueryBatcher) {
+            // Tickets 0 (parked), 1 (the leader's) and 2 (the follower's).
+            while batcher.lock().next_ticket < 3 {
+                std::thread::yield_now();
+            }
+            panic!("injected solve failure");
+        }
+        let (service, _) = service_with(StalenessBudget::default());
+        let service = Arc::new(service);
+        let snap = snapshot();
+        let rwr = |seed| MeasureQuery::Rwr {
+            seed,
+            damping: 0.85,
+        };
+        // Ticket 0 waits in the queue, so the leader drains it with its own.
+        {
+            let mut st = service.batcher.lock();
+            st.next_ticket = 1;
+            st.pending.push(PendingQuery {
+                ticket: 0,
+                snapshot: Arc::clone(&snap),
+                query: rwr(3),
+            });
+        }
+        *service.batcher.solve_hook.lock().recover() = Some(fail_once_a_follower_queues);
+        let ask = |seed| {
+            let (service, snap) = (Arc::clone(&service), Arc::clone(&snap));
+            std::thread::spawn(move || service.query(&snap, &rwr(seed)))
+        };
+        let leader = ask(1);
+        while !service.batcher.lock().leader_active {
+            std::thread::yield_now();
+        }
+        let follower = ask(2);
+        assert!(leader.join().is_err(), "the leader's panic propagates");
+        assert!(matches!(
+            follower.join().unwrap(),
+            Err(EngineError::QueryAborted(_))
+        ));
+        {
+            let mut st = service.batcher.lock();
+            assert!(matches!(
+                st.results.remove(&0),
+                Some(Err(EngineError::QueryAborted(_)))
+            ));
+            assert!(
+                st.results.is_empty(),
+                "nothing answered the leader's own ticket"
+            );
+            assert!(st.pending.is_empty() && !st.leader_active);
+        }
+        let answer = service.query(&snap, &rwr(2)).unwrap();
+        let exact = snap.query(&rwr(2)).unwrap();
+        assert!(answer
+            .iter()
+            .zip(exact.iter())
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    /// The read phase's key set — every RWR seed of a 1,000-page graph plus
+    /// 3,096 distinct PPR seed pairs, drawn as the serving benchmark draws
+    /// them — spreads over 8 cache shards with none above 1.5x the mean.
+    #[test]
+    fn the_serving_key_set_spreads_evenly_over_eight_shards() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashSet;
+        let (n, n_keys, shards) = (1_000usize, 4_096usize, 8usize);
+        for seed in [11u64, 12, 13, 97] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut pages: Vec<usize> = (0..n).collect();
+            pages.shuffle(&mut rng);
+            let mut keys: Vec<MeasureQuery> = pages
+                .iter()
+                .map(|&seed| MeasureQuery::Rwr {
+                    seed,
+                    damping: 0.85,
+                })
+                .collect();
+            let mut seen = HashSet::new();
+            while keys.len() < n_keys {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a != b && seen.insert((a.min(b), a.max(b))) {
+                    keys.push(MeasureQuery::PprSeedSet {
+                        seeds: vec![a.min(b), a.max(b)],
+                        damping: 0.85,
+                    });
+                }
+            }
+            let mut load = vec![0usize; shards];
+            for key in &keys {
+                load[shard_index(key_hash(key), shards)] += 1;
+            }
+            let mean = n_keys as f64 / shards as f64;
+            let max = *load.iter().max().unwrap();
+            assert!(max as f64 <= 1.5 * mean, "seed {seed}: {load:?}");
+        }
+    }
+
+    /// Keys one damping ulp apart, or with their PPR seeds in another order,
+    /// are different cache keys: each is stored and served on its own.
+    #[test]
+    fn keys_differing_in_damping_bits_or_seed_order_stay_distinct() {
+        let ulp_up = f64::from_bits(0.85f64.to_bits() + 1);
+        let keys = [
+            MeasureQuery::Rwr {
+                seed: 1,
+                damping: 0.85,
+            },
+            MeasureQuery::Rwr {
+                seed: 1,
+                damping: ulp_up,
+            },
+            MeasureQuery::PprSeedSet {
+                seeds: vec![1, 2],
+                damping: 0.85,
+            },
+            MeasureQuery::PprSeedSet {
+                seeds: vec![2, 1],
+                damping: 0.85,
+            },
+        ];
+        let hashes: Vec<u64> = keys.iter().map(key_hash).collect();
+        assert_ne!(hashes[0], hashes[1]);
+        assert_ne!(hashes[2], hashes[3]);
+        let mut shard = CacheShard::new(8);
+        for (i, key) in keys.iter().enumerate() {
+            let entry = CacheKey {
+                snapshot: 0,
+                query: key.clone(),
+            };
+            assert!(shard
+                .insert(hashes[i], entry, Arc::new(vec![i as f64]))
+                .is_none());
+        }
+        assert_eq!(shard.len(), 4);
+        for (i, key) in keys.iter().enumerate() {
+            let hit = shard.get(hashes[i], 0, key).expect("each key is cached");
+            assert_eq!(**hit, vec![i as f64], "{key:?}");
+        }
     }
 }
