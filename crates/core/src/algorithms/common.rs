@@ -152,7 +152,7 @@ impl DecomposedMatrix {
     /// systems whose right-hand sides are stacked column-major in `b`, one
     /// factor traversal for the whole panel.  Every stripe of `out` is
     /// bit-identical to a sequential [`DecomposedMatrix::solve_into`] call —
-    /// the contract the engine's query batcher relies on.
+    /// the contract `EngineSnapshot::query_batch` relies on.
     pub fn solve_many_into(
         &self,
         b: &[f64],

@@ -188,7 +188,8 @@ struct PanelBlockScratch {
 /// state and never reads a neighbour — so per column the pass count, every
 /// intermediate vector, and the final answer do not depend on which other
 /// columns share the panel.  A convergence or pivot failure on any column
-/// fails the whole panel (the batcher reports it to every member).
+/// fails the whole panel ([`EngineSnapshot::query_batch`] returns the one
+/// error for every query in it).
 pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>> {
     let n = snap.n_nodes();
     if b.len() != n * n_rhs {

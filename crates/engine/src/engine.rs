@@ -15,10 +15,11 @@
 //!   pattern stands, and the snapshot graphs share every adjacency chunk
 //!   the batch did not touch — so retaining a deep ring costs memory in
 //!   proportion to what the batches changed, not to what exists;
-//! * queries grab an `Arc` to the newest snapshot through the wait-free
+//! * queries borrow the newest snapshot through the wait-free
 //!   epoch-published [`SnapshotHandle`] — no lock of any kind on the hot
-//!   read path — and solve through the sharded, cached, batching
-//!   [`QueryService`] without blocking the writer or each other.  The ring
+//!   read path — and solve through the sharded, cached [`QueryService`],
+//!   each miss on its reader's own thread, without blocking the writer or
+//!   each other.  The ring
 //!   `RwLock` is touched only by time-travel queries and stats.
 
 use crate::coupling::CouplingConfig;
@@ -552,10 +553,9 @@ impl CludeEngine {
     /// Answers a query against the newest snapshot.
     ///
     /// The newest snapshot is borrowed from the wait-free
-    /// [`SnapshotHandle`] — no ring `RwLock`, no reference count — and
-    /// cloned only if a cache miss hands it to the batcher.  A cache hit
-    /// takes one lock, its result-cache shard's, around the probe; no lock
-    /// is held across a solve.
+    /// [`SnapshotHandle`] — no ring `RwLock`, no reference count, hit or
+    /// miss.  A cache hit takes one lock, its result-cache shard's, around
+    /// the probe; a miss is solved on the calling thread with no lock held.
     pub fn query(&self, query: &MeasureQuery) -> EngineResult<Arc<Vec<f64>>> {
         self.check_kind(query)?;
         self.handle
@@ -655,11 +655,11 @@ impl CludeEngine {
         self.service.cached_entries()
     }
 
-    /// The query batcher's occupancy histogram: one sample per drained
-    /// batch, valued at how many queries the batch coalesced into panel
-    /// solves.
+    /// An empty histogram that nothing records into.  It exists only for
+    /// the `batcher.occupancy_mean` row of `clude_perf`, which reads 0.
     pub fn batch_occupancy(&self) -> &LogHistogram {
-        self.service.batch_occupancy()
+        static NEVER_RECORDED: LogHistogram = LogHistogram::new();
+        &NEVER_RECORDED
     }
 
     /// The telemetry registry shared by every engine subsystem — stage

@@ -31,9 +31,6 @@ pub enum EngineError {
     /// zero factor shards, a zero-capacity snapshot ring, or a partition that
     /// does not cover the base graph's node universe.
     InvalidConfig(String),
-    /// A cache-missing query was being answered by a batch solve that
-    /// panicked: it got no answer, and asking again solves it afresh.
-    QueryAborted(String),
     /// The durability layer failed: a WAL append, checkpoint write or
     /// recovery step hit an I/O error, a corrupt file, or a format/version
     /// mismatch.  The message carries the failing operation and path.
@@ -57,7 +54,6 @@ impl fmt::Display for EngineError {
                 write!(f, "node {node} outside the {n_nodes}-node universe")
             }
             EngineError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            EngineError::QueryAborted(msg) => write!(f, "query aborted: {msg}"),
             EngineError::Persistence(msg) => write!(f, "durability failure: {msg}"),
         }
     }

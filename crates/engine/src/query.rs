@@ -1,7 +1,7 @@
 //! Concurrent measure-query serving.
 //!
 //! The [`QueryService`] answers [`MeasureQuery`]s against immutable
-//! [`EngineSnapshot`]s.  Three mechanisms keep the hot path fast under high
+//! [`EngineSnapshot`]s.  Two mechanisms keep the hot path fast under high
 //! qps:
 //!
 //! * **sharded result cache** — results are memoised in LRU shards keyed by
@@ -13,26 +13,28 @@
 //!   compared in place, so a hit clones no key and allocates nothing.  Each
 //!   shard also keeps a per-snapshot entry count, letting bulk invalidation
 //!   skip shards that hold nothing stale instead of scanning every key.
-//! * **query batching** — cache-missing queries funnel through a
-//!   flat-combining `QueryBatcher`: the first submitter becomes the leader
-//!   and answers everything queued behind it with one multi-RHS panel solve
-//!   per distinct snapshot ([`EngineSnapshot::query_batch`]), amortizing the
-//!   factor traversal across concurrent readers.  Batched answers are
-//!   bit-identical to sequential ones.
 //! * **bounded-staleness serving** — under a [`StalenessBudget`], a cached
 //!   result for the same query at a recent-enough older snapshot is served
 //!   instead of solving.
+//!
+//! A miss is solved by [`EngineSnapshot::query`] on the caller's own thread,
+//! with no lock held: the maintained factors make each query one
+//! independent solve, so concurrent misses run side by side and no reader
+//! ever waits on another reader's solve.  Two readers missing the same key
+//! at once both solve it, get the same bits, and leave one cache entry.
+//! Callers holding several queries at once can share one factor traversal
+//! through [`EngineSnapshot::query_batch`].
 
 use crate::cache::{key_hash, shard_index, LruCache};
 use crate::error::{EngineError, EngineResult};
 use crate::store::EngineSnapshot;
 use crate::sync::Recover;
 use clude_measures::MeasureQuery;
-use clude_telemetry::{Counter, EngineEvent, LogHistogram, Stage, TelemetryRegistry};
+use clude_telemetry::{Counter, EngineEvent, Stage, TelemetryRegistry};
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// One cache hit in `HIT_SAMPLE` (per serving thread) is timed as a
 /// `query.cache_hit` span; every hit is counted.  A hit costs little more
@@ -93,6 +95,27 @@ impl CacheShard {
             .get_hashed(hash, |k| k.snapshot == snapshot && k.query == *query)
     }
 
+    /// The newest cached result for `query` at a snapshot in `[floor,
+    /// below)`.  Walks only the snapshot ids this shard holds entries for,
+    /// newest first, so a wide staleness budget costs no more probes than
+    /// the shard has resident snapshots.
+    fn newest_before(
+        &mut self,
+        hash: u64,
+        query: &MeasureQuery,
+        floor: u64,
+        below: u64,
+    ) -> Option<Arc<Vec<f64>>> {
+        let mut upper = below;
+        while let Some((&older, _)) = self.per_snapshot.range(floor..upper).next_back() {
+            if let Some(hit) = self.get(hash, older, query) {
+                return Some(Arc::clone(hit));
+            }
+            upper = older;
+        }
+        None
+    }
+
     fn insert(&mut self, hash: u64, key: CacheKey, value: Arc<Vec<f64>>) -> Option<CacheKey> {
         // Replacing an existing key must not double-count it; removing first
         // also guarantees the LRU has room, so a replace never evicts.
@@ -132,223 +155,7 @@ impl CacheShard {
     }
 }
 
-/// A submission parked in the batcher: the ticket that identifies its answer
-/// plus everything the leader needs to solve it.
-#[derive(Debug)]
-struct PendingQuery {
-    ticket: u64,
-    snapshot: Arc<EngineSnapshot>,
-    query: MeasureQuery,
-}
-
-#[derive(Debug, Default)]
-struct BatcherState {
-    pending: Vec<PendingQuery>,
-    results: HashMap<u64, EngineResult<Arc<Vec<f64>>>>,
-    leader_active: bool,
-    next_ticket: u64,
-}
-
-/// Coalesces concurrent cache-missing queries into multi-RHS panel solves.
-///
-/// Flat-combining leader/follower protocol: the first submitter to find no
-/// active leader becomes the leader, then repeatedly drains the queue and
-/// answers each drained batch with one [`EngineSnapshot::query_batch`] panel
-/// solve per distinct snapshot — outside the lock, so followers keep
-/// queueing while a solve is in flight (natural batching under load, zero
-/// added latency when idle: a lone query is a batch of one).  The leader
-/// steps down only after observing an empty queue, so no follower is ever
-/// stranded — and a leader that panics mid-solve steps down on the way out
-/// ([`Leadership`]), answering what it drained and what is queued with
-/// [`EngineError::QueryAborted`].
-#[derive(Debug)]
-struct QueryBatcher {
-    state: Mutex<BatcherState>,
-    done: Condvar,
-    occupancy: LogHistogram,
-    telemetry: Arc<TelemetryRegistry>,
-    /// Runs once, at the start of the next `solve_batch`: a test's way to
-    /// make a solve wait for a follower, or panic.
-    #[cfg(test)]
-    solve_hook: Mutex<Option<fn(&QueryBatcher)>>,
-}
-
-/// A leader's tenure.  Dropped without having stepped down — the leader is
-/// unwinding out of `solve_batch` — it answers every ticket but the leader's
-/// own, drained or still queued, with [`EngineError::QueryAborted`], clears
-/// `leader_active` and wakes the followers, so the next submitter leads.
-/// The leader's own panic then carries on to its caller.
-struct Leadership<'a> {
-    batcher: &'a QueryBatcher,
-    own: u64,
-    /// The round being solved.
-    batch: Vec<PendingQuery>,
-    stepped_down: bool,
-}
-
-impl Drop for Leadership<'_> {
-    fn drop(&mut self) {
-        if self.stepped_down {
-            return;
-        }
-        let mut st = self.batcher.lock();
-        let queued = std::mem::take(&mut st.pending);
-        for pending in self.batch.drain(..).chain(queued) {
-            if pending.ticket != self.own {
-                let why = "the batch solve answering it panicked; ask again".into();
-                st.results
-                    .insert(pending.ticket, Err(EngineError::QueryAborted(why)));
-            }
-        }
-        st.leader_active = false;
-        drop(st);
-        self.batcher.done.notify_all();
-    }
-}
-
-impl QueryBatcher {
-    fn new(telemetry: Arc<TelemetryRegistry>) -> Self {
-        QueryBatcher {
-            state: Mutex::new(BatcherState::default()),
-            done: Condvar::new(),
-            occupancy: LogHistogram::new(),
-            telemetry,
-            #[cfg(test)]
-            solve_hook: Mutex::new(None),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, BatcherState> {
-        self.state.lock().recover()
-    }
-
-    /// Submits one query, blocking until its (possibly batched) answer is
-    /// available.  The answer is bit-identical to `snapshot.query(query)`.
-    fn submit(
-        &self,
-        snapshot: &Arc<EngineSnapshot>,
-        query: &MeasureQuery,
-    ) -> EngineResult<Arc<Vec<f64>>> {
-        let (ticket, lead) = {
-            let mut st = self.lock();
-            let ticket = st.next_ticket;
-            st.next_ticket += 1;
-            st.pending.push(PendingQuery {
-                ticket,
-                snapshot: Arc::clone(snapshot),
-                query: query.clone(),
-            });
-            let lead = !st.leader_active;
-            st.leader_active = true;
-            (ticket, lead)
-        };
-        if !lead {
-            let mut st = self.lock();
-            loop {
-                if let Some(result) = st.results.remove(&ticket) {
-                    return result;
-                }
-                st = self.done.wait(st).recover();
-            }
-        }
-        // Leader: drain-solve-publish rounds until the queue stays empty.
-        let mut leader = Leadership {
-            batcher: self,
-            own: ticket,
-            batch: Vec::new(),
-            stepped_down: false,
-        };
-        let mut own = None;
-        loop {
-            leader.batch = std::mem::take(&mut self.lock().pending);
-            if !leader.batch.is_empty() {
-                self.occupancy.record(leader.batch.len() as u64);
-                let solved = self.solve_batch(&leader.batch);
-                leader.batch.clear();
-                {
-                    let mut st = self.lock();
-                    for (ticket_solved, result) in solved {
-                        if ticket_solved == ticket {
-                            own = Some(result);
-                        } else {
-                            st.results.insert(ticket_solved, result);
-                        }
-                    }
-                }
-                self.done.notify_all();
-            }
-            {
-                let mut st = self.lock();
-                if st.pending.is_empty() {
-                    st.leader_active = false;
-                    leader.stepped_down = true;
-                    break;
-                }
-            }
-        }
-        // The leader's own ticket was pending before it took leadership and
-        // only the leader drains, so the first round always answered it.
-        own.unwrap_or_else(|| {
-            Err(EngineError::InvalidQuery(
-                "query batcher lost the leader's own ticket".into(),
-            ))
-        })
-    }
-
-    /// Solves one drained batch: group by snapshot, dedup identical queries
-    /// within a group, one panel solve per group.
-    fn solve_batch(&self, batch: &[PendingQuery]) -> Vec<(u64, EngineResult<Arc<Vec<f64>>>)> {
-        #[cfg(test)]
-        {
-            let hook = self.solve_hook.lock().recover().take();
-            if let Some(hook) = hook {
-                hook(self);
-            }
-        }
-        let mut out = Vec::with_capacity(batch.len());
-        let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-        for (i, p) in batch.iter().enumerate() {
-            match groups.iter_mut().find(|(id, _)| *id == p.snapshot.id()) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((p.snapshot.id(), vec![i])),
-            }
-        }
-        for (_, members) in groups {
-            let snapshot = &batch[members[0]].snapshot;
-            let mut unique: Vec<&MeasureQuery> = Vec::new();
-            let mut column_of = Vec::with_capacity(members.len());
-            for &i in &members {
-                let query = &batch[i].query;
-                match unique.iter().position(|u| *u == query) {
-                    Some(column) => column_of.push(column),
-                    None => {
-                        unique.push(query);
-                        column_of.push(unique.len() - 1);
-                    }
-                }
-            }
-            let span = self.telemetry.span(Stage::QueryBatchSolve);
-            let solved = snapshot.query_batch(&unique);
-            span.stop();
-            match solved {
-                Ok(results) => {
-                    let shared: Vec<Arc<Vec<f64>>> = results.into_iter().map(Arc::new).collect();
-                    for (slot, &i) in members.iter().enumerate() {
-                        out.push((batch[i].ticket, Ok(Arc::clone(&shared[column_of[slot]]))));
-                    }
-                }
-                Err(error) => {
-                    for &i in &members {
-                        out.push((batch[i].ticket, Err(EngineError::from(error.clone()))));
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Sharded, cached, batching query evaluation over engine snapshots.
+/// Sharded, cached query evaluation over engine snapshots.
 #[derive(Debug)]
 pub struct QueryService {
     shards: Vec<Mutex<CacheShard>>,
@@ -356,7 +163,6 @@ pub struct QueryService {
     /// (a reader may finish a solve for a snapshot evicted mid-flight).
     oldest_retained: AtomicU64,
     staleness: StalenessBudget,
-    batcher: QueryBatcher,
     telemetry: Arc<TelemetryRegistry>,
 }
 
@@ -381,22 +187,21 @@ impl QueryService {
                 .collect(),
             oldest_retained: AtomicU64::new(0),
             staleness,
-            batcher: QueryBatcher::new(Arc::clone(&telemetry)),
             telemetry,
         }
     }
 
     /// Answers `query` against `snapshot`, consulting the cache first (the
     /// exact snapshot, then — under the staleness budget — recent older
-    /// snapshots, newest first).  Misses are solved through the batcher.
+    /// snapshots, newest first).  A miss is solved on the calling thread.
     ///
     /// A hit validates the query, counts it, hashes it once and takes its
-    /// shard's lock once; `snapshot` is only read, and cloned only when a
-    /// miss hands it to the batcher.  Results are shared (`Arc`) so
-    /// concurrent readers of a hot query pay no copies.
+    /// shard's lock once.  `snapshot` is only read, hit or miss.  Results
+    /// are shared (`Arc`) so concurrent readers of a hot query pay no
+    /// copies.
     pub fn query(
         &self,
-        snapshot: &Arc<EngineSnapshot>,
+        snapshot: &EngineSnapshot,
         query: &MeasureQuery,
     ) -> EngineResult<Arc<Vec<f64>>> {
         query
@@ -425,23 +230,20 @@ impl QueryService {
             }
             // Bounded-staleness serving: the same query answered at a
             // recent-enough older snapshot is acceptable under the budget.
-            if self.staleness.max_lag > 0 && id > 0 {
+            if self.staleness.max_lag > 0 {
                 let stale = self.telemetry.span(Stage::QueryStaleHit);
                 let floor = id.saturating_sub(self.staleness.max_lag);
-                for older in (floor..id).rev() {
-                    if let Some(hit) = guard.get(hash, older, query) {
-                        self.telemetry.incr(Counter::CacheHits);
-                        return Ok(Arc::clone(hit));
-                    }
+                if let Some(hit) = guard.newest_before(hash, query, floor, id) {
+                    self.telemetry.incr(Counter::CacheHits);
+                    return Ok(hit);
                 }
                 stale.cancel();
             }
         }
-        // A miss (counted as `queries − cache_hits`).  Solve outside the
-        // lock, through the batcher: concurrent misses against the same
-        // snapshot share one panel solve.
+        // A miss (counted as `queries − cache_hits`), solved here with no
+        // lock held.
         let solve_span = self.telemetry.span(Stage::QuerySolve);
-        let scores = self.batcher.submit(snapshot, query)?;
+        let scores = Arc::new(snapshot.query(query)?);
         solve_span.stop();
         // Don't cache results for snapshots evicted while we were solving:
         // query_at() rejects their ids before probing the cache, so the
@@ -493,12 +295,6 @@ impl QueryService {
         self.shards.iter().map(|s| s.lock().recover().len()).sum()
     }
 
-    /// The batcher's occupancy histogram: one sample per drained batch,
-    /// valued at the number of queries the batch coalesced.
-    pub fn batch_occupancy(&self) -> &LogHistogram {
-        &self.batcher.occupancy
-    }
-
     /// The snapshot id of every cached result.
     #[cfg(test)]
     pub(crate) fn cached_snapshot_ids(&self) -> Vec<u64> {
@@ -512,6 +308,7 @@ impl QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coupling::CouplingConfig;
     use crate::sharded::ShardedFactorStore;
     use crate::stats::EngineStats;
     use crate::store::RefreshPolicy;
@@ -558,9 +355,6 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(service.cached_entries(), 1);
-        // The lone miss went through the batcher as a batch of one.
-        assert_eq!(service.batch_occupancy().count(), 1);
-        assert_eq!(service.batch_occupancy().value_at_quantile(1.0), 1);
     }
 
     #[test]
@@ -671,8 +465,39 @@ mod tests {
         assert_eq!(EngineStats::from_registry(&telemetry).queries, 0);
     }
 
+    /// A budget wider than the snapshot id walks only the ids the shard
+    /// holds: a miss at id 2^40 under `max_lag: u64::MAX` returns, and the
+    /// next snapshot is served that result stale.
     #[test]
-    fn concurrent_submissions_batch_and_agree_with_sequential() {
+    fn an_unbounded_staleness_budget_probes_only_resident_snapshots() {
+        let (service, telemetry) = service_with(StalenessBudget { max_lag: u64::MAX });
+        let mut image = store().durable_state();
+        image.snapshot_id = 1 << 40;
+        let mut st =
+            ShardedFactorStore::restore(RefreshPolicy::default(), CouplingConfig::default(), image)
+                .unwrap();
+        let q = MeasureQuery::PageRank { damping: 0.85 };
+        let far = st.snapshot();
+        assert_eq!(far.id(), 1 << 40);
+        let solved = service.query(&far, &q).unwrap();
+        st.advance(&GraphDelta {
+            added: vec![(0, 3)],
+            removed: vec![],
+        })
+        .unwrap();
+        let next = st.snapshot();
+        assert_eq!(next.id(), (1 << 40) + 1);
+        let stale = service.query(&next, &q).unwrap();
+        assert!(Arc::ptr_eq(&solved, &stale), "served the id-2^40 result");
+        let stats = EngineStats::from_registry(&telemetry);
+        assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1));
+    }
+
+    /// Concurrent misses, on distinct keys and on one shared key, each
+    /// solve on their own thread and agree bit for bit with a sequential
+    /// solve; readers racing on the shared key leave it one cache entry.
+    #[test]
+    fn concurrent_misses_agree_with_sequential() {
         let telemetry = Arc::new(TelemetryRegistry::default());
         let service = Arc::new(QueryService::new(
             4,
@@ -681,95 +506,53 @@ mod tests {
             StalenessBudget::default(),
         ));
         let snap = snapshot();
-        let mut handles = Vec::new();
-        for t in 0..6 {
-            let service = Arc::clone(&service);
-            let snap = Arc::clone(&snap);
-            handles.push(std::thread::spawn(move || {
-                let q = MeasureQuery::Rwr {
-                    seed: t % 6,
-                    damping: 0.85,
-                };
-                (q.clone(), service.query(&snap, &q).unwrap())
-            }));
-        }
+        let shared = MeasureQuery::PageRank { damping: 0.85 };
+        let mut queries: Vec<MeasureQuery> = (0..6)
+            .map(|seed| MeasureQuery::Rwr {
+                seed,
+                damping: 0.85,
+            })
+            .collect();
+        queries.extend(std::iter::repeat_n(shared.clone(), 4));
+        let start = Arc::new(std::sync::Barrier::new(queries.len()));
+        let handles: Vec<_> = queries
+            .into_iter()
+            .map(|q| {
+                let (service, snap, start) =
+                    (Arc::clone(&service), Arc::clone(&snap), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let answer = service.query(&snap, &q).unwrap();
+                    (q, answer)
+                })
+            })
+            .collect();
         for h in handles {
-            let (q, batched) = h.join().unwrap();
+            let (q, answer) = h.join().unwrap();
             let sequential = snap.query(&q).unwrap();
-            let same = batched
-                .iter()
-                .zip(sequential.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "batched answer must be bit-identical: {q:?}");
+            let same = answer.len() == sequential.len()
+                && answer
+                    .iter()
+                    .zip(sequential.iter())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "concurrent answer must be bit-identical: {q:?}");
         }
-        assert!(service.batch_occupancy().count() >= 1);
-        let drained: u64 = service.batch_occupancy().count();
-        assert!(drained <= 6, "at most one drain per submission");
-    }
-
-    /// A batch leader that panics inside its solve steps down on the way
-    /// out: the ticket it drained beside its own and the follower queued
-    /// behind it both get `QueryAborted` — nobody waits forever — and the
-    /// next query leads afresh and gets its exact answer.
-    #[test]
-    fn a_panicking_leader_fails_its_followers_and_steps_down() {
-        fn fail_once_a_follower_queues(batcher: &QueryBatcher) {
-            // Tickets 0 (parked), 1 (the leader's) and 2 (the follower's).
-            while batcher.lock().next_ticket < 3 {
-                std::thread::yield_now();
-            }
-            panic!("injected solve failure");
-        }
-        let (service, _) = service_with(StalenessBudget::default());
-        let service = Arc::new(service);
-        let snap = snapshot();
-        let rwr = |seed| MeasureQuery::Rwr {
-            seed,
-            damping: 0.85,
+        let entries_for = |q: &MeasureQuery| -> usize {
+            let in_shard = |s: &Mutex<CacheShard>| {
+                s.lock()
+                    .recover()
+                    .lru
+                    .keys()
+                    .filter(|k| k.query == *q)
+                    .count()
+            };
+            service.shards.iter().map(in_shard).sum()
         };
-        // Ticket 0 waits in the queue, so the leader drains it with its own.
-        {
-            let mut st = service.batcher.lock();
-            st.next_ticket = 1;
-            st.pending.push(PendingQuery {
-                ticket: 0,
-                snapshot: Arc::clone(&snap),
-                query: rwr(3),
-            });
-        }
-        *service.batcher.solve_hook.lock().recover() = Some(fail_once_a_follower_queues);
-        let ask = |seed| {
-            let (service, snap) = (Arc::clone(&service), Arc::clone(&snap));
-            std::thread::spawn(move || service.query(&snap, &rwr(seed)))
-        };
-        let leader = ask(1);
-        while !service.batcher.lock().leader_active {
-            std::thread::yield_now();
-        }
-        let follower = ask(2);
-        assert!(leader.join().is_err(), "the leader's panic propagates");
-        assert!(matches!(
-            follower.join().unwrap(),
-            Err(EngineError::QueryAborted(_))
-        ));
-        {
-            let mut st = service.batcher.lock();
-            assert!(matches!(
-                st.results.remove(&0),
-                Some(Err(EngineError::QueryAborted(_)))
-            ));
-            assert!(
-                st.results.is_empty(),
-                "nothing answered the leader's own ticket"
-            );
-            assert!(st.pending.is_empty() && !st.leader_active);
-        }
-        let answer = service.query(&snap, &rwr(2)).unwrap();
-        let exact = snap.query(&rwr(2)).unwrap();
-        assert!(answer
-            .iter()
-            .zip(exact.iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert_eq!(entries_for(&shared), 1);
+        assert_eq!(service.cached_entries(), 7);
+        let stats = EngineStats::from_registry(&telemetry);
+        assert_eq!(stats.queries, 10);
+        assert_eq!(stats.queries, stats.cache_hits + stats.cache_misses);
     }
 
     /// The read phase's key set — every RWR seed of a 1,000-page graph plus

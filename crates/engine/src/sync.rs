@@ -1,8 +1,8 @@
 //! The engine's one lock-poison policy.
 //!
 //! Every lock the engine takes — the ingest state, the snapshot ring, the
-//! epoch slot of [`crate::SnapshotHandle`], the query batcher, the
-//! result-cache shards, [`crate::FailpointFs`] — is acquired through
+//! epoch slot of [`crate::SnapshotHandle`], the result-cache shards,
+//! [`crate::FailpointFs`] — is acquired through
 //! [`Recover::recover`], so the question "is a poisoned lock recoverable?"
 //! has one answer, given here.
 
@@ -15,10 +15,10 @@ use std::sync::{LockResult, PoisonError};
 /// critical section, and the engine's sections leave nothing a later holder
 /// cannot use:
 ///
-/// * the snapshot ring, the epoch slot, the batcher's queue and result map
-///   and the cache shards are held for a few container operations, and no
-///   solve runs under their locks: nothing there can unwind but an
-///   allocation, and a failed allocation aborts the process instead;
+/// * the snapshot ring, the epoch slot and the cache shards are held for a
+///   few container operations, and no solve runs under their locks: nothing
+///   there can unwind but an allocation, and a failed allocation aborts the
+///   process instead;
 /// * the ingest state can be left mid-batch by a panic inside a store
 ///   advance (a shard worker's panic is re-raised on the coordinator, which
 ///   holds the lock) — exactly the state an advance that returns an error

@@ -30,9 +30,6 @@ pub enum Stage {
     QuerySolve,
     /// A measure query answered from the LRU cache.
     QueryCacheHit,
-    /// One batched panel solve by the query batcher's leader: all coalesced
-    /// right-hand sides against one snapshot in a single factor traversal.
-    QueryBatchSolve,
     /// A measure query answered from a bounded-staleness cache entry (an
     /// older snapshot's exact result served under the staleness budget).
     QueryStaleHit,
@@ -55,7 +52,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in exposition order.
-    pub const ALL: [Stage; 14] = [
+    pub const ALL: [Stage; 13] = [
         Stage::IngestMerge,
         Stage::IngestApply,
         Stage::ShardSweep,
@@ -64,7 +61,6 @@ impl Stage {
         Stage::SnapshotFreeze,
         Stage::QuerySolve,
         Stage::QueryCacheHit,
-        Stage::QueryBatchSolve,
         Stage::QueryStaleHit,
         Stage::WalAppend,
         Stage::CheckpointWrite,
@@ -92,7 +88,6 @@ impl Stage {
             Stage::SnapshotFreeze => "snapshot.freeze",
             Stage::QuerySolve => "query.solve",
             Stage::QueryCacheHit => "query.cache_hit",
-            Stage::QueryBatchSolve => "query.batch_solve",
             Stage::QueryStaleHit => "query.stale_hit",
             Stage::WalAppend => "wal.append",
             Stage::CheckpointWrite => "checkpoint.write",
@@ -112,7 +107,6 @@ impl Stage {
             Stage::SnapshotFreeze => "clude_snapshot_freeze",
             Stage::QuerySolve => "clude_query_solve",
             Stage::QueryCacheHit => "clude_query_cache_hit",
-            Stage::QueryBatchSolve => "clude_query_batch_solve",
             Stage::QueryStaleHit => "clude_query_stale_hit",
             Stage::WalAppend => "clude_wal_append",
             Stage::CheckpointWrite => "clude_checkpoint_write",
