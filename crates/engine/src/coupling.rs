@@ -51,6 +51,12 @@
 //! [`LuError::InvalidParameter`] named `rhs`: substitutions would carry it
 //! into an `Ok([NaN, …])`, and it is the caller's input, not a failure of
 //! the iteration.
+//!
+//! **The transpose.**  `Aᵀ x = b` runs the same iteration over the
+//! transposed pass: shards in reverse plan order, `Cᵀ`, and `(L U)ᵀ`
+//! substitutions — the spectrum of the forward pass, so about as many
+//! passes.
+//!
 //! The per-snapshot metadata of the pass — the traversal order, the
 //! triangularity verdict and the layout — is a pure function of (partition,
 //! frozen coupling, shard orderings), a [`CouplingPlan`] built by the first
@@ -66,9 +72,19 @@ mod plan;
 pub use plan::{CouplingPlan, FrozenCoupling};
 
 use crate::store::{static_factors, EngineSnapshot, ShardSnapshot};
+use clude::DecomposedMatrix;
 use clude_lu::{LuError, LuResult, PanelScratch};
 use clude_sparse::vector::{axpy, dot};
 use clude_telemetry::{Counter, EngineEvent, Stage};
+
+/// Which system a solve answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum System {
+    /// `A x = b`.
+    Forward,
+    /// `Aᵀ x = b`.
+    Transposed,
+}
 
 /// Stopping rule of the coupled solve: a relative iterate-change tolerance
 /// on the accepting block pass plus a hard budget of block passes.
@@ -168,7 +184,7 @@ struct PanelBlockScratch {
     panel: Vec<f64>,
 }
 
-/// Solves `A x = b` for a snapshot's full measure matrix
+/// Solves `A x = b` (or `Aᵀ x = b`) for a snapshot's full measure matrix
 /// `A = blockdiag(A_ss) + C` and `n_rhs` right-hand sides stacked
 /// column-major in `b`, one factor traversal per block pass for the whole
 /// panel.  A single right-hand side is a width-1 panel, which the
@@ -190,7 +206,12 @@ struct PanelBlockScratch {
 /// columns share the panel.  A convergence or pivot failure on any column
 /// fails the whole panel ([`EngineSnapshot::query_batch`] returns the one
 /// error for every query in it).
-pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>> {
+pub(crate) fn solve_systems(
+    snap: &EngineSnapshot,
+    system: System,
+    b: &[f64],
+    n_rhs: usize,
+) -> LuResult<Vec<f64>> {
     let n = snap.n_nodes();
     if b.len() != n * n_rhs {
         return Err(LuError::DimensionMismatch {
@@ -210,9 +231,11 @@ pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> L
     let shards = snap.shards();
     if shards.len() == 1 && snap.coupling().nnz() == 0 {
         let mut scratch = PanelScratch::new();
-        shards[0]
-            .decomposed()
-            .solve_many_into(b, n_rhs, &mut scratch, &mut x)?;
+        let solve = match system {
+            System::Forward => DecomposedMatrix::solve_many_into,
+            System::Transposed => DecomposedMatrix::solve_transposed_many_into,
+        };
+        solve(shards[0].decomposed(), b, n_rhs, &mut scratch, &mut x)?;
         return Ok(x);
     }
     if u32::try_from(n).is_err() {
@@ -226,7 +249,7 @@ pub(crate) fn solve_systems(snap: &EngineSnapshot, b: &[f64], n_rhs: usize) -> L
     let mut scratch = PanelBlockScratch::default();
     let telemetry = snap.telemetry();
     let span = telemetry.span(Stage::CouplingGaussSeidel);
-    let result = krylov_many(snap, b, n_rhs, RESTART, &mut x, &mut scratch);
+    let result = krylov_many(snap, system, b, n_rhs, RESTART, &mut x, &mut scratch);
     span.stop();
     if let Err(LuError::ConvergenceFailure {
         iterations,
@@ -457,13 +480,14 @@ impl KrylovColumn {
     }
 }
 
-/// One ordered block pass over the panel, in place on every column's active
-/// slot, all in the plan's layout: shard by shard in the plan's order, each
-/// shard's segment becomes `f·b − C·v` for every column, from the vectors
-/// as they stand, and then its substitutions — so the shards updated
-/// earlier in the pass already contribute their new values.  `f` is per
-/// column (1 while checking, 0 otherwise), which is what lets columns in
-/// different phases share the traversal.
+/// One ordered block pass of `system` over the panel, in place on every
+/// column's active slot, all in the plan's layout: shard by shard in the
+/// plan's order (reversed for `Aᵀ`), each shard's segment becomes
+/// `f·b − C·v` for every column, from the vectors as they stand, and then
+/// its substitutions — so the shards updated earlier in the pass already
+/// contribute their new values.  `f` is per column (1 while checking, 0
+/// otherwise), which is what lets columns in different phases share the
+/// traversal.
 ///
 /// A lone column is written straight into its segment (the coupling never
 /// reads a shard's own segment) and substituted there; a wider panel is
@@ -472,12 +496,15 @@ impl KrylovColumn {
 fn block_pass(
     shards: &[ShardSnapshot],
     plan: &CouplingPlan,
+    system: System,
     b: &[f64],
     columns: &mut [KrylovColumn],
     panel: &mut Vec<f64>,
 ) -> LuResult<()> {
     let n = b.len() / columns.len();
-    for &s in plan.gs_order() {
+    let half = plan.half(system);
+    for k in 0..plan.gs_order().len() {
+        let s = plan.shard_at(system, k);
         let segment = plan.segment(s);
         if segment.is_empty() {
             continue;
@@ -487,9 +514,12 @@ fn block_pass(
             let b = (column.phase == Phase::Check).then_some(b);
             let v = column.active_mut(n);
             for p in segment.clone() {
-                v[p] = b.map_or(0.0, |b| b[p]) - plan.coupling_dot(p, v);
+                v[p] = b.map_or(0.0, |b| b[p]) - half.coupling_dot(p, v);
             }
-            factors.solve_in_place(&mut v[segment])?;
+            match system {
+                System::Forward => factors.solve_in_place(&mut v[segment])?,
+                System::Transposed => factors.solve_transposed_in_place(&mut v[segment])?,
+            }
             continue;
         }
         panel.clear();
@@ -499,10 +529,13 @@ fn block_pass(
             panel.extend(
                 segment
                     .clone()
-                    .map(|p| b.map_or(0.0, |b| b[p]) - plan.coupling_dot(p, v)),
+                    .map(|p| b.map_or(0.0, |b| b[p]) - half.coupling_dot(p, v)),
             );
         }
-        factors.solve_many_in_place(panel, columns.len())?;
+        match system {
+            System::Forward => factors.solve_many_in_place(panel, columns.len())?,
+            System::Transposed => factors.solve_many_transposed_in_place(panel, columns.len())?,
+        }
         for (column, solved) in columns.iter_mut().zip(panel.chunks_exact(segment.len())) {
             column.active_mut(n)[segment.clone()].copy_from_slice(solved);
         }
@@ -510,7 +543,7 @@ fn block_pass(
     Ok(())
 }
 
-/// Restarted GMRES on `(I − G)·x = M⁻¹b` over a panel, writing the
+/// Restarted GMRES on `(I − G)·x = M⁻¹b` of `system` over a panel, writing the
 /// solutions into `x` (`n_rhs` stripes).  The right-hand sides are laid out
 /// in the plan's layout once, the iteration runs there, and the accepted
 /// iterates are read back once.  Every iteration of the loop is one
@@ -524,6 +557,7 @@ fn block_pass(
 /// `restart` is [`RESTART`] outside tests.
 fn krylov_many(
     snap: &EngineSnapshot,
+    system: System,
     b: &[f64],
     n_rhs: usize,
     restart: usize,
@@ -534,6 +568,7 @@ fn krylov_many(
     let tolerance = snap.tolerance();
     let telemetry = snap.telemetry();
     let plan = snap.coupling_plan();
+    let half = plan.half(system);
     let n = snap.n_nodes();
     let PanelBlockScratch {
         b: laid_b,
@@ -542,7 +577,7 @@ fn krylov_many(
     } = scratch;
     laid_b.resize(n * n_rhs, 0.0);
     for (stripe, laid) in b.chunks_exact(n).zip(laid_b.chunks_exact_mut(n)) {
-        plan.permute_rhs(stripe, laid);
+        half.permute_rhs(stripe, laid);
     }
     laid_x.clear();
     laid_x.resize(n * n_rhs, 0.0);
@@ -552,12 +587,12 @@ fn krylov_many(
     columns.extend((0..n_rhs).map(|_| KrylovColumn::new(n)));
     let mut n_done = 0usize;
     for pass in 1..=tolerance.max_sweeps {
-        block_pass(snap.shards(), plan, laid_b, &mut columns, panel)?;
+        block_pass(snap.shards(), plan, system, laid_b, &mut columns, panel)?;
         if plan.is_triangular() {
             // Block triangular coupling: the pass from zero is the exact
             // solve of every column.
             for (column, stripe) in columns.iter().zip(x.chunks_exact_mut(n)) {
-                plan.recover_solution(column.active(n), stripe);
+                half.recover_solution(column.active(n), stripe);
                 telemetry.observe_coupling_sweeps(1);
             }
             return Ok(());
@@ -570,7 +605,7 @@ fn krylov_many(
         }
         if n_done == n_rhs {
             for (laid, stripe) in laid_x.chunks_exact(n).zip(x.chunks_exact_mut(n)) {
-                plan.recover_solution(laid, stripe);
+                half.recover_solution(laid, stripe);
             }
             return Ok(());
         }
@@ -645,7 +680,7 @@ mod tests {
         let identity = (0..3)
             .map(|_| Arc::new(clude_sparse::Ordering::identity(2)))
             .collect();
-        let plan = CouplingPlan::build(&partition, &empty, identity);
+        let plan = CouplingPlan::build(&partition, &Arc::new(empty), identity);
         assert!(plan.is_triangular());
         assert_eq!(plan.gs_order(), &[0, 1, 2]);
         let segments: Vec<_> = (0..3).map(|s| plan.segment(s)).collect();
@@ -756,14 +791,22 @@ mod tests {
     /// two-column panel and of a single right-hand side, is refused as
     /// `InvalidParameter { name: "rhs" }` naming it — before any block pass,
     /// so no coupled solve is counted, journalled or sampled.
-    fn assert_rhs_rejected(store: &ShardedFactorStore, telemetry: &TelemetryRegistry) {
+    fn assert_rhs_rejected(
+        store: &ShardedFactorStore,
+        telemetry: &TelemetryRegistry,
+        system: System,
+    ) {
         let snap = store.snapshot();
         let n = snap.n_nodes();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             for (n_rhs, at) in [(1, 0), (1, n - 1), (2, 2 * n - 1)] {
                 let mut b = vec![1.0; n * n_rhs];
                 b[at] = bad;
-                let err = snap.solve_measure_systems(&b, n_rhs).unwrap_err();
+                let err = match system {
+                    System::Forward => snap.solve_measure_systems(&b, n_rhs),
+                    System::Transposed => snap.solve_transposed_systems(&b, n_rhs),
+                }
+                .unwrap_err();
                 assert!(
                     matches!(
                         err,
@@ -845,13 +888,23 @@ mod tests {
         (store, telemetry)
     }
 
+    /// Four 4-node rings, each with a link into the next: every shard of a
+    /// contiguous 16-node partition reads another.
+    fn four_linked_rings() -> DiGraph {
+        let mut g = four_rings();
+        for s in 0..4 {
+            g.add_edge(s * 4, (s * 4 + 5) % 16);
+        }
+        g
+    }
+
     #[test]
     fn non_finite_right_hand_side_is_rejected_on_one_shard() {
         // One pair of substitutions used to carry the NaN into every entry
         // it reaches and return `Ok`.
         let (store, telemetry) = store_over(four_rings(), NodePartition::singleton(16));
         assert_eq!((store.n_shards(), store.coupling_nnz()), (1, 0));
-        assert_rhs_rejected(&store, &telemetry);
+        assert_rhs_rejected(&store, &telemetry, System::Forward);
     }
 
     #[test]
@@ -860,22 +913,52 @@ mod tests {
         // before the check.
         let (store, telemetry) = store_over(four_rings(), NodePartition::contiguous(16, 4));
         assert_eq!((store.n_shards(), store.coupling_nnz()), (4, 0));
-        assert_rhs_rejected(&store, &telemetry);
+        assert_rhs_rejected(&store, &telemetry, System::Forward);
     }
 
     #[test]
     fn non_finite_right_hand_side_is_rejected_on_coupled_shards() {
-        let mut g = four_rings();
-        for s in 0..4 {
-            g.add_edge(s * 4, (s * 4 + 5) % 16);
-        }
-        let (store, telemetry) = store_over(g, NodePartition::contiguous(16, 4));
+        let (store, telemetry) = store_over(four_linked_rings(), NodePartition::contiguous(16, 4));
         assert_eq!(store.n_shards(), 4);
         assert!(store.coupling_nnz() > 0);
-        assert_rhs_rejected(&store, &telemetry);
+        assert_rhs_rejected(&store, &telemetry, System::Forward);
         // A finite panel through the same snapshot still solves.
         let b = vec![1.0; 32];
         assert!(store.snapshot().solve_measure_systems(&b, 2).is_ok());
+    }
+
+    #[test]
+    fn non_finite_transposed_right_hand_side_is_rejected_on_one_shard() {
+        let (store, telemetry) = store_over(four_rings(), NodePartition::singleton(16));
+        assert_rhs_rejected(&store, &telemetry, System::Transposed);
+    }
+
+    #[test]
+    fn non_finite_transposed_right_hand_side_is_rejected_on_decoupled_shards() {
+        let (store, telemetry) = store_over(four_rings(), NodePartition::contiguous(16, 4));
+        assert_rhs_rejected(&store, &telemetry, System::Transposed);
+    }
+
+    #[test]
+    fn non_finite_transposed_right_hand_side_is_rejected_on_coupled_shards() {
+        let (store, telemetry) = store_over(four_linked_rings(), NodePartition::contiguous(16, 4));
+        assert_rhs_rejected(&store, &telemetry, System::Transposed);
+        // No transposed half was planned for the refused solves; a finite
+        // panel builds it and solves `Aᵀ x = b`.
+        let snap = store.snapshot();
+        assert!(snap.shared_coupling().built_plan().is_none());
+        let forward_bytes = snap.coupling_plan().approx_bytes();
+        let b: Vec<f64> = (0..32).map(|i| 1.0 + (i % 3) as f64).collect();
+        let x = snap.solve_transposed_systems(&b, 2).unwrap();
+        assert!(snap.coupling_plan().approx_bytes() > forward_bytes);
+        let at = measure_matrix(store.graph(), store.matrix_kind())
+            .transpose()
+            .to_dense();
+        for (stripe, rhs) in x.chunks_exact(16).zip(b.chunks_exact(16)) {
+            for (got, want) in stripe.iter().zip(at.solve_gaussian(rhs).unwrap()) {
+                assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
+            }
+        }
     }
 
     #[test]
@@ -901,7 +984,7 @@ mod tests {
         let solve = |restart: usize| {
             let mut x = vec![0.0; n];
             let mut scratch = PanelBlockScratch::default();
-            krylov_many(&snap, &b, 1, restart, &mut x, &mut scratch).unwrap();
+            krylov_many(&snap, System::Forward, &b, 1, restart, &mut x, &mut scratch).unwrap();
             (x, telemetry.coupling_sweeps().max())
         };
         let (one_cycle, passes_one_cycle) = solve(RESTART);

@@ -9,8 +9,10 @@
 //! setup path, which is why it lives apart from the allocation-free solve in
 //! [`super`] — so a batch that writes the coupling pays only the CSR merge;
 //! and every batch that moves an ordering freezes a new [`FrozenCoupling`],
-//! so one plan cell serves exactly the snapshots it was built for.
+//! so one plan cell serves exactly the snapshots it was built for.  Its
+//! transposed half is built by the first transposed solve in turn.
 
+use super::System;
 use crate::store::ShardSnapshot;
 use clude_graph::NodePartition;
 use clude_sparse::vector::sparse_dot;
@@ -103,6 +105,10 @@ impl FrozenCoupling {
 /// layout row `p` is the coupling row of the node whose right-hand side sits
 /// at `p`, its columns the layout positions of the solution entries it
 /// reads — is walked straight into it.
+///
+/// **The transpose.**  `(A^O)ᵀ = Qᵀ Aᵀ Pᵀ`: a transposed solve swaps the
+/// two position maps, reads `Cᵀ` re-indexed under them, and visits shards
+/// in reverse `gs_order` — topological for `Cᵀ` whenever it is for `C`.
 #[derive(Debug)]
 pub struct CouplingPlan {
     /// Shard traversal order of the block Gauss–Seidel pass,
@@ -120,41 +126,30 @@ pub struct CouplingPlan {
     orderings: Vec<Arc<Ordering>>,
     /// Shard `s`'s segment is `offsets[s]..offsets[s + 1]`.
     offsets: Vec<usize>,
-    /// Layout position of each node's right-hand-side entry.
+    /// The forward pass's half, and the CSR it was re-indexed from.
+    forward: Half,
+    matrix: Arc<CsrMatrix>,
+    /// The transposed pass's half, built by the first transposed solve.
+    transposed: OnceLock<Half>,
+}
+
+/// One direction's half of a plan: where each node's right-hand side and
+/// solution entries sit in the layout, and the coupling the pass reads
+/// re-indexed into it — CSR over layout rows, `u32` columns.
+#[derive(Debug)]
+pub(crate) struct Half {
     rhs_pos: Vec<u32>,
-    /// Layout position of each node's solution entry.
     x_pos: Vec<u32>,
-    /// The coupling in the layout: CSR over layout rows, `u32` columns.
     row_ptr: Vec<usize>,
     cols: Vec<u32>,
     vals: Vec<f64>,
 }
 
-impl CouplingPlan {
-    /// Builds the plan for one frozen (partition, coupling, orderings)
-    /// triple.  The coupled solve refuses universes whose positions do not
-    /// fit a `u32` before it builds a plan.
-    pub(crate) fn build(
-        partition: &NodePartition,
-        coupling: &CsrMatrix,
-        orderings: Vec<Arc<Ordering>>,
-    ) -> Self {
-        let (gs_order, triangular) = gauss_seidel_order(partition, coupling);
-        let n = partition.n_nodes();
-        let mut offsets = Vec::with_capacity(orderings.len() + 1);
-        offsets.push(0);
-        let mut rhs_pos = vec![0u32; n];
-        let mut x_pos = vec![0u32; n];
-        for (s, ordering) in orderings.iter().enumerate() {
-            let (at, nodes) = (offsets[s], partition.nodes_of(s));
-            for (i, &l) in ordering.row().as_new_to_old().iter().enumerate() {
-                rhs_pos[nodes[l]] = (at + i) as u32;
-            }
-            for (j, &l) in ordering.col().as_new_to_old().iter().enumerate() {
-                x_pos[nodes[l]] = (at + j) as u32;
-            }
-            offsets.push(at + nodes.len());
-        }
+impl Half {
+    /// `coupling` with row `g` at layout row `rhs_pos[g]` and column `j` at
+    /// layout position `x_pos[j]`.
+    fn new(coupling: &CsrMatrix, rhs_pos: Vec<u32>, x_pos: Vec<u32>) -> Self {
+        let n = rhs_pos.len();
         let mut row_ptr = vec![0usize; n + 1];
         for (g, &p) in rhs_pos.iter().enumerate() {
             row_ptr[p as usize + 1] = coupling.row(g).0.len();
@@ -172,11 +167,7 @@ impl CouplingPlan {
                 vals[at + e] = v;
             }
         }
-        CouplingPlan {
-            gs_order,
-            triangular,
-            orderings,
-            offsets,
+        Half {
             rhs_pos,
             x_pos,
             row_ptr,
@@ -185,32 +176,11 @@ impl CouplingPlan {
         }
     }
 
-    /// The shard traversal order of the block Gauss–Seidel pass.
-    pub fn gs_order(&self) -> &[usize] {
-        &self.gs_order
-    }
-
-    /// Whether the cross-shard structure is block triangular under
-    /// `gs_order` — when true, coupled solves are direct (one block pass,
-    /// exact).
-    pub fn is_triangular(&self) -> bool {
-        self.triangular
-    }
-
-    /// Resident size in bytes — the order, the layout maps and the
-    /// re-indexed coupling — for the engine's snapshot-ring memory
-    /// accounting.
-    pub fn approx_bytes(&self) -> usize {
+    fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.gs_order.len() + self.orderings.len() + self.offsets.len() + self.row_ptr.len())
-            * size_of::<usize>()
+        self.row_ptr.len() * size_of::<usize>()
             + (self.rhs_pos.len() + self.x_pos.len() + self.cols.len()) * size_of::<u32>()
             + self.vals.len() * size_of::<f64>()
-    }
-
-    /// Shard `s`'s segment of the layout.
-    pub(crate) fn segment(&self, s: usize) -> Range<usize> {
-        self.offsets[s]..self.offsets[s + 1]
     }
 
     /// `(C·v)` at layout row `p`, for `v` in the layout.
@@ -231,6 +201,90 @@ impl CouplingPlan {
     pub(crate) fn recover_solution(&self, x: &[f64], out: &mut [f64]) {
         for (o, &p) in out.iter_mut().zip(&self.x_pos) {
             *o = x[p as usize];
+        }
+    }
+}
+
+impl CouplingPlan {
+    /// Builds the plan for one frozen (partition, coupling, orderings)
+    /// triple.  The coupled solve refuses universes whose positions do not
+    /// fit a `u32` before it builds a plan.
+    pub(crate) fn build(
+        partition: &NodePartition,
+        coupling: &Arc<CsrMatrix>,
+        orderings: Vec<Arc<Ordering>>,
+    ) -> Self {
+        let (gs_order, triangular) = gauss_seidel_order(partition, coupling);
+        let n = partition.n_nodes();
+        let mut offsets = Vec::with_capacity(orderings.len() + 1);
+        offsets.push(0);
+        let mut rhs_pos = vec![0u32; n];
+        let mut x_pos = vec![0u32; n];
+        for (s, ordering) in orderings.iter().enumerate() {
+            let (at, nodes) = (offsets[s], partition.nodes_of(s));
+            for (i, &l) in ordering.row().as_new_to_old().iter().enumerate() {
+                rhs_pos[nodes[l]] = (at + i) as u32;
+            }
+            for (j, &l) in ordering.col().as_new_to_old().iter().enumerate() {
+                x_pos[nodes[l]] = (at + j) as u32;
+            }
+            offsets.push(at + nodes.len());
+        }
+        CouplingPlan {
+            gs_order,
+            triangular,
+            orderings,
+            offsets,
+            forward: Half::new(coupling, rhs_pos, x_pos),
+            matrix: Arc::clone(coupling),
+            transposed: OnceLock::new(),
+        }
+    }
+
+    /// The shard traversal order of the block Gauss–Seidel pass.
+    pub fn gs_order(&self) -> &[usize] {
+        &self.gs_order
+    }
+
+    /// Whether the cross-shard structure is block triangular under
+    /// `gs_order` — when true, coupled solves are direct (one block pass,
+    /// exact), transposed ones included.
+    pub fn is_triangular(&self) -> bool {
+        self.triangular
+    }
+
+    /// Resident size in bytes — the order, the layout maps and the
+    /// re-indexed coupling, the transposed half's once a solve built it —
+    /// for the engine's snapshot-ring memory accounting.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.gs_order.len() + self.orderings.len() + self.offsets.len()) * size_of::<usize>()
+            + self.forward.approx_bytes()
+            + self.transposed.get().map_or(0, Half::approx_bytes)
+    }
+
+    /// Shard `s`'s segment of the layout.
+    pub(crate) fn segment(&self, s: usize) -> Range<usize> {
+        self.offsets[s]..self.offsets[s + 1]
+    }
+
+    /// The shard a pass of `system` visits `k`-th.
+    #[inline]
+    pub(crate) fn shard_at(&self, system: System, k: usize) -> usize {
+        match system {
+            System::Forward => self.gs_order[k],
+            System::Transposed => self.gs_order[self.gs_order.len() - 1 - k],
+        }
+    }
+
+    /// The half of `system`; the first call for the transpose builds it.
+    pub(crate) fn half(&self, system: System) -> &Half {
+        let Half { rhs_pos, x_pos, .. } = &self.forward;
+        match system {
+            System::Forward => &self.forward,
+            System::Transposed => self.transposed.get_or_init(|| {
+                Half::new(&self.matrix.transpose(), x_pos.clone(), rhs_pos.clone())
+            }),
         }
     }
 }
@@ -368,7 +422,7 @@ mod tests {
             coo.push(i, j, v).unwrap();
         }
         let coupling = CsrMatrix::from_coo(&coo);
-        let plan = CouplingPlan::build(&partition, &coupling, orderings);
+        let plan = CouplingPlan::build(&partition, &Arc::new(coupling.clone()), orderings);
         (partition, coupling, plan)
     }
 
@@ -381,16 +435,25 @@ mod tests {
         // holds [1, 3, 4] in the order [3, 4, 1] for both.
         let b: Vec<f64> = (0..6).map(|g| g as f64).collect();
         let mut laid = vec![f64::NAN; 6];
-        plan.permute_rhs(&b, &mut laid);
+        plan.forward.permute_rhs(&b, &mut laid);
         assert_eq!(laid, vec![5.0, 0.0, 2.0, 3.0, 4.0, 1.0]);
         let mut x = vec![f64::NAN; 6];
-        plan.recover_solution(&[2.0, 5.0, 0.0, 3.0, 4.0, 1.0], &mut x);
+        plan.forward
+            .recover_solution(&[2.0, 5.0, 0.0, 3.0, 4.0, 1.0], &mut x);
         assert_eq!(x, b);
-        assert_eq!(plan.x_pos, [2, 5, 0, 3, 4, 1]);
+        // The transpose swaps the two maps.
+        plan.half(System::Transposed).permute_rhs(&b, &mut laid);
+        assert_eq!(laid, vec![2.0, 5.0, 0.0, 3.0, 4.0, 1.0]);
+        plan.half(System::Transposed)
+            .recover_solution(&[5.0, 0.0, 2.0, 3.0, 4.0, 1.0], &mut x);
+        assert_eq!(x, b);
+        assert_eq!(plan.forward.x_pos, [2, 5, 0, 3, 4, 1]);
         for g in 0..6 {
             let s = partition.shard_of(g);
-            assert!(plan.segment(s).contains(&(plan.rhs_pos[g] as usize)));
-            assert!(plan.segment(s).contains(&(plan.x_pos[g] as usize)));
+            assert!(plan
+                .segment(s)
+                .contains(&(plan.forward.rhs_pos[g] as usize)));
+            assert!(plan.segment(s).contains(&(plan.forward.x_pos[g] as usize)));
         }
     }
 
@@ -399,14 +462,51 @@ mod tests {
         let (_, coupling, plan) = plan();
         let x: Vec<f64> = (0..6).map(|g| 1.0 + g as f64).collect();
         let mut laid_x = vec![0.0; 6];
-        for (g, &p) in plan.x_pos.iter().enumerate() {
+        for (g, &p) in plan.forward.x_pos.iter().enumerate() {
             laid_x[p as usize] = x[g];
         }
         let cx = coupling.mul_vec(&x).unwrap();
-        let laid_cx: Vec<f64> = (0..6).map(|p| plan.coupling_dot(p, &laid_x)).collect();
+        let laid_cx: Vec<f64> = (0..6)
+            .map(|p| plan.forward.coupling_dot(p, &laid_x))
+            .collect();
         let mut expected = vec![0.0; 6];
-        plan.permute_rhs(&cx, &mut expected);
+        plan.forward.permute_rhs(&cx, &mut expected);
         assert_eq!(laid_cx, expected);
-        assert_eq!(plan.cols.len(), coupling.nnz());
+        assert_eq!(plan.forward.cols.len(), coupling.nnz());
+        assert!(
+            plan.transposed.get().is_none(),
+            "building the plan builds no transpose"
+        );
+    }
+
+    #[test]
+    fn the_transposed_half_is_the_transposed_coupling() {
+        let (_, coupling, plan) = plan();
+        let forward_bytes = plan.approx_bytes();
+        let y: Vec<f64> = (0..6).map(|g| 1.0 + g as f64).collect();
+        // The transpose's solution entries sit at the forward right-hand
+        // side positions.
+        let mut laid_y = vec![0.0; 6];
+        for (g, &p) in plan.forward.rhs_pos.iter().enumerate() {
+            laid_y[p as usize] = y[g];
+        }
+        let cty = coupling.mul_vec_transposed(&y).unwrap();
+        let half = plan.half(System::Transposed);
+        let laid_cty: Vec<f64> = (0..6).map(|p| half.coupling_dot(p, &laid_y)).collect();
+        let mut expected = vec![0.0; 6];
+        half.permute_rhs(&cty, &mut expected);
+        assert_eq!(laid_cty, expected);
+        // Built once, counted once.
+        assert!(plan.transposed.get().is_some());
+        assert_eq!(
+            plan.approx_bytes() - forward_bytes,
+            plan.forward.approx_bytes()
+        );
+        assert_eq!(
+            (0..2)
+                .map(|k| plan.shard_at(System::Transposed, k))
+                .collect::<Vec<_>>(),
+            plan.gs_order().iter().rev().copied().collect::<Vec<_>>()
+        );
     }
 }

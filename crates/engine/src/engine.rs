@@ -12,9 +12,8 @@
 //!   entries share the `Arc`'d factor blocks of every shard the batch did
 //!   not touch (and the frozen coupling when no cross-shard entry changed),
 //!   a republished block shares its structure with its predecessor while the
-//!   pattern stands, and the snapshot graphs share every adjacency chunk
-//!   the batch did not touch — so retaining a deep ring costs memory in
-//!   proportion to what the batches changed, not to what exists;
+//!   pattern stands, and no snapshot holds a graph — so retaining a deep
+//!   ring costs memory in proportion to what the batches changed;
 //! * queries borrow the newest snapshot through the wait-free
 //!   epoch-published [`SnapshotHandle`] — no lock of any kind on the hot
 //!   read path — and solve through the sharded, cached [`QueryService`],
@@ -56,10 +55,9 @@ pub struct EngineConfig {
     pub refresh: RefreshPolicy,
     /// How many recent snapshots stay queryable (time-travel window); must be
     /// at least 1 ([`EngineError::InvalidConfig`] otherwise).  The
-    /// ring shares untouched shards' factor blocks and untouched adjacency
-    /// chunks between entries, so a deeper ring costs O(touched shards +
-    /// touched chunks) — not O(all shards + all nodes) — memory per
-    /// retained snapshot.
+    /// ring shares untouched shards' factor blocks between entries and holds
+    /// no graph, so a deeper ring costs O(touched shards) — not O(all
+    /// shards + all nodes) — memory per retained snapshot.
     pub ring_capacity: usize,
     /// Number of result-cache shards; must be at least 1
     /// ([`EngineError::InvalidConfig`] otherwise).
@@ -698,6 +696,7 @@ fn push_evicting<T>(ring: &mut VecDeque<T>, newest: T, capacity: usize) -> Vec<T
 mod tests {
     use super::*;
     use crate::store::dense_answer;
+    use clude_lu::LuError;
     use clude_measures::MeasureSolver;
     use std::thread;
 
@@ -884,6 +883,139 @@ mod tests {
         let after = engine.stats().resident_factor_bytes;
         assert_eq!(after - before, plan.approx_bytes() as u64);
         assert!(ring[0].shared_coupling().built_plan().is_none());
+        // Forward solves build no transposed half; the first hitting-time
+        // query builds it in the same plan, counted once with it.
+        engine
+            .query(&MeasureQuery::Rwr {
+                seed: 3,
+                damping: 0.85,
+            })
+            .unwrap();
+        let forward_bytes = plan.approx_bytes() as u64;
+        assert_eq!(
+            after - before,
+            forward_bytes,
+            "a forward solve grew the plan"
+        );
+        engine
+            .query(&MeasureQuery::HittingTime {
+                target: 5,
+                damping: 0.85,
+            })
+            .unwrap();
+        let transposed = engine.stats().resident_factor_bytes;
+        assert!(plan.approx_bytes() as u64 > forward_bytes);
+        assert_eq!(transposed - before, plan.approx_bytes() as u64);
+    }
+
+    /// Dense elimination on the hitting-time system of `graph`: `(I − d·P̃)`
+    /// with `P̃` the row-stochastic walk whose target row is zeroed, and
+    /// `h = 1` off the target.
+    fn dense_hitting_time(graph: &DiGraph, target: usize, damping: f64) -> Vec<f64> {
+        let n = graph.n_nodes();
+        let a = clude_graph::measure_matrix(graph, MatrixKind::RandomWalk { damping });
+        let mut m = a.transpose().to_dense();
+        for j in 0..n {
+            m.set(target, j, if j == target { 1.0 } else { 0.0 });
+        }
+        let mut b = vec![1.0; n];
+        b[target] = 0.0;
+        m.solve_gaussian(&b).unwrap()
+    }
+
+    /// Hitting time through the engine's factors — one transposed panel,
+    /// coupled or not — against dense elimination and the batch function,
+    /// on graphs with dangling nodes and a self-loop at the target, at one
+    /// and four shards under both partitioners, at three dampings, at the
+    /// newest snapshot and at a past one.
+    #[test]
+    fn hitting_time_through_the_factors_matches_dense_elimination() {
+        let n = 40;
+        // Four 10-node blocks, each a ring with a chord; nodes 9, 19, 29 and
+        // 39 dangle.  `layered` links block b to block b + 1 only (a DAG of
+        // blocks), `cyclic` also links back.
+        let base = |cyclic: bool| {
+            let mut g = DiGraph::new(n);
+            for b in 0..4 {
+                for i in 0..9 {
+                    g.add_edge(10 * b + i, 10 * b + (i + 1) % 9);
+                    g.add_edge(10 * b + i, 10 * b + 9);
+                }
+                g.add_edge(10 * b + 2, 10 * b + 6);
+                if b < 3 {
+                    g.add_edge(10 * b + 4, 10 * b + 13);
+                }
+                if cyclic {
+                    g.add_edge(10 * b + 7, (10 * b + 25) % n);
+                }
+            }
+            g
+        };
+        // Whether the coupled cases took the one exact pass, the iteration,
+        // or both.
+        let mut shapes = std::collections::BTreeSet::new();
+        for cyclic in [false, true] {
+            for strategy in [PartitionStrategy::EdgeLocality, PartitionStrategy::Btf] {
+                for n_shards in [1, 4] {
+                    for damping in [0.5, 0.85, 0.99] {
+                        let case = format!(
+                            "cyclic {cyclic}, {strategy:?}, {n_shards} shard(s), d = {damping}"
+                        );
+                        let target = 13;
+                        let mut shadow = base(cyclic);
+                        shadow.add_edge(target, target);
+                        let engine = CludeEngine::new(
+                            shadow.clone(),
+                            EngineConfig {
+                                matrix_kind: MatrixKind::RandomWalk { damping },
+                                n_shards,
+                                partition_strategy: strategy,
+                                ..small_config(2)
+                            },
+                        )
+                        .unwrap();
+                        let query = |at: Option<u64>, target: usize| {
+                            let q = MeasureQuery::HittingTime { target, damping };
+                            match at {
+                                Some(id) => engine.query_at(id, &q),
+                                None => engine.query(&q),
+                            }
+                            .unwrap()
+                        };
+                        let check = |got: &[f64], graph: &DiGraph, target: usize| {
+                            let dense = dense_hitting_time(graph, target, damping);
+                            let batch =
+                                clude_measures::discounted_hitting_time(graph, target, damping)
+                                    .unwrap();
+                            assert_eq!(got[target], 0.0, "{case}");
+                            for ((a, d), h) in got.iter().zip(&dense).zip(&batch) {
+                                let scale = d.abs().max(1.0);
+                                assert!((a - d).abs() <= 1e-9 * scale, "{case}: {a} vs {d}");
+                                assert!((a - h).abs() <= 1e-9 * scale, "{case}: {a} vs {h}");
+                            }
+                        };
+                        check(&query(None, target), &shadow, target);
+                        check(&query(None, 9), &shadow, 9);
+                        let snapshot = engine.handle.load();
+                        if snapshot.coupling().nnz() > 0 {
+                            shapes.insert(snapshot.coupling_plan().is_triangular());
+                        }
+                        // One batch later, the past snapshot still answers
+                        // for the graph it was published for.
+                        let past = shadow.clone();
+                        engine.insert_edge(5, 33).unwrap();
+                        engine.remove_edge(target, target).unwrap();
+                        shadow.add_edge(5, 33);
+                        shadow.remove_edge(target, target);
+                        engine.flush().unwrap();
+                        assert_eq!(engine.current_snapshot_id(), 1, "{case}");
+                        check(&query(Some(0), target), &past, target);
+                        check(&query(None, target), &shadow, target);
+                    }
+                }
+            }
+        }
+        assert_eq!(shapes.into_iter().collect::<Vec<_>>(), [false, true]);
     }
 
     /// Graphs smaller than the shard count asked for — empty, one node,
@@ -906,7 +1038,8 @@ mod tests {
                     n_shards,
                     ..small_config(64)
                 };
-                let engine = CludeEngine::new(DiGraph::from_edges(n, edges), config).unwrap();
+                let mut shadow = DiGraph::from_edges(n, edges);
+                let engine = CludeEngine::new(shadow.clone(), config).unwrap();
                 let k = n_shards.min(n.max(1));
                 assert_eq!(engine.n_shards(), k, "{case}");
 
@@ -924,6 +1057,9 @@ mod tests {
                     engine.insert_edge(1, 0).unwrap();
                     engine.remove_edge(0, 1).unwrap();
                     assert_eq!(engine.flush().unwrap(), Some(1), "{case}");
+                    shadow.add_edge(0, 2);
+                    shadow.add_edge(1, 0);
+                    shadow.remove_edge(0, 1);
                 } else {
                     let err = engine.insert_edge(0, n).unwrap_err();
                     assert!(
@@ -948,7 +1084,7 @@ mod tests {
                 ] {
                     match engine.query(&query) {
                         Ok(x) => {
-                            let dense = dense_answer(snapshot.graph(), config.matrix_kind, &query);
+                            let dense = dense_answer(&shadow, config.matrix_kind, &query);
                             assert_eq!(x.len(), n, "{case}, {query:?}");
                             for (a, d) in x.iter().zip(&dense) {
                                 assert!((a - d).abs() <= 1e-9, "{case}, {query:?}: {a} vs {d}");
@@ -1071,8 +1207,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(engine.n_shards(), 4);
+        let mut shadow = ring_graph(12);
         for i in 0..4 {
             engine.insert_edge(i, (i + 5) % 12).unwrap();
+            shadow.add_edge(i, (i + 5) % 12);
         }
         assert_eq!(engine.n_shards(), 1);
         let stats = engine.stats();
@@ -1083,7 +1221,6 @@ mod tests {
         assert_eq!(stats.cow_shards_cloned, 4);
         assert_eq!(stats.cow_shards_shared, 0);
         assert_eq!(stats.cow_share_rate(), 0.0);
-        let snapshot = engine.handle.load();
         for q in [
             MeasureQuery::PageRank { damping: 0.85 },
             MeasureQuery::Rwr {
@@ -1092,7 +1229,7 @@ mod tests {
             },
         ] {
             let served = engine.query(&q).unwrap();
-            let dense = crate::store::dense_answer(snapshot.graph(), engine.kind, &q);
+            let dense = crate::store::dense_answer(&shadow, engine.kind, &q);
             for (x, y) in served.iter().zip(dense.iter()) {
                 assert!((x - y).abs() <= 1e-9, "{q:?}: {x} vs {y}");
             }
@@ -1218,12 +1355,62 @@ mod tests {
             engine.query(&wrong),
             Err(EngineError::InvalidQuery(_))
         ));
-        // Hitting time builds its own system and is damping-independent.
+        // Hitting time is answered through the same factors, so its damping
+        // must be the engine's too — at the current snapshot and a past one.
         let ht = MeasureQuery::HittingTime {
             target: 0,
             damping: 0.5,
         };
+        assert!(matches!(
+            engine.query(&ht),
+            Err(EngineError::InvalidQuery(_))
+        ));
+        assert!(matches!(
+            engine.query_at(engine.current_snapshot_id(), &ht),
+            Err(EngineError::InvalidQuery(_))
+        ));
+        let ht = MeasureQuery::HittingTime {
+            target: 0,
+            damping: 0.85,
+        };
         assert!(engine.query(&ht).is_ok());
+    }
+
+    /// Below the engine, a snapshot refuses a query at another damping
+    /// itself: PageRank, RWR and PPR normalize the right-hand side's scale
+    /// away, so its factors would silently answer at their own damping.
+    #[test]
+    fn a_snapshot_refuses_a_query_at_another_damping() {
+        for n_shards in [1, 4] {
+            let engine = CludeEngine::new(
+                ring_graph(8),
+                EngineConfig {
+                    n_shards,
+                    ..small_config(4)
+                },
+            )
+            .unwrap();
+            let snapshot = engine.handle.load();
+            for query in [
+                MeasureQuery::PageRank { damping: 0.5 },
+                MeasureQuery::Rwr {
+                    seed: 1,
+                    damping: 0.5,
+                },
+                MeasureQuery::HittingTime {
+                    target: 1,
+                    damping: 0.5,
+                },
+            ] {
+                let refused = |err: LuError| matches!(err, LuError::InvalidParameter { name: "damping", value } if value == 0.5);
+                assert!(refused(snapshot.query(&query).unwrap_err()), "{query:?}");
+                let batch = [&MeasureQuery::PageRank { damping: 0.85 }, &query];
+                assert!(refused(snapshot.query_batch(&batch).unwrap_err()));
+            }
+            assert!(snapshot
+                .query(&MeasureQuery::PageRank { damping: 0.85 })
+                .is_ok());
+        }
     }
 
     #[test]
@@ -1422,7 +1609,7 @@ mod tests {
 
     /// Duplicate, cancelling and self edges: the ingestor drops what changes
     /// nothing — and counts it — and every answer after the batch matches
-    /// dense elimination on the snapshot's graph.
+    /// dense elimination on a shadow graph that took the same operations.
     #[test]
     fn duplicate_and_self_edges_answer_exactly_at_one_and_four_shards() {
         use EdgeOp::{Insert, Remove};
@@ -1432,6 +1619,7 @@ mod tests {
                 ..small_config(8)
             };
             let engine = CludeEngine::new(ring_graph(16), config).unwrap();
+            let mut shadow = ring_graph(16);
             // (case, ops, how many of them the ingestor drops)
             let cases = [
                 (
@@ -1458,14 +1646,20 @@ mod tests {
                 let before = engine.current_snapshot_id();
                 for op in ops {
                     assert_eq!(engine.offer(op).unwrap(), None, "{case}");
+                    match op {
+                        Insert(u, v) if u != v => shadow.add_edge(u, v),
+                        Remove(u, v) => shadow.remove_edge(u, v),
+                        _ => false,
+                    };
                 }
                 assert_eq!(engine.flush().unwrap(), Some(before + 1), "{case}");
                 dropped += drops;
                 assert_eq!(engine.stats().ops_coalesced, dropped, "{case}");
-                let snapshot = engine.handle.load();
-                assert!(!snapshot.graph().has_edge(5, 5), "{case}");
+                let state = engine.inner.lock().recover();
+                assert!(!state.store.graph().has_edge(5, 5), "{case}");
+                drop(state);
                 for query in hostile_queries() {
-                    let dense = dense_answer(snapshot.graph(), config.matrix_kind, &query);
+                    let dense = dense_answer(&shadow, config.matrix_kind, &query);
                     assert_close(&engine.query(&query).unwrap(), &dense, &case);
                 }
             }

@@ -57,9 +57,8 @@
 //!   per-shard factor blocks and the frozen coupling are shared [`Arc`]
 //!   handles (see [`store::ShardSnapshot::shared`]), re-frozen by an advance
 //!   for exactly the shards the batch touched — so a long time-travel window
-//!   costs O(touched shards) factor memory per snapshot, not O(all shards)
-//!   (the snapshot graph itself, much smaller than the factors, is still
-//!   copied per entry).
+//!   costs O(touched shards) factor memory per snapshot, not O(all shards);
+//!   it holds no graph — hitting time, too, is answered through the factors.
 //! * [`coupling`] is the one solver of coupled (sharded) queries:
 //!   restarted GMRES preconditioned by the block Gauss–Seidel pass in a
 //!   dependency-derived shard order, over vectors laid out in the shards'

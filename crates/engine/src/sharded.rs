@@ -450,9 +450,8 @@ impl ShardedFactorStore {
     /// Cheap by construction: the per-shard factor blocks and the frozen
     /// coupling are shared [`Arc`] handles replaced inside
     /// [`ShardedFactorStore::advance`] for exactly what the batch touched,
-    /// and the graph's adjacency is copy-on-write in chunks of consecutive
-    /// nodes, so this bumps `n_shards` plus two pointers per chunk and copies
-    /// nothing a batch did not change.  Consecutive snapshots are
+    /// and the snapshot holds no graph, so this bumps `n_shards` plus three
+    /// reference counts and clones no data.  Consecutive snapshots are
     /// [`Arc::ptr_eq`] on every untouched shard's [`ShardSnapshot::shared`]
     /// handle.
     pub fn snapshot(&self) -> EngineSnapshot {
@@ -463,7 +462,7 @@ impl ShardedFactorStore {
             .collect();
         EngineSnapshot::from_parts(
             self.snapshot_id,
-            self.graph.clone(),
+            self.kind,
             Arc::clone(&self.partition),
             shards,
             Arc::clone(&self.published_coupling),
@@ -869,7 +868,11 @@ mod tests {
     /// builds.
     fn plan_over(store: &ShardedFactorStore, coupling: &CsrMatrix) -> CouplingPlan {
         let orderings = store.shards.iter().map(|s| Arc::clone(&s.ordering));
-        CouplingPlan::build(store.partition(), coupling, orderings.collect())
+        CouplingPlan::build(
+            store.partition(),
+            &Arc::new(coupling.clone()),
+            orderings.collect(),
+        )
     }
 
     /// Whether every shard of `after` serves under the ordering it had in

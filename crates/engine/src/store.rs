@@ -1,8 +1,8 @@
 //! The pieces every factor shard and every published snapshot are made of.
 //!
 //! * [`EngineSnapshot`] / [`ShardSnapshot`] — the immutable unit the query
-//!   side serves from: the snapshot graph, one shared factor block per
-//!   shard, and the frozen cross-shard coupling.
+//!   side serves from: one shared factor block per shard, the frozen
+//!   cross-shard coupling and the composition they factorize — no graph.
 //! * `OrderedFactors` — one shard: its ordering, its factors — the last block
 //!   it published, which is the live storage itself — its quality anchor,
 //!   and the [`clude_lu::Maintainer`] holding the matrix the block
@@ -27,7 +27,7 @@
 //! [`crate::sharded::ShardedFactorStore`]; a whole-graph factorization is
 //! its one-shard case.
 
-use crate::coupling::{self, CouplingPlan, FrozenCoupling, SolveTolerance};
+use crate::coupling::{self, CouplingPlan, FrozenCoupling, SolveTolerance, System};
 use clude::{DecomposedMatrix, MatrixFactors};
 use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_lu::{
@@ -97,19 +97,21 @@ impl ShardSnapshot {
     }
 }
 
-/// One immutable, queryable snapshot: the graph plus per-shard decomposed
-/// factors sharing one snapshot id.
+/// One immutable, queryable snapshot: per-shard decomposed factors sharing
+/// one snapshot id, and the composition they factorize — no graph.
 ///
 /// The store publishes one [`ShardSnapshot`] per shard plus the cross-shard
 /// coupling entries; a one-shard store publishes a single block over the
 /// [`NodePartition::singleton`] partition with an empty coupling matrix.
-/// Queries solve `A x = b` exactly either by one pair of substitutions (no
-/// coupling) or by the Krylov iteration over block Gauss–Seidel passes that
-/// combines per-shard solves with the coupling (see [`crate::coupling`]).
+/// Queries solve `A x = b` — hitting time `Aᵀ x = b` — exactly, either by
+/// one pair of substitutions (no coupling) or by the Krylov iteration over
+/// block Gauss–Seidel passes that combines per-shard solves with the
+/// coupling (see [`crate::coupling`]).
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     id: u64,
-    graph: DiGraph,
+    /// The composition the factors are of; queries needing another refused.
+    kind: MatrixKind,
     partition: Arc<NodePartition>,
     shards: Vec<ShardSnapshot>,
     /// Cross-shard entries of the measure matrix, global coordinates (empty
@@ -128,7 +130,7 @@ pub struct EngineSnapshot {
 impl EngineSnapshot {
     pub(crate) fn from_parts(
         id: u64,
-        graph: DiGraph,
+        kind: MatrixKind,
         partition: Arc<NodePartition>,
         shards: Vec<ShardSnapshot>,
         coupling: Arc<FrozenCoupling>,
@@ -138,7 +140,7 @@ impl EngineSnapshot {
         debug_assert_eq!(partition.n_shards(), shards.len());
         EngineSnapshot {
             id,
-            graph,
+            kind,
             partition,
             shards,
             coupling,
@@ -150,11 +152,6 @@ impl EngineSnapshot {
     /// The snapshot counter value this snapshot was produced at.
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// The snapshot graph.
-    pub fn graph(&self) -> &DiGraph {
-        &self.graph
     }
 
     /// The node partition the factors are sharded by.
@@ -209,21 +206,37 @@ impl EngineSnapshot {
 
     /// Number of nodes of the fixed universe.
     pub fn n_nodes(&self) -> usize {
-        self.graph.n_nodes()
+        self.partition.n_nodes()
     }
 
-    /// Answers a measure query against this snapshot by substitutions.
+    /// Answers a measure query against this snapshot by substitutions; one
+    /// needing other factors — another damping — is
+    /// [`LuError::InvalidParameter`] named `"damping"`.
     pub fn query(&self, query: &MeasureQuery) -> LuResult<Vec<f64>> {
-        evaluate_query_with(self, &self.graph, query)
+        self.check_kind(query)?;
+        evaluate_query_with(self, self.n_nodes(), query)
     }
 
     /// Answers a batch of measure queries against this snapshot, coalescing
     /// all panel-eligible queries into **one** factor traversal over a
-    /// column panel (hitting-time queries, which factorize a query-specific
-    /// matrix, are answered individually).  Result `i` is bit-identical to
-    /// `self.query(queries[i])`.
+    /// column panel (hitting-time queries, each a transposed panel of its
+    /// own, are answered individually).  Result `i` is bit-identical to
+    /// `self.query(queries[i])`; one refused query refuses the batch.
     pub fn query_batch(&self, queries: &[&MeasureQuery]) -> LuResult<Vec<Vec<f64>>> {
-        evaluate_queries_with(self, &self.graph, queries)
+        queries
+            .iter()
+            .try_for_each(|query| self.check_kind(query))?;
+        evaluate_queries_with(self, self.n_nodes(), queries)
+    }
+
+    fn check_kind(&self, query: &MeasureQuery) -> LuResult<()> {
+        if query.required_matrix_kind() == Some(self.kind) {
+            return Ok(());
+        }
+        Err(LuError::InvalidParameter {
+            name: "damping",
+            value: query.damping(),
+        })
     }
 }
 
@@ -233,7 +246,7 @@ impl MeasureSolver for EngineSnapshot {
     /// (see [`crate::coupling`]) as a width-1 panel; one-shard snapshots are
     /// one pair of substitutions.
     fn solve_measure_system(&self, b: &[f64]) -> LuResult<Vec<f64>> {
-        coupling::solve_systems(self, b, 1)
+        coupling::solve_systems(self, System::Forward, b, 1)
     }
 
     /// Panel override: `n_rhs` stacked right-hand sides in one factor
@@ -241,7 +254,12 @@ impl MeasureSolver for EngineSnapshot {
     /// [`MeasureSolver::solve_measure_system`] call on that stripe (see
     /// `crate::coupling::solve_systems`).
     fn solve_measure_systems(&self, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>> {
-        coupling::solve_systems(self, b, n_rhs)
+        coupling::solve_systems(self, System::Forward, b, n_rhs)
+    }
+
+    /// `Aᵀ x = b` by the same iteration over the transposed pass.
+    fn solve_transposed_systems(&self, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>> {
+        coupling::solve_systems(self, System::Transposed, b, n_rhs)
     }
 }
 
@@ -1334,7 +1352,6 @@ mod tests {
         assert_eq!(store.quality_loss(), 0.0);
         let snap = store.snapshot();
         assert_eq!(snap.n_nodes(), 6);
-        assert!(snap.graph().has_edge(2, 0));
         assert_eq!(snap.shards()[0].decomposed().index, 0);
         assert_eq!(snap.coupling().nnz(), 0);
         // What a one-shard checkpoint records under the default config: no

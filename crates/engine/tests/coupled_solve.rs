@@ -77,6 +77,47 @@ fn a_cold_query_over_cyclic_coupling_is_a_bounded_number_of_block_passes() {
     assert!(at_099 <= 24, "d = 0.99: {at_099} passes");
 }
 
+/// Asks 30 seeded hitting-time queries — each one transposed width-2 panel
+/// — of a 4-shard engine and its 1-shard twin, checks they agree to 1e-9
+/// relative, and returns the most block passes any 4-shard column took.
+fn max_transposed_passes_against_one_shard_twin(graph: &DiGraph, damping: f64) -> u64 {
+    let sharded = engine(graph.clone(), 4, damping);
+    let twin = engine(graph.clone(), 1, damping);
+    assert_eq!(sharded.n_shards(), 4);
+    assert!(sharded.stats().coupling_nnz > 0);
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut asked = std::collections::BTreeSet::new();
+    for _ in 0..QUERIES / 2 {
+        let target = rng.gen_range(0..graph.n_nodes());
+        asked.insert(target);
+        let query = MeasureQuery::HittingTime { target, damping };
+        let a = sharded.query(&query).unwrap();
+        let b = twin.query(&query).unwrap();
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert!(
+                (x - y).abs() <= 1e-9 * y.abs().max(1.0),
+                "{query:?}: {x} vs {y}"
+            );
+        }
+    }
+    // One sample per column of each solved panel.
+    let passes = sharded.telemetry().coupling_sweeps();
+    assert_eq!(passes.count(), 2 * asked.len() as u64);
+    passes.max()
+}
+
+#[test]
+fn a_transposed_solve_over_cyclic_coupling_takes_as_few_passes() {
+    // Reverse-order block Gauss–Seidel on Aᵀ has the spectrum of the
+    // forward pass on A, so hitting time keeps the forward gates.
+    let egs = wiki_sequence();
+    let last = egs.snapshot(egs.len() - 1);
+    let at_085 = max_transposed_passes_against_one_shard_twin(&last, 0.85);
+    assert!(at_085 <= 20, "d = 0.85: {at_085} passes");
+    let at_099 = max_transposed_passes_against_one_shard_twin(&last, 0.99);
+    assert!(at_099 <= 24, "d = 0.99: {at_099} passes");
+}
+
 #[test]
 fn near_triangular_coupling_costs_at_most_one_pass_more_than_plain_sweeps() {
     // The one place the Krylov iteration is not ahead: a coupling the plain

@@ -10,16 +10,18 @@
 //! consecutive nodes as offsets into one sorted `Vec<usize>`.  Cloning (and
 //! dropping) a graph is `2·⌈n / CHUNK⌉` pointer operations, and a clone that
 //! is later mutated copies one chunk per changed endpoint through
-//! [`Arc::make_mut`] — the streaming engine clones the graph into every
-//! published snapshot, and a batch touches a handful of nodes.
+//! [`Arc::make_mut`] — what [`crate::EvolvingGraphSequence`]'s iterator
+//! pays to hand out each step's graph, and the engine's checkpoint capture
+//! to copy its live one, while a delta touches a handful of nodes.
 
 use std::sync::Arc;
 
 /// Consecutive nodes per adjacency chunk.  Measured on `clude_perf`'s
 /// `ingest-value` and `ingest-structure` at 16 / 32 / 64 (CHANGES.md, PR 24):
 /// `timed_s` does not tell the three apart, peak RSS rises with the width —
-/// every batch leaves the ring a private copy of each chunk it touched — and
-/// 16 is the one that stays at the per-node sets' footprint.
+/// every batch then left the engine's snapshot ring, which held a graph per
+/// entry, a private copy of each chunk it touched — and 16 is the one that
+/// stays at the per-node sets' footprint.
 const CHUNK: usize = 16;
 
 /// The neighbour lists of `CHUNK` consecutive nodes: slot `i` (node

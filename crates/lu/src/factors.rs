@@ -312,6 +312,64 @@ impl LuFactors {
         Ok(())
     }
 
+    /// Solves the transposed system `(L U)ᵀ x = b` in place: `Uᵀ` forward,
+    /// then `Lᵀ` backward (unit diagonal).  The factors are stored by rows,
+    /// which are the columns of the transposes, so each step finishes one
+    /// entry and scatters it down that row's slots — the same multiply-adds
+    /// as [`LuFactors::solve_in_place`].  A pivot that is not finite or
+    /// below [`SINGULAR_TOL`] is an [`LuError::SingularPivot`]; on an error
+    /// `x` holds a partial substitution.
+    pub fn solve_transposed_in_place(&self, x: &mut [f64]) -> LuResult<()> {
+        self.solve_many_transposed_in_place(x, 1)
+    }
+
+    /// Panel variant of [`LuFactors::solve_transposed_in_place`] over `n_rhs`
+    /// stripes of length `n` stacked column-major in `x`: one traversal of
+    /// the factors, rows outer, slots middle, panel columns inner, so every
+    /// stripe is bit-identical to a single right-hand-side call.
+    pub fn solve_many_transposed_in_place(&self, x: &mut [f64], n_rhs: usize) -> LuResult<()> {
+        let n = self.n();
+        if x.len() != n * n_rhs {
+            return Err(LuError::DimensionMismatch {
+                expected: n * n_rhs,
+                actual: x.len(),
+            });
+        }
+        // Forward: Uᵀ y = b — entry i is final once divided by its pivot.
+        for i in 0..n {
+            let mut upper = self.structure.upper_row_slots(i);
+            let diag_slot = upper.next().expect("diagonal always present");
+            let pivot = self.values[diag_slot];
+            if !pivot.is_finite() || pivot.abs() < SINGULAR_TOL {
+                return Err(LuError::SingularPivot {
+                    index: i,
+                    value: pivot,
+                });
+            }
+            for c in 0..n_rhs {
+                x[c * n + i] /= pivot;
+            }
+            for slot in upper {
+                let j = self.structure.col_of_slot(slot);
+                let v = self.values[slot];
+                for c in 0..n_rhs {
+                    x[c * n + j] -= v * x[c * n + i];
+                }
+            }
+        }
+        // Backward: Lᵀ x = y (unit diagonal).
+        for i in (0..n).rev() {
+            for slot in self.structure.lower_row_slots(i) {
+                let k = self.structure.col_of_slot(slot);
+                let v = self.values[slot];
+                for c in 0..n_rhs {
+                    x[c * n + k] -= v * x[c * n + i];
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The lower factor `L` (with its unit diagonal) as a CSR matrix.
     pub fn l_matrix(&self) -> CsrMatrix {
         let n = self.n();
@@ -781,6 +839,79 @@ mod tests {
             f.solve_in_place(&mut second).unwrap();
             assert_eq!(bits(&panel[n..]), bits(&second));
         }
+    }
+
+    #[test]
+    fn transposed_solve_matches_a_dense_transposed_solve() {
+        // Unpermuted factors of `A` hold `L U = A`, so the transposed kernel
+        // solves `Aᵀ x = b`.
+        let mut cases = vec![sample_matrix()];
+        {
+            use clude_graph::generators::{wiki_like, WikiLikeConfig};
+            use clude_graph::{evolving_matrix_sequence, MatrixKind};
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+            let egs = wiki_like::generate(&WikiLikeConfig::tiny(), &mut rng);
+            let ems = evolving_matrix_sequence(&egs, MatrixKind::random_walk_default());
+            let a = &ems[0];
+            let ordering = crate::markowitz_ordering(&a.pattern()).ordering;
+            cases.push(a.reorder(&ordering).unwrap());
+        }
+        for a in cases {
+            let f = factorize_fresh(&a).unwrap();
+            let n = f.n();
+            let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 - 1.5).collect();
+            let mut x = b.clone();
+            f.solve_transposed_in_place(&mut x).unwrap();
+            let dense = a.transpose().to_dense().solve_gaussian(&b).unwrap();
+            for (got, want) in x.iter().zip(&dense) {
+                assert!((got - want).abs() < 1e-10, "{got} vs {want}");
+            }
+            // And `Aᵀ x = b` indeed.
+            for (l, r) in a.mul_vec_transposed(&x).unwrap().iter().zip(&b) {
+                assert!((l - r).abs() < 1e-10);
+            }
+        }
+    }
+
+    #[test]
+    fn a_transposed_panel_is_its_single_solves_bit_for_bit() {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for f in generator_factors() {
+            let n = f.n();
+            let first: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64 - 2.5).collect();
+            let second: Vec<f64> = (0..n).map(|i| if i == n / 2 { 1.0 } else { 0.0 }).collect();
+            let mut panel = [first.clone(), second.clone()].concat();
+            f.solve_many_transposed_in_place(&mut panel, 2).unwrap();
+            for (stripe, b) in panel.chunks_exact(n).zip([first, second]) {
+                let mut single = b;
+                f.solve_transposed_in_place(&mut single).unwrap();
+                assert_eq!(bits(stripe), bits(&single));
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_pivot_fails_the_transposed_kernels() {
+        for at in [0, 5, 31] {
+            for mut f in generator_factors() {
+                f.set_pivot(at, 0.0);
+                let is_at = |err: LuError| matches!(err, LuError::SingularPivot { index, value } if index == at && value == 0.0);
+                let b = vec![1.0; f.n()];
+                assert!(is_at(
+                    f.solve_transposed_in_place(&mut b.clone()).unwrap_err()
+                ));
+                let mut panel = [b.clone(), b].concat();
+                assert!(is_at(
+                    f.solve_many_transposed_in_place(&mut panel, 2).unwrap_err()
+                ));
+            }
+        }
+        let f = factorize_fresh(&sample_matrix()).unwrap();
+        assert!(matches!(
+            f.solve_transposed_in_place(&mut [1.0, 2.0]).unwrap_err(),
+            LuError::DimensionMismatch { .. }
+        ));
     }
 
     #[test]

@@ -31,15 +31,14 @@ pub mod series;
 
 pub use linear_system::DEFAULT_DAMPING;
 pub use measures::{
-    discounted_hitting_time, group_proximity, pagerank, personalized_pagerank, rwr, salsa,
-    SalsaScores,
+    discounted_hitting_time, group_proximity, hitting_time, pagerank, personalized_pagerank, rwr,
+    salsa, SalsaScores,
 };
 pub use monte_carlo::{rwr_monte_carlo, MonteCarloResult};
 pub use power_iteration::{
     pagerank_power_iteration, rwr_power_iteration, solve_power_iteration, PowerIterationResult,
 };
 pub use query::{
-    evaluate_queries_with, evaluate_query, evaluate_query_with, measure_rhs, MeasureQuery,
-    MeasureSolver,
+    evaluate_queries_with, evaluate_query_with, measure_rhs, MeasureQuery, MeasureSolver,
 };
 pub use series::MeasureSeries;

@@ -9,16 +9,19 @@
 //! * **SALSA (damped)** — PageRank-style scores on the co-citation /
 //!   bibliographic-coupling structure, obtained by two solves;
 //! * **Discounted hitting time** — expected discounted path length to a
-//!   target, via a per-target linear system.
+//!   target: one width-2 panel of *transposed* solves through the same
+//!   factors, `Aᵀ[y z] = [1 − e_t, e_t]`, combined as
+//!   `h = y − (y_t / z_t)·z` ([`hitting_time`]).
 //!
-//! The functions take a [`clude::DecomposedMatrix`] (one snapshot's factors,
-//! produced by any LUDEM solver), so a whole time series costs one cheap
-//! substitution per snapshot once the sequence has been decomposed.
+//! The functions take any [`MeasureSolver`] — a [`clude::DecomposedMatrix`]
+//! (one snapshot's factors, produced by any LUDEM solver) or an engine
+//! snapshot — so a whole time series costs one cheap substitution per
+//! snapshot once the sequence has been decomposed.
 
 use crate::linear_system::{group_score, normalize_scores, pagerank_rhs, ppr_rhs, rwr_rhs};
 use crate::query::MeasureSolver;
 use clude_graph::{DiGraph, MatrixKind};
-use clude_lu::{factorize_fresh, LuResult};
+use clude_lu::{factorize_fresh, LuError, LuResult};
 use clude_sparse::{CooMatrix, CsrMatrix};
 
 /// Global PageRank scores of a snapshot, from any solver of its measure
@@ -143,15 +146,50 @@ fn damped_stationary(p: &CsrMatrix, damping: f64) -> LuResult<Vec<f64>> {
     Ok(normalize_scores(x))
 }
 
-/// Discounted hitting time \[14\] from every node to a target node.
+/// Discounted hitting time \[14\] from every node to `target`, answered
+/// through the snapshot's own factors of `A = I − d·W`.
+///
+/// The hitting-time system `(I − d·P̃) h = 1 − e_t` (see
+/// [`discounted_hitting_time`]) differs from `Aᵀ` in row `t` alone, since
+/// `P = Wᵀ` and `P̃` only zeroes the target's row.  So one width-2 panel of
+/// transposed solves `Aᵀ[y z] = [1 − e_t, e_t]` gives
+/// `h = y − (y_t / z_t)·z`: every row but `t` still reads `1`, and `h_t = 0`.
+/// The denominator is safe: `A⁻¹ = Σ (d·W)ᵏ ≥ I` entrywise, so `z_t ≥ 1`.
+/// The damping is the one the solver's factors were built with.
+///
+/// A target outside `0..n` is [`LuError::InvalidParameter`] named
+/// `"target"`.
+pub fn hitting_time<S: MeasureSolver + ?Sized>(
+    solver: &S,
+    n: usize,
+    target: usize,
+) -> LuResult<Vec<f64>> {
+    check_target(n, target)?;
+    let mut b = vec![1.0; 2 * n];
+    b[target] = 0.0;
+    b[n..].fill(0.0);
+    b[n + target] = 1.0;
+    let solved = solver.solve_transposed_systems(&b, 2)?;
+    let (y, z) = solved.split_at(n);
+    let ratio = y[target] / z[target];
+    let mut h: Vec<f64> = y.iter().zip(z).map(|(&yu, &zu)| yu - ratio * zu).collect();
+    h[target] = 0.0;
+    Ok(h)
+}
+
+/// Discounted hitting time \[14\] from every node to a target node, by
+/// factorizing the target's own system — the batch function, and the oracle
+/// [`hitting_time`] is checked against.
 ///
 /// `h(target) = 0` and for `u ≠ target`:
 /// `h(u) = 1 + d·Σ_w P(u, w)·h(w)` with the walk restarted at absorption —
 /// equivalently `(I − d·P̃) h = 1` off the target, where `P̃` zeroes the
 /// target's outgoing transitions.  Smaller values mean the target is closer.
+/// A target outside the graph is [`LuError::InvalidParameter`] named
+/// `"target"`.
 pub fn discounted_hitting_time(graph: &DiGraph, target: usize, damping: f64) -> LuResult<Vec<f64>> {
     let n = graph.n_nodes();
-    assert!(target < n, "target node out of range");
+    check_target(n, target)?;
     // Row-normalised transition matrix with the target made absorbing.
     let mut coo = CooMatrix::new(n, n);
     for i in 0..n {
@@ -173,6 +211,17 @@ pub fn discounted_hitting_time(graph: &DiGraph, target: usize, damping: f64) -> 
     let mut b = vec![1.0; n];
     b[target] = 0.0;
     factors.solve(&b)
+}
+
+fn check_target(n: usize, target: usize) -> LuResult<()> {
+    if target < n {
+        Ok(())
+    } else {
+        Err(LuError::InvalidParameter {
+            name: "target",
+            value: target as f64,
+        })
+    }
 }
 
 /// The matrix kind a measure needs its EMS to be built with.
@@ -282,10 +331,50 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "target node")]
+    fn hitting_time_through_the_factors_matches_the_batch_function() {
+        use clude::Incremental;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(37);
+        for case in 0..12 {
+            let n = 6 + case;
+            let mut g = DiGraph::new(n);
+            for u in 0..n {
+                // Every third node dangles; the others link out at random.
+                if u % 3 == 2 {
+                    continue;
+                }
+                for _ in 0..rng.gen_range(1..4) {
+                    g.add_edge(u, rng.gen_range(0..n));
+                }
+            }
+            let target = case % n;
+            g.add_edge(target, target);
+            for damping in [0.5, 0.85, 0.99] {
+                let want = discounted_hitting_time(&g, target, damping).unwrap();
+                let egs = EvolvingGraphSequence::from_base(g.clone());
+                let ems =
+                    EvolvingMatrixSequence::from_egs(&egs, MatrixKind::RandomWalk { damping });
+                let config = SolverConfig::default();
+                let static_f = BruteForce.solve(&ems, &config).unwrap();
+                let dynamic_f = Incremental.solve(&ems, &config).unwrap();
+                for solution in [static_f, dynamic_f] {
+                    let got = hitting_time(&solution.decomposed[0], n, target).unwrap();
+                    assert_eq!(got[target], 0.0);
+                    for (a, b) in got.iter().zip(&want) {
+                        assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{a} vs {b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn hitting_time_rejects_bad_target() {
         let g = DiGraph::new(3);
-        let _ = discounted_hitting_time(&g, 7, 0.9);
+        let bad = |err: LuError| matches!(err, LuError::InvalidParameter { name: "target", value } if value == 7.0);
+        assert!(bad(discounted_hitting_time(&g, 7, 0.9).unwrap_err()));
+        let (solution, n) = decomposed_single(&g, 0.9);
+        assert!(bad(hitting_time(&solution.decomposed[0], n, 7).unwrap_err()));
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! The serving layer (`clude-engine`) needs a single dispatchable
 //! representation of "which measure, with which parameters" that can be
 //! hashed into a cache key and routed to the measure implementations.
-//! [`MeasureQuery`] is that representation, and [`evaluate_query`] is the
-//! one entry point turning a decomposed snapshot plus a query into scores.
+//! [`MeasureQuery`] is that representation, and [`evaluate_query_with`] is
+//! the one entry point turning a snapshot's factors plus a query into
+//! scores.
 
-use crate::measures::{discounted_hitting_time, pagerank, personalized_pagerank, rwr};
+use crate::measures::{hitting_time, pagerank, personalized_pagerank, rwr};
 use clude::DecomposedMatrix;
-use clude_graph::{DiGraph, MatrixKind};
+use clude_graph::MatrixKind;
 use clude_lu::LuResult;
 use std::hash::{Hash, Hasher};
 
@@ -130,14 +131,13 @@ impl MeasureQuery {
     }
 
     /// The matrix composition this query needs its snapshot factors built
-    /// with (`None` for queries that build their own per-query system).
+    /// with: `I − d·W` at the query's damping, for every variant — hitting
+    /// time included, which is answered by transposed solves through the
+    /// same factors.
     pub fn required_matrix_kind(&self) -> Option<MatrixKind> {
-        match self {
-            MeasureQuery::HittingTime { .. } => None,
-            _ => Some(MatrixKind::RandomWalk {
-                damping: self.damping(),
-            }),
-        }
+        Some(MatrixKind::RandomWalk {
+            damping: self.damping(),
+        })
     }
 
     /// Short display name for stats and logs.
@@ -178,14 +178,15 @@ impl MeasureQuery {
     }
 }
 
-/// Anything that can solve the snapshot's measure system `A x = b`.
+/// Anything that can solve the snapshot's measure system `A x = b` and its
+/// transpose `Aᵀ x = b`.
 ///
 /// The random-walk measures only need *some* exact solver for
-/// `(I − d·W) x = b`; a monolithic [`DecomposedMatrix`] answers by one pair
-/// of triangular substitutions, while the engine's sharded snapshots combine
-/// per-shard solves with a cross-shard coupling correction.  Implementing
-/// this trait is what plugs a snapshot representation into
-/// [`evaluate_query_with`].
+/// `(I − d·W) x = b` — hitting time for its transpose; a monolithic
+/// [`DecomposedMatrix`] answers by one pair of triangular substitutions,
+/// while the engine's sharded snapshots combine per-shard solves with a
+/// cross-shard coupling correction.  Implementing this trait is what plugs a
+/// snapshot representation into [`evaluate_query_with`].
 pub trait MeasureSolver {
     /// Solves the snapshot's measure system for one right-hand side.
     fn solve_measure_system(&self, b: &[f64]) -> LuResult<Vec<f64>>;
@@ -206,6 +207,11 @@ pub trait MeasureSolver {
         }
         Ok(out)
     }
+
+    /// Solves the transposed system `Aᵀ x = b` for `n_rhs` right-hand sides
+    /// stacked column-major in `b`, returning the solutions in the same
+    /// layout; every stripe bit-identical to a width-1 call on it.
+    fn solve_transposed_systems(&self, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>>;
 }
 
 impl MeasureSolver for DecomposedMatrix {
@@ -219,35 +225,40 @@ impl MeasureSolver for DecomposedMatrix {
         self.solve_many_into(b, n_rhs, &mut scratch, &mut out)?;
         Ok(out)
     }
+
+    fn solve_transposed_systems(&self, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>> {
+        let mut scratch = clude_lu::PanelScratch::new();
+        let mut out = Vec::new();
+        self.solve_transposed_many_into(b, n_rhs, &mut scratch, &mut out)?;
+        Ok(out)
+    }
 }
 
-/// Evaluates a query through any [`MeasureSolver`].
+/// Evaluates a query through any [`MeasureSolver`] over a universe of `n`
+/// nodes.
 ///
 /// The solver must hold (or emulate) factors of the snapshot's `I − d·W`
-/// matrix with the query's damping factor; `graph` is the snapshot graph
-/// itself, used by queries (hitting time) whose linear system is
-/// query-specific rather than snapshot-specific.
+/// matrix with the query's damping factor — the query's
+/// [`MeasureQuery::required_matrix_kind`]; a caller serving factors of one
+/// composition checks it first.
 pub fn evaluate_query_with<S: MeasureSolver + ?Sized>(
     solver: &S,
-    graph: &DiGraph,
+    n: usize,
     query: &MeasureQuery,
 ) -> LuResult<Vec<f64>> {
-    let n = graph.n_nodes();
     match query {
         MeasureQuery::PageRank { damping } => pagerank(solver, n, *damping),
         MeasureQuery::Rwr { seed, damping } => rwr(solver, n, *seed, *damping),
         MeasureQuery::PprSeedSet { seeds, damping } => {
             personalized_pagerank(solver, n, seeds, *damping)
         }
-        MeasureQuery::HittingTime { target, damping } => {
-            discounted_hitting_time(graph, *target, *damping)
-        }
+        MeasureQuery::HittingTime { target, .. } => hitting_time(solver, n, *target),
     }
 }
 
 /// The right-hand side of the query's measure system against the snapshot's
-/// `I − d·W` factors, or `None` for queries (hitting time) that factorize a
-/// query-specific matrix instead and therefore cannot join a shared panel.
+/// `I − d·W` factors, or `None` for hitting time, whose transposed panel
+/// cannot join a shared panel of forward solves.
 pub fn measure_rhs(query: &MeasureQuery, n: usize) -> Option<Vec<f64>> {
     use crate::linear_system::{pagerank_rhs, ppr_rhs, rwr_rhs};
     match query {
@@ -263,16 +274,15 @@ pub fn measure_rhs(query: &MeasureQuery, n: usize) -> Option<Vec<f64>> {
 /// [`MeasureSolver::solve_measure_systems`] panel traversal and the rest
 /// (hitting time) individually.
 ///
-/// Result `i` is bit-identical to `evaluate_query_with(solver, graph,
+/// Result `i` is bit-identical to `evaluate_query_with(solver, n,
 /// queries[i])`: the right-hand sides, the per-stripe solve sequence, and
 /// the normalisation are exactly those of the single-query path.
 pub fn evaluate_queries_with<S: MeasureSolver + ?Sized>(
     solver: &S,
-    graph: &DiGraph,
+    n: usize,
     queries: &[&MeasureQuery],
 ) -> LuResult<Vec<Vec<f64>>> {
     use crate::linear_system::normalize_scores;
-    let n = graph.n_nodes();
     let mut panel = Vec::new();
     let mut panel_slots = Vec::new();
     let mut results: Vec<Option<Vec<f64>>> = queries.iter().map(|_| None).collect();
@@ -282,7 +292,7 @@ pub fn evaluate_queries_with<S: MeasureSolver + ?Sized>(
                 panel.extend(rhs);
                 panel_slots.push(i);
             }
-            None => results[i] = Some(evaluate_query_with(solver, graph, query)?),
+            None => results[i] = Some(evaluate_query_with(solver, n, query)?),
         }
     }
     if !panel_slots.is_empty() {
@@ -295,23 +305,12 @@ pub fn evaluate_queries_with<S: MeasureSolver + ?Sized>(
     Ok(results.into_iter().flatten().collect())
 }
 
-/// Evaluates a query against one decomposed snapshot.
-///
-/// Convenience wrapper over [`evaluate_query_with`] for the monolithic
-/// representation; kept as the stable entry point of the batch pipeline.
-pub fn evaluate_query(
-    decomposed: &DecomposedMatrix,
-    graph: &DiGraph,
-    query: &MeasureQuery,
-) -> LuResult<Vec<f64>> {
-    evaluate_query_with(decomposed, graph, query)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measures::discounted_hitting_time;
     use clude::{BruteForce, EvolvingMatrixSequence, LudemSolver, SolverConfig};
-    use clude_graph::EvolvingGraphSequence;
+    use clude_graph::{DiGraph, EvolvingGraphSequence};
     use std::collections::hash_map::DefaultHasher;
 
     fn hash_of(q: &MeasureQuery) -> u64 {
@@ -363,12 +362,12 @@ mod tests {
         let dec = &solution.decomposed[0];
         let n = g.n_nodes();
 
-        let pr = evaluate_query(dec, &g, &MeasureQuery::PageRank { damping: 0.85 }).unwrap();
+        let pr = evaluate_query_with(dec, n, &MeasureQuery::PageRank { damping: 0.85 }).unwrap();
         assert_eq!(pr, pagerank(dec, n, 0.85).unwrap());
 
-        let r = evaluate_query(
+        let r = evaluate_query_with(
             dec,
-            &g,
+            n,
             &MeasureQuery::Rwr {
                 seed: 2,
                 damping: 0.85,
@@ -377,9 +376,9 @@ mod tests {
         .unwrap();
         assert_eq!(r, rwr(dec, n, 2, 0.85).unwrap());
 
-        let p = evaluate_query(
+        let p = evaluate_query_with(
             dec,
-            &g,
+            n,
             &MeasureQuery::PprSeedSet {
                 seeds: vec![1, 5],
                 damping: 0.85,
@@ -388,17 +387,22 @@ mod tests {
         .unwrap();
         assert_eq!(p, personalized_pagerank(dec, n, &[1, 5], 0.85).unwrap());
 
-        let h = evaluate_query(
-            dec,
-            &g,
-            &MeasureQuery::HittingTime {
-                target: 0,
-                damping: 0.9,
-            },
-        )
-        .unwrap();
-        assert_eq!(h, discounted_hitting_time(&g, 0, 0.9).unwrap());
+        // Hitting time goes through the same factors, transposed.
+        let ht = MeasureQuery::HittingTime {
+            target: 0,
+            damping: 0.85,
+        };
+        let h = evaluate_query_with(dec, n, &ht).unwrap();
+        assert_eq!(h, hitting_time(dec, n, 0).unwrap());
         assert_eq!(h[0], 0.0);
+        for (a, b) in h.iter().zip(discounted_hitting_time(&g, 0, 0.85).unwrap()) {
+            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
+        }
+        // A batch answers each query as the single path does, bit for bit.
+        let batch =
+            evaluate_queries_with(dec, n, &[&ht, &MeasureQuery::PageRank { damping: 0.85 }])
+                .unwrap();
+        assert_eq!(batch, vec![h, pr]);
     }
 
     #[test]
@@ -451,7 +455,10 @@ mod tests {
             target: 0,
             damping: 0.7,
         };
-        assert_eq!(h.required_matrix_kind(), None);
+        assert_eq!(
+            h.required_matrix_kind(),
+            Some(MatrixKind::RandomWalk { damping: 0.7 })
+        );
         assert_eq!(h.kind_name(), "hitting_time");
         assert_eq!(
             MeasureQuery::PageRank { damping: 0.5 }.kind_name(),

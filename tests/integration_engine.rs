@@ -114,8 +114,9 @@ fn coalesced_churn_matches_direct_construction() {
 /// The reference every store is held to: dense Gaussian elimination on the
 /// snapshot's measure matrix, normalised like a served answer.  It shares no
 /// partition, ordering or factor code with the store under test.  (Hitting
-/// time factorizes a query-specific matrix of the graph alone; against the
-/// independently maintained `graph` it checks the store's graph tracking.)
+/// time, which the store answers by transposed solves through its factors,
+/// is held to the batch function, which factorizes the target's own system
+/// of the independently maintained `graph`.)
 fn dense_answer(graph: &DiGraph, kind: MatrixKind, query: &MeasureQuery) -> Vec<f64> {
     let Some(b) = measure_rhs(query, graph.n_nodes()) else {
         let MeasureQuery::HittingTime { target, damping } = query else {
@@ -220,7 +221,7 @@ proptest! {
             MeasureQuery::Rwr { seed: 0, damping: DAMPING },
             MeasureQuery::Rwr { seed: n - 1, damping: DAMPING },
             MeasureQuery::PprSeedSet { seeds: vec![2, 11], damping: DAMPING },
-            MeasureQuery::HittingTime { target: 1, damping: 0.9 },
+            MeasureQuery::HittingTime { target: 1, damping: DAMPING },
         ];
         for chunk in ops.chunks(4) {
             let mut delta = GraphDelta::empty();
