@@ -20,9 +20,9 @@ use crate::cluster::Cluster;
 use crate::ems::EvolvingMatrixSequence;
 use crate::report::RunReport;
 use clude_lu::{
-    apply_delta_with, cost, markowitz_ordering, solve_original_into, solve_original_many_into,
-    solve_original_transposed_many_into, BennettStats, BennettWorkspace, DynamicLuFactors, LuError,
-    LuFactors, LuResult, LuStructure, Maintainer, PanelScratch, SolveScratch,
+    apply_delta_with, cost, markowitz_ordering, solve_original_into,
+    solve_original_transposed_into, BennettStats, BennettWorkspace, DynamicLuFactors, LuError,
+    LuFactors, LuResult, LuStructure, Maintainer, SolveScratch,
 };
 use clude_sparse::{CooMatrix, CsrMatrix, Ordering, SparsityPattern};
 use std::sync::Arc;
@@ -148,16 +148,14 @@ impl DecomposedMatrix {
         }
     }
 
-    /// Panel variant of [`DecomposedMatrix::solve_into`]: solves `n_rhs`
-    /// systems whose right-hand sides are stacked column-major in `b`, one
-    /// factor traversal for the whole panel.  Every stripe of `out` is
-    /// bit-identical to a sequential [`DecomposedMatrix::solve_into`] call —
-    /// the contract `EngineSnapshot::query_batch` relies on.
-    pub fn solve_many_into(
+    /// The transposed twin of [`DecomposedMatrix::solve_into`]: solves
+    /// `A_iᵀ x = b`, the row and column permutations swapping roles
+    /// ([`clude_lu::solve_original_transposed_into`]).  Dynamic factors are
+    /// first copied into static storage, one pass over their entries.
+    pub fn solve_transposed_into(
         &self,
         b: &[f64],
-        n_rhs: usize,
-        scratch: &mut PanelScratch,
+        scratch: &mut SolveScratch,
         out: &mut Vec<f64>,
     ) -> LuResult<()> {
         let factors = self.factors.as_ref().ok_or(LuError::DimensionMismatch {
@@ -166,37 +164,11 @@ impl DecomposedMatrix {
         })?;
         match factors {
             MatrixFactors::Static(f) => {
-                solve_original_many_into(f, &self.ordering, b, n_rhs, scratch, out)
-            }
-            MatrixFactors::Dynamic(f) => {
-                solve_original_many_into(f, &self.ordering, b, n_rhs, scratch, out)
-            }
-        }
-    }
-
-    /// The transposed twin of [`DecomposedMatrix::solve_many_into`]: solves
-    /// `A_iᵀ x = b` for `n_rhs` right-hand sides stacked column-major in `b`,
-    /// the row and column permutations swapping roles
-    /// ([`clude_lu::solve_original_transposed_many_into`]).  Dynamic factors
-    /// are first copied into static storage, one pass over their entries.
-    pub fn solve_transposed_many_into(
-        &self,
-        b: &[f64],
-        n_rhs: usize,
-        scratch: &mut PanelScratch,
-        out: &mut Vec<f64>,
-    ) -> LuResult<()> {
-        let factors = self.factors.as_ref().ok_or(LuError::DimensionMismatch {
-            expected: self.ordering.row().len(),
-            actual: 0,
-        })?;
-        match factors {
-            MatrixFactors::Static(f) => {
-                solve_original_transposed_many_into(f, &self.ordering, b, n_rhs, scratch, out)
+                solve_original_transposed_into(f, &self.ordering, b, scratch, out)
             }
             MatrixFactors::Dynamic(f) => {
                 let f = LuFactors::from_sorted_entries(f.n(), &f.export_entries())?;
-                solve_original_transposed_many_into(&f, &self.ordering, b, n_rhs, scratch, out)
+                solve_original_transposed_into(&f, &self.ordering, b, scratch, out)
             }
         }
     }

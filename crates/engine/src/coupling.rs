@@ -45,7 +45,7 @@
 //! too.  Both are [`LuError::ConvergenceFailure`], journalled.
 //!
 //! A single shard without coupling is one pair of substitutions through its
-//! ordering (see `solve_systems`); shards no edge crosses have a triangular
+//! ordering (see `solve_system`); shards no edge crosses have a triangular
 //! plan, so they take the one pass from zero.
 //! A non-finite right-hand side is refused before any path runs, as
 //! [`LuError::InvalidParameter`] named `rhs`: substitutions would carry it
@@ -73,7 +73,7 @@ pub use plan::{CouplingPlan, FrozenCoupling};
 
 use crate::store::{static_factors, EngineSnapshot, ShardSnapshot};
 use clude::DecomposedMatrix;
-use clude_lu::{LuError, LuResult, PanelScratch};
+use clude_lu::{LuError, LuResult, SolveScratch};
 use clude_sparse::vector::{axpy, dot};
 use clude_telemetry::{Counter, EngineEvent, Stage};
 
@@ -173,22 +173,8 @@ pub struct CouplingConfig {
     pub repartition_budget: Option<usize>,
 }
 
-/// Reused buffers of one coupled solve: the right-hand sides and the
-/// solutions in the plan's layout, and the panel a multi-column pass builds
-/// one shard's right-hand sides in.  Allocated once per query; every pass
-/// after the first reuses the grown capacity.
-#[derive(Debug, Default)]
-struct PanelBlockScratch {
-    b: Vec<f64>,
-    x: Vec<f64>,
-    panel: Vec<f64>,
-}
-
 /// Solves `A x = b` (or `Aᵀ x = b`) for a snapshot's full measure matrix
-/// `A = blockdiag(A_ss) + C` and `n_rhs` right-hand sides stacked
-/// column-major in `b`, one factor traversal per block pass for the whole
-/// panel.  A single right-hand side is a width-1 panel, which the
-/// substitutions take through their scalar kernel.
+/// `A = blockdiag(A_ss) + C`.
 ///
 /// A NaN or ∞ anywhere in `b` is [`LuError::InvalidParameter`] (`rhs`,
 /// the first such value) on every path.  A single shard without coupling is
@@ -197,45 +183,27 @@ struct PanelBlockScratch {
 /// included, else under the Krylov iteration.  The first such solve after
 /// the store froze a new coupling builds the plan, inside its
 /// `coupling.gauss_seidel` span.
-///
-/// Every stripe of the result is **bit-identical** to a width-1 call on
-/// that stripe: the substitutions are the panel kernels with per-column
-/// bit-identity, and in the iteration each column carries its own Krylov
-/// state and never reads a neighbour — so per column the pass count, every
-/// intermediate vector, and the final answer do not depend on which other
-/// columns share the panel.  A convergence or pivot failure on any column
-/// fails the whole panel ([`EngineSnapshot::query_batch`] returns the one
-/// error for every query in it).
-pub(crate) fn solve_systems(
-    snap: &EngineSnapshot,
-    system: System,
-    b: &[f64],
-    n_rhs: usize,
-) -> LuResult<Vec<f64>> {
+pub(crate) fn solve_system(snap: &EngineSnapshot, system: System, b: &[f64]) -> LuResult<Vec<f64>> {
     let n = snap.n_nodes();
-    if b.len() != n * n_rhs {
+    if b.len() != n {
         return Err(LuError::DimensionMismatch {
-            expected: n * n_rhs,
+            expected: n,
             actual: b.len(),
         });
     }
     if let Some(&value) = b.iter().find(|v| !v.is_finite()) {
         return Err(LuError::InvalidParameter { name: "rhs", value });
     }
-    // lint: allow(alloc-hot-path) — the returned solution panel: the one
-    // buffer every path of a solve hands to its caller.
+    // lint: allow(alloc-hot-path) — the returned solution: the one buffer
+    // every path of a solve hands to its caller.
     let mut x = Vec::new();
-    if n_rhs == 0 {
-        return Ok(x);
-    }
     let shards = snap.shards();
     if shards.len() == 1 && snap.coupling().nnz() == 0 {
-        let mut scratch = PanelScratch::new();
         let solve = match system {
-            System::Forward => DecomposedMatrix::solve_many_into,
-            System::Transposed => DecomposedMatrix::solve_transposed_many_into,
+            System::Forward => DecomposedMatrix::solve_into,
+            System::Transposed => DecomposedMatrix::solve_transposed_into,
         };
-        solve(shards[0].decomposed(), b, n_rhs, &mut scratch, &mut x)?;
+        solve(shards[0].decomposed(), b, &mut SolveScratch::new(), &mut x)?;
         return Ok(x);
     }
     if u32::try_from(n).is_err() {
@@ -245,11 +213,10 @@ pub(crate) fn solve_systems(
             value: n as f64,
         });
     }
-    x.resize(n * n_rhs, 0.0);
-    let mut scratch = PanelBlockScratch::default();
+    x.resize(n, 0.0);
     let telemetry = snap.telemetry();
     let span = telemetry.span(Stage::CouplingGaussSeidel);
-    let result = krylov_many(snap, system, b, n_rhs, RESTART, &mut x, &mut scratch);
+    let result = krylov(snap, system, b, RESTART, &mut x);
     span.stop();
     if let Err(LuError::ConvergenceFailure {
         iterations,
@@ -269,239 +236,24 @@ pub(crate) fn solve_systems(
 
 /// Arnoldi steps per GMRES cycle before the iterate is checked and the
 /// basis rebuilt from its residual.  No input measured needs a second cycle
-/// (cold queries converge in 11–19 steps at any damping); 24 bounds a
-/// column's basis at 25 vectors and keeps its Hessenberg in 5 KB.
+/// (cold queries converge in 11–19 steps at any damping); 24 bounds the
+/// basis at 25 vectors and the Hessenberg at 5 KB.
 const RESTART: usize = 24;
 
-/// What a column's next block pass computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// An `f = 1` pass from the column's iterate `x`: its iterate change
-    /// `S(x) − x` is the preconditioned residual at `x`, which either
-    /// accepts the pass's result or opens a GMRES cycle.
-    Check,
-    /// An `f = 0` pass on a copy of the newest basis vector: one Arnoldi
-    /// step.
-    Arnoldi,
-    /// Accepted; the column rides along as the zero vector.
-    Done,
-}
-
-/// One panel column's GMRES state.  Nothing in it is shared with, or read
-/// by, another column.
-#[derive(Debug)]
-struct KrylovColumn {
-    phase: Phase,
-    /// Iterate change of the column's last `Check` pass.
-    last_diff: f64,
-    /// Acceptance scale of that pass — what the residual estimate of the
-    /// cycle it opened is measured against.
-    scale: f64,
-    /// Arnoldi steps taken in the current cycle.
-    steps: usize,
-    /// Vectors of `n` back to back: the orthonormal basis `v_0 … v_steps`
-    /// of the cycle, then the vector the next pass runs on in place — slot
-    /// 0 while checking (a copy of the iterate), slot `steps + 1` during
-    /// Arnoldi (a copy of `v_steps`).  Grown by one vector the first time a
-    /// cycle reaches a length, reused by every later cycle.
-    basis: Vec<f64>,
-    /// Upper-triangular factor of the Givens-rotated Hessenberg, one array
-    /// per column of `R`.
-    r: [[f64; RESTART]; RESTART],
-    /// The rotations' cosines and sines.
-    cs: [f64; RESTART],
-    sn: [f64; RESTART],
-    /// The rotated right-hand side `‖r₀‖·e₁`; the magnitude of entry
-    /// `steps` is the residual 2-norm of the cycle's current iterate.
-    g: [f64; RESTART + 1],
-}
-
-impl KrylovColumn {
-    /// A column at the zero iterate, about to take its first `Check` pass —
-    /// whose result is `S(0) = M⁻¹b` and whose iterate change is `r₀`.
-    fn new(n: usize) -> Self {
-        KrylovColumn {
-            phase: Phase::Check,
-            last_diff: f64::INFINITY,
-            scale: 1.0,
-            steps: 0,
-            // lint: allow(alloc-hot-path) — a column's first basis slot, once
-            // per solve; later slots extend this buffer as a cycle grows
-            // (amortised doubling), never per pass once a length was reached.
-            basis: vec![0.0; n],
-            r: [[0.0; RESTART]; RESTART],
-            cs: [0.0; RESTART],
-            sn: [0.0; RESTART],
-            g: [0.0; RESTART + 1],
-        }
-    }
-
-    /// Index of the basis slot the next pass runs on.
-    fn active_slot(&self) -> usize {
-        match self.phase {
-            Phase::Arnoldi => self.steps + 1,
-            Phase::Check | Phase::Done => 0,
-        }
-    }
-
-    fn active(&self, n: usize) -> &[f64] {
-        let at = self.active_slot() * n;
-        &self.basis[at..at + n]
-    }
-
-    fn active_mut(&mut self, n: usize) -> &mut [f64] {
-        let at = self.active_slot() * n;
-        &mut self.basis[at..at + n]
-    }
-
-    /// Makes slot `steps + 1` a copy of `v_steps`, ready for the `f = 0`
-    /// pass of the next Arnoldi step.
-    fn stage_arnoldi(&mut self, n: usize) {
-        let next = (self.steps + 1) * n;
-        if self.basis.len() < next + n {
-            self.basis.resize(next + n, 0.0);
-        }
-        self.basis.copy_within(next - n..next, next);
-        self.phase = Phase::Arnoldi;
-    }
-
-    /// Consumes the pass that just ran on this column's active slot.
-    /// Returns whether the column was accepted by it; `pass` is the 1-based
-    /// count of block passes so far, `x` the column's stripe of the result,
-    /// in the plan's layout — the order the inner products sum in.
-    fn advance(
-        &mut self,
-        x: &mut [f64],
-        tolerance: &SolveTolerance,
-        restart: usize,
-        pass: usize,
-    ) -> LuResult<bool> {
-        let n = x.len();
-        let failed = |last_diff: f64| LuError::ConvergenceFailure {
-            iterations: pass,
-            last_diff,
-        };
-        match self.phase {
-            Phase::Done => Ok(false),
-            Phase::Check => {
-                let swept = &mut self.basis[..n];
-                let (diff, scale) = diff_and_scale(swept, x);
-                if !(diff.is_finite() && scale.is_finite()) {
-                    return Err(failed(if diff.is_finite() { scale } else { diff }));
-                }
-                if tolerance.accepted(diff, scale, self.last_diff) {
-                    x.copy_from_slice(swept);
-                    swept.fill(0.0);
-                    self.phase = Phase::Done;
-                    return Ok(true);
-                }
-                self.last_diff = diff;
-                self.scale = scale;
-                // Open a cycle at `x`: v₀ = r₀/‖r₀‖ with r₀ = S(x) − x.
-                // `diff > 0` here, so the norm is positive.
-                for (r, &xi) in swept.iter_mut().zip(x.iter()) {
-                    *r -= xi;
-                }
-                let beta = dot(swept, swept).sqrt();
-                for r in swept.iter_mut() {
-                    *r /= beta;
-                }
-                self.g[0] = beta;
-                self.steps = 0;
-                self.stage_arnoldi(n);
-                Ok(false)
-            }
-            Phase::Arnoldi => {
-                let j = self.steps;
-                let (vs, rest) = self.basis.split_at_mut((j + 1) * n);
-                let w = &mut rest[..n];
-                // The slot holds G·v_j; w = (I − G)·v_j, then modified
-                // Gram–Schmidt against v_0 … v_j.
-                for (wi, &vi) in w.iter_mut().zip(&vs[j * n..]) {
-                    *wi = vi - *wi;
-                }
-                let mut h = [0.0; RESTART + 1];
-                for (hi, v) in h.iter_mut().zip(vs.chunks_exact(n)) {
-                    *hi = dot(w, v);
-                    axpy(-*hi, v, w);
-                }
-                let h_next = dot(w, w).sqrt();
-                // Rotate the new Hessenberg column into R and the
-                // right-hand side with it.
-                for i in 0..j {
-                    let (a, b) = (h[i], h[i + 1]);
-                    h[i] = self.cs[i] * a + self.sn[i] * b;
-                    h[i + 1] = self.cs[i] * b - self.sn[i] * a;
-                }
-                let denom = h[j].hypot(h_next);
-                self.cs[j] = h[j] / denom;
-                self.sn[j] = h_next / denom;
-                h[j] = denom;
-                self.r[j][..=j].copy_from_slice(&h[..=j]);
-                self.g[j + 1] = -self.sn[j] * self.g[j];
-                self.g[j] *= self.cs[j];
-                self.steps = j + 1;
-                let residual = self.g[j + 1].abs();
-                if !residual.is_finite() {
-                    return Err(failed(residual));
-                }
-                // ‖r‖∞ ≤ ‖r‖₂, so an estimate under the tolerance is an
-                // iterate the check pass will accept.  An exhausted Krylov
-                // space (`h_next == 0`, the lucky breakdown) reads as a zero
-                // estimate and closes the cycle the same way.
-                if residual <= tolerance.tol * self.scale || self.steps == restart {
-                    self.close_cycle(x);
-                } else {
-                    for wi in w.iter_mut() {
-                        *wi /= h_next;
-                    }
-                    self.stage_arnoldi(n);
-                }
-                Ok(false)
-            }
-        }
-    }
-
-    /// Ends the cycle: solves the rotated least-squares problem `R·y = g`,
-    /// moves the iterate to `x + V·y`, and stages it for a `Check` pass.
-    fn close_cycle(&mut self, x: &mut [f64]) {
-        let n = x.len();
-        let k = self.steps;
-        let mut y = [0.0; RESTART];
-        for i in (0..k).rev() {
-            let tail: f64 = (i + 1..k).map(|l| self.r[l][i] * y[l]).sum();
-            y[i] = (self.g[i] - tail) / self.r[i][i];
-        }
-        for (v, &yi) in self.basis.chunks_exact(n).zip(&y[..k]) {
-            axpy(yi, v, x);
-        }
-        self.basis[..n].copy_from_slice(x);
-        self.phase = Phase::Check;
-    }
-}
-
-/// One ordered block pass of `system` over the panel, in place on every
-/// column's active slot, all in the plan's layout: shard by shard in the
-/// plan's order (reversed for `Aᵀ`), each shard's segment becomes
-/// `f·b − C·v` for every column, from the vectors as they stand, and then
-/// its substitutions — so the shards updated earlier in the pass already
-/// contribute their new values.  `f` is per column (1 while checking, 0
-/// otherwise), which is what lets columns in different phases share the
-/// traversal.
-///
-/// A lone column is written straight into its segment (the coupling never
-/// reads a shard's own segment) and substituted there; a wider panel is
-/// built in `panel` and takes **one** traversal of the shard's factors for
-/// every column, whose stripes are the same arithmetic bit for bit.
+/// One ordered block pass of `system`, in place on `v`, in the plan's
+/// layout: shard by shard in the plan's order (reversed for `Aᵀ`), each
+/// shard's segment becomes `f·b − C·v` from the vector as it stands —
+/// `f = 1` with `Some(b)`, `0` with `None` — and then its substitutions, so
+/// the shards updated earlier in the pass already contribute their new
+/// values.  The coupling never reads a shard's own segment, so the segment
+/// is written and substituted in place.
 fn block_pass(
     shards: &[ShardSnapshot],
     plan: &CouplingPlan,
     system: System,
-    b: &[f64],
-    columns: &mut [KrylovColumn],
-    panel: &mut Vec<f64>,
+    b: Option<&[f64]>,
+    v: &mut [f64],
 ) -> LuResult<()> {
-    let n = b.len() / columns.len();
     let half = plan.half(system);
     for k in 0..plan.gs_order().len() {
         let s = plan.shard_at(system, k);
@@ -509,115 +261,166 @@ fn block_pass(
         if segment.is_empty() {
             continue;
         }
+        for p in segment.clone() {
+            v[p] = b.map_or(0.0, |b| b[p]) - half.coupling_dot(p, v);
+        }
         let factors = static_factors(shards[s].decomposed());
-        if let [column] = columns {
-            let b = (column.phase == Phase::Check).then_some(b);
-            let v = column.active_mut(n);
-            for p in segment.clone() {
-                v[p] = b.map_or(0.0, |b| b[p]) - half.coupling_dot(p, v);
-            }
-            match system {
-                System::Forward => factors.solve_in_place(&mut v[segment])?,
-                System::Transposed => factors.solve_transposed_in_place(&mut v[segment])?,
-            }
-            continue;
-        }
-        panel.clear();
-        for (c, column) in columns.iter().enumerate() {
-            let b = (column.phase == Phase::Check).then(|| &b[c * n..(c + 1) * n]);
-            let v = column.active(n);
-            panel.extend(
-                segment
-                    .clone()
-                    .map(|p| b.map_or(0.0, |b| b[p]) - half.coupling_dot(p, v)),
-            );
-        }
         match system {
-            System::Forward => factors.solve_many_in_place(panel, columns.len())?,
-            System::Transposed => factors.solve_many_transposed_in_place(panel, columns.len())?,
-        }
-        for (column, solved) in columns.iter_mut().zip(panel.chunks_exact(segment.len())) {
-            column.active_mut(n)[segment.clone()].copy_from_slice(solved);
+            System::Forward => factors.solve_in_place(&mut v[segment])?,
+            System::Transposed => factors.solve_transposed_in_place(&mut v[segment])?,
         }
     }
     Ok(())
 }
 
-/// Restarted GMRES on `(I − G)·x = M⁻¹b` of `system` over a panel, writing the
-/// solutions into `x` (`n_rhs` stripes).  The right-hand sides are laid out
-/// in the plan's layout once, the iteration runs there, and the accepted
-/// iterates are read back once.  Every iteration of the loop is one
-/// [`block_pass`] for the whole panel followed by each column's own
-/// [`KrylovColumn::advance`]; a column spends one pass on its initial
-/// residual (the pass from zero), one per Arnoldi step, and one on the check
-/// that accepts it, and the pass count at which it was accepted is recorded
-/// into the telemetry registry's histogram — one sample per solved column.
-/// A triangular plan stops after the pass from zero, which is exact.
+/// Restarted GMRES on `(I − G)·x = M⁻¹b` of `system`, writing the solution
+/// into `x`.  `b` is laid out in the plan's layout once, the iteration runs
+/// there — the order the inner products sum in — and the accepted iterate is
+/// read back once.  Each cycle is a check pass (`f = 1`) from the iterate —
+/// from zero the first time, whose result is `S(0) = M⁻¹b` — then up to
+/// `restart` Arnoldi passes (`f = 0`) on the newest basis vector, then the
+/// least-squares update of the iterate.  The pass count at which a check
+/// accepts is recorded into the telemetry registry's histogram.  A
+/// triangular plan stops after the pass from zero, which is exact.
 ///
 /// `restart` is [`RESTART`] outside tests.
-fn krylov_many(
+fn krylov(
     snap: &EngineSnapshot,
     system: System,
     b: &[f64],
-    n_rhs: usize,
     restart: usize,
     x: &mut [f64],
-    scratch: &mut PanelBlockScratch,
 ) -> LuResult<()> {
     debug_assert!((1..=RESTART).contains(&restart));
     let tolerance = snap.tolerance();
-    let telemetry = snap.telemetry();
+    let shards = snap.shards();
     let plan = snap.coupling_plan();
     let half = plan.half(system);
-    let n = snap.n_nodes();
-    let PanelBlockScratch {
-        b: laid_b,
-        x: laid_x,
-        panel,
-    } = scratch;
-    laid_b.resize(n * n_rhs, 0.0);
-    for (stripe, laid) in b.chunks_exact(n).zip(laid_b.chunks_exact_mut(n)) {
-        half.permute_rhs(stripe, laid);
-    }
-    laid_x.clear();
-    laid_x.resize(n * n_rhs, 0.0);
-    // lint: allow(alloc-hot-path) — the per-column Krylov state, once per
-    // solve.
-    let mut columns = Vec::with_capacity(n_rhs);
-    columns.extend((0..n_rhs).map(|_| KrylovColumn::new(n)));
-    let mut n_done = 0usize;
-    for pass in 1..=tolerance.max_sweeps {
-        block_pass(snap.shards(), plan, system, laid_b, &mut columns, panel)?;
+    let n = b.len();
+    // The right-hand side and the iterate in the plan's layout, and the
+    // basis `v_0 … v_k` of the cycle, vectors of `n` back to back, followed
+    // by the vector the next Arnoldi pass runs on.  While checking, slot 0
+    // holds a copy of the iterate.  The basis grows by one vector the first
+    // time a cycle reaches a length and is reused by every later cycle.
+    // lint: allow(alloc-hot-path) — the solve's three buffers, once per solve.
+    let (mut laid_b, mut laid_x, mut basis) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    half.permute_rhs(b, &mut laid_b);
+    // The upper-triangular factor of the Givens-rotated Hessenberg (one
+    // array per column of `R`), the rotations' cosines and sines, and the
+    // rotated right-hand side `‖r₀‖·e₁`, whose entry `k` has the residual
+    // 2-norm of the cycle's iterate after `k` steps as its magnitude.
+    let mut r = [[0.0; RESTART]; RESTART];
+    let (mut cs, mut sn) = ([0.0; RESTART], [0.0; RESTART]);
+    let mut g = [0.0; RESTART + 1];
+    let mut last_diff = f64::INFINITY;
+    let mut pass = 0;
+    let failed = |iterations: usize, last_diff: f64| LuError::ConvergenceFailure {
+        iterations,
+        last_diff,
+    };
+    loop {
+        if pass == tolerance.max_sweeps {
+            return Err(failed(pass, last_diff));
+        }
+        pass += 1;
+        let swept = &mut basis[..n];
+        block_pass(shards, plan, system, Some(&laid_b), swept)?;
         if plan.is_triangular() {
             // Block triangular coupling: the pass from zero is the exact
-            // solve of every column.
-            for (column, stripe) in columns.iter().zip(x.chunks_exact_mut(n)) {
-                half.recover_solution(column.active(n), stripe);
-                telemetry.observe_coupling_sweeps(1);
-            }
+            // solve.
+            half.recover_solution(swept, x);
+            snap.telemetry().observe_coupling_sweeps(1);
             return Ok(());
         }
-        for (column, stripe) in columns.iter_mut().zip(laid_x.chunks_exact_mut(n)) {
-            if column.advance(stripe, &tolerance, restart, pass)? {
-                n_done += 1;
-                telemetry.observe_coupling_sweeps(pass as u64);
-            }
+        let (diff, scale) = diff_and_scale(swept, &laid_x);
+        if !(diff.is_finite() && scale.is_finite()) {
+            return Err(failed(pass, if diff.is_finite() { scale } else { diff }));
         }
-        if n_done == n_rhs {
-            for (laid, stripe) in laid_x.chunks_exact(n).zip(x.chunks_exact_mut(n)) {
-                half.recover_solution(laid, stripe);
-            }
+        if tolerance.accepted(diff, scale, last_diff) {
+            half.recover_solution(swept, x);
+            snap.telemetry().observe_coupling_sweeps(pass as u64);
             return Ok(());
         }
+        last_diff = diff;
+        // Open a cycle at the iterate: v₀ = r₀/‖r₀‖ with r₀ = S(x) − x.
+        // `diff > 0` here, so the norm is positive.
+        for (ri, &xi) in swept.iter_mut().zip(&laid_x) {
+            *ri -= xi;
+        }
+        let beta = dot(swept, swept).sqrt();
+        for ri in swept.iter_mut() {
+            *ri /= beta;
+        }
+        g[0] = beta;
+        let mut steps = 0;
+        while steps < restart {
+            if pass == tolerance.max_sweeps {
+                return Err(failed(pass, last_diff));
+            }
+            pass += 1;
+            let j = steps;
+            let next = (j + 1) * n;
+            if basis.len() < next + n {
+                basis.resize(next + n, 0.0);
+            }
+            basis.copy_within(next - n..next, next);
+            let (vs, rest) = basis.split_at_mut(next);
+            let w = &mut rest[..n];
+            block_pass(shards, plan, system, None, w)?;
+            // The slot holds G·v_j; w = (I − G)·v_j, then modified
+            // Gram–Schmidt against v_0 … v_j.
+            for (wi, &vi) in w.iter_mut().zip(&vs[j * n..]) {
+                *wi = vi - *wi;
+            }
+            let mut h = [0.0; RESTART + 1];
+            for (hi, v) in h.iter_mut().zip(vs.chunks_exact(n)) {
+                *hi = dot(w, v);
+                axpy(-*hi, v, w);
+            }
+            let h_next = dot(w, w).sqrt();
+            // Rotate the new Hessenberg column into R and the right-hand
+            // side with it.
+            for i in 0..j {
+                let (a, b) = (h[i], h[i + 1]);
+                h[i] = cs[i] * a + sn[i] * b;
+                h[i + 1] = cs[i] * b - sn[i] * a;
+            }
+            let denom = h[j].hypot(h_next);
+            cs[j] = h[j] / denom;
+            sn[j] = h_next / denom;
+            h[j] = denom;
+            r[j][..=j].copy_from_slice(&h[..=j]);
+            g[j + 1] = -sn[j] * g[j];
+            g[j] *= cs[j];
+            steps = j + 1;
+            let residual = g[j + 1].abs();
+            if !residual.is_finite() {
+                return Err(failed(pass, residual));
+            }
+            // ‖r‖∞ ≤ ‖r‖₂, so an estimate under the tolerance is an iterate
+            // the check pass will accept.  An exhausted Krylov space
+            // (`h_next == 0`, the lucky breakdown) reads as a zero estimate
+            // and closes the cycle the same way.
+            if residual <= tolerance.tol * scale {
+                break;
+            }
+            for wi in w.iter_mut() {
+                *wi /= h_next;
+            }
+        }
+        // Close the cycle: solve the rotated least-squares problem
+        // `R·y = g`, move the iterate to `x + V·y`, and copy it into slot 0
+        // for the next check.
+        let mut y = [0.0; RESTART];
+        for i in (0..steps).rev() {
+            let tail: f64 = (i + 1..steps).map(|l| r[l][i] * y[l]).sum();
+            y[i] = (g[i] - tail) / r[i][i];
+        }
+        for (v, &yi) in basis.chunks_exact(n).zip(&y[..steps]) {
+            axpy(yi, v, &mut laid_x);
+        }
+        basis[..n].copy_from_slice(&laid_x);
     }
-    let worst = columns
-        .iter()
-        .filter(|column| column.phase != Phase::Done)
-        .fold(0.0f64, |worst, column| worst.max(column.last_diff));
-    Err(LuError::ConvergenceFailure {
-        iterations: tolerance.max_sweeps,
-        last_diff: worst,
-    })
 }
 
 /// ∞-norm iterate change and solution scale of one pass.  A NaN in either
@@ -787,10 +590,10 @@ mod tests {
         )
     }
 
-    /// Every non-finite value, at the first and at the last position of a
-    /// two-column panel and of a single right-hand side, is refused as
-    /// `InvalidParameter { name: "rhs" }` naming it — before any block pass,
-    /// so no coupled solve is counted, journalled or sampled.
+    /// Every non-finite value, at the first and at the last position of the
+    /// right-hand side, is refused as `InvalidParameter { name: "rhs" }`
+    /// naming it — before any block pass, so no coupled solve is counted,
+    /// journalled or sampled.
     fn assert_rhs_rejected(
         store: &ShardedFactorStore,
         telemetry: &TelemetryRegistry,
@@ -799,12 +602,12 @@ mod tests {
         let snap = store.snapshot();
         let n = snap.n_nodes();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            for (n_rhs, at) in [(1, 0), (1, n - 1), (2, 2 * n - 1)] {
-                let mut b = vec![1.0; n * n_rhs];
+            for at in [0, n - 1] {
+                let mut b = vec![1.0; n];
                 b[at] = bad;
                 let err = match system {
-                    System::Forward => snap.solve_measure_systems(&b, n_rhs),
-                    System::Transposed => snap.solve_transposed_systems(&b, n_rhs),
+                    System::Forward => snap.solve_measure_system(&b),
+                    System::Transposed => snap.solve_transposed_system(&b),
                 }
                 .unwrap_err();
                 assert!(
@@ -813,7 +616,7 @@ mod tests {
                         LuError::InvalidParameter { name: "rhs", value }
                             if value.to_bits() == bad.to_bits()
                     ),
-                    "{bad} at {at} of {n_rhs} column(s): {err:?}"
+                    "{bad} at {at}: {err:?}"
                 );
             }
         }
@@ -922,9 +725,8 @@ mod tests {
         assert_eq!(store.n_shards(), 4);
         assert!(store.coupling_nnz() > 0);
         assert_rhs_rejected(&store, &telemetry, System::Forward);
-        // A finite panel through the same snapshot still solves.
-        let b = vec![1.0; 32];
-        assert!(store.snapshot().solve_measure_systems(&b, 2).is_ok());
+        // A finite right-hand side through the same snapshot still solves.
+        assert!(store.snapshot().solve_measure_system(&[1.0; 16]).is_ok());
     }
 
     #[test]
@@ -944,18 +746,17 @@ mod tests {
         let (store, telemetry) = store_over(four_linked_rings(), NodePartition::contiguous(16, 4));
         assert_rhs_rejected(&store, &telemetry, System::Transposed);
         // No transposed half was planned for the refused solves; a finite
-        // panel builds it and solves `Aᵀ x = b`.
+        // right-hand side builds it and solves `Aᵀ x = b`.
         let snap = store.snapshot();
         assert!(snap.shared_coupling().built_plan().is_none());
         let forward_bytes = snap.coupling_plan().approx_bytes();
-        let b: Vec<f64> = (0..32).map(|i| 1.0 + (i % 3) as f64).collect();
-        let x = snap.solve_transposed_systems(&b, 2).unwrap();
-        assert!(snap.coupling_plan().approx_bytes() > forward_bytes);
         let at = measure_matrix(store.graph(), store.matrix_kind())
             .transpose()
             .to_dense();
-        for (stripe, rhs) in x.chunks_exact(16).zip(b.chunks_exact(16)) {
-            for (got, want) in stripe.iter().zip(at.solve_gaussian(rhs).unwrap()) {
+        for b in [[1.0; 16], std::array::from_fn(|i| 1.0 + (i % 3) as f64)] {
+            let x = snap.solve_transposed_system(&b).unwrap();
+            assert!(snap.coupling_plan().approx_bytes() > forward_bytes);
+            for (got, want) in x.iter().zip(at.solve_gaussian(&b).unwrap()) {
                 assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
             }
         }
@@ -983,8 +784,7 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
         let solve = |restart: usize| {
             let mut x = vec![0.0; n];
-            let mut scratch = PanelBlockScratch::default();
-            krylov_many(&snap, System::Forward, &b, 1, restart, &mut x, &mut scratch).unwrap();
+            krylov(&snap, System::Forward, &b, restart, &mut x).unwrap();
             (x, telemetry.coupling_sweeps().max())
         };
         let (one_cycle, passes_one_cycle) = solve(RESTART);

@@ -46,7 +46,9 @@ use std::sync::{Arc, Mutex, RwLock};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Matrix composition the factors are maintained for.  Queries whose
-    /// [`MeasureQuery::required_matrix_kind`] disagrees are rejected.
+    /// [`MeasureQuery::required_matrix_kind`] disagrees are rejected; a kind
+    /// outside its domain ([`MatrixKind::validate`]) is an
+    /// [`EngineError::InvalidConfig`].
     pub matrix_kind: MatrixKind,
     /// When to cut ingest batches.
     pub batch: BatchPolicy,
@@ -118,6 +120,9 @@ impl EngineConfig {
     /// checked by [`CludeEngine::new`], the only constructor that reads it.
     fn validate(&self) -> EngineResult<()> {
         let invalid = |what: String| Err(EngineError::InvalidConfig(what));
+        self.matrix_kind
+            .validate()
+            .map_err(EngineError::InvalidConfig)?;
         if self.ring_capacity == 0 {
             return invalid("ring_capacity must retain at least one snapshot".into());
         }
@@ -188,6 +193,8 @@ impl CludeEngine {
                 "n_shards must be at least 1".into(),
             ));
         }
+        // Before the partition: a BTF partition builds the measure matrix.
+        config.validate()?;
         // Callers often size n_shards from the CPU count; a universe smaller
         // than that caps at one node per shard rather than failing.
         let n_shards = config.n_shards.min(base.n_nodes().max(1));
@@ -923,7 +930,7 @@ mod tests {
         m.solve_gaussian(&b).unwrap()
     }
 
-    /// Hitting time through the engine's factors — one transposed panel,
+    /// Hitting time through the engine's factors — two transposed solves,
     /// coupled or not — against dense elimination and the batch function,
     /// on graphs with dangling nodes and a self-loop at the target, at one
     /// and four shards under both partitioners, at three dampings, at the
@@ -1279,6 +1286,44 @@ mod tests {
         assert_invalid_everywhere(config, "cache_shards");
     }
 
+    /// A damping outside `[0, 1)` or a shift that is not finite and positive
+    /// is refused with a typed error by every constructor, at one shard and
+    /// at four, before anything builds a measure matrix — a BTF partition
+    /// included, which builds one to find its blocks.
+    #[test]
+    fn an_out_of_domain_matrix_kind_is_an_invalid_config() {
+        let walks = [1.0, 1.5, -0.5, f64::NAN, f64::INFINITY]
+            .map(|damping| (MatrixKind::RandomWalk { damping }, "damping"));
+        let laplacians =
+            [0.0, -1.0, f64::NAN].map(|shift| (MatrixKind::SymmetricLaplacian { shift }, "shift"));
+        for (matrix_kind, needle) in walks.into_iter().chain(laplacians) {
+            for n_shards in [1, 4] {
+                let config = EngineConfig {
+                    matrix_kind,
+                    n_shards,
+                    ..small_config(1)
+                };
+                assert_invalid_everywhere(config, needle);
+                let btf = EngineConfig {
+                    partition_strategy: PartitionStrategy::Btf,
+                    ..config
+                };
+                let err = CludeEngine::new(ring_graph(8), btf).unwrap_err();
+                assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
+                let partition = NodePartition::contiguous(8, n_shards);
+                let err = ShardedFactorStore::new(
+                    ring_graph(8),
+                    matrix_kind,
+                    RefreshPolicy::default(),
+                    partition,
+                )
+                .unwrap_err();
+                assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
+                assert!(err.to_string().contains(needle), "{err}");
+            }
+        }
+    }
+
     #[test]
     fn zero_cache_capacity_is_an_invalid_config() {
         let config = EngineConfig {
@@ -1404,8 +1449,6 @@ mod tests {
             ] {
                 let refused = |err: LuError| matches!(err, LuError::InvalidParameter { name: "damping", value } if value == 0.5);
                 assert!(refused(snapshot.query(&query).unwrap_err()), "{query:?}");
-                let batch = [&MeasureQuery::PageRank { damping: 0.85 }, &query];
-                assert!(refused(snapshot.query_batch(&batch).unwrap_err()));
             }
             assert!(snapshot
                 .query(&MeasureQuery::PageRank { damping: 0.85 })

@@ -22,8 +22,6 @@
 //! independent solve, so concurrent misses run side by side and no reader
 //! ever waits on another reader's solve.  Two readers missing the same key
 //! at once both solve it, get the same bits, and leave one cache entry.
-//! Callers holding several queries at once can share one factor traversal
-//! through [`EngineSnapshot::query_batch`].
 
 use crate::cache::{key_hash, shard_index, LruCache};
 use crate::error::{EngineError, EngineResult};

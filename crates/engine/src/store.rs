@@ -34,7 +34,7 @@ use clude_lu::{
     cost, factorize_fresh, markowitz_ordering, rebuild_under_ordering, BennettStats, LuError,
     LuFactors, LuResult, Maintainer,
 };
-use clude_measures::{evaluate_queries_with, evaluate_query_with, MeasureQuery, MeasureSolver};
+use clude_measures::{evaluate_query_with, MeasureQuery, MeasureSolver};
 use clude_sparse::CsrMatrix;
 use clude_telemetry::{Counter, EngineEvent, FallbackReason, Stage, TelemetryRegistry};
 use std::sync::Arc;
@@ -217,18 +217,6 @@ impl EngineSnapshot {
         evaluate_query_with(self, self.n_nodes(), query)
     }
 
-    /// Answers a batch of measure queries against this snapshot, coalescing
-    /// all panel-eligible queries into **one** factor traversal over a
-    /// column panel (hitting-time queries, each a transposed panel of its
-    /// own, are answered individually).  Result `i` is bit-identical to
-    /// `self.query(queries[i])`; one refused query refuses the batch.
-    pub fn query_batch(&self, queries: &[&MeasureQuery]) -> LuResult<Vec<Vec<f64>>> {
-        queries
-            .iter()
-            .try_for_each(|query| self.check_kind(query))?;
-        evaluate_queries_with(self, self.n_nodes(), queries)
-    }
-
     fn check_kind(&self, query: &MeasureQuery) -> LuResult<()> {
         if query.required_matrix_kind() == Some(self.kind) {
             return Ok(());
@@ -243,23 +231,15 @@ impl EngineSnapshot {
 impl MeasureSolver for EngineSnapshot {
     /// Solves `A x = b` for the snapshot's full measure matrix
     /// `A = blockdiag(A_ss) + C` by GMRES over the block Gauss–Seidel pass
-    /// (see [`crate::coupling`]) as a width-1 panel; one-shard snapshots are
-    /// one pair of substitutions.
+    /// (see [`crate::coupling`]); one-shard snapshots are one pair of
+    /// substitutions.
     fn solve_measure_system(&self, b: &[f64]) -> LuResult<Vec<f64>> {
-        coupling::solve_systems(self, System::Forward, b, 1)
-    }
-
-    /// Panel override: `n_rhs` stacked right-hand sides in one factor
-    /// traversal per block pass, every stripe bit-identical to a
-    /// [`MeasureSolver::solve_measure_system`] call on that stripe (see
-    /// `crate::coupling::solve_systems`).
-    fn solve_measure_systems(&self, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>> {
-        coupling::solve_systems(self, System::Forward, b, n_rhs)
+        coupling::solve_system(self, System::Forward, b)
     }
 
     /// `Aᵀ x = b` by the same iteration over the transposed pass.
-    fn solve_transposed_systems(&self, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>> {
-        coupling::solve_systems(self, System::Transposed, b, n_rhs)
+    fn solve_transposed_system(&self, b: &[f64]) -> LuResult<Vec<f64>> {
+        coupling::solve_system(self, System::Transposed, b)
     }
 }
 

@@ -77,9 +77,9 @@ fn a_cold_query_over_cyclic_coupling_is_a_bounded_number_of_block_passes() {
     assert!(at_099 <= 24, "d = 0.99: {at_099} passes");
 }
 
-/// Asks 30 seeded hitting-time queries — each one transposed width-2 panel
-/// — of a 4-shard engine and its 1-shard twin, checks they agree to 1e-9
-/// relative, and returns the most block passes any 4-shard column took.
+/// Asks 30 seeded hitting-time queries — each two transposed solves — of a
+/// 4-shard engine and its 1-shard twin, checks they agree to 1e-9 relative,
+/// and returns the most block passes any 4-shard solve took.
 fn max_transposed_passes_against_one_shard_twin(graph: &DiGraph, damping: f64) -> u64 {
     let sharded = engine(graph.clone(), 4, damping);
     let twin = engine(graph.clone(), 1, damping);
@@ -100,7 +100,7 @@ fn max_transposed_passes_against_one_shard_twin(graph: &DiGraph, damping: f64) -
             );
         }
     }
-    // One sample per column of each solved panel.
+    // One sample per transposed solve, two per query.
     let passes = sharded.telemetry().coupling_sweeps();
     assert_eq!(passes.count(), 2 * asked.len() as u64);
     passes.max()

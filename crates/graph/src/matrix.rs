@@ -51,6 +51,22 @@ impl MatrixKind {
     pub fn produces_symmetric(&self) -> bool {
         matches!(self, MatrixKind::SymmetricLaplacian { .. })
     }
+
+    /// Checks the parameter against the domain [`measure_matrix`] asserts:
+    /// a finite damping in `[0, 1)`, a finite shift above zero.  Callers
+    /// that take a kind as input check it here and refuse it, instead of
+    /// panicking at the first matrix they build.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            MatrixKind::RandomWalk { damping } if !(0.0..1.0).contains(&damping) => {
+                Err(format!("damping factor must lie in [0, 1), got {damping}"))
+            }
+            MatrixKind::SymmetricLaplacian { shift } if !(shift.is_finite() && shift > 0.0) => Err(
+                format!("the diagonal shift must be finite and positive, got {shift}"),
+            ),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// The column-normalised adjacency matrix `W` of a snapshot:
@@ -86,12 +102,11 @@ fn for_each_measure_entry(
     sources: impl Iterator<Item = usize>,
     mut emit: impl FnMut(usize, usize, f64),
 ) {
+    if let Err(why) = kind.validate() {
+        panic!("{why}");
+    }
     match kind {
         MatrixKind::RandomWalk { damping } => {
-            assert!(
-                (0.0..1.0).contains(&damping),
-                "damping factor must lie in [0, 1)"
-            );
             for u in sources {
                 emit(u, u, 1.0);
                 let deg = graph.out_degree(u);
@@ -105,7 +120,6 @@ fn for_each_measure_entry(
             }
         }
         MatrixKind::SymmetricLaplacian { shift } => {
-            assert!(shift > 0.0, "the diagonal shift must be positive");
             for u in sources {
                 emit(u, u, shift + graph.out_degree(u) as f64);
                 for v in graph.successors(u) {

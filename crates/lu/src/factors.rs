@@ -320,18 +320,10 @@ impl LuFactors {
     /// below [`SINGULAR_TOL`] is an [`LuError::SingularPivot`]; on an error
     /// `x` holds a partial substitution.
     pub fn solve_transposed_in_place(&self, x: &mut [f64]) -> LuResult<()> {
-        self.solve_many_transposed_in_place(x, 1)
-    }
-
-    /// Panel variant of [`LuFactors::solve_transposed_in_place`] over `n_rhs`
-    /// stripes of length `n` stacked column-major in `x`: one traversal of
-    /// the factors, rows outer, slots middle, panel columns inner, so every
-    /// stripe is bit-identical to a single right-hand-side call.
-    pub fn solve_many_transposed_in_place(&self, x: &mut [f64], n_rhs: usize) -> LuResult<()> {
         let n = self.n();
-        if x.len() != n * n_rhs {
+        if x.len() != n {
             return Err(LuError::DimensionMismatch {
-                expected: n * n_rhs,
+                expected: n,
                 actual: x.len(),
             });
         }
@@ -346,25 +338,17 @@ impl LuFactors {
                     value: pivot,
                 });
             }
-            for c in 0..n_rhs {
-                x[c * n + i] /= pivot;
-            }
+            x[i] /= pivot;
             for slot in upper {
                 let j = self.structure.col_of_slot(slot);
-                let v = self.values[slot];
-                for c in 0..n_rhs {
-                    x[c * n + j] -= v * x[c * n + i];
-                }
+                x[j] -= self.values[slot] * x[i];
             }
         }
         // Backward: Lᵀ x = y (unit diagonal).
         for i in (0..n).rev() {
             for slot in self.structure.lower_row_slots(i) {
                 let k = self.structure.col_of_slot(slot);
-                let v = self.values[slot];
-                for c in 0..n_rhs {
-                    x[c * n + k] -= v * x[c * n + i];
-                }
+                x[k] -= self.values[slot] * x[i];
             }
         }
         Ok(())
@@ -875,23 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn a_transposed_panel_is_its_single_solves_bit_for_bit() {
-        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for f in generator_factors() {
-            let n = f.n();
-            let first: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64 - 2.5).collect();
-            let second: Vec<f64> = (0..n).map(|i| if i == n / 2 { 1.0 } else { 0.0 }).collect();
-            let mut panel = [first.clone(), second.clone()].concat();
-            f.solve_many_transposed_in_place(&mut panel, 2).unwrap();
-            for (stripe, b) in panel.chunks_exact(n).zip([first, second]) {
-                let mut single = b;
-                f.solve_transposed_in_place(&mut single).unwrap();
-                assert_eq!(bits(stripe), bits(&single));
-            }
-        }
-    }
-
-    #[test]
     fn a_zero_pivot_fails_the_transposed_kernels() {
         for at in [0, 5, 31] {
             for mut f in generator_factors() {
@@ -900,10 +867,6 @@ mod tests {
                 let b = vec![1.0; f.n()];
                 assert!(is_at(
                     f.solve_transposed_in_place(&mut b.clone()).unwrap_err()
-                ));
-                let mut panel = [b.clone(), b].concat();
-                assert!(is_at(
-                    f.solve_many_transposed_in_place(&mut panel, 2).unwrap_err()
                 ));
             }
         }

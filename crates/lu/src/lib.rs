@@ -100,8 +100,8 @@ pub use refactor::{
     PIVOT_DEGRADE_TOL,
 };
 pub use solve::{
-    solve_original, solve_original_into, solve_original_many_into,
-    solve_original_transposed_many_into, PanelScratch, SolveScratch, TriangularSolve,
+    solve_original, solve_original_into, solve_original_many_into, solve_original_transposed_into,
+    PanelScratch, SolveScratch, TriangularSolve,
 };
 pub use structure::LuStructure;
 pub use symbolic::{

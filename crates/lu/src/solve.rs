@@ -226,51 +226,32 @@ pub fn solve_original_many_into<F: TriangularSolve>(
     Ok(())
 }
 
-/// The transposed twin of [`solve_original_many_into`]: solves
-/// `Aᵀ x = b` for `n_rhs` right-hand sides stacked column-major in `b`
+/// The transposed twin of [`solve_original_into`]: solves `Aᵀ x = b`
 /// through the factors of `A^O = P A Q`.  Since `(A^O)ᵀ = Qᵀ Aᵀ Pᵀ`, the
-/// permutations swap roles: each stripe is gathered through the *column*
-/// permutation, the panel runs through
-/// [`LuFactors::solve_many_transposed_in_place`], and each solution stripe
-/// is scattered back through the *row* permutation.
-pub fn solve_original_transposed_many_into(
+/// permutations swap roles: `b` is gathered through the *column*
+/// permutation, substituted by [`LuFactors::solve_transposed_in_place`], and
+/// the solution scattered back through the *row* permutation.
+pub fn solve_original_transposed_into(
     factors: &LuFactors,
     ordering: &Ordering,
     b: &[f64],
-    n_rhs: usize,
-    scratch: &mut PanelScratch,
+    scratch: &mut SolveScratch,
     out: &mut Vec<f64>,
 ) -> LuResult<()> {
-    let n = ordering.col().len();
-    if b.len() != n * n_rhs {
-        return Err(crate::error::LuError::DimensionMismatch {
-            expected: n * n_rhs,
-            actual: b.len(),
-        });
-    }
     let mismatch = |_| crate::error::LuError::DimensionMismatch {
-        expected: n * n_rhs,
+        expected: ordering.col().len(),
         actual: b.len(),
     };
-    let panel = &mut scratch.panel.permuted;
-    panel.clear();
-    for c in 0..n_rhs {
-        ordering
-            .col()
-            .apply_vec_into(&b[c * n..(c + 1) * n], &mut scratch.column)
-            .map_err(mismatch)?;
-        panel.extend_from_slice(&scratch.column);
-    }
-    factors.solve_many_transposed_in_place(panel, n_rhs)?;
-    out.clear();
-    for c in 0..n_rhs {
-        ordering
-            .row()
-            .apply_inverse_vec_into(&panel[c * n..(c + 1) * n], &mut scratch.column)
-            .map_err(mismatch)?;
-        out.extend_from_slice(&scratch.column);
-    }
-    Ok(())
+    let permuted = &mut scratch.permuted;
+    ordering
+        .col()
+        .apply_vec_into(b, permuted)
+        .map_err(mismatch)?;
+    factors.solve_transposed_in_place(permuted)?;
+    ordering
+        .row()
+        .apply_inverse_vec_into(permuted, out)
+        .map_err(mismatch)
 }
 
 #[cfg(test)]
@@ -326,20 +307,22 @@ mod tests {
         let ordering =
             clude_sparse::Ordering::new(perm(vec![2, 0, 4, 1, 3]), perm(vec![0, 1, 4, 2, 3]));
         let factors = factorize_fresh_for(&a.reorder(&ordering).unwrap());
-        let b = vec![1.0, 0.0, -2.0, 3.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0];
         let mut out = Vec::new();
-        let mut scratch = PanelScratch::new();
-        solve_original_transposed_many_into(&factors, &ordering, &b, 2, &mut scratch, &mut out)
-            .unwrap();
+        let mut scratch = SolveScratch::new();
         let at = a.transpose().to_dense();
-        for (stripe, rhs) in out.chunks_exact(5).zip(b.chunks_exact(5)) {
-            let dense = at.solve_gaussian(rhs).unwrap();
-            for (u, v) in stripe.iter().zip(&dense) {
+        for b in [
+            vec![1.0, 0.0, -2.0, 3.0, 0.5],
+            vec![0.0, 1.0, 0.0, 0.0, 0.0],
+        ] {
+            solve_original_transposed_into(&factors, &ordering, &b, &mut scratch, &mut out)
+                .unwrap();
+            let dense = at.solve_gaussian(&b).unwrap();
+            for (u, v) in out.iter().zip(&dense) {
                 assert!((u - v).abs() < 1e-10, "{u} vs {v}");
             }
         }
         assert!(matches!(
-            solve_original_transposed_many_into(&factors, &ordering, &b, 3, &mut scratch, &mut out),
+            solve_original_transposed_into(&factors, &ordering, &[1.0; 6], &mut scratch, &mut out),
             Err(crate::error::LuError::DimensionMismatch { .. })
         ));
     }

@@ -38,7 +38,5 @@ pub use monte_carlo::{rwr_monte_carlo, MonteCarloResult};
 pub use power_iteration::{
     pagerank_power_iteration, rwr_power_iteration, solve_power_iteration, PowerIterationResult,
 };
-pub use query::{
-    evaluate_queries_with, evaluate_query_with, measure_rhs, MeasureQuery, MeasureSolver,
-};
+pub use query::{evaluate_query_with, measure_rhs, MeasureQuery, MeasureSolver};
 pub use series::MeasureSeries;

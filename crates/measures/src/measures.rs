@@ -9,9 +9,9 @@
 //! * **SALSA (damped)** — PageRank-style scores on the co-citation /
 //!   bibliographic-coupling structure, obtained by two solves;
 //! * **Discounted hitting time** — expected discounted path length to a
-//!   target: one width-2 panel of *transposed* solves through the same
-//!   factors, `Aᵀ[y z] = [1 − e_t, e_t]`, combined as
-//!   `h = y − (y_t / z_t)·z` ([`hitting_time`]).
+//!   target: two *transposed* solves through the same factors,
+//!   `Aᵀy = 1 − e_t` and `Aᵀz = e_t`, combined as `h = y − (y_t / z_t)·z`
+//!   ([`hitting_time`]).
 //!
 //! The functions take any [`MeasureSolver`] — a [`clude::DecomposedMatrix`]
 //! (one snapshot's factors, produced by any LUDEM solver) or an engine
@@ -151,11 +151,11 @@ fn damped_stationary(p: &CsrMatrix, damping: f64) -> LuResult<Vec<f64>> {
 ///
 /// The hitting-time system `(I − d·P̃) h = 1 − e_t` (see
 /// [`discounted_hitting_time`]) differs from `Aᵀ` in row `t` alone, since
-/// `P = Wᵀ` and `P̃` only zeroes the target's row.  So one width-2 panel of
-/// transposed solves `Aᵀ[y z] = [1 − e_t, e_t]` gives
-/// `h = y − (y_t / z_t)·z`: every row but `t` still reads `1`, and `h_t = 0`.
-/// The denominator is safe: `A⁻¹ = Σ (d·W)ᵏ ≥ I` entrywise, so `z_t ≥ 1`.
-/// The damping is the one the solver's factors were built with.
+/// `P = Wᵀ` and `P̃` only zeroes the target's row.  So the two transposed
+/// solves `Aᵀy = 1 − e_t`, then `Aᵀz = e_t`, give `h = y − (y_t / z_t)·z`:
+/// every row but `t` still reads `1`, and `h_t = 0`.  The denominator is
+/// safe: `A⁻¹ = Σ (d·W)ᵏ ≥ I` entrywise, so `z_t ≥ 1`.  The damping is the
+/// one the solver's factors were built with.
 ///
 /// A target outside `0..n` is [`LuError::InvalidParameter`] named
 /// `"target"`.
@@ -165,14 +165,14 @@ pub fn hitting_time<S: MeasureSolver + ?Sized>(
     target: usize,
 ) -> LuResult<Vec<f64>> {
     check_target(n, target)?;
-    let mut b = vec![1.0; 2 * n];
+    let mut b = vec![1.0; n];
     b[target] = 0.0;
-    b[n..].fill(0.0);
-    b[n + target] = 1.0;
-    let solved = solver.solve_transposed_systems(&b, 2)?;
-    let (y, z) = solved.split_at(n);
+    let y = solver.solve_transposed_system(&b)?;
+    b.fill(0.0);
+    b[target] = 1.0;
+    let z = solver.solve_transposed_system(&b)?;
     let ratio = y[target] / z[target];
-    let mut h: Vec<f64> = y.iter().zip(z).map(|(&yu, &zu)| yu - ratio * zu).collect();
+    let mut h: Vec<f64> = y.iter().zip(&z).map(|(&yu, &zu)| yu - ratio * zu).collect();
     h[target] = 0.0;
     Ok(h)
 }

@@ -191,27 +191,8 @@ pub trait MeasureSolver {
     /// Solves the snapshot's measure system for one right-hand side.
     fn solve_measure_system(&self, b: &[f64]) -> LuResult<Vec<f64>>;
 
-    /// Solves the measure system for `n_rhs` right-hand sides stacked
-    /// column-major in `b` (`n_rhs` contiguous stripes), returning the
-    /// solutions in the same layout.
-    ///
-    /// Implementations must keep every stripe bit-identical to a sequential
-    /// [`MeasureSolver::solve_measure_system`] call on that stripe; the
-    /// default honours that trivially, while panel-capable solvers override
-    /// it with a single factor traversal.
-    fn solve_measure_systems(&self, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>> {
-        let n = b.len().checked_div(n_rhs).unwrap_or(0);
-        let mut out = Vec::with_capacity(b.len());
-        for c in 0..n_rhs {
-            out.extend(self.solve_measure_system(&b[c * n..(c + 1) * n])?);
-        }
-        Ok(out)
-    }
-
-    /// Solves the transposed system `Aᵀ x = b` for `n_rhs` right-hand sides
-    /// stacked column-major in `b`, returning the solutions in the same
-    /// layout; every stripe bit-identical to a width-1 call on it.
-    fn solve_transposed_systems(&self, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>>;
+    /// Solves the transposed system `Aᵀ x = b` for one right-hand side.
+    fn solve_transposed_system(&self, b: &[f64]) -> LuResult<Vec<f64>>;
 }
 
 impl MeasureSolver for DecomposedMatrix {
@@ -219,17 +200,9 @@ impl MeasureSolver for DecomposedMatrix {
         self.solve(b)
     }
 
-    fn solve_measure_systems(&self, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>> {
-        let mut scratch = clude_lu::PanelScratch::new();
+    fn solve_transposed_system(&self, b: &[f64]) -> LuResult<Vec<f64>> {
         let mut out = Vec::new();
-        self.solve_many_into(b, n_rhs, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    fn solve_transposed_systems(&self, b: &[f64], n_rhs: usize) -> LuResult<Vec<f64>> {
-        let mut scratch = clude_lu::PanelScratch::new();
-        let mut out = Vec::new();
-        self.solve_transposed_many_into(b, n_rhs, &mut scratch, &mut out)?;
+        self.solve_transposed_into(b, &mut clude_lu::SolveScratch::new(), &mut out)?;
         Ok(out)
     }
 }
@@ -257,8 +230,8 @@ pub fn evaluate_query_with<S: MeasureSolver + ?Sized>(
 }
 
 /// The right-hand side of the query's measure system against the snapshot's
-/// `I − d·W` factors, or `None` for hitting time, whose transposed panel
-/// cannot join a shared panel of forward solves.
+/// `I − d·W` factors, or `None` for hitting time, which takes two transposed
+/// solves instead.
 pub fn measure_rhs(query: &MeasureQuery, n: usize) -> Option<Vec<f64>> {
     use crate::linear_system::{pagerank_rhs, ppr_rhs, rwr_rhs};
     match query {
@@ -267,42 +240,6 @@ pub fn measure_rhs(query: &MeasureQuery, n: usize) -> Option<Vec<f64>> {
         MeasureQuery::PprSeedSet { seeds, damping } => Some(ppr_rhs(n, seeds, *damping)),
         MeasureQuery::HittingTime { .. } => None,
     }
-}
-
-/// Evaluates a batch of queries through any [`MeasureSolver`], answering all
-/// panel-eligible queries (those with a [`measure_rhs`]) in **one**
-/// [`MeasureSolver::solve_measure_systems`] panel traversal and the rest
-/// (hitting time) individually.
-///
-/// Result `i` is bit-identical to `evaluate_query_with(solver, n,
-/// queries[i])`: the right-hand sides, the per-stripe solve sequence, and
-/// the normalisation are exactly those of the single-query path.
-pub fn evaluate_queries_with<S: MeasureSolver + ?Sized>(
-    solver: &S,
-    n: usize,
-    queries: &[&MeasureQuery],
-) -> LuResult<Vec<Vec<f64>>> {
-    use crate::linear_system::normalize_scores;
-    let mut panel = Vec::new();
-    let mut panel_slots = Vec::new();
-    let mut results: Vec<Option<Vec<f64>>> = queries.iter().map(|_| None).collect();
-    for (i, query) in queries.iter().enumerate() {
-        match measure_rhs(query, n) {
-            Some(rhs) => {
-                panel.extend(rhs);
-                panel_slots.push(i);
-            }
-            None => results[i] = Some(evaluate_query_with(solver, n, query)?),
-        }
-    }
-    if !panel_slots.is_empty() {
-        let solved = solver.solve_measure_systems(&panel, panel_slots.len())?;
-        for (c, &i) in panel_slots.iter().enumerate() {
-            let raw = solved[c * n..(c + 1) * n].to_vec();
-            results[i] = Some(normalize_scores(raw));
-        }
-    }
-    Ok(results.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
@@ -398,11 +335,6 @@ mod tests {
         for (a, b) in h.iter().zip(discounted_hitting_time(&g, 0, 0.85).unwrap()) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
-        // A batch answers each query as the single path does, bit for bit.
-        let batch =
-            evaluate_queries_with(dec, n, &[&ht, &MeasureQuery::PageRank { damping: 0.85 }])
-                .unwrap();
-        assert_eq!(batch, vec![h, pr]);
     }
 
     #[test]
