@@ -10,7 +10,7 @@
 //! in the plan's order ([`CouplingPlan::gs_order`]): shard `s` becomes
 //! `B_ss⁻¹(f·b_s − C_s·x)`, reading the vector as it stands, so the shards
 //! updated earlier in the pass already contribute their new values.  The
-//! vector lives in the plan's layout — each shard's segment in its factored
+//! vector lives in the coupling's layout — each shard's segment in its factored
 //! order, shards back to back — so shard `s`'s step is one walk over its
 //! rows of the re-indexed coupling, written straight into its segment, and
 //! one substitution in place on that segment: no gather through the
@@ -57,19 +57,21 @@
 //! substitutions — the spectrum of the forward pass, so about as many
 //! passes.
 //!
-//! The per-snapshot metadata of the pass — the traversal order, the
-//! triangularity verdict and the layout — is a pure function of (partition,
-//! frozen coupling, shard orderings), a [`CouplingPlan`] built by the first
-//! coupled solve that reads it — inside its `coupling.gauss_seidel` span —
-//! and shared through the copy-on-write snapshot ring with its
-//! [`FrozenCoupling`], which the store freezes anew whenever a cross-shard
-//! entry or a shard's ordering changes.
+//! The layout and the coupling re-indexed into it are the shared structure
+//! of the snapshot's [`FrozenCoupling`], which the store lays out anew only
+//! when a cross-shard position, a shard's ordering or the partition
+//! changes; a value-only batch gives it a new value array.  The traversal
+//! order and the triangularity verdict are a pure function of (partition,
+//! coupling values), a [`CouplingPlan`] built by the first coupled solve
+//! that reads it — inside its `coupling.gauss_seidel` span — and shared
+//! through the copy-on-write snapshot ring with its coupling.
 
 // lint: hot-path
 
 mod plan;
 
-pub use plan::{CouplingPlan, FrozenCoupling};
+use plan::Half;
+pub use plan::{CouplingPlan, CouplingStructure, FrozenCoupling};
 
 use crate::store::{static_factors, EngineSnapshot, ShardSnapshot};
 use clude::DecomposedMatrix;
@@ -198,7 +200,7 @@ pub(crate) fn solve_system(snap: &EngineSnapshot, system: System, b: &[f64]) -> 
     // every path of a solve hands to its caller.
     let mut x = Vec::new();
     let shards = snap.shards();
-    if shards.len() == 1 && snap.coupling().nnz() == 0 {
+    if shards.len() == 1 && snap.coupling_nnz() == 0 {
         let solve = match system {
             System::Forward => DecomposedMatrix::solve_into,
             System::Transposed => DecomposedMatrix::solve_transposed_into,
@@ -207,7 +209,7 @@ pub(crate) fn solve_system(snap: &EngineSnapshot, system: System, b: &[f64]) -> 
         return Ok(x);
     }
     if u32::try_from(n).is_err() {
-        // The plan's layout addresses the vector with `u32` positions.
+        // The layout addresses the vector with `u32` positions.
         return Err(LuError::InvalidParameter {
             name: "n_nodes",
             value: n as f64,
@@ -240,7 +242,7 @@ pub(crate) fn solve_system(snap: &EngineSnapshot, system: System, b: &[f64]) -> 
 /// basis at 25 vectors and the Hessenberg at 5 KB.
 const RESTART: usize = 24;
 
-/// One ordered block pass of `system`, in place on `v`, in the plan's
+/// One ordered block pass of `system`, in place on `v`, in the coupling's
 /// layout: shard by shard in the plan's order (reversed for `Aᵀ`), each
 /// shard's segment becomes `f·b − C·v` from the vector as it stands —
 /// `f = 1` with `Some(b)`, `0` with `None` — and then its substitutions, so
@@ -250,14 +252,14 @@ const RESTART: usize = 24;
 fn block_pass(
     shards: &[ShardSnapshot],
     plan: &CouplingPlan,
+    half: Half<'_>,
     system: System,
     b: Option<&[f64]>,
     v: &mut [f64],
 ) -> LuResult<()> {
-    let half = plan.half(system);
     for k in 0..plan.gs_order().len() {
         let s = plan.shard_at(system, k);
-        let segment = plan.segment(s);
+        let segment = half.segment(s);
         if segment.is_empty() {
             continue;
         }
@@ -274,7 +276,7 @@ fn block_pass(
 }
 
 /// Restarted GMRES on `(I − G)·x = M⁻¹b` of `system`, writing the solution
-/// into `x`.  `b` is laid out in the plan's layout once, the iteration runs
+/// into `x`.  `b` is laid out in the coupling's layout once, the iteration runs
 /// there — the order the inner products sum in — and the accepted iterate is
 /// read back once.  Each cycle is a check pass (`f = 1`) from the iterate —
 /// from zero the first time, whose result is `S(0) = M⁻¹b` — then up to
@@ -295,9 +297,9 @@ fn krylov(
     let tolerance = snap.tolerance();
     let shards = snap.shards();
     let plan = snap.coupling_plan();
-    let half = plan.half(system);
+    let half = snap.shared_coupling().half(system, snap.partition());
     let n = b.len();
-    // The right-hand side and the iterate in the plan's layout, and the
+    // The right-hand side and the iterate in the coupling's layout, and the
     // basis `v_0 … v_k` of the cycle, vectors of `n` back to back, followed
     // by the vector the next Arnoldi pass runs on.  While checking, slot 0
     // holds a copy of the iterate.  The basis grows by one vector the first
@@ -324,7 +326,7 @@ fn krylov(
         }
         pass += 1;
         let swept = &mut basis[..n];
-        block_pass(shards, plan, system, Some(&laid_b), swept)?;
+        block_pass(shards, plan, half, system, Some(&laid_b), swept)?;
         if plan.is_triangular() {
             // Block triangular coupling: the pass from zero is the exact
             // solve.
@@ -366,7 +368,7 @@ fn krylov(
             basis.copy_within(next - n..next, next);
             let (vs, rest) = basis.split_at_mut(next);
             let w = &mut rest[..n];
-            block_pass(shards, plan, system, None, w)?;
+            block_pass(shards, plan, half, system, None, w)?;
             // The slot holds G·v_j; w = (I − G)·v_j, then modified
             // Gram–Schmidt against v_0 … v_j.
             for (wi, &vi) in w.iter_mut().zip(&vs[j * n..]) {
@@ -476,24 +478,36 @@ mod tests {
         assert!(!tol.accepted(1e-6, 1.0, 1e-5));
     }
 
+    /// `matrix` laid out over `partition` under identity orderings.
+    fn laid_out(partition: &NodePartition, matrix: &CsrMatrix) -> Arc<FrozenCoupling> {
+        let identity = (0..partition.n_shards())
+            .map(|s| {
+                Arc::new(clude_sparse::Ordering::identity(
+                    partition.nodes_of(s).len(),
+                ))
+            })
+            .collect();
+        FrozenCoupling::new(partition, identity, matrix, false)
+    }
+
     #[test]
     fn trivial_plan_is_identity_order_without_correction() {
         let partition = NodePartition::contiguous(6, 3);
-        let empty = CsrMatrix::from_coo(&CooMatrix::new(6, 6));
-        let identity = (0..3)
-            .map(|_| Arc::new(clude_sparse::Ordering::identity(2)))
-            .collect();
-        let plan = CouplingPlan::build(&partition, &Arc::new(empty), identity);
+        let empty = laid_out(&partition, &CsrMatrix::from_coo(&CooMatrix::new(6, 6)));
+        let plan = empty.plan(&partition, &[]);
         assert!(plan.is_triangular());
         assert_eq!(plan.gs_order(), &[0, 1, 2]);
-        let segments: Vec<_> = (0..3).map(|s| plan.segment(s)).collect();
+        let forward = empty.half(System::Forward, &partition);
+        let segments: Vec<_> = (0..3).map(|s| forward.segment(s)).collect();
         assert_eq!(segments, vec![0..2, 2..4, 4..6]);
-        // The order, the orderings, the offsets and the row offsets as
-        // words; the two position maps as `u32`s; no coupling entry.
-        let words = 3 + 3 + 4 + 7;
+        // The order as words; the row offsets, the layout's orderings and
+        // offsets as words and its three maps as `u32`s; no coupling entry
+        // and no value.
+        let word = std::mem::size_of::<usize>();
+        assert_eq!(plan.approx_bytes(), 3 * word);
         assert_eq!(
-            plan.approx_bytes(),
-            words * std::mem::size_of::<usize>() + 12 * std::mem::size_of::<u32>()
+            empty.resident_bytes(&mut std::collections::HashSet::new()),
+            (3 + 7 + 3 + 4) * word + 18 * std::mem::size_of::<u32>()
         );
     }
 
@@ -506,30 +520,33 @@ mod tests {
         coo.push(4, 0, -5.0).unwrap(); // shard 2 <- shard 0, heavy
         coo.push(5, 1, -4.0).unwrap(); // shard 2 <- shard 0, heavy
         coo.push(0, 2, -0.1).unwrap(); // shard 0 <- shard 1, light
-        let coupling = CsrMatrix::from_coo(&coo);
+        let order_of = |coo: &CooMatrix| {
+            gauss_seidel_order(&partition, &laid_out(&partition, &CsrMatrix::from_coo(coo)))
+        };
         // Shard 1 has no dependencies -> first; shard 2's dependency on
         // shard 0 is the heaviest -> it must come after shard 0.  The chain
         // 2 <- 0 <- 1 is acyclic, so the order is also a triangular one.
-        assert_eq!(
-            gauss_seidel_order(&partition, &coupling),
-            (vec![1, 0, 2], true)
-        );
+        assert_eq!(order_of(&coo), (vec![1, 0, 2], true));
         // Closing the cycle (shard 1 <- shard 2) leaves only the greedy
         // least-pending-weight order, and one pass is no longer exact: shard
         // 0 reads the least, and with it placed shard 2 reads nothing
         // pending.
         coo.push(2, 4, -0.2).unwrap();
-        let cyclic = CsrMatrix::from_coo(&coo);
+        let cyclic = laid_out(&partition, &CsrMatrix::from_coo(&coo));
         assert_eq!(
             gauss_seidel_order(&partition, &cyclic),
             (vec![0, 2, 1], false)
         );
-        // No coupling: identity order.
-        let empty = CsrMatrix::from_coo(&CooMatrix::new(6, 6));
+        // Zeroing the closing entry leaves a zero slot, which is no
+        // dependency: the acyclic order and verdict come back.
+        let opened = cyclic.written(&mut [(2, 4, 0.0)]);
+        assert_eq!(opened.structure().slots(), 4);
         assert_eq!(
-            gauss_seidel_order(&partition, &empty),
-            (vec![0, 1, 2], true)
+            gauss_seidel_order(&partition, &opened),
+            (vec![1, 0, 2], true)
         );
+        // No coupling: identity order.
+        assert_eq!(order_of(&CooMatrix::new(6, 6)), (vec![0, 1, 2], true));
     }
 
     /// A store over `g` recording into its own registry, its coupling cyclic.
@@ -749,13 +766,17 @@ mod tests {
         // right-hand side builds it and solves `Aᵀ x = b`.
         let snap = store.snapshot();
         assert!(snap.shared_coupling().built_plan().is_none());
-        let forward_bytes = snap.coupling_plan().approx_bytes();
+        let bytes = || {
+            let seen = &mut std::collections::HashSet::new();
+            snap.shared_coupling().resident_bytes(seen)
+        };
+        let forward_bytes = bytes();
         let at = measure_matrix(store.graph(), store.matrix_kind())
             .transpose()
             .to_dense();
         for b in [[1.0; 16], std::array::from_fn(|i| 1.0 + (i % 3) as f64)] {
             let x = snap.solve_transposed_system(&b).unwrap();
-            assert!(snap.coupling_plan().approx_bytes() > forward_bytes);
+            assert!(bytes() > forward_bytes);
             for (got, want) in x.iter().zip(at.solve_gaussian(&b).unwrap()) {
                 assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
             }

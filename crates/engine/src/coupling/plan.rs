@@ -1,101 +1,45 @@
 //! The frozen coupling snapshots share, and the metadata of a coupled solve
-//! over it: the shard traversal order of the block pass, whether that order
-//! makes the coupling block triangular, and the vector layout the pass runs
-//! in — each shard's segment in its factored order, shards back to back,
-//! with the coupling re-indexed into it.
+//! over it.
 //!
-//! The plan is a pure function of (partition, coupling, the shards'
-//! orderings).  It is built by the first coupled solve that reads it — the
-//! setup path, which is why it lives apart from the allocation-free solve in
-//! [`super`] — so a batch that writes the coupling pays only the CSR merge;
-//! and every batch that moves an ordering freezes a new [`FrozenCoupling`],
-//! so one plan cell serves exactly the snapshots it was built for.  Its
-//! transposed half is built by the first transposed solve in turn.
+//! A [`FrozenCoupling`] is a shared [`CouplingStructure`] — the layout the
+//! block pass runs in and the coupling's pattern re-indexed into it — plus
+//! one value array per snapshot, in the structure's slot order.  Writes that
+//! all land on slots copy the value array, a removed entry staying behind as
+//! an explicit zero slot; a new position merges into a structure of its
+//! own, dropping the zero slots; a moved ordering, a repartition or a
+//! restore lays the structure out anew.  What depends on the values — the
+//! [`CouplingPlan`] and the transposed half — is built per snapshot by the
+//! first solve that reads it: the setup path, which is why it lives apart
+//! from the allocation-free solve in [`super`].
 
 use super::System;
 use crate::store::ShardSnapshot;
 use clude_graph::NodePartition;
 use clude_sparse::vector::sparse_dot;
 use clude_sparse::{CsrMatrix, Ordering};
+use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// The cross-shard coupling as the store holds it and snapshots share it,
-/// behind one [`Arc`]: the frozen CSR and the plan cell that the first
-/// coupled solve on any snapshot holding the handle fills, so snapshots
-/// share their plan by pointer exactly when they share their coupling.
+/// behind one [`Arc`]: the structure, this snapshot's values over it, and
+/// the cells the first coupled solves fill — so snapshots share their plan
+/// by pointer exactly when they share their coupling.
 #[derive(Debug)]
 pub struct FrozenCoupling {
-    /// Shared with the couplings re-frozen over it (an ordering moved, no
-    /// cross-shard entry did).
-    matrix: Arc<CsrMatrix>,
+    /// Shared across value-only batches.
+    structure: Arc<CouplingStructure>,
+    /// One value per slot, in slot order; `nnz` of them nonzero.
+    vals: Vec<f64>,
+    nnz: usize,
     plan: OnceLock<CouplingPlan>,
+    /// `Cᵀ` laid out for the transposed pass, built by the first
+    /// transposed solve.
+    transposed: OnceLock<Arc<FrozenCoupling>>,
 }
 
-impl FrozenCoupling {
-    /// Freezes `matrix` with an empty plan cell.
-    pub(crate) fn new(matrix: CsrMatrix) -> Arc<Self> {
-        Arc::new(FrozenCoupling {
-            matrix: Arc::new(matrix),
-            plan: OnceLock::new(),
-        })
-    }
-
-    /// The same matrix under an empty plan cell: what the store freezes
-    /// when a shard's ordering moved and no cross-shard entry did.
-    pub(crate) fn refrozen(&self) -> Arc<Self> {
-        Arc::new(FrozenCoupling {
-            matrix: Arc::clone(&self.matrix),
-            plan: OnceLock::new(),
-        })
-    }
-
-    /// The cross-shard entries, global coordinates, no stored zeros.
-    pub fn matrix(&self) -> &CsrMatrix {
-        &self.matrix
-    }
-
-    /// The matrix's handle, shared by every coupling re-frozen over it — the
-    /// identity a memory accounting counts it by.
-    pub(crate) fn shared_matrix(&self) -> &Arc<CsrMatrix> {
-        &self.matrix
-    }
-
-    /// The plan over `partition` and the orderings of `shards`, built by
-    /// the first call.  Callers pass the partition and blocks the coupling
-    /// was frozen with — a repartition or a moved ordering freezes a new
-    /// coupling — so the cell never holds a plan over other orderings.
-    pub(crate) fn plan(
-        &self,
-        partition: &NodePartition,
-        shards: &[ShardSnapshot],
-    ) -> &CouplingPlan {
-        let plan = self.plan.get_or_init(|| {
-            let orderings = shards
-                .iter()
-                .map(|shard| Arc::clone(&shard.decomposed().ordering))
-                .collect();
-            CouplingPlan::build(partition, &self.matrix, orderings)
-        });
-        debug_assert!(
-            plan.orderings
-                .iter()
-                .zip(shards)
-                .all(|(o, shard)| Arc::ptr_eq(o, &shard.decomposed().ordering)),
-            "a shard's ordering moved without a re-freeze of the coupling"
-        );
-        plan
-    }
-
-    /// The plan if a solve has built it; never builds one.
-    pub(crate) fn built_plan(&self) -> Option<&CouplingPlan> {
-        self.plan.get()
-    }
-}
-
-/// Frozen metadata of the coupled solve over one [`FrozenCoupling`] — a
-/// pure function of (partition, frozen coupling, shard orderings), so where
-/// and when it is built changes no bit of any answer.
+/// The part of a [`FrozenCoupling`] snapshots share across value-only
+/// batches, a function of (partition, pattern, shard orderings).
 ///
 /// **The layout.**  The pass runs on vectors of `n` entries laid out shard
 /// by shard, each shard's segment in its factored order: a right-hand side
@@ -104,83 +48,41 @@ impl FrozenCoupling {
 /// its substitutions read and write, and the coupling — re-indexed so that
 /// layout row `p` is the coupling row of the node whose right-hand side sits
 /// at `p`, its columns the layout positions of the solution entries it
-/// reads — is walked straight into it.
+/// reads — is walked straight into it.  Each row keeps its global column
+/// order, so a sum over a row runs in the order it ran over the global CSR.
 ///
 /// **The transpose.**  `(A^O)ᵀ = Qᵀ Aᵀ Pᵀ`: a transposed solve swaps the
 /// two position maps, reads `Cᵀ` re-indexed under them, and visits shards
 /// in reverse `gs_order` — topological for `Cᵀ` whenever it is for `C`.
 #[derive(Debug)]
-pub struct CouplingPlan {
-    /// Shard traversal order of the block Gauss–Seidel pass,
-    /// least-dependent shard first.
-    gs_order: Vec<usize>,
-    /// Whether the shard dependency digraph is acyclic and `gs_order` is a
-    /// topological order of it — block triangular form.  When set, one
-    /// block pass in `gs_order` is the *exact* solve (every coupling entry a
-    /// shard reads was updated earlier in the same pass), so the solve
-    /// returns after a single pass.
-    triangular: bool,
-    /// The shard orderings the layout follows, by shard — held so that a
-    /// debug build can check on every solve that the snapshot's blocks are
-    /// still under them.
-    orderings: Vec<Arc<Ordering>>,
-    /// Shard `s`'s segment is `offsets[s]..offsets[s + 1]`.
-    offsets: Vec<usize>,
-    /// The forward pass's half, and the CSR it was re-indexed from.
-    forward: Half,
-    matrix: Arc<CsrMatrix>,
-    /// The transposed pass's half, built by the first transposed solve.
-    transposed: OnceLock<Half>,
-}
-
-/// One direction's half of a plan: where each node's right-hand side and
-/// solution entries sit in the layout, and the coupling the pass reads
-/// re-indexed into it — CSR over layout rows, `u32` columns.
-#[derive(Debug)]
-pub(crate) struct Half {
-    rhs_pos: Vec<u32>,
-    x_pos: Vec<u32>,
+pub struct CouplingStructure {
+    /// Shared by every structure over the same partition and orderings.
+    layout: Arc<Layout>,
+    /// CSR over layout rows: each slot's layout column, and its global one
+    /// — what a write finds its slot by and a merge orders a row by.
     row_ptr: Vec<usize>,
     cols: Vec<u32>,
-    vals: Vec<f64>,
+    nodes: Vec<u32>,
 }
 
-impl Half {
-    /// `coupling` with row `g` at layout row `rhs_pos[g]` and column `j` at
-    /// layout position `x_pos[j]`.
-    fn new(coupling: &CsrMatrix, rhs_pos: Vec<u32>, x_pos: Vec<u32>) -> Self {
-        let n = rhs_pos.len();
-        let mut row_ptr = vec![0usize; n + 1];
-        for (g, &p) in rhs_pos.iter().enumerate() {
-            row_ptr[p as usize + 1] = coupling.row(g).0.len();
-        }
-        for p in 0..n {
-            row_ptr[p + 1] += row_ptr[p];
-        }
-        let mut cols = vec![0u32; coupling.nnz()];
-        let mut vals = vec![0.0f64; coupling.nnz()];
-        for (g, &p) in rhs_pos.iter().enumerate() {
-            let (row_cols, row_vals) = coupling.row(g);
-            let at = row_ptr[p as usize];
-            for (e, (&j, &v)) in row_cols.iter().zip(row_vals).enumerate() {
-                cols[at + e] = x_pos[j];
-                vals[at + e] = v;
-            }
-        }
-        Half {
-            rhs_pos,
-            x_pos,
-            row_ptr,
-            cols,
-            vals,
-        }
-    }
+/// One direction's half of a pass as plain slices — where each node's
+/// right-hand side and solution entries sit in the layout, and the
+/// coupling the pass reads re-indexed into it — so the pass's loop loads
+/// them once instead of through the coupling's cells.
+#[derive(Clone, Copy)]
+pub(crate) struct Half<'a> {
+    offsets: &'a [usize],
+    rhs_pos: &'a [u32],
+    x_pos: &'a [u32],
+    row_ptr: &'a [usize],
+    cols: &'a [u32],
+    vals: &'a [f64],
+}
 
-    fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.row_ptr.len() * size_of::<usize>()
-            + (self.rhs_pos.len() + self.x_pos.len() + self.cols.len()) * size_of::<u32>()
-            + self.vals.len() * size_of::<f64>()
+impl Half<'_> {
+    /// Shard `s`'s segment of the layout.
+    pub(crate) fn segment(&self, s: usize) -> Range<usize> {
+        self.offsets[s]..self.offsets[s + 1]
     }
 
     /// `(C·v)` at layout row `p`, for `v` in the layout.
@@ -192,55 +94,411 @@ impl Half {
 
     /// Lays the right-hand side `b` (global node order) out into `out`.
     pub(crate) fn permute_rhs(&self, b: &[f64], out: &mut [f64]) {
-        for (&bg, &p) in b.iter().zip(&self.rhs_pos) {
+        for (&bg, &p) in b.iter().zip(self.rhs_pos) {
             out[p as usize] = bg;
         }
     }
 
     /// Reads the solution `x` (in the layout) back into global node order.
     pub(crate) fn recover_solution(&self, x: &[f64], out: &mut [f64]) {
-        for (o, &p) in out.iter_mut().zip(&self.x_pos) {
+        for (o, &p) in out.iter_mut().zip(self.x_pos) {
             *o = x[p as usize];
         }
     }
 }
 
-impl CouplingPlan {
-    /// Builds the plan for one frozen (partition, coupling, orderings)
-    /// triple.  The coupled solve refuses universes whose positions do not
-    /// fit a `u32` before it builds a plan.
-    pub(crate) fn build(
-        partition: &NodePartition,
-        coupling: &Arc<CsrMatrix>,
-        orderings: Vec<Arc<Ordering>>,
-    ) -> Self {
-        let (gs_order, triangular) = gauss_seidel_order(partition, coupling);
+/// The vector layout of one (partition, shard orderings) pair.
+#[derive(Debug)]
+struct Layout {
+    /// The shard orderings the layout follows, by shard — held so that a
+    /// debug build can check on every solve that the snapshot's blocks are
+    /// still under them.
+    orderings: Vec<Arc<Ordering>>,
+    /// Shard `s`'s segment is `offsets[s]..offsets[s + 1]`.
+    offsets: Vec<usize>,
+    /// Where each node's right-hand side and solution entries sit, and the
+    /// node each layout row belongs to.
+    rhs_pos: Vec<u32>,
+    x_pos: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Layout {
+    /// The layout of `partition` under `orderings`, their row and column
+    /// permutations swapped when `swap` (the transposed pass).
+    fn new(partition: &NodePartition, orderings: Vec<Arc<Ordering>>, swap: bool) -> Arc<Self> {
         let n = partition.n_nodes();
-        let mut offsets = Vec::with_capacity(orderings.len() + 1);
-        offsets.push(0);
-        let mut rhs_pos = vec![0u32; n];
-        let mut x_pos = vec![0u32; n];
+        let (mut rhs_pos, mut x_pos) = (vec![0u32; n], vec![0u32; n]);
+        let (mut offsets, mut rows) = (vec![0], Vec::with_capacity(n));
         for (s, ordering) in orderings.iter().enumerate() {
-            let (at, nodes) = (offsets[s], partition.nodes_of(s));
-            for (i, &l) in ordering.row().as_new_to_old().iter().enumerate() {
-                rhs_pos[nodes[l]] = (at + i) as u32;
+            let (at, members) = (offsets[s], partition.nodes_of(s));
+            let (mut p, mut q) = (ordering.row(), ordering.col());
+            if swap {
+                (p, q) = (q, p);
             }
-            for (j, &l) in ordering.col().as_new_to_old().iter().enumerate() {
-                x_pos[nodes[l]] = (at + j) as u32;
+            for (i, &l) in p.as_new_to_old().iter().enumerate() {
+                rhs_pos[members[l]] = (at + i) as u32;
+                rows.push(members[l] as u32);
             }
-            offsets.push(at + nodes.len());
+            for (j, &l) in q.as_new_to_old().iter().enumerate() {
+                x_pos[members[l]] = (at + j) as u32;
+            }
+            offsets.push(at + members.len());
         }
-        CouplingPlan {
-            gs_order,
-            triangular,
+        Arc::new(Layout {
             orderings,
             offsets,
-            forward: Half::new(coupling, rhs_pos, x_pos),
-            matrix: Arc::clone(coupling),
-            transposed: OnceLock::new(),
+            rhs_pos,
+            x_pos,
+            rows,
+        })
+    }
+}
+
+/// A structure's slots under construction: layout columns, global columns
+/// and values.
+struct Slots(Vec<u32>, Vec<u32>, Vec<f64>);
+
+impl Slots {
+    fn with_capacity(n: usize) -> Self {
+        Slots(
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        )
+    }
+
+    /// Appends global column `j` at layout column `l` unless `v` is zero.
+    fn push(&mut self, l: u32, j: u32, v: f64) {
+        if v != 0.0 {
+            self.0.push(l);
+            self.1.push(j);
+            self.2.push(v);
         }
     }
 
+    /// Appends `from`'s slots `range` with their `values`, zero slots
+    /// dropped one by one.
+    fn extend_live(&mut self, from: &CouplingStructure, values: &[f64], range: Range<usize>) {
+        for e in range {
+            self.push(from.cols[e], from.nodes[e], values[e]);
+        }
+    }
+
+    /// Appends `from`'s slots `range` with their `values`, in bulk.
+    fn extend(&mut self, from: &CouplingStructure, values: &[f64], range: Range<usize>) {
+        self.0.extend_from_slice(&from.cols[range.clone()]);
+        self.1.extend_from_slice(&from.nodes[range.clone()]);
+        self.2.extend_from_slice(&values[range]);
+    }
+}
+
+impl CouplingStructure {
+    /// The slots of node `g`'s row.
+    fn row(&self, g: usize) -> Range<usize> {
+        let p = self.layout.rhs_pos[g] as usize;
+        self.row_ptr[p]..self.row_ptr[p + 1]
+    }
+
+    /// The slot of layout row `p`, global column `c`, if the pattern holds
+    /// it.
+    fn slot(&self, p: usize, c: usize) -> Option<usize> {
+        let row = self.row_ptr[p]..self.row_ptr[p + 1];
+        let at = self.nodes[row.clone()].binary_search(&(c as u32)).ok()?;
+        Some(row.start + at)
+    }
+
+    /// Number of slots, zero slots included.
+    pub(crate) fn slots(&self) -> usize {
+        self.cols.len()
+    }
+}
+
+impl FrozenCoupling {
+    /// Lays `matrix` (global coordinates) out under `partition` and the
+    /// shards' `orderings` — swapped for the `transposed` pass — its exact
+    /// zeros dropped.
+    pub(crate) fn new(
+        partition: &NodePartition,
+        orderings: Vec<Arc<Ordering>>,
+        matrix: &CsrMatrix,
+        transposed: bool,
+    ) -> Arc<Self> {
+        let layout = Layout::new(partition, orderings, transposed);
+        Self::lay(layout, matrix.nnz(), |x_pos, g, slots| {
+            let (cols, values) = matrix.row(g);
+            for (&j, &v) in cols.iter().zip(values) {
+                slots.push(x_pos[j], j as u32, v);
+            }
+        })
+    }
+
+    /// This coupling with `writes` — `(row, col, value)`, distinct global
+    /// positions, whose rows this rewrites to layout rows — applied: into a
+    /// copy of the value array when every write has a slot, else merged
+    /// into a structure of its own.
+    pub(crate) fn written(&self, writes: &mut [(usize, usize, f64)]) -> Arc<Self> {
+        let s = &*self.structure;
+        for w in writes.iter_mut() {
+            w.0 = s.layout.rhs_pos[w.0] as usize;
+        }
+        let mut slots = Vec::with_capacity(writes.len());
+        for &(p, c, _) in writes.iter() {
+            let Some(e) = s.slot(p, c) else {
+                writes.sort_unstable_by_key(|&(p, c, _)| (p, c));
+                return self.merged(writes);
+            };
+            slots.push(e);
+        }
+        let (mut vals, mut nnz) = (self.vals.clone(), self.nnz);
+        for (&e, &(.., v)) in slots.iter().zip(writes.iter()) {
+            nnz = nnz - usize::from(vals[e] != 0.0) + usize::from(v != 0.0);
+            vals[e] = v;
+        }
+        Self::over(Arc::clone(&self.structure), vals, nnz)
+    }
+
+    /// `writes` — `(layout row, col, value)`, sorted — merged into this
+    /// coupling under the same layout in one pass that drops the zero
+    /// slots: the rows no write names are copied in bulk between the rows
+    /// that hold a zero slot.
+    fn merged(&self, writes: &[(usize, usize, f64)]) -> Arc<Self> {
+        let s = &*self.structure;
+        let (n, x_pos) = (s.layout.rows.len(), &s.layout.x_pos);
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut out = Slots::with_capacity(s.slots() + writes.len());
+        row_ptr.push(0);
+        // Zero slots are dropped one by one; without them, rows are copied
+        // in bulk.
+        let copy = if self.nnz < s.slots() {
+            Slots::extend_live
+        } else {
+            Slots::extend
+        };
+        let mut rest = writes;
+        loop {
+            let p = rest.first().map_or(n, |w| w.0);
+            // Rows up to `p` take no write: copied in bulk up to the next
+            // row that holds a zero slot, which is copied slot by slot.
+            let mut q = row_ptr.len() - 1;
+            while q < p {
+                let (lo, hi, at) = (s.row_ptr[q], s.row_ptr[p], out.1.len());
+                let zero = (self.nnz < s.slots())
+                    .then(|| self.vals[lo..hi].iter().position(|&v| v == 0.0))
+                    .flatten();
+                let zero_row = zero.map_or(p, |z| {
+                    q + s.row_ptr[q + 1..=p].partition_point(|&e| e <= lo + z)
+                });
+                row_ptr.extend(s.row_ptr[q + 1..=zero_row].iter().map(|&e| e - lo + at));
+                out.extend(s, &self.vals, lo..s.row_ptr[zero_row]);
+                if zero_row < p {
+                    let row = s.row_ptr[zero_row]..s.row_ptr[zero_row + 1];
+                    out.extend_live(s, &self.vals, row);
+                    row_ptr.push(out.1.len());
+                }
+                q = zero_row + 1;
+            }
+            if rest.is_empty() {
+                break;
+            }
+            let (run, tail) = rest.split_at(rest.partition_point(|w| w.0 == p));
+            rest = tail;
+            let (mut k, end) = (s.row_ptr[p], s.row_ptr[p + 1]);
+            for &(_, c, v) in run {
+                let kept = k + s.nodes[k..end].partition_point(|&j| (j as usize) < c);
+                copy(&mut out, s, &self.vals, k..kept);
+                k = kept + usize::from(kept < end && s.nodes[kept] as usize == c);
+                out.push(x_pos[c], c as u32, v);
+            }
+            copy(&mut out, s, &self.vals, k..end);
+            row_ptr.push(out.1.len());
+        }
+        Self::built(Arc::clone(&s.layout), row_ptr, out)
+    }
+
+    /// This coupling's live entries laid out under moved `orderings`.
+    pub(crate) fn reordered(
+        &self,
+        partition: &NodePartition,
+        orderings: Vec<Arc<Ordering>>,
+    ) -> Arc<Self> {
+        let s = &*self.structure;
+        let layout = Layout::new(partition, orderings, false);
+        Self::lay(layout, self.nnz, |x_pos, g, slots| {
+            for e in s.row(g) {
+                slots.push(x_pos[s.nodes[e] as usize], s.nodes[e], self.vals[e]);
+            }
+        })
+    }
+
+    /// A coupling under `layout` whose rows come in layout order from
+    /// `row(x_pos, g, slots)` — node `g`'s entries, ascending global
+    /// columns, at most `capacity` in all.
+    fn lay(
+        layout: Arc<Layout>,
+        capacity: usize,
+        mut row: impl FnMut(&[u32], usize, &mut Slots),
+    ) -> Arc<Self> {
+        let mut row_ptr = Vec::with_capacity(layout.rows.len() + 1);
+        let mut slots = Slots::with_capacity(capacity);
+        row_ptr.push(0);
+        for &g in &layout.rows {
+            row(&layout.x_pos, g as usize, &mut slots);
+            row_ptr.push(slots.1.len());
+        }
+        Self::built(layout, row_ptr, slots)
+    }
+
+    fn built(layout: Arc<Layout>, row_ptr: Vec<usize>, slots: Slots) -> Arc<Self> {
+        let Slots(cols, nodes, vals) = slots;
+        let structure = CouplingStructure {
+            layout,
+            row_ptr,
+            cols,
+            nodes,
+        };
+        let nnz = vals.len();
+        Self::over(Arc::new(structure), vals, nnz)
+    }
+
+    fn over(structure: Arc<CouplingStructure>, vals: Vec<f64>, nnz: usize) -> Arc<Self> {
+        let (plan, transposed) = (OnceLock::new(), OnceLock::new());
+        Arc::new(FrozenCoupling {
+            structure,
+            vals,
+            nnz,
+            plan,
+            transposed,
+        })
+    }
+
+    /// The shared structure — the identity a memory accounting counts it
+    /// by, and that snapshots hold in common across value-only batches.
+    pub fn structure(&self) -> &Arc<CouplingStructure> {
+        &self.structure
+    }
+
+    /// Number of live (nonzero) cross-shard entries.
+    pub fn nnz(&self) -> usize {
+        self.nnz
+    }
+
+    /// Every slot in global coordinates, row-major with ascending columns —
+    /// zero slots included.
+    pub fn entries(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        let s = &*self.structure;
+        (0..s.layout.rows.len()).flat_map(move |g| {
+            s.row(g)
+                .map(move |e| (g, s.nodes[e] as usize, self.vals[e]))
+        })
+    }
+
+    /// Resident bytes of the parts of this coupling not yet in `seen` —
+    /// its values, its plan and transposed half once solves built them,
+    /// its structure and the structure's layout — each shared part counted
+    /// once, by [`Arc`] identity, for the engine's memory accounting.
+    pub(crate) fn resident_bytes(self: &Arc<Self>, seen: &mut HashSet<*const ()>) -> usize {
+        use std::mem::size_of;
+        if !seen.insert(Arc::as_ptr(self).cast()) {
+            return 0;
+        }
+        let mut bytes = self.vals.len() * size_of::<f64>()
+            + self.plan.get().map_or(0, CouplingPlan::approx_bytes)
+            + self.transposed.get().map_or(0, |t| t.resident_bytes(seen));
+        let (s, layout) = (&self.structure, &self.structure.layout);
+        if seen.insert(Arc::as_ptr(s).cast()) {
+            bytes += s.row_ptr.len() * size_of::<usize>() + 2 * s.cols.len() * size_of::<u32>();
+        }
+        if seen.insert(Arc::as_ptr(layout).cast()) {
+            bytes += (layout.orderings.len() + layout.offsets.len()) * size_of::<usize>()
+                + 3 * layout.rows.len() * size_of::<u32>();
+        }
+        bytes
+    }
+
+    /// The plan over `partition`, built by the first call.  Callers pass
+    /// the partition and blocks the coupling was laid out for — a
+    /// repartition or a moved ordering lays out a new coupling.
+    pub(crate) fn plan(
+        &self,
+        partition: &NodePartition,
+        shards: &[ShardSnapshot],
+    ) -> &CouplingPlan {
+        debug_assert!(
+            self.structure
+                .layout
+                .orderings
+                .iter()
+                .zip(shards)
+                .all(|(o, shard)| Arc::ptr_eq(o, &shard.decomposed().ordering)),
+            "a shard's ordering moved without a re-lay of the coupling"
+        );
+        self.plan.get_or_init(|| {
+            let (gs_order, triangular) = gauss_seidel_order(partition, self);
+            CouplingPlan {
+                gs_order,
+                triangular,
+            }
+        })
+    }
+
+    /// The plan if a solve has built it; never builds one.
+    #[cfg(test)]
+    pub(crate) fn built_plan(&self) -> Option<&CouplingPlan> {
+        self.plan.get()
+    }
+
+    /// The half of `system` — this coupling, or for the transpose `Cᵀ`
+    /// under swapped position maps, which the first call builds over
+    /// `partition`.
+    pub(crate) fn half(&self, system: System, partition: &NodePartition) -> Half<'_> {
+        let c = match system {
+            System::Forward => self,
+            System::Transposed => self.transposed.get_or_init(|| self.transpose(partition)),
+        };
+        let (s, layout) = (&*c.structure, &*c.structure.layout);
+        Half {
+            offsets: &layout.offsets,
+            rhs_pos: &layout.rhs_pos,
+            x_pos: &layout.x_pos,
+            row_ptr: &s.row_ptr,
+            cols: &s.cols,
+            vals: &c.vals,
+        }
+    }
+
+    /// `Cᵀ` laid out under the swapped orderings — row `j` at layout row
+    /// `x_pos[j]`, column `i` at position `rhs_pos[i]` — zero slots dropped.
+    fn transpose(&self, partition: &NodePartition) -> Arc<Self> {
+        let s = &*self.structure;
+        let n = s.layout.rows.len();
+        let mut row_ptr = vec![0];
+        for g in 0..n {
+            row_ptr.push(row_ptr[g] + s.row(g).len());
+        }
+        let (cols, vals) = self.entries().map(|(_, j, v)| (j, v)).unzip();
+        let ct = CsrMatrix::from_raw_parts(n, n, row_ptr, cols, vals).transpose();
+        Self::new(partition, s.layout.orderings.clone(), &ct, true)
+    }
+}
+
+/// What a coupled solve derives from one snapshot's coupling values — a
+/// pure function of (partition, coupling), so where and when it is built
+/// changes no bit of any answer.
+#[derive(Debug)]
+pub struct CouplingPlan {
+    /// Shard traversal order of the block Gauss–Seidel pass,
+    /// least-dependent shard first.
+    gs_order: Vec<usize>,
+    /// Whether the shard dependency digraph is acyclic and `gs_order` is a
+    /// topological order of it — block triangular form.  When set, one
+    /// block pass in `gs_order` is the *exact* solve (every coupling entry a
+    /// shard reads was updated earlier in the same pass), so the solve
+    /// returns after a single pass.
+    triangular: bool,
+}
+
+impl CouplingPlan {
     /// The shard traversal order of the block Gauss–Seidel pass.
     pub fn gs_order(&self) -> &[usize] {
         &self.gs_order
@@ -253,19 +511,10 @@ impl CouplingPlan {
         self.triangular
     }
 
-    /// Resident size in bytes — the order, the layout maps and the
-    /// re-indexed coupling, the transposed half's once a solve built it —
-    /// for the engine's snapshot-ring memory accounting.
+    /// Resident size in bytes of the order, for the engine's snapshot-ring
+    /// memory accounting.
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.gs_order.len() + self.orderings.len() + self.offsets.len()) * size_of::<usize>()
-            + self.forward.approx_bytes()
-            + self.transposed.get().map_or(0, Half::approx_bytes)
-    }
-
-    /// Shard `s`'s segment of the layout.
-    pub(crate) fn segment(&self, s: usize) -> Range<usize> {
-        self.offsets[s]..self.offsets[s + 1]
+        self.gs_order.len() * std::mem::size_of::<usize>()
     }
 
     /// The shard a pass of `system` visits `k`-th.
@@ -276,17 +525,6 @@ impl CouplingPlan {
             System::Transposed => self.gs_order[self.gs_order.len() - 1 - k],
         }
     }
-
-    /// The half of `system`; the first call for the transpose builds it.
-    pub(crate) fn half(&self, system: System) -> &Half {
-        let Half { rhs_pos, x_pos, .. } = &self.forward;
-        match system {
-            System::Forward => &self.forward,
-            System::Transposed => self.transposed.get_or_init(|| {
-                Half::new(&self.matrix.transpose(), x_pos.clone(), rhs_pos.clone())
-            }),
-        }
-    }
 }
 
 /// Derives the Gauss–Seidel shard traversal order from the coupling's
@@ -295,14 +533,14 @@ impl CouplingPlan {
 /// block-triangular case — one pass in that order is the exact solve), else
 /// the greedy least-pending-weight order of [`greedy_order_from_weights`].
 ///
-/// Triangularity is detected from the *actual* frozen coupling, so it never
+/// Triangularity is detected from the *actual* coupling values, so it never
 /// depends on where the partition came from: a BTF partition gets its
 /// one-pass guarantee verified here, and any partition whose
 /// cross-structure happens to be acyclic gets the same direct solve for
-/// free.
+/// free.  A zero slot weighs nothing, so it is never a dependency.
 pub(super) fn gauss_seidel_order(
     partition: &NodePartition,
-    coupling: &CsrMatrix,
+    coupling: &FrozenCoupling,
 ) -> (Vec<usize>, bool) {
     let k = partition.n_shards();
     if k <= 1 || coupling.nnz() == 0 {
@@ -321,18 +559,18 @@ pub(super) fn gauss_seidel_order(
 /// coupling holds cross-shard entries only, so the diagonal stays zero (and
 /// neither order below reads it).
 ///
-/// Accumulated in the CSR's row-major order — one `shard_of` per row, one
-/// per entry — so the sums, and with them the order and the triangularity
-/// verdict, are a bit-identical function of (partition, coupling) that
-/// recovery reproduces.
-fn shard_dependency_weights(k: usize, partition: &NodePartition, coupling: &CsrMatrix) -> Vec<f64> {
+/// Accumulated in global row-major order, so the sums, and with them the
+/// order and the triangularity verdict, are a bit-identical function of
+/// (partition, live entries) that recovery reproduces: a zero slot adds
+/// `+0.0` to a sum of absolute values, which leaves it as it was.
+fn shard_dependency_weights(
+    k: usize,
+    partition: &NodePartition,
+    coupling: &FrozenCoupling,
+) -> Vec<f64> {
     let mut w = vec![0.0f64; k * k];
-    for i in 0..coupling.n_rows() {
-        let (cols, vals) = coupling.row(i);
-        let reads = &mut w[partition.shard_of(i) * k..][..k];
-        for (&j, v) in cols.iter().zip(vals) {
-            reads[partition.shard_of(j)] += v.abs();
-        }
+    for (i, j, v) in coupling.entries() {
+        w[partition.shard_of(i) * k + partition.shard_of(j)] += v.abs();
     }
     w
 }
@@ -402,7 +640,7 @@ mod tests {
     /// Two interleaved shards of three nodes, shard 0 under a row order
     /// other than its column order, every coupling entry a dyadic value so
     /// that every sum below is exact.
-    fn plan() -> (NodePartition, CsrMatrix, CouplingPlan) {
+    fn coupling() -> (NodePartition, CsrMatrix, Arc<FrozenCoupling>) {
         let partition = NodePartition::from_assignments(vec![0, 1, 0, 1, 1, 0]);
         let perm = |p: Vec<usize>| Permutation::from_new_to_old(p).unwrap();
         let orderings = vec![
@@ -421,87 +659,152 @@ mod tests {
         ] {
             coo.push(i, j, v).unwrap();
         }
-        let coupling = CsrMatrix::from_coo(&coo);
-        let plan = CouplingPlan::build(&partition, &Arc::new(coupling.clone()), orderings);
-        (partition, coupling, plan)
+        let matrix = CsrMatrix::from_coo(&coo);
+        let coupling = FrozenCoupling::new(&partition, orderings, &matrix, false);
+        (partition, matrix, coupling)
     }
 
     #[test]
     fn the_layout_is_each_shard_in_its_factored_order() {
-        let (partition, _, plan) = plan();
-        assert_eq!((plan.segment(0), plan.segment(1)), (0..3, 3..6));
+        let (partition, _, coupling) = coupling();
+        let forward = coupling.half(System::Forward, &partition);
+        assert_eq!((forward.segment(0), forward.segment(1)), (0..3, 3..6));
         // Shard 0 holds nodes [0, 2, 5]: its right-hand sides sit in row
         // order [5, 0, 2], its solutions in column order [2, 5, 0]; shard 1
         // holds [1, 3, 4] in the order [3, 4, 1] for both.
         let b: Vec<f64> = (0..6).map(|g| g as f64).collect();
         let mut laid = vec![f64::NAN; 6];
-        plan.forward.permute_rhs(&b, &mut laid);
+        forward.permute_rhs(&b, &mut laid);
         assert_eq!(laid, vec![5.0, 0.0, 2.0, 3.0, 4.0, 1.0]);
         let mut x = vec![f64::NAN; 6];
-        plan.forward
-            .recover_solution(&[2.0, 5.0, 0.0, 3.0, 4.0, 1.0], &mut x);
+        forward.recover_solution(&[2.0, 5.0, 0.0, 3.0, 4.0, 1.0], &mut x);
         assert_eq!(x, b);
         // The transpose swaps the two maps.
-        plan.half(System::Transposed).permute_rhs(&b, &mut laid);
+        let transposed = coupling.half(System::Transposed, &partition);
+        transposed.permute_rhs(&b, &mut laid);
         assert_eq!(laid, vec![2.0, 5.0, 0.0, 3.0, 4.0, 1.0]);
-        plan.half(System::Transposed)
-            .recover_solution(&[5.0, 0.0, 2.0, 3.0, 4.0, 1.0], &mut x);
+        transposed.recover_solution(&[5.0, 0.0, 2.0, 3.0, 4.0, 1.0], &mut x);
         assert_eq!(x, b);
-        assert_eq!(plan.forward.x_pos, [2, 5, 0, 3, 4, 1]);
+        let s = &coupling.structure().layout;
+        assert_eq!(s.x_pos, [2, 5, 0, 3, 4, 1]);
         for g in 0..6 {
-            let s = partition.shard_of(g);
-            assert!(plan
-                .segment(s)
-                .contains(&(plan.forward.rhs_pos[g] as usize)));
-            assert!(plan.segment(s).contains(&(plan.forward.x_pos[g] as usize)));
+            let seg = forward.segment(partition.shard_of(g));
+            assert!(seg.contains(&(s.rhs_pos[g] as usize)));
+            assert!(seg.contains(&(s.x_pos[g] as usize)));
         }
+    }
+
+    /// `C·x` through `half` in the layout, read back in global order.
+    fn laid_product(half: Half<'_>, x: &[f64]) -> Vec<f64> {
+        let mut laid_x = vec![0.0; x.len()];
+        for (g, &p) in half.x_pos.iter().enumerate() {
+            laid_x[p as usize] = x[g];
+        }
+        let laid: Vec<f64> = (0..x.len())
+            .map(|p| half.coupling_dot(p, &laid_x))
+            .collect();
+        half.rhs_pos.iter().map(|&p| laid[p as usize]).collect()
     }
 
     #[test]
     fn the_reindexed_coupling_is_the_coupling() {
-        let (_, coupling, plan) = plan();
+        let (partition, matrix, coupling) = coupling();
         let x: Vec<f64> = (0..6).map(|g| 1.0 + g as f64).collect();
-        let mut laid_x = vec![0.0; 6];
-        for (g, &p) in plan.forward.x_pos.iter().enumerate() {
-            laid_x[p as usize] = x[g];
-        }
-        let cx = coupling.mul_vec(&x).unwrap();
-        let laid_cx: Vec<f64> = (0..6)
-            .map(|p| plan.forward.coupling_dot(p, &laid_x))
-            .collect();
-        let mut expected = vec![0.0; 6];
-        plan.forward.permute_rhs(&cx, &mut expected);
-        assert_eq!(laid_cx, expected);
-        assert_eq!(plan.forward.cols.len(), coupling.nnz());
-        assert!(
-            plan.transposed.get().is_none(),
-            "building the plan builds no transpose"
+        let cx = matrix.mul_vec(&x).unwrap();
+        assert_eq!(
+            laid_product(coupling.half(System::Forward, &partition), &x),
+            cx
         );
+        assert_eq!(
+            coupling.entries().collect::<Vec<_>>(),
+            matrix.iter().collect::<Vec<_>>()
+        );
+        assert_eq!((coupling.nnz(), coupling.structure().slots()), (7, 7));
+        assert!(
+            coupling.transposed.get().is_none() && coupling.built_plan().is_none(),
+            "laying the coupling out builds neither order nor transpose"
+        );
+        // Value-only writes share the structure, and a zeroed entry stays a
+        // slot that no product, order or transpose notices.
+        let mut writes = vec![(4, 2, 0.0), (0, 1, -0.75)];
+        let written = coupling.written(&mut writes);
+        assert!(Arc::ptr_eq(coupling.structure(), written.structure()));
+        assert_eq!((written.nnz(), written.structure().slots()), (6, 7));
+        let mut coo = CooMatrix::new(6, 6);
+        for (i, j, v) in matrix.iter().filter(|&(i, j, _)| (i, j) != (4, 2)) {
+            coo.push(i, j, if (i, j) == (0, 1) { -0.75 } else { v })
+                .unwrap();
+        }
+        let live = CsrMatrix::from_coo(&coo);
+        assert_eq!(
+            laid_product(written.half(System::Forward, &partition), &x),
+            live.mul_vec(&x).unwrap()
+        );
+        assert_eq!(written.half(System::Transposed, &partition).vals.len(), 6);
+        // A new position merges into a structure of its own, zero slots gone.
+        let mut writes = vec![(5, 1, -0.5), (4, 2, -1.5)];
+        let merged = written.written(&mut writes);
+        assert!(!Arc::ptr_eq(written.structure(), merged.structure()));
+        assert_eq!((merged.nnz(), merged.structure().slots()), (8, 8));
+        coo.push(5, 1, -0.5).unwrap();
+        coo.push(4, 2, -1.5).unwrap();
+        let expected = CsrMatrix::from_coo(&coo);
+        assert_eq!(
+            merged.entries().collect::<Vec<_>>(),
+            expected.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            laid_product(merged.half(System::Forward, &partition), &x),
+            expected.mul_vec(&x).unwrap()
+        );
+        // Without zero slots the merge is one pass over the same layout.
+        let direct = coupling.written(&mut [(5, 1, -0.5)]);
+        assert!(Arc::ptr_eq(
+            &coupling.structure().layout,
+            &direct.structure().layout
+        ));
+        assert_eq!(direct.entries().count(), 8);
+        assert!(direct
+            .entries()
+            .all(|(i, j, v)| v == matrix.get(i, j) || (i, j) == (5, 1)));
+        // Memory: a value-only write adds its values, a merge its values
+        // and pattern over the layout it shares.
+        let mut seen = HashSet::new();
+        coupling.resident_bytes(&mut seen);
+        let rewritten = coupling.written(&mut [(0, 1, -0.75)]);
+        assert_eq!(rewritten.resident_bytes(&mut seen), 7 * 8);
+        assert_eq!(direct.resident_bytes(&mut seen), 8 * 8 + 7 * 8 + 8 * 8);
+        assert_eq!(direct.resident_bytes(&mut seen), 0);
     }
 
     #[test]
     fn the_transposed_half_is_the_transposed_coupling() {
-        let (_, coupling, plan) = plan();
-        let forward_bytes = plan.approx_bytes();
-        let y: Vec<f64> = (0..6).map(|g| 1.0 + g as f64).collect();
-        // The transpose's solution entries sit at the forward right-hand
-        // side positions.
-        let mut laid_y = vec![0.0; 6];
-        for (g, &p) in plan.forward.rhs_pos.iter().enumerate() {
-            laid_y[p as usize] = y[g];
-        }
-        let cty = coupling.mul_vec_transposed(&y).unwrap();
-        let half = plan.half(System::Transposed);
-        let laid_cty: Vec<f64> = (0..6).map(|p| half.coupling_dot(p, &laid_y)).collect();
-        let mut expected = vec![0.0; 6];
-        half.permute_rhs(&cty, &mut expected);
-        assert_eq!(laid_cty, expected);
-        // Built once, counted once.
-        assert!(plan.transposed.get().is_some());
+        let (partition, matrix, coupling) = coupling();
+        let shards: Vec<ShardSnapshot> = Vec::new();
+        let plan_bytes = coupling.plan(&partition, &shards).approx_bytes();
+        let (word, layout) = (8, 5 * 8 + 3 * 6 * 4);
+        let bytes = |c: &Arc<FrozenCoupling>| c.resident_bytes(&mut HashSet::new());
+        assert_eq!(plan_bytes, 2 * word);
         assert_eq!(
-            plan.approx_bytes() - forward_bytes,
-            plan.forward.approx_bytes()
+            bytes(&coupling),
+            7 * 8 + plan_bytes + 7 * word + 7 * 8 + layout
         );
+        let y: Vec<f64> = (0..6).map(|g| 1.0 + g as f64).collect();
+        let cty = matrix.mul_vec_transposed(&y).unwrap();
+        assert_eq!(
+            laid_product(coupling.half(System::Transposed, &partition), &y),
+            cty
+        );
+        // Built once, counted once: its values, structure and layout.
+        let t = coupling.transposed.get().unwrap();
+        assert_eq!(t.structure().slots(), 7);
+        let transposed_bytes = 7 * 8 + 7 * word + 7 * 8 + layout;
+        assert_eq!(bytes(t), transposed_bytes);
+        assert_eq!(
+            bytes(&coupling),
+            7 * 8 + plan_bytes + 7 * word + 7 * 8 + layout + transposed_bytes
+        );
+        let plan = coupling.built_plan().unwrap();
         assert_eq!(
             (0..2)
                 .map(|k| plan.shard_at(System::Transposed, k))

@@ -605,11 +605,12 @@ impl CludeEngine {
     /// ([`EngineStats::from_registry`]), completed with the
     /// snapshot-ring occupancy: ring depth and the approximate resident
     /// factor bytes across the ring, counting every shared factor block,
-    /// factor structure and frozen coupling — with its plan, once a solve
-    /// has built it — exactly once (deduplicated by
+    /// factor structure, coupling value array and coupling structure — a
+    /// coupling's plan and transposed half once a solve has built them —
+    /// exactly once (deduplicated by
     /// [`Arc`] identity — this is where the copy-on-write sharing becomes
-    /// visible as memory: a block republished over an unmoved pattern adds
-    /// its values, not a second copy of the structure).
+    /// visible as memory: a block or coupling republished over an unmoved
+    /// pattern adds its values, not a second copy of the structure).
     pub fn stats(&self) -> EngineStats {
         let mut stats = EngineStats::from_registry(&self.telemetry);
         let ring = self.ring.read().recover();
@@ -628,22 +629,14 @@ impl CludeEngine {
                     }
                 }
             }
-            let coupling = snapshot.shared_coupling();
-            if seen.insert(Arc::as_ptr(coupling).cast()) {
-                // CSR: ~16 bytes per entry (column + value) plus row offsets,
-                // once however many re-frozen couplings share it.
-                let csr = coupling.shared_matrix();
-                if seen.insert(Arc::as_ptr(csr).cast()) {
-                    bytes += (csr.nnz() * 16 + (csr.n_rows() + 1) * 8) as u64;
-                }
-                // Its plan only once a solve built it: counting never builds.
-                bytes += coupling.built_plan().map_or(0, |p| p.approx_bytes()) as u64;
-            }
+            // Its plan and transposed half only once a solve built them:
+            // counting never builds.
+            bytes += snapshot.shared_coupling().resident_bytes(&mut seen) as u64;
         }
         stats.resident_factor_bytes = bytes;
         // How dense the newest snapshot's coupling is.
         let newest = ring.back().expect("ring is never empty");
-        stats.coupling_nnz = newest.coupling().nnz() as u64;
+        stats.coupling_nnz = newest.coupling_nnz() as u64;
         drop(ring);
         // Fold the occupancy numbers back into the telemetry gauges so the
         // exposition and the stats report agree on a sampling instant.
@@ -891,18 +884,20 @@ mod tests {
         assert_eq!(after - before, plan.approx_bytes() as u64);
         assert!(ring[0].shared_coupling().built_plan().is_none());
         // Forward solves build no transposed half; the first hitting-time
-        // query builds it in the same plan, counted once with it.
+        // query builds it in the same coupling, counted once with it.
         engine
             .query(&MeasureQuery::Rwr {
                 seed: 3,
                 damping: 0.85,
             })
             .unwrap();
-        let forward_bytes = plan.approx_bytes() as u64;
+        let coupling = ring[2].shared_coupling();
+        let own = || coupling.resident_bytes(&mut HashSet::new()) as u64;
+        let forward_bytes = own();
         assert_eq!(
-            after - before,
-            forward_bytes,
-            "a forward solve grew the plan"
+            engine.stats().resident_factor_bytes,
+            after,
+            "a forward solve grew the coupling"
         );
         engine
             .query(&MeasureQuery::HittingTime {
@@ -911,8 +906,41 @@ mod tests {
             })
             .unwrap();
         let transposed = engine.stats().resident_factor_bytes;
-        assert!(plan.approx_bytes() as u64 > forward_bytes);
-        assert_eq!(transposed - before, plan.approx_bytes() as u64);
+        assert!(own() > forward_bytes);
+        assert_eq!(transposed - after, own() - forward_bytes);
+    }
+
+    #[test]
+    fn a_value_only_coupling_batch_adds_one_value_array() {
+        // Contiguous shards {0..3}, {4..7}, {8..11} of the ring: node 3's
+        // out-links 3 -> 4 and 3 -> 8 both cross, so inserting and removing
+        // 3 -> 8 writes the coupling alone — the removal onto slots it has,
+        // leaving (8, 3) behind as a zero slot.
+        let partition = NodePartition::contiguous(12, 3);
+        let engine = CludeEngine::with_partition(ring_graph(12), small_config(1), partition)
+            .expect("12 nodes, 3 shards");
+        engine.insert_edge(3, 8).unwrap();
+        let before = engine.stats().resident_factor_bytes;
+        engine.remove_edge(3, 8).unwrap();
+        let after = engine.stats().resident_factor_bytes;
+        let ring: Vec<_> = engine.ring.read().unwrap().iter().cloned().collect();
+        let (was, now) = (&ring[1], &ring[2]);
+        for (a, b) in was.shards().iter().zip(now.shards()) {
+            assert!(Arc::ptr_eq(a.shared(), b.shared()));
+        }
+        let (was, now) = (was.shared_coupling(), now.shared_coupling());
+        assert!(!Arc::ptr_eq(was, now));
+        assert!(Arc::ptr_eq(was.structure(), now.structure()));
+        assert_eq!(now.structure().slots(), now.nnz() + 1);
+        let values = now.structure().slots() * std::mem::size_of::<f64>();
+        let mut seen = HashSet::new();
+        was.resident_bytes(&mut seen);
+        assert_eq!(now.resident_bytes(&mut seen), values);
+        assert_eq!(
+            after - before,
+            values as u64,
+            "the structure was counted twice"
+        );
     }
 
     /// Dense elimination on the hitting-time system of `graph`: `(I − d·P̃)`
@@ -1004,7 +1032,7 @@ mod tests {
                         check(&query(None, target), &shadow, target);
                         check(&query(None, 9), &shadow, 9);
                         let snapshot = engine.handle.load();
-                        if snapshot.coupling().nnz() > 0 {
+                        if snapshot.coupling_nnz() > 0 {
                             shapes.insert(snapshot.coupling_plan().is_triangular());
                         }
                         // One batch later, the past snapshot still answers
@@ -1051,7 +1079,7 @@ mod tests {
                 assert_eq!(engine.n_shards(), k, "{case}");
 
                 let snapshot = engine.handle.load();
-                let coupled = snapshot.coupling().nnz() > 0;
+                let coupled = snapshot.coupling_nnz() > 0;
                 assert_eq!(coupled, ring && k > 1, "{case}");
                 if !coupled {
                     let plan = snapshot.coupling_plan();
@@ -1106,7 +1134,7 @@ mod tests {
                     }
                 }
                 // A coupled solve planned in the snapshot's own cell.
-                if snapshot.coupling().nnz() > 0 {
+                if snapshot.coupling_nnz() > 0 {
                     assert!(snapshot.shared_coupling().built_plan().is_some(), "{case}");
                 }
             }

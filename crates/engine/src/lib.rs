@@ -61,10 +61,11 @@
 //!   it holds no graph — hitting time, too, is answered through the factors.
 //! * [`coupling`] is the one solver of coupled (sharded) queries:
 //!   restarted GMRES preconditioned by the block Gauss–Seidel pass in a
-//!   dependency-derived shard order, over vectors laid out in the shards'
-//!   factored order ([`coupling::CouplingPlan`], built by the first coupled
-//!   solve over each [`coupling::FrozenCoupling`]; one pass is exact on
-//!   block-triangular coupling), every answer accepted by
+//!   dependency-derived shard order ([`coupling::CouplingPlan`], built by
+//!   the first coupled solve over each [`coupling::FrozenCoupling`]; one
+//!   pass is exact on block-triangular coupling), over vectors laid out in
+//!   the shards' factored order (the [`coupling::CouplingStructure`]
+//!   value-only batches share), every answer accepted by
 //!   a real pass under a configurable [`coupling::SolveTolerance`], with
 //!   adaptive re-partitioning when the coupling outgrows its budget.
 //! * [`query::QueryService`] answers typed

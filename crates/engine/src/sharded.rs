@@ -24,14 +24,16 @@
 //! coordinates), which one maintenance decision per shard absorbs by the
 //! cheapest exact arm ([`MaintenanceArm`]), a cross-shard entry is a plain
 //! value write into the coupling — it never touches any factors.  The
-//! frozen coupling CSR snapshots serve from *is* the state: a batch's writes
-//! are merged into the previous one in a single pass
-//! ([`CsrMatrix::merge_writes`]).  Because the
-//! per-shard entry lists are disjoint, shards with pending work apply their
-//! updates **in parallel** across scoped threads, each with its own scratch.
+//! frozen coupling snapshots serve from *is* the state, CLUDE's shared
+//! structure over per-snapshot values: a batch whose writes land on stored
+//! positions copies one value array and writes them by position, and only
+//! a new position merges into a new structure ([`FrozenCoupling`]).
+//! Because the per-shard entry lists are disjoint, shards with pending work
+//! apply their updates **in parallel** across scoped threads, each with its
+//! own scratch.
 //!
 //! Queries recombine exactly: snapshots expose the per-shard factors plus a
-//! frozen coupling matrix, and the block Gauss–Seidel pass over them
+//! frozen coupling, and the block Gauss–Seidel pass over them
 //! ([`crate::coupling`]) contracts for the engine's diagonally dominant
 //! M-matrices, so the Krylov iteration it preconditions matches a dense
 //! solve of the snapshot's measure matrix — and the one-shard store — to
@@ -51,7 +53,7 @@ use clude_graph::{
     MatrixKind, NodePartition,
 };
 use clude_lu::{cost, extend_structure, factorize_fresh, BennettStats, LuError};
-use clude_sparse::CsrMatrix;
+use clude_sparse::Ordering;
 use clude_telemetry::{EngineEvent, Stage, TelemetryRegistry};
 use std::sync::Arc;
 
@@ -94,18 +96,23 @@ fn build_shard(
     Ok(order_and_factorize(&matrix, id)?)
 }
 
-/// The cross-shard entries of the measure matrix over `partition`, as the
-/// store holds them: [`coupling_matrix`] with exact zeros dropped (a zero
-/// damping composes them), the same entry set batch after batch of merged
-/// writes arrives at.
-fn cross_shard_coupling(graph: &DiGraph, kind: MatrixKind, partition: &NodePartition) -> CsrMatrix {
-    let coupling = coupling_matrix(graph, kind, partition);
-    let zeros: Vec<(usize, usize, f64)> = coupling.iter().filter(|e| e.2 == 0.0).collect();
-    if zeros.is_empty() {
-        coupling
-    } else {
-        coupling.merge_writes(&zeros)
-    }
+/// The cross-shard entries of the measure matrix over `partition`, laid
+/// out under the orderings of `shards`: [`coupling_matrix`] with exact zeros
+/// dropped (a zero damping composes them), the live entry set batch after
+/// batch of writes arrives at.
+fn cross_shard_coupling(
+    graph: &DiGraph,
+    kind: MatrixKind,
+    partition: &NodePartition,
+    shards: &[OrderedFactors],
+) -> Arc<FrozenCoupling> {
+    let matrix = coupling_matrix(graph, kind, partition);
+    FrozenCoupling::new(partition, orderings(shards), &matrix, false)
+}
+
+/// The shards' orderings, by shard: what the coupling's layout follows.
+fn orderings(shards: &[OrderedFactors]) -> Vec<Arc<Ordering>> {
+    shards.iter().map(|s| Arc::clone(&s.ordering)).collect()
 }
 
 /// Per-shard slice of a [`ShardedAdvanceReport`].
@@ -170,7 +177,7 @@ pub struct ShardedAdvanceReport {
     /// pointer-shared with the previous one (copy-on-write ring).
     pub shards_republished: u64,
     /// Whether the coupling was frozen anew — a cross-shard entry changed, or
-    /// a shard's ordering did, which the coupled solve's plan follows;
+    /// a shard's ordering did, which the coupling's layout follows;
     /// `false` shares the previous snapshot's coupling and its plan.
     pub coupling_republished: bool,
     /// Whether this batch crossed the coupling budget and re-ran the
@@ -197,11 +204,12 @@ pub struct ShardedFactorStore {
     /// How repartitions derive the replacement partition.
     partition_strategy: PartitionStrategy,
     snapshot_id: u64,
-    /// The cross-shard entries of the measure matrix, global coordinates, no
-    /// stored zeros: the state itself, in the frozen form snapshots share.
-    /// Replaced — the batch's writes merged into the previous CSR — only by
-    /// batches that wrote a cross-shard entry (or re-partitioned), and
-    /// re-frozen over the same CSR by batches that moved a shard's ordering;
+    /// The cross-shard entries of the measure matrix laid out under the
+    /// shards' orderings: the state itself, in the frozen form snapshots
+    /// share.  Replaced only by batches that wrote a cross-shard entry —
+    /// new values over the same structure when every write has a slot, a
+    /// merged structure without zero slots when one does not — and laid out
+    /// anew by batches that moved a shard's ordering or re-partitioned;
     /// each time with an empty plan cell: the store never plans, coupled
     /// solves do.
     published_coupling: Arc<FrozenCoupling>,
@@ -245,8 +253,7 @@ impl ShardedFactorStore {
         let shards: Vec<OrderedFactors> = (0..partition.n_shards())
             .map(|s| build_shard(&graph, kind, &partition, s, 0))
             .collect::<EngineResult<_>>()?;
-        let published_coupling =
-            FrozenCoupling::new(cross_shard_coupling(&graph, kind, &partition));
+        let published_coupling = cross_shard_coupling(&graph, kind, &partition, &shards);
         let coupling_cfg = CouplingConfig::default();
         Ok(ShardedFactorStore {
             kind,
@@ -354,8 +361,7 @@ impl ShardedFactorStore {
                 ))
             })
             .collect::<EngineResult<Vec<_>>>()?;
-        let published_coupling =
-            FrozenCoupling::new(cross_shard_coupling(&graph, kind, &partition));
+        let published_coupling = cross_shard_coupling(&graph, kind, &partition, &shards);
         Ok(ShardedFactorStore {
             kind,
             policy,
@@ -433,9 +439,9 @@ impl ShardedFactorStore {
         self.shards.iter().map(|s| s.factors().nnz()).sum()
     }
 
-    /// Number of live cross-shard coupling entries.
+    /// Number of live (nonzero) cross-shard coupling entries.
     pub fn coupling_nnz(&self) -> usize {
-        self.published_coupling.matrix().nnz()
+        self.published_coupling.nnz()
     }
 
     /// Worst per-shard quality-loss against the shards' last refreshes.
@@ -648,20 +654,22 @@ impl ShardedFactorStore {
         }
         // Copy-on-write like the factor blocks: the coupling re-freezes only
         // when a cross-shard entry changed, when a shard's ordering moved —
-        // the plan's layout follows every ordering — or when the store
+        // the layout follows every ordering — or when the store
         // re-partitions, below; every other batch keeps sharing the previous
         // snapshots' coupling, and with it their plan.  Every affected source
         // owns its own matrix column (or row), so the writes name distinct
         // positions.
-        if !coupling_writes.is_empty() {
+        if !coupling_writes.is_empty() || ordering_moved {
             let freeze = self.telemetry.span(Stage::SnapshotFreeze);
-            coupling_writes.sort_unstable_by_key(|&(r, c, _)| (r, c));
-            let coupling = self.published_coupling.matrix();
-            self.published_coupling = FrozenCoupling::new(coupling.merge_writes(&coupling_writes));
+            let mut coupling = Arc::clone(&self.published_coupling);
+            if !coupling_writes.is_empty() {
+                coupling = coupling.written(&mut coupling_writes);
+            }
+            if ordering_moved {
+                coupling = coupling.reordered(&self.partition, orderings(&self.shards));
+            }
+            self.published_coupling = coupling;
             freeze.stop();
-            report.coupling_republished = true;
-        } else if ordering_moved {
-            self.published_coupling = self.published_coupling.refrozen();
             report.coupling_republished = true;
         }
 
@@ -792,7 +800,7 @@ impl ShardedFactorStore {
     /// Re-runs the partition strategy on the current graph and rebuilds the
     /// store around it: fresh shards — orderings, factorizations, held
     /// matrices and scratch — every block replaced, the coupling re-collected and
-    /// frozen with an empty plan cell (no plan outlives its partition).  The
+    /// laid out with an empty plan cell (no plan outlives its partition).  The
     /// next trigger backs off to `max(budget, 2 × surviving coupling size)`
     /// so repeated triggers on a genuinely dense graph stay amortized.
     ///
@@ -809,8 +817,7 @@ impl ShardedFactorStore {
             .map(|s| build_shard(&self.graph, self.kind, &partition, s, self.snapshot_id))
             .collect::<EngineResult<_>>()?;
         let freeze = self.telemetry.span(Stage::SnapshotFreeze);
-        self.published_coupling =
-            FrozenCoupling::new(cross_shard_coupling(&self.graph, self.kind, &partition));
+        self.published_coupling = cross_shard_coupling(&self.graph, self.kind, &partition, &shards);
         freeze.stop();
         self.partition = partition;
         self.shards = shards;
@@ -842,10 +849,10 @@ impl ShardedFactorStore {
                     .unwrap();
             }
         }
-        for (i, j, v) in self.published_coupling.matrix().iter() {
+        for (i, j, v) in self.published_coupling.entries() {
             coo.push(i, j, v).unwrap();
         }
-        let reassembled = CsrMatrix::from_coo(&coo);
+        let reassembled = clude_sparse::CsrMatrix::from_coo(&coo);
         let diff = reassembled.max_abs_diff(&full).unwrap();
         assert!(diff <= tol, "sharded state drifted from A: {diff:e}");
     }
@@ -854,9 +861,10 @@ impl ShardedFactorStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coupling::{CouplingPlan, SolveTolerance};
+    use crate::coupling::SolveTolerance;
     use crate::store::{dense_answer, static_factors};
     use clude_measures::{MeasureQuery, MeasureSolver};
+    use clude_sparse::CsrMatrix;
 
     fn base_graph(n: usize) -> DiGraph {
         let mut g = DiGraph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
@@ -865,15 +873,23 @@ mod tests {
         g
     }
 
-    /// The plan a solve over the store's current blocks and `coupling`
-    /// builds.
-    fn plan_over(store: &ShardedFactorStore, coupling: &CsrMatrix) -> CouplingPlan {
-        let orderings = store.shards.iter().map(|s| Arc::clone(&s.ordering));
-        CouplingPlan::build(
-            store.partition(),
-            &Arc::new(coupling.clone()),
-            orderings.collect(),
-        )
+    /// The order and verdict a solve over the store's current blocks and a
+    /// fresh layout of `coupling` plans.
+    fn plan_over(store: &ShardedFactorStore, coupling: &CsrMatrix) -> (Vec<usize>, bool) {
+        let partition = store.partition();
+        let fresh = FrozenCoupling::new(partition, orderings(&store.shards), coupling, false);
+        let plan = fresh.plan(partition, &[]);
+        (plan.gs_order().to_vec(), plan.is_triangular())
+    }
+
+    /// The live (nonzero) entries of `coupling`, global coordinates,
+    /// row-major: what the coupling holds with its zero slots dropped.
+    fn live_entries(n: usize, coupling: &FrozenCoupling) -> CsrMatrix {
+        let mut coo = clude_sparse::CooMatrix::new(n, n);
+        for (i, j, v) in coupling.entries().filter(|e| e.2 != 0.0) {
+            coo.push(i, j, v).unwrap();
+        }
+        CsrMatrix::from_coo(&coo)
     }
 
     /// Whether every shard of `after` serves under the ordering it had in
@@ -1287,6 +1303,80 @@ mod tests {
         );
     }
 
+    /// Whether `delta` laid the coupling's structure out anew.
+    fn builds_a_structure(store: &mut ShardedFactorStore, delta: &GraphDelta) -> bool {
+        let before = Arc::clone(store.published_coupling.structure());
+        store.advance(delta).unwrap();
+        !Arc::ptr_eq(&before, store.published_coupling.structure())
+    }
+
+    #[test]
+    fn value_only_coupling_batches_build_no_structure() {
+        // Every node links five ahead, across a shard boundary: removing
+        // such links zeroes their coupling entries, re-inserting refills
+        // them, and neither lays the coupling out anew.
+        let mut store = four_shard_coupled_store();
+        let slots = store.published_coupling.structure().slots();
+        let toggled: Vec<(usize, usize)> = (0..16).map(|u| (u, (u + 5) % 16)).collect();
+        let (mut builds, mut zero_slots) = (0, 0);
+        for (removed, added) in [(true, false), (false, true)] {
+            for pair in toggled.chunks(2) {
+                let delta = GraphDelta {
+                    added: if added { pair.to_vec() } else { vec![] },
+                    removed: if removed { pair.to_vec() } else { vec![] },
+                };
+                builds += usize::from(builds_a_structure(&mut store, &delta));
+                let coupling = &store.published_coupling;
+                zero_slots = zero_slots.max(coupling.structure().slots() - coupling.nnz());
+            }
+        }
+        assert_eq!(builds, 0, "a value-only batch laid the coupling out");
+        assert_eq!(
+            zero_slots,
+            toggled.len(),
+            "every removed link left a zero slot"
+        );
+        assert_eq!(
+            (
+                store.coupling_nnz(),
+                store.published_coupling.structure().slots()
+            ),
+            (slots, slots)
+        );
+        store.assert_consistent(1e-9);
+
+        // A new cross-shard position, a moved ordering and a repartition
+        // each lay it out once, with no zero slot.
+        let removal = GraphDelta {
+            added: vec![],
+            removed: vec![(0, 5)],
+        };
+        assert!(!builds_a_structure(&mut store, &removal));
+        let coupling = &store.published_coupling;
+        assert!(coupling.structure().slots() > coupling.nnz());
+        let new_position = GraphDelta {
+            added: vec![(0, 10)],
+            removed: vec![],
+        };
+        assert!(builds_a_structure(&mut store, &new_position));
+        let coupling = &store.published_coupling;
+        assert_eq!(coupling.structure().slots(), coupling.nnz());
+        store.forced_arm = Some(MaintenanceArm::Reorder);
+        let reorder = GraphDelta {
+            added: vec![(0, 2)],
+            removed: vec![],
+        };
+        assert!(builds_a_structure(&mut store, &reorder));
+        store.forced_arm = None;
+        let before = Arc::clone(store.published_coupling.structure());
+        store.repartition().unwrap();
+        assert!(!Arc::ptr_eq(&before, store.published_coupling.structure()));
+        let coupling = &store.published_coupling;
+        assert_eq!(coupling.structure().slots(), coupling.nnz());
+        assert_queries_match(&store, 16);
+        store.assert_consistent(1e-9);
+    }
+
     #[test]
     fn a_plan_is_built_once_per_coupling_by_the_first_solve() {
         let n = 12;
@@ -1324,13 +1414,12 @@ mod tests {
             }
             assert!(std::ptr::eq(snap.coupling_plan(), plan));
         }
-        let fresh = plan_over(&store, store.published_coupling.matrix());
-        assert_eq!(plan.gs_order(), fresh.gs_order());
-        assert_eq!(plan.is_triangular(), fresh.is_triangular());
+        let fresh = plan_over(&store, &live_entries(n, &store.published_coupling));
+        assert_eq!((plan.gs_order().to_vec(), plan.is_triangular()), fresh);
 
-        // A re-order moves the shard's ordering, which the plan's layout
-        // follows: an intra-shard batch then freezes a new coupling over the
-        // same CSR, with an empty cell the next solve fills.
+        // A re-order moves the shard's ordering, which the layout follows:
+        // an intra-shard batch then lays the same entries out anew, with an
+        // empty cell the next solve fills.
         store.forced_arm = Some(MaintenanceArm::Reorder);
         let before = store.snapshot();
         let report = store
@@ -1348,10 +1437,9 @@ mod tests {
             before.shared_coupling(),
             reordered.shared_coupling()
         ));
-        assert!(Arc::ptr_eq(
-            before.shared_coupling().shared_matrix(),
-            reordered.shared_coupling().shared_matrix()
-        ));
+        let (was, now) = (before.shared_coupling(), reordered.shared_coupling());
+        assert!(!Arc::ptr_eq(was.structure(), now.structure()));
+        assert_eq!(live_entries(n, was), live_entries(n, now));
         assert!(reordered.shared_coupling().built_plan().is_none());
         assert_queries_match(&store, n);
         let reordered_plan = reordered
@@ -1372,8 +1460,8 @@ mod tests {
         let replanned = after.shared_coupling().built_plan().expect("a solve plans");
         assert!(!std::ptr::eq(plan, replanned));
         assert!(!std::ptr::eq(reordered_plan, replanned));
-        let fresh = plan_over(&store, store.published_coupling.matrix());
-        assert_eq!(replanned.gs_order(), fresh.gs_order());
+        let fresh = plan_over(&store, &live_entries(n, &store.published_coupling));
+        assert_eq!(replanned.gs_order(), fresh.0);
         assert!(std::ptr::eq(first.coupling_plan(), plan));
     }
 
@@ -1404,7 +1492,8 @@ mod tests {
             NodePartition::contiguous(n, 4),
         )
         .unwrap();
-        assert!(store.published_coupling.matrix().row(hub).0.len() >= 100);
+        let hub_row = store.published_coupling.entries().filter(|e| e.0 == hub);
+        assert!(hub_row.count() >= 100);
         assert!(!store.snapshot().coupling_plan().is_triangular());
         assert_coupled_answers_exact(&store, n);
         let q = MeasureQuery::Rwr {
@@ -1775,7 +1864,7 @@ mod tests {
         let snap = store.snapshot();
         assert_eq!(snap.n_shards(), 2);
         assert_eq!(snap.id(), 0);
-        assert_eq!(snap.coupling().nnz(), store.coupling_nnz());
+        assert_eq!(snap.coupling_nnz(), store.coupling_nnz());
     }
 
     #[test]
@@ -1953,10 +2042,9 @@ mod tests {
                 bits(fanned.shards[s].factors().export_entries())
             );
         }
-        assert_eq!(
-            inline.published_coupling.matrix(),
-            fanned.published_coupling.matrix()
-        );
+        let entries =
+            |store: &ShardedFactorStore| bits(store.published_coupling.entries().collect());
+        assert_eq!(entries(&inline), entries(&fanned));
         assert_blocks_closed(&inline);
     }
 
@@ -2253,11 +2341,56 @@ mod tests {
             delta
         }
 
+        /// The coupling as the graph has it: its nonzero entries are
+        /// [`coupling_matrix`]'s with zeros dropped, bit for bit,
+        /// `coupling_nnz` counts them, and the order and verdict a solve
+        /// plans are the ones a fresh layout of them gives.
+        fn assert_coupling_is_the_graphs(store: &ShardedFactorStore) {
+            let oracle = coupling_via_triplets(store);
+            let live = live_entries(store.graph().n_nodes(), &store.published_coupling);
+            assert_eq!(bits(live.iter().collect()), bits(oracle.iter().collect()));
+            assert_eq!(store.coupling_nnz(), oracle.nnz());
+            let snap = store.snapshot();
+            let plan = snap.coupling_plan();
+            let planned = (plan.gs_order().to_vec(), plan.is_triangular());
+            assert_eq!(planned, plan_over(store, &oracle));
+        }
+
+        /// Whether `after`'s coupling holds a live position `before`'s had
+        /// no slot for.
+        fn new_position(before: &EngineSnapshot, after: &EngineSnapshot) -> bool {
+            let slots: std::collections::HashSet<(usize, usize)> = before
+                .shared_coupling()
+                .entries()
+                .map(|(i, j, _)| (i, j))
+                .collect();
+            let mut live = after.shared_coupling().entries().filter(|e| e.2 != 0.0);
+            live.any(|(i, j, _)| !slots.contains(&(i, j)))
+        }
+
+        /// The coupling structure survives a batch exactly when the batch
+        /// wrote no new position, moved no ordering and did not
+        /// re-partition; a batch that lays it out anew leaves no zero slot.
+        fn assert_structure_follows(
+            before: &EngineSnapshot,
+            after: &EngineSnapshot,
+            repartitioned: bool,
+        ) {
+            let relaid =
+                repartitioned || !orderings_held(before, after) || new_position(before, after);
+            let (was, now) = (before.shared_coupling(), after.shared_coupling());
+            assert_eq!(Arc::ptr_eq(was.structure(), now.structure()), !relaid);
+            if relaid {
+                assert_eq!(now.structure().slots(), now.nnz());
+            }
+        }
+
         /// The state a checkpoint of `store` restores to, checked against
-        /// the live store: the image's fields, the coupling bit for bit, no
-        /// factor slot or quality-loss above the live shard's, answers
-        /// within 1e-12 of the live store's and 1e-9 of dense elimination,
-        /// and no plan built by the restore.
+        /// the live store: the image's fields, the coupling's nonzero
+        /// entries bit for bit and no zero slot, no factor slot or
+        /// quality-loss above the live shard's, answers within 1e-12 of the
+        /// live store's and 1e-9 of dense elimination, and no plan built by
+        /// the restore.
         fn assert_restores_to(store: &ShardedFactorStore) {
             let image = store.durable_state();
             let restored =
@@ -2265,9 +2398,15 @@ mod tests {
                     .unwrap();
             assert!(restored.snapshot().shared_coupling().built_plan().is_none());
             assert_eq!(restored.durable_state(), image);
-            let entries =
-                |s: &ShardedFactorStore| bits(s.published_coupling.matrix().iter().collect());
+            let n = store.graph().n_nodes();
+            let entries = |s: &ShardedFactorStore| {
+                bits(live_entries(n, &s.published_coupling).iter().collect())
+            };
             assert_eq!(entries(&restored), entries(store));
+            let coupling = &restored.published_coupling;
+            assert_eq!(coupling.structure().slots(), coupling.nnz());
+            assert_coupling_is_the_graphs(&restored);
+            assert_coupling_is_the_graphs(store);
             for (s, (back, live)) in restored.shards.iter().zip(&store.shards).enumerate() {
                 assert!(back.factors().nnz() <= live.factors().nnz(), "shard {s}");
                 assert!(back.quality_loss() <= live.quality_loss(), "shard {s}");
@@ -2373,8 +2512,14 @@ mod tests {
                         store.forced_arm = forced;
                         assert_restores_to(&store);
                         for batch in &batches {
+                            let before = store.snapshot();
                             let report =
                                 store.advance(&random_delta(store.graph(), batch)).unwrap();
+                            assert_structure_follows(
+                                &before,
+                                &store.snapshot(),
+                                report.repartitioned,
+                            );
                             arms.extend(
                                 report
                                     .per_shard
@@ -2552,11 +2697,12 @@ mod tests {
             /// The frozen coupling is the state, and it equals the triplet
             /// route: after every advance of a random mixed stream — both
             /// matrix kinds, a zero damping whose coupling is all dropped
-            /// zeros, a budget tight enough to re-partition — the merged CSR
-            /// is the graph's cross-shard entries bit for bit, no advance
-            /// builds a plan, the plan a solve builds is what a fresh build
-            /// over the entries gives, and consecutive snapshots share
-            /// coupling and plan exactly when no cross-shard entry changed.
+            /// zeros, a budget tight enough to re-partition — the coupling's
+            /// nonzero entries are the graph's cross-shard entries bit for
+            /// bit, no advance builds a plan, the plan a solve builds is what
+            /// a fresh layout of the entries gives, consecutive snapshots
+            /// share coupling and plan exactly when no cross-shard entry
+            /// changed, and its structure exactly when no position was new.
             #[test]
             fn coupling_freeze_equals_the_triplet_route(
                 batches in proptest::collection::vec(
@@ -2590,7 +2736,7 @@ mod tests {
                 .unwrap();
                 let entry_bits = |m: &CsrMatrix| bits(m.iter().collect());
                 let mut oracle = coupling_via_triplets(&store);
-                prop_assert_eq!(store.published_coupling.matrix(), &oracle);
+                prop_assert_eq!(&live_entries(n, &store.published_coupling), &oracle);
                 for batch in &batches {
                     let delta = random_delta(store.graph(), batch);
                     let before = store.snapshot();
@@ -2599,9 +2745,11 @@ mod tests {
                     let after = store.snapshot();
 
                     let previous = std::mem::replace(&mut oracle, coupling_via_triplets(&store));
-                    prop_assert_eq!(after.coupling(), &oracle);
-                    prop_assert_eq!(entry_bits(after.coupling()), entry_bits(&oracle));
+                    let live = live_entries(n, after.shared_coupling());
+                    prop_assert_eq!(&live, &oracle);
+                    prop_assert_eq!(entry_bits(&live), entry_bits(&oracle));
                     prop_assert_eq!(store.coupling_nnz(), oracle.nnz());
+                    prop_assert_eq!(after.coupling_nnz(), oracle.nnz());
                     prop_assert!(oracle.iter().all(|(_, _, v)| v != 0.0));
 
                     // A re-partition re-freezes whatever the entries did; the
@@ -2612,8 +2760,9 @@ mod tests {
                         && orderings_held(&before, &after);
                     prop_assert_eq!(after.shared_coupling().built_plan().is_some(), unchanged);
                     let fresh = plan_over(&store, &oracle);
-                    prop_assert_eq!(after.coupling_plan().gs_order(), fresh.gs_order());
-                    prop_assert_eq!(after.coupling_plan().is_triangular(), fresh.is_triangular());
+                    prop_assert_eq!(after.coupling_plan().gs_order(), &fresh.0[..]);
+                    prop_assert_eq!(after.coupling_plan().is_triangular(), fresh.1);
+                    assert_structure_follows(&before, &after, report.repartitioned);
                     prop_assert_eq!(
                         Arc::ptr_eq(before.shared_coupling(), after.shared_coupling()),
                         unchanged

@@ -114,9 +114,9 @@ pub struct EngineSnapshot {
     kind: MatrixKind,
     partition: Arc<NodePartition>,
     shards: Vec<ShardSnapshot>,
-    /// Cross-shard entries of the measure matrix, global coordinates (empty
-    /// for one-shard snapshots), with the cell of the coupled solve's plan
-    /// over them and the shards' orderings — filled by the first coupled
+    /// Cross-shard entries of the measure matrix (empty for one-shard
+    /// snapshots), laid out under the shards' orderings, with the cell of
+    /// the coupled solve's plan over them — filled by the first coupled
     /// solve on any snapshot sharing it.
     coupling: Arc<FrozenCoupling>,
     /// Stopping rule of the coupled iteration.
@@ -169,15 +169,16 @@ impl EngineSnapshot {
         self.shards.len()
     }
 
-    /// The cross-shard coupling entries (global coordinates).
-    pub fn coupling(&self) -> &CsrMatrix {
-        self.coupling.matrix()
+    /// Number of live (nonzero) cross-shard coupling entries.
+    pub fn coupling_nnz(&self) -> usize {
+        self.coupling.nnz()
     }
 
     /// The shared handle of the frozen coupling and its plan.  Snapshots
     /// between which no cross-shard entry and no shard ordering changed are
-    /// [`Arc::ptr_eq`] here, the coupling-side half of the ring's structural
-    /// sharing.
+    /// [`Arc::ptr_eq`] here, and snapshots between which only coupling
+    /// values changed share its [`FrozenCoupling::structure`]: the
+    /// coupling-side half of the ring's structural sharing.
     pub fn shared_coupling(&self) -> &Arc<FrozenCoupling> {
         &self.coupling
     }
@@ -188,9 +189,9 @@ impl EngineSnapshot {
     }
 
     /// The plan of the coupled solve — Gauss–Seidel traversal order and
-    /// vector layout — built from this snapshot's partition and shard
-    /// orderings by the first call on any snapshot sharing the coupling.  A
-    /// pure function of (partition, coupling, orderings): two snapshots get
+    /// its triangularity verdict — built from this snapshot's partition and
+    /// coupling values by the first call on any snapshot sharing the
+    /// coupling.  A pure function of (partition, coupling): two snapshots get
     /// the same plan, by pointer, exactly when they are [`Arc::ptr_eq`] on
     /// [`EngineSnapshot::shared_coupling`].
     pub fn coupling_plan(&self) -> &CouplingPlan {
@@ -1333,7 +1334,7 @@ mod tests {
         let snap = store.snapshot();
         assert_eq!(snap.n_nodes(), 6);
         assert_eq!(snap.shards()[0].decomposed().index, 0);
-        assert_eq!(snap.coupling().nnz(), 0);
+        assert_eq!(snap.coupling_nnz(), 0);
         // What a one-shard checkpoint records under the default config: no
         // repartition trigger, one shard.
         let durable = store.durable_state();

@@ -150,7 +150,7 @@ fn shifted_laplacian_inverse_is_doubly_stochastic_at_four_shards() {
     )
     .unwrap();
     let snapshot = store.snapshot();
-    assert!(snapshot.coupling().nnz() > 0);
+    assert!(snapshot.coupling_nnz() > 0);
     assert!(!snapshot.coupling_plan().is_triangular());
     let mut row_sums = vec![0.0; n];
     for i in 0..n {

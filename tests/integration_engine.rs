@@ -8,7 +8,9 @@ use clude_engine::{
     BatchPolicy, CludeEngine, CouplingConfig, EngineConfig, RefreshPolicy, ShardedFactorStore,
 };
 use clude_graph::generators::wiki_like::{self, WikiLikeConfig};
-use clude_graph::{measure_matrix, DiGraph, GraphDelta, MatrixKind, NodePartition};
+use clude_graph::{
+    coupling_matrix, measure_matrix, DiGraph, GraphDelta, MatrixKind, NodePartition,
+};
 use clude_measures::{measure_rhs, MeasureQuery};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -280,8 +282,10 @@ proptest! {
     /// deep-cloned snapshot would keep returning), no matter how much the
     /// store mutates afterwards.  Along the way, the structural-sharing
     /// invariant is checked batch by batch: a shard's handle is re-frozen
-    /// exactly when the batch touched that shard, and the frozen coupling —
-    /// and with it the plan — exactly when a cross-shard entry changed.  The
+    /// exactly when the batch touched that shard, the frozen coupling — and
+    /// with it the plan — exactly when a cross-shard entry changed, and the
+    /// coupling's structure exactly when a position did; the coupling's
+    /// live entries are the graph's after every batch.  The
     /// coupling budget is small enough that some streams outgrow it, so
     /// repartitioning batches (everything re-frozen, new partition) are in
     /// the stream the invariants are checked over.
@@ -376,6 +380,46 @@ proptest! {
             prop_assert_eq!(
                 std::ptr::eq(prev.coupling_plan(), snap.coupling_plan()),
                 !report.coupling_republished
+            );
+            // The coupling is the graph's: its nonzero entries are
+            // `coupling_matrix` with zeros dropped, `coupling_nnz` counts
+            // them, and a solve plans the order and verdict a fresh store
+            // over the same graph and partition plans.
+            let coupling = snap.shared_coupling();
+            let bits = |(i, j, v): (usize, usize, f64)| (i, j, v.to_bits());
+            let live: Vec<_> = coupling.entries().filter(|e| e.2 != 0.0).map(bits).collect();
+            let graph_entries: Vec<_> = coupling_matrix(store.graph(), kind, store.partition())
+                .iter()
+                .filter(|e| e.2 != 0.0)
+                .map(bits)
+                .collect();
+            prop_assert_eq!(&live, &graph_entries);
+            prop_assert_eq!((snap.coupling_nnz(), store.coupling_nnz()), (live.len(), live.len()));
+            let fresh = ShardedFactorStore::new(
+                store.graph().clone(),
+                kind,
+                RefreshPolicy::Incremental,
+                store.partition().clone(),
+            )
+            .unwrap()
+            .snapshot();
+            prop_assert_eq!(snap.coupling_plan().gs_order(), fresh.coupling_plan().gs_order());
+            prop_assert_eq!(
+                snap.coupling_plan().is_triangular(),
+                fresh.coupling_plan().is_triangular()
+            );
+            // Its structure is shared exactly when no live position was
+            // new, no shard's ordering moved and the store did not
+            // re-partition.
+            let slots: std::collections::HashSet<(usize, usize)> =
+                prev.shared_coupling().entries().map(|(i, j, _)| (i, j)).collect();
+            let new_position = live.iter().any(|&(i, j, _)| !slots.contains(&(i, j)));
+            let moved = prev.shards().iter().zip(snap.shards()).any(|(a, b)| {
+                !std::sync::Arc::ptr_eq(&a.decomposed().ordering, &b.decomposed().ordering)
+            });
+            prop_assert_eq!(
+                std::sync::Arc::ptr_eq(prev.shared_coupling().structure(), coupling.structure()),
+                !(new_position || moved || report.repartitioned)
             );
             let immediate: Vec<Vec<f64>> =
                 queries.iter().map(|q| snap.query(q).unwrap()).collect();
