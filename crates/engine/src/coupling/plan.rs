@@ -191,6 +191,27 @@ impl Slots {
         self.1.extend_from_slice(&from.nodes[range.clone()]);
         self.2.extend_from_slice(&values[range]);
     }
+
+    /// [`Slots::extend_live`] with each layout column `c` moved to `to[c]`.
+    fn relay_live(
+        &mut self,
+        from: &CouplingStructure,
+        values: &[f64],
+        range: Range<usize>,
+        to: &[u32],
+    ) {
+        for e in range {
+            self.push(to[from.cols[e] as usize], from.nodes[e], values[e]);
+        }
+    }
+
+    /// [`Slots::extend`] with each layout column `c` moved to `to[c]`.
+    fn relay(&mut self, from: &CouplingStructure, values: &[f64], range: Range<usize>, to: &[u32]) {
+        self.0
+            .extend(from.cols[range.clone()].iter().map(|&c| to[c as usize]));
+        self.1.extend_from_slice(&from.nodes[range.clone()]);
+        self.2.extend_from_slice(&values[range]);
+    }
 }
 
 impl CouplingStructure {
@@ -225,44 +246,55 @@ impl FrozenCoupling {
         transposed: bool,
     ) -> Arc<Self> {
         let layout = Layout::new(partition, orderings, transposed);
-        Self::lay(layout, matrix.nnz(), |x_pos, g, slots| {
-            let (cols, values) = matrix.row(g);
+        let mut row_ptr = Vec::with_capacity(layout.rows.len() + 1);
+        let mut slots = Slots::with_capacity(matrix.nnz());
+        row_ptr.push(0);
+        for &g in &layout.rows {
+            let (cols, values) = matrix.row(g as usize);
             for (&j, &v) in cols.iter().zip(values) {
-                slots.push(x_pos[j], j as u32, v);
+                slots.push(layout.x_pos[j], j as u32, v);
             }
-        })
+            row_ptr.push(slots.1.len());
+        }
+        Self::built(layout, row_ptr, slots)
     }
 
     /// This coupling with `writes` — `(row, col, value)`, distinct global
-    /// positions, whose rows this rewrites to layout rows — applied: into a
-    /// copy of the value array when every write has a slot, else merged
-    /// into a structure of its own.
+    /// positions — applied, each write's slot looked up once: every write
+    /// with a slot into a copy of the value array, which shares the
+    /// structure when every write had one; otherwise the new positions —
+    /// moved to the front of `writes`, rows rewritten to layout rows — are
+    /// merged in.
     pub(crate) fn written(&self, writes: &mut [(usize, usize, f64)]) -> Arc<Self> {
         let s = &*self.structure;
-        for w in writes.iter_mut() {
-            w.0 = s.layout.rhs_pos[w.0] as usize;
+        let (mut vals, mut nnz, mut new) = (self.vals.clone(), self.nnz, 0);
+        for k in 0..writes.len() {
+            let (g, c, v) = writes[k];
+            let p = s.layout.rhs_pos[g] as usize;
+            match s.slot(p, c) {
+                Some(e) => {
+                    nnz = nnz - usize::from(vals[e] != 0.0) + usize::from(v != 0.0);
+                    vals[e] = v;
+                }
+                None => {
+                    writes[new] = (p, c, v);
+                    new += 1;
+                }
+            }
         }
-        let mut slots = Vec::with_capacity(writes.len());
-        for &(p, c, _) in writes.iter() {
-            let Some(e) = s.slot(p, c) else {
-                writes.sort_unstable_by_key(|&(p, c, _)| (p, c));
-                return self.merged(writes);
-            };
-            slots.push(e);
+        if new == 0 {
+            return Self::over(Arc::clone(&self.structure), vals, nnz);
         }
-        let (mut vals, mut nnz) = (self.vals.clone(), self.nnz);
-        for (&e, &(.., v)) in slots.iter().zip(writes.iter()) {
-            nnz = nnz - usize::from(vals[e] != 0.0) + usize::from(v != 0.0);
-            vals[e] = v;
-        }
-        Self::over(Arc::clone(&self.structure), vals, nnz)
+        let writes = &mut writes[..new];
+        writes.sort_unstable_by_key(|&(p, c, _)| (p, c));
+        self.merged(writes, &vals, nnz)
     }
 
-    /// `writes` — `(layout row, col, value)`, sorted — merged into this
-    /// coupling under the same layout in one pass that drops the zero
-    /// slots: the rows no write names are copied in bulk between the rows
-    /// that hold a zero slot.
-    fn merged(&self, writes: &[(usize, usize, f64)]) -> Arc<Self> {
+    /// `writes` — `(layout row, col, value)`, sorted, none with a slot —
+    /// merged into this coupling's structure holding `vals`, `nnz` of them
+    /// nonzero, in one pass that drops the zero slots: the rows no write
+    /// names are copied in bulk between the rows that hold a zero slot.
+    fn merged(&self, writes: &[(usize, usize, f64)], vals: &[f64], nnz: usize) -> Arc<Self> {
         let s = &*self.structure;
         let (n, x_pos) = (s.layout.rows.len(), &s.layout.x_pos);
         let mut row_ptr = Vec::with_capacity(n + 1);
@@ -270,7 +302,7 @@ impl FrozenCoupling {
         row_ptr.push(0);
         // Zero slots are dropped one by one; without them, rows are copied
         // in bulk.
-        let copy = if self.nnz < s.slots() {
+        let copy = if nnz < s.slots() {
             Slots::extend_live
         } else {
             Slots::extend
@@ -283,17 +315,17 @@ impl FrozenCoupling {
             let mut q = row_ptr.len() - 1;
             while q < p {
                 let (lo, hi, at) = (s.row_ptr[q], s.row_ptr[p], out.1.len());
-                let zero = (self.nnz < s.slots())
-                    .then(|| self.vals[lo..hi].iter().position(|&v| v == 0.0))
+                let zero = (nnz < s.slots())
+                    .then(|| vals[lo..hi].iter().position(|&v| v == 0.0))
                     .flatten();
                 let zero_row = zero.map_or(p, |z| {
                     q + s.row_ptr[q + 1..=p].partition_point(|&e| e <= lo + z)
                 });
                 row_ptr.extend(s.row_ptr[q + 1..=zero_row].iter().map(|&e| e - lo + at));
-                out.extend(s, &self.vals, lo..s.row_ptr[zero_row]);
+                out.extend(s, vals, lo..s.row_ptr[zero_row]);
                 if zero_row < p {
                     let row = s.row_ptr[zero_row]..s.row_ptr[zero_row + 1];
-                    out.extend_live(s, &self.vals, row);
+                    out.extend_live(s, vals, row);
                     row_ptr.push(out.1.len());
                 }
                 q = zero_row + 1;
@@ -306,44 +338,45 @@ impl FrozenCoupling {
             let (mut k, end) = (s.row_ptr[p], s.row_ptr[p + 1]);
             for &(_, c, v) in run {
                 let kept = k + s.nodes[k..end].partition_point(|&j| (j as usize) < c);
-                copy(&mut out, s, &self.vals, k..kept);
-                k = kept + usize::from(kept < end && s.nodes[kept] as usize == c);
+                copy(&mut out, s, vals, k..kept);
+                k = kept;
                 out.push(x_pos[c], c as u32, v);
             }
-            copy(&mut out, s, &self.vals, k..end);
+            copy(&mut out, s, vals, k..end);
             row_ptr.push(out.1.len());
         }
         Self::built(Arc::clone(&s.layout), row_ptr, out)
     }
 
-    /// This coupling's live entries laid out under moved `orderings`.
+    /// This coupling's live entries laid out under moved `orderings`, row
+    /// by row in bulk.  A solution position moves only inside the segment
+    /// of a shard whose ordering moved, so each layout column is re-based
+    /// through one map of the positions, built from those shards' nodes.
     pub(crate) fn reordered(
         &self,
         partition: &NodePartition,
         orderings: Vec<Arc<Ordering>>,
     ) -> Arc<Self> {
         let s = &*self.structure;
-        let layout = Layout::new(partition, orderings, false);
-        Self::lay(layout, self.nnz, |x_pos, g, slots| {
-            for e in s.row(g) {
-                slots.push(x_pos[s.nodes[e] as usize], s.nodes[e], self.vals[e]);
+        let (old, layout) = (&*s.layout, Layout::new(partition, orderings, false));
+        let mut to: Vec<u32> = (0..layout.rows.len() as u32).collect();
+        for (t, (was, now)) in old.orderings.iter().zip(&layout.orderings).enumerate() {
+            if !Arc::ptr_eq(was, now) {
+                for &g in partition.nodes_of(t) {
+                    to[old.x_pos[g] as usize] = layout.x_pos[g];
+                }
             }
-        })
-    }
-
-    /// A coupling under `layout` whose rows come in layout order from
-    /// `row(x_pos, g, slots)` — node `g`'s entries, ascending global
-    /// columns, at most `capacity` in all.
-    fn lay(
-        layout: Arc<Layout>,
-        capacity: usize,
-        mut row: impl FnMut(&[u32], usize, &mut Slots),
-    ) -> Arc<Self> {
+        }
+        let relay = if self.nnz < s.slots() {
+            Slots::relay_live
+        } else {
+            Slots::relay
+        };
         let mut row_ptr = Vec::with_capacity(layout.rows.len() + 1);
-        let mut slots = Slots::with_capacity(capacity);
+        let mut slots = Slots::with_capacity(self.nnz);
         row_ptr.push(0);
         for &g in &layout.rows {
-            row(&layout.x_pos, g as usize, &mut slots);
+            relay(&mut slots, s, &self.vals, s.row(g as usize), &to);
             row_ptr.push(slots.1.len());
         }
         Self::built(layout, row_ptr, slots)

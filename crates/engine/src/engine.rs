@@ -510,6 +510,7 @@ impl CludeEngine {
             t.add_shard(s, ShardCounter::EntriesApplied, shard.entries_applied);
             t.add_shard(s, ShardCounter::Sweeps, shard.sweeps);
             t.add_shard(s, ShardCounter::CrossShardEdges, shard.cross_edges_seen);
+            t.add(Counter::SlotsAdded, shard.slots_added);
             let Some(arm) = shard.arm else { continue };
             match arm.counter() {
                 Some(counter) => t.incr(counter),

@@ -17,9 +17,9 @@
 //!                 cut batch at max_ops or   k = 1 is the whole graph, no
 //!                 similarity threshold      coupling): entries routed by
 //!                        │                  NodePartition, per-shard Bennett
-//!                        │                  sweeps / refactor passes run in
-//!                        │                  parallel, cross-shard entries go
-//!                        │                  to the coupling store; per-shard
+//!                        │                  sweeps / refactor passes run
+//!                        │                  shard by shard, cross-shard entries
+//!                        │                  go to the coupling store; per-shard
 //!                        │                  refresh when quality-loss > budget
 //!                        │                           │ publishes
 //!                        ▼                           ▼
@@ -48,8 +48,8 @@
 //!   per-shard factor blocks plus a cross-shard coupling store, maintains
 //!   each block by whichever [`store::MaintenanceArm`] one per-shard,
 //!   per-batch decision predicts cheapest — Bennett sweeps, a pattern-frozen
-//!   pass, a rebuild under the held ordering, a re-order — runs
-//!   disjoint-shard delta batches in parallel, and lets queries recombine
+//!   pass, a rebuild under the held ordering, a re-order — one shard after
+//!   another on the thread that applies the batch, and lets queries recombine
 //!   the blocks exactly.  [`store::RefreshPolicy`] chooses between INC-style
 //!   one-ordering-forever and CLUDE-style re-ordering when the quality-loss
 //!   hook (`clude::refresh_decision`) reports degradation past the budget.

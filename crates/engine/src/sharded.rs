@@ -1,5 +1,5 @@
 //! The factor store: per-shard LU factors with a cross-shard coupling term
-//! and parallel delta application.
+//! and per-shard delta application.
 //!
 //! The [`ShardedFactorStore`] is the single-writer heart of the engine, for
 //! every shard count: a whole-graph factorization is the one-shard case
@@ -28,9 +28,10 @@
 //! structure over per-snapshot values: a batch whose writes land on stored
 //! positions copies one value array and writes them by position, and only
 //! a new position merges into a new structure ([`FrozenCoupling`]).
-//! Because the per-shard entry lists are disjoint, shards with pending work
-//! apply their updates **in parallel** across scoped threads, each with its
-//! own scratch.
+//! The per-shard entry lists are disjoint, so each shard with pending work
+//! applies its slice with its own scratch, one shard after another on the
+//! thread that applies the batch.  The copy a sweep runs on costs the rows
+//! the slice changes ([`extend_structure`]), not the block.
 //!
 //! Queries recombine exactly: snapshots expose the per-shard factors plus a
 //! frozen coupling, and the block Gauss–Seidel pass over them
@@ -44,7 +45,7 @@ use crate::coupling::{CouplingConfig, FrozenCoupling};
 use crate::error::{EngineError, EngineResult};
 use crate::store::{
     global_matrix_delta, order_and_factorize, EngineSnapshot, MaintenanceArm, OldSuccessors,
-    OrderedFactors, RefreshPolicy, ShardOutcome, ShardSnapshot, Staged,
+    OrderedFactors, RefreshPolicy, ShardSnapshot, Staged,
 };
 use clude::partition::edge_locality_partition;
 use clude::refresh_decision;
@@ -52,7 +53,7 @@ use clude_graph::{
     btf_partition, coupling_matrix, shard_measure_matrix, DeltaClass, DiGraph, GraphDelta,
     MatrixKind, NodePartition,
 };
-use clude_lu::{cost, extend_structure, factorize_fresh, BennettStats, LuError};
+use clude_lu::{cost, extend_structure, factorize_fresh, BennettStats};
 use clude_sparse::Ordering;
 use clude_telemetry::{EngineEvent, Stage, TelemetryRegistry};
 use std::sync::Arc;
@@ -152,6 +153,10 @@ pub struct ShardAdvance {
     /// The order of the shard's block, so `rows_refactored / block_order`
     /// is the share of the block a frozen-pattern pass recomputed.
     pub block_order: u64,
+    /// Slots a sweep's extended copy holds beyond the block it extended —
+    /// the fill and new entries the slice brought in (0 for the other arms,
+    /// and for a sweep a guard failure abandoned).
+    pub slots_added: u64,
     /// The shard's quality-loss after the advance.
     pub quality_loss: f64,
 }
@@ -185,11 +190,11 @@ pub struct ShardedAdvanceReport {
     pub repartitioned: bool,
 }
 
-/// Per-shard LU factors over a partitioned node universe, updated in
-/// parallel, with cross-shard coupling served at query time.
+/// Per-shard LU factors over a partitioned node universe, updated shard by
+/// shard, with cross-shard coupling served at query time.
 ///
 /// Deltas touching disjoint shards cost one *small* Bennett sweep (or
-/// pattern-frozen refactor pass) per shard — run concurrently — and
+/// pattern-frozen refactor pass) per shard, and
 /// cross-shard edges bypass the numeric layer entirely; snapshots of any
 /// shard count answer identically to within the block solve's 1e-13
 /// tolerance.
@@ -481,12 +486,12 @@ impl ShardedFactorStore {
     /// Applies one coalesced delta batch, advancing the snapshot counter.
     ///
     /// The batch's matrix entries are derived from the graph delta alone,
-    /// routed by the partition — intra-shard entries become per-shard Bennett
-    /// updates (translated to local factor coordinates), cross-shard entries
-    /// are value writes merged into the coupling — and shards with pending
-    /// work sweep **in parallel** on scoped threads, each with its own
-    /// workspace.  Numeric failures and policy trips refresh only the
-    /// affected shard; an `Ok` return always leaves servable factors.
+    /// routed by the partition — intra-shard entries become per-shard slices
+    /// (translated to local factor coordinates), cross-shard entries are
+    /// value writes into the coupling — and each shard with pending work
+    /// runs its staged arm, in shard order, on the calling thread.  Numeric
+    /// failures and policy trips refresh only the affected shard; an `Ok`
+    /// return always leaves servable factors.
     ///
     /// An `Err` (a shard's rebuild itself failed, which a diagonally
     /// dominant block cannot trigger in practice) leaves the store
@@ -494,18 +499,6 @@ impl ShardedFactorStore {
     /// possibly swept — and must be treated as fatal for this store; only
     /// out-of-range deltas are rejected before any mutation.
     pub fn advance(&mut self, delta: &GraphDelta) -> EngineResult<ShardedAdvanceReport> {
-        self.advance_dispatched(delta, false)
-    }
-
-    /// [`ShardedFactorStore::advance`] with the inline-or-fan-out choice
-    /// overridable: `force_fan_out` sends every multi-shard batch through
-    /// the scoped threads, which is how the tests pin the two dispatches
-    /// bit-identical.
-    fn advance_dispatched(
-        &mut self,
-        delta: &GraphDelta,
-        force_fan_out: bool,
-    ) -> EngineResult<ShardedAdvanceReport> {
         let n = self.graph.n_nodes();
         for &(u, v) in delta.added.iter().chain(delta.removed.iter()) {
             if u >= n || v >= n {
@@ -558,93 +551,34 @@ impl ShardedFactorStore {
                 coupling_writes.push((r, c, new));
             }
         }
-        // The one maintenance decision, per shard with work, staged:
-        // pattern- and count-only, so taking it after the graph mutation
-        // changes nothing.
-        let active: Vec<usize> = (0..k).filter(|&s| !shard_entries[s].is_empty()).collect();
-        let mut predicted = vec![0.0; k];
-        let mut staged: Vec<Option<Staged>> = (0..k).map(|_| None).collect();
-        for &s in &active {
-            per_shard[s].entries_applied = shard_entries[s].len() as u64;
-            let (prepared, cost) = self.stage(s, &intra_deltas[s], &shard_entries[s]);
-            staged[s] = Some(prepared);
-            predicted[s] = cost;
-        }
-
-        // Fan the disjoint per-shard arms out across scoped threads — when
-        // there is work to overlap.  A batch every active shard absorbs by a
-        // frozen-pattern pass runs inline: a pass costs less than the spawn +
-        // join that would parallelise it (ROADMAP "Measured" has the
-        // numbers), as does a single active shard of any kind.
-        let frozen = |s: &usize| {
-            staged[*s]
-                .as_ref()
-                .is_some_and(|st| st.arm() == MaintenanceArm::FrozenRefactor)
-        };
-        let inline = active.len() <= 1 || (!force_fan_out && active.iter().all(frozen));
-        let (id, telemetry) = (self.snapshot_id, &*self.telemetry);
-        let mut outcomes: Vec<Option<Result<ShardOutcome, LuError>>> =
-            (0..k).map(|_| None).collect();
-        if inline {
-            for &s in &active {
-                let Some(staged) = staged[s].take() else {
-                    continue;
-                };
-                outcomes[s] = Some(self.shards[s].maintain(staged, telemetry, s, id));
-            }
-        } else {
-            let results = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(active.len());
-                let mut here = Vec::new();
-                for ((s, shard), staged) in self.shards.iter_mut().enumerate().zip(&mut staged) {
-                    let Some(staged) = staged.take() else {
-                        continue;
-                    };
-                    let rebuild = staged.arm() == MaintenanceArm::Rebuild;
-                    let arm = move || shard.maintain(staged, telemetry, s, id);
-                    if rebuild {
-                        // A rebuild allocates its structure and its symbolic
-                        // rows; on a short-lived worker those land in a
-                        // per-thread allocator arena that outlives the
-                        // thread.  The coordinator would only be waiting.
-                        here.push((s, arm));
-                    } else {
-                        handles.push((s, scope.spawn(arm)));
-                    }
-                }
-                let mut results: Vec<_> = here.into_iter().map(|(s, arm)| (s, arm())).collect();
-                results.extend(
-                    handles
-                        .into_iter()
-                        // lint: allow(panic-surface) — join() only fails when
-                        // a shard worker panicked; re-raising that panic on
-                        // the coordinating thread is the correct propagation.
-                        .map(|(s, h)| (s, h.join().expect("shard sweep thread panicked"))),
-                );
-                results
-            });
-            for (s, outcome) in results {
-                outcomes[s] = Some(outcome);
-            }
-        }
-
         let mut report = ShardedAdvanceReport {
             snapshot_id: self.snapshot_id,
             per_shard,
             coupling_writes: coupling_writes.len() as u64,
             ..ShardedAdvanceReport::default()
         };
+        // Per shard with work: the one maintenance decision, staged —
+        // pattern- and count-only, so taking it after the graph mutation
+        // changes nothing — then its arm.  The arms run in shard order on
+        // this thread: at these block sizes an arm costs less than the spawn
+        // and join that would overlap it with its siblings (ROADMAP
+        // "Measured" has the numbers).
         let mut ordering_moved = false;
-        for (s, outcome) in outcomes.into_iter().enumerate() {
-            let Some(outcome) = outcome else { continue };
-            let outcome = outcome?;
+        for s in (0..k).filter(|&s| !shard_entries[s].is_empty()) {
+            let (staged, predicted_cost) = self.stage(s, &intra_deltas[s], &shard_entries[s]);
+            let outcome = self.shards[s].maintain(staged, &self.telemetry, s, self.snapshot_id)?;
             report.bennett.merge(&outcome.bennett);
-            report.per_shard[s].sweeps = outcome.bennett.rank_one_updates as u64;
-            report.per_shard[s].arm = Some(outcome.arm);
-            report.per_shard[s].predicted_cost = predicted[s];
-            report.per_shard[s].actual_work = outcome.actual_work;
-            report.per_shard[s].rows_refactored = outcome.rows_refactored as u64;
-            report.per_shard[s].block_order = self.shards[s].factors().n() as u64;
+            report.per_shard[s] = ShardAdvance {
+                entries_applied: shard_entries[s].len() as u64,
+                sweeps: outcome.bennett.rank_one_updates as u64,
+                arm: Some(outcome.arm),
+                predicted_cost,
+                actual_work: outcome.actual_work,
+                rows_refactored: outcome.rows_refactored as u64,
+                block_order: self.shards[s].factors().n() as u64,
+                slots_added: outcome.slots_added,
+                ..report.per_shard[s]
+            };
             // Copy-on-write: only the shards this batch maintained installed
             // a new block; every other shard keeps serving the block older
             // snapshots already hold.  Only a re-order moves the ordering.
@@ -710,8 +644,7 @@ impl ShardedFactorStore {
     }
 
     /// The one maintenance decision for shard `s`'s slice of a batch,
-    /// staged on the coordinating thread before the arms fan out: which arm
-    /// absorbs it, and what the cost model expects the arm to cost — from
+    /// staged before its arm runs: which arm absorbs it, and what the cost model expects the arm to cost — from
     /// counts only, so the same stream decides the same way on every run and
     /// no clock is read.
     ///
@@ -734,10 +667,10 @@ impl ShardedFactorStore {
     ///    factor size and the elimination work.
     ///
     /// A sweep's copy of the block (`Staged::Sweep`) is made here, under a
-    /// `snapshot.freeze` span: the copy becomes the next block, which snapshots keep for as
-    /// long as the ring does, and allocated on a short-lived worker it would
-    /// sit in that thread's allocator arena (10–20 % more peak memory on the
-    /// 4-shard structural workloads).
+    /// `snapshot.freeze` span, so the per-layer table charges it to the
+    /// copy, not to the sweep: the block extended to cover the slice's
+    /// entries ([`extend_structure`]), which costs the rows the slice
+    /// changes plus one pass over the slots.
     fn stage(
         &mut self,
         s: usize,
@@ -863,6 +796,7 @@ mod tests {
     use super::*;
     use crate::coupling::SolveTolerance;
     use crate::store::{dense_answer, static_factors};
+    use clude_lu::LuError;
     use clude_measures::{MeasureQuery, MeasureSolver};
     use clude_sparse::CsrMatrix;
 
@@ -994,7 +928,7 @@ mod tests {
         let mut store =
             ShardedFactorStore::new(g, kind, RefreshPolicy::Incremental, partition).unwrap();
         // One intra-shard change per shard: all four shards sweep in one
-        // parallel advance, nothing lands in the coupling.
+        // advance, nothing lands in the coupling.
         let delta = GraphDelta {
             added: vec![(0, 2), (3, 5), (6, 8), (9, 11)],
             removed: vec![],
@@ -2001,51 +1935,93 @@ mod tests {
         assert_eq!(float_bits(&answer0), float_bits(&again));
     }
 
-    #[test]
-    fn value_only_batches_run_inline_and_match_the_fan_out_bit_for_bit() {
-        let n = 16;
-        let build = || {
-            // Four shard-local 4-cycles with a chord each, plus cross edges.
-            let mut g = DiGraph::new(n);
-            for s in 0..4 {
-                for i in 0..4 {
-                    g.add_edge(s * 4 + i, s * 4 + (i + 1) % 4);
-                }
-                g.add_edge(s * 4, s * 4 + 2);
-            }
-            g.add_edge(1, 6);
-            g.add_edge(9, 14);
-            ShardedFactorStore::new(
-                g,
-                MatrixKind::random_walk_default(),
-                RefreshPolicy::Incremental,
-                NodePartition::contiguous(n, 4),
-            )
-            .unwrap()
-        };
-        // Dropping every chord is value-only in all four shards.
-        let delta = GraphDelta {
-            added: vec![],
-            removed: (0..4).map(|s| (s * 4, s * 4 + 2)).collect(),
-        };
-        let (mut inline, mut fanned) = (build(), build());
-        let a = inline.advance(&delta).unwrap();
-        let b = fanned.advance_dispatched(&delta, true).unwrap();
-        assert!(a
-            .per_shard
-            .iter()
-            .all(|s| s.arm == Some(MaintenanceArm::FrozenRefactor)));
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    /// Four rings of 32 pages on 4 contiguous shards, a chord in shards 0
+    /// and 2, and cross links between neighbouring shards.
+    fn four_rings() -> ShardedFactorStore {
+        let n = 128;
+        let mut g = DiGraph::new(n);
         for s in 0..4 {
-            assert_eq!(
-                bits(inline.shards[s].factors().export_entries()),
-                bits(fanned.shards[s].factors().export_entries())
-            );
+            for i in 0..32 {
+                g.add_edge(32 * s + i, 32 * s + (i + 1) % 32);
+            }
+            g.add_edge(32 * s + 5, 32 * ((s + 1) % 4) + 7);
         }
-        let entries =
-            |store: &ShardedFactorStore| bits(store.published_coupling.entries().collect());
-        assert_eq!(entries(&inline), entries(&fanned));
-        assert_blocks_closed(&inline);
+        g.add_edge(3, 17);
+        g.add_edge(64, 66);
+        ShardedFactorStore::new(
+            g,
+            MatrixKind::random_walk_default(),
+            RefreshPolicy::Incremental,
+            NodePartition::contiguous(n, 4),
+        )
+        .unwrap()
+    }
+
+    /// The rows of shard `s`'s block the batch from `before` to the store's
+    /// graph changed the columns of, split into those holding a new position
+    /// of the block's matrix and those that only followed one — the cascade.
+    fn escaped_and_cascaded(
+        store: &ShardedFactorStore,
+        before: &EngineSnapshot,
+        s: usize,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let (old, new) = (
+            static_factors(before.shards()[s].decomposed()).structure(),
+            store.shards[s].factors().structure(),
+        );
+        let matrix = shard_measure_matrix(store.graph(), store.matrix_kind(), store.partition(), s)
+            .reorder(&store.shards[s].ordering)
+            .unwrap();
+        (0..old.n())
+            .filter(|&i| old.row_cols(i) != new.row_cols(i))
+            .partition(|&i| matrix.row(i).0.iter().any(|&j| !old.contains(i, j)))
+    }
+
+    #[test]
+    fn one_batch_taking_every_arm_answers_exactly() {
+        // One batch, three arms, run one after another on this thread: a
+        // chord in shard 0 escapes its block's structure at one row and the
+        // extension cascades down the rows below it (a sweep), a chord from
+        // every page of shard 1 changes all of its block's columns (a
+        // rebuild), dropping shard 2's chord rescales stored positions (the
+        // frozen pass), and shard 3 sits idle.
+        let mut store = four_rings();
+        let before = store.snapshot();
+        let mut added = vec![(0, 9)];
+        added.extend((0..32).map(|i| (32 + i, 32 + (i + 2) % 32)));
+        let report = store
+            .advance(&GraphDelta {
+                added,
+                removed: vec![(64, 66)],
+            })
+            .unwrap();
+        let arms: Vec<_> = report.per_shard.iter().map(|s| s.arm).collect();
+        assert_eq!(
+            arms,
+            [
+                Some(MaintenanceArm::BennettSweep),
+                Some(MaintenanceArm::Rebuild),
+                Some(MaintenanceArm::FrozenRefactor),
+                None
+            ]
+        );
+        let (escaped, cascaded) = escaped_and_cascaded(&store, &before, 0);
+        assert_eq!(escaped.len(), 1);
+        assert!(cascaded.len() > 1, "{cascaded:?}");
+        let grown = |s: usize| {
+            let old = static_factors(before.shards()[s].decomposed());
+            (store.shards[s].factors().nnz() - old.nnz()) as u64
+        };
+        assert!(report.per_shard[0].slots_added > 0);
+        assert_eq!(report.per_shard[0].slots_added, grown(0));
+        assert!(report.per_shard[1..].iter().all(|s| s.slots_added == 0));
+        assert!(report.per_shard[2].rows_refactored > 0);
+        // Page 37's new chord rescales its cross link into shard 2.
+        assert_eq!(report.coupling_writes, 1);
+        assert!(!report.refreshed);
+        assert_blocks_closed(&store);
+        store.assert_consistent(1e-12);
+        assert_coupled_answers_exact(&store, 128);
     }
 
     /// The elimination reach of the rows in which two matrices differ, from

@@ -47,6 +47,9 @@ pub struct EngineStats {
     pub frozen_rows_refactored: u64,
     /// Rows of the blocks those passes ran on.
     pub frozen_block_rows: u64,
+    /// Factor slots the sweeps' structure extensions added: the fill and
+    /// new entries the batches' structural slices brought into the blocks.
+    pub slots_added: u64,
     /// Queries answered.
     pub queries: u64,
     /// Cache hits among them.
@@ -124,6 +127,7 @@ impl EngineStats {
             arms: MaintenanceArm::ALL.map(|arm| arm.counter().map_or(reorders, count)),
             frozen_rows_refactored: count(Counter::FrozenRowsRefactored),
             frozen_block_rows: count(Counter::FrozenBlockRows),
+            slots_added: count(Counter::SlotsAdded),
             queries,
             cache_hits,
             cache_misses: queries.saturating_sub(cache_hits),
@@ -399,6 +403,7 @@ mod tests {
             arms: [40, 7, 12, 1],
             frozen_rows_refactored: 63,
             frozen_block_rows: 1_400,
+            slots_added: 25,
             queries: 50,
             cache_hits: 20,
             cache_misses: 30,

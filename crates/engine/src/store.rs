@@ -312,11 +312,11 @@ impl MaintenanceArm {
     }
 }
 
-/// One shard's decided arm, staged on the coordinating thread before the
-/// arms fan out: a sweep carries the copy of the block it runs on — the
-/// block over its structure extended to cover the slice's entries
-/// ([`clude_lu::extend_structure`]), which the sweep's fill cannot escape —
-/// and every other arm copies or builds its block itself, on the worker.
+/// One shard's decided arm, staged before it runs: a sweep carries the copy
+/// of the block it runs on — the block over its structure extended to cover
+/// the slice's entries ([`clude_lu::extend_structure`]), which the sweep's
+/// fill cannot escape — and every other arm copies or builds its block
+/// itself.
 #[derive(Debug)]
 pub(crate) enum Staged {
     Sweep(LuResult<LuFactors>),
@@ -336,7 +336,7 @@ impl Staged {
     }
 }
 
-/// What one shard did with its slice of a batch (worker-thread result).
+/// What one shard did with its slice of a batch.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ShardOutcome {
     /// The arm that produced the factors now live: the decided one, or
@@ -346,6 +346,9 @@ pub(crate) struct ShardOutcome {
     pub actual_work: u64,
     /// Rows the frozen-pattern pass recomputed (0 for the other arms).
     pub rows_refactored: usize,
+    /// Slots the sweep's extended copy holds beyond the block it extended
+    /// (0 for the other arms, and for a sweep abandoned for a re-order).
+    pub slots_added: u64,
     pub bennett: BennettStats,
 }
 
@@ -453,6 +456,7 @@ impl OrderedFactors {
             arm,
             actual_work: 0,
             rows_refactored: 0,
+            slots_added: 0,
             bennett: BennettStats::default(),
         };
         self.maintainer.write(&self.mapped);
@@ -470,6 +474,7 @@ impl OrderedFactors {
                 });
                 span.stop();
                 swept.map(|(block, bennett)| {
+                    outcome.slots_added = (block.nnz() - nnz_before) as u64;
                     self.install(block, id);
                     outcome.bennett = bennett;
                     bennett.entries_touched as u64

@@ -20,8 +20,8 @@ use std::sync::{LockResult, PoisonError};
 ///   there can unwind but an allocation, and a failed allocation aborts the
 ///   process instead;
 /// * the ingest state can be left mid-batch by a panic inside a store
-///   advance (a shard worker's panic is re-raised on the coordinator, which
-///   holds the lock) — exactly the state an advance that returns an error
+///   advance (every shard's arm runs on the thread that holds the lock) —
+///   exactly the state an advance that returns an error
 ///   leaves, which the engine already hands back to its caller without
 ///   closing the engine.  Every snapshot published before it stays whole:
 ///   queries never read the ingest state.

@@ -255,6 +255,7 @@ fn disabled_telemetry_stops_the_clock_but_keeps_counting() {
         ),
         (Counter::FrozenRowsRefactored, stats.frozen_rows_refactored),
         (Counter::FrozenBlockRows, stats.frozen_block_rows),
+        (Counter::SlotsAdded, stats.slots_added),
         (Counter::QueriesServed, stats.queries),
         (Counter::CacheHits, stats.cache_hits),
         (Counter::CowShardsCloned, stats.cow_shards_cloned),

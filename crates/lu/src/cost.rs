@@ -40,10 +40,11 @@ use crate::bennett::BennettStats;
 // sparse blocks' shard-batches to rebuilds and made `live-durable` slower in
 // paired runs (ROADMAP "Measured"), so the decision still prices a rebuild as
 // it did.  `FREEZE_NS_PER_NNZ` was fitted to the freeze of dynamic lists a
-// sweep used to be followed by; it now prices the copy a sweep runs on (a
-// full copy, extended when the batch's entries escape its structure, made on
-// the coordinating thread), a different operation kept at the old constant
-// without a new measurement (ROADMAP item 9 has the re-fit).
+// sweep used to be followed by; it now prices the copy a sweep runs on (the
+// block's slots copied in runs, the rows the batch's escaping entries reach
+// re-derived), a different operation kept at the old constant without a new
+// measurement, so the decision chooses as it did (ROADMAP item 9 has the
+// re-fit).
 const BENNETT_NS_PER_ENTRY: f64 = 15.0;
 const FREEZE_NS_PER_NNZ: f64 = 10.0;
 const FROZEN_NS_PER_NNZ: f64 = 20.0;

@@ -120,6 +120,11 @@ impl LuFactors {
         LuFactors { structure, values }
     }
 
+    /// Every slot's value, in the structure's row-major slot order.
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
+    }
+
     /// Values of row `i`'s slots, parallel to [`LuStructure::row_cols`].
     #[inline]
     pub(crate) fn row_values(&self, i: usize) -> &[f64] {

@@ -13,9 +13,10 @@
 //!   up-looking kernel — per row, the symmetrically pruned reach through the
 //!   finished rows of `U` — which, run with values, is also how every matrix
 //!   is factorized over its own pattern ([`factorize_fresh`],
-//!   [`rebuild_under_ordering`], [`DynamicLuFactors::factorize`]), and, run
-//!   over the elimination reach of a batch's new entries only, how a closed
-//!   structure is extended to cover them ([`extend_structure`]).
+//!   [`rebuild_under_ordering`], [`DynamicLuFactors::factorize`]); a closed
+//!   structure is extended to cover a batch's new entries by the same reach,
+//!   walked only over what is new to the rows those entries reach
+//!   ([`extend_structure`]).
 //! * [`ordering`] — fill-reducing Markowitz / minimum-degree orderings and
 //!   the `|s̃p(A^O)|` accounting used by the quality-loss metric.
 //! * [`amd`] — the quotient-graph minimum-degree ordering over `A + Aᵀ`

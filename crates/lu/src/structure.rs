@@ -22,19 +22,19 @@ use std::sync::{Arc, OnceLock};
 /// can walk "column `k` of `L`" directly.
 #[derive(Debug, Clone)]
 pub struct LuStructure {
-    n: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    pub(crate) n: usize,
+    pub(crate) row_ptr: Vec<usize>,
+    pub(crate) col_idx: Vec<usize>,
     /// Slot of the diagonal entry of each row.
-    diag_slot: Vec<usize>,
+    pub(crate) diag_slot: Vec<usize>,
     /// CSC-like view of the strictly lower triangle: for every column `j`,
     /// the rows `i > j` with a structural entry, and the row-major slot of
     /// each such entry.
-    lower_col_ptr: Vec<usize>,
-    lower_rows: Vec<usize>,
-    lower_slots: Vec<usize>,
+    pub(crate) lower_col_ptr: Vec<usize>,
+    pub(crate) lower_rows: Vec<usize>,
+    pub(crate) lower_slots: Vec<usize>,
     /// [`LuStructure::is_elimination_closed`], computed on first ask.
-    closed: OnceLock<bool>,
+    pub(crate) closed: OnceLock<bool>,
 }
 
 /// Two structures are equal when they lay out the same slots; whether either

@@ -62,6 +62,9 @@ pub enum Counter {
     /// [`Counter::FrozenRowsRefactored`], the share of a block a value-only
     /// batch costs.
     FrozenBlockRows,
+    /// Factor slots the sweeps' structure extensions added: each extended
+    /// copy's slots minus those of the block it extended.
+    SlotsAdded,
     /// Edge operations dropped as no-ops: inserts of present edges or
     /// self-loops, absent removes, add/remove pairs cancelling inside one
     /// batch.
@@ -88,7 +91,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in exposition order.
-    pub const ALL: [Counter; 17] = [
+    pub const ALL: [Counter; 18] = [
         Counter::OpsIngested,
         Counter::BatchesApplied,
         Counter::QueriesServed,
@@ -97,6 +100,7 @@ impl Counter {
         Counter::ConvergenceFailures,
         Counter::FrozenRowsRefactored,
         Counter::FrozenBlockRows,
+        Counter::SlotsAdded,
         Counter::OpsCoalesced,
         Counter::BatchesReordered,
         Counter::BennettPivots,
@@ -119,6 +123,7 @@ impl Counter {
             Counter::ConvergenceFailures => "convergence_failures",
             Counter::FrozenRowsRefactored => "frozen_rows_refactored",
             Counter::FrozenBlockRows => "frozen_block_rows",
+            Counter::SlotsAdded => "slots_added",
             Counter::OpsCoalesced => "ops_coalesced",
             Counter::BatchesReordered => "batches_reordered",
             Counter::BennettPivots => "bennett_pivots",
