@@ -493,22 +493,17 @@ impl CludeEngine {
     }
 
     /// Counts what one applied batch did — the one increment site of every
-    /// store event.  The counts that are sums of others (rank-one updates,
-    /// re-order arms) are derived by [`EngineStats::from_registry`].
+    /// store event.  The counts that are sums of others (re-order arms) are
+    /// derived by [`EngineStats::from_registry`].
     fn count_batch(&self, report: &ShardedAdvanceReport, n_shards: u64) {
         let t = &*self.telemetry;
         t.incr(Counter::BatchesApplied);
         if report.refreshed {
             t.incr(Counter::BatchesReordered);
         }
-        t.add(
-            Counter::BennettPivots,
-            report.bennett.pivots_processed as u64,
-        );
         for shard in &report.per_shard {
             let s = shard.shard;
             t.add_shard(s, ShardCounter::EntriesApplied, shard.entries_applied);
-            t.add_shard(s, ShardCounter::Sweeps, shard.sweeps);
             t.add_shard(s, ShardCounter::CrossShardEdges, shard.cross_edges_seen);
             t.add(Counter::SlotsAdded, shard.slots_added);
             let Some(arm) = shard.arm else { continue };
@@ -516,7 +511,7 @@ impl CludeEngine {
                 Some(counter) => t.incr(counter),
                 None => t.add_shard(s, ShardCounter::Reorders, 1),
             }
-            if arm == MaintenanceArm::FrozenRefactor {
+            if arm == MaintenanceArm::Refactor {
                 t.add(Counter::FrozenRowsRefactored, shard.rows_refactored);
                 t.add(Counter::FrozenBlockRows, shard.block_order);
             }

@@ -1,10 +1,11 @@
 //! Edge-delta ingestion and batch coalescing.
 //!
 //! The engine accepts single edge insertions/deletions and coalesces them
-//! into [`GraphDelta`] batches before touching the factors: Bennett updates
-//! amortise much better over a batch (one matrix delta, one sweep per
-//! changed column) than per edge, and opposite operations on the same edge
-//! cancel without ever reaching the numeric layer.
+//! into [`GraphDelta`] batches before touching the factors: factor updates
+//! amortise much better over a batch (one matrix delta, one numeric pass
+//! over the reach of every changed row) than per edge, and opposite
+//! operations on the same edge cancel without ever reaching the numeric
+//! layer.
 //!
 //! A batch is cut when either bound of the [`BatchPolicy`] trips:
 //!

@@ -16,8 +16,8 @@
 //!  insert/remove  coalesce adds/removes,    ShardedFactorStore (k ≥ 1 shards;
 //!                 cut batch at max_ops or   k = 1 is the whole graph, no
 //!                 similarity threshold      coupling): entries routed by
-//!                        │                  NodePartition, per-shard Bennett
-//!                        │                  sweeps / refactor passes run
+//!                        │                  NodePartition, per-shard
+//!                        │                  extend + reach passes run
 //!                        │                  shard by shard, cross-shard entries
 //!                        │                  go to the coupling store; per-shard
 //!                        │                  refresh when quality-loss > budget
@@ -46,11 +46,11 @@
 //!   shard count: it partitions the node universe
 //!   (`clude_graph::NodePartition`; one shard is the whole graph) into
 //!   per-shard factor blocks plus a cross-shard coupling store, maintains
-//!   each block by whichever [`store::MaintenanceArm`] one per-shard,
-//!   per-batch decision predicts cheapest — Bennett sweeps, a pattern-frozen
-//!   pass, a rebuild under the held ordering, a re-order — one shard after
-//!   another on the thread that applies the batch, and lets queries recombine
-//!   the blocks exactly.  [`store::RefreshPolicy`] chooses between INC-style
+//!   each block by CLUDE's numeric member step — its structure extended to
+//!   cover the batch's new entries, then a pass over the changed rows'
+//!   elimination reach — or by a re-order when the quality trigger fires
+//!   ([`store::MaintenanceArm`]), one shard after another on the thread that
+//!   applies the batch, and lets queries recombine the blocks exactly.  [`store::RefreshPolicy`] chooses between INC-style
 //!   one-ordering-forever and CLUDE-style re-ordering when the quality-loss
 //!   hook (`clude::refresh_decision`) reports degradation past the budget.
 //! * [`store::EngineSnapshot`] is the immutable unit the ring retains: the

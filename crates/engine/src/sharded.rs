@@ -21,17 +21,21 @@
 //!
 //! A [`GraphDelta`] is routed entry-wise: an entry whose row and column live
 //! in the same shard joins that shard's slice of the batch (in local
-//! coordinates), which one maintenance decision per shard absorbs by the
-//! cheapest exact arm ([`MaintenanceArm`]), a cross-shard entry is a plain
-//! value write into the coupling — it never touches any factors.  The
+//! coordinates), which one maintenance decision per shard absorbs
+//! ([`MaintenanceArm`]): CLUDE's numeric member step — the block's
+//! structure extended to cover the slice's new entries, then a pass over the
+//! changed rows' elimination reach — unless the quality trigger re-orders
+//! the block; a cross-shard entry is a plain value write into the coupling —
+//! it never touches any factors.  The
 //! frozen coupling snapshots serve from *is* the state, CLUDE's shared
 //! structure over per-snapshot values: a batch whose writes land on stored
 //! positions copies one value array and writes them by position, and only
 //! a new position merges into a new structure ([`FrozenCoupling`]).
 //! The per-shard entry lists are disjoint, so each shard with pending work
 //! applies its slice with its own scratch, one shard after another on the
-//! thread that applies the batch.  The copy a sweep runs on costs the rows
-//! the slice changes ([`extend_structure`]), not the block.
+//! thread that applies the batch.  The copy the pass runs on costs the rows
+//! the slice changes ([`extend_structure`]), not the block, and the pass the
+//! rows their changes reach.
 //!
 //! Queries recombine exactly: snapshots expose the per-shard factors plus a
 //! frozen coupling, and the block Gauss–Seidel pass over them
@@ -50,10 +54,10 @@ use crate::store::{
 use clude::partition::edge_locality_partition;
 use clude::refresh_decision;
 use clude_graph::{
-    btf_partition, coupling_matrix, shard_measure_matrix, DeltaClass, DiGraph, GraphDelta,
-    MatrixKind, NodePartition,
+    btf_partition, coupling_matrix, shard_measure_matrix, DiGraph, GraphDelta, MatrixKind,
+    NodePartition,
 };
-use clude_lu::{cost, extend_structure, factorize_fresh, BennettStats};
+use clude_lu::{extend_structure, factorize_fresh};
 use clude_sparse::Ordering;
 use clude_telemetry::{EngineEvent, Stage, TelemetryRegistry};
 use std::sync::Arc;
@@ -73,16 +77,6 @@ pub enum PartitionStrategy {
     /// coarse.
     Btf,
 }
-
-/// How much cheaper than the sweeps a rebuild must be predicted before it is
-/// chosen.  A batch's reach scatters two- to three-fold around the running
-/// share while a rebuild's cost barely moves, so the batches that *look* like
-/// rebuilds are the ones whose sweeps are most overestimated: in counted
-/// work (`the_decision_stays_within_a_tenth_of_the_better_arm_on_both_shapes`)
-/// the 4 × 500-node shape spends 3 % more than always sweeping without the
-/// margin and 1 % less with it, and the 400-node block's 5× gap does not
-/// notice.
-const REBUILD_MARGIN: f64 = 1.25;
 
 /// Factorizes shard `shard`'s block of `graph` as the block current as of
 /// snapshot `id`.
@@ -123,8 +117,6 @@ pub struct ShardAdvance {
     pub shard: usize,
     /// Changed matrix entries applied to this shard's factors.
     pub entries_applied: u64,
-    /// Bennett rank-one updates (sweeps) the entries triggered.
-    pub sweeps: u64,
     /// Cross-shard edge changes routed *from* this shard (its nodes were the
     /// source endpoint) into the coupling.
     pub cross_edges_seen: u64,
@@ -134,28 +126,15 @@ pub struct ShardAdvance {
     /// it (the journal's `RefreshTriggered { numeric: true, .. }` marks
     /// those).
     pub arm: Option<MaintenanceArm>,
-    /// What the decision's cost model expected its chosen arm to cost
-    /// ([`MaintenanceArm::model_cost`] on the predicted work, nanoseconds).
-    /// For [`MaintenanceArm::FrozenRefactor`] that is the full pass's cost —
-    /// the only arm a value-only slice can take, so the prediction is never
-    /// compared with another and stays an upper bound on the pass, which
-    /// recomputes only the changed rows' elimination reach.
-    pub predicted_cost: f64,
-    /// The work `arm` counted, in the unit [`MaintenanceArm::model_cost`]
-    /// takes: factor entries touched by the sweeps, or multiply-adds of the
-    /// numeric factorization — for the frozen-pattern pass, those of the
-    /// rows it recomputed.
-    pub actual_work: u64,
-    /// Rows the frozen-pattern pass recomputed: the elimination reach of the
-    /// slice's changed rows, or the whole block over a structure not closed
-    /// under elimination (0 for the other arms).
+    /// Rows the numeric pass recomputed: the elimination reach of the
+    /// slice's changed rows (0 for a re-order).
     pub rows_refactored: u64,
     /// The order of the shard's block, so `rows_refactored / block_order`
-    /// is the share of the block a frozen-pattern pass recomputed.
+    /// is the share of the block the pass recomputed.
     pub block_order: u64,
-    /// Slots a sweep's extended copy holds beyond the block it extended —
-    /// the fill and new entries the slice brought in (0 for the other arms,
-    /// and for a sweep a guard failure abandoned).
+    /// Slots the pass's extended copy holds beyond the block it extended —
+    /// the fill and new entries the slice brought in (0 when nothing escaped
+    /// the block, for a re-order, and for a pass a guard failure abandoned).
     pub slots_added: u64,
     /// The shard's quality-loss after the advance.
     pub quality_loss: f64,
@@ -166,8 +145,6 @@ pub struct ShardAdvance {
 pub struct ShardedAdvanceReport {
     /// The id of the snapshot the batch produced.
     pub snapshot_id: u64,
-    /// Aggregated Bennett work across all shards.
-    pub bennett: BennettStats,
     /// Per-shard breakdown, indexed by shard id (shards without work report
     /// zeros).
     pub per_shard: Vec<ShardAdvance>,
@@ -193,8 +170,8 @@ pub struct ShardedAdvanceReport {
 /// Per-shard LU factors over a partitioned node universe, updated shard by
 /// shard, with cross-shard coupling served at query time.
 ///
-/// Deltas touching disjoint shards cost one *small* Bennett sweep (or
-/// pattern-frozen refactor pass) per shard, and
+/// Deltas touching disjoint shards cost one *small* numeric pass per shard,
+/// over the elimination reach of the rows they change, and
 /// cross-shard edges bypass the numeric layer entirely; snapshots of any
 /// shard count answer identically to within the block solve's 1e-13
 /// tolerance.
@@ -223,13 +200,12 @@ pub struct ShardedFactorStore {
     /// Coupling size that triggers the next adaptive re-partition (`None`
     /// disables; backed off after each re-partition for amortization).
     next_repartition_at: Option<usize>,
-    /// Telemetry sink for sweep/refresh/freeze spans and repartition
-    /// events, stamped onto snapshots; a disabled stub unless
+    /// Telemetry sink for route/refactor/refresh/freeze spans and
+    /// repartition events, stamped onto snapshots; a disabled stub unless
     /// [`ShardedFactorStore::with_telemetry`].
     telemetry: Arc<TelemetryRegistry>,
     /// Test hook: overrides every decision's arm, so each arm can be driven
-    /// over the same stream.  (An arm forced onto a slice it cannot absorb —
-    /// the frozen pass on a structural one — ends in its typed fallback.)
+    /// over the same stream.
     #[cfg(test)]
     pub(crate) forced_arm: Option<MaintenanceArm>,
 }
@@ -324,12 +300,11 @@ impl ShardedFactorStore {
     ///
     /// The factors are a fresh factorization under the live orderings, so
     /// they equal the live factors to rounding, not bit for bit, and hold no
-    /// slot a sweep added for an entry since removed: a restored shard's
-    /// slot count and quality-loss are never above the live shard's.  Each
-    /// shard's running sweep reach is not in the image either: the
-    /// maintenance decision restarts from its prior, so a replayed batch may
-    /// take another arm than the original took — same answers, to the arms'
-    /// 1e-12 agreement.  A shard the image's ordering does not fit, or whose
+    /// slot an extension added for an entry since removed: a restored
+    /// shard's slot count and quality-loss are never above the live
+    /// shard's, so the quality trigger may re-order a replayed block later
+    /// than the original did — same answers, to the arms' 1e-12 agreement.
+    /// A shard the image's ordering does not fit, or whose
     /// block meets a singular pivot under it, is an
     /// [`EngineError::Persistence`].
     pub(crate) fn restore(
@@ -384,8 +359,8 @@ impl ShardedFactorStore {
         })
     }
 
-    /// Sets the telemetry registry sweep/refresh/freeze spans and
-    /// repartition events are recorded into (builder style).  Snapshots
+    /// Sets the telemetry registry the store's spans and repartition events
+    /// are recorded into (builder style).  Snapshots
     /// carry the same handle so query-path coupling solves record too.
     pub fn with_telemetry(mut self, telemetry: Arc<TelemetryRegistry>) -> Self {
         self.telemetry = telemetry;
@@ -493,10 +468,10 @@ impl ShardedFactorStore {
     /// failures and policy trips refresh only the affected shard; an `Ok`
     /// return always leaves servable factors.
     ///
-    /// An `Err` (a shard's rebuild itself failed, which a diagonally
+    /// An `Err` (a shard's re-order itself failed, which a diagonally
     /// dominant block cannot trigger in practice) leaves the store
     /// mid-batch — graph and coupling already advanced, sibling shards
-    /// possibly swept — and must be treated as fatal for this store; only
+    /// possibly maintained — and must be treated as fatal for this store; only
     /// out-of-range deltas are rejected before any mutation.
     pub fn advance(&mut self, delta: &GraphDelta) -> EngineResult<ShardedAdvanceReport> {
         let n = self.graph.n_nodes();
@@ -524,18 +499,13 @@ impl ShardedFactorStore {
             }
         }
 
-        // Only intra-shard edges can introduce a new intra-block matrix
-        // position; a cross edge contributes nothing but rescales of existing
-        // intra entries to a shard's list — so the decision below classifies
-        // a shard's slice by its intra edges alone.
-        let (intra_deltas, _cross) = delta.split_by(&self.partition);
-
         // Capture pre-delta adjacency of the affected sources, then mutate.
         let old = OldSuccessors::capture(&self.graph, delta);
         delta.apply(&mut self.graph);
         self.snapshot_id += 1;
 
         // Route every changed matrix entry to its shard or the coupling.
+        let route = self.telemetry.span(Stage::ShardRoute);
         let mut shard_entries: Vec<Vec<(usize, usize, f64, f64)>> = vec![Vec::new(); k];
         let mut coupling_writes: Vec<(usize, usize, f64)> = Vec::new();
         for (r, c, old, new) in global_matrix_delta(&self.graph, self.kind, &old) {
@@ -551,6 +521,7 @@ impl ShardedFactorStore {
                 coupling_writes.push((r, c, new));
             }
         }
+        route.stop();
         let mut report = ShardedAdvanceReport {
             snapshot_id: self.snapshot_id,
             per_shard,
@@ -565,15 +536,11 @@ impl ShardedFactorStore {
         // "Measured" has the numbers).
         let mut ordering_moved = false;
         for s in (0..k).filter(|&s| !shard_entries[s].is_empty()) {
-            let (staged, predicted_cost) = self.stage(s, &intra_deltas[s], &shard_entries[s]);
+            let staged = self.stage(s, &shard_entries[s]);
             let outcome = self.shards[s].maintain(staged, &self.telemetry, s, self.snapshot_id)?;
-            report.bennett.merge(&outcome.bennett);
             report.per_shard[s] = ShardAdvance {
                 entries_applied: shard_entries[s].len() as u64,
-                sweeps: outcome.bennett.rank_one_updates as u64,
                 arm: Some(outcome.arm),
-                predicted_cost,
-                actual_work: outcome.actual_work,
                 rows_refactored: outcome.rows_refactored as u64,
                 block_order: self.shards[s].factors().n() as u64,
                 slots_added: outcome.slots_added,
@@ -644,39 +611,23 @@ impl ShardedFactorStore {
     }
 
     /// The one maintenance decision for shard `s`'s slice of a batch,
-    /// staged before its arm runs: which arm absorbs it, and what the cost model expects the arm to cost — from
-    /// counts only, so the same stream decides the same way on every run and
-    /// no clock is read.
+    /// staged before its arm runs — from counts only, so the same stream
+    /// decides the same way on every run and no clock is read.
     ///
-    /// `intra` is the slice's edge changes (global node ids), `entries` the
-    /// matrix entries they change (local coordinates), which the shard keeps
-    /// translated into factor coordinates for its arm.  In order:
-    ///
-    /// 1. a block whose quality-loss ([`refresh_decision`], Definition 4
-    ///    against the size at its last re-order) is over the policy's budget
-    ///    re-orders — this batch is absorbed by the fresh factorization, no
-    ///    work is spent on factors about to be dropped;
-    /// 2. a value-only slice ([`DeltaClass::ValueOnly`] against the block's
-    ///    structure) takes the pattern-frozen pass — the only arm such a
-    ///    slice can take, so its prediction, the full pass over the block's
-    ///    elimination work, is never weighed against another arm and stays
-    ///    an upper bound on the reach the pass recomputes;
-    /// 3. a structural slice takes the cheaper of Bennett sweeps — priced by
-    ///    the shard's [`clude_lu::Maintainer::sweep_ns`], plus the copy they
-    ///    run on — and a rebuild under the held ordering, predicted from the
-    ///    factor size and the elimination work.
-    ///
-    /// A sweep's copy of the block (`Staged::Sweep`) is made here, under a
-    /// `snapshot.freeze` span, so the per-layer table charges it to the
-    /// copy, not to the sweep: the block extended to cover the slice's
-    /// entries ([`extend_structure`]), which costs the rows the slice
-    /// changes plus one pass over the slots.
-    fn stage(
-        &mut self,
-        s: usize,
-        intra: &GraphDelta,
-        entries: &[(usize, usize, f64, f64)],
-    ) -> (Staged, f64) {
+    /// `entries` is the matrix entries the slice changes (local
+    /// coordinates), which the shard keeps translated into factor
+    /// coordinates for its arm.  A block whose quality-loss
+    /// ([`refresh_decision`], Definition 4 against the size at its last
+    /// re-order) is over the policy's budget re-orders — this batch is
+    /// absorbed by the fresh factorization, no work is spent on factors about
+    /// to be dropped.  Every other slice takes CLUDE's numeric member step:
+    /// when an entry escapes the block's structure, the block extended to
+    /// cover the slice's entries ([`extend_structure`]) is made here, under a
+    /// `snapshot.freeze` span, so the per-layer table charges the copy to
+    /// the copy, not to the pass — it costs the rows the slice changes plus
+    /// one pass over the slots; a slice that stays inside the structure runs
+    /// on a plain copy of the block, which the pass makes.
+    fn stage(&mut self, s: usize, entries: &[(usize, usize, f64, f64)]) -> Staged {
         let shard = &mut self.shards[s];
         let (rows, cols) = (&shard.row_old_to_new, &shard.col_old_to_new);
         shard.mapped.clear();
@@ -687,47 +638,37 @@ impl ShardedFactorStore {
         );
         let shard = &self.shards[s];
         let structure = shard.factors().structure();
-        let (nnz, order) = (structure.nnz(), structure.n());
-        let priced = |arm: MaintenanceArm, work: u64| (arm, arm.model_cost(work, nnz, order));
         let over_budget = match self.policy {
             RefreshPolicy::QualityTriggered { max_quality_loss } => {
-                refresh_decision(nnz, shard.reference_nnz, max_quality_loss).should_refresh
+                refresh_decision(structure.nnz(), shard.reference_nnz, max_quality_loss)
+                    .should_refresh
             }
             RefreshPolicy::Incremental => false,
         };
-        let local = |u: usize| self.partition.local_of(u);
-        let (arm, predicted_cost) = if over_budget {
-            priced(MaintenanceArm::Reorder, shard.elimination_work)
-        } else if intra.classify_with(self.kind, |i, j| {
-            structure.contains(
-                shard.row_old_to_new[local(i)],
-                shard.col_old_to_new[local(j)],
-            )
-        }) == DeltaClass::ValueOnly
-        {
-            priced(MaintenanceArm::FrozenRefactor, shard.elimination_work)
+        let arm = if over_budget {
+            MaintenanceArm::Reorder
         } else {
-            let sweep = shard.maintainer.sweep_ns(&shard.mapped, nnz) + cost::freeze_ns(nnz);
-            let rebuild = priced(MaintenanceArm::Rebuild, shard.elimination_work);
-            if sweep <= REBUILD_MARGIN * rebuild.1 {
-                (MaintenanceArm::BennettSweep, sweep)
-            } else {
-                rebuild
-            }
+            MaintenanceArm::Refactor
         };
         #[cfg(test)]
         let arm = self.forced_arm.unwrap_or(arm);
-        let staged = match arm {
-            MaintenanceArm::BennettSweep => {
-                let _freeze = self.telemetry.span(Stage::SnapshotFreeze);
+        match arm {
+            MaintenanceArm::Refactor => {
+                // An entry with a nonzero old value is a stored position of
+                // the held matrix, which the structure covers: only the
+                // others can escape it.
+                let escapes = shard
+                    .mapped
+                    .iter()
+                    .any(|&(i, j, old, _)| old == 0.0 && !structure.contains(i, j));
                 let positions = shard.mapped.iter().map(|&(i, j, ..)| (i, j));
-                Staged::Sweep(extend_structure(shard.factors(), positions))
+                Staged::Refactor(escapes.then(|| {
+                    let _freeze = self.telemetry.span(Stage::SnapshotFreeze);
+                    extend_structure(shard.factors(), positions)
+                }))
             }
-            MaintenanceArm::FrozenRefactor => Staged::FrozenRefactor,
-            MaintenanceArm::Rebuild => Staged::Rebuild,
             MaintenanceArm::Reorder => Staged::Reorder,
-        };
-        (staged, predicted_cost)
+        }
     }
 
     /// Re-runs the partition strategy on the current graph and rebuilds the
@@ -927,8 +868,8 @@ mod tests {
         let partition = NodePartition::contiguous(n, 4); // shards of 3
         let mut store =
             ShardedFactorStore::new(g, kind, RefreshPolicy::Incremental, partition).unwrap();
-        // One intra-shard change per shard: all four shards sweep in one
-        // advance, nothing lands in the coupling.
+        // One intra-shard change per shard: all four shards extend and
+        // refactor in one advance, nothing lands in the coupling.
         let delta = GraphDelta {
             added: vec![(0, 2), (3, 5), (6, 8), (9, 11)],
             removed: vec![],
@@ -940,11 +881,14 @@ mod tests {
                 report.per_shard[s].entries_applied > 0,
                 "shard {s} saw no entries"
             );
-            assert!(report.per_shard[s].sweeps > 0, "shard {s} never swept");
+            assert!(report.per_shard[s].slots_added > 0, "shard {s} never grew");
+            assert!(
+                report.per_shard[s].rows_refactored > 0,
+                "shard {s} never refactored"
+            );
             assert_eq!(report.per_shard[s].cross_edges_seen, 0);
         }
         assert_eq!(report.coupling_writes, 0);
-        assert!(report.bennett.rank_one_updates > 0);
         store.assert_consistent(1e-9);
     }
 
@@ -958,8 +902,8 @@ mod tests {
             ShardedFactorStore::new(g, kind, RefreshPolicy::Incremental, partition).unwrap();
         let before = store.coupling_nnz();
         // 2 -> 6 is cross-shard; node 2 has existing intra successors whose
-        // column weight rescales, so shard 0 still sweeps — but shard 1 (the
-        // target side) must not.
+        // column weight rescales, so shard 0 still refactors — but shard 1
+        // (the target side) must not.
         let report = store
             .advance(&GraphDelta {
                 added: vec![(2, 6)],
@@ -968,7 +912,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.per_shard[0].cross_edges_seen, 1);
         assert_eq!(report.per_shard[1].entries_applied, 0);
-        assert_eq!(report.per_shard[1].sweeps, 0);
+        assert_eq!(report.per_shard[1].arm, None);
         assert!(store.coupling_nnz() > before);
         assert!(report.coupling_writes > 0);
         store.assert_consistent(1e-9);
@@ -1538,29 +1482,29 @@ mod tests {
         let mut sharded =
             ShardedFactorStore::new(g, kind, RefreshPolicy::Incremental, partition).unwrap();
         // Removing an intra-shard edge is always value-only: shard 0 absorbs
-        // it by a pattern-frozen refactorization, the other shards stay idle.
+        // it by a pass down its structure as it stands, the other shards stay
+        // idle.
         let delta = GraphDelta {
             added: vec![],
             removed: vec![(2, 0)],
         };
         let report = sharded.advance(&delta).unwrap();
-        assert_eq!(
-            report.per_shard[0].arm,
-            Some(MaintenanceArm::FrozenRefactor)
-        );
-        assert_eq!(report.per_shard[0].sweeps, 0);
+        assert_eq!(report.per_shard[0].arm, Some(MaintenanceArm::Refactor));
+        assert_eq!(report.per_shard[0].slots_added, 0);
         assert!(report.per_shard[0].entries_applied > 0);
         assert_eq!(report.per_shard[1].arm, None);
         assert_eq!(report.per_shard[2].arm, None);
         sharded.assert_consistent(1e-9);
         assert_queries_match(&sharded, n);
-        // A structural intra-shard addition must not refactor.
+        // A structural intra-shard addition takes the same arm over the
+        // structure extended to cover it.
         let delta = GraphDelta {
             added: vec![(1, 3)],
             removed: vec![],
         };
         let report = sharded.advance(&delta).unwrap();
-        assert_eq!(report.per_shard[0].arm, Some(MaintenanceArm::BennettSweep));
+        assert_eq!(report.per_shard[0].arm, Some(MaintenanceArm::Refactor));
+        assert!(report.per_shard[0].slots_added > 0);
         sharded.assert_consistent(1e-9);
         assert_queries_match(&sharded, n);
     }
@@ -1859,7 +1803,7 @@ mod tests {
     }
 
     /// Every block the store serves sits on a structure closed under
-    /// elimination, so every frozen-pattern pass over it is reach-limited.
+    /// elimination, so every numeric pass over it is reach-limited.
     fn assert_blocks_closed(store: &ShardedFactorStore) {
         for (s, shard) in store.shards.iter().enumerate() {
             assert!(
@@ -1894,10 +1838,7 @@ mod tests {
                 removed: vec![(2, 0)],
             })
             .unwrap();
-        assert_eq!(
-            report.per_shard[0].arm,
-            Some(MaintenanceArm::FrozenRefactor)
-        );
+        assert_eq!(report.per_shard[0].arm, Some(MaintenanceArm::Refactor));
         assert!(!Arc::ptr_eq(
             snap0.shards()[0].shared(),
             store.shards[0].block()
@@ -1913,7 +1854,7 @@ mod tests {
                 removed: vec![],
             })
             .unwrap();
-        assert_eq!(report.per_shard[0].arm, Some(MaintenanceArm::BennettSweep));
+        assert_eq!(report.per_shard[0].arm, Some(MaintenanceArm::Refactor));
         let s2 = structure_of(&store);
         assert!(!Arc::ptr_eq(&s0, &s2));
         assert!(s2.nnz() > s0.nnz());
@@ -1979,19 +1920,28 @@ mod tests {
 
     #[test]
     fn one_batch_taking_every_arm_answers_exactly() {
-        // One batch, three arms, run one after another on this thread: a
-        // chord in shard 0 escapes its block's structure at one row and the
-        // extension cascades down the rows below it (a sweep), a chord from
-        // every page of shard 1 changes all of its block's columns (a
-        // rebuild), dropping shard 2's chord rescales stored positions (the
-        // frozen pass), and shard 3 sits idle.
+        // One batch, both arms, run one after another on this thread, under a
+        // zero quality budget: a chord in shard 0 escapes its block's
+        // structure at one row and the extension cascades down the rows below
+        // it (the pass over the extended copy), shard 1 grew in an earlier
+        // batch and is over budget (a re-order), dropping shard 2's chord
+        // rescales stored positions (the pass over a plain copy), and shard 3
+        // sits idle.
         let mut store = four_rings();
+        store.policy = RefreshPolicy::QualityTriggered {
+            max_quality_loss: 0.0,
+        };
+        let grown = store
+            .advance(&GraphDelta {
+                added: vec![(35, 52)],
+                removed: vec![],
+            })
+            .unwrap();
+        assert!(grown.per_shard[1].slots_added > 0 && !grown.refreshed);
         let before = store.snapshot();
-        let mut added = vec![(0, 9)];
-        added.extend((0..32).map(|i| (32 + i, 32 + (i + 2) % 32)));
         let report = store
             .advance(&GraphDelta {
-                added,
+                added: vec![(0, 9), (37, 50)],
                 removed: vec![(64, 66)],
             })
             .unwrap();
@@ -1999,9 +1949,9 @@ mod tests {
         assert_eq!(
             arms,
             [
-                Some(MaintenanceArm::BennettSweep),
-                Some(MaintenanceArm::Rebuild),
-                Some(MaintenanceArm::FrozenRefactor),
+                Some(MaintenanceArm::Refactor),
+                Some(MaintenanceArm::Reorder),
+                Some(MaintenanceArm::Refactor),
                 None
             ]
         );
@@ -2015,10 +1965,12 @@ mod tests {
         assert!(report.per_shard[0].slots_added > 0);
         assert_eq!(report.per_shard[0].slots_added, grown(0));
         assert!(report.per_shard[1..].iter().all(|s| s.slots_added == 0));
+        assert!(report.per_shard[0].rows_refactored > 0);
         assert!(report.per_shard[2].rows_refactored > 0);
+        assert_eq!(report.per_shard[1].rows_refactored, 0);
         // Page 37's new chord rescales its cross link into shard 2.
         assert_eq!(report.coupling_writes, 1);
-        assert!(!report.refreshed);
+        assert!(report.refreshed && report.coupling_republished);
         assert_blocks_closed(&store);
         store.assert_consistent(1e-12);
         assert_coupled_answers_exact(&store, 128);
@@ -2074,7 +2026,7 @@ mod tests {
                 if shard.arm.is_none() {
                     continue;
                 }
-                assert_eq!(shard.arm, Some(MaintenanceArm::FrozenRefactor));
+                assert_eq!(shard.arm, Some(MaintenanceArm::Refactor));
                 let (old, new) = (
                     static_factors(old_snapshot.shards()[s].decomposed()),
                     store.shards[s].factors(),
@@ -2111,7 +2063,7 @@ mod tests {
     }
 
     #[test]
-    fn a_rebuild_publishes_its_own_factors_and_later_frozen_passes_share_its_structure() {
+    fn a_re_order_prunes_the_zeros_removals_left_and_later_passes_share_its_structure() {
         let n = 12;
         let mut store = ShardedFactorStore::new(
             base_graph(n),
@@ -2122,44 +2074,43 @@ mod tests {
         .unwrap();
         let structure_of =
             |store: &ShardedFactorStore| Arc::clone(store.shards[0].factors().structure());
-        // Two removals and an insert, absorbed by Bennett sweeps first: the
-        // removed positions stay behind as stored zeros.
-        store
+        // The symbolic closure of the shard's matrix as it is now, without
+        // stored zeros, under the shard's ordering.
+        let closure = |store: &ShardedFactorStore| {
+            let matrix =
+                shard_measure_matrix(store.graph(), store.matrix_kind(), store.partition(), 0)
+                    .reorder(&store.shards[0].ordering)
+                    .unwrap();
+            clude_lu::symbolic_size(&matrix.pattern())
+        };
+        // Two removals and an insert, absorbed by the pass over the extended
+        // block: the removed positions stay behind as slots.
+        let report = store
             .advance(&GraphDelta {
                 added: vec![(1, 7)],
                 removed: vec![(2, 0), (6, 1)],
             })
             .unwrap();
-        // The next structural batch is rebuilt under the held ordering.
-        store.forced_arm = Some(MaintenanceArm::Rebuild);
-        let ordering = store.shards[0].ordering.clone();
+        assert_eq!(report.per_shard[0].arm, Some(MaintenanceArm::Refactor));
+        assert!(structure_of(&store).nnz() > closure(&store));
+        // The next structural batch is re-ordered: the block is on the closed
+        // pattern of the matrix as it is now, the stored zeros gone.
+        store.forced_arm = Some(MaintenanceArm::Reorder);
         let report = store
             .advance(&GraphDelta {
                 added: vec![(3, 9)],
                 removed: vec![],
             })
             .unwrap();
-        let shard = report.per_shard[0];
-        assert_eq!(shard.arm, Some(MaintenanceArm::Rebuild));
-        assert!(shard.actual_work > 0 && shard.predicted_cost > 0.0);
-        assert_eq!(report.bennett.rank_one_updates, 0);
-        assert!(!report.refreshed);
-        assert_eq!(store.shards[0].ordering, ordering, "the ordering is held");
-        // The block is on the closed pattern of the matrix as it is now: the
-        // sweeps' stored zeros are gone.
+        assert_eq!(report.per_shard[0].arm, Some(MaintenanceArm::Reorder));
+        assert!(report.refreshed);
         assert_blocks_closed(&store);
-        let rebuilt = structure_of(&store);
-        let matrix = shard_measure_matrix(store.graph(), store.matrix_kind(), store.partition(), 0)
-            .reorder(&ordering)
-            .unwrap();
-        assert_eq!(
-            rebuilt.nnz(),
-            clude_lu::symbolic_size(&matrix.pattern()),
-            "the rebuilt structure is the symbolic closure under the held ordering"
-        );
+        let reordered = structure_of(&store);
+        assert_eq!(reordered.nnz(), closure(&store));
+        assert_eq!(store.shards[0].reference_nnz, reordered.nnz());
         store.assert_consistent(1e-12);
         assert_queries_match(&store, n);
-        // A value-only batch after it: frozen-pattern pass, same structure.
+        // A value-only batch after it: a pass over the same structure.
         store.forced_arm = None;
         let report = store
             .advance(&GraphDelta {
@@ -2167,11 +2118,8 @@ mod tests {
                 removed: vec![(3, 9)],
             })
             .unwrap();
-        assert_eq!(
-            report.per_shard[0].arm,
-            Some(MaintenanceArm::FrozenRefactor)
-        );
-        assert!(Arc::ptr_eq(&rebuilt, &structure_of(&store)));
+        assert_eq!(report.per_shard[0].arm, Some(MaintenanceArm::Refactor));
+        assert!(Arc::ptr_eq(&reordered, &structure_of(&store)));
         assert_blocks_closed(&store);
         assert_queries_match(&store, n);
     }
@@ -2215,69 +2163,58 @@ mod tests {
     }
 
     #[test]
-    fn the_decision_stays_within_a_tenth_of_the_better_arm_on_both_shapes() {
-        // Counts only, so the verdict is the same on every machine: per
-        // structural shard-batch both arms run from the same state, each is
-        // costed by the model on the work it counted, and the free decision
-        // is charged for the one it chose.  A constant that only fits one
-        // shape fails here on the other.
-        for (n_pages, grow_by, n_snapshots, k, rebuilds_most) in
-            [(400, 2_200, 30, 1, true), (2_000, 12_000, 120, 4, false)]
-        {
-            for seed in [11, 97] {
-                let (base, batches) = wiki_stream(n_pages, grow_by, n_snapshots, seed);
-                let partition = edge_locality_partition(&base, k);
-                let mut store = ShardedFactorStore::new(
-                    base,
-                    MatrixKind::random_walk_default(),
-                    RefreshPolicy::default(),
-                    partition,
-                )
-                .unwrap();
-                let (mut chosen, mut better, mut rebuilt, mut structural) = (0.0, 0.0, 0, 0);
-                for delta in &batches {
-                    let costs_of = |forced: MaintenanceArm| {
-                        let mut fork = store.clone();
-                        fork.forced_arm = Some(forced);
-                        let report = fork.advance(delta).unwrap();
-                        (0..fork.n_shards())
-                            .map(|s| {
-                                let factors = fork.shards[s].factors();
-                                forced.model_cost(
-                                    report.per_shard[s].actual_work,
-                                    factors.nnz(),
-                                    factors.n(),
-                                )
-                            })
-                            .collect::<Vec<f64>>()
-                    };
-                    let sweep = costs_of(MaintenanceArm::BennettSweep);
-                    let rebuild = costs_of(MaintenanceArm::Rebuild);
-                    let report = store.advance(delta).unwrap();
-                    for (s, shard) in report.per_shard.iter().enumerate() {
-                        let cost = match shard.arm {
-                            Some(MaintenanceArm::BennettSweep) => sweep[s],
-                            Some(MaintenanceArm::Rebuild) => rebuild[s],
-                            _ => continue,
-                        };
-
-                        chosen += cost;
-                        better += sweep[s].min(rebuild[s]);
-                        structural += 1;
-                        rebuilt += (shard.arm == Some(MaintenanceArm::Rebuild)) as usize;
+    fn a_structural_slice_recomputes_less_than_its_block_and_answers_exactly() {
+        // A densifying wiki-like stream on four shards: every slice that
+        // brings a new position into its block is extended and recomputed
+        // over its changed rows' elimination reach, which stays short of the
+        // block, and the answers stay those of dense elimination.
+        let query = MeasureQuery::Rwr {
+            seed: 3,
+            damping: 0.85,
+        };
+        for seed in [11, 97] {
+            let (base, batches) = wiki_stream(400, 2_200, 30, seed);
+            let partition = edge_locality_partition(&base, 4);
+            let mut store = ShardedFactorStore::new(
+                base,
+                MatrixKind::random_walk_default(),
+                RefreshPolicy::default(),
+                partition,
+            )
+            .unwrap();
+            let (mut structural, mut recomputed, mut rows) = (0, 0, 0);
+            for (b, delta) in batches.iter().enumerate() {
+                let report = store.advance(delta).unwrap();
+                for shard in &report.per_shard {
+                    if shard.arm != Some(MaintenanceArm::Refactor) || shard.slots_added == 0 {
+                        continue;
+                    }
+                    assert!(
+                        shard.rows_refactored < shard.block_order,
+                        "seed {seed}, batch {b}: {} of {} rows",
+                        shard.rows_refactored,
+                        shard.block_order
+                    );
+                    structural += 1;
+                    recomputed += shard.rows_refactored;
+                    rows += shard.block_order;
+                }
+                if b % 8 == 0 || b + 1 == batches.len() {
+                    let got = store.snapshot().query(&query).unwrap();
+                    let want = dense_answer(store.graph(), store.matrix_kind(), &query);
+                    for (x, y) in got.iter().zip(&want) {
+                        assert!((x - y).abs() <= 1e-9, "seed {seed}, batch {b}: {x} vs {y}");
                     }
                 }
-                assert!(
-                    chosen <= 1.10 * better,
-                    "{n_pages} pages x {k}, seed {seed}: chose {chosen:.0} ns of counted work, \
-                     the per-batch better arm {better:.0}"
-                );
-                assert_eq!(
-                    2 * rebuilt > structural,
-                    rebuilds_most,
-                    "{n_pages} pages x {k}, seed {seed}: {rebuilt} rebuilds of {structural}"
-                );
             }
+            assert!(
+                structural > batches.len(),
+                "seed {seed}: {structural} slices"
+            );
+            assert!(
+                2 * recomputed < rows,
+                "seed {seed}: {recomputed} of {rows} rows"
+            );
         }
     }
 
@@ -2419,11 +2356,41 @@ mod tests {
             }
         }
 
+        /// The bit oracle of the reach pass: each shard's block equals
+        /// [`clude_lu::refactor_frozen`] run over a copy of the block — its
+        /// own structure, every row recomputed by the same kernel — from the
+        /// shard's held matrix, bit for bit.  A pass over the changed rows'
+        /// reach leaves every other row as the last full computation left
+        /// it, and a row whose matrix row and `L` dependencies did not
+        /// change computes to the same bits.
+        fn assert_blocks_are_full_passes(store: &ShardedFactorStore) {
+            for (s, shard) in store.shards.iter().enumerate() {
+                let block = shard.factors();
+                let mut full = block.clone();
+                let stats = clude_lu::refactor_frozen(
+                    &mut full,
+                    shard.maintainer.matrix(),
+                    &mut clude_lu::RefactorWorkspace::new(),
+                )
+                .unwrap();
+                assert_eq!(stats.rows_refactored, block.n(), "shard {s}");
+                assert!(Arc::ptr_eq(full.structure(), block.structure()));
+                assert_eq!(
+                    bits(full.export_entries()),
+                    bits(block.export_entries()),
+                    "shard {s}"
+                );
+            }
+        }
+
         /// A checkpoint restores to the live store after every batch of a
         /// mixed stream, whichever arm maintained the blocks: both matrix
         /// kinds, one shard, and four shards whose re-partitions follow edge
         /// locality or BTF structure, under the free decision and each arm
-        /// forced in turn — every arm fires on every configuration.
+        /// forced in turn — every arm fires on every configuration.  And
+        /// every published block is, bit for bit, a full numeric pass over
+        /// its own structure from the shard's held matrix
+        /// ([`assert_blocks_are_full_passes`]).
         #[test]
         fn restore_matches_the_live_store_after_every_batch_and_arm() {
             // Four 6-node cycles with a chord each, bridged forward: four
@@ -2487,6 +2454,7 @@ mod tests {
                         }
                         store.forced_arm = forced;
                         assert_restores_to(&store);
+                        assert_blocks_are_full_passes(&store);
                         for batch in &batches {
                             let before = store.snapshot();
                             let report =
@@ -2503,6 +2471,7 @@ mod tests {
                                     .filter_map(|s| s.arm.map(|a| a.index())),
                             );
                             assert_restores_to(&store);
+                            assert_blocks_are_full_passes(&store);
                         }
                     }
                     assert_eq!(
@@ -2524,10 +2493,10 @@ mod tests {
             /// every block over the new partition: whatever arm maintained a
             /// block, the answers agree with each other to 1e-12 and with
             /// dense Gaussian elimination to 1e-9; after every arm every
-            /// block's structure is closed under elimination; a
-            /// frozen-pattern pass — also one that follows a rebuild — keeps
-            /// the structure handle it found, and a sweep keeps it or extends
-            /// it; a snapshot taken before
+            /// block's structure is closed under elimination; a numeric pass
+            /// — also one that follows a re-order — keeps the structure
+            /// handle it found when nothing escaped it, and extends it
+            /// otherwise; a snapshot taken before
             /// all of it, re-partitions included, still answers
             /// bit-identically at the end.
             #[test]
@@ -2635,15 +2604,11 @@ mod tests {
                                 continue;
                             }
                             let after = store.shards[s].factors().structure();
-                            match shard.arm {
-                                Some(MaintenanceArm::FrozenRefactor) => {
-                                    prop_assert!(Arc::ptr_eq(&before[s], after));
-                                }
-                                Some(MaintenanceArm::BennettSweep) => {
-                                    let (was, now) = (before[s].pattern(), after.pattern());
-                                    prop_assert!(was.is_subset_of(&now), "shard {}", s);
-                                }
-                                _ => {}
+                            if shard.arm == Some(MaintenanceArm::Refactor) {
+                                let shared = Arc::ptr_eq(&before[s], after);
+                                prop_assert_eq!(shared, shard.slots_added == 0, "shard {}", s);
+                                let (was, now) = (before[s].pattern(), after.pattern());
+                                prop_assert!(was.is_subset_of(&now), "shard {}", s);
                             }
                         }
                         answers.push(answers_of(&store.snapshot()));

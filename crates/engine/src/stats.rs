@@ -14,8 +14,6 @@ pub struct ShardStats {
     pub shard: usize,
     /// Changed matrix entries applied to this shard's factors.
     pub deltas_applied: u64,
-    /// Bennett rank-one updates (sweeps) run on this shard.
-    pub sweeps_run: u64,
     /// Cross-shard edge changes sourced from this shard's nodes.
     pub cross_shard_edges: u64,
     /// Re-orders (fresh ordering + factorization) of this shard's block.
@@ -35,20 +33,22 @@ pub struct EngineStats {
     pub batches_applied: u64,
     /// Batches in which at least one shard re-ordered.
     pub refreshes: u64,
-    /// Bennett rank-one updates performed: the sum of the per-shard sweeps.
+    /// Bennett rank-one updates performed: always 0, since no shard sweeps
+    /// (kept for readers of the field).
     pub bennett_rank_one_updates: u64,
-    /// Bennett pivots visited.
+    /// Bennett pivots visited: always 0, like
+    /// [`EngineStats::bennett_rank_one_updates`].
     pub bennett_pivots: u64,
     /// Shard-batches absorbed by each maintenance arm (see
     /// [`EngineStats::arm_count`]); re-orders are the per-shard ones summed.
     pub arms: [u64; MaintenanceArm::ALL.len()],
-    /// Rows the frozen-pattern passes recomputed — the elimination reach of
-    /// their slices' changed rows (see [`EngineStats::frozen_row_share`]).
+    /// Rows the numeric passes recomputed — the elimination reach of their
+    /// slices' changed rows (see [`EngineStats::frozen_row_share`]).
     pub frozen_rows_refactored: u64,
     /// Rows of the blocks those passes ran on.
     pub frozen_block_rows: u64,
-    /// Factor slots the sweeps' structure extensions added: the fill and
-    /// new entries the batches' structural slices brought into the blocks.
+    /// Factor slots the structure extensions added: the fill and new
+    /// entries the batches' structural slices brought into the blocks.
     pub slots_added: u64,
     /// Queries answered.
     pub queries: u64,
@@ -107,7 +107,6 @@ impl EngineStats {
                 ShardStats {
                     shard,
                     deltas_applied: of(ShardCounter::EntriesApplied),
-                    sweeps_run: of(ShardCounter::Sweeps),
                     cross_shard_edges: of(ShardCounter::CrossShardEdges),
                     refreshes: of(ShardCounter::Reorders),
                 }
@@ -122,8 +121,6 @@ impl EngineStats {
             ops_coalesced: count(Counter::OpsCoalesced),
             batches_applied: count(Counter::BatchesApplied),
             refreshes: count(Counter::BatchesReordered),
-            bennett_rank_one_updates: per_shard.iter().map(|s| s.sweeps_run).sum(),
-            bennett_pivots: count(Counter::BennettPivots),
             arms: MaintenanceArm::ALL.map(|arm| arm.counter().map_or(reorders, count)),
             frozen_rows_refactored: count(Counter::FrozenRowsRefactored),
             frozen_block_rows: count(Counter::FrozenBlockRows),
@@ -160,7 +157,7 @@ impl EngineStats {
         self.arms[arm.index()]
     }
 
-    /// Share of their blocks' rows the frozen-pattern passes recomputed, in
+    /// Share of their blocks' rows the numeric passes recomputed, in
     /// `[0, 1]` (0 before the first pass).
     pub fn frozen_row_share(&self) -> f64 {
         ratio(self.frozen_rows_refactored, self.frozen_block_rows)
@@ -208,14 +205,16 @@ impl fmt::Display for EngineStats {
         )?;
         writeln!(
             f,
-            "factors  | refreshes {:>4}  rank-1 {:>10}  pivots {:>10}  refresh time {:>10.3?}",
-            s.refreshes, s.bennett_rank_one_updates, s.bennett_pivots, s.refresh_time
+            "factors  | refreshes {:>4}  slots-added {:>10}  refresh time {:>10.3?}",
+            s.refreshes, s.slots_added, s.refresh_time
         )?;
-        let [sweep, refactor, rebuild, reorder] = MaintenanceArm::ALL.map(|a| s.arm_count(a));
+        let [refactor, reorder] = MaintenanceArm::ALL.map(|a| s.arm_count(a));
         writeln!(
             f,
-            "arms     | sweep {:>8}  refactor {:>7}  rebuild {:>7}  re-order {:>6}  refactor-rows {:>5.1}%",
-            sweep, refactor, rebuild, reorder, 100.0 * s.frozen_row_share()
+            "arms     | refactor {:>7}  re-order {:>6}  refactor-rows {:>5.1}%",
+            refactor,
+            reorder,
+            100.0 * s.frozen_row_share()
         )?;
         writeln!(
             f,
@@ -244,8 +243,8 @@ impl fmt::Display for EngineStats {
         for s in s.per_shard.iter().filter(|_| self.per_shard.len() > 1) {
             write!(
                 f,
-                "\nshard {:>3} | deltas {:>10}  sweeps {:>10}  cross-edges {:>8}  refreshes {:>4}",
-                s.shard, s.deltas_applied, s.sweeps_run, s.cross_shard_edges, s.refreshes
+                "\nshard {:>3} | deltas {:>10}  cross-edges {:>8}  refreshes {:>4}",
+                s.shard, s.deltas_applied, s.cross_shard_edges, s.refreshes
             )?;
         }
         Ok(())
@@ -307,22 +306,18 @@ mod tests {
     fn per_shard_counters_snapshot_and_render() {
         let t = registry(2);
         t.add_shard(1, ShardCounter::EntriesApplied, 5);
-        t.add_shard(1, ShardCounter::Sweeps, 3);
-        t.add_shard(0, ShardCounter::Sweeps, 4);
         t.add_shard(0, ShardCounter::CrossShardEdges, 2);
         t.add_shard(0, ShardCounter::Reorders, 1);
         t.add_shard(1, ShardCounter::Reorders, 2);
-        t.incr(Counter::RebuildArm);
+        t.incr(Counter::RefactorArm);
         let s = EngineStats::from_registry(&t);
         assert_eq!(s.per_shard.len(), 2);
         assert_eq!(s.per_shard[0].shard, 0);
         assert_eq!(s.per_shard[1].deltas_applied, 5);
-        assert_eq!(s.per_shard[1].sweeps_run, 3);
         assert_eq!(s.per_shard[0].cross_shard_edges, 2);
         assert_eq!(s.per_shard[0].refreshes, 1);
-        // The global counts the shards sum to are derived, not counted.
-        assert_eq!(s.bennett_rank_one_updates, 7);
-        assert_eq!(s.arms, [0, 0, 1, 3]);
+        // The re-order count the shards sum to is derived, not counted.
+        assert_eq!(s.arms, [1, 3]);
         let text = s.to_string();
         assert!(text.contains("shard   0"));
         assert!(text.contains("shard   1"));
@@ -398,9 +393,9 @@ mod tests {
             ops_coalesced: 12,
             batches_applied: 16,
             refreshes: 1,
-            bennett_rank_one_updates: 420,
-            bennett_pivots: 9000,
-            arms: [40, 7, 12, 1],
+            bennett_rank_one_updates: 0,
+            bennett_pivots: 0,
+            arms: [59, 1],
             frozen_rows_refactored: 63,
             frozen_block_rows: 1_400,
             slots_added: 25,
@@ -432,8 +427,8 @@ mod tests {
             lines,
             vec![
                 "ingest   | ops       1000  coalesced       12  batches      16  time  125.000ms",
-                "factors  | refreshes    1  rank-1        420  pivots       9000  refresh time   25.000ms",
-                "arms     | sweep       40  refactor       7  rebuild      12  re-order      1  refactor-rows   4.5%",
+                "factors  | refreshes    1  slots-added         25  refresh time   25.000ms",
+                "arms     | refactor      59  re-order      1  refactor-rows   4.5%",
                 "queries  | total       50  hits         20  misses       30  hit-rate  40.0%  solve time   80.000ms",
                 "ring     | depth        3  cow-clones      2  shared        6  share-rate  75.0%  resident ~2.0 KiB",
                 "coupling | nnz       88  sweeps-p50   19  repartitions    1  sweeps-max     23",

@@ -7,16 +7,16 @@
 //!   it published, which is the live storage itself — its quality anchor,
 //!   and the [`clude_lu::Maintainer`] holding the matrix the block
 //!   factorizes, which every batch writes its slice into, so no arm reads
-//!   the graph.  The one maintenance decision every advance takes per shard
-//!   (`ShardedFactorStore::stage`) chooses among the four [`MaintenanceArm`]s
-//!   by predicted cost: Bennett sweeps over a structure extended to cover the
-//!   batch (`clude_lu::extend_structure`), a pattern-frozen refactorization
-//!   of the changed rows' elimination reach for value-only batches, a
-//!   rebuild under the held ordering (`clude_lu::rebuild_under_ordering`), a
-//!   re-order.
+//!   the graph.  Every slice takes one of two [`MaintenanceArm`]s, CLUDE's
+//!   member step or a re-order (`ShardedFactorStore::stage`): the block's
+//!   structure extended to cover the slice's entries
+//!   (`clude_lu::extend_structure`, the block itself when nothing escapes
+//!   it), then a numeric pass over the changed rows' elimination reach in
+//!   that structure ([`clude_lu::Maintainer::refactor_reach`]).
 //! * [`RefreshPolicy`] — when a block abandons its ordering, mirroring the
 //!   paper's algorithm families: [`RefreshPolicy::Incremental`] is INC-style
-//!   (one ordering forever, never re-ordered for quality);
+//!   (one ordering forever, never re-ordered for quality, its structure only
+//!   growing);
 //!   [`RefreshPolicy::QualityTriggered`] is CLUDE-style (the factor size is
 //!   compared against the size recorded at the last re-order via
 //!   [`clude::refresh_decision`] (Definition 4's quality-loss), and a block
@@ -30,10 +30,7 @@
 use crate::coupling::{self, CouplingPlan, FrozenCoupling, SolveTolerance, System};
 use clude::{DecomposedMatrix, MatrixFactors};
 use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
-use clude_lu::{
-    cost, factorize_fresh, markowitz_ordering, rebuild_under_ordering, BennettStats, LuError,
-    LuFactors, LuResult, Maintainer,
-};
+use clude_lu::{factorize_fresh, markowitz_ordering, LuError, LuFactors, LuResult, Maintainer};
 use clude_measures::{evaluate_query_with, MeasureQuery, MeasureSolver};
 use clude_sparse::CsrMatrix;
 use clude_telemetry::{Counter, EngineEvent, FallbackReason, Stage, TelemetryRegistry};
@@ -43,6 +40,12 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RefreshPolicy {
     /// Never refresh: keep updating the first ordering's factors (INC).
+    ///
+    /// Nothing prunes the block's structure between re-orders, and only a
+    /// numeric fallback re-orders under this policy: every slice's new
+    /// entries extend the structure, and the zeros removals leave stay in
+    /// it as slots, so the block only grows — as the dynamic storage of the
+    /// paper's INC does.
     Incremental,
     /// Re-order a block whose factors' quality-loss against its last
     /// re-order exceeds the budget, with the next batch that touches it
@@ -244,24 +247,16 @@ impl MeasureSolver for EngineSnapshot {
     }
 }
 
-/// The four ways a shard can absorb its slice of a batch — the range of the
+/// The two ways a shard can absorb its slice of a batch — the range of the
 /// one maintenance decision (`ShardedFactorStore::stage`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MaintenanceArm {
-    /// One Bennett rank-one sweep per changed column
-    /// ([`clude_lu::Maintainer::sweep`]) over a copy of the block, whose
-    /// structure is first extended to cover the slice's entries
-    /// (`clude_lu::extend_structure`) — the sweep's fill cannot escape it.
-    BennettSweep,
-    /// One numeric pass down the frozen symbolic pattern — value-only
-    /// batches — over a copy of the block, recomputing only the elimination
-    /// reach of the changed rows, since the block's structure is closed
-    /// under elimination ([`clude_lu::Maintainer::refactor_reach`]).
-    FrozenRefactor,
-    /// Re-symbolic + numeric factorization under the *held* ordering
-    /// (`clude_lu::rebuild_under_ordering`): one pass whatever the batch
-    /// changed, no ordering computed.
-    Rebuild,
+    /// CLUDE's numeric member step: one pass down the block's structure,
+    /// extended first to cover the slice's entries
+    /// (`clude_lu::extend_structure`), recomputing only the elimination
+    /// reach of the slice's changed rows from the held matrix
+    /// ([`clude_lu::Maintainer::refactor_reach`]), on a copy of the block.
+    Refactor,
     /// A fresh Markowitz ordering and a factorization under it — the
     /// streaming analogue of starting a new cluster.
     Reorder,
@@ -269,12 +264,7 @@ pub enum MaintenanceArm {
 
 impl MaintenanceArm {
     /// Every arm, in the order the per-arm counters are kept.
-    pub const ALL: [MaintenanceArm; 4] = [
-        MaintenanceArm::BennettSweep,
-        MaintenanceArm::FrozenRefactor,
-        MaintenanceArm::Rebuild,
-        MaintenanceArm::Reorder,
-    ];
+    pub const ALL: [MaintenanceArm; 2] = [MaintenanceArm::Refactor, MaintenanceArm::Reorder];
 
     /// The arm's dense index into per-arm arrays.
     pub const fn index(self) -> usize {
@@ -286,54 +276,19 @@ impl MaintenanceArm {
     /// per-shard re-orders (`ShardCounter::Reorders`).
     pub const fn counter(self) -> Option<Counter> {
         match self {
-            MaintenanceArm::BennettSweep => Some(Counter::SweepArm),
-            MaintenanceArm::FrozenRefactor => Some(Counter::RefactorArm),
-            MaintenanceArm::Rebuild => Some(Counter::RebuildArm),
+            MaintenanceArm::Refactor => Some(Counter::RefactorArm),
             MaintenanceArm::Reorder => None,
         }
     }
-
-    /// The cost model, one formula for predictions and for costing counted
-    /// work after the fact: nanoseconds for `work` units of the arm's own
-    /// work — factor entries touched for a sweep, multiply-adds of the numeric
-    /// pass for the other three — on a block of order `order` holding
-    /// `factor_nnz` factor entries.  Each arm is the sum of its
-    /// [`clude_lu::cost`] terms: a sweep pays the copy of the block it runs
-    /// on.
-    pub fn model_cost(self, work: u64, factor_nnz: usize, order: usize) -> f64 {
-        match self {
-            MaintenanceArm::BennettSweep => cost::sweep_ns(work) + cost::freeze_ns(factor_nnz),
-            MaintenanceArm::FrozenRefactor => cost::numeric_pass_ns(factor_nnz, work),
-            MaintenanceArm::Rebuild => cost::rebuild_ns(factor_nnz, work),
-            MaintenanceArm::Reorder => {
-                cost::ordering_ns(order) + cost::rebuild_ns(factor_nnz, work)
-            }
-        }
-    }
 }
 
-/// One shard's decided arm, staged before it runs: a sweep carries the copy
-/// of the block it runs on — the block over its structure extended to cover
-/// the slice's entries ([`clude_lu::extend_structure`]), which the sweep's
-/// fill cannot escape — and every other arm copies or builds its block
-/// itself.
+/// One shard's decided arm, staged before it runs: the numeric pass carries
+/// the block's structure extended to cover the slice's entries, or `None`
+/// when none escapes it and the pass runs on a plain copy of the block.
 #[derive(Debug)]
 pub(crate) enum Staged {
-    Sweep(LuResult<LuFactors>),
-    FrozenRefactor,
-    Rebuild,
+    Refactor(Option<LuResult<LuFactors>>),
     Reorder,
-}
-
-impl Staged {
-    pub(crate) fn arm(&self) -> MaintenanceArm {
-        match self {
-            Staged::Sweep(_) => MaintenanceArm::BennettSweep,
-            Staged::FrozenRefactor => MaintenanceArm::FrozenRefactor,
-            Staged::Rebuild => MaintenanceArm::Rebuild,
-            Staged::Reorder => MaintenanceArm::Reorder,
-        }
-    }
 }
 
 /// What one shard did with its slice of a batch.
@@ -342,14 +297,11 @@ pub(crate) struct ShardOutcome {
     /// The arm that produced the factors now live: the decided one, or
     /// [`MaintenanceArm::Reorder`] when a guard failure abandoned it.
     pub arm: MaintenanceArm,
-    /// The arm's counted work, in [`MaintenanceArm::model_cost`]'s unit.
-    pub actual_work: u64,
-    /// Rows the frozen-pattern pass recomputed (0 for the other arms).
+    /// Rows the numeric pass recomputed (0 for a re-order).
     pub rows_refactored: usize,
-    /// Slots the sweep's extended copy holds beyond the block it extended
-    /// (0 for the other arms, and for a sweep abandoned for a re-order).
+    /// Slots the extended copy holds beyond the block it extended (0 when
+    /// nothing escaped, and for a re-order).
     pub slots_added: u64,
-    pub bennett: BennettStats,
 }
 
 /// One factor shard: its matrix's fill-reducing ordering, its factors under
@@ -367,21 +319,13 @@ pub(crate) struct OrderedFactors {
     /// storage itself.  Every arm writes a copy of the block and, on
     /// success, installs the copy as the next block, so a failed arm leaves
     /// it — and every snapshot serving it — as it was.  Its structure is
-    /// always closed under elimination: a factorization builds it closed, a
-    /// frozen-pattern pass keeps it, a sweep extends it closed first.
+    /// always closed under elimination: a factorization builds it closed,
+    /// and the numeric pass runs over it extended closed first.
     block: Arc<DecomposedMatrix>,
     pub reference_nnz: usize,
-    /// Multiply-adds of a numeric factorization down the pattern the factors
-    /// had when they were last factorized as a whole (slots a sweep's
-    /// extension added since are not counted): the decision's
-    /// elimination-work input.
-    pub elimination_work: u64,
     /// The block's matrix in factor coordinates, current after every batch —
-    /// each writes its slice into it before its arm runs — with the running
-    /// reach the decision predicts sweeps from and the arms' scratch.  The
-    /// reach survives the shard's own re-orders — it follows the block's
-    /// shape, which a new ordering of the same block barely moves; a
-    /// repartition or a restore starts a fresh shard from the prior.
+    /// each writes its slice into it as its arm starts — with the numeric
+    /// pass's scratch.
     pub maintainer: Maintainer,
     /// A batch's entries in factor coordinates, reused across advances.
     pub mapped: Vec<(usize, usize, f64, f64)>,
@@ -403,7 +347,6 @@ impl OrderedFactors {
         OrderedFactors {
             row_old_to_new: ordering.row().old_to_new(),
             col_old_to_new: ordering.col().old_to_new(),
-            elimination_work: factors.structure().elimination_work(),
             block: block(id, &ordering, factors),
             ordering,
             reference_nnz,
@@ -435,15 +378,14 @@ impl OrderedFactors {
         clude::quality_loss_from_sizes(self.factors().nnz(), self.reference_nnz)
     }
 
-    /// Writes the staged slice into the held matrix, then runs the staged
-    /// arm over it under the arm's stage span and installs what it wrote as
-    /// the block current as of snapshot `id`.  A sweep runs on the copy
-    /// `staged` carries, the frozen-pattern pass on a copy of the block as it
-    /// stands.  A guard failure — a Bennett pivot going singular, an entry
-    /// or fill outside a frozen pattern, a refactor or rebuild pivot
-    /// degrading — abandons the arm, and its copy, for a re-order of the
-    /// held matrix, typed and journalled; an `Ok` return always leaves
-    /// servable factors.
+    /// Runs the staged arm under its stage span — the slice written into the
+    /// held matrix first — and installs what it wrote as the block current
+    /// as of snapshot `id`.  The numeric pass runs on the extended copy
+    /// `staged` carries, or on a copy of the block as it stands when nothing
+    /// escaped it.  A guard failure — an entry outside the structure, a
+    /// pivot degrading or going singular — abandons the pass, and its copy,
+    /// for a re-order of the held matrix, typed and journalled; an `Ok`
+    /// return always leaves servable factors.
     pub(crate) fn maintain(
         &mut self,
         staged: Staged,
@@ -451,90 +393,55 @@ impl OrderedFactors {
         shard: usize,
         id: u64,
     ) -> LuResult<ShardOutcome> {
-        let arm = staged.arm();
-        let mut outcome = ShardOutcome {
-            arm,
-            actual_work: 0,
+        let reordered = ShardOutcome {
+            arm: MaintenanceArm::Reorder,
             rows_refactored: 0,
             slots_added: 0,
-            bennett: BennettStats::default(),
         };
-        self.maintainer.write(&self.mapped);
-        let done = match staged {
-            Staged::Sweep(copy) => {
-                // The reach is a share of the block the decision priced, not
-                // of the extended copy.
-                let nnz_before = self.factors().nnz();
-                let span = telemetry.span(Stage::ShardSweep);
-                let swept = copy.and_then(|mut block| {
-                    let bennett = self
-                        .maintainer
-                        .sweep(&mut block, &self.mapped, nnz_before)?;
-                    Ok((block, bennett))
-                });
-                span.stop();
-                swept.map(|(block, bennett)| {
-                    outcome.slots_added = (block.nnz() - nnz_before) as u64;
-                    self.install(block, id);
-                    outcome.bennett = bennett;
-                    bennett.entries_touched as u64
-                })
-            }
-            Staged::FrozenRefactor => {
-                let span = telemetry.span(Stage::ShardRefactor);
-                let mut block = self.factors().clone();
-                let refactored = self.maintainer.refactor_reach(&mut block, &self.mapped);
-                span.stop();
-                refactored.map(|stats| {
-                    self.install(block, id);
-                    outcome.rows_refactored = stats.rows_refactored;
-                    stats.multiply_adds
-                })
-            }
-            Staged::Rebuild => {
-                // The batch moved the pattern: factorize the held matrix
-                // without the zeros removals left stored; the factors are
-                // untouched until the pass succeeded.
-                let matrix = self.maintainer.matrix().prune(0.0);
-                let span = telemetry.span(Stage::ShardRefactor);
-                let rebuilt = rebuild_under_ordering(&matrix).map(|(factors, stats)| {
-                    self.install(factors, id);
-                    self.maintainer.set_matrix(matrix);
-                    self.elimination_work = stats.multiply_adds;
-                    stats.multiply_adds
-                });
-                span.stop();
-                rebuilt
-            }
+        let copy = match staged {
+            Staged::Refactor(copy) => copy,
             Staged::Reorder => {
                 let quality_loss = self.quality_loss();
                 self.reorder(telemetry, shard, false, quality_loss, id)?;
-                Ok(self.elimination_work)
+                return Ok(reordered);
             }
         };
-        outcome.actual_work = match done {
-            Ok(work) => work,
+        let span = telemetry.span(Stage::ShardRefactor);
+        self.maintainer.write(&self.mapped);
+        let nnz_before = self.factors().nnz();
+        let refactored =
+            copy.unwrap_or_else(|| Ok(self.factors().clone()))
+                .and_then(|mut block| {
+                    let stats = self.maintainer.refactor_reach(&mut block, &self.mapped)?;
+                    Ok((block, stats))
+                });
+        span.stop();
+        match refactored {
+            Ok((block, stats)) => {
+                let outcome = ShardOutcome {
+                    arm: MaintenanceArm::Refactor,
+                    rows_refactored: stats.rows_refactored,
+                    slots_added: (block.nnz() - nnz_before) as u64,
+                };
+                self.install(block, id);
+                Ok(outcome)
+            }
             Err(err) => {
-                // A failed sweep leaves the factors partially rewritten, and
-                // a failed frozen pass or rebuild says the held ordering no
-                // longer serves this matrix: the only sound fallback is a
-                // fresh ordering and factorization.
-                if arm != MaintenanceArm::BennettSweep {
-                    let reason = match err {
-                        LuError::SingularPivot { .. } => FallbackReason::Pivot,
-                        _ => FallbackReason::Structure,
-                    };
-                    telemetry.record_event(EngineEvent::RefactorFallback {
-                        shard: shard as u32,
-                        reason,
-                    });
-                }
+                // A failed pass says the held ordering no longer serves this
+                // matrix: the only sound fallback is a fresh ordering and
+                // factorization.
+                let reason = match err {
+                    LuError::SingularPivot { .. } => FallbackReason::Pivot,
+                    _ => FallbackReason::Structure,
+                };
+                telemetry.record_event(EngineEvent::RefactorFallback {
+                    shard: shard as u32,
+                    reason,
+                });
                 self.reorder(telemetry, shard, true, 0.0, id)?;
-                outcome.arm = MaintenanceArm::Reorder;
-                self.elimination_work
+                Ok(reordered)
             }
-        };
-        Ok(outcome)
+        }
     }
 
     /// Abandons the ordering: maps the held matrix, without its stored
@@ -542,7 +449,9 @@ impl OrderedFactors {
     /// under a `shard.refresh` span and posts the
     /// [`EngineEvent::RefreshTriggered`] journal event saying whether
     /// numerics or the quality budget forced it — the one re-order site of
-    /// every arm.  The running reach and the scratch carry over.
+    /// both arms.  A re-order the decision chose writes the slice into the
+    /// held matrix first, inside the span; a `numeric` one follows a pass
+    /// that already did.  The scratch carries over.
     fn reorder(
         &mut self,
         telemetry: &TelemetryRegistry,
@@ -552,6 +461,9 @@ impl OrderedFactors {
         id: u64,
     ) -> LuResult<()> {
         let span = telemetry.span(Stage::ShardRefresh);
+        if !numeric {
+            self.maintainer.write(&self.mapped);
+        }
         let (row, col) = (self.ordering.row().inverse(), self.ordering.col().inverse());
         let local = self
             .maintainer
@@ -565,7 +477,6 @@ impl OrderedFactors {
         let ordering = Arc::new(ordering);
         self.row_old_to_new = ordering.row().old_to_new();
         self.col_old_to_new = ordering.col().old_to_new();
-        self.elimination_work = factors.structure().elimination_work();
         self.reference_nnz = factors.nnz();
         self.block = block(id, &ordering, factors);
         self.ordering = ordering;
@@ -692,8 +603,7 @@ impl OldSuccessors {
 /// column), for the Laplacian the source's row plus its diagonal.  The store
 /// routes each entry to its owning shard or the coupling.  Entries come out
 /// ascending by source, then by the other coordinate (the Laplacian diagonal
-/// last): routing, the maintenance decision and the sweeps all see this
-/// order.
+/// last): routing and the numeric pass see this order.
 pub(crate) fn global_matrix_delta(
     graph: &DiGraph,
     kind: MatrixKind,
@@ -833,7 +743,8 @@ mod tests {
         let report = store.advance(&delta).unwrap();
         assert_eq!(report.snapshot_id, 1);
         assert!(!report.refreshed);
-        assert!(report.bennett.rank_one_updates > 0);
+        assert_eq!(report.per_shard[0].arm, Some(MaintenanceArm::Refactor));
+        assert!(report.per_shard[0].slots_added > 0);
         assert_eq!(report.coupling_writes, 0);
         assert_matches_dense(
             &store,
@@ -962,33 +873,32 @@ mod tests {
             })
             .unwrap();
         let shard = report.per_shard[0];
-        assert_eq!(shard.arm, Some(MaintenanceArm::FrozenRefactor));
-        assert!(shard.predicted_cost > 0.0 && shard.actual_work > 0);
-        assert_eq!(report.bennett.rank_one_updates, 0);
+        assert_eq!(shard.arm, Some(MaintenanceArm::Refactor));
+        assert!(shard.rows_refactored > 0 && shard.slots_added == 0);
         assert!(shard.entries_applied > 0);
-        assert!(telemetry.stage_histogram(Stage::ShardRefactor).count() > 0);
-        assert_eq!(telemetry.stage_histogram(Stage::ShardSweep).count(), 0);
+        let count = |stage| telemetry.stage_histogram(stage).count();
+        assert_eq!(count(Stage::ShardRefactor), 1);
+        // Nothing escaped the block: no extension was spanned.
+        assert_eq!(count(Stage::SnapshotFreeze), 0);
         // The refactored factors are exact.
         let q = MeasureQuery::Rwr {
             seed: 3,
             damping: 0.85,
         };
         assert_matches_dense(&store, &q);
-        // The other side of the per-batch choice: an insert on a position the
-        // factors do not store is structural and Bennett-sweeps.
+        // An insert on a position the factors do not store escapes the
+        // structure: the same arm runs over the block extended to cover it,
+        // the extension under its own span.
         let report = store
             .advance(&GraphDelta {
                 added: vec![(1, 4)],
                 removed: vec![],
             })
             .unwrap();
-        assert_eq!(report.per_shard[0].arm, Some(MaintenanceArm::BennettSweep));
-        assert_eq!(
-            report.per_shard[0].actual_work,
-            report.bennett.entries_touched as u64
-        );
-        assert!(report.bennett.rank_one_updates > 0);
-        assert!(telemetry.stage_histogram(Stage::ShardSweep).count() > 0);
+        assert_eq!(report.per_shard[0].arm, Some(MaintenanceArm::Refactor));
+        assert!(report.per_shard[0].slots_added > 0);
+        assert_eq!(count(Stage::ShardRefactor), 2);
+        assert_eq!(count(Stage::SnapshotFreeze), 1);
         assert_matches_dense(&store, &q);
     }
 
@@ -1031,16 +941,16 @@ mod tests {
     }
 
     #[test]
-    fn a_rebuild_whose_pivot_degrades_ends_in_a_journalled_re_order() {
+    fn a_structural_pass_whose_pivot_degrades_ends_in_a_journalled_re_order() {
         use clude_telemetry::EventKind;
         // A diagonal block is ordered as it stands …
         let mut of =
             order_and_factorize(&matrix(&[(0, 0, 5.0), (1, 1, 2.0), (2, 2, 2.0)]), 0).unwrap();
         assert_eq!(of.row_old_to_new, vec![0, 1, 2]);
         assert_eq!(of.col_old_to_new, vec![0, 1, 2]);
-        // … and the batch writes its next matrix, which under that ordering
-        // pivots first on 1e-14 beside entries of magnitude 1: past
-        // PIVOT_DEGRADE_TOL.
+        // … and the batch writes its next matrix, new positions and all,
+        // which under that ordering pivots first on 1e-14 beside entries of
+        // magnitude 1: past PIVOT_DEGRADE_TOL.
         let next = matrix(&[
             (0, 0, 1e-14),
             (0, 1, 1.0),
@@ -1050,10 +960,6 @@ mod tests {
             (2, 0, 1.0),
             (2, 2, 2.0),
         ]);
-        assert!(matches!(
-            rebuild_under_ordering(&next),
-            Err(LuError::SingularPivot { index: 0, .. })
-        ));
         map_slice(
             &mut of,
             &[
@@ -1065,8 +971,12 @@ mod tests {
             ],
         );
         let telemetry = TelemetryRegistry::new(clude_telemetry::TelemetryConfig::default());
-        let outcome = of.maintain(Staged::Rebuild, &telemetry, 0, 1).unwrap();
-        // The abandoned rebuild wrote nothing; the block was re-ordered —
+        let positions = of.mapped.iter().map(|&(i, j, ..)| (i, j));
+        let extended = clude_lu::extend_structure(of.factors(), positions);
+        assert!(extended.as_ref().unwrap().nnz() > of.factors().nnz());
+        let staged = Staged::Refactor(Some(extended));
+        let outcome = of.maintain(staged, &telemetry, 0, 1).unwrap();
+        // The abandoned pass wrote nothing; the block was re-ordered —
         // typed, journalled — and what is served pivots on healthy entries.
         assert_eq!(outcome.arm, MaintenanceArm::Reorder);
         let journal = telemetry.journal();
@@ -1139,7 +1049,7 @@ mod tests {
         );
         let telemetry = TelemetryRegistry::new(clude_telemetry::TelemetryConfig::default());
         let outcome = of
-            .maintain(Staged::FrozenRefactor, &telemetry, 0, 1)
+            .maintain(Staged::Refactor(None), &telemetry, 0, 1)
             .unwrap();
         // Through the arm, the failure ends in a journalled re-order, and the
         // block snapshots hold is still the one they were served.

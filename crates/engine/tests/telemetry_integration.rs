@@ -67,12 +67,14 @@ fn replay_populates_spans_journal_and_exposition() {
     replay(&engine);
 
     let telemetry = engine.telemetry();
-    // Every instrumented stage of this replay saw work: batches were applied,
-    // shards swept and re-frozen, coupled queries solved by Gauss–Seidel.
+    // Every instrumented stage of this replay saw work: batches were applied
+    // and routed, shards extended and refactored, coupled queries solved by
+    // Gauss–Seidel.
     for stage in [
         Stage::IngestMerge,
         Stage::IngestApply,
-        Stage::ShardSweep,
+        Stage::ShardRoute,
+        Stage::ShardRefactor,
         Stage::SnapshotFreeze,
         Stage::CouplingGaussSeidel,
         Stage::QuerySolve,
@@ -114,7 +116,7 @@ fn replay_populates_spans_journal_and_exposition() {
         assert!(dump.contains(needle), "missing {needle}");
     }
     assert!(!dump.contains("clude_coupling_gauss_seidel_duration_seconds_count 0"));
-    assert!(!dump.contains("clude_shard_sweep_duration_seconds_count 0"));
+    assert!(!dump.contains("clude_shard_refactor_duration_seconds_count 0"));
     assert!(!dump.contains("clude_query_solve_duration_seconds_count 0"));
 
     // Gauges were refreshed by render_prometheus' stats pass.
@@ -176,13 +178,13 @@ fn ingest_apply_contains_its_child_stages_on_a_four_shard_run() {
     let apply = telemetry.stage_histogram(Stage::IngestApply);
     assert_eq!(apply.count(), batches);
     let children = [
-        Stage::ShardSweep,
+        Stage::ShardRoute,
         Stage::ShardRefactor,
         Stage::ShardRefresh,
         Stage::SnapshotFreeze,
     ];
     for stage in [
-        Stage::ShardSweep,
+        Stage::ShardRoute,
         Stage::ShardRefactor,
         Stage::SnapshotFreeze,
     ] {
@@ -240,18 +242,9 @@ fn disabled_telemetry_stops_the_clock_but_keeps_counting() {
         (Counter::OpsCoalesced, stats.ops_coalesced),
         (Counter::BatchesApplied, stats.batches_applied),
         (Counter::BatchesReordered, stats.refreshes),
-        (Counter::BennettPivots, stats.bennett_pivots),
-        (
-            Counter::SweepArm,
-            stats.arm_count(MaintenanceArm::BennettSweep),
-        ),
         (
             Counter::RefactorArm,
-            stats.arm_count(MaintenanceArm::FrozenRefactor),
-        ),
-        (
-            Counter::RebuildArm,
-            stats.arm_count(MaintenanceArm::Rebuild),
+            stats.arm_count(MaintenanceArm::Refactor),
         ),
         (Counter::FrozenRowsRefactored, stats.frozen_rows_refactored),
         (Counter::FrozenBlockRows, stats.frozen_block_rows),
@@ -270,7 +263,6 @@ fn disabled_telemetry_stops_the_clock_but_keeps_counting() {
     for shard in &stats.per_shard {
         for (counter, value) in [
             (ShardCounter::EntriesApplied, shard.deltas_applied),
-            (ShardCounter::Sweeps, shard.sweeps_run),
             (ShardCounter::CrossShardEdges, shard.cross_shard_edges),
             (ShardCounter::Reorders, shard.refreshes),
         ] {

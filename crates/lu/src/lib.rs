@@ -13,7 +13,7 @@
 //!   up-looking kernel — per row, the symmetrically pruned reach through the
 //!   finished rows of `U` — which, run with values, is also how every matrix
 //!   is factorized over its own pattern ([`factorize_fresh`],
-//!   [`rebuild_under_ordering`], [`DynamicLuFactors::factorize`]); a closed
+//!   [`DynamicLuFactors::factorize`]); a closed
 //!   structure is extended to cover a batch's new entries by the same reach,
 //!   walked only over what is new to the rows those entries reach
 //!   ([`extend_structure`]).
@@ -26,14 +26,11 @@
 //! * [`refactor`] — pattern-frozen refactorization: redo the numerics down
 //!   the existing symbolic pattern in one pass (the KLU `refactor` idea) —
 //!   over a structure closed under elimination, only the changed rows'
-//!   elimination reach — the bulk alternative to per-entry Bennett sweeps
-//!   for value-only deltas, in the engine and between CLUDE's members.
-//! * [`rebuild`] — refactorization under a held ordering: the up-looking
-//!   kernel with the relative pivot guard, writing a fresh static structure
-//!   and its factors in one pass — the bulk alternative to Bennett sweeps
-//!   for structural deltas that change many columns.
-//! * [`cost`] — the one cost model every maintenance decision prices its
-//!   arms with: Bennett sweeps against numeric passes and rebuilds.
+//!   elimination reach — the bulk alternative to per-entry Bennett sweeps:
+//!   the engine's one update arm, over a structure first extended to cover
+//!   a batch's new entries, and CLUDE's numeric member step.
+//! * [`cost`] — the cost model CLUDE's member step prices its two exact
+//!   updates with: Bennett sweeps against a numeric pass.
 //! * [`maintain`] — [`Maintainer`], what CLUDE's member steps and each engine
 //!   shard carry from one matrix to the next: the matrix the factors
 //!   factorize, in factor coordinates, the running reach sweeps are priced
@@ -76,7 +73,6 @@ pub mod error;
 pub mod factors;
 pub mod maintain;
 pub mod ordering;
-pub mod rebuild;
 pub mod refactor;
 pub mod solve;
 pub mod structure;
@@ -95,7 +91,6 @@ pub use ordering::{
     markowitz_ordering, natural_order_symbolic_size, reorder_pattern, symbolic_size_under,
     OrderingResult,
 };
-pub use rebuild::{rebuild_under_ordering, RebuildStats};
 pub use refactor::{
     refactor_frozen, refactor_frozen_reach, FrozenRows, RefactorStats, RefactorWorkspace,
     PIVOT_DEGRADE_TOL,

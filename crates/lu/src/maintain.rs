@@ -4,11 +4,12 @@
 //! ordering, and the engine reaches each snapshot of a shard's block from the
 //! last one the same way: both hold the matrix their factors factorize, in
 //! the factors' own (reordered) coordinates, write each step's delta into it,
-//! and bring the factors up to date by Bennett's sweeps or by a numeric pass
-//! over the changed rows' elimination reach.  A [`Maintainer`] is that state
-//! — the matrix, the running reach the sweeps are priced from, and the two
-//! arms' scratch — and the operations on it.  Which update runs, and on which
-//! copy of the factors, stays the caller's decision.
+//! and bring the factors up to date — CLUDE by the cheaper of Bennett's
+//! sweeps and a numeric pass over the changed rows' elimination reach, the
+//! engine always by the pass.  A [`Maintainer`] is that state — the matrix,
+//! the running reach the sweeps are priced from, and the two arms' scratch —
+//! and the operations on it.  Which update runs, and on which copy of the
+//! factors, stays the caller's decision.
 
 use crate::bennett::{apply_delta_with, BennettStats, BennettWorkspace, LuStorage};
 use crate::cost::{self, RunningReach};
@@ -18,7 +19,9 @@ use clude_sparse::CsrMatrix;
 
 /// The matrix a set of factors factorizes, in factor coordinates, with the
 /// running reach of the sweeps that kept them current and the scratch of
-/// both update arms, pre-sized to the matrix's order.
+/// both update arms: the reach pass's pre-sized to the matrix's order, the
+/// sweeps' grown by the first sweep, so a maintainer that never sweeps holds
+/// none.
 ///
 /// Deltas are `(row, col, old, new)` in factor coordinates, each position at
 /// most once.
@@ -38,7 +41,7 @@ impl Maintainer {
         Maintainer {
             matrix,
             reach: RunningReach::default(),
-            bennett: BennettWorkspace::with_order(n),
+            bennett: BennettWorkspace::new(),
             refactor: RefactorWorkspace::with_order(n),
         }
     }

@@ -33,8 +33,8 @@
 //!
 //! Without values the kernel is [`symbolic_decomposition`] and
 //! [`LuStructure::from_pattern`]; with them it is every factorization of a
-//! matrix over its own pattern — [`crate::rebuild_under_ordering`],
-//! [`crate::factorize_fresh`], [`crate::DynamicLuFactors::factorize`] — rows
+//! matrix over its own pattern — [`crate::factorize_fresh`],
+//! [`crate::DynamicLuFactors::factorize`] — rows
 //! appended straight into the result's flat arrays, and the structure marked
 //! closed under elimination as it is built.  The same reach, walked only
 //! over what is new to the rows a batch's new entries can reach — each
@@ -98,8 +98,9 @@ pub(crate) fn closed_structure(sp: &SparsityPattern) -> LuStructure {
 
 /// A copy of `factors` over the symbolic closure of their structure joined
 /// with the positions `entries` — a structure the factors of any matrix
-/// whose pattern lies in both cannot escape, so a Bennett sweep of such a
-/// matrix's delta over the copy never leaves it.
+/// whose pattern lies in both cannot escape, so neither a Bennett sweep of
+/// such a matrix's delta over the copy nor a numeric pass over its changed
+/// rows' elimination reach ([`crate::refactor_frozen_reach`]) leaves it.
 ///
 /// Over a structure closed under elimination only the elimination reach of
 /// the rows whose entries escape it is re-derived: a row is re-derived when

@@ -17,8 +17,8 @@ use std::sync::Mutex;
 /// re-order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FallbackReason {
-    /// The batch would have written an entry outside the frozen symbolic
-    /// pattern (structural change slipped past classification).
+    /// The pass met an entry outside the structure it ran over (a layout
+    /// error: the extension covers every entry of a slice).
     Structure,
     /// A pivot degraded beyond the refactor tolerance, or went singular —
     /// the frozen pivot order is no longer numerically trustworthy.
@@ -46,7 +46,8 @@ pub enum EngineEvent {
         /// Coupling nnz under the fresh partition.
         coupling_nnz_after: u64,
     },
-    /// A shard abandoned Bennett updates and refactorized from scratch.
+    /// A shard abandoned its ordering and re-ordered and refactorized from
+    /// scratch.
     RefreshTriggered {
         /// Which shard refreshed (0 in a one-shard store).
         shard: u32,
@@ -93,13 +94,12 @@ pub enum EngineEvent {
         /// Records dropped with the torn tail.
         records_dropped: u64,
     },
-    /// A refactorization under the held ordering — the pattern-frozen pass
-    /// of a value-only batch, or a re-symbolic rebuild — was abandoned and
-    /// the shard re-ordered instead.
+    /// The numeric pass under the held ordering was abandoned and the shard
+    /// re-ordered instead.
     RefactorFallback {
         /// Which shard fell back.
         shard: u32,
-        /// Why the frozen-pattern pass was abandoned.
+        /// Why the pass was abandoned.
         reason: FallbackReason,
     },
 }

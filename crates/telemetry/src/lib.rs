@@ -1,7 +1,7 @@
 //! Telemetry for the streaming engine: timed spans, lock-free histograms,
 //! counters/gauges, and a bounded structured event journal.
 //!
-//! The engine's hot paths (Bennett sweeps, coupling solves, snapshot freezes,
+//! The engine's hot paths (numeric passes, coupling solves, snapshot freezes,
 //! cached query solves) run concurrently on reader and writer threads, so the
 //! recording side of this crate is built entirely from relaxed atomics: a
 //! [`LogHistogram`] is an array of `AtomicU64` buckets that any number of
@@ -15,7 +15,7 @@
 //! Everything hangs off a [`TelemetryRegistry`]:
 //!
 //! * [`Stage`] is the static registry of instrumented stages
-//!   (`ingest.merge`, `shard.sweep`, `coupling.gauss_seidel`, ...); each
+//!   (`ingest.merge`, `shard.refactor`, `coupling.gauss_seidel`, ...); each
 //!   stage owns one duration histogram.
 //! * [`TelemetryRegistry::span`] returns a RAII [`Span`] that records the
 //!   elapsed time into the stage's histogram on drop. With

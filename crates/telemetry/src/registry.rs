@@ -55,15 +55,15 @@ pub enum Counter {
     /// Coupling solves that failed: their block-pass budget exhausted, or a
     /// non-finite value in the iteration.
     ConvergenceFailures,
-    /// Rows the frozen-pattern refactorizations recomputed (their
-    /// elimination reach).
+    /// Rows the numeric passes recomputed (their changed rows' elimination
+    /// reach).
     FrozenRowsRefactored,
     /// Rows of the blocks those passes ran on: divided into
-    /// [`Counter::FrozenRowsRefactored`], the share of a block a value-only
-    /// batch costs.
+    /// [`Counter::FrozenRowsRefactored`], the share of a block a slice
+    /// costs.
     FrozenBlockRows,
-    /// Factor slots the sweeps' structure extensions added: each extended
-    /// copy's slots minus those of the block it extended.
+    /// Factor slots the structure extensions added: each extended copy's
+    /// slots minus those of the block it extended.
     SlotsAdded,
     /// Edge operations dropped as no-ops: inserts of present edges or
     /// self-loops, absent removes, add/remove pairs cancelling inside one
@@ -71,15 +71,10 @@ pub enum Counter {
     OpsCoalesced,
     /// Batches in which at least one shard re-ordered.
     BatchesReordered,
-    /// Bennett pivots visited.
-    BennettPivots,
-    /// Shard-batches absorbed by Bennett sweeps.
-    SweepArm,
-    /// Shard-batches absorbed by a frozen-pattern pass.
+    /// Shard-batches absorbed by the numeric pass over the changed rows'
+    /// elimination reach (the re-order arm is the sum of
+    /// [`ShardCounter::Reorders`]).
     RefactorArm,
-    /// Shard-batches absorbed by a rebuild under the held ordering (the
-    /// re-order arm is the sum of [`ShardCounter::Reorders`]).
-    RebuildArm,
     /// Shard factor blocks re-frozen for a new snapshot because the batch
     /// touched them — the "copy" side of the copy-on-write ring.
     CowShardsCloned,
@@ -91,7 +86,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in exposition order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 15] = [
         Counter::OpsIngested,
         Counter::BatchesApplied,
         Counter::QueriesServed,
@@ -103,10 +98,7 @@ impl Counter {
         Counter::SlotsAdded,
         Counter::OpsCoalesced,
         Counter::BatchesReordered,
-        Counter::BennettPivots,
-        Counter::SweepArm,
         Counter::RefactorArm,
-        Counter::RebuildArm,
         Counter::CowShardsCloned,
         Counter::CowShardsShared,
         Counter::Repartitions,
@@ -126,10 +118,7 @@ impl Counter {
             Counter::SlotsAdded => "slots_added",
             Counter::OpsCoalesced => "ops_coalesced",
             Counter::BatchesReordered => "batches_reordered",
-            Counter::BennettPivots => "bennett_pivots",
-            Counter::SweepArm => "arm_sweep",
             Counter::RefactorArm => "arm_refactor",
-            Counter::RebuildArm => "arm_rebuild",
             Counter::CowShardsCloned => "cow_shards_cloned",
             Counter::CowShardsShared => "cow_shards_shared",
             Counter::Repartitions => "repartitions",
@@ -143,8 +132,6 @@ impl Counter {
 pub enum ShardCounter {
     /// Changed matrix entries applied to the shard's factors.
     EntriesApplied,
-    /// Bennett rank-one updates run on the shard.
-    Sweeps,
     /// Cross-shard edge changes sourced from the shard's nodes.
     CrossShardEdges,
     /// Re-orders (fresh ordering + factorization) of the shard's block.
@@ -153,9 +140,8 @@ pub enum ShardCounter {
 
 impl ShardCounter {
     /// Every per-shard counter, in exposition order.
-    pub const ALL: [ShardCounter; 4] = [
+    pub const ALL: [ShardCounter; 3] = [
         ShardCounter::EntriesApplied,
-        ShardCounter::Sweeps,
         ShardCounter::CrossShardEdges,
         ShardCounter::Reorders,
     ];
@@ -164,7 +150,6 @@ impl ShardCounter {
     pub const fn name(self) -> &'static str {
         match self {
             ShardCounter::EntriesApplied => "entries_applied",
-            ShardCounter::Sweeps => "sweeps",
             ShardCounter::CrossShardEdges => "cross_shard_edges",
             ShardCounter::Reorders => "reorders",
         }
@@ -207,7 +192,7 @@ impl Gauge {
 ///
 /// All recording goes through `&self` with relaxed atomics (the journal's
 /// rare events take a mutex), so one registry sits behind an `Arc` shared by
-/// the ingest thread, the shard sweep threads, and every query reader.
+/// the ingest thread and every query reader.
 /// Counters are independent monotonic tallies: no read or write of one
 /// synchronises other memory, and a reader sees each counter on its own, so
 /// cross-counter consistency is not promised.
@@ -758,11 +743,11 @@ mod tests {
     fn spans_record_into_their_stage() {
         let reg = TelemetryRegistry::default();
         {
-            let _span = reg.span(Stage::ShardSweep);
+            let _span = reg.span(Stage::ShardRefactor);
             std::hint::black_box(42);
         }
         reg.span(Stage::QuerySolve).stop();
-        assert_eq!(reg.stage_histogram(Stage::ShardSweep).count(), 1);
+        assert_eq!(reg.stage_histogram(Stage::ShardRefactor).count(), 1);
         assert_eq!(reg.stage_histogram(Stage::QuerySolve).count(), 1);
         assert_eq!(reg.spans_recorded(), 2);
     }
@@ -771,13 +756,13 @@ mod tests {
     fn disabled_registry_stops_the_clock_but_keeps_counting() {
         let reg = TelemetryRegistry::with_shards(TelemetryConfig::disabled(), 2);
         assert!(!reg.enabled());
-        reg.span(Stage::ShardSweep).stop();
+        reg.span(Stage::ShardRefactor).stop();
         reg.observe(Stage::QuerySolve, Duration::from_millis(5));
         reg.observe_ns(Stage::QuerySolve, 5);
         reg.record_event(EngineEvent::CacheEvicted { snapshot: 1 });
         reg.observe_coupling_sweeps(20);
         reg.incr(Counter::QueriesServed);
-        reg.add_shard(1, ShardCounter::Sweeps, 3);
+        reg.add_shard(1, ShardCounter::EntriesApplied, 3);
         reg.set_gauge(Gauge::RingDepth, 7);
         // Off: spans, stage and block-pass histograms, the journal.
         assert!(reg.coupling_sweeps().is_empty());
@@ -786,8 +771,8 @@ mod tests {
         assert_eq!(reg.journal().recorded(), 0);
         // Still on: counters, per-shard counters and gauges.
         assert_eq!(reg.counter(Counter::QueriesServed), 1);
-        assert_eq!(reg.shard_counter(1, ShardCounter::Sweeps), 3);
-        assert_eq!(reg.shard_counter(0, ShardCounter::Sweeps), 0);
+        assert_eq!(reg.shard_counter(1, ShardCounter::EntriesApplied), 3);
+        assert_eq!(reg.shard_counter(0, ShardCounter::EntriesApplied), 0);
         assert_eq!(reg.gauge(Gauge::RingDepth), 7);
     }
 
@@ -805,7 +790,7 @@ mod tests {
     #[test]
     fn prometheus_exposition_is_wellformed_and_complete() {
         let reg = TelemetryRegistry::default();
-        reg.observe(Stage::ShardSweep, Duration::from_micros(120));
+        reg.observe(Stage::ShardRefactor, Duration::from_micros(120));
         reg.observe(Stage::QuerySolve, Duration::from_micros(250));
         reg.incr(Counter::BatchesApplied);
         reg.set_gauge(Gauge::RingDepth, 3);
@@ -818,7 +803,7 @@ mod tests {
         }
         let text = reg.render_prometheus();
         validate_prometheus(&text).expect("exposition must parse");
-        assert!(text.contains("clude_shard_sweep_duration_seconds_count 1"));
+        assert!(text.contains("clude_shard_refactor_duration_seconds_count 1"));
         assert!(text.contains("clude_query_solve_duration_seconds{quantile=\"0.99\"}"));
         assert!(text.contains("clude_batches_applied_total 1"));
         assert!(text.contains("clude_ring_depth 3"));
@@ -849,7 +834,7 @@ mod tests {
         }
         let json = reg.render_json();
         assert!(json.contains(
-            "{\"shard\": 2, \"entries_applied\": 5, \"sweeps\": 0, \
+            "{\"shard\": 2, \"entries_applied\": 5, \
              \"cross_shard_edges\": 0, \"reorders\": 0}"
         ));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -14,17 +14,19 @@ pub enum Stage {
     IngestMerge,
     /// Applying one cut batch to the factor store (`advance`), end to end.
     IngestApply,
-    /// One Bennett sweep of a shard's factors over its routed entries.
-    ShardSweep,
+    /// Turning one batch into the changed matrix entries and routing each
+    /// to its shard's slice or the coupling's writes.
+    ShardRoute,
     /// A full re-ordering + refactorization of one shard (quality trip or
     /// numeric failure).
     ShardRefresh,
     /// A coupled solve: the whole Krylov iteration over the block
     /// Gauss–Seidel pass, all passes.
     CouplingGaussSeidel,
-    /// Copying a shard's factor block for a sweep to run on, which becomes
-    /// the next published block (`ShardedFactorStore::stage`), or merging a
-    /// batch's writes into the frozen coupling.
+    /// Extending a shard's factor block to cover a slice's new entries — the
+    /// copy the numeric pass runs on, which becomes the next published block
+    /// (`ShardedFactorStore::stage`) — or merging a batch's writes into the
+    /// frozen coupling.
     SnapshotFreeze,
     /// A cache-missing measure query solved against a snapshot.
     QuerySolve,
@@ -43,10 +45,10 @@ pub enum Stage {
     /// Replaying one logged delta batch through the factor store during
     /// recovery (newest valid checkpoint + WAL replay).
     RecoveryReplay,
-    /// One numeric refactorization of a shard under its held ordering,
-    /// instead of per-entry Bennett sweeps: a value-only batch redone down
-    /// the frozen symbolic pattern in a single pass (the KLU `refactor`
-    /// idea), or a structural batch rebuilt by a re-symbolic + numeric pass.
+    /// One numeric refactorization of a shard's slice under its held
+    /// ordering: the slice written into the held matrix, then its changed
+    /// rows' elimination reach recomputed down the block's structure (the
+    /// KLU `refactor` idea), on a copy of the block.
     ShardRefactor,
 }
 
@@ -55,7 +57,7 @@ impl Stage {
     pub const ALL: [Stage; 13] = [
         Stage::IngestMerge,
         Stage::IngestApply,
-        Stage::ShardSweep,
+        Stage::ShardRoute,
         Stage::ShardRefresh,
         Stage::CouplingGaussSeidel,
         Stage::SnapshotFreeze,
@@ -77,12 +79,12 @@ impl Stage {
         self as usize
     }
 
-    /// The dotted human-readable stage name (`"shard.sweep"`).
+    /// The dotted human-readable stage name (`"shard.refactor"`).
     pub const fn name(self) -> &'static str {
         match self {
             Stage::IngestMerge => "ingest.merge",
             Stage::IngestApply => "ingest.apply",
-            Stage::ShardSweep => "shard.sweep",
+            Stage::ShardRoute => "shard.route",
             Stage::ShardRefresh => "shard.refresh",
             Stage::CouplingGaussSeidel => "coupling.gauss_seidel",
             Stage::SnapshotFreeze => "snapshot.freeze",
@@ -96,12 +98,12 @@ impl Stage {
         }
     }
 
-    /// The Prometheus metric family base name (`"clude_shard_sweep"`).
+    /// The Prometheus metric family base name (`"clude_shard_refactor"`).
     pub const fn metric(self) -> &'static str {
         match self {
             Stage::IngestMerge => "clude_ingest_merge",
             Stage::IngestApply => "clude_ingest_apply",
-            Stage::ShardSweep => "clude_shard_sweep",
+            Stage::ShardRoute => "clude_shard_route",
             Stage::ShardRefresh => "clude_shard_refresh",
             Stage::CouplingGaussSeidel => "clude_coupling_gauss_seidel",
             Stage::SnapshotFreeze => "clude_snapshot_freeze",
