@@ -2,9 +2,9 @@
 //!
 //! A checkpoint *generation* (`gen-<g>.ckpt`) is one self-contained
 //! [`StoreImage`]: what the factor store cannot re-derive from the graph.
-//! That is the snapshot id, the matrix kind, the partition, the graph, the
-//! re-partition countdown and, per shard, its fill-reducing ordering, its
-//! `reference_nnz` quality anchor and its block index.  The image holds no
+//! That is the snapshot id, the matrix kind, the partition, the graph and,
+//! per shard, its fill-reducing ordering, its `reference_nnz` quality anchor
+//! and its block index.  The image holds no
 //! factor entry and no coupling entry.  CLUDE (§4) rests on the split this
 //! follows: the ordering is the costly decision, while the numeric factors
 //! under it are cheap to recompute from the matrix — so restore derives the
@@ -18,7 +18,7 @@
 //! ```text
 //! gen file  := magic:u32le version:u32le crc:u32le payload
 //! payload   := gen:u64 snapshot_id:u64 kind partition graph
-//!              repartition_flag:u32 repartition_at:u64 k:usize shard × k
+//!              k:usize shard × k
 //! shard     := index:u64 reference_nnz:u64
 //!              row_new_to_old:seq col_new_to_old:seq
 //!
@@ -30,8 +30,9 @@
 //! The partition precedes the graph, so the graph's node count is checked
 //! against it before a node is allocated.  Decoding accepts exactly what
 //! the writer produces: `k` is the partition's shard count, each ordering a
-//! permutation of its shard's nodes, the countdown `(0, 0)` when unset, and
-//! nothing follows the last shard.
+//! permutation of its shard's nodes, and nothing follows the last shard.
+//! Version 3 dropped version 2's re-partition countdown (a flag and a count
+//! before `k`) with the repartitioner; a version-2 file is refused.
 //!
 //! The gen-file `crc` covers the whole payload; a mismatch makes the
 //! generation unusable and recovery falls back to the previous manifest
@@ -53,7 +54,7 @@ use crate::wal::{crc32, io_err};
 /// `b"CLCK"`: CLude ChecKpoint generation file.
 pub(crate) const CKPT_MAGIC: u32 = u32::from_le_bytes(*b"CLCK");
 /// Generation-file format version; readers reject any other.
-pub(crate) const CKPT_VERSION: u32 = 2;
+pub(crate) const CKPT_VERSION: u32 = 3;
 /// `b"CLMF"`: CLude ManiFest.
 pub(crate) const MANIFEST_MAGIC: u32 = u32::from_le_bytes(*b"CLMF");
 /// Manifest format version; readers reject any other.
@@ -91,7 +92,6 @@ pub(crate) struct StoreImage {
     pub(crate) kind: MatrixKind,
     pub(crate) partition: NodePartition,
     pub(crate) graph: DiGraph,
-    pub(crate) next_repartition_at: Option<usize>,
     pub(crate) shards: Vec<ShardImage>,
 }
 
@@ -146,9 +146,6 @@ fn encode_image(gen: u64, image: &StoreImage) -> Vec<u8> {
     encode_kind(&mut w, image.kind);
     wire::encode_partition(&mut w, &image.partition);
     wire::encode_graph(&mut w, &image.graph);
-    let (flag, at) = image.next_repartition_at.map_or((0, 0), |at| (1, at));
-    w.put_u32(flag);
-    w.put_usize(at);
     w.put_usize(image.shards.len());
     for shard in &image.shards {
         w.put_u64(shard.index);
@@ -185,15 +182,6 @@ fn decode_image(payload: &[u8]) -> Result<(u64, StoreImage), WireError> {
     let kind = decode_kind(&mut r)?;
     let partition = wire::decode_partition(&mut r)?;
     let graph = wire::decode_graph(&mut r, partition.n_nodes())?;
-    let next_repartition_at = match (r.get_u32()?, r.get_usize()?) {
-        (0, 0) => None,
-        (1, at) => Some(at),
-        (flag, at) => {
-            return Err(WireError::Invalid(format!(
-                "re-partition countdown ({flag}, {at}) is neither unset nor set"
-            )))
-        }
-    };
     let k = r.get_usize()?;
     if k != partition.n_shards() {
         return Err(WireError::Invalid(format!(
@@ -224,7 +212,6 @@ fn decode_image(payload: &[u8]) -> Result<(u64, StoreImage), WireError> {
         kind,
         partition,
         graph,
-        next_repartition_at,
         shards,
     };
     Ok((gen, image))
@@ -429,7 +416,6 @@ impl Checkpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coupling::CouplingConfig;
     use crate::sharded::ShardedFactorStore;
     use crate::store::RefreshPolicy;
     use crate::vfs::FailpointFs;
@@ -449,8 +435,7 @@ mod tests {
     }
 
     /// A 4-shard image of a 24-node graph with chords across the shards,
-    /// two batches in, a re-partition countdown set: every field of the
-    /// layout carries something.
+    /// two batches in: every field of the layout carries something.
     fn four_shard_image() -> StoreImage {
         let n = 24;
         let mut graph =
@@ -464,11 +449,6 @@ mod tests {
             RefreshPolicy::Incremental,
             NodePartition::contiguous(n, 4),
         )
-        .unwrap()
-        .with_coupling_config(CouplingConfig {
-            repartition_budget: Some(1_000),
-            ..CouplingConfig::default()
-        })
         .unwrap();
         for delta in [
             GraphDelta {
@@ -484,7 +464,6 @@ mod tests {
         }
         let image = store.durable_state();
         assert_eq!(image.shards.len(), 4);
-        assert!(image.next_repartition_at.is_some());
         image
     }
 
@@ -529,7 +508,7 @@ mod tests {
         let shards: usize = (image.shards.iter())
             .map(|s| 8 + 8 + 2 * (8 + 8 * s.ordering.row().len()))
             .sum();
-        assert_eq!(bytes as usize, header + partition + graph + 12 + 8 + shards);
+        assert_eq!(bytes as usize, header + partition + graph + 8 + shards);
         ck.commit_manifest(gen, image.snapshot_id).unwrap();
 
         let manifest = fs.read(&dir.join(MANIFEST_NAME)).unwrap();
@@ -563,11 +542,17 @@ mod tests {
         fs.corrupt(&path, |b| {
             let last = b.len() - 1;
             b[last] ^= 0x10; // undo
-            b[4] = 9; // version
         });
-        match read_gen(&*shared, &dir, 5) {
-            Err(GenReadError::Hard(e)) => assert!(e.to_string().contains("version 9")),
-            _ => panic!("version skew must be a hard failure"),
+        // Version 2 is the layout before the re-partition countdown went: a
+        // spool written by it is refused loudly, as any other version is.
+        for version in [2u8, 9] {
+            fs.corrupt(&path, |b| b[4] = version);
+            match read_gen(&*shared, &dir, 5) {
+                Err(GenReadError::Hard(e)) => {
+                    assert!(e.to_string().contains(&format!("version {version}")))
+                }
+                _ => panic!("version {version} must be a hard failure"),
+            }
         }
     }
 
@@ -625,7 +610,6 @@ mod tests {
             x.kind != y.kind,
             x.partition != y.partition,
             x.graph != y.graph,
-            x.next_repartition_at != y.next_repartition_at,
             x.shards.len() != y.shards.len(),
         ];
         let shards = x.shards.iter().zip(&y.shards).map(|(s, t)| s != t);

@@ -160,19 +160,11 @@ impl Default for SolveTolerance {
 }
 
 /// Everything the engine needs to know about coupled solves: the stopping
-/// rule of the iteration, and when the sharded store should abandon its
-/// partition.
+/// rule of the iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CouplingConfig {
     /// Stopping rule of the coupled solve.
     pub tolerance: SolveTolerance,
-    /// Adaptive re-partitioning: when the live coupling's entry count
-    /// crosses this budget, the sharded store re-runs the edge-locality
-    /// partition on the current graph and rebuilds its shards (amortized —
-    /// after a re-partition the trigger backs off to twice the surviving
-    /// coupling size until it falls under the budget again).  `None`
-    /// disables re-partitioning.
-    pub repartition_budget: Option<usize>,
 }
 
 /// Solves `A x = b` (or `Aᵀ x = b`) for a snapshot's full measure matrix
@@ -459,7 +451,6 @@ mod tests {
         let cfg = CouplingConfig::default();
         assert_eq!(cfg.tolerance.tol, 1e-13);
         assert_eq!(cfg.tolerance.max_sweeps, 208);
-        assert_eq!(cfg.repartition_budget, None);
     }
 
     #[test]
@@ -564,10 +555,7 @@ mod tests {
         )
         .unwrap()
         .with_telemetry(Arc::clone(&telemetry))
-        .with_coupling_config(CouplingConfig {
-            tolerance,
-            ..CouplingConfig::default()
-        })
+        .with_coupling_config(CouplingConfig { tolerance })
         .unwrap();
         assert!(store.coupling_nnz() > 0, "edges cross the shards");
         assert!(!store.snapshot().coupling_plan().is_triangular());

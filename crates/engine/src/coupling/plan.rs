@@ -6,8 +6,8 @@
 //! one value array per snapshot, in the structure's slot order.  Writes that
 //! all land on slots copy the value array, a removed entry staying behind as
 //! an explicit zero slot; a new position merges into a structure of its
-//! own, dropping the zero slots; a moved ordering, a repartition or a
-//! restore lays the structure out anew.  What depends on the values — the
+//! own, dropping the zero slots; a moved ordering or a restore lays the
+//! structure out anew.  What depends on the values — the
 //! [`CouplingPlan`] and the transposed half — is built per snapshot by the
 //! first solve that reads it: the setup path, which is why it lives apart
 //! from the allocation-free solve in [`super`].
@@ -450,8 +450,8 @@ impl FrozenCoupling {
     }
 
     /// The plan over `partition`, built by the first call.  Callers pass
-    /// the partition and blocks the coupling was laid out for — a
-    /// repartition or a moved ordering lays out a new coupling.
+    /// the partition and blocks the coupling was laid out for — a moved
+    /// ordering lays out a new coupling.
     pub(crate) fn plan(
         &self,
         partition: &NodePartition,

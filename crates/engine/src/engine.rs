@@ -26,7 +26,7 @@ use crate::durability::{DurabilityConfig, Persistence};
 use crate::epoch::SnapshotHandle;
 use crate::error::{EngineError, EngineResult};
 use crate::ingest::{BatchPolicy, DeltaIngestor, EdgeOp, IngestOutcome};
-use crate::query::{QueryService, StalenessBudget};
+use crate::query::QueryService;
 use crate::recovery::{self, RecoveryReport};
 use crate::sharded::{PartitionStrategy, ShardedAdvanceReport, ShardedFactorStore};
 use crate::stats::EngineStats;
@@ -78,21 +78,16 @@ pub struct EngineConfig {
     /// How coupled (sharded) queries are solved: the
     /// [`crate::coupling::SolveTolerance`] stopping rule of the iteration
     /// over block Gauss–Seidel passes (one no solve can meet is an
-    /// [`EngineError::InvalidConfig`]), and the optional coupling-size
-    /// budget that triggers adaptive re-partitioning.
+    /// [`EngineError::InvalidConfig`]).
     pub coupling: CouplingConfig,
-    /// How the initial partition of a sharded engine is derived, and how the
-    /// adaptive re-partitioner derives replacements: greedy edge locality,
-    /// or BTF (SCC) structure whose cross-shard coupling is
-    /// block-triangular (one-sweep Gauss–Seidel).
+    /// How [`CludeEngine::new`] derives a sharded engine's partition, which
+    /// then stays fixed for the life of the engine: greedy edge locality, or
+    /// BTF (SCC) structure whose cross-shard coupling is block-triangular
+    /// (one-sweep Gauss–Seidel).
     pub partition_strategy: PartitionStrategy,
     /// Telemetry behavior: enabled (spans, histograms, journal) or compiled
     /// down to near-no-ops with [`TelemetryConfig::disabled`].
     pub telemetry: TelemetryConfig,
-    /// Bounded-staleness serving: how many snapshots a cached result served
-    /// for a newer snapshot may lag (`0`, the default, serves exact results
-    /// only).
-    pub staleness: StalenessBudget,
 }
 
 impl Default for EngineConfig {
@@ -108,7 +103,6 @@ impl Default for EngineConfig {
             coupling: CouplingConfig::default(),
             partition_strategy: PartitionStrategy::default(),
             telemetry: TelemetryConfig::default(),
-            staleness: StalenessBudget::default(),
         }
     }
 }
@@ -225,7 +219,6 @@ impl CludeEngine {
         let telemetry = Arc::new(telemetry);
         let store = ShardedFactorStore::new(base, config.matrix_kind, config.refresh, partition)?
             .with_telemetry(Arc::clone(&telemetry))
-            .with_partition_strategy(config.partition_strategy)
             .with_coupling_config(config.coupling)?;
         Self::from_store(store, config, telemetry)
     }
@@ -239,8 +232,8 @@ impl CludeEngine {
     /// its graph, partition and per-shard orderings, with the factors
     /// re-factorized under those orderings and the coupling re-derived from
     /// the graph — the WAL suffix is replayed through the normal batch path
-    /// (the same orderings, quality anchors and re-partition countdown as
-    /// the uncrashed run; the fresh factors equal the live ones to rounding
+    /// (the same partition, orderings and quality anchors as the uncrashed
+    /// run; the fresh factors equal the live ones to rounding
     /// and the maintenance decision restarts from its prior reach, so the
     /// recovered engine answers within the 1e-9 bar of the uncrashed run
     /// rather than bit for bit), and a fresh checkpoint re-anchors the
@@ -294,8 +287,7 @@ impl CludeEngine {
         let n_shards = loaded.image.partition.n_shards();
         let telemetry = Arc::new(TelemetryRegistry::with_shards(config.telemetry, n_shards));
         let store = ShardedFactorStore::restore(config.refresh, config.coupling, loaded.image)?
-            .with_telemetry(Arc::clone(&telemetry))
-            .with_partition_strategy(config.partition_strategy);
+            .with_telemetry(Arc::clone(&telemetry));
         let replay = recovery::read_wal(&*durability.vfs, &durability.dir, checkpoint_snapshot)?;
         let engine = Self::from_store(store, config, telemetry)?;
         let mut report = RecoveryReport {
@@ -387,7 +379,6 @@ impl CludeEngine {
                 config.cache_shards,
                 config.cache_capacity_per_shard,
                 Arc::clone(&telemetry),
-                config.staleness,
             ),
             telemetry,
         })
@@ -395,8 +386,9 @@ impl CludeEngine {
 
     /// Number of factor-store shards behind the newest published snapshot
     /// (read from the wait-free handle; never blocks on the ingest lock).
-    /// A coarsening BTF repartition can shrink it — `btf_partition` never
-    /// splits an SCC — and nothing grows it.
+    /// Fixed for the life of the engine: the partition it was built or
+    /// restored with.  A BTF partition may hold fewer shards than
+    /// `config.n_shards` asked for — `btf_partition` never splits an SCC.
     pub fn n_shards(&self) -> usize {
         self.handle.load().n_shards()
     }
@@ -518,17 +510,12 @@ impl CludeEngine {
         }
         // Snapshot-ring sharing: the batch replaced the factor blocks of the
         // shards it touched and shared the rest of the snapshot
-        // it is about to publish with the previous ring entry.  The store's
-        // own count, not the per-shard slices: a repartitioning batch reports
-        // per old shard what it swept, then republishes every new one.
+        // it is about to publish with the previous ring entry.
         t.add(Counter::CowShardsCloned, report.shards_republished);
         t.add(
             Counter::CowShardsShared,
             n_shards - report.shards_republished,
         );
-        if report.repartitioned {
-            t.incr(Counter::Repartitions);
-        }
     }
 
     /// The id of the newest (currently served) snapshot.
@@ -1148,10 +1135,7 @@ mod tests {
             ring_graph(12),
             EngineConfig {
                 n_shards: 3,
-                coupling: CouplingConfig {
-                    tolerance,
-                    repartition_budget: Some(1_000),
-                },
+                coupling: CouplingConfig { tolerance },
                 ..small_config(1)
             },
         )
@@ -1165,14 +1149,12 @@ mod tests {
         let q = MeasureQuery::PageRank { damping: 0.85 };
         let scores = engine.query(&q).unwrap();
         assert!((scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        // A cross-shard insert stays far under the budget (no repartition)
-        // and the published snapshot still carries the tolerance; the
-        // Display line shows what the coupled solves cost.
+        // After a cross-shard insert the published snapshot still carries
+        // the tolerance; the Display line shows what the coupled solves cost.
         engine.insert_edge(0, 7).unwrap();
         assert_eq!(engine.handle.load().tolerance(), tolerance);
         engine.query(&q).unwrap();
         let stats = engine.stats();
-        assert_eq!(stats.repartitions, 0);
         assert!(stats.coupling_sweeps_p50 > 1, "a cyclic coupling iterates");
         assert!(stats.coupling_sweeps_max >= stats.coupling_sweeps_p50);
         assert!(stats.coupling_sweeps_max <= 5_000);
@@ -1182,89 +1164,6 @@ mod tests {
         assert!(engine
             .render_prometheus()
             .contains("clude_coupling_sweeps_count 2\n"));
-    }
-
-    #[test]
-    fn repartition_budget_is_honored_through_the_engine() {
-        use crate::coupling::CouplingConfig;
-        // Interleaved partition of a ring: dense coupling from the start; a
-        // tight budget makes the first applied batch re-partition.
-        let assignments = (0..12).map(|u| u % 3).collect::<Vec<_>>();
-        let engine = CludeEngine::with_partition(
-            ring_graph(12),
-            EngineConfig {
-                coupling: CouplingConfig {
-                    repartition_budget: Some(4),
-                    ..CouplingConfig::default()
-                },
-                ..small_config(1)
-            },
-            clude_graph::NodePartition::from_assignments(assignments),
-        )
-        .unwrap();
-        let before = engine.stats();
-        assert!(before.coupling_nnz > 4);
-        engine.insert_edge(0, 6).unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.repartitions, 1);
-        assert!(
-            stats.coupling_nnz < before.coupling_nnz,
-            "repartition should shrink the coupling ({} -> {})",
-            before.coupling_nnz,
-            stats.coupling_nnz
-        );
-        let q = MeasureQuery::PageRank { damping: 0.85 };
-        let scores = engine.query(&q).unwrap();
-        assert!((scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn shard_count_and_sharing_stats_follow_a_coarsening_repartition() {
-        use crate::coupling::CouplingConfig;
-        // A ring is one SCC and `btf_partition` never splits one: the first
-        // batch over the interleaved four-shard partition crosses the budget
-        // and repartitions to a single shard.
-        let engine = CludeEngine::with_partition(
-            ring_graph(12),
-            EngineConfig {
-                partition_strategy: PartitionStrategy::Btf,
-                coupling: CouplingConfig {
-                    repartition_budget: Some(1),
-                    ..CouplingConfig::default()
-                },
-                ..small_config(1)
-            },
-            NodePartition::from_assignments((0..12).map(|u| u % 4).collect()),
-        )
-        .unwrap();
-        assert_eq!(engine.n_shards(), 4);
-        let mut shadow = ring_graph(12);
-        for i in 0..4 {
-            engine.insert_edge(i, (i + 5) % 12).unwrap();
-            shadow.add_edge(i, (i + 5) % 12);
-        }
-        assert_eq!(engine.n_shards(), 1);
-        let stats = engine.stats();
-        assert_eq!(stats.repartitions, 1);
-        assert_eq!(stats.coupling_nnz, 0);
-        // One block per batch, all of them rebuilt: a one-shard store has
-        // nothing to share.
-        assert_eq!(stats.cow_shards_cloned, 4);
-        assert_eq!(stats.cow_shards_shared, 0);
-        assert_eq!(stats.cow_share_rate(), 0.0);
-        for q in [
-            MeasureQuery::PageRank { damping: 0.85 },
-            MeasureQuery::Rwr {
-                seed: 7,
-                damping: 0.85,
-            },
-        ] {
-            let served = engine.query(&q).unwrap();
-            let dense = crate::store::dense_answer(&shadow, engine.kind, &q);
-            for (x, y) in served.iter().zip(dense.iter()) {
-                assert!((x - y).abs() <= 1e-9, "{q:?}: {x} vs {y}");
-            }
-        }
     }
 
     #[test]
@@ -1384,7 +1283,6 @@ mod tests {
             let config = EngineConfig {
                 coupling: CouplingConfig {
                     tolerance: SolveTolerance { tol, max_sweeps },
-                    ..CouplingConfig::default()
                 },
                 ..small_config(1)
             };

@@ -124,7 +124,7 @@ pub use engine::{CludeEngine, EngineConfig};
 pub use epoch::SnapshotHandle;
 pub use error::{EngineError, EngineResult};
 pub use ingest::{BatchPolicy, DeltaIngestor, EdgeOp, IngestOutcome};
-pub use query::{QueryService, StalenessBudget};
+pub use query::QueryService;
 pub use recovery::RecoveryReport;
 pub use sharded::{PartitionStrategy, ShardAdvance, ShardedAdvanceReport, ShardedFactorStore};
 pub use stats::{EngineStats, ShardStats};

@@ -1,21 +1,15 @@
 //! Concurrent measure-query serving.
 //!
 //! The [`QueryService`] answers [`MeasureQuery`]s against immutable
-//! [`EngineSnapshot`]s.  Two mechanisms keep the hot path fast under high
-//! qps:
-//!
-//! * **sharded result cache** — results are memoised in LRU shards keyed by
-//!   `(snapshot id, query)` and sharded by the *query* alone, so every
-//!   snapshot's entry for one query lives in the same shard and a staleness
-//!   probe touches exactly one lock.  The query is hashed once per call
-//!   ([`crate::cache::key_hash`]): the shard comes from the hash's high bits
-//!   and the shard's table probes from its low bits, with the borrowed query
-//!   compared in place, so a hit clones no key and allocates nothing.  Each
-//!   shard also keeps a per-snapshot entry count, letting bulk invalidation
-//!   skip shards that hold nothing stale instead of scanning every key.
-//! * **bounded-staleness serving** — under a [`StalenessBudget`], a cached
-//!   result for the same query at a recent-enough older snapshot is served
-//!   instead of solving.
+//! [`EngineSnapshot`]s, exactly: a result is served only for the snapshot it
+//! was solved at.  Results are memoised in LRU shards keyed by `(snapshot
+//! id, query)` and sharded by the *query* alone, so every snapshot's entry
+//! for one query lives in the same shard.  The query is hashed once per call
+//! ([`crate::cache::key_hash`]): the shard comes from the hash's high bits
+//! and the shard's table probes from its low bits, with the borrowed query
+//! compared in place, so a hit clones no key and allocates nothing.  Each
+//! shard also keeps a per-snapshot entry count, letting bulk invalidation
+//! skip shards that hold nothing stale instead of scanning every key.
 //!
 //! A miss is solved by [`EngineSnapshot::query`] on the caller's own thread,
 //! with no lock held: the maintained factors make each query one
@@ -54,19 +48,6 @@ struct CacheKey {
     query: MeasureQuery,
 }
 
-/// How far behind the queried snapshot a served cached result may lag.
-///
-/// With `max_lag == 0` (the default) only exact-snapshot results are served.
-/// With `max_lag == k`, a cache miss at snapshot `s` may be answered by a
-/// cached result for the same query at any snapshot in `[s - k, s)`, newest
-/// first — trading bounded result staleness for a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StalenessBudget {
-    /// Maximum snapshot-id lag of a served result (`0` disables stale
-    /// serving).
-    pub max_lag: u64,
-}
-
 /// One cache shard: the LRU plus a per-snapshot entry count.  The counts let
 /// [`CacheShard::invalidate_below`] return without scanning a shard that
 /// holds nothing stale.  Every call takes the query's [`key_hash`].
@@ -91,27 +72,6 @@ impl CacheShard {
     fn get(&mut self, hash: u64, snapshot: u64, query: &MeasureQuery) -> Option<&Arc<Vec<f64>>> {
         self.lru
             .get_hashed(hash, |k| k.snapshot == snapshot && k.query == *query)
-    }
-
-    /// The newest cached result for `query` at a snapshot in `[floor,
-    /// below)`.  Walks only the snapshot ids this shard holds entries for,
-    /// newest first, so a wide staleness budget costs no more probes than
-    /// the shard has resident snapshots.
-    fn newest_before(
-        &mut self,
-        hash: u64,
-        query: &MeasureQuery,
-        floor: u64,
-        below: u64,
-    ) -> Option<Arc<Vec<f64>>> {
-        let mut upper = below;
-        while let Some((&older, _)) = self.per_snapshot.range(floor..upper).next_back() {
-            if let Some(hit) = self.get(hash, older, query) {
-                return Some(Arc::clone(hit));
-            }
-            upper = older;
-        }
-        None
     }
 
     fn insert(&mut self, hash: u64, key: CacheKey, value: Arc<Vec<f64>>) -> Option<CacheKey> {
@@ -160,15 +120,12 @@ pub struct QueryService {
     /// Oldest snapshot id still retained; results below it are not cached
     /// (a reader may finish a solve for a snapshot evicted mid-flight).
     oldest_retained: AtomicU64,
-    staleness: StalenessBudget,
     telemetry: Arc<TelemetryRegistry>,
 }
 
 impl QueryService {
     /// Creates a service with `shards` cache shards of `capacity_per_shard`
-    /// entries each, serving cached results across snapshots within
-    /// `staleness` ([`StalenessBudget::default`] is exact-snapshot only),
-    /// counting queries and cache hits into `telemetry`.
+    /// entries each, counting queries and cache hits into `telemetry`.
     ///
     /// # Panics
     /// Panics when `shards` or `capacity_per_shard` is zero.
@@ -176,7 +133,6 @@ impl QueryService {
         shards: usize,
         capacity_per_shard: usize,
         telemetry: Arc<TelemetryRegistry>,
-        staleness: StalenessBudget,
     ) -> Self {
         assert!(shards > 0, "need at least one cache shard");
         QueryService {
@@ -184,14 +140,12 @@ impl QueryService {
                 .map(|_| Mutex::new(CacheShard::new(capacity_per_shard)))
                 .collect(),
             oldest_retained: AtomicU64::new(0),
-            staleness,
             telemetry,
         }
     }
 
-    /// Answers `query` against `snapshot`, consulting the cache first (the
-    /// exact snapshot, then — under the staleness budget — recent older
-    /// snapshots, newest first).  A miss is solved on the calling thread.
+    /// Answers `query` against `snapshot`, consulting the cache for that
+    /// snapshot's result first.  A miss is solved on the calling thread.
     ///
     /// A hit validates the query, counts it, hashes it once and takes its
     /// shard's lock once.  `snapshot` is only read, hit or miss.  Results
@@ -208,7 +162,7 @@ impl QueryService {
         self.telemetry.incr(Counter::QueriesServed);
         let id = snapshot.id();
         // Sharded by the query alone: every snapshot's entry for one query
-        // shares a shard, so the staleness probe reuses the lock.
+        // shares a shard.
         let hash = key_hash(query);
         let shard = &self.shards[shard_index(hash, self.shards.len())];
         {
@@ -225,17 +179,6 @@ impl QueryService {
             // served-from-cache probes only.
             if let Some(probe) = probe {
                 probe.cancel();
-            }
-            // Bounded-staleness serving: the same query answered at a
-            // recent-enough older snapshot is acceptable under the budget.
-            if self.staleness.max_lag > 0 {
-                let stale = self.telemetry.span(Stage::QueryStaleHit);
-                let floor = id.saturating_sub(self.staleness.max_lag);
-                if let Some(hit) = guard.newest_before(hash, query, floor, id) {
-                    self.telemetry.incr(Counter::CacheHits);
-                    return Ok(hit);
-                }
-                stale.cancel();
             }
         }
         // A miss (counted as `queries − cache_hits`), solved here with no
@@ -306,11 +249,10 @@ impl QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coupling::CouplingConfig;
     use crate::sharded::ShardedFactorStore;
     use crate::stats::EngineStats;
     use crate::store::RefreshPolicy;
-    use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
+    use clude_graph::{DiGraph, MatrixKind, NodePartition};
 
     fn store() -> ShardedFactorStore {
         let mut g = DiGraph::from_edges(6, (0..6).map(|i| (i, (i + 1) % 6)).collect::<Vec<_>>());
@@ -328,15 +270,15 @@ mod tests {
         Arc::new(store().snapshot())
     }
 
-    fn service_with(staleness: StalenessBudget) -> (QueryService, Arc<TelemetryRegistry>) {
+    fn service() -> (QueryService, Arc<TelemetryRegistry>) {
         let telemetry = Arc::new(TelemetryRegistry::default());
-        let service = QueryService::new(2, 16, Arc::clone(&telemetry), staleness);
+        let service = QueryService::new(2, 16, Arc::clone(&telemetry));
         (service, telemetry)
     }
 
     #[test]
     fn cache_hits_return_the_same_result() {
-        let (service, telemetry) = service_with(StalenessBudget::default());
+        let (service, telemetry) = service();
         let snap = snapshot();
         let q = MeasureQuery::Rwr {
             seed: 1,
@@ -357,7 +299,7 @@ mod tests {
 
     #[test]
     fn distinct_queries_miss_separately() {
-        let (service, telemetry) = service_with(StalenessBudget::default());
+        let (service, telemetry) = service();
         let snap = snapshot();
         for seed in 0..4 {
             service
@@ -376,7 +318,7 @@ mod tests {
 
     #[test]
     fn invalidation_drops_old_snapshots_only() {
-        let (service, telemetry) = service_with(StalenessBudget::default());
+        let (service, telemetry) = service();
         let snap = snapshot(); // id 0
         let q = MeasureQuery::PageRank { damping: 0.85 };
         service.query(&snap, &q).unwrap();
@@ -396,61 +338,8 @@ mod tests {
     }
 
     #[test]
-    fn stale_results_serve_within_budget_only() {
-        let (service, telemetry) = service_with(StalenessBudget { max_lag: 2 });
-        let mut st = store();
-        let snap0 = Arc::new(st.snapshot());
-        let q = MeasureQuery::Rwr {
-            seed: 1,
-            damping: 0.85,
-        };
-        let exact = service.query(&snap0, &q).unwrap();
-        for (u, v) in [(0, 3), (1, 4), (2, 5)] {
-            st.advance(&GraphDelta {
-                added: vec![(u, v)],
-                removed: vec![],
-            })
-            .unwrap();
-        }
-        let snap3 = Arc::new(st.snapshot());
-        assert_eq!(snap3.id(), 3);
-        // Lag 3 exceeds the budget of 2: a fresh solve, not the cached one.
-        let fresh = service.query(&snap3, &q).unwrap();
-        assert!(!Arc::ptr_eq(&exact, &fresh), "lag 3 must not serve lag-0");
-        // The fresh result is cached at id 3; querying id 4 or 5 (lag <= 2)
-        // serves it, querying id 6 (lag 3) would not — simulate by probing
-        // through snapshots the service never solved for.
-        let stats = EngineStats::from_registry(&telemetry);
-        assert_eq!(stats.cache_misses, 2);
-        // Exact hit still wins over the stale path.
-        let again = service.query(&snap3, &q).unwrap();
-        assert!(Arc::ptr_eq(&fresh, &again));
-    }
-
-    #[test]
-    fn stale_serving_prefers_newest_lagged_result() {
-        let (service, telemetry) = service_with(StalenessBudget { max_lag: 3 });
-        let mut st = store();
-        let snap0 = Arc::new(st.snapshot());
-        let q = MeasureQuery::PageRank { damping: 0.85 };
-        let at0 = service.query(&snap0, &q).unwrap();
-        st.advance(&GraphDelta {
-            added: vec![(0, 3)],
-            removed: vec![],
-        })
-        .unwrap();
-        let snap1 = Arc::new(st.snapshot());
-        // Lag 1 within budget: served from the id-0 entry without a solve.
-        let at1 = service.query(&snap1, &q).unwrap();
-        assert!(Arc::ptr_eq(&at0, &at1), "lag-1 query must reuse the cache");
-        let stats = EngineStats::from_registry(&telemetry);
-        assert_eq!(stats.cache_misses, 1);
-        assert_eq!(stats.cache_hits, 1);
-    }
-
-    #[test]
     fn invalid_queries_are_rejected_before_solving() {
-        let (service, telemetry) = service_with(StalenessBudget::default());
+        let (service, telemetry) = service();
         let snap = snapshot();
         let bad = MeasureQuery::Rwr {
             seed: 99,
@@ -463,46 +352,13 @@ mod tests {
         assert_eq!(EngineStats::from_registry(&telemetry).queries, 0);
     }
 
-    /// A budget wider than the snapshot id walks only the ids the shard
-    /// holds: a miss at id 2^40 under `max_lag: u64::MAX` returns, and the
-    /// next snapshot is served that result stale.
-    #[test]
-    fn an_unbounded_staleness_budget_probes_only_resident_snapshots() {
-        let (service, telemetry) = service_with(StalenessBudget { max_lag: u64::MAX });
-        let mut image = store().durable_state();
-        image.snapshot_id = 1 << 40;
-        let mut st =
-            ShardedFactorStore::restore(RefreshPolicy::default(), CouplingConfig::default(), image)
-                .unwrap();
-        let q = MeasureQuery::PageRank { damping: 0.85 };
-        let far = st.snapshot();
-        assert_eq!(far.id(), 1 << 40);
-        let solved = service.query(&far, &q).unwrap();
-        st.advance(&GraphDelta {
-            added: vec![(0, 3)],
-            removed: vec![],
-        })
-        .unwrap();
-        let next = st.snapshot();
-        assert_eq!(next.id(), (1 << 40) + 1);
-        let stale = service.query(&next, &q).unwrap();
-        assert!(Arc::ptr_eq(&solved, &stale), "served the id-2^40 result");
-        let stats = EngineStats::from_registry(&telemetry);
-        assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1));
-    }
-
     /// Concurrent misses, on distinct keys and on one shared key, each
     /// solve on their own thread and agree bit for bit with a sequential
     /// solve; readers racing on the shared key leave it one cache entry.
     #[test]
     fn concurrent_misses_agree_with_sequential() {
         let telemetry = Arc::new(TelemetryRegistry::default());
-        let service = Arc::new(QueryService::new(
-            4,
-            64,
-            Arc::clone(&telemetry),
-            StalenessBudget::default(),
-        ));
+        let service = Arc::new(QueryService::new(4, 64, Arc::clone(&telemetry)));
         let snap = snapshot();
         let shared = MeasureQuery::PageRank { damping: 0.85 };
         let mut queries: Vec<MeasureQuery> = (0..6)

@@ -51,19 +51,17 @@ use crate::store::{
     global_matrix_delta, order_and_factorize, EngineSnapshot, MaintenanceArm, OldSuccessors,
     OrderedFactors, RefreshPolicy, ShardSnapshot, Staged,
 };
-use clude::partition::edge_locality_partition;
 use clude::refresh_decision;
 use clude_graph::{
-    btf_partition, coupling_matrix, shard_measure_matrix, DiGraph, GraphDelta, MatrixKind,
-    NodePartition,
+    coupling_matrix, shard_measure_matrix, DiGraph, GraphDelta, MatrixKind, NodePartition,
 };
 use clude_lu::{extend_structure, factorize_fresh};
 use clude_sparse::Ordering;
-use clude_telemetry::{EngineEvent, Stage, TelemetryRegistry};
+use clude_telemetry::{Stage, TelemetryRegistry};
 use std::sync::Arc;
 
-/// How the store derives a node partition when it repartitions (and how the
-/// engine derives the initial one).
+/// How [`crate::CludeEngine::new`] derives a sharded engine's node
+/// partition, which then stays fixed for the life of the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionStrategy {
     /// Greedy edge-locality growth: minimizes the coupling size without
@@ -76,19 +74,6 @@ pub enum PartitionStrategy {
     /// May produce fewer shards than requested when the graph's SCCs are
     /// coarse.
     Btf,
-}
-
-/// Factorizes shard `shard`'s block of `graph` as the block current as of
-/// snapshot `id`.
-fn build_shard(
-    graph: &DiGraph,
-    kind: MatrixKind,
-    partition: &NodePartition,
-    shard: usize,
-    id: u64,
-) -> EngineResult<OrderedFactors> {
-    let matrix = shard_measure_matrix(graph, kind, partition, shard);
-    Ok(order_and_factorize(&matrix, id)?)
 }
 
 /// The cross-shard entries of the measure matrix over `partition`, laid
@@ -162,9 +147,6 @@ pub struct ShardedAdvanceReport {
     /// a shard's ordering did, which the coupling's layout follows;
     /// `false` shares the previous snapshot's coupling and its plan.
     pub coupling_republished: bool,
-    /// Whether this batch crossed the coupling budget and re-ran the
-    /// edge-locality partition (all shards re-ordered and re-factorized).
-    pub repartitioned: bool,
 }
 
 /// Per-shard LU factors over a partitioned node universe, updated shard by
@@ -183,25 +165,19 @@ pub struct ShardedFactorStore {
     partition: Arc<NodePartition>,
     graph: DiGraph,
     shards: Vec<OrderedFactors>,
-    /// How repartitions derive the replacement partition.
-    partition_strategy: PartitionStrategy,
     snapshot_id: u64,
     /// The cross-shard entries of the measure matrix laid out under the
     /// shards' orderings: the state itself, in the frozen form snapshots
     /// share.  Replaced only by batches that wrote a cross-shard entry —
     /// new values over the same structure when every write has a slot, a
     /// merged structure without zero slots when one does not — and laid out
-    /// anew by batches that moved a shard's ordering or re-partitioned;
-    /// each time with an empty plan cell: the store never plans, coupled
-    /// solves do.
+    /// anew by batches that moved a shard's ordering; each time with an
+    /// empty plan cell: the store never plans, coupled solves do.
     published_coupling: Arc<FrozenCoupling>,
-    /// Coupled-solve configuration: tolerance, re-partition budget.
+    /// Coupled-solve configuration: the stopping rule.
     coupling_cfg: CouplingConfig,
-    /// Coupling size that triggers the next adaptive re-partition (`None`
-    /// disables; backed off after each re-partition for amortization).
-    next_repartition_at: Option<usize>,
     /// Telemetry sink for route/refactor/refresh/freeze spans and
-    /// repartition events, stamped onto snapshots; a disabled stub unless
+    /// re-order events, stamped onto snapshots; a disabled stub unless
     /// [`ShardedFactorStore::with_telemetry`].
     telemetry: Arc<TelemetryRegistry>,
     /// Test hook: overrides every decision's arm, so each arm can be driven
@@ -232,38 +208,22 @@ impl ShardedFactorStore {
         }
         let partition = Arc::new(partition);
         let shards: Vec<OrderedFactors> = (0..partition.n_shards())
-            .map(|s| build_shard(&graph, kind, &partition, s, 0))
-            .collect::<EngineResult<_>>()?;
+            .map(|s| order_and_factorize(&shard_measure_matrix(&graph, kind, &partition, s), 0))
+            .collect::<Result<_, _>>()?;
         let published_coupling = cross_shard_coupling(&graph, kind, &partition, &shards);
-        let coupling_cfg = CouplingConfig::default();
         Ok(ShardedFactorStore {
             kind,
             policy,
             partition,
             graph,
             shards,
-            partition_strategy: PartitionStrategy::default(),
             snapshot_id: 0,
             published_coupling,
-            next_repartition_at: coupling_cfg.repartition_budget,
-            coupling_cfg,
+            coupling_cfg: CouplingConfig::default(),
             telemetry: Arc::new(TelemetryRegistry::disabled()),
             #[cfg(test)]
             forced_arm: None,
         })
-    }
-
-    /// Sets how adaptive repartitions derive the replacement partition
-    /// (builder style; edge locality by default).  The *current* partition is
-    /// untouched — the strategy takes effect at the next repartition trigger.
-    pub fn with_partition_strategy(mut self, strategy: PartitionStrategy) -> Self {
-        self.partition_strategy = strategy;
-        self
-    }
-
-    /// The partition strategy repartitions will use.
-    pub fn partition_strategy(&self) -> PartitionStrategy {
-        self.partition_strategy
     }
 
     /// What a checkpoint of the store holds: everything but the factors
@@ -276,7 +236,6 @@ impl ShardedFactorStore {
             kind: self.kind,
             partition: (*self.partition).clone(),
             graph: self.graph.clone(),
-            next_repartition_at: self.next_repartition_at,
             shards: self
                 .shards
                 .iter()
@@ -294,9 +253,8 @@ impl ShardedFactorStore {
     /// the graph ([`cross_shard_coupling`]), and each shard's block of the
     /// measure matrix, reordered by the shard's checkpointed ordering, is
     /// factorized by the up-looking kernel.  The orderings, quality
-    /// anchors, block indices, partition and re-partition countdown are the
-    /// image's, so WAL replay from here repartitions where the original did
-    /// and measures quality-loss against the same anchors.
+    /// anchors, block indices and partition are the image's, so WAL replay
+    /// from here measures quality-loss against the same anchors.
     ///
     /// The factors are a fresh factorization under the live orderings, so
     /// they equal the live factors to rounding, not bit for bit, and hold no
@@ -317,7 +275,6 @@ impl ShardedFactorStore {
             kind,
             partition,
             graph,
-            next_repartition_at,
             shards,
         } = image;
         let partition = Arc::new(partition);
@@ -348,10 +305,8 @@ impl ShardedFactorStore {
             partition,
             graph,
             shards,
-            partition_strategy: PartitionStrategy::default(),
             snapshot_id,
             published_coupling,
-            next_repartition_at,
             coupling_cfg,
             telemetry: Arc::new(TelemetryRegistry::disabled()),
             #[cfg(test)]
@@ -359,7 +314,7 @@ impl ShardedFactorStore {
         })
     }
 
-    /// Sets the telemetry registry the store's spans and repartition events
+    /// Sets the telemetry registry the store's spans and re-order events
     /// are recorded into (builder style).  Snapshots
     /// carry the same handle so query-path coupling solves record too.
     pub fn with_telemetry(mut self, telemetry: Arc<TelemetryRegistry>) -> Self {
@@ -375,7 +330,6 @@ impl ShardedFactorStore {
             .validate()
             .map_err(EngineError::InvalidConfig)?;
         self.coupling_cfg = cfg;
-        self.next_repartition_at = cfg.repartition_budget;
         Ok(self)
     }
 
@@ -554,12 +508,11 @@ impl ShardedFactorStore {
             report.shards_republished += 1;
         }
         // Copy-on-write like the factor blocks: the coupling re-freezes only
-        // when a cross-shard entry changed, when a shard's ordering moved —
-        // the layout follows every ordering — or when the store
-        // re-partitions, below; every other batch keeps sharing the previous
-        // snapshots' coupling, and with it their plan.  Every affected source
-        // owns its own matrix column (or row), so the writes name distinct
-        // positions.
+        // when a cross-shard entry changed or when a shard's ordering moved —
+        // the layout follows every ordering; every other batch keeps sharing
+        // the previous snapshots' coupling, and with it their plan.  Every
+        // affected source owns its own matrix column (or row), so the writes
+        // name distinct positions.
         if !coupling_writes.is_empty() || ordering_moved {
             let freeze = self.telemetry.span(Stage::SnapshotFreeze);
             let mut coupling = Arc::clone(&self.published_coupling);
@@ -572,33 +525,6 @@ impl ShardedFactorStore {
             self.published_coupling = coupling;
             freeze.stop();
             report.coupling_republished = true;
-        }
-
-        // Adaptive re-partitioning: once the live coupling crosses the
-        // budget, the partition has drifted from the graph's edge locality —
-        // re-derive it from the *current* graph and rebuild every shard.
-        // Expensive (k orderings + factorizations), but amortized: the
-        // trigger backs off to twice the surviving coupling size, so a graph
-        // whose locality genuinely degraded does not thrash.
-        if let Some(budget) = self.coupling_cfg.repartition_budget {
-            let nnz = self.coupling_nnz();
-            if nnz <= budget {
-                // Back under the configured budget (e.g. removals drained the
-                // coupling): restore the base trigger so the next genuine
-                // locality drift repartitions at the budget, not at the
-                // backed-off threshold of a past repartition.
-                self.next_repartition_at = Some(budget);
-            }
-            if nnz > self.next_repartition_at.unwrap_or(budget) {
-                self.repartition()?;
-                self.telemetry.record_event(EngineEvent::Repartitioned {
-                    coupling_nnz_before: nnz as u64,
-                    coupling_nnz_after: self.coupling_nnz() as u64,
-                });
-                report.repartitioned = true;
-                report.shards_republished = self.shards.len() as u64;
-                report.coupling_republished = true;
-            }
         }
 
         // Quality-loss is a property of the shard's accumulated state, not
@@ -671,40 +597,6 @@ impl ShardedFactorStore {
         }
     }
 
-    /// Re-runs the partition strategy on the current graph and rebuilds the
-    /// store around it: fresh shards — orderings, factorizations, held
-    /// matrices and scratch — every block replaced, the coupling re-collected and
-    /// laid out with an empty plan cell (no plan outlives its partition).  The
-    /// next trigger backs off to `max(budget, 2 × surviving coupling size)`
-    /// so repeated triggers on a genuinely dense graph stay amortized.
-    ///
-    /// The BTF strategy may coarsen to fewer shards than the store had when
-    /// the graph's SCC structure is coarse; the store's shard count follows
-    /// the partition.
-    fn repartition(&mut self) -> EngineResult<()> {
-        let k = self.shards.len();
-        let partition = Arc::new(match self.partition_strategy {
-            PartitionStrategy::EdgeLocality => edge_locality_partition(&self.graph, k),
-            PartitionStrategy::Btf => btf_partition(&self.graph, self.kind, k).0,
-        });
-        let shards: Vec<OrderedFactors> = (0..partition.n_shards())
-            .map(|s| build_shard(&self.graph, self.kind, &partition, s, self.snapshot_id))
-            .collect::<EngineResult<_>>()?;
-        let freeze = self.telemetry.span(Stage::SnapshotFreeze);
-        self.published_coupling = cross_shard_coupling(&self.graph, self.kind, &partition, &shards);
-        freeze.stop();
-        self.partition = partition;
-        self.shards = shards;
-        // `repartition` only runs when the advance path saw a budget; if
-        // that invariant ever breaks, degrade to "no further triggers"
-        // instead of panicking mid-ingest.
-        self.next_repartition_at = self
-            .coupling_cfg
-            .repartition_budget
-            .map(|budget| budget.max(2 * self.coupling_nnz()));
-        Ok(())
-    }
-
     /// Debug invariant: block-diagonal shard factors reconstruct their
     /// blocks, and blocks plus coupling reassemble the global measure matrix.
     #[cfg(test)]
@@ -737,9 +629,12 @@ mod tests {
     use super::*;
     use crate::coupling::SolveTolerance;
     use crate::store::{dense_answer, static_factors};
+    use clude::partition::edge_locality_partition;
+    use clude_graph::btf_partition;
     use clude_lu::LuError;
     use clude_measures::{MeasureQuery, MeasureSolver};
     use clude_sparse::CsrMatrix;
+    use clude_telemetry::EngineEvent;
 
     fn base_graph(n: usize) -> DiGraph {
         let mut g = DiGraph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
@@ -1223,8 +1118,8 @@ mod tests {
         );
         store.assert_consistent(1e-9);
 
-        // A new cross-shard position, a moved ordering and a repartition
-        // each lay it out once, with no zero slot.
+        // A new cross-shard position and a moved ordering each lay it out
+        // once, with no zero slot.
         let removal = GraphDelta {
             added: vec![],
             removed: vec![(0, 5)],
@@ -1246,9 +1141,6 @@ mod tests {
         };
         assert!(builds_a_structure(&mut store, &reorder));
         store.forced_arm = None;
-        let before = Arc::clone(store.published_coupling.structure());
-        store.repartition().unwrap();
-        assert!(!Arc::ptr_eq(&before, store.published_coupling.structure()));
         let coupling = &store.published_coupling;
         assert_eq!(coupling.structure().slots(), coupling.nnz());
         assert_queries_match(&store, 16);
@@ -1325,21 +1217,10 @@ mod tests {
             .built_plan()
             .expect("a solve plans");
         assert!(!std::ptr::eq(plan, reordered_plan));
-        assert!(std::ptr::eq(before.coupling_plan(), plan));
-
-        // A repartition freezes a new coupling with an empty cell; the
-        // first solve over it plans for the new partition, and the old
-        // snapshot keeps serving its own plan.
-        store.repartition().unwrap();
-        assert!(store.coupling_nnz() > 0);
-        let after = store.snapshot();
-        assert!(after.shared_coupling().built_plan().is_none());
-        assert_queries_match(&store, n);
-        let replanned = after.shared_coupling().built_plan().expect("a solve plans");
-        assert!(!std::ptr::eq(plan, replanned));
-        assert!(!std::ptr::eq(reordered_plan, replanned));
         let fresh = plan_over(&store, &live_entries(n, &store.published_coupling));
-        assert_eq!(replanned.gs_order(), fresh.0);
+        assert_eq!(reordered_plan.gs_order(), fresh.0);
+        // The old snapshots keep serving their own plan.
+        assert!(std::ptr::eq(before.coupling_plan(), plan));
         assert!(std::ptr::eq(first.coupling_plan(), plan));
     }
 
@@ -1432,9 +1313,6 @@ mod tests {
         }
         assert!(reordered, "shard 0 never re-ordered");
 
-        store.repartition().unwrap();
-        assert_coupled_answers_exact(&store, n);
-
         let restored =
             ShardedFactorStore::restore(store.policy, store.coupling_cfg, store.durable_state())
                 .unwrap();
@@ -1509,58 +1387,6 @@ mod tests {
         assert_queries_match(&sharded, n);
     }
 
-    #[test]
-    fn repartition_triggers_on_coupling_budget_and_stays_exact() {
-        // Interleaved (worst-case) partition of a ring: every edge crosses,
-        // so the coupling is as dense as it gets.  A tight budget must make
-        // the store re-derive an edge-locality partition, collapsing the
-        // coupling, while the answers stay exact.
-        let n = 16;
-        let g = base_graph(n);
-        let kind = MatrixKind::random_walk_default();
-        let mut store = ShardedFactorStore::new(
-            g,
-            kind,
-            RefreshPolicy::Incremental,
-            NodePartition::from_assignments((0..n).map(|u| u % 2).collect()),
-        )
-        .unwrap()
-        .with_coupling_config(CouplingConfig {
-            repartition_budget: Some(8),
-            ..CouplingConfig::default()
-        })
-        .unwrap();
-        let dense_before = store.coupling_nnz();
-        assert!(dense_before > 8, "interleaved ring must cross everywhere");
-
-        let delta = GraphDelta {
-            added: vec![(0, 5), (3, 10)],
-            removed: vec![],
-        };
-        let report = store.advance(&delta).unwrap();
-        assert!(report.repartitioned, "budget crossing must repartition");
-        assert_eq!(report.shards_republished, 2);
-        assert!(report.coupling_republished);
-        assert!(
-            store.coupling_nnz() < dense_before,
-            "edge-locality partition should shrink the coupling ({} -> {})",
-            dense_before,
-            store.coupling_nnz()
-        );
-        store.assert_consistent(1e-9);
-        assert_queries_match(&store, n);
-
-        // Amortization: the next advance does not re-trigger (the threshold
-        // backed off past the surviving coupling size).
-        let delta = GraphDelta {
-            added: vec![(1, 6)],
-            removed: vec![],
-        };
-        let report = store.advance(&delta).unwrap();
-        assert!(!report.repartitioned);
-        assert_queries_match(&store, n);
-    }
-
     /// The published blocks of `shards` are ordered by the paper's Markowitz
     /// rule applied to the shard's current measure matrix.
     fn assert_markowitz_ordered(store: &ShardedFactorStore, shards: impl Iterator<Item = usize>) {
@@ -1611,22 +1437,6 @@ mod tests {
             assert_markowitz_ordered(&store, hit);
         }
         assert!(refreshed > 0, "densification never tripped a refresh");
-
-        // A repartition rebuilds every shard around the new partition.
-        store = store
-            .with_coupling_config(CouplingConfig {
-                repartition_budget: Some(8),
-                ..CouplingConfig::default()
-            })
-            .unwrap();
-        let report = store
-            .advance(&GraphDelta {
-                added: vec![(0, 30)],
-                removed: vec![],
-            })
-            .unwrap();
-        assert!(report.repartitioned);
-        assert_markowitz_ordered(&store, 0..store.n_shards());
         assert_queries_match(&store, n);
     }
 
@@ -1648,7 +1458,6 @@ mod tests {
                 tol: 1e-13,
                 max_sweeps: 1,
             },
-            ..CouplingConfig::default()
         })
         .unwrap();
         assert!(store.coupling_nnz() > 0, "ring edges cross the shards");
@@ -1690,7 +1499,6 @@ mod tests {
             .unwrap()
             .with_coupling_config(CouplingConfig {
                 tolerance: SolveTolerance { tol, max_sweeps },
-                ..CouplingConfig::default()
             })
             .unwrap_err();
             assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
@@ -1773,7 +1581,6 @@ mod tests {
                     tol: 1e-13,
                     max_sweeps: 1,
                 },
-                ..CouplingConfig::default()
             })
             .unwrap();
         assert!(store.coupling_nnz() > 0, "bridges cross the shards");
@@ -2282,15 +2089,10 @@ mod tests {
         }
 
         /// The coupling structure survives a batch exactly when the batch
-        /// wrote no new position, moved no ordering and did not
-        /// re-partition; a batch that lays it out anew leaves no zero slot.
-        fn assert_structure_follows(
-            before: &EngineSnapshot,
-            after: &EngineSnapshot,
-            repartitioned: bool,
-        ) {
-            let relaid =
-                repartitioned || !orderings_held(before, after) || new_position(before, after);
+        /// wrote no new position and moved no ordering; a batch that lays it
+        /// out anew leaves no zero slot.
+        fn assert_structure_follows(before: &EngineSnapshot, after: &EngineSnapshot) {
+            let relaid = !orderings_held(before, after) || new_position(before, after);
             let (was, now) = (before.shared_coupling(), after.shared_coupling());
             assert_eq!(Arc::ptr_eq(was.structure(), now.structure()), !relaid);
             if relaid {
@@ -2385,8 +2187,8 @@ mod tests {
 
         /// A checkpoint restores to the live store after every batch of a
         /// mixed stream, whichever arm maintained the blocks: both matrix
-        /// kinds, one shard, and four shards whose re-partitions follow edge
-        /// locality or BTF structure, under the free decision and each arm
+        /// kinds, one shard, and four shards partitioned by edge locality or
+        /// by BTF structure, under the free decision and each arm
         /// forced in turn — every arm fires on every configuration.  And
         /// every published block is, bit for bit, a full numeric pass over
         /// its own structure from the shard's held matrix
@@ -2440,17 +2242,9 @@ mod tests {
                             RefreshPolicy::Incremental,
                             partition,
                         )
-                        .unwrap()
-                        .with_partition_strategy(strategy.unwrap_or_default());
+                        .unwrap();
                         if strategy.is_some() {
                             assert_eq!(store.n_shards(), 4);
-                            let budget = Some(store.coupling_nnz() + 2);
-                            store = store
-                                .with_coupling_config(CouplingConfig {
-                                    repartition_budget: budget,
-                                    ..CouplingConfig::default()
-                                })
-                                .unwrap();
                         }
                         store.forced_arm = forced;
                         assert_restores_to(&store);
@@ -2459,11 +2253,7 @@ mod tests {
                             let before = store.snapshot();
                             let report =
                                 store.advance(&random_delta(store.graph(), batch)).unwrap();
-                            assert_structure_follows(
-                                &before,
-                                &store.snapshot(),
-                                report.repartitioned,
-                            );
+                            assert_structure_follows(&before, &store.snapshot());
                             arms.extend(
                                 report
                                     .per_shard
@@ -2488,17 +2278,13 @@ mod tests {
 
             /// Mixed insert / remove streams at 1 and 4 shards under both
             /// policies and both matrix kinds, every arm forced in turn beside
-            /// the free decision — at 4 shards with a re-partition budget of
-            /// the initial coupling, so streams re-partition and rebuild
-            /// every block over the new partition: whatever arm maintained a
-            /// block, the answers agree with each other to 1e-12 and with
+            /// the free decision: whatever arm maintained a block, the answers agree with each other to 1e-12 and with
             /// dense Gaussian elimination to 1e-9; after every arm every
             /// block's structure is closed under elimination; a numeric pass
             /// — also one that follows a re-order — keeps the structure
             /// handle it found when nothing escaped it, and extends it
             /// otherwise; a snapshot taken before
-            /// all of it, re-partitions included, still answers
-            /// bit-identically at the end.
+            /// all of it still answers bit-identically at the end.
             #[test]
             fn every_arm_maintains_the_same_factors(
                 batches in proptest::collection::vec(
@@ -2532,15 +2318,6 @@ mod tests {
                             NodePartition::contiguous(n, k),
                         )
                         .unwrap();
-                        if k > 1 {
-                            let budget = Some(store.coupling_nnz());
-                            store = store
-                                .with_coupling_config(CouplingConfig {
-                                    repartition_budget: budget,
-                                    ..CouplingConfig::default()
-                                })
-                                .unwrap();
-                        }
                         store.forced_arm = arm;
                         store
                     })
@@ -2600,9 +2377,6 @@ mod tests {
                                     "forced {:?}, ran {:?}", forced, shard.arm
                                 );
                             }
-                            if report.repartitioned {
-                                continue;
-                            }
                             let after = store.shards[s].factors().structure();
                             if shard.arm == Some(MaintenanceArm::Refactor) {
                                 let shared = Arc::ptr_eq(&before[s], after);
@@ -2637,8 +2411,8 @@ mod tests {
 
             /// The frozen coupling is the state, and it equals the triplet
             /// route: after every advance of a random mixed stream — both
-            /// matrix kinds, a zero damping whose coupling is all dropped
-            /// zeros, a budget tight enough to re-partition — the coupling's
+            /// matrix kinds and a zero damping whose coupling is all dropped
+            /// zeros — the coupling's
             /// nonzero entries are the graph's cross-shard entries bit for
             /// bit, no advance builds a plan, the plan a solve builds is what
             /// a fresh layout of the entries gives, consecutive snapshots
@@ -2650,14 +2424,13 @@ mod tests {
                     proptest::collection::vec((0usize..3, 0usize..16, 0usize..16), 1..6),
                     1..10,
                 ),
-                cell in 0usize..4,
+                cell in 0usize..3,
             ) {
                 let n = 16;
-                let (kind, budget) = [
-                    (MatrixKind::random_walk_default(), None),
-                    (MatrixKind::random_walk_default(), Some(22)),
-                    (MatrixKind::SymmetricLaplacian { shift: 1.0 }, None),
-                    (MatrixKind::RandomWalk { damping: 0.0 }, None),
+                let kind = [
+                    MatrixKind::random_walk_default(),
+                    MatrixKind::SymmetricLaplacian { shift: 1.0 },
+                    MatrixKind::RandomWalk { damping: 0.0 },
                 ][cell];
                 let mut g = base_graph(n);
                 for u in 0..n {
@@ -2669,11 +2442,6 @@ mod tests {
                     RefreshPolicy::Incremental,
                     NodePartition::contiguous(n, 4),
                 )
-                .unwrap()
-                .with_coupling_config(CouplingConfig {
-                    repartition_budget: budget,
-                    ..CouplingConfig::default()
-                })
                 .unwrap();
                 let entry_bits = |m: &CsrMatrix| bits(m.iter().collect());
                 let mut oracle = coupling_via_triplets(&store);
@@ -2693,17 +2461,14 @@ mod tests {
                     prop_assert_eq!(after.coupling_nnz(), oracle.nnz());
                     prop_assert!(oracle.iter().all(|(_, _, v)| v != 0.0));
 
-                    // A re-partition re-freezes whatever the entries did; the
-                    // advance builds no plan, and a shared coupling still
+                    // The advance builds no plan, and a shared coupling still
                     // holds the one `before` built.
-                    let unchanged = !report.repartitioned
-                        && previous == oracle
-                        && orderings_held(&before, &after);
+                    let unchanged = previous == oracle && orderings_held(&before, &after);
                     prop_assert_eq!(after.shared_coupling().built_plan().is_some(), unchanged);
                     let fresh = plan_over(&store, &oracle);
                     prop_assert_eq!(after.coupling_plan().gs_order(), &fresh.0[..]);
                     prop_assert_eq!(after.coupling_plan().is_triangular(), fresh.1);
-                    assert_structure_follows(&before, &after, report.repartitioned);
+                    assert_structure_follows(&before, &after);
                     prop_assert_eq!(
                         Arc::ptr_eq(before.shared_coupling(), after.shared_coupling()),
                         unchanged

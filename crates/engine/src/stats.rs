@@ -71,8 +71,6 @@ pub struct EngineStats {
     pub ring_depth: u64,
     /// Approximate factor and coupling bytes resident across the ring.
     pub resident_factor_bytes: u64,
-    /// Adaptive re-partitions triggered by coupling growth.
-    pub repartitions: u64,
     /// Cross-shard coupling entries of the newest snapshot.
     pub coupling_nnz: u64,
     /// Median block passes per coupled right-hand side (0 with telemetry
@@ -133,7 +131,6 @@ impl EngineStats {
             query_time: busy(Stage::QuerySolve),
             cow_shards_cloned: count(Counter::CowShardsCloned),
             cow_shards_shared: count(Counter::CowShardsShared),
-            repartitions: count(Counter::Repartitions),
             coupling_sweeps_p50: telemetry.coupling_sweeps().value_at_quantile(0.5),
             coupling_sweeps_max: telemetry.coupling_sweeps().max(),
             telemetry_enabled: telemetry.enabled(),
@@ -229,8 +226,8 @@ impl fmt::Display for EngineStats {
         )?;
         writeln!(
             f,
-            "coupling | nnz {:>8}  sweeps-p50 {:>4}  repartitions {:>4}  sweeps-max {:>6}",
-            s.coupling_nnz, s.coupling_sweeps_p50, s.repartitions, s.coupling_sweeps_max
+            "coupling | nnz {:>8}  sweeps-p50 {:>4}  sweeps-max {:>6}",
+            s.coupling_nnz, s.coupling_sweeps_p50, s.coupling_sweeps_max
         )?;
         let on = if s.telemetry_enabled { "on " } else { "off" };
         let (p50, p99) = (s.query_solve_p50, s.query_solve_p99);
@@ -349,7 +346,6 @@ mod tests {
     #[test]
     fn coupling_line_reports_solver_and_drift() {
         let s = EngineStats {
-            repartitions: 2,
             coupling_nnz: 345,
             coupling_sweeps_p50: 21,
             coupling_sweeps_max: 1417,
@@ -358,7 +354,6 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("nnz      345"));
         assert!(text.contains("sweeps-p50   21"));
-        assert!(text.contains("repartitions    2"));
         assert!(text.contains("sweeps-max   1417"));
         // Raw counter snapshots (no engine fill-in) degrade gracefully.
         let raw = EngineStats::from_registry(&registry(0));
@@ -409,7 +404,6 @@ mod tests {
             cow_shards_shared: 6,
             ring_depth: 3,
             resident_factor_bytes: 2048,
-            repartitions: 1,
             coupling_nnz: 88,
             coupling_sweeps_p50: 19,
             coupling_sweeps_max: 23,
@@ -431,7 +425,7 @@ mod tests {
                 "arms     | refactor      59  re-order      1  refactor-rows   4.5%",
                 "queries  | total       50  hits         20  misses       30  hit-rate  40.0%  solve time   80.000ms",
                 "ring     | depth        3  cow-clones      2  shared        6  share-rate  75.0%  resident ~2.0 KiB",
-                "coupling | nnz       88  sweeps-p50   19  repartitions    1  sweeps-max     23",
+                "coupling | nnz       88  sweeps-p50   19  sweeps-max     23",
                 "telemetry | on   spans       321  journal     12 (dropped    2)  q-solve p50 950.000µs  p99   4.000ms",
             ]
         );

@@ -533,7 +533,7 @@ fn markowitz_factorize(
 
 /// Orders `matrix`, factorizes it ([`markowitz_factorize`]) and packages the
 /// bookkeeping as the block current as of snapshot `id` — the construction
-/// path of initial builds and repartitions.
+/// path of initial builds.
 pub(crate) fn order_and_factorize(matrix: &CsrMatrix, id: u64) -> LuResult<OrderedFactors> {
     let (ordering, reordered, factors) = markowitz_factorize(matrix)?;
     let reference_nnz = factors.nnz();
@@ -1250,10 +1250,8 @@ mod tests {
         assert_eq!(snap.n_nodes(), 6);
         assert_eq!(snap.shards()[0].decomposed().index, 0);
         assert_eq!(snap.coupling_nnz(), 0);
-        // What a one-shard checkpoint records under the default config: no
-        // repartition trigger, one shard.
+        // What a one-shard checkpoint records: one shard.
         let durable = store.durable_state();
-        assert_eq!(durable.next_repartition_at, None);
         assert_eq!(durable.shards.len(), 1);
         assert_eq!(durable.partition.n_shards(), 1);
     }

@@ -190,7 +190,6 @@ fn a_solve_that_cannot_converge_fails_within_a_handful_of_restart_cycles() {
                 max_sweeps,
                 ..SolveTolerance::default()
             },
-            ..CouplingConfig::default()
         },
         ..EngineConfig::default()
     };

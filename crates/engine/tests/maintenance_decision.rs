@@ -7,9 +7,8 @@
 
 use clude::partition::edge_locality_partition;
 use clude_engine::{
-    BatchPolicy, CludeEngine, CouplingConfig, DeltaIngestor, DurabilityConfig, EdgeOp,
-    EngineConfig, FailpointFs, IngestOutcome, MaintenanceArm, PartitionStrategy, RefreshPolicy,
-    ShardedFactorStore,
+    BatchPolicy, CludeEngine, DeltaIngestor, DurabilityConfig, EdgeOp, EngineConfig, FailpointFs,
+    IngestOutcome, MaintenanceArm, PartitionStrategy, RefreshPolicy, ShardedFactorStore,
 };
 use clude_graph::generators::wiki_like::{self, WikiLikeConfig};
 use clude_graph::{btf_partition, DiGraph, MatrixKind, NodePartition};
@@ -183,8 +182,8 @@ impl Fnv {
 type GridPoint = (MatrixKind, usize, PartitionStrategy, RefreshPolicy, usize);
 
 /// The grid, in the order of the golden table: both matrix kinds, one shard
-/// and four shards under each strategy (`Btf` with a repartition budget),
-/// the three policies, batches of 16 and 48 ops.
+/// and four shards under each strategy, the three policies, batches of 16
+/// and 48 ops.
 fn grid() -> Vec<GridPoint> {
     let mut points = Vec::new();
     for kind in [
@@ -212,10 +211,11 @@ fn grid() -> Vec<GridPoint> {
     points
 }
 
-/// Streams `ops` through a [`ShardedFactorStore`] over `base`, cut into
-/// batches the way the engine cuts them, and returns the per-arm shard-batch
-/// counts and a hash of, per batch, every shard's arm and the `(row, col,
-/// value bits)` of every block the batch published.
+/// Streams `ops` through a [`ShardedFactorStore`] over `base`, partitioned
+/// by the point's strategy for the whole stream and cut into batches the way
+/// the engine cuts them, and returns the per-arm shard-batch counts and a
+/// hash of, per batch, every shard's arm and the `(row, col, value bits)` of
+/// every block the batch published.
 fn pin_run(base: &DiGraph, ops: &[EdgeOp], point: GridPoint) -> (Arms, u64) {
     let (kind, n_shards, strategy, policy, batch) = point;
     let partition = match (n_shards, strategy) {
@@ -223,18 +223,7 @@ fn pin_run(base: &DiGraph, ops: &[EdgeOp], point: GridPoint) -> (Arms, u64) {
         (_, PartitionStrategy::EdgeLocality) => edge_locality_partition(base, n_shards),
         (_, PartitionStrategy::Btf) => btf_partition(base, kind, n_shards).0,
     };
-    let mut store = ShardedFactorStore::new(base.clone(), kind, policy, partition)
-        .unwrap()
-        .with_partition_strategy(strategy);
-    if strategy == PartitionStrategy::Btf {
-        let budget = store.coupling_nnz() + 40;
-        store = store
-            .with_coupling_config(CouplingConfig {
-                repartition_budget: Some(budget),
-                ..CouplingConfig::default()
-            })
-            .unwrap();
-    }
+    let mut store = ShardedFactorStore::new(base.clone(), kind, policy, partition).unwrap();
     let (mut arms, mut hash) = ([0u64; MaintenanceArm::ALL.len()], Fnv::new());
     let mut absorb = |store: &mut ShardedFactorStore, delta| {
         let report = store.advance(&delta).unwrap();
@@ -293,12 +282,12 @@ const GOLDEN_160: [(Arms, u64); 36] = [
     ([240, 16], 4461030591014114488),
     ([76, 14], 15548469390352179136),
     // random walk, 4 shards, BTF
-    ([179, 0], 6650510858081074727),
-    ([40, 0], 10874723632329832885),
-    ([179, 0], 6650510858081074727),
-    ([39, 1], 3280053201525027749),
-    ([168, 11], 6356720030158614749),
-    ([33, 7], 13517431579582904175),
+    ([257, 0], 7879022439695379233),
+    ([90, 0], 9851497946564905951),
+    ([252, 5], 7280741036301033341),
+    ([85, 5], 837815670994144187),
+    ([240, 17], 17785491737338041938),
+    ([76, 14], 5994480589877320027),
     // Laplacian, 1 shard
     ([67, 0], 3074325159779102928),
     ([23, 0], 8818060776597988585),
@@ -314,12 +303,12 @@ const GOLDEN_160: [(Arms, u64); 36] = [
     ([248, 16], 10292776446555086232),
     ([76, 14], 17247737718465260284),
     // Laplacian, 4 shards, BTF
-    ([215, 0], 16559208230777624743),
-    ([74, 0], 17305459033610209678),
-    ([213, 2], 13859544189459024382),
-    ([72, 2], 10399178378248716774),
-    ([204, 11], 9890646515131603750),
-    ([65, 9], 956928824924747951),
+    ([263, 0], 12143995555835377279),
+    ([91, 0], 6362208472607706670),
+    ([259, 4], 10982729584980539917),
+    ([87, 4], 7169762413773370646),
+    ([247, 16], 8189842476155316289),
+    ([78, 13], 8481608675435600184),
 ];
 
 /// A 600-page stream (`wiki_stream(600, 3_000, 20, 97)`): +3,000 links, 20
@@ -340,12 +329,12 @@ const GOLDEN_600: [(Arms, u64); 36] = [
     ([883, 20], 15536656296891586324),
     ([293, 19], 15607078333935807444),
     // random walk, 4 shards, BTF
-    ([556, 0], 728737990071635744),
-    ([193, 0], 11825587041269252218),
-    ([553, 3], 2168993314945979811),
-    ([189, 4], 16296286884767429377),
-    ([536, 20], 660950649730843258),
-    ([175, 18], 11503913512062094984),
+    ([923, 0], 13010721453011682127),
+    ([312, 0], 18214639837065144514),
+    ([918, 5], 9771149040481126933),
+    ([307, 5], 509287038092823462),
+    ([900, 23], 2580941506536313362),
+    ([291, 21], 11709793190334515941),
     // Laplacian, 1 shard
     ([234, 0], 887642570394055420),
     ([78, 0], 2519483713528507758),
@@ -361,12 +350,12 @@ const GOLDEN_600: [(Arms, u64); 36] = [
     ([907, 20], 17045968907959057508),
     ([293, 19], 13125848638296055490),
     // Laplacian, 4 shards, BTF
-    ([772, 0], 11191762401418186679),
-    ([263, 0], 8495445438181705285),
-    ([769, 3], 14113483816534348355),
-    ([260, 3], 1959318209567665704),
-    ([753, 19], 11194030858217875822),
-    ([248, 15], 16337602461962184046),
+    ([930, 0], 8986809198104753986),
+    ([312, 0], 16970636435304784955),
+    ([925, 5], 12864335219513663981),
+    ([308, 4], 4019668352805151468),
+    ([910, 20], 7302724705178186155),
+    ([294, 18], 7499924029894519272),
 ];
 
 /// Checks the six grid points of `group` (one matrix kind and shard

@@ -66,7 +66,6 @@ proptest! {
                         tol: 1e-13,
                         max_sweeps: 1,
                     },
-                    ..CouplingConfig::default()
                 })
                 .unwrap();
         prop_assert!(store.snapshot().coupling_plan().is_triangular());

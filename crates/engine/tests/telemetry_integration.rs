@@ -3,7 +3,7 @@
 //! reflect what the engine actually did.
 
 use clude_engine::{
-    BatchPolicy, CludeEngine, CouplingConfig, EngineConfig, EngineStats, MaintenanceArm,
+    BatchPolicy, CludeEngine, EngineConfig, EngineStats, MaintenanceArm, RefreshPolicy,
 };
 use clude_graph::{DiGraph, NodePartition};
 use clude_measures::MeasureQuery;
@@ -18,9 +18,10 @@ fn ring_graph(n: usize) -> DiGraph {
     g
 }
 
-/// An interleaved partition of a ring is maximally coupled, so a tight
-/// repartition budget trips on the first applied batch and every query is a
-/// coupled Gauss–Seidel solve.
+/// An interleaved partition of a ring is maximally coupled, so every query
+/// is a coupled Gauss–Seidel solve; under a zero quality budget a block whose
+/// structure a batch extended re-orders at the next batch that touches it,
+/// which the journal records.
 fn instrumented_engine(telemetry: TelemetryConfig) -> CludeEngine {
     let assignments = (0..12).map(|u| u % 3).collect::<Vec<_>>();
     CludeEngine::with_partition(
@@ -28,9 +29,8 @@ fn instrumented_engine(telemetry: TelemetryConfig) -> CludeEngine {
         EngineConfig {
             batch: BatchPolicy::by_count(1),
             ring_capacity: 3,
-            coupling: CouplingConfig {
-                repartition_budget: Some(4),
-                ..CouplingConfig::default()
+            refresh: RefreshPolicy::QualityTriggered {
+                max_quality_loss: 0.0,
             },
             telemetry,
             ..EngineConfig::default()
@@ -41,11 +41,13 @@ fn instrumented_engine(telemetry: TelemetryConfig) -> CludeEngine {
 }
 
 fn replay(engine: &CludeEngine) {
-    // The cross-edge batches below are value-only (rescales of stored
-    // entries) and refactor; this one is structural — 0 and 3 share shard 0,
-    // whose block holds no ring edge, so the new entry has no stored slot —
-    // and Bennett-sweeps.
+    // These two are structural — 0 and 3 share shard 0, 1 and 4 shard 1,
+    // whose blocks hold no ring edge, so each new entry extends its block.
+    // The cross-edge batches below rescale the sources' columns: value-only
+    // slices, which refactor, except that (0, 5) and (1, 6) rescale an
+    // extended block, which the zero quality budget re-orders.
     engine.insert_edge(0, 3).unwrap();
+    engine.insert_edge(1, 4).unwrap();
     for i in 0..5 {
         engine.insert_edge(i, (i + 5) % 12).unwrap();
     }
@@ -93,13 +95,13 @@ fn replay_populates_spans_journal_and_exposition() {
     assert_eq!(sweeps.count(), 2);
     assert!(sweeps.value_at_quantile(0.5) > 1);
 
-    // The journal saw the repartition (tight budget).
+    // The journal saw the re-order (zero quality budget).
     let journal = telemetry.journal();
-    assert!(journal.count_of(EventKind::Repartitioned) >= 1);
+    assert!(journal.count_of(EventKind::RefreshTriggered) >= 1);
     assert!(journal
         .entries()
         .iter()
-        .any(|e| e.event.kind() == EventKind::Repartitioned));
+        .any(|e| e.event.kind() == EventKind::RefreshTriggered));
 
     // The exposition parses, renders every stage of the catalog, and
     // carries the key series with non-zero counts.
@@ -110,7 +112,7 @@ fn replay_populates_spans_journal_and_exposition() {
         assert!(dump.contains(&series), "missing {series}");
     }
     for needle in [
-        "clude_journal_events_total{event=\"repartitioned\"}",
+        "clude_journal_events_total{event=\"refresh_triggered\"}",
         "clude_coupling_sweeps_count 2\n",
     ] {
         assert!(dump.contains(needle), "missing {needle}");
@@ -136,7 +138,7 @@ fn replay_populates_spans_journal_and_exposition() {
     // JSON snapshot is balanced and carries the journal payloads.
     let json = engine.telemetry_json();
     assert_eq!(json.matches('{').count(), json.matches('}').count());
-    assert!(json.contains("\"kind\": \"repartitioned\""));
+    assert!(json.contains("\"kind\": \"refresh_triggered\""));
 }
 
 /// `ingest.apply` spans a batch until queries can see it — the store's
@@ -253,13 +255,12 @@ fn disabled_telemetry_stops_the_clock_but_keeps_counting() {
         (Counter::CacheHits, stats.cache_hits),
         (Counter::CowShardsCloned, stats.cow_shards_cloned),
         (Counter::CowShardsShared, stats.cow_shards_shared),
-        (Counter::Repartitions, stats.repartitions),
     ] {
         assert_eq!(telemetry.counter(counter), value, "{}", counter.name());
     }
     assert_eq!(stats.queries, 4);
     assert_eq!(stats.cache_hits, 2);
-    assert!(stats.repartitions >= 1);
+    assert!(stats.refreshes >= 1);
     for shard in &stats.per_shard {
         for (counter, value) in [
             (ShardCounter::EntriesApplied, shard.deltas_applied),
@@ -278,23 +279,22 @@ fn disabled_telemetry_stops_the_clock_but_keeps_counting() {
     assert!(dump.contains(&line), "missing {line}");
 }
 
-/// One stream — structural and value-only batches, coalesced operations, a
-/// repartition at 4 shards, cache hits and misses — replayed into an engine
-/// with the given telemetry.
+/// One stream — structural and value-only batches, coalesced operations,
+/// re-orders under a zero quality budget, cache hits and misses — replayed
+/// into an engine with the given telemetry.
 fn counted_replay(n_shards: usize, telemetry: TelemetryConfig) -> EngineStats {
     let n = 24;
     let config = EngineConfig {
         batch: BatchPolicy::by_count(3),
         ring_capacity: 3,
-        coupling: CouplingConfig {
-            repartition_budget: Some(18),
-            ..CouplingConfig::default()
+        refresh: RefreshPolicy::QualityTriggered {
+            max_quality_loss: 0.0,
         },
         telemetry,
         ..EngineConfig::default()
     };
-    // Interleaved, the ring is maximally coupled: the first batch crosses
-    // the budget and repartitions.
+    // Interleaved, the ring is maximally coupled; each chord `(u, u + 8)`
+    // lands inside its source's shard, and extends its block.
     let partition = NodePartition::from_assignments((0..n).map(|u| u % n_shards).collect());
     let engine = CludeEngine::with_partition(ring_graph(n), config, partition).unwrap();
     let queries = [
@@ -306,7 +306,7 @@ fn counted_replay(n_shards: usize, telemetry: TelemetryConfig) -> EngineStats {
     ];
     for round in 0..4 {
         for u in (round..n).step_by(5) {
-            engine.insert_edge(u, (u + 7) % n).unwrap();
+            engine.insert_edge(u, (u + 8) % n).unwrap();
             // Already present: the ingestor drops it.
             engine.insert_edge(u, (u + 1) % n).unwrap();
         }
@@ -316,7 +316,7 @@ fn counted_replay(n_shards: usize, telemetry: TelemetryConfig) -> EngineStats {
             engine.query(q).unwrap();
         }
         for u in (round..n).step_by(5) {
-            engine.remove_edge(u, (u + 7) % n).unwrap();
+            engine.remove_edge(u, (u + 8) % n).unwrap();
         }
         engine.flush().unwrap();
     }
@@ -360,6 +360,6 @@ fn stats_counts_are_the_same_with_telemetry_on_or_off() {
         assert_eq!(on.ops_coalesced, 20);
         assert_eq!((on.queries, on.cache_hits, on.cache_misses), (16, 8, 8));
         assert_eq!(on.per_shard.len(), n_shards);
-        assert_eq!(on.repartitions, u64::from(n_shards > 1));
+        assert!(on.refreshes > 0, "{n_shards} shards: no re-order");
     }
 }

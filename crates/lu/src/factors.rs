@@ -613,7 +613,7 @@ impl FrozenRows for LuFactors {
 /// ([`crate::symbolic`]), pattern and values in one pass, with the guards of
 /// [`LuFactors::factorize`].
 pub fn factorize_fresh(a: &CsrMatrix) -> LuResult<LuFactors> {
-    factorize_up_looking(a, 0.0).map(|(factors, _)| factors)
+    factorize_up_looking(a)
 }
 
 #[cfg(test)]

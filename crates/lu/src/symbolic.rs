@@ -371,8 +371,8 @@ fn rerun_every_row(factors: &LuFactors, escaping: &[(usize, usize)]) -> (LuStruc
 
 /// Factorizes `a` over the symbolic closure of its own pattern — the kernel
 /// with values, each row's pattern followed by its [`factorize_row`] under
-/// `degrade_tol` — and returns the multiply-adds performed.
-pub(crate) fn factorize_up_looking(a: &CsrMatrix, degrade_tol: f64) -> LuResult<(LuFactors, u64)> {
+/// the absolute pivot floor alone.
+pub(crate) fn factorize_up_looking(a: &CsrMatrix) -> LuResult<LuFactors> {
     if !a.is_square() {
         return Err(LuError::NotSquare {
             n_rows: a.n_rows(),
@@ -380,17 +380,17 @@ pub(crate) fn factorize_up_looking(a: &CsrMatrix, degrade_tol: f64) -> LuResult<
         });
     }
     let mut kernel = UpLooking::new(a.n_rows(), 0);
-    let (mut values, mut work, mut multiply_adds) = (Vec::new(), vec![0.0; a.n_rows()], 0);
+    let (mut values, mut work) = (Vec::new(), vec![0.0; a.n_rows()]);
     for i in 0..a.n_rows() {
         let a_row = a.row(i);
         kernel.push_row(i, a_row.0);
         let structure = &kernel.structure;
         values.resize(structure.nnz(), 0.0);
-        multiply_adds += factorize_row(structure, i, a_row, &mut values, &mut work, degrade_tol)?;
+        factorize_row(structure, i, a_row, &mut values, &mut work, 0.0)?;
     }
     values.shrink_to_fit();
     let structure = Arc::new(kernel.structure.finish());
-    Ok((LuFactors::from_values(structure, values), multiply_adds))
+    Ok(LuFactors::from_values(structure, values))
 }
 
 /// The kernel's state: the structure its finished rows form, and what the
@@ -505,7 +505,6 @@ pub fn symbolic_size(sp: &SparsityPattern) -> usize {
 mod tests {
     use super::*;
     use crate::factors::factorize_fresh;
-    use crate::refactor::PIVOT_DEGRADE_TOL;
     use clude_graph::generators::{
         dblp_like, patent_like, wiki_like, DblpLikeConfig, PatentLikeConfig, WikiLikeConfig,
     };
@@ -700,20 +699,14 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The kernel, as the rebuild arm runs it.
-    fn kernel(a: &CsrMatrix) -> LuResult<LuFactors> {
-        factorize_up_looking(a, PIVOT_DEGRADE_TOL).map(|(factors, _)| factors)
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// On random diagonally dominant matrices — some with one row's
         /// diagonal shrunk until its pivot may degrade — the kernel's
-        /// structure is the set definition's closure, its values are those
-        /// of the numeric pass over that closure bit for bit, its
-        /// multiply-adds are counted off those factors, and its relative
-        /// guard refuses exactly the first degraded pivot.
+        /// structure is the set definition's closure and its values are those
+        /// of the numeric pass over that closure bit for bit; a matrix the
+        /// pass refuses, the kernel refuses with the same error.
         #[test]
         fn the_kernel_is_the_closure_and_the_numeric_pass_bit_for_bit(
             n in 1usize..32,
@@ -740,36 +733,13 @@ mod tests {
             prop_assert_eq!(&closed_structure(&a.pattern()), closure.as_ref());
             let Ok(oracle) = LuFactors::factorize(Arc::clone(&closure), &a) else {
                 let want = LuFactors::factorize(Arc::clone(&closure), &a).err();
-                prop_assert_eq!(factorize_up_looking(&a, 0.0).err(), want);
-                prop_assert!(factorize_up_looking(&a, PIVOT_DEGRADE_TOL).is_err());
+                prop_assert_eq!(factorize_up_looking(&a).err(), want);
                 return Ok(());
             };
-            let (factors, madds) = factorize_up_looking(&a, 0.0).unwrap();
+            let factors = factorize_up_looking(&a).unwrap();
             prop_assert_eq!(factors.structure().as_ref(), closure.as_ref());
             prop_assert!(factors.structure().is_elimination_closed());
             prop_assert_eq!(bits(&factors), bits(&oracle));
-            // One multiply-add per stored U entry past the pivot row's
-            // diagonal, for every L entry that did not come out zero.
-            let want: usize = (0..n)
-                .flat_map(|i| closure.lower_row_slots(i))
-                .filter(|&slot| oracle.value(slot) != 0.0)
-                .map(|slot| closure.upper_row_cols(closure.col_of_slot(slot)).len())
-                .sum();
-            prop_assert_eq!(madds, want as u64);
-            // The relative guard refuses the first row whose pivot is under
-            // PIVOT_DEGRADE_TOL times the row's largest magnitude.
-            let degraded = (0..n).find_map(|i| {
-                let pivot = oracle.u(i, i);
-                let row_max = oracle.row_values(i).iter().fold(0.0f64, |m, v| m.max(v.abs()));
-                (pivot.abs() < PIVOT_DEGRADE_TOL * row_max).then_some((i, pivot))
-            });
-            match (factorize_up_looking(&a, PIVOT_DEGRADE_TOL), degraded) {
-                (Ok((guarded, _)), None) => prop_assert_eq!(bits(&guarded), bits(&oracle)),
-                (Err(err), Some((index, value))) => {
-                    prop_assert_eq!(err, LuError::SingularPivot { index, value })
-                }
-                (got, want) => prop_assert!(false, "{:?} against {:?}", got.err(), want),
-            }
         }
     }
 
@@ -980,16 +950,16 @@ mod tests {
 
     #[test]
     fn orders_zero_and_one_factorize_exactly() {
-        let empty = kernel(&matrix(0, &[])).unwrap();
+        let empty = factorize_up_looking(&matrix(0, &[])).unwrap();
         assert_eq!((empty.n(), empty.nnz()), (0, 0));
         assert_eq!(empty.solve(&[]).unwrap(), Vec::<f64>::new());
         assert_eq!(symbolic_size(&SparsityPattern::empty(0, 0)), 0);
-        let one = kernel(&matrix(1, &[(0, 0, -4.0)])).unwrap();
+        let one = factorize_up_looking(&matrix(1, &[(0, 0, -4.0)])).unwrap();
         assert_eq!(bits(&one), vec![(0, 0, (-4.0f64).to_bits())]);
         assert_eq!(one.solve(&[2.0]).unwrap(), vec![-0.5]);
         // Order one without its entry: the structural diagonal holds 0.
         assert_eq!(
-            kernel(&matrix(1, &[])).unwrap_err(),
+            factorize_up_looking(&matrix(1, &[])).unwrap_err(),
             LuError::SingularPivot {
                 index: 0,
                 value: 0.0
@@ -1012,37 +982,13 @@ mod tests {
             ],
         );
         assert_eq!(
-            kernel(&a).unwrap_err(),
+            factorize_up_looking(&a).unwrap_err(),
             LuError::SingularPivot {
                 index: 1,
                 value: 0.0
             }
         );
         assert!(closed_structure(&a.pattern()).contains(1, 1));
-    }
-
-    #[test]
-    fn a_pivot_at_the_degradation_threshold_is_kept_and_one_below_it_refused() {
-        // Row 0 is [p, 1]: its largest magnitude is 1, so the threshold is
-        // PIVOT_DEGRADE_TOL itself.  At it, and one ulp above, the factors
-        // are the matrix's own entries; one ulp below, the pivot is refused.
-        let with_pivot = |p: f64| matrix(2, &[(0, 0, p), (0, 1, 1.0), (1, 1, 1.0)]);
-        for p in [PIVOT_DEGRADE_TOL, PIVOT_DEGRADE_TOL.next_up()] {
-            let factors = kernel(&with_pivot(p)).unwrap();
-            let want = [(0, 0, p), (0, 1, 1.0), (1, 1, 1.0)];
-            let want: Vec<_> = want.iter().map(|&(i, j, v)| (i, j, v.to_bits())).collect();
-            assert_eq!(bits(&factors), want);
-        }
-        let below = PIVOT_DEGRADE_TOL.next_down();
-        assert_eq!(
-            kernel(&with_pivot(below)).unwrap_err(),
-            LuError::SingularPivot {
-                index: 0,
-                value: below
-            }
-        );
-        // Without the relative guard only the absolute floor applies.
-        assert!(factorize_up_looking(&with_pivot(below), 0.0).is_ok());
     }
 
     #[test]
@@ -1063,7 +1009,7 @@ mod tests {
                 let a = matrix(3, &entries);
                 let structure = closed_structure(&a.pattern()).into_shared();
                 for err in [
-                    kernel(&a).unwrap_err(),
+                    factorize_up_looking(&a).unwrap_err(),
                     LuFactors::factorize(structure, &a).unwrap_err(),
                 ] {
                     assert!(

@@ -1,7 +1,6 @@
 //! The bounded structured event journal.
 //!
-//! Rare, high-information engine events — repartitions, quality-triggered
-//! refreshes, convergence failures, cache evictions — used to be silent:
+//! Rare, high-information engine events — quality-triggered refreshes, convergence failures, cache evictions — used to be silent:
 //! folded into an aggregate counter at best, dropped at worst. The journal
 //! keeps the last `capacity` of them as typed values in a fixed-size ring,
 //! with a global sequence number so an operator can tell how much history
@@ -38,14 +37,6 @@ impl FallbackReason {
 /// A structured engine event worth keeping verbatim.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EngineEvent {
-    /// The sharded store re-ran partitioning because the live coupling
-    /// outgrew its budget.
-    Repartitioned {
-        /// Coupling nnz that tripped the budget.
-        coupling_nnz_before: u64,
-        /// Coupling nnz under the fresh partition.
-        coupling_nnz_after: u64,
-    },
     /// A shard abandoned its ordering and re-ordered and refactorized from
     /// scratch.
     RefreshTriggered {
@@ -107,8 +98,6 @@ pub enum EngineEvent {
 /// The event's kind, used for per-kind counts and exposition labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
-    /// [`EngineEvent::Repartitioned`]
-    Repartitioned,
     /// [`EngineEvent::RefreshTriggered`]
     RefreshTriggered,
     /// [`EngineEvent::ConvergenceFailure`]
@@ -127,8 +116,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in exposition order.
-    pub const ALL: [EventKind; 8] = [
-        EventKind::Repartitioned,
+    pub const ALL: [EventKind; 7] = [
         EventKind::RefreshTriggered,
         EventKind::ConvergenceFailure,
         EventKind::CacheEvicted,
@@ -141,7 +129,6 @@ impl EventKind {
     /// The snake_case label used in exposition.
     pub const fn name(self) -> &'static str {
         match self {
-            EventKind::Repartitioned => "repartitioned",
             EventKind::RefreshTriggered => "refresh_triggered",
             EventKind::ConvergenceFailure => "convergence_failure",
             EventKind::CacheEvicted => "cache_evicted",
@@ -157,7 +144,6 @@ impl EngineEvent {
     /// This event's [`EventKind`].
     pub const fn kind(&self) -> EventKind {
         match self {
-            EngineEvent::Repartitioned { .. } => EventKind::Repartitioned,
             EngineEvent::RefreshTriggered { .. } => EventKind::RefreshTriggered,
             EngineEvent::ConvergenceFailure { .. } => EventKind::ConvergenceFailure,
             EngineEvent::CacheEvicted { .. } => EventKind::CacheEvicted,
@@ -272,7 +258,7 @@ mod tests {
         assert_eq!(j.recorded(), 5);
         assert_eq!(j.dropped(), 2);
         assert_eq!(j.count_of(EventKind::CacheEvicted), 5);
-        assert_eq!(j.count_of(EventKind::Repartitioned), 0);
+        assert_eq!(j.count_of(EventKind::RefreshTriggered), 0);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! [`LogHistogram`] is an array of `AtomicU64` buckets that any number of
 //! threads may record into through a shared reference, exactly like the
 //! structural probe counters the sparse substrate already carries. Rare,
-//! high-information events (repartitions, refresh trips, convergence
-//! failures) instead go through a mutex-guarded ring, the [`EventJournal`] —
-//! they happen a handful of times per replay, so contention is irrelevant and
-//! the typed payload is worth the lock.
+//! high-information events (refresh trips, convergence failures) instead go
+//! through a mutex-guarded ring, the [`EventJournal`] — they happen a handful
+//! of times per replay, so contention is irrelevant and the typed payload is
+//! worth the lock.
 //!
 //! Everything hangs off a [`TelemetryRegistry`]:
 //!

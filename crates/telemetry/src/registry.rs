@@ -80,13 +80,11 @@ pub enum Counter {
     CowShardsCloned,
     /// Shard factor blocks a new snapshot shared with the previous one.
     CowShardsShared,
-    /// Adaptive re-partitions triggered by coupling growth.
-    Repartitions,
 }
 
 impl Counter {
     /// Every counter, in exposition order.
-    pub const ALL: [Counter; 15] = [
+    pub const ALL: [Counter; 14] = [
         Counter::OpsIngested,
         Counter::BatchesApplied,
         Counter::QueriesServed,
@@ -101,7 +99,6 @@ impl Counter {
         Counter::RefactorArm,
         Counter::CowShardsCloned,
         Counter::CowShardsShared,
-        Counter::Repartitions,
     ];
 
     /// Short snake_case name (JSON key).
@@ -121,7 +118,6 @@ impl Counter {
             Counter::RefactorArm => "arm_refactor",
             Counter::CowShardsCloned => "cow_shards_cloned",
             Counter::CowShardsShared => "cow_shards_shared",
-            Counter::Repartitions => "repartitions",
         }
     }
 }
@@ -600,13 +596,6 @@ fn json_f64(v: f64) -> String {
 fn event_json(seq: u64, event: &EngineEvent) -> String {
     let kind = event.kind().name();
     match event {
-        EngineEvent::Repartitioned {
-            coupling_nnz_before,
-            coupling_nnz_after,
-        } => format!(
-            "{{\"seq\": {seq}, \"kind\": \"{kind}\", \"coupling_nnz_before\": {coupling_nnz_before}, \
-             \"coupling_nnz_after\": {coupling_nnz_after}}}"
-        ),
         EngineEvent::RefreshTriggered {
             shard,
             numeric,
@@ -794,9 +783,10 @@ mod tests {
         reg.observe(Stage::QuerySolve, Duration::from_micros(250));
         reg.incr(Counter::BatchesApplied);
         reg.set_gauge(Gauge::RingDepth, 3);
-        reg.record_event(EngineEvent::Repartitioned {
-            coupling_nnz_before: 900,
-            coupling_nnz_after: 300,
+        reg.record_event(EngineEvent::RefreshTriggered {
+            shard: 0,
+            numeric: false,
+            quality_loss: 0.25,
         });
         for sweeps in [18, 21, 21, 40] {
             reg.observe_coupling_sweeps(sweeps);
@@ -807,7 +797,7 @@ mod tests {
         assert!(text.contains("clude_query_solve_duration_seconds{quantile=\"0.99\"}"));
         assert!(text.contains("clude_batches_applied_total 1"));
         assert!(text.contains("clude_ring_depth 3"));
-        assert!(text.contains("clude_journal_events_total{event=\"repartitioned\"} 1"));
+        assert!(text.contains("clude_journal_events_total{event=\"refresh_triggered\"} 1"));
         assert!(text.contains("clude_coupling_sweeps{quantile=\"0.5\"} 21\n"));
         assert!(text.contains("clude_coupling_sweeps{quantile=\"1\"} 40\n"));
         assert!(text.contains("clude_coupling_sweeps_sum 100\n"));

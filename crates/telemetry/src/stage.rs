@@ -32,9 +32,6 @@ pub enum Stage {
     QuerySolve,
     /// A measure query answered from the LRU cache.
     QueryCacheHit,
-    /// A measure query answered from a bounded-staleness cache entry (an
-    /// older snapshot's exact result served under the staleness budget).
-    QueryStaleHit,
     /// Appending (and group-committing) one delta batch's record to the
     /// write-ahead log, before the batch reaches the factor store.
     WalAppend,
@@ -54,7 +51,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in exposition order.
-    pub const ALL: [Stage; 13] = [
+    pub const ALL: [Stage; 12] = [
         Stage::IngestMerge,
         Stage::IngestApply,
         Stage::ShardRoute,
@@ -63,7 +60,6 @@ impl Stage {
         Stage::SnapshotFreeze,
         Stage::QuerySolve,
         Stage::QueryCacheHit,
-        Stage::QueryStaleHit,
         Stage::WalAppend,
         Stage::CheckpointWrite,
         Stage::RecoveryReplay,
@@ -90,7 +86,6 @@ impl Stage {
             Stage::SnapshotFreeze => "snapshot.freeze",
             Stage::QuerySolve => "query.solve",
             Stage::QueryCacheHit => "query.cache_hit",
-            Stage::QueryStaleHit => "query.stale_hit",
             Stage::WalAppend => "wal.append",
             Stage::CheckpointWrite => "checkpoint.write",
             Stage::RecoveryReplay => "recovery.replay",
@@ -109,7 +104,6 @@ impl Stage {
             Stage::SnapshotFreeze => "clude_snapshot_freeze",
             Stage::QuerySolve => "clude_query_solve",
             Stage::QueryCacheHit => "clude_query_cache_hit",
-            Stage::QueryStaleHit => "clude_query_stale_hit",
             Stage::WalAppend => "clude_wal_append",
             Stage::CheckpointWrite => "clude_checkpoint_write",
             Stage::RecoveryReplay => "clude_recovery_replay",

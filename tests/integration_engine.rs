@@ -4,9 +4,7 @@
 
 use clude::algorithms::{Clude, LudemSolver, SolverConfig};
 use clude::ems::EvolvingMatrixSequence;
-use clude_engine::{
-    BatchPolicy, CludeEngine, CouplingConfig, EngineConfig, RefreshPolicy, ShardedFactorStore,
-};
+use clude_engine::{BatchPolicy, CludeEngine, EngineConfig, RefreshPolicy, ShardedFactorStore};
 use clude_graph::generators::wiki_like::{self, WikiLikeConfig};
 use clude_graph::{
     coupling_matrix, measure_matrix, DiGraph, GraphDelta, MatrixKind, NodePartition,
@@ -285,15 +283,11 @@ proptest! {
     /// exactly when the batch touched that shard, the frozen coupling — and
     /// with it the plan — exactly when a cross-shard entry changed, and the
     /// coupling's structure exactly when a position did; the coupling's
-    /// live entries are the graph's after every batch.  The
-    /// coupling budget is small enough that some streams outgrow it, so
-    /// repartitioning batches (everything re-frozen, new partition) are in
-    /// the stream the invariants are checked over.
+    /// live entries are the graph's after every batch.
     #[test]
     fn cow_ring_answers_bit_identically_to_full_clone_snapshots(
         ops in proptest::collection::vec((0usize..2, 0usize..18, 0usize..18), 1..32),
         n_shards in 2usize..5,
-        repartition_budget in 6usize..30,
     ) {
         let n = 18;
         let base = ring_base(n);
@@ -304,11 +298,6 @@ proptest! {
             RefreshPolicy::QualityTriggered { max_quality_loss: 0.5 },
             NodePartition::contiguous(n, n_shards),
         )
-        .unwrap()
-        .with_coupling_config(CouplingConfig {
-            repartition_budget: Some(repartition_budget),
-            ..CouplingConfig::default()
-        })
         .unwrap();
         let queries = [
             MeasureQuery::PageRank { damping: DAMPING },
@@ -354,17 +343,15 @@ proptest! {
             let report = store.advance(&delta).unwrap();
             let snap = store.snapshot();
             // Sharing invariant against the previous ring entry: untouched
-            // shards are pointer-shared, touched shards re-frozen — all of
-            // them by a repartition, which also re-freezes the coupling.
+            // shards are pointer-shared, touched shards re-frozen.
             let (prev, _) = ring.last().unwrap();
             prop_assert_eq!(snap.n_shards(), n_shards);
-            prop_assert!(!report.repartitioned || report.coupling_republished);
             for s in 0..n_shards {
                 let shared = std::sync::Arc::ptr_eq(
                     prev.shards()[s].shared(),
                     snap.shards()[s].shared(),
                 );
-                let touched = report.repartitioned || report.per_shard[s].entries_applied > 0;
+                let touched = report.per_shard[s].entries_applied > 0;
                 prop_assert_eq!(
                     shared, !touched,
                     "shard {} sharing ({}) disagrees with touched ({})", s, shared, touched
@@ -409,8 +396,7 @@ proptest! {
                 fresh.coupling_plan().is_triangular()
             );
             // Its structure is shared exactly when no live position was
-            // new, no shard's ordering moved and the store did not
-            // re-partition.
+            // new and no shard's ordering moved.
             let slots: std::collections::HashSet<(usize, usize)> =
                 prev.shared_coupling().entries().map(|(i, j, _)| (i, j)).collect();
             let new_position = live.iter().any(|&(i, j, _)| !slots.contains(&(i, j)));
@@ -419,7 +405,7 @@ proptest! {
             });
             prop_assert_eq!(
                 std::sync::Arc::ptr_eq(prev.shared_coupling().structure(), coupling.structure()),
-                !(new_position || moved || report.repartitioned)
+                !(new_position || moved)
             );
             let immediate: Vec<Vec<f64>> =
                 queries.iter().map(|q| snap.query(q).unwrap()).collect();
