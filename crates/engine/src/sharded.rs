@@ -2025,6 +2025,44 @@ mod tests {
         }
     }
 
+    #[test]
+    fn no_published_block_builds_a_column_index() {
+        // Structural slices extend and refactorize their blocks row by row,
+        // re-orders factorize afresh, and queries substitute: none of them
+        // walks a column of L, so no block the store publishes, now or
+        // earlier, holds the strictly-lower column index.
+        let (base, batches) = wiki_stream(400, 2_200, 30, 11);
+        let partition = edge_locality_partition(&base, 4);
+        let policy = RefreshPolicy::QualityTriggered {
+            max_quality_loss: 0.05,
+        };
+        let mut store =
+            ShardedFactorStore::new(base, MatrixKind::random_walk_default(), policy, partition)
+                .unwrap();
+        let query = MeasureQuery::Rwr {
+            seed: 3,
+            damping: 0.85,
+        };
+        let (mut structural, mut reorders, mut published) = (0, 0, Vec::new());
+        for delta in &batches {
+            let report = store.advance(delta).unwrap();
+            for shard in &report.per_shard {
+                structural += usize::from(shard.slots_added > 0);
+                reorders += usize::from(shard.arm == Some(MaintenanceArm::Reorder));
+            }
+            let snapshot = store.snapshot();
+            snapshot.query(&query).unwrap();
+            published.push(snapshot);
+        }
+        assert!(structural > 0 && reorders > 0, "{structural} / {reorders}");
+        for (b, snapshot) in published.iter().enumerate() {
+            for (s, shard) in snapshot.shards().iter().enumerate() {
+                let structure = static_factors(shard.decomposed()).structure();
+                assert!(!structure.has_lower_index(), "batch {b}, shard {s}");
+            }
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;

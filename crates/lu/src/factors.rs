@@ -525,8 +525,9 @@ fn walk_slots(
 
 /// Static storage addresses column `k` of `L` through the structure's
 /// strictly-lower column index (`(rows, slots)` — the values themselves are
-/// row-major) and row `k` of `U` through the contiguous slots past the
-/// diagonal.
+/// row-major), which the first sweep over a structure builds and every
+/// factor set sharing it then reads, and row `k` of `U` through the
+/// contiguous slots past the diagonal.
 impl LuStorage for LuFactors {
     fn order(&self) -> usize {
         self.n()
@@ -602,7 +603,7 @@ impl FrozenRows for LuFactors {
     }
 
     #[inline]
-    fn closed_mut(&mut self) -> Option<(&LuStructure, &mut [f64])> {
+    fn closed_mut(&mut self) -> Option<(&Arc<LuStructure>, &mut [f64])> {
         let closed = self.structure.is_elimination_closed();
         closed.then_some((&self.structure, &mut self.values))
     }

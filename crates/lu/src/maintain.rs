@@ -19,9 +19,10 @@ use clude_sparse::CsrMatrix;
 
 /// The matrix a set of factors factorizes, in factor coordinates, with the
 /// running reach of the sweeps that kept them current and the scratch of
-/// both update arms: the reach pass's pre-sized to the matrix's order, the
-/// sweeps' grown by the first sweep, so a maintainer that never sweeps holds
-/// none.
+/// both update arms: the reach pass's pre-sized to the matrix's order and
+/// reused, changed rows and all, so a steady-state pass allocates nothing;
+/// the sweeps' grown by the first sweep, so a maintainer that never sweeps
+/// holds none.
 ///
 /// Deltas are `(row, col, old, new)` in factor coordinates, each position at
 /// most once.
@@ -31,6 +32,8 @@ pub struct Maintainer {
     reach: RunningReach,
     bennett: BennettWorkspace,
     refactor: RefactorWorkspace,
+    /// The rows of the delta a reach pass starts from.
+    changed: Vec<usize>,
 }
 
 impl Maintainer {
@@ -43,6 +46,7 @@ impl Maintainer {
             reach: RunningReach::default(),
             bennett: BennettWorkspace::new(),
             refactor: RefactorWorkspace::with_order(n),
+            changed: Vec::new(),
         }
     }
 
@@ -108,8 +112,14 @@ impl Maintainer {
         factors: &mut S,
         delta: &[(usize, usize, f64, f64)],
     ) -> LuResult<RefactorStats> {
-        let changed: Vec<usize> = delta.iter().map(|&(i, ..)| i).collect();
-        refactor_frozen_reach(factors, &self.matrix, Some(&changed), &mut self.refactor)
+        self.changed.clear();
+        self.changed.extend(delta.iter().map(|&(i, ..)| i));
+        refactor_frozen_reach(
+            factors,
+            &self.matrix,
+            Some(&self.changed),
+            &mut self.refactor,
+        )
     }
 }
 

@@ -17,8 +17,11 @@
 //! storage's structure is closed under elimination
 //! ([`LuStructure::is_elimination_closed`]), the pass recomputes only the
 //! changed rows' reach — a row whose matrix row changed, or one with an `L`
-//! slot naming a row in the reach, walked down [`LuStructure::lower_col`]
-//! with a marker array — in ascending order, by the one numeric row kernel of
+//! slot naming a row in the reach, found with a marker array by one
+//! ascending scan of the rows' `L` columns from the first changed row, or,
+//! over a structure the workspace reached over before, by a walk down the
+//! `L` columns it listed then — in ascending order, by the one numeric row
+//! kernel of
 //! [`LuFactors::factorize`], in place.  Row `i` of the factors is a function
 //! of row `i` of the matrix and of the `U` rows its `L` slots name, so every
 //! other row keeps its values bit for bit, and the guard verdicts it was
@@ -65,6 +68,7 @@ use crate::structure::LuStructure;
 #[cfg(doc)]
 use crate::{DynamicLuFactors, LuFactors};
 use clude_sparse::CsrMatrix;
+use std::sync::{Arc, Weak};
 
 /// Magnitude below which elimination fill landing outside the frozen pattern
 /// is dropped as numerical noise (mirrors the Bennett sweep's convention).
@@ -96,20 +100,21 @@ pub trait FrozenRows {
     fn row(&self, i: usize) -> (&[usize], &[f64]);
     /// Row `i`'s sorted columns beside a mutable view of its values.
     fn row_mut(&mut self, i: usize) -> (&[usize], &mut [f64]);
-    /// The storage's slot layout beside every slot's value, when the layout
-    /// is closed under elimination — what lets a pass run the closed kernel
-    /// over the reach alone — else `None`.
+    /// The storage's shared slot layout beside every slot's value, when the
+    /// layout is closed under elimination — what lets a pass run the closed
+    /// kernel over the reach alone — else `None`.
     #[inline]
-    fn closed_mut(&mut self) -> Option<(&LuStructure, &mut [f64])> {
+    fn closed_mut(&mut self) -> Option<(&Arc<LuStructure>, &mut [f64])> {
         None
     }
 }
 
 /// Reusable scratch for [`refactor_frozen_reach`]: one dense epoch-stamped
-/// row workspace (its stamps double as the reach walk's marker array), the
-/// queue kernel's pending-pivot queue and the rows a pass recomputes,
-/// retained across calls so the steady-state pass is allocation-free (the
-/// same discipline as [`crate::bennett::BennettWorkspace`]).
+/// row workspace (its stamps double as the reach's marker array), the
+/// queue kernel's pending-pivot queue, the rows a pass recomputes and the
+/// reach's own column lists, retained across calls so the steady-state pass
+/// is allocation-free (the same discipline as
+/// [`crate::bennett::BennettWorkspace`]).
 #[derive(Debug, Clone, Default)]
 pub struct RefactorWorkspace {
     epoch: u64,
@@ -123,6 +128,14 @@ pub struct RefactorWorkspace {
     pending_pos: usize,
     /// The rows the current (or last successful) pass recomputes, ascending.
     rows: Vec<usize>,
+    /// The structure the last reach was found over: a [`Weak`] pins its
+    /// identity without keeping its slots alive.
+    seen: Weak<LuStructure>,
+    /// Once a second reach runs over `seen`, its strictly-lower columns'
+    /// rows: column `k`'s are `lower_rows[lower_ptr[k]..lower_ptr[k + 1]]`.
+    /// Empty until then.
+    lower_ptr: Vec<usize>,
+    lower_rows: Vec<usize>,
 }
 
 impl RefactorWorkspace {
@@ -158,11 +171,19 @@ impl RefactorWorkspace {
     }
 
     /// Fills `rows` with the elimination reach of `changed` over the closed
-    /// `structure`, ascending — every row when `changed` is `None`.  The stamps
-    /// mark the rows reached, and `rows` is the walk's queue: a row is reached
-    /// when it changed or an `L` slot of it names a reached row `k`, one of
-    /// `lower_col(k)`.
-    fn reach(&mut self, structure: &LuStructure, changed: Option<&[usize]>) -> LuResult<()> {
+    /// `structure`, ascending — every row when `changed` is `None`.  A row is
+    /// reached when it changed or an `L` slot of it names a reached row, and
+    /// the stamps mark the rows reached.
+    ///
+    /// The first reach over a structure scans its rows once, down from the
+    /// first changed one: every row left of a row's diagonal is settled
+    /// before the scan gets to it.  That costs the rows below the first
+    /// changed one, so a structure reached over again — a block whose
+    /// batches all land on stored positions — has its `L` columns' rows
+    /// listed here, once, and later reaches walk down them from the changed
+    /// rows, at the cost of the reach.  The structure itself builds no
+    /// column index.
+    fn reach(&mut self, structure: &Arc<LuStructure>, changed: Option<&[usize]>) -> LuResult<()> {
         let n = structure.n();
         self.rows.clear();
         let Some(changed) = changed else {
@@ -175,20 +196,68 @@ impl RefactorWorkspace {
                 actual: i + 1,
             });
         }
-        let (epoch, mut next, mut found) = (self.next_epoch(), 0, changed);
+        let epoch = self.next_epoch();
+        if std::ptr::eq(self.seen.as_ptr(), Arc::as_ptr(structure)) {
+            if self.lower_ptr.is_empty() {
+                structure.index_lower_into(&mut self.lower_ptr, &mut self.lower_rows, None);
+            }
+            self.walk(changed, epoch);
+        } else {
+            self.seen = Arc::downgrade(structure);
+            self.lower_ptr.clear();
+            self.scan(structure, changed, epoch);
+        }
+        Ok(())
+    }
+
+    /// The reach by one ascending scan of the rows' `L` columns.
+    fn scan(&mut self, structure: &LuStructure, changed: &[usize], epoch: u64) {
+        let Some(&first) = changed.iter().min() else {
+            return;
+        };
+        for &i in changed {
+            self.stamp[i] = epoch;
+        }
+        let (row_ptr, diag_slot, col_idx) =
+            (&structure.row_ptr, &structure.diag_slot, &structure.col_idx);
+        for i in first..structure.n() {
+            if self.stamp[i] != epoch {
+                // Only L columns from `first` on can be stamped: the row's
+                // are read from its last, its largest, down.
+                let lower = &col_idx[row_ptr[i]..diag_slot[i]];
+                let mut from_first = lower.iter().rev().take_while(|&&k| k >= first);
+                if !from_first.any(|&k| self.stamp[k] == epoch) {
+                    continue;
+                }
+                self.stamp[i] = epoch;
+            }
+            self.rows.push(i);
+        }
+    }
+
+    /// The reach by a walk down the listed `L` columns, `rows` its queue,
+    /// sorted afterwards.
+    fn walk(&mut self, changed: &[usize], epoch: u64) {
+        let RefactorWorkspace {
+            stamp,
+            rows,
+            lower_ptr,
+            lower_rows,
+            ..
+        } = self;
+        let (mut next, mut found) = (0, changed);
         loop {
             for &i in found {
-                if self.stamp[i] != epoch {
-                    self.stamp[i] = epoch;
-                    self.rows.push(i);
+                if stamp[i] != epoch {
+                    stamp[i] = epoch;
+                    rows.push(i);
                 }
             }
-            let Some(&k) = self.rows.get(next) else { break };
+            let Some(&k) = rows.get(next) else { break };
             next += 1;
-            found = structure.lower_col(k).0;
+            found = &lower_rows[lower_ptr[k]..lower_ptr[k + 1]];
         }
-        self.rows.sort_unstable();
-        Ok(())
+        rows.sort_unstable();
     }
 
     /// A stamp no slot holds yet.
@@ -1006,5 +1075,89 @@ mod tests {
             value: 0.0,
         };
         both_passes_refuse(&block, &matrix(1, &[]), &[0], want);
+    }
+
+    /// The reach as it was walked before the scan: a queue of reached rows,
+    /// each one's `L` column read through [`LuStructure::lower_col`], then
+    /// sorted.  The oracle the scan must match.
+    fn reach_by_walk(
+        ws: &mut RefactorWorkspace,
+        structure: &LuStructure,
+        changed: &[usize],
+    ) -> LuResult<Vec<usize>> {
+        let n = structure.n();
+        ws.grow(n);
+        if let Some(&i) = changed.iter().find(|&&i| i >= n) {
+            return Err(LuError::DimensionMismatch {
+                expected: n,
+                actual: i + 1,
+            });
+        }
+        let (epoch, mut next, mut found) = (ws.next_epoch(), 0, changed);
+        let mut rows = Vec::new();
+        loop {
+            for &i in found {
+                if ws.stamp[i] != epoch {
+                    ws.stamp[i] = epoch;
+                    rows.push(i);
+                }
+            }
+            let Some(&k) = rows.get(next) else { break };
+            next += 1;
+            found = structure.lower_col(k).0;
+        }
+        rows.sort_unstable();
+        Ok(rows)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// On random closed structures — the factors of a diagonally
+        /// dominant matrix — and a few passes of random changed rows, repeats
+        /// and empty lists among them, and now and then a row past the
+        /// order: every reach finds the old walk's rows, ascending, or
+        /// refuses the same row.  The first pass over a structure scans it
+        /// and lists no column; a later one walks the columns it listed.
+        /// One workspace serves every reach and another every oracle walk,
+        /// across cases, so stale stamps or lists would show.
+        #[test]
+        fn the_reach_finds_what_the_column_walk_finds(
+            n in 1usize..40,
+            entries in proptest::collection::vec((0usize..40, 0usize..40), 0..160),
+            passes in proptest::collection::vec(proptest::collection::vec(0usize..40, 0..8), 1..4),
+            past in 0usize..12,
+        ) {
+            let extra: Vec<_> = entries
+                .into_iter()
+                .map(|(i, j)| (i % n, j % n, 0.5))
+                .filter(|&(i, j, _)| i != j)
+                .collect();
+            let block = crate::factors::factorize_fresh(&diag_dominant(n, &extra)).unwrap();
+            let structure = block.structure();
+            proptest::prop_assert!(structure.is_elimination_closed());
+            thread_local! {
+                static WS: std::cell::RefCell<(RefactorWorkspace, RefactorWorkspace)> =
+                    Default::default();
+            }
+            WS.with_borrow_mut(|(ws, oracle)| {
+                ws.grow(n);
+                let mut reached_before = false;
+                for (pass, changed) in passes.iter().enumerate() {
+                    let mut changed: Vec<usize> = changed.iter().map(|&i| i % n).collect();
+                    if past == pass {
+                        changed.push(n + changed.len());
+                    }
+                    let want = reach_by_walk(oracle, structure, &changed);
+                    let got = ws.reach(structure, Some(&changed)).map(|()| ws.rows.clone());
+                    proptest::prop_assert_eq!(&got, &want);
+                    if got.is_ok() {
+                        proptest::prop_assert_eq!(ws.lower_ptr.is_empty(), !reached_before);
+                        reached_before = true;
+                    }
+                }
+                Ok(())
+            })?;
+        }
     }
 }

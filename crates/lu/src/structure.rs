@@ -8,6 +8,12 @@
 //! matrix's own `s̃p`.  Because the structure is immutable, the numeric phase
 //! and the Bennett updates never perform structural maintenance — which is
 //! precisely where CLUDE gets its speed.
+//!
+//! The layout is row-major.  Bennett's sweeps over static storage also walk
+//! "column `k` of `L`", so a structure builds a strictly-lower column index
+//! the first time [`LuStructure::lower_col`] asks for one; a structure that
+//! is never swept (an engine block, extended and refactorized row by row)
+//! never holds one.
 
 use crate::error::{LuError, LuResult};
 use crate::symbolic::closed_structure;
@@ -17,9 +23,10 @@ use std::sync::{Arc, OnceLock};
 /// An immutable slot layout for the combined LU factors of one (or many)
 /// matrices sharing a symbolic sparsity pattern.
 ///
-/// Rows are stored contiguously with sorted column indices; the strictly
-/// lower part of every column is additionally indexed so Bennett's algorithm
-/// can walk "column `k` of `L`" directly.
+/// Rows are stored contiguously with sorted column indices.  The strictly
+/// lower part of every column is indexed on first ask
+/// ([`LuStructure::lower_col`]), so Bennett's algorithm can walk "column `k`
+/// of `L`" directly.
 #[derive(Debug, Clone)]
 pub struct LuStructure {
     pub(crate) n: usize,
@@ -27,27 +34,30 @@ pub struct LuStructure {
     pub(crate) col_idx: Vec<usize>,
     /// Slot of the diagonal entry of each row.
     pub(crate) diag_slot: Vec<usize>,
-    /// CSC-like view of the strictly lower triangle: for every column `j`,
-    /// the rows `i > j` with a structural entry, and the row-major slot of
-    /// each such entry.
-    pub(crate) lower_col_ptr: Vec<usize>,
-    pub(crate) lower_rows: Vec<usize>,
-    pub(crate) lower_slots: Vec<usize>,
+    /// The strictly-lower column index, built on first ask.
+    lower: OnceLock<LowerIndex>,
     /// [`LuStructure::is_elimination_closed`], computed on first ask.
     pub(crate) closed: OnceLock<bool>,
 }
 
+/// CSC-like view of the strictly lower triangle: for every column `j`, the
+/// rows `i > j` with a structural entry, and the row-major slot of each.
+#[derive(Debug, Clone)]
+struct LowerIndex {
+    col_ptr: Vec<usize>,
+    rows: Vec<usize>,
+    slots: Vec<usize>,
+}
+
 /// Two structures are equal when they lay out the same slots; whether either
-/// has been asked about closure yet is not part of the layout.
+/// has built its column index or been asked about closure yet is not part of
+/// the layout.
 impl PartialEq for LuStructure {
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n
             && self.row_ptr == other.row_ptr
             && self.col_idx == other.col_idx
             && self.diag_slot == other.diag_slot
-            && self.lower_col_ptr == other.lower_col_ptr
-            && self.lower_rows == other.lower_rows
-            && self.lower_slots == other.lower_slots
     }
 }
 
@@ -125,9 +135,7 @@ impl LuStructure {
             row_ptr,
             col_idx: Vec::with_capacity(nnz),
             diag_slot: Vec::with_capacity(n),
-            lower_col_ptr: Vec::new(),
-            lower_rows: Vec::new(),
-            lower_slots: Vec::new(),
+            lower: OnceLock::new(),
             closed,
         }
     }
@@ -143,39 +151,74 @@ impl LuStructure {
         self.row_ptr.push(self.col_idx.len());
     }
 
-    /// Completes a grown layout with its strictly-lower column index.
+    /// Completes a grown layout.
     pub(crate) fn finish(mut self) -> Self {
-        let n = self.n;
-        debug_assert_eq!(self.diag_slot.len(), n);
+        debug_assert_eq!(self.diag_slot.len(), self.n);
         self.col_idx.shrink_to_fit();
-        // Counts first, then prefix sums.
-        let mut lower_col_ptr = vec![0usize; n + 1];
+        self
+    }
+
+    /// The strictly-lower column index, built on first ask.
+    fn lower_index(&self) -> &LowerIndex {
+        self.lower.get_or_init(|| {
+            let (mut col_ptr, mut rows, mut slots) = (Vec::new(), Vec::new(), Vec::new());
+            self.index_lower_into(&mut col_ptr, &mut rows, Some(&mut slots));
+            LowerIndex {
+                col_ptr,
+                rows,
+                slots,
+            }
+        })
+    }
+
+    /// Lays the strictly-lower column index out in the given buffers, by
+    /// counting sort over the rows' `L` slots: column `j`'s rows, ascending,
+    /// are `rows[col_ptr[j]..col_ptr[j + 1]]`, and beside them their slots
+    /// when `slots` is given.  The buffers' old contents go, their capacity
+    /// stays.
+    pub(crate) fn index_lower_into(
+        &self,
+        col_ptr: &mut Vec<usize>,
+        rows: &mut Vec<usize>,
+        mut slots: Option<&mut Vec<usize>>,
+    ) {
+        let n = self.n;
+        col_ptr.clear();
+        col_ptr.resize(n + 1, 0);
         for i in 0..n {
             for &j in &self.col_idx[self.lower_row_slots(i)] {
-                lower_col_ptr[j + 1] += 1;
+                col_ptr[j + 1] += 1;
             }
         }
         for j in 0..n {
-            lower_col_ptr[j + 1] += lower_col_ptr[j];
+            col_ptr[j + 1] += col_ptr[j];
         }
-        let total_lower = lower_col_ptr[n];
-        let mut lower_rows = vec![0usize; total_lower];
-        let mut lower_slots = vec![0usize; total_lower];
-        let mut next = lower_col_ptr.clone();
+        let total = col_ptr[n];
+        rows.clear();
+        rows.resize(total, 0);
+        if let Some(slots) = slots.as_deref_mut() {
+            slots.clear();
+            slots.resize(total, 0);
+        }
+        // `col_ptr[j]` is column j's next free position while the rows are
+        // dealt out, and its end afterwards: shifted back by one column.
         for i in 0..n {
             for slot in self.lower_row_slots(i) {
-                let pos = &mut next[self.col_idx[slot]];
-                lower_rows[*pos] = i;
-                lower_slots[*pos] = slot;
+                let pos = &mut col_ptr[self.col_idx[slot]];
+                rows[*pos] = i;
+                if let Some(slots) = slots.as_deref_mut() {
+                    slots[*pos] = slot;
+                }
                 *pos += 1;
             }
         }
-        LuStructure {
-            lower_col_ptr,
-            lower_rows,
-            lower_slots,
-            ..self
-        }
+        col_ptr.copy_within(0..n, 1);
+        col_ptr[0] = 0;
+    }
+
+    /// Whether [`LuStructure::lower_col`] has built the column index yet.
+    pub fn has_lower_index(&self) -> bool {
+        self.lower.get().is_some()
     }
 
     /// Whether the layout is closed under elimination: for every stored
@@ -233,16 +276,15 @@ impl LuStructure {
             .sum()
     }
 
-    /// Rough resident size in bytes (the row layout plus the strictly-lower
-    /// column index), for memory accountings that charge a shared structure
-    /// once.
+    /// Rough resident size in bytes (the row layout, plus the strictly-lower
+    /// column index once built), for memory accountings that charge a shared
+    /// structure once.
     pub fn approx_bytes(&self) -> usize {
-        (self.row_ptr.len()
-            + self.col_idx.len()
-            + self.diag_slot.len()
-            + self.lower_col_ptr.len()
-            + self.lower_rows.len()
-            + self.lower_slots.len())
+        let index = self
+            .lower
+            .get()
+            .map_or(0, |l| l.col_ptr.len() + l.rows.len() + l.slots.len());
+        (self.row_ptr.len() + self.col_idx.len() + self.diag_slot.len() + index)
             * std::mem::size_of::<usize>()
     }
 
@@ -294,6 +336,7 @@ impl LuStructure {
 
     /// Slots of the strictly-lower part of row `i` (its `L` entries),
     /// ascending column order.
+    #[inline]
     pub fn lower_row_slots(&self, i: usize) -> std::ops::Range<usize> {
         self.row_ptr[i]..self.diag_slot[i]
     }
@@ -306,11 +349,13 @@ impl LuStructure {
     }
 
     /// The strictly-lower entries of column `j`: parallel slices of row
-    /// indices (`i > j`, ascending) and their row-major slots.
+    /// indices (`i > j`, ascending) and their row-major slots.  The first
+    /// call builds the column index, `O(nnz)`; later calls read it.
     #[inline]
     pub fn lower_col(&self, j: usize) -> (&[usize], &[usize]) {
-        let range = self.lower_col_ptr[j]..self.lower_col_ptr[j + 1];
-        (&self.lower_rows[range.clone()], &self.lower_slots[range])
+        let index = self.lower_index();
+        let range = index.col_ptr[j]..index.col_ptr[j + 1];
+        (&index.rows[range.clone()], &index.slots[range])
     }
 
     /// The pattern covered by this structure.
@@ -371,6 +416,64 @@ mod tests {
         assert_eq!(s.col_of_slot(slots[0]), 0);
         let (rows2, _) = s.lower_col(2);
         assert!(rows2.is_empty());
+    }
+
+    /// Column `j`'s strictly-lower entries by definition: every row below
+    /// `j` whose slots cover `(i, j)`, with that slot.
+    fn lower_col_by_definition(s: &LuStructure, j: usize) -> (Vec<usize>, Vec<usize>) {
+        (j + 1..s.n())
+            .filter_map(|i| s.slot(i, j).map(|slot| (i, slot)))
+            .unzip()
+    }
+
+    #[test]
+    fn the_column_index_is_built_on_first_ask_and_lists_every_lower_slot() {
+        let mut coo = clude_sparse::CooMatrix::new(6, 6);
+        for (i, j, v) in [
+            (1, 0, 1.0),
+            (3, 0, -1.0),
+            (0, 4, 1.0),
+            (4, 2, 0.5),
+            (5, 3, 1.0),
+        ] {
+            coo.push(i, j, v).unwrap();
+        }
+        for i in 0..6 {
+            coo.push(i, i, 8.0).unwrap();
+        }
+        let fresh = crate::factorize_fresh(&clude_sparse::CsrMatrix::from_coo(&coo)).unwrap();
+        let extended = crate::extend_structure(&fresh, [(5, 1), (2, 5)]).unwrap();
+        let restored =
+            crate::LuFactors::from_sorted_entries(6, &extended.export_entries()).unwrap();
+        let rows: [&[usize]; 3] = [&[0, 2], &[0, 1], &[2]];
+        let sorted_rows = LuStructure::from_sorted_rows(3, 5, |i| rows[i]).unwrap();
+        for s in [
+            fresh.structure().as_ref(),
+            extended.structure().as_ref(),
+            restored.structure().as_ref(),
+            &sorted_rows,
+        ] {
+            assert!(!s.has_lower_index());
+            let unbuilt = s.approx_bytes();
+            for j in 0..s.n() {
+                let (rows, slots) = s.lower_col(j);
+                assert_eq!(
+                    (rows.to_vec(), slots.to_vec()),
+                    lower_col_by_definition(s, j)
+                );
+            }
+            assert!(s.has_lower_index());
+            let lower = (0..s.n())
+                .map(|i| s.lower_row_slots(i).len())
+                .sum::<usize>();
+            let word = std::mem::size_of::<usize>();
+            assert_eq!(s.approx_bytes(), unbuilt + (s.n() + 1 + 2 * lower) * word);
+            // The index is not part of the layout, and a clone keeps it.
+            let unindexed = LuStructure::from_sorted_rows(s.n(), s.nnz(), |i| s.row_cols(i));
+            assert_eq!(&unindexed.unwrap(), s);
+            assert!(s.clone().has_lower_index());
+        }
+        assert!(extended.nnz() > fresh.nnz());
     }
 
     #[test]

@@ -46,7 +46,6 @@ use crate::error::{LuError, LuResult};
 use crate::factors::{factorize_row, LuFactors};
 use crate::structure::LuStructure;
 use clude_sparse::{CsrMatrix, SparsityPattern};
-use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// The result of a symbolic decomposition.
@@ -116,14 +115,15 @@ pub(crate) fn closed_structure(sp: &SparsityPattern) -> LuStructure {
 ///
 /// **Cost.**  Over a closed structure the copy costs one pass over the slots
 /// plus what the batch changes, with no sort or search over the whole
-/// structure: each run of rows left alone is one slice copy of columns and
-/// values, its offsets shifted in bulk; a re-derived row starts from its old
-/// pattern, already closed, walks only what is new to it — its escaping
-/// entries, the grown `U` rows its `L` names and the `U` rows of the columns
-/// those add — and merges the new columns in; and the strictly-lower column
-/// index is copied run by run of columns with the new `L` slots merged in,
-/// each slot re-based.  On `ingest-structure`'s 500-row blocks a batch
-/// re-derives ~13 rows.
+/// structure and no column index: one ascending scan from the first row
+/// gaining an entry finds the rows to re-derive, each row's old `L` columns
+/// checked against the rows whose `U` grew; each run of rows left alone is
+/// one slice copy of columns and values, its offsets shifted in bulk; and a
+/// re-derived row starts from its old pattern, already closed, walks only
+/// what is new to it — its escaping entries, the grown `U` rows its `L`
+/// names and the `U` rows of the columns those add — and merges the new
+/// columns in.  On `ingest-structure`'s 500-row blocks a batch re-derives
+/// ~13 rows.
 pub fn extend_structure(
     factors: &LuFactors,
     entries: impl IntoIterator<Item = (usize, usize)>,
@@ -153,9 +153,9 @@ pub fn extend_structure(
     Ok(LuFactors::from_values(Arc::new(structure), values))
 }
 
-/// [`extend_structure`] over a closed structure, `escaping` sorted and
-/// distinct: the rows it leaves alone copied in runs, the others re-derived
-/// from their old patterns, the column index merged.
+/// [`extend_structure`] over a closed structure, `escaping` sorted, distinct
+/// and not empty: one ascending scan of the rows, the rows it leaves alone
+/// copied in runs, the others re-derived from their old patterns.
 fn extended(factors: &LuFactors, escaping: &[(usize, usize)]) -> (LuStructure, Vec<f64>) {
     let old = factors.structure();
     let (n, old_values) = (old.n(), factors.values());
@@ -163,24 +163,27 @@ fn extended(factors: &LuFactors, escaping: &[(usize, usize)]) -> (LuStructure, V
     let capacity = old.nnz() + old.nnz() / 8 + escaping.len();
     let mut new = LuStructure::growing(n, capacity, OnceLock::from(true));
     let mut values = Vec::with_capacity(capacity);
-    // The rows to re-derive — those gaining an entry, then those whose L
-    // names a row whose U grew — and, per row whose U grew, the range of
-    // `new_upper` holding its new U columns.
-    let (mut rerun, mut grown) = (vec![false; n], vec![0..0; n]);
+    // Per row whose U grew, the range of `new_upper` holding its new U
+    // columns; `first_grown` is the first such row, `n` while there is none.
+    let (mut grown, mut first_grown) = (vec![0..0; n], n);
     let mut new_upper = Vec::new();
-    for &(i, _) in escaping {
-        rerun[i] = true;
-    }
     // `mark[j] == i` while column `j` is in row `i`'s pattern.
     let mut mark = vec![usize::MAX; n];
     let (mut stack, mut lower, mut upper) = (Vec::new(), Vec::new(), Vec::new());
-    // The rows whose L gained a column, and their new L slots as (column,
-    // row).
-    let (mut moved, mut added) = (Vec::new(), Vec::new());
     let (mut i, mut next) = (0, 0);
     loop {
-        let start = i;
-        while i < n && !rerun[i] {
+        // A row is re-derived when it gains an entry — `stop` is the next
+        // that does — or an old L column of it names a row whose U grew;
+        // the rows before it are settled.
+        let (start, stop) = (i, escaping.get(next).map_or(n, |e| e.0));
+        while i < stop
+            && (i <= first_grown
+                || !old.col_idx[old.lower_row_slots(i)]
+                    .iter()
+                    .rev()
+                    .take_while(|&&k| k >= first_grown)
+                    .any(|&k| !grown[k].is_empty()))
+        {
             i += 1;
         }
         let (lo, hi, at) = (old.row_ptr[start], old.row_ptr[i], new.col_idx.len());
@@ -249,73 +252,18 @@ fn extended(factors: &LuFactors, escaping: &[(usize, usize)]) -> (LuStructure, V
             &upper,
         );
         new.row_ptr.push(new.col_idx.len());
-        if !lower.is_empty() {
-            added.extend(lower.iter().map(|&j| (j, i)));
-            moved.push(i);
-        }
         if !upper.is_empty() {
             grown[i] = new_upper.len()..new_upper.len() + upper.len();
             new_upper.extend_from_slice(&upper);
-            for &r in old.lower_col(i).0 {
-                rerun[r] = true;
-            }
+            first_grown = first_grown.min(i);
         }
         i += 1;
     }
     new.col_idx.shrink_to_fit();
     values.shrink_to_fit();
-
-    // The strictly-lower column index: the old one, each slot moved by its
-    // row's shift, with the new L slots merged into their columns by row;
-    // then the rows whose L gained a column, and so moved within them, set
-    // their slots from the rows themselves.
-    added.sort_unstable();
-    let shift: Vec<usize> = (0..n).map(|r| new.row_ptr[r] - old.row_ptr[r]).collect();
-    let total = old.lower_rows.len() + added.len();
-    let mut col_ptr = Vec::with_capacity(n + 1);
-    let (mut rows, mut slots) = (Vec::with_capacity(total), Vec::with_capacity(total));
-    let copy = |range: Range<usize>, rows: &mut Vec<usize>, slots: &mut Vec<usize>| {
-        let (old_rows, old_slots) = (&old.lower_rows[range.clone()], &old.lower_slots[range]);
-        rows.extend_from_slice(old_rows);
-        slots.extend(old_rows.iter().zip(old_slots).map(|(&r, &s)| s + shift[r]));
-    };
-    col_ptr.push(0);
-    let (mut j0, mut a) = (0, 0);
-    loop {
-        // Columns j0..j gain no slot: copied in one run.
-        let j = added.get(a).map_or(n, |e| e.0);
-        let (lo, hi) = (old.lower_col_ptr[j0], old.lower_col_ptr[j]);
-        let offset = rows.len() - lo;
-        col_ptr.extend(old.lower_col_ptr[j0 + 1..=j].iter().map(|&p| p + offset));
-        copy(lo..hi, &mut rows, &mut slots);
-        if j == n {
-            break;
-        }
-        let b = a + added[a..].partition_point(|e| e.0 == j);
-        let (mut p, end) = (old.lower_col_ptr[j], old.lower_col_ptr[j + 1]);
-        for &(_, r) in &added[a..b] {
-            let q = p + old.lower_rows[p..end].partition_point(|&x| x < r);
-            copy(p..q, &mut rows, &mut slots);
-            rows.push(r);
-            slots.push(0);
-            p = q;
-        }
-        copy(p..end, &mut rows, &mut slots);
-        col_ptr.push(rows.len());
-        (j0, a) = (j + 1, b);
-    }
-    for &r in &moved {
-        let lower = new.row_ptr[r]..new.diag_slot[r];
-        for (slot, &j) in lower.clone().zip(&new.col_idx[lower]) {
-            let col = col_ptr[j]..col_ptr[j + 1];
-            slots[col.start + rows[col].partition_point(|&x| x < r)] = slot;
-        }
-    }
-    new.lower_col_ptr = col_ptr;
-    new.lower_rows = rows;
-    new.lower_slots = slots;
     (new, values)
 }
+
 /// Appends the columns `cols`, holding `vals`, and the columns `new`, holding
 /// zero, merged — both ascending, none of `new` among `cols`.
 fn merge_zeros(
@@ -745,9 +693,9 @@ mod tests {
 
     /// The extension as it ran before it copied untouched rows in runs:
     /// every row of the reach re-run through the kernel's walk, from its old
-    /// columns and its escaping entries, the layout finished by a full
-    /// rebuild of the column index.  The oracle the incremental extension
-    /// must match bit for bit.
+    /// columns and its escaping entries, the rows of the reach found down
+    /// the old structure's `L` columns.  The oracle the incremental
+    /// extension must match bit for bit.
     fn extend_by_rederivation(
         factors: &LuFactors,
         entries: impl IntoIterator<Item = (usize, usize)>,
@@ -871,6 +819,9 @@ mod tests {
             let extended = extend_structure(&old, delta.keys().copied()).unwrap();
             let oracle = extend_by_rederivation(&old, delta.keys().copied()).unwrap();
             prop_assert_eq!(extended.structure().as_ref(), oracle.structure().as_ref());
+            for j in 0..n {
+                prop_assert_eq!(extended.structure().lower_col(j), oracle.structure().lower_col(j));
+            }
             prop_assert_eq!(float_bits(extended.values()), float_bits(oracle.values()));
             let s = old.structure();
             let mut union = s.pattern();
