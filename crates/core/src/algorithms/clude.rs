@@ -22,17 +22,15 @@
 //!   one rank-one sweep per changed column, exactly as Algorithm 3; the
 //!   figure experiments run this mode, since their claims are about
 //!   Bennett's share of the time;
-//! * **default** (`bennett_only: false`) — each such member takes the
-//!   cheaper exact update under the one cost model ([`clude_lu::cost`]):
-//!   Bennett, priced as changed columns × the running share of the factor
-//!   entries a sweep touches × the structure's slots, or a numeric pass
-//!   over the changed rows' elimination reach — the structure is closed, so
-//!   every other row keeps its values — priced as a full pass, its slots
-//!   plus its elimination multiply-adds (counted once per cluster).  Bennett
-//!   wins ties; a numeric pass that fails leaves the predecessor's factors
-//!   untouched, and the member falls back to Bennett.  Clusters, orderings
-//!   and factor sizes are those of the faithful mode; only the arithmetic
-//!   that produced a member's values differs.
+//! * **default** (`bennett_only: false`) — each such member is reached by a
+//!   numeric pass over the changed rows' elimination reach — the structure
+//!   is closed, so every other row keeps its values — the step the engine's
+//!   shards take, so each member's factors are bit for bit its own
+//!   factorization over the universal structure.  A pass that fails leaves
+//!   the predecessor's factors untouched, and the member falls back to
+//!   Bennett's updates from them.  Clusters, orderings and factor sizes are
+//!   those of the faithful mode; only the arithmetic that produced a
+//!   member's values differs.
 
 use crate::algorithms::common::{
     decompose_cluster_universal, ensure_finite, LudemSolution, LudemSolver, SolverConfig,

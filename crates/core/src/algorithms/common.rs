@@ -12,17 +12,17 @@
 //!   (Algorithm 2, used by INC and CINC);
 //! * [`decompose_cluster_universal`] — ordering and static structure derived
 //!   from the cluster's union matrix (Algorithm 3, used by CLUDE), each member
-//!   after the first reached by the cheaper exact update the
-//!   [`clude_lu::cost`] model predicts: Bennett's, or a numeric pass over the
-//!   changed rows' elimination reach in the universal structure.
+//!   after the first reached by a numeric pass over the changed rows'
+//!   elimination reach in the universal structure, with Bennett's updates as
+//!   the fallback of a failed pass and the paper-faithful mode's only step.
 
 use crate::cluster::Cluster;
 use crate::ems::EvolvingMatrixSequence;
 use crate::report::RunReport;
 use clude_lu::{
-    apply_delta_with, cost, markowitz_ordering, solve_original_into,
-    solve_original_transposed_into, BennettStats, BennettWorkspace, DynamicLuFactors, LuError,
-    LuFactors, LuResult, LuStructure, Maintainer, SolveScratch,
+    apply_delta_with, markowitz_ordering, solve_original_into, solve_original_transposed_into,
+    BennettStats, BennettWorkspace, DynamicLuFactors, LuError, LuFactors, LuResult, LuStructure,
+    Maintainer, SolveScratch,
 };
 use clude_sparse::{CooMatrix, CsrMatrix, Ordering, SparsityPattern};
 use std::sync::Arc;
@@ -39,9 +39,9 @@ pub struct SolverConfig {
     /// When `true`, CLUDE reaches every cluster member after the first by
     /// Bennett's updates, as the paper's Algorithm 3 does — the mode the
     /// figure experiments run, whose claims are about Bennett's share of the
-    /// time.  When `false` (default), each such member takes whichever exact
-    /// update the cost model prices lower: Bennett's, or a numeric pass over
-    /// the changed rows' elimination reach.  INC, CINC and BF ignore it.
+    /// time.  When `false` (default), each such member takes a numeric pass
+    /// over the changed rows' elimination reach, and Bennett's updates only
+    /// when that pass fails.  INC, CINC and BF ignore it.
     pub bennett_only: bool,
 }
 
@@ -284,43 +284,30 @@ fn count_bennett(report: &mut RunReport, stats: &BennettStats, t: Instant) {
     report.bennett_members += 1;
 }
 
-/// The two exact updates that reach a CLUDE cluster member from its
-/// predecessor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MemberArm {
-    /// One Bennett rank-one sweep per changed column, from the predecessor's
-    /// factors.
-    Bennett,
-    /// A numeric pass over the changed rows' elimination reach in the
-    /// cluster's universal structure, every other row kept as it stands.
-    Numeric,
-}
-
 /// What a CLUDE cluster's member steps carry from one member to the next:
 /// the [`Maintainer`] holding the current member in factor coordinates — over
-/// the reordered `A_∪` pattern — the copy of the predecessor's factors a
-/// numeric pass runs on, and the numeric pass's price, counted once per
-/// cluster.
+/// the reordered `A_∪` pattern — the copy of the predecessor's factors the
+/// reach pass runs on, and the workspace of Bennett's sweeps, grown by the
+/// first sweep, so a cluster whose passes all succeed holds none.
 #[derive(Debug, Clone)]
 struct UniversalMembers {
     row_old_to_new: Vec<usize>,
     col_old_to_new: Vec<usize>,
     maintainer: Maintainer,
     spare: LuFactors,
-    numeric_cost: f64,
+    bennett: BennettWorkspace,
     bennett_only: bool,
 }
 
 impl UniversalMembers {
     /// Steps on from `member`, factorized to `first` under `ordering`.
     fn new(member: CsrMatrix, first: &LuFactors, ordering: &Ordering, bennett_only: bool) -> Self {
-        let structure = first.structure();
         UniversalMembers {
             row_old_to_new: ordering.row().old_to_new(),
             col_old_to_new: ordering.col().old_to_new(),
             maintainer: Maintainer::new(member),
             spare: first.clone(),
-            numeric_cost: cost::numeric_pass_ns(structure.nnz(), structure.elimination_work()),
+            bennett: BennettWorkspace::new(),
             bennett_only,
         }
     }
@@ -339,30 +326,18 @@ impl UniversalMembers {
         delta
     }
 
-    /// The cheaper arm for `delta`; Bennett on a tie, and always in the
-    /// paper-faithful mode.
-    fn decide(&self, delta: &[(usize, usize, f64, f64)]) -> MemberArm {
-        if !self.bennett_only
-            && self.numeric_cost < self.maintainer.sweep_ns(delta, self.spare.nnz())
-        {
-            MemberArm::Numeric
-        } else {
-            MemberArm::Bennett
-        }
-    }
-
-    /// Reaches the held member from `factors`, its predecessor's, by `arm`.
-    /// A numeric pass runs on `spare` — the two swap on success — so one
-    /// that fails leaves `factors` untouched, and the member falls back to
-    /// Bennett from them.
+    /// Reaches the held member from `factors`, its predecessor's: by the
+    /// numeric pass over `delta`'s rows' elimination reach, run on `spare` —
+    /// the two swap on success — so a pass that fails leaves `factors`
+    /// untouched and the member falls back to Bennett's sweeps from them; in
+    /// the paper-faithful mode by the sweeps alone.
     fn step(
         &mut self,
-        arm: MemberArm,
         delta: &[(usize, usize, f64, f64)],
         factors: &mut LuFactors,
         report: &mut RunReport,
     ) -> LuResult<()> {
-        if arm == MemberArm::Numeric {
+        if !self.bennett_only {
             let t = Instant::now();
             self.spare.clone_from(factors);
             let pass = self.maintainer.refactor_reach(&mut self.spare, delta);
@@ -373,8 +348,8 @@ impl UniversalMembers {
                 return Ok(());
             }
         }
-        let (t, nnz) = (Instant::now(), factors.nnz());
-        let stats = self.maintainer.sweep(factors, delta, nnz)?;
+        let t = Instant::now();
+        let stats = apply_delta_with(factors, &mut self.bennett, delta)?;
         count_bennett(report, &stats, t);
         Ok(())
     }
@@ -492,11 +467,9 @@ fn reordered_over(pattern: &SparsityPattern, matrix: &CsrMatrix, ordering: &Orde
 /// symbolic decomposition defines a universal static structure, the first
 /// matrix is fully decomposed into that structure, and the rest are reached
 /// from their predecessor without ever modifying the structure — by Bennett
-/// updates, or, outside [`SolverConfig::bennett_only`], by a numeric pass
-/// over the changed rows' elimination reach when [`clude_lu::cost`] prices
-/// it lower (one sweep per changed column at the running reach share of the
-/// structure's slots, against the slots plus the structure's elimination
-/// multiply-adds).  Each member's delta is written into the previous one in
+/// updates under [`SolverConfig::bennett_only`], else by a numeric pass over
+/// the changed rows' elimination reach, with Bennett's updates only where
+/// that pass fails.  Each member's delta is written into the previous one in
 /// factor coordinates, so no member is reordered.
 ///
 /// `union` is the pattern of the cluster's `A_∪` (Definition 7), which the
@@ -530,14 +503,13 @@ pub fn decompose_cluster_universal(
     let kept = keep(&factors);
     push_member(cluster.start, &ordering, factors.nnz(), kept, report, out);
 
-    // The remaining members, each by the cheaper exact update.
+    // The remaining members, each from its predecessor.
     let mut members = UniversalMembers::new(first, &factors, &ordering, config.bennett_only);
     for i in cluster.start + 1..cluster.end {
         let t = Instant::now();
         let delta = members.advance(ems, i);
-        let arm = members.decide(&delta);
         report.timings.incremental += t.elapsed();
-        members.step(arm, &delta, &mut factors, report)?;
+        members.step(&delta, &mut factors, report)?;
         let kept = keep(&factors);
         push_member(i, &ordering, factors.nnz(), kept, report, out);
     }
@@ -618,81 +590,6 @@ mod tests {
         EvolvingMatrixSequence::new(matrices).expect("one shape")
     }
 
-    /// Per CLUDE member, both arms run from the same state and are costed
-    /// by the model on what they counted; returns the model cost of the
-    /// arms the free decision chose and of the per-member better arms, and
-    /// checks the two fixed points of the rule on the way: a one-column
-    /// delta takes Bennett, a delta of sixteen or more columns the numeric
-    /// pass.
-    fn chosen_and_better(ems: &EvolvingMatrixSequence) -> (f64, f64, [usize; 2]) {
-        let (clustering, unions) = alpha_clustering_with_unions(ems, 0.95).unwrap();
-        let (mut chosen, mut better, mut arms) = (0.0, 0.0, [0, 0]);
-        let mut report = RunReport::new("decision");
-        for (cluster, union) in clustering.clusters().iter().zip(&unions) {
-            let (ordering, reordered_union, structure) =
-                universal_structure(union, None, &mut report);
-            let first = reordered_over(&reordered_union, ems.matrix(cluster.start), &ordering);
-            let mut factors = LuFactors::factorize(structure, &first).unwrap();
-            let mut members = UniversalMembers::new(first, &factors, &ordering, false);
-            for i in cluster.start + 1..cluster.end {
-                let delta = members.advance(ems, i);
-                let cost_of = |arm: MemberArm| {
-                    let (mut fork, mut f) = (members.clone(), factors.clone());
-                    let mut counted = RunReport::new("fork");
-                    fork.step(arm, &delta, &mut f, &mut counted).unwrap();
-                    let numeric = (arm == MemberArm::Numeric) as usize;
-                    assert_eq!(counted.numeric_members, numeric, "member {i}");
-                    match arm {
-                        MemberArm::Bennett => {
-                            cost::sweep_ns(counted.bennett.entries_touched as u64)
-                        }
-                        MemberArm::Numeric => members.numeric_cost,
-                    }
-                };
-                let (bennett, numeric) = (cost_of(MemberArm::Bennett), cost_of(MemberArm::Numeric));
-                let arm = members.decide(&delta);
-                let mut columns: Vec<usize> = delta.iter().map(|&(_, j, ..)| j).collect();
-                columns.sort_unstable();
-                columns.dedup();
-                let columns = columns.len();
-                if columns == 1 {
-                    assert_eq!(arm, MemberArm::Bennett, "member {i}");
-                }
-                if columns >= 16 {
-                    assert_eq!(arm, MemberArm::Numeric, "member {i}: {columns} columns");
-                }
-                chosen += if arm == MemberArm::Bennett {
-                    bennett
-                } else {
-                    numeric
-                };
-                better += bennett.min(numeric);
-                arms[arm as usize] += 1;
-                members
-                    .step(arm, &delta, &mut factors, &mut report)
-                    .unwrap();
-            }
-        }
-        (chosen, better, arms)
-    }
-
-    #[test]
-    fn the_member_decision_stays_within_a_tenth_of_the_better_arm() {
-        // Counts only, so the verdict is the same on every machine.
-        for (name, ems) in [
-            ("egs shape, seed 11", egs_shape(11)),
-            ("egs shape, seed 97", egs_shape(97)),
-            ("one column a step", one_column_per_step(11)),
-        ] {
-            let (chosen, better, arms) = chosen_and_better(&ems);
-            assert!(
-                chosen <= 1.10 * better,
-                "{name}: chose {chosen:.0} ns of modelled work, the better arms {better:.0} \
-                 ({arms:?} Bennett / numeric)"
-            );
-        }
-    }
-
     /// `held` is member `i` of `ems` reordered: equal on every entry the
     /// member stores, zero on every other position it holds.
     fn assert_holds_member(held: &CsrMatrix, ems: &EvolvingMatrixSequence, i: usize, o: &Ordering) {
@@ -723,15 +620,13 @@ mod tests {
                 let mut members = UniversalMembers::new(first, &factors, &ordering, false);
                 for i in cluster.start + 1..cluster.end {
                     let delta = members.advance(&ems, i);
-                    for arm in [MemberArm::Bennett, MemberArm::Numeric] {
-                        let (mut fork, mut f) = (members.clone(), factors.clone());
-                        fork.step(arm, &delta, &mut f, &mut report).unwrap();
-                        assert_holds_member(fork.maintainer.matrix(), &ems, i, &ordering);
-                    }
-                    let arm = members.decide(&delta);
-                    members
-                        .step(arm, &delta, &mut factors, &mut report)
+                    let mut fork = members.clone();
+                    fork.bennett_only = true;
+                    fork.step(&delta, &mut factors.clone(), &mut report)
                         .unwrap();
+                    assert_holds_member(fork.maintainer.matrix(), &ems, i, &ordering);
+                    members.step(&delta, &mut factors, &mut report).unwrap();
+                    assert_holds_member(members.maintainer.matrix(), &ems, i, &ordering);
                 }
             }
         }
@@ -754,6 +649,38 @@ mod tests {
                 solution.report.numeric_members,
                 solution.report.bennett_members
             );
+        }
+    }
+
+    #[test]
+    fn every_default_mode_member_holds_the_bits_of_its_own_factorization() {
+        // A reach pass recomputes the changed rows' elimination reach by the
+        // row kernel a factorization runs and keeps every other row, so each
+        // kept member is, bit for bit, its own factorization over the
+        // cluster's universal structure.
+        let bits = |f: &LuFactors| {
+            f.export_entries()
+                .into_iter()
+                .map(|(i, j, v)| (i, j, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for (name, ems) in [
+            ("egs shape, seed 11", egs_shape(11)),
+            ("egs shape, seed 97", egs_shape(97)),
+            ("one column a step", one_column_per_step(11)),
+        ] {
+            let solution = Clude::new(0.95)
+                .solve(&ems, &SolverConfig::default())
+                .unwrap();
+            assert_eq!(solution.report.bennett_members, 0, "{name}");
+            for d in &solution.decomposed {
+                let Some(MatrixFactors::Static(f)) = &d.factors else {
+                    panic!("{name}: member {} kept no static factors", d.index);
+                };
+                let member = ems.matrix(d.index).reorder(&d.ordering).unwrap();
+                let own = LuFactors::factorize(Arc::clone(f.structure()), &member).unwrap();
+                assert_eq!(bits(f), bits(&own), "{name}: member {}", d.index);
+            }
         }
     }
 

@@ -30,7 +30,9 @@
 //! The partition precedes the graph, so the graph's node count is checked
 //! against it before a node is allocated.  Decoding accepts exactly what
 //! the writer produces: `k` is the partition's shard count, each ordering a
-//! permutation of its shard's nodes, and nothing follows the last shard.
+//! permutation of its shard's nodes, each quality anchor at least its
+//! shard's node count (every factorization stores the diagonal), and nothing
+//! follows the last shard.
 //! Version 3 dropped version 2's re-partition countdown (a flag and a count
 //! before `k`) with the repartitioner; a version-2 file is refused.
 //!
@@ -193,8 +195,14 @@ fn decode_image(payload: &[u8]) -> Result<(u64, StoreImage), WireError> {
     for s in 0..k {
         let index = r.get_u64()?;
         let reference_nnz = r.get_usize()?;
-        let row = decode_permutation(&mut r, s, partition.shard_len(s))?;
-        let col = decode_permutation(&mut r, s, partition.shard_len(s))?;
+        let len = partition.shard_len(s);
+        if reference_nnz < len {
+            return Err(WireError::Invalid(format!(
+                "shard {s} quality anchor {reference_nnz} below its {len} nodes"
+            )));
+        }
+        let row = decode_permutation(&mut r, s, len)?;
+        let col = decode_permutation(&mut r, s, len)?;
         shards.push(ShardImage {
             ordering: Ordering::new(row, col),
             reference_nnz,
@@ -643,8 +651,9 @@ mod tests {
                 assert_eq!(changed_fields(&decoded, &written), 1, "{what}");
             }
         }
-        // Flips of values no check can know (ids, anchors, edge endpoints,
-        // the damping) do decode, and were checked above.
+        // Flips of values no check can know (ids, anchors that stay at or
+        // above their shard's node count, edge endpoints, the damping) do
+        // decode, and were checked above.
         assert!(misread > 0);
     }
 
@@ -687,14 +696,13 @@ mod tests {
         }
     }
 
-    /// `image`'s payload with the shard records replaced by `k` and, per
-    /// shard, the raw `(row, col)` sequences given — unchecked, as a hostile
-    /// writer would put them.
-    fn payload_with_shards(
-        image: &StoreImage,
-        k: usize,
-        orderings: &[(Vec<usize>, Vec<usize>)],
-    ) -> Vec<u8> {
+    /// A shard record as a hostile writer would put it: the raw
+    /// `(reference_nnz, row, col)`, unchecked.
+    type ShardRecord = (usize, Vec<usize>, Vec<usize>);
+
+    /// `image`'s payload with the shard records replaced by `k` and the
+    /// records given.
+    fn payload_with_shards(image: &StoreImage, k: usize, records: &[ShardRecord]) -> Vec<u8> {
         let head = StoreImage {
             shards: Vec::new(),
             ..image.clone()
@@ -703,9 +711,9 @@ mod tests {
         payload.truncate(payload.len() - 8);
         let mut w = WireWriter::new();
         w.put_usize(k);
-        for (row, col) in orderings {
+        for (reference_nnz, row, col) in records {
             w.put_u64(1);
-            w.put_usize(10);
+            w.put_usize(*reference_nnz);
             w.put_usize_seq(row);
             w.put_usize_seq(col);
         }
@@ -716,20 +724,25 @@ mod tests {
     #[test]
     fn hostile_shard_records_are_soft_failures_naming_the_fault() {
         let image = four_shard_image();
-        let orderings: Vec<(Vec<usize>, Vec<usize>)> = image
+        let records: Vec<ShardRecord> = image
             .shards
             .iter()
             .map(|s| {
-                let row = s.ordering.row().as_new_to_old().to_vec();
-                (row, s.ordering.col().as_new_to_old().to_vec())
+                let (row, col) = (s.ordering.row(), s.ordering.col());
+                (
+                    s.reference_nnz,
+                    row.as_new_to_old().to_vec(),
+                    col.as_new_to_old().to_vec(),
+                )
             })
             .collect();
-        assert!(read_crafted(&payload_with_shards(&image, 4, &orderings)).is_ok());
-        let with_row = |edit: &dyn Fn(&mut Vec<usize>)| {
-            let mut orderings = orderings.clone();
-            edit(&mut orderings[1].0);
-            payload_with_shards(&image, 4, &orderings)
+        assert!(read_crafted(&payload_with_shards(&image, 4, &records)).is_ok());
+        let with_record = |edit: &dyn Fn(&mut ShardRecord)| {
+            let mut records = records.clone();
+            edit(&mut records[1]);
+            payload_with_shards(&image, 4, &records)
         };
+        let with_row = |edit: &dyn Fn(&mut Vec<usize>)| with_record(&|r| edit(&mut r.1));
         let cases = [
             (
                 "a permutation of the wrong length",
@@ -750,18 +763,28 @@ mod tests {
             ),
             (
                 "fewer shards than the partition's",
-                payload_with_shards(&image, 3, &orderings[..3]),
+                payload_with_shards(&image, 3, &records[..3]),
                 "3 shards in an image partitioned into 4",
             ),
             (
                 "more shards than the partition's",
-                payload_with_shards(&image, 5, &orderings),
+                payload_with_shards(&image, 5, &records),
                 "5 shards in an image partitioned into 4",
             ),
             (
                 "trailing bytes",
-                [payload_with_shards(&image, 4, &orderings), vec![0]].concat(),
+                [payload_with_shards(&image, 4, &records), vec![0]].concat(),
                 "1 trailing bytes",
+            ),
+            (
+                "a quality anchor of zero, which no factorization writes",
+                with_record(&|r| r.0 = 0),
+                "shard 1 quality anchor 0 below its 6 nodes",
+            ),
+            (
+                "a quality anchor one below the shard's diagonal",
+                with_record(&|r| r.0 = 5),
+                "shard 1 quality anchor 5 below its 6 nodes",
             ),
         ];
         for (what, payload, fault) in cases {

@@ -159,14 +159,6 @@ impl Default for SolveTolerance {
     }
 }
 
-/// Everything the engine needs to know about coupled solves: the stopping
-/// rule of the iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CouplingConfig {
-    /// Stopping rule of the coupled solve.
-    pub tolerance: SolveTolerance,
-}
-
 /// Solves `A x = b` (or `Aᵀ x = b`) for a snapshot's full measure matrix
 /// `A = blockdiag(A_ss) + C`.
 ///
@@ -448,9 +440,9 @@ mod tests {
         // The one solver's name is its stage: what the exposition, the traced
         // benchmark (`stage.coupling.gauss_seidel.*`) and CI key on.
         assert_eq!(Stage::CouplingGaussSeidel.name(), "coupling.gauss_seidel");
-        let cfg = CouplingConfig::default();
-        assert_eq!(cfg.tolerance.tol, 1e-13);
-        assert_eq!(cfg.tolerance.max_sweeps, 208);
+        let tolerance = SolveTolerance::default();
+        assert_eq!(tolerance.tol, 1e-13);
+        assert_eq!(tolerance.max_sweeps, 208);
     }
 
     #[test]
@@ -555,7 +547,7 @@ mod tests {
         )
         .unwrap()
         .with_telemetry(Arc::clone(&telemetry))
-        .with_coupling_config(CouplingConfig { tolerance })
+        .with_tolerance(tolerance)
         .unwrap();
         assert!(store.coupling_nnz() > 0, "edges cross the shards");
         assert!(!store.snapshot().coupling_plan().is_triangular());

@@ -21,7 +21,7 @@
 //!   each other.  The ring
 //!   `RwLock` is touched only by time-travel queries and stats.
 
-use crate::coupling::CouplingConfig;
+use crate::coupling::SolveTolerance;
 use crate::durability::{DurabilityConfig, Persistence};
 use crate::epoch::SnapshotHandle;
 use crate::error::{EngineError, EngineResult};
@@ -75,11 +75,10 @@ pub struct EngineConfig {
     /// CPU-count-derived sizing produces it, so it is reported, not
     /// clamped).
     pub n_shards: usize,
-    /// How coupled (sharded) queries are solved: the
-    /// [`crate::coupling::SolveTolerance`] stopping rule of the iteration
-    /// over block Gauss–Seidel passes (one no solve can meet is an
+    /// The stopping rule of coupled (sharded) queries' iteration over block
+    /// Gauss–Seidel passes (one no solve can meet is an
     /// [`EngineError::InvalidConfig`]).
-    pub coupling: CouplingConfig,
+    pub tolerance: SolveTolerance,
     /// How [`CludeEngine::new`] derives a sharded engine's partition, which
     /// then stays fixed for the life of the engine: greedy edge locality, or
     /// BTF (SCC) structure whose cross-shard coupling is block-triangular
@@ -100,7 +99,7 @@ impl Default for EngineConfig {
             cache_shards: 8,
             cache_capacity_per_shard: 128,
             n_shards: 1,
-            coupling: CouplingConfig::default(),
+            tolerance: SolveTolerance::default(),
             partition_strategy: PartitionStrategy::default(),
             telemetry: TelemetryConfig::default(),
         }
@@ -133,8 +132,7 @@ impl EngineConfig {
                 ));
             }
         }
-        self.coupling
-            .tolerance
+        self.tolerance
             .validate()
             .map_err(EngineError::InvalidConfig)
     }
@@ -219,7 +217,7 @@ impl CludeEngine {
         let telemetry = Arc::new(telemetry);
         let store = ShardedFactorStore::new(base, config.matrix_kind, config.refresh, partition)?
             .with_telemetry(Arc::clone(&telemetry))
-            .with_coupling_config(config.coupling)?;
+            .with_tolerance(config.tolerance)?;
         Self::from_store(store, config, telemetry)
     }
 
@@ -286,7 +284,7 @@ impl CludeEngine {
         let max_committed_gen = loaded.max_committed_gen;
         let n_shards = loaded.image.partition.n_shards();
         let telemetry = Arc::new(TelemetryRegistry::with_shards(config.telemetry, n_shards));
-        let store = ShardedFactorStore::restore(config.refresh, config.coupling, loaded.image)?
+        let store = ShardedFactorStore::restore(config.refresh, config.tolerance, loaded.image)?
             .with_telemetry(Arc::clone(&telemetry));
         let replay = recovery::read_wal(&*durability.vfs, &durability.dir, checkpoint_snapshot)?;
         let engine = Self::from_store(store, config, telemetry)?;
@@ -1126,7 +1124,6 @@ mod tests {
 
     #[test]
     fn coupling_config_flows_into_snapshots_and_stats() {
-        use crate::coupling::{CouplingConfig, SolveTolerance};
         let tolerance = SolveTolerance {
             tol: 1e-12,
             max_sweeps: 5_000,
@@ -1135,7 +1132,7 @@ mod tests {
             ring_graph(12),
             EngineConfig {
                 n_shards: 3,
-                coupling: CouplingConfig { tolerance },
+                tolerance,
                 ..small_config(1)
             },
         )
@@ -1278,12 +1275,9 @@ mod tests {
 
     #[test]
     fn unmeetable_solve_tolerance_is_an_invalid_config() {
-        use crate::coupling::{CouplingConfig, SolveTolerance};
         for (tol, max_sweeps) in [(f64::NAN, 100), (0.0, 100), (-1e-13, 100), (1e-13, 0)] {
             let config = EngineConfig {
-                coupling: CouplingConfig {
-                    tolerance: SolveTolerance { tol, max_sweeps },
-                },
+                tolerance: SolveTolerance { tol, max_sweeps },
                 ..small_config(1)
             };
             assert_invalid_everywhere(config, "coupling");

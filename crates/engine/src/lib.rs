@@ -118,7 +118,7 @@ mod sync;
 pub mod vfs;
 mod wal;
 
-pub use coupling::{CouplingConfig, CouplingPlan, FrozenCoupling, SolveTolerance};
+pub use coupling::{CouplingPlan, FrozenCoupling, SolveTolerance};
 pub use durability::DurabilityConfig;
 pub use engine::{CludeEngine, EngineConfig};
 pub use epoch::SnapshotHandle;

@@ -45,7 +45,7 @@
 //! well below 1e-9.
 
 use crate::checkpoint::{ShardImage, StoreImage};
-use crate::coupling::{CouplingConfig, FrozenCoupling};
+use crate::coupling::{FrozenCoupling, SolveTolerance};
 use crate::error::{EngineError, EngineResult};
 use crate::store::{
     global_matrix_delta, order_and_factorize, EngineSnapshot, MaintenanceArm, OldSuccessors,
@@ -174,8 +174,8 @@ pub struct ShardedFactorStore {
     /// anew by batches that moved a shard's ordering; each time with an
     /// empty plan cell: the store never plans, coupled solves do.
     published_coupling: Arc<FrozenCoupling>,
-    /// Coupled-solve configuration: the stopping rule.
-    coupling_cfg: CouplingConfig,
+    /// The coupled solve's stopping rule.
+    tolerance: SolveTolerance,
     /// Telemetry sink for route/refactor/refresh/freeze spans and
     /// re-order events, stamped onto snapshots; a disabled stub unless
     /// [`ShardedFactorStore::with_telemetry`].
@@ -219,7 +219,7 @@ impl ShardedFactorStore {
             shards,
             snapshot_id: 0,
             published_coupling,
-            coupling_cfg: CouplingConfig::default(),
+            tolerance: SolveTolerance::default(),
             telemetry: Arc::new(TelemetryRegistry::disabled()),
             #[cfg(test)]
             forced_arm: None,
@@ -267,7 +267,7 @@ impl ShardedFactorStore {
     /// [`EngineError::Persistence`].
     pub(crate) fn restore(
         policy: RefreshPolicy,
-        coupling_cfg: CouplingConfig,
+        tolerance: SolveTolerance,
         image: StoreImage,
     ) -> EngineResult<Self> {
         let StoreImage {
@@ -307,7 +307,7 @@ impl ShardedFactorStore {
             shards,
             snapshot_id,
             published_coupling,
-            coupling_cfg,
+            tolerance,
             telemetry: Arc::new(TelemetryRegistry::disabled()),
             #[cfg(test)]
             forced_arm: None,
@@ -322,20 +322,18 @@ impl ShardedFactorStore {
         self
     }
 
-    /// Sets the coupled-solve configuration (builder style).  A stopping
-    /// rule no solve can meet (non-finite or non-positive `tol`,
-    /// `max_sweeps: 0`) is an [`EngineError::InvalidConfig`].
-    pub fn with_coupling_config(mut self, cfg: CouplingConfig) -> EngineResult<Self> {
-        cfg.tolerance
-            .validate()
-            .map_err(EngineError::InvalidConfig)?;
-        self.coupling_cfg = cfg;
+    /// Sets the coupled solve's stopping rule (builder style).  A rule no
+    /// solve can meet (non-finite or non-positive `tol`, `max_sweeps: 0`)
+    /// is an [`EngineError::InvalidConfig`].
+    pub fn with_tolerance(mut self, tolerance: SolveTolerance) -> EngineResult<Self> {
+        tolerance.validate().map_err(EngineError::InvalidConfig)?;
+        self.tolerance = tolerance;
         Ok(self)
     }
 
-    /// The coupled-solve configuration in force.
-    pub fn coupling_config(&self) -> CouplingConfig {
-        self.coupling_cfg
+    /// The coupled solve's stopping rule in force.
+    pub fn tolerance(&self) -> SolveTolerance {
+        self.tolerance
     }
 
     /// The matrix composition the factors are built for.
@@ -407,7 +405,7 @@ impl ShardedFactorStore {
             Arc::clone(&self.partition),
             shards,
             Arc::clone(&self.published_coupling),
-            self.coupling_cfg.tolerance,
+            self.tolerance,
             Arc::clone(&self.telemetry),
         )
     }
@@ -1314,7 +1312,7 @@ mod tests {
         assert!(reordered, "shard 0 never re-ordered");
 
         let restored =
-            ShardedFactorStore::restore(store.policy, store.coupling_cfg, store.durable_state())
+            ShardedFactorStore::restore(store.policy, store.tolerance, store.durable_state())
                 .unwrap();
         assert!(restored.snapshot().shared_coupling().built_plan().is_none());
         assert_coupled_answers_exact(&restored, n);
@@ -1453,11 +1451,9 @@ mod tests {
         )
         .unwrap()
         .with_telemetry(Arc::clone(&telemetry))
-        .with_coupling_config(CouplingConfig {
-            tolerance: SolveTolerance {
-                tol: 1e-13,
-                max_sweeps: 1,
-            },
+        .with_tolerance(SolveTolerance {
+            tol: 1e-13,
+            max_sweeps: 1,
         })
         .unwrap();
         assert!(store.coupling_nnz() > 0, "ring edges cross the shards");
@@ -1497,9 +1493,7 @@ mod tests {
                 NodePartition::contiguous(n, 2),
             )
             .unwrap()
-            .with_coupling_config(CouplingConfig {
-                tolerance: SolveTolerance { tol, max_sweeps },
-            })
+            .with_tolerance(SolveTolerance { tol, max_sweeps })
             .unwrap_err();
             assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
         }
@@ -1576,11 +1570,9 @@ mod tests {
         assert!(report.transversal_full);
         let mut store = ShardedFactorStore::new(g, kind, RefreshPolicy::Incremental, partition)
             .unwrap()
-            .with_coupling_config(CouplingConfig {
-                tolerance: SolveTolerance {
-                    tol: 1e-13,
-                    max_sweeps: 1,
-                },
+            .with_tolerance(SolveTolerance {
+                tol: 1e-13,
+                max_sweeps: 1,
             })
             .unwrap();
         assert!(store.coupling_nnz() > 0, "bridges cross the shards");
@@ -2147,8 +2139,7 @@ mod tests {
         fn assert_restores_to(store: &ShardedFactorStore) {
             let image = store.durable_state();
             let restored =
-                ShardedFactorStore::restore(store.policy, store.coupling_cfg, image.clone())
-                    .unwrap();
+                ShardedFactorStore::restore(store.policy, store.tolerance, image.clone()).unwrap();
             assert!(restored.snapshot().shared_coupling().built_plan().is_none());
             assert_eq!(restored.durable_state(), image);
             let n = store.graph().n_nodes();

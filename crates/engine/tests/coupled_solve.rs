@@ -171,7 +171,7 @@ fn shifted_laplacian_inverse_is_doubly_stochastic_at_four_shards() {
 
 #[test]
 fn a_solve_that_cannot_converge_fails_within_a_handful_of_restart_cycles() {
-    use clude_engine::{CouplingConfig, EngineError, SolveTolerance};
+    use clude_engine::{EngineError, SolveTolerance};
     use clude_lu::LuError;
     use clude_telemetry::{EngineEvent, EventKind};
     // The default pass budget is a few hundred block passes, milliseconds —
@@ -185,11 +185,9 @@ fn a_solve_that_cannot_converge_fails_within_a_handful_of_restart_cycles() {
     let last = egs.snapshot(egs.len() - 1);
     let config = |max_sweeps: usize| EngineConfig {
         n_shards: 4,
-        coupling: CouplingConfig {
-            tolerance: SolveTolerance {
-                max_sweeps,
-                ..SolveTolerance::default()
-            },
+        tolerance: SolveTolerance {
+            max_sweeps,
+            ..SolveTolerance::default()
         },
         ..EngineConfig::default()
     };

@@ -1,7 +1,7 @@
 //! Property-based tests for the serving tier: answers through the coupled
 //! iteration must match an oracle that shares no LU code with the engine.
 
-use clude_engine::{CouplingConfig, RefreshPolicy, ShardedFactorStore, SolveTolerance};
+use clude_engine::{RefreshPolicy, ShardedFactorStore, SolveTolerance};
 use clude_graph::{measure_matrix, DiGraph, MatrixKind, NodePartition};
 use clude_lu::LuError;
 use clude_measures::linear_system::normalize_scores;
@@ -85,7 +85,7 @@ proptest! {
             NodePartition::from_assignments(assignments),
         )
         .unwrap()
-        .with_coupling_config(CouplingConfig { tolerance })
+        .with_tolerance(tolerance)
         .unwrap();
         let snapshot = store.snapshot();
         let dense = measure_matrix(&graph, kind).to_dense();

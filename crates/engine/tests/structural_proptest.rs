@@ -3,7 +3,7 @@
 //! single sweep, matching a dense solve of the whole measure matrix to solver
 //! precision.
 
-use clude_engine::{CouplingConfig, RefreshPolicy, ShardedFactorStore, SolveTolerance};
+use clude_engine::{RefreshPolicy, ShardedFactorStore, SolveTolerance};
 use clude_graph::{btf_partition, measure_matrix, DiGraph, MatrixKind};
 use clude_measures::{measure_rhs, MeasureQuery};
 use proptest::prelude::*;
@@ -61,12 +61,10 @@ proptest! {
         let store =
             ShardedFactorStore::new(g.clone(), kind, RefreshPolicy::Incremental, partition)
                 .unwrap()
-                .with_coupling_config(CouplingConfig {
-                    tolerance: SolveTolerance {
+                .with_tolerance(SolveTolerance {
                         tol: 1e-13,
                         max_sweeps: 1,
-                    },
-                })
+                    })
                 .unwrap();
         prop_assert!(store.snapshot().coupling_plan().is_triangular());
         // Reference: dense Gaussian elimination on the unpartitioned matrix —

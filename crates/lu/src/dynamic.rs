@@ -68,24 +68,6 @@ impl DynamicLuFactors {
         self.values.nnz()
     }
 
-    /// Multiply-adds of one numeric factorization down the current pattern:
-    /// per stored `L` entry `(i, k)`, the stored entries of row `k` past its
-    /// diagonal — the twin of [`crate::LuStructure::elimination_work`].
-    /// `O(nnz)`.
-    pub fn elimination_work(&self) -> u64 {
-        let upper_len = |k: usize| {
-            let cols = self.values.row_cols(k);
-            cols.len() - cols.partition_point(|&j| j <= k)
-        };
-        (0..self.n)
-            .flat_map(|i| {
-                let cols = self.values.row_cols(i);
-                cols[..cols.partition_point(|&j| j < i)].iter()
-            })
-            .map(|&k| upper_len(k) as u64)
-            .sum()
-    }
-
     /// Structural-maintenance counters accumulated by updates so far.
     pub fn structural_stats(&self) -> StructuralStats {
         self.values.stats()

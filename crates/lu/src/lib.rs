@@ -28,14 +28,12 @@
 //!   over a structure closed under elimination, only the changed rows'
 //!   elimination reach — the bulk alternative to per-entry Bennett sweeps:
 //!   the engine's one update arm, over a structure first extended to cover
-//!   a batch's new entries, and CLUDE's numeric member step.
-//! * [`cost`] — the cost model CLUDE's member step prices its two exact
-//!   updates with: Bennett sweeps against a numeric pass.
+//!   a batch's new entries, and CLUDE's member step outside its
+//!   paper-faithful mode.
 //! * [`maintain`] — [`Maintainer`], what CLUDE's member steps and each engine
 //!   shard carry from one matrix to the next: the matrix the factors
-//!   factorize, in factor coordinates, the running reach sweeps are priced
-//!   from, and both update arms' scratch, with the operations on them —
-//!   write a delta, price a sweep, sweep, run the reach pass.
+//!   factorize, in factor coordinates, and the reach pass's scratch, with the
+//!   operations on them — write a delta, run the reach pass.
 //! * [`structure`] — static slot layouts (`LuStructure`), including the
 //!   universal structures CLUDE shares across a cluster.
 //! * [`factors`] — the ND-phase over a structure supplied from outside
@@ -67,7 +65,6 @@ mod test_support;
 
 pub mod amd;
 pub mod bennett;
-pub mod cost;
 pub mod dynamic;
 pub mod error;
 pub mod factors;

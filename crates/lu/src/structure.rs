@@ -263,19 +263,6 @@ impl LuStructure {
         self.col_idx.len()
     }
 
-    /// Multiply-adds of one numeric factorization over every slot: per
-    /// stored `L` slot `(i, k)`, the stored slots of row `k` past its
-    /// diagonal — the structure twin of
-    /// [`crate::DynamicLuFactors::elimination_work`], and an upper bound on
-    /// what a pass over it counts (a zero multiplier skips its row).
-    /// `O(nnz)`.
-    pub fn elimination_work(&self) -> u64 {
-        (0..self.n)
-            .flat_map(|i| &self.col_idx[self.row_ptr[i]..self.diag_slot[i]])
-            .map(|&k| self.upper_row_cols(k).len() as u64)
-            .sum()
-    }
-
     /// Rough resident size in bytes (the row layout, plus the strictly-lower
     /// column index once built), for memory accountings that charge a shared
     /// structure once.
@@ -509,34 +496,6 @@ mod tests {
         let fresh = LuStructure::from_sorted_rows(3, 5, |i| rows[i]).unwrap();
         assert_eq!(open, fresh);
         assert!(!open.clone().is_elimination_closed());
-    }
-
-    #[test]
-    fn elimination_work_counts_what_the_dynamic_twin_counts() {
-        // L(1, 0) meets row 0's one slot past its diagonal, (0, 2).
-        assert_eq!(sample_structure().elimination_work(), 1);
-        let mut coo = clude_sparse::CooMatrix::new(4, 4);
-        for (i, j, v) in [
-            (0, 0, 4.0),
-            (1, 1, 4.0),
-            (2, 2, 4.0),
-            (3, 3, 4.0),
-            (1, 0, 1.0),
-            (3, 0, 1.0),
-            (0, 2, 1.0),
-            (0, 3, 1.0),
-            (2, 1, 1.0),
-        ] {
-            coo.push(i, j, v).unwrap();
-        }
-        let a = clude_sparse::CsrMatrix::from_coo(&coo);
-        let fresh = crate::factorize_fresh(&a).unwrap();
-        let dynamic = crate::DynamicLuFactors::factorize(&a).unwrap();
-        assert!(fresh.structure().elimination_work() > 1);
-        assert_eq!(
-            fresh.structure().elimination_work(),
-            dynamic.elimination_work()
-        );
     }
 
     #[test]
