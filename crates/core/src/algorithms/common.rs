@@ -286,70 +286,71 @@ fn count_bennett(report: &mut RunReport, stats: &BennettStats, t: Instant) {
 
 /// What a CLUDE cluster's member steps carry from one member to the next:
 /// the [`Maintainer`] holding the current member in factor coordinates — over
-/// the reordered `A_∪` pattern — the copy of the predecessor's factors the
-/// reach pass runs on, and the workspace of Bennett's sweeps, grown by the
-/// first sweep, so a cluster whose passes all succeed holds none.
+/// the reordered `A_∪` pattern — and its delta, the copy of the
+/// predecessor's factors the reach pass runs on and the workspace of
+/// Bennett's sweeps, each made by the first pass or sweep that needs it.
 #[derive(Debug, Clone)]
 struct UniversalMembers {
-    row_old_to_new: Vec<usize>,
-    col_old_to_new: Vec<usize>,
     maintainer: Maintainer,
-    spare: LuFactors,
+    spare: Option<LuFactors>,
     bennett: BennettWorkspace,
     bennett_only: bool,
 }
 
 impl UniversalMembers {
-    /// Steps on from `member`, factorized to `first` under `ordering`.
-    fn new(member: CsrMatrix, first: &LuFactors, ordering: &Ordering, bennett_only: bool) -> Self {
+    /// Steps on from `member`, held under `ordering`.
+    fn new(member: CsrMatrix, ordering: &Ordering, bennett_only: bool) -> Self {
         UniversalMembers {
-            row_old_to_new: ordering.row().old_to_new(),
-            col_old_to_new: ordering.col().old_to_new(),
-            maintainer: Maintainer::new(member),
-            spare: first.clone(),
+            maintainer: Maintainer::new(ordering, member),
+            spare: None,
             bennett: BennettWorkspace::new(),
             bennett_only,
         }
     }
 
-    /// Member `i`'s delta from its predecessor, written into the held member
-    /// (in place: the union pattern holds every member's entries).
-    fn advance(&mut self, ems: &EvolvingMatrixSequence, i: usize) -> Vec<(usize, usize, f64, f64)> {
-        let delta = member_delta(ems, i, &self.row_old_to_new, &self.col_old_to_new);
+    /// Takes member `i`'s delta from its predecessor and writes it into the
+    /// held member (in place: the union pattern holds every member's
+    /// entries).
+    fn advance(&mut self, ems: &EvolvingMatrixSequence, i: usize) {
+        let delta = ems
+            .matrix(i - 1)
+            .delta_to(ems.matrix(i), 0.0)
+            .expect("matrices of an EMS share a shape");
+        self.maintainer.take(&delta);
         let stored = self.maintainer.matrix().nnz();
-        self.maintainer.write(&delta);
+        self.maintainer.write();
         debug_assert_eq!(
             self.maintainer.matrix().nnz(),
             stored,
             "a position off the union"
         );
-        delta
     }
 
     /// Reaches the held member from `factors`, its predecessor's: by the
-    /// numeric pass over `delta`'s rows' elimination reach, run on `spare` —
-    /// the two swap on success — so a pass that fails leaves `factors`
-    /// untouched and the member falls back to Bennett's sweeps from them; in
-    /// the paper-faithful mode by the sweeps alone.
-    fn step(
-        &mut self,
-        delta: &[(usize, usize, f64, f64)],
-        factors: &mut LuFactors,
-        report: &mut RunReport,
-    ) -> LuResult<()> {
+    /// numeric pass over the delta's rows' elimination reach, run on the
+    /// spare copy — the two swap on success — so a pass that fails leaves
+    /// `factors` untouched and the member falls back to Bennett's sweeps from
+    /// them; in the paper-faithful mode by the sweeps alone.
+    fn step(&mut self, factors: &mut LuFactors, report: &mut RunReport) -> LuResult<()> {
         if !self.bennett_only {
             let t = Instant::now();
-            self.spare.clone_from(factors);
-            let pass = self.maintainer.refactor_reach(&mut self.spare, delta);
+            let spare = match &mut self.spare {
+                Some(spare) => {
+                    spare.clone_from(factors);
+                    spare
+                }
+                None => self.spare.insert(factors.clone()),
+            };
+            let pass = self.maintainer.refactor_reach(spare);
             report.timings.full_decomposition += t.elapsed();
             if pass.is_ok() {
-                std::mem::swap(factors, &mut self.spare);
+                std::mem::swap(factors, spare);
                 report.numeric_members += 1;
                 return Ok(());
             }
         }
         let t = Instant::now();
-        let stats = apply_delta_with(factors, &mut self.bennett, delta)?;
+        let stats = apply_delta_with(factors, &mut self.bennett, self.maintainer.delta())?;
         count_bennett(report, &stats, t);
         Ok(())
     }
@@ -504,12 +505,12 @@ pub fn decompose_cluster_universal(
     push_member(cluster.start, &ordering, factors.nnz(), kept, report, out);
 
     // The remaining members, each from its predecessor.
-    let mut members = UniversalMembers::new(first, &factors, &ordering, config.bennett_only);
+    let mut members = UniversalMembers::new(first, &ordering, config.bennett_only);
     for i in cluster.start + 1..cluster.end {
         let t = Instant::now();
-        let delta = members.advance(ems, i);
+        members.advance(ems, i);
         report.timings.incremental += t.elapsed();
-        members.step(&delta, &mut factors, report)?;
+        members.step(&mut factors, report)?;
         let kept = keep(&factors);
         push_member(i, &ordering, factors.nnz(), kept, report, out);
     }
@@ -617,19 +618,39 @@ mod tests {
                 let first = reordered_over(&reordered_union, ems.matrix(cluster.start), &ordering);
                 assert_holds_member(&first, &ems, cluster.start, &ordering);
                 let mut factors = LuFactors::factorize(structure, &first).unwrap();
-                let mut members = UniversalMembers::new(first, &factors, &ordering, false);
+                let mut members = UniversalMembers::new(first, &ordering, false);
                 for i in cluster.start + 1..cluster.end {
-                    let delta = members.advance(&ems, i);
+                    members.advance(&ems, i);
                     let mut fork = members.clone();
                     fork.bennett_only = true;
-                    fork.step(&delta, &mut factors.clone(), &mut report)
-                        .unwrap();
+                    fork.step(&mut factors.clone(), &mut report).unwrap();
                     assert_holds_member(fork.maintainer.matrix(), &ems, i, &ordering);
-                    members.step(&delta, &mut factors, &mut report).unwrap();
+                    members.step(&mut factors, &mut report).unwrap();
                     assert_holds_member(members.maintainer.matrix(), &ems, i, &ordering);
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_faithful_cluster_never_copies_its_factors() {
+        let ems = egs_shape(11);
+        let (clustering, unions) = alpha_clustering_with_unions(&ems, 0.95).unwrap();
+        let mut report = RunReport::new("faithful");
+        for (cluster, union) in clustering.clusters().iter().zip(&unions) {
+            let (ordering, reordered_union, structure) =
+                universal_structure(union, None, &mut report);
+            let first = reordered_over(&reordered_union, ems.matrix(cluster.start), &ordering);
+            let mut factors = LuFactors::factorize(structure, &first).unwrap();
+            let mut members = UniversalMembers::new(first, &ordering, true);
+            for i in cluster.start + 1..cluster.end {
+                members.advance(&ems, i);
+                members.step(&mut factors, &mut report).unwrap();
+            }
+            assert!(members.spare.is_none(), "cluster {cluster:?}");
+        }
+        assert!(report.bennett_members > 0);
+        assert_eq!(report.numeric_members, 0);
     }
 
     #[test]

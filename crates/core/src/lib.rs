@@ -61,7 +61,7 @@ pub use ems::EvolvingMatrixSequence;
 pub use partition::edge_locality_partition;
 pub use qc::{beta_clustering_cinc, beta_clustering_clude, CincQc, CludeQc};
 pub use quality::{
-    evaluate_orderings, quality_loss_from_sizes, quality_loss_with_reference, refresh_decision,
-    MarkowitzReference, QualityEvaluation, RefreshDecision,
+    evaluate_orderings, quality_loss_from_sizes, quality_loss_with_reference, MarkowitzReference,
+    QualityEvaluation,
 };
 pub use report::{RunReport, TimingBreakdown};

@@ -78,47 +78,6 @@ pub fn quality_loss_from_sizes(size_under_ordering: usize, reference_size: usize
     (size_under_ordering as f64 - reference_size as f64) / reference_size as f64
 }
 
-/// The outcome of a factor-store refresh check (used by the streaming
-/// engine's `Clude`-style policy).
-///
-/// A long-lived ordering degrades as the graph drifts away from the matrix it
-/// was computed for: the factors accumulate fill-in that a fresh Markowitz
-/// ordering would avoid.  This hook turns the paper's quality-loss metric
-/// (Definition 4) into a refresh decision by comparing the current factor
-/// size against the reference size recorded at the last (re-)factorization.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RefreshDecision {
-    /// `ql` of the current factors against the recorded reference.
-    pub quality_loss: f64,
-    /// `true` when the loss exceeded the configured budget and the factors
-    /// should be rebuilt under a fresh ordering.
-    pub should_refresh: bool,
-}
-
-/// Decides whether incrementally maintained factors have degraded past the
-/// quality budget `max_quality_loss` and should be re-clustered/refreshed.
-///
-/// `current_size` is the present `|s̃p(Â)|` (factor nnz); `reference_size` is
-/// the size recorded when the ordering was last recomputed.
-///
-/// # Panics
-/// Panics when `reference_size` is zero or `max_quality_loss` is negative.
-pub fn refresh_decision(
-    current_size: usize,
-    reference_size: usize,
-    max_quality_loss: f64,
-) -> RefreshDecision {
-    assert!(
-        max_quality_loss >= 0.0,
-        "the quality-loss budget must be non-negative"
-    );
-    let quality_loss = quality_loss_from_sizes(current_size, reference_size);
-    RefreshDecision {
-        quality_loss,
-        should_refresh: quality_loss > max_quality_loss,
-    }
-}
-
 /// The per-matrix and average quality-loss of a sequence of orderings
 /// (one per matrix of the EMS).
 #[derive(Debug, Clone)]
@@ -246,27 +205,6 @@ mod tests {
         let ems = EvolvingMatrixSequence::new(vec![a]).unwrap();
         let reference = MarkowitzReference::compute(&ems);
         evaluate_orderings(&ems, &[] as &[Ordering], &reference);
-    }
-
-    #[test]
-    fn refresh_decision_thresholds() {
-        // 20 % degradation against a 0.5 budget: keep going.
-        let keep = refresh_decision(12, 10, 0.5);
-        assert!(!keep.should_refresh);
-        assert!((keep.quality_loss - 0.2).abs() < 1e-12);
-        // 100 % degradation against the same budget: refresh.
-        let refresh = refresh_decision(20, 10, 0.5);
-        assert!(refresh.should_refresh);
-        assert!((refresh.quality_loss - 1.0).abs() < 1e-12);
-        // A zero budget refreshes on any degradation but not at parity.
-        assert!(!refresh_decision(10, 10, 0.0).should_refresh);
-        assert!(refresh_decision(11, 10, 0.0).should_refresh);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn refresh_decision_rejects_negative_budget() {
-        refresh_decision(10, 10, -0.1);
     }
 
     #[test]

@@ -425,7 +425,6 @@ impl Checkpointer {
 mod tests {
     use super::*;
     use crate::sharded::ShardedFactorStore;
-    use crate::store::RefreshPolicy;
     use crate::vfs::FailpointFs;
     use clude_graph::GraphDelta;
 
@@ -435,7 +434,7 @@ mod tests {
         ShardedFactorStore::new(
             graph,
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
             NodePartition::contiguous(n, k),
         )
         .unwrap()
@@ -454,7 +453,7 @@ mod tests {
         let mut store = ShardedFactorStore::new(
             graph,
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
             NodePartition::contiguous(n, 4),
         )
         .unwrap();

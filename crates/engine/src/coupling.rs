@@ -428,7 +428,6 @@ mod tests {
     use super::plan::gauss_seidel_order;
     use super::*;
     use crate::sharded::ShardedFactorStore;
-    use crate::store::RefreshPolicy;
     use clude_graph::{measure_matrix, DiGraph, MatrixKind, NodePartition};
     use clude_measures::MeasureSolver;
     use clude_sparse::{CooMatrix, CsrMatrix};
@@ -542,7 +541,7 @@ mod tests {
         let store = ShardedFactorStore::new(
             g,
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
             partition,
         )
         .unwrap()
@@ -680,7 +679,7 @@ mod tests {
         let store = ShardedFactorStore::new(
             g,
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
             partition,
         )
         .unwrap()

@@ -28,9 +28,9 @@ use crate::error::{EngineError, EngineResult};
 use crate::ingest::{BatchPolicy, DeltaIngestor, EdgeOp, IngestOutcome};
 use crate::query::QueryService;
 use crate::recovery::{self, RecoveryReport};
-use crate::sharded::{PartitionStrategy, ShardedAdvanceReport, ShardedFactorStore};
+use crate::sharded::{check_budget, PartitionStrategy, ShardedAdvanceReport, ShardedFactorStore};
 use crate::stats::EngineStats;
-use crate::store::{EngineSnapshot, MaintenanceArm, RefreshPolicy};
+use crate::store::{EngineSnapshot, MaintenanceArm};
 use crate::sync::Recover;
 use clude::partition::edge_locality_partition;
 use clude_graph::{btf_partition, DiGraph, GraphDelta, MatrixKind, NodePartition};
@@ -52,9 +52,15 @@ pub struct EngineConfig {
     pub matrix_kind: MatrixKind,
     /// When to cut ingest batches.
     pub batch: BatchPolicy,
-    /// When to abandon the ordering and re-factorize.  A negative or NaN
-    /// quality-loss budget is an [`EngineError::InvalidConfig`].
-    pub refresh: RefreshPolicy,
+    /// The quality-loss budget: a shard block whose factors' quality-loss
+    /// (Definition 4) against its last re-order exceeds it re-orders and
+    /// re-factorizes with the next batch that touches it, CLUDE's new
+    /// cluster.  The default 1.0 re-orders at 100 % degradation — roughly
+    /// where the paper's Figure 5 shows INC's single ordering has become
+    /// untenable; `f64::INFINITY` never re-orders for quality (INC: nothing
+    /// prunes the block's structure, so it only grows).  A negative or NaN
+    /// budget is an [`EngineError::InvalidConfig`].
+    pub max_quality_loss: f64,
     /// How many recent snapshots stay queryable (time-travel window); must be
     /// at least 1 ([`EngineError::InvalidConfig`] otherwise).  The
     /// ring shares untouched shards' factor blocks between entries and holds
@@ -94,7 +100,7 @@ impl Default for EngineConfig {
         EngineConfig {
             matrix_kind: MatrixKind::random_walk_default(),
             batch: BatchPolicy::default(),
-            refresh: RefreshPolicy::default(),
+            max_quality_loss: 1.0,
             ring_capacity: 8,
             cache_shards: 8,
             cache_capacity_per_shard: 128,
@@ -125,13 +131,7 @@ impl EngineConfig {
         if self.cache_capacity_per_shard == 0 {
             return invalid("cache_capacity_per_shard must be at least 1".into());
         }
-        if let RefreshPolicy::QualityTriggered { max_quality_loss } = self.refresh {
-            if max_quality_loss.is_nan() || max_quality_loss < 0.0 {
-                return invalid(format!(
-                    "max_quality_loss must be non-negative, got {max_quality_loss}"
-                ));
-            }
-        }
+        check_budget(self.max_quality_loss)?;
         self.tolerance
             .validate()
             .map_err(EngineError::InvalidConfig)
@@ -215,9 +215,10 @@ impl CludeEngine {
         // Every engine count is kept here, per shard where it belongs.
         let telemetry = TelemetryRegistry::with_shards(config.telemetry, partition.n_shards());
         let telemetry = Arc::new(telemetry);
-        let store = ShardedFactorStore::new(base, config.matrix_kind, config.refresh, partition)?
-            .with_telemetry(Arc::clone(&telemetry))
-            .with_tolerance(config.tolerance)?;
+        let store =
+            ShardedFactorStore::new(base, config.matrix_kind, config.max_quality_loss, partition)?
+                .with_telemetry(Arc::clone(&telemetry))
+                .with_tolerance(config.tolerance)?;
         Self::from_store(store, config, telemetry)
     }
 
@@ -284,8 +285,9 @@ impl CludeEngine {
         let max_committed_gen = loaded.max_committed_gen;
         let n_shards = loaded.image.partition.n_shards();
         let telemetry = Arc::new(TelemetryRegistry::with_shards(config.telemetry, n_shards));
-        let store = ShardedFactorStore::restore(config.refresh, config.tolerance, loaded.image)?
-            .with_telemetry(Arc::clone(&telemetry));
+        let store =
+            ShardedFactorStore::restore(config.max_quality_loss, config.tolerance, loaded.image)?
+                .with_telemetry(Arc::clone(&telemetry));
         let replay = recovery::read_wal(&*durability.vfs, &durability.dir, checkpoint_snapshot)?;
         let engine = Self::from_store(store, config, telemetry)?;
         let mut report = RecoveryReport {
@@ -496,14 +498,14 @@ impl CludeEngine {
             t.add_shard(s, ShardCounter::EntriesApplied, shard.entries_applied);
             t.add_shard(s, ShardCounter::CrossShardEdges, shard.cross_edges_seen);
             t.add(Counter::SlotsAdded, shard.slots_added);
-            let Some(arm) = shard.arm else { continue };
-            match arm.counter() {
-                Some(counter) => t.incr(counter),
-                None => t.add_shard(s, ShardCounter::Reorders, 1),
-            }
-            if arm == MaintenanceArm::Refactor {
-                t.add(Counter::FrozenRowsRefactored, shard.rows_refactored);
-                t.add(Counter::FrozenBlockRows, shard.block_order);
+            match shard.arm {
+                Some(MaintenanceArm::Refactor) => {
+                    t.incr(Counter::RefactorArm);
+                    t.add(Counter::FrozenRowsRefactored, shard.rows_refactored);
+                    t.add(Counter::FrozenBlockRows, shard.block_order);
+                }
+                Some(MaintenanceArm::Reorder) => t.add_shard(s, ShardCounter::Reorders, 1),
+                None => {}
             }
         }
         // Snapshot-ring sharing: the batch replaced the factor blocks of the
@@ -1231,13 +1233,8 @@ mod tests {
                 let err = CludeEngine::new(ring_graph(8), btf).unwrap_err();
                 assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
                 let partition = NodePartition::contiguous(8, n_shards);
-                let err = ShardedFactorStore::new(
-                    ring_graph(8),
-                    matrix_kind,
-                    RefreshPolicy::default(),
-                    partition,
-                )
-                .unwrap_err();
+                let err = ShardedFactorStore::new(ring_graph(8), matrix_kind, 1.0, partition)
+                    .unwrap_err();
                 assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
                 assert!(err.to_string().contains(needle), "{err}");
             }
@@ -1257,7 +1254,7 @@ mod tests {
     fn negative_or_nan_quality_budget_is_an_invalid_config() {
         for max_quality_loss in [-0.5, f64::NAN] {
             let config = EngineConfig {
-                refresh: RefreshPolicy::QualityTriggered { max_quality_loss },
+                max_quality_loss,
                 ..small_config(1)
             };
             assert_invalid_everywhere(config, "max_quality_loss");
@@ -1265,7 +1262,7 @@ mod tests {
         // Zero and +∞ are legal budgets (always / never refresh on growth).
         for max_quality_loss in [0.0, f64::INFINITY] {
             let config = EngineConfig {
-                refresh: RefreshPolicy::QualityTriggered { max_quality_loss },
+                max_quality_loss,
                 ..small_config(1)
             };
             let engine = CludeEngine::new(ring_graph(8), config).unwrap();
@@ -1648,8 +1645,7 @@ mod tests {
             } else {
                 NodePartition::contiguous(16, n_shards)
             };
-            let mut store =
-                ShardedFactorStore::new(graph, kind, RefreshPolicy::default(), partition).unwrap();
+            let mut store = ShardedFactorStore::new(graph, kind, 1.0, partition).unwrap();
             let cases = [
                 ("insert of a present edge", delta(&[(0, 1), (4, 12)], &[])),
                 ("self-loop inserted", delta(&[(5, 5), (5, 13)], &[])),

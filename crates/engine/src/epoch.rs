@@ -123,7 +123,6 @@ impl SnapshotHandle {
 mod tests {
     use super::*;
     use crate::sharded::ShardedFactorStore;
-    use crate::store::RefreshPolicy;
     use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
 
     fn store() -> ShardedFactorStore {
@@ -131,7 +130,7 @@ mod tests {
         ShardedFactorStore::new(
             g,
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
             NodePartition::singleton(4),
         )
         .unwrap()

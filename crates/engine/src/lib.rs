@@ -46,13 +46,14 @@
 //!   shard count: it partitions the node universe
 //!   (`clude_graph::NodePartition`; one shard is the whole graph) into
 //!   per-shard factor blocks plus a cross-shard coupling store, maintains
-//!   each block by CLUDE's numeric member step — its structure extended to
-//!   cover the batch's new entries, then a pass over the changed rows'
-//!   elimination reach — or by a re-order when the quality trigger fires
-//!   ([`store::MaintenanceArm`]), one shard after another on the thread that
-//!   applies the batch, and lets queries recombine the blocks exactly.  [`store::RefreshPolicy`] chooses between INC-style
-//!   one-ordering-forever and CLUDE-style re-ordering when the quality-loss
-//!   hook (`clude::refresh_decision`) reports degradation past the budget.
+//!   each block by CLUDE's member step, the [`clude_lu::Maintainer`] step
+//!   batch CLUDE takes too — its structure extended to cover the batch's new
+//!   entries, then a pass over the changed rows' elimination reach — or by a
+//!   re-order once the block's quality-loss passes one budget,
+//!   [`EngineConfig::max_quality_loss`] (infinite: INC's one ordering
+//!   forever) ([`store::MaintenanceArm`]), one shard after another on the
+//!   thread that applies the batch, and lets queries recombine the blocks
+//!   exactly.
 //! * [`store::EngineSnapshot`] is the immutable unit the ring retains: the
 //!   per-shard factor blocks and the frozen coupling are shared [`Arc`]
 //!   handles (see [`store::ShardSnapshot::shared`]), re-frozen by an advance
@@ -66,8 +67,7 @@
 //!   pass is exact on block-triangular coupling), over vectors laid out in
 //!   the shards' factored order (the [`coupling::CouplingStructure`]
 //!   value-only batches share), every answer accepted by
-//!   a real pass under a configurable [`coupling::SolveTolerance`], with
-//!   adaptive re-partitioning when the coupling outgrows its budget.
+//!   a real pass under a configurable [`coupling::SolveTolerance`].
 //! * [`query::QueryService`] answers typed
 //!   [`clude_measures::MeasureQuery`]s against immutable snapshots with a
 //!   sharded LRU result cache; coupled sharded solves substitute in place
@@ -128,5 +128,5 @@ pub use query::QueryService;
 pub use recovery::RecoveryReport;
 pub use sharded::{PartitionStrategy, ShardAdvance, ShardedAdvanceReport, ShardedFactorStore};
 pub use stats::{EngineStats, ShardStats};
-pub use store::{EngineSnapshot, MaintenanceArm, RefreshPolicy, ShardSnapshot};
+pub use store::{EngineSnapshot, MaintenanceArm, ShardSnapshot};
 pub use vfs::{FailpointFs, Injection, StdFs, Vfs, VfsFile};

@@ -251,7 +251,6 @@ mod tests {
     use super::*;
     use crate::sharded::ShardedFactorStore;
     use crate::stats::EngineStats;
-    use crate::store::RefreshPolicy;
     use clude_graph::{DiGraph, MatrixKind, NodePartition};
 
     fn store() -> ShardedFactorStore {
@@ -260,7 +259,7 @@ mod tests {
         ShardedFactorStore::new(
             g,
             MatrixKind::random_walk_default(),
-            RefreshPolicy::default(),
+            1.0,
             NodePartition::singleton(6),
         )
         .unwrap()

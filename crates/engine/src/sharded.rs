@@ -21,12 +21,13 @@
 //!
 //! A [`GraphDelta`] is routed entry-wise: an entry whose row and column live
 //! in the same shard joins that shard's slice of the batch (in local
-//! coordinates), which one maintenance decision per shard absorbs
-//! ([`MaintenanceArm`]): CLUDE's numeric member step — the block's
+//! coordinates), which the shard absorbs by CLUDE's member step, the one
+//! [`clude_lu::Maintainer`] step batch CLUDE takes too — the block's
 //! structure extended to cover the slice's new entries, then a pass over the
-//! changed rows' elimination reach — unless the quality trigger re-orders
-//! the block; a cross-shard entry is a plain value write into the coupling —
-//! it never touches any factors.  The
+//! changed rows' elimination reach — unless the one decision, the quality
+//! trigger, finds the block's quality-loss over `max_quality_loss` and
+//! re-orders it ([`MaintenanceArm`]); a cross-shard entry is a plain value
+//! write into the coupling — it never touches any factors.  The
 //! frozen coupling snapshots serve from *is* the state, CLUDE's shared
 //! structure over per-snapshot values: a batch whose writes land on stored
 //! positions copies one value array and writes them by position, and only
@@ -34,8 +35,8 @@
 //! The per-shard entry lists are disjoint, so each shard with pending work
 //! applies its slice with its own scratch, one shard after another on the
 //! thread that applies the batch.  The copy the pass runs on costs the rows
-//! the slice changes ([`extend_structure`]), not the block, and the pass the
-//! rows their changes reach.
+//! the slice changes ([`clude_lu::extend_structure`]), not the block, and
+//! the pass the rows their changes reach.
 //!
 //! Queries recombine exactly: snapshots expose the per-shard factors plus a
 //! frozen coupling, and the block Gauss–Seidel pass over them
@@ -49,13 +50,12 @@ use crate::coupling::{FrozenCoupling, SolveTolerance};
 use crate::error::{EngineError, EngineResult};
 use crate::store::{
     global_matrix_delta, order_and_factorize, EngineSnapshot, MaintenanceArm, OldSuccessors,
-    OrderedFactors, RefreshPolicy, ShardSnapshot, Staged,
+    OrderedFactors, ShardSnapshot,
 };
-use clude::refresh_decision;
 use clude_graph::{
     coupling_matrix, shard_measure_matrix, DiGraph, GraphDelta, MatrixKind, NodePartition,
 };
-use clude_lu::{extend_structure, factorize_fresh};
+use clude_lu::factorize_fresh;
 use clude_sparse::Ordering;
 use clude_telemetry::{Stage, TelemetryRegistry};
 use std::sync::Arc;
@@ -90,6 +90,18 @@ fn cross_shard_coupling(
     FrozenCoupling::new(partition, orderings(shards), &matrix, false)
 }
 
+/// Refuses a quality-loss budget no comparison can honour: a negative one
+/// would re-order every block on every batch, a NaN one never.  Zero
+/// re-orders on any growth, `f64::INFINITY` never (INC).
+pub(crate) fn check_budget(max_quality_loss: f64) -> EngineResult<()> {
+    if max_quality_loss.is_nan() || max_quality_loss < 0.0 {
+        return Err(EngineError::InvalidConfig(format!(
+            "max_quality_loss must be non-negative, got {max_quality_loss}"
+        )));
+    }
+    Ok(())
+}
+
 /// The shards' orderings, by shard: what the coupling's layout follows.
 fn orderings(shards: &[OrderedFactors]) -> Vec<Arc<Ordering>> {
     shards.iter().map(|s| Arc::clone(&s.ordering)).collect()
@@ -108,8 +120,8 @@ pub struct ShardAdvance {
     /// The arm that absorbed this shard's slice of the batch (`None` for a
     /// shard the batch did not touch): the one the maintenance decision
     /// chose, or [`MaintenanceArm::Reorder`] when a guard failure abandoned
-    /// it (the journal's `RefreshTriggered { numeric: true, .. }` marks
-    /// those).
+    /// it (the journal's `RefreshTriggered` with a pivot or structure
+    /// reason marks those).
     pub arm: Option<MaintenanceArm>,
     /// Rows the numeric pass recomputed: the elimination reach of the
     /// slice's changed rows (0 for a re-order).
@@ -161,7 +173,10 @@ pub struct ShardedAdvanceReport {
 #[cfg_attr(test, derive(Clone))]
 pub struct ShardedFactorStore {
     kind: MatrixKind,
-    policy: RefreshPolicy,
+    /// A block whose quality-loss is over this budget re-orders with the
+    /// next batch that touches it; `f64::INFINITY` never re-orders for
+    /// quality (INC).
+    max_quality_loss: f64,
     partition: Arc<NodePartition>,
     graph: DiGraph,
     shards: Vec<OrderedFactors>,
@@ -190,15 +205,17 @@ impl ShardedFactorStore {
     /// Builds the store for a base graph over the given partition: derives
     /// and factorizes every shard's principal submatrix and collects the
     /// cross-shard entries into the coupling.  A kind outside its domain
-    /// ([`MatrixKind::validate`]) or a partition that does not cover the
-    /// graph's node universe is an [`EngineError::InvalidConfig`].
+    /// ([`MatrixKind::validate`]), a negative or NaN `max_quality_loss` or a
+    /// partition that does not cover the graph's node universe is an
+    /// [`EngineError::InvalidConfig`].
     pub fn new(
         graph: DiGraph,
         kind: MatrixKind,
-        policy: RefreshPolicy,
+        max_quality_loss: f64,
         partition: NodePartition,
     ) -> EngineResult<Self> {
         kind.validate().map_err(EngineError::InvalidConfig)?;
+        check_budget(max_quality_loss)?;
         if graph.n_nodes() != partition.n_nodes() {
             return Err(EngineError::InvalidConfig(format!(
                 "partition covers {} nodes but the graph has {}",
@@ -213,7 +230,7 @@ impl ShardedFactorStore {
         let published_coupling = cross_shard_coupling(&graph, kind, &partition, &shards);
         Ok(ShardedFactorStore {
             kind,
-            policy,
+            max_quality_loss,
             partition,
             graph,
             shards,
@@ -264,12 +281,14 @@ impl ShardedFactorStore {
     /// than the original did — same answers, to the arms' 1e-12 agreement.
     /// A shard the image's ordering does not fit, or whose
     /// block meets a singular pivot under it, is an
-    /// [`EngineError::Persistence`].
+    /// [`EngineError::Persistence`]; a negative or NaN `max_quality_loss`
+    /// an [`EngineError::InvalidConfig`].
     pub(crate) fn restore(
-        policy: RefreshPolicy,
+        max_quality_loss: f64,
         tolerance: SolveTolerance,
         image: StoreImage,
     ) -> EngineResult<Self> {
+        check_budget(max_quality_loss)?;
         let StoreImage {
             snapshot_id,
             kind,
@@ -301,7 +320,7 @@ impl ShardedFactorStore {
         let published_coupling = cross_shard_coupling(&graph, kind, &partition, &shards);
         Ok(ShardedFactorStore {
             kind,
-            policy,
+            max_quality_loss,
             partition,
             graph,
             shards,
@@ -341,9 +360,9 @@ impl ShardedFactorStore {
         self.kind
     }
 
-    /// The refresh policy in force.
-    pub fn policy(&self) -> RefreshPolicy {
-        self.policy
+    /// The quality-loss budget in force.
+    pub fn max_quality_loss(&self) -> f64 {
+        self.max_quality_loss
     }
 
     /// The node partition the store is sharded by.
@@ -414,11 +433,11 @@ impl ShardedFactorStore {
     ///
     /// The batch's matrix entries are derived from the graph delta alone,
     /// routed by the partition — intra-shard entries become per-shard slices
-    /// (translated to local factor coordinates), cross-shard entries are
-    /// value writes into the coupling — and each shard with pending work
-    /// runs its staged arm, in shard order, on the calling thread.  Numeric
-    /// failures and policy trips refresh only the affected shard; an `Ok`
-    /// return always leaves servable factors.
+    /// in local coordinates, cross-shard entries are value writes into the
+    /// coupling — and each shard with pending work absorbs its slice, in
+    /// shard order, on the calling thread.  Numeric failures and quality
+    /// trips re-order only the affected shard; an `Ok` return always leaves
+    /// servable factors.
     ///
     /// An `Err` (a shard's re-order itself failed, which a diagonally
     /// dominant block cannot trigger in practice) leaves the store
@@ -480,29 +499,38 @@ impl ShardedFactorStore {
             coupling_writes: coupling_writes.len() as u64,
             ..ShardedAdvanceReport::default()
         };
-        // Per shard with work: the one maintenance decision, staged —
-        // pattern- and count-only, so taking it after the graph mutation
-        // changes nothing — then its arm.  The arms run in shard order on
-        // this thread: at these block sizes an arm costs less than the spawn
-        // and join that would overlap it with its siblings (ROADMAP
-        // "Measured" has the numbers).
-        let mut ordering_moved = false;
+        // Per shard with work: the one maintenance decision — the quality
+        // trigger, Definition 4 against the size at the block's last
+        // re-order, from counts only, so the same stream decides the same
+        // way on every run and no clock is read — then its arm.  A block
+        // over the budget re-orders: the batch is absorbed by the fresh
+        // factorization, no work is spent on factors about to be dropped.
+        // The arms run in shard order on this thread: at these block sizes
+        // an arm costs less than the spawn and join that would overlap it
+        // with its siblings (ROADMAP "Measured" has the numbers).
         for s in (0..k).filter(|&s| !shard_entries[s].is_empty()) {
-            let staged = self.stage(s, &shard_entries[s]);
-            let outcome = self.shards[s].maintain(staged, &self.telemetry, s, self.snapshot_id)?;
+            let shard = &mut self.shards[s];
+            let reorder = shard.quality_loss() > self.max_quality_loss;
+            #[cfg(test)]
+            let reorder = self
+                .forced_arm
+                .map_or(reorder, |arm| arm == MaintenanceArm::Reorder);
+            let outcome = shard.absorb(
+                &shard_entries[s],
+                reorder,
+                &self.telemetry,
+                s,
+                self.snapshot_id,
+            )?;
             report.per_shard[s] = ShardAdvance {
-                entries_applied: shard_entries[s].len() as u64,
-                arm: Some(outcome.arm),
-                rows_refactored: outcome.rows_refactored as u64,
-                block_order: self.shards[s].factors().n() as u64,
-                slots_added: outcome.slots_added,
-                ..report.per_shard[s]
+                shard: s,
+                cross_edges_seen: report.per_shard[s].cross_edges_seen,
+                ..outcome
             };
             // Copy-on-write: only the shards this batch maintained installed
             // a new block; every other shard keeps serving the block older
             // snapshots already hold.  Only a re-order moves the ordering.
-            report.refreshed |= outcome.arm == MaintenanceArm::Reorder;
-            ordering_moved |= outcome.arm == MaintenanceArm::Reorder;
+            report.refreshed |= outcome.arm == Some(MaintenanceArm::Reorder);
             report.shards_republished += 1;
         }
         // Copy-on-write like the factor blocks: the coupling re-freezes only
@@ -511,13 +539,13 @@ impl ShardedFactorStore {
         // the previous snapshots' coupling, and with it their plan.  Every
         // affected source owns its own matrix column (or row), so the writes
         // name distinct positions.
-        if !coupling_writes.is_empty() || ordering_moved {
+        if !coupling_writes.is_empty() || report.refreshed {
             let freeze = self.telemetry.span(Stage::SnapshotFreeze);
             let mut coupling = Arc::clone(&self.published_coupling);
             if !coupling_writes.is_empty() {
                 coupling = coupling.written(&mut coupling_writes);
             }
-            if ordering_moved {
+            if report.refreshed {
                 coupling = coupling.reordered(&self.partition, orderings(&self.shards));
             }
             self.published_coupling = coupling;
@@ -532,67 +560,6 @@ impl ShardedFactorStore {
         }
         report.quality_loss = self.quality_loss();
         Ok(report)
-    }
-
-    /// The one maintenance decision for shard `s`'s slice of a batch,
-    /// staged before its arm runs — from counts only, so the same stream
-    /// decides the same way on every run and no clock is read.
-    ///
-    /// `entries` is the matrix entries the slice changes (local
-    /// coordinates), which the shard keeps translated into factor
-    /// coordinates for its arm.  A block whose quality-loss
-    /// ([`refresh_decision`], Definition 4 against the size at its last
-    /// re-order) is over the policy's budget re-orders — this batch is
-    /// absorbed by the fresh factorization, no work is spent on factors about
-    /// to be dropped.  Every other slice takes CLUDE's numeric member step:
-    /// when an entry escapes the block's structure, the block extended to
-    /// cover the slice's entries ([`extend_structure`]) is made here, under a
-    /// `snapshot.freeze` span, so the per-layer table charges the copy to
-    /// the copy, not to the pass — it costs the rows the slice changes plus
-    /// one pass over the slots; a slice that stays inside the structure runs
-    /// on a plain copy of the block, which the pass makes.
-    fn stage(&mut self, s: usize, entries: &[(usize, usize, f64, f64)]) -> Staged {
-        let shard = &mut self.shards[s];
-        let (rows, cols) = (&shard.row_old_to_new, &shard.col_old_to_new);
-        shard.mapped.clear();
-        shard.mapped.extend(
-            entries
-                .iter()
-                .map(|&(r, c, old, new)| (rows[r], cols[c], old, new)),
-        );
-        let shard = &self.shards[s];
-        let structure = shard.factors().structure();
-        let over_budget = match self.policy {
-            RefreshPolicy::QualityTriggered { max_quality_loss } => {
-                refresh_decision(structure.nnz(), shard.reference_nnz, max_quality_loss)
-                    .should_refresh
-            }
-            RefreshPolicy::Incremental => false,
-        };
-        let arm = if over_budget {
-            MaintenanceArm::Reorder
-        } else {
-            MaintenanceArm::Refactor
-        };
-        #[cfg(test)]
-        let arm = self.forced_arm.unwrap_or(arm);
-        match arm {
-            MaintenanceArm::Refactor => {
-                // An entry with a nonzero old value is a stored position of
-                // the held matrix, which the structure covers: only the
-                // others can escape it.
-                let escapes = shard
-                    .mapped
-                    .iter()
-                    .any(|&(i, j, old, _)| old == 0.0 && !structure.contains(i, j));
-                let positions = shard.mapped.iter().map(|&(i, j, ..)| (i, j));
-                Staged::Refactor(escapes.then(|| {
-                    let _freeze = self.telemetry.span(Stage::SnapshotFreeze);
-                    extend_structure(shard.factors(), positions)
-                }))
-            }
-            MaintenanceArm::Reorder => Staged::Reorder,
-        }
     }
 
     /// Debug invariant: block-diagonal shard factors reconstruct their
@@ -704,14 +671,12 @@ mod tests {
         let n = 12;
         let g = base_graph(n);
         let kind = MatrixKind::random_walk_default();
-        let policy = RefreshPolicy::QualityTriggered {
-            max_quality_loss: 0.5,
-        };
+        let budget = 0.5;
         let partition = NodePartition::contiguous(n, 3);
-        let mut sharded = ShardedFactorStore::new(g.clone(), kind, policy, partition).unwrap();
+        let mut sharded = ShardedFactorStore::new(g.clone(), kind, budget, partition).unwrap();
         // The same machine at k = 1: the whole graph as one block.
         let mut one_shard =
-            ShardedFactorStore::new(g, kind, policy, NodePartition::singleton(n)).unwrap();
+            ShardedFactorStore::new(g, kind, budget, NodePartition::singleton(n)).unwrap();
         assert_eq!(sharded.n_shards(), 3);
         assert_eq!(one_shard.n_shards(), 1);
         assert_queries_match(&sharded, n);
@@ -759,8 +724,7 @@ mod tests {
         let g = DiGraph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
         let kind = MatrixKind::random_walk_default();
         let partition = NodePartition::contiguous(n, 4); // shards of 3
-        let mut store =
-            ShardedFactorStore::new(g, kind, RefreshPolicy::Incremental, partition).unwrap();
+        let mut store = ShardedFactorStore::new(g, kind, f64::INFINITY, partition).unwrap();
         // One intra-shard change per shard: all four shards extend and
         // refactor in one advance, nothing lands in the coupling.
         let delta = GraphDelta {
@@ -791,8 +755,7 @@ mod tests {
         let g = base_graph(n);
         let kind = MatrixKind::random_walk_default();
         let partition = NodePartition::contiguous(n, 2);
-        let mut store =
-            ShardedFactorStore::new(g, kind, RefreshPolicy::Incremental, partition).unwrap();
+        let mut store = ShardedFactorStore::new(g, kind, f64::INFINITY, partition).unwrap();
         let before = store.coupling_nnz();
         // 2 -> 6 is cross-shard; node 2 has existing intra successors whose
         // column weight rescales, so shard 0 still refactors — but shard 1
@@ -823,7 +786,7 @@ mod tests {
         let kind = MatrixKind::RandomWalk { damping: 0.995 };
         let partition = NodePartition::contiguous(n, 3);
         let telemetry = Arc::new(TelemetryRegistry::default());
-        let sharded = ShardedFactorStore::new(g, kind, RefreshPolicy::Incremental, partition)
+        let sharded = ShardedFactorStore::new(g, kind, f64::INFINITY, partition)
             .unwrap()
             .with_telemetry(Arc::clone(&telemetry));
         assert!(sharded.coupling_nnz() > 0, "ring edges cross the shards");
@@ -848,9 +811,9 @@ mod tests {
             g.add_undirected_edge(i, i + 1);
         }
         let kind = MatrixKind::SymmetricLaplacian { shift: 1.0 };
-        let policy = RefreshPolicy::Incremental;
+        let budget = f64::INFINITY;
         let partition = NodePartition::contiguous(10, 2);
-        let mut sharded = ShardedFactorStore::new(g, kind, policy, partition).unwrap();
+        let mut sharded = ShardedFactorStore::new(g, kind, budget, partition).unwrap();
         let delta = GraphDelta {
             added: vec![(0, 8), (8, 0), (3, 6), (6, 3)],
             removed: vec![(4, 5), (5, 4)],
@@ -877,15 +840,7 @@ mod tests {
         let g = base_graph(n);
         let kind = MatrixKind::random_walk_default();
         let partition = NodePartition::contiguous(n, 2);
-        let mut store = ShardedFactorStore::new(
-            g,
-            kind,
-            RefreshPolicy::QualityTriggered {
-                max_quality_loss: 0.0,
-            },
-            partition,
-        )
-        .unwrap();
+        let mut store = ShardedFactorStore::new(g, kind, 0.0, partition).unwrap();
         // Densify shard 0 only; eventually its factors grow and it refreshes,
         // while shard 1 never does.
         let mut refreshed = [false, false];
@@ -910,7 +865,7 @@ mod tests {
         let mut store = ShardedFactorStore::new(
             g,
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
             NodePartition::contiguous(n, 3),
         )
         .unwrap();
@@ -974,11 +929,9 @@ mod tests {
     fn plan_is_frozen_with_the_coupling_and_answers_stay_exact() {
         let n = 12;
         let kind = MatrixKind::random_walk_default();
-        let policy = RefreshPolicy::QualityTriggered {
-            max_quality_loss: 0.5,
-        };
+        let budget = 0.5;
         let mut store =
-            ShardedFactorStore::new(base_graph(n), kind, policy, NodePartition::contiguous(n, 3))
+            ShardedFactorStore::new(base_graph(n), kind, budget, NodePartition::contiguous(n, 3))
                 .unwrap();
         let deltas = [
             GraphDelta {
@@ -1037,7 +990,7 @@ mod tests {
         let store = ShardedFactorStore::new(
             g,
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
             NodePartition::contiguous(n, 4),
         )
         .unwrap();
@@ -1151,7 +1104,7 @@ mod tests {
         let mut store = ShardedFactorStore::new(
             base_graph(n),
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
             NodePartition::contiguous(n, 3),
         )
         .unwrap();
@@ -1245,7 +1198,7 @@ mod tests {
         let store = ShardedFactorStore::new(
             g,
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
             NodePartition::contiguous(n, 4),
         )
         .unwrap();
@@ -1273,9 +1226,7 @@ mod tests {
         let mut store = ShardedFactorStore::new(
             base_graph(n),
             MatrixKind::random_walk_default(),
-            RefreshPolicy::QualityTriggered {
-                max_quality_loss: 0.0,
-            },
+            0.0,
             NodePartition::contiguous(n, 3),
         )
         .unwrap();
@@ -1311,9 +1262,12 @@ mod tests {
         }
         assert!(reordered, "shard 0 never re-ordered");
 
-        let restored =
-            ShardedFactorStore::restore(store.policy, store.tolerance, store.durable_state())
-                .unwrap();
+        let restored = ShardedFactorStore::restore(
+            store.max_quality_loss,
+            store.tolerance,
+            store.durable_state(),
+        )
+        .unwrap();
         assert!(restored.snapshot().shared_coupling().built_plan().is_none());
         assert_coupled_answers_exact(&restored, n);
     }
@@ -1355,8 +1309,7 @@ mod tests {
         let g = base_graph(n);
         let kind = MatrixKind::random_walk_default();
         let partition = NodePartition::contiguous(n, 3);
-        let mut sharded =
-            ShardedFactorStore::new(g, kind, RefreshPolicy::Incremental, partition).unwrap();
+        let mut sharded = ShardedFactorStore::new(g, kind, f64::INFINITY, partition).unwrap();
         // Removing an intra-shard edge is always value-only: shard 0 absorbs
         // it by a pass down its structure as it stands, the other shards stay
         // idle.
@@ -1413,9 +1366,7 @@ mod tests {
         let mut store = ShardedFactorStore::new(
             g,
             MatrixKind::random_walk_default(),
-            RefreshPolicy::QualityTriggered {
-                max_quality_loss: 0.0,
-            },
+            0.0,
             NodePartition::from_assignments((0..n).map(|u| u % 2).collect()),
         )
         .unwrap();
@@ -1446,7 +1397,7 @@ mod tests {
         let store = ShardedFactorStore::new(
             base_graph(n),
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
             NodePartition::contiguous(n, 3),
         )
         .unwrap()
@@ -1489,7 +1440,7 @@ mod tests {
             let err = ShardedFactorStore::new(
                 base_graph(n),
                 MatrixKind::random_walk_default(),
-                RefreshPolicy::Incremental,
+                f64::INFINITY,
                 NodePartition::contiguous(n, 2),
             )
             .unwrap()
@@ -1500,13 +1451,38 @@ mod tests {
     }
 
     #[test]
+    fn a_negative_or_nan_budget_is_an_invalid_config_of_the_store() {
+        // The store's own doors, built and restored: no comparison against a
+        // negative budget keeps a block, none against NaN re-orders one.
+        let n = 8;
+        let kind = MatrixKind::random_walk_default();
+        let store =
+            ShardedFactorStore::new(base_graph(n), kind, 1.0, NodePartition::contiguous(n, 2))
+                .unwrap();
+        for budget in [-0.5, f64::NAN] {
+            let built = ShardedFactorStore::new(
+                base_graph(n),
+                kind,
+                budget,
+                NodePartition::contiguous(n, 2),
+            );
+            let restored =
+                ShardedFactorStore::restore(budget, store.tolerance, store.durable_state());
+            for err in [built.unwrap_err(), restored.unwrap_err()] {
+                assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
+                assert!(err.to_string().contains("max_quality_loss"), "{err}");
+            }
+        }
+    }
+
+    #[test]
     fn out_of_range_deltas_are_rejected_without_mutating() {
         let n = 8;
         let g = base_graph(n);
         let mut store = ShardedFactorStore::new(
             g.clone(),
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
             NodePartition::contiguous(n, 2),
         )
         .unwrap();
@@ -1530,12 +1506,12 @@ mod tests {
         let store = ShardedFactorStore::new(
             base_graph(n),
             MatrixKind::random_walk_default(),
-            RefreshPolicy::default(),
+            1.0,
             NodePartition::contiguous(n, 2),
         )
         .unwrap();
         assert_eq!(store.matrix_kind(), MatrixKind::random_walk_default());
-        assert_eq!(store.policy(), RefreshPolicy::default());
+        assert_eq!(store.max_quality_loss(), 1.0);
         assert_eq!(store.n_shards(), 2);
         assert_eq!(store.partition().n_nodes(), n);
         assert!(store.factor_nnz() > 0);
@@ -1545,6 +1521,20 @@ mod tests {
         assert_eq!(snap.n_shards(), 2);
         assert_eq!(snap.id(), 0);
         assert_eq!(snap.coupling_nnz(), store.coupling_nnz());
+    }
+
+    #[test]
+    fn an_empty_universe_reports_no_quality_loss_and_advances() {
+        // Its one block is empty: no size to measure a loss against, and
+        // none to lose.
+        let kind = MatrixKind::random_walk_default();
+        let mut store =
+            ShardedFactorStore::new(DiGraph::new(0), kind, 0.0, NodePartition::singleton(0))
+                .unwrap();
+        assert_eq!(store.quality_loss(), 0.0);
+        let report = store.advance(&GraphDelta::empty()).unwrap();
+        assert_eq!((report.snapshot_id, report.quality_loss), (1, 0.0));
+        assert!(!report.refreshed);
     }
 
     #[test]
@@ -1568,7 +1558,7 @@ mod tests {
         let (partition, report) = btf_partition(&g, kind, 3);
         assert_eq!(report.n_sccs, 3);
         assert!(report.transversal_full);
-        let mut store = ShardedFactorStore::new(g, kind, RefreshPolicy::Incremental, partition)
+        let mut store = ShardedFactorStore::new(g, kind, f64::INFINITY, partition)
             .unwrap()
             .with_tolerance(SolveTolerance {
                 tol: 1e-13,
@@ -1618,7 +1608,7 @@ mod tests {
         let mut store = ShardedFactorStore::new(
             base_graph(n),
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
             NodePartition::contiguous(n, 3),
         )
         .unwrap();
@@ -1691,7 +1681,7 @@ mod tests {
         ShardedFactorStore::new(
             g,
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
             NodePartition::contiguous(n, 4),
         )
         .unwrap()
@@ -1727,9 +1717,7 @@ mod tests {
         // rescales stored positions (the pass over a plain copy), and shard 3
         // sits idle.
         let mut store = four_rings();
-        store.policy = RefreshPolicy::QualityTriggered {
-            max_quality_loss: 0.0,
-        };
+        store.max_quality_loss = 0.0;
         let grown = store
             .advance(&GraphDelta {
                 added: vec![(35, 52)],
@@ -1801,8 +1789,7 @@ mod tests {
         let (base, _) = wiki_stream(400, 0, 2, 11);
         let partition = edge_locality_partition(&base, 4);
         let kind = MatrixKind::random_walk_default();
-        let mut store =
-            ShardedFactorStore::new(base, kind, RefreshPolicy::Incremental, partition).unwrap();
+        let mut store = ShardedFactorStore::new(base, kind, f64::INFINITY, partition).unwrap();
         let (mut recomputed, mut rows) = (0, 0);
         for batch in 0..6 {
             let removed: Vec<(usize, usize)> = store
@@ -1867,7 +1854,7 @@ mod tests {
         let mut store = ShardedFactorStore::new(
             base_graph(n),
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
             NodePartition::singleton(n),
         )
         .unwrap();
@@ -1974,13 +1961,9 @@ mod tests {
         for seed in [11, 97] {
             let (base, batches) = wiki_stream(400, 2_200, 30, seed);
             let partition = edge_locality_partition(&base, 4);
-            let mut store = ShardedFactorStore::new(
-                base,
-                MatrixKind::random_walk_default(),
-                RefreshPolicy::default(),
-                partition,
-            )
-            .unwrap();
+            let mut store =
+                ShardedFactorStore::new(base, MatrixKind::random_walk_default(), 1.0, partition)
+                    .unwrap();
             let (mut structural, mut recomputed, mut rows) = (0, 0, 0);
             for (b, delta) in batches.iter().enumerate() {
                 let report = store.advance(delta).unwrap();
@@ -2025,11 +2008,9 @@ mod tests {
         // earlier, holds the strictly-lower column index.
         let (base, batches) = wiki_stream(400, 2_200, 30, 11);
         let partition = edge_locality_partition(&base, 4);
-        let policy = RefreshPolicy::QualityTriggered {
-            max_quality_loss: 0.05,
-        };
+        let budget = 0.05;
         let mut store =
-            ShardedFactorStore::new(base, MatrixKind::random_walk_default(), policy, partition)
+            ShardedFactorStore::new(base, MatrixKind::random_walk_default(), budget, partition)
                 .unwrap();
         let query = MeasureQuery::Rwr {
             seed: 3,
@@ -2139,7 +2120,8 @@ mod tests {
         fn assert_restores_to(store: &ShardedFactorStore) {
             let image = store.durable_state();
             let restored =
-                ShardedFactorStore::restore(store.policy, store.tolerance, image.clone()).unwrap();
+                ShardedFactorStore::restore(store.max_quality_loss, store.tolerance, image.clone())
+                    .unwrap();
             assert!(restored.snapshot().shared_coupling().built_plan().is_none());
             assert_eq!(restored.durable_state(), image);
             let n = store.graph().n_nodes();
@@ -2265,13 +2247,9 @@ mod tests {
                             Some(PartitionStrategy::EdgeLocality) => edge_locality_partition(&g, 4),
                             Some(PartitionStrategy::Btf) => btf_partition(&g, kind, 4).0,
                         };
-                        let mut store = ShardedFactorStore::new(
-                            g.clone(),
-                            kind,
-                            RefreshPolicy::Incremental,
-                            partition,
-                        )
-                        .unwrap();
+                        let mut store =
+                            ShardedFactorStore::new(g.clone(), kind, f64::INFINITY, partition)
+                                .unwrap();
                         if strategy.is_some() {
                             assert_eq!(store.n_shards(), 4);
                         }
@@ -2323,11 +2301,11 @@ mod tests {
                 cell in 0usize..8,
             ) {
                 let n = 16;
-                let (k, policy) = [
-                    (1, RefreshPolicy::Incremental),
-                    (1, RefreshPolicy::QualityTriggered { max_quality_loss: 0.15 }),
-                    (4, RefreshPolicy::Incremental),
-                    (4, RefreshPolicy::QualityTriggered { max_quality_loss: 0.15 }),
+                let (k, budget) = [
+                    (1, f64::INFINITY),
+                    (1, 0.15),
+                    (4, f64::INFINITY),
+                    (4, 0.15),
                 ][cell % 4];
                 let kind = [
                     MatrixKind::random_walk_default(),
@@ -2343,7 +2321,7 @@ mod tests {
                         let mut store = ShardedFactorStore::new(
                             g.clone(),
                             kind,
-                            policy,
+                            budget,
                             NodePartition::contiguous(n, k),
                         )
                         .unwrap();
@@ -2468,7 +2446,7 @@ mod tests {
                 let mut store = ShardedFactorStore::new(
                     g,
                     kind,
-                    RefreshPolicy::Incremental,
+                    f64::INFINITY,
                     NodePartition::contiguous(n, 4),
                 )
                 .unwrap();

@@ -119,7 +119,7 @@ impl EngineStats {
             ops_coalesced: count(Counter::OpsCoalesced),
             batches_applied: count(Counter::BatchesApplied),
             refreshes: count(Counter::BatchesReordered),
-            arms: MaintenanceArm::ALL.map(|arm| arm.counter().map_or(reorders, count)),
+            arms: [count(Counter::RefactorArm), reorders],
             frozen_rows_refactored: count(Counter::FrozenRowsRefactored),
             frozen_block_rows: count(Counter::FrozenBlockRows),
             slots_added: count(Counter::SlotsAdded),

@@ -7,64 +7,29 @@
 //!   it published, which is the live storage itself — its quality anchor,
 //!   and the [`clude_lu::Maintainer`] holding the matrix the block
 //!   factorizes, which every batch writes its slice into, so no arm reads
-//!   the graph.  Every slice takes one of two [`MaintenanceArm`]s, CLUDE's
-//!   member step or a re-order (`ShardedFactorStore::stage`): the block's
-//!   structure extended to cover the slice's entries
-//!   (`clude_lu::extend_structure`, the block itself when nothing escapes
-//!   it), then a numeric pass over the changed rows' elimination reach in
-//!   that structure ([`clude_lu::Maintainer::refactor_reach`]).
-//! * [`RefreshPolicy`] — when a block abandons its ordering, mirroring the
-//!   paper's algorithm families: [`RefreshPolicy::Incremental`] is INC-style
-//!   (one ordering forever, never re-ordered for quality, its structure only
-//!   growing);
-//!   [`RefreshPolicy::QualityTriggered`] is CLUDE-style (the factor size is
-//!   compared against the size recorded at the last re-order via
-//!   [`clude::refresh_decision`] (Definition 4's quality-loss), and a block
-//!   found over the budget re-orders and re-factorizes with the next batch
-//!   that touches it — the streaming analogue of starting a new cluster).
+//!   the graph.  Every slice takes CLUDE's member step through the
+//!   maintainer — the block extended to cover the slice's entries when one
+//!   escapes it, then a numeric pass over the changed rows' elimination
+//!   reach — unless the quality trigger re-orders the block
+//!   ([`MaintenanceArm`]).  The trigger is one budget: a block whose
+//!   Definition 4 quality-loss against its last re-order is over
+//!   `max_quality_loss` re-orders with the next batch that touches it — the
+//!   streaming analogue of starting a new cluster — and an infinite budget
+//!   is INC's one ordering forever.
 //!
 //! The store that owns the blocks and applies delta batches to them is
 //! [`crate::sharded::ShardedFactorStore`]; a whole-graph factorization is
 //! its one-shard case.
 
 use crate::coupling::{self, CouplingPlan, FrozenCoupling, SolveTolerance, System};
+use crate::sharded::ShardAdvance;
 use clude::{DecomposedMatrix, MatrixFactors};
 use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_lu::{factorize_fresh, markowitz_ordering, LuError, LuFactors, LuResult, Maintainer};
 use clude_measures::{evaluate_query_with, MeasureQuery, MeasureSolver};
 use clude_sparse::CsrMatrix;
-use clude_telemetry::{Counter, EngineEvent, FallbackReason, Stage, TelemetryRegistry};
+use clude_telemetry::{EngineEvent, RefreshReason, Stage, TelemetryRegistry};
 use std::sync::Arc;
-
-/// When the store abandons its ordering and re-factorizes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RefreshPolicy {
-    /// Never refresh: keep updating the first ordering's factors (INC).
-    ///
-    /// Nothing prunes the block's structure between re-orders, and only a
-    /// numeric fallback re-orders under this policy: every slice's new
-    /// entries extend the structure, and the zeros removals leave stay in
-    /// it as slots, so the block only grows — as the dynamic storage of the
-    /// paper's INC does.
-    Incremental,
-    /// Re-order a block whose factors' quality-loss against its last
-    /// re-order exceeds the budget, with the next batch that touches it
-    /// (CLUDE-style re-clustering).
-    QualityTriggered {
-        /// Maximum tolerated quality-loss before a refresh.
-        max_quality_loss: f64,
-    },
-}
-
-impl Default for RefreshPolicy {
-    /// Refresh at 100 % degradation — roughly where the paper's Figure 5
-    /// shows INC's single ordering has become untenable.
-    fn default() -> Self {
-        RefreshPolicy::QualityTriggered {
-            max_quality_loss: 1.0,
-        }
-    }
-}
 
 /// One shard's slice of an [`EngineSnapshot`]: the decomposed principal
 /// submatrix over the shard's nodes, in local coordinates.
@@ -248,13 +213,14 @@ impl MeasureSolver for EngineSnapshot {
 }
 
 /// The two ways a shard can absorb its slice of a batch — the range of the
-/// one maintenance decision (`ShardedFactorStore::stage`).
+/// one maintenance decision, the quality trigger
+/// (`OrderedFactors::absorb`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MaintenanceArm {
     /// CLUDE's numeric member step: one pass down the block's structure,
-    /// extended first to cover the slice's entries
-    /// (`clude_lu::extend_structure`), recomputing only the elimination
-    /// reach of the slice's changed rows from the held matrix
+    /// extended first to cover the slice's entries when one escapes it
+    /// ([`clude_lu::Maintainer::extended`]), recomputing only the
+    /// elimination reach of the slice's changed rows from the held matrix
     /// ([`clude_lu::Maintainer::refactor_reach`]), on a copy of the block.
     Refactor,
     /// A fresh Markowitz ordering and a factorization under it — the
@@ -270,51 +236,16 @@ impl MaintenanceArm {
     pub const fn index(self) -> usize {
         self as usize
     }
-
-    /// The registry counter of the shard-batches the arm absorbed; `None`
-    /// for [`MaintenanceArm::Reorder`], whose count is the sum of the
-    /// per-shard re-orders (`ShardCounter::Reorders`).
-    pub const fn counter(self) -> Option<Counter> {
-        match self {
-            MaintenanceArm::Refactor => Some(Counter::RefactorArm),
-            MaintenanceArm::Reorder => None,
-        }
-    }
-}
-
-/// One shard's decided arm, staged before it runs: the numeric pass carries
-/// the block's structure extended to cover the slice's entries, or `None`
-/// when none escapes it and the pass runs on a plain copy of the block.
-#[derive(Debug)]
-pub(crate) enum Staged {
-    Refactor(Option<LuResult<LuFactors>>),
-    Reorder,
-}
-
-/// What one shard did with its slice of a batch.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardOutcome {
-    /// The arm that produced the factors now live: the decided one, or
-    /// [`MaintenanceArm::Reorder`] when a guard failure abandoned it.
-    pub arm: MaintenanceArm,
-    /// Rows the numeric pass recomputed (0 for a re-order).
-    pub rows_refactored: usize,
-    /// Slots the extended copy holds beyond the block it extended (0 when
-    /// nothing escaped, and for a re-order).
-    pub slots_added: u64,
 }
 
 /// One factor shard: its matrix's fill-reducing ordering, its factors under
-/// that ordering, and the derived bookkeeping — the `old → new` index maps
-/// advances translate coordinates with, and the factor size that anchors the
-/// quality-loss metric — beside the [`Maintainer`] holding the matrix the
-/// factors factorize.  Local coordinates throughout.
+/// that ordering, the factor size that anchors the quality-loss metric, and
+/// the [`Maintainer`] holding the matrix the factors factorize and taking
+/// each slice's step.  Local coordinates throughout.
 #[derive(Debug, Clone)]
 pub(crate) struct OrderedFactors {
     /// Shared with every block published under it.
     pub ordering: Arc<clude_sparse::Ordering>,
-    pub row_old_to_new: Vec<usize>,
-    pub col_old_to_new: Vec<usize>,
     /// The shard's factors: the block it last published, which is the live
     /// storage itself.  Every arm writes a copy of the block and, on
     /// success, installs the copy as the next block, so a failed arm leaves
@@ -324,11 +255,9 @@ pub(crate) struct OrderedFactors {
     block: Arc<DecomposedMatrix>,
     pub reference_nnz: usize,
     /// The block's matrix in factor coordinates, current after every batch —
-    /// each writes its slice into it as its arm starts — with the numeric
-    /// pass's scratch.
+    /// each writes its slice into it as its arm starts — with the slice, the
+    /// ordering's maps and the numeric pass's scratch.
     pub maintainer: Maintainer,
-    /// A batch's entries in factor coordinates, reused across advances.
-    pub mapped: Vec<(usize, usize, f64, f64)>,
 }
 
 impl OrderedFactors {
@@ -345,13 +274,10 @@ impl OrderedFactors {
         debug_assert!(factors.structure().is_elimination_closed());
         let ordering = Arc::new(ordering);
         OrderedFactors {
-            row_old_to_new: ordering.row().old_to_new(),
-            col_old_to_new: ordering.col().old_to_new(),
+            maintainer: Maintainer::new(&ordering, matrix),
             block: block(id, &ordering, factors),
             ordering,
             reference_nnz,
-            maintainer: Maintainer::new(matrix),
-            mapped: Vec::new(),
         }
     }
 
@@ -366,103 +292,104 @@ impl OrderedFactors {
         static_factors(&self.block)
     }
 
-    /// Makes `factors` the live block, current as of snapshot `id`.
-    fn install(&mut self, factors: LuFactors, id: u64) {
-        self.block = block(id, &self.ordering, factors);
-    }
-
     /// Definition 4's quality-loss of the live factors — their slot count,
     /// `|s̃p|` taken literally — against the size at the block's last
-    /// re-order.
+    /// re-order.  The empty block of an empty universe has lost nothing.
     pub(crate) fn quality_loss(&self) -> f64 {
+        if self.reference_nnz == 0 {
+            return 0.0;
+        }
         clude::quality_loss_from_sizes(self.factors().nnz(), self.reference_nnz)
     }
 
-    /// Runs the staged arm under its stage span — the slice written into the
-    /// held matrix first — and installs what it wrote as the block current
-    /// as of snapshot `id`.  The numeric pass runs on the extended copy
-    /// `staged` carries, or on a copy of the block as it stands when nothing
-    /// escaped it.  A guard failure — an entry outside the structure, a
-    /// pivot degrading or going singular — abandons the pass, and its copy,
-    /// for a re-order of the held matrix, typed and journalled; an `Ok`
-    /// return always leaves servable factors.
-    pub(crate) fn maintain(
+    /// Absorbs `slice` — the `(row, col, old, new)` entries the batch
+    /// changes, in local coordinates — by a re-order when `reorder`, else by
+    /// CLUDE's member step, installs the result as the block current as of
+    /// snapshot `id` and reports what shard `shard` did.  When an entry
+    /// escapes the block's structure the step runs on the block extended to
+    /// cover the slice, made under a `snapshot.freeze` span so the per-layer
+    /// table charges the copy to the copy; otherwise on a plain copy of the
+    /// block.  The write into the held matrix, that plain copy and the pass
+    /// run under one `shard.refactor` span.  A guard failure — an entry
+    /// outside the structure, a pivot degrading or going singular — abandons
+    /// the pass, and its copy, for a re-order of the held matrix, typed and
+    /// journalled once; an `Ok` return always leaves servable factors.
+    pub(crate) fn absorb(
         &mut self,
-        staged: Staged,
+        slice: &[(usize, usize, f64, f64)],
+        reorder: bool,
         telemetry: &TelemetryRegistry,
         shard: usize,
         id: u64,
-    ) -> LuResult<ShardOutcome> {
-        let reordered = ShardOutcome {
-            arm: MaintenanceArm::Reorder,
-            rows_refactored: 0,
-            slots_added: 0,
+    ) -> LuResult<ShardAdvance> {
+        let mut outcome = ShardAdvance {
+            entries_applied: slice.len() as u64,
+            arm: Some(MaintenanceArm::Reorder),
+            block_order: self.factors().n() as u64,
+            ..ShardAdvance::default()
         };
-        let copy = match staged {
-            Staged::Refactor(copy) => copy,
-            Staged::Reorder => {
-                let quality_loss = self.quality_loss();
-                self.reorder(telemetry, shard, false, quality_loss, id)?;
-                return Ok(reordered);
-            }
-        };
+        self.maintainer.take(slice);
+        if reorder {
+            self.reorder(telemetry, shard, RefreshReason::QualityLoss, id)?;
+            return Ok(outcome);
+        }
+        let extended = self
+            .maintainer
+            .escapes(self.factors().structure())
+            .then(|| {
+                let _freeze = telemetry.span(Stage::SnapshotFreeze);
+                self.maintainer.extended(self.factors())
+            });
         let span = telemetry.span(Stage::ShardRefactor);
-        self.maintainer.write(&self.mapped);
-        let nnz_before = self.factors().nnz();
-        let refactored =
-            copy.unwrap_or_else(|| Ok(self.factors().clone()))
-                .and_then(|mut block| {
-                    let stats = self.maintainer.refactor_reach(&mut block, &self.mapped)?;
-                    Ok((block, stats))
-                });
+        self.maintainer.write();
+        let refactored = extended
+            .unwrap_or_else(|| Ok(self.factors().clone()))
+            .and_then(|mut factors| {
+                let stats = self.maintainer.refactor_reach(&mut factors)?;
+                Ok((factors, stats))
+            });
         span.stop();
         match refactored {
-            Ok((block, stats)) => {
-                let outcome = ShardOutcome {
-                    arm: MaintenanceArm::Refactor,
-                    rows_refactored: stats.rows_refactored,
-                    slots_added: (block.nnz() - nnz_before) as u64,
-                };
-                self.install(block, id);
-                Ok(outcome)
+            Ok((factors, stats)) => {
+                outcome.arm = Some(MaintenanceArm::Refactor);
+                outcome.rows_refactored = stats.rows_refactored as u64;
+                outcome.slots_added = (factors.nnz() - self.factors().nnz()) as u64;
+                self.block = block(id, &self.ordering, factors);
             }
             Err(err) => {
                 // A failed pass says the held ordering no longer serves this
                 // matrix: the only sound fallback is a fresh ordering and
                 // factorization.
                 let reason = match err {
-                    LuError::SingularPivot { .. } => FallbackReason::Pivot,
-                    _ => FallbackReason::Structure,
+                    LuError::SingularPivot { .. } => RefreshReason::Pivot,
+                    _ => RefreshReason::Structure,
                 };
-                telemetry.record_event(EngineEvent::RefactorFallback {
-                    shard: shard as u32,
-                    reason,
-                });
-                self.reorder(telemetry, shard, true, 0.0, id)?;
-                Ok(reordered)
+                self.reorder(telemetry, shard, reason, id)?;
             }
         }
+        Ok(outcome)
     }
 
     /// Abandons the ordering: maps the held matrix, without its stored
     /// zeros, back to local coordinates, re-orders and re-factorizes it
-    /// under a `shard.refresh` span and posts the
-    /// [`EngineEvent::RefreshTriggered`] journal event saying whether
-    /// numerics or the quality budget forced it — the one re-order site of
-    /// both arms.  A re-order the decision chose writes the slice into the
-    /// held matrix first, inside the span; a `numeric` one follows a pass
-    /// that already did.  The scratch carries over.
+    /// under a `shard.refresh` span and posts the one
+    /// [`EngineEvent::RefreshTriggered`] journal event of the re-order,
+    /// with its `reason` and the quality-loss of the factors it replaces —
+    /// the one re-order site of both arms.  A re-order the quality trigger
+    /// chose writes the slice into the held matrix first, inside the span;
+    /// one that follows a failed pass finds it already written.  The
+    /// scratch carries over.
     fn reorder(
         &mut self,
         telemetry: &TelemetryRegistry,
         shard: usize,
-        numeric: bool,
-        quality_loss: f64,
+        reason: RefreshReason,
         id: u64,
     ) -> LuResult<()> {
+        let quality_loss = self.quality_loss();
         let span = telemetry.span(Stage::ShardRefresh);
-        if !numeric {
-            self.maintainer.write(&self.mapped);
+        if reason == RefreshReason::QualityLoss {
+            self.maintainer.write();
         }
         let (row, col) = (self.ordering.row().inverse(), self.ordering.col().inverse());
         let local = self
@@ -475,16 +402,14 @@ impl OrderedFactors {
             .expect("the inverse ordering fits the held matrix");
         let (ordering, matrix, factors) = markowitz_factorize(&local)?;
         let ordering = Arc::new(ordering);
-        self.row_old_to_new = ordering.row().old_to_new();
-        self.col_old_to_new = ordering.col().old_to_new();
+        self.maintainer.reset(&ordering, matrix);
         self.reference_nnz = factors.nnz();
         self.block = block(id, &ordering, factors);
         self.ordering = ordering;
-        self.maintainer.set_matrix(matrix);
         span.stop();
         telemetry.record_event(EngineEvent::RefreshTriggered {
             shard: shard as u32,
-            numeric,
+            reason,
             quality_loss,
         });
         Ok(())
@@ -714,9 +639,9 @@ mod tests {
         g
     }
 
-    fn one_shard(graph: DiGraph, kind: MatrixKind, policy: RefreshPolicy) -> ShardedFactorStore {
+    fn one_shard(graph: DiGraph, kind: MatrixKind, max_quality_loss: f64) -> ShardedFactorStore {
         let partition = NodePartition::singleton(graph.n_nodes());
-        ShardedFactorStore::new(graph, kind, policy, partition).unwrap()
+        ShardedFactorStore::new(graph, kind, max_quality_loss, partition).unwrap()
     }
 
     fn assert_matches_dense(store: &ShardedFactorStore, query: &MeasureQuery) {
@@ -732,7 +657,7 @@ mod tests {
         let mut store = one_shard(
             base_graph(),
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
         );
         assert_eq!(store.snapshot_id(), 0);
 
@@ -758,13 +683,7 @@ mod tests {
     #[test]
     fn quality_policy_refreshes_on_degradation() {
         // A zero budget refreshes on any factor growth.
-        let mut store = one_shard(
-            base_graph(),
-            MatrixKind::random_walk_default(),
-            RefreshPolicy::QualityTriggered {
-                max_quality_loss: 0.0,
-            },
-        );
+        let mut store = one_shard(base_graph(), MatrixKind::random_walk_default(), 0.0);
         let mut refreshed_any = false;
         // Densify the graph step by step; fill-in must eventually appear.
         for k in 0..4 {
@@ -785,11 +704,7 @@ mod tests {
 
     #[test]
     fn snapshots_are_independent_of_later_advances() {
-        let mut store = one_shard(
-            base_graph(),
-            MatrixKind::random_walk_default(),
-            RefreshPolicy::default(),
-        );
+        let mut store = one_shard(base_graph(), MatrixKind::random_walk_default(), 1.0);
         let snap0 = store.snapshot();
         let q = MeasureQuery::PageRank { damping: 0.85 };
         let before = snap0.query(&q).unwrap();
@@ -817,7 +732,7 @@ mod tests {
         let mut store = one_shard(
             base_graph(),
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
         );
         let snap0 = store.snapshot();
         // Two snapshots with no advance in between share the handle.
@@ -861,7 +776,7 @@ mod tests {
         let mut store = one_shard(
             base_graph(),
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
         )
         .with_telemetry(Arc::clone(&telemetry));
         // Removals are always value-only: the removed edge's position zeroes
@@ -917,14 +832,21 @@ mod tests {
         CsrMatrix::from_coo(&coo)
     }
 
-    /// Stages `local` — a slice of `(row, col, old, new)` in the block's local
-    /// coordinates — the way an advance does, translated into factor
-    /// coordinates.
-    fn map_slice(of: &mut OrderedFactors, local: &[(usize, usize, f64, f64)]) {
-        of.mapped = local
-            .iter()
-            .map(|&(i, j, old, new)| (of.row_old_to_new[i], of.col_old_to_new[j], old, new))
-            .collect();
+    /// The one journal entry of a re-order a failed pass forced: a
+    /// `RefreshTriggered` for shard 0 whose reason is a pivot.
+    fn assert_one_pivot_refresh(telemetry: &TelemetryRegistry) {
+        use clude_telemetry::EventKind;
+        let journal = telemetry.journal();
+        assert_eq!(journal.recorded(), 1);
+        assert_eq!(journal.count_of(EventKind::RefreshTriggered), 1);
+        assert!(matches!(
+            journal.entries()[0].event,
+            EngineEvent::RefreshTriggered {
+                shard: 0,
+                reason: RefreshReason::Pivot,
+                ..
+            }
+        ));
     }
 
     /// The served block solves `next`'s systems to 1e-12.
@@ -942,12 +864,10 @@ mod tests {
 
     #[test]
     fn a_structural_pass_whose_pivot_degrades_ends_in_a_journalled_re_order() {
-        use clude_telemetry::EventKind;
         // A diagonal block is ordered as it stands …
         let mut of =
             order_and_factorize(&matrix(&[(0, 0, 5.0), (1, 1, 2.0), (2, 2, 2.0)]), 0).unwrap();
-        assert_eq!(of.row_old_to_new, vec![0, 1, 2]);
-        assert_eq!(of.col_old_to_new, vec![0, 1, 2]);
+        assert!(of.ordering.is_identity());
         // … and the batch writes its next matrix, new positions and all,
         // which under that ordering pivots first on 1e-14 beside entries of
         // magnitude 1: past PIVOT_DEGRADE_TOL.
@@ -960,45 +880,30 @@ mod tests {
             (2, 0, 1.0),
             (2, 2, 2.0),
         ]);
-        map_slice(
-            &mut of,
-            &[
-                (0, 0, 5.0, 1e-14),
-                (0, 1, 0.0, 1.0),
-                (0, 2, 0.0, 1.0),
-                (1, 0, 0.0, 1.0),
-                (2, 0, 0.0, 1.0),
-            ],
-        );
+        let slice = [
+            (0, 0, 5.0, 1e-14),
+            (0, 1, 0.0, 1.0),
+            (0, 2, 0.0, 1.0),
+            (1, 0, 0.0, 1.0),
+            (2, 0, 0.0, 1.0),
+        ];
         let telemetry = TelemetryRegistry::new(clude_telemetry::TelemetryConfig::default());
-        let positions = of.mapped.iter().map(|&(i, j, ..)| (i, j));
-        let extended = clude_lu::extend_structure(of.factors(), positions);
-        assert!(extended.as_ref().unwrap().nnz() > of.factors().nnz());
-        let staged = Staged::Refactor(Some(extended));
-        let outcome = of.maintain(staged, &telemetry, 0, 1).unwrap();
-        // The abandoned pass wrote nothing; the block was re-ordered —
-        // typed, journalled — and what is served pivots on healthy entries.
-        assert_eq!(outcome.arm, MaintenanceArm::Reorder);
-        let journal = telemetry.journal();
-        assert_eq!(journal.count_of(EventKind::RefactorFallback), 1);
-        assert!(journal.entries().iter().any(|e| matches!(
-            e.event,
-            EngineEvent::RefactorFallback {
-                shard: 0,
-                reason: FallbackReason::Pivot
-            }
-        )));
-        assert!(journal.entries().iter().any(|e| matches!(
-            e.event,
-            EngineEvent::RefreshTriggered {
-                shard: 0,
-                numeric: true,
-                ..
-            }
-        )));
-        assert_eq!(telemetry.stage_histogram(Stage::ShardRefactor).count(), 1);
-        assert_eq!(telemetry.stage_histogram(Stage::ShardRefresh).count(), 1);
-        assert_ne!(of.row_old_to_new, vec![0, 1, 2], "a fresh ordering");
+        let outcome = of.absorb(&slice, false, &telemetry, 0, 1).unwrap();
+        // The slice escaped the block: the pass ran on an extension, made
+        // under its own span.  The abandoned pass wrote nothing; the block
+        // was re-ordered — typed, journalled once — and what is served
+        // pivots on healthy entries.
+        assert_eq!(outcome.arm, Some(MaintenanceArm::Reorder));
+        assert_one_pivot_refresh(&telemetry);
+        let count = |stage| telemetry.stage_histogram(stage).count();
+        assert_eq!(count(Stage::SnapshotFreeze), 1);
+        assert_eq!(count(Stage::ShardRefactor), 1);
+        assert_eq!(count(Stage::ShardRefresh), 1);
+        assert_ne!(
+            of.ordering.row().old_to_new(),
+            vec![0, 1, 2],
+            "a fresh ordering"
+        );
         for k in 0..3 {
             assert!(of.factors().u(k, k).abs() >= 0.4, "pivot {k}");
         }
@@ -1008,7 +913,6 @@ mod tests {
 
     #[test]
     fn a_failed_frozen_pass_writes_nothing_the_engine_keeps() {
-        use clude_telemetry::EventKind;
         let bits = |entries: Vec<(usize, usize, f64)>| {
             entries
                 .into_iter()
@@ -1030,40 +934,28 @@ mod tests {
             (3, 3, 4.0),
         ]);
         let mut of = order_and_factorize(&path, 0).unwrap();
-        assert_eq!(of.row_old_to_new, vec![2, 1, 0, 3]);
+        assert_eq!(of.ordering.row().old_to_new(), vec![2, 1, 0, 3]);
         let published = Arc::clone(of.block());
         let block_before = bits(static_factors(&published).export_entries());
         // A value-only batch — every position is a slot of the block — drops
         // the edge 0 – 3 and lowers three diagonal entries: factor row 0
         // (node 2) passes, factor row 1 (node 1) eliminates to exactly zero,
         // so the pass fails after it rewrote row 0 of its copy.
-        map_slice(
-            &mut of,
-            &[
-                (0, 0, 4.0, 2.0),
-                (0, 3, 1.0, 0.0),
-                (1, 1, 4.0, 1.0),
-                (2, 2, 4.0, 1.0),
-                (3, 0, 1.0, 0.0),
-            ],
-        );
+        let slice = [
+            (0, 0, 4.0, 2.0),
+            (0, 3, 1.0, 0.0),
+            (1, 1, 4.0, 1.0),
+            (2, 2, 4.0, 1.0),
+            (3, 0, 1.0, 0.0),
+        ];
         let telemetry = TelemetryRegistry::new(clude_telemetry::TelemetryConfig::default());
-        let outcome = of
-            .maintain(Staged::Refactor(None), &telemetry, 0, 1)
-            .unwrap();
-        // Through the arm, the failure ends in a journalled re-order, and the
-        // block snapshots hold is still the one they were served.
-        assert_eq!(outcome.arm, MaintenanceArm::Reorder);
+        let outcome = of.absorb(&slice, false, &telemetry, 0, 1).unwrap();
+        // Through the arm, the failure ends in one journalled re-order, and
+        // the block snapshots hold is still the one they were served.
+        assert_eq!(outcome.arm, Some(MaintenanceArm::Reorder));
         assert_eq!(outcome.rows_refactored, 0);
-        let journal = telemetry.journal();
-        assert_eq!(journal.count_of(EventKind::RefactorFallback), 1);
-        assert!(journal.entries().iter().any(|e| matches!(
-            e.event,
-            EngineEvent::RefactorFallback {
-                shard: 0,
-                reason: FallbackReason::Pivot
-            }
-        )));
+        assert_one_pivot_refresh(&telemetry);
+        assert_eq!(telemetry.stage_histogram(Stage::SnapshotFreeze).count(), 0);
         assert_eq!(
             bits(static_factors(&published).export_entries()),
             block_before
@@ -1071,7 +963,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&published, of.block()));
         // The re-order is of the matrix the batch wrote, without the zeros
         // it left stored: node 3 is isolated now and comes first.
-        assert_eq!(of.row_old_to_new[3], 0);
+        assert_eq!(of.ordering.row().old_to_new()[3], 0);
         let next = matrix(&[
             (0, 0, 2.0),
             (0, 1, 1.0),
@@ -1183,7 +1075,7 @@ mod tests {
         let mut store = one_shard(
             base_graph(),
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
         );
         let bad = GraphDelta {
             added: vec![(0, 999)],
@@ -1214,7 +1106,7 @@ mod tests {
             g.add_undirected_edge(i, i + 1);
         }
         let kind = MatrixKind::SymmetricLaplacian { shift: 1.0 };
-        let mut store = one_shard(g, kind, RefreshPolicy::Incremental);
+        let mut store = one_shard(g, kind, f64::INFINITY);
         let delta = GraphDelta {
             added: vec![(0, 3), (3, 0), (1, 4), (4, 1)],
             removed: vec![(1, 2), (2, 1)],
@@ -1238,10 +1130,10 @@ mod tests {
         let store = one_shard(
             base_graph(),
             MatrixKind::random_walk_default(),
-            RefreshPolicy::Incremental,
+            f64::INFINITY,
         );
         assert_eq!(store.matrix_kind(), MatrixKind::random_walk_default());
-        assert_eq!(store.policy(), RefreshPolicy::Incremental);
+        assert_eq!(store.max_quality_loss(), f64::INFINITY);
         assert_eq!(store.n_shards(), 1);
         assert!(store.factor_nnz() > 0);
         assert_eq!(store.coupling_nnz(), 0);

@@ -2,7 +2,7 @@
 //! the number of block passes a cold query costs, and an oracle for the
 //! answers that shares nothing with LU.
 
-use clude_engine::{CludeEngine, EngineConfig, RefreshPolicy, ShardedFactorStore};
+use clude_engine::{CludeEngine, EngineConfig, ShardedFactorStore};
 use clude_graph::generators::wiki_like::{self, WikiLikeConfig};
 use clude_graph::{DiGraph, EvolvingGraphSequence, MatrixKind, NodePartition};
 use clude_measures::{MeasureQuery, MeasureSolver};
@@ -145,7 +145,7 @@ fn shifted_laplacian_inverse_is_doubly_stochastic_at_four_shards() {
     let store = ShardedFactorStore::new(
         graph,
         MatrixKind::SymmetricLaplacian { shift: 1.0 },
-        RefreshPolicy::Incremental,
+        f64::INFINITY,
         NodePartition::contiguous(n, 4),
     )
     .unwrap();

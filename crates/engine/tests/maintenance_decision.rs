@@ -8,7 +8,7 @@
 use clude::partition::edge_locality_partition;
 use clude_engine::{
     BatchPolicy, CludeEngine, DeltaIngestor, DurabilityConfig, EdgeOp, EngineConfig, FailpointFs,
-    IngestOutcome, MaintenanceArm, PartitionStrategy, RefreshPolicy, ShardedFactorStore,
+    IngestOutcome, MaintenanceArm, PartitionStrategy, ShardedFactorStore,
 };
 use clude_graph::generators::wiki_like::{self, WikiLikeConfig};
 use clude_graph::{btf_partition, DiGraph, MatrixKind, NodePartition};
@@ -178,11 +178,12 @@ impl Fnv {
 }
 
 /// One store of the golden grid: `(matrix kind, shards, partition strategy,
-/// policy, ops a batch)`.
-type GridPoint = (MatrixKind, usize, PartitionStrategy, RefreshPolicy, usize);
+/// quality-loss budget, ops a batch)`.
+type GridPoint = (MatrixKind, usize, PartitionStrategy, f64, usize);
 
 /// The grid, in the order of the golden table: both matrix kinds, one shard
-/// and four shards under each strategy, the three policies, batches of 16
+/// and four shards under each strategy, the three budgets (INC, the
+/// default, 0.2), batches of 16
 /// and 48 ops.
 fn grid() -> Vec<GridPoint> {
     let mut points = Vec::new();
@@ -195,15 +196,9 @@ fn grid() -> Vec<GridPoint> {
             (4, PartitionStrategy::EdgeLocality),
             (4, PartitionStrategy::Btf),
         ] {
-            for policy in [
-                RefreshPolicy::Incremental,
-                RefreshPolicy::default(),
-                RefreshPolicy::QualityTriggered {
-                    max_quality_loss: 0.2,
-                },
-            ] {
+            for budget in [f64::INFINITY, 1.0, 0.2] {
                 for batch in [16, 48] {
-                    points.push((kind, n_shards, strategy, policy, batch));
+                    points.push((kind, n_shards, strategy, budget, batch));
                 }
             }
         }
@@ -217,13 +212,13 @@ fn grid() -> Vec<GridPoint> {
 /// hash of, per batch, every shard's arm and the `(row, col, value bits)` of
 /// every block the batch published.
 fn pin_run(base: &DiGraph, ops: &[EdgeOp], point: GridPoint) -> (Arms, u64) {
-    let (kind, n_shards, strategy, policy, batch) = point;
+    let (kind, n_shards, strategy, budget, batch) = point;
     let partition = match (n_shards, strategy) {
         (1, _) => NodePartition::singleton(base.n_nodes()),
         (_, PartitionStrategy::EdgeLocality) => edge_locality_partition(base, n_shards),
         (_, PartitionStrategy::Btf) => btf_partition(base, kind, n_shards).0,
     };
-    let mut store = ShardedFactorStore::new(base.clone(), kind, policy, partition).unwrap();
+    let mut store = ShardedFactorStore::new(base.clone(), kind, budget, partition).unwrap();
     let (mut arms, mut hash) = ([0u64; MaintenanceArm::ALL.len()], Fnv::new());
     let mut absorb = |store: &mut ShardedFactorStore, delta| {
         let report = store.advance(&delta).unwrap();

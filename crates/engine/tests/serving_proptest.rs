@@ -1,7 +1,7 @@
 //! Property-based tests for the serving tier: answers through the coupled
 //! iteration must match an oracle that shares no LU code with the engine.
 
-use clude_engine::{RefreshPolicy, ShardedFactorStore, SolveTolerance};
+use clude_engine::{ShardedFactorStore, SolveTolerance};
 use clude_graph::{measure_matrix, DiGraph, MatrixKind, NodePartition};
 use clude_lu::LuError;
 use clude_measures::linear_system::normalize_scores;
@@ -81,7 +81,7 @@ proptest! {
         let store = ShardedFactorStore::new(
             graph.clone(),
             kind,
-            RefreshPolicy::default(),
+            1.0,
             NodePartition::from_assignments(assignments),
         )
         .unwrap()

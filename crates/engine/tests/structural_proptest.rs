@@ -3,7 +3,7 @@
 //! single sweep, matching a dense solve of the whole measure matrix to solver
 //! precision.
 
-use clude_engine::{RefreshPolicy, ShardedFactorStore, SolveTolerance};
+use clude_engine::{ShardedFactorStore, SolveTolerance};
 use clude_graph::{btf_partition, measure_matrix, DiGraph, MatrixKind};
 use clude_measures::{measure_rhs, MeasureQuery};
 use proptest::prelude::*;
@@ -59,7 +59,7 @@ proptest! {
         prop_assert!(report.transversal_full);
         prop_assert_eq!(report.n_sccs, 3);
         let store =
-            ShardedFactorStore::new(g.clone(), kind, RefreshPolicy::Incremental, partition)
+            ShardedFactorStore::new(g.clone(), kind, f64::INFINITY, partition)
                 .unwrap()
                 .with_tolerance(SolveTolerance {
                         tol: 1e-13,

@@ -2,9 +2,7 @@
 //! that the spans, gauges, journal events and the Prometheus exposition all
 //! reflect what the engine actually did.
 
-use clude_engine::{
-    BatchPolicy, CludeEngine, EngineConfig, EngineStats, MaintenanceArm, RefreshPolicy,
-};
+use clude_engine::{BatchPolicy, CludeEngine, EngineConfig, EngineStats, MaintenanceArm};
 use clude_graph::{DiGraph, NodePartition};
 use clude_measures::MeasureQuery;
 use clude_telemetry::{
@@ -29,9 +27,7 @@ fn instrumented_engine(telemetry: TelemetryConfig) -> CludeEngine {
         EngineConfig {
             batch: BatchPolicy::by_count(1),
             ring_capacity: 3,
-            refresh: RefreshPolicy::QualityTriggered {
-                max_quality_loss: 0.0,
-            },
+            max_quality_loss: 0.0,
             telemetry,
             ..EngineConfig::default()
         },
@@ -287,9 +283,7 @@ fn counted_replay(n_shards: usize, telemetry: TelemetryConfig) -> EngineStats {
     let config = EngineConfig {
         batch: BatchPolicy::by_count(3),
         ring_capacity: 3,
-        refresh: RefreshPolicy::QualityTriggered {
-            max_quality_loss: 0.0,
-        },
+        max_quality_loss: 0.0,
         telemetry,
         ..EngineConfig::default()
     };

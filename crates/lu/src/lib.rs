@@ -30,10 +30,12 @@
 //!   the engine's one update arm, over a structure first extended to cover
 //!   a batch's new entries, and CLUDE's member step outside its
 //!   paper-faithful mode.
-//! * [`maintain`] — [`Maintainer`], what CLUDE's member steps and each engine
-//!   shard carry from one matrix to the next: the matrix the factors
-//!   factorize, in factor coordinates, and the reach pass's scratch, with the
-//!   operations on them — write a delta, run the reach pass.
+//! * [`maintain`] — [`Maintainer`], the one member step CLUDE's clusters and
+//!   each engine shard take from one matrix to the next: it holds the
+//!   ordering's `old → new` maps, the matrix the factors factorize, in factor
+//!   coordinates, the step's delta and the reach pass's scratch — take a
+//!   delta, say whether it escapes the structure, extend the factors to
+//!   cover it, write it, run the reach pass.
 //! * [`structure`] — static slot layouts (`LuStructure`), including the
 //!   universal structures CLUDE shares across a cluster.
 //! * [`factors`] — the ND-phase over a structure supplied from outside

@@ -12,24 +12,28 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
-/// Why a refactorization under the held ordering was abandoned for a
-/// re-order.
+/// Why a shard abandoned its ordering for a fresh one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FallbackReason {
-    /// The pass met an entry outside the structure it ran over (a layout
-    /// error: the extension covers every entry of a slice).
-    Structure,
-    /// A pivot degraded beyond the refactor tolerance, or went singular —
-    /// the frozen pivot order is no longer numerically trustworthy.
+pub enum RefreshReason {
+    /// The factors' quality loss against the last re-order was over the
+    /// budget when a batch arrived.
+    QualityLoss,
+    /// A pivot of the numeric pass degraded beyond the refactor tolerance,
+    /// or went singular — the held pivot order is no longer numerically
+    /// trustworthy.
     Pivot,
+    /// The numeric pass met an entry outside the structure it ran over (a
+    /// layout error: the extension covers every entry of a slice).
+    Structure,
 }
 
-impl FallbackReason {
+impl RefreshReason {
     /// The snake_case label used in exposition.
     pub const fn name(self) -> &'static str {
         match self {
-            FallbackReason::Structure => "structure",
-            FallbackReason::Pivot => "pivot",
+            RefreshReason::QualityLoss => "quality_loss",
+            RefreshReason::Pivot => "pivot",
+            RefreshReason::Structure => "structure",
         }
     }
 }
@@ -38,15 +42,14 @@ impl FallbackReason {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EngineEvent {
     /// A shard abandoned its ordering and re-ordered and refactorized from
-    /// scratch.
+    /// scratch — one event per re-order, whatever forced it.
     RefreshTriggered {
         /// Which shard refreshed (0 in a one-shard store).
         shard: u32,
-        /// Whether a numeric failure (rather than the quality budget)
-        /// forced the refresh.
-        numeric: bool,
-        /// The quality loss that tripped the refresh decision (0 when
-        /// `numeric`).
+        /// What forced the re-order: the quality budget, or a numeric pass
+        /// abandoned under the held ordering.
+        reason: RefreshReason,
+        /// The quality loss of the factors the re-order replaced.
         quality_loss: f64,
     },
     /// An iterative coupling solve exhausted its block-pass budget, or met a
@@ -85,14 +88,6 @@ pub enum EngineEvent {
         /// Records dropped with the torn tail.
         records_dropped: u64,
     },
-    /// The numeric pass under the held ordering was abandoned and the shard
-    /// re-ordered instead.
-    RefactorFallback {
-        /// Which shard fell back.
-        shard: u32,
-        /// Why the pass was abandoned.
-        reason: FallbackReason,
-    },
 }
 
 /// The event's kind, used for per-kind counts and exposition labels.
@@ -110,20 +105,17 @@ pub enum EventKind {
     CheckpointWritten,
     /// [`EngineEvent::WalTruncated`]
     WalTruncated,
-    /// [`EngineEvent::RefactorFallback`]
-    RefactorFallback,
 }
 
 impl EventKind {
     /// Every kind, in exposition order.
-    pub const ALL: [EventKind; 7] = [
+    pub const ALL: [EventKind; 6] = [
         EventKind::RefreshTriggered,
         EventKind::ConvergenceFailure,
         EventKind::CacheEvicted,
         EventKind::CacheInvalidated,
         EventKind::CheckpointWritten,
         EventKind::WalTruncated,
-        EventKind::RefactorFallback,
     ];
 
     /// The snake_case label used in exposition.
@@ -135,7 +127,6 @@ impl EventKind {
             EventKind::CacheInvalidated => "cache_invalidated",
             EventKind::CheckpointWritten => "checkpoint_written",
             EventKind::WalTruncated => "wal_truncated",
-            EventKind::RefactorFallback => "refactor_fallback",
         }
     }
 }
@@ -150,7 +141,6 @@ impl EngineEvent {
             EngineEvent::CacheInvalidated { .. } => EventKind::CacheInvalidated,
             EngineEvent::CheckpointWritten { .. } => EventKind::CheckpointWritten,
             EngineEvent::WalTruncated { .. } => EventKind::WalTruncated,
-            EngineEvent::RefactorFallback { .. } => EventKind::RefactorFallback,
         }
     }
 }

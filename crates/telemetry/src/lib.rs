@@ -45,7 +45,7 @@ mod registry;
 mod stage;
 
 pub use hist::{HistogramSnapshot, LogHistogram};
-pub use journal::{EngineEvent, EventJournal, EventKind, FallbackReason, JournalEntry};
+pub use journal::{EngineEvent, EventJournal, EventKind, JournalEntry, RefreshReason};
 pub use registry::{
     validate_prometheus, Counter, Gauge, ShardCounter, Span, TelemetryConfig, TelemetryRegistry,
 };

@@ -598,11 +598,12 @@ fn event_json(seq: u64, event: &EngineEvent) -> String {
     match event {
         EngineEvent::RefreshTriggered {
             shard,
-            numeric,
+            reason,
             quality_loss,
         } => format!(
-            "{{\"seq\": {seq}, \"kind\": \"{kind}\", \"shard\": {shard}, \"numeric\": {numeric}, \
+            "{{\"seq\": {seq}, \"kind\": \"{kind}\", \"shard\": {shard}, \"reason\": \"{}\", \
              \"quality_loss\": {}}}",
+            reason.name(),
             json_f64(*quality_loss)
         ),
         EngineEvent::ConvergenceFailure { sweeps, residual } => format!(
@@ -624,10 +625,6 @@ fn event_json(seq: u64, event: &EngineEvent) -> String {
         }
         EngineEvent::WalTruncated { records_dropped } => format!(
             "{{\"seq\": {seq}, \"kind\": \"{kind}\", \"records_dropped\": {records_dropped}}}"
-        ),
-        EngineEvent::RefactorFallback { shard, reason } => format!(
-            "{{\"seq\": {seq}, \"kind\": \"{kind}\", \"shard\": {shard}, \"reason\": \"{}\"}}",
-            reason.name()
         ),
     }
 }
@@ -727,6 +724,7 @@ impl Drop for Span<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::RefreshReason;
 
     #[test]
     fn spans_record_into_their_stage() {
@@ -785,7 +783,7 @@ mod tests {
         reg.set_gauge(Gauge::RingDepth, 3);
         reg.record_event(EngineEvent::RefreshTriggered {
             shard: 0,
-            numeric: false,
+            reason: RefreshReason::QualityLoss,
             quality_loss: 0.25,
         });
         for sweeps in [18, 21, 21, 40] {
@@ -849,7 +847,7 @@ mod tests {
         });
         reg.record_event(EngineEvent::RefreshTriggered {
             shard: 2,
-            numeric: false,
+            reason: RefreshReason::Pivot,
             quality_loss: 0.31,
         });
         let json = reg.render_json();
@@ -860,7 +858,7 @@ mod tests {
             "\"counters\"",
             "\"gauges\"",
             "\"kind\": \"convergence_failure\"",
-            "\"shard\": 2",
+            "\"shard\": 2, \"reason\": \"pivot\"",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }

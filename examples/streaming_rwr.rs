@@ -13,7 +13,7 @@
 // CLI tool: printing the report is its entire purpose.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use clude_engine::{BatchPolicy, CludeEngine, EngineConfig, RefreshPolicy};
+use clude_engine::{BatchPolicy, CludeEngine, EngineConfig};
 use clude_graph::generators::wiki_like::{self, WikiLikeConfig};
 use clude_measures::MeasureQuery;
 use rand::rngs::StdRng;
@@ -34,14 +34,15 @@ fn main() {
     );
 
     // Bring up the engine on the first snapshot; cut batches CLUDE-style
-    // when the pending churn would push similarity below 98 %.
+    // when the pending churn would push similarity below 98 %, and start a
+    // new "cluster" — re-order the block — once its factors grow 50 % past
+    // their size at the last re-order (`f64::INFINITY` would be INC's one
+    // ordering forever).
     let engine = CludeEngine::new(
         egs.snapshot(0),
         EngineConfig {
             batch: BatchPolicy::by_similarity(256, 0.98),
-            refresh: RefreshPolicy::QualityTriggered {
-                max_quality_loss: 0.5,
-            },
+            max_quality_loss: 0.5,
             ..EngineConfig::default()
         },
     )

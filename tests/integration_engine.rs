@@ -4,7 +4,7 @@
 
 use clude::algorithms::{Clude, LudemSolver, SolverConfig};
 use clude::ems::EvolvingMatrixSequence;
-use clude_engine::{BatchPolicy, CludeEngine, EngineConfig, RefreshPolicy, ShardedFactorStore};
+use clude_engine::{BatchPolicy, CludeEngine, EngineConfig, ShardedFactorStore};
 use clude_graph::generators::wiki_like::{self, WikiLikeConfig};
 use clude_graph::{
     coupling_matrix, measure_matrix, DiGraph, GraphDelta, MatrixKind, NodePartition,
@@ -36,9 +36,7 @@ fn streaming_rwr_matches_batch_clude() {
         egs.snapshot(0),
         EngineConfig {
             batch: BatchPolicy::by_count(usize::MAX),
-            refresh: RefreshPolicy::QualityTriggered {
-                max_quality_loss: 1.0,
-            },
+            max_quality_loss: 1.0,
             ring_capacity: 4,
             ..EngineConfig::default()
         },
@@ -202,14 +200,14 @@ proptest! {
         let n = 18;
         let base = ring_base(n);
         let kind = MatrixKind::RandomWalk { damping: DAMPING };
-        let policy = RefreshPolicy::QualityTriggered { max_quality_loss: 0.5 };
+        let budget = 0.5;
         // k shards, and the same machine at k = 1: one block, no coupling,
         // no iteration.
         let mut stores = [
             NodePartition::contiguous(n, n_shards),
             NodePartition::singleton(n),
         ]
-        .map(|partition| ShardedFactorStore::new(base.clone(), kind, policy, partition).unwrap());
+        .map(|partition| ShardedFactorStore::new(base.clone(), kind, budget, partition).unwrap());
 
         // Replay in small batches of net-effective changes (the stores take
         // deltas, so mirror the ingestor's no-op dropping against a shadow
@@ -295,7 +293,7 @@ proptest! {
         let mut store = ShardedFactorStore::new(
             base.clone(),
             kind,
-            RefreshPolicy::QualityTriggered { max_quality_loss: 0.5 },
+            0.5,
             NodePartition::contiguous(n, n_shards),
         )
         .unwrap();
@@ -385,7 +383,7 @@ proptest! {
             let fresh = ShardedFactorStore::new(
                 store.graph().clone(),
                 kind,
-                RefreshPolicy::Incremental,
+                f64::INFINITY,
                 store.partition().clone(),
             )
             .unwrap()
