@@ -7,9 +7,7 @@
 //! BF.  As a by-product BF yields the reference sizes `|s̃p(A_i*)|` that the
 //! quality-loss metric needs.
 
-use crate::algorithms::common::{
-    push_member, LudemSolution, LudemSolver, MatrixFactors, SolverConfig,
-};
+use crate::algorithms::common::{push_member, LudemSolution, LudemSolver, SolverConfig};
 use crate::ems::EvolvingMatrixSequence;
 use crate::quality::MarkowitzReference;
 use crate::report::RunReport;
@@ -51,9 +49,7 @@ impl BruteForce {
 
             report.cluster_sizes.push(1);
             let nnz = factors.nnz();
-            let kept = config
-                .keep_factors
-                .then_some(MatrixFactors::Static(factors));
+            let kept = config.keep_factors.then_some(factors);
             push_member(i, &ordering, nnz, kept, &mut report, &mut decomposed);
         }
         let solution = LudemSolution { decomposed, report };
@@ -121,12 +117,27 @@ mod tests {
     }
 
     #[test]
+    fn solving_past_the_sequence_is_an_error_not_a_panic() {
+        let ems = small_random_walk_ems(10, 3, 5);
+        let solution = BruteForce.solve(&ems, &SolverConfig::default()).unwrap();
+        let past = ems.len();
+        let err = solution.solve(past, &vec![1.0; ems.order()]).unwrap_err();
+        assert!(
+            matches!(err, clude_lu::LuError::InvalidParameter { name: "snapshot", value }
+                if value == past as f64),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn timing_only_run_keeps_no_factors() {
         let ems = small_random_walk_ems(15, 4, 11);
         let solution = BruteForce
             .solve(&ems, &SolverConfig::timing_only())
             .unwrap();
-        assert!(solution.decomposed.iter().all(|d| d.factors.is_none()));
+        assert!(solution.decomposed.is_empty());
+        assert_eq!(solution.report.orderings.len(), ems.len());
         assert!(solution.solve(0, &vec![1.0; ems.order()]).is_err());
+        assert_eq!(max_reconstruction_error(&ems, &solution), None);
     }
 }

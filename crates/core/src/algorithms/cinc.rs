@@ -112,11 +112,13 @@ mod tests {
         let solution = ClusterIncremental::new(0.95)
             .solve(&ems, &SolverConfig::timing_only())
             .unwrap();
+        let orderings = &solution.report.orderings;
+        assert_eq!(orderings.len(), ems.len());
         let mut index = 0;
         for &size in &solution.report.cluster_sizes {
-            let first = &solution.decomposed[index].ordering;
-            for d in &solution.decomposed[index..index + size] {
-                assert_eq!(&d.ordering, first);
+            let first = &orderings[index];
+            for ordering in &orderings[index..index + size] {
+                assert_eq!(ordering, first);
             }
             index += size;
         }

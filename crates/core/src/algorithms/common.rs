@@ -1,15 +1,17 @@
 //! Shared machinery of the LUDEM solvers.
 //!
 //! All four algorithms of the paper (BF, INC, CINC, CLUDE) produce the same
-//! kind of output — an ordering and the LU factors of every matrix of the
-//! sequence — and differ only in how they group matrices, which ordering they
-//! share, and which storage they update incrementally.  This module holds the
-//! shared output types, the solver trait, and the two per-cluster
-//! decomposition routines the concrete algorithms are built from:
+//! kind of output — an ordering and the flat LU factors ([`LuFactors`]) of
+//! every matrix of the sequence — and differ only in how they group
+//! matrices, which ordering they share, and which storage they maintain from
+//! one member to the next.  This module holds the shared output types, the
+//! solver trait, and the two per-cluster decomposition routines the concrete
+//! algorithms are built from:
 //!
 //! * [`decompose_cluster_incremental`] — one ordering per cluster, dynamic
 //!   adjacency-list storage, Bennett updates with insertion-on-demand
-//!   (Algorithm 2, used by INC and CINC);
+//!   (Algorithm 2, used by INC and CINC), each kept member a flat copy of
+//!   the lists;
 //! * [`decompose_cluster_universal`] — ordering and static structure derived
 //!   from the cluster's union matrix (Algorithm 3, used by CLUDE), each member
 //!   after the first reached by a numeric pass over the changed rows'
@@ -31,8 +33,9 @@ use std::time::Instant;
 /// Tuning knobs shared by all solvers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverConfig {
-    /// When `true` (default), a snapshot of the factors of every matrix is
-    /// kept in the solution so queries can be answered per snapshot.  Speed
+    /// When `true` (default), the solution keeps a decomposition of every
+    /// matrix so queries can be answered per snapshot; when `false` it keeps
+    /// none, and the orderings are read off [`RunReport::orderings`].  Speed
     /// benchmarks disable this so the measured time contains only the work
     /// the paper's algorithms perform.
     pub keep_factors: bool,
@@ -64,49 +67,6 @@ impl SolverConfig {
     }
 }
 
-/// The factors of one matrix, in whichever storage the algorithm used.
-#[derive(Debug, Clone)]
-pub enum MatrixFactors {
-    /// Statically structured factors (BF, CLUDE).
-    Static(LuFactors),
-    /// Dynamically structured factors (INC, CINC).
-    Dynamic(DynamicLuFactors),
-}
-
-impl MatrixFactors {
-    /// Number of slots of the decomposed representation.
-    pub fn nnz(&self) -> usize {
-        match self {
-            MatrixFactors::Static(f) => f.nnz(),
-            MatrixFactors::Dynamic(f) => f.nnz(),
-        }
-    }
-
-    /// Rough resident bytes no other factor set can share: 8 per value slot
-    /// for static factors (their structure is accounted through
-    /// [`MatrixFactors::shared_structure`]), ~24 per list node (value plus
-    /// row and column indices) for dynamic ones.  Used by the engine's
-    /// snapshot-ring accounting, where "approximately right and cheap" beats
-    /// exact heap traversal.
-    pub fn owned_bytes(&self) -> usize {
-        match self {
-            MatrixFactors::Static(f) => f.nnz() * std::mem::size_of::<f64>(),
-            MatrixFactors::Dynamic(f) => f.nnz() * 24,
-        }
-    }
-
-    /// The structure handle static factors sit on — shared by every matrix
-    /// of a CLUDE cluster, and by consecutive engine snapshots of a block
-    /// whose pattern did not move; an accounting that walks many factor sets
-    /// counts each distinct handle ([`Arc::ptr_eq`]) once.
-    pub fn shared_structure(&self) -> Option<&Arc<LuStructure>> {
-        match self {
-            MatrixFactors::Static(f) => Some(f.structure()),
-            MatrixFactors::Dynamic(_) => None,
-        }
-    }
-}
-
 /// The decomposition of one matrix of the sequence.
 #[derive(Debug, Clone)]
 pub struct DecomposedMatrix {
@@ -116,8 +76,9 @@ pub struct DecomposedMatrix {
     /// cluster (or per engine block re-order), shared by every matrix
     /// decomposed under it.
     pub ordering: Arc<Ordering>,
-    /// The factors of `A_i^{O_i}` (absent when the run was timing-only).
-    pub factors: Option<MatrixFactors>,
+    /// The factors of `A_i^{O_i}`.  INC and CINC maintain dynamic lists and
+    /// keep a flat copy of each member here.
+    pub factors: LuFactors,
 }
 
 impl DecomposedMatrix {
@@ -138,72 +99,58 @@ impl DecomposedMatrix {
         scratch: &mut SolveScratch,
         out: &mut Vec<f64>,
     ) -> LuResult<()> {
-        let factors = self.factors.as_ref().ok_or(LuError::DimensionMismatch {
-            expected: self.ordering.row().len(),
-            actual: 0,
-        })?;
-        match factors {
-            MatrixFactors::Static(f) => solve_original_into(f, &self.ordering, b, scratch, out),
-            MatrixFactors::Dynamic(f) => solve_original_into(f, &self.ordering, b, scratch, out),
-        }
+        solve_original_into(&self.factors, &self.ordering, b, scratch, out)
     }
 
     /// The transposed twin of [`DecomposedMatrix::solve_into`]: solves
     /// `A_iᵀ x = b`, the row and column permutations swapping roles
-    /// ([`clude_lu::solve_original_transposed_into`]).  Dynamic factors are
-    /// first copied into static storage, one pass over their entries.
+    /// ([`clude_lu::solve_original_transposed_into`]).
     pub fn solve_transposed_into(
         &self,
         b: &[f64],
         scratch: &mut SolveScratch,
         out: &mut Vec<f64>,
     ) -> LuResult<()> {
-        let factors = self.factors.as_ref().ok_or(LuError::DimensionMismatch {
-            expected: self.ordering.row().len(),
-            actual: 0,
-        })?;
-        match factors {
-            MatrixFactors::Static(f) => {
-                solve_original_transposed_into(f, &self.ordering, b, scratch, out)
-            }
-            MatrixFactors::Dynamic(f) => {
-                let f = LuFactors::from_sorted_entries(f.n(), &f.export_entries())?;
-                solve_original_transposed_into(&f, &self.ordering, b, scratch, out)
-            }
-        }
+        solve_original_transposed_into(&self.factors, &self.ordering, b, scratch, out)
     }
 
-    /// Rough resident size of this decomposition in bytes — the factors'
-    /// [`MatrixFactors::owned_bytes`] plus the ordering's two permutation
-    /// maps — without the structure static factors sit on (see
-    /// [`MatrixFactors::shared_structure`]).
+    /// Rough resident size of this decomposition in bytes — 8 per factor
+    /// value slot plus the ordering's two permutation maps — without the
+    /// structure the factors sit on, which every matrix of a CLUDE cluster,
+    /// and consecutive engine snapshots of a block whose pattern did not
+    /// move, share: an accounting that walks many decompositions counts each
+    /// distinct structure handle ([`Arc::ptr_eq`]) once.
     pub fn owned_bytes(&self) -> usize {
         let ordering_bytes = 2 * self.ordering.row().len() * std::mem::size_of::<usize>();
-        self.factors.as_ref().map_or(0, MatrixFactors::owned_bytes) + ordering_bytes
-    }
-
-    /// The structure handle of static factors, if any (see
-    /// [`MatrixFactors::shared_structure`]).
-    pub fn shared_structure(&self) -> Option<&Arc<LuStructure>> {
-        self.factors
-            .as_ref()
-            .and_then(MatrixFactors::shared_structure)
+        self.factors.nnz() * std::mem::size_of::<f64>() + ordering_bytes
     }
 }
 
 /// The output of a LUDEM solver: one decomposition per matrix plus a report.
 #[derive(Debug, Clone)]
 pub struct LudemSolution {
-    /// Per-matrix decompositions, in sequence order.
+    /// Per-matrix decompositions, in sequence order — none when the run was
+    /// timing-only ([`SolverConfig::keep_factors`] off), whose orderings are
+    /// in [`RunReport::orderings`].
     pub decomposed: Vec<DecomposedMatrix>,
     /// Timing and accounting for the run.
     pub report: RunReport,
 }
 
 impl LudemSolution {
+    /// The decomposition of snapshot `i`: an [`LuError::InvalidParameter`]
+    /// named `"snapshot"` when the solution keeps none for `i` — `i` past the
+    /// sequence, or a timing-only run.
+    pub fn decomposition(&self, i: usize) -> LuResult<&DecomposedMatrix> {
+        self.decomposed.get(i).ok_or(LuError::InvalidParameter {
+            name: "snapshot",
+            value: i as f64,
+        })
+    }
+
     /// Solves `A_i x = b` for snapshot `i`.
     pub fn solve(&self, i: usize, b: &[f64]) -> LuResult<Vec<f64>> {
-        self.decomposed[i].solve(b)
+        self.decomposition(i)?.solve(b)
     }
 }
 
@@ -217,22 +164,25 @@ pub trait LudemSolver {
         -> LuResult<LudemSolution>;
 }
 
-/// Records one decomposed member in the report and the output.
+/// Records one decomposed member in the report and, when its factors were
+/// kept, in the output.
 pub(crate) fn push_member(
     index: usize,
     ordering: &Arc<Ordering>,
     factor_nnz: usize,
-    factors: Option<MatrixFactors>,
+    factors: Option<LuFactors>,
     report: &mut RunReport,
     out: &mut Vec<DecomposedMatrix>,
 ) {
     report.orderings.push(Arc::clone(ordering));
     report.factor_nnz.push(factor_nnz);
-    out.push(DecomposedMatrix {
-        index,
-        ordering: Arc::clone(ordering),
-        factors,
-    });
+    if let Some(factors) = factors {
+        out.push(DecomposedMatrix {
+            index,
+            ordering: Arc::clone(ordering),
+            factors,
+        });
+    }
 }
 
 /// Refuses a sequence holding a NaN or an infinity, as
@@ -396,13 +346,15 @@ pub fn decompose_cluster_incremental(
     timings.full_decomposition += t.elapsed();
     factors.reset_structural_stats();
 
+    // A kept member is a flat copy of the lists, bit for bit.
     let keep = |f: &DynamicLuFactors| {
         config
             .keep_factors
-            .then(|| MatrixFactors::Dynamic(f.clone()))
+            .then(|| LuFactors::from_sorted_entries(f.n(), &f.export_entries()))
+            .transpose()
     };
     report.cluster_sizes.push(cluster.len());
-    let kept = keep(&factors);
+    let kept = keep(&factors)?;
     push_member(cluster.start, &ordering, factors.nnz(), kept, report, out);
 
     // Bennett updates for the remaining members, all sharing one workspace
@@ -415,7 +367,7 @@ pub fn decompose_cluster_incremental(
         let delta = member_delta(ems, i, &row_old_to_new, &col_old_to_new);
         let stats = apply_delta_with(&mut factors, &mut workspace, &delta)?;
         count_bennett(report, &stats, t);
-        let kept = keep(&factors);
+        let kept = keep(&factors)?;
         push_member(i, &ordering, factors.nnz(), kept, report, out);
     }
     let s = factors.structural_stats();
@@ -495,11 +447,7 @@ pub fn decompose_cluster_universal(
     let mut factors = LuFactors::factorize(structure, &first)?;
     report.timings.full_decomposition += t.elapsed();
 
-    let keep = |f: &LuFactors| {
-        config
-            .keep_factors
-            .then(|| MatrixFactors::Static(f.clone()))
-    };
+    let keep = |f: &LuFactors| config.keep_factors.then(|| f.clone());
     report.cluster_sizes.push(cluster.len());
     let kept = keep(&factors);
     push_member(cluster.start, &ordering, factors.nnz(), kept, report, out);
@@ -519,24 +467,24 @@ pub fn decompose_cluster_universal(
 
 /// Verifies that a solution's factors reproduce the original matrices (used
 /// by tests and the verification example).  Returns the largest entry-wise
-/// reconstruction error across the sequence.
+/// reconstruction error across the sequence, or `None` when the solution
+/// keeps no decompositions (a timing-only run).
 pub fn max_reconstruction_error(
     ems: &EvolvingMatrixSequence,
     solution: &LudemSolution,
 ) -> Option<f64> {
+    if solution.decomposed.is_empty() {
+        return None;
+    }
     let mut worst: f64 = 0.0;
     for d in &solution.decomposed {
-        let factors = d.factors.as_ref()?;
         let reordered: CsrMatrix = ems
             .matrix(d.index)
             .reorder(&d.ordering)
             .expect("ordering matches");
-        let reconstructed = match factors {
-            MatrixFactors::Static(f) => f.reconstruct(),
-            MatrixFactors::Dynamic(f) => f.reconstruct(),
-        };
         worst = worst.max(
-            reconstructed
+            d.factors
+                .reconstruct()
                 .max_abs_diff(&reordered)
                 .expect("shapes agree"),
         );
@@ -695,9 +643,7 @@ mod tests {
                 .unwrap();
             assert_eq!(solution.report.bennett_members, 0, "{name}");
             for d in &solution.decomposed {
-                let Some(MatrixFactors::Static(f)) = &d.factors else {
-                    panic!("{name}: member {} kept no static factors", d.index);
-                };
+                let f = &d.factors;
                 let member = ems.matrix(d.index).reorder(&d.ordering).unwrap();
                 let own = LuFactors::factorize(Arc::clone(f.structure()), &member).unwrap();
                 assert_eq!(bits(f), bits(&own), "{name}: member {}", d.index);

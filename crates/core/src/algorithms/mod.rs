@@ -1,11 +1,14 @@
 //! The four LUDEM solvers of the paper (§4) plus their shared machinery.
 //!
-//! | Algorithm | Clustering | Ordering source | Storage | Incremental? |
+//! | Algorithm | Clustering | Ordering source | Maintained storage | Incremental? |
 //! |-----------|------------|-----------------|---------|--------------|
 //! | [`BruteForce`] (BF) | none (per-matrix) | Markowitz of each `A_i` | static | no |
 //! | [`Incremental`] (INC) | none (one big cluster) | Markowitz of `A_1` | dynamic | Bennett |
 //! | [`ClusterIncremental`] (CINC) | α-clustering | Markowitz of each cluster's first matrix | dynamic | Bennett |
 //! | [`Clude`] (CLUDE) | α-clustering | Markowitz of each cluster's `A_∪` | static (USSP) | Bennett |
+//!
+//! Every solver outputs static factors: INC and CINC keep a flat copy of
+//! each member of their dynamic lists.
 
 pub mod bf;
 pub mod cinc;
@@ -18,6 +21,6 @@ pub use cinc::ClusterIncremental;
 pub use clude::Clude;
 pub use common::{
     decompose_cluster_incremental, decompose_cluster_universal, max_reconstruction_error,
-    DecomposedMatrix, LudemSolution, LudemSolver, MatrixFactors, SolverConfig,
+    DecomposedMatrix, LudemSolution, LudemSolver, SolverConfig,
 };
 pub use inc::Incremental;

@@ -54,7 +54,7 @@ pub(crate) mod test_support;
 
 pub use algorithms::{
     BruteForce, Clude, ClusterIncremental, DecomposedMatrix, Incremental, LudemSolution,
-    LudemSolver, MatrixFactors, SolverConfig,
+    LudemSolver, SolverConfig,
 };
 pub use cluster::{alpha_clustering, Cluster, Clustering};
 pub use ems::EvolvingMatrixSequence;

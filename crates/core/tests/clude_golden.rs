@@ -15,7 +15,7 @@
 
 use clude::algorithms::common::max_reconstruction_error;
 use clude::{BruteForce, Clude, ClusterIncremental, EvolvingMatrixSequence, LudemSolver};
-use clude::{LudemSolution, MatrixFactors, SolverConfig};
+use clude::{LudemSolution, SolverConfig};
 use clude_graph::generators::{wiki_like, WikiLikeConfig};
 use clude_graph::MatrixKind;
 use clude_sparse::{CooMatrix, CsrMatrix};
@@ -56,6 +56,7 @@ fn pin(solution: &LudemSolution) -> Pin {
     let report = &solution.report;
     let mut orderings = Fnv::new();
     let mut factors = Fnv::new();
+    assert_eq!(solution.decomposed.len(), report.orderings.len());
     for (d, reported) in solution.decomposed.iter().zip(&report.orderings) {
         assert_eq!(d.ordering, *reported, "report and decomposition agree");
         for perm in [d.ordering.row(), d.ordering.col()] {
@@ -63,11 +64,7 @@ fn pin(solution: &LudemSolution) -> Pin {
                 orderings.eat(old as u64);
             }
         }
-        let entries = match d.factors.as_ref().expect("factors were kept") {
-            MatrixFactors::Static(f) => f.export_entries(),
-            MatrixFactors::Dynamic(f) => f.export_entries(),
-        };
-        for (i, j, v) in entries {
+        for (i, j, v) in d.factors.export_entries() {
             factors.eat(i as u64);
             factors.eat(j as u64);
             factors.eat(v.to_bits());

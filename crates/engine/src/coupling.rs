@@ -73,11 +73,12 @@ mod plan;
 use plan::Half;
 pub use plan::{CouplingPlan, CouplingStructure, FrozenCoupling};
 
-use crate::store::{static_factors, EngineSnapshot, ShardSnapshot};
+use crate::store::EngineSnapshot;
 use clude::DecomposedMatrix;
 use clude_lu::{LuError, LuResult, SolveScratch};
 use clude_sparse::vector::{axpy, dot};
 use clude_telemetry::{Counter, EngineEvent, Stage};
+use std::sync::Arc;
 
 /// Which system a solve answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,7 +190,7 @@ pub(crate) fn solve_system(snap: &EngineSnapshot, system: System, b: &[f64]) -> 
             System::Forward => DecomposedMatrix::solve_into,
             System::Transposed => DecomposedMatrix::solve_transposed_into,
         };
-        solve(shards[0].decomposed(), b, &mut SolveScratch::new(), &mut x)?;
+        solve(&shards[0], b, &mut SolveScratch::new(), &mut x)?;
         return Ok(x);
     }
     if u32::try_from(n).is_err() {
@@ -234,7 +235,7 @@ const RESTART: usize = 24;
 /// values.  The coupling never reads a shard's own segment, so the segment
 /// is written and substituted in place.
 fn block_pass(
-    shards: &[ShardSnapshot],
+    shards: &[Arc<DecomposedMatrix>],
     plan: &CouplingPlan,
     half: Half<'_>,
     system: System,
@@ -250,7 +251,7 @@ fn block_pass(
         for p in segment.clone() {
             v[p] = b.map_or(0.0, |b| b[p]) - half.coupling_dot(p, v);
         }
-        let factors = static_factors(shards[s].decomposed());
+        let factors = &shards[s].factors;
         match system {
             System::Forward => factors.solve_in_place(&mut v[segment])?,
             System::Transposed => factors.solve_transposed_in_place(&mut v[segment])?,

@@ -13,7 +13,7 @@
 //! from the allocation-free solve in [`super`].
 
 use super::System;
-use crate::store::ShardSnapshot;
+use clude::DecomposedMatrix;
 use clude_graph::NodePartition;
 use clude_sparse::vector::sparse_dot;
 use clude_sparse::{CsrMatrix, Ordering};
@@ -455,7 +455,7 @@ impl FrozenCoupling {
     pub(crate) fn plan(
         &self,
         partition: &NodePartition,
-        shards: &[ShardSnapshot],
+        shards: &[Arc<DecomposedMatrix>],
     ) -> &CouplingPlan {
         debug_assert!(
             self.structure
@@ -463,7 +463,7 @@ impl FrozenCoupling {
                 .orderings
                 .iter()
                 .zip(shards)
-                .all(|(o, shard)| Arc::ptr_eq(o, &shard.decomposed().ordering)),
+                .all(|(o, shard)| Arc::ptr_eq(o, &shard.ordering)),
             "a shard's ordering moved without a re-lay of the coupling"
         );
         self.plan.get_or_init(|| {
@@ -813,7 +813,7 @@ mod tests {
     #[test]
     fn the_transposed_half_is_the_transposed_coupling() {
         let (partition, matrix, coupling) = coupling();
-        let shards: Vec<ShardSnapshot> = Vec::new();
+        let shards: Vec<Arc<DecomposedMatrix>> = Vec::new();
         let plan_bytes = coupling.plan(&partition, &shards).approx_bytes();
         let (word, layout) = (8, 5 * 8 + 3 * 6 * 4);
         let bytes = |c: &Arc<FrozenCoupling>| c.resident_bytes(&mut HashSet::new());

@@ -50,7 +50,9 @@ pub struct EngineConfig {
     /// outside its domain ([`MatrixKind::validate`]) is an
     /// [`EngineError::InvalidConfig`].
     pub matrix_kind: MatrixKind,
-    /// When to cut ingest batches.
+    /// When to cut ingest batches; a policy whose cut rule cannot work —
+    /// `max_ops` 0, a `min_similarity` outside `[0, 1]` — is an
+    /// [`EngineError::InvalidConfig`].
     pub batch: BatchPolicy,
     /// The quality-loss budget: a shard block whose factors' quality-loss
     /// (Definition 4) against its last re-order exceeds it re-orders and
@@ -122,6 +124,7 @@ impl EngineConfig {
         self.matrix_kind
             .validate()
             .map_err(EngineError::InvalidConfig)?;
+        self.batch.validate().map_err(EngineError::InvalidConfig)?;
         if self.ring_capacity == 0 {
             return invalid("ring_capacity must retain at least one snapshot".into());
         }
@@ -601,14 +604,12 @@ impl CludeEngine {
         let mut seen: HashSet<*const ()> = HashSet::new();
         let mut bytes = 0u64;
         for snapshot in ring.iter() {
-            for shard in snapshot.shards() {
-                if seen.insert(Arc::as_ptr(shard.shared()).cast()) {
-                    let block = shard.decomposed();
+            for block in snapshot.shards() {
+                if seen.insert(Arc::as_ptr(block).cast()) {
                     bytes += block.owned_bytes() as u64;
-                    if let Some(structure) = block.shared_structure() {
-                        if seen.insert(Arc::as_ptr(structure).cast()) {
-                            bytes += structure.approx_bytes() as u64;
-                        }
+                    let structure = block.factors.structure();
+                    if seen.insert(Arc::as_ptr(structure).cast()) {
+                        bytes += structure.approx_bytes() as u64;
                     }
                 }
             }
@@ -807,8 +808,8 @@ mod tests {
             assert_eq!(ring.len(), 3);
             ring.iter()
                 .map(|snap| {
-                    let block = Arc::clone(snap.shards()[0].shared());
-                    let structure = Arc::as_ptr(block.shared_structure().unwrap());
+                    let block = Arc::clone(&snap.shards()[0]);
+                    let structure = Arc::as_ptr(block.factors.structure());
                     (block, structure)
                 })
                 .unzip()
@@ -819,7 +820,7 @@ mod tests {
             "value-only publishes share a structure"
         );
         assert!(!Arc::ptr_eq(&blocks[0], &blocks[1]) && !Arc::ptr_eq(&blocks[1], &blocks[2]));
-        let structure_bytes = blocks[0].shared_structure().unwrap().approx_bytes() as u64;
+        let structure_bytes = blocks[0].factors.structure().approx_bytes() as u64;
         let owned: u64 = blocks.iter().map(|b| b.owned_bytes() as u64).sum();
         // No coupling at one shard: what is left is the empty frozen coupling
         // (row offsets only), shared by all three entries; a one-shard solve
@@ -909,7 +910,7 @@ mod tests {
         let ring: Vec<_> = engine.ring.read().unwrap().iter().cloned().collect();
         let (was, now) = (&ring[1], &ring[2]);
         for (a, b) in was.shards().iter().zip(now.shards()) {
-            assert!(Arc::ptr_eq(a.shared(), b.shared()));
+            assert!(Arc::ptr_eq(a, b));
         }
         let (was, now) = (was.shared_coupling(), now.shared_coupling());
         assert!(!Arc::ptr_eq(was, now));
@@ -1238,6 +1239,32 @@ mod tests {
                 assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
                 assert!(err.to_string().contains(needle), "{err}");
             }
+        }
+    }
+
+    #[test]
+    fn a_batch_policy_that_cannot_cut_is_an_invalid_config() {
+        let zero_ops = BatchPolicy {
+            max_ops: 0,
+            min_similarity: None,
+        };
+        assert_invalid_everywhere(
+            EngineConfig {
+                batch: zero_ops,
+                ..small_config(1)
+            },
+            "max_ops",
+        );
+        for alpha in [f64::NAN, 1.5, -0.5] {
+            let batch = BatchPolicy {
+                max_ops: 4,
+                min_similarity: Some(alpha),
+            };
+            let config = EngineConfig {
+                batch,
+                ..small_config(1)
+            };
+            assert_invalid_everywhere(config, "min_similarity");
         }
     }
 

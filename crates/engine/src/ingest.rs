@@ -71,6 +71,21 @@ impl BatchPolicy {
         }
     }
 
+    /// Refuses a policy whose cut rule cannot work: `max_ops` 0 (read as 1),
+    /// or a `min_similarity` outside `[0, 1]` — NaN never cuts, since no
+    /// similarity compares below it, and above 1 cuts on every op.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.max_ops == 0 {
+            return Err("batch max_ops must be at least 1".into());
+        }
+        match self.min_similarity {
+            Some(alpha) if !(0.0..=1.0).contains(&alpha) => Err(format!(
+                "batch min_similarity must lie in [0, 1], got {alpha}"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// A policy additionally flushing when similarity falls below `alpha`
     /// (the paper's clustering threshold, reused as a batch bound).
     pub fn by_similarity(max_ops: usize, alpha: f64) -> Self {

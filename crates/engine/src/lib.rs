@@ -56,7 +56,7 @@
 //!   exactly.
 //! * [`store::EngineSnapshot`] is the immutable unit the ring retains: the
 //!   per-shard factor blocks and the frozen coupling are shared [`Arc`]
-//!   handles (see [`store::ShardSnapshot::shared`]), re-frozen by an advance
+//!   handles (see [`store::EngineSnapshot::shards`]), re-frozen by an advance
 //!   for exactly the shards the batch touched — so a long time-travel window
 //!   costs O(touched shards) factor memory per snapshot, not O(all shards);
 //!   it holds no graph — hitting time, too, is answered through the factors.
@@ -128,5 +128,5 @@ pub use query::QueryService;
 pub use recovery::RecoveryReport;
 pub use sharded::{PartitionStrategy, ShardAdvance, ShardedAdvanceReport, ShardedFactorStore};
 pub use stats::{EngineStats, ShardStats};
-pub use store::{EngineSnapshot, MaintenanceArm, ShardSnapshot};
+pub use store::{EngineSnapshot, MaintenanceArm};
 pub use vfs::{FailpointFs, Injection, StdFs, Vfs, VfsFile};

@@ -50,7 +50,7 @@ use crate::coupling::{FrozenCoupling, SolveTolerance};
 use crate::error::{EngineError, EngineResult};
 use crate::store::{
     global_matrix_delta, order_and_factorize, EngineSnapshot, MaintenanceArm, OldSuccessors,
-    OrderedFactors, ShardSnapshot,
+    OrderedFactors,
 };
 use clude_graph::{
     coupling_matrix, shard_measure_matrix, DiGraph, GraphDelta, MatrixKind, NodePartition,
@@ -410,14 +410,10 @@ impl ShardedFactorStore {
     /// [`ShardedFactorStore::advance`] for exactly what the batch touched,
     /// and the snapshot holds no graph, so this bumps `n_shards` plus three
     /// reference counts and clones no data.  Consecutive snapshots are
-    /// [`Arc::ptr_eq`] on every untouched shard's [`ShardSnapshot::shared`]
-    /// handle.
+    /// [`Arc::ptr_eq`] on every untouched shard's block
+    /// ([`EngineSnapshot::shards`]).
     pub fn snapshot(&self) -> EngineSnapshot {
-        let shards = self
-            .shards
-            .iter()
-            .map(|s| ShardSnapshot::new(Arc::clone(s.block())))
-            .collect();
+        let shards = self.shards.iter().map(|s| Arc::clone(s.block())).collect();
         EngineSnapshot::from_parts(
             self.snapshot_id,
             self.kind,
@@ -593,7 +589,7 @@ impl ShardedFactorStore {
 mod tests {
     use super::*;
     use crate::coupling::SolveTolerance;
-    use crate::store::{dense_answer, static_factors};
+    use crate::store::dense_answer;
     use clude::partition::edge_locality_partition;
     use clude_graph::btf_partition;
     use clude_lu::LuError;
@@ -635,7 +631,7 @@ mod tests {
                 .shards()
                 .iter()
                 .zip(after.shards())
-                .all(|(a, b)| Arc::ptr_eq(&a.decomposed().ordering, &b.decomposed().ordering))
+                .all(|(a, b)| Arc::ptr_eq(&a.ordering, &b.ordering))
     }
 
     /// Every measure family against the dense oracle (no shared code with
@@ -881,13 +877,10 @@ mod tests {
         assert_eq!(report.shards_republished, 1);
         assert!(!report.coupling_republished);
         let snap1 = store.snapshot();
-        assert!(!Arc::ptr_eq(
-            snap0.shards()[0].shared(),
-            snap1.shards()[0].shared()
-        ));
+        assert!(!Arc::ptr_eq(&snap0.shards()[0], &snap1.shards()[0]));
         for s in 1..3 {
             assert!(
-                Arc::ptr_eq(snap0.shards()[s].shared(), snap1.shards()[s].shared()),
+                Arc::ptr_eq(&snap0.shards()[s], &snap1.shards()[s]),
                 "untouched shard {s} was cloned"
             );
         }
@@ -898,8 +891,8 @@ mod tests {
         // The shared blocks record when they were last touched, the snapshot
         // records when it was taken.
         assert_eq!(snap1.id(), 1);
-        assert_eq!(snap1.shards()[0].decomposed().index, 1);
-        assert_eq!(snap1.shards()[1].decomposed().index, 0);
+        assert_eq!(snap1.shards()[0].index, 1);
+        assert_eq!(snap1.shards()[1].index, 0);
 
         // Cross-shard batch (0 -> 7): shard 0's column rescales, shard 1 is
         // only a coupling target — its block stays shared, the frozen
@@ -912,10 +905,7 @@ mod tests {
             .unwrap();
         assert!(report.coupling_republished);
         let snap2 = store.snapshot();
-        assert!(Arc::ptr_eq(
-            snap1.shards()[1].shared(),
-            snap2.shards()[1].shared()
-        ));
+        assert!(Arc::ptr_eq(&snap1.shards()[1], &snap2.shards()[1]));
         assert!(!Arc::ptr_eq(
             snap1.shared_coupling(),
             snap2.shared_coupling()
@@ -1628,10 +1618,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(report.per_shard[0].arm, Some(MaintenanceArm::Refactor));
-        assert!(!Arc::ptr_eq(
-            snap0.shards()[0].shared(),
-            store.shards[0].block()
-        ));
+        assert!(!Arc::ptr_eq(&snap0.shards()[0], store.shards[0].block()));
         assert!(Arc::ptr_eq(&s0, &structure_of(&store)));
         assert_blocks_closed(&store);
 
@@ -1696,7 +1683,7 @@ mod tests {
         s: usize,
     ) -> (Vec<usize>, Vec<usize>) {
         let (old, new) = (
-            static_factors(before.shards()[s].decomposed()).structure(),
+            before.shards()[s].factors.structure(),
             store.shards[s].factors().structure(),
         );
         let matrix = shard_measure_matrix(store.graph(), store.matrix_kind(), store.partition(), s)
@@ -1746,7 +1733,7 @@ mod tests {
         assert_eq!(escaped.len(), 1);
         assert!(cascaded.len() > 1, "{cascaded:?}");
         let grown = |s: usize| {
-            let old = static_factors(before.shards()[s].decomposed());
+            let old = &before.shards()[s].factors;
             (store.shards[s].factors().nnz() - old.nnz()) as u64
         };
         assert!(report.per_shard[0].slots_added > 0);
@@ -1813,10 +1800,7 @@ mod tests {
                     continue;
                 }
                 assert_eq!(shard.arm, Some(MaintenanceArm::Refactor));
-                let (old, new) = (
-                    static_factors(old_snapshot.shards()[s].decomposed()),
-                    store.shards[s].factors(),
-                );
+                let (old, new) = (&old_snapshot.shards()[s].factors, store.shards[s].factors());
                 assert!(Arc::ptr_eq(old.structure(), new.structure()));
                 assert!(new.structure().is_elimination_closed());
                 let ordering = &store.shards[s].ordering;
@@ -2030,7 +2014,7 @@ mod tests {
         assert!(structural > 0 && reorders > 0, "{structural} / {reorders}");
         for (b, snapshot) in published.iter().enumerate() {
             for (s, shard) in snapshot.shards().iter().enumerate() {
-                let structure = static_factors(shard.decomposed()).structure();
+                let structure = shard.factors.structure();
                 assert!(!structure.has_lower_index(), "batch {b}, shard {s}");
             }
         }

@@ -1,8 +1,8 @@
 //! The pieces every factor shard and every published snapshot are made of.
 //!
-//! * [`EngineSnapshot`] / [`ShardSnapshot`] — the immutable unit the query
-//!   side serves from: one shared factor block per shard, the frozen
-//!   cross-shard coupling and the composition they factorize — no graph.
+//! * [`EngineSnapshot`] — the immutable unit the query side serves from: one
+//!   shared factor block per shard, the frozen cross-shard coupling and the
+//!   composition they factorize — no graph.
 //! * `OrderedFactors` — one shard: its ordering, its factors — the last block
 //!   it published, which is the live storage itself — its quality anchor,
 //!   and the [`clude_lu::Maintainer`] holding the matrix the block
@@ -23,7 +23,7 @@
 
 use crate::coupling::{self, CouplingPlan, FrozenCoupling, SolveTolerance, System};
 use crate::sharded::ShardAdvance;
-use clude::{DecomposedMatrix, MatrixFactors};
+use clude::DecomposedMatrix;
 use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
 use clude_lu::{factorize_fresh, markowitz_ordering, LuError, LuFactors, LuResult, Maintainer};
 use clude_measures::{evaluate_query_with, MeasureQuery, MeasureSolver};
@@ -31,44 +31,10 @@ use clude_sparse::CsrMatrix;
 use clude_telemetry::{EngineEvent, RefreshReason, Stage, TelemetryRegistry};
 use std::sync::Arc;
 
-/// One shard's slice of an [`EngineSnapshot`]: the decomposed principal
-/// submatrix over the shard's nodes, in local coordinates.
-///
-/// The block is held behind an [`Arc`], which is what makes the snapshot
-/// ring copy-on-write: consecutive snapshots share the handle for every
-/// shard a batch did not touch, so a long time-travel window costs
-/// O(touched shards) factor memory per snapshot instead of O(all shards).
-/// The [`DecomposedMatrix::index`] of a shared block records the snapshot id
-/// at which the shard's factors last changed (not the id of the snapshot
-/// serving it).
-#[derive(Debug, Clone)]
-pub struct ShardSnapshot {
-    decomposed: Arc<DecomposedMatrix>,
-}
-
-impl ShardSnapshot {
-    pub(crate) fn new(decomposed: Arc<DecomposedMatrix>) -> Self {
-        ShardSnapshot { decomposed }
-    }
-
-    /// The shard's decomposed block (ordering + factors, local coordinates).
-    pub fn decomposed(&self) -> &DecomposedMatrix {
-        &self.decomposed
-    }
-
-    /// The shared handle of the decomposed block.  Two snapshots whose
-    /// handles are [`Arc::ptr_eq`] serve the identical factors without
-    /// holding two copies — the observable form of the ring's structural
-    /// sharing.
-    pub fn shared(&self) -> &Arc<DecomposedMatrix> {
-        &self.decomposed
-    }
-}
-
 /// One immutable, queryable snapshot: per-shard decomposed factors sharing
 /// one snapshot id, and the composition they factorize — no graph.
 ///
-/// The store publishes one [`ShardSnapshot`] per shard plus the cross-shard
+/// The store publishes one factor block per shard plus the cross-shard
 /// coupling entries; a one-shard store publishes a single block over the
 /// [`NodePartition::singleton`] partition with an empty coupling matrix.
 /// Queries solve `A x = b` — hitting time `Aᵀ x = b` — exactly, either by
@@ -81,7 +47,15 @@ pub struct EngineSnapshot {
     /// The composition the factors are of; queries needing another refused.
     kind: MatrixKind,
     partition: Arc<NodePartition>,
-    shards: Vec<ShardSnapshot>,
+    /// One block per shard: the decomposed principal submatrix over the
+    /// shard's nodes, in local coordinates.  Each is held behind an [`Arc`],
+    /// which is what makes the snapshot ring copy-on-write: consecutive
+    /// snapshots share the handle for every shard a batch did not touch, so
+    /// a long time-travel window costs O(touched shards) factor memory per
+    /// snapshot instead of O(all shards).  A shared block's
+    /// [`DecomposedMatrix::index`] records the snapshot id at which the
+    /// shard's factors last changed (not the id of the snapshot serving it).
+    shards: Vec<Arc<DecomposedMatrix>>,
     /// Cross-shard entries of the measure matrix (empty for one-shard
     /// snapshots), laid out under the shards' orderings, with the cell of
     /// the coupled solve's plan over them — filled by the first coupled
@@ -100,7 +74,7 @@ impl EngineSnapshot {
         id: u64,
         kind: MatrixKind,
         partition: Arc<NodePartition>,
-        shards: Vec<ShardSnapshot>,
+        shards: Vec<Arc<DecomposedMatrix>>,
         coupling: Arc<FrozenCoupling>,
         tolerance: SolveTolerance,
         telemetry: Arc<TelemetryRegistry>,
@@ -127,8 +101,11 @@ impl EngineSnapshot {
         &self.partition
     }
 
-    /// The per-shard decomposed blocks, in shard order.
-    pub fn shards(&self) -> &[ShardSnapshot] {
+    /// The per-shard decomposed blocks (ordering + factors, local
+    /// coordinates), in shard order.  Two snapshots whose handles for a shard
+    /// are [`Arc::ptr_eq`] serve the identical factors without holding two
+    /// copies — the observable form of the ring's structural sharing.
+    pub fn shards(&self) -> &[Arc<DecomposedMatrix>] {
         &self.shards
     }
 
@@ -289,7 +266,7 @@ impl OrderedFactors {
 
     /// The live factors.
     pub(crate) fn factors(&self) -> &LuFactors {
-        static_factors(&self.block)
+        &self.block.factors
     }
 
     /// Definition 4's quality-loss of the live factors — their slot count,
@@ -425,17 +402,8 @@ fn block(
     Arc::new(DecomposedMatrix {
         index: id as usize,
         ordering: Arc::clone(ordering),
-        factors: Some(MatrixFactors::Static(factors)),
+        factors,
     })
-}
-
-/// The flat factors of an engine block.  Every block the engine serves is
-/// built by `block` above, over static factors.
-pub(crate) fn static_factors(block: &DecomposedMatrix) -> &LuFactors {
-    match &block.factors {
-        Some(MatrixFactors::Static(factors)) => factors,
-        _ => unreachable!("engine blocks hold static factors"),
-    }
 }
 
 /// The paper's Markowitz product-rule ordering of `matrix`, the matrix
@@ -737,8 +705,8 @@ mod tests {
         let snap0 = store.snapshot();
         // Two snapshots with no advance in between share the handle.
         assert!(Arc::ptr_eq(
-            snap0.shards()[0].shared(),
-            store.snapshot().shards()[0].shared()
+            &snap0.shards()[0],
+            &store.snapshot().shards()[0]
         ));
         // An empty batch advances the snapshot id but performs no factor
         // work: the handle keeps being shared (index records snapshot 0).
@@ -747,11 +715,8 @@ mod tests {
         assert_eq!(report.shards_republished, 0);
         let snap1 = store.snapshot();
         assert_eq!(snap1.id(), 1);
-        assert!(Arc::ptr_eq(
-            snap0.shards()[0].shared(),
-            snap1.shards()[0].shared()
-        ));
-        assert_eq!(snap1.shards()[0].decomposed().index, 0);
+        assert!(Arc::ptr_eq(&snap0.shards()[0], &snap1.shards()[0]));
+        assert_eq!(snap1.shards()[0].index, 0);
         // A real batch replaces the handle.
         let report = store
             .advance(&GraphDelta {
@@ -761,11 +726,8 @@ mod tests {
             .unwrap();
         assert_eq!(report.shards_republished, 1);
         let snap2 = store.snapshot();
-        assert!(!Arc::ptr_eq(
-            snap1.shards()[0].shared(),
-            snap2.shards()[0].shared()
-        ));
-        assert_eq!(snap2.shards()[0].decomposed().index, 2);
+        assert!(!Arc::ptr_eq(&snap1.shards()[0], &snap2.shards()[0]));
+        assert_eq!(snap2.shards()[0].index, 2);
     }
 
     #[test]
@@ -855,7 +817,7 @@ mod tests {
         let b: Vec<f64> = (0..next.n_rows())
             .map(|i| [1.0, -2.0, 0.5][i % 3])
             .collect();
-        let x = clude_lu::solve_original(static_factors(block), &block.ordering, &b).unwrap();
+        let x = clude_lu::solve_original(&block.factors, &block.ordering, &b).unwrap();
         let expected = next.to_dense().solve_gaussian(&b).unwrap();
         for (got, want) in x.iter().zip(&expected) {
             assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
@@ -936,7 +898,7 @@ mod tests {
         let mut of = order_and_factorize(&path, 0).unwrap();
         assert_eq!(of.ordering.row().old_to_new(), vec![2, 1, 0, 3]);
         let published = Arc::clone(of.block());
-        let block_before = bits(static_factors(&published).export_entries());
+        let block_before = bits(published.factors.export_entries());
         // A value-only batch — every position is a slot of the block — drops
         // the edge 0 – 3 and lowers three diagonal entries: factor row 0
         // (node 2) passes, factor row 1 (node 1) eliminates to exactly zero,
@@ -956,10 +918,7 @@ mod tests {
         assert_eq!(outcome.rows_refactored, 0);
         assert_one_pivot_refresh(&telemetry);
         assert_eq!(telemetry.stage_histogram(Stage::SnapshotFreeze).count(), 0);
-        assert_eq!(
-            bits(static_factors(&published).export_entries()),
-            block_before
-        );
+        assert_eq!(bits(published.factors.export_entries()), block_before);
         assert!(!Arc::ptr_eq(&published, of.block()));
         // The re-order is of the matrix the batch wrote, without the zeros
         // it left stored: node 3 is isolated now and comes first.
@@ -1140,7 +1099,7 @@ mod tests {
         assert_eq!(store.quality_loss(), 0.0);
         let snap = store.snapshot();
         assert_eq!(snap.n_nodes(), 6);
-        assert_eq!(snap.shards()[0].decomposed().index, 0);
+        assert_eq!(snap.shards()[0].index, 0);
         assert_eq!(snap.coupling_nnz(), 0);
         // What a one-shard checkpoint records: one shard.
         let durable = store.durable_state();

@@ -228,16 +228,12 @@ fn pin_run(base: &DiGraph, ops: &[EdgeOp], point: GridPoint) -> (Arms, u64) {
                 arms[arm.index()] += 1;
             }
         }
-        for (s, shard) in store.snapshot().shards().iter().enumerate() {
-            let block = shard.decomposed();
+        for (s, block) in store.snapshot().shards().iter().enumerate() {
             if block.index as u64 != report.snapshot_id {
                 continue;
             }
             hash.eat(s as u64);
-            let Some(clude::MatrixFactors::Static(factors)) = &block.factors else {
-                panic!("engine blocks hold static factors");
-            };
-            for (i, j, v) in factors.export_entries() {
+            for (i, j, v) in block.factors.export_entries() {
                 hash.eat(i as u64);
                 hash.eat(j as u64);
                 hash.eat(v.to_bits());

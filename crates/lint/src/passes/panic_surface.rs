@@ -1,6 +1,7 @@
 //! `panic-surface`: the hot path must not be able to panic.
 //!
-//! `unwrap` / `expect` / `panic!` / `todo!` / `unimplemented!` are banned
+//! `unwrap` / `expect` / `panic!` / `todo!` / `unimplemented!` /
+//! `unreachable!` are banned
 //! outside `#[cfg(test)]` code in the engine's hot-path modules — the
 //! allocation-free Bennett/solve chains and the serving-path modules where a
 //! panic would poison the ingest mutex or a cache shard and take the whole
@@ -24,7 +25,7 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/telemetry/src/hist.rs",
 ];
 
-const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
+const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented", "unreachable"];
 
 /// Scans one file; no-op unless the file is on the hot path.
 pub fn run(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
@@ -57,7 +58,8 @@ pub fn run(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
                 ),
             ));
         }
-        // `panic!(` / `todo!(` / `unimplemented!(` macro invocations.
+        // `panic!(` / `todo!(` / `unimplemented!(` / `unreachable!(` macro
+        // invocations.
         if PANIC_MACROS.iter().any(|m| tok.is_ident(m))
             && k + 1 < code.len()
             && ctx.tokens[code[k + 1]].is_punct('!')

@@ -51,6 +51,17 @@ fn panic_surface_catches_panic_macros() {
 }
 
 #[test]
+fn panic_surface_catches_unreachable() {
+    let report = lint(&[(
+        "crates/engine/src/coupling.rs",
+        "pub fn f(x: Option<u32>) -> u32 {\n    match x {\n        Some(v) => v,\n        \
+         None => unreachable!(\"always Some\"),\n    }\n}\n",
+    )]);
+    assert_eq!(count(&report, "panic-surface"), 1);
+    assert_eq!(report.diagnostics[0].line, 4);
+}
+
+#[test]
 fn panic_surface_ignores_modules_off_the_hot_path() {
     let report = lint(&[(
         "crates/graph/src/egs.rs",

@@ -445,6 +445,25 @@ mod tests {
     }
 
     #[test]
+    fn a_flat_copy_of_updated_lists_solves_bit_for_bit_as_the_lists() {
+        // What INC and CINC keep of each member: the lists after Bennett's
+        // updates, copied into flat storage, stored zeros included.
+        let mut lists = DynamicLuFactors::factorize(&sample_matrix()).unwrap();
+        let delta = [(0, 2, 1.0, 0.0), (3, 1, 0.0, 2.0), (2, 2, 6.0, 7.5)];
+        let mut ws = crate::bennett::BennettWorkspace::new();
+        crate::bennett::apply_delta_with(&mut lists, &mut ws, &delta).unwrap();
+        let entries = lists.export_entries();
+        assert!(entries.iter().any(|&(_, _, v)| v == 0.0), "a stored zero");
+        let flat = crate::LuFactors::from_sorted_entries(lists.n(), &entries).unwrap();
+        assert_eq!(flat.export_entries(), entries);
+        let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for b in [vec![1.0, -2.0, 0.5, 3.0], vec![0.25; 4]] {
+            let (by_lists, by_copy) = (lists.solve(&b).unwrap(), flat.solve(&b).unwrap());
+            assert_eq!(bits(by_lists), bits(by_copy));
+        }
+    }
+
+    #[test]
     fn from_sorted_entries_rejects_bad_input() {
         // Out of bounds.
         let err = DynamicLuFactors::from_sorted_entries(2, &[(0, 5, 1.0)]).unwrap_err();

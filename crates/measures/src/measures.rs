@@ -14,9 +14,10 @@
 //!   ([`hitting_time`]).
 //!
 //! The functions take any [`MeasureSolver`] — a [`clude::DecomposedMatrix`]
-//! (one snapshot's factors, produced by any LUDEM solver) or an engine
-//! snapshot — so a whole time series costs one cheap substitution per
-//! snapshot once the sequence has been decomposed.
+//! (one snapshot's ordering and flat factors, kept by any LUDEM solver
+//! unless its run is timing-only) or an engine snapshot — so a whole time
+//! series costs one cheap substitution per snapshot once the sequence has
+//! been decomposed.
 
 use crate::linear_system::{group_score, normalize_scores, pagerank_rhs, ppr_rhs, rwr_rhs};
 use crate::query::MeasureSolver;

@@ -71,7 +71,11 @@ impl MeasureSeries {
 
     /// PageRank scores of every node at snapshot `t`.
     pub fn pagerank_at(&self, t: usize) -> LuResult<Vec<f64>> {
-        pagerank(&self.solution.decomposed[t], self.n_nodes(), self.damping)
+        pagerank(
+            self.solution.decomposition(t)?,
+            self.n_nodes(),
+            self.damping,
+        )
     }
 
     /// The PageRank score of one node at every snapshot — the time series of
@@ -87,13 +91,9 @@ impl MeasureSeries {
     pub fn group_proximity_series(&self, seeds: &[usize], group: &[usize]) -> LuResult<Vec<f64>> {
         (0..self.len())
             .map(|t| {
-                personalized_pagerank(
-                    &self.solution.decomposed[t],
-                    self.n_nodes(),
-                    seeds,
-                    self.damping,
-                )
-                .map(|scores| group_score(&scores, group))
+                let snapshot = self.solution.decomposition(t)?;
+                personalized_pagerank(snapshot, self.n_nodes(), seeds, self.damping)
+                    .map(|scores| group_score(&scores, group))
             })
             .collect()
     }
@@ -107,12 +107,8 @@ impl MeasureSeries {
     ) -> LuResult<Vec<Vec<usize>>> {
         let mut ranks = vec![vec![0usize; self.len()]; groups.len()];
         for t in 0..self.len() {
-            let scores = personalized_pagerank(
-                &self.solution.decomposed[t],
-                self.n_nodes(),
-                seeds,
-                self.damping,
-            )?;
+            let snapshot = self.solution.decomposition(t)?;
+            let scores = personalized_pagerank(snapshot, self.n_nodes(), seeds, self.damping)?;
             let group_scores: Vec<f64> = groups.iter().map(|g| group_score(&scores, g)).collect();
             let order = vector::rank_descending(&group_scores);
             for (rank, &group_idx) in order.iter().enumerate() {
@@ -143,6 +139,7 @@ mod tests {
     use super::*;
     use clude::Clude;
     use clude_graph::DiGraph;
+    use clude_lu::LuError;
 
     /// A small EGS where node 0 suddenly gains in-links at snapshot 2.
     fn egs_with_burst() -> EvolvingGraphSequence {
@@ -200,6 +197,35 @@ mod tests {
         let prox = series.group_proximity_series(&seeds, &groups[0]).unwrap();
         assert_eq!(prox.len(), series.len());
         assert!(prox.iter().all(|&p| p > 0.0));
+    }
+
+    /// `result` is the refusal of snapshot `t`, which the solution does not
+    /// keep.
+    fn refuses_snapshot<T>(result: LuResult<T>, t: usize) -> bool {
+        matches!(result, Err(LuError::InvalidParameter { name: "snapshot", value })
+            if value == t as f64)
+    }
+
+    #[test]
+    fn a_snapshot_without_a_decomposition_is_an_error_not_a_panic() {
+        let egs = egs_with_burst();
+        let series = MeasureSeries::build(&egs, 0.85, &Clude::default()).unwrap();
+        assert!(refuses_snapshot(series.pagerank_at(4), 4));
+        // A timing-only run keeps no decomposition of any snapshot.
+        let kind = MatrixKind::RandomWalk { damping: 0.85 };
+        let ems = EvolvingMatrixSequence::from_egs(&egs, kind);
+        let solution = Clude::default()
+            .solve(&ems, &SolverConfig::timing_only())
+            .unwrap();
+        let series = MeasureSeries::from_solution(ems, solution, 0.85);
+        for result in [
+            series.pagerank_at(0).map(drop),
+            series.pagerank_series(0).map(drop),
+            series.group_proximity_series(&[1], &[0]).map(drop),
+            series.group_rank_series(&[1], &[vec![0]]).map(drop),
+        ] {
+            assert!(refuses_snapshot(result, 0));
+        }
     }
 
     #[test]

@@ -346,8 +346,8 @@ proptest! {
             prop_assert_eq!(snap.n_shards(), n_shards);
             for s in 0..n_shards {
                 let shared = std::sync::Arc::ptr_eq(
-                    prev.shards()[s].shared(),
-                    snap.shards()[s].shared(),
+                    &prev.shards()[s],
+                    &snap.shards()[s],
                 );
                 let touched = report.per_shard[s].entries_applied > 0;
                 prop_assert_eq!(
@@ -399,7 +399,7 @@ proptest! {
                 prev.shared_coupling().entries().map(|(i, j, _)| (i, j)).collect();
             let new_position = live.iter().any(|&(i, j, _)| !slots.contains(&(i, j)));
             let moved = prev.shards().iter().zip(snap.shards()).any(|(a, b)| {
-                !std::sync::Arc::ptr_eq(&a.decomposed().ordering, &b.decomposed().ordering)
+                !std::sync::Arc::ptr_eq(&a.ordering, &b.ordering)
             });
             prop_assert_eq!(
                 std::sync::Arc::ptr_eq(prev.shared_coupling().structure(), coupling.structure()),
