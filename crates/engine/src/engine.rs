@@ -371,7 +371,7 @@ impl CludeEngine {
         Ok(CludeEngine {
             kind: config.matrix_kind,
             inner: Mutex::new(IngestState {
-                ingestor: DeltaIngestor::new(config.batch).with_telemetry(Arc::clone(&telemetry)),
+                ingestor: DeltaIngestor::new(config.batch)?.with_telemetry(Arc::clone(&telemetry)),
                 store,
                 persistence: None,
             }),

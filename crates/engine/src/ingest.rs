@@ -62,12 +62,23 @@ impl Default for BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// A policy flushing every `max_ops` changes.
+    /// A policy flushing every `max_ops` changes.  Like every policy, it is
+    /// checked where it is used: [`DeltaIngestor::new`] and the engine's
+    /// constructors refuse a `max_ops` of 0.
     pub fn by_count(max_ops: usize) -> Self {
-        assert!(max_ops > 0, "batch size must be positive");
         BatchPolicy {
             max_ops,
             min_similarity: None,
+        }
+    }
+
+    /// A policy additionally flushing when similarity falls below `alpha`
+    /// (the paper's clustering threshold, reused as a batch bound), which
+    /// must lie in `[0, 1]`.
+    pub fn by_similarity(max_ops: usize, alpha: f64) -> Self {
+        BatchPolicy {
+            max_ops,
+            min_similarity: Some(alpha),
         }
     }
 
@@ -83,20 +94,6 @@ impl BatchPolicy {
                 "batch min_similarity must lie in [0, 1], got {alpha}"
             )),
             _ => Ok(()),
-        }
-    }
-
-    /// A policy additionally flushing when similarity falls below `alpha`
-    /// (the paper's clustering threshold, reused as a batch bound).
-    pub fn by_similarity(max_ops: usize, alpha: f64) -> Self {
-        assert!(max_ops > 0, "batch size must be positive");
-        assert!(
-            (0.0..=1.0).contains(&alpha),
-            "similarity must lie in [0, 1]"
-        );
-        BatchPolicy {
-            max_ops,
-            min_similarity: Some(alpha),
         }
     }
 }
@@ -136,15 +133,17 @@ pub struct DeltaIngestor {
 }
 
 impl DeltaIngestor {
-    /// A fresh ingestor with the given batch policy.
-    pub fn new(policy: BatchPolicy) -> Self {
-        DeltaIngestor {
+    /// A fresh ingestor with the given batch policy; a policy whose cut rule
+    /// cannot work (see [`BatchPolicy`]) is [`EngineError::InvalidConfig`].
+    pub fn new(policy: BatchPolicy) -> EngineResult<Self> {
+        policy.validate().map_err(EngineError::InvalidConfig)?;
+        Ok(DeltaIngestor {
             policy,
             pending_adds: BTreeSet::new(),
             pending_removes: BTreeSet::new(),
             batches_cut: 0,
             telemetry: Arc::new(TelemetryRegistry::disabled()),
-        }
+        })
     }
 
     /// Attaches a telemetry registry; [`offer`](DeltaIngestor::offer) then
@@ -259,10 +258,38 @@ mod tests {
         DiGraph::from_edges(5, vec![(0, 1), (1, 2), (2, 3)])
     }
 
+    fn refused(policy: BatchPolicy, what: &str) -> bool {
+        matches!(DeltaIngestor::new(policy), Err(EngineError::InvalidConfig(m)) if m.contains(what))
+    }
+
+    #[test]
+    fn an_ingestor_refuses_max_ops_zero() {
+        assert!(refused(BatchPolicy::by_count(0), "max_ops"));
+        assert!(refused(BatchPolicy::by_similarity(0, 0.5), "max_ops"));
+        assert!(DeltaIngestor::new(BatchPolicy::by_count(1)).is_ok());
+    }
+
+    #[test]
+    fn an_ingestor_refuses_a_nan_min_similarity() {
+        assert!(refused(
+            BatchPolicy::by_similarity(8, f64::NAN),
+            "min_similarity"
+        ));
+        assert!(refused(
+            BatchPolicy::by_similarity(8, 1.5),
+            "min_similarity"
+        ));
+        assert!(refused(
+            BatchPolicy::by_similarity(8, -0.5),
+            "min_similarity"
+        ));
+        assert!(DeltaIngestor::new(BatchPolicy::by_similarity(8, 1.0)).is_ok());
+    }
+
     #[test]
     fn self_loops_are_dropped_like_present_edges() {
         let g = chain();
-        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(1));
+        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(1)).unwrap();
         for op in [EdgeOp::Insert(2, 2), EdgeOp::Remove(2, 2)] {
             assert_eq!(ing.offer(op, &g).unwrap(), IngestOutcome::Coalesced);
         }
@@ -273,7 +300,7 @@ mod tests {
     #[test]
     fn count_policy_cuts_batches() {
         let g = chain();
-        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(2));
+        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(2)).unwrap();
         assert_eq!(
             ing.offer(EdgeOp::Insert(3, 4), &g).unwrap(),
             IngestOutcome::Buffered
@@ -292,7 +319,7 @@ mod tests {
     #[test]
     fn opposite_operations_cancel() {
         let g = chain();
-        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(10));
+        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(10)).unwrap();
         assert_eq!(
             ing.offer(EdgeOp::Insert(3, 4), &g).unwrap(),
             IngestOutcome::Buffered
@@ -319,7 +346,7 @@ mod tests {
     #[test]
     fn noop_operations_are_coalesced() {
         let g = chain();
-        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(10));
+        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(10)).unwrap();
         // Edge already present.
         assert_eq!(
             ing.offer(EdgeOp::Insert(0, 1), &g).unwrap(),
@@ -345,7 +372,7 @@ mod tests {
     #[test]
     fn similarity_policy_cuts_early() {
         let g = chain(); // 3 edges
-        let mut ing = DeltaIngestor::new(BatchPolicy::by_similarity(100, 0.75));
+        let mut ing = DeltaIngestor::new(BatchPolicy::by_similarity(100, 0.75)).unwrap();
         // One addition: similarity 3/4 = 0.75, not yet below threshold.
         assert_eq!(
             ing.offer(EdgeOp::Insert(3, 4), &g).unwrap(),
@@ -361,7 +388,7 @@ mod tests {
     #[test]
     fn pending_similarity_counts_both_directions() {
         let g = chain(); // 3 edges
-        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(100));
+        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(100)).unwrap();
         ing.offer(EdgeOp::Insert(3, 4), &g).unwrap();
         ing.offer(EdgeOp::Remove(0, 1), &g).unwrap();
         // common = 3 - 1 = 2, union = 3 + 1 = 4.
@@ -371,7 +398,7 @@ mod tests {
     #[test]
     fn out_of_range_nodes_are_rejected() {
         let g = chain();
-        let mut ing = DeltaIngestor::new(BatchPolicy::default());
+        let mut ing = DeltaIngestor::new(BatchPolicy::default()).unwrap();
         assert!(matches!(
             ing.offer(EdgeOp::Insert(0, 9), &g),
             Err(EngineError::NodeOutOfRange { node: 9, .. })
@@ -381,7 +408,7 @@ mod tests {
     #[test]
     fn forced_flush_drains_pending() {
         let g = chain();
-        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(100));
+        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(100)).unwrap();
         ing.offer(EdgeOp::Insert(3, 4), &g).unwrap();
         ing.offer(EdgeOp::Remove(2, 3), &g).unwrap();
         let d = ing.flush().expect("pending batch");

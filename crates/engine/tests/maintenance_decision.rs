@@ -240,7 +240,7 @@ fn pin_run(base: &DiGraph, ops: &[EdgeOp], point: GridPoint) -> (Arms, u64) {
             }
         }
     };
-    let mut ingest = DeltaIngestor::new(BatchPolicy::by_count(batch));
+    let mut ingest = DeltaIngestor::new(BatchPolicy::by_count(batch)).unwrap();
     for &op in ops {
         if let IngestOutcome::Flush(delta) = ingest.offer(op, store.graph()).unwrap() {
             absorb(&mut store, delta);

@@ -221,6 +221,16 @@ impl DiGraph {
         self.inc.neighbours(u).iter().copied()
     }
 
+    /// The successors of `u`, ascending, as one slice.
+    pub(crate) fn successor_slice(&self, u: usize) -> &[usize] {
+        self.out.neighbours(u)
+    }
+
+    /// The predecessors of `u`, ascending, as one slice.
+    pub(crate) fn predecessor_slice(&self, u: usize) -> &[usize] {
+        self.inc.neighbours(u)
+    }
+
     /// Iterator over every directed edge `(u, v)`.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.n).flat_map(|u| self.successors(u).map(move |v| (u, v)))

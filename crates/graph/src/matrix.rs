@@ -12,6 +12,13 @@
 //! * [`MatrixKind::SymmetricLaplacian`] — `A = σ·I + D − Adj` for undirected
 //!   graphs, the symmetric positive-definite composition used for the
 //!   LUDEM-QC experiments (the paper's DBLP matrices are symmetric).
+//!
+//! Every builder writes its CSR arrays row by row, in order and at exact
+//! capacity: a random-walk row walks the node's sorted predecessors, each
+//! weighted by its source's `d / λ(u)`, computed once per node, and a
+//! Laplacian row walks the node's sorted successors.  No triplet list is
+//! built and no row is sorted; the bits are those a triplet assembly
+//! summing from `0.0` would give.
 
 use crate::digraph::DiGraph;
 use crate::egs::EvolvingGraphSequence;
@@ -87,57 +94,117 @@ pub fn column_normalized_adjacency(graph: &DiGraph) -> CsrMatrix {
     CsrMatrix::from_coo(&coo)
 }
 
-/// Streams the measure-matrix entries keyed by each source node in
-/// `sources`: the node's diagonal entry plus the off-diagonal entries its
-/// out-edges induce (column `u` of `I − d·W` — the entry `(v, u)` of `W`
-/// contributes `-d·W` — or row `u` of `σ·I + D − Adj`, whose diagonal counts
-/// undirected neighbours, the out-degree of a symmetric `DiGraph`).
-///
-/// The single source of truth for the composition: [`measure_matrix`],
-/// [`shard_measure_matrix`] and [`coupling_matrix`] all feed from it, so the
-/// sharded block/coupling split can never drift from the full matrix.
-fn for_each_measure_entry(
-    graph: &DiGraph,
+/// The measure matrix's rows, ready to stream: the graph, the validated
+/// kind and, for [`MatrixKind::RandomWalk`], every node's column weight.
+struct MeasureRows<'g> {
+    graph: &'g DiGraph,
     kind: MatrixKind,
-    sources: impl Iterator<Item = usize>,
-    mut emit: impl FnMut(usize, usize, f64),
-) {
-    if let Err(why) = kind.validate() {
-        panic!("{why}");
+    /// `0.0 − d / λ(u)` per node `u` with out-edges: the entry every edge
+    /// `(u, v)` puts at `(v, u)`.  Written `0.0 −`, not as a negation, so
+    /// that at damping 0 it is `+0.0`, the sum a triplet assembly gives.
+    weight: Vec<f64>,
+}
+
+impl<'g> MeasureRows<'g> {
+    /// # Panics
+    /// Panics when `kind` fails [`MatrixKind::validate`].
+    fn new(graph: &'g DiGraph, kind: MatrixKind) -> Self {
+        if let Err(why) = kind.validate() {
+            panic!("{why}");
+        }
+        let weight = match kind {
+            MatrixKind::RandomWalk { damping } => (0..graph.n_nodes())
+                .map(|u| match graph.out_degree(u) {
+                    0 => 0.0,
+                    deg => 0.0 - damping / deg as f64,
+                })
+                .collect(),
+            MatrixKind::SymmetricLaplacian { .. } => Vec::new(),
+        };
+        MeasureRows {
+            graph,
+            kind,
+            weight,
+        }
     }
-    match kind {
-        MatrixKind::RandomWalk { damping } => {
-            for u in sources {
-                emit(u, u, 1.0);
-                let deg = graph.out_degree(u);
-                if deg == 0 {
-                    continue;
-                }
-                let w = damping / deg as f64;
-                for v in graph.successors(u) {
-                    emit(v, u, -w);
-                }
-            }
+
+    /// Streams row `i` of the measure matrix as `(column, value)`, columns
+    /// ascending: the diagonal plus the off-diagonal entries of row `i` —
+    /// `−d / λ(u)` at column `u` for each predecessor `u` of `i` in
+    /// `I − d·W`, `−1` at column `v` for each successor `v` of `i` in
+    /// `σ·I + D − Adj`, whose diagonal counts undirected neighbours, the
+    /// out-degree of a symmetric `DiGraph`.
+    ///
+    /// The single source of truth for the composition: [`measure_matrix`],
+    /// [`shard_measure_matrix`] and [`coupling_matrix`] all write from it, so
+    /// the sharded block/coupling split can never drift from the full
+    /// matrix.
+    fn for_each_measure_entry(&self, i: usize, mut emit: impl FnMut(usize, f64)) {
+        let (neighbours, diagonal) = match self.kind {
+            MatrixKind::RandomWalk { .. } => (self.graph.predecessor_slice(i), 1.0),
+            MatrixKind::SymmetricLaplacian { shift } => (
+                self.graph.successor_slice(i),
+                shift + self.graph.out_degree(i) as f64,
+            ),
+        };
+        let value = |u: usize| match self.kind {
+            MatrixKind::RandomWalk { .. } => self.weight[u],
+            MatrixKind::SymmetricLaplacian { .. } => -1.0,
+        };
+        let (below, above) = neighbours.split_at(neighbours.partition_point(|&u| u < i));
+        for &u in below {
+            emit(u, value(u));
         }
-        MatrixKind::SymmetricLaplacian { shift } => {
-            for u in sources {
-                emit(u, u, shift + graph.out_degree(u) as f64);
-                for v in graph.successors(u) {
-                    emit(u, v, -1.0);
-                }
-            }
+        emit(i, diagonal);
+        for &u in above {
+            emit(u, value(u));
         }
+    }
+
+    /// Writes the CSR matrix whose `r`-th row is the measure matrix's row
+    /// named `r`-th by `rows`, with the entries `col` maps to a column of
+    /// its own, `n_cols` wide.  Rows, `col_idx` and `values` are written in
+    /// order at exact capacity: `nnz`, when the caller knows it, or a
+    /// counting pass over the rows first.
+    fn assemble(
+        &self,
+        rows: impl ExactSizeIterator<Item = usize> + Clone,
+        n_cols: usize,
+        nnz: Option<usize>,
+        col: impl Fn(usize, usize) -> Option<usize>,
+    ) -> CsrMatrix {
+        let n_rows = rows.len();
+        let nnz = nnz.unwrap_or_else(|| {
+            let mut nnz = 0;
+            for i in rows.clone() {
+                self.for_each_measure_entry(i, |j, _| nnz += usize::from(col(i, j).is_some()));
+            }
+            nnz
+        });
+        let mut row_ptr = Vec::with_capacity(n_rows + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        for i in rows {
+            self.for_each_measure_entry(i, |j, v| {
+                if let Some(c) = col(i, j) {
+                    col_idx.push(c);
+                    values.push(v);
+                }
+            });
+            row_ptr.push(col_idx.len());
+        }
+        debug_assert_eq!(col_idx.len(), nnz, "the row count was exact");
+        CsrMatrix::from_raw_parts(n_rows, n_cols, row_ptr, col_idx, values)
     }
 }
 
 /// Derives the measure matrix `A` of the requested kind from a snapshot.
 pub fn measure_matrix(graph: &DiGraph, kind: MatrixKind) -> CsrMatrix {
     let n = graph.n_nodes();
-    let mut coo = CooMatrix::with_capacity(n, n, graph.n_edges() + n);
-    for_each_measure_entry(graph, kind, 0..n, |i, j, v| {
-        coo.push(i, j, v).expect("entries are in bounds");
-    });
-    CsrMatrix::from_coo(&coo)
+    // Every edge puts one off-diagonal entry in one row.
+    let nnz = n + graph.n_edges();
+    MeasureRows::new(graph, kind).assemble(0..n, n, Some(nnz), |_, j| Some(j))
 }
 
 /// The principal submatrix `A[S_s, S_s]` of the measure matrix over one
@@ -160,18 +227,11 @@ pub fn shard_measure_matrix(
         "partition must cover the graph's node universe"
     );
     let nodes = partition.nodes_of(shard);
-    let m = nodes.len();
-    let mut coo = CooMatrix::new(m, m);
-    // Entries are keyed by their source node, so streaming the shard's own
-    // nodes and keeping the rows/columns that stay inside the shard yields
-    // exactly the principal submatrix.
-    for_each_measure_entry(graph, kind, nodes.iter().copied(), |i, j, v| {
-        if partition.shard_of(i) == shard && partition.shard_of(j) == shard {
-            coo.push(partition.local_of(i), partition.local_of(j), v)
-                .expect("local indices are in bounds");
-        }
-    });
-    CsrMatrix::from_coo(&coo)
+    // A shard's nodes ascend, so their local indices keep each row's
+    // columns in order.
+    MeasureRows::new(graph, kind).assemble(nodes.iter().copied(), nodes.len(), None, |_, j| {
+        (partition.shard_of(j) == shard).then(|| partition.local_of(j))
+    })
 }
 
 /// The cross-shard coupling matrix: [`measure_matrix`] restricted to the
@@ -185,15 +245,9 @@ pub fn coupling_matrix(graph: &DiGraph, kind: MatrixKind, partition: &NodePartit
         "partition must cover the graph's node universe"
     );
     let n = graph.n_nodes();
-    let mut coo = CooMatrix::new(n, n);
-    // Diagonal entries are always intra-shard, so the cross-shard filter
-    // keeps exactly the (negated, scaled) cross-shard adjacency.
-    for_each_measure_entry(graph, kind, 0..n, |i, j, v| {
-        if !partition.is_intra(i, j) {
-            coo.push(i, j, v).expect("edge endpoints are in bounds");
-        }
-    });
-    CsrMatrix::from_coo(&coo)
+    MeasureRows::new(graph, kind).assemble(0..n, n, None, |i, j| {
+        (!partition.is_intra(i, j)).then_some(j)
+    })
 }
 
 /// Derives the evolving matrix sequence `M = {A_1, …, A_T}` from an EGS.
@@ -218,6 +272,7 @@ pub fn pagerank_rhs(n: usize, damping: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn chain_graph() -> DiGraph {
         // 0 -> 1 -> 2, 0 -> 2
@@ -358,6 +413,142 @@ mod tests {
         assert_eq!(coupling_matrix(&g, kind, &p).nnz(), 0);
         let block = shard_measure_matrix(&g, kind, &p, 0);
         assert_eq!(block.max_abs_diff(&measure_matrix(&g, kind)).unwrap(), 0.0);
+    }
+
+    /// The triplet assembly the row-order builders replaced, kept as their
+    /// oracle: each source node `u` pushes its diagonal and the entries its
+    /// out-edges induce (column `u` of `I − d·W`, row `u` of `σ·I + D −
+    /// Adj`), `place` maps each kept entry into the result's coordinates,
+    /// and `CsrMatrix::from_coo` sorts the rows and sums from `0.0`.
+    fn triplet_oracle(
+        graph: &DiGraph,
+        kind: MatrixKind,
+        n: usize,
+        place: impl Fn(usize, usize) -> Option<(usize, usize)>,
+    ) -> CsrMatrix {
+        let mut coo = CooMatrix::new(n, n);
+        let mut push = |i, j, v| {
+            if let Some((r, c)) = place(i, j) {
+                coo.push(r, c, v).unwrap();
+            }
+        };
+        for u in 0..graph.n_nodes() {
+            match kind {
+                MatrixKind::RandomWalk { damping } => {
+                    push(u, u, 1.0);
+                    let deg = graph.out_degree(u);
+                    for v in graph.successors(u) {
+                        push(v, u, -(damping / deg as f64));
+                    }
+                }
+                MatrixKind::SymmetricLaplacian { shift } => {
+                    push(u, u, shift + graph.out_degree(u) as f64);
+                    for v in graph.successors(u) {
+                        push(u, v, -1.0);
+                    }
+                }
+            }
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    fn bits(m: &CsrMatrix) -> (usize, usize, Vec<(usize, usize, u64)>) {
+        let entries = m.iter().map(|(i, j, v)| (i, j, v.to_bits())).collect();
+        (m.n_rows(), m.n_cols(), entries)
+    }
+
+    /// Every builder against the triplet oracle, bit for bit: the full
+    /// matrix, each shard's block in local coordinates and the coupling.
+    fn assert_builders_match_the_oracle(graph: &DiGraph, kind: MatrixKind, p: &NodePartition) {
+        let n = graph.n_nodes();
+        let full = triplet_oracle(graph, kind, n, |i, j| Some((i, j)));
+        assert_eq!(bits(&measure_matrix(graph, kind)), bits(&full));
+        for s in 0..p.n_shards() {
+            let block = triplet_oracle(graph, kind, p.shard_len(s), |i, j| {
+                (p.shard_of(i) == s && p.shard_of(j) == s).then(|| (p.local_of(i), p.local_of(j)))
+            });
+            assert_eq!(
+                bits(&shard_measure_matrix(graph, kind, p, s)),
+                bits(&block),
+                "shard {s}"
+            );
+        }
+        let coupling = triplet_oracle(graph, kind, n, |i, j| (!p.is_intra(i, j)).then_some((i, j)));
+        assert_eq!(bits(&coupling_matrix(graph, kind, p)), bits(&coupling));
+    }
+
+    #[test]
+    fn row_order_builders_match_the_triplet_assembly_bit_for_bit() {
+        // Node 5 is dangling (in-edges only), node 6 isolated, node 3 has
+        // in-edges from both sides of the diagonal.
+        let g = DiGraph::from_edges(
+            8,
+            vec![
+                (0, 3),
+                (4, 3),
+                (7, 3),
+                (3, 1),
+                (1, 5),
+                (2, 5),
+                (7, 0),
+                (4, 2),
+                (2, 4),
+            ],
+        );
+        let mut sym = g.clone();
+        for (u, v) in g.edges() {
+            sym.add_edge(v, u);
+        }
+        let scattered = NodePartition::from_assignments(vec![2, 0, 1, 0, 2, 1, 0, 1]);
+        for p in [
+            NodePartition::contiguous(8, 3),
+            scattered,
+            NodePartition::singleton(8),
+        ] {
+            for damping in [0.0, 0.3, 0.85] {
+                assert_builders_match_the_oracle(&g, MatrixKind::RandomWalk { damping }, &p);
+            }
+            for shift in [0.25, 1.0] {
+                let kind = MatrixKind::SymmetricLaplacian { shift };
+                assert_builders_match_the_oracle(&sym, kind, &p);
+                assert_builders_match_the_oracle(&g, kind, &p);
+            }
+        }
+    }
+
+    #[test]
+    fn damping_zero_writes_positive_zero_weights() {
+        let g = DiGraph::from_edges(3, vec![(0, 1), (2, 1)]);
+        let a = measure_matrix(&g, MatrixKind::RandomWalk { damping: 0.0 });
+        assert_eq!(a.nnz(), 5);
+        for (i, j, v) in a.iter() {
+            let want = if i == j { 1.0f64 } else { 0.0 };
+            assert_eq!(v.to_bits(), want.to_bits(), "entry ({i}, {j})");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn row_order_builders_match_the_triplet_assembly_on_random_graphs(
+            n in 1usize..24,
+            edges in proptest::collection::vec((0usize..24, 0usize..24), 0..80),
+            assign in proptest::collection::vec(0usize..3, 24),
+            damping in 0.0f64..0.99,
+        ) {
+            let g = DiGraph::from_edges(n, edges.into_iter().map(|(u, v)| (u % n, v % n)));
+            // Shard ids must be dense: renumber the ones in use.
+            let mut used: Vec<usize> = assign[..n].to_vec();
+            used.sort_unstable();
+            used.dedup();
+            let p = NodePartition::from_assignments(
+                assign[..n].iter().map(|a| used.binary_search(a).unwrap()).collect(),
+            );
+            assert_builders_match_the_oracle(&g, MatrixKind::RandomWalk { damping }, &p);
+            assert_builders_match_the_oracle(&g, MatrixKind::RandomWalk { damping: 0.0 }, &p);
+            assert_builders_match_the_oracle(&g, MatrixKind::symmetric_default(), &p);
+        }
     }
 
     #[test]

@@ -226,25 +226,26 @@ impl LuFactors {
                 actual: x.len(),
             });
         }
+        let s = &*self.structure;
+        let (row_ptr, col_idx, diag_slot) = (&s.row_ptr[..], &s.col_idx[..], &s.diag_slot[..]);
+        let values = &self.values[..];
         // Forward: L y = b (unit diagonal).
         for i in 0..n {
+            let (lo, d) = (row_ptr[i], diag_slot[i]);
             let mut acc = x[i];
-            for slot in self.structure.lower_row_slots(i) {
-                let k = self.structure.col_of_slot(slot);
-                acc -= self.values[slot] * x[k];
+            for (&v, &k) in values[lo..d].iter().zip(&col_idx[lo..d]) {
+                acc -= v * x[k];
             }
             x[i] = acc;
         }
         // Backward: U x = y.
         for i in (0..n).rev() {
+            let (d, hi) = (diag_slot[i], row_ptr[i + 1]);
             let mut acc = x[i];
-            let mut upper = self.structure.upper_row_slots(i);
-            let diag_slot = upper.next().expect("diagonal always present");
-            for slot in upper {
-                let j = self.structure.col_of_slot(slot);
-                acc -= self.values[slot] * x[j];
+            for (&v, &j) in values[d + 1..hi].iter().zip(&col_idx[d + 1..hi]) {
+                acc -= v * x[j];
             }
-            let pivot = self.values[diag_slot];
+            let pivot = values[d];
             if !pivot.is_finite() || pivot.abs() < SINGULAR_TOL {
                 return Err(LuError::SingularPivot {
                     index: i,
@@ -332,11 +333,13 @@ impl LuFactors {
                 actual: x.len(),
             });
         }
+        let s = &*self.structure;
+        let (row_ptr, col_idx, diag_slot) = (&s.row_ptr[..], &s.col_idx[..], &s.diag_slot[..]);
+        let values = &self.values[..];
         // Forward: Uᵀ y = b — entry i is final once divided by its pivot.
         for i in 0..n {
-            let mut upper = self.structure.upper_row_slots(i);
-            let diag_slot = upper.next().expect("diagonal always present");
-            let pivot = self.values[diag_slot];
+            let (d, hi) = (diag_slot[i], row_ptr[i + 1]);
+            let pivot = values[d];
             if !pivot.is_finite() || pivot.abs() < SINGULAR_TOL {
                 return Err(LuError::SingularPivot {
                     index: i,
@@ -344,16 +347,17 @@ impl LuFactors {
                 });
             }
             x[i] /= pivot;
-            for slot in upper {
-                let j = self.structure.col_of_slot(slot);
-                x[j] -= self.values[slot] * x[i];
+            let xi = x[i];
+            for (&v, &j) in values[d + 1..hi].iter().zip(&col_idx[d + 1..hi]) {
+                x[j] -= v * xi;
             }
         }
         // Backward: Lᵀ x = y (unit diagonal).
         for i in (0..n).rev() {
-            for slot in self.structure.lower_row_slots(i) {
-                let k = self.structure.col_of_slot(slot);
-                x[k] -= self.values[slot] * x[i];
+            let (lo, d) = (row_ptr[i], diag_slot[i]);
+            let xi = x[i];
+            for (&v, &k) in values[lo..d].iter().zip(&col_idx[lo..d]) {
+                x[k] -= v * xi;
             }
         }
         Ok(())

@@ -23,10 +23,16 @@
 //! that the chosen ordering induces — because both the quality-loss metric
 //! (Definition 4) and β-clustering need that number and it falls out of the
 //! elimination for free.
+//!
+//! The elimination runs on flat lists: every node's row and column of the
+//! filled matrix are `u32` runs in one arena, laid out from the pattern with
+//! room to grow, and a run that outgrows its room moves to the arena's end.
+//! The pivot comes from an indexed min-heap of packed `(cost, node)` keys, so
+//! each pivot is one pop and each neighbour whose count moved is re-keyed in
+//! place.  Eliminated nodes linger in a neighbour's run only until that run
+//! is next walked.
 
 use clude_sparse::{Ordering, Permutation, SparsityPattern};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A fill-reducing ordering together with the symbolic-pattern size it
 /// induces on the matrix it was computed from.
@@ -44,98 +50,99 @@ pub struct OrderingResult {
 /// Every step eliminates the active node with the lexicographically smallest
 /// `(r·c, index)`, `r` and `c` being its off-diagonal row and column counts
 /// in the active submatrix — ties go to the lowest index.  The minimum comes
-/// from a heap keyed by that pair: an elimination changes the counts of the
-/// pivot's neighbours only, so only they are re-keyed (a superseded key stays
-/// in the heap and is skipped when it surfaces), and a pivot costs its
-/// neighbourhood rather than a scan of every candidate.
+/// from an indexed heap keyed by that pair: an elimination changes the
+/// counts of the pivot's neighbours only, so only they are re-keyed, and a
+/// pivot costs its neighbourhood rather than a scan of every candidate.
 ///
 /// # Panics
-/// Panics if the pattern is not square.
+/// Panics if the pattern is not square, or has more than `u32::MAX` rows.
 pub fn markowitz_ordering(sp: &SparsityPattern) -> OrderingResult {
     assert_eq!(sp.n_rows(), sp.n_cols(), "ordering needs a square pattern");
     let n = sp.n_rows();
-    // Off-diagonal structure of the progressively filled matrix.  A list may
-    // still name eliminated nodes; they are dropped when it is next walked.
-    let mut rows: Vec<Vec<usize>> = (0..n)
-        .map(|i| sp.row(i).iter().copied().filter(|&j| j != i).collect())
-        .collect();
-    let mut cols: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, row) in rows.iter().enumerate() {
-        for &j in row {
-            cols[j].push(i);
-        }
-    }
+    assert!(u32::try_from(n).is_ok(), "ordering indexes nodes as u32");
+    let mut lists = Lists::from_pattern(sp);
+    // Active off-diagonal counts per row / column.  A run may be longer than
+    // its count while it still names eliminated nodes.
+    let mut row_count: Vec<u32> = (0..n).map(|v| lists.len(row(v))).collect();
+    let mut col_count: Vec<u32> = (0..n).map(|v| lists.len(col(v))).collect();
+    let cost = |r: u32, c: u32| u64::from(r) * u64::from(c);
+    let mut heap = PivotHeap::new((0..n).map(|v| cost(row_count[v], col_count[v])));
     let mut active = vec![true; n];
-    // Active off-diagonal counts per row / column.
-    let mut row_count: Vec<usize> = rows.iter().map(Vec::len).collect();
-    let mut col_count: Vec<usize> = cols.iter().map(Vec::len).collect();
-    // `key[v]` is the Markowitz cost `v` is currently queued under.
-    let mut key: Vec<usize> = (0..n).map(|v| row_count[v] * col_count[v]).collect();
-    let mut queue: BinaryHeap<Reverse<(usize, usize)>> = key
-        .iter()
-        .enumerate()
-        .map(|(v, &k)| Reverse((k, v)))
-        .collect();
     // `stamp[j] == epoch` while `j` is a member of the row being filled.
-    let mut stamp = vec![0usize; n];
-    let mut epoch = 0usize;
+    let mut stamp = vec![0u32; n];
+    let mut epoch = 0u32;
+    let (mut row_v, mut col_v) = (Vec::new(), Vec::new());
 
     let mut order = Vec::with_capacity(n);
     let mut symbolic_size = 0usize;
 
     for _ in 0..n {
-        // The active diagonal pivot with the minimal Markowitz cost, lowest
-        // index first among equals.
-        let v = loop {
-            let Reverse((cost, v)) = queue.pop().expect("every active node is queued");
-            if active[v] && cost == key[v] {
-                break v;
-            }
-        };
+        let v = heap.pop();
+        order.push(v);
+        active[v] = false;
+        let is_active = |j: &u32| active[*j as usize];
+        row_v.clear();
+        row_v.extend(lists.run(row(v)).iter().filter(|j| is_active(j)));
+        col_v.clear();
+        col_v.extend(lists.run(col(v)).iter().filter(|i| is_active(i)));
 
         // Contribution of this pivot to |s̃p(A^O)|: its U row, its L column
         // and the diagonal.
-        symbolic_size += row_count[v] + col_count[v] + 1;
-        order.push(v);
-        active[v] = false;
-
-        let mut row_v = std::mem::take(&mut rows[v]);
-        let mut col_v = std::mem::take(&mut cols[v]);
-        row_v.retain(|&j| active[j]);
-        col_v.retain(|&i| active[i]);
+        symbolic_size += row_v.len() + col_v.len() + 1;
 
         // The pivot leaves the active submatrix: its neighbours lose one.
         for &j in &row_v {
-            col_count[j] -= 1;
-        }
-        for &i in &col_v {
-            row_count[i] -= 1;
+            col_count[j as usize] -= 1;
         }
 
         // Elimination fill: every (i, j) with i in col(v), j in row(v).
         for &i in &col_v {
-            epoch += 1;
-            rows[i].retain(|&j| {
-                stamp[j] = epoch;
-                active[j]
+            let iu = i as usize;
+            let fills_possible = match row_v[..] {
+                [] => false,
+                [j] => j != i,
+                _ => true,
+            };
+            if !fills_possible {
+                // `v` stays in row `i`'s run until the run is next walked.
+                row_count[iu] -= 1;
+                continue;
+            }
+            epoch = epoch.wrapping_add(1);
+            if epoch == 0 {
+                stamp.fill(0);
+                epoch = 1;
+            }
+            lists.retain(row(iu), |j| {
+                let keep = active[j as usize];
+                if keep {
+                    stamp[j as usize] = epoch;
+                }
+                keep
             });
+            lists.reserve(row(iu), row_v.len());
+            let mut filled = lists.len(row(iu));
             for &j in &row_v {
-                if i != j && stamp[j] != epoch {
-                    rows[i].push(j);
-                    cols[j].push(i);
-                    row_count[i] += 1;
-                    col_count[j] += 1;
+                if j != i && stamp[j as usize] != epoch {
+                    lists.put(row(iu), filled, j);
+                    filled += 1;
+                    let ju = j as usize;
+                    if lists.is_full(col(ju)) {
+                        lists.retain(col(ju), |k| active[k as usize]);
+                        lists.reserve(col(ju), 1);
+                    }
+                    lists.push(col(ju), i);
+                    col_count[ju] += 1;
                 }
             }
+            lists.set_len(row(iu), filled);
+            row_count[iu] = filled;
         }
 
         // Only the pivot's neighbours saw a count move.
         for &u in row_v.iter().chain(&col_v) {
-            let cost = row_count[u] * col_count[u];
-            if cost != key[u] {
-                key[u] = cost;
-                queue.push(Reverse((cost, u)));
-            }
+            let u = u as usize;
+            heap.rekey(u, cost(row_count[u], col_count[u]));
         }
     }
 
@@ -143,6 +150,238 @@ pub fn markowitz_ordering(sp: &SparsityPattern) -> OrderingResult {
     OrderingResult {
         ordering: Ordering::symmetric(perm),
         symbolic_size,
+    }
+}
+
+/// The arena index of node `v`'s row run.
+fn row(v: usize) -> usize {
+    2 * v
+}
+
+/// The arena index of node `v`'s column run.
+fn col(v: usize) -> usize {
+    2 * v + 1
+}
+
+/// One run of the arena: `arena[start..start + len]`, with room up to
+/// `start + cap`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    len: u32,
+    cap: u32,
+}
+
+/// The off-diagonal structure of the progressively filled matrix: node
+/// `v`'s row (the columns of its entries) and column (the rows of its
+/// entries) as runs of one `u32` arena.
+#[derive(Debug)]
+struct Lists {
+    arena: Vec<u32>,
+    spans: Vec<Span>,
+}
+
+impl Lists {
+    /// Lays out every row and column of the pattern, diagonal left out, each
+    /// with half its length again as room.
+    fn from_pattern(sp: &SparsityPattern) -> Self {
+        let n = sp.n_rows();
+        let mut col_len = vec![0u32; n];
+        for i in 0..n {
+            for &j in sp.row(i) {
+                if j != i {
+                    col_len[j] += 1;
+                }
+            }
+        }
+        let room = |len: u32| len + len / 2 + 2;
+        let mut spans = Vec::with_capacity(2 * n);
+        let mut start = 0usize;
+        for (v, &c) in col_len.iter().enumerate() {
+            let r = (sp.row(v).len() - usize::from(sp.contains(v, v))) as u32;
+            for len in [r, c] {
+                spans.push(Span {
+                    start,
+                    len: 0,
+                    cap: room(len),
+                });
+                start += room(len) as usize;
+            }
+        }
+        let mut lists = Lists {
+            arena: vec![0; start],
+            spans,
+        };
+        for i in 0..n {
+            for &j in sp.row(i) {
+                if j != i {
+                    lists.push(row(i), j as u32);
+                    lists.push(col(j), i as u32);
+                }
+            }
+        }
+        lists
+    }
+
+    fn len(&self, l: usize) -> u32 {
+        self.spans[l].len
+    }
+
+    fn is_full(&self, l: usize) -> bool {
+        self.spans[l].len == self.spans[l].cap
+    }
+
+    fn run(&self, l: usize) -> &[u32] {
+        let s = self.spans[l];
+        &self.arena[s.start..s.start + s.len as usize]
+    }
+
+    /// Keeps the entries of run `l` that `keep` accepts, in place.
+    fn retain(&mut self, l: usize, mut keep: impl FnMut(u32) -> bool) {
+        let s = self.spans[l];
+        let run = &mut self.arena[s.start..s.start + s.len as usize];
+        let mut kept = 0;
+        for k in 0..run.len() {
+            let x = run[k];
+            if keep(x) {
+                run[kept] = x;
+                kept += 1;
+            }
+        }
+        self.spans[l].len = kept as u32;
+    }
+
+    /// Makes room in run `l` for `extra` more entries: a run without it
+    /// grows in place when it ends the arena, and otherwise moves to the
+    /// arena's end with twice the room it needs.
+    fn reserve(&mut self, l: usize, extra: usize) {
+        let s = self.spans[l];
+        let need = s.len as usize + extra;
+        if need <= s.cap as usize {
+            return;
+        }
+        let cap = 2 * need;
+        if s.start + s.cap as usize == self.arena.len() {
+            self.arena.resize(s.start + cap, 0);
+        } else {
+            let start = self.arena.len();
+            self.arena
+                .extend_from_within(s.start..s.start + s.len as usize);
+            self.arena.resize(start + cap, 0);
+            self.spans[l].start = start;
+        }
+        self.spans[l].cap = u32::try_from(cap).expect("a run holds fewer than 2³¹ nodes");
+    }
+
+    /// Writes `x` at place `at` of run `l`'s room; [`Lists::set_len`]
+    /// then takes it into the run.
+    fn put(&mut self, l: usize, at: u32, x: u32) {
+        let s = self.spans[l];
+        debug_assert!(at < s.cap, "write past a run's room");
+        self.arena[s.start + at as usize] = x;
+    }
+
+    fn set_len(&mut self, l: usize, len: u32) {
+        self.spans[l].len = len;
+    }
+
+    /// Appends `x` to run `l`, which has room for it.
+    fn push(&mut self, l: usize, x: u32) {
+        let s = &mut self.spans[l];
+        debug_assert!(s.len < s.cap, "push past a run's room");
+        self.arena[s.start + s.len as usize] = x;
+        s.len += 1;
+    }
+}
+
+/// An indexed binary min-heap over the active nodes.  A node is held as one
+/// packed key `cost << 32 | node`, so keys compare as `(cost, node)` for any
+/// `u64` cost, and `pos[node]` is its place in the heap, where a re-key
+/// sifts it.
+#[derive(Debug)]
+struct PivotHeap {
+    keys: Vec<u128>,
+    pos: Vec<u32>,
+}
+
+fn pack(cost: u64, v: usize) -> u128 {
+    (u128::from(cost) << 32) | v as u128
+}
+
+fn node_of(key: u128) -> usize {
+    (key & u128::from(u32::MAX)) as usize
+}
+
+impl PivotHeap {
+    fn new(costs: impl Iterator<Item = u64>) -> Self {
+        let keys: Vec<u128> = costs.enumerate().map(|(v, c)| pack(c, v)).collect();
+        let pos = (0..keys.len() as u32).collect();
+        let mut heap = PivotHeap { keys, pos };
+        for at in (0..heap.keys.len() / 2).rev() {
+            heap.sift_down(at);
+        }
+        heap
+    }
+
+    /// Removes and returns the node with the smallest `(cost, node)`.
+    fn pop(&mut self) -> usize {
+        let top = self.keys[0];
+        let last = self.keys.pop().expect("every active node is queued");
+        if !self.keys.is_empty() {
+            self.keys[0] = last;
+            self.sift_down(0);
+        }
+        node_of(top)
+    }
+
+    /// Gives active node `v` the cost `cost`.
+    fn rekey(&mut self, v: usize, cost: u64) {
+        let at = self.pos[v] as usize;
+        let (old, new) = (self.keys[at], pack(cost, v));
+        self.keys[at] = new;
+        if new < old {
+            self.sift_up(at);
+        } else if new > old {
+            self.sift_down(at);
+        }
+    }
+
+    fn place(&mut self, at: usize, key: u128) {
+        self.keys[at] = key;
+        self.pos[node_of(key)] = at as u32;
+    }
+
+    fn sift_up(&mut self, mut at: usize) {
+        let key = self.keys[at];
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if self.keys[parent] <= key {
+                break;
+            }
+            self.place(at, self.keys[parent]);
+            at = parent;
+        }
+        self.place(at, key);
+    }
+
+    fn sift_down(&mut self, mut at: usize) {
+        let key = self.keys[at];
+        let len = self.keys.len();
+        loop {
+            let mut child = 2 * at + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && self.keys[child + 1] < self.keys[child] {
+                child += 1;
+            }
+            if self.keys[child] >= key {
+                break;
+            }
+            self.place(at, self.keys[child]);
+            at = child;
+        }
+        self.place(at, key);
     }
 }
 
@@ -359,6 +598,21 @@ mod tests {
             hub_position >= n - 2,
             "hub eliminated too early: {hub_position}"
         );
+    }
+
+    #[test]
+    fn keyed_queue_keeps_the_pivot_order_when_a_cost_exceeds_u32() {
+        // The hub's first cost, (n − 1)², does not fit 32 bits: a key that
+        // truncated it would pick the hub among the first pivots.
+        let n = 70_000;
+        assert!((n - 1) * (n - 1) > u32::MAX as usize);
+        let result = markowitz_ordering(&arrowhead(n));
+        // Every leaf costs 1 and goes first, lowest index first; the hub
+        // reaches cost 1 with one leaf left and wins the tie by index.
+        let mut want: Vec<usize> = (1..n - 1).collect();
+        want.extend([0, n - 1]);
+        assert_eq!(result.ordering.row().as_new_to_old(), &want[..]);
+        assert_eq!(result.symbolic_size, 3 * n - 2);
     }
 
     #[test]

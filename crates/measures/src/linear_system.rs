@@ -6,6 +6,7 @@
 //! done once per snapshot by a LUDEM solver; this module only builds the
 //! right-hand sides and normalises results.
 
+use clude_lu::{LuError, LuResult};
 use clude_sparse::vector;
 
 /// The damping factor used throughout the paper's examples.
@@ -30,6 +31,10 @@ pub fn rwr_rhs(n: usize, seed: usize, damping: f64) -> Vec<f64> {
 /// uniform restart distribution over `seeds`: `b = (1 − d)·q`, `q` uniform on
 /// the seed set.  Used by the paper's §7 case study (a company's patents form
 /// the seed set).
+///
+/// # Panics
+/// Panics on an empty seed set or a seed outside `0..n`;
+/// [`crate::personalized_pagerank`] refuses both as errors first.
 pub fn ppr_rhs(n: usize, seeds: &[usize], damping: f64) -> Vec<f64> {
     assert!(!seeds.is_empty(), "the seed set must not be empty");
     assert!(seeds.iter().all(|&s| s < n), "seed node out of range");
@@ -51,8 +56,18 @@ pub fn normalize_scores(mut scores: Vec<f64>) -> Vec<f64> {
 
 /// Sums the scores of a group of nodes — e.g. all patents of one company —
 /// which is how the case study turns node scores into a company proximity.
-pub fn group_score(scores: &[f64], members: &[usize]) -> f64 {
-    members.iter().map(|&m| scores[m]).sum()
+/// A member outside `scores` is [`LuError::InvalidParameter`] named
+/// `"group"`.
+pub fn group_score(scores: &[f64], members: &[usize]) -> LuResult<f64> {
+    members
+        .iter()
+        .map(|&m| {
+            scores.get(m).copied().ok_or(LuError::InvalidParameter {
+                name: "group",
+                value: m as f64,
+            })
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -97,6 +112,15 @@ mod tests {
     fn normalize_and_group() {
         let scores = normalize_scores(vec![1.0, 1.0, 2.0]);
         assert!((scores.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((group_score(&scores, &[0, 2]) - 0.75).abs() < 1e-12);
+        assert!((group_score(&scores, &[0, 2]).unwrap() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn group_score_refuses_a_member_out_of_range() {
+        let refused = group_score(&[0.5, 0.5], &[1, 2]);
+        assert!(matches!(
+            refused,
+            Err(LuError::InvalidParameter { name: "group", value }) if value == 2.0
+        ));
     }
 }

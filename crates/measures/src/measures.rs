@@ -26,36 +26,56 @@ use clude_lu::{factorize_fresh, LuError, LuResult};
 use clude_sparse::{CooMatrix, CsrMatrix};
 
 /// Global PageRank scores of a snapshot, from any solver of its measure
-/// system (a decomposed matrix, a sharded engine snapshot, …).
+/// system (a decomposed matrix, a sharded engine snapshot, …).  An empty
+/// universe (`n` 0) is [`LuError::InvalidParameter`] named `"n"`.
 pub fn pagerank<S: MeasureSolver + ?Sized>(
     solver: &S,
     n: usize,
     damping: f64,
 ) -> LuResult<Vec<f64>> {
+    if n == 0 {
+        return Err(LuError::InvalidParameter {
+            name: "n",
+            value: 0.0,
+        });
+    }
     let b = pagerank_rhs(n, damping);
     let raw = solver.solve_measure_system(&b)?;
     Ok(normalize_scores(raw))
 }
 
-/// Random walk with restart (single-seed personalised PageRank) scores.
+/// Random walk with restart (single-seed personalised PageRank) scores.  A
+/// seed outside `0..n` is [`LuError::InvalidParameter`] named `"seed"`.
 pub fn rwr<S: MeasureSolver + ?Sized>(
     solver: &S,
     n: usize,
     seed: usize,
     damping: f64,
 ) -> LuResult<Vec<f64>> {
+    check_node("seed", n, seed)?;
     let b = rwr_rhs(n, seed, damping);
     let raw = solver.solve_measure_system(&b)?;
     Ok(normalize_scores(raw))
 }
 
-/// Personalised PageRank with a uniform restart over a seed set.
+/// Personalised PageRank with a uniform restart over a seed set.  An empty
+/// set is [`LuError::InvalidParameter`] named `"seeds"`, a seed outside
+/// `0..n` one named `"seed"`.
 pub fn personalized_pagerank<S: MeasureSolver + ?Sized>(
     solver: &S,
     n: usize,
     seeds: &[usize],
     damping: f64,
 ) -> LuResult<Vec<f64>> {
+    if seeds.is_empty() {
+        return Err(LuError::InvalidParameter {
+            name: "seeds",
+            value: 0.0,
+        });
+    }
+    for &seed in seeds {
+        check_node("seed", n, seed)?;
+    }
     let b = ppr_rhs(n, seeds, damping);
     let raw = solver.solve_measure_system(&b)?;
     Ok(normalize_scores(raw))
@@ -63,7 +83,8 @@ pub fn personalized_pagerank<S: MeasureSolver + ?Sized>(
 
 /// Proximity of a group of nodes (e.g. one company's patents) from a seed
 /// set, as used in the paper's §7 case study: the sum of the group's PPR
-/// scores.
+/// scores.  Bad seeds are refused as by [`personalized_pagerank`], a group
+/// member outside `0..n` as [`LuError::InvalidParameter`] named `"group"`.
 pub fn group_proximity<S: MeasureSolver + ?Sized>(
     solver: &S,
     n: usize,
@@ -72,7 +93,7 @@ pub fn group_proximity<S: MeasureSolver + ?Sized>(
     damping: f64,
 ) -> LuResult<f64> {
     let scores = personalized_pagerank(solver, n, seeds, damping)?;
-    Ok(group_score(&scores, group))
+    group_score(&scores, group)
 }
 
 /// Hub and authority scores in the spirit of SALSA \[18\].
@@ -165,7 +186,7 @@ pub fn hitting_time<S: MeasureSolver + ?Sized>(
     n: usize,
     target: usize,
 ) -> LuResult<Vec<f64>> {
-    check_target(n, target)?;
+    check_node("target", n, target)?;
     let mut b = vec![1.0; n];
     b[target] = 0.0;
     let y = solver.solve_transposed_system(&b)?;
@@ -190,7 +211,7 @@ pub fn hitting_time<S: MeasureSolver + ?Sized>(
 /// `"target"`.
 pub fn discounted_hitting_time(graph: &DiGraph, target: usize, damping: f64) -> LuResult<Vec<f64>> {
     let n = graph.n_nodes();
-    check_target(n, target)?;
+    check_node("target", n, target)?;
     // Row-normalised transition matrix with the target made absorbing.
     let mut coo = CooMatrix::new(n, n);
     for i in 0..n {
@@ -214,13 +235,15 @@ pub fn discounted_hitting_time(graph: &DiGraph, target: usize, damping: f64) -> 
     factors.solve(&b)
 }
 
-fn check_target(n: usize, target: usize) -> LuResult<()> {
-    if target < n {
+/// Refuses a node outside `0..n` as [`LuError::InvalidParameter`] under
+/// the parameter's `name`.
+pub(crate) fn check_node(name: &'static str, n: usize, node: usize) -> LuResult<()> {
+    if node < n {
         Ok(())
     } else {
         Err(LuError::InvalidParameter {
-            name: "target",
-            value: target as f64,
+            name,
+            value: node as f64,
         })
     }
 }
@@ -376,6 +399,50 @@ mod tests {
         assert!(bad(discounted_hitting_time(&g, 7, 0.9).unwrap_err()));
         let (solution, n) = decomposed_single(&g, 0.9);
         assert!(bad(hitting_time(&solution.decomposed[0], n, 7).unwrap_err()));
+    }
+
+    #[test]
+    fn bad_seeds_and_group_members_are_errors_not_panics() {
+        let g = ring_with_chord();
+        let (solution, n) = decomposed_single(&g, 0.85);
+        let dec = &solution.decomposed[0];
+        let refused = |result: LuResult<f64>, name: &str, at: usize| {
+            matches!(result, Err(LuError::InvalidParameter { name: got, value })
+                if got == name && value == at as f64)
+        };
+        let first = |r: LuResult<Vec<f64>>| r.map(|x| x[0]);
+        assert!(refused(first(rwr(dec, n, n, 0.85)), "seed", n));
+        assert!(refused(
+            first(personalized_pagerank(dec, n, &[], 0.85)),
+            "seeds",
+            0
+        ));
+        assert!(refused(
+            first(personalized_pagerank(dec, n, &[1, n + 3], 0.85)),
+            "seed",
+            n + 3
+        ));
+        assert!(refused(
+            group_proximity(dec, n, &[1], &[0, n], 0.85),
+            "group",
+            n
+        ));
+        assert!(refused(
+            group_proximity(dec, n, &[n], &[0], 0.85),
+            "seed",
+            n
+        ));
+        assert!(refused(first(pagerank(dec, 0, 0.85)), "n", 0));
+        // The typed query path goes through the same functions.
+        let query = crate::MeasureQuery::Rwr {
+            seed: n,
+            damping: 0.85,
+        };
+        assert!(refused(
+            first(crate::evaluate_query_with(dec, n, &query)),
+            "seed",
+            n
+        ));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! series that can be inspected for key moments, trends and rank changes.
 
 use crate::linear_system::group_score;
-use crate::measures::{pagerank, personalized_pagerank};
+use crate::measures::{check_node, pagerank, personalized_pagerank};
 use clude::{EvolvingMatrixSequence, LudemSolution, LudemSolver, SolverConfig};
 use clude_graph::{EvolvingGraphSequence, MatrixKind};
 use clude_lu::LuResult;
@@ -79,21 +79,24 @@ impl MeasureSeries {
     }
 
     /// The PageRank score of one node at every snapshot — the time series of
-    /// the paper's Figure 1.
+    /// the paper's Figure 1.  A node outside the graph is
+    /// [`clude_lu::LuError::InvalidParameter`] named `"node"`.
     pub fn pagerank_series(&self, node: usize) -> LuResult<Vec<f64>> {
+        check_node("node", self.n_nodes(), node)?;
         (0..self.len())
             .map(|t| self.pagerank_at(t).map(|scores| scores[node]))
             .collect()
     }
 
     /// Personalised-PageRank proximity of `group` from `seeds` at every
-    /// snapshot (the §7 case-study series).
+    /// snapshot (the §7 case-study series).  Bad seeds and group members
+    /// are refused as by [`crate::group_proximity`].
     pub fn group_proximity_series(&self, seeds: &[usize], group: &[usize]) -> LuResult<Vec<f64>> {
         (0..self.len())
             .map(|t| {
                 let snapshot = self.solution.decomposition(t)?;
-                personalized_pagerank(snapshot, self.n_nodes(), seeds, self.damping)
-                    .map(|scores| group_score(&scores, group))
+                let scores = personalized_pagerank(snapshot, self.n_nodes(), seeds, self.damping)?;
+                group_score(&scores, group)
             })
             .collect()
     }
@@ -109,7 +112,10 @@ impl MeasureSeries {
         for t in 0..self.len() {
             let snapshot = self.solution.decomposition(t)?;
             let scores = personalized_pagerank(snapshot, self.n_nodes(), seeds, self.damping)?;
-            let group_scores: Vec<f64> = groups.iter().map(|g| group_score(&scores, g)).collect();
+            let group_scores = groups
+                .iter()
+                .map(|g| group_score(&scores, g))
+                .collect::<LuResult<Vec<f64>>>()?;
             let order = vector::rank_descending(&group_scores);
             for (rank, &group_idx) in order.iter().enumerate() {
                 ranks[group_idx][t] = rank + 1;
@@ -226,6 +232,40 @@ mod tests {
         ] {
             assert!(refuses_snapshot(result, 0));
         }
+    }
+
+    #[test]
+    fn a_node_out_of_range_is_an_error_not_a_panic() {
+        let egs = egs_with_burst();
+        let series = MeasureSeries::build(&egs, 0.85, &Clude::default()).unwrap();
+        let refused = |result: LuResult<()>, name: &str, at: usize| {
+            matches!(result, Err(LuError::InvalidParameter { name: got, value })
+                if got == name && value == at as f64)
+        };
+        assert!(refused(series.pagerank_series(12).map(drop), "node", 12));
+        assert!(refused(series.key_moments(40, 0.5).map(drop), "node", 40));
+        assert!(refused(
+            series.group_proximity_series(&[1], &[0, 12]).map(drop),
+            "group",
+            12
+        ));
+        assert!(refused(
+            series.group_proximity_series(&[13], &[0]).map(drop),
+            "seed",
+            13
+        ));
+        assert!(refused(
+            series
+                .group_rank_series(&[1], &[vec![0], vec![3, 99]])
+                .map(drop),
+            "group",
+            99
+        ));
+        assert!(refused(
+            series.group_rank_series(&[], &[vec![0]]).map(drop),
+            "seeds",
+            0
+        ));
     }
 
     #[test]
