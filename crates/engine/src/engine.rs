@@ -25,7 +25,7 @@ use crate::coupling::SolveTolerance;
 use crate::durability::{DurabilityConfig, Persistence};
 use crate::epoch::SnapshotHandle;
 use crate::error::{EngineError, EngineResult};
-use crate::ingest::{BatchPolicy, DeltaIngestor, EdgeOp, IngestOutcome};
+use crate::ingest::{DeltaIngestor, EdgeOp, IngestOutcome};
 use crate::query::QueryService;
 use crate::recovery::{self, RecoveryReport};
 use crate::sharded::{check_budget, PartitionStrategy, ShardedAdvanceReport, ShardedFactorStore};
@@ -50,10 +50,9 @@ pub struct EngineConfig {
     /// outside its domain ([`MatrixKind::validate`]) is an
     /// [`EngineError::InvalidConfig`].
     pub matrix_kind: MatrixKind,
-    /// When to cut ingest batches; a policy whose cut rule cannot work —
-    /// `max_ops` 0, a `min_similarity` outside `[0, 1]` — is an
+    /// Net edge changes pending when the ingestor cuts a batch; 0 is an
     /// [`EngineError::InvalidConfig`].
-    pub batch: BatchPolicy,
+    pub max_batch_ops: usize,
     /// The quality-loss budget: a shard block whose factors' quality-loss
     /// (Definition 4) against its last re-order exceeds it re-orders and
     /// re-factorizes with the next batch that touches it, CLUDE's new
@@ -69,9 +68,6 @@ pub struct EngineConfig {
     /// no graph, so a deeper ring costs O(touched shards) — not O(all
     /// shards + all nodes) — memory per retained snapshot.
     pub ring_capacity: usize,
-    /// Number of result-cache shards; must be at least 1
-    /// ([`EngineError::InvalidConfig`] otherwise).
-    pub cache_shards: usize,
     /// LRU capacity per cache shard; must be at least 1
     /// ([`EngineError::InvalidConfig`] otherwise).
     pub cache_capacity_per_shard: usize,
@@ -101,10 +97,9 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             matrix_kind: MatrixKind::random_walk_default(),
-            batch: BatchPolicy::default(),
+            max_batch_ops: 64,
             max_quality_loss: 1.0,
             ring_capacity: 8,
-            cache_shards: 8,
             cache_capacity_per_shard: 128,
             n_shards: 1,
             tolerance: SolveTolerance::default(),
@@ -124,12 +119,11 @@ impl EngineConfig {
         self.matrix_kind
             .validate()
             .map_err(EngineError::InvalidConfig)?;
-        self.batch.validate().map_err(EngineError::InvalidConfig)?;
+        if self.max_batch_ops == 0 {
+            return invalid("max_batch_ops must be at least 1".into());
+        }
         if self.ring_capacity == 0 {
             return invalid("ring_capacity must retain at least one snapshot".into());
-        }
-        if self.cache_shards == 0 {
-            return invalid("cache_shards must be at least 1".into());
         }
         if self.cache_capacity_per_shard == 0 {
             return invalid("cache_capacity_per_shard must be at least 1".into());
@@ -371,18 +365,15 @@ impl CludeEngine {
         Ok(CludeEngine {
             kind: config.matrix_kind,
             inner: Mutex::new(IngestState {
-                ingestor: DeltaIngestor::new(config.batch)?.with_telemetry(Arc::clone(&telemetry)),
+                ingestor: DeltaIngestor::new(config.max_batch_ops)?
+                    .with_telemetry(Arc::clone(&telemetry)),
                 store,
                 persistence: None,
             }),
             ring: RwLock::new(ring),
             ring_capacity: config.ring_capacity,
             handle: SnapshotHandle::new(first),
-            service: QueryService::new(
-                config.cache_shards,
-                config.cache_capacity_per_shard,
-                Arc::clone(&telemetry),
-            ),
+            service: QueryService::new(config.cache_capacity_per_shard, Arc::clone(&telemetry))?,
             telemetry,
         })
     }
@@ -692,7 +683,7 @@ mod tests {
 
     fn small_config(batch: usize) -> EngineConfig {
         EngineConfig {
-            batch: BatchPolicy::by_count(batch),
+            max_batch_ops: batch,
             ring_capacity: 3,
             ..EngineConfig::default()
         }
@@ -1200,15 +1191,6 @@ mod tests {
         check(CludeEngine::open_durable(ring_graph(8), config, durability).unwrap_err());
     }
 
-    #[test]
-    fn zero_cache_shards_is_an_invalid_config() {
-        let config = EngineConfig {
-            cache_shards: 0,
-            ..small_config(1)
-        };
-        assert_invalid_everywhere(config, "cache_shards");
-    }
-
     /// A damping outside `[0, 1)` or a shift that is not finite and positive
     /// is refused with a typed error by every constructor, at one shard and
     /// at four, before anything builds a measure matrix — a BTF partition
@@ -1244,28 +1226,7 @@ mod tests {
 
     #[test]
     fn a_batch_policy_that_cannot_cut_is_an_invalid_config() {
-        let zero_ops = BatchPolicy {
-            max_ops: 0,
-            min_similarity: None,
-        };
-        assert_invalid_everywhere(
-            EngineConfig {
-                batch: zero_ops,
-                ..small_config(1)
-            },
-            "max_ops",
-        );
-        for alpha in [f64::NAN, 1.5, -0.5] {
-            let batch = BatchPolicy {
-                max_ops: 4,
-                min_similarity: Some(alpha),
-            };
-            let config = EngineConfig {
-                batch,
-                ..small_config(1)
-            };
-            assert_invalid_everywhere(config, "min_similarity");
-        }
+        assert_invalid_everywhere(small_config(0), "max_batch_ops");
     }
 
     #[test]

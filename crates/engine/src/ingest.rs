@@ -7,14 +7,10 @@
 //! operations on the same edge cancel without ever reaching the numeric
 //! layer.
 //!
-//! A batch is cut when either bound of the [`BatchPolicy`] trips:
-//!
-//! * `max_ops` — the number of net pending changes, or
-//! * `min_similarity` — the paper's snapshot-similarity threshold
-//!   (Definition 6 restricted to edge sets): once the pending batch would
-//!   drag the next snapshot's similarity to the current one below the
-//!   threshold, the batch is applied so snapshots stay paper-plausibly
-//!   close to each other.
+//! A batch is cut once `max_ops` net changes are pending
+//! ([`crate::EngineConfig::max_batch_ops`]).  Where a new CLUDE cluster
+//! starts is the store's quality budget
+//! ([`crate::EngineConfig::max_quality_loss`]), not the batch cut.
 
 use crate::error::{EngineError, EngineResult};
 use clude_graph::{DiGraph, GraphDelta};
@@ -36,64 +32,6 @@ impl EdgeOp {
     pub fn edge(&self) -> (usize, usize) {
         match *self {
             EdgeOp::Insert(u, v) | EdgeOp::Remove(u, v) => (u, v),
-        }
-    }
-}
-
-/// When to cut a pending batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchPolicy {
-    /// Apply the batch once this many net edge changes are pending.
-    pub max_ops: usize,
-    /// Apply the batch once the would-be next snapshot's edge-set similarity
-    /// to the current snapshot drops below this threshold (`None` disables
-    /// the similarity trigger).
-    pub min_similarity: Option<f64>,
-}
-
-impl Default for BatchPolicy {
-    /// 64 changes per batch, no similarity trigger.
-    fn default() -> Self {
-        BatchPolicy {
-            max_ops: 64,
-            min_similarity: None,
-        }
-    }
-}
-
-impl BatchPolicy {
-    /// A policy flushing every `max_ops` changes.  Like every policy, it is
-    /// checked where it is used: [`DeltaIngestor::new`] and the engine's
-    /// constructors refuse a `max_ops` of 0.
-    pub fn by_count(max_ops: usize) -> Self {
-        BatchPolicy {
-            max_ops,
-            min_similarity: None,
-        }
-    }
-
-    /// A policy additionally flushing when similarity falls below `alpha`
-    /// (the paper's clustering threshold, reused as a batch bound), which
-    /// must lie in `[0, 1]`.
-    pub fn by_similarity(max_ops: usize, alpha: f64) -> Self {
-        BatchPolicy {
-            max_ops,
-            min_similarity: Some(alpha),
-        }
-    }
-
-    /// Refuses a policy whose cut rule cannot work: `max_ops` 0 (read as 1),
-    /// or a `min_similarity` outside `[0, 1]` — NaN never cuts, since no
-    /// similarity compares below it, and above 1 cuts on every op.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        if self.max_ops == 0 {
-            return Err("batch max_ops must be at least 1".into());
-        }
-        match self.min_similarity {
-            Some(alpha) if !(0.0..=1.0).contains(&alpha) => Err(format!(
-                "batch min_similarity must lie in [0, 1], got {alpha}"
-            )),
-            _ => Ok(()),
         }
     }
 }
@@ -125,7 +63,7 @@ pub enum IngestOutcome {
 /// change to the cancellation semantics must keep the two in agreement.
 #[derive(Debug, Clone)]
 pub struct DeltaIngestor {
-    policy: BatchPolicy,
+    max_ops: usize,
     pending_adds: BTreeSet<(usize, usize)>,
     pending_removes: BTreeSet<(usize, usize)>,
     batches_cut: u64,
@@ -133,12 +71,16 @@ pub struct DeltaIngestor {
 }
 
 impl DeltaIngestor {
-    /// A fresh ingestor with the given batch policy; a policy whose cut rule
-    /// cannot work (see [`BatchPolicy`]) is [`EngineError::InvalidConfig`].
-    pub fn new(policy: BatchPolicy) -> EngineResult<Self> {
-        policy.validate().map_err(EngineError::InvalidConfig)?;
+    /// A fresh ingestor cutting a batch once `max_ops` net changes pend; a
+    /// `max_ops` of 0 is [`EngineError::InvalidConfig`].
+    pub fn new(max_ops: usize) -> EngineResult<Self> {
+        if max_ops == 0 {
+            return Err(EngineError::InvalidConfig(
+                "batch max_ops must be at least 1".into(),
+            ));
+        }
         Ok(DeltaIngestor {
-            policy,
+            max_ops,
             pending_adds: BTreeSet::new(),
             pending_removes: BTreeSet::new(),
             batches_cut: 0,
@@ -163,29 +105,12 @@ impl DeltaIngestor {
         self.batches_cut
     }
 
-    /// The batch policy in force.
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
-    }
-
-    /// Edge-set similarity between the current snapshot and the snapshot the
-    /// pending batch would produce: `|E ∩ E'| / |E ∪ E'|`.
-    pub fn pending_similarity(&self, graph: &DiGraph) -> f64 {
-        let base = graph.n_edges();
-        let common = base - self.pending_removes.len();
-        let union = base + self.pending_adds.len();
-        if union == 0 {
-            1.0
-        } else {
-            common as f64 / union as f64
-        }
-    }
-
     /// Offers one edge operation against the current snapshot `graph`.
     ///
     /// Returns [`IngestOutcome::Flush`] with the coalesced batch when the
-    /// operation trips the batch policy; the caller must then apply the
-    /// delta and advance the snapshot before offering further operations.
+    /// operation brings the pending changes to `max_ops`; the caller must
+    /// then apply the delta and advance the snapshot before offering further
+    /// operations.
     pub fn offer(&mut self, op: EdgeOp, graph: &DiGraph) -> EngineResult<IngestOutcome> {
         // An owned handle so the span outlives `&mut self` uses below.
         let telemetry = Arc::clone(&self.telemetry);
@@ -219,12 +144,7 @@ impl DeltaIngestor {
         if !buffered {
             return Ok(IngestOutcome::Coalesced);
         }
-        let over_count = self.pending_ops() >= self.policy.max_ops;
-        let under_similarity = self
-            .policy
-            .min_similarity
-            .is_some_and(|alpha| self.pending_similarity(graph) < alpha);
-        if over_count || under_similarity {
+        if self.pending_ops() >= self.max_ops {
             return Ok(IngestOutcome::Flush(self.take_batch()));
         }
         Ok(IngestOutcome::Buffered)
@@ -258,38 +178,19 @@ mod tests {
         DiGraph::from_edges(5, vec![(0, 1), (1, 2), (2, 3)])
     }
 
-    fn refused(policy: BatchPolicy, what: &str) -> bool {
-        matches!(DeltaIngestor::new(policy), Err(EngineError::InvalidConfig(m)) if m.contains(what))
-    }
-
     #[test]
     fn an_ingestor_refuses_max_ops_zero() {
-        assert!(refused(BatchPolicy::by_count(0), "max_ops"));
-        assert!(refused(BatchPolicy::by_similarity(0, 0.5), "max_ops"));
-        assert!(DeltaIngestor::new(BatchPolicy::by_count(1)).is_ok());
-    }
-
-    #[test]
-    fn an_ingestor_refuses_a_nan_min_similarity() {
-        assert!(refused(
-            BatchPolicy::by_similarity(8, f64::NAN),
-            "min_similarity"
+        assert!(matches!(
+            DeltaIngestor::new(0),
+            Err(EngineError::InvalidConfig(m)) if m.contains("max_ops")
         ));
-        assert!(refused(
-            BatchPolicy::by_similarity(8, 1.5),
-            "min_similarity"
-        ));
-        assert!(refused(
-            BatchPolicy::by_similarity(8, -0.5),
-            "min_similarity"
-        ));
-        assert!(DeltaIngestor::new(BatchPolicy::by_similarity(8, 1.0)).is_ok());
+        assert!(DeltaIngestor::new(1).is_ok());
     }
 
     #[test]
     fn self_loops_are_dropped_like_present_edges() {
         let g = chain();
-        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(1)).unwrap();
+        let mut ing = DeltaIngestor::new(1).unwrap();
         for op in [EdgeOp::Insert(2, 2), EdgeOp::Remove(2, 2)] {
             assert_eq!(ing.offer(op, &g).unwrap(), IngestOutcome::Coalesced);
         }
@@ -300,7 +201,7 @@ mod tests {
     #[test]
     fn count_policy_cuts_batches() {
         let g = chain();
-        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(2)).unwrap();
+        let mut ing = DeltaIngestor::new(2).unwrap();
         assert_eq!(
             ing.offer(EdgeOp::Insert(3, 4), &g).unwrap(),
             IngestOutcome::Buffered
@@ -319,7 +220,7 @@ mod tests {
     #[test]
     fn opposite_operations_cancel() {
         let g = chain();
-        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(10)).unwrap();
+        let mut ing = DeltaIngestor::new(10).unwrap();
         assert_eq!(
             ing.offer(EdgeOp::Insert(3, 4), &g).unwrap(),
             IngestOutcome::Buffered
@@ -346,7 +247,7 @@ mod tests {
     #[test]
     fn noop_operations_are_coalesced() {
         let g = chain();
-        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(10)).unwrap();
+        let mut ing = DeltaIngestor::new(10).unwrap();
         // Edge already present.
         assert_eq!(
             ing.offer(EdgeOp::Insert(0, 1), &g).unwrap(),
@@ -370,35 +271,9 @@ mod tests {
     }
 
     #[test]
-    fn similarity_policy_cuts_early() {
-        let g = chain(); // 3 edges
-        let mut ing = DeltaIngestor::new(BatchPolicy::by_similarity(100, 0.75)).unwrap();
-        // One addition: similarity 3/4 = 0.75, not yet below threshold.
-        assert_eq!(
-            ing.offer(EdgeOp::Insert(3, 4), &g).unwrap(),
-            IngestOutcome::Buffered
-        );
-        // Second addition: similarity 3/5 = 0.6 < 0.75 -> flush.
-        match ing.offer(EdgeOp::Insert(4, 0), &g).unwrap() {
-            IngestOutcome::Flush(d) => assert_eq!(d.added.len(), 2),
-            other => panic!("expected flush, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pending_similarity_counts_both_directions() {
-        let g = chain(); // 3 edges
-        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(100)).unwrap();
-        ing.offer(EdgeOp::Insert(3, 4), &g).unwrap();
-        ing.offer(EdgeOp::Remove(0, 1), &g).unwrap();
-        // common = 3 - 1 = 2, union = 3 + 1 = 4.
-        assert!((ing.pending_similarity(&g) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn out_of_range_nodes_are_rejected() {
         let g = chain();
-        let mut ing = DeltaIngestor::new(BatchPolicy::default()).unwrap();
+        let mut ing = DeltaIngestor::new(64).unwrap();
         assert!(matches!(
             ing.offer(EdgeOp::Insert(0, 9), &g),
             Err(EngineError::NodeOutOfRange { node: 9, .. })
@@ -408,7 +283,7 @@ mod tests {
     #[test]
     fn forced_flush_drains_pending() {
         let g = chain();
-        let mut ing = DeltaIngestor::new(BatchPolicy::by_count(100)).unwrap();
+        let mut ing = DeltaIngestor::new(100).unwrap();
         ing.offer(EdgeOp::Insert(3, 4), &g).unwrap();
         ing.offer(EdgeOp::Remove(2, 3), &g).unwrap();
         let d = ing.flush().expect("pending batch");

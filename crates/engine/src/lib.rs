@@ -14,8 +14,8 @@
 //!   edge ops                  delta batches                  queries
 //!  ───────────►  DeltaIngestor ───────────►  factor store ◄───────────
 //!  insert/remove  coalesce adds/removes,    ShardedFactorStore (k ≥ 1 shards;
-//!                 cut batch at max_ops or   k = 1 is the whole graph, no
-//!                 similarity threshold      coupling): entries routed by
+//!                 cut batch at max_ops      k = 1 is the whole graph, no
+//!                        │                  coupling): entries routed by
 //!                        │                  NodePartition, per-shard
 //!                        │                  extend + reach passes run
 //!                        │                  shard by shard, cross-shard entries
@@ -40,8 +40,8 @@
 //! ```
 //!
 //! * [`ingest::DeltaIngestor`] coalesces single edge operations into
-//!   [`clude_graph::GraphDelta`] batches ([`ingest::BatchPolicy`]: by count
-//!   or by the paper's snapshot-similarity threshold).
+//!   [`clude_graph::GraphDelta`] batches, cut by count
+//!   ([`EngineConfig::max_batch_ops`]).
 //! * [`sharded::ShardedFactorStore`] is the one factor store, for every
 //!   shard count: it partitions the node universe
 //!   (`clude_graph::NodePartition`; one shard is the whole graph) into
@@ -123,7 +123,7 @@ pub use durability::DurabilityConfig;
 pub use engine::{CludeEngine, EngineConfig};
 pub use epoch::SnapshotHandle;
 pub use error::{EngineError, EngineResult};
-pub use ingest::{BatchPolicy, DeltaIngestor, EdgeOp, IngestOutcome};
+pub use ingest::{DeltaIngestor, EdgeOp, IngestOutcome};
 pub use query::QueryService;
 pub use recovery::RecoveryReport;
 pub use sharded::{PartitionStrategy, ShardAdvance, ShardedAdvanceReport, ShardedFactorStore};

@@ -28,6 +28,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// The number of result-cache shards.
+const CACHE_SHARDS: usize = 8;
+
 /// One cache hit in `HIT_SAMPLE` (per serving thread) is timed as a
 /// `query.cache_hit` span; every hit is counted.  A hit costs little more
 /// than reading the clock twice, so timing each one would make the span the
@@ -124,24 +127,22 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Creates a service with `shards` cache shards of `capacity_per_shard`
-    /// entries each, counting queries and cache hits into `telemetry`.
-    ///
-    /// # Panics
-    /// Panics when `shards` or `capacity_per_shard` is zero.
-    pub fn new(
-        shards: usize,
-        capacity_per_shard: usize,
-        telemetry: Arc<TelemetryRegistry>,
-    ) -> Self {
-        assert!(shards > 0, "need at least one cache shard");
-        QueryService {
-            shards: (0..shards)
+    /// Creates a service with eight cache shards of `capacity_per_shard`
+    /// entries each, counting queries and cache hits into `telemetry`; a
+    /// `capacity_per_shard` of 0 is [`EngineError::InvalidConfig`].
+    pub fn new(capacity_per_shard: usize, telemetry: Arc<TelemetryRegistry>) -> EngineResult<Self> {
+        if capacity_per_shard == 0 {
+            return Err(EngineError::InvalidConfig(
+                "cache capacity_per_shard must be at least 1".into(),
+            ));
+        }
+        Ok(QueryService {
+            shards: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(CacheShard::new(capacity_per_shard)))
                 .collect(),
             oldest_retained: AtomicU64::new(0),
             telemetry,
-        }
+        })
     }
 
     /// Answers `query` against `snapshot`, consulting the cache for that
@@ -164,7 +165,7 @@ impl QueryService {
         // Sharded by the query alone: every snapshot's entry for one query
         // shares a shard.
         let hash = key_hash(query);
-        let shard = &self.shards[shard_index(hash, self.shards.len())];
+        let shard = &self.shards[shard_index(hash, CACHE_SHARDS)];
         {
             let until_sample = HITS_UNTIL_SAMPLE.with(Cell::get);
             let probe = (until_sample == 0).then(|| self.telemetry.span(Stage::QueryCacheHit));
@@ -271,8 +272,18 @@ mod tests {
 
     fn service() -> (QueryService, Arc<TelemetryRegistry>) {
         let telemetry = Arc::new(TelemetryRegistry::default());
-        let service = QueryService::new(2, 16, Arc::clone(&telemetry));
+        let service = QueryService::new(16, Arc::clone(&telemetry)).unwrap();
         (service, telemetry)
+    }
+
+    #[test]
+    fn a_query_service_refuses_zero_capacity() {
+        let telemetry = Arc::new(TelemetryRegistry::default());
+        assert!(matches!(
+            QueryService::new(0, Arc::clone(&telemetry)),
+            Err(EngineError::InvalidConfig(m)) if m.contains("capacity_per_shard")
+        ));
+        assert!(QueryService::new(1, telemetry).is_ok());
     }
 
     #[test]
@@ -357,7 +368,7 @@ mod tests {
     #[test]
     fn concurrent_misses_agree_with_sequential() {
         let telemetry = Arc::new(TelemetryRegistry::default());
-        let service = Arc::new(QueryService::new(4, 64, Arc::clone(&telemetry)));
+        let service = Arc::new(QueryService::new(64, Arc::clone(&telemetry)).unwrap());
         let snap = snapshot();
         let shared = MeasureQuery::PageRank { damping: 0.85 };
         let mut queries: Vec<MeasureQuery> = (0..6)
@@ -417,7 +428,7 @@ mod tests {
         use rand::seq::SliceRandom;
         use rand::{Rng, SeedableRng};
         use std::collections::HashSet;
-        let (n, n_keys, shards) = (1_000usize, 4_096usize, 8usize);
+        let (n, n_keys, shards) = (1_000usize, 4_096usize, CACHE_SHARDS);
         for seed in [11u64, 12, 13, 97] {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut pages: Vec<usize> = (0..n).collect();

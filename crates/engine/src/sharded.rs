@@ -48,10 +48,8 @@
 use crate::checkpoint::{ShardImage, StoreImage};
 use crate::coupling::{FrozenCoupling, SolveTolerance};
 use crate::error::{EngineError, EngineResult};
-use crate::store::{
-    global_matrix_delta, order_and_factorize, EngineSnapshot, MaintenanceArm, OldSuccessors,
-    OrderedFactors,
-};
+use crate::store::{order_and_factorize, EngineSnapshot, MaintenanceArm, OrderedFactors};
+use clude_graph::matrix::{global_matrix_delta, OldSuccessors};
 use clude_graph::{
     coupling_matrix, shard_measure_matrix, DiGraph, GraphDelta, MatrixKind, NodePartition,
 };

@@ -24,7 +24,7 @@
 use crate::coupling::{self, CouplingPlan, FrozenCoupling, SolveTolerance, System};
 use crate::sharded::ShardAdvance;
 use clude::DecomposedMatrix;
-use clude_graph::{DiGraph, GraphDelta, MatrixKind, NodePartition};
+use clude_graph::{MatrixKind, NodePartition};
 use clude_lu::{factorize_fresh, markowitz_ordering, LuError, LuFactors, LuResult, Maintainer};
 use clude_measures::{evaluate_query_with, MeasureQuery, MeasureSolver};
 use clude_sparse::CsrMatrix;
@@ -439,145 +439,12 @@ pub(crate) fn order_and_factorize(matrix: &CsrMatrix, id: u64) -> LuResult<Order
     ))
 }
 
-/// The pre-delta successor lists of a batch's affected sources — the source
-/// endpoint of every changed edge, the only nodes whose matrix column / row
-/// the batch perturbs — captured into one flat buffer before the graph
-/// mutates.
-#[derive(Debug)]
-pub(crate) struct OldSuccessors {
-    /// The affected sources, ascending and distinct.
-    sources: Vec<usize>,
-    /// Source `i` owns `successors[offsets[i]..offsets[i + 1]]`, ascending.
-    offsets: Vec<usize>,
-    successors: Vec<usize>,
-}
-
-impl OldSuccessors {
-    /// Captures the successors `graph` holds, before `delta` is applied to
-    /// it, for every source `delta` names.
-    pub(crate) fn capture(graph: &DiGraph, delta: &GraphDelta) -> Self {
-        let mut sources: Vec<usize> = delta
-            .added
-            .iter()
-            .chain(&delta.removed)
-            .map(|&(u, _)| u)
-            .collect();
-        sources.sort_unstable();
-        sources.dedup();
-        let mut offsets = Vec::with_capacity(sources.len() + 1);
-        let mut successors = Vec::new();
-        offsets.push(0);
-        for &u in &sources {
-            successors.extend(graph.successors(u));
-            offsets.push(successors.len());
-        }
-        OldSuccessors {
-            sources,
-            offsets,
-            successors,
-        }
-    }
-
-    /// `(source, its pre-delta successors)`, ascending by source.
-    fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
-        self.sources
-            .iter()
-            .zip(self.offsets.windows(2))
-            .map(|(&u, run)| (u, &self.successors[run[0]..run[1]]))
-    }
-}
-
-/// The changed entries `(row, col, old, new)` of the measure matrix, in
-/// *global* (original graph) coordinates, given the pre-delta successor lists
-/// of the affected sources and the already-updated graph.
-///
-/// An edge operation only perturbs entries keyed by its source: for
-/// `I − d·W` the source's column (the degree normalisation rescales the whole
-/// column), for the Laplacian the source's row plus its diagonal.  The store
-/// routes each entry to its owning shard or the coupling.  Entries come out
-/// ascending by source, then by the other coordinate (the Laplacian diagonal
-/// last): routing and the numeric pass see this order.
-pub(crate) fn global_matrix_delta(
-    graph: &DiGraph,
-    kind: MatrixKind,
-    old: &OldSuccessors,
-) -> Vec<(usize, usize, f64, f64)> {
-    let mut out = Vec::new();
-    let mut new_succ: Vec<usize> = Vec::new();
-    for (u, old_succ) in old.iter() {
-        new_succ.clear();
-        new_succ.extend(graph.successors(u));
-        match kind {
-            MatrixKind::RandomWalk { damping } => {
-                // Column u of A = I − d·W holds −d/deg(u) at each
-                // successor's row; a degree change rescales the whole
-                // column, an edge change moves its support.
-                let old_w = column_weight(damping, old_succ.len());
-                let new_w = column_weight(damping, new_succ.len());
-                for_each_in_union(old_succ, &new_succ, |v, in_old, in_new| {
-                    let old = if in_old { old_w } else { 0.0 };
-                    let new = if in_new { new_w } else { 0.0 };
-                    if old != new {
-                        out.push((v, u, old, new));
-                    }
-                });
-            }
-            MatrixKind::SymmetricLaplacian { shift } => {
-                // Row u of A = σ·I + D − Adj: −1 at each successor and
-                // the degree on the diagonal.
-                for_each_in_union(old_succ, &new_succ, |v, in_old, in_new| {
-                    // A self-loop is folded into the diagonal below.
-                    if v != u && in_old != in_new {
-                        let value = |present: bool| if present { -1.0 } else { 0.0 };
-                        out.push((u, v, value(in_old), value(in_new)));
-                    }
-                });
-                let diag = |succ: &[usize]| {
-                    let self_loop = if succ.binary_search(&u).is_ok() {
-                        1.0
-                    } else {
-                        0.0
-                    };
-                    shift + succ.len() as f64 - self_loop
-                };
-                if diag(old_succ) != diag(&new_succ) {
-                    out.push((u, u, diag(old_succ), diag(&new_succ)));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Two-pointer walk over the union of two ascending lists:
-/// `visit(v, in a, in b)` once per distinct `v`, ascending.
-fn for_each_in_union(a: &[usize], b: &[usize], mut visit: impl FnMut(usize, bool, bool)) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        let in_a = j == b.len() || (i < a.len() && a[i] <= b[j]);
-        let in_b = i == a.len() || (j < b.len() && b[j] <= a[i]);
-        let v = if in_a { a[i] } else { b[j] };
-        visit(v, in_a, in_b);
-        i += usize::from(in_a);
-        j += usize::from(in_b);
-    }
-}
-
-/// The per-successor weight of column `u` in `I − d·W`.
-fn column_weight(damping: f64, out_degree: usize) -> f64 {
-    if out_degree == 0 {
-        0.0
-    } else {
-        -damping / out_degree as f64
-    }
-}
-
 /// Test oracle shared by the crate's unit tests: dense Gaussian elimination
 /// on the snapshot's measure matrix, normalised like a served answer.  It
 /// shares no ordering, factor or routing code with the store under test.
 #[cfg(test)]
 pub(crate) fn dense_answer(
-    graph: &DiGraph,
+    graph: &clude_graph::DiGraph,
     kind: MatrixKind,
     query: &clude_measures::MeasureQuery,
 ) -> Vec<f64> {
@@ -595,10 +462,8 @@ mod tests {
     use super::*;
     use crate::error::EngineError;
     use crate::sharded::ShardedFactorStore;
-    use clude_graph::measure_matrix;
+    use clude_graph::{measure_matrix, DiGraph, GraphDelta};
     use clude_measures::MeasureQuery;
-    use proptest::prelude::*;
-    use std::collections::{BTreeMap, BTreeSet};
 
     fn base_graph() -> DiGraph {
         let mut g = DiGraph::from_edges(6, (0..6).map(|i| (i, (i + 1) % 6)).collect::<Vec<_>>());
@@ -934,99 +799,6 @@ mod tests {
             (3, 3, 4.0),
         ]);
         assert_serves(&of, &next);
-    }
-
-    /// The set-per-source body `global_matrix_delta` had before it walked
-    /// sorted slices, kept as the oracle: a `BTreeMap` of old successor
-    /// lists in, two `BTreeSet`s and their union per source.
-    fn global_matrix_delta_by_sets(
-        graph: &DiGraph,
-        kind: MatrixKind,
-        old_info: &BTreeMap<usize, Vec<usize>>,
-    ) -> Vec<(usize, usize, f64, f64)> {
-        let mut out = Vec::new();
-        for (&u, old_succ) in old_info {
-            let old_set: BTreeSet<usize> = old_succ.iter().copied().collect();
-            let new_set: BTreeSet<usize> = graph.successors(u).collect();
-            match kind {
-                MatrixKind::RandomWalk { damping } => {
-                    let old_w = column_weight(damping, old_set.len());
-                    let new_w = column_weight(damping, new_set.len());
-                    for &v in old_set.union(&new_set) {
-                        let old = if old_set.contains(&v) { old_w } else { 0.0 };
-                        let new = if new_set.contains(&v) { new_w } else { 0.0 };
-                        if old != new {
-                            out.push((v, u, old, new));
-                        }
-                    }
-                }
-                MatrixKind::SymmetricLaplacian { shift } => {
-                    for &v in old_set.union(&new_set) {
-                        if v == u {
-                            continue;
-                        }
-                        let old = if old_set.contains(&v) { -1.0 } else { 0.0 };
-                        let new = if new_set.contains(&v) { -1.0 } else { 0.0 };
-                        if old != new {
-                            out.push((u, v, old, new));
-                        }
-                    }
-                    let diag = |set: &BTreeSet<usize>| {
-                        let self_loop = if set.contains(&u) { 1.0 } else { 0.0 };
-                        shift + set.len() as f64 - self_loop
-                    };
-                    if diag(&old_set) != diag(&new_set) {
-                        out.push((u, u, diag(&old_set), diag(&new_set)));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        /// The slice walk against the set-per-source oracle, both matrix
-        /// kinds: identical entry lists — values bit for bit — in identical
-        /// order, on deltas with repeated sources, no-op operations, sources
-        /// that lose every successor and sources that gain their first.
-        #[test]
-        fn matrix_delta_over_slices_equals_the_set_per_source_oracle(
-            edges in proptest::collection::vec((0usize..10, 0usize..10), 0..40),
-            added in proptest::collection::vec((0usize..10, 0usize..10), 0..8),
-            removed in proptest::collection::vec((0usize..10, 0usize..10), 0..8),
-            drained in 0usize..10,
-        ) {
-            let base = DiGraph::from_edges(10, edges);
-            // One source loses its whole successor list.
-            let mut removed = removed;
-            removed.extend(base.successors(drained).map(|v| (drained, v)));
-            let delta = GraphDelta { added, removed };
-            for kind in [
-                MatrixKind::random_walk_default(),
-                MatrixKind::SymmetricLaplacian { shift: 1.0 },
-            ] {
-                let mut graph = base.clone();
-                let old = OldSuccessors::capture(&graph, &delta);
-                let old_info: BTreeMap<usize, Vec<usize>> = delta
-                    .added
-                    .iter()
-                    .chain(&delta.removed)
-                    .map(|&(u, _)| (u, graph.successors(u).collect()))
-                    .collect();
-                delta.apply(&mut graph);
-                let got = global_matrix_delta(&graph, kind, &old);
-                let want = global_matrix_delta_by_sets(&graph, kind, &old_info);
-                let bits = |entries: &[(usize, usize, f64, f64)]| {
-                    entries
-                        .iter()
-                        .map(|&(r, c, old, new)| (r, c, old.to_bits(), new.to_bits()))
-                        .collect::<Vec<_>>()
-                };
-                prop_assert_eq!(bits(&got), bits(&want), "{:?}", kind);
-            }
-        }
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //! snapshot `k` is published, so a crash inside the WAL append leaves both
 //! the disk and the in-memory engine at `k-1`.
 
-use clude_engine::{
-    BatchPolicy, CludeEngine, DurabilityConfig, EngineConfig, FailpointFs, Injection, Vfs,
-};
+use clude_engine::{CludeEngine, DurabilityConfig, EngineConfig, FailpointFs, Injection, Vfs};
 use clude_graph::DiGraph;
 use std::path::Path;
 use std::sync::Arc;
@@ -28,7 +26,7 @@ fn base_graph() -> DiGraph {
 
 fn config(batch: usize) -> EngineConfig {
     EngineConfig {
-        batch: BatchPolicy::by_count(batch),
+        max_batch_ops: batch,
         ring_capacity: 8,
         ..EngineConfig::default()
     }

@@ -7,8 +7,8 @@
 
 use clude::partition::edge_locality_partition;
 use clude_engine::{
-    BatchPolicy, CludeEngine, DeltaIngestor, DurabilityConfig, EdgeOp, EngineConfig, FailpointFs,
-    IngestOutcome, MaintenanceArm, PartitionStrategy, ShardedFactorStore,
+    CludeEngine, DeltaIngestor, DurabilityConfig, EdgeOp, EngineConfig, FailpointFs, IngestOutcome,
+    MaintenanceArm, PartitionStrategy, ShardedFactorStore,
 };
 use clude_graph::generators::wiki_like::{self, WikiLikeConfig};
 use clude_graph::{btf_partition, DiGraph, MatrixKind, NodePartition};
@@ -50,7 +50,7 @@ fn wiki_stream(pages: usize, added: usize, removals: usize, seed: u64) -> (DiGra
 
 fn config(n_shards: usize) -> EngineConfig {
     EngineConfig {
-        batch: BatchPolicy::by_count(48),
+        max_batch_ops: 48,
         n_shards,
         ..EngineConfig::default()
     }
@@ -240,7 +240,7 @@ fn pin_run(base: &DiGraph, ops: &[EdgeOp], point: GridPoint) -> (Arms, u64) {
             }
         }
     };
-    let mut ingest = DeltaIngestor::new(BatchPolicy::by_count(batch)).unwrap();
+    let mut ingest = DeltaIngestor::new(batch).unwrap();
     for &op in ops {
         if let IngestOutcome::Flush(delta) = ingest.offer(op, store.graph()).unwrap() {
             absorb(&mut store, delta);

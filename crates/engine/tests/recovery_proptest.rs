@@ -12,9 +12,7 @@
 //! that the damage is detected, counted, and journalled — never silently
 //! absorbed.
 
-use clude_engine::{
-    BatchPolicy, CludeEngine, DurabilityConfig, EdgeOp, EngineConfig, FailpointFs, Injection,
-};
+use clude_engine::{CludeEngine, DurabilityConfig, EdgeOp, EngineConfig, FailpointFs, Injection};
 use clude_graph::DiGraph;
 use clude_measures::MeasureQuery;
 use clude_telemetry::{EventKind, Stage};
@@ -43,7 +41,7 @@ fn base_edge_set() -> BTreeSet<(usize, usize)> {
 
 fn config(n_shards: usize) -> EngineConfig {
     EngineConfig {
-        batch: BatchPolicy::by_count(BATCH),
+        max_batch_ops: BATCH,
         ring_capacity: 64,
         n_shards,
         ..EngineConfig::default()

@@ -2,7 +2,7 @@
 //! that the spans, gauges, journal events and the Prometheus exposition all
 //! reflect what the engine actually did.
 
-use clude_engine::{BatchPolicy, CludeEngine, EngineConfig, EngineStats, MaintenanceArm};
+use clude_engine::{CludeEngine, EngineConfig, EngineStats, MaintenanceArm};
 use clude_graph::{DiGraph, NodePartition};
 use clude_measures::MeasureQuery;
 use clude_telemetry::{
@@ -25,7 +25,7 @@ fn instrumented_engine(telemetry: TelemetryConfig) -> CludeEngine {
     CludeEngine::with_partition(
         ring_graph(12),
         EngineConfig {
-            batch: BatchPolicy::by_count(1),
+            max_batch_ops: 1,
             ring_capacity: 3,
             max_quality_loss: 0.0,
             telemetry,
@@ -148,7 +148,7 @@ fn ingest_apply_contains_its_child_stages_on_a_four_shard_run() {
     let engine = CludeEngine::with_partition(
         ring_graph(n),
         EngineConfig {
-            batch: BatchPolicy::by_count(1),
+            max_batch_ops: 1,
             ..EngineConfig::default()
         },
         NodePartition::contiguous(n, 4),
@@ -281,7 +281,7 @@ fn disabled_telemetry_stops_the_clock_but_keeps_counting() {
 fn counted_replay(n_shards: usize, telemetry: TelemetryConfig) -> EngineStats {
     let n = 24;
     let config = EngineConfig {
-        batch: BatchPolicy::by_count(3),
+        max_batch_ops: 3,
         ring_capacity: 3,
         max_quality_loss: 0.0,
         telemetry,

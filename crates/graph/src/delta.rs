@@ -6,28 +6,8 @@
 //! their edges.
 
 use crate::digraph::DiGraph;
-use crate::matrix::MatrixKind;
 use crate::partition::NodePartition;
-use clude_sparse::SparsityPattern;
 use std::collections::BTreeSet;
-
-/// How a delta relates to a frozen factor structure: can it be absorbed by
-/// rewriting values only, or does it demand structural maintenance?
-///
-/// Produced by [`GraphDelta::classify`].  The engine picks the maintenance
-/// strategy per shard batch from this: value-only batches go down the
-/// pattern-frozen refactor fast path, structural ones through per-entry
-/// Bennett sweeps (which insert fill on demand).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaClass {
-    /// Every matrix entry the delta touches already has a slot in the frozen
-    /// structure — removed edges only zero existing entries, and degree
-    /// rescales only rewrite entries that exist.
-    ValueOnly,
-    /// At least one added edge creates a matrix entry outside the frozen
-    /// structure.
-    Structural,
-}
 
 /// The set of edge insertions and deletions turning one snapshot into the next.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -131,41 +111,6 @@ impl GraphDelta {
             added: added.into_iter().collect(),
             removed: removed.into_iter().collect(),
         }
-    }
-
-    /// Classifies the delta against a frozen matrix structure, with pattern
-    /// membership answered by a caller-supplied predicate over **global**
-    /// matrix coordinates (the engine maps these through its shard-local
-    /// reordering before probing the factor lists).
-    ///
-    /// Per [`MatrixKind`], an edge `(u, v)` owns these off-diagonal matrix
-    /// positions: `(v, u)` for [`MatrixKind::RandomWalk`] (column `u` of
-    /// `W`), `(u, v)` for [`MatrixKind::SymmetricLaplacian`].  Removing an
-    /// edge zeroes its position and rescales entries that already exist, so
-    /// removals are always value-only; an addition is value-only exactly when
-    /// its position is already present (diagonals always are — both
-    /// compositions store a full diagonal).
-    pub fn classify_with(
-        &self,
-        kind: MatrixKind,
-        mut in_pattern: impl FnMut(usize, usize) -> bool,
-    ) -> DeltaClass {
-        for &(u, v) in &self.added {
-            let (i, j) = match kind {
-                MatrixKind::RandomWalk { .. } => (v, u),
-                MatrixKind::SymmetricLaplacian { .. } => (u, v),
-            };
-            if i != j && !in_pattern(i, j) {
-                return DeltaClass::Structural;
-            }
-        }
-        DeltaClass::ValueOnly
-    }
-
-    /// Classifies the delta against a [`SparsityPattern`] in global matrix
-    /// coordinates.  See [`GraphDelta::classify_with`] for the rules.
-    pub fn classify(&self, kind: MatrixKind, pattern: &SparsityPattern) -> DeltaClass {
-        self.classify_with(kind, |i, j| pattern.contains(i, j))
     }
 
     /// Splits the delta by a node partition into per-shard intra deltas plus
@@ -365,85 +310,6 @@ mod tests {
         }
         cross.apply(&mut pieced);
         assert_eq!(direct, pieced);
-    }
-
-    #[test]
-    fn classify_removals_are_value_only() {
-        let d = GraphDelta {
-            added: vec![],
-            removed: vec![(0, 1), (2, 3)],
-        };
-        // Even an empty pattern: removals never need new slots.
-        let empty = SparsityPattern::empty(4, 4);
-        assert_eq!(
-            d.classify(MatrixKind::random_walk_default(), &empty),
-            DeltaClass::ValueOnly
-        );
-        assert_eq!(
-            d.classify(MatrixKind::symmetric_default(), &empty),
-            DeltaClass::ValueOnly
-        );
-    }
-
-    #[test]
-    fn classify_addition_inside_pattern_is_value_only() {
-        // RandomWalk: edge (u, v) lives at matrix position (v, u).
-        let d = GraphDelta {
-            added: vec![(0, 2)],
-            removed: vec![(1, 0)],
-        };
-        let pattern = SparsityPattern::from_entries(3, 3, vec![(2, 0)]).unwrap();
-        assert_eq!(
-            d.classify(MatrixKind::random_walk_default(), &pattern),
-            DeltaClass::ValueOnly
-        );
-        // Laplacian: edge (u, v) lives at (u, v), which is absent here.
-        assert_eq!(
-            d.classify(MatrixKind::symmetric_default(), &pattern),
-            DeltaClass::Structural
-        );
-    }
-
-    #[test]
-    fn classify_addition_outside_pattern_is_structural() {
-        let d = GraphDelta {
-            added: vec![(1, 2)],
-            removed: vec![],
-        };
-        let pattern = SparsityPattern::from_entries(3, 3, vec![(0, 0), (1, 1)]).unwrap();
-        assert_eq!(
-            d.classify(MatrixKind::random_walk_default(), &pattern),
-            DeltaClass::Structural
-        );
-    }
-
-    #[test]
-    fn classify_self_loop_hits_always_present_diagonal() {
-        // A self-loop maps to a diagonal position, which both compositions
-        // always store — classified value-only regardless of the pattern.
-        let d = GraphDelta {
-            added: vec![(1, 1)],
-            removed: vec![],
-        };
-        let empty = SparsityPattern::empty(3, 3);
-        assert_eq!(
-            d.classify(MatrixKind::random_walk_default(), &empty),
-            DeltaClass::ValueOnly
-        );
-    }
-
-    #[test]
-    fn classify_with_sees_global_coordinates() {
-        let d = GraphDelta {
-            added: vec![(4, 5)],
-            removed: vec![],
-        };
-        let mut probed = Vec::new();
-        d.classify_with(MatrixKind::random_walk_default(), |i, j| {
-            probed.push((i, j));
-            true
-        });
-        assert_eq!(probed, vec![(5, 4)]);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * [`egs::EvolvingGraphSequence`] — the archived sequence `{G_1, …, G_T}`.
 //! * [`matrix`] — graph → matrix composition (`A = I − dW`, symmetric
 //!   Laplacian) producing the evolving matrix sequence the LU machinery
-//!   consumes, plus the sharded block/coupling split of that composition.
+//!   consumes, plus the sharded block/coupling split of that composition
+//!   and the entries a delta batch changes.
 //! * [`partition`] — [`partition::NodePartition`], the node→shard map the
 //!   streaming engine shards its factor store by.
 //! * [`btf`] — block-triangular-form analysis (maximum transversal + SCC
@@ -32,7 +33,7 @@ pub mod partition;
 pub mod wire;
 
 pub use btf::{btf_partition, maximum_transversal, scc_blocks, BtfReport};
-pub use delta::{DeltaClass, GraphDelta};
+pub use delta::GraphDelta;
 pub use digraph::DiGraph;
 pub use egs::EvolvingGraphSequence;
 pub use matrix::{

@@ -20,10 +20,11 @@
 //! built and no row is sorted; the bits are those a triplet assembly
 //! summing from `0.0` would give.
 
+use crate::delta::GraphDelta;
 use crate::digraph::DiGraph;
 use crate::egs::EvolvingGraphSequence;
 use crate::partition::NodePartition;
-use clude_sparse::{CooMatrix, CsrMatrix};
+use clude_sparse::CsrMatrix;
 
 /// Which matrix to derive from a snapshot graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,21 +78,38 @@ impl MatrixKind {
 }
 
 /// The column-normalised adjacency matrix `W` of a snapshot:
-/// `W(j, i) = 1 / out_degree(i)` for every edge `(i, j)`.
+/// `W(j, i) = 1 / out_degree(i)` for every edge `(i, j)`.  Row `j` walks
+/// `j`'s sorted predecessors, so the rows are written in order.
 pub fn column_normalized_adjacency(graph: &DiGraph) -> CsrMatrix {
     let n = graph.n_nodes();
-    let mut coo = CooMatrix::with_capacity(n, n, graph.n_edges());
-    for u in 0..n {
-        let deg = graph.out_degree(u);
-        if deg == 0 {
-            continue;
+    let weight: Vec<f64> = (0..n)
+        .map(|u| match graph.out_degree(u) {
+            0 => 0.0,
+            deg => 1.0 / deg as f64,
+        })
+        .collect();
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::with_capacity(graph.n_edges());
+    let mut values = Vec::with_capacity(graph.n_edges());
+    for j in 0..n {
+        for &u in graph.predecessor_slice(j) {
+            col_idx.push(u);
+            values.push(weight[u]);
         }
-        let w = 1.0 / deg as f64;
-        for v in graph.successors(u) {
-            coo.push(v, u, w).expect("edge endpoints are in bounds");
-        }
+        row_ptr.push(col_idx.len());
     }
-    CsrMatrix::from_coo(&coo)
+    CsrMatrix::from_raw_parts(n, n, row_ptr, col_idx, values)
+}
+
+/// The entry every edge `(u, v)` puts at `(v, u)` of `I − d·W`:
+/// `0.0 − d / λ(u)`, written `0.0 −`, not as a negation, so that at damping
+/// 0 it is `+0.0`, the sum a triplet assembly gives.
+fn column_weight(damping: f64, out_degree: usize) -> f64 {
+    match out_degree {
+        0 => 0.0,
+        deg => 0.0 - damping / deg as f64,
+    }
 }
 
 /// The measure matrix's rows, ready to stream: the graph, the validated
@@ -99,9 +117,7 @@ pub fn column_normalized_adjacency(graph: &DiGraph) -> CsrMatrix {
 struct MeasureRows<'g> {
     graph: &'g DiGraph,
     kind: MatrixKind,
-    /// `0.0 − d / λ(u)` per node `u` with out-edges: the entry every edge
-    /// `(u, v)` puts at `(v, u)`.  Written `0.0 −`, not as a negation, so
-    /// that at damping 0 it is `+0.0`, the sum a triplet assembly gives.
+    /// [`column_weight`] per node.
     weight: Vec<f64>,
 }
 
@@ -114,10 +130,7 @@ impl<'g> MeasureRows<'g> {
         }
         let weight = match kind {
             MatrixKind::RandomWalk { damping } => (0..graph.n_nodes())
-                .map(|u| match graph.out_degree(u) {
-                    0 => 0.0,
-                    deg => 0.0 - damping / deg as f64,
-                })
+                .map(|u| column_weight(damping, graph.out_degree(u)))
                 .collect(),
             MatrixKind::SymmetricLaplacian { .. } => Vec::new(),
         };
@@ -255,23 +268,127 @@ pub fn evolving_matrix_sequence(egs: &EvolvingGraphSequence, kind: MatrixKind) -
     egs.snapshots().map(|g| measure_matrix(&g, kind)).collect()
 }
 
-/// The right-hand side for a single-seed random-walk measure (RWR / PPR):
-/// `b_u = (1 − d)·q_u` where `q_u` is the indicator vector of the seed.
-pub fn rwr_rhs(n: usize, seed: usize, damping: f64) -> Vec<f64> {
-    assert!(seed < n, "seed node out of range");
-    let mut b = vec![0.0; n];
-    b[seed] = 1.0 - damping;
-    b
+/// The pre-delta successor lists of a batch's affected sources — the source
+/// endpoint of every changed edge, the only nodes whose matrix column / row
+/// the batch perturbs — captured into one flat buffer before the graph
+/// mutates.
+#[derive(Debug)]
+pub struct OldSuccessors {
+    /// The affected sources, ascending and distinct.
+    sources: Vec<usize>,
+    /// Source `i` owns `successors[offsets[i]..offsets[i + 1]]`, ascending.
+    offsets: Vec<usize>,
+    successors: Vec<usize>,
 }
 
-/// The right-hand side for global PageRank: `b = ((1 − d)/n)·1`.
-pub fn pagerank_rhs(n: usize, damping: f64) -> Vec<f64> {
-    vec![(1.0 - damping) / n as f64; n]
+impl OldSuccessors {
+    /// Captures the successors `graph` holds, before `delta` is applied to
+    /// it, for every source `delta` names.
+    pub fn capture(graph: &DiGraph, delta: &GraphDelta) -> Self {
+        let mut sources: Vec<usize> = delta
+            .added
+            .iter()
+            .chain(&delta.removed)
+            .map(|&(u, _)| u)
+            .collect();
+        sources.sort_unstable();
+        sources.dedup();
+        let mut offsets = Vec::with_capacity(sources.len() + 1);
+        let mut successors = Vec::new();
+        offsets.push(0);
+        for &u in &sources {
+            successors.extend_from_slice(graph.successor_slice(u));
+            offsets.push(successors.len());
+        }
+        OldSuccessors {
+            sources,
+            offsets,
+            successors,
+        }
+    }
+
+    /// `(source, its pre-delta successors)`, ascending by source.
+    fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
+        self.sources
+            .iter()
+            .zip(self.offsets.windows(2))
+            .map(|(&u, run)| (u, &self.successors[run[0]..run[1]]))
+    }
+}
+
+/// The changed entries `(row, col, old, new)` of the measure matrix, in
+/// global (whole-graph) coordinates, given the pre-delta successor lists of
+/// the affected sources and the already-updated graph: the entries
+/// `measure_matrix(before).delta_to(&measure_matrix(after), 0.0)` holds.
+///
+/// An edge operation only perturbs entries keyed by its source: for
+/// `I − d·W` the source's column (the degree normalisation rescales the whole
+/// column), for the Laplacian the source's row plus its diagonal.  Entries
+/// come out ascending by source, then by the other coordinate (the Laplacian
+/// diagonal last).
+pub fn global_matrix_delta(
+    graph: &DiGraph,
+    kind: MatrixKind,
+    old: &OldSuccessors,
+) -> Vec<(usize, usize, f64, f64)> {
+    let mut out = Vec::new();
+    let mut new_succ: Vec<usize> = Vec::new();
+    for (u, old_succ) in old.iter() {
+        new_succ.clear();
+        new_succ.extend(graph.successors(u));
+        match kind {
+            MatrixKind::RandomWalk { damping } => {
+                // Column u of A = I − d·W holds −d/deg(u) at each
+                // successor's row; a degree change rescales the whole
+                // column, an edge change moves its support.
+                let old_w = column_weight(damping, old_succ.len());
+                let new_w = column_weight(damping, new_succ.len());
+                for_each_in_union(old_succ, &new_succ, |v, in_old, in_new| {
+                    let old = if in_old { old_w } else { 0.0 };
+                    let new = if in_new { new_w } else { 0.0 };
+                    if old != new {
+                        out.push((v, u, old, new));
+                    }
+                });
+            }
+            MatrixKind::SymmetricLaplacian { shift } => {
+                // Row u of A = σ·I + D − Adj: −1 at each successor and
+                // the degree on the diagonal (a graph holds no self-loop).
+                for_each_in_union(old_succ, &new_succ, |v, in_old, in_new| {
+                    if in_old != in_new {
+                        let value = |present: bool| if present { -1.0 } else { 0.0 };
+                        out.push((u, v, value(in_old), value(in_new)));
+                    }
+                });
+                let (old_diag, new_diag) =
+                    (shift + old_succ.len() as f64, shift + new_succ.len() as f64);
+                if old_diag != new_diag {
+                    out.push((u, u, old_diag, new_diag));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Two-pointer walk over the union of two ascending lists:
+/// `visit(v, in a, in b)` once per distinct `v`, ascending.
+fn for_each_in_union(a: &[usize], b: &[usize], mut visit: impl FnMut(usize, bool, bool)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        let in_a = j == b.len() || (i < a.len() && a[i] <= b[j]);
+        let in_b = i == a.len() || (j < b.len() && b[j] <= a[i]);
+        let v = if in_a { a[i] } else { b[j] };
+        visit(v, in_a, in_b);
+        i += usize::from(in_a);
+        j += usize::from(in_b);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clude_sparse::CooMatrix;
     use proptest::prelude::*;
 
     fn chain_graph() -> DiGraph {
@@ -457,6 +574,19 @@ mod tests {
         (m.n_rows(), m.n_cols(), entries)
     }
 
+    /// `W` written in row order against the triplet assembly it replaced:
+    /// each edge `(u, v)` pushes `1 / λ(u)` at `(v, u)`, and
+    /// `CsrMatrix::from_coo` sorts the rows and sums from `0.0`.
+    fn assert_w_matches_the_coo_assembly(graph: &DiGraph) {
+        let n = graph.n_nodes();
+        let mut coo = CooMatrix::new(n, n);
+        for (u, v) in graph.edges() {
+            coo.push(v, u, 1.0 / graph.out_degree(u) as f64).unwrap();
+        }
+        let w = column_normalized_adjacency(graph);
+        assert_eq!(bits(&w), bits(&CsrMatrix::from_coo(&coo)));
+    }
+
     /// Every builder against the triplet oracle, bit for bit: the full
     /// matrix, each shard's block in local coordinates and the coupling.
     fn assert_builders_match_the_oracle(graph: &DiGraph, kind: MatrixKind, p: &NodePartition) {
@@ -499,6 +629,8 @@ mod tests {
         for (u, v) in g.edges() {
             sym.add_edge(v, u);
         }
+        assert_w_matches_the_coo_assembly(&g);
+        assert_w_matches_the_coo_assembly(&sym);
         let scattered = NodePartition::from_assignments(vec![2, 0, 1, 0, 2, 1, 0, 1]);
         for p in [
             NodePartition::contiguous(8, 3),
@@ -548,21 +680,48 @@ mod tests {
             assert_builders_match_the_oracle(&g, MatrixKind::RandomWalk { damping }, &p);
             assert_builders_match_the_oracle(&g, MatrixKind::RandomWalk { damping: 0.0 }, &p);
             assert_builders_match_the_oracle(&g, MatrixKind::symmetric_default(), &p);
+            assert_w_matches_the_coo_assembly(&g);
         }
-    }
 
-    #[test]
-    fn rhs_constructors() {
-        let b = rwr_rhs(4, 2, 0.85);
-        assert_eq!(b, vec![0.0, 0.0, 0.15000000000000002, 0.0]);
-        let p = pagerank_rhs(4, 0.85);
-        assert!((p.iter().sum::<f64>() - 0.15).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "seed node")]
-    fn rwr_rhs_rejects_bad_seed() {
-        rwr_rhs(3, 7, 0.85);
+        /// A batch's entries against the difference of the measure
+        /// matrices before and after it, both kinds: the same entries,
+        /// values bit for bit, as a set, on deltas with repeated sources,
+        /// no-op operations, self-loops, sources that lose every successor
+        /// and sources that gain their first.
+        #[test]
+        fn matrix_delta_equals_the_measure_matrix_difference(
+            edges in proptest::collection::vec((0usize..10, 0usize..10), 0..40),
+            added in proptest::collection::vec((0usize..10, 0usize..10), 0..8),
+            removed in proptest::collection::vec((0usize..10, 0usize..10), 0..8),
+            drained in 0usize..10,
+        ) {
+            let before = DiGraph::from_edges(10, edges);
+            // One source loses its whole successor list.
+            let mut removed = removed;
+            removed.extend(before.successors(drained).map(|v| (drained, v)));
+            let delta = GraphDelta { added, removed };
+            let old = OldSuccessors::capture(&before, &delta);
+            let mut after = before.clone();
+            delta.apply(&mut after);
+            let sorted_bits = |entries: Vec<(usize, usize, f64, f64)>| {
+                let mut bits: Vec<_> = entries
+                    .into_iter()
+                    .map(|(r, c, old, new)| (r, c, old.to_bits(), new.to_bits()))
+                    .collect();
+                bits.sort_unstable();
+                bits
+            };
+            for kind in [
+                MatrixKind::random_walk_default(),
+                MatrixKind::SymmetricLaplacian { shift: 1.0 },
+            ] {
+                let want = measure_matrix(&before, kind)
+                    .delta_to(&measure_matrix(&after, kind), 0.0)
+                    .unwrap();
+                let got = global_matrix_delta(&after, kind, &old);
+                prop_assert_eq!(sorted_bits(got), sorted_bits(want), "{:?}", kind);
+            }
+        }
     }
 
     #[test]

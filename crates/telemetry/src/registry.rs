@@ -7,6 +7,10 @@ use crate::stage::Stage;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
+/// Entries an enabled registry's event journal retains (counts are kept
+/// regardless); a disabled one retains none.
+const JOURNAL_CAPACITY: usize = 256;
+
 /// How a [`TelemetryRegistry`] behaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
@@ -15,16 +19,11 @@ pub struct TelemetryConfig {
     /// branch.  Counters and gauges record either way: a relaxed add is what
     /// the engine's statistics are built from.
     pub enabled: bool,
-    /// Entries the event journal retains (counts are kept regardless).
-    pub journal_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            journal_capacity: 256,
-        }
+        TelemetryConfig { enabled: true }
     }
 }
 
@@ -32,10 +31,7 @@ impl TelemetryConfig {
     /// A configuration that stops the clock and the journal; counters and
     /// gauges still record.
     pub const fn disabled() -> Self {
-        TelemetryConfig {
-            enabled: false,
-            journal_capacity: 0,
-        }
+        TelemetryConfig { enabled: false }
     }
 }
 
@@ -232,7 +228,7 @@ impl TelemetryRegistry {
                 .map(|_| [const { AtomicU64::new(0) }; ShardCounter::ALL.len()])
                 .collect(),
             gauges: [const { AtomicU64::new(0) }; Gauge::ALL.len()],
-            journal: EventJournal::new(config.journal_capacity),
+            journal: EventJournal::new(if config.enabled { JOURNAL_CAPACITY } else { 0 }),
         }
     }
 

@@ -13,7 +13,7 @@
 // CLI tool: printing the report is its entire purpose.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use clude_engine::{BatchPolicy, CludeEngine, EngineConfig};
+use clude_engine::{CludeEngine, EngineConfig};
 use clude_graph::generators::wiki_like::{self, WikiLikeConfig};
 use clude_measures::MeasureQuery;
 use rand::rngs::StdRng;
@@ -33,15 +33,14 @@ fn main() {
         egs.first_last_edge_counts().1
     );
 
-    // Bring up the engine on the first snapshot; cut batches CLUDE-style
-    // when the pending churn would push similarity below 98 %, and start a
-    // new "cluster" — re-order the block — once its factors grow 50 % past
-    // their size at the last re-order (`f64::INFINITY` would be INC's one
-    // ordering forever).
+    // Bring up the engine on the first snapshot; cut a batch every 256 edge
+    // changes, and start a new CLUDE "cluster" — re-order the block — once
+    // its factors grow 50 % past their size at the last re-order
+    // (`f64::INFINITY` would be INC's one ordering forever).
     let engine = CludeEngine::new(
         egs.snapshot(0),
         EngineConfig {
-            batch: BatchPolicy::by_similarity(256, 0.98),
+            max_batch_ops: 256,
             max_quality_loss: 0.5,
             ..EngineConfig::default()
         },

@@ -4,7 +4,7 @@
 
 use clude::algorithms::{Clude, LudemSolver, SolverConfig};
 use clude::ems::EvolvingMatrixSequence;
-use clude_engine::{BatchPolicy, CludeEngine, EngineConfig, ShardedFactorStore};
+use clude_engine::{CludeEngine, EngineConfig, ShardedFactorStore};
 use clude_graph::generators::wiki_like::{self, WikiLikeConfig};
 use clude_graph::{
     coupling_matrix, measure_matrix, DiGraph, GraphDelta, MatrixKind, NodePartition,
@@ -35,7 +35,7 @@ fn streaming_rwr_matches_batch_clude() {
     let engine = CludeEngine::new(
         egs.snapshot(0),
         EngineConfig {
-            batch: BatchPolicy::by_count(usize::MAX),
+            max_batch_ops: usize::MAX,
             max_quality_loss: 1.0,
             ring_capacity: 4,
             ..EngineConfig::default()
@@ -84,7 +84,7 @@ fn coalesced_churn_matches_direct_construction() {
     let engine = CludeEngine::new(
         base.clone(),
         EngineConfig {
-            batch: BatchPolicy::by_count(usize::MAX),
+            max_batch_ops: usize::MAX,
             ..EngineConfig::default()
         },
     )
@@ -150,7 +150,7 @@ proptest! {
         let engine = CludeEngine::new(
             ring_base(n),
             EngineConfig {
-                batch: BatchPolicy::by_count(5),
+                max_batch_ops: 5,
                 ring_capacity: 3,
                 ..EngineConfig::default()
             },
