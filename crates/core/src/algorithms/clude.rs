@@ -26,14 +26,29 @@
 //!   numeric pass over the changed rows' elimination reach — the structure
 //!   is closed, so every other row keeps its values — the step the engine's
 //!   shards take, so each member's factors are bit for bit its own
-//!   factorization over the universal structure.  A pass that fails leaves
-//!   the predecessor's factors untouched, and the member falls back to
-//!   Bennett's updates from them.  Clusters, orderings and factor sizes are
+//!   factorization over the universal structure.  The pass runs in place on
+//!   the predecessor's factors; one that meets a zero pivot ends the
+//!   cluster, and the member it failed on and the rest start a new cluster
+//!   under their own union and ordering — where an engine shard would
+//!   re-order.  Unless that happens, clusters, orderings and factor sizes are
 //!   those of the faithful mode; only the arithmetic that produced a
 //!   member's values differs.
+//!
+//! Once α-clustering has formed the clusters, no state passes from one
+//! cluster to the next, so the clustering runs on the calling thread and the
+//! clusters are decomposed on at most two threads at once — the calling one
+//! and one scoped thread, when the host has two cores and the sequence two
+//! clusters ([`crate::algorithms::common::CLUSTER_WORKERS`]).  Each worker
+//! takes the largest cluster left.  The cap is two because every cluster in
+//! flight holds its own working set — reordered union, universal structure,
+//! factors, held member — and two keep the peak resident set within a few
+//! percent of a one-at-a-time solve's.  The clusters' reports and members
+//! are merged in sequence order, so the output, the error of the first
+//! failing cluster included, is the one-at-a-time loop's; the report's
+//! phase timings are summed over the threads.
 
 use crate::algorithms::common::{
-    decompose_cluster_universal, ensure_finite, LudemSolution, LudemSolver, SolverConfig,
+    decompose_clusters_universal, ensure_finite, LudemSolution, LudemSolver, SolverConfig,
 };
 use crate::cluster::alpha_clustering_with_unions;
 use crate::ems::EvolvingMatrixSequence;
@@ -79,17 +94,11 @@ impl LudemSolver for Clude {
         let t = Instant::now();
         let (clustering, unions) = alpha_clustering_with_unions(ems, self.alpha)?;
         report.timings.clustering += t.elapsed();
-        for (cluster, union) in clustering.clusters().iter().zip(unions) {
-            decompose_cluster_universal(
-                ems,
-                cluster,
-                &union,
-                None,
-                config,
-                &mut report,
-                &mut decomposed,
-            )?;
-        }
+        let clusters = clustering.clusters().iter().cloned().zip(unions);
+        let jobs = clusters
+            .map(|(cluster, union)| (cluster, union, None))
+            .collect();
+        decompose_clusters_universal(ems, jobs, config, &mut report, &mut decomposed)?;
         Ok(LudemSolution { decomposed, report })
     }
 }

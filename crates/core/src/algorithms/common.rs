@@ -15,10 +15,13 @@
 //! * [`decompose_cluster_universal`] — ordering and static structure derived
 //!   from the cluster's union matrix (Algorithm 3, used by CLUDE), each member
 //!   after the first reached by a numeric pass over the changed rows'
-//!   elimination reach in the universal structure, with Bennett's updates as
-//!   the fallback of a failed pass and the paper-faithful mode's only step.
+//!   elimination reach in the universal structure — a pass that meets a zero
+//!   pivot ends the cluster, and the rest of it starts a new one — or, in
+//!   the paper-faithful mode, by Bennett's updates.
+//!
+//! CLUDE runs the second on up to [`CLUSTER_WORKERS`] clusters at once.
 
-use crate::cluster::Cluster;
+use crate::cluster::{cluster_union_pattern, Cluster};
 use crate::ems::EvolvingMatrixSequence;
 use crate::report::RunReport;
 use clude_lu::{
@@ -26,8 +29,9 @@ use clude_lu::{
     BennettStats, BennettWorkspace, DynamicLuFactors, LuError, LuFactors, LuResult, LuStructure,
     Maintainer, SolveScratch,
 };
-use clude_sparse::{CooMatrix, CsrMatrix, Ordering, SparsityPattern};
-use std::sync::Arc;
+use clude_sparse::{CsrMatrix, Ordering, SparsityPattern};
+use std::num::NonZeroUsize;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Tuning knobs shared by all solvers.
@@ -43,8 +47,8 @@ pub struct SolverConfig {
     /// Bennett's updates, as the paper's Algorithm 3 does — the mode the
     /// figure experiments run, whose claims are about Bennett's share of the
     /// time.  When `false` (default), each such member takes a numeric pass
-    /// over the changed rows' elimination reach, and Bennett's updates only
-    /// when that pass fails.  INC, CINC and BF ignore it.
+    /// over the changed rows' elimination reach, and a pass that fails ends
+    /// its cluster.  INC, CINC and BF ignore it.
     pub bennett_only: bool,
 }
 
@@ -236,15 +240,14 @@ fn count_bennett(report: &mut RunReport, stats: &BennettStats, t: Instant) {
 
 /// What a CLUDE cluster's member steps carry from one member to the next:
 /// the [`Maintainer`] holding the current member in factor coordinates — over
-/// the reordered `A_∪` pattern — and its delta, the copy of the
-/// predecessor's factors the reach pass runs on and the workspace of
-/// Bennett's sweeps, each made by the first pass or sweep that needs it.
+/// the reordered `A_∪` pattern — and its delta, and in the paper-faithful
+/// mode the workspace of Bennett's sweeps.
 #[derive(Debug, Clone)]
 struct UniversalMembers {
     maintainer: Maintainer,
-    spare: Option<LuFactors>,
-    bennett: BennettWorkspace,
-    bennett_only: bool,
+    /// `Some` in the paper-faithful mode, whose members take Bennett's
+    /// sweeps; `None` in the default mode, whose members take the pass.
+    bennett: Option<BennettWorkspace>,
 }
 
 impl UniversalMembers {
@@ -252,9 +255,7 @@ impl UniversalMembers {
     fn new(member: CsrMatrix, ordering: &Ordering, bennett_only: bool) -> Self {
         UniversalMembers {
             maintainer: Maintainer::new(ordering, member),
-            spare: None,
-            bennett: BennettWorkspace::new(),
-            bennett_only,
+            bennett: bennett_only.then(BennettWorkspace::new),
         }
     }
 
@@ -276,33 +277,28 @@ impl UniversalMembers {
         );
     }
 
-    /// Reaches the held member from `factors`, its predecessor's: by the
-    /// numeric pass over the delta's rows' elimination reach, run on the
-    /// spare copy — the two swap on success — so a pass that fails leaves
-    /// `factors` untouched and the member falls back to Bennett's sweeps from
-    /// them; in the paper-faithful mode by the sweeps alone.
-    fn step(&mut self, factors: &mut LuFactors, report: &mut RunReport) -> LuResult<()> {
-        if !self.bennett_only {
-            let t = Instant::now();
-            let spare = match &mut self.spare {
-                Some(spare) => {
-                    spare.clone_from(factors);
-                    spare
-                }
-                None => self.spare.insert(factors.clone()),
-            };
-            let pass = self.maintainer.refactor_reach(spare);
-            report.timings.full_decomposition += t.elapsed();
-            if pass.is_ok() {
-                std::mem::swap(factors, spare);
-                report.numeric_members += 1;
-                return Ok(());
-            }
-        }
+    /// Reaches the held member from `factors`, its predecessor's, in place:
+    /// by the numeric pass over the delta's rows' elimination reach, or in
+    /// the paper-faithful mode by Bennett's sweeps.  `Ok(false)` when the
+    /// pass met a zero pivot — the cluster's ordering does not serve this
+    /// member, and `factors` hold no member any more.
+    fn step(&mut self, factors: &mut LuFactors, report: &mut RunReport) -> LuResult<bool> {
         let t = Instant::now();
-        let stats = apply_delta_with(factors, &mut self.bennett, self.maintainer.delta())?;
+        let Some(workspace) = &mut self.bennett else {
+            let pass = self.maintainer.refactor_reach(factors);
+            report.timings.full_decomposition += t.elapsed();
+            return match pass {
+                Ok(_) => {
+                    report.numeric_members += 1;
+                    Ok(true)
+                }
+                Err(LuError::SingularPivot { .. }) => Ok(false),
+                Err(err) => Err(err),
+            };
+        };
+        let stats = apply_delta_with(factors, workspace, self.maintainer.delta())?;
         count_bennett(report, &stats, t);
-        Ok(())
+        Ok(true)
     }
 }
 
@@ -379,40 +375,59 @@ pub fn decompose_cluster_incremental(
 
 /// A CLUDE cluster's shared ordering — `ordering`, or the Markowitz ordering
 /// of `A_∪` when `None` — the pattern of `A_∪^{O_∪}`, and the universal
-/// static structure its symbolic decomposition defines (Theorem 1).
+/// static structure its symbolic decomposition defines (Theorem 1), closed
+/// by the kernel straight into the structure's layout.  `union` is dropped
+/// as soon as it is reordered.
 fn universal_structure(
-    union: &SparsityPattern,
+    union: SparsityPattern,
     ordering: Option<Ordering>,
     report: &mut RunReport,
-) -> (Arc<Ordering>, SparsityPattern, Arc<LuStructure>) {
+) -> LuResult<(Arc<Ordering>, SparsityPattern, Arc<LuStructure>)> {
     let ordering = Arc::new(match ordering {
         Some(o) => o,
         None => {
             let t = Instant::now();
-            let o = markowitz_ordering(union).ordering;
+            let o = markowitz_ordering(&union).ordering;
             report.timings.ordering += t.elapsed();
             o
         }
     });
     let t = Instant::now();
-    let reordered_union = clude_lu::reorder_pattern(union, &ordering);
-    let ussp = clude_lu::symbolic_decomposition(&reordered_union).pattern;
-    let structure = LuStructure::from_closed_pattern_unchecked(&ussp).into_shared();
+    let reordered_union = clude_lu::reorder_pattern(&union, &ordering);
+    drop(union);
+    let structure = LuStructure::from_pattern(&reordered_union)?.into_shared();
     report.timings.symbolic += t.elapsed();
-    (ordering, reordered_union, structure)
+    Ok((ordering, reordered_union, structure))
 }
 
-/// `matrix` under `ordering`, zero on the positions of `pattern` (which
-/// holds every reordered entry) that it does not store.
-fn reordered_over(pattern: &SparsityPattern, matrix: &CsrMatrix, ordering: &Ordering) -> CsrMatrix {
-    let (rows, cols) = (ordering.row().old_to_new(), ordering.col().old_to_new());
-    let mut coo = CooMatrix::with_capacity(matrix.n_rows(), matrix.n_cols(), pattern.nnz());
-    let zeros = pattern.iter().map(|(i, j)| (i, j, 0.0));
-    for (i, j, v) in zeros.chain(matrix.iter().map(|(i, j, v)| (rows[i], cols[j], v))) {
-        coo.push(i, j, v)
-            .expect("an ordering keeps entries in range");
+/// `matrix` under `ordering`, zero on the positions of `pattern` that it
+/// does not store, written row by row into CSR: each row is the pattern's,
+/// and each entry of `matrix` lands on its slot by a search of its row.  An
+/// entry off `pattern` is [`LuError::EntryOutsideStructure`].
+fn reordered_over(
+    pattern: SparsityPattern,
+    matrix: &CsrMatrix,
+    ordering: &Ordering,
+) -> LuResult<CsrMatrix> {
+    let (n, nnz) = (pattern.n_rows(), pattern.nnz());
+    let col_old_to_new = ordering.col().old_to_new();
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    let (mut col_idx, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+    for i in 0..n {
+        let start = col_idx.len();
+        col_idx.extend_from_slice(pattern.row(i));
+        values.resize(col_idx.len(), 0.0);
+        let (cols, vals) = matrix.row(ordering.row().new_to_old(i));
+        for (&c, &v) in cols.iter().zip(vals) {
+            let col = col_old_to_new[c];
+            let slot = col_idx[start..].binary_search(&col);
+            let slot = slot.map_err(|_| LuError::EntryOutsideStructure { row: i, col })?;
+            values[start + slot] = v;
+        }
+        row_ptr.push(col_idx.len());
     }
-    CsrMatrix::from_coo(&coo)
+    Ok(CsrMatrix::from_raw_parts(n, n, row_ptr, col_idx, values))
 }
 
 /// Decomposes one cluster the CLUDE way (Algorithm 3): the Markowitz ordering
@@ -421,34 +436,38 @@ fn reordered_over(pattern: &SparsityPattern, matrix: &CsrMatrix, ordering: &Orde
 /// matrix is fully decomposed into that structure, and the rest are reached
 /// from their predecessor without ever modifying the structure — by Bennett
 /// updates under [`SolverConfig::bennett_only`], else by a numeric pass over
-/// the changed rows' elimination reach, with Bennett's updates only where
-/// that pass fails.  Each member's delta is written into the previous one in
-/// factor coordinates, so no member is reordered.
+/// the changed rows' elimination reach.  Each member's delta is written into
+/// the previous one in factor coordinates, so no member is reordered.
+///
+/// A pass that meets a zero pivot ends the cluster where it stands: the
+/// member it failed on and the rest start a new cluster under the Markowitz
+/// ordering of their own union ([`cluster_union_pattern`], billed as
+/// clustering) — an engine shard re-orders on the same condition — so
+/// [`RunReport::cluster_sizes`] records the two parts.
 ///
 /// `union` is the pattern of the cluster's `A_∪` (Definition 7), which the
 /// clustering pass that formed the cluster already holds
 /// ([`crate::cluster::alpha_clustering_with_unions`];
-/// [`crate::cluster::cluster_union_pattern`] builds it for any other
-/// cluster).
+/// [`cluster_union_pattern`] builds it for any other cluster); it is dropped
+/// once reordered.
 pub fn decompose_cluster_universal(
     ems: &EvolvingMatrixSequence,
     cluster: &Cluster,
-    union: &SparsityPattern,
+    union: SparsityPattern,
     ordering: Option<Ordering>,
     config: &SolverConfig,
     report: &mut RunReport,
     out: &mut Vec<DecomposedMatrix>,
 ) -> LuResult<()> {
-    let (ordering, reordered_union, structure) = universal_structure(union, ordering, report);
+    let (ordering, reordered_union, structure) = universal_structure(union, ordering, report)?;
 
     // Full decomposition of the first matrix over the shared structure.
     let t = Instant::now();
-    let first = reordered_over(&reordered_union, ems.matrix(cluster.start), &ordering);
+    let first = reordered_over(reordered_union, ems.matrix(cluster.start), &ordering)?;
     let mut factors = LuFactors::factorize(structure, &first)?;
     report.timings.full_decomposition += t.elapsed();
 
     let keep = |f: &LuFactors| config.keep_factors.then(|| f.clone());
-    report.cluster_sizes.push(cluster.len());
     let kept = keep(&factors);
     push_member(cluster.start, &ordering, factors.nnz(), kept, report, out);
 
@@ -458,9 +477,85 @@ pub fn decompose_cluster_universal(
         let t = Instant::now();
         members.advance(ems, i);
         report.timings.incremental += t.elapsed();
-        members.step(&mut factors, report)?;
+        if !members.step(&mut factors, report)? {
+            // The rest of the cluster starts over, once this one's working
+            // set is freed.
+            report.cluster_sizes.push(i - cluster.start);
+            drop((members, factors));
+            let rest = Cluster {
+                start: i,
+                end: cluster.end,
+            };
+            let t = Instant::now();
+            let union = cluster_union_pattern(ems, &rest);
+            report.timings.clustering += t.elapsed();
+            return decompose_cluster_universal(ems, &rest, union, None, config, report, out);
+        }
         let kept = keep(&factors);
         push_member(i, &ordering, factors.nnz(), kept, report, out);
+    }
+    report.cluster_sizes.push(cluster.len());
+    Ok(())
+}
+
+/// A cluster for [`decompose_clusters_universal`]: its span, the pattern of
+/// its `A_∪` and, when the clustering pass chose one, its ordering.
+pub(crate) type ClusterJob = (Cluster, SparsityPattern, Option<Ordering>);
+
+/// Most clusters a CLUDE solve decomposes at once: each one in flight holds
+/// its own working set, and two keep the peak resident set within a few
+/// percent of a one-at-a-time solve's ([`crate::algorithms::clude`]).
+pub const CLUSTER_WORKERS: usize = 2;
+
+/// Decomposes `clusters`, consecutive and in sequence order, by
+/// [`decompose_cluster_universal`] on the calling thread and up to
+/// [`CLUSTER_WORKERS`]` − 1` scoped threads, each taking the largest cluster
+/// left; the parts are merged in sequence order, and the error returned is
+/// that of the first failing cluster, as a one-at-a-time loop would.
+pub(crate) fn decompose_clusters_universal(
+    ems: &EvolvingMatrixSequence,
+    clusters: Vec<ClusterJob>,
+    config: &SolverConfig,
+    report: &mut RunReport,
+    out: &mut Vec<DecomposedMatrix>,
+) -> LuResult<()> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(clusters.len())
+        .min(CLUSTER_WORKERS);
+    // Smallest first, so `pop` hands out the largest.
+    let mut queue: Vec<(usize, ClusterJob)> = clusters.into_iter().enumerate().collect();
+    queue.sort_by_key(|(k, (cluster, ..))| (cluster.len(), std::cmp::Reverse(*k)));
+    let queue = Mutex::new(queue);
+    let work = || {
+        let mut parts = Vec::new();
+        let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        while let Some((k, (cluster, union, ordering))) = next() {
+            let mut part = LudemSolution {
+                decomposed: Vec::new(),
+                report: RunReport::new(""),
+            };
+            let (report, out) = (&mut part.report, &mut part.decomposed);
+            let done =
+                decompose_cluster_universal(ems, &cluster, union, ordering, config, report, out);
+            parts.push((k, done.map(|()| part)));
+        }
+        parts
+    };
+    let mut parts = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut parts = work();
+        for helper in helpers {
+            let theirs = helper.join();
+            parts.extend(theirs.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        parts
+    });
+    parts.sort_unstable_by_key(|&(k, _)| k);
+    for (_, part) in parts {
+        let part = part?;
+        report.merge(part.report);
+        out.extend(part.decomposed);
     }
     Ok(())
 }
@@ -555,50 +650,81 @@ mod tests {
         }
     }
 
+    /// The triplet build `reordered_over` replaced: zeros over `pattern`,
+    /// then the reordered entries, summed by `CsrMatrix::from_coo`.
+    fn reordered_over_triplets(
+        pattern: &SparsityPattern,
+        matrix: &CsrMatrix,
+        ordering: &Ordering,
+    ) -> CsrMatrix {
+        let (rows, cols) = (ordering.row().old_to_new(), ordering.col().old_to_new());
+        let mut coo = CooMatrix::with_capacity(matrix.n_rows(), matrix.n_cols(), pattern.nnz());
+        let zeros = pattern.iter().map(|(i, j)| (i, j, 0.0));
+        for (i, j, v) in zeros.chain(matrix.iter().map(|(i, j, v)| (rows[i], cols[j], v))) {
+            coo.push(i, j, v).unwrap();
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    /// `(row, col, value bits)` of every stored entry.
+    fn entry_bits(m: &CsrMatrix) -> Vec<(usize, usize, u64)> {
+        m.iter().map(|(i, j, v)| (i, j, v.to_bits())).collect()
+    }
+
+    #[test]
+    fn the_first_member_written_row_by_row_is_the_triplet_build_bit_for_bit() {
+        for ems in [
+            egs_shape(11),
+            egs_shape(97),
+            small_random_walk_ems(30, 12, 3),
+        ] {
+            let (clustering, unions) = alpha_clustering_with_unions(&ems, 0.95).unwrap();
+            let mut report = RunReport::new("first");
+            for (cluster, union) in clustering.clusters().iter().zip(unions) {
+                let (ordering, reordered_union, _) =
+                    universal_structure(union, None, &mut report).unwrap();
+                for i in cluster.range() {
+                    let oracle =
+                        reordered_over_triplets(&reordered_union, ems.matrix(i), &ordering);
+                    let got = reordered_over(reordered_union.clone(), ems.matrix(i), &ordering);
+                    assert_eq!(entry_bits(&got.unwrap()), entry_bits(&oracle), "member {i}");
+                }
+            }
+        }
+        // An entry the pattern does not hold is a typed error.
+        let matrix = small_random_walk_ems(12, 2, 5).matrix(0).clone();
+        let identity = Ordering::identity(matrix.n_rows());
+        let err = reordered_over(SparsityPattern::identity(12), &matrix, &identity).unwrap_err();
+        assert!(
+            matches!(err, LuError::EntryOutsideStructure { .. }),
+            "{err:?}"
+        );
+    }
+
     #[test]
     fn the_held_member_is_the_reordered_member_after_either_arm() {
         for ems in [egs_shape(11), one_column_per_step(11)] {
             let (clustering, unions) = alpha_clustering_with_unions(&ems, 0.95).unwrap();
             let mut report = RunReport::new("held");
-            for (cluster, union) in clustering.clusters().iter().zip(&unions) {
+            for (cluster, union) in clustering.clusters().iter().zip(unions) {
                 let (ordering, reordered_union, structure) =
-                    universal_structure(union, None, &mut report);
-                let first = reordered_over(&reordered_union, ems.matrix(cluster.start), &ordering);
+                    universal_structure(union, None, &mut report).unwrap();
+                let first =
+                    reordered_over(reordered_union, ems.matrix(cluster.start), &ordering).unwrap();
                 assert_holds_member(&first, &ems, cluster.start, &ordering);
                 let mut factors = LuFactors::factorize(structure, &first).unwrap();
                 let mut members = UniversalMembers::new(first, &ordering, false);
                 for i in cluster.start + 1..cluster.end {
                     members.advance(&ems, i);
                     let mut fork = members.clone();
-                    fork.bennett_only = true;
-                    fork.step(&mut factors.clone(), &mut report).unwrap();
+                    fork.bennett = Some(BennettWorkspace::new());
+                    assert!(fork.step(&mut factors.clone(), &mut report).unwrap());
                     assert_holds_member(fork.maintainer.matrix(), &ems, i, &ordering);
-                    members.step(&mut factors, &mut report).unwrap();
+                    assert!(members.step(&mut factors, &mut report).unwrap());
                     assert_holds_member(members.maintainer.matrix(), &ems, i, &ordering);
                 }
             }
         }
-    }
-
-    #[test]
-    fn a_faithful_cluster_never_copies_its_factors() {
-        let ems = egs_shape(11);
-        let (clustering, unions) = alpha_clustering_with_unions(&ems, 0.95).unwrap();
-        let mut report = RunReport::new("faithful");
-        for (cluster, union) in clustering.clusters().iter().zip(&unions) {
-            let (ordering, reordered_union, structure) =
-                universal_structure(union, None, &mut report);
-            let first = reordered_over(&reordered_union, ems.matrix(cluster.start), &ordering);
-            let mut factors = LuFactors::factorize(structure, &first).unwrap();
-            let mut members = UniversalMembers::new(first, &ordering, true);
-            for i in cluster.start + 1..cluster.end {
-                members.advance(&ems, i);
-                members.step(&mut factors, &mut report).unwrap();
-            }
-            assert!(members.spare.is_none(), "cluster {cluster:?}");
-        }
-        assert!(report.bennett_members > 0);
-        assert_eq!(report.numeric_members, 0);
     }
 
     #[test]
@@ -648,6 +774,187 @@ mod tests {
                 let own = LuFactors::factorize(Arc::clone(f.structure()), &member).unwrap();
                 assert_eq!(bits(f), bits(&own), "{name}: member {}", d.index);
             }
+        }
+    }
+
+    /// `(row, col, value bits)` of every factor entry.
+    fn factor_bits(f: &LuFactors) -> Vec<(usize, usize, u64)> {
+        f.export_entries()
+            .into_iter()
+            .map(|(i, j, v)| (i, j, v.to_bits()))
+            .collect()
+    }
+
+    /// The `n × n` matrix with `diag0` at `(0, 0)`, 4 on the rest of the
+    /// diagonal and 1 at each of `off` and its mirror.
+    fn member(n: usize, diag0: f64, off: &[(usize, usize)]) -> CsrMatrix {
+        let mut coo = CooMatrix::new(n, n);
+        coo.push(0, 0, diag0).unwrap();
+        for i in 1..n {
+            coo.push(i, i, 4.0).unwrap();
+        }
+        for &(i, j) in off {
+            coo.push(i, j, 1.0).unwrap();
+            coo.push(j, i, 1.0).unwrap();
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    #[test]
+    fn a_member_whose_pass_meets_a_zero_pivot_starts_a_new_cluster() {
+        // The union of all three members eliminates node 2 and then node 0
+        // first; member 1 stores neither `(0, 0)` nor `(0, 2)`, so its pass
+        // meets a zero pivot at node 0.  Members 1 and 2 alone eliminate
+        // node 1 before node 0, whose pivot is then −1/4.
+        let hub = [(0, 1), (1, 3), (1, 4), (1, 5)];
+        let ems = EvolvingMatrixSequence::new(vec![
+            member(6, 4.0, &hub),
+            member(6, 0.0, &[(0, 1)]).prune(0.0),
+            member(6, 0.0, &[(0, 1), (0, 2)]).prune(0.0),
+        ])
+        .unwrap();
+        let solution = Clude::new(0.0)
+            .solve(&ems, &SolverConfig::default())
+            .unwrap();
+        let report = &solution.report;
+        assert_eq!(report.cluster_sizes, vec![1, 2]);
+        assert_eq!((report.numeric_members, report.bennett_members), (1, 0));
+        assert!(!Arc::ptr_eq(&report.orderings[0], &report.orderings[1]));
+        assert!(Arc::ptr_eq(&report.orderings[1], &report.orderings[2]));
+        for d in &solution.decomposed {
+            let f = &d.factors;
+            let held = ems.matrix(d.index).reorder(&d.ordering).unwrap();
+            let own = LuFactors::factorize(Arc::clone(f.structure()), &held).unwrap();
+            assert_eq!(factor_bits(f), factor_bits(&own), "member {}", d.index);
+        }
+        assert!(max_reconstruction_error(&ems, &solution).unwrap() <= 1e-12);
+        // The faithful mode's Bennett sweeps meet the same pivot, and fail.
+        let err = Clude::new(0.0).solve(&ems, &FAITHFUL).unwrap_err();
+        assert!(matches!(err, LuError::SingularPivot { .. }), "{err:?}");
+    }
+
+    /// `ems`'s clusters decomposed one after another on this thread: the
+    /// oracle of the concurrent solve.
+    fn serial(
+        ems: &EvolvingMatrixSequence,
+        jobs: Vec<ClusterJob>,
+        config: &SolverConfig,
+    ) -> LuResult<LudemSolution> {
+        let mut report = RunReport::new("serial");
+        let mut decomposed = Vec::new();
+        for (cluster, union, ordering) in jobs {
+            decompose_cluster_universal(
+                ems,
+                &cluster,
+                union,
+                ordering,
+                config,
+                &mut report,
+                &mut decomposed,
+            )?;
+        }
+        Ok(LudemSolution { decomposed, report })
+    }
+
+    fn alpha_jobs(ems: &EvolvingMatrixSequence, alpha: f64) -> Vec<ClusterJob> {
+        let (clustering, unions) = alpha_clustering_with_unions(ems, alpha).unwrap();
+        let clusters = clustering.clusters().iter().cloned().zip(unions);
+        clusters.map(|(c, union)| (c, union, None)).collect()
+    }
+
+    /// `got` and `want` hold the same clusters, orderings, factor sizes,
+    /// member counts and, entry for entry, factor bits.
+    fn assert_same_solution(got: &LudemSolution, want: &LudemSolution, what: &str) {
+        let (g, w) = (&got.report, &want.report);
+        assert_eq!(g.cluster_sizes, w.cluster_sizes, "{what}");
+        assert_eq!(g.orderings, w.orderings, "{what}");
+        assert_eq!(g.factor_nnz, w.factor_nnz, "{what}");
+        assert_eq!(g.bennett, w.bennett, "{what}");
+        assert_eq!(
+            (g.bennett_members, g.numeric_members),
+            (w.bennett_members, w.numeric_members),
+            "{what}"
+        );
+        assert_eq!(got.decomposed.len(), want.decomposed.len(), "{what}");
+        for (x, y) in got.decomposed.iter().zip(&want.decomposed) {
+            assert_eq!((x.index, &x.ordering), (y.index, &y.ordering), "{what}");
+            let (x_bits, y_bits) = (factor_bits(&x.factors), factor_bits(&y.factors));
+            assert_eq!(x_bits, y_bits, "{what}: member {}", x.index);
+        }
+    }
+
+    #[test]
+    fn the_concurrent_solve_equals_the_serial_loop_in_both_modes() {
+        for config in [SolverConfig::default(), FAITHFUL] {
+            for seed in [11, 97] {
+                let ems = egs_shape(seed);
+                let got = Clude::new(0.98).solve(&ems, &config).unwrap();
+                let want = serial(&ems, alpha_jobs(&ems, 0.98), &config).unwrap();
+                assert!(
+                    want.report.cluster_count() >= 4,
+                    "{:?}",
+                    want.report.cluster_sizes
+                );
+                assert!(want.report.cluster_sizes.iter().any(|&size| size > 1));
+                assert_same_solution(&got, &want, &format!("CLUDE, seed {seed}, {config:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn the_concurrent_qc_solve_equals_the_serial_loop_in_both_modes() {
+        let ems = small_symmetric_ems(40, 14, 7);
+        let beta = crate::qc::beta_clustering_clude(&ems, 0.05);
+        let jobs = || -> Vec<ClusterJob> {
+            let clusters = beta.clustering.clusters().iter().cloned();
+            let orderings = beta.orderings.iter().cloned();
+            let union = |c: &Cluster| crate::cluster::cluster_union_pattern(&ems, c);
+            clusters
+                .zip(orderings)
+                .map(|(c, o)| (c.clone(), union(&c), Some(o)))
+                .collect()
+        };
+        for config in [SolverConfig::default(), FAITHFUL] {
+            let got = CludeQc::new(0.05).solve(&ems, &config).unwrap();
+            let want = serial(&ems, jobs(), &config).unwrap();
+            assert!(
+                want.report.cluster_count() >= 4,
+                "{:?}",
+                want.report.cluster_sizes
+            );
+            assert!(want.report.cluster_sizes.iter().any(|&size| size > 1));
+            assert_same_solution(&got, &want, &format!("CLUDE-QC, {config:?}"));
+        }
+    }
+
+    #[test]
+    fn of_two_failing_clusters_the_earlier_ones_error_is_returned() {
+        // Four clusters of one pattern each (α = 1): [0, 2), [2, 4), [4, 7),
+        // [7, 8).  The first members of the second and third hold a pivot
+        // below the singular tolerance, each its own; the third cluster is
+        // the largest, so it is taken first.
+        let (early, late) = (1e-310, 2e-310);
+        let ems = EvolvingMatrixSequence::new(vec![
+            member(6, 4.0, &[(1, 2)]),
+            member(6, 4.0, &[(1, 2)]),
+            member(6, early, &[(2, 3)]),
+            member(6, 4.0, &[(2, 3)]),
+            member(6, late, &[(3, 4)]),
+            member(6, 4.0, &[(3, 4)]),
+            member(6, 4.0, &[(3, 4)]),
+            member(6, 4.0, &[(4, 5)]),
+        ])
+        .unwrap();
+        assert_eq!(alpha_jobs(&ems, 1.0).len(), 4);
+        let pivot = |err: LuError| match err {
+            LuError::SingularPivot { value, .. } => value,
+            other => panic!("{other:?}"),
+        };
+        for config in [SolverConfig::default(), FAITHFUL] {
+            let got = Clude::new(1.0).solve(&ems, &config).unwrap_err();
+            let want = serial(&ems, alpha_jobs(&ems, 1.0), &config).unwrap_err();
+            assert_eq!(got, want, "{config:?}");
+            assert_eq!(pivot(got).to_bits(), early.to_bits(), "{config:?}");
         }
     }
 

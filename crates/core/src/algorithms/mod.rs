@@ -5,7 +5,7 @@
 //! | [`BruteForce`] (BF) | none (per-matrix) | Markowitz of each `A_i` | static | no |
 //! | [`Incremental`] (INC) | none (one big cluster) | Markowitz of `A_1` | dynamic | Bennett |
 //! | [`ClusterIncremental`] (CINC) | α-clustering | Markowitz of each cluster's first matrix | dynamic | Bennett |
-//! | [`Clude`] (CLUDE) | α-clustering | Markowitz of each cluster's `A_∪` | static (USSP) | Bennett |
+//! | [`Clude`] (CLUDE) | α-clustering | Markowitz of each cluster's `A_∪` | static (USSP) | reach pass (Bennett in the faithful mode) |
 //!
 //! Every solver outputs static factors: INC and CINC keep a flat copy of
 //! each member of their dynamic lists.

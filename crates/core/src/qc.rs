@@ -13,7 +13,7 @@
 //!   `|s̃p(A_∪^{O_∪})| ≤ (1 + β)·|s̃p(A_l*)|  ⇒  ql(O_∪, A_l) ≤ β`.
 
 use crate::algorithms::common::{
-    decompose_cluster_incremental, decompose_cluster_universal, ensure_finite, LudemSolution,
+    decompose_cluster_incremental, decompose_clusters_universal, ensure_finite, LudemSolution,
     LudemSolver, SolverConfig,
 };
 use crate::cluster::{cluster_union_pattern, Cluster, Clustering};
@@ -208,26 +208,16 @@ impl LudemSolver for CludeQc {
         let mut decomposed = Vec::with_capacity(ems.len());
         let t = Instant::now();
         let beta_clusters = beta_clustering_clude(ems, self.beta);
+        let clusters = beta_clusters.clustering.clusters().iter().cloned();
+        let jobs = clusters
+            .zip(beta_clusters.orderings)
+            .map(|(cluster, ordering)| {
+                let union = cluster_union_pattern(ems, &cluster);
+                (cluster, union, Some(ordering))
+            })
+            .collect();
         report.timings.clustering += t.elapsed();
-        for (cluster, ordering) in beta_clusters
-            .clustering
-            .clusters()
-            .iter()
-            .zip(beta_clusters.orderings.iter())
-        {
-            let t = Instant::now();
-            let union = cluster_union_pattern(ems, cluster);
-            report.timings.clustering += t.elapsed();
-            decompose_cluster_universal(
-                ems,
-                cluster,
-                &union,
-                Some(ordering.clone()),
-                config,
-                &mut report,
-                &mut decomposed,
-            )?;
-        }
+        decompose_clusters_universal(ems, jobs, config, &mut report, &mut decomposed)?;
         Ok(LudemSolution { decomposed, report })
     }
 }

@@ -11,7 +11,12 @@ use clude_sparse::{Ordering, StructuralStats};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Wall-clock time spent in each phase of a LUDEM algorithm.
+/// Time spent in each phase of a LUDEM algorithm.
+///
+/// Each phase is the time summed over the threads that ran it: CLUDE
+/// decomposes its clusters on up to two threads at once, so its phases, and
+/// [`TimingBreakdown::total`], measure work, and can exceed the solve's
+/// wall-clock time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TimingBreakdown {
     /// Time spent clustering the sequence (α- or β-clustering), including the
@@ -22,10 +27,15 @@ pub struct TimingBreakdown {
     /// Time spent in symbolic decomposition and building (static or dynamic)
     /// factor structures.
     pub symbolic: Duration,
-    /// Time spent in full numeric LU decompositions.
+    /// Time spent in full numeric LU decompositions — in CLUDE's default
+    /// mode also the numeric passes that reach the members after a
+    /// cluster's first.
     pub full_decomposition: Duration,
-    /// Time spent in Bennett incremental updates (including forming the
-    /// per-step matrix deltas).
+    /// Time spent reaching members from their predecessors besides those
+    /// passes: Bennett's incremental updates, including forming the per-step
+    /// matrix deltas, and in CLUDE's default mode — which runs no Bennett
+    /// update — taking each member's delta and writing it into the held
+    /// member.
     pub incremental: Duration,
 }
 
@@ -91,6 +101,23 @@ impl RunReport {
         }
     }
 
+    /// Appends `part`, the report of the clusters that follow this report's
+    /// in the sequence — as a CLUDE solve merges the clusters its threads
+    /// decomposed: its lists go after this report's, its timings and
+    /// counters add to them.  `part`'s algorithm name is dropped.
+    pub fn merge(&mut self, part: RunReport) {
+        self.timings.merge(&part.timings);
+        self.cluster_sizes.extend(part.cluster_sizes);
+        self.orderings.extend(part.orderings);
+        self.factor_nnz.extend(part.factor_nnz);
+        self.bennett.merge(&part.bennett);
+        self.structural.inserts += part.structural.inserts;
+        self.structural.removals += part.structural.removals;
+        self.structural.probes += part.structural.probes;
+        self.bennett_members += part.bennett_members;
+        self.numeric_members += part.numeric_members;
+    }
+
     /// Number of clusters used by the run.
     pub fn cluster_count(&self) -> usize {
         self.cluster_sizes.len()
@@ -144,6 +171,26 @@ mod tests {
         r.factor_nnz = vec![10, 20, 30];
         assert_eq!(r.cluster_count(), 2);
         assert_eq!(r.average_factor_nnz(), 20.0);
+    }
+
+    #[test]
+    fn merge_appends_the_parts_lists_and_adds_its_counts() {
+        let mut whole = RunReport::new("CLUDE");
+        whole.cluster_sizes = vec![3];
+        whole.factor_nnz = vec![10, 10, 10];
+        whole.numeric_members = 2;
+        whole.timings.ordering = Duration::from_millis(2);
+        let mut part = RunReport::new("");
+        part.cluster_sizes = vec![1, 1];
+        part.factor_nnz = vec![20, 30];
+        part.bennett_members = 1;
+        part.timings.ordering = Duration::from_millis(3);
+        whole.merge(part);
+        assert_eq!(whole.algorithm, "CLUDE");
+        assert_eq!(whole.cluster_sizes, vec![3, 1, 1]);
+        assert_eq!(whole.factor_nnz, vec![10, 10, 10, 20, 30]);
+        assert_eq!((whole.bennett_members, whole.numeric_members), (1, 2));
+        assert_eq!(whole.timings.ordering, Duration::from_millis(5));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! when an entry escapes it.  A [`Maintainer`] is that state — the
 //! ordering's `old → new` maps, the matrix, the step's delta, the pass's
 //! scratch — and the operations of the step.  On which copy of the factors
-//! the pass runs, and what follows a failed one (CLUDE's Bennett sweeps, the
+//! the pass runs, and what follows a failed one (CLUDE's new cluster, the
 //! engine's re-order), stays the caller's decision.
 
 use crate::error::LuResult;

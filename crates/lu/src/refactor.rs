@@ -56,7 +56,7 @@
 //! place once it passed its guards, so on error the rows before the failing
 //! one hold new values and the storage must be discarded: the engine runs
 //! the pass on a copy of the shard's published block (the copy *is* the next
-//! block on success), CLUDE on a spare copy of the predecessor's factors.  A
+//! block on success), CLUDE in place on factors a failure drops.  A
 //! caller that names the changed rows must name every one (a row left out is
 //! taken to hold the matrix row its factors were computed from).
 
