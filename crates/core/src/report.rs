@@ -60,7 +60,7 @@ impl TimingBreakdown {
 pub struct RunReport {
     /// Algorithm name ("BF", "INC", "CINC", "CLUDE", …).
     pub algorithm: String,
-    /// Wall-clock breakdown.
+    /// Time per phase, summed over the threads that ran it.
     pub timings: TimingBreakdown,
     /// Sizes of the clusters used (a single `T`-sized cluster for INC, `T`
     /// singleton clusters for BF).
